@@ -1,8 +1,16 @@
 """Recovery, refresh and rebalance (section 5.2).
 
 Recovery replays the DML a down node missed, sourced from buddy
-projections, in two phases:
+projections, in a truncate step and two replay phases:
 
+* **truncate** — the node first drops what it holds past its Last
+  Good Epoch.  Storage is immutable: containers wholly at or under the
+  LGE are kept untouched, containers wholly past it are dropped
+  unread, and only one straddling it is rewritten (delete vector ->
+  replacement -> retire victim, see
+  :meth:`~repro.storage.manager.StorageManager.truncate_after_epoch`);
+  the buddy is then asked only for what was inserted or deleted past
+  the LGE (``dump_rows(after_epoch=lge)`` skips settled containers);
 * **historical phase** — no locks; copies committed history from the
   node's Last Good Epoch up to a recent epoch ``E_h``;
 * **current phase** — takes a Shared lock on the table (blocking
@@ -23,6 +31,7 @@ from dataclasses import dataclass, field
 
 from ..errors import ClusterError, DataUnavailableError
 from ..projections import ProjectionFamily
+from ..storage.manager import truncate_outcome_counts
 from ..trace import TRACER
 from ..txn import LockMode
 from .cluster import Cluster
@@ -39,19 +48,33 @@ class RecoveryReport:
     truncated_rows: int = 0
     historical_rows: int = 0
     current_rows: int = 0
+    #: What truncate-to-LGE did per container: left byte-identical,
+    #: rewritten (straddled the LGE), retired whole (past the LGE).
+    containers_kept: int = 0
+    containers_rewritten: int = 0
+    containers_dropped: int = 0
     #: projection -> (historical, current) row counts.
     per_projection: dict[str, tuple[int, int]] = field(default_factory=dict)
 
 
 def _buddy_records_for_node(
-    cluster: Cluster, family: ProjectionFamily, node_index: int, copy
+    cluster: Cluster,
+    family: ProjectionFamily,
+    node_index: int,
+    copy,
+    after_epoch: int | None = None,
 ):
     """History records the recovering node's ``copy`` should hold,
-    sourced from surviving copies of the same family."""
+    sourced from surviving copies of the same family.  With
+    ``after_epoch`` only what was inserted or deleted past that epoch
+    is read: buddy containers settled by then are skipped unopened
+    (the paper's incremental recovery)."""
     if copy.segmentation.replicated:
         for source in cluster.membership.up_nodes():
             if source != node_index:
-                yield from cluster.nodes[source].manager.dump_rows(copy.name)
+                yield from cluster.nodes[source].manager.dump_rows(
+                    copy.name, after_epoch
+                )
                 return
         # DataUnavailableError (not a bare ClusterError) so recovery
         # callers — and the supervisor's retry loop — can distinguish
@@ -70,7 +93,9 @@ def _buddy_records_for_node(
         if cluster.membership.is_up(host):
             # the buddy's storage on `host` holds exactly this ring
             # segment's rows (offset rings line up one-to-one).
-            yield from cluster.nodes[host].manager.dump_rows(other.name)
+            yield from cluster.nodes[host].manager.dump_rows(
+                other.name, after_epoch
+            )
             return
     raise DataUnavailableError(
         f"no live buddy to recover segment {base} of {copy.name} on "
@@ -123,24 +148,38 @@ def _recover_node(
                 report.per_projection[copy.name] = (0, 0)
                 continue
             # 1. truncate to the LGE: WOS contents died with the node
-            #    and post-LGE ROS state may be incomplete.  Truncation
-            #    rebuilds the containers wholesale, so the LGE is
-            #    invalidated *first*: if this attempt crashes mid-
-            #    rebuild, the retry must re-replay everything instead
-            #    of trusting an LGE whose data is gone.
+            #    and post-LGE ROS state may be incomplete.  Containers
+            #    wholly at or under the LGE stay untouched, those wholly
+            #    past it are dropped, and only one straddling it is
+            #    rewritten (delete vector -> replacement -> retire).
+            #    The LGE is still invalidated *first*: from here until
+            #    the replay completes the node holds less than the LGE
+            #    certifies, so if this attempt crashes the retry must
+            #    re-replay everything instead of trusting it.
+            outcomes_before = truncate_outcome_counts()
             with TRACER.span(
                 "recovery.truncate",
                 category="recovery",
                 node_index=node_index,
                 projection=copy.name,
                 lge=lge,
-            ):
+            ) as truncate_span:
                 cluster.epochs.invalidate_lge(node_index, copy.name)
                 report.truncated_rows += manager.truncate_after_epoch(
                     copy.name, lge
                 )
+                outcomes = truncate_outcome_counts(since=outcomes_before)
+                report.containers_kept += outcomes["containers_kept"]
+                report.containers_rewritten += outcomes["containers_rewritten"]
+                report.containers_dropped += outcomes["containers_dropped"]
+                if truncate_span is not None:
+                    truncate_span.attrs.update(outcomes)
+                # only what the node missed: buddy containers settled
+                # at the LGE are skipped without being read.
                 records = list(
-                    _buddy_records_for_node(cluster, family, node_index, copy)
+                    _buddy_records_for_node(
+                        cluster, family, node_index, copy, after_epoch=lge
+                    )
                 )
             # 2. historical phase (no locks): (LGE, boundary]
             with TRACER.span(

@@ -12,7 +12,16 @@ Replay order (each step idempotent over what the previous recovered):
    epoch every node had fully drained to ROS at the last all-up mover
    cycle; anything newer on disk may be incomplete on *some* node, so
    every projection is truncated back to it (the cold-start analogue of
-   recovery's truncate-to-LGE).
+   recovery's truncate-to-LGE).  Storage is immutable and an open must
+   not rewrite it: the decision is taken per container from its
+   metadata.  A container wholly at or under the floor with no delete
+   marker past it is **kept** byte-identical (the whole database, after
+   a clean shutdown); one wholly past the floor is **dropped** unread;
+   only one that *straddles* the floor is rewritten, in the order
+   delete vector -> replacement (stamped ``merged_from=[victim]``) ->
+   retire victim, so a kill at any point reopens onto either the
+   victim or the complete replacement.  ``ColdStartReport`` counts the
+   three outcomes: ``containers_rewritten`` is why an open was slow.
 4. **Replay the tail** — commit records with epochs past the floor are
    re-applied (inserts through normal routing, deletes by materialized
    row multiset).  The journal itself was already cut to its last
@@ -33,6 +42,7 @@ from typing import TYPE_CHECKING
 
 from ..errors import DurabilityError
 from ..monitor import METRICS
+from ..storage.manager import truncate_outcome_counts
 from ..trace import TRACER
 from ..txn.epochs import INITIAL_EPOCH
 from .codec import decode_catalog, decode_family, decode_table
@@ -56,6 +66,11 @@ class ColdStartReport:
     rows_redeleted: int = 0
     #: Rows discarded from on-disk containers past the durable floor.
     rows_truncated: int = 0
+    #: What truncate-to-floor did per container: left byte-identical,
+    #: rewritten (straddled the floor), retired whole (past the floor).
+    containers_kept: int = 0
+    containers_rewritten: int = 0
+    containers_dropped: int = 0
     containers_quarantined: int = 0
     rejoin_ticks: int = 0
     #: projection copies restored, for quick report introspection.
@@ -101,14 +116,21 @@ def replay_journal(cluster: "Cluster", journal: Journal) -> ColdStartReport:
             cluster.epochs.current_epoch = max(
                 INITIAL_EPOCH, replay.checkpoint["current_epoch"]
             )
+        outcomes_before = truncate_outcome_counts()
         with TRACER.span(
             "cold_start.truncate", category="recovery", floor=replay.floor
-        ):
+        ) as span:
             for node in cluster.nodes:
                 for copy in cluster.catalog.all_projections():
                     report.rows_truncated += node.manager.truncate_after_epoch(
                         copy.name, replay.floor
                     )
+            outcomes = truncate_outcome_counts(since=outcomes_before)
+            report.containers_kept = outcomes["containers_kept"]
+            report.containers_rewritten = outcomes["containers_rewritten"]
+            report.containers_dropped = outcomes["containers_dropped"]
+            if span is not None:
+                span.attrs.update(outcomes)
         with TRACER.span("cold_start.replay", category="recovery"):
             _replay_tail(cluster, replay, drop_lsn, report)
         _restore_epoch_marks(cluster, replay)

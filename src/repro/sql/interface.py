@@ -31,6 +31,23 @@ class CopyResult:
     rejected: list[tuple[int, str, str]] = field(default_factory=list)
 
 
+def _insert_constant(expr: ast.SqlExpr):
+    """The value of one ``INSERT ... VALUES`` item: a literal, or a
+    negated numeric literal (the parser reads ``-1.5`` as unary minus
+    over ``1.5``, and drops a unary plus)."""
+    negations = 0
+    while isinstance(expr, ast.UnaryOp) and expr.op == "-":
+        negations += 1
+        expr = expr.operand
+    if not isinstance(expr, ast.Constant):
+        raise SqlAnalysisError("INSERT values must be constants")
+    if not negations:
+        return expr.value
+    if isinstance(expr.value, bool) or not isinstance(expr.value, (int, float)):
+        raise SqlAnalysisError("INSERT can only negate a numeric literal")
+    return -expr.value if negations % 2 else expr.value
+
+
 def _single_table_scope(catalog, table_name: str) -> Scope:
     table = catalog.table(table_name)
     return Scope([_FromItem(ast.TableRef(table_name), table.column_names)])
@@ -182,9 +199,7 @@ def _execute_statement(session, text, copy_rows, trace, info=None):
                 )
             row = {name: None for name in table.column_names}
             for name, value in zip(columns, values):
-                if not isinstance(value, ast.Constant):
-                    raise SqlAnalysisError("INSERT values must be constants")
-                row[name] = value.value
+                row[name] = _insert_constant(value)
             rows.append(row)
         session.insert(statement.table, rows)
         return len(rows)

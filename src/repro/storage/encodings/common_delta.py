@@ -16,12 +16,14 @@ collection-timestamp column in a fraction of its raw size.
 from __future__ import annotations
 
 import zlib
+from itertools import accumulate
 
 from ...types import DataType
 from ..serde import (
     bit_width_for,
     pack_bits,
     read_svarint,
+    read_svarints,
     read_uvarint,
     unpack_bits,
     write_svarint,
@@ -67,18 +69,12 @@ class CompressedCommonDeltaEncoding(Encoding):
         raw = zlib.decompress(data)
         first, offset = read_svarint(raw, 0)
         size, offset = read_uvarint(raw, offset)
-        entries = []
-        for _ in range(size):
-            entry, offset = read_svarint(raw, offset)
-            entries.append(entry)
+        entries, offset = read_svarints(raw, offset, size)
         width, offset = read_uvarint(raw, offset)
         codes = unpack_bits(raw[offset:], width, count - 1)
-        values = [first]
-        current = first
-        for code in codes:
-            current += entries[code]
-            values.append(current)
-        return values
+        return list(
+            accumulate((entries[code] for code in codes), initial=first)
+        )
 
     def supports(self, dtype: DataType, values: list) -> bool:
         if not (dtype.integral and values_are_integral(values)):

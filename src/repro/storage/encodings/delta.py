@@ -12,7 +12,7 @@ columns (the "integer-based" types).
 from __future__ import annotations
 
 from ...types import DataType
-from ..serde import read_svarint, read_uvarint, write_svarint, write_uvarint
+from ..serde import read_svarint, read_uvarints, write_svarint, write_uvarint
 from .base import Encoding, register, values_are_integral
 
 
@@ -35,11 +35,8 @@ class DeltaValueEncoding(Encoding):
         if count == 0:
             return []
         minimum, offset = read_svarint(data, 0)
-        values = []
-        for _ in range(count):
-            delta, offset = read_uvarint(data, offset)
-            values.append(minimum + delta)
-        return values
+        deltas, _ = read_uvarints(data, offset, count)
+        return [minimum + delta for delta in deltas]
 
     def supports(self, dtype: DataType, values: list) -> bool:
         return dtype.integral and values_are_integral(values)

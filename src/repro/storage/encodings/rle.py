@@ -39,10 +39,7 @@ class RleEncoding(Encoding):
 
     def decode(self, data: bytes, count: int) -> list:
         values: list = []
-        offset = 0
-        while len(values) < count:
-            value, offset = read_value(data, offset)
-            length, offset = read_uvarint(data, offset)
+        for value, length in self.iter_runs(data, count):
             values.extend([value] * length)
         return values
 

@@ -35,6 +35,24 @@ from .wos import DEFAULT_WOS_CAPACITY, WriteOptimizedStore
 QUARANTINE_DIR = "quarantine"
 
 
+#: What ``truncate_after_epoch`` can do to one container; each outcome
+#: is counted in ``storage.truncate.containers_<outcome>``.
+TRUNCATE_OUTCOMES = ("kept", "rewritten", "dropped")
+
+
+def truncate_outcome_counts(since: dict[str, int] | None = None) -> dict[str, int]:
+    """``containers_<outcome>`` -> the ``storage.truncate.*`` counter of
+    that name, less its value in ``since`` (an earlier reading): cold
+    start and recovery report what their own truncate step did."""
+    counts = {}
+    for outcome in TRUNCATE_OUTCOMES:
+        key = f"containers_{outcome}"
+        counts[key] = METRICS.counter(f"storage.truncate.{key}")
+        if since is not None:
+            counts[key] -= since[key]
+    return counts
+
+
 @dataclass
 class QuarantinedContainer:
     """Record of one container pulled from service by the scavenger."""
@@ -257,9 +275,29 @@ class StorageManager:
         partition_key,
         local_segment: int,
         merged_from: list[int] | None = None,
+        delete_epochs: list[int | None] | None = None,
     ) -> int:
+        """Write one container; ``delete_epochs[i]`` (None = live) is
+        the delete marker of ``sorted_rows[i]``.
+
+        The markers reach disk as a DVROS *before* the container
+        publishes: a crash in between leaves a vector without a target,
+        which scavenge deletes, never a container without its deletes.
+        """
         container_id = self._next_container_id
         self._next_container_id += 1
+        vector = dv_name = None
+        if delete_epochs is not None:
+            deleted = [
+                position
+                for position, delete_epoch in enumerate(delete_epochs)
+                if delete_epoch is not None
+            ]
+            if deleted:
+                vector = DeleteVector(
+                    container_id, deleted, [delete_epochs[p] for p in deleted]
+                )
+                dv_name = self._write_delete_vector(state, vector)
         path = os.path.join(
             self._projection_dir(state.projection.name), f"ros_{container_id:06d}"
         )
@@ -274,7 +312,22 @@ class StorageManager:
             merged_from=merged_from,
         )
         state.containers[container_id] = container
+        if vector is not None:
+            state.persisted_ros_deletes[container_id] = [vector]
+            state.loaded_dv_dirs.add(dv_name)
         return container_id
+
+    def _write_delete_vector(
+        self, state: ProjectionStorage, vector: DeleteVector
+    ) -> str:
+        """Publish ``vector`` as the next DVROS directory of its target
+        container; returns the directory's basename."""
+        name = f"dv_{vector.target_container:06d}_{self._dv_seq:06d}"
+        self._dv_seq += 1
+        vector.write(
+            os.path.join(self._projection_dir(state.projection.name), name)
+        )
+        return name
 
     def add_container_from_rows(
         self,
@@ -284,15 +337,18 @@ class StorageManager:
         partition_key=None,
         local_segment: int = 0,
         merged_from: list[int] | None = None,
+        delete_epochs: list[int | None] | None = None,
     ) -> int:
         """Create one container from pre-sorted rows (tuple mover,
         recovery and rebalance use this lower-level entry point).
         ``merged_from`` stamps mergeout provenance into the container's
-        metadata so a crash before input retirement is self-healing."""
+        metadata so a crash before input retirement is self-healing;
+        ``delete_epochs`` (one per row, None = live) is persisted as the
+        container's delete vector ahead of the container itself."""
         state = self._state(projection_name)
         return self._new_container(
             state, sorted_rows, epochs, partition_key, local_segment,
-            merged_from=merged_from,
+            merged_from=merged_from, delete_epochs=delete_epochs,
         )
 
     def adopt_container(self, projection_name: str, source_dir: str) -> int:
@@ -406,9 +462,7 @@ class StorageManager:
         state = self._state(projection_name)
         persisted = 0
         for container_id, vector in sorted(state.pending_ros_deletes.items()):
-            name = f"dv_{container_id:06d}_{self._dv_seq:06d}"
-            self._dv_seq += 1
-            vector.write(os.path.join(self._projection_dir(projection_name), name))
+            name = self._write_delete_vector(state, vector)
             state.persisted_ros_deletes.setdefault(container_id, []).append(vector)
             state.loaded_dv_dirs.add(name)
             persisted += 1
@@ -467,6 +521,11 @@ class StorageManager:
             if not entry.startswith("dv_") or fsio.is_staging_dir(entry):
                 continue
             self._scavenge_delete_vector(state, entry, report)
+            # surviving vectors keep their names, so new ones must be
+            # numbered past them (a reused name would replace one).
+            sequence = entry.rpartition("_")[2]
+            if sequence.isdigit():
+                self._dv_seq = max(self._dv_seq, int(sequence) + 1)
         highest = max(state.containers, default=0)
         if highest >= self._next_container_id:
             self._next_container_id = highest + 1
@@ -841,55 +900,182 @@ class StorageManager:
                 rows.append({name: batch.columns[name][index] for name in names})
         return rows
 
-    def dump_rows(self, projection_name: str):
+    def dump_rows(self, projection_name: str, after_epoch: int | None = None):
         """Yield ``(row, insert_epoch, delete_epoch_or_None)`` for every
         stored row, deleted or not.
 
         This is the full physical history of the projection on this
         node — the record recovery, refresh and rebalance replay from
         (section 5.2: "the data+epoch itself serves as a log of past
-        system activity").
+        system activity").  With ``after_epoch`` only rows inserted or
+        deleted past that epoch are yielded, and containers holding no
+        such row are skipped on their metadata without being read:
+        incremental recovery reads what the node missed, not the
+        buddy's whole projection.
         """
         state = self._state(projection_name)
         for container_id in sorted(state.containers):
             container = state.containers[container_id]
+            if after_epoch is not None and self._settled_at(
+                state, container, after_epoch
+            ):
+                continue
             names = container.meta.columns
             columns = container.read_columns(names)
             epochs = container.read_epochs()
             deletes = state.deletes_for(container_id)
             for position in range(container.row_count):
+                delete_epoch = deletes.get(position)
+                if (
+                    after_epoch is not None
+                    and max(epochs[position], delete_epoch or 0) <= after_epoch
+                ):
+                    continue
                 row = {name: columns[name][position] for name in names}
-                yield row, epochs[position], deletes.get(position)
+                yield row, epochs[position], delete_epoch
         for position, (row, epoch) in enumerate(
             zip(state.wos.rows, state.wos.epochs)
         ):
-            yield row, epoch, state.wos_deletes.get(position)
+            delete_epoch = state.wos_deletes.get(position)
+            if (
+                after_epoch is not None
+                and max(epoch, delete_epoch or 0) <= after_epoch
+            ):
+                continue
+            yield row, epoch, delete_epoch
+
+    @staticmethod
+    def _settled_at(
+        state: ProjectionStorage,
+        container: ROSContainer,
+        epoch: int,
+        on_disk_only: bool = False,
+    ) -> bool:
+        """Whether nothing in ``container`` happened after ``epoch``: no
+        row inserted and no delete marker stamped past it
+        (``on_disk_only`` ignores the in-memory DVWOS markers).
+        Decided from ``meta.json`` and the delete vectors already in
+        memory — the container's files are not opened."""
+        if container.meta.max_epoch > epoch:
+            return False
+        vectors = list(
+            state.persisted_ros_deletes.get(container.container_id, ())
+        )
+        pending = state.pending_ros_deletes.get(container.container_id)
+        if pending is not None and not on_disk_only:
+            vectors.append(pending)
+        return all(
+            delete_epoch <= epoch
+            for vector in vectors
+            for delete_epoch in vector.epochs
+        )
 
     def truncate_after_epoch(self, projection_name: str, epoch: int) -> int:
         """Discard rows committed after ``epoch`` (and delete markers
-        stamped after it), rebuilding the projection's containers.
+        stamped after it).  Returns rows discarded.
 
         Recovery's first step: "the node truncates all tuples that were
         inserted after its LGE, ensuring that it starts at a consistent
-        state" (section 5.2).  Returns rows discarded.
+        state" (section 5.2).  Storage is immutable, so the decision is
+        taken per container from its metadata:
+
+        * **kept** — every row at or under ``epoch`` and no persisted
+          delete marker past it: files, position indexes and delete
+          vector directories are left byte-identical (no decode, no
+          write);
+        * **dropped** — every row past ``epoch``: retired whole, counted
+          from ``row_count`` without being read;
+        * **rewritten** — the container straddles ``epoch`` or carries a
+          delete marker past it: the survivors are written to a
+          replacement stamped ``merged_from=[victim]``, in the order
+          delete vector -> replacement -> retire victim, so a crash at
+          any point leaves either the victim or a complete replacement
+          (scavenge retires the duplicate victim).
+
+        Each outcome is counted in ``storage.truncate.containers_*``.
+        The WOS is truncated in memory.
         """
         state = self._state(projection_name)
-        survivors = []
         discarded = 0
-        for row, insert_epoch, delete_epoch in self.dump_rows(projection_name):
-            if insert_epoch > epoch:
-                discarded += 1
-                continue
-            if delete_epoch is not None and delete_epoch > epoch:
-                delete_epoch = None
-            survivors.append((row, insert_epoch, delete_epoch))
-        self.remove_containers(projection_name, list(state.containers))
-        state.wos.drain()
-        state.wos_deletes.clear()
-        state.pending_ros_deletes.clear()
-        state.persisted_ros_deletes.clear()
-        self.load_history(projection_name, survivors)
+        for container_id in sorted(state.containers):
+            container = state.containers[container_id]
+            if container.meta.min_epoch > epoch:
+                discarded += container.row_count
+                self.remove_containers(projection_name, [container_id])
+                METRICS.inc("storage.truncate.containers_dropped")
+            elif self._settled_at(state, container, epoch, on_disk_only=True):
+                self._trim_pending_deletes(state, container_id, epoch)
+                METRICS.inc("storage.truncate.containers_kept")
+            else:
+                discarded += self._rewrite_truncated(state, container, epoch)
+                METRICS.inc("storage.truncate.containers_rewritten")
+        keep = [
+            position
+            for position, row_epoch in enumerate(state.wos.epochs)
+            if row_epoch <= epoch
+        ]
+        # WOS positions are ordinals: surviving markers move with their rows.
+        wos_deletes = {}
+        for new_position, old_position in enumerate(keep):
+            delete_epoch = state.wos_deletes.get(old_position)
+            if delete_epoch is not None and delete_epoch <= epoch:
+                wos_deletes[new_position] = delete_epoch
+        discarded += state.wos.truncate_after_epoch(epoch)
+        state.wos_deletes = wos_deletes
         return discarded
+
+    @staticmethod
+    def _trim_pending_deletes(
+        state: ProjectionStorage, container_id: int, epoch: int
+    ) -> None:
+        """Drop in-memory (DVWOS) markers stamped after ``epoch``."""
+        pending = state.pending_ros_deletes.get(container_id)
+        if pending is None:
+            return
+        kept = [
+            (position, delete_epoch)
+            for position, delete_epoch in zip(pending.positions, pending.epochs)
+            if delete_epoch <= epoch
+        ]
+        if not kept:
+            del state.pending_ros_deletes[container_id]
+        elif len(kept) < pending.count:
+            state.pending_ros_deletes[container_id] = DeleteVector(
+                container_id, [p for p, _ in kept], [e for _, e in kept]
+            )
+
+    def _rewrite_truncated(
+        self, state: ProjectionStorage, container: ROSContainer, epoch: int
+    ) -> int:
+        """Replace ``container`` by its rows and delete markers at or
+        under ``epoch``; returns rows discarded."""
+        victim = container.container_id
+        names = container.meta.columns
+        columns = container.read_columns(names)
+        epochs = container.read_epochs()
+        deletes = state.deletes_for(victim)
+        keep = [
+            position
+            for position in range(container.row_count)
+            if epochs[position] <= epoch
+        ]
+        self._new_container(
+            state,
+            [{name: columns[name][p] for name in names} for p in keep],
+            [epochs[p] for p in keep],
+            container.meta.partition_key,
+            container.meta.local_segment,
+            merged_from=[victim],
+            delete_epochs=[
+                delete_epoch
+                if (delete_epoch := deletes.get(p)) is not None
+                and delete_epoch <= epoch
+                else None
+                for p in keep
+            ],
+        )
+        self.remove_containers(state.projection.name, [victim])
+        return container.row_count - len(keep)
 
     def load_history(
         self,
@@ -897,8 +1083,9 @@ class StorageManager:
         records: list[tuple[dict, int, int | None]],
     ) -> list[int]:
         """Write (row, insert_epoch, delete_epoch) records straight to
-        ROS containers, preserving epochs and delete markers.  Used by
-        truncate, recovery, refresh and rebalance."""
+        ROS containers, preserving epochs and delete markers (persisted
+        as delete vectors, each ahead of its container).  Used by
+        recovery, refresh and rebalance."""
         state = self._state(projection_name)
         if not records:
             return []
@@ -917,21 +1104,16 @@ class StorageManager:
                 indexes,
                 key=lambda i: state.projection.sort_key_for(records[i][0]),
             )
-            rows = [records[i][0] for i in ordered]
-            epochs = [records[i][1] for i in ordered]
-            container_id = self._new_container(
-                state, rows, epochs, partition_key, local_segment
-            )
-            created.append(container_id)
-            vector = DeleteVector(container_id)
-            for position, original in enumerate(ordered):
-                delete_epoch = records[original][2]
-                if delete_epoch is not None:
-                    vector.add(position, delete_epoch)
-            if vector.count:
-                state.persisted_ros_deletes.setdefault(container_id, []).append(
-                    vector
+            created.append(
+                self._new_container(
+                    state,
+                    [records[i][0] for i in ordered],
+                    [records[i][1] for i in ordered],
+                    partition_key,
+                    local_segment,
+                    delete_epochs=[records[i][2] for i in ordered],
                 )
+            )
         return created
 
     # -- partitions --------------------------------------------------------

@@ -71,6 +71,50 @@ def read_svarint(data: bytes, offset: int) -> tuple[int, int]:
     return unzigzag(raw), offset
 
 
+def read_uvarints(data: bytes, offset: int, count: int) -> tuple[list[int], int]:
+    """Read ``count`` consecutive unsigned varints; return
+    ``(values, new_offset)``.
+
+    The bulk form of :func:`read_uvarint` for the block decoders: one
+    call per block instead of one per value, with the varint loop
+    inlined.  A run of single-byte varints — small deltas, the common
+    case in sorted columns — is its own byte values and never enters
+    the loop.
+    """
+    head = data[offset : offset + count]
+    if len(head) == count and max(head, default=0) < 0x80:
+        return list(head), offset + count
+    values = []
+    append = values.append
+    try:
+        for _ in range(count):
+            byte = data[offset]
+            offset += 1
+            if byte < 0x80:
+                append(byte)
+                continue
+            result = byte & 0x7F
+            shift = 7
+            while True:
+                byte = data[offset]
+                offset += 1
+                result |= (byte & 0x7F) << shift
+                if byte < 0x80:
+                    break
+                shift += 7
+            append(result)
+    except IndexError:
+        raise EncodingError("truncated varint") from None
+    return values, offset
+
+
+def read_svarints(data: bytes, offset: int, count: int) -> tuple[list[int], int]:
+    """Read ``count`` consecutive zigzag varints; return
+    ``(values, new_offset)``."""
+    raws, offset = read_uvarints(data, offset, count)
+    return [(raw >> 1) ^ -(raw & 1) for raw in raws], offset
+
+
 def write_double(out: bytearray, value: float) -> None:
     """Append an IEEE-754 little-endian double."""
     out += struct.pack("<d", value)

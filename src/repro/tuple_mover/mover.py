@@ -28,7 +28,6 @@ from time import perf_counter
 from .. import faults
 from ..lint import sanitizer
 from ..monitor import EVENTS, METRICS
-from ..storage.delete_vector import DeleteVector
 from ..storage.manager import StorageManager
 from ..trace import TRACER
 from .strata import MergePolicy, plan_merges
@@ -133,29 +132,22 @@ class TupleMover:
             ordered = sorted(
                 indexes, key=lambda i: state.projection.sort_key_for(rows[i])
             )
-            container_id = self.manager.add_container_from_rows(
-                projection_name,
-                [rows[i] for i in ordered],
-                [epochs[i] for i in ordered],
-                partition_key=partition_key,
-                local_segment=local_segment,
+            created.append(
+                self.manager.add_container_from_rows(
+                    projection_name,
+                    [rows[i] for i in ordered],
+                    [epochs[i] for i in ordered],
+                    partition_key=partition_key,
+                    local_segment=local_segment,
+                    # WOS positions become positions in the new
+                    # container; the markers are persisted ahead of it.
+                    delete_epochs=[wos_deletes.get(i) for i in ordered],
+                )
             )
-            created.append(container_id)
             # a crash here loses the rest of the drained WOS — exactly
             # the window the LGE protects: it only advances after the
             # whole moveout, so recovery replays from the buddy.
             faults.inject("mover.moveout.container")
-            vector = DeleteVector(container_id)
-            for new_position, original_index in enumerate(ordered):
-                delete_epoch = wos_deletes.get(original_index)
-                if delete_epoch is not None:
-                    vector.add(new_position, delete_epoch)
-            if vector.count:
-                state.pending_ros_deletes[container_id] = vector
-        if any(
-            state.pending_ros_deletes.get(container_id) for container_id in created
-        ):
-            self.manager.persist_delete_vectors(projection_name)
         sanitizer.check_moveout_conservation(
             projection_name,
             len(rows),
@@ -255,7 +247,7 @@ class TupleMover:
         local_segment = template.meta.local_segment
         merged_rows: list[dict] = []
         merged_epochs: list[int] = []
-        new_deletes = DeleteVector(None)
+        merged_deletes: list[int | None] = []
         purged = 0
         read = 0
         for _, row, epoch, delete_epoch in heapq.merge(
@@ -266,10 +258,11 @@ class TupleMover:
             if delete_epoch is not None and delete_epoch <= ahm:
                 purged += 1
                 continue
-            if delete_epoch is not None:
-                new_deletes.add(len(merged_rows), delete_epoch)
             merged_rows.append(row)
             merged_epochs.append(epoch)
+            merged_deletes.append(delete_epoch)
+        # surviving delete markers are persisted ahead of the merged
+        # container, so no crash leaves it published without them.
         new_id = self.manager.add_container_from_rows(
             projection_name,
             merged_rows,
@@ -277,6 +270,7 @@ class TupleMover:
             partition_key=partition_key,
             local_segment=local_segment,
             merged_from=merge_ids,
+            delete_epochs=merged_deletes,
         )
         sanitizer.check_mergeout_conservation(
             projection_name, read, len(merged_rows), purged
@@ -286,10 +280,6 @@ class TupleMover:
         # duplicate coverage via merged_from and retires them then.
         faults.inject("mover.mergeout.retire")
         self.manager.remove_containers(projection_name, merge_ids)
-        if new_deletes.count:
-            new_deletes.target_container = new_id
-            state.pending_ros_deletes[new_id] = new_deletes
-            self.manager.persist_delete_vectors(projection_name)
         self.stats.mergeouts += 1
         self.stats.rows_read += read
         self.stats.rows_written += len(merged_rows)

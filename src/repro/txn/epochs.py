@@ -78,11 +78,10 @@ class EpochManager:
 
     def invalidate_lge(self, node: int, projection: str) -> None:
         """Reset a projection's LGE to 0 ("nothing durable") — the one
-        sanctioned backwards move.  Recovery's truncate rebuilds the
-        node's containers wholesale, so from the moment it starts until
-        the replay completes the recorded LGE certifies state that is
-        being destroyed; a recovery attempt that crashes in between
-        must not leave the old LGE claiming data the disk no longer
+        sanctioned backwards move.  From the moment recovery truncates
+        a copy until its replay completes, the node holds a
+        half-replayed window; a recovery attempt that crashes in
+        between must not leave an LGE claiming more than the disk
         holds (the retry would then skip replaying it)."""
         self._lge[(node, projection)] = 0
 

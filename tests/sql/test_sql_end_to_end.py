@@ -174,6 +174,30 @@ class TestDml:
         rows = db.sql("SELECT price FROM sales WHERE sale_id = 5000")
         assert rows == [{"price": 0.0}]
 
+    def test_insert_negative_literals(self, db):
+        # regression: "-7" parses as unary minus over 7 and was refused
+        # with "INSERT values must be constants".
+        db.sql(
+            "INSERT INTO sales VALUES (-7, 1, 'name1', 3, -1.5), "
+            "(+8001, - 2, 'name2', 3, - -2.25)"
+        )
+        rows = db.sql(
+            "SELECT sale_id, cid, price FROM sales "
+            "WHERE sale_id = -7 OR sale_id = 8001 ORDER BY sale_id"
+        )
+        assert rows == [
+            {"sale_id": -7, "cid": 1, "price": -1.5},
+            {"sale_id": 8001, "cid": -2, "price": 2.25},
+        ]
+
+    @pytest.mark.parametrize(
+        "value", ["1 + 2", "-(1 + 2)", "cid", "-cid", "-'x'", "-TRUE", "-NULL"]
+    )
+    def test_insert_still_rejects_non_constants(self, db, value):
+        with pytest.raises(SqlAnalysisError):
+            db.sql(f"INSERT INTO sales VALUES (9000, {value}, 'n', 3, 1.0)")
+        assert db.sql("SELECT count(*) AS n FROM sales")[0]["n"] == 1000
+
     def test_delete(self, db):
         db.sql("DELETE FROM sales WHERE cid = 0")
         assert db.sql("SELECT count(*) AS n FROM sales")[0]["n"] == 900

@@ -40,6 +40,53 @@ class TestVarint:
         assert serde.read_uvarint(bytes(out), 0) == (value, len(out))
 
 
+class TestBulkVarints:
+    """``read_uvarints``/``read_svarints`` agree with one scalar read
+    per value, whichever of their two paths a block takes."""
+
+    @given(
+        st.lists(st.integers(min_value=0, max_value=2**70), max_size=40),
+        st.binary(max_size=3),
+    )
+    def test_unsigned_matches_scalar_reads(self, values, prefix):
+        out = bytearray(prefix)
+        for value in values:
+            serde.write_uvarint(out, value)
+        out += b"\xff"  # whatever follows the block is left alone
+        got, offset = serde.read_uvarints(bytes(out), len(prefix), len(values))
+        assert got == values
+        assert offset == len(out) - 1
+
+    @given(st.lists(st.integers(min_value=-(2**70), max_value=2**70), max_size=40))
+    def test_signed_matches_scalar_reads(self, values):
+        out = bytearray()
+        for value in values:
+            serde.write_svarint(out, value)
+        assert serde.read_svarints(bytes(out), 0, len(values)) == (values, len(out))
+
+    def test_all_single_byte_block(self):
+        data = bytes([5, 0, 127, 9])
+        assert serde.read_uvarints(data, 1, 3) == ([0, 127, 9], 4)
+
+    @pytest.mark.parametrize(
+        "data,count",
+        [
+            (b"\x01\x02", 3),  # single-byte values, one short
+            (b"\x01\x80", 2),  # continuation bit, then nothing
+            (b"\x81\x01\x05", 3),  # multi-byte value, then one short
+            (b"", 1),
+        ],
+    )
+    def test_truncated_raises(self, data, count):
+        with pytest.raises(EncodingError, match="truncated varint"):
+            serde.read_uvarints(data, 0, count)
+        with pytest.raises(EncodingError, match="truncated varint"):
+            serde.read_svarints(data, 0, count)
+
+    def test_count_zero_reads_nothing(self):
+        assert serde.read_uvarints(b"\x80", 0, 0) == ([], 0)
+
+
 class TestZigzag:
     @given(st.integers(min_value=-(2**63), max_value=2**63 - 1))
     def test_roundtrip(self, value):

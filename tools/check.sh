@@ -73,6 +73,61 @@ echo "   seeds: 11, 23, ${GIT_SEED} (git-derived)"
 REPRO_CRASH_SEEDS="11,23,${GIT_SEED}" REPRO_SANITIZE=1 \
     python -m pytest -q tests/chaos/test_kill_anywhere.py
 
+echo "== cold open rewrites nothing: counts, not timings =="
+# Load, drain (mover cycle), close, reopen: everything is under the
+# durable floor, so the open must keep every container as it is — zero
+# container writes.  Then the same with a journal tail past the floor:
+# exactly the tail's rows are written back, nothing else.
+python - <<'EOF'
+import shutil, tempfile
+from repro import ColumnDef, Database, TableDefinition, types
+from repro.monitor import METRICS
+
+WRITTEN = "storage.containers_written"
+ROWS_WRITTEN = "storage.container_rows_written"
+root = tempfile.mkdtemp(prefix="cold_open_")
+try:
+    path = root + "/db"
+    db = Database(path, node_count=3, k_safety=1)
+    db.create_table(TableDefinition(
+        "t", [ColumnDef("k", types.INTEGER), ColumnDef("v", types.INTEGER)],
+        primary_key=("k",),
+    ), sort_order=["k"])
+    db.load("t", [{"k": i, "v": i % 9} for i in range(600)], direct_to_ros=True)
+    db.load("t", [{"k": i, "v": i % 9} for i in range(600, 700)])
+    db.sql("DELETE FROM t WHERE k % 10 = 3")
+    db.cluster.run_tuple_movers()
+    del db
+
+    written = METRICS.counter(WRITTEN)
+    db = Database.open(path)
+    report = db.replay_report
+    assert METRICS.counter(WRITTEN) == written, "a drained open wrote containers"
+    assert (report.containers_rewritten, report.containers_dropped) == (0, 0), report
+    assert report.containers_kept > 0 and report.rows_truncated == 0, report
+    assert db.sql("SELECT count(*) AS n FROM t")[0]["n"] == 630
+    kept = report.containers_kept
+
+    tail = 40
+    db.load("t", [{"k": i, "v": 0} for i in range(700, 700 + tail)], direct_to_ros=True)
+    del db
+
+    rows_written = METRICS.counter(ROWS_WRITTEN)
+    db = Database.open(path)
+    report = db.replay_report
+    assert (report.containers_kept, report.containers_rewritten) == (kept, 0), report
+    # K=1: each tail row lives in two projection copies
+    assert report.rows_truncated == 2 * tail, report
+    assert METRICS.counter(ROWS_WRITTEN) - rows_written == 2 * tail, (
+        "the open wrote more than the journal tail"
+    )
+    assert db.sql("SELECT count(*) AS n FROM t")[0]["n"] == 630 + tail
+    print("cold open OK:", kept, "containers kept, 0 written when drained;",
+          2 * tail, "rows written with a", tail, "row journal tail (K=1)")
+finally:
+    shutil.rmtree(root, ignore_errors=True)
+EOF
+
 echo "== Cluster.scrub() smoke =="
 python - <<'EOF'
 import shutil, tempfile
@@ -201,6 +256,10 @@ for name, bench in report["benches"].items():
     assert bench["seconds"] >= 0 and "metrics" in bench, name
 print("perf smoke OK:", len(report["benches"]), "bench entries recorded")
 EOF
+
+echo "== perflab self-tests (the benchmark's own suite, --quick sizes) =="
+# perflab/ is outside pytest's testpaths, so no other stage runs these.
+python -m pytest -q perflab/tests
 
 # mypy is optional tooling; the [tool.mypy] config in pyproject.toml
 # scopes it to the typed public modules when it is available.

@@ -7,7 +7,7 @@ plateaus at the pool limit instead of collapsing.  This bench drives a
 mixed read/write workload through the :class:`repro.service.SqlService`
 at 8, 64 and 256 sessions over a fixed pool, recording per-statement
 wall latency, and reports QPS plus p50/p99 per level into
-``BENCH_PR9.json``.
+``BENCH_REPORT.json``.
 
 Sessions beyond the worker-thread count are *simulated*: statements of
 all N sessions are interleaved round-robin over a bounded OS-thread

@@ -11,7 +11,7 @@ fewer nodes.  This bench records the same aggregate query
 * with one node down (buddy scans, before any recovery), and
 * with the node killed *mid-query* (one failover retry included),
 
-so ``BENCH_PR9.json`` shows the three latencies side by side, then
+so ``BENCH_REPORT.json`` shows the three latencies side by side, then
 lets the supervisor heal the cluster and verifies the healthy latency
 path is restored.
 """

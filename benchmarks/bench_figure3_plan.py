@@ -160,7 +160,7 @@ def _best_ms(fn, repeats: int = 9) -> float:
 def test_figure3_kernel_vs_row_speedup(benchmark, big_departments):
     """The figure's workload shape on compressed blocks: RLE run
     arithmetic and range selections vs. the per-row fallback.  The
-    best ratio lands in BENCH_PR9.json as a x100 counter."""
+    best ratio lands in BENCH_REPORT.json as a x100 counter."""
     db = big_departments
     queries = [
         "SELECT count(*) AS n FROM departments WHERE dept_id = 7",

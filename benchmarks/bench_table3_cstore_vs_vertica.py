@@ -174,7 +174,7 @@ def test_table3_kernel_vs_row_speedup(benchmark, vertica_kernel_scale):
     """Same queries, two engines: vectorized kernels vs. the per-row
     fallback (REPRO_FORCE_ROW_ENGINE).  The scan-heavy queries lean on
     sorted-column binary search (Q1-Q3) and dictionary/bulk aggregation
-    (Q5); the best ratio lands in BENCH_PR9.json as a x100 counter."""
+    (Q5); the best ratio lands in BENCH_REPORT.json as a x100 counter."""
     db, data = vertica_kernel_scale
     rows = []
     best = ("", 0.0)

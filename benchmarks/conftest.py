@@ -20,7 +20,7 @@ import pytest
 
 from repro.monitor import METRICS
 
-#: Counters recorded per bench in BENCH_PR9.json — the ones whose
+#: Counters recorded per bench in BENCH_REPORT.json — the ones whose
 #: movement the paper's evaluation section argues about, plus the
 #: self-healing runtime's failover/recovery activity and the
 #: vectorized engine's kernel-vs-row block split.
@@ -64,7 +64,7 @@ TRACKED_COUNTERS = (
     "dc.alerts_cleared",
 )
 
-BENCH_REPORT = "BENCH_PR9.json"
+BENCH_REPORT = "BENCH_REPORT.json"
 
 #: name -> {"seconds": float, "metrics": {counter: delta}}
 _RESULTS: dict = {}
@@ -123,7 +123,7 @@ def report():
     return print_table
 
 
-# -- BENCH_PR9.json: wall time + metrics deltas per bench ----------------
+# -- BENCH_REPORT.json: wall time + metrics deltas per bench -------------
 
 @pytest.hookimpl(hookwrapper=True)
 def pytest_runtest_call(item):

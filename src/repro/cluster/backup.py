@@ -20,6 +20,7 @@ import shutil
 from dataclasses import dataclass, field
 
 from ..errors import ClusterError
+from ..storage import fsio
 from ..txn.epochs import INITIAL_EPOCH
 from .cluster import Cluster
 
@@ -87,15 +88,25 @@ def create_backup(
         "tables": sorted(cluster.catalog.tables),
         "projections": sorted(cluster.catalog.families),
     }
-    with open(os.path.join(backup_dir, "manifest.json"), "w") as handle:
-        json.dump(manifest, handle)
+    # the manifest is the backup's commit record: written last, and
+    # atomically, so a crash leaves an image without one, not a torn one
+    final = os.path.join(backup_dir, "manifest.json")
+    tmp = fsio.stage_file(final)
+    fsio.write_json(tmp, manifest)
+    fsio.publish_file(tmp, final)
     return image
 
 
 def load_manifest(backup_dir: str) -> dict:
     """Read a backup's manifest."""
-    with open(os.path.join(backup_dir, "manifest.json")) as handle:
-        return json.load(handle)
+    path = os.path.join(backup_dir, "manifest.json")
+    try:
+        with open(path) as handle:
+            return json.load(handle)
+    except ValueError as error:
+        raise ClusterError(
+            f"backup manifest {path} is unreadable: {error}"
+        ) from error
 
 
 def _validate_manifest(cluster: Cluster, image: BackupImage) -> None:

@@ -10,23 +10,15 @@ reproduction.
 Every event flows through one :meth:`DataCollector.record` call into a
 per-component ring bounded by a :class:`RetentionPolicy` (record count
 plus optional simulated-clock tick age).  When persistence is enabled
-the collector mirrors its rings to disk in CRC-framed segment files
-under ``<database>/dc/`` using the same stage/publish + torn-tail
-truncation protocol as the write-ahead journal
-(:mod:`repro.durability.journal`), so operational history survives
-``Database.open()`` cold starts:
-
-* one line per record, framed ``<crc32 hex, 8 chars> <canonical
-  JSON>\\n``;
-* flushes rewrite the component's active segment to a ``.tmp`` sibling
-  and publish it with a single atomic ``os.replace``
-  (:mod:`repro.storage.fsio`), with fault points ``dc.flush.stage`` /
-  ``dc.flush.publish`` for the kill-mid-flush chaos checks;
-* at recovery, a damaged line truncates the segment to its valid
-  prefix and discards later segments of that component — history
-  recovers to a valid prefix, never a torn middle;
-* segments rotate at ``segment_records`` records and old sealed
-  segments past the retention cap are pruned.
+the collector mirrors each ring to disk through one
+:class:`repro.storage.segment_log.SegmentLog` per component, all
+sharing ``<database>/dc/`` (``requests_000001.log`` ...), the primitive
+the write-ahead journal sits on: CRC-framed records, atomic
+stage/publish per flush (fault points ``dc.flush.stage`` /
+``dc.flush.publish`` for the kill-mid-flush chaos checks), rotation at
+``segment_records`` and recovery to a valid record prefix, never a
+torn middle.  Operational history so survives ``Database.open()`` cold
+starts; sealed segments past the retention cap are pruned.
 
 Flushes are batched (every ``flush_interval`` records by default, plus
 explicit :meth:`flush` calls at cluster maintenance points) so the
@@ -37,15 +29,13 @@ statement-throughput tax.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 
-from .. import faults
 from ..lint.concur.runtime import TrackedLock
 from ..monitor.registry import METRICS
 from ..monitor.retention import DEFAULT_RETENTION, RetentionPolicy
-from ..storage import fsio
+from ..storage.segment_log import SEGMENT_SUFFIX, SegmentLog
 
 #: Component names (= ring buffers = on-disk segment families = the
 #: ``v_monitor.dc_*`` tables built on top).
@@ -62,8 +52,6 @@ COMPONENTS = (
 DEFAULT_FLUSH_INTERVAL = 16
 #: Records per on-disk segment before the component rotates files.
 DEFAULT_SEGMENT_RECORDS = 128
-
-SEGMENT_SUFFIX = ".log"
 
 
 @dataclass(frozen=True)
@@ -94,48 +82,12 @@ class _Ring:
     mutex; the dataclass only groups them per component.
     """
 
-    component: str
+    #: The component's on-disk history (``<component>_NNNNNN.log``).
+    log: SegmentLog
     records: list[DCRecord] = field(default_factory=list)
     next_id: int = 1
     #: Records appended since the component's last flush.
     pending: list[DCRecord] = field(default_factory=list)
-    #: Index of the segment new frames are appended to.
-    active_index: int = 1
-    #: Framed lines of the active segment (full-file rewrite on flush).
-    active_lines: list[str] = field(default_factory=list)
-    #: segment index -> record count, for sealed-segment pruning.
-    segment_records: dict[int, int] = field(default_factory=dict)
-
-
-def _frame(body: dict) -> str:
-    text = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return f"{fsio.crc32(text.encode('utf-8')):08x} {text}\n"
-
-
-def _parse_line(raw: bytes) -> dict | None:
-    """Decode one framed line; ``None`` if torn or corrupted."""
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError:
-        return None
-    if not text.endswith("\n"):
-        return None  # torn mid-record
-    if len(text) < 10 or text[8] != " ":
-        return None
-    crc_hex, body_text = text[:8], text[9:-1]
-    try:
-        expected = int(crc_hex, 16)
-    except ValueError:
-        return None
-    if fsio.crc32(body_text.encode("utf-8")) != expected:
-        return None
-    try:
-        body = json.loads(body_text)
-    except ValueError:
-        return None
-    if not isinstance(body, dict) or "id" not in body or "kind" not in body:
-        return None
-    return body
 
 
 class DataCollector:
@@ -178,7 +130,16 @@ class DataCollector:
         # concurrency: guarded-by(self._lock) — per-component rings and
         # the cross-component pending-record counter.
         self._rings: dict[str, _Ring] = {
-            name: _Ring(name) for name in COMPONENTS
+            name: _Ring(
+                SegmentLog(
+                    directory,
+                    f"{name}_",
+                    segment_records=self.segment_records,
+                    stage_point="dc.flush.stage",
+                    publish_point="dc.flush.publish",
+                )
+            )
+            for name in COMPONENTS
         }
         self._dirty = 0  # concurrency: guarded-by(self._lock)
         if fresh:
@@ -297,169 +258,59 @@ class DataCollector:
             ring = self._rings[name]
             if not ring.pending:
                 continue
-            touched: list[int] = []
-            # Segments sealed *during this batch*: index -> the full
-            # framed line list snapshotted at rotation time.  Without
-            # the snapshot, a batch that straddles a rotation would
-            # write only the new active segment and silently drop the
-            # records that completed the sealed one.
-            sealed_lines: dict[int, list[str]] = {}
-            for record in ring.pending:
-                if len(ring.active_lines) >= self.segment_records:
-                    sealed_lines[ring.active_index] = ring.active_lines
-                    ring.active_index += 1
-                    ring.active_lines = []
-                ring.active_lines.append(
-                    _frame(
-                        {
-                            "id": record.record_id,
-                            "tick": record.tick,
-                            "kind": record.kind,
-                            "payload": record.payload,
-                        }
-                    )
-                )
-                ring.segment_records[ring.active_index] = len(
-                    ring.active_lines
-                )
-                if ring.active_index not in touched:
-                    touched.append(ring.active_index)
-            ring.pending = []
-            for index in touched:
-                lines = (
-                    ring.active_lines
-                    if index == ring.active_index
-                    else sealed_lines[index]
-                )
-                self._write_segment(ring, index, lines)
+            batch, ring.pending = ring.pending, []
+            os.makedirs(self.directory, exist_ok=True)
+            written = ring.log.append(
+                {
+                    "id": record.record_id,
+                    "tick": record.tick,
+                    "kind": record.kind,
+                    "payload": record.payload,
+                }
+                for record in batch
+            )
+            METRICS.inc("dc.bytes_written", written)
             self._prune_segments(ring)
             METRICS.inc("dc.flushes")
-
-    def _write_segment(
-        self, ring: _Ring, index: int, lines: list[str]
-    ) -> None:
-        """Publish one segment file via stage + atomic rename.
-
-        ``lines`` is the segment's complete framed contents — the
-        current ``active_lines`` for the active segment, or the
-        snapshot taken at rotation time for a segment sealed mid-batch.
-        """
-        os.makedirs(self.directory, exist_ok=True)
-        final = self._segment_path(ring.component, index)
-        data = "".join(lines).encode("utf-8")
-        tmp = fsio.stage_file(final)
-        fsio.write_bytes(tmp, data)
-        faults.inject("dc.flush.stage", files=[tmp])
-        fsio.publish_file(tmp, final)
-        METRICS.inc("dc.bytes_written", len(data))
-        faults.inject("dc.flush.publish", files=[final])
 
     def _prune_segments(self, ring: _Ring) -> None:
         """Drop the oldest sealed segments once the sealed-record total
         exceeds the retention cap (the active segment never goes)."""
-        while True:
-            sealed = sorted(
-                index
-                for index in ring.segment_records
-                if index != ring.active_index
-            )
-            total = sum(ring.segment_records[index] for index in sealed)
-            if not sealed or total <= self.retention.max_records:
+        sealed = ring.log.sealed()
+        total = sum(count for _, count in sealed)
+        for index, count in sealed:
+            if total <= self.retention.max_records:
                 return
-            victim = sealed[0]
-            path = self._segment_path(ring.component, victim)
-            if os.path.exists(path):
-                os.remove(path)
-            del ring.segment_records[victim]
+            ring.log.drop(index)
+            total -= count
             METRICS.inc("dc.segments_pruned")
 
     # -- cold-start recovery --------------------------------------------
 
     def _recover(self) -> None:
-        """Load every component's valid segment prefix from disk.
+        """Load every component's valid record prefix from disk.
 
-        Mirrors the journal's replay: a damaged line truncates its
-        segment to the valid prefix on disk and discards later segments
-        of that component; stray ``.tmp`` stages from a crashed flush
-        are removed.  Recovered records re-enter the rings (retention
-        applies) and each ring's id sequence continues past the newest
-        recovered id.
+        Recovered records re-enter the rings (retention applies) and
+        each ring's id sequence continues past the newest recovered id.
         """
-        if not os.path.isdir(self.directory):
-            return
-        for name in os.listdir(self.directory):
-            if name.endswith(".tmp"):
-                os.remove(os.path.join(self.directory, name))
         recovered_total = 0
         truncated_total = 0
-        for component in COMPONENTS:
-            ring = self._rings[component]
-            indexes = self._segment_indexes(component)
-            damaged_at: int | None = None
-            for position, index in enumerate(indexes):
-                path = self._segment_path(component, index)
-                with open(path, "rb") as handle:
-                    raw = handle.read()
-                valid_bytes = 0
-                count = 0
-                damaged = False
-                offset = 0
-                while offset < len(raw):
-                    newline = raw.find(b"\n", offset)
-                    if newline < 0:
-                        truncated_total += 1
-                        damaged = True
-                        break
-                    line = raw[offset : newline + 1]
-                    body = _parse_line(line)
-                    if body is None:
-                        truncated_total += 1 + raw[newline + 1 :].count(b"\n")
-                        damaged = True
-                        break
-                    ring.records.append(
-                        DCRecord(
-                            body["id"],
-                            body.get("tick", 0),
-                            body["kind"],
-                            body.get("payload", {}),
-                        )
-                    )
-                    ring.active_lines = (
-                        ring.active_lines if count else []
-                    )
-                    count += 1
-                    valid_bytes += len(line)
-                    offset = newline + 1
-                if count:
-                    ring.segment_records[index] = count
-                    ring.active_index = index
-                    recovered_total += count
-                if damaged:
-                    os.truncate(path, valid_bytes)
-                    if count == 0:
-                        os.remove(path)
-                        ring.segment_records.pop(index, None)
-                    damaged_at = position
-                    break
-            if damaged_at is not None:
-                for index in indexes[damaged_at + 1 :]:
-                    path = self._segment_path(component, index)
-                    with open(path, "rb") as handle:
-                        truncated_total += handle.read().count(b"\n")
-                    os.remove(path)
-                    ring.segment_records.pop(index, None)
+        now = self.clock.now if self.clock is not None else 0
+        for ring in self._rings.values():
+            recovered, truncated = ring.log.open(valid=lambda body: "id" in body)
+            recovered_total += len(recovered)
+            truncated_total += truncated
+            ring.records.extend(
+                DCRecord(
+                    body["id"],
+                    body.get("tick", 0),
+                    body["kind"],
+                    body.get("payload", {}),
+                )
+                for _, body in recovered
+            )
             if ring.records:
                 ring.next_id = max(r.record_id for r in ring.records) + 1
-                # the surviving tail segment becomes the active one; its
-                # frames must be reloaded so the next flush's full-file
-                # rewrite preserves them.
-                ring.active_lines = []
-                tail = self._segment_path(component, ring.active_index)
-                if os.path.exists(tail):
-                    with open(tail, "rb") as handle:
-                        for line in handle.read().splitlines(keepends=True):
-                            ring.active_lines.append(line.decode("utf-8"))
-                now = self.clock.now if self.clock is not None else 0
                 self._evict_ring(ring, now)
         METRICS.inc("dc.recovered_records", recovered_total)
         METRICS.inc("dc.truncated_records", truncated_total)
@@ -471,21 +322,3 @@ class DataCollector:
         for name in os.listdir(self.directory):
             if name.endswith((SEGMENT_SUFFIX, ".tmp")):
                 os.remove(os.path.join(self.directory, name))
-
-    def _segment_path(self, component: str, index: int) -> str:
-        return os.path.join(
-            self.directory, f"{component}_{index:06d}{SEGMENT_SUFFIX}"
-        )
-
-    def _segment_indexes(self, component: str) -> list[int]:
-        if not os.path.isdir(self.directory):
-            return []
-        prefix = f"{component}_"
-        found = []
-        for name in os.listdir(self.directory):
-            if not (name.startswith(prefix) and name.endswith(SEGMENT_SUFFIX)):
-                continue
-            stem = name[len(prefix) : -len(SEGMENT_SUFFIX)]
-            if stem.isdigit():
-                found.append(int(stem))
-        return sorted(found)

@@ -1,23 +1,11 @@
 """The CRC-checked write-ahead journal.
 
-Format.  The journal lives in ``<database>/journal/`` as numbered
-segment files ``seg_000001.log`` plus checkpoint files
-``ckpt_000001.json``.  Every record is one line, framed as::
-
-    <crc32 hex, 8 chars> <canonical JSON body>\\n
-
-where the body is ``{"kind": ..., "lsn": ..., "payload": ...}`` with
-sorted keys.  A checkpoint file holds a single line in the same frame.
-
-Atomicity.  An append rewrites the active segment's full contents to a
-``.tmp`` sibling and publishes it with one ``os.replace`` — the same
-stage/publish protocol ROS containers use (:mod:`repro.storage.fsio`),
-so each append is all-or-nothing and a crash can never leave a
-half-written record *behind* the publish point.  Torn tails and bit
-flips that do reach a published segment are detected by the per-record
-CRC at replay and truncated to the last valid prefix; everything after
-the first damaged record is discarded, exactly like recovery truncates
-a projection past its Last Good Epoch.
+Format.  The journal lives in ``<database>/journal/`` as one segment
+log, ``seg_000001.log`` ..., plus checkpoint files ``ckpt_000001.json``
+holding a single record in the same frame.  Framing, rotation, the
+stage/publish atomicity of every append and the cut to the longest
+valid record prefix at open are :mod:`repro.storage.segment_log`'s; a
+record body here is ``{"kind": ..., "lsn": ..., "payload": ...}``.
 
 Bounded replay.  Segments rotate after ``segment_records`` records.  A
 checkpoint snapshots the catalog, the durable floor epoch and the
@@ -35,18 +23,21 @@ adopted at some epoch).
 
 from __future__ import annotations
 
-import json
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .. import faults
 from ..errors import DurabilityError
 from ..monitor import METRICS
-from ..storage import fsio
+from ..storage.segment_log import (
+    SEGMENT_SUFFIX,
+    FileFamily,
+    SegmentLog,
+    read_framed_file,
+    write_framed_file,
+)
 
 SEGMENT_PREFIX = "seg_"
-SEGMENT_SUFFIX = ".log"
 CHECKPOINT_PREFIX = "ckpt_"
 CHECKPOINT_SUFFIX = ".json"
 
@@ -90,44 +81,6 @@ class JournalReplay:
         return self.checkpoint["lsn"]
 
 
-def _frame(body: dict) -> str:
-    text = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return f"{fsio.crc32(text.encode('utf-8')):08x} {text}\n"
-
-
-def _parse_line(raw: bytes) -> dict | None:
-    """Decode one framed line; ``None`` if torn or corrupted."""
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError:
-        return None
-    if not text.endswith("\n"):
-        return None  # torn mid-record
-    if len(text) < 10 or text[8] != " ":
-        return None
-    crc_hex, body_text = text[:8], text[9:-1]
-    try:
-        expected = int(crc_hex, 16)
-    except ValueError:
-        return None
-    if fsio.crc32(body_text.encode("utf-8")) != expected:
-        return None
-    try:
-        body = json.loads(body_text)
-    except ValueError:
-        return None
-    if not isinstance(body, dict) or "lsn" not in body or "kind" not in body:
-        return None
-    return body
-
-
-def _index_of(name: str, prefix: str, suffix: str) -> int | None:
-    if not (name.startswith(prefix) and name.endswith(suffix)):
-        return None
-    stem = name[len(prefix):-len(suffix)]
-    return int(stem) if stem.isdigit() else None
-
-
 @dataclass
 class _SegmentSummary:
     """Per-segment bookkeeping for pruning and ``v_monitor.journal``."""
@@ -149,7 +102,8 @@ class _SegmentSummary:
 
 
 class Journal:
-    """Append-only, CRC-framed write-ahead journal over fsio.
+    """Append-only write-ahead journal: LSNs, record kinds, the durable
+    floor and checkpoints over one :class:`SegmentLog`.
 
     All appends funnel through :meth:`_append`, serialized by an
     internal lock (the commit path additionally holds the database's
@@ -173,12 +127,19 @@ class Journal:
         self.checkpoint_lsn = -1
         self.last_replay: JournalReplay | None = None
         self._lock = threading.Lock()
-        # concurrency: guarded-by(self._lock) — LSN counter, active
-        # segment buffer, per-segment summaries and checkpoint index.
+        # concurrency: guarded-by(self._lock) — LSN counter, the segment
+        # log, per-segment summaries and checkpoint index.
         self._next_lsn = 0
-        self._active_index = 1
-        self._active_lines: list[str] = []
+        self._in_doubt = False
+        self._log = SegmentLog(
+            directory,
+            SEGMENT_PREFIX,
+            segment_records=segment_records,
+            stage_point="journal.append.stage",
+            publish_point="journal.append.publish",
+        )
         self._segments: dict[int, _SegmentSummary] = {}
+        self._checkpoints = FileFamily(directory, CHECKPOINT_PREFIX, CHECKPOINT_SUFFIX)
         self._next_checkpoint_index = 1
         self._appends_since_checkpoint = 0
 
@@ -187,12 +148,7 @@ class Journal:
     @classmethod
     def exists(cls, directory: str) -> bool:
         """Whether ``directory`` already holds a journal."""
-        if not os.path.isdir(directory):
-            return False
-        return any(
-            _index_of(name, SEGMENT_PREFIX, SEGMENT_SUFFIX) is not None
-            for name in os.listdir(directory)
-        )
+        return bool(FileFamily(directory, SEGMENT_PREFIX, SEGMENT_SUFFIX).indexes())
 
     @classmethod
     def create(
@@ -229,10 +185,10 @@ class Journal:
     ) -> "Journal":
         """Reopen a journal from disk, validating every record.
 
-        Damaged suffixes are truncated on disk (the segment is cut to
-        its valid prefix; later segments are deleted) so that the next
-        append extends a clean tail.  The recovered state is left in
-        ``last_replay`` for the cold-start path.
+        A damaged suffix — a record failing its CRC, or the first LSN
+        missing past the checkpoint — is cut off on disk so that the
+        next append extends a clean tail.  The recovered state is left
+        in ``last_replay`` for the cold-start path.
         """
         if not cls.exists(directory):
             raise DurabilityError(f"no journal found at {directory!r}")
@@ -305,29 +261,27 @@ class Journal:
 
     def _append(self, kind: str, payload: dict) -> int:
         with self._lock:
+            if self._in_doubt:
+                raise DurabilityError(
+                    "an earlier journal append failed part-way, so whether its "
+                    "record is on disk is unknown; reopen the journal"
+                )
             lsn = self._next_lsn
-            line = _frame({"kind": kind, "lsn": lsn, "payload": payload})
-            if len(self._active_lines) >= self.segment_records:
-                self._active_index += 1
-                self._active_lines = []
-            self._active_lines.append(line)
-            final = self._segment_path(self._active_index)
-            data = "".join(self._active_lines).encode("utf-8")
-            tmp = fsio.stage_file(final)
-            fsio.write_bytes(tmp, data)
-            faults.inject("journal.append.stage", files=[tmp])
-            fsio.publish_file(tmp, final)
-            # The record is durable from here on; fold it into the
-            # in-memory state before the published-side fault point so
-            # a "crash" there models an unacknowledged durable append.
+            # stays set if append() raises (an injected crash at the publish
+            # point leaves the record on disk but never acknowledged): going
+            # on would hand this LSN out twice, and replay cuts at a repeat
+            self._in_doubt = True
+            written = self._log.append([{"kind": kind, "lsn": lsn, "payload": payload}])
+            self._in_doubt = False
+            self._note(self._log.active_index, JournalRecord(lsn, kind, payload))
             self._next_lsn = lsn + 1
-            summary = self._segments.setdefault(self._active_index, _SegmentSummary())
-            summary.note(JournalRecord(lsn, kind, payload))
             self._appends_since_checkpoint += 1
             METRICS.inc("journal.appends")
-            METRICS.inc("journal.bytes_written", len(data))
-            faults.inject("journal.append.publish", files=[final])
+            METRICS.inc("journal.bytes_written", written)
             return lsn
+
+    def _note(self, index: int, record: JournalRecord) -> None:
+        self._segments.setdefault(index, _SegmentSummary()).note(record)
 
     # -- checkpointing -------------------------------------------------
 
@@ -355,46 +309,46 @@ class Journal:
                 "catalog": catalog,
                 "genesis": self.genesis,
             }
-            final = self._checkpoint_path(self._next_checkpoint_index)
-            line = _frame({"kind": "checkpoint", "lsn": covered_lsn, "payload": body})
-            tmp = fsio.stage_file(final)
-            fsio.write_bytes(tmp, line.encode("utf-8"))
-            faults.inject("journal.checkpoint.stage", files=[tmp])
-            fsio.publish_file(tmp, final)
+            write_framed_file(
+                self._checkpoints.path(self._next_checkpoint_index),
+                {"kind": "checkpoint", "lsn": covered_lsn, "payload": body},
+                stage_point="journal.checkpoint.stage",
+                publish_point="journal.checkpoint.publish",
+            )
             self._next_checkpoint_index += 1
             self.checkpoint_lsn = covered_lsn
             self.floor = floor
             self._appends_since_checkpoint = 0
             METRICS.inc("journal.checkpoints")
-            faults.inject("journal.checkpoint.publish", files=[final])
             self._prune_segments()
             self._prune_checkpoints()
 
     def _prune_segments(self) -> None:
-        for index in sorted(self._segments):
-            if index == self._active_index:
-                continue
+        for index, _ in self._log.sealed():
             summary = self._segments[index]
             if summary.last_lsn > self.checkpoint_lsn:
                 continue
             if summary.max_commit_epoch > self.floor:
                 continue
-            path = self._segment_path(index)
-            if os.path.exists(path):
-                os.remove(path)
+            self._log.drop(index)
             del self._segments[index]
             METRICS.inc("journal.segments_pruned")
 
     def _prune_checkpoints(self) -> None:
-        stale = sorted(self._checkpoint_indexes())[:-CHECKPOINTS_RETAINED]
-        for index in stale:
-            os.remove(self._checkpoint_path(index))
+        for index in self._checkpoints.indexes()[:-CHECKPOINTS_RETAINED]:
+            os.remove(self._checkpoints.path(index))
 
     # -- replay --------------------------------------------------------
 
     def _load(self) -> JournalReplay:
         checkpoint, skipped = self._load_checkpoint()
-        records, truncated = self._load_segments()
+        self.checkpoint_lsn = checkpoint["lsn"] if checkpoint else -1
+        # Pruning follows the newest checkpoint.  Having fallen back to
+        # an older one, the pruned range reaches to an LSN only the
+        # unreadable checkpoint knew, so no hole can be called damage.
+        records, truncated = self._load_segments(
+            holes_through=float("inf") if skipped else self.checkpoint_lsn
+        )
         if not records and checkpoint is None:
             raise DurabilityError(
                 f"journal at {self.directory!r} has no valid records"
@@ -412,16 +366,10 @@ class Journal:
         self.genesis = dict(genesis)
         floor = checkpoint["floor"] if checkpoint else 0
         for record in records:
-            if record.kind == "floor":
-                floor = max(floor, record.payload["epoch"])
-            elif record.kind == "restore":
+            if record.kind in ("floor", "restore"):
                 floor = max(floor, record.payload["epoch"])
         self.floor = floor
-        self.checkpoint_lsn = checkpoint["lsn"] if checkpoint else -1
-        last_lsn = max(
-            [record.lsn for record in records] + [self.checkpoint_lsn]
-        )
-        self._next_lsn = last_lsn + 1
+        self._next_lsn = max([self.checkpoint_lsn] + [r.lsn for r in records]) + 1
         # Deliberately NOT reset to 0: surviving un-checkpointed tail
         # records still count toward the next checkpoint trigger.
         self._appends_since_checkpoint = sum(
@@ -436,72 +384,41 @@ class Journal:
         )
 
     def _load_checkpoint(self) -> tuple[dict | None, int]:
+        self._checkpoints.discard_staged()
         skipped = 0
-        indexes = sorted(self._checkpoint_indexes(), reverse=True)
+        indexes = self._checkpoints.indexes()[::-1]
         self._next_checkpoint_index = (indexes[0] + 1) if indexes else 1
         for index in indexes:
-            with open(self._checkpoint_path(index), "rb") as handle:
-                raw = handle.read()
-            lines = raw.split(b"\n")
-            body = _parse_line(lines[0] + b"\n") if lines and lines[0] else None
+            body = read_framed_file(self._checkpoints.path(index))
             if body is not None and body.get("kind") == "checkpoint":
                 return body["payload"], skipped
             skipped += 1
         return None, skipped
 
-    def _load_segments(self) -> tuple[list[JournalRecord], int]:
-        indexes = sorted(self._segment_indexes())
-        records: list[JournalRecord] = []
-        truncated = 0
-        damaged_at: int | None = None
-        for position, index in enumerate(indexes):
-            path = self._segment_path(index)
-            with open(path, "rb") as handle:
-                raw = handle.read()
-            summary = _SegmentSummary()
-            valid_bytes = 0
-            segment_damaged = False
-            offset = 0
-            while offset < len(raw):
-                newline = raw.find(b"\n", offset)
-                if newline < 0:
-                    # Unterminated tail: torn mid-record.
-                    truncated += 1
-                    segment_damaged = True
-                    break
-                line = raw[offset : newline + 1]
-                body = _parse_line(line)
-                if body is None:
-                    truncated += 1 + raw[newline + 1 :].count(b"\n")
-                    segment_damaged = True
-                    break
-                record = JournalRecord(body["lsn"], body["kind"], body["payload"])
-                records.append(record)
-                summary.note(record)
-                valid_bytes += len(line)
-                offset = newline + 1
-            if summary.records:
-                self._segments[index] = summary
-            if segment_damaged:
-                os.truncate(path, valid_bytes)
-                damaged_at = position
-                break
-        if damaged_at is not None:
-            # Everything after the damage is past the recovery point.
-            for index in indexes[damaged_at + 1 :]:
-                path = self._segment_path(index)
-                with open(path, "rb") as handle:
-                    truncated += handle.read().count(b"\n")
-                os.remove(path)
-                self._segments.pop(index, None)
-        surviving = sorted(self._segments) or [1]
-        self._active_index = surviving[-1]
-        tail_path = self._segment_path(self._active_index)
-        self._active_lines = []
-        if os.path.exists(tail_path):
-            with open(tail_path, "rb") as handle:
-                for line in handle.read().splitlines(keepends=True):
-                    self._active_lines.append(line.decode("utf-8"))
+    def _load_segments(self, holes_through: float) -> tuple[list[JournalRecord], int]:
+        # LSNs are dense, so the first one missing (a lost segment) is
+        # damage at that point, like a failed CRC: replaying on across
+        # the hole would apply later epochs as if nothing were missing.
+        # Through ``holes_through`` pruning leaves legitimate holes, and
+        # replay skips the records at or below the checkpoint anyway.
+        expected = None
+
+        def dense(body: dict) -> bool:
+            nonlocal expected
+            lsn = body.get("lsn")
+            if not isinstance(lsn, int):
+                return False
+            if lsn != expected and lsn > holes_through + 1:
+                return False
+            expected = lsn + 1
+            return True
+
+        recovered, truncated = self._log.open(valid=dense)
+        records = []
+        for index, body in recovered:
+            record = JournalRecord(body["lsn"], body["kind"], body["payload"])
+            records.append(record)
+            self._note(index, record)
         return records, truncated
 
     # -- introspection -------------------------------------------------
@@ -512,7 +429,7 @@ class Journal:
             rows = []
             for index in sorted(self._segments):
                 summary = self._segments[index]
-                path = self._segment_path(index)
+                path = self._log.files.path(index)
                 rows.append(
                     {
                         "segment": os.path.basename(path),
@@ -520,7 +437,7 @@ class Journal:
                         "bytes": os.path.getsize(path) if os.path.exists(path) else 0,
                         "first_lsn": summary.first_lsn,
                         "last_lsn": summary.last_lsn,
-                        "is_active": index == self._active_index,
+                        "is_active": index == self._log.active_index,
                         "checkpoint_lsn": self.checkpoint_lsn,
                         "floor_epoch": self.floor,
                     }
@@ -530,29 +447,3 @@ class Journal:
     def record_count(self) -> int:
         """Total records written so far (LSNs are dense from 0)."""
         return self._next_lsn
-
-    def _segment_path(self, index: int) -> str:
-        return os.path.join(
-            self.directory, f"{SEGMENT_PREFIX}{index:06d}{SEGMENT_SUFFIX}"
-        )
-
-    def _checkpoint_path(self, index: int) -> str:
-        return os.path.join(
-            self.directory, f"{CHECKPOINT_PREFIX}{index:06d}{CHECKPOINT_SUFFIX}"
-        )
-
-    def _segment_indexes(self) -> list[int]:
-        return self._scan_indexes(SEGMENT_PREFIX, SEGMENT_SUFFIX)
-
-    def _checkpoint_indexes(self) -> list[int]:
-        return self._scan_indexes(CHECKPOINT_PREFIX, CHECKPOINT_SUFFIX)
-
-    def _scan_indexes(self, prefix: str, suffix: str) -> list[int]:
-        if not os.path.isdir(self.directory):
-            return []
-        found = []
-        for name in os.listdir(self.directory):
-            index = _index_of(name, prefix, suffix)
-            if index is not None:
-                found.append(index)
-        return found

@@ -17,7 +17,6 @@ from . import atomic_io  # noqa: F401  R7
 from . import wallclock  # noqa: F401  R8
 from . import concurrency  # noqa: F401  R9, R10
 from . import service  # noqa: F401  R11
-from . import journal_io  # noqa: F401  R12
 from . import dc_routing  # noqa: F401  R13
 
 __all__ = [
@@ -31,6 +30,5 @@ __all__ = [
     "wallclock",
     "concurrency",
     "service",
-    "journal_io",
     "dc_routing",
 ]

@@ -1,13 +1,17 @@
-"""R7: all storage writes go through the atomic-commit helper.
+"""R7: all durable writes go through the atomic-commit helper.
 
-Crash consistency in the storage layer hinges on every on-disk
-artifact being produced by the stage-checksum-rename protocol in
+Crash consistency hinges on every on-disk artifact — ROS containers,
+delete vectors, journal and Data Collector segments, checkpoints —
+being produced by the stage-checksum-rename protocol in
 :mod:`repro.storage.fsio`.  A raw ``open(path, "w")`` anywhere under
-``storage/`` or ``tuple_mover/`` bypasses the staging directory, the
-CRC32 manifest and the atomic publish rename — a crash mid-write then
-leaves a half-written file that *looks* committed.  This rule forbids
+``storage/``, ``tuple_mover/``, ``durability/`` or ``dc/`` bypasses the
+staging path, the CRC and the atomic publish rename — a crash
+mid-write then leaves a half-written file that *looks* committed,
+exactly the torn state cold start must never trust.  This rule forbids
 write-mode ``open()`` calls in those packages; the single sanctioned
-raw-write site lives in ``fsio.py`` behind a reviewed suppression.
+raw-write site lives in ``fsio.py`` behind a reviewed suppression.  It
+is also the static guarantee that every durable byte passes the
+``fsio`` functions the benchmark's device counter wraps.
 """
 
 from __future__ import annotations
@@ -18,7 +22,12 @@ from typing import Iterator
 from ..core import Checker, Finding, Project, call_name, register_checker
 
 #: Package path fragments where raw write-mode ``open()`` is forbidden.
-_PROTECTED = ("repro/storage/", "repro/tuple_mover/")
+_PROTECTED = (
+    "repro/storage/",
+    "repro/tuple_mover/",
+    "repro/durability/",
+    "repro/dc/",
+)
 
 #: Mode characters that make an ``open()`` a write.
 _WRITE_CHARS = frozenset("wax+")
@@ -48,13 +57,13 @@ def _write_mode(node: ast.Call) -> str | None:
 
 @register_checker
 class AtomicIOChecker(Checker):
-    """R7: no raw write-mode open() in storage/ or tuple_mover/."""
+    """R7: no raw write-mode open() in the packages that write durably."""
 
     rule = "R7"
     title = (
-        "storage and tuple-mover code must write files through "
-        "repro.storage.fsio (stage + checksum + atomic rename), never "
-        "raw open(..., 'w')"
+        "storage, tuple-mover, durability and Data Collector code must "
+        "write files through repro.storage.fsio (stage + checksum + "
+        "atomic rename), never raw open(..., 'w')"
     )
 
     def check(self, project: Project) -> Iterator[Finding]:

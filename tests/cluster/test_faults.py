@@ -265,6 +265,16 @@ class TestBackupManifestValidation:
         with pytest.raises(ClusterError, match="no manifest.json"):
             restore_backup(cluster, image)
 
+    def test_restore_rejects_torn_manifest(self, cluster, tmp_path):
+        cluster.commit_dml({"t": rows(20)}, [], 0)
+        cluster.run_tuple_movers()
+        image = create_backup(cluster, str(tmp_path / "bk"))
+        assert "manifest.json.tmp" not in os.listdir(image.path)
+        manifest = os.path.join(image.path, "manifest.json")
+        os.truncate(manifest, os.path.getsize(manifest) // 2)
+        with pytest.raises(ClusterError, match="unreadable"):
+            restore_backup(cluster, image)
+
     def test_restore_adopts_with_fresh_on_disk_ids(self, cluster, tmp_path):
         import json
 

@@ -213,6 +213,33 @@ class TestCrashPoints:
             used = reopened.replay_report.checkpoint_used
             assert used == (point == "journal.checkpoint.publish"), point
 
+    def test_corrupt_newest_checkpoint_loses_nothing(self, tmp_path):
+        """Regression: falling back to the older retained checkpoint
+        meets the segments the newest one pruned as a hole in the LSNs;
+        treating that hole as damage cut every later commit from disk."""
+        root = tmp_path / "db"
+        db = build(root, journal_checkpoint_interval=4)
+        loaded = 0
+        for _ in range(3):  # 70 records a cycle: segments rotate and are pruned
+            for _ in range(70):
+                db.load("t", rows(1, start=loaded))
+                loaded += 1
+            db.run_tuple_movers()
+        db.load("t", rows(3, start=loaded))
+        before = capture(db)
+        del db
+        journal_dir = root / "journal"
+        checkpoints = sorted(journal_dir.glob("ckpt_*.json"))
+        assert len(checkpoints) == 2
+        assert sorted(journal_dir.glob("seg_*.log"))[0].name != "seg_000001.log"
+        damaged = bytearray(checkpoints[-1].read_bytes())
+        damaged[len(damaged) // 2] ^= 0x01
+        checkpoints[-1].write_bytes(bytes(damaged))
+
+        reopened = Database.open(str(root), journal_checkpoint_interval=4)
+        assert reopened.replay_report.truncated_records == 0
+        assert capture(reopened) == before
+
 
 class TestBackupRestartRestore:
     def test_backup_survives_full_process_restart(self, tmp_path):

@@ -16,8 +16,9 @@ from repro.durability import (
     encode_family,
     encode_table,
 )
-from repro.durability.journal import _frame, _parse_line
-from repro.errors import DurabilityError
+from repro.storage.segment_log import _frame, _parse_line
+from repro.errors import DurabilityError, InjectedFaultError
+from repro.faults import FaultPlan
 from repro.projections.projection import (
     ProjectionFamily,
     make_buddy,
@@ -240,6 +241,147 @@ class TestDamageRecovery:
         replay = Journal.open(directory, segment_records=3).last_replay
         assert [r.lsn for r in replay.records] == [0, 1]
         assert segment_files(directory) == files[:1]
+
+    def test_missing_segment_is_damage_at_the_gap(self, tmp_path):
+        """Regression: with a whole segment gone, replay used to return
+        LSNs 0, 1, 4, 5 with nothing truncated, and cold start would
+        have re-applied epochs 4 and 5 over the hole."""
+        directory = str(tmp_path / "journal")
+        journal = make_journal(tmp_path, segment_records=2)
+        for epoch in range(1, 6):
+            journal.log_commit(
+                epoch=epoch,
+                snapshot_epoch=epoch - 1,
+                inserts={"t": [{"k": epoch}]},
+                deletes=[],
+                direct_to_ros=False,
+            )
+        os.remove(os.path.join(directory, "seg_000002.log"))
+
+        reopened = Journal.open(directory, segment_records=2)
+        replay = reopened.last_replay
+        assert [r.lsn for r in replay.records] == [0, 1]
+        assert replay.truncated_records == 2
+        # the tail extends the valid prefix: LSNs stay dense
+        assert reopened.log_floor(1) == 2
+        again = Journal.open(directory, segment_records=2).last_replay
+        assert [r.lsn for r in again.records] == [0, 1, 2]
+        assert again.truncated_records == 0
+
+    def test_pruned_segments_below_the_checkpoint_are_not_damage(self, tmp_path):
+        directory = str(tmp_path / "journal")
+        journal = make_journal(tmp_path, segment_records=2)
+        journal.log_commit(  # segment 1: a commit the floor never covers
+            epoch=9, snapshot_epoch=0, inserts={}, deletes=[], direct_to_ros=False
+        )
+        journal.log_floor(1)
+        journal.log_floor(2)  # segment 2: covered, pruned by the checkpoint
+        journal.log_floor(3)
+        journal.write_checkpoint(
+            floor=3, current_epoch=10, ahm=0, catalog={"tables": [], "families": []}
+        )
+        assert segment_files(directory) == ["seg_000001.log", "seg_000003.log"]
+
+        replay = Journal.open(directory, segment_records=2).last_replay
+        assert [r.lsn for r in replay.records] == [0, 1, 4]
+        assert replay.truncated_records == 0
+
+    def test_pruning_under_an_unreadable_newest_checkpoint_is_not_damage(
+        self, tmp_path
+    ):
+        """Regression: pruning follows the newest checkpoint, so after a
+        fallback to the older retained one the pruned range past *its*
+        LSN is a legitimate hole; calling it damage deleted every commit
+        since the older checkpoint from disk."""
+        directory = str(tmp_path / "journal")
+        catalog = {"tables": [], "families": []}
+        journal = make_journal(tmp_path, segment_records=2)
+        journal.log_floor(1)  # segment 1
+        journal.write_checkpoint(floor=1, current_epoch=2, ahm=0, catalog=catalog)
+        for epoch in (2, 3, 4, 5):  # segment 2 (pruned below) and 3
+            journal.log_floor(epoch)
+        journal.write_checkpoint(floor=5, current_epoch=6, ahm=0, catalog=catalog)
+        for epoch in (6, 7, 8):  # segments 4 and 5: the tail to keep
+            journal.log_commit(
+                epoch=epoch,
+                snapshot_epoch=epoch - 1,
+                inserts={"t": [{"k": epoch}]},
+                deletes=[],
+                direct_to_ros=False,
+            )
+        files = segment_files(directory)
+        assert files == ["seg_000003.log", "seg_000004.log", "seg_000005.log"]
+        newest = os.path.join(directory, checkpoint_files(directory)[-1])
+        with open(newest, "r+b") as handle:  # one flipped bit
+            handle.seek(20)
+            byte = handle.read(1)[0]
+            handle.seek(20)
+            handle.write(bytes([byte ^ 0x01]))
+
+        reopened = Journal.open(directory, segment_records=2)
+        replay = reopened.last_replay
+        assert replay.checkpoints_skipped == 1
+        assert replay.checkpoint_lsn == 1
+        assert [r.lsn for r in replay.records] == [4, 5, 6, 7, 8]
+        assert replay.truncated_records == 0
+        assert segment_files(directory) == files
+        assert reopened.log_floor(9) == 9
+
+    def test_a_segment_cut_to_nothing_still_marks_the_journal(self, tmp_path):
+        """Damaged at its first record, the only segment is emptied, not
+        removed: with it gone ``exists`` would deny a journal that still
+        has its checkpoint, and a fresh database could be made over it."""
+        directory = str(tmp_path / "journal")
+        journal = make_journal(tmp_path)
+        journal.log_floor(1)
+        journal.write_checkpoint(
+            floor=1, current_epoch=2, ahm=0, catalog={"tables": [], "families": []}
+        )
+        with open(os.path.join(directory, "seg_000001.log"), "r+b") as handle:
+            handle.write(b"X")
+
+        replay = Journal.open(directory).last_replay
+        assert (replay.records, replay.truncated_records) == ([], 2)
+        assert Journal.exists(directory)
+        reopened = Journal.open(directory)
+        assert reopened.last_replay.checkpoint_lsn == 1
+        assert reopened.log_floor(2) == 2
+
+    def test_append_after_a_failed_append_is_refused(self, tmp_path):
+        """A crash at the publish point leaves the record on disk and
+        the object not knowing it; appending on would reuse its LSN."""
+        directory = str(tmp_path / "journal")
+        journal = make_journal(tmp_path)
+        with FaultPlan(seed=1).arm("journal.append.publish", "crash"):
+            with pytest.raises(InjectedFaultError):
+                journal.log_floor(1)
+        with pytest.raises(DurabilityError, match="reopen"):
+            journal.log_floor(2)
+
+        reopened = Journal.open(directory)
+        assert [r.lsn for r in reopened.last_replay.records] == [0, 1]
+        assert reopened.log_floor(2) == 2
+
+    @pytest.mark.parametrize(
+        "point", ["journal.append.stage", "journal.checkpoint.stage"]
+    )
+    def test_reopen_removes_the_stage_a_crash_left(self, point, tmp_path):
+        directory = str(tmp_path / "journal")
+        journal = make_journal(tmp_path)
+        journal.log_floor(1)
+        with FaultPlan(seed=1).arm(point, "crash"):
+            with pytest.raises(InjectedFaultError):
+                journal.log_floor(2)
+                journal.write_checkpoint(
+                    floor=2,
+                    current_epoch=3,
+                    ahm=0,
+                    catalog={"tables": [], "families": []},
+                )
+        assert [n for n in os.listdir(directory) if n.endswith(".tmp")]
+
+        Journal.open(directory)
+        assert not [n for n in os.listdir(directory) if n.endswith(".tmp")]
 
     def test_torn_checkpoint_falls_back(self, tmp_path):
         directory = str(tmp_path / "journal")

@@ -405,6 +405,19 @@ class TestR7AtomicIO:
         )
         assert len(lint(tmp_path, "R7")) == 4
 
+    def test_raw_write_open_in_dc_flagged(self, tmp_path):
+        # the Data Collector's segments are durable state too
+        write(
+            tmp_path,
+            "repro/dc/bad.py",
+            """
+            def save_segment(path, data):
+                with open(path, "wb") as handle:
+                    handle.write(data)
+            """,
+        )
+        assert len(lint(tmp_path, "R7")) == 1
+
     def test_reads_and_other_packages_clean(self, tmp_path):
         write(
             tmp_path,

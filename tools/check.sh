@@ -233,11 +233,11 @@ finally:
     shutil.rmtree(root, ignore_errors=True)
 EOF
 
-echo "== perf smoke: bench harness writes BENCH_PR9.json =="
+echo "== perf smoke: bench harness writes BENCH_REPORT.json =="
 # Scaled-down benches through benchmarks/conftest.py, which records
 # wall time plus the metrics-registry movement (blocks pruned, bytes
 # decoded, mergeouts, failover retries, admission activity, ...) per
-# bench into BENCH_PR9.json at the repo root.  The full report comes
+# bench into BENCH_REPORT.json at the repo root.  The full report comes
 # from the same command without the scale-down env vars:
 #     python -m pytest benchmarks/ -q
 REPRO_T4B_ROWS=20000 REPRO_FAILOVER_ROWS=8000 \
@@ -247,11 +247,11 @@ REPRO_DC_STATEMENTS=100 python -m pytest \
     benchmarks/bench_concurrent_sessions.py \
     benchmarks/bench_restart_recovery.py \
     benchmarks/bench_dc_overhead.py -q
-test -s BENCH_PR9.json
+test -s BENCH_REPORT.json
 python - <<'EOF'
 import json
-report = json.load(open("BENCH_PR9.json"))
-assert report["benches"], "BENCH_PR9.json has no bench entries"
+report = json.load(open("BENCH_REPORT.json"))
+assert report["benches"], "BENCH_REPORT.json has no bench entries"
 for name, bench in report["benches"].items():
     assert bench["seconds"] >= 0 and "metrics" in bench, name
 print("perf smoke OK:", len(report["benches"]), "bench entries recorded")

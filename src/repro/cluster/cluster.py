@@ -31,7 +31,7 @@ from ..errors import (
     SqlAnalysisError,
     UnknownObjectError,
 )
-from ..monitor import METRICS, FailoverLog
+from ..monitor import METRICS
 from ..storage import ScavengeReport, StorageManager
 from ..projections import (
     HashSegmentation,
@@ -103,10 +103,11 @@ class Cluster:
         #: chaos runs stay seed-reproducible (replint R8 enforces it).
         self.clock = SimulatedClock()
         #: The Data Collector: every operationally interesting event
-        #: (requests, admissions, lock waits, node events, tuple-mover
-        #: cycles, errors) lands in its retention-bounded rings, served
-        #: back by the ``v_monitor.dc_*`` tables.  Persistence is on for
-        #: durable databases so history survives ``Database.open()``.
+        #: (requests, query profiles, admissions, lock waits, node and
+        #: failover events, tuple-mover cycles, errors) lands in its
+        #: retention-bounded rings and nowhere else; the ``v_monitor``
+        #: history tables are column maps over them.  Persistence is on
+        #: for durable databases so history survives ``Database.open()``.
         self.dc = DataCollector(
             os.path.join(root, "dc"),
             clock=self.clock,
@@ -120,28 +121,30 @@ class Cluster:
         self.membership.collector = self.dc
         for node in self.nodes:
             node.mover.collector = self.dc
-        #: Availability incident log served by
-        #: ``v_monitor.failover_events``; every recorded incident is
-        #: mirrored into the collector's ``node_events`` component.
-        self.failover_log = FailoverLog(sink=self._dc_failover_event)
         from .supervisor import ClusterSupervisor
 
         #: The auto-recovery supervisor; :meth:`ClusterSupervisor.tick`
         #: detects failures and drives down nodes back to currency.
         self.supervisor = ClusterSupervisor(self)
 
-    def _dc_failover_event(self, event) -> None:
-        """FailoverLog sink: mirror availability incidents into the
-        Data Collector and flush — node deaths and recovery transitions
-        are rare and precious, so they go durable immediately."""
-        name = f"node{event.node_index:02d}" if event.node_index >= 0 else "-"
+    def record_failover_event(
+        self, kind: str, node_index: int, detail: str, attempt: int = 0
+    ) -> None:
+        """Record one availability incident (``ejection``,
+        ``query_retry``, ``recovery_transition``, ``quarantine``,
+        ``degraded_mode``; ``node_index`` -1 = cluster-wide) in the
+        collector's ``node_events`` ring — served as
+        ``v_monitor.failover_events`` / ``dc_node_events`` — and flush:
+        node deaths and recovery transitions are rare and precious, so
+        they go durable immediately."""
+        name = f"node{node_index:02d}" if node_index >= 0 else "-"
         self.dc.record(
             "node_events",
-            event.kind,
-            node_index=event.node_index,
+            kind,
+            node_index=node_index,
             node_name=name,
-            attempt=event.attempt,
-            detail=event.detail,
+            attempt=attempt,
+            detail=detail,
         )
         self.dc.flush()
 
@@ -577,17 +580,14 @@ class Cluster:
             return
         self._eject_and_freeze(node_index, reason)
         METRICS.inc("cluster.nodes_failed")
-        self.failover_log.record(
-            "ejection", node_index, reason, self.clock.now
-        )
+        self.record_failover_event("ejection", node_index, reason)
         if not self.membership.has_quorum():
             METRICS.set_gauge("cluster.has_quorum", 0)
-            self.failover_log.record(
+            self.record_failover_event(
                 "degraded_mode",
                 -1,
                 "quorum lost: writes rejected, reads continue while "
                 "data is available",
-                self.clock.now,
             )
 
     def fail_node(self, node_index: int) -> None:

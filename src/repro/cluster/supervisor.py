@@ -28,7 +28,7 @@ and
    QUARANTINED after ``max_recovery_attempts`` failures rather than
    retried forever;
 4. re-evaluates the degraded modes and records transitions into the
-   cluster's failover log (``v_monitor.failover_events``).
+   collector as failover events (``v_monitor.failover_events``).
 
 Everything runs off :class:`repro.cluster.clock.SimulatedClock`; no
 wall-clock call is involved, so a chaos seed replays tick-for-tick.
@@ -125,7 +125,7 @@ class ClusterSupervisor:
         self._detect_failures(now)
         self._reconcile_membership(now)
         self._drive_recovery(now)
-        self._update_degraded_modes(now)
+        self._update_degraded_modes()
         # clock advanced: let the Data Collector age out expired history
         # at a deterministic point in the tick.
         self.cluster.dc.on_tick()
@@ -162,9 +162,7 @@ class ClusterSupervisor:
             # epoch/WOS state like every other death path.
             self.cluster._eject_and_freeze(node_index, reason)
             METRICS.inc("supervisor.heartbeat_ejections")
-            self.cluster.failover_log.record(
-                "ejection", node_index, reason, now
-            )
+            self.cluster.record_failover_event("ejection", node_index, reason)
             self._transition(node_index, DOWN, now)
 
     # -- phase 2: adopt externally observed state ------------------------
@@ -232,12 +230,11 @@ class ClusterSupervisor:
         if record.recovery_attempts >= self.max_recovery_attempts:
             self._transition(node_index, QUARANTINED, now)
             METRICS.inc("supervisor.quarantines")
-            self.cluster.failover_log.record(
+            self.cluster.record_failover_event(
                 "quarantine",
                 node_index,
                 f"giving up after {record.recovery_attempts} failed "
                 f"attempts; last: {record.last_error}",
-                now,
                 attempt=record.recovery_attempts,
             )
             return
@@ -249,7 +246,7 @@ class ClusterSupervisor:
 
     # -- phase 4: degraded modes -----------------------------------------
 
-    def _update_degraded_modes(self, now: int) -> None:
+    def _update_degraded_modes(self) -> None:
         has_quorum = self.cluster.membership.has_quorum()
         data_available = self.cluster.check_data_available()
         METRICS.set_gauge("cluster.has_quorum", int(has_quorum))
@@ -259,24 +256,22 @@ class ClusterSupervisor:
             return
         self._last_modes = modes
         if not data_available:
-            self.cluster.failover_log.record(
+            self.cluster.record_failover_event(
                 "degraded_mode",
                 -1,
                 "safety shutdown: some segment has no reachable copy; "
                 "queries raise DataUnavailableError",
-                now,
             )
         elif not has_quorum:
-            self.cluster.failover_log.record(
+            self.cluster.record_failover_event(
                 "degraded_mode",
                 -1,
                 "quorum lost: writes rejected with QuorumLossError, "
                 "reads continue from surviving copies",
-                now,
             )
         else:
-            self.cluster.failover_log.record(
-                "degraded_mode", -1, "healthy: quorum and all data", now
+            self.cluster.record_failover_event(
+                "degraded_mode", -1, "healthy: quorum and all data"
             )
 
     # -- shared ----------------------------------------------------------
@@ -289,10 +284,9 @@ class ClusterSupervisor:
         record.state = new_state
         record.last_transition_tick = now
         METRICS.inc("supervisor.transitions")
-        self.cluster.failover_log.record(
+        self.cluster.record_failover_event(
             "recovery_transition",
             node_index,
             detail,
-            now,
             attempt=record.recovery_attempts,
         )

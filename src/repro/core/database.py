@@ -494,6 +494,7 @@ class Session:
         self.last_pool = pool
         METRICS.inc("queries.executed")
         self.last_profile = build_query_profile(
+            self.db.cluster.dc,
             executor.root_operator,
             sql=sql_text or f"<plan:{type(logical).__name__}>",
             epoch=epoch,

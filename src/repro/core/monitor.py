@@ -16,29 +16,31 @@ information is available as row-dict views over the live cluster:
 from __future__ import annotations
 
 from ..errors import UnknownObjectError
+from ..monitor.tables import projection_storage_rows
 
 
 def projections_view(db) -> list[dict]:
-    """Per-(node, projection) storage accounting."""
-    rows = []
-    for node in db.cluster.nodes:
-        for name in node.manager.projection_names():
-            state = node.manager.storage(name)
-            stored = sum(c.row_count for c in state.containers.values())
-            rows.append(
-                {
-                    "node": node.name,
-                    "projection": name,
-                    "anchor_table": state.projection.anchor_table,
-                    "ros_rows": stored,
-                    "wos_rows": state.wos.row_count,
-                    "ros_containers": len(state.containers),
-                    "data_bytes": node.manager.total_data_bytes(name),
-                    "delete_markers": state.delete_count(),
-                    "up": db.cluster.membership.is_up(node.index),
-                }
-            )
-    return rows
+    """Per-(node, projection) storage accounting: the
+    ``v_monitor.projection_storage`` rows under this view's keys, plus
+    membership."""
+    up = {
+        node.name: db.cluster.membership.is_up(node.index)
+        for node in db.cluster.nodes
+    }
+    return [
+        {
+            "node": row["node_name"],
+            "projection": row["projection_name"],
+            "anchor_table": row["anchor_table"],
+            "ros_rows": row["ros_rows"],
+            "wos_rows": row["wos_rows"],
+            "ros_containers": row["ros_containers"],
+            "data_bytes": row["ros_bytes"],
+            "delete_markers": row["delete_markers"],
+            "up": up[row["node_name"]],
+        }
+        for row in projection_storage_rows(db)
+    ]
 
 
 def storage_containers_view(db) -> list[dict]:
@@ -92,11 +94,10 @@ def nodes_view(db) -> list[dict]:
 
 def locks_view(db) -> list[dict]:
     """Currently granted table locks."""
-    rows = []
-    for obj, state in sorted(db.cluster.locks._objects.items()):
-        for txn_id, mode in sorted(state.holders.items()):
-            rows.append({"object": obj, "txn": txn_id, "mode": mode.value})
-    return rows
+    return [
+        {"object": obj, "txn": txn_id, "mode": mode}
+        for obj, txn_id, mode in db.cluster.locks.granted()
+    ]
 
 
 def epochs_view(db) -> list[dict]:

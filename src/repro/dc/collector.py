@@ -4,8 +4,11 @@ Vertica's Data Collector records every operationally interesting event
 — statement completions, resource acquisitions, lock waits, node
 up/down transitions, tuple-mover cycles, errors — into per-component
 ring buffers that are periodically persisted, then serves them back as
-ordinary ``dc_*`` SQL tables.  This module is that subsystem for the
-reproduction.
+ordinary SQL tables.  This module is that subsystem for the
+reproduction, and the only store of operational history in it: every
+``v_monitor`` history table (``dc_*``, ``tuple_mover_events``,
+``failover_events``, ``query_profiles``) is a column map over one of
+these rings.
 
 Every event flows through one :meth:`DataCollector.record` call into a
 per-component ring bounded by a :class:`RetentionPolicy` (record count
@@ -18,7 +21,10 @@ stage/publish per flush (fault points ``dc.flush.stage`` /
 ``dc.flush.publish`` for the kill-mid-flush chaos checks), rotation at
 ``segment_records`` and recovery to a valid record prefix, never a
 torn middle.  Operational history so survives ``Database.open()`` cold
-starts; sealed segments past the retention cap are pruned.
+starts; sealed segments past the retention cap are pruned.  The one
+exception is the ``profiles`` ring (per-operator query profiles): it is
+memory-only — no segment log, never batched for a flush — so profiling
+a SELECT writes nothing.
 
 Flushes are batched (every ``flush_interval`` records by default, plus
 explicit :meth:`flush` calls at cluster maintenance points) so the
@@ -32,13 +38,13 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
-from ..lint.concur.runtime import TrackedLock
+from ..lint.concur.runtime import RACES, TrackedLock
 from ..monitor.registry import METRICS
 from ..monitor.retention import DEFAULT_RETENTION, RetentionPolicy
 from ..storage.segment_log import SEGMENT_SUFFIX, SegmentLog
 
-#: Component names (= ring buffers = on-disk segment families = the
-#: ``v_monitor.dc_*`` tables built on top).
+#: Persisted component names (= ring buffers = on-disk segment families
+#: = the ``v_monitor`` history tables built on top).
 COMPONENTS = (
     "requests",
     "resource_acquisitions",
@@ -47,6 +53,10 @@ COMPONENTS = (
     "tuple_mover",
     "errors",
 )
+#: Records kept by the seventh, memory-only component ``profiles``: one
+#: per profiled SELECT carrying its frozen operator tree (``record_id``
+#: is the query id), so the bound is tighter than the shared retention.
+PROFILE_CAPACITY = 256
 
 #: Records buffered across all components before an automatic flush.
 DEFAULT_FLUSH_INTERVAL = 16
@@ -65,7 +75,8 @@ class DCRecord:
     tick: int
     #: Component-specific event kind (e.g. ``granted``, ``moveout``).
     kind: str
-    #: Event fields; JSON-serializable values only.
+    #: Event fields; JSON-serializable values only in a persisted
+    #: component.
     payload: dict
 
     def row(self) -> dict:
@@ -82,8 +93,11 @@ class _Ring:
     mutex; the dataclass only groups them per component.
     """
 
-    #: The component's on-disk history (``<component>_NNNNNN.log``).
-    log: SegmentLog
+    #: The component's on-disk history (``<component>_NNNNNN.log``);
+    #: ``None`` for the memory-only ring, which is never flushed.
+    log: SegmentLog | None
+    #: Record-count bound (oldest evicted first).
+    max_records: int
     records: list[DCRecord] = field(default_factory=list)
     next_id: int = 1
     #: Records appended since the component's last flush.
@@ -137,10 +151,14 @@ class DataCollector:
                     segment_records=self.segment_records,
                     stage_point="dc.flush.stage",
                     publish_point="dc.flush.publish",
-                )
+                ),
+                self.retention.max_records,
             )
             for name in COMPONENTS
         }
+        self._rings["profiles"] = _Ring(
+            None, min(PROFILE_CAPACITY, self.retention.max_records)
+        )
         self._dirty = 0  # concurrency: guarded-by(self._lock)
         if fresh:
             self._wipe()
@@ -179,7 +197,8 @@ class DataCollector:
             ring.records.append(record)
             self._evict_ring(ring, tick)
             METRICS.inc("dc.records")
-            if self.persist:
+            RACES.note_write("DataCollector._rings", "DataCollector.record")
+            if self.persist and ring.log is not None:
                 ring.pending.append(record)
                 self._dirty += 1
                 if not defer_flush and self._dirty >= self.flush_interval:
@@ -205,7 +224,7 @@ class DataCollector:
     def _evict_ring(self, ring: _Ring, now: int) -> None:
         """Apply both retention bounds to one ring (caller holds lock)."""
         evicted = 0
-        over = len(ring.records) - self.retention.max_records
+        over = len(ring.records) - ring.max_records
         if over > 0:
             del ring.records[:over]
             evicted += over
@@ -242,6 +261,7 @@ class DataCollector:
             for ring in self._rings.values():
                 ring.records.clear()
                 ring.pending.clear()
+            self._dirty = 0
 
     # -- persistence ----------------------------------------------------
 
@@ -279,7 +299,7 @@ class DataCollector:
         sealed = ring.log.sealed()
         total = sum(count for _, count in sealed)
         for index, count in sealed:
-            if total <= self.retention.max_records:
+            if total <= ring.max_records:
                 return
             ring.log.drop(index)
             total -= count
@@ -296,7 +316,8 @@ class DataCollector:
         recovered_total = 0
         truncated_total = 0
         now = self.clock.now if self.clock is not None else 0
-        for ring in self._rings.values():
+        for name in COMPONENTS:
+            ring = self._rings[name]
             recovered, truncated = ring.log.open(valid=lambda body: "id" in body)
             recovered_total += len(recovered)
             truncated_total += truncated

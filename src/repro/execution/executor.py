@@ -204,12 +204,11 @@ class DistributedExecutor:
                         f"finding a stable set of copies: {exc}"
                     ) from exc
                 METRICS.inc("executor.query_retries")
-                self.cluster.failover_log.record(
+                self.cluster.record_failover_event(
                     "query_retry",
                     exc.node_index,
                     f"retrying at epoch {self.epoch} on surviving "
                     f"buddies: {exc}",
-                    self.cluster.clock.now,
                     attempt=attempts,
                 )
                 with TRACER.span(

@@ -5,10 +5,10 @@ the rest of the sanitizer) by ``REPRO_SANITIZE=1``.  Two pieces:
 
 * :class:`TrackedLock` — a ``threading.Lock`` wrapper that records the
   locks each thread currently holds in a thread-local stack.  The
-  process-wide singletons (``METRICS``, ``PROFILES``, ``EVENTS``,
-  ``TRACER``) guard their mutable state with one, which is what lets
-  the race detector compute candidate locksets without patching the
-  interpreter.
+  process-wide singletons (``METRICS``, ``TRACER``) and each
+  database's ``DataCollector`` guard their mutable state with one,
+  which is what lets the race detector compute candidate locksets
+  without patching the interpreter.
 
 * :data:`RACES` — an Eraser-style lockset race detector
   (Savage et al., SOSP '97).  Registered shared objects report each

@@ -1,12 +1,17 @@
-"""Monitoring: metrics registry, query profiles, tuple-mover events.
+"""Monitoring: metrics registry, query profiling, ``v_monitor`` tables.
 
 The package mirrors Vertica's monitoring surface (``v_monitor``
 system tables, ``PROFILE``/``EXPLAIN ANALYZE``) for the reproduction.
-Three process-wide stores, all resettable:
+Three kinds of fact, one home each:
 
-* :data:`METRICS` — counters/gauges/histograms bumped by every layer;
-* :data:`PROFILES` — per-query operator profiles;
-* :data:`EVENTS` — tuple-mover moveout/mergeout events.
+* counters — :data:`METRICS`, the process-wide registry of
+  counters/gauges/histograms bumped by every layer;
+* spans — :data:`repro.trace.TRACER`, process-wide;
+* history (statements, query profiles, tuple-mover runs, node and
+  failover events, lock waits, admissions, errors) — the rings of the
+  database's own :class:`repro.dc.DataCollector` (``db.cluster.dc``),
+  never a process-wide store, so two databases in one process keep
+  separate histories.
 
 The ``v_monitor`` table definitions live in
 :mod:`repro.monitor.tables` and are imported lazily by the SQL front
@@ -15,11 +20,8 @@ this package's registry — keeping them out of ``__init__`` avoids the
 cycle).
 """
 
-from .events import EVENTS, EventLog, FailoverEvent, FailoverLog, TupleMoverEvent
 from .profile import (
-    PROFILES,
     OperatorProfile,
-    ProfileLog,
     QueryProfile,
     build_query_profile,
     profile_plan,
@@ -37,14 +39,7 @@ __all__ = [
     "DEFAULT_RETENTION",
     "RetentionPolicy",
     "CounterCapture",
-    "EVENTS",
-    "EventLog",
-    "FailoverEvent",
-    "FailoverLog",
-    "TupleMoverEvent",
-    "PROFILES",
     "OperatorProfile",
-    "ProfileLog",
     "QueryProfile",
     "build_query_profile",
     "profile_plan",
@@ -57,10 +52,9 @@ __all__ = [
 
 
 def reset_all() -> None:
-    """Zero every monitoring store (tests, benchmark isolation)."""
+    """Zero every process-wide monitoring store (tests, benchmark
+    isolation); history is per database and goes with the database."""
     METRICS.reset()
-    PROFILES.reset()
-    EVENTS.reset()
     # lazy: the tracer lives in its own package and monitoring must
     # stay importable from the storage layers below it.
     from ..trace import TRACER

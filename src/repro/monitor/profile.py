@@ -9,24 +9,19 @@ identity: distributed plans share operators across branches (one
 once per parent would double its contribution — exactly the class of
 bug this profiler exists to expose, so it must not commit it itself.
 
-Completed profiles land in :data:`PROFILES`, a bounded process-wide
-log that ``v_monitor.query_profiles`` reads back out through the SQL
-front end.
+Completed profiles land in the database's Data Collector — the
+memory-only ``profiles`` ring, whose record id is the query id — and
+``v_monitor.query_profiles`` reads them back out through the SQL front
+end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
-
-from ..lint.concur.runtime import RACES, TrackedLock
-from .retention import RetentionPolicy
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..execution.operators.base import Operator
-
-#: Completed query profiles kept for ``v_monitor.query_profiles``.
-PROFILE_CAPACITY = 256
 
 
 @dataclass
@@ -83,57 +78,6 @@ class QueryProfile:
         return "\n".join(lines)
 
 
-class ProfileLog:
-    """Bounded FIFO of completed :class:`QueryProfile` objects.
-
-    One instance (:data:`PROFILES`) serves every session thread, so id
-    allocation and the append/evict pair run under an internal mutex.
-    """
-
-    def __init__(
-        self,
-        capacity: int = PROFILE_CAPACITY,
-        retention: RetentionPolicy | None = None,
-    ):
-        # ``retention`` carries the shared bounded-history knob shape;
-        # profiles have no clock tick, so only the count bound applies.
-        self._capacity = retention.max_records if retention else capacity
-        self._lock = TrackedLock("ProfileLog._lock")
-        self._profiles: list[QueryProfile] = []  # concurrency: guarded-by(self._lock)
-        self._next_id = 1  # concurrency: guarded-by(self._lock)
-
-    def next_query_id(self) -> int:
-        """Allocate the next monotonically increasing query id."""
-        with self._lock:
-            query_id = self._next_id
-            self._next_id += 1
-            RACES.note_write("PROFILES._next_id", "ProfileLog.next_query_id")
-            return query_id
-
-    def record(self, profile: QueryProfile) -> None:
-        """Append ``profile``, evicting the oldest past capacity."""
-        with self._lock:
-            self._profiles.append(profile)
-            if len(self._profiles) > self._capacity:
-                del self._profiles[0]
-
-    def profiles(self) -> list[QueryProfile]:
-        """All retained profiles, oldest first."""
-        with self._lock:
-            return list(self._profiles)
-
-    def last(self) -> QueryProfile | None:
-        """The most recently recorded profile, if any."""
-        with self._lock:
-            return self._profiles[-1] if self._profiles else None
-
-    def reset(self) -> None:
-        """Drop all profiles and restart query ids from 1."""
-        with self._lock:
-            self._profiles.clear()
-            self._next_id = 1
-
-
 def profile_plan(root: "Operator") -> list[OperatorProfile]:
     """Freeze the operator tree under ``root`` into profiles, preorder.
 
@@ -179,35 +123,24 @@ def profile_plan(root: "Operator") -> list[OperatorProfile]:
 
 
 def build_query_profile(
+    collector,
     root: "Operator",
     sql: str,
     epoch: int,
     rows_returned: int,
     wall_seconds: float,
 ) -> QueryProfile:
-    """Assemble and register a :class:`QueryProfile` for a finished query."""
-    profile = QueryProfile(
-        query_id=PROFILES.next_query_id(),
-        sql=sql,
-        epoch=epoch,
-        rows_returned=rows_returned,
-        wall_seconds=wall_seconds,
-        operators=profile_plan(root),
-    )
-    PROFILES.record(profile)
-    return profile
-
-
-def summarize(profile: QueryProfile) -> dict[str, Any]:
-    """Flat dict view of a profile (bench reports, debugging)."""
-    return {
-        "query_id": profile.query_id,
-        "sql": profile.sql,
-        "rows_returned": profile.rows_returned,
-        "wall_seconds": profile.wall_seconds,
-        "operators": len(profile.operators),
+    """Assemble a :class:`QueryProfile` for a finished query and record
+    it in ``collector``'s ``profiles`` ring; the record id is the query
+    id (0 when the collector is disabled and nothing was recorded)."""
+    fields = {
+        "sql": sql,
+        "epoch": epoch,
+        "rows_returned": rows_returned,
+        "wall_seconds": wall_seconds,
+        "operators": profile_plan(root),
     }
-
-
-#: The process-wide query profile log.
-PROFILES = ProfileLog()
+    record = collector.record("profiles", "select", **fields)
+    return QueryProfile(
+        query_id=record.record_id if record is not None else 0, **fields
+    )

@@ -1,8 +1,7 @@
 """The shared retention policy for bounded operational history.
 
-Every in-memory operational store — the Data Collector's per-component
-rings (:mod:`repro.dc.collector`), the query :class:`ProfileLog` and
-the tuple-mover :class:`EventLog` — bounds itself with the same two
+The Data Collector's per-component rings (:mod:`repro.dc.collector`)
+— the only store of operational history — bound themselves with two
 knobs so "how much history do we keep?" has exactly one answer shape:
 
 * ``max_records`` — hard cap on retained records; the oldest are
@@ -12,8 +11,7 @@ knobs so "how much history do we keep?" has exactly one answer shape:
   (:class:`repro.cluster.clock.SimulatedClock`); records stamped more
   than this many ticks in the past are evicted whenever the store is
   touched or the clock advances.  ``None`` disables age-based
-  eviction.  Stores whose records carry no tick (profiles, tuple-mover
-  events) enforce only the count bound.
+  eviction.
 
 This module is deliberately dependency-free: it sits below everything
 else in the monitor/dc stack so any layer can import it without
@@ -43,6 +41,5 @@ class RetentionPolicy:
         return now - record_tick > self.max_age_ticks
 
 
-#: Default policy shared by the Data Collector rings, the profile log
-#: and the tuple-mover event log.
+#: Default policy of the Data Collector rings.
 DEFAULT_RETENTION = RetentionPolicy(max_records=1024, max_age_ticks=None)

@@ -5,18 +5,20 @@ schema so operators can use plain SQL against them.  This module does
 the same for the reproduction's tables:
 
 * ``v_monitor.query_profiles`` — one row per operator per profiled
-  query (the tabular twin of ``EXPLAIN ANALYZE``);
+  query (the tabular twin of ``EXPLAIN ANALYZE``), fanned out of the
+  collector's memory-only ``profiles`` ring;
 * ``v_monitor.projection_storage`` — per-(node, projection) storage
   accounting;
 * ``v_monitor.tuple_mover_events`` — completed moveout/mergeout
-  operations with durations and strata;
+  operations with durations and strata (the ``tuple_mover`` ring);
 * ``v_monitor.locks`` — currently granted table locks;
 * ``v_monitor.node_states`` — per-node view of the self-healing
   runtime: membership, supervisor state machine, heartbeat age and
   recovery backoff/attempt bookkeeping;
-* ``v_monitor.failover_events`` — the cluster's failover log
+* ``v_monitor.failover_events`` — the ``node_events`` ring
   (ejections, mid-query retries, recovery transitions, quarantines,
-  degraded-mode changes), stamped with the simulated-clock tick;
+  degraded-mode changes, heartbeat misses, journal checkpoints),
+  stamped with the simulated-clock tick;
 * ``v_monitor.sessions`` — live service sessions (state, pool,
   transaction, current statement) when a
   :class:`repro.service.SqlService` wraps the database;
@@ -38,7 +40,11 @@ the same for the reproduction's tables:
   ``dc_resource_acquisitions``, ``dc_lock_waits``, ``dc_node_events``,
   ``dc_tuple_mover``, ``dc_errors`` — serving
   :class:`repro.dc.DataCollector`'s retention-bounded (and, for
-  durable databases, crash-recoverable) operational history;
+  durable databases, crash-recoverable) operational history.  The
+  collector (``db.cluster.dc``) is the only history store: these six,
+  ``tuple_mover_events`` and ``failover_events`` are all entries of
+  one ring → column map (:data:`_RING_TABLES`), and all are empty
+  when the collector is disabled;
 * ``v_monitor.slow_queries`` — the requests history filtered to
   statements at or above ``db.health.config.slow_query_ms``;
 * ``v_monitor.alerts`` — the health engine's rules
@@ -60,8 +66,6 @@ metrics registry at module load.
 from __future__ import annotations
 
 from ..errors import SqlAnalysisError, UnknownObjectError
-from .events import EVENTS
-from .profile import PROFILES
 
 #: Schema name all virtual tables live under.
 SCHEMA = "v_monitor"
@@ -332,16 +336,17 @@ def _short_name(qualified: str) -> str:
 
 
 def _query_profiles_rows(db) -> list[dict]:
+    """One row per operator of every retained profile record."""
     rows = []
-    for profile in PROFILES.profiles():
-        for op in profile.operators:
+    for query in db.cluster.dc.rows("profiles"):
+        for op in query["operators"]:
             rows.append(
                 {
-                    "query_id": profile.query_id,
-                    "sql": profile.sql,
-                    "epoch": profile.epoch,
-                    "rows_returned": profile.rows_returned,
-                    "query_ms": profile.wall_seconds * 1000.0,
+                    "query_id": query["record_id"],
+                    "sql": query["sql"],
+                    "epoch": query["epoch"],
+                    "rows_returned": query["rows_returned"],
+                    "query_ms": query["wall_seconds"] * 1000.0,
                     "operator_id": op.operator_id,
                     "parent_id": op.parent_id,
                     "depth": op.depth,
@@ -358,7 +363,9 @@ def _query_profiles_rows(db) -> list[dict]:
     return rows
 
 
-def _projection_storage_rows(db) -> list[dict]:
+def projection_storage_rows(db) -> list[dict]:
+    """Per-(node, projection) storage accounting (also the body of
+    ``Database.system("projections")``)."""
     rows = []
     for node in db.cluster.nodes:
         for name in node.manager.projection_names():
@@ -380,33 +387,11 @@ def _projection_storage_rows(db) -> list[dict]:
     return rows
 
 
-def _tuple_mover_events_rows(db) -> list[dict]:
-    return [
-        {
-            "event_id": event.event_id,
-            "kind": event.kind,
-            "node_name": f"node{event.node_index:02d}",
-            "projection_name": event.projection,
-            "containers_in": event.containers_in,
-            "containers_out": event.containers_out,
-            "rows_in": event.rows_in,
-            "rows_out": event.rows_out,
-            "rows_purged": event.rows_purged,
-            "stratum": event.stratum,
-            "duration_ms": event.duration_seconds * 1000.0,
-        }
-        for event in EVENTS.events()
-    ]
-
-
 def _locks_rows(db) -> list[dict]:
-    rows = []
-    for obj, state in sorted(db.cluster.locks._objects.items()):
-        for txn_id, mode in sorted(state.holders.items()):
-            rows.append(
-                {"object_name": obj, "txn_id": txn_id, "mode": mode.value}
-            )
-    return rows
+    return [
+        {"object_name": obj, "txn_id": txn_id, "mode": mode}
+        for obj, txn_id, mode in db.cluster.locks.granted()
+    ]
 
 
 def _node_states_rows(db) -> list[dict]:
@@ -428,28 +413,6 @@ def _node_states_rows(db) -> list[dict]:
                     index, 0
                 ),
                 "last_error": record.last_error,
-            }
-        )
-    return rows
-
-
-def _failover_events_rows(db) -> list[dict]:
-    cluster = db.cluster
-    rows = []
-    for event in cluster.failover_log.events():
-        if 0 <= event.node_index < cluster.node_count:
-            node_name = cluster.nodes[event.node_index].name
-        else:
-            node_name = "*"  # cluster-wide events (degraded modes)
-        rows.append(
-            {
-                "event_id": event.event_id,
-                "tick": event.tick,
-                "kind": event.kind,
-                "node_index": event.node_index,
-                "node_name": node_name,
-                "attempt": event.attempt,
-                "detail": event.detail,
             }
         )
     return rows
@@ -568,53 +531,41 @@ def _journal_rows(db) -> list[dict]:
     return journal.monitor_rows()
 
 
-# column name -> dc record key, where they differ: the collector
-# stores each record's event kind under "kind"; the tables surface it
-# under a table-specific name ("statement", "outcome").
-_DC_RENAMES = {"statement": "kind", "outcome": "kind"}
+def _node_name(record: dict) -> str:
+    return f"node{record['node_index']:02d}"
 
 
-def _dc_component_rows(db, component: str, table: str) -> list[dict]:
-    """Project one collector component onto its dc_* table columns."""
-    collector = getattr(db.cluster, "dc", None)
-    if collector is None:
-        return []
-    columns = _COLUMNS[table]
-    rows = []
-    for record in collector.rows(component):
-        rows.append(
-            {
-                column: record.get(_DC_RENAMES.get(column, column))
-                for column in columns
-            }
-        )
-    return rows
+#: The history tables: table -> (collector ring, {column: source}).
+#: A column reads the record key of its own name unless the map names
+#: another key (the collector stores each record's event kind under
+#: "kind" and its id under "record_id") or a function of the record.
+_RING_TABLES = {
+    "tuple_mover_events": (
+        "tuple_mover", {"event_id": "record_id", "node_name": _node_name}
+    ),
+    "failover_events": ("node_events", {"event_id": "record_id"}),
+    "dc_requests_completed": ("requests", {"statement": "kind"}),
+    "dc_resource_acquisitions": (
+        "resource_acquisitions", {"outcome": "kind"}
+    ),
+    "dc_lock_waits": ("lock_waits", {"outcome": "kind"}),
+    "dc_node_events": ("node_events", {}),
+    "dc_tuple_mover": ("tuple_mover", {}),
+    "dc_errors": ("errors", {}),
+}
 
 
-def _dc_requests_rows(db) -> list[dict]:
-    return _dc_component_rows(db, "requests", "dc_requests_completed")
-
-
-def _dc_resource_acquisitions_rows(db) -> list[dict]:
-    return _dc_component_rows(
-        db, "resource_acquisitions", "dc_resource_acquisitions"
-    )
-
-
-def _dc_lock_waits_rows(db) -> list[dict]:
-    return _dc_component_rows(db, "lock_waits", "dc_lock_waits")
-
-
-def _dc_node_events_rows(db) -> list[dict]:
-    return _dc_component_rows(db, "node_events", "dc_node_events")
-
-
-def _dc_tuple_mover_rows(db) -> list[dict]:
-    return _dc_component_rows(db, "tuple_mover", "dc_tuple_mover")
-
-
-def _dc_errors_rows(db) -> list[dict]:
-    return _dc_component_rows(db, "errors", "dc_errors")
+def _dc_component_rows(db, table: str) -> list[dict]:
+    """Project one collector ring onto a history table's columns."""
+    component, sources = _RING_TABLES[table]
+    columns = [(name, sources.get(name, name)) for name in _COLUMNS[table]]
+    return [
+        {
+            name: source(record) if callable(source) else record.get(source)
+            for name, source in columns
+        }
+        for record in db.cluster.dc.rows(component)
+    ]
 
 
 def _slow_queries_rows(db) -> list[dict]:
@@ -624,7 +575,7 @@ def _slow_queries_rows(db) -> list[dict]:
         return []
     threshold = health.config.slow_query_ms
     rows = []
-    for record in _dc_requests_rows(db):
+    for record in _dc_component_rows(db, "dc_requests_completed"):
         duration = record.get("duration_ms") or 0.0
         if duration < threshold:
             continue
@@ -648,23 +599,15 @@ def _alerts_rows(db) -> list[dict]:
 
 _PRODUCERS = {
     "query_profiles": _query_profiles_rows,
-    "projection_storage": _projection_storage_rows,
-    "tuple_mover_events": _tuple_mover_events_rows,
+    "projection_storage": projection_storage_rows,
     "locks": _locks_rows,
     "node_states": _node_states_rows,
-    "failover_events": _failover_events_rows,
     "sessions": _sessions_rows,
     "resource_pools": _resource_pools_rows,
     "metrics": _metrics_rows,
     "query_traces": _query_traces_rows,
     "trace_spans": _trace_spans_rows,
     "journal": _journal_rows,
-    "dc_requests_completed": _dc_requests_rows,
-    "dc_resource_acquisitions": _dc_resource_acquisitions_rows,
-    "dc_lock_waits": _dc_lock_waits_rows,
-    "dc_node_events": _dc_node_events_rows,
-    "dc_tuple_mover": _dc_tuple_mover_rows,
-    "dc_errors": _dc_errors_rows,
     "slow_queries": _slow_queries_rows,
     "alerts": _alerts_rows,
 }
@@ -673,7 +616,11 @@ _PRODUCERS = {
 def table_rows(db, qualified: str) -> tuple[list[str], list[dict]]:
     """Materialize one virtual table: ``(column_names, row_dicts)``."""
     short = _short_name(qualified)
-    return list(_COLUMNS[short]), _PRODUCERS[short](db)
+    if short in _RING_TABLES:
+        rows = _dc_component_rows(db, short)
+    else:
+        rows = _PRODUCERS[short](db)
+    return list(_COLUMNS[short]), rows
 
 
 def _sort_key(value):

@@ -123,9 +123,7 @@ def _record_request(
     """Append one ``dc_requests_completed`` record for the statement."""
     if info.get("skip"):
         return
-    collector = getattr(session.db.cluster, "dc", None)
-    if collector is None:
-        return
+    collector = session.db.cluster.dc
     rows_returned = len(result) if isinstance(result, list) else 0
     profile = (
         session.last_profile

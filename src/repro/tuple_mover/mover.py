@@ -27,7 +27,7 @@ from time import perf_counter
 
 from .. import faults
 from ..lint import sanitizer
-from ..monitor import EVENTS, METRICS
+from ..monitor import METRICS
 from ..storage.manager import StorageManager
 from ..trace import TRACER
 from .strata import MergePolicy, plan_merges
@@ -64,8 +64,8 @@ class TupleMover:
         self.policy = policy or MergePolicy()
         self.stats = TupleMoverStats()
         #: Optional Data Collector (duck-typed; the cluster points this
-        #: at its collector).  Completed moveouts/mergeouts land in
-        #: ``dc_tuple_mover`` alongside the process-wide EVENTS log.
+        #: at its collector).  Completed moveouts/mergeouts land in its
+        #: ``tuple_mover`` ring, the one record of each run.
         self.collector = None
 
     def _dc_record(
@@ -161,18 +161,6 @@ class TupleMover:
         METRICS.inc("tuple_mover.moveouts")
         METRICS.inc("tuple_mover.rows_moved_out", len(rows))
         METRICS.observe("tuple_mover.moveout_seconds", duration)
-        EVENTS.record(
-            kind="moveout",
-            node_index=self.manager.node_index,
-            projection=projection_name,
-            containers_in=0,
-            containers_out=len(created),
-            rows_in=len(rows),
-            rows_out=rows_out,
-            rows_purged=0,
-            stratum=-1,
-            duration_seconds=duration,
-        )
         self._dc_record(
             "moveout", projection_name, 0, len(created), len(rows),
             rows_out, 0, -1, duration,
@@ -291,18 +279,6 @@ class TupleMover:
         METRICS.inc("tuple_mover.mergeouts")
         METRICS.inc("tuple_mover.rows_purged", purged)
         METRICS.observe("tuple_mover.mergeout_seconds", duration)
-        EVENTS.record(
-            kind="mergeout",
-            node_index=self.manager.node_index,
-            projection=projection_name,
-            containers_in=len(merge_ids),
-            containers_out=1,
-            rows_in=read,
-            rows_out=len(merged_rows),
-            rows_purged=purged,
-            stratum=stratum,
-            duration_seconds=duration,
-        )
         self._dc_record(
             "mergeout", projection_name, len(merge_ids), 1, read,
             len(merged_rows), purged, stratum, duration,

@@ -397,6 +397,16 @@ class LockManager:
             state = self._objects.get(obj)
             return dict(state.holders) if state else {}
 
+    def granted(self) -> list[tuple[str, int, str]]:
+        """Every granted lock as sorted (object, txn id, mode) triples —
+        the one snapshot both monitoring views read."""
+        with self._cond:
+            return [
+                (obj, txn_id, mode.value)
+                for obj, state in sorted(self._objects.items())
+                for txn_id, mode in sorted(state.holders.items())
+            ]
+
     def waiting(self) -> dict[int, tuple[str, str]]:
         """Parked waiters: txn id -> (object, requested mode)."""
         with self._cond:

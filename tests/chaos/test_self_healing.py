@@ -153,8 +153,9 @@ def test_kill_during_recovery_backs_off_until_healed(seed, tmp_path):
     assert sut.cluster.supervisor.node_state(victim).state == "UP"
     failures = [
         event
-        for event in sut.cluster.failover_log.events("recovery_transition")
-        if event.detail == "RECOVERING->DOWN"
+        for event in sut.cluster.dc.rows("node_events")
+        if event["kind"] == "recovery_transition"
+        and event["detail"] == "RECOVERING->DOWN"
     ]
     assert len(failures) == crashes
     assert sut.sql(SELECT) == expected

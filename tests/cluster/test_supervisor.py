@@ -48,11 +48,20 @@ def visible_ids(cluster, epoch=1):
     return sorted(row["sale_id"] for row in cluster.read_table("sales", epoch))
 
 
+def node_events(cluster, kind=None):
+    """The cluster's failover history: its collector's node_events ring."""
+    return [
+        event
+        for event in cluster.dc.rows("node_events")
+        if kind is None or event["kind"] == kind
+    ]
+
+
 def transitions(cluster, node_index):
     return [
-        event.detail
-        for event in cluster.failover_log.events("recovery_transition")
-        if event.node_index == node_index
+        event["detail"]
+        for event in node_events(cluster, "recovery_transition")
+        if event["node_index"] == node_index
     ]
 
 
@@ -157,7 +166,7 @@ class TestSupervisorRecovery:
         for _ in range(5):
             cluster.supervisor.tick()
         assert cluster.supervisor.converged()
-        assert cluster.failover_log.events() == []
+        assert node_events(cluster) == []
         assert cluster.clock.now == 5
 
     def test_externally_recovered_node_adopted_up(self, cluster):
@@ -196,9 +205,10 @@ class TestBackoffAndQuarantine:
         # each retry waits backoff_base * 2**(attempts-1) ticks, so the
         # gaps between successive restart attempts must grow.
         restart_ticks = [
-            event.tick
-            for event in cluster.failover_log.events("recovery_transition")
-            if event.node_index == 1 and event.detail == "DOWN->RESTARTING"
+            event["tick"]
+            for event in node_events(cluster, "recovery_transition")
+            if event["node_index"] == 1
+            and event["detail"] == "DOWN->RESTARTING"
         ]
         gaps = [b - a for a, b in zip(restart_ticks, restart_ticks[1:])]
         assert len(gaps) == 2
@@ -217,9 +227,9 @@ class TestBackoffAndQuarantine:
             == cluster.supervisor.max_recovery_attempts
         )
         assert "failed" in record.last_error
-        quarantines = cluster.failover_log.events("quarantine")
+        quarantines = node_events(cluster, "quarantine")
         assert len(quarantines) == 1
-        assert quarantines[0].node_index == 1
+        assert quarantines[0]["node_index"] == 1
         # a quarantined node is terminal: more ticks change nothing.
         tick_count = cluster.clock.now
         cluster.supervisor.tick()

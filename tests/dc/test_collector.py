@@ -86,6 +86,27 @@ class TestRings:
         dc.reset()
         assert all(n == 0 for n in dc.counts().values())
 
+    def test_reset_zeroes_the_flush_counter_with_the_batches(self, tmp_path):
+        dc = collector(tmp_path, persist=True, flush_interval=4)
+        for i in range(3):
+            dc.record("requests", "select", sql=f"q{i}")
+        dc.reset()
+        # a stale counter would fire the threshold flush one record in
+        for i in range(3):
+            dc.record("requests", "select", sql=f"r{i}")
+        assert not os.path.exists(tmp_path / "dc")
+        dc.record("requests", "select", sql="r3")
+        assert os.listdir(tmp_path / "dc") == ["requests_000001.log"]
+
+    def test_profiles_ring_is_memory_only(self, tmp_path):
+        dc = collector(tmp_path, persist=True, flush_interval=2)
+        for i in range(5):
+            dc.record("profiles", "select", sql=f"q{i}", operators=[])
+        dc.flush()
+        assert dc.counts()["profiles"] == 5
+        assert not os.path.exists(tmp_path / "dc")
+        assert collector(tmp_path, persist=True).rows("profiles") == []
+
     def test_disabled_collector_records_nothing(self, tmp_path):
         dc = collector(tmp_path, enabled=False)
         dc.record("requests", "select")

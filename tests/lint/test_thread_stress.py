@@ -2,8 +2,8 @@
 
 Eight threads hammer the same database with snapshot SELECTs (the
 lock-free path of section 5) while the sanitizer and the lockset race
-detector watch the process-wide monitoring singletons every query
-bumps.  The suite must come back finding-free: no exceptions on any
+detector watch the shared monitoring state every query bumps (the
+process-wide metrics registry, the database's Data Collector rings).  The suite must come back finding-free: no exceptions on any
 thread, no lockset-empty writes.  A companion negative harness proves
 the detector would have caught an unguarded write pattern — so the
 green result above means "checked", not "unplugged".
@@ -41,7 +41,7 @@ class TestThreadStress:
     def test_concurrent_selects_are_race_free(self, db):
         RACES.reset()
         RACES.track("METRICS._counters")
-        RACES.track("PROFILES._next_id")
+        RACES.track("DataCollector._rings")
         errors = []
         barrier = threading.Barrier(THREADS)
 

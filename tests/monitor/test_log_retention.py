@@ -1,66 +1,54 @@
-"""Retention regression: the in-memory logs hold steady-state size.
+"""Retention regression: the history rings hold steady-state size.
 
-The issue's satellite: a 10k-statement loop must not grow
-``ProfileLog`` / ``EventLog`` (or the Data Collector rings) beyond
-their configured bounds — operational history is a ring, not a leak.
+A 10k-statement loop must not grow any Data Collector ring beyond its
+bound — operational history is a ring, not a leak.  The memory-only
+``profiles`` ring holds 256 query profiles whatever the shared record
+retention is; every other ring holds ``retention.max_records``.
 """
 
 import pytest
 
 from repro.cluster.clock import SimulatedClock
 from repro.dc import DataCollector
-from repro.monitor.events import EventLog
-from repro.monitor.profile import ProfileLog, QueryProfile
-from repro.monitor.retention import DEFAULT_RETENTION, RetentionPolicy
+from repro.dc.collector import PROFILE_CAPACITY
+from repro.monitor.retention import RetentionPolicy
 
 pytestmark = pytest.mark.dc
 
 N = 10_000
 
 
-def test_profile_log_steady_state_over_10k_statements():
-    log = ProfileLog(retention=RetentionPolicy(max_records=64))
-    for i in range(N):
-        log.record(
-            QueryProfile(
-                query_id=i, sql=f"SELECT {i}", epoch=1,
-                rows_returned=1, wall_seconds=0.001,
-            )
-        )
-        assert len(log.profiles()) <= 64
-    kept = log.profiles()
-    assert len(kept) == 64
-    assert kept[-1].query_id == N - 1  # newest survives
-    assert kept[0].query_id == N - 64  # oldest evicted in order
+def collector(tmp_path, **kwargs):
+    return DataCollector(str(tmp_path / "dc"), clock=SimulatedClock(), **kwargs)
 
 
-def test_event_log_steady_state_over_10k_events():
-    log = EventLog(retention=RetentionPolicy(max_records=128))
+def test_profile_log_steady_state_over_10k_statements(tmp_path):
+    dc = collector(tmp_path)
+    assert dc.retention.max_records > PROFILE_CAPACITY == 256
     for i in range(N):
-        log.record("moveout", 0, "p_super", 1, 1, 10, 10, 0, 0, 0.0)
-    events = log.events()
-    assert len(events) == 128
-    assert events[-1].event_id == N
+        dc.record("profiles", "select", sql=f"SELECT {i}", operators=[])
+        assert dc.counts()["profiles"] <= PROFILE_CAPACITY
+    kept = [row["record_id"] for row in dc.rows("profiles")]
+    # newest survives, oldest evicted in order
+    assert kept == list(range(N - PROFILE_CAPACITY + 1, N + 1))
+
+
+def test_event_log_steady_state_over_10k_events(tmp_path):
+    dc = collector(tmp_path, retention=RetentionPolicy(max_records=128))
+    for i in range(N):
+        dc.record("tuple_mover", "moveout", node_index=0, rows_in=i)
+    kept = [row["record_id"] for row in dc.rows("tuple_mover")]
+    assert kept == list(range(N - 128 + 1, N + 1))
+    # a tighter shared bound also bounds the profiles ring
+    for i in range(200):
+        dc.record("profiles", "select", sql=f"SELECT {i}", operators=[])
+    assert dc.counts()["profiles"] == 128
 
 
 def test_collector_rings_steady_state_over_10k_records(tmp_path):
-    dc = DataCollector(
-        str(tmp_path / "dc"),
-        clock=SimulatedClock(),
-        retention=RetentionPolicy(max_records=256),
-    )
+    dc = collector(tmp_path, retention=RetentionPolicy(max_records=256))
     for i in range(N):
         dc.record("requests", "select", sql=f"q{i}")
     rows = dc.rows("requests")
     assert len(rows) == 256
     assert rows[-1]["record_id"] == N
-
-
-def test_default_retention_is_the_shared_knob():
-    """Both legacy capacity constants and the collector share the same
-    retention shape, so one config bounds them all."""
-    assert DEFAULT_RETENTION.max_records == 1024
-    log = ProfileLog(retention=DEFAULT_RETENTION)
-    assert log._capacity == DEFAULT_RETENTION.max_records
-    events = EventLog(retention=DEFAULT_RETENTION)
-    assert events._capacity == DEFAULT_RETENTION.max_records

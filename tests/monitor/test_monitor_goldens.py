@@ -14,7 +14,7 @@ import pytest
 from repro import types
 from repro.core.database import Database
 from repro.core.schema import ColumnDef, TableDefinition
-from repro.monitor import PROFILES, reset_all
+from repro.monitor import reset_all
 from repro.monitor.tables import columns_of, table_names
 
 JOIN_GROUP_SQL = (
@@ -300,11 +300,11 @@ def test_repeated_query_profiles_identical(scenario):
 
     def profile_of():
         db.sql(JOIN_GROUP_SQL)
-        last = PROFILES.last()
-        assert last is not None
+        last = db.cluster.dc.rows("profiles")[-1]
+        assert last["sql"] == JOIN_GROUP_SQL
         return [
             (op.depth, op.op_name, op.rows_produced, op.blocks_produced, op.pulls)
-            for op in last.operators
+            for op in last["operators"]
         ]
 
     assert profile_of() == profile_of()

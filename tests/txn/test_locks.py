@@ -139,6 +139,17 @@ class TestLockManager:
         manager.acquire(1, "a", X)
         manager.acquire(2, "b", X)  # different table: fine
 
+    def test_granted_is_a_sorted_snapshot(self):
+        manager = LockManager()
+        manager.acquire(2, "b", X)
+        manager.acquire(2, "a", I)
+        manager.acquire(1, "a", I)
+        assert manager.granted() == [
+            ("a", 1, "I"), ("a", 2, "I"), ("b", 2, "X"),
+        ]
+        manager.release_all(2)
+        assert manager.granted() == [("a", 1, "I")]
+
     def test_matrix_exports_full(self):
         assert len(LockManager.compatibility_matrix()) == 49
         assert len(LockManager.conversion_matrix()) == 49

@@ -202,7 +202,9 @@ echo "== data collector: kill-mid-flush crash-restart + console snapshot =="
 # crashed or torn mid-write, the database reopens, and the dc_* tables
 # must serve an exact record-prefix of the history.  Then the console
 # front end renders a one-shot snapshot of a database that has been
-# through load -> query -> failover -> restart.
+# through load -> query -> mover -> failover + heal -> restart, and the
+# reopened database must serve failover_events / tuple_mover_events out
+# of the same recovered rings as dc_node_events / dc_tuple_mover.
 REPRO_SANITIZE=1 python -m pytest -q tests/dc/test_dc_crash_restart.py \
     tests/dc/test_dc_acceptance.py
 python - <<'EOF'
@@ -218,6 +220,9 @@ try:
     db.sql("INSERT INTO t VALUES (1, 10), (2, 20)")
     db.sql("SELECT v FROM t WHERE k = 1")
     db.cluster.run_tuple_movers()
+    db.cluster.fail_node(1)
+    db.cluster.supervisor.run_until_converged()
+    assert db.cluster.membership.is_up(1)
     del db
     proc = subprocess.run(
         [sys.executable, "-m", "repro.console",
@@ -228,7 +233,19 @@ try:
     for section in ("NODES", "ALERTS", "RECENT REQUESTS", "NODE EVENTS"):
         assert section in proc.stdout, f"missing section {section}"
     assert "select" in proc.stdout, "pre-restart history not served"
-    print("console smoke OK: snapshot rendered pre-restart history")
+    db = Database.open(root + "/db")
+    projection = "SELECT kind, node_index, detail FROM v_monitor."
+    failovers = db.sql(projection + "failover_events")
+    assert failovers, "failover history lost across the restart"
+    assert failovers == db.sql(projection + "dc_node_events")
+    assert any(f["detail"] == "UP->DOWN" for f in failovers), failovers
+    moveouts = db.sql(
+        "SELECT rows_in FROM v_monitor.tuple_mover_events "
+        "WHERE kind = 'moveout'"
+    )
+    assert moveouts, "pre-restart moveout not served after the restart"
+    print("console smoke OK: snapshot and the reopened history tables "
+          "served pre-restart history")
 finally:
     shutil.rmtree(root, ignore_errors=True)
 EOF

@@ -17,7 +17,6 @@ distributed behaviours live:
 from __future__ import annotations
 
 import os
-from collections import Counter
 from typing import TYPE_CHECKING
 
 from .. import faults
@@ -33,6 +32,7 @@ from ..errors import (
 )
 from ..monitor import METRICS
 from ..storage import ScavengeReport, StorageManager
+from ..storage.manager import multiset_predicate
 from ..projections import (
     HashSegmentation,
     PrejoinSpec,
@@ -372,24 +372,13 @@ class Cluster:
             if copy.prejoin is None or name not in copy.prejoin.carried_columns.values()
         ]
         names = [name for name in names if table.has_column(name)]
-        budget = Counter(
-            tuple(repr(row[name]) for name in names) for row in deleted_rows
-        )
+        fresh_matcher = multiset_predicate(deleted_rows, names)
         for node_index in sorted(targets):
             if not self._deliverable(node_index, targets):
                 continue
-            remaining = Counter(budget)
-
-            def take(row, remaining=remaining):
-                key = tuple(repr(row[name]) for name in names)
-                if remaining[key] > 0:
-                    remaining[key] -= 1
-                    return True
-                return False
-
             try:
                 self.nodes[node_index].manager.delete_where(
-                    copy.name, take, commit_epoch, snapshot_epoch
+                    copy.name, fresh_matcher(), commit_epoch, snapshot_epoch
                 )
             except InjectedFaultError:
                 self._node_crashed(

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 from ..errors import ClusterError, DataUnavailableError
 from ..projections import ProjectionFamily
-from ..storage.manager import truncate_outcome_counts
+from ..storage.manager import multiset_predicate, truncate_outcome_counts
 from ..trace import TRACER
 from ..txn import LockMode
 from .cluster import Cluster
@@ -250,26 +250,13 @@ def _replay_deletes(manager, projection_name, records, from_epoch, to_epoch):
     ]
     if not window:
         return
-    from collections import Counter
-
     # apply per delete epoch group for exact epoch stamping
     by_epoch: dict[int, list[dict]] = {}
     for row, delete_epoch in window:
         by_epoch.setdefault(delete_epoch, []).append(row)
     for delete_epoch, rows in sorted(by_epoch.items()):
-        remaining = Counter(
-            tuple(sorted((k, repr(v)) for k, v in row.items())) for row in rows
-        )
-
-        def matcher(row, remaining=remaining):
-            key = tuple(sorted((k, repr(v)) for k, v in row.items()))
-            if remaining[key] > 0:
-                remaining[key] -= 1
-                return True
-            return False
-
         manager.delete_where(
-            projection_name, matcher,
+            projection_name, multiset_predicate(rows, sorted(rows[0]))(),
             commit_epoch=delete_epoch, snapshot_epoch=delete_epoch - 1,
         )
 

@@ -13,13 +13,13 @@ agreement protocol.
 from __future__ import annotations
 
 import os
-import threading
 from time import perf_counter
 
 from ..cluster import Cluster, recover_node
 from ..durability.journal import DEFAULT_CHECKPOINT_INTERVAL
 from ..errors import DurabilityError, TransactionError
 from ..execution.executor import DistributedExecutor, ExecutorStats
+from ..lint.concur.runtime import TrackedLock
 from ..monitor import METRICS, QueryProfile, build_query_profile
 from ..execution.expressions import Expr
 from ..execution.resource import ResourcePool, WorkloadPolicy
@@ -172,7 +172,7 @@ class Database:
         self.replay_report = None
         self.stats = StatsCatalog()
         self.optimizer_name = optimizer
-        self._txn_id_lock = threading.Lock()
+        self._txn_id_lock = TrackedLock("Database._txn_id_lock")
         self._next_txn_id = 1  # concurrency: guarded-by(self._txn_id_lock)
         #: Serializes commit application across sessions: the storage
         #: substrate (WOS lists, delete vectors, epoch advance) is
@@ -180,7 +180,7 @@ class Database:
         #: Vertica's global catalog lock held for the commit's critical
         #: section.  Readers take no lock — snapshot isolation below
         #: the committed epoch keeps them consistent.
-        self._commit_lock = threading.Lock()
+        self._commit_lock = TrackedLock("Database._commit_lock")
         #: Back-reference set by :class:`repro.service.SqlService` when
         #: a service wraps this database; the ``v_monitor.sessions`` /
         #: ``resource_pools`` producers read it (None = no service).

@@ -36,13 +36,12 @@ Replay order (each step idempotent over what the previous recovered):
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from ..errors import DurabilityError
 from ..monitor import METRICS
-from ..storage.manager import truncate_outcome_counts
+from ..storage.manager import multiset_predicate, truncate_outcome_counts
 from ..trace import TRACER
 from ..txn.epochs import INITIAL_EPOCH
 from .codec import decode_catalog, decode_family, decode_table
@@ -265,21 +264,10 @@ def _replay_delete_rows(
                 or name not in copy.prejoin.carried_columns.values()
             ]
             names = [name for name in names if table.has_column(name)]
-            budget = Counter(
-                tuple(repr(row[name]) for name in names) for row in rows
-            )
+            fresh_matcher = multiset_predicate(rows, names)
             for node_index in cluster.membership.up_nodes():
-                remaining = Counter(budget)
-
-                def take(row, remaining=remaining, names=names):
-                    key = tuple(repr(row[name]) for name in names)
-                    if remaining[key] > 0:
-                        remaining[key] -= 1
-                        return True
-                    return False
-
                 cluster.nodes[node_index].manager.delete_where(
-                    copy.name, take, commit_epoch, snapshot_epoch
+                    copy.name, fresh_matcher(), commit_epoch, snapshot_epoch
                 )
     return len(rows)
 

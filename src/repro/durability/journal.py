@@ -24,10 +24,10 @@ adopted at some epoch).
 from __future__ import annotations
 
 import os
-import threading
 from dataclasses import dataclass
 
 from ..errors import DurabilityError
+from ..lint.concur.runtime import TrackedLock
 from ..monitor import METRICS
 from ..storage.segment_log import (
     SEGMENT_SUFFIX,
@@ -126,7 +126,7 @@ class Journal:
         self.floor = 0
         self.checkpoint_lsn = -1
         self.last_replay: JournalReplay | None = None
-        self._lock = threading.Lock()
+        self._lock = TrackedLock("Journal._lock")
         # concurrency: guarded-by(self._lock) — LSN counter, the segment
         # log, per-segment summaries and checkpoint index.
         self._next_lsn = 0

@@ -22,6 +22,23 @@ class Operator:
     #: Short name used in EXPLAIN output ("Scan", "GroupByHash", ...).
     op_name = "Operator"
 
+    def __init_subclass__(cls, **kwargs):
+        """The operator protocol, checked when the class is defined: a
+        subclass (function-local ones included) must define or inherit
+        a ``_produce``/``blocks`` override and an ``op_name`` of its
+        own, or EXPLAIN would print the base label over a plan node
+        that cannot be pulled."""
+        super().__init_subclass__(**kwargs)
+        if cls._produce is Operator._produce and cls.blocks is Operator.blocks:
+            raise TypeError(
+                f"operator {cls.__name__} implements neither _produce() "
+                "nor blocks(): the pull protocol is incomplete"
+            )
+        if cls.op_name is Operator.op_name:
+            raise TypeError(
+                f"operator {cls.__name__} does not define op_name"
+            )
+
     def __init__(self, children: list["Operator"] | None = None):
         self.children = list(children or [])
         self.rows_produced = 0

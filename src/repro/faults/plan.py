@@ -29,10 +29,10 @@ from __future__ import annotations
 
 import os
 import random
-import threading
 from dataclasses import dataclass, field
 
 from ..errors import FaultPlanError, InjectedFaultError
+from ..lint.concur.runtime import TrackedLock
 
 
 @dataclass(frozen=True)
@@ -343,7 +343,7 @@ class FaultPlan:
 
 
 #: Serializes plan installation across threads.
-_PLAN_LOCK = threading.Lock()
+_PLAN_LOCK = TrackedLock("faults._PLAN_LOCK")
 
 #: The process-wide active plan (None = fault-free operation).
 _ACTIVE: FaultPlan | None = None  # concurrency: guarded-by(_PLAN_LOCK)

@@ -1,15 +1,19 @@
 """replint: project-specific static analysis + runtime invariant sanitizer.
 
 Static side (``python -m repro.lint src/repro tests``): AST-based
-checkers enforcing the contracts the paper states in prose — operator
-protocol completeness (R1), encoding registry round-trip surface (R2),
-deadlock-free lock acquisition order (R3), no storage/catalog mutation
-from the query path (R4), general hygiene (R5), and public-API
-docstring/annotation coverage (R6).  See :mod:`repro.lint.rules`.
+checkers for the contracts only source text can show — no
+storage/catalog mutation from the query path (R4), general hygiene
+(R5), public-API docstring/annotation coverage (R6), atomic file
+writes (R7), no wall-clock reads on simulated time (R8), guarded-by
+discipline for shared state (R10), governed service statements (R11)
+and no print/logging on the query path (R13).  See
+:mod:`repro.lint.rules`.  What a class definition or a lock acquire
+can check for itself (operator and encoding protocols, lock order) is
+checked there, not here.
 
 Runtime side (:mod:`repro.lint.sanitizer`): cheap invariant assertions
-over ROS container construction, WOS→ROS moveout, delete vectors and
-epoch advancement, enabled with ``REPRO_SANITIZE=1`` (the test suite's
+over ROS container construction, WOS→ROS moveout, delete vectors,
+epoch advancement and lock rank order, enabled with ``REPRO_SANITIZE=1`` (the test suite's
 ``conftest.py`` turns it on for the whole run).
 
 This ``__init__`` deliberately avoids importing the rule modules so

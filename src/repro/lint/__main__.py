@@ -3,9 +3,7 @@
 Exit status is 0 when no findings survive suppression, 1 otherwise —
 suitable for CI gates (``tools/check.sh``) and the self-clean test.
 The summary line breaks the total down per rule so CI logs show which
-rule regressed; ``--concurrency`` restricts the run to the
-whole-program concurrency analyses (R9 lock-order graph, R10
-guarded-by audit) and ``--json`` emits a machine-readable report.
+rule regressed; ``--json`` emits a machine-readable report.
 """
 
 from __future__ import annotations
@@ -42,13 +40,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--rules",
-        help="comma-separated rule ids to run (e.g. R1,R3); default all",
-    )
-    parser.add_argument(
-        "--concurrency",
-        action="store_true",
-        help="run only the concurrency analyses (R9 whole-program "
-        "lock-order graph, R10 shared-state guarded-by audit)",
+        help="comma-separated rule ids to run (e.g. R4,R10); default all",
     )
     parser.add_argument(
         "--json",
@@ -71,19 +63,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{checker.rule}  {checker.title}")
         return 0
 
-    if args.concurrency and args.rules:
-        print(
-            "replint: error: --concurrency and --rules are mutually "
-            "exclusive",
-            file=sys.stderr,
-        )
-        return 2
-    if args.concurrency:
-        from .rules.concurrency import CONCURRENCY_RULES
-
-        rules = list(CONCURRENCY_RULES)
-    else:
-        rules = args.rules.split(",") if args.rules else None
+    rules = args.rules.split(",") if args.rules else None
     try:
         findings = run_lint(args.paths, rules=rules)
     except (FileNotFoundError, ValueError) as exc:

@@ -1,38 +1,39 @@
-"""Concurrency-safety analyses: whole-program and runtime.
+"""Concurrency-safety analyses: one static, two at run time.
 
-Static half (consumed by lint rules R9/R10 in
-:mod:`repro.lint.rules.concurrency`):
+Static (lint rule R10 in :mod:`repro.lint.rules.concurrency`):
 
-* :func:`build_lock_graph` — interprocedural acquired-while-holding
-  graph over txn lock modes and ``threading`` mutexes, with down-rank
-  order violations, non-reentrant self-loops and cycles (R9).
 * :class:`SharedStateAudit` — Eraser-style guarded-by discipline for
-  module globals and singleton attributes (R10), driven by
+  module globals and singleton attributes, driven by
   ``# concurrency: guarded-by(<lock>) | immutable | thread-local``
   annotations.
 
-Runtime half (active under ``REPRO_SANITIZE=1``):
+Runtime (active under ``REPRO_SANITIZE=1``):
 
-* :class:`TrackedLock` / :func:`held_locks` — named mutexes whose
-  per-thread ownership the detector can see.
+* :class:`TrackedLock` / :func:`held_locks` / :data:`LOCK_RANKS` —
+  named, ranked mutexes; acquiring against the rank order raises.
 * :data:`RACES` — the process-wide lockset race detector; shared
   objects register with :meth:`RaceDetector.track` and report writes
   with :meth:`RaceDetector.note_write`.
 """
 
-from .lockgraph import LockGraph, build_lock_graph
-from .runtime import RACES, RaceDetector, RaceReport, TrackedLock, held_locks
+from .runtime import (
+    LOCK_RANKS,
+    RACES,
+    RaceDetector,
+    RaceReport,
+    TrackedLock,
+    held_locks,
+)
 from .shared_state import ANNOTATION_RE, Annotation, SharedStateAudit
 
 __all__ = [
     "ANNOTATION_RE",
     "Annotation",
-    "LockGraph",
+    "LOCK_RANKS",
     "RACES",
     "RaceDetector",
     "RaceReport",
     "SharedStateAudit",
     "TrackedLock",
-    "build_lock_graph",
     "held_locks",
 ]

@@ -1,14 +1,18 @@
-"""Runtime concurrency companion: tracked locks + lockset race detection.
+"""Runtime concurrency companion: ranked tracked locks + lockset races.
 
-This is the dynamic half of the R9/R10 static analyses, enabled (like
-the rest of the sanitizer) by ``REPRO_SANITIZE=1``.  Two pieces:
+Enabled (like the rest of the sanitizer) by ``REPRO_SANITIZE=1``.  Two
+pieces:
 
 * :class:`TrackedLock` — a ``threading.Lock`` wrapper that records the
-  locks each thread currently holds in a thread-local stack.  The
-  process-wide singletons (``METRICS``, ``TRACER``) and each
-  database's ``DataCollector`` guard their mutable state with one,
-  which is what lets the race detector compute candidate locksets
-  without patching the interpreter.
+  locks each thread currently holds in a thread-local stack.  Every
+  product mutex is one (the three ``Condition`` s wrap one), named in
+  :data:`LOCK_RANKS` with its level.  Under the sanitizer a blocking
+  acquire of a ranked lock whose rank is not strictly above every
+  ranked lock the thread already holds raises
+  :class:`~repro.errors.InvariantViolation`: a bad nesting — or a
+  re-acquisition that would hang — fails the first time it executes,
+  on whichever path really runs it.  This is the whole lock-order
+  check; there is no static model of the program's locking.
 
 * :data:`RACES` — an Eraser-style lockset race detector
   (Savage et al., SOSP '97).  Registered shared objects report each
@@ -22,11 +26,12 @@ the rest of the sanitizer) by ``REPRO_SANITIZE=1``.  Two pieces:
   a data race candidate — and is recorded (once per object) on
   :meth:`RaceDetector.reports`.
 
-Nothing here raises from arbitrary threads: reports accumulate and the
-test harness asserts them empty (thread-stress smoke) or non-empty
-(seeded negative fixtures).  With no objects tracked — the production
-default — ``note_write`` is a single attribute read and a truthiness
-check, so instrumented hot paths (``MetricsRegistry.inc``) stay cheap.
+The race detector never raises from arbitrary threads: reports
+accumulate and the test harness asserts them empty (thread-stress
+smoke) or non-empty (seeded negative fixtures).  With no objects
+tracked — the production default — ``note_write`` is a single
+attribute read and a truthiness check, so instrumented hot paths
+(``MetricsRegistry.inc``) stay cheap.
 """
 
 from __future__ import annotations
@@ -36,59 +41,93 @@ from dataclasses import dataclass, field
 
 from .. import sanitizer
 
-#: Per-thread stack of held :class:`TrackedLock` names.
+#: Lock levelling: every product mutex and its rank, in the order a
+#: statement meets them (service → admission → gate → commit → table
+#: locks → durable history → telemetry → leaves that take nothing).  A
+#: thread only ever blocks on a rank above all the ranks it holds.  A
+#: :class:`TrackedLock` whose name is not here (a test's scratch lock)
+#: is unranked: visible to the race detector, never checked.
+LOCK_RANKS = {  # concurrency: immutable
+    "SqlService._mutex": 10,
+    "ResourceGovernor._cond": 20,
+    "StatementGate._cond": 30,
+    "Database._commit_lock": 40,
+    "LockManager._cond": 50,
+    "Journal._lock": 60,
+    "DataCollector._lock": 70,
+    "Tracer._lock": 80,
+    "MetricsRegistry._lock": 90,
+    "Database._txn_id_lock": 100,
+    "faults._PLAN_LOCK": 110,
+}
+
+#: Per-thread stack of held :class:`TrackedLock` s.
 _HELD = threading.local()  # concurrency: thread-local
 
 
 def held_locks() -> tuple[str, ...]:
     """Names of the tracked locks the calling thread holds right now."""
-    return tuple(getattr(_HELD, "names", ()))
+    return tuple(lock.name for lock in getattr(_HELD, "locks", ()))
 
 
-def _push_held(name: str) -> None:
-    names = getattr(_HELD, "names", None)
-    if names is None:
-        names = _HELD.names = []
-    names.append(name)
-
-
-def _pop_held(name: str) -> None:
-    names = getattr(_HELD, "names", None)
-    if names and names[-1] == name:
-        names.pop()
-    elif names and name in names:
-        # released out of acquisition order: still forget it.
-        names.reverse()
-        names.remove(name)
-        names.reverse()
+def _pop_held(lock: "TrackedLock") -> None:
+    locks = getattr(_HELD, "locks", None)
+    if not locks:
+        return
+    if locks[-1] is lock:
+        locks.pop()
+        return
+    # released out of acquisition order: still forget it.
+    for index in range(len(locks) - 1, -1, -1):
+        if locks[index] is lock:
+            del locks[index]
+            return
 
 
 class TrackedLock:
-    """A named mutex whose ownership is visible to the race detector.
+    """A named, ranked mutex whose ownership is visible per thread.
 
-    Semantics match ``threading.Lock`` (non-reentrant); the only
-    addition is that acquiring pushes ``name`` onto the calling
-    thread's held-lock stack and releasing pops it, so
-    :func:`held_locks` — and through it the lockset algorithm — can
-    see which guards a write ran under.
+    Semantics and signatures match ``threading.Lock`` (non-reentrant),
+    so ``threading.Condition(TrackedLock(...))`` works.  Additions:
+    acquiring pushes the lock onto the calling thread's held stack and
+    releasing pops it, so :func:`held_locks` — and through it the
+    lockset algorithm — can see which guards a write ran under; and
+    with the sanitizer on, a blocking acquire checks :attr:`rank`
+    against that stack first.  A non-blocking acquire cannot deadlock
+    and is not checked (``Condition._is_owned`` probes its own held
+    lock that way).
     """
 
-    __slots__ = ("name", "_lock")
+    __slots__ = ("name", "rank", "_lock")
 
     def __init__(self, name: str):
         self.name = name
+        #: Level from :data:`LOCK_RANKS`; 0 = unranked.
+        self.rank = LOCK_RANKS.get(name, 0)
         self._lock = threading.Lock()
 
-    def acquire(self, timeout: float = -1) -> bool:
+    def acquire(self, blocking: bool = True, timeout: float = -1) -> bool:
         """Acquire the underlying lock; records ownership on success."""
-        got = self._lock.acquire(timeout=timeout)
+        held = getattr(_HELD, "locks", None)
+        if held is None:
+            held = _HELD.locks = []
+        if held and blocking and self.rank:
+            for other in held:
+                if other.rank >= self.rank and sanitizer.enabled():
+                    sanitizer.invariant(
+                        False,
+                        f"lock rank inversion: acquiring {self.name} "
+                        f"(rank {self.rank}) while holding {other.name} "
+                        f"(rank {other.rank}); held stack {held_locks()}",
+                    )
+        got = self._lock.acquire(blocking, timeout)
         if got:
-            _push_held(self.name)
+            held.append(self)
         return got
 
     def release(self) -> None:
         """Release the underlying lock and forget ownership."""
-        _pop_held(self.name)
+        _pop_held(self)
         self._lock.release()
 
     def locked(self) -> bool:

@@ -85,31 +85,9 @@ class Module:
         ids = self.suppressions.get(line)
         return bool(ids) and ("*" in ids or rule.upper() in ids)
 
-    def top_level_classes(self) -> list[ast.ClassDef]:
-        """Module-level class definitions (nested classes excluded)."""
-        return [node for node in self.tree.body if isinstance(node, ast.ClassDef)]
-
-    def dunder_all(self) -> list[str] | None:
-        """Names listed in the module's ``__all__``, or None if absent."""
-        for node in self.tree.body:
-            if isinstance(node, ast.Assign):
-                targets = [
-                    t.id for t in node.targets if isinstance(t, ast.Name)
-                ]
-                if "__all__" in targets and isinstance(
-                    node.value, (ast.List, ast.Tuple)
-                ):
-                    return [
-                        element.value
-                        for element in node.value.elts
-                        if isinstance(element, ast.Constant)
-                        and isinstance(element.value, str)
-                    ]
-        return None
-
 
 class Project:
-    """Every parsed module of one lint run, with cross-module indexes."""
+    """Every parsed module of one lint run."""
 
     def __init__(self, modules: list[Module]):
         self.modules = modules
@@ -135,29 +113,17 @@ class Project:
                         files.append(os.path.join(dirpath, filename))
         return cls([Module.parse(path) for path in files])
 
-    def modules_under(self, fragment: str) -> list[Module]:
-        """Modules whose normalized path contains ``fragment``."""
-        return [m for m in self.modules if fragment in m.norm_path]
-
-    def module_named(self, suffix: str) -> Module | None:
-        """The module whose normalized path ends with ``suffix``."""
-        for module in self.modules:
-            if module.norm_path.endswith(suffix):
-                return module
-        return None
-
 
 class Checker:
     """Base class for lint rules.
 
     Subclasses set :attr:`rule` / :attr:`title` and implement
-    :meth:`check`, yielding findings over the whole project (most rules
-    need cross-module context: ``__all__`` exports, registries, call
-    graphs).  Register with :func:`register_checker` so the runner and
-    ``--list`` see them.
+    :meth:`check`, yielding findings over the whole project (R10 needs
+    the cross-module singleton inventory).  Register with
+    :func:`register_checker` so the runner and ``--list`` see them.
     """
 
-    #: Short rule id ("R1" ... "R6").
+    #: Short rule id ("R4", "R10", ...).
     rule: str = "R0"
     #: One-line description shown by ``python -m repro.lint --list``.
     title: str = ""
@@ -234,10 +200,3 @@ def attribute_chain(node: ast.AST) -> list[str]:
         parts.append(node.id)
         return list(reversed(parts))
     return []
-
-
-def walk_in_order(node: ast.AST) -> Iterator[ast.AST]:
-    """Depth-first, source-order traversal (ast.walk is breadth-first)."""
-    yield node
-    for child in ast.iter_child_nodes(node):
-        yield from walk_in_order(child)

@@ -1,49 +1,19 @@
-"""R9 + R10: whole-program concurrency safety.
+"""R10: shared mutable state follows its guarded-by annotations.
 
-R9 promotes the intra-file R3 lock-order scan to an interprocedural
-analysis over the project call graph: every ``LockMode`` acquisition
-and every known mutex (``threading.Lock`` / ``RLock`` / ``Condition``
-/ ``TrackedLock`` globals and instance slots) becomes a node in one
-global acquired-while-holding graph; findings are canonical-order
-violations, non-reentrant re-acquisition, and cycles — the static
-deadlock signal.  R10 audits shared mutable state (module globals and
-singleton attributes) for Eraser-style guarded-by discipline against
-``# concurrency:`` annotations.  Both build on :mod:`repro.lint.concur`;
-this module only adapts their reports into :class:`Finding` s.
+Audits module globals and singleton attributes for Eraser-style
+guarded-by discipline against ``# concurrency:`` annotations.  The
+analysis lives in :mod:`repro.lint.concur.shared_state`; this module
+only adapts its reports into :class:`Finding` s.  (Lock *order* is not
+a lint rule: ranked :class:`~repro.lint.concur.runtime.TrackedLock` s
+check it at every acquire under the sanitizer.)
 """
 
 from __future__ import annotations
 
-import os
 from typing import Iterator
 
-from ..concur.lockgraph import build_lock_graph
 from ..concur.shared_state import SharedStateAudit
 from ..core import Checker, Finding, Project, register_checker
-
-#: Rule ids selected by ``python -m repro.lint --concurrency``.
-CONCURRENCY_RULES = ("R9", "R10")
-
-
-@register_checker
-class WholeProgramLockOrderChecker(Checker):
-    """R9: the global lock-order graph is acyclic and respects ranks."""
-
-    rule = "R9"
-    title = (
-        "whole-program lock-order graph: canonical mode order, no "
-        "re-acquisition, no cycles"
-    )
-
-    def check(self, project: Project) -> Iterator[Finding]:
-        graph = build_lock_graph(project)
-        by_path = {module.norm_path: module for module in project.modules}
-        for order in graph.orders:
-            witness = order.witness
-            module = by_path.get(witness.path.replace(os.sep, "/"))
-            if module is None:
-                continue
-            yield self.finding(module, witness.line, order.message)
 
 
 @register_checker

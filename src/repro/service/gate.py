@@ -21,20 +21,23 @@ Deadlock safety: a shared holder may park inside the lock *manager*
 gate; that wait is always bounded — lock waits carry timeouts and
 cancel flags — so an exclusive waiter is delayed, never deadlocked.
 The gate itself is never acquired while holding a lock-manager mutex
-(gate → table locks is the only order that exists in the codebase,
-enforced by the R9 whole-program lock-order analysis).
+(gate → table locks is the only order that exists in the codebase:
+``StatementGate._cond`` ranks below ``LockManager._cond`` in
+``LOCK_RANKS``, and the sanitizer checks that at every acquire).
 """
 
 from __future__ import annotations
 
 import threading
 
+from ..lint.concur.runtime import TrackedLock
+
 
 class StatementGate:
     """Writer-preference shared/exclusive lock for statement vs commit."""
 
     def __init__(self):
-        self._cond = threading.Condition()
+        self._cond = threading.Condition(TrackedLock("StatementGate._cond"))
         self._readers = 0  # concurrency: guarded-by(self._cond)
         self._writer = False  # concurrency: guarded-by(self._cond)
         self._writers_waiting = 0  # concurrency: guarded-by(self._cond)

@@ -47,6 +47,7 @@ import time
 from dataclasses import dataclass, field
 
 from ..errors import AdmissionTimeoutError, ResourceExceededError
+from ..lint.concur.runtime import TrackedLock
 from ..monitor import METRICS
 
 #: Ticket lifecycle states.
@@ -157,7 +158,7 @@ class ResourceGovernor:
 
     def __init__(self, clock, pools: list[PoolConfig] | None = None):
         self.clock = clock
-        self._cond = threading.Condition()
+        self._cond = threading.Condition(TrackedLock("ResourceGovernor._cond"))
         self._pools: dict[str, _PoolState] = {}  # concurrency: guarded-by(self._cond)
         self._next_ticket = 1  # concurrency: guarded-by(self._cond)
         #: Optional Data Collector (duck-typed; set by the SQL
@@ -286,19 +287,15 @@ class ResourceGovernor:
         if ticket.state == REJECTED:
             raise AdmissionTimeoutError(ticket.detail)
         valve = time.monotonic() + self.SAFETY_VALVE_SECONDS
-        # Local alias keeps the R9 name-based call resolution from
-        # conflating this callback (a CancelToken.check — raises, takes
-        # no locks) with methods named ``cancel`` elsewhere.
-        check_cancel = cancel
         with self._cond:
             while True:
                 if ticket.state == GRANTED:
                     return ticket
                 if ticket.state == TIMED_OUT:
                     raise AdmissionTimeoutError(ticket.detail)
-                if check_cancel is not None:
+                if cancel is not None:
                     try:
-                        check_cancel()
+                        cancel()
                     except BaseException:
                         self._leave_queue(ticket, CANCELLED, "cancelled")
                         raise

@@ -30,9 +30,9 @@ free).  The service owns:
 
 from __future__ import annotations
 
-import threading
 
 from ..errors import ReadOnlyModeError
+from ..lint.concur.runtime import TrackedLock
 from ..monitor import METRICS
 from ..txn import IsolationLevel
 from .gate import StatementGate
@@ -62,7 +62,7 @@ class SqlService:
         self.lock_timeout_seconds = lock_timeout_seconds
         self.autocommit = autocommit
         self.gate = StatementGate()
-        self._mutex = threading.Lock()
+        self._mutex = TrackedLock("SqlService._mutex")
         self._sessions: dict[int, ServiceSession] = {}  # concurrency: guarded-by(self._mutex)
         self._next_session = 1  # concurrency: guarded-by(self._mutex)
         self._read_only = False  # concurrency: guarded-by(self._mutex)

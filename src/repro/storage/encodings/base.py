@@ -53,6 +53,8 @@ ENCODINGS: dict[str, Encoding] = {}  # concurrency: immutable
 
 def register(encoding: Encoding) -> Encoding:
     """Add ``encoding`` to the global registry (module-import time)."""
+    if not encoding.name:
+        raise EncodingError(f"{type(encoding).__name__} has no name")
     if encoding.name in ENCODINGS:
         raise EncodingError(f"duplicate encoding {encoding.name!r}")
     ENCODINGS[encoding.name] = encoding

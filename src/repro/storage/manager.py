@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import os
 import shutil
+from collections import Counter
 from dataclasses import dataclass, field
 
 from ..core.schema import TableDefinition
@@ -51,6 +52,33 @@ def truncate_outcome_counts(since: dict[str, int] | None = None) -> dict[str, in
         if since is not None:
             counts[key] -= since[key]
     return counts
+
+
+def multiset_predicate(rows: list[dict], names: list[str]):
+    """Factory of :meth:`StorageManager.delete_where` predicates that
+    delete the row multiset ``rows`` by value.
+
+    Rows are keyed by ``repr`` of each column in ``names``; every call
+    of the returned factory yields a predicate with a fresh budget (one
+    per node / projection copy), which accepts a row while its key has
+    budget left.  The one by-value delete matcher: commit apply, journal
+    replay and recovery replay all locate their victims through it.
+    """
+    budget = Counter(tuple(repr(row[name]) for name in names) for row in rows)
+
+    def fresh():
+        remaining = Counter(budget)
+
+        def take(row: dict) -> bool:
+            key = tuple(repr(row[name]) for name in names)
+            if remaining[key] > 0:
+                remaining[key] -= 1
+                return True
+            return False
+
+        return take
+
+    return fresh
 
 
 @dataclass

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from ..errors import DeadlockError, LockTimeoutError, TransactionError
+from ..lint.concur.runtime import TrackedLock
 from ..monitor import METRICS
 
 
@@ -118,7 +119,7 @@ class LockManager:
     """
 
     def __init__(self):
-        self._cond = threading.Condition()
+        self._cond = threading.Condition(TrackedLock("LockManager._cond"))
         self._objects: dict[str, _ObjectLocks] = {}  # concurrency: guarded-by(self._cond)
         #: txn id -> (object, target mode) it is currently parked on.
         self._waiting: dict[int, tuple[str, LockMode]] = {}  # concurrency: guarded-by(self._cond)
@@ -167,7 +168,9 @@ class LockManager:
         zero-argument callable invoked before parking and after every
         wakeup; it raises to abandon the wait (statement cancellation
         / timeout), and the waiter is deregistered before the
-        exception propagates.
+        exception propagates.  It runs under the manager's
+        (non-reentrant) mutex, so it must not call back into the
+        manager.
         """
         from ..trace import TRACER
 
@@ -268,15 +271,11 @@ class LockManager:
         """
         state = self._objects[obj]
         self._waiting[txn_id] = (obj, target)
-        # Local alias keeps the R9 name-based call resolution from
-        # conflating this callback (a CancelToken.check — raises, takes
-        # no locks) with methods named ``cancel`` elsewhere.
-        check_cancel = cancel
         try:
             deadline = time.monotonic() + timeout
             while True:
-                if check_cancel is not None:
-                    check_cancel()
+                if cancel is not None:
+                    cancel()
                 blocker = self._blocking_holder(state, txn_id, target)
                 if blocker is None:
                     return None

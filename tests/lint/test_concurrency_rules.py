@@ -1,21 +1,26 @@
-"""Tests for the whole-program concurrency analyses (R9 and R10).
+"""Tests for the concurrency analyses: R10 and what replaced R9.
 
-Each fixture writes a minimal ``repro/``-shaped tree into ``tmp_path``
-that seeds exactly one concurrency hazard — a lock-order cycle, a
-down-rank acquisition, an unannotated shared-state mutation — and
-asserts the analysis reports it (and that the disciplined equivalent
-is clean).  These are the negative fixtures the self-clean test can't
-provide: the real tree must lint at zero findings, so the proof that
-the analyses *catch* anything lives here.
+Each R10 fixture writes a minimal ``repro/``-shaped tree into
+``tmp_path`` that seeds exactly one hazard — an unannotated
+shared-state mutation, a write outside its guard — and asserts the
+audit reports it (and that the disciplined equivalent is clean).
+These are the negative fixtures the self-clean test can't provide: the
+real tree must lint at zero findings, so the proof that the analysis
+*catches* anything lives here.  Lock order has no static analysis: the
+R9 class seeds bad nestings on ranked ``TrackedLock`` s and expects the
+acquire itself to refuse them.
 """
 
 import json
 import textwrap
+from contextlib import ExitStack
 
 import pytest
 
-from repro.lint import run_lint
+from repro.errors import InvariantViolation
+from repro.lint import run_lint, sanitizer
 from repro.lint.__main__ import main
+from repro.lint.concur.runtime import LOCK_RANKS, TrackedLock, held_locks
 
 pytestmark = pytest.mark.lint
 
@@ -32,142 +37,53 @@ def lint(tmp_path, rule):
 
 
 class TestR9LockOrderGraph:
-    def test_injected_lock_order_cycle(self, tmp_path):
-        write(
-            tmp_path,
-            "repro/inner/cycle.py",
-            """
-            import threading
+    """R9 is not a lint rule any more: there is no static lock graph.
+    Every product mutex is a ranked ``TrackedLock`` and the order is
+    checked where the lock is taken (sanitizer on), so a bad nesting
+    fails deterministically the first time any thread executes it."""
 
-            A = threading.Lock()
-            B = threading.Lock()
+    def test_injected_lock_order_cycle(self):
+        commit = TrackedLock("Database._commit_lock")
+        journal = TrackedLock("Journal._lock")
+        with commit:
+            with journal:  # the commit path's order
+                pass
+        with journal:
+            with pytest.raises(InvariantViolation, match="rank inversion"):
+                commit.acquire()
+            assert not commit.locked()
+            assert held_locks() == ("Journal._lock",)
+        # sanitizer off: an acquire is the held-stack push/pop, nothing else.
+        with sanitizer.override(False), journal, commit:
+            assert held_locks() == ("Journal._lock", "Database._commit_lock")
+        assert held_locks() == ()
 
-            def ab():
-                with A:
-                    with B:
-                        pass
+    def test_consistent_order_is_clean(self):
+        assert len(set(LOCK_RANKS.values())) == len(LOCK_RANKS) == 11
+        locks = [TrackedLock(name) for name in sorted(LOCK_RANKS, key=LOCK_RANKS.get)]
+        with ExitStack() as nest:
+            for lock in locks:
+                nest.enter_context(lock)
+            assert held_locks() == tuple(lock.name for lock in locks)
+        # an unranked (scratch) lock is never checked, in either direction
+        scratch = TrackedLock("scratch")
+        with locks[-1], scratch:
+            pass
+        with scratch, locks[0]:
+            pass
 
-            def ba():
-                with B:
-                    with A:
-                        pass
-            """,
-        )
-        findings = lint(tmp_path, "R9")
-        assert findings, "injected A<->B cycle must be reported"
-        assert any("cycle" in f.message for f in findings)
+    def test_non_reentrant_self_acquisition_via_callee(self):
+        lock = TrackedLock("LockManager._cond")
 
-    def test_consistent_order_is_clean(self, tmp_path):
-        write(
-            tmp_path,
-            "repro/inner/ordered.py",
-            """
-            import threading
+        def helper():
+            with lock:
+                pass
 
-            A = threading.Lock()
-            B = threading.Lock()
-
-            def ab():
-                with A:
-                    with B:
-                        pass
-
-            def also_ab():
-                with A:
-                    with B:
-                        pass
-            """,
-        )
-        assert lint(tmp_path, "R9") == []
-
-    def test_down_rank_mode_acquisition(self, tmp_path):
-        write(
-            tmp_path,
-            "repro/inner/modes.py",
-            """
-            from repro.txn import LockMode
-
-            def f(mgr, txn):
-                mgr.acquire(txn, "t", LockMode.X)
-                mgr.acquire(txn, "t", LockMode.O)
-            """,
-        )
-        findings = lint(tmp_path, "R9")
-        assert findings
-        assert any("O" in f.message and "X" in f.message for f in findings)
-
-    def test_down_rank_through_a_callee(self, tmp_path):
-        # the whole-program promotion of R3: the violation is split
-        # across two functions and only visible interprocedurally.
-        write(
-            tmp_path,
-            "repro/inner/interproc.py",
-            """
-            from repro.txn import LockMode
-
-            def take_ddl(mgr, txn):
-                mgr.acquire(txn, "t", LockMode.O)
-
-            def f(mgr, txn):
-                mgr.acquire(txn, "t", LockMode.X)
-                take_ddl(mgr, txn)
-            """,
-        )
-        findings = lint(tmp_path, "R9")
-        assert findings
-        assert any("callee" in f.message for f in findings)
-
-    def test_non_reentrant_self_acquisition_via_callee(self, tmp_path):
-        write(
-            tmp_path,
-            "repro/inner/reenter.py",
-            """
-            import threading
-
-            A = threading.Lock()
-
-            def helper():
-                with A:
-                    pass
-
-            def f():
-                with A:
-                    helper()
-            """,
-        )
-        findings = lint(tmp_path, "R9")
-        assert findings
-        assert any("already" in f.message or "self" in f.message
-                   for f in findings)
-
-    def test_branches_never_order_against_each_other(self, tmp_path):
-        # if/else arms are exclusive: taking A in one arm and B in the
-        # other is not an ordering between A and B.
-        write(
-            tmp_path,
-            "repro/inner/branches.py",
-            """
-            import threading
-
-            A = threading.Lock()
-            B = threading.Lock()
-
-            def one(flag):
-                if flag:
-                    with A:
-                        with B:
-                            pass
-
-            def other(flag):
-                if flag:
-                    with A:
-                        pass
-                else:
-                    with B:
-                        pass
-            """,
-        )
-        assert lint(tmp_path, "R9") == []
+        with lock:
+            # a plain mutex would hang here for good
+            with pytest.raises(InvariantViolation, match="LockManager._cond"):
+                helper()
+        helper()
 
 
 class TestR10SharedState:
@@ -336,6 +252,12 @@ class TestR10SharedState:
 
 
 class TestConcurrencyCli:
+    def test_concurrency_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as usage:
+            main(["--concurrency", "src/repro"])
+        assert usage.value.code == 2
+        assert "--concurrency" in capsys.readouterr().err
+
     def test_per_rule_counts_in_summary(self, tmp_path, capsys):
         write(
             tmp_path,
@@ -352,27 +274,6 @@ class TestConcurrencyCli:
         err = capsys.readouterr().err
         assert "R5=1" in err and "R10=1" in err
 
-    def test_concurrency_flag_runs_only_r9_r10(self, tmp_path, capsys):
-        write(
-            tmp_path,
-            "repro/inner/state.py",
-            """
-            _CACHE = {}
-
-            def poke(x=[]):
-                _CACHE["k"] = 1
-                return x
-            """,
-        )
-        assert main(["--concurrency", str(tmp_path)]) == 1
-        captured = capsys.readouterr()
-        assert "R10" in captured.out
-        assert "R5" not in captured.out
-
-    def test_concurrency_conflicts_with_rules(self, tmp_path, capsys):
-        assert main(["--concurrency", "--rules", "R9", str(tmp_path)]) == 2
-        assert "mutually exclusive" in capsys.readouterr().err
-
     def test_json_report(self, tmp_path, capsys):
         write(
             tmp_path,
@@ -384,7 +285,7 @@ class TestConcurrencyCli:
                 _CACHE["k"] = 1
             """,
         )
-        assert main(["--concurrency", "--json", str(tmp_path)]) == 1
+        assert main(["--json", str(tmp_path)]) == 1
         report = json.loads(capsys.readouterr().out)
         assert report["total"] == 1
         assert report["counts"] == {"R10": 1}

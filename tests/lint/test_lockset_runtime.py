@@ -1,4 +1,4 @@
-"""Unit tests for the runtime companion: TrackedLock + lockset detector.
+"""Unit tests for the runtime companion: ranked TrackedLock + lockset detector.
 
 The detector implements the Eraser lockset algorithm (Savage et al.):
 single-threaded writes are exempt, the first write from a second
@@ -13,6 +13,7 @@ import threading
 import pytest
 
 from repro.lint.concur.runtime import (
+    LOCK_RANKS,
     RaceDetector,
     TrackedLock,
     held_locks,
@@ -66,6 +67,99 @@ class TestTrackedLock:
         with a:
             on_thread(lambda: seen.append(held_locks()))
         assert seen == [()]
+
+
+    def test_signature_matches_threading_lock(self):
+        a = TrackedLock("A")
+        assert a.acquire(True, 1.0)  # positional (blocking, timeout)
+        results = []
+        on_thread(lambda: results.append(a.acquire(False)))
+        on_thread(lambda: results.append(a.acquire(blocking=False)))
+        on_thread(lambda: results.append(held_locks()))
+        assert results == [False, False, ()]
+        # a failed non-blocking acquire of a held lock leaves the stack alone
+        assert a.acquire(False) is False
+        assert held_locks() == ("A",)
+        a.release()
+        assert held_locks() == ()
+
+    def test_condition_over_tracked_lock_round_trip(self):
+        cond = threading.Condition(TrackedLock("LockManager._cond"))
+        box = []
+
+        def consumer():
+            with cond:
+                while not box:
+                    assert cond.wait(timeout=5)
+                box.append(held_locks())
+
+        worker = threading.Thread(target=consumer)
+        worker.start()
+        with cond:
+            box.append("ready")
+            cond.notify_all()
+            assert held_locks() == ("LockManager._cond",)
+        worker.join(timeout=5)
+        assert not worker.is_alive()
+        assert box == ["ready", ("LockManager._cond",)]
+        assert held_locks() == ()
+
+
+class TestProductLocks:
+    """The 11 product mutexes are ranked ``TrackedLock`` s, and the real
+    commit path nests them the way ``LOCK_RANKS`` says."""
+
+    @pytest.fixture
+    def db(self, tmp_path):
+        from repro import ColumnDef, Database, TableDefinition, types
+
+        db = Database(str(tmp_path / "db"), node_count=1)
+        db.create_table(
+            TableDefinition("t", [ColumnDef("k", types.INTEGER)]),
+            sort_order=["k"],
+        )
+        return db
+
+    def test_every_product_mutex_is_ranked(self, db):
+        from repro.faults import plan
+        from repro.monitor import METRICS
+        from repro.service import SqlService
+        from repro.trace import TRACER
+
+        service = SqlService(db)
+        locks = [
+            service._mutex,
+            service.governor._cond._lock,
+            service.gate._cond._lock,
+            db._commit_lock,
+            db.cluster.locks._cond._lock,
+            db.cluster.journal._lock,
+            db.cluster.dc._lock,
+            TRACER._lock,
+            METRICS._lock,
+            db._txn_id_lock,
+            plan._PLAN_LOCK,
+        ]
+        assert all(isinstance(lock, TrackedLock) for lock in locks)
+        assert {lock.name: lock.rank for lock in locks} == LOCK_RANKS
+
+    def test_insert_commit_nests_in_rank_order(self, db, monkeypatch):
+        stacks = set()
+        acquire = TrackedLock.acquire
+
+        def spy(lock, *args):
+            got = acquire(lock, *args)
+            stacks.add(held_locks())
+            return got
+
+        monkeypatch.setattr(TrackedLock, "acquire", spy)
+        db.sql("INSERT INTO t VALUES (1)")
+        assert ("Database._commit_lock", "Journal._lock") in stacks
+        assert (
+            "Database._commit_lock", "Journal._lock", "MetricsRegistry._lock"
+        ) in stacks
+        assert ("DataCollector._lock", "MetricsRegistry._lock") in stacks
+        assert held_locks() == ()
 
 
 class TestRaceDetector:

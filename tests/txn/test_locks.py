@@ -348,7 +348,9 @@ class TestWaiterCleanup:
         manager.acquire(2, "u", X)
 
         def cancel():
-            if 2 in manager.waiting():
+            # runs under LockManager._cond, which is not reentrant:
+            # read the table, do not call back into waiting().
+            if 2 in manager._waiting:
                 raise QueryCancelledError("client cancelled")
 
         with pytest.raises(QueryCancelledError):

@@ -545,9 +545,7 @@ class Cluster:
         self.epochs.node_down(node_index)
         manager = self.nodes[node_index].manager
         for projection_name in manager.projection_names():
-            state = manager.storage(projection_name)
-            state.wos.drain()
-            state.wos_deletes.clear()
+            manager.storage(projection_name).wos.drain()
         if node_index in self.membership.late_receivers:
             self.membership.late_receivers.remove(node_index)
 

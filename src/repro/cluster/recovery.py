@@ -188,15 +188,11 @@ def _recover_node(
                 node_index=node_index,
                 projection=copy.name,
             ) as hist_span:
-                historical = [
-                    record
-                    for record in records
-                    if lge < record[1] <= boundary
-                ]
-                manager.load_history(copy.name, historical)
-                _replay_deletes(manager, copy.name, records, lge, boundary)
+                historical = _replay_window(
+                    manager, copy.name, records, lge, boundary
+                )
                 if hist_span is not None:
-                    hist_span.attrs["rows"] = len(historical)
+                    hist_span.attrs["rows"] = historical
             # 3. current phase (Shared lock): (boundary, current]
             with TRACER.span(
                 "recovery.current",
@@ -208,26 +204,17 @@ def _recover_node(
                     RECOVERY_TXN_ID, table.name, LockMode.S
                 )
                 try:
-                    current_records = [
-                        record
-                        for record in records
-                        if boundary < record[1] <= current
-                    ]
-                    manager.load_history(copy.name, current_records)
-                    _replay_deletes(
+                    current_rows = _replay_window(
                         manager, copy.name, records, boundary, current
                     )
                 finally:
                     cluster.locks.release(RECOVERY_TXN_ID, table.name)
                 if cur_span is not None:
-                    cur_span.attrs["rows"] = len(current_records)
+                    cur_span.attrs["rows"] = current_rows
             cluster.epochs.set_lge(node_index, copy.name, current)
-            report.historical_rows += len(historical)
-            report.current_rows += len(current_records)
-            report.per_projection[copy.name] = (
-                len(historical),
-                len(current_records),
-            )
+            report.historical_rows += historical
+            report.current_rows += current_rows
+            report.per_projection[copy.name] = (historical, current_rows)
     with TRACER.span(
         "recovery.rejoin", category="recovery", node_index=node_index
     ):
@@ -236,29 +223,31 @@ def _recover_node(
     return report
 
 
-def _replay_deletes(manager, projection_name, records, from_epoch, to_epoch):
-    """Re-apply delete markers stamped in (from_epoch, to_epoch] to rows
-    the node already holds (rows inserted before its LGE but deleted
-    while it was down)."""
-    window = [
-        (record[0], record[2])
-        for record in records
-        if record[2] is not None and from_epoch < record[2] <= to_epoch
-        # only rows the historical/current load did NOT just bring in
-        # (those carry their delete markers already)
-        and not (from_epoch < record[1] <= to_epoch)
+def _replay_window(manager, projection_name, records, from_epoch, to_epoch):
+    """Replay one phase of recovery: load the history records inserted
+    in (from_epoch, to_epoch], then re-apply the delete markers stamped
+    in that window to rows the node already holds (inserted before its
+    LGE but deleted while it was down).  Returns the rows loaded."""
+    loaded = [
+        record for record in records if from_epoch < record[1] <= to_epoch
     ]
-    if not window:
-        return
-    # apply per delete epoch group for exact epoch stamping
+    manager.load_history(projection_name, loaded)
+    # apply per delete epoch group for exact epoch stamping; the rows
+    # just loaded carry their delete markers already
     by_epoch: dict[int, list[dict]] = {}
-    for row, delete_epoch in window:
-        by_epoch.setdefault(delete_epoch, []).append(row)
+    for row, insert_epoch, delete_epoch in records:
+        if (
+            delete_epoch is not None
+            and from_epoch < delete_epoch <= to_epoch
+            and not from_epoch < insert_epoch <= to_epoch
+        ):
+            by_epoch.setdefault(delete_epoch, []).append(row)
     for delete_epoch, rows in sorted(by_epoch.items()):
         manager.delete_where(
             projection_name, multiset_predicate(rows, sorted(rows[0]))(),
             commit_epoch=delete_epoch, snapshot_epoch=delete_epoch - 1,
         )
+    return len(loaded)
 
 
 def refresh_projection(cluster: Cluster, family: ProjectionFamily) -> int:
@@ -336,13 +325,7 @@ def repair_node_projection(
     )
     cluster.locks.acquire(RECOVERY_TXN_ID, table.name, LockMode.S)
     try:
-        state = manager.storage(projection_name)
-        manager.remove_containers(projection_name, list(state.containers))
-        state.wos.drain()
-        state.wos_deletes.clear()
-        state.persisted_ros_deletes.clear()
-        state.pending_ros_deletes.clear()
-        state.loaded_dv_dirs.clear()
+        manager.forget_contents(projection_name)
         manager.load_history(projection_name, records)
     finally:
         cluster.locks.release(RECOVERY_TXN_ID, table.name)
@@ -469,12 +452,7 @@ def rebalance(cluster: Cluster, new_node_count: int) -> RebalanceReport:
             for node in cluster.nodes:
                 manager = node.manager
                 if copy.name in manager.projection_names():
-                    state = manager.storage(copy.name)
-                    manager.remove_containers(copy.name, list(state.containers))
-                    state.wos.drain()
-                    state.wos_deletes.clear()
-                    state.persisted_ros_deletes.clear()
-                    state.pending_ros_deletes.clear()
+                    manager.forget_contents(copy.name)
                 else:
                     manager.register_projection(
                         copy, cluster.catalog.table(copy.anchor_table)

@@ -32,15 +32,17 @@ MUTATOR_METHODS = frozenset(
         "persist_delete_vectors",
         "remove_containers",
         "add_container_from_rows",
-        "attach_delete_vector",
+        "write_run",
         "truncate_after_epoch",
         "load_history",
+        "forget_contents",
         "drop_partition",
         "register_projection",
         "drop_projection",
         "create_table",
         "drop_table",
-        "add_projection",
+        "add_table",
+        "add_family",
         "add_projection_family",
         "commit_dml",
     }

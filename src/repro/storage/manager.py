@@ -20,6 +20,7 @@ import os
 import shutil
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 
 from ..core.schema import TableDefinition
 from ..errors import StorageError, UnknownObjectError
@@ -146,23 +147,28 @@ class ProjectionStorage:
     pending_ros_deletes: dict[int, DeleteVector] = field(default_factory=dict)
     #: Persisted (DVROS) delete vectors, per ROS container id.
     persisted_ros_deletes: dict[int, list[DeleteVector]] = field(default_factory=dict)
-    #: WOS position -> delete epoch.
-    wos_deletes: dict[int, int] = field(default_factory=dict)
     #: Basenames of DVROS directories already reflected in
     #: ``persisted_ros_deletes`` (so scavenge never double-attaches).
     loaded_dv_dirs: set[str] = field(default_factory=set)
 
-    def deletes_for(self, container_id: int) -> dict[int, int]:
-        """position -> delete-epoch map for one container."""
+    def vectors_for(
+        self, container_id: int, on_disk_only: bool = False
+    ) -> list[DeleteVector]:
+        """One container's delete vectors: the persisted ones, then
+        (unless ``on_disk_only``) the in-memory one."""
         vectors = list(self.persisted_ros_deletes.get(container_id, ()))
         pending = self.pending_ros_deletes.get(container_id)
-        if pending is not None:
+        if pending is not None and not on_disk_only:
             vectors.append(pending)
-        return combined_deletes(vectors)
+        return vectors
+
+    def deletes_for(self, container_id: int) -> dict[int, int]:
+        """position -> delete-epoch map for one container."""
+        return combined_deletes(self.vectors_for(container_id))
 
     def delete_count(self) -> int:
         """Total delete markers across WOS and all containers."""
-        total = len(self.wos_deletes)
+        total = self.wos.row_count - self.wos.delete_epochs.count(None)
         for container_id in self.containers:
             total += len(self.deletes_for(container_id))
         return total
@@ -253,7 +259,7 @@ class StorageManager:
                 # straight to ROS instead (section 4).
                 METRICS.inc("storage.wos_spills")
                 METRICS.inc("storage.wos_spill_rows", len(rows))
-            return self._write_ros_containers(state, rows, [epoch] * len(rows))
+            return list(self.write_run(projection_name, rows, [epoch] * len(rows)))
         state.wos.insert(rows, epoch)
         return []
 
@@ -265,15 +271,27 @@ class StorageManager:
             row, self.node_count, self.segments_per_node
         )
 
-    def _write_ros_containers(
+    def write_run(
         self,
-        state: ProjectionStorage,
+        projection_name: str,
         rows: list[dict],
         epochs: list[int],
-        preserve_groups: bool = True,
-    ) -> list[int]:
-        """Split rows by (partition key, local segment), sort each group
-        and write one ROS container per group."""
+        delete_epochs: list[int | None] | None = None,
+    ):
+        """Write a run of history records — ``rows[i]`` inserted at
+        ``epochs[i]``, deleted at ``delete_epochs[i]`` (None = live;
+        omitted = all live) — to ROS: split by (partition key, local
+        segment), sort each group, build one container per group.  The
+        one place unsorted rows become containers: direct loads, WOS
+        overflow, moveout and :meth:`load_history` write through it.
+
+        A generator: each container id is yielded once that container
+        is published (moveout injects its fault between containers);
+        nothing is written until it is iterated.
+        """
+        state = self._state(projection_name)
+        if delete_epochs is None:
+            delete_epochs = [None] * len(rows)
         groups: dict[tuple, list[int]] = {}
         for index, row in enumerate(rows):
             key = (
@@ -281,69 +299,20 @@ class StorageManager:
                 self._local_segment_of(state, row),
             )
             groups.setdefault(key, []).append(index)
-        created = []
         for (partition_key, local_segment), indexes in sorted(
             groups.items(), key=lambda item: repr(item[0])
         ):
             ordered = sorted(
                 indexes, key=lambda i: state.projection.sort_key_for(rows[i])
             )
-            group_rows = [rows[i] for i in ordered]
-            group_epochs = [epochs[i] for i in ordered]
-            created.append(
-                self._new_container(state, group_rows, group_epochs, partition_key, local_segment)
+            yield self.add_container_from_rows(
+                projection_name,
+                [rows[i] for i in ordered],
+                [epochs[i] for i in ordered],
+                partition_key=partition_key,
+                local_segment=local_segment,
+                delete_epochs=[delete_epochs[i] for i in ordered],
             )
-        return created
-
-    def _new_container(
-        self,
-        state: ProjectionStorage,
-        sorted_rows: list[dict],
-        epochs: list[int],
-        partition_key,
-        local_segment: int,
-        merged_from: list[int] | None = None,
-        delete_epochs: list[int | None] | None = None,
-    ) -> int:
-        """Write one container; ``delete_epochs[i]`` (None = live) is
-        the delete marker of ``sorted_rows[i]``.
-
-        The markers reach disk as a DVROS *before* the container
-        publishes: a crash in between leaves a vector without a target,
-        which scavenge deletes, never a container without its deletes.
-        """
-        container_id = self._next_container_id
-        self._next_container_id += 1
-        vector = dv_name = None
-        if delete_epochs is not None:
-            deleted = [
-                position
-                for position, delete_epoch in enumerate(delete_epochs)
-                if delete_epoch is not None
-            ]
-            if deleted:
-                vector = DeleteVector(
-                    container_id, deleted, [delete_epochs[p] for p in deleted]
-                )
-                dv_name = self._write_delete_vector(state, vector)
-        path = os.path.join(
-            self._projection_dir(state.projection.name), f"ros_{container_id:06d}"
-        )
-        container = ROSContainer.write(
-            path,
-            container_id,
-            state.projection,
-            sorted_rows,
-            epochs,
-            partition_key=partition_key,
-            local_segment=local_segment,
-            merged_from=merged_from,
-        )
-        state.containers[container_id] = container
-        if vector is not None:
-            state.persisted_ros_deletes[container_id] = [vector]
-            state.loaded_dv_dirs.add(dv_name)
-        return container_id
 
     def _write_delete_vector(
         self, state: ProjectionStorage, vector: DeleteVector
@@ -367,17 +336,51 @@ class StorageManager:
         merged_from: list[int] | None = None,
         delete_epochs: list[int | None] | None = None,
     ) -> int:
-        """Create one container from pre-sorted rows (tuple mover,
-        recovery and rebalance use this lower-level entry point).
-        ``merged_from`` stamps mergeout provenance into the container's
-        metadata so a crash before input retirement is self-healing;
-        ``delete_epochs`` (one per row, None = live) is persisted as the
-        container's delete vector ahead of the container itself."""
+        """Create one container from pre-sorted rows — where every
+        container is born: :meth:`write_run` builds its groups here;
+        mergeout and the truncate rewrite, whose one run is already
+        sorted, call it directly.  ``merged_from`` stamps mergeout
+        provenance into the container's metadata so a crash before
+        input retirement is self-healing; ``delete_epochs[i]`` (None =
+        live) is the delete marker of ``sorted_rows[i]``.
+
+        The markers reach disk as a DVROS *before* the container
+        publishes: a crash in between leaves a vector without a target,
+        which scavenge deletes, never a container without its deletes.
+        """
         state = self._state(projection_name)
-        return self._new_container(
-            state, sorted_rows, epochs, partition_key, local_segment,
-            merged_from=merged_from, delete_epochs=delete_epochs,
+        container_id = self._next_container_id
+        self._next_container_id += 1
+        vector = dv_name = None
+        if delete_epochs is not None:
+            deleted = [
+                position
+                for position, delete_epoch in enumerate(delete_epochs)
+                if delete_epoch is not None
+            ]
+            if deleted:
+                vector = DeleteVector(
+                    container_id, deleted, [delete_epochs[p] for p in deleted]
+                )
+                dv_name = self._write_delete_vector(state, vector)
+        path = os.path.join(
+            self._projection_dir(projection_name), f"ros_{container_id:06d}"
         )
+        container = ROSContainer.write(
+            path,
+            container_id,
+            state.projection,
+            sorted_rows,
+            epochs,
+            partition_key=partition_key,
+            local_segment=local_segment,
+            merged_from=merged_from,
+        )
+        state.containers[container_id] = container
+        if vector is not None:
+            state.persisted_ros_deletes[container_id] = [vector]
+            state.loaded_dv_dirs.add(dv_name)
+        return container_id
 
     def adopt_container(self, projection_name: str, source_dir: str) -> int:
         """Copy an externally produced container directory (backup
@@ -427,19 +430,6 @@ class StorageManager:
             shutil.rmtree(container.path, ignore_errors=True)
             self._drop_dv_dirs(state, container_id)
 
-    def attach_delete_vector(
-        self, projection_name: str, vector: DeleteVector
-    ) -> None:
-        """Attach an externally built delete vector (recovery path)."""
-        state = self._state(projection_name)
-        if vector.target_container is None:
-            for position, epoch in zip(vector.positions, vector.epochs):
-                state.wos_deletes.setdefault(position, epoch)
-        else:
-            state.persisted_ros_deletes.setdefault(
-                vector.target_container, []
-            ).append(vector)
-
     # -- deletes ----------------------------------------------------------
 
     def delete_where(
@@ -457,22 +447,18 @@ class StorageManager:
         """
         state = self._state(projection_name)
         deleted = 0
-        for position, row in state.wos.visible(snapshot_epoch, state.wos_deletes):
+        for position, row in state.wos.visible(snapshot_epoch):
             if predicate(row):
-                state.wos_deletes[position] = commit_epoch
+                state.wos.delete_epochs[position] = commit_epoch
                 deleted += 1
-        for container_id, container in state.containers.items():
-            deletes = state.deletes_for(container_id)
-            columns = container.read_columns(container.meta.columns)
-            epochs = container.read_epochs()
-            names = container.meta.columns
-            for position in range(container.row_count):
-                if epochs[position] > snapshot_epoch:
+        for container_id in state.containers:
+            for position, row, epoch, delete_epoch in self.container_history(
+                projection_name, container_id
+            ):
+                if epoch > snapshot_epoch:
                     continue
-                delete_epoch = deletes.get(position)
                 if delete_epoch is not None and delete_epoch <= snapshot_epoch:
                     continue
-                row = {name: columns[name][position] for name in names}
                 if predicate(row):
                     vector = state.pending_ros_deletes.setdefault(
                         container_id, DeleteVector(container_id)
@@ -604,15 +590,10 @@ class StorageManager:
                 for old_id in container.meta.merged_from
                 if old_id in state.containers
             ]
-            for old_id in stale:
-                old = state.containers.pop(old_id)
-                state.pending_ros_deletes.pop(old_id, None)
-                state.persisted_ros_deletes.pop(old_id, None)
-                shutil.rmtree(old.path, ignore_errors=True)
-                self._drop_dv_dirs(state, old_id)
-                report.duplicates_retired.append(
-                    (state.projection.name, old_id)
-                )
+            self.remove_containers(state.projection.name, stale)
+            report.duplicates_retired.extend(
+                (state.projection.name, old_id) for old_id in stale
+            )
 
     def _scavenge_delete_vector(
         self, state: ProjectionStorage, entry: str, report: ScavengeReport
@@ -898,8 +879,7 @@ class StorageManager:
     def _scan_wos(
         self, state, epoch, names, batch_rows, include_deleted, sort_columns=None
     ):
-        deletes = {} if include_deleted else state.wos_deletes
-        visible_rows = [row for _, row in state.wos.visible(epoch, deletes)]
+        visible_rows = [row for _, row in state.wos.visible(epoch, include_deleted)]
         if not visible_rows:
             return
         METRICS.inc("storage.wos_scans")
@@ -928,6 +908,26 @@ class StorageManager:
                 rows.append({name: batch.columns[name][index] for name in names})
         return rows
 
+    def container_history(self, projection_name: str, container_id: int):
+        """Iterate ``(position, row, insert_epoch, delete_epoch_or_None)``
+        over every row of one ROS container, deleted or not, in sort
+        order — the one decode of columns + epoch column + combined
+        delete vectors (the WOS half: :meth:`WriteOptimizedStore.history`).
+        Positions are what a delete vector stores.  The files are read
+        by the call; row dicts are built one at a time as it is iterated."""
+        state = self._state(projection_name)
+        container = state.containers[container_id]
+        names = container.meta.columns
+        columns = container.read_columns(names)
+        values = zip(*(columns[name] for name in names))
+        positions = range(container.row_count)
+        return zip(
+            positions,
+            map(dict, map(zip, repeat(names), values)),
+            container.read_epochs(),
+            map(state.deletes_for(container_id).get, positions),
+        )
+
     def dump_rows(self, projection_name: str, after_epoch: int | None = None):
         """Yield ``(row, insert_epoch, delete_epoch_or_None)`` for every
         stored row, deleted or not.
@@ -942,35 +942,17 @@ class StorageManager:
         buddy's whole projection.
         """
         state = self._state(projection_name)
-        for container_id in sorted(state.containers):
-            container = state.containers[container_id]
-            if after_epoch is not None and self._settled_at(
-                state, container, after_epoch
-            ):
-                continue
-            names = container.meta.columns
-            columns = container.read_columns(names)
-            epochs = container.read_epochs()
-            deletes = state.deletes_for(container_id)
-            for position in range(container.row_count):
-                delete_epoch = deletes.get(position)
-                if (
-                    after_epoch is not None
-                    and max(epochs[position], delete_epoch or 0) <= after_epoch
-                ):
-                    continue
-                row = {name: columns[name][position] for name in names}
-                yield row, epochs[position], delete_epoch
-        for position, (row, epoch) in enumerate(
-            zip(state.wos.rows, state.wos.epochs)
+        containers = (  # lazily: one container decoded at a time
+            self.container_history(projection_name, container_id)
+            for container_id, container in sorted(state.containers.items())
+            if after_epoch is None
+            or not self._settled_at(state, container, after_epoch)
+        )
+        for _, row, epoch, delete_epoch in chain(
+            chain.from_iterable(containers), state.wos.history()
         ):
-            delete_epoch = state.wos_deletes.get(position)
-            if (
-                after_epoch is not None
-                and max(epoch, delete_epoch or 0) <= after_epoch
-            ):
-                continue
-            yield row, epoch, delete_epoch
+            if after_epoch is None or max(epoch, delete_epoch or 0) > after_epoch:
+                yield row, epoch, delete_epoch
 
     @staticmethod
     def _settled_at(
@@ -984,17 +966,9 @@ class StorageManager:
         (``on_disk_only`` ignores the in-memory DVWOS markers).
         Decided from ``meta.json`` and the delete vectors already in
         memory — the container's files are not opened."""
-        if container.meta.max_epoch > epoch:
-            return False
-        vectors = list(
-            state.persisted_ros_deletes.get(container.container_id, ())
-        )
-        pending = state.pending_ros_deletes.get(container.container_id)
-        if pending is not None and not on_disk_only:
-            vectors.append(pending)
-        return all(
+        return container.meta.max_epoch <= epoch and all(
             delete_epoch <= epoch
-            for vector in vectors
+            for vector in state.vectors_for(container.container_id, on_disk_only)
             for delete_epoch in vector.epochs
         )
 
@@ -1037,20 +1011,7 @@ class StorageManager:
             else:
                 discarded += self._rewrite_truncated(state, container, epoch)
                 METRICS.inc("storage.truncate.containers_rewritten")
-        keep = [
-            position
-            for position, row_epoch in enumerate(state.wos.epochs)
-            if row_epoch <= epoch
-        ]
-        # WOS positions are ordinals: surviving markers move with their rows.
-        wos_deletes = {}
-        for new_position, old_position in enumerate(keep):
-            delete_epoch = state.wos_deletes.get(old_position)
-            if delete_epoch is not None and delete_epoch <= epoch:
-                wos_deletes[new_position] = delete_epoch
-        discarded += state.wos.truncate_after_epoch(epoch)
-        state.wos_deletes = wos_deletes
-        return discarded
+        return discarded + state.wos.truncate_after_epoch(epoch)
 
     @staticmethod
     def _trim_pending_deletes(
@@ -1078,32 +1039,26 @@ class StorageManager:
         """Replace ``container`` by its rows and delete markers at or
         under ``epoch``; returns rows discarded."""
         victim = container.container_id
-        names = container.meta.columns
-        columns = container.read_columns(names)
-        epochs = container.read_epochs()
-        deletes = state.deletes_for(victim)
-        keep = [
-            position
-            for position in range(container.row_count)
-            if epochs[position] <= epoch
+        name = state.projection.name
+        survivors = [
+            (row, inserted, None if deleted is None or deleted > epoch else deleted)
+            for _, row, inserted, deleted in self.container_history(name, victim)
+            if inserted <= epoch
         ]
-        self._new_container(
-            state,
-            [{name: columns[name][p] for name in names} for p in keep],
-            [epochs[p] for p in keep],
-            container.meta.partition_key,
-            container.meta.local_segment,
+        # never empty: a victim with no row at or under ``epoch`` was
+        # dropped whole instead of being rewritten
+        rows, epochs, delete_epochs = map(list, zip(*survivors))
+        self.add_container_from_rows(
+            name,
+            rows,
+            epochs,
+            partition_key=container.meta.partition_key,
+            local_segment=container.meta.local_segment,
             merged_from=[victim],
-            delete_epochs=[
-                delete_epoch
-                if (delete_epoch := deletes.get(p)) is not None
-                and delete_epoch <= epoch
-                else None
-                for p in keep
-            ],
+            delete_epochs=delete_epochs,
         )
-        self.remove_containers(state.projection.name, [victim])
-        return container.row_count - len(keep)
+        self.remove_containers(name, [victim])
+        return container.row_count - len(rows)
 
     def load_history(
         self,
@@ -1114,35 +1069,26 @@ class StorageManager:
         ROS containers, preserving epochs and delete markers (persisted
         as delete vectors, each ahead of its container).  Used by
         recovery, refresh and rebalance."""
+        return list(
+            self.write_run(
+                projection_name,
+                [row for row, _, _ in records],
+                [insert_epoch for _, insert_epoch, _ in records],
+                [delete_epoch for _, _, delete_epoch in records],
+            )
+        )
+
+    def forget_contents(self, projection_name: str) -> None:
+        """Drop everything this copy holds — containers, their delete
+        vectors in memory and on disk, the WOS — and keep it registered:
+        repair and rebalance wipe a copy with this before reloading it
+        through :meth:`load_history`."""
         state = self._state(projection_name)
-        if not records:
-            return []
-        groups: dict[tuple, list[int]] = {}
-        for index, (row, _, _) in enumerate(records):
-            key = (
-                state.table.partition_key(row),
-                self._local_segment_of(state, row),
-            )
-            groups.setdefault(key, []).append(index)
-        created = []
-        for (partition_key, local_segment), indexes in sorted(
-            groups.items(), key=lambda item: repr(item[0])
-        ):
-            ordered = sorted(
-                indexes,
-                key=lambda i: state.projection.sort_key_for(records[i][0]),
-            )
-            created.append(
-                self._new_container(
-                    state,
-                    [records[i][0] for i in ordered],
-                    [records[i][1] for i in ordered],
-                    partition_key,
-                    local_segment,
-                    delete_epochs=[records[i][2] for i in ordered],
-                )
-            )
-        return created
+        self.remove_containers(projection_name, list(state.containers))
+        state.wos.drain()
+        state.pending_ros_deletes.clear()
+        state.persisted_ros_deletes.clear()
+        state.loaded_dv_dirs.clear()
 
     # -- partitions --------------------------------------------------------
 
@@ -1161,16 +1107,9 @@ class StorageManager:
         self.remove_containers(projection_name, victims)
         # WOS rows of that partition are dropped too (rare path: data
         # normally reaches ROS before partition drops happen).
-        keep = [
-            (row, epoch)
-            for row, epoch in zip(state.wos.rows, state.wos.epochs)
-            if state.table.partition_key(row) != partition_key
-        ]
-        reclaimed += state.wos.row_count - len(keep)
-        state.wos.rows = [row for row, _ in keep]
-        state.wos.epochs = [epoch for _, epoch in keep]
-        state.wos_deletes.clear()
-        return reclaimed
+        return reclaimed + state.wos.retain(
+            lambda row, _: state.table.partition_key(row) != partition_key
+        )
 
     def partition_keys(self, projection_name: str) -> list:
         """Distinct partition keys present in the projection's ROS."""

@@ -7,11 +7,11 @@
 
 Data in the WOS is *not* encoded or compressed, but it is segmented by
 the projection's segmentation expression (each simulated node's WOS
-only ever holds that node's rows).  Rows carry their commit epoch so
-snapshot reads work uniformly across WOS and ROS.  A capacity cap
-models WOS saturation: when it is exceeded the storage manager routes
-new loads directly to the ROS (section 4 / section 7, "Direct Loading
-to the ROS").
+only ever holds that node's rows).  Rows carry their commit epoch and,
+once deleted, their delete epoch, so snapshot reads work uniformly
+across WOS and ROS.  A capacity cap models WOS saturation: when it is
+exceeded the storage manager routes new loads directly to the ROS
+(section 4 / section 7, "Direct Loading to the ROS").
 """
 
 from __future__ import annotations
@@ -27,13 +27,16 @@ DEFAULT_WOS_CAPACITY = 65536
 class WriteOptimizedStore:
     """In-memory row buffer for one projection on one node.
 
-    Positions are ordinals into the current buffer; they are only
-    meaningful until the next moveout (which drains the whole buffer).
+    Three parallel lists hold its history records: ``rows[i]`` was
+    committed at ``epochs[i]`` and deleted at ``delete_epochs[i]`` (None
+    = live).  Positions are ordinals, meaningful until the next
+    operation that removes rows; each moves a row and its marker together.
     """
 
     capacity: int = DEFAULT_WOS_CAPACITY
     rows: list[dict] = field(default_factory=list)
     epochs: list[int] = field(default_factory=list)
+    delete_epochs: list[int | None] = field(default_factory=list)
 
     @property
     def row_count(self) -> int:
@@ -48,36 +51,57 @@ class WriteOptimizedStore:
         """Buffer committed rows stamped with their commit epoch."""
         self.rows.extend(rows)
         self.epochs.extend([epoch] * len(rows))
+        self.delete_epochs.extend([None] * len(rows))
 
-    def drain(self) -> tuple[list[dict], list[int]]:
-        """Remove and return all buffered (rows, epochs) — the moveout
-        primitive.  The WOS is empty afterwards."""
-        rows, epochs = self.rows, self.epochs
-        self.rows, self.epochs = [], []
-        return rows, epochs
+    def history(self):
+        """Yield ``(position, row, insert_epoch, delete_epoch)`` for
+        every buffered row, deleted or not — the WOS half of the storage
+        layer's one read path."""
+        return zip(
+            range(len(self.rows)), self.rows, self.epochs, self.delete_epochs
+        )
+
+    def drain(self) -> tuple[list[dict], list[int], list[int | None]]:
+        """Remove and return all buffered (rows, epochs, delete epochs)
+        — the moveout primitive.  The WOS is empty afterwards."""
+        run = self.rows, self.epochs, self.delete_epochs
+        self.rows, self.epochs, self.delete_epochs = [], [], []
+        return run
+
+    def retain(self, keep) -> int:
+        """Keep only the rows ``keep(row, insert_epoch)`` accepts, each
+        with its delete marker; returns how many were dropped."""
+        kept = [
+            (row, epoch, delete_epoch)
+            for _, row, epoch, delete_epoch in self.history()
+            if keep(row, epoch)
+        ]
+        dropped = len(self.rows) - len(kept)
+        self.rows = [row for row, _, _ in kept]
+        self.epochs = [epoch for _, epoch, _ in kept]
+        self.delete_epochs = [delete_epoch for _, _, delete_epoch in kept]
+        return dropped
 
     def truncate_after_epoch(self, epoch: int) -> int:
-        """Drop rows committed after ``epoch``; returns how many were
-        dropped.  Used by recovery's initial truncation to the LGE."""
+        """Drop rows committed after ``epoch`` and delete markers
+        stamped after it; returns how many rows were dropped.  Used by
+        recovery's initial truncation to the LGE."""
         from ..lint import sanitizer
 
         past = sum(1 for e in self.epochs if e > epoch)
-        keep = [i for i, e in enumerate(self.epochs) if e <= epoch]
-        dropped = len(self.rows) - len(keep)
-        self.rows = [self.rows[i] for i in keep]
-        self.epochs = [self.epochs[i] for i in keep]
+        dropped = self.retain(lambda _, row_epoch: row_epoch <= epoch)
+        self.delete_epochs = [
+            None if delete_epoch is None or delete_epoch > epoch else delete_epoch
+            for delete_epoch in self.delete_epochs
+        ]
         sanitizer.check_wos_truncate(epoch, past, dropped, self.epochs)
         return dropped
 
-    def visible(self, epoch: int, deleted_positions: dict[int, int]):
-        """Yield ``(position, row)`` pairs visible at snapshot ``epoch``.
-
-        ``deleted_positions`` maps WOS position -> delete epoch.
-        """
-        for position, (row, row_epoch) in enumerate(zip(self.rows, self.epochs)):
-            if row_epoch > epoch:
-                continue
-            delete_epoch = deleted_positions.get(position)
-            if delete_epoch is not None and delete_epoch <= epoch:
-                continue
-            yield position, row
+    def visible(self, epoch: int, include_deleted: bool = False):
+        """Yield ``(position, row)`` pairs visible at snapshot ``epoch``
+        (``include_deleted`` ignores the delete markers)."""
+        for position, row, row_epoch, delete_epoch in self.history():
+            if row_epoch <= epoch and (
+                include_deleted or delete_epoch is None or delete_epoch > epoch
+            ):
+                yield position, row

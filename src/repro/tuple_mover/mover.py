@@ -94,9 +94,10 @@ class TupleMover:
     def moveout(self, projection_name: str) -> list[int]:
         """Drain the projection's WOS into new ROS containers.
 
-        Deleted-but-unpurged WOS rows move too; their delete markers are
-        translated from WOS positions into positions in the new
-        containers and persisted as DVROS.  Returns new container ids.
+        Deleted-but-unpurged WOS rows move too: the drained run carries
+        each row's delete marker, and the storage manager's one writer
+        persists them as DVROS ahead of each new container.  Returns new
+        container ids.
         """
         with TRACER.span(
             "tuple_mover.moveout",
@@ -112,52 +113,25 @@ class TupleMover:
     def _moveout(self, projection_name: str) -> list[int]:
         started = perf_counter()
         state = self.manager.storage(projection_name)
-        rows, epochs = state.wos.drain()
-        wos_deletes = dict(state.wos_deletes)
-        state.wos_deletes.clear()
+        rows, epochs, delete_epochs = state.wos.drain()
         if not rows:
             return []
         faults.inject("mover.wos.drain", node=self.manager.node_index)
-        groups: dict[tuple, list[int]] = {}
-        for index, row in enumerate(rows):
-            key = (
-                state.table.partition_key(row),
-                self.manager._local_segment_of(state, row),
-            )
-            groups.setdefault(key, []).append(index)
         created = []
-        for (partition_key, local_segment), indexes in sorted(
-            groups.items(), key=lambda item: repr(item[0])
+        for container_id in self.manager.write_run(
+            projection_name, rows, epochs, delete_epochs
         ):
-            ordered = sorted(
-                indexes, key=lambda i: state.projection.sort_key_for(rows[i])
-            )
-            created.append(
-                self.manager.add_container_from_rows(
-                    projection_name,
-                    [rows[i] for i in ordered],
-                    [epochs[i] for i in ordered],
-                    partition_key=partition_key,
-                    local_segment=local_segment,
-                    # WOS positions become positions in the new
-                    # container; the markers are persisted ahead of it.
-                    delete_epochs=[wos_deletes.get(i) for i in ordered],
-                )
-            )
+            created.append(container_id)
             # a crash here loses the rest of the drained WOS — exactly
             # the window the LGE protects: it only advances after the
             # whole moveout, so recovery replays from the buddy.
             faults.inject("mover.moveout.container")
-        sanitizer.check_moveout_conservation(
-            projection_name,
-            len(rows),
-            sum(state.containers[cid].row_count for cid in created),
-        )
+        rows_out = sum(state.containers[cid].row_count for cid in created)
+        sanitizer.check_moveout_conservation(projection_name, len(rows), rows_out)
         self.stats.moveouts += 1
         self.stats.rows_moved_out += len(rows)
         self.stats.containers_created += len(created)
         duration = perf_counter() - started
-        rows_out = sum(state.containers[cid].row_count for cid in created)
         METRICS.inc("tuple_mover.moveouts")
         METRICS.inc("tuple_mover.rows_moved_out", len(rows))
         METRICS.observe("tuple_mover.moveout_seconds", duration)
@@ -213,34 +187,18 @@ class TupleMover:
             self.policy.stratum_of(state.containers[cid].size_bytes())
             for cid in merge_ids
         )
-        projection = state.projection
-
-        def stream(container_id: int):
-            container = state.containers[container_id]
-            names = container.meta.columns
-            columns = container.read_columns(names)
-            epochs = container.read_epochs()
-            deletes = state.deletes_for(container_id)
-            for position in range(container.row_count):
-                row = {name: columns[name][position] for name in names}
-                yield (
-                    projection.sort_key_for(row),
-                    row,
-                    epochs[position],
-                    deletes.get(position),
-                )
-
         template = state.containers[merge_ids[0]]
-        partition_key = template.meta.partition_key
-        local_segment = template.meta.local_segment
         merged_rows: list[dict] = []
         merged_epochs: list[int] = []
         merged_deletes: list[int | None] = []
         purged = 0
         read = 0
         for _, row, epoch, delete_epoch in heapq.merge(
-            *(stream(container_id) for container_id in merge_ids),
-            key=lambda item: item[0],
+            *(
+                self.manager.container_history(projection_name, container_id)
+                for container_id in merge_ids
+            ),
+            key=lambda record: state.projection.sort_key_for(record[1]),
         ):
             read += 1
             if delete_epoch is not None and delete_epoch <= ahm:
@@ -255,8 +213,8 @@ class TupleMover:
             projection_name,
             merged_rows,
             merged_epochs,
-            partition_key=partition_key,
-            local_segment=local_segment,
+            partition_key=template.meta.partition_key,
+            local_segment=template.meta.local_segment,
             merged_from=merge_ids,
             delete_epochs=merged_deletes,
         )

@@ -199,13 +199,11 @@ class TestScrub:
         family = cluster.catalog.super_projection_for("t")
         primary = family.primary.name
         manager = cluster.nodes[0].manager
-        state = manager.storage(primary)
         before = sorted(
             row["k"] for row in manager.read_visible_rows(primary, epoch)
         )
         # nuke the whole copy, then rebuild it from buddies
-        manager.remove_containers(primary, list(state.containers))
-        state.wos.drain()
+        manager.forget_contents(primary)
         assert manager.read_visible_rows(primary, epoch) == []
         replayed = repair_node_projection(cluster, 0, primary)
         assert replayed >= len(before)

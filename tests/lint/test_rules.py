@@ -209,6 +209,16 @@ class TestR4QueryPathMutation:
         )
         assert lint(tmp_path, "R4") == []
 
+    def test_every_listed_mutator_exists(self):
+        from repro.cluster import Cluster
+        from repro.core.catalog import Catalog
+        from repro.lint.rules.mutation import MUTATOR_METHODS
+        from repro.storage import StorageManager
+
+        owners = (StorageManager, Catalog, Cluster)
+        missing = {m for m in MUTATOR_METHODS if not any(hasattr(o, m) for o in owners)}
+        assert not missing, f"MUTATOR_METHODS names no method: {sorted(missing)}"
+
 
 class TestR5Hygiene:
     def test_mutable_default_flagged(self, tmp_path):

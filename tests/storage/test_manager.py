@@ -165,6 +165,29 @@ class TestPartitionDrop:
         assert manager.drop_partition(NAME, 3) == 5
         assert manager.wos_row_count(NAME) == 0
 
+    def test_drop_partition_keeps_wos_deletes_of_other_partitions(self, manager):
+        # partition 3 sits *before* partition 4 in the WOS, so dropping
+        # it shifts every surviving position: markers must move with
+        # their rows, not be cleared and not stay at the old ordinals.
+        manager.insert(NAME, make_rows(5, month=3), epoch=1)
+        manager.insert(NAME, make_rows(5, month=4), epoch=1)
+        deleted = manager.delete_where(
+            NAME, lambda row: row["month"] == 4 and row["cid"] in (0, 2, 4), 2, 1
+        )
+        assert deleted == 3
+        assert len(manager.read_visible_rows(NAME, epoch=2)) == 7
+
+        assert manager.drop_partition(NAME, 3) == 5
+
+        visible = manager.read_visible_rows(NAME, epoch=2)
+        assert [(row["month"], row["cid"]) for row in visible] == [(4, 1), (4, 3)]
+        assert len(manager.read_visible_rows(NAME, epoch=1)) == 5
+        wos = manager.storage(NAME).wos
+        assert [
+            (row["cid"], delete_epoch)
+            for _, row, _, delete_epoch in wos.history()
+        ] == [(0, 2), (1, None), (2, 2), (3, None), (4, 2)]
+
 
 class TestLocalSegments:
     def test_local_segments_split_containers(self, tmp_path, table):

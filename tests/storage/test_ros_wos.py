@@ -127,8 +127,9 @@ class TestWOS:
         wos = WriteOptimizedStore(capacity=100)
         wos.insert(make_rows(10), epoch=4)
         assert wos.row_count == 10
-        rows, epochs = wos.drain()
+        rows, epochs, delete_epochs = wos.drain()
         assert len(rows) == 10 and epochs == [4] * 10
+        assert delete_epochs == [None] * 10
         assert wos.row_count == 0
 
     def test_overflow_detection(self):
@@ -141,16 +142,17 @@ class TestWOS:
         wos = WriteOptimizedStore()
         wos.insert(make_rows(3), epoch=2)
         wos.insert(make_rows(2), epoch=5)
-        assert len(list(wos.visible(epoch=2, deleted_positions={}))) == 3
-        assert len(list(wos.visible(epoch=5, deleted_positions={}))) == 5
-        assert len(list(wos.visible(epoch=1, deleted_positions={}))) == 0
+        assert len(list(wos.visible(epoch=2))) == 3
+        assert len(list(wos.visible(epoch=5))) == 5
+        assert len(list(wos.visible(epoch=1))) == 0
 
     def test_visibility_with_deletes(self):
         wos = WriteOptimizedStore()
         wos.insert(make_rows(3), epoch=1)
-        deletes = {1: 3}
-        assert len(list(wos.visible(2, deletes))) == 3  # delete not yet visible
-        assert len(list(wos.visible(3, deletes))) == 2
+        wos.delete_epochs[1] = 3
+        assert len(list(wos.visible(2))) == 3  # delete not yet visible
+        assert len(list(wos.visible(3))) == 2
+        assert len(list(wos.visible(3, include_deleted=True))) == 3
 
     def test_truncate_after_epoch(self):
         wos = WriteOptimizedStore()

@@ -99,7 +99,6 @@ def outcomes(before):
 def oracle_truncate(manager, epoch) -> int:
     """The implementation this PR replaced: decode every row, delete
     every container, rebuild the survivors."""
-    state = manager.storage(NAME)
     survivors = []
     discarded = 0
     for row, insert_epoch, delete_epoch in manager.dump_rows(NAME):
@@ -109,9 +108,7 @@ def oracle_truncate(manager, epoch) -> int:
         if delete_epoch is not None and delete_epoch > epoch:
             delete_epoch = None
         survivors.append((row, insert_epoch, delete_epoch))
-    manager.remove_containers(NAME, list(state.containers))
-    state.wos.drain()
-    state.wos_deletes.clear()
+    manager.forget_contents(NAME)
     manager.load_history(NAME, survivors)
     return discarded
 
@@ -215,7 +212,7 @@ class TestContainerClasses:
         assert [row["k"] for row in state.wos.rows] == [10, 11, 13]
         # 13 moved up a position and keeps its marker; 10's was stamped
         # past the epoch and is gone
-        assert state.wos_deletes == {2: 5}
+        assert state.wos.delete_epochs == [None, None, 5]
         assert manager.read_visible_rows(NAME, 9) == rows(1, 2, 10, 11)
 
     def test_truncating_everything(self, manager):

@@ -211,27 +211,36 @@ class Cluster:
     # -- routing --------------------------------------------------------
 
     def projection_rows(
-        self, projection: ProjectionDefinition, table_rows: list[dict], epoch: int
+        self,
+        projection: ProjectionDefinition,
+        table_rows: list[dict],
+        epoch: int,
+        own_inserts: dict[str, list[dict]] | None = None,
     ) -> list[dict]:
         """Shape table rows for one projection (column subset; prejoin
-        expansion for prejoin projections)."""
+        expansion for prejoin projections, against the dimension rows
+        visible at ``epoch`` plus — for a commit — the rows the same
+        commit record inserts into the dimension, ``own_inserts``)."""
         if projection.prejoin is None:
             names = projection.column_names
             return [{name: row[name] for name in names} for row in table_rows]
-        return self._expand_prejoin(projection, table_rows, epoch)
+        return self._expand_prejoin(projection, table_rows, epoch, own_inserts or {})
 
     def _expand_prejoin(
-        self, projection: ProjectionDefinition, table_rows: list[dict], epoch: int
+        self,
+        projection: ProjectionDefinition,
+        table_rows: list[dict],
+        epoch: int,
+        own_inserts: dict[str, list[dict]],
     ) -> list[dict]:
         spec: PrejoinSpec = projection.prejoin
         dimension_rows = self.read_table(spec.dimension_table, epoch)
+        dimension_rows += own_inserts.get(spec.dimension_table, [])
         index: dict = {}
         for dimension_row in dimension_rows:
             index[dimension_row[spec.dimension_key]] = dimension_row
         carried = spec.carried_columns
-        own_names = [
-            name for name in projection.column_names if name not in carried.values()
-        ]
+        own_names = projection.own_column_names
         out = []
         for row in table_rows:
             dimension_row = index.get(row[spec.anchor_key])
@@ -262,128 +271,63 @@ class Cluster:
 
     # -- DML application ------------------------------------------------
 
-    def apply_insert(
-        self,
-        table_name: str,
-        rows: list[dict],
-        epoch: int,
-        direct_to_ros: bool = False,
-        only_nodes: set[int] | None = None,
-    ) -> None:
-        """Store committed rows into every projection of the table on
-        the given (up) nodes."""
-        table = self.catalog.table(table_name)
-        validated = [table.validate_row(row) for row in rows]
-        targets = (
-            set(self.membership.up) if only_nodes is None else set(only_nodes)
-        )
-        for family in self.catalog.families_for_table(table_name):
-            for copy in family.all_copies:
-                shaped = self.projection_rows(copy, validated, epoch)
-                for node_index, node_rows in self.route_rows(copy, shaped).items():
-                    if not self._deliverable(node_index, targets):
-                        continue
-                    try:
-                        self.nodes[node_index].manager.insert(
-                            copy.name, node_rows, epoch, direct_to_ros
-                        )
-                    except InjectedFaultError:
-                        # one node dying mid-apply does not abort the
-                        # cluster commit: it is ejected and the commit
-                        # proceeds on the survivors (section 5).
-                        self._node_crashed(
-                            node_index, "crashed applying committed insert"
-                        )
+    def apply_commit(self, record: dict, only_nodes: set[int] | None = None) -> None:
+        """Turn one commit record — the payload
+        :meth:`repro.durability.Journal.log_commit` stores — into
+        storage changes on the given (up) nodes.  The only code that
+        does: :meth:`commit_dml` calls it right after journalling the
+        record and cold start calls it for every record past the floor,
+        so a replayed commit is the live commit run again.
 
-    def _materialize_delete(
-        self, table_name: str, predicate, snapshot_epoch: int
-    ) -> list[dict]:
-        """The full table rows ``predicate`` selects at the snapshot.
-
-        Evaluated once, coordinator-side, against the super projection;
-        the journal records this multiset (not the predicate, which is
-        an arbitrary callable) so replay can re-delete the same rows.
+        The record was checked when it was built, so nothing here can
+        reject it.  Inserts go table by table in name order (a function
+        of the record alone: the transaction's statement order is not
+        journalled) into every projection copy; deletes mark the
+        record's row multiset by value, through
+        :func:`multiset_predicate`, in every copy, covered or narrow.
         """
-        super_family = self.catalog.super_projection_for(table_name)
-        deleted_rows: list[dict] = []
-        for node_index, projection_name in self.scan_sources(super_family):
-            for row in self.nodes[node_index].manager.read_visible_rows(
-                projection_name, snapshot_epoch
-            ):
-                if predicate(row):
-                    deleted_rows.append(row)
-        return deleted_rows
+        epoch = record["epoch"]
+        targets = set(self.membership.up) if only_nodes is None else set(only_nodes)
 
-    def apply_delete(
-        self,
-        table_name: str,
-        predicate,
-        commit_epoch: int,
-        snapshot_epoch: int,
-        only_nodes: set[int] | None = None,
-        deleted_rows: list[dict] | None = None,
-    ) -> int:
-        """Mark matching rows deleted in every projection of the table.
+        def copies(table_name):
+            for family in self.catalog.families_for_table(table_name):
+                yield from family.all_copies
 
-        The predicate runs against full table rows (from the super
-        projection); narrow projections delete by multiset-consistent
-        value matching so every projection keeps answering queries with
-        the same row multiset.  ``deleted_rows`` lets the commit path
-        pass the multiset it already materialized for the journal.
-        """
-        table = self.catalog.table(table_name)
-        targets = (
-            set(self.membership.up) if only_nodes is None else set(only_nodes)
-        )
-        if deleted_rows is None:
-            deleted_rows = self._materialize_delete(
-                table_name, predicate, snapshot_epoch
-            )
-        for family in self.catalog.families_for_table(table_name):
-            for copy in family.all_copies:
-                self._delete_in_projection(
-                    copy, table, predicate, deleted_rows,
-                    commit_epoch, snapshot_epoch, targets,
-                )
-        return len(deleted_rows)
-
-    def _delete_in_projection(
-        self, copy, table, predicate, deleted_rows,
-        commit_epoch, snapshot_epoch, targets,
-    ) -> None:
-        covered = set(copy.column_names) >= set(table.column_names)
-        if covered and copy.prejoin is None:
-            for node_index in sorted(targets):
-                if not self._deliverable(node_index, targets):
-                    continue
-                try:
-                    self.nodes[node_index].manager.delete_where(
-                        copy.name, predicate, commit_epoch, snapshot_epoch
-                    )
-                except InjectedFaultError:
-                    self._node_crashed(
-                        node_index, "crashed applying committed delete"
-                    )
-            return
-        # narrow / prejoin projection: delete by multiset matching
-        names = [
-            name
-            for name in copy.column_names
-            if copy.prejoin is None or name not in copy.prejoin.carried_columns.values()
-        ]
-        names = [name for name in names if table.has_column(name)]
-        fresh_matcher = multiset_predicate(deleted_rows, names)
-        for node_index in sorted(targets):
+        def on_node(node_index, change):
             if not self._deliverable(node_index, targets):
-                continue
+                return
             try:
-                self.nodes[node_index].manager.delete_where(
-                    copy.name, fresh_matcher(), commit_epoch, snapshot_epoch
-                )
+                change(self.nodes[node_index].manager)
             except InjectedFaultError:
-                self._node_crashed(
-                    node_index, "crashed applying committed delete"
-                )
+                # one node dying mid-apply does not abort the cluster
+                # commit: it is ejected and the commit proceeds on the
+                # survivors (section 5).
+                self._node_crashed(node_index, "crashed applying a commit")
+
+        for table_name, rows in sorted(record["inserts"].items()):
+            for copy in copies(table_name):
+                # the dimension as it stood before this epoch plus the
+                # record's own rows: what commit_dml checked
+                shaped = self.projection_rows(copy, rows, epoch - 1, record["inserts"])
+                for node_index, node_rows in self.route_rows(copy, shaped).items():
+                    on_node(
+                        node_index,
+                        lambda manager: manager.insert(
+                            copy.name, node_rows, epoch, record["direct_to_ros"]
+                        ),
+                    )
+        for delete in record["deletes"]:
+            if not delete["rows"]:
+                continue  # nothing to find: do not decode every copy
+            for copy in copies(delete["table"]):
+                fresh = multiset_predicate(delete["rows"], copy.own_column_names)
+                for node_index in sorted(targets):
+                    on_node(
+                        node_index,
+                        lambda manager: manager.delete_where(
+                            copy.name, fresh(), epoch, record["snapshot_epoch"]
+                        ),
+                    )
 
     # -- reads -----------------------------------------------------------
 
@@ -466,12 +410,45 @@ class Cluster:
         snapshot_epoch: int,
         direct_to_ros: bool = False,
     ) -> int:
-        """Run the cluster commit: broadcast, apply on receivers, eject
-        nodes that missed the message, advance the epoch.
+        """Run the cluster commit: build the commit record, broadcast,
+        eject nodes that missed the message, advance the epoch, journal
+        the record, apply it.
 
         Returns the commit epoch.  ``deletes`` is a list of
         (table, predicate) pairs.
         """
+        # Build: everything that can reject the commit runs here, with
+        # the epoch clock, the membership and the journal untouched —
+        # rows are type-checked and normalised, every prejoin anchor is
+        # shown to resolve, every DELETE's victims are resolved (the
+        # record carries the rows: a predicate is an arbitrary callable
+        # and cannot be journalled).
+        inserts = {
+            table_name: list(map(self.catalog.table(table_name).validate_row, rows))
+            for table_name, rows in inserts.items()
+        }
+        for table_name, rows in inserts.items():
+            for family in self.catalog.families_for_table(table_name):
+                if family.primary.prejoin is not None:
+                    self.projection_rows(
+                        family.primary, rows,
+                        self.epochs.latest_queryable_epoch, inserts,
+                    )
+        predicates: dict[str, list] = {}
+        for table_name, predicate in deletes:
+            predicates.setdefault(table_name, []).append(predicate)
+        # one multiset per table: a row two DELETEs select is one victim
+        victims = [
+            (
+                table_name,
+                [
+                    row
+                    for row in self.read_table(table_name, snapshot_epoch)
+                    if any(predicate(row) for predicate in table_predicates)
+                ],
+            )
+            for table_name, table_predicates in predicates.items()
+        ]
         receivers = set(self.membership.broadcast_commit())
         # a *delayed* delivery ejects the node (no 2PC retry) but the
         # late message still lands there; recovery truncates it back to
@@ -480,14 +457,6 @@ class Cluster:
         for node in self.membership.down_nodes():
             self.epochs.node_down(node)
         commit_epoch = self.epochs.advance_for_commit()
-        materialized = [
-            (
-                table_name,
-                predicate,
-                self._materialize_delete(table_name, predicate, snapshot_epoch),
-            )
-            for table_name, predicate in deletes
-        ]
         if self.journal is not None:
             # Write-ahead: the commit record is durable before any
             # in-memory apply, so a crash anywhere past this line is
@@ -496,20 +465,23 @@ class Cluster:
                 epoch=commit_epoch,
                 snapshot_epoch=snapshot_epoch,
                 inserts=inserts,
-                deletes=[(name, rows) for name, _, rows in materialized],
+                deletes=victims,
                 direct_to_ros=direct_to_ros,
             )
             faults.inject("journal.commit.apply")
-        for table_name, rows in inserts.items():
-            self.apply_insert(
-                table_name, rows, commit_epoch,
-                direct_to_ros=direct_to_ros, only_nodes=appliers,
-            )
-        for table_name, predicate, rows in materialized:
-            self.apply_delete(
-                table_name, predicate, commit_epoch, snapshot_epoch,
-                only_nodes=appliers, deleted_rows=rows,
-            )
+        self.apply_commit(
+            {
+                "epoch": commit_epoch,
+                "snapshot_epoch": snapshot_epoch,
+                "direct_to_ros": direct_to_ros,
+                "inserts": inserts,
+                "deletes": [
+                    {"table": table_name, "rows": rows}
+                    for table_name, rows in victims
+                ],
+            },
+            only_nodes=appliers,
+        )
         self.membership.late_receivers = []
         METRICS.inc("cluster.commits")
         METRICS.inc(

@@ -22,11 +22,13 @@ Replay order (each step idempotent over what the previous recovered):
    retire victim, so a kill at any point reopens onto either the
    victim or the complete replacement.  ``ColdStartReport`` counts the
    three outcomes: ``containers_rewritten`` is why an open was slow.
-4. **Replay the tail** — commit records with epochs past the floor are
-   re-applied (inserts through normal routing, deletes by materialized
-   row multiset).  The journal itself was already cut to its last
-   valid prefix when opened: a torn or bit-flipped record defines the
-   recovery point, and every record after it is discarded.
+4. **Replay the tail** — commit records with epochs past the floor go
+   to :meth:`Cluster.apply_commit`, the method that applied them when
+   they were first committed; replay adds only the clock, the floor
+   skip and the dropped-table filter.  The journal itself was already
+   cut to its last valid prefix when opened: a torn or bit-flipped
+   record defines the recovery point, and every record after it is
+   discarded.
 5. **Rejoin** — every node is marked down and handed to the
    :class:`~repro.cluster.supervisor.ClusterSupervisor` in the
    SCAVENGED state; the PR 5 recovery state machine replays each node
@@ -41,7 +43,7 @@ from typing import TYPE_CHECKING
 
 from ..errors import DurabilityError
 from ..monitor import METRICS
-from ..storage.manager import multiset_predicate, truncate_outcome_counts
+from ..storage.manager import truncate_outcome_counts
 from ..trace import TRACER
 from ..txn.epochs import INITIAL_EPOCH
 from .codec import decode_catalog, decode_family, decode_table
@@ -202,6 +204,9 @@ def _replay_tail(cluster, replay, drop_lsn, report) -> None:
 def _replay_commit(
     cluster, record: JournalRecord, floor: int, drop_lsn, report
 ) -> None:
+    """Replay's own part of a commit — the clock, the floor, tables
+    dropped since, the report; the storage changes are
+    :meth:`Cluster.apply_commit`'s, exactly as when it first ran."""
     payload = record.payload
     epoch = payload["epoch"]
     # Advance the epoch clock past every journaled commit, replayed or
@@ -212,27 +217,19 @@ def _replay_commit(
         # Fully in ROS on every node at the last all-up mover cycle;
         # scavenge already recovered it from disk.
         return
-    for table_name, rows in sorted(payload["inserts"].items()):
-        if _skip_table(cluster, table_name, record.lsn, drop_lsn):
-            continue
-        cluster.apply_insert(
-            table_name,
-            rows,
-            epoch,
-            direct_to_ros=payload["direct_to_ros"],
-        )
-        report.rows_reinserted += len(rows)
-    for delete in payload["deletes"]:
-        table_name = delete["table"]
-        if _skip_table(cluster, table_name, record.lsn, drop_lsn):
-            continue
-        report.rows_redeleted += _replay_delete_rows(
-            cluster,
-            table_name,
-            delete["rows"],
-            epoch,
-            payload["snapshot_epoch"],
-        )
+    inserts = {
+        name: rows
+        for name, rows in payload["inserts"].items()
+        if not _skip_table(cluster, name, record.lsn, drop_lsn)
+    }
+    deletes = [
+        delete
+        for delete in payload["deletes"]
+        if not _skip_table(cluster, delete["table"], record.lsn, drop_lsn)
+    ]
+    cluster.apply_commit({**payload, "inserts": inserts, "deletes": deletes})
+    report.rows_reinserted += sum(len(rows) for rows in inserts.values())
+    report.rows_redeleted += sum(len(delete["rows"]) for delete in deletes)
     report.commits_replayed += 1
 
 
@@ -240,36 +237,6 @@ def _skip_table(cluster, table_name, lsn, drop_lsn) -> bool:
     if table_name not in cluster.catalog.tables:
         return True
     return lsn < drop_lsn.get(table_name, -1)
-
-
-def _replay_delete_rows(
-    cluster, table_name, rows, commit_epoch, snapshot_epoch
-) -> int:
-    """Re-delete a journaled row multiset in every projection copy.
-
-    The journal stores the materialized rows (predicates are arbitrary
-    callables); each copy on each node consumes the multiset with a
-    fresh budget, mirroring the narrow-projection path of
-    ``Cluster._delete_in_projection``.
-    """
-    if not rows:
-        return 0
-    table = cluster.catalog.table(table_name)
-    for family in cluster.catalog.families_for_table(table_name):
-        for copy in family.all_copies:
-            names = [
-                name
-                for name in copy.column_names
-                if copy.prejoin is None
-                or name not in copy.prejoin.carried_columns.values()
-            ]
-            names = [name for name in names if table.has_column(name)]
-            fresh_matcher = multiset_predicate(rows, names)
-            for node_index in cluster.membership.up_nodes():
-                cluster.nodes[node_index].manager.delete_where(
-                    copy.name, fresh_matcher(), commit_epoch, snapshot_epoch
-                )
-    return len(rows)
 
 
 def _restore_epoch_marks(cluster, replay) -> None:

@@ -222,12 +222,12 @@ class Journal:
         deletes: list,
         direct_to_ros: bool,
     ) -> int:
-        """Journal one committed epoch *before* it is applied.
-
-        ``deletes`` carries materialized row multisets (the rows the
-        predicate selected at the snapshot), not the predicate itself —
-        predicates are arbitrary callables and must not be required at
-        replay time.
+        """Journal one commit record *before* it is applied.  The
+        payload stored here is what :meth:`Cluster.apply_commit` takes,
+        at commit time and again at cold start: checked rows per table
+        and, per DELETE as a (table, rows) pair, the row multiset its
+        predicate selected at the snapshot — a predicate is an arbitrary
+        callable and cannot be journalled.
         """
         return self._append(
             "commit",

@@ -45,6 +45,7 @@ MUTATOR_METHODS = frozenset(
         "add_family",
         "add_projection_family",
         "commit_dml",
+        "apply_commit",
     }
 )
 

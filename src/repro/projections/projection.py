@@ -91,14 +91,18 @@ class ProjectionDefinition:
                 return column
         raise SqlAnalysisError(f"projection {self.name!r} has no column {name!r}")
 
+    @property
+    def own_column_names(self) -> list[str]:
+        """The anchor table's columns this projection stores: all of
+        them but the ones a prejoin carries over from its dimension."""
+        if self.prejoin is None:
+            return self.column_names
+        carried = set(self.prejoin.carried_columns.values())
+        return [name for name in self.column_names if name not in carried]
+
     def is_super_for(self, table: TableDefinition) -> bool:
         """Whether this projection stores every column of ``table``."""
-        if self.prejoin is not None:
-            carried = set(self.prejoin.carried_columns.values())
-        else:
-            carried = set()
-        own = {name for name in self.column_names if name not in carried}
-        return own >= set(table.column_names)
+        return set(self.own_column_names) >= set(table.column_names)
 
     def sort_key_for(self, row: dict):
         """Tuple ordering key of ``row`` under this projection's sort order."""

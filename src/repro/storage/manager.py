@@ -62,8 +62,9 @@ def multiset_predicate(rows: list[dict], names: list[str]):
     Rows are keyed by ``repr`` of each column in ``names``; every call
     of the returned factory yields a predicate with a fresh budget (one
     per node / projection copy), which accepts a row while its key has
-    budget left.  The one by-value delete matcher: commit apply, journal
-    replay and recovery replay all locate their victims through it.
+    budget left.  The one by-value delete matcher, on every copy:
+    ``Cluster.apply_commit`` (a live commit and its cold-start replay
+    alike) and recovery's ``_replay_window`` find victims through it.
     """
     budget = Counter(tuple(repr(row[name]) for name in names) for row in rows)
 

@@ -4,7 +4,10 @@ For every seed x (fault point, action) pair, a fixed workload runs
 against a durable database with a fault armed at a seeded offset.  The
 process "dies" (or silently corrupts a journal file) mid-workload, the
 database is reopened from disk, and the recovered state is checked
-against oracle snapshots taken after every op of a fault-free run:
+against oracle snapshots taken after every op of a fault-free run —
+each table's rows *and* the visible rows of every projection copy on
+every node, so a commit cut between journal and apply is checked
+against the copies replay rebuilds, not only the super projection:
 
 * a plain **crash** (and a **torn** staging file, which never
   publishes) must recover to the state just before or just after the
@@ -34,6 +37,11 @@ from repro.execution.operators.join import JoinType
 from repro.faults import REGISTRY, FaultPlan
 from repro.optimizer import JoinNode, PhysJoin, ScanNode
 from repro.optimizer import physical as P
+from repro.projections import (
+    HashSegmentation,
+    ProjectionColumn,
+    ProjectionDefinition,
+)
 
 pytestmark = pytest.mark.chaos
 
@@ -56,16 +64,17 @@ DURABILITY_POINTS = {
     "mover.wos.drain": ("crash",),
 }
 
-#: Upper bound (exclusive) for the seeded skip at each point, chosen
-#: below the number of times the workload fires it so the fault always
-#: lands.
+#: Upper bound (exclusive) for the seeded skip at each point: at most
+#: the number of times the fault-free workload fires it (10, 10, 2, 2,
+#: 6 and 22), so the fault always lands — on pinned seed 23 the
+#: ``journal.commit.apply`` crash cuts the two-table commit.
 SKIP_RANGE = {
-    "journal.append.stage": 6,
-    "journal.append.publish": 6,
+    "journal.append.stage": 9,
+    "journal.append.publish": 9,
     "journal.checkpoint.stage": 2,
     "journal.checkpoint.publish": 2,
-    "journal.commit.apply": 4,
-    "mover.wos.drain": 4,
+    "journal.commit.apply": 5,
+    "mover.wos.drain": 21,
 }
 
 SCENARIOS = [
@@ -87,8 +96,17 @@ def rows(n, start=0):
     return [{"k": i, "v": f"v{i % 7}"} for i in range(start, start + n)]
 
 
+def load_both(db):
+    """One commit spanning two tables."""
+    session = db.session()
+    session.insert("t2", rows(4, start=10))
+    session.insert("t", rows(4, start=40))
+    session.commit()
+
+
 #: Fixed workload: WOS loads, a mover cycle (floor + checkpoint), a
-#: delete, mid-stream DDL, a direct-to-ROS load, a second mover cycle.
+#: delete, mid-stream DDL, a two-table commit, a direct-to-ROS load, a
+#: second mover cycle.
 OPS = [
     ("load-wos-1", lambda db: db.load("t", rows(15))),
     ("movers-1", lambda db: db.run_tuple_movers()),
@@ -96,6 +114,7 @@ OPS = [
     ("delete", lambda db: db.sql("DELETE FROM t WHERE k % 5 = 1")),
     ("create-t2", lambda db: db.create_table(table("t2"), sort_order=["k"])),
     ("load-t2", lambda db: db.load("t2", rows(10))),
+    ("load-both", load_both),
     (
         "load-direct",
         lambda db: db.load("t", rows(10, start=30), direct_to_ros=True),
@@ -103,12 +122,10 @@ OPS = [
     ("movers-2", lambda db: db.run_tuple_movers()),
 ]
 
-#: The state before even the workload's setup DDL ran — reachable when
-#: corruption lands in the setup records of the active segment.
-BLANK = {"tables": []}
-
 
 def capture(db):
+    """Every table's rows, and what each projection copy on each node
+    shows (the oracle has the SUT's topology, so placement agrees)."""
     epoch = db.latest_epoch
     state = {"tables": sorted(db.cluster.catalog.tables)}
     for name in state["tables"]:
@@ -116,29 +133,64 @@ def capture(db):
             tuple(sorted(row.items()))
             for row in db.cluster.read_table(name, epoch)
         )
+    state["copies"] = {
+        f"node{node.index}:{copy.name}": sorted(
+            tuple(sorted(row.items()))
+            for row in node.manager.read_visible_rows(copy.name, epoch)
+        )
+        for node in db.cluster.nodes
+        for copy in db.cluster.catalog.all_projections()
+    }
     return state
+
+
+#: Setup DDL: ``t`` with its super projection, then a narrow one (a
+#: column subset with its own sort key and segmentation).
+SETUP = [
+    lambda db: db.create_table(table(), sort_order=["k"]),
+    lambda db: db.add_projection(
+        ProjectionDefinition(
+            name="t_by_v",
+            anchor_table="t",
+            columns=[ProjectionColumn("v", types.VARCHAR)],
+            sort_order=["v"],
+            segmentation=HashSegmentation(("v",)),
+        )
+    ),
+]
 
 
 def build(path):
     db = Database(
         str(path), node_count=3, k_safety=1, journal_checkpoint_interval=4
     )
-    db.create_table(table(), sort_order=["k"])
+    for step in SETUP:
+        step(db)
     return db
 
 
 @pytest.fixture(scope="module")
-def oracle_snaps(tmp_path_factory):
-    """``oracle_snaps[i]`` is the visible state after the first ``i``
-    workload ops of a fault-free run (index 0: right after setup)."""
+def oracle(tmp_path_factory):
+    """``(setup_snaps, snaps)`` of a fault-free run: the states before
+    each setup step — reachable when corruption lands in the setup
+    records of the active segment — and ``snaps[i]``, the state after
+    the first ``i`` workload ops (index 0: right after setup)."""
     root = tmp_path_factory.mktemp("oracle")
     db = Database(str(root / "db"), node_count=3, k_safety=1, durable=False)
-    db.create_table(table(), sort_order=["k"])
+    setup_snaps = []
+    for step in SETUP:
+        setup_snaps.append(capture(db))
+        step(db)
     snaps = [capture(db)]
     for _, op in OPS:
         op(db)
         snaps.append(capture(db))
-    return snaps
+    return setup_snaps, snaps
+
+
+@pytest.fixture(scope="module")
+def oracle_snaps(oracle):
+    return oracle[1]
 
 
 @pytest.mark.parametrize("seed", crash_seeds())
@@ -146,8 +198,9 @@ def oracle_snaps(tmp_path_factory):
     "point,action", SCENARIOS, ids=[f"{p}-{a}" for p, a in SCENARIOS]
 )
 def test_kill_anywhere_recovers_a_consistent_state(
-    point, action, seed, tmp_path, oracle_snaps
+    point, action, seed, tmp_path, oracle
 ):
+    setup_snaps, oracle_snaps = oracle
     # builtin hash() is process-randomized; derive the skip stably
     skip = zlib.crc32(f"{seed}:{point}:{action}".encode()) % SKIP_RANGE[point]
     sut = build(tmp_path / "sut")
@@ -188,7 +241,7 @@ def test_kill_anywhere_recovers_a_consistent_state(
     else:
         # published-segment damage can cut the journal at any earlier
         # record: any exact op-prefix of the history is sound
-        acceptable = [BLANK] + oracle_snaps[: fired_op + 2]
+        acceptable = setup_snaps + oracle_snaps[: fired_op + 2]
     assert state in acceptable, (
         f"{point}/{action} seed={seed} skip={skip} fired_op={fired_op}: "
         f"recovered state is not an op-boundary snapshot: {state}"

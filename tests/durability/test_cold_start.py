@@ -7,8 +7,15 @@ from repro import types
 from repro.cluster import create_backup, restore_backup
 from repro.core.database import Database
 from repro.core.schema import ColumnDef, TableDefinition
-from repro.errors import DurabilityError, InjectedFaultError
+from repro.errors import DurabilityError, InjectedFaultError, SqlAnalysisError
 from repro.faults import FaultPlan
+from repro.projections import (
+    HashSegmentation,
+    PrejoinSpec,
+    ProjectionColumn,
+    ProjectionDefinition,
+    Replicated,
+)
 
 
 def table(name="t"):
@@ -121,6 +128,131 @@ class TestColdStart:
         assert db.cluster.journal is None
         with pytest.raises(DurabilityError):
             Database.open(str(tmp_path / "db"))
+
+
+def build_star(path):
+    """``t`` plus a replicated dimension whose name sorts *after* the
+    fact table that carries a prejoin projection onto it."""
+    db = build(path)
+    db.create_table(
+        TableDefinition(
+            "z_customers",
+            [ColumnDef("cid", types.INTEGER), ColumnDef("name", types.VARCHAR)],
+            primary_key=("cid",),
+        ),
+        segmentation=Replicated(),
+    )
+    db.create_table(
+        TableDefinition(
+            "a_orders",
+            [ColumnDef("oid", types.INTEGER), ColumnDef("cid", types.INTEGER)],
+            primary_key=("oid",),
+        )
+    )
+    db.add_projection(
+        ProjectionDefinition(
+            # named to sort after a_orders_super: read_table serves a
+            # table from its first projection that holds every column
+            name="a_orders_with_customer",
+            anchor_table="a_orders",
+            columns=[
+                ProjectionColumn("oid", types.INTEGER),
+                ProjectionColumn("cid", types.INTEGER),
+                ProjectionColumn("cust_name", types.VARCHAR),
+            ],
+            sort_order=["cust_name", "oid"],
+            segmentation=HashSegmentation(("oid",)),
+            prejoin=PrejoinSpec("z_customers", "cid", "cid", {"name": "cust_name"}),
+        )
+    )
+    return db
+
+
+def commit_footprint(db):
+    """What a rejected commit must leave exactly as it was."""
+    return (
+        db.current_epoch,
+        set(db.cluster.membership.up),
+        db.cluster.journal.record_count(),
+    )
+
+
+def stored_rows(db):
+    """Every row, visible or not, of every projection copy on every node."""
+    return [
+        row
+        for node in db.cluster.nodes
+        for copy in db.cluster.catalog.all_projections()
+        for row, _, _ in node.manager.dump_rows(copy.name)
+    ]
+
+
+class TestCommitRecord:
+    """A commit is its record: checked before it is journalled, then
+    applied by the code that replays it.  Each of these left an
+    acknowledged (or refused) commit that no later open survived."""
+
+    def test_dimension_and_fact_in_one_transaction_reopen(self, tmp_path):
+        db = build_star(tmp_path / "db")
+        session = db.session()
+        session.insert("z_customers", [{"cid": 1, "name": "ann"}])
+        session.insert("a_orders", [{"oid": 10, "cid": 1}])
+        session.commit()
+        before = capture(db)
+        assert before["a_orders"] == capture_rows([{"oid": 10, "cid": 1}])
+        del db, session
+        # the journal keeps no statement order: replay must not need it
+        assert capture(Database.open(str(tmp_path / "db"))) == before
+
+    def test_mistyped_insert_is_rejected_before_the_journal(self, tmp_path):
+        db = build_star(tmp_path / "db")
+        db.sql("INSERT INTO t VALUES (1, 'one')")
+        footprint = commit_footprint(db)
+        with pytest.raises(SqlAnalysisError):
+            db.sql("INSERT INTO t VALUES ('oops', 'two')")
+        assert commit_footprint(db) == footprint
+        db.sql("INSERT INTO t VALUES (3, 'three')")
+        good = capture_rows([{"k": 1, "v": "one"}, {"k": 3, "v": "three"}])
+        assert capture(db)["t"] == good
+        del db
+        assert capture(Database.open(str(tmp_path / "db")))["t"] == good
+
+    def test_prejoin_orphan_is_rejected_whole(self, tmp_path):
+        db = build_star(tmp_path / "db")
+        db.load("z_customers", [{"cid": 1, "name": "ann"}])
+        stored = stored_rows(db)
+        footprint = commit_footprint(db)
+        session = db.session()
+        session.insert("t", rows(3))
+        session.insert("a_orders", [{"oid": 7, "cid": 99}])  # no such customer
+        with pytest.raises(SqlAnalysisError, match="no z_customers row"):
+            session.commit()
+        assert commit_footprint(db) == footprint
+        # the commit spans two tables: neither took a row on any node
+        assert stored_rows(db) == stored
+        db.load("a_orders", [{"oid": 8, "cid": 1}])
+        before = capture(db)
+        assert before["t"] == [] and len(before["a_orders"]) == 1
+        del db, session
+        assert capture(Database.open(str(tmp_path / "db"))) == before
+
+
+    def test_row_selected_by_two_deletes_is_one_victim(self, tmp_path):
+        """Two DELETEs of one transaction that overlap used to mark the
+        shared rows twice — a sanitizer violation raised mid-apply,
+        after the record was durable."""
+        db = build(tmp_path / "db")
+        db.load("t", rows(10), direct_to_ros=True)
+        session = db.session()
+        session.delete("t", lambda row: row["k"] < 5)
+        session.delete("t", lambda row: row["k"] < 3)
+        session.commit()
+        before = capture(db)
+        assert before["t"] == capture_rows(rows(5, start=5))
+        del db, session
+        reopened = Database.open(str(tmp_path / "db"))
+        assert capture(reopened) == before
+        assert reopened.replay_report.rows_redeleted == 5
 
 
 class TestCrashPoints:

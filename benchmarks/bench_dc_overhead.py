@@ -6,7 +6,12 @@ This bench makes the same claim for the reproduction: the same
 statement mix runs with the collector enabled and disabled (the
 ``DataCollector.enabled`` kill switch, same as ``REPRO_DC_DISABLE``),
 best-of-``REPRO_DC_REPEATS`` each, and the enabled run must cost at
-most 10% throughput.
+most 10% throughput.  Each leg has a database of its own, built and
+warmed alike, and the legs alternate repeat by repeat (off, on, off,
+on ...): the mix inserts, so on one shared table the leg that ran
+second would also pay for scanning what the first one left, and on
+this machine speed drifts by a tenth within seconds.  At every repeat
+both legs so see the same table and the same machine.
 
 Scale is environment-tunable via ``REPRO_DC_STATEMENTS`` (statements
 per measured run, default 300).
@@ -51,26 +56,24 @@ def run_statements(db, count):
             db.sql(f"INSERT INTO metrics_t VALUES ({100_000 + i}, 1)")
 
 
-def best_seconds(db, count, repeats):
-    best = float("inf")
-    for _ in range(repeats):
-        started = time.perf_counter()
-        run_statements(db, count)
-        best = min(best, time.perf_counter() - started)
-    return best
+def seconds_for(db, count):
+    started = time.perf_counter()
+    run_statements(db, count)
+    return time.perf_counter() - started
 
 
 def test_collector_overhead_within_budget(tmp_path):
     count = env_int("REPRO_DC_STATEMENTS", 300)
-    repeats = env_int("REPRO_DC_REPEATS", 3)
-    db = build(tmp_path / "db")
+    repeats = env_int("REPRO_DC_REPEATS", 7)
+    db_off, db = build(tmp_path / "off"), build(tmp_path / "on")
+    for leg in (db_off, db):
+        run_statements(leg, 50)  # warm caches on both paths
+    db_off.cluster.dc.enabled = False
 
-    run_statements(db, 50)  # warm caches on both paths
-
-    db.cluster.dc.enabled = False
-    off = best_seconds(db, count, repeats)
-    db.cluster.dc.enabled = True
-    on = best_seconds(db, count, repeats)
+    off = on = float("inf")
+    for _ in range(repeats):
+        off = min(off, seconds_for(db_off, count))
+        on = min(on, seconds_for(db, count))
 
     overhead = on / off - 1.0
     print_table(

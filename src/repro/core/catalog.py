@@ -93,14 +93,21 @@ class Catalog:
         return out
 
     def super_projection_for(self, table_name: str) -> ProjectionFamily:
-        """The (first) super projection family of a table."""
+        """The (first) super projection family of a table — one that
+        stores the table alone when there is one: a full-width prejoin
+        projection also qualifies, but its rows carry the dimension's
+        columns beside the table's own."""
         table = self.table(table_name)
-        for family in self.families_for_table(table_name):
-            if family.primary.is_super_for(table):
-                return family
-        raise UnknownObjectError(
-            f"table {table_name!r} has no super projection"
-        )
+        supers = [
+            family
+            for family in self.families_for_table(table_name)
+            if family.primary.is_super_for(table)
+        ]
+        if not supers:
+            raise UnknownObjectError(
+                f"table {table_name!r} has no super projection"
+            )
+        return min(supers, key=lambda family: family.primary.prejoin is not None)
 
     def check_super_projection_invariant(self, table_name: str) -> bool:
         """Section 3.2: every table must keep at least one super

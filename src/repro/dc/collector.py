@@ -19,9 +19,11 @@ sharing ``<database>/dc/`` (``requests_000001.log`` ...), the primitive
 the write-ahead journal sits on: CRC-framed records, atomic
 stage/publish per flush (fault points ``dc.flush.stage`` /
 ``dc.flush.publish`` for the kill-mid-flush chaos checks), rotation at
-``segment_records`` and recovery to a valid record prefix, never a
-torn middle.  Operational history so survives ``Database.open()`` cold
-starts; sealed segments past the retention cap are pruned.  The one
+``segment_records`` records or ``segment_log.SEGMENT_BYTES`` — a flush
+rewrites less than that beside its own records, never the component's
+history — and recovery to a valid record prefix, never a torn middle.
+Operational history so survives ``Database.open()`` cold starts; sealed
+segments past the retention cap are pruned.  The one
 exception is the ``profiles`` ring (per-operator query profiles): it is
 memory-only — no segment log, never batched for a flush — so profiling
 a SELECT writes nothing.
@@ -280,7 +282,7 @@ class DataCollector:
                 continue
             batch, ring.pending = ring.pending, []
             os.makedirs(self.directory, exist_ok=True)
-            written = ring.log.append(
+            cost = ring.log.append(
                 {
                     "id": record.record_id,
                     "tick": record.tick,
@@ -289,20 +291,23 @@ class DataCollector:
                 }
                 for record in batch
             )
-            METRICS.inc("dc.bytes_written", written)
+            METRICS.inc("dc.bytes_written", cost.written)
+            METRICS.inc("dc.bytes_framed", cost.framed)
             self._prune_segments(ring)
             METRICS.inc("dc.flushes")
 
     def _prune_segments(self, ring: _Ring) -> None:
-        """Drop the oldest sealed segments once the sealed-record total
-        exceeds the retention cap (the active segment never goes)."""
+        """Drop the oldest sealed segments the retention cap no longer
+        needs: those without which the sealed ones still hold
+        ``max_records`` (segments sealed by size differ in record count;
+        the active segment never goes)."""
         sealed = ring.log.sealed()
         total = sum(count for _, count in sealed)
         for index, count in sealed:
-            if total <= ring.max_records:
+            total -= count
+            if total < ring.max_records:
                 return
             ring.log.drop(index)
-            total -= count
             METRICS.inc("dc.segments_pruned")
 
     # -- cold-start recovery --------------------------------------------

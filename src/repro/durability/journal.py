@@ -7,11 +7,15 @@ stage/publish atomicity of every append and the cut to the longest
 valid record prefix at open are :mod:`repro.storage.segment_log`'s; a
 record body here is ``{"kind": ..., "lsn": ..., "payload": ...}``.
 
-Bounded replay.  Segments rotate after ``segment_records`` records.  A
-checkpoint snapshots the catalog, the durable floor epoch and the
-epoch counters; at cold start replay begins from the newest valid
-checkpoint, and sealed segments fully covered by it (no record past
-its LSN, no commit past the floor) are pruned.
+Bounded replay.  Segments rotate after ``segment_records`` records or
+``segment_log.SEGMENT_BYTES`` of them, so a bulk-load record seals its
+segment behind itself.  A checkpoint snapshots the catalog, the durable
+floor epoch and the epoch counters; at cold start replay begins from
+the newest valid checkpoint, and sealed segments fully covered by it (no
+record past its LSN, no commit past the floor) are pruned.  One is due
+every ``checkpoint_interval`` appends, or sooner when the floor has
+passed a sealed segment — when taking it frees a file — so what stays
+on disk is the replay window, not the history before it.
 
 Record kinds: ``genesis`` (cluster topology, first record ever),
 ``create_table`` / ``add_family`` / ``drop_table`` (catalog DDL),
@@ -271,13 +275,14 @@ class Journal:
             # point leaves the record on disk but never acknowledged): going
             # on would hand this LSN out twice, and replay cuts at a repeat
             self._in_doubt = True
-            written = self._log.append([{"kind": kind, "lsn": lsn, "payload": payload}])
+            cost = self._log.append([{"kind": kind, "lsn": lsn, "payload": payload}])
             self._in_doubt = False
             self._note(self._log.active_index, JournalRecord(lsn, kind, payload))
             self._next_lsn = lsn + 1
             self._appends_since_checkpoint += 1
             METRICS.inc("journal.appends")
-            METRICS.inc("journal.bytes_written", written)
+            METRICS.inc("journal.bytes_written", cost.written)
+            METRICS.inc("journal.bytes_framed", cost.framed)
             return lsn
 
     def _note(self, index: int, record: JournalRecord) -> None:
@@ -286,8 +291,16 @@ class Journal:
     # -- checkpointing -------------------------------------------------
 
     def should_checkpoint(self) -> bool:
-        """Whether enough records accumulated to warrant a checkpoint."""
-        return self._appends_since_checkpoint >= self.checkpoint_interval
+        """Whether a checkpoint pays: ``checkpoint_interval`` records
+        accumulated, or the floor has passed every commit of some sealed
+        segment, which the checkpoint would then prune."""
+        with self._lock:
+            if self._appends_since_checkpoint >= self.checkpoint_interval:
+                return True
+            return any(
+                self._segments[index].max_commit_epoch <= self.floor
+                for index, _ in self._log.sealed()
+            )
 
     def write_checkpoint(
         self, *, floor: int, current_epoch: int, ahm: int, catalog: dict

@@ -11,7 +11,11 @@ the body a JSON object with sorted keys and a ``"kind"``.  An append
 rewrites each segment it touches to a ``.tmp`` sibling and publishes it
 with one ``os.replace`` — the :mod:`repro.storage.fsio` stage/publish
 protocol ROS containers use — so a crash can never leave a half-written
-record *behind* the publish point.  Torn tails and bit flips that do
+record *behind* the publish point.  The segment being extended is sealed
+by record count or by size (:data:`SEGMENT_BYTES`), whichever comes
+first, so a record costs its own bytes plus less than that constant
+however large the records before it were, and a sealed segment is never
+written again.  Torn tails and bit flips that do
 reach a published segment fail the per-record CRC at
 :meth:`SegmentLog.open`, which cuts the log to its longest valid record
 prefix, exactly like recovery truncates a projection past its Last Good
@@ -30,6 +34,13 @@ from .. import faults
 from . import fsio
 
 SEGMENT_SUFFIX = ".log"
+#: Frame bytes at which the active segment is full, whatever its record
+#: count: what one append can be made to rewrite on top of its own
+#: frames.  8 KiB is ~55 single-row commits or two collector flushes,
+#: about what the record-count caps alone gave small records, and the
+#: smallest of the 4/8/16/32 KiB sweep (CHANGES.md, PR 19) that does not
+#: turn every collector flush into a file of its own.
+SEGMENT_BYTES = 8 * 1024
 
 
 def _frame(body: dict) -> str:
@@ -116,9 +127,19 @@ class FileFamily(NamedTuple):
             os.remove(staged.path(index))
 
 
+class Appended(NamedTuple):
+    """What one :meth:`SegmentLog.append` cost."""
+
+    #: Bytes handed to the device: every touched segment, whole.
+    written: int
+    #: Bytes of the frames the call added.
+    framed: int
+
+
 @dataclass
 class SegmentLog:
-    """One family of CRC-framed segment files, ``segment_records`` each.
+    """One family of CRC-framed segment files, each sealed at
+    ``segment_records`` records or :data:`SEGMENT_BYTES`.
 
     Not thread-safe: every field is owned by the enclosing
     ``Journal``/``DataCollector`` and guarded by that object's lock, the
@@ -134,6 +155,8 @@ class SegmentLog:
     active_index: int = field(default=1, init=False)
     #: Frames of the active segment (an append rewrites the file).
     _frames: list[bytes] = field(default_factory=list, init=False)
+    #: Their total length.
+    _bytes: int = field(default=0, init=False)
     #: segment index -> record count, segments holding records only.
     _counts: dict[int, int] = field(default_factory=dict, init=False)
 
@@ -141,21 +164,35 @@ class SegmentLog:
     def files(self) -> FileFamily:
         return FileFamily(self.directory, self.prefix, SEGMENT_SUFFIX)
 
-    def append(self, bodies: Iterable[dict]) -> int:
-        """Make ``bodies`` durable in order; returns the bytes written.
+    def append(self, bodies: Iterable[dict]) -> Appended:
+        """Make ``bodies`` durable in order; returns what that cost.
 
         Every segment the batch touches is rewritten whole — also one
         the batch fills and seals on its way to the next, whose last
-        records would otherwise never reach disk.  After a raise the
-        frames are held here but perhaps not on disk; a client that
-        numbers its records must reopen rather than number on.
+        records would otherwise never reach disk.  The active segment is
+        full at ``segment_records`` records or :data:`SEGMENT_BYTES` of
+        frames, so a call writes less than ``SEGMENT_BYTES`` on top of
+        its own frames whatever came before it, and a record larger than
+        that seals its segment behind itself.  Rotation is lazy: a full
+        segment stays the active one until the next record arrives, so
+        the newest file of the family is never a sealed one a client may
+        drop.  After a raise the frames are held here but perhaps not on
+        disk; a client that numbers its records must reopen rather than
+        number on.
         """
         touched: dict[int, list[bytes]] = {}
+        framed = 0
         for body in bodies:
-            if len(self._frames) >= self.segment_records:
+            if (
+                len(self._frames) >= self.segment_records
+                or self._bytes >= SEGMENT_BYTES
+            ):
                 self.active_index += 1
-                self._frames = []
-            self._frames.append(_frame(body).encode("utf-8"))
+                self._frames, self._bytes = [], 0
+            frame = _frame(body).encode("utf-8")
+            self._frames.append(frame)
+            self._bytes += len(frame)
+            framed += len(frame)
             touched[self.active_index] = self._frames
         written = 0
         for index, frames in touched.items():
@@ -165,7 +202,7 @@ class SegmentLog:
                 self.files.path(index), data, self.stage_point, self.publish_point
             )
             written += len(data)
-        return written
+        return Appended(written, framed)
 
     def open(
         self, valid: Callable[[dict], bool] | None = None
@@ -185,7 +222,8 @@ class SegmentLog:
         indexes = files.indexes()
         records: list[tuple[int, dict]] = []
         truncated = 0
-        self.active_index, self._frames, self._counts = 1, [], {}
+        self.active_index, self._frames, self._bytes = 1, [], 0
+        self._counts = {}
         for position, index in enumerate(indexes):
             with open(files.path(index), "rb") as handle:
                 raw = handle.read()
@@ -202,7 +240,8 @@ class SegmentLog:
                 offset += len(line)
             if frames:
                 # the last segment holding records is the one to extend
-                self.active_index, self._frames = index, frames
+                # (``offset`` is where its valid frames end: their bytes)
+                self.active_index, self._frames, self._bytes = index, frames, offset
                 self._counts[index] = len(frames)
             if offset < len(raw):
                 # an unterminated tail counts as the one record it tore

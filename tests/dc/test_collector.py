@@ -11,7 +11,10 @@ import pytest
 
 from repro.cluster.clock import SimulatedClock
 from repro.dc import COMPONENTS, DataCollector
+from repro.errors import InjectedFaultError
+from repro.faults import FaultPlan
 from repro.monitor.retention import RetentionPolicy
+from repro.storage.segment_log import SEGMENT_BYTES
 
 pytestmark = pytest.mark.dc
 
@@ -175,6 +178,60 @@ class TestPersistence:
         rows = reopened.rows("requests")
         assert len(rows) == 8
         assert rows[-1]["sql"] == "q39"
+
+    def test_pruning_keeps_the_retention_cap_across_byte_sealed_segments(
+        self, tmp_path
+    ):
+        """Segments sealed by size hold unequal record counts; pruning
+        must still leave the newest ``max_records`` on disk, or a reopen
+        would serve less history than the live ring did."""
+        dc = collector(
+            tmp_path,
+            persist=True,
+            flush_interval=1,
+            retention=RetentionPolicy(max_records=8),
+        )
+        bulky = "x" * (SEGMENT_BYTES // 3)
+        for i in range(60):  # runs of small records between bulky ones
+            dc.record("requests", "select", sql=f"q{i}", text=bulky * (i % 5 == 0))
+            on_disk = sum(
+                (tmp_path / "dc" / name).read_bytes().count(b"\n")
+                for name in os.listdir(tmp_path / "dc")
+            )
+            assert on_disk >= min(i + 1, 8)
+        assert 2 <= len(os.listdir(tmp_path / "dc")) <= 6  # and not all 60
+        reopened = collector(
+            tmp_path, persist=True, retention=RetentionPolicy(max_records=8)
+        )
+        assert [r["sql"] for r in reopened.rows("requests")] == [
+            f"q{i}" for i in range(52, 60)
+        ]
+
+    def test_kill_at_publish_between_byte_sealed_segments(self, tmp_path):
+        """A flush that seals a segment by size and opens the next dies
+        after publishing the first: recovery serves the record prefix
+        that reached disk and collecting goes on."""
+        dc = collector(tmp_path, persist=True, flush_interval=100)
+        dc.record("requests", "select", sql="q0")
+        dc.flush()
+        dc.record("requests", "select", sql="q1", text="x" * SEGMENT_BYTES)
+        dc.record("requests", "select", sql="q2")
+        plan = FaultPlan(seed=3).arm("dc.flush.publish", "crash")
+        with plan:
+            with pytest.raises(InjectedFaultError):
+                dc.flush()  # segment 1 = q0, q1 published; q2 never staged
+        assert plan.fired
+        assert sorted(os.listdir(tmp_path / "dc")) == ["requests_000001.log"]
+
+        reopened = collector(tmp_path, persist=True, flush_interval=100)
+        assert [r["sql"] for r in reopened.rows("requests")] == ["q0", "q1"]
+        reopened.record("requests", "select", sql="q3")
+        reopened.flush()  # the recovered tail is full: a new segment
+        assert sorted(os.listdir(tmp_path / "dc")) == [
+            "requests_000001.log", "requests_000002.log",
+        ]
+        rows = collector(tmp_path, persist=True).rows("requests")
+        assert [r["record_id"] for r in rows] == [1, 2, 3]
 
     def test_flush_straddling_rotation_loses_nothing(self, tmp_path):
         """Regression: a flush batch that fills the active segment

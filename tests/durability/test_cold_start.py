@@ -16,6 +16,7 @@ from repro.projections import (
     ProjectionDefinition,
     Replicated,
 )
+from repro.storage.segment_log import SEGMENT_BYTES
 
 
 def table(name="t"):
@@ -187,6 +188,15 @@ def stored_rows(db):
     ]
 
 
+def copy_histories(db):
+    """The ``dump_rows()`` history of every node x projection copy."""
+    return {
+        (node.index, copy.name): sorted(node.manager.dump_rows(copy.name), key=repr)
+        for node in db.cluster.nodes
+        for copy in db.cluster.catalog.all_projections()
+    }
+
+
 class TestCommitRecord:
     """A commit is its record: checked before it is journalled, then
     applied by the code that replays it.  Each of these left an
@@ -253,6 +263,63 @@ class TestCommitRecord:
         reopened = Database.open(str(tmp_path / "db"))
         assert capture(reopened) == before
         assert reopened.replay_report.rows_redeleted == 5
+
+    def test_prejoin_projection_named_first_does_not_serve_the_table(
+        self, tmp_path
+    ):
+        """Regression: a full-width prejoin projection whose name sorts
+        before ``<table>_super`` was taken for the super projection, so
+        ``read_table`` rows carried the dimension's columns and an UPDATE
+        (its re-inserted rows) failed validation."""
+        db = Database(str(tmp_path / "db"), node_count=3, k_safety=1)
+        db.create_table(
+            TableDefinition(
+                "dim",
+                [ColumnDef("d", types.INTEGER), ColumnDef("label", types.VARCHAR)],
+                primary_key=("d",),
+            ),
+            segmentation=Replicated(),
+        )
+        db.create_table(
+            TableDefinition(
+                "t",
+                [
+                    ColumnDef("k", types.INTEGER),
+                    ColumnDef("d", types.INTEGER),
+                    ColumnDef("x", types.INTEGER),
+                ],
+                primary_key=("k",),
+            ),
+            sort_order=["k"],
+        )
+        db.add_projection(
+            ProjectionDefinition(
+                name="a_t_pj",
+                anchor_table="t",
+                columns=[
+                    ProjectionColumn("k", types.INTEGER),
+                    ProjectionColumn("d", types.INTEGER),
+                    ProjectionColumn("x", types.INTEGER),
+                    ProjectionColumn("d_label", types.VARCHAR),
+                ],
+                sort_order=["d_label", "k"],
+                segmentation=HashSegmentation(("k",)),
+                prejoin=PrejoinSpec("dim", "d", "d", {"label": "d_label"}),
+            )
+        )
+        families = [f.primary.name for f in db.cluster.catalog.families_for_table("t")]
+        assert families == ["a_t_pj", "t_super"]
+        assert db.cluster.catalog.super_projection_for("t").primary.name == "t_super"
+        db.load("dim", [{"d": 0, "label": "even"}, {"d": 1, "label": "odd"}])
+        db.load("t", [{"k": i, "d": i % 2, "x": 10 * i} for i in range(8)])
+        db.run_tuple_movers()
+        db.sql("UPDATE t SET x = x + 1 WHERE d = 1")
+        read = db.cluster.read_table("t", db.latest_epoch)
+        assert all(set(row) == {"k", "d", "x"} for row in read)
+        assert sorted(row["x"] for row in read) == [0, 11, 20, 31, 40, 51, 60, 71]
+        before = copy_histories(db)
+        del db
+        assert copy_histories(Database.open(str(tmp_path / "db"))) == before
 
 
 class TestCrashPoints:
@@ -369,6 +436,37 @@ class TestCrashPoints:
         checkpoints[-1].write_bytes(bytes(damaged))
 
         reopened = Database.open(str(root), journal_checkpoint_interval=4)
+        assert reopened.replay_report.truncated_records == 0
+        assert capture(reopened) == before
+
+    def test_corrupt_checkpoint_taken_to_free_a_segment_loses_nothing(
+        self, tmp_path
+    ):
+        """The same fallback when the lost checkpoint is one no record
+        count called for: each load is over a segment's size budget,
+        seals it, and the next mover cycle checkpoints to prune it."""
+        root = tmp_path / "db"
+        db = build(root)  # default interval: 32 appends are never reached
+        bulk = SEGMENT_BYTES // 10
+        loaded = 0
+        for _ in range(3):
+            db.load("t", rows(bulk, start=loaded), direct_to_ros=True)
+            db.load("t", rows(2, start=loaded + bulk))
+            loaded += bulk + 2
+            db.run_tuple_movers()
+        db.load("t", rows(3, start=loaded))
+        assert db.cluster.journal.record_count() < 32
+        before = capture(db)
+        del db
+        journal_dir = root / "journal"
+        checkpoints = sorted(journal_dir.glob("ckpt_*.json"))
+        assert [c.name for c in checkpoints] == ["ckpt_000002.json", "ckpt_000003.json"]
+        assert sorted(journal_dir.glob("seg_*.log"))[0].name != "seg_000001.log"
+        damaged = bytearray(checkpoints[-1].read_bytes())
+        damaged[len(damaged) // 2] ^= 0x01
+        checkpoints[-1].write_bytes(bytes(damaged))
+
+        reopened = Database.open(str(root))
         assert reopened.replay_report.truncated_records == 0
         assert capture(reopened) == before
 

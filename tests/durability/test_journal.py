@@ -16,9 +16,11 @@ from repro.durability import (
     encode_family,
     encode_table,
 )
-from repro.storage.segment_log import _frame, _parse_line
+from repro.storage import segment_log
+from repro.storage.segment_log import SEGMENT_BYTES, _frame, _parse_line
 from repro.errors import DurabilityError, InjectedFaultError
 from repro.faults import FaultPlan
+from repro.monitor import METRICS
 from repro.projections.projection import (
     ProjectionFamily,
     make_buddy,
@@ -43,12 +45,44 @@ def make_journal(tmp_path, **kwargs):
     return Journal.create(str(tmp_path / "journal"), GENESIS, **kwargs)
 
 
+def read_all(directory):
+    found = {}
+    for name in sorted(os.listdir(directory)):
+        with open(os.path.join(directory, name), "rb") as handle:
+            found[name] = handle.read()
+    return found
+
+
 def segment_files(directory):
     return sorted(n for n in os.listdir(directory) if n.startswith("seg_"))
 
 
 def checkpoint_files(directory):
     return sorted(n for n in os.listdir(directory) if n.startswith("ckpt_"))
+
+
+CATALOG = {"tables": [], "families": []}
+
+
+def commit(journal, epoch, row_count=1):
+    """Journal one commit of ``row_count`` rows; returns how many bytes
+    the append wrote and how many of them were its own frame."""
+    counters = ("journal.bytes_written", "journal.bytes_framed")
+    before = [METRICS.counter(name) for name in counters]
+    journal.log_commit(
+        epoch=epoch,
+        snapshot_epoch=epoch - 1,
+        inserts={"t": [{"k": k, "v": "row"} for k in range(row_count)]},
+        deletes=[],
+        direct_to_ros=row_count > 1,
+    )
+    return tuple(
+        METRICS.counter(name) - was for name, was in zip(counters, before)
+    )
+
+
+#: Rows of a commit record several times the size budget of a segment.
+BULK = SEGMENT_BYTES // 4
 
 
 class TestFraming:
@@ -176,6 +210,46 @@ class TestRotationAndCheckpoints:
         journal.log_floor(2)
         assert journal.should_checkpoint()  # genesis + two floors
 
+    def test_should_checkpoint_when_it_frees_a_segment(self, tmp_path):
+        directory = str(tmp_path / "journal")
+        journal = make_journal(tmp_path, checkpoint_interval=100)
+        commit(journal, 1, BULK)
+        # over the budget, but in the active segment: nothing to free
+        assert segment_files(directory) == ["seg_000001.log"]
+        assert not journal.should_checkpoint()
+        commit(journal, 2)  # seals segment 1 behind the bulk record
+        assert segment_files(directory) == ["seg_000001.log", "seg_000002.log"]
+        assert not journal.should_checkpoint()  # epoch 1 is above the floor
+        journal.log_floor(1)
+        assert journal.should_checkpoint()
+        journal.write_checkpoint(floor=1, current_epoch=3, ahm=0, catalog=CATALOG)
+        assert segment_files(directory) == ["seg_000002.log"]
+        assert not journal.should_checkpoint()  # it freed what there was
+
+        replay = Journal.open(directory).last_replay
+        assert [(r.lsn, r.kind) for r in replay.records] == [(2, "commit"), (3, "floor")]
+        assert (replay.checkpoint_lsn, replay.truncated_records) == (3, 0)
+
+    def test_newest_segment_stays_when_every_record_is_covered(self, tmp_path):
+        """Rotation is lazy so that the newest segment file is never a
+        sealed one: ``Journal.exists`` goes by it."""
+        directory = str(tmp_path / "journal")
+        journal = make_journal(tmp_path, checkpoint_interval=100)
+        commit(journal, 1, BULK)
+        journal.log_floor(1)  # the full segment seals; the floor opens segment 2
+        assert journal.should_checkpoint()
+        journal.write_checkpoint(floor=1, current_epoch=2, ahm=0, catalog=CATALOG)
+        assert segment_files(directory) == ["seg_000002.log"]
+        assert Journal.exists(directory)
+
+        reopened = Journal.open(directory)
+        replay = reopened.last_replay
+        assert [(r.lsn, r.kind) for r in replay.records] == [(2, "floor")]
+        assert (replay.checkpoint_lsn, replay.truncated_records) == (2, 0)
+        assert not reopened.should_checkpoint()
+        commit(reopened, 2)
+        assert Journal.open(directory).last_replay.records[-1].lsn == 3
+
     def test_old_checkpoints_pruned(self, tmp_path):
         directory = str(tmp_path / "journal")
         journal = make_journal(tmp_path)
@@ -188,6 +262,72 @@ class TestRotationAndCheckpoints:
                 catalog={"tables": [], "families": []},
             )
         assert len(checkpoint_files(directory)) == 2  # CHECKPOINTS_RETAINED
+
+
+class TestAppendCost:
+    """A record costs its own bytes: counts, not timings."""
+
+    def test_single_row_commit_costs_the_same_whatever_was_loaded(self, tmp_path):
+        empty = make_journal(tmp_path / "empty")
+        commit(empty, 1)
+        written_empty, framed_empty = commit(empty, 2)
+        loaded = make_journal(tmp_path / "loaded")
+        commit(loaded, 1, 50_000)
+        commit(loaded, 2)
+        written_loaded, framed_loaded = commit(loaded, 3)
+        assert framed_loaded == framed_empty  # the same record
+        # each rewrites the single-row commit before it beside its own
+        # frame, and in the empty journal the genesis they share a
+        # segment with; the 50,000 rows stay where they are
+        assert written_loaded == 2 * framed_loaded
+        genesis = _frame({"kind": "genesis", "lsn": 0, "payload": GENESIS})
+        assert written_empty == written_loaded + len(genesis)
+
+    def test_reopen_mid_segment_continues_it_to_the_budget(self, tmp_path):
+        """The byte count of the recovered tail is the one the writer
+        had: a journal reopened mid-segment lays out the same files."""
+        straight = make_journal(tmp_path / "straight")
+        reopened = make_journal(tmp_path / "reopened")
+        for epoch in range(1, 3 * SEGMENT_BYTES // 900):  # ~900 bytes each
+            commit(straight, epoch, 40)
+            commit(reopened, epoch, 40)
+            if epoch == 3:
+                (active,) = read_all(reopened.directory).values()
+                assert len(active) < SEGMENT_BYTES
+                reopened = Journal.open(reopened.directory)
+        files = read_all(straight.directory)
+        assert len(files) > 2
+        for name in sorted(files)[:-1]:  # sealed by size, never at 64 records
+            assert SEGMENT_BYTES <= len(files[name]) < SEGMENT_BYTES + 1024
+            assert files[name].count(b"\n") < 64
+        assert read_all(reopened.directory) == files
+
+    def test_recovered_tail_over_the_budget_seals_on_the_first_append(
+        self, tmp_path, monkeypatch
+    ):
+        """A journal written before segments sealed by size opens as it
+        is; its over-long tail is simply full."""
+        directory = str(tmp_path / "journal")
+        with monkeypatch.context() as patch:
+            patch.setattr(segment_log, "SEGMENT_BYTES", 1 << 40)
+            old = make_journal(tmp_path)
+            commit(old, 1, BULK)
+            for epoch in range(2, 6):
+                commit(old, epoch)
+        assert segment_files(directory) == ["seg_000001.log"]
+        tail = read_all(directory)["seg_000001.log"]
+        assert len(tail) > SEGMENT_BYTES
+
+        journal = Journal.open(directory)
+        assert [r.lsn for r in journal.last_replay.records] == list(range(6))
+        written, framed = commit(journal, 6)
+        assert written == framed
+        after = read_all(directory)
+        assert sorted(after) == ["seg_000001.log", "seg_000002.log"]
+        assert after["seg_000001.log"] == tail
+        assert [r.lsn for r in Journal.open(directory).last_replay.records] == list(
+            range(7)
+        )
 
 
 class TestDamageRecovery:

@@ -96,3 +96,22 @@ def test_capture_nests_safely(db):
         METRICS.inc("nest.outer")
     assert inner.deltas == {"nest.inner": 2}
     assert outer.deltas == {"nest.outer": 2, "nest.inner": 2}
+
+
+def test_log_write_amplification_is_one_select(db):
+    """Written beside framed bytes, per log client: how much of what
+    the journal and the Data Collector hand the device is rewriting."""
+    for i in range(50, 90):
+        db.sql(f"INSERT INTO t VALUES ({i})")
+    db.cluster.dc.flush()
+    rows = db.sql(
+        "SELECT name, value FROM v_monitor.metrics WHERE name IN "
+        "('journal.bytes_written', 'journal.bytes_framed', "
+        "'dc.bytes_written', 'dc.bytes_framed')"
+    )
+    value = {row["name"]: row["value"] for row in rows}
+    for client in ("journal", "dc"):
+        assert 0 < value[f"{client}.bytes_framed"] <= value[f"{client}.bytes_written"]
+    # "sealed" needs no column: it is every segment but the active one
+    active = db.sql("SELECT bytes FROM v_monitor.journal WHERE is_active")
+    assert len(active) == 1

@@ -15,23 +15,28 @@ from hypothesis import strategies as st
 from repro.cluster.clock import SimulatedClock
 from repro.dc import DataCollector
 from repro.durability import Journal
-from repro.storage.segment_log import SegmentLog
+from repro.storage.segment_log import SEGMENT_BYTES, SegmentLog, _frame
 
 SEGMENT_RECORDS = 3
 
 
-def make_log(directory, prefix="seg_"):
+def make_log(directory, prefix="seg_", segment_records=SEGMENT_RECORDS):
     return SegmentLog(
         directory,
         prefix,
-        segment_records=SEGMENT_RECORDS,
+        segment_records=segment_records,
         stage_point="journal.append.stage",
         publish_point="journal.append.publish",
     )
 
 
-def bodies(start, count):
-    return [{"kind": "k", "n": n} for n in range(start, start + count)]
+def bodies(start, count, big=()):
+    """Records numbered from ``start``; one whose number is in ``big``
+    is by itself larger than the size budget of a segment."""
+    return [
+        {"kind": "k", "n": n, **({"pad": "x" * SEGMENT_BYTES} if n in big else {})}
+        for n in range(start, start + count)
+    ]
 
 
 def dense_from_zero():
@@ -83,15 +88,17 @@ def damage(directory, kind, pick):
     pick=st.integers(0, 2**20),
     checked=st.booleans(),
     extra=st.integers(1, SEGMENT_RECORDS + 1),
+    # which records are bulk ones, sealing their segment by size
+    big=st.sets(st.integers(0, 5 * (2 * SEGMENT_RECORDS + 1) + SEGMENT_RECORDS)),
 )
 def test_open_recovers_a_prefix_and_the_log_extends_from_it(
-    batches, kind, pick, checked, extra
+    batches, kind, pick, checked, extra, big
 ):
     with tempfile.TemporaryDirectory() as directory:
         log = make_log(directory)
         appended = 0
         for size in batches:
-            log.append(bodies(appended, size))
+            log.append(bodies(appended, size, big))
             appended += size
         if published(directory):
             damage(directory, kind, pick)
@@ -110,12 +117,62 @@ def test_open_recovers_a_prefix_and_the_log_extends_from_it(
             assert (len(recovered), truncated) == (appended, 0)
         assert not [n for n in os.listdir(directory) if n.endswith(".tmp")]
 
-        reopened.append(bodies(len(recovered), extra))
+        reopened.append(bodies(len(recovered), extra, big))
         again, truncated = make_log(directory).open(valid=dense_from_zero())
         assert [body["n"] for _, body in again] == list(
             range(len(recovered) + extra)
         )
         assert truncated == 0
+
+
+def file_states(directory):
+    states = {}
+    for name in published(directory):
+        path = os.path.join(directory, name)
+        with open(path, "rb") as handle:
+            stat = os.stat(path)
+            states[name] = (handle.read(), stat.st_mtime_ns, stat.st_ino)
+    return states
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    # padding of each body of each batch: small records, ones that fill
+    # the budget between them, and ones that overflow it alone
+    batches=st.lists(
+        st.lists(
+            st.sampled_from([0, 0, 0, 300, SEGMENT_BYTES // 3, SEGMENT_BYTES + 1]),
+            max_size=5,
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+    segment_records=st.sampled_from([SEGMENT_RECORDS, 1000]),
+    reopen_at=st.integers(0, 8),
+)
+def test_an_append_costs_its_frames_and_less_than_the_budget(
+    batches, segment_records, reopen_at
+):
+    """Whatever was appended before: a call writes less than
+    ``SEGMENT_BYTES`` beside the frames it adds, and a segment that has
+    a successor is never published again."""
+    with tempfile.TemporaryDirectory() as directory:
+        log = make_log(directory, segment_records=segment_records)
+        sealed, appended = {}, 0
+        for step, pads in enumerate(batches):
+            if step == reopen_at:  # the recovered tail keeps the count
+                log = make_log(directory, segment_records=segment_records)
+                log.open()
+            batch = [{"kind": "k", "pad": "x" * pad} for pad in pads]
+            frames = sum(len(_frame(body).encode("utf-8")) for body in batch)
+            appended += frames
+            cost = log.append(batch)
+            assert cost.framed == frames <= cost.written
+            assert cost.written < SEGMENT_BYTES + frames
+            states = file_states(directory)
+            for name in sorted(states)[:-1]:
+                assert sealed.setdefault(name, states[name]) == states[name], name
+        assert sum(len(data) for data, _, _ in states.values()) == appended
 
 
 def test_open_leaves_another_log_in_the_directory_alone(tmp_path):

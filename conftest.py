@@ -2,7 +2,8 @@
 
 Puts ``src/`` on sys.path so the test and benchmark suites run against
 the in-tree package even when it has not been pip-installed (useful in
-offline environments where editable installs are awkward), and turns
+offline environments where editable installs are awkward) and ``tests/``
+so test modules can share ``storage_helpers``, and turns
 on the replint runtime sanitizer for the whole suite so every test run
 doubles as an invariant check (CI sets nothing; opt out locally with
 ``REPRO_SANITIZE=0``).
@@ -12,6 +13,7 @@ import os
 import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "src"))
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "tests"))
 
 import pytest  # noqa: E402
 

@@ -32,7 +32,6 @@ from ..errors import (
 )
 from ..monitor import METRICS
 from ..storage import ScavengeReport, StorageManager
-from ..storage.manager import multiset_predicate
 from ..projections import (
     HashSegmentation,
     PrejoinSpec,
@@ -283,8 +282,9 @@ class Cluster:
         reject it.  Inserts go table by table in name order (a function
         of the record alone: the transaction's statement order is not
         journalled) into every projection copy; deletes mark the
-        record's row multiset by value, through
-        :func:`multiset_predicate`, in every copy, covered or narrow.
+        record's row multiset by value
+        (:meth:`StorageManager.delete_where`) in every copy, covered or
+        narrow.
         """
         epoch = record["epoch"]
         targets = set(self.membership.up) if only_nodes is None else set(only_nodes)
@@ -317,15 +317,12 @@ class Cluster:
                         ),
                     )
         for delete in record["deletes"]:
-            if not delete["rows"]:
-                continue  # nothing to find: do not decode every copy
             for copy in copies(delete["table"]):
-                fresh = multiset_predicate(delete["rows"], copy.own_column_names)
                 for node_index in sorted(targets):
                     on_node(
                         node_index,
                         lambda manager: manager.delete_where(
-                            copy.name, fresh(), epoch, record["snapshot_epoch"]
+                            copy.name, delete["rows"], epoch, record["snapshot_epoch"]
                         ),
                     )
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 from ..errors import ClusterError, DataUnavailableError
 from ..projections import ProjectionFamily
-from ..storage.manager import multiset_predicate, truncate_outcome_counts
+from ..storage.manager import truncate_outcome_counts
 from ..trace import TRACER
 from ..txn import LockMode
 from .cluster import Cluster
@@ -244,7 +244,7 @@ def _replay_window(manager, projection_name, records, from_epoch, to_epoch):
             by_epoch.setdefault(delete_epoch, []).append(row)
     for delete_epoch, rows in sorted(by_epoch.items()):
         manager.delete_where(
-            projection_name, multiset_predicate(rows, sorted(rows[0]))(),
+            projection_name, rows,
             commit_epoch=delete_epoch, snapshot_epoch=delete_epoch - 1,
         )
     return len(loaded)

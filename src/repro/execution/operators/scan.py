@@ -135,7 +135,7 @@ class ScanOperator(Operator):
             if self.failure_probe is not None:
                 self.failure_probe()
             sorted_by = None
-            if batch.sorted_run and batch.sort_columns:
+            if batch.sort_columns:
                 sorted_by = _sorted_prefix(batch.sort_columns, needed_set)
             block = RowBlock(
                 columns=batch.columns,

@@ -121,9 +121,14 @@ class ServiceSession:
             raise TransactionError(
                 f"session {self.session_id} is closed"
             )
-        writes = self._classify(text)
+        from ..sql.parser import parse
+
+        # the statement's one parse: it says, before admission, whether
+        # the statement writes (no guessing from keywords) and rejects a
+        # malformed one; the front end is handed the result
+        statement = parse(text)
         service = self.service
-        if writes:
+        if type(statement).__name__ in _WRITE_STATEMENTS:
             service.require_writable()
         token = CancelToken(
             clock=service.clock,
@@ -149,7 +154,7 @@ class ServiceSession:
             raise
         self.state = RUNNING
         try:
-            result = self._run_governed(text, copy_rows, ticket)
+            result = self._run_governed(text, copy_rows, ticket, statement)
             self.statements_run += 1
             return result
         except QuorumLossError as exc:
@@ -168,7 +173,7 @@ class ServiceSession:
             if self.state != CLOSED:
                 self.state = IDLE
 
-    def _run_governed(self, text: str, copy_rows, ticket):
+    def _run_governed(self, text: str, copy_rows, ticket, statement):
         """The single sanctioned entry into the SQL front end (replint
         R11): every service statement reaches ``execute_sql`` through
         here, carrying a pool grant, a cancel token, and the statement
@@ -182,7 +187,9 @@ class ServiceSession:
             query_memory_rows=ticket.memory_rows
         )
         with service.gate.shared():
-            result = execute_sql(self._core, text, copy_rows=copy_rows)
+            result = execute_sql(
+                self._core, text, copy_rows=copy_rows, statement=statement
+            )
         if service.autocommit and self._core.txn is not None:
             if self._core.txn.has_dml:
                 self.commit()
@@ -235,15 +242,3 @@ class ServiceSession:
             self._core.rollback()
         self.state = CLOSED
         self.service._forget(self.session_id)
-
-    # -- helpers -----------------------------------------------------------
-
-    @staticmethod
-    def _classify(text: str) -> bool:
-        """Whether the statement writes data or metadata.  Parses the
-        text (the front end parses again — two cheap parses beat
-        guessing from keywords and misclassifying a write)."""
-        from ..sql.parser import parse
-
-        statement = parse(text)
-        return type(statement).__name__ in _WRITE_STATEMENTS

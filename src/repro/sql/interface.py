@@ -54,13 +54,17 @@ def _single_table_scope(catalog, table_name: str) -> Scope:
 
 
 def execute_sql(
-    session: "Session", text: str, copy_rows: Iterable | None = None
+    session: "Session",
+    text: str,
+    copy_rows: Iterable | None = None,
+    statement: object | None = None,
 ) -> object:
     """Execute one SQL statement in ``session``.
 
     Returns rows for SELECT, a plan string for EXPLAIN, a
     :class:`CopyResult` for COPY, and ``None`` / counts for other
-    statements.
+    statements.  ``statement`` is ``text`` already parsed (the governed
+    session parses before admission); without it the text is parsed here.
 
     This is where a statement's trace begins and ends: when tracing is
     enabled (``REPRO_TRACE=1`` or ``TRACER.configure``), the whole
@@ -83,7 +87,9 @@ def execute_sql(
     info = {"kind": "unknown", "skip": False}
     started = perf_counter()
     try:
-        result = _execute_statement(session, text, copy_rows, trace, info)
+        result = _execute_statement(
+            session, text, copy_rows, trace, info, statement
+        )
     except Exception as exc:
         _record_request(
             session, text, info, perf_counter() - started, error=exc
@@ -153,14 +159,15 @@ def _record_request(
         )
 
 
-def _execute_statement(session, text, copy_rows, trace, info=None):
+def _execute_statement(session, text, copy_rows, trace, info=None, statement=None):
     db = session.db
     from ..trace import TRACER
 
     if info is None:
         info = {}
-    with TRACER.span("sql.parse", category="sql"):
-        statement = parse(text)
+    if statement is None:
+        with TRACER.span("sql.parse", category="sql"):
+            statement = parse(text)
     info["kind"] = (
         type(statement).__name__.removesuffix("Statement").lower()
     )

@@ -7,10 +7,10 @@
     implicit and are never stored explicitly.  (section 3.7)
 
 :class:`ColumnWriter` produces the two byte streams; :class:`ColumnReader`
-serves decoded values by position, whole-column reads, and block
-iteration with min/max pruning.  The reader is also where "fast tuple
-reconstruction" happens: fetching the value at position *p* touches a
-single block located through the index, never a full-file scan.
+serves decoded values by position, whole-column reads, and position
+ranges pruned by the index's min/max.  The reader is also where "fast
+tuple reconstruction" happens: fetching the value at position *p* touches
+a single block located through the index, never a full-file scan.
 """
 
 from __future__ import annotations
@@ -228,30 +228,12 @@ class ColumnReader:
         info = self.blocks[block_index]
         return self.block_values(block_index)[position - info.start_position]
 
-    def get_many(self, positions) -> list:
-        """Values at many positions (need not be sorted)."""
-        return [self.get(position) for position in positions]
-
-    def iter_blocks(self, low=None, high=None):
-        """Yield ``(BlockInfo, values)`` for blocks overlapping [low, high].
-
-        With no bounds every block is yielded; with bounds, blocks are
-        pruned via their min/max metadata without being decoded.
-        """
-        for index, info in enumerate(self.blocks):
-            if low is None and high is None:
-                yield info, self.block_values(index)
-            elif info.may_contain(low, high) or info.null_count:
-                yield info, self.block_values(index)
-            else:
-                METRICS.inc("storage.blocks_pruned")
-
     def position_range_for(self, low, high) -> tuple[int, int]:
         """Smallest [start, end) position range covering all blocks
         that may hold values in [low, high] — pure metadata, no decode.
 
-        Used by the scan fast path on sorted columns: a range predicate
-        on the sort column maps to a contiguous run of blocks.
+        The first step of the container walk: on a sorted column a
+        range predicate maps to a contiguous run of blocks.
         """
         start = None
         end = 0

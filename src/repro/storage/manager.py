@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import os
 import shutil
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, repeat
@@ -27,8 +28,9 @@ from ..errors import StorageError, UnknownObjectError
 from ..monitor import METRICS
 from ..projections import HashSegmentation, ProjectionDefinition
 from . import fsio
+from .block import BLOCK_ROWS
 from .delete_vector import DeleteVector, combined_deletes
-from .ros import ROSContainer
+from .ros import EPOCH_COLUMN, ROSContainer
 from .wos import DEFAULT_WOS_CAPACITY, WriteOptimizedStore
 
 #: Subdirectory of a projection's storage where corrupt containers are
@@ -53,34 +55,6 @@ def truncate_outcome_counts(since: dict[str, int] | None = None) -> dict[str, in
         if since is not None:
             counts[key] -= since[key]
     return counts
-
-
-def multiset_predicate(rows: list[dict], names: list[str]):
-    """Factory of :meth:`StorageManager.delete_where` predicates that
-    delete the row multiset ``rows`` by value.
-
-    Rows are keyed by ``repr`` of each column in ``names``; every call
-    of the returned factory yields a predicate with a fresh budget (one
-    per node / projection copy), which accepts a row while its key has
-    budget left.  The one by-value delete matcher, on every copy:
-    ``Cluster.apply_commit`` (a live commit and its cold-start replay
-    alike) and recovery's ``_replay_window`` find victims through it.
-    """
-    budget = Counter(tuple(repr(row[name]) for name in names) for row in rows)
-
-    def fresh():
-        remaining = Counter(budget)
-
-        def take(row: dict) -> bool:
-            key = tuple(repr(row[name]) for name in names)
-            if remaining[key] > 0:
-                remaining[key] -= 1
-                return True
-            return False
-
-        return take
-
-    return fresh
 
 
 @dataclass
@@ -127,12 +101,8 @@ class ScanBatch:
 
     columns: dict[str, list]
     row_count: int
-    #: container id the batch came from, or None for the WOS.
-    source: int | None
-    #: True when rows are in projection sort order within the batch.
-    sorted_run: bool
-    #: The projection sort order (major first) when ``sorted_run``;
-    #: lets the execution kernels binary-search and detect runs.
+    #: The projection sort order (major first) — every batch is a sorted
+    #: run; lets the execution kernels binary-search and detect runs.
     sort_columns: tuple | None = None
 
 
@@ -436,36 +406,74 @@ class StorageManager:
     def delete_where(
         self,
         projection_name: str,
-        predicate,
+        rows: list[dict],
         commit_epoch: int,
         snapshot_epoch: int,
     ) -> int:
-        """Mark rows matching ``predicate(row)`` deleted at ``commit_epoch``.
+        """Mark the row multiset ``rows`` deleted at ``commit_epoch``, by
+        value, among the rows visible at ``snapshot_epoch`` (delete never
+        modifies storage; it appends delete vectors).  Returns the
+        number of rows marked.
 
-        Rows are located in the snapshot visible at ``snapshot_epoch``
-        (delete never modifies storage; it appends delete vectors).
-        Returns the number of rows marked.
+        Rows match on the copy's columns they carry (a prejoin copy on
+        its own columns, a narrow copy on its subset), keyed by ``repr``
+        of each value, one budget per call: a stored row is marked while
+        its key has budget left — WOS first, then containers by
+        ascending id, positions ascending, so a live commit and its
+        replay mark the same rows.  The victims' per-column (min, max)
+        skip containers and blocks before anything is decoded, and a
+        column is compared only for the rows the columns before it left.
         """
         state = self._state(projection_name)
+        if not rows:
+            return 0
+        names = [n for n in state.projection.column_names if n in rows[0]]
+        budget = Counter(tuple(repr(row[name]) for name in names) for row in rows)
+        wanted = list(map(set, zip(*budget)))  # per column: the victims' reprs
         deleted = 0
+
+        def take(key: tuple) -> bool:
+            if budget[key] > 0:
+                budget[key] -= 1
+                return True
+            return False
+
         for position, row in state.wos.visible(snapshot_epoch):
-            if predicate(row):
+            if take(tuple(repr(row[name]) for name in names)):
                 state.wos.delete_epochs[position] = commit_epoch
                 deleted += 1
-        for container_id in state.containers:
-            for position, row, epoch, delete_epoch in self.container_history(
-                projection_name, container_id
+        bounds = {}
+        for name in names:
+            values = [row[name] for row in rows]
+            # NULL and NaN order against nothing: no bound through them
+            if not any(value is None or value != value for value in values):
+                bounds[name] = min(values), max(values)
+        for container_id in sorted(state.containers):
+            container = state.containers[container_id]
+            if deleted == len(rows) or not all(
+                container.may_contain(name, low, high)
+                for name, (low, high) in bounds.items()
             ):
-                if epoch > snapshot_epoch:
-                    continue
-                if delete_epoch is not None and delete_epoch <= snapshot_epoch:
-                    continue
-                if predicate(row):
-                    vector = state.pending_ros_deletes.setdefault(
-                        container_id, DeleteVector(container_id)
-                    )
-                    vector.add(position, commit_epoch)
-                    deleted += 1
+                continue
+            for _, start, end, visible in self._visible_pieces(
+                state, container, snapshot_epoch, names, bounds
+            ):
+                candidates = (
+                    range(end - start) if visible is None else visible.positions()
+                )
+                columns = []
+                for name, reprs in zip(names, wanted):
+                    if not candidates:
+                        break
+                    values = container.read_range(name, start, end)
+                    columns.append(values)
+                    candidates = [p for p in candidates if repr(values[p]) in reprs]
+                for offset in candidates:
+                    if take(tuple(repr(values[offset]) for values in columns)):
+                        state.pending_ros_deletes.setdefault(
+                            container_id, DeleteVector(container_id)
+                        ).add(start + offset, commit_epoch)
+                        deleted += 1
         return deleted
 
     def persist_delete_vectors(self, projection_name: str) -> int:
@@ -700,20 +708,17 @@ class StorageManager:
         epoch: int,
         columns: list[str] | None = None,
         prune: dict[str, tuple] | None = None,
-        batch_rows: int = 8192,
-        include_deleted: bool = False,
         vectorized: bool = False,
     ):
         """Yield :class:`ScanBatch` es of rows visible at ``epoch``.
 
         ``prune`` maps column name -> (low, high) and eliminates whole
-        containers via their min/max metadata before any data is read.
-        ``include_deleted`` disables delete-vector filtering (recovery
-        must copy deleted-but-unpurged rows, section 5.2).
-        ``vectorized`` asks for encoded column vectors instead of value
-        lists where the container allows it (fully visible, no deletes);
-        batches are then cut at storage-block boundaries so block-local
-        dictionaries stay valid.
+        containers via their min/max metadata, then blocks via the
+        position index, before any data is read.  ``vectorized`` asks
+        for encoded column vectors instead of value lists.  Either way
+        a batch never crosses a storage block, so block-local
+        dictionaries stay valid, and rows deleted at ``epoch`` are
+        selected out of it, not decoded around.
         """
         state = self._state(projection_name)
         names = columns or [c.name for c in state.projection.columns]
@@ -729,59 +734,13 @@ class StorageManager:
                 continue
             METRICS.inc("storage.containers_scanned")
             yield from self._scan_container(
-                state, container, epoch, names, batch_rows, include_deleted,
-                prune, vectorized, sort_columns,
+                state, container, epoch, names, prune, vectorized, sort_columns
             )
-        yield from self._scan_wos(
-            state, epoch, names, batch_rows, include_deleted, sort_columns
-        )
-
-    def _scan_container(
-        self, state, container, epoch, names, batch_rows, include_deleted,
-        prune=None, vectorized=False, sort_columns=None,
-    ):
-        deletes = {} if include_deleted else state.deletes_for(container.container_id)
-        # fast path: fully visible container, no deletes -> block-level
-        # pruning via the position index plus slice-based batching.
-        if not deletes and container.meta.max_epoch <= epoch:
-            if vectorized:
-                yield from self._scan_container_vectorized(
-                    container, names, batch_rows, prune, sort_columns
-                )
-            else:
-                yield from self._scan_container_fast(
-                    container, names, batch_rows, prune, sort_columns
-                )
-            return
-        epochs = container.read_epochs()
-        keep = [
-            position
-            for position in range(container.row_count)
-            if epochs[position] <= epoch
-            and not (
-                (delete_epoch := deletes.get(position)) is not None
-                and delete_epoch <= epoch
-            )
-        ]
-        if not keep:
-            return
-        data = container.read_columns(names)
-        for start in range(0, len(keep), batch_rows):
-            chunk = keep[start : start + batch_rows]
-            yield ScanBatch(
-                columns={
-                    name: [data[name][position] for position in chunk]
-                    for name in names
-                },
-                row_count=len(chunk),
-                source=container.container_id,
-                sorted_run=True,
-                sort_columns=sort_columns,
-            )
+        yield from self._scan_wos(state, epoch, names, sort_columns)
 
     def _pruned_position_range(self, container, prune) -> tuple[int, int]:
         """Intersect pruned position ranges of restricted (ungrouped)
-        columns — the shared first step of both fast-path scans."""
+        columns — the first step of the columnar walk."""
         start, end = 0, container.row_count
         if prune:
             for column, (low, high) in prune.items():
@@ -796,114 +755,113 @@ class StorageManager:
                 end = min(end, hi)
         return start, end
 
-    def _scan_container_fast(
-        self, container, names, batch_rows, prune, sort_columns=None
-    ):
-        """Scan an immutable, fully-visible container: intersect the
-        pruned position ranges of all restricted (ungrouped) columns,
-        then slice every needed column to that range."""
-        start, end = self._pruned_position_range(container, prune)
-        if start >= end:
-            return
-        data = {}
-        for name in names:
-            if container._group_of(name) is not None:
-                data[name] = container.read_column(name)[start:end]
-            else:
-                data[name] = container.column_reader(name).read_range(start, end)
-        total = end - start
-        for offset in range(0, total, batch_rows):
-            yield ScanBatch(
-                columns={
-                    name: values[offset : offset + batch_rows]
-                    for name, values in data.items()
-                },
-                row_count=min(batch_rows, total - offset),
-                source=container.container_id,
-                sorted_run=True,
-                sort_columns=sort_columns,
-            )
+    def _visible_pieces(self, state, container, epoch, names, prune):
+        """The one columnar walk of a container: yield ``(block_index,
+        start, end, visible)`` for every piece of the pruned position
+        range holding a row visible at ``epoch``.
 
-    def _scan_container_vectorized(
-        self, container, names, batch_rows, prune, sort_columns=None
-    ):
-        """Fast-path scan that keeps columns in their encoded form.
-
-        One batch per storage block (all ungrouped columns share block
-        boundaries — they were written by the same :class:`ColumnWriter`
-        cadence), so block-local dictionary codes stay meaningful for
-        the whole batch.  Columns stored in a row-major group have no
-        per-column encoding and are sliced plain.
+        Pieces are cut at the storage blocks of the first ungrouped
+        column of ``names`` (all ungrouped columns share block
+        boundaries — the same :class:`ColumnWriter` cadence wrote them);
+        when every one is row-grouped ``block_index`` is None and pieces
+        are ``BLOCK_ROWS`` long.  ``visible`` is None when every row of
+        the piece is visible — the container carries no delete marker
+        at or before ``epoch`` and no row past it — and otherwise the
+        :class:`Selection` of the rows that are (:meth:`_visible_rows`);
+        a piece with nothing visible is skipped before any data column
+        is decoded.  Scans and by-value deletes both read through here,
+        so MVCC visibility has one implementation.
         """
         start, end = self._pruned_position_range(container, prune)
-        if start >= end:
+        if start >= end or container.meta.min_epoch > epoch:
             return
-        reference = None
         for name in names:
             if container._group_of(name) is None:
-                reference = container.column_reader(name)
+                blocks = [
+                    (index, info.start_position, info.end_position)
+                    for index, info in enumerate(container.column_reader(name).blocks)
+                ]
                 break
-        if reference is None:
-            # every requested column lives in a row-major group: no
-            # encoded vectors to preserve.
-            yield from self._scan_container_fast(
-                container, names, batch_rows, prune, sort_columns
-            )
-            return
-        grouped_cache: dict[str, list] = {}
-        for block_index, info in enumerate(reference.blocks):
-            if info.end_position <= start:
+        else:
+            blocks = [
+                (None, first, first + BLOCK_ROWS)
+                for first in range(0, container.row_count, BLOCK_ROWS)
+            ]
+        deletes = state.deletes_for(container.container_id)
+        dead = sorted(p for p, e in deletes.items() if e <= epoch) if deletes else []
+        for block_index, block_start, block_end in blocks:
+            piece_start, piece_end = max(start, block_start), min(end, block_end)
+            if piece_start >= piece_end:
                 continue
-            if info.start_position >= end:
-                break
-            segment_start = max(start, info.start_position)
-            segment_end = min(end, info.end_position)
-            columns: dict = {}
+            visible = None
+            if dead or container.meta.max_epoch > epoch:
+                visible = self._visible_rows(
+                    container, dead, epoch, piece_start, piece_end
+                )
+                if visible.is_empty:
+                    continue
+            yield block_index, piece_start, piece_end, visible
+
+    @staticmethod
+    def _visible_rows(container, dead, epoch, start, end):
+        """The :class:`Selection` of the rows at positions [start, end)
+        visible at ``epoch``: not among ``dead`` (the sorted positions
+        deleted at or before it) and — read only from a container
+        straddling ``epoch`` — not inserted after it."""
+        from ..execution.kernels.selection import Selection
+
+        gone = dead[bisect_left(dead, start) : bisect_left(dead, end)]
+        visible = Selection.from_ranges(
+            [(p - start, p - start + 1) for p in gone], end - start
+        ).invert()
+        if container.meta.max_epoch > epoch:
+            epochs = container.column_reader(EPOCH_COLUMN).read_range(start, end)
+            visible = visible.intersect(
+                Selection.from_mask([e <= epoch for e in epochs])
+            )
+        return visible
+
+    def _scan_container(
+        self, state, container, epoch, names, prune, vectorized, sort_columns
+    ):
+        for block_index, start, end, visible in self._visible_pieces(
+            state, container, epoch, names, prune
+        ):
+            columns = {}
             for name in names:
-                if container._group_of(name) is not None:
-                    cache = grouped_cache.get(name)
-                    if cache is None:
-                        cache = grouped_cache[name] = container.read_column(name)
-                    columns[name] = cache[segment_start:segment_end]
-                else:
-                    columns[name] = container.column_reader(name).vector_for_range(
-                        block_index, segment_start, segment_end
+                # a row-grouped column has no encoding to preserve
+                if vectorized and container._group_of(name) is None:
+                    values = container.column_reader(name).vector_for_range(
+                        block_index, start, end
                     )
+                else:
+                    values = container.read_range(name, start, end)
+                columns[name] = values if visible is None else visible.apply(values)
             yield ScanBatch(
                 columns=columns,
-                row_count=segment_end - segment_start,
-                source=container.container_id,
-                sorted_run=True,
+                row_count=end - start if visible is None else visible.count,
                 sort_columns=sort_columns,
             )
 
-    def _scan_wos(
-        self, state, epoch, names, batch_rows, include_deleted, sort_columns=None
-    ):
-        visible_rows = [row for _, row in state.wos.visible(epoch, include_deleted)]
+    def _scan_wos(self, state, epoch, names, sort_columns=None):
+        visible_rows = [row for _, row in state.wos.visible(epoch)]
         if not visible_rows:
             return
         METRICS.inc("storage.wos_scans")
         METRICS.inc("storage.wos_rows_scanned", len(visible_rows))
         visible_rows = state.projection.sorted_rows(visible_rows)
-        for start in range(0, len(visible_rows), batch_rows):
-            chunk = visible_rows[start : start + batch_rows]
+        for start in range(0, len(visible_rows), BLOCK_ROWS):
+            chunk = visible_rows[start : start + BLOCK_ROWS]
             yield ScanBatch(
                 columns={name: [row[name] for row in chunk] for name in names},
                 row_count=len(chunk),
-                source=None,
-                sorted_run=True,
                 sort_columns=sort_columns,
             )
 
-    def read_visible_rows(
-        self, projection_name: str, epoch: int, include_deleted: bool = False
-    ) -> list[dict]:
-        """Materialize every visible row (test and recovery helper)."""
+    def read_visible_rows(self, projection_name: str, epoch: int) -> list[dict]:
+        """Materialize every visible row (``read_table`` and tests)."""
         rows: list[dict] = []
-        for batch in self.scan(
-            projection_name, epoch, include_deleted=include_deleted
-        ):
+        for batch in self.scan(projection_name, epoch):
             names = list(batch.columns)
             for index in range(batch.row_count):
                 rows.append({name: batch.columns[name][index] for name in names})

@@ -425,6 +425,14 @@ class ROSContainer:
             return self._read_group(group_index)[name]
         return self.column_reader(name).read_all()
 
+    def read_range(self, name: str, start: int, end: int) -> list:
+        """The values of a column, grouped or not, at positions
+        [start, end) — an ungrouped column decodes only the blocks
+        that overlap them."""
+        if self._group_of(name) is not None:
+            return self.read_column(name)[start:end]
+        return self.column_reader(name).read_range(start, end)
+
     def read_epochs(self) -> list[int]:
         """Per-row commit epochs."""
         return self.column_reader(EPOCH_COLUMN).read_all()

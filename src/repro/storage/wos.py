@@ -97,11 +97,8 @@ class WriteOptimizedStore:
         sanitizer.check_wos_truncate(epoch, past, dropped, self.epochs)
         return dropped
 
-    def visible(self, epoch: int, include_deleted: bool = False):
-        """Yield ``(position, row)`` pairs visible at snapshot ``epoch``
-        (``include_deleted`` ignores the delete markers)."""
+    def visible(self, epoch: int):
+        """Yield ``(position, row)`` pairs visible at snapshot ``epoch``."""
         for position, row, row_epoch, delete_epoch in self.history():
-            if row_epoch <= epoch and (
-                include_deleted or delete_epoch is None or delete_epoch > epoch
-            ):
+            if row_epoch <= epoch and (delete_epoch is None or delete_epoch > epoch):
                 yield position, row

@@ -65,15 +65,18 @@ DURABILITY_POINTS = {
 }
 
 #: Upper bound (exclusive) for the seeded skip at each point: at most
-#: the number of times the fault-free workload fires it (10, 10, 2, 2,
-#: 6 and 22), so the fault always lands — on pinned seed 23 the
-#: ``journal.commit.apply`` crash cuts the two-table commit.
+#: the number of times the fault-free workload fires it (11, 11, 2, 2,
+#: 7 and 22), so the fault always lands.  ``journal.commit.apply``
+#: takes its full count so the sweep can cut the localized DELETE (its
+#: last fire) between journal and apply: pinned seed 11 does — the
+#: reopen must replay that DELETE by value — and pinned seed 23 cuts
+#: the two-table commit.
 SKIP_RANGE = {
-    "journal.append.stage": 9,
-    "journal.append.publish": 9,
+    "journal.append.stage": 10,
+    "journal.append.publish": 10,
     "journal.checkpoint.stage": 2,
     "journal.checkpoint.publish": 2,
-    "journal.commit.apply": 5,
+    "journal.commit.apply": 7,
     "mover.wos.drain": 21,
 }
 
@@ -105,8 +108,8 @@ def load_both(db):
 
 
 #: Fixed workload: WOS loads, a mover cycle (floor + checkpoint), a
-#: delete, mid-stream DDL, a two-table commit, a direct-to-ROS load, a
-#: second mover cycle.
+#: scattered delete, mid-stream DDL, a two-table commit, a direct-to-ROS
+#: load, a localized delete, a second mover cycle.
 OPS = [
     ("load-wos-1", lambda db: db.load("t", rows(15))),
     ("movers-1", lambda db: db.run_tuple_movers()),
@@ -119,6 +122,10 @@ OPS = [
         "load-direct",
         lambda db: db.load("t", rows(10, start=30), direct_to_ros=True),
     ),
+    # localized: the victims sit in one block of the direct-load
+    # containers; every other container of every copy is skipped on
+    # its (min, max) by the live apply and again by its replay
+    ("delete-range", lambda db: db.sql("DELETE FROM t WHERE k BETWEEN 32 AND 34")),
     ("movers-2", lambda db: db.run_tuple_movers()),
 ]
 

@@ -115,6 +115,43 @@ class TestBasicLifecycle:
         assert session.execute("SELECT count(*) AS n FROM t") == [{"n": 10}]
 
 
+    def test_one_parse_per_statement_and_before_admission(
+        self, service, monkeypatch
+    ):
+        import repro.sql.interface as interface
+        import repro.sql.parser as parser
+        from repro.errors import SqlSyntaxError
+        from repro.monitor import METRICS
+
+        parsed = []
+
+        def counting(text, original=parser.parse):
+            parsed.append(text)
+            return original(text)
+
+        monkeypatch.setattr(parser, "parse", counting)
+        monkeypatch.setattr(interface, "parse", counting)
+        session = service.connect()
+        statements = [
+            "INSERT INTO t VALUES (100, 7)",
+            "SELECT v FROM t WHERE k = 100",
+            "DELETE FROM t WHERE k = 100",
+        ]
+        for text in statements:
+            session.execute(text)
+        # the session's parse classifies the statement and is the one
+        # the front end runs: no second parse inside execute_sql
+        assert parsed == statements
+        admitted = METRICS.counter("service.admitted")
+        with pytest.raises(SqlSyntaxError):
+            session.execute("SELEKT v FROM t")
+        assert METRICS.counter("service.admitted") == admitted
+        # the ungoverned entry still parses for itself
+        del parsed[:]
+        service.db.sql("SELECT count(*) AS n FROM t")
+        assert parsed == ["SELECT count(*) AS n FROM t"]
+
+
 class TestStatementTimeout:
     def test_expired_deadline_raises_and_releases(self, db, service):
         # a 0-tick budget expires at the statement's first checkpoint —

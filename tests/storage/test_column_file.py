@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro import types
 from repro.errors import StorageError
+from repro.monitor import METRICS
 from repro.storage.block import BlockInfo, decode_block, encode_block
 from repro.storage.column_file import ColumnReader, ColumnWriter
 
@@ -75,10 +76,35 @@ class TestColumnWriterReader:
         for position in (0, 63, 64, 499, 250):
             assert reader.get(position) == values[position]
 
-    def test_get_many_unsorted_positions(self):
-        values = list(range(300))
-        reader = build_column(values)
-        assert reader.get_many([200, 5, 123]) == [200, 5, 123]
+    def test_read_range_cuts_inside_blocks(self):
+        values = [None if i % 50 == 7 else i // 3 for i in range(300)]
+        reader = build_column(values, block_rows=64)
+        before = METRICS.counter("storage.blocks_decoded")
+        # unaligned at both ends: blocks 1 and 2 only
+        assert reader.read_range(70, 150) == values[70:150]
+        assert METRICS.counter("storage.blocks_decoded") - before == 2
+        assert reader.read_range(150, 150) == [] == reader.read_range(9, 3)
+        assert reader.read_range(0, 10_000) == values
+
+    @pytest.mark.parametrize(
+        "encoding, kind", [("RLE", "rle"), ("BLOCK_DICT", "dict"), ("PLAIN", "plain")]
+    )
+    def test_vector_for_range_trims_and_keeps_encoding(self, encoding, kind):
+        values = [i // 10 for i in range(300)]
+        reader = build_column(values, encoding=encoding, block_rows=64)
+        whole = reader.vector_for_range(1, 0, 300)  # clipped to block 1
+        assert whole is reader.block_vector(1)
+        assert (whole.kind, list(whole)) == (kind, values[64:128])
+        trimmed = reader.vector_for_range(1, 70, 100)
+        assert (trimmed.kind, list(trimmed)) == (kind, values[70:100])
+        assert (trimmed.row_count, trimmed.null_count) == (30, 0)
+
+    def test_vector_for_range_counts_nulls_of_the_trimmed_rows(self):
+        values = [None if i % 8 == 0 else i for i in range(128)]
+        reader = build_column(values, block_rows=64)
+        trimmed = reader.vector_for_range(1, 65, 81)
+        assert (trimmed.kind, list(trimmed)) == ("plain", values[65:81])
+        assert trimmed.null_count == 2  # positions 72 and 80
 
     def test_get_out_of_range(self):
         reader = build_column([1, 2, 3])
@@ -99,18 +125,27 @@ class TestColumnWriterReader:
     def test_block_pruning(self):
         # 10 blocks of 100 sorted values; a range filter hits few blocks.
         reader = build_column(list(range(1000)), block_rows=100)
-        touched = list(reader.iter_blocks(low=250, high=260))
-        assert len(touched) == 1
-        info, values = touched[0]
-        assert info.start_position == 200
+        pruned = METRICS.counter("storage.blocks_pruned")
+        decoded = METRICS.counter("storage.blocks_decoded")
+        assert reader.position_range_for(250, 260) == (200, 300)
+        # pure metadata: nine blocks pruned, none decoded to decide it
+        assert METRICS.counter("storage.blocks_pruned") - pruned == 9
+        assert METRICS.counter("storage.blocks_decoded") == decoded
+        assert reader.read_range(200, 300) == list(range(200, 300))
+        assert METRICS.counter("storage.blocks_decoded") - decoded == 1
+        # open bounds, a range spanning blocks, a range holding nothing
+        assert reader.position_range_for(None, 99) == (0, 100)
+        assert reader.position_range_for(250, 420) == (200, 500)
+        assert reader.position_range_for(5000, None) == (0, 0)
 
-    def test_iter_blocks_keeps_null_blocks(self):
-        values = [None] * 100 + list(range(100))
+    def test_position_range_keeps_null_blocks(self):
+        values = [None] * 100 + list(range(100)) + [None, 900] * 50
         reader = build_column(values, block_rows=100)
-        touched = list(reader.iter_blocks(low=5000, high=6000))
-        # the all-NULL block is retained because NULL handling is the
-        # predicate evaluator's job, not the pruner's.
-        assert len(touched) == 1 and touched[0][0].null_count == 100
+        # NULL-bearing blocks are retained — NULL handling is the
+        # predicate evaluator's job, not the pruner's — so the range
+        # runs from the first to the last of them.
+        assert reader.position_range_for(5000, 6000) == (0, 300)
+        assert reader.position_range_for(10, 20) == (0, 300)
 
     def test_varchar_column(self):
         values = ["m%03d" % (i % 7) for i in range(200)]

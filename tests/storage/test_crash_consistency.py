@@ -24,6 +24,7 @@ from repro.faults import FaultPlan
 from repro.projections import super_projection
 from repro.storage import StorageManager
 from repro.tuple_mover import TupleMover
+from storage_helpers import delete_matching
 
 
 @pytest.fixture
@@ -307,8 +308,8 @@ class TestMergeoutCrashRecovery:
 class TestDeleteVectorCrash:
     def seeded(self, manager):
         manager.insert(NAME, make_rows(20), epoch=1, direct_to_ros=True)
-        manager.delete_where(
-            NAME, lambda row: row["cid"] < 5, commit_epoch=2, snapshot_epoch=1
+        delete_matching(
+            manager, NAME, lambda row: row["cid"] < 5, commit_epoch=2, snapshot_epoch=1
         )
 
     def test_dv_publish_crash_leaves_no_vector(self, manager, table, projection):

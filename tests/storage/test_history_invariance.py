@@ -28,6 +28,7 @@ from repro.core.schema import ColumnDef, TableDefinition
 from repro.projections import super_projection
 from repro.storage import StorageManager
 from repro.tuple_mover import MergePolicy, TupleMover
+from storage_helpers import delete_matching
 
 NAME = "t_super"
 PARTITIONS = 3
@@ -121,8 +122,8 @@ def test_history_survives_every_reorganisation(
             epoch += 1
             snapshot = epoch - 1
             victims = set(visible(model, snapshot))
-            marked = manager.delete_where(
-                NAME, lambda row, m=arg: row["k"] % m == 0, epoch, snapshot
+            marked = delete_matching(
+                manager, NAME, lambda row, m=arg: row["k"] % m == 0, epoch, snapshot
             )
             model = [
                 (row, ins, epoch)

@@ -1,5 +1,7 @@
 """Tests for the per-node storage manager."""
 
+from collections import Counter
+
 import pytest
 
 from repro import types
@@ -7,6 +9,7 @@ from repro.core.schema import ColumnDef, TableDefinition
 from repro.errors import UnknownObjectError
 from repro.projections import super_projection
 from repro.storage import StorageManager
+from storage_helpers import delete_matching
 
 
 @pytest.fixture
@@ -107,8 +110,8 @@ class TestScan:
 class TestDeletes:
     def test_delete_from_wos(self, manager):
         manager.insert(NAME, make_rows(5), epoch=1)
-        deleted = manager.delete_where(
-            NAME, lambda row: row["cid"] < 2, commit_epoch=2, snapshot_epoch=1
+        deleted = delete_matching(
+            manager, NAME, lambda row: row["cid"] < 2, commit_epoch=2, snapshot_epoch=1
         )
         assert deleted == 2
         assert len(manager.read_visible_rows(NAME, epoch=2)) == 3
@@ -117,37 +120,284 @@ class TestDeletes:
 
     def test_delete_from_ros(self, manager):
         manager.insert(NAME, make_rows(5), epoch=1, direct_to_ros=True)
-        deleted = manager.delete_where(
-            NAME, lambda row: row["cid"] == 4, commit_epoch=2, snapshot_epoch=1
+        deleted = delete_matching(
+            manager, NAME, lambda row: row["cid"] == 4, commit_epoch=2, snapshot_epoch=1
         )
         assert deleted == 1
         assert len(manager.read_visible_rows(NAME, epoch=2)) == 4
 
     def test_delete_is_not_physical(self, manager):
         manager.insert(NAME, make_rows(5), epoch=1, direct_to_ros=True)
-        manager.delete_where(NAME, lambda row: True, 2, 1)
+        delete_matching(manager, NAME, lambda row: True, 2, 1)
         state = manager.storage(NAME)
         container = next(iter(state.containers.values()))
         assert container.row_count == 5  # rows still on disk
 
     def test_double_delete_not_counted(self, manager):
         manager.insert(NAME, make_rows(5), epoch=1, direct_to_ros=True)
-        assert manager.delete_where(NAME, lambda r: r["cid"] == 1, 2, 1) == 1
+        assert delete_matching(manager, NAME, lambda r: r["cid"] == 1, 2, 1) == 1
         # at snapshot 2 the row is already deleted -> no new marker
-        assert manager.delete_where(NAME, lambda r: r["cid"] == 1, 3, 2) == 0
+        assert delete_matching(manager, NAME, lambda r: r["cid"] == 1, 3, 2) == 0
 
     def test_persist_delete_vectors(self, manager):
         manager.insert(NAME, make_rows(5), epoch=1, direct_to_ros=True)
-        manager.delete_where(NAME, lambda r: r["cid"] < 3, 2, 1)
+        delete_matching(manager, NAME, lambda r: r["cid"] < 3, 2, 1)
         assert manager.persist_delete_vectors(NAME) == 1
         assert len(manager.read_visible_rows(NAME, epoch=2)) == 2
         state = manager.storage(NAME)
         assert not state.pending_ros_deletes
 
-    def test_include_deleted_scan(self, manager):
+    def test_deleted_rows_stay_in_the_history(self, manager):
         manager.insert(NAME, make_rows(5), epoch=1, direct_to_ros=True)
-        manager.delete_where(NAME, lambda r: True, 2, 1)
-        assert len(manager.read_visible_rows(NAME, 2, include_deleted=True)) == 5
+        delete_matching(manager, NAME, lambda r: True, 2, 1)
+        assert manager.read_visible_rows(NAME, 2) == []
+        # recovery copies deleted-but-unpurged rows (section 5.2)
+        assert [
+            (insert_epoch, delete_epoch)
+            for _, insert_epoch, delete_epoch in manager.dump_rows(NAME)
+        ] == [(1, 2)] * 5
+
+
+def homes(manager, name):
+    """``(home, history records)`` in the order a by-value delete walks
+    a copy: the WOS, then its containers by ascending id."""
+    state = manager.storage(name)
+    return [("wos", state.wos.history())] + [
+        (container_id, manager.container_history(name, container_id))
+        for container_id in sorted(state.containers)
+    ]
+
+
+def markers(manager, name=NAME):
+    """``(home, position) -> delete epoch`` of every delete marker the
+    copy carries; ``home`` is "wos" or a container id."""
+    return {
+        (home, position): delete_epoch
+        for home, records in homes(manager, name)
+        for position, _, _, delete_epoch in records
+        if delete_epoch is not None
+    }
+
+
+def repr_multiset_marks(manager, victims, snapshot_epoch, name=NAME):
+    """The reference by-value matcher (the ``multiset_predicate`` this
+    replaced): rows keyed by ``repr`` of the copy's columns the victims
+    carry, one budget, WOS first, then containers by ascending id,
+    positions ascending, over *every* row — no pruning, no pre-filter."""
+    columns = manager.storage(name).projection.column_names
+    names = [n for n in columns if n in victims[0]]
+    budget = Counter(tuple(repr(v[n]) for n in names) for v in victims)
+    marks = []
+    for home, records in homes(manager, name):
+        for position, row, insert_epoch, delete_epoch in records:
+            if insert_epoch > snapshot_epoch:
+                continue
+            if delete_epoch is not None and delete_epoch <= snapshot_epoch:
+                continue
+            key = tuple(repr(row[n]) for n in names)
+            if budget[key] > 0:
+                budget[key] -= 1
+                marks.append((home, position))
+    return marks
+
+
+def delete_like_the_reference(manager, victims, commit_epoch, name=NAME):
+    """Run ``delete_where`` and hold it to the reference matcher: same
+    rows marked, count returned, nothing else touched.  Returns the
+    marked ``(home, position)`` list."""
+    before = markers(manager, name)
+    expected = repr_multiset_marks(manager, victims, commit_epoch - 1, name)
+    count = manager.delete_where(name, victims, commit_epoch, commit_epoch - 1)
+    after = markers(manager, name)
+    assert {key: after[key] for key in after.keys() - before.keys()} == dict.fromkeys(
+        expected, commit_epoch
+    )
+    assert all(after[key] == before[key] for key in before)
+    assert count == len(expected)
+    return expected
+
+
+NAN = float("nan")
+
+
+class TestByValueDeleteIsTheReprMultiset:
+    def row(self, cid, value, month=1):
+        return {"month": month, "cid": cid, "value": value}
+
+    def load(self, manager, ros_rows, wos_rows=()):
+        """One container (sorted by the caller's order of ``cid``) and
+        then the WOS, both at epoch 1."""
+        if ros_rows:
+            manager.insert(NAME, list(ros_rows), epoch=1, direct_to_ros=True)
+        if wos_rows:
+            manager.insert(NAME, list(wos_rows), epoch=1)
+
+    def test_nan_victim_finds_its_nan_row_and_prunes_nothing_by_it(self, manager):
+        row = self.row
+        # the first container's own (min, max) is (100.0, 100.0): a
+        # bound taken through the 2.5 victim alone would skip it
+        self.load(manager, [row(10, 100.0), row(11, NAN)])
+        self.load(
+            manager,
+            [row(0, 0.5), row(1, NAN), row(2, 2.5), row(3, NAN)],
+            [row(4, NAN), row(5, 5.5)],
+        )
+        # a NaN that is not the stored object: no identity, no equality
+        other = float("nan")
+        victims = [row(2, 2.5), row(1, other), row(4, other), row(11, other)]
+        marked = delete_like_the_reference(manager, victims, 2)
+        assert len(marked) == 4
+        assert [r["cid"] for r in manager.read_visible_rows(NAME, 2)] == [10, 0, 3, 5]
+        # NaN matches NaN only: a 3.0 victim does not take row 3
+        assert delete_like_the_reference(manager, [row(3, 3.0)], 3) == []
+
+    def test_negative_zero_is_not_zero(self, manager):
+        row = self.row
+        self.load(manager, [row(1, -0.0), row(2, 7.0)], [row(1, 0.0), row(1, -0.0)])
+        (container_id,) = manager.storage(NAME).containers
+        # -0.0 == 0.0 and both sit inside the victims' (min, max)
+        assert delete_like_the_reference(manager, [row(1, 0.0)] * 2, 2) == [("wos", 0)]
+        assert delete_like_the_reference(manager, [row(1, -0.0)] * 2, 3) == [
+            ("wos", 1), (container_id, 0),
+        ]
+
+    def test_one_is_not_one_point_zero_is_not_true(self, manager):
+        row = self.row
+        # the WOS keeps Python values as given; the container's FLOAT
+        # column holds 1.0
+        self.load(manager, [row(7, 1.0)], [row(7, 1), row(7, 1.0), row(7, True)])
+        (container_id,) = manager.storage(NAME).containers
+        assert delete_like_the_reference(manager, [row(7, True)], 2) == [("wos", 2)]
+        assert delete_like_the_reference(manager, [row(7, 1)], 3) == [("wos", 0)]
+        # equal to everything left by ==, and inside every (min, max)
+        # bound, but not by repr: nothing to take
+        assert delete_like_the_reference(manager, [row(7, 1), row(7, True)], 4) == []
+        assert delete_like_the_reference(manager, [row(7, 1.0)] * 2, 5) == [
+            ("wos", 1), (container_id, 0),
+        ]
+
+    def test_null_in_the_leading_sort_column(self, manager):
+        row = self.row
+        self.load(
+            manager,
+            [row(None, 1.0), row(None, 2.0), row(3, 3.0)],
+            [row(None, 1.0), row(4, None)],
+        )
+        (container_id,) = manager.storage(NAME).containers
+        victims = [row(None, 2.0), row(None, 1.0), row(4, None)]
+        assert delete_like_the_reference(manager, victims, 2) == [
+            ("wos", 0), ("wos", 1), (container_id, 1),
+        ]
+        assert delete_like_the_reference(manager, [row(None, 1.0)], 3) == [
+            (container_id, 0)
+        ]
+
+    def test_two_of_three_identical_rows(self, manager):
+        row = self.row
+        self.load(manager, [row(5, 1.5)] * 3 + [row(6, 1.5)])
+        (container_id,) = manager.storage(NAME).containers
+        assert delete_like_the_reference(manager, [row(5, 1.5)] * 2, 2) == [
+            (container_id, 0), (container_id, 1),
+        ]
+        # the budget is per call: one more call, one more row, then none
+        assert delete_like_the_reference(manager, [row(5, 1.5)] * 2, 3) == [
+            (container_id, 2)
+        ]
+        assert manager.delete_where(NAME, [row(5, 1.5)], 4, 3) == 0
+
+    def test_victim_deleted_at_the_snapshot_is_not_marked_again(self, manager):
+        row = self.row
+        self.load(manager, [row(1, 1.0), row(2, 2.0)], [row(3, 3.0)])
+        victims = [row(1, 1.0), row(3, 3.0)]
+        assert manager.delete_where(NAME, victims, 2, 1) == 2
+        assert manager.delete_where(NAME, victims + [row(2, 2.0)], 3, 2) == 1
+        assert sorted(markers(manager).values()) == [2, 2, 3]
+        # ... but a snapshot before the first delete still sees them
+        assert repr_multiset_marks(manager, victims, 1) != []
+
+    def test_victims_spread_over_the_wos_and_two_containers(self, manager):
+        row = self.row
+        self.load(manager, [row(c, float(c)) for c in range(0, 40, 2)])
+        self.load(
+            manager,
+            [row(c, float(c)) for c in range(1, 40, 2)],
+            [row(c, float(c)) for c in (100, 7, 8)],
+        )
+        first, second = sorted(manager.storage(NAME).containers)
+        victims = [row(c, float(c)) for c in (8, 31, 100, 6, 7, 7, 999)]
+        assert delete_like_the_reference(manager, victims, 2) == [
+            # the WOS took the only 8 and one of the two 7s
+            ("wos", 0), ("wos", 1), ("wos", 2),
+            (first, 3), (second, 3), (second, 15),
+        ]
+
+    def test_no_victims_marks_nothing(self, manager):
+        self.load(manager, [self.row(1, 1.0)])
+        assert manager.delete_where(NAME, [], 2, 1) == 0
+        assert markers(manager) == {}
+
+    def test_prejoin_and_narrow_copies_match_on_the_columns_they_share(
+        self, tmp_path, table
+    ):
+        from repro.projections import (
+            PrejoinSpec,
+            ProjectionColumn,
+            ProjectionDefinition,
+            Replicated,
+        )
+
+        prejoin = ProjectionDefinition(
+            "events_by_customer",
+            "events",
+            [
+                ProjectionColumn("cid", types.INTEGER),
+                ProjectionColumn("month", types.INTEGER),
+                ProjectionColumn("value", types.FLOAT),
+                ProjectionColumn("cust_name", types.VARCHAR),
+            ],
+            sort_order=["cust_name", "cid"],
+            segmentation=Replicated(),
+            prejoin=PrejoinSpec("customers", "cid", "cid", {"name": "cust_name"}),
+        )
+        narrow = ProjectionDefinition(
+            "events_narrow",
+            "events",
+            [ProjectionColumn("cid", types.INTEGER)],
+            sort_order=["cid"],
+            segmentation=Replicated(),
+        )
+        table = TableDefinition("events", table.columns)  # unpartitioned
+        manager = StorageManager(str(tmp_path / "copies"), wos_capacity=1000)
+        manager.register_projection(prejoin, table)
+        manager.register_projection(narrow, table)
+        table_rows = [self.row(c % 4, float(c)) for c in range(12)]
+        manager.insert(
+            prejoin.name,
+            [dict(r, cust_name=f"c{r['cid']}") for r in table_rows],
+            epoch=1, direct_to_ros=True,
+        )
+        manager.insert(
+            narrow.name, [{"cid": r["cid"]} for r in table_rows[:8]], 1,
+            direct_to_ros=True,
+        )
+        manager.insert(narrow.name, [{"cid": r["cid"]} for r in table_rows[8:]], 1)
+        # victims are rows of the anchor table: no carried column, and
+        # columns the narrow copy does not store
+        victims = [self.row(2, 6.0), self.row(2, 10.0), self.row(3, 3.0)]
+
+        marked = delete_like_the_reference(manager, victims, 2, prejoin.name)
+        assert len(marked) == 3
+        assert sorted(
+            r["value"] for r in manager.read_visible_rows(prejoin.name, 2)
+        ) == [0.0, 1.0, 2.0, 4.0, 5.0, 7.0, 8.0, 9.0, 11.0]
+        # the narrow copy cannot tell its cid=2 rows apart: the first
+        # two in walk order take the markers, as at every replay
+        marked = delete_like_the_reference(manager, victims, 2, narrow.name)
+        (container_id,) = manager.storage(narrow.name).containers
+        assert marked == [("wos", 2), ("wos", 3), (container_id, 4)]
+        assert sorted(
+            r["cid"] for r in manager.read_visible_rows(narrow.name, 2)
+        ) == [0, 0, 0, 1, 1, 1, 2, 3, 3]
 
 
 class TestPartitionDrop:
@@ -171,8 +421,8 @@ class TestPartitionDrop:
         # their rows, not be cleared and not stay at the old ordinals.
         manager.insert(NAME, make_rows(5, month=3), epoch=1)
         manager.insert(NAME, make_rows(5, month=4), epoch=1)
-        deleted = manager.delete_where(
-            NAME, lambda row: row["month"] == 4 and row["cid"] in (0, 2, 4), 2, 1
+        deleted = delete_matching(
+            manager, NAME, lambda row: row["month"] == 4 and row["cid"] in (0, 2, 4), 2, 1
         )
         assert deleted == 3
         assert len(manager.read_visible_rows(NAME, epoch=2)) == 7

@@ -152,7 +152,8 @@ class TestWOS:
         wos.delete_epochs[1] = 3
         assert len(list(wos.visible(2))) == 3  # delete not yet visible
         assert len(list(wos.visible(3))) == 2
-        assert len(list(wos.visible(3, include_deleted=True))) == 3
+        # the deleted row stays in the history, marker attached
+        assert [deleted for *_, deleted in wos.history()] == [None, 3, None]
 
     def test_truncate_after_epoch(self):
         wos = WriteOptimizedStore()

@@ -20,6 +20,7 @@ from repro.projections import super_projection
 from repro.storage import ROSContainer, StorageManager
 from repro.storage.manager import truncate_outcome_counts
 from repro.tuple_mover import MergePolicy, TupleMover
+from storage_helpers import delete_matching
 
 NAME = "t_super"
 TABLE = TableDefinition(
@@ -117,7 +118,7 @@ class TestContainerClasses:
     def test_container_at_or_under_the_epoch_is_kept_untouched(self, manager, decoded):
         to_ros(manager, range(10), epoch=1)
         to_ros(manager, range(10, 20), epoch=5)
-        manager.delete_where(NAME, lambda row: row["k"] < 3, 4, 3)
+        delete_matching(manager, NAME, lambda row: row["k"] < 3, 4, 3)
         manager.persist_delete_vectors(NAME)
         image, expected = disk_image(manager), history(manager)
         written = METRICS.counter("storage.containers_written")
@@ -135,7 +136,7 @@ class TestContainerClasses:
     def test_container_past_the_epoch_is_dropped_unread(self, manager, decoded):
         old = to_ros(manager, range(10), epoch=2)
         new = to_ros(manager, range(10, 25), epoch=7)
-        manager.delete_where(NAME, lambda row: row["k"] == 12, 8, 7)
+        delete_matching(manager, NAME, lambda row: row["k"] == 12, 8, 7)
         manager.persist_delete_vectors(NAME)
         before = truncate_outcome_counts()
         del decoded[:]
@@ -154,7 +155,7 @@ class TestContainerClasses:
         )
         # one marker under the epoch, one past it, one on a doomed row
         for key, epoch in ((1, 4), (3, 8), (2, 8)):
-            manager.delete_where(NAME, lambda row, k=key: row["k"] == k, epoch, epoch - 1)
+            delete_matching(manager, NAME, lambda row, k=key: row["k"] == k, epoch, epoch - 1)
         manager.persist_delete_vectors(NAME)
         before = truncate_outcome_counts()
 
@@ -171,8 +172,8 @@ class TestContainerClasses:
 
     def test_persisted_delete_marker_past_the_epoch_forces_a_rewrite(self, manager):
         to_ros(manager, range(6), epoch=1)
-        manager.delete_where(NAME, lambda row: row["k"] == 0, 3, 2)
-        manager.delete_where(NAME, lambda row: row["k"] == 1, 7, 6)
+        delete_matching(manager, NAME, lambda row: row["k"] == 0, 3, 2)
+        delete_matching(manager, NAME, lambda row: row["k"] == 1, 7, 6)
         manager.persist_delete_vectors(NAME)
         before = truncate_outcome_counts()
 
@@ -180,13 +181,16 @@ class TestContainerClasses:
 
         assert outcomes(before) == (0, 1, 0)
         assert manager.read_visible_rows(NAME, 9) == rows(1, 2, 3, 4, 5)
-        assert manager.read_visible_rows(NAME, 9, include_deleted=True) == rows(*range(6))
+        # the marker under the epoch survived, the one past it did not
+        assert [
+            (row["k"], delete_epoch) for row, _, delete_epoch in manager.dump_rows(NAME)
+        ] == [(0, 3), (1, None), (2, None), (3, None), (4, None), (5, None)]
         assert history(reopened(manager)) == history(manager)
 
     def test_in_memory_marker_past_the_epoch_is_trimmed_without_a_write(self, manager):
         to_ros(manager, range(6), epoch=1)
-        manager.delete_where(NAME, lambda row: row["k"] == 0, 3, 2)
-        manager.delete_where(NAME, lambda row: row["k"] == 1, 7, 6)
+        delete_matching(manager, NAME, lambda row: row["k"] == 0, 3, 2)
+        delete_matching(manager, NAME, lambda row: row["k"] == 1, 7, 6)
         image = disk_image(manager)
         before = truncate_outcome_counts()
 
@@ -203,8 +207,8 @@ class TestContainerClasses:
         manager.insert(NAME, rows(12), 9)
         manager.insert(NAME, rows(13), 4)
         # WOS positions: 10->0, 11->1, 12->2, 13->3
-        manager.delete_where(NAME, lambda row: row["k"] == 13, 5, 4)
-        manager.delete_where(NAME, lambda row: row["k"] == 10, 6, 5)
+        delete_matching(manager, NAME, lambda row: row["k"] == 13, 5, 4)
+        delete_matching(manager, NAME, lambda row: row["k"] == 10, 6, 5)
 
         assert manager.truncate_after_epoch(NAME, 5) == 3
 
@@ -228,7 +232,7 @@ class TestHistoryReads:
         to_ros(manager, range(10), epoch=1)
         deleted_from = to_ros(manager, range(10, 20), epoch=2)
         recent = to_ros(manager, range(20, 30), epoch=6)
-        manager.delete_where(NAME, lambda row: row["k"] == 15, 8, 7)
+        delete_matching(manager, NAME, lambda row: row["k"] == 15, 8, 7)
         manager.persist_delete_vectors(NAME)
         everything = history(manager)
         del decoded[:]
@@ -248,7 +252,7 @@ class TestHistoryReads:
         manager.insert(NAME, rows(40), 3)
         manager.insert(NAME, rows(41), 7)
         manager.insert(NAME, rows(42), 4)
-        manager.delete_where(NAME, lambda row: row["k"] in (5, 42), 8, 7)
+        delete_matching(manager, NAME, lambda row: row["k"] in (5, 42), 8, 7)
         assert history(manager, after_epoch=5) == [
             (5, "v5", 1, 8), (41, "v6", 7, 0), (42, "v0", 4, 8),
         ]
@@ -266,10 +270,10 @@ class TestHistoryReads:
 
     def test_delete_vector_names_are_not_reused_after_restart(self, manager):
         to_ros(manager, range(6), epoch=1)
-        manager.delete_where(NAME, lambda row: row["k"] == 0, 2, 1)
+        delete_matching(manager, NAME, lambda row: row["k"] == 0, 2, 1)
         manager.persist_delete_vectors(NAME)
         fresh = reopened(manager)
-        fresh.delete_where(NAME, lambda row: row["k"] == 1, 3, 2)
+        delete_matching(fresh, NAME, lambda row: row["k"] == 1, 3, 2)
         fresh.persist_delete_vectors(NAME)
         assert reopened(fresh).read_visible_rows(NAME, 9) == rows(2, 3, 4, 5)
 
@@ -290,8 +294,8 @@ def random_history(manager, rng):
             next_key += count
         elif action == "delete":
             modulus, remainder = rng.randrange(2, 6), rng.randrange(2)
-            manager.delete_where(
-                NAME, lambda row: row["k"] % modulus == remainder, epoch, epoch - 1
+            delete_matching(
+                manager, NAME, lambda row: row["k"] % modulus == remainder, epoch, epoch - 1
             )
             if rng.random() < 0.5:
                 manager.persist_delete_vectors(NAME)
@@ -327,7 +331,7 @@ def test_mergeout_persists_deletes_ahead_of_the_merged_container(manager):
     the merged container without its delete markers."""
     for start in range(0, 40, 10):
         to_ros(manager, range(start, start + 10), epoch=1 + start // 10)
-    manager.delete_where(NAME, lambda row: row["k"] % 10 == 0, 6, 5)
+    delete_matching(manager, NAME, lambda row: row["k"] % 10 == 0, 6, 5)
     result = TupleMover(manager, MergePolicy(min_inputs=4)).mergeout(NAME)
     assert result.merged_groups == 1
     state = manager.storage(NAME)

@@ -1,0 +1,14 @@
+"""Helpers shared by the storage-level test modules (``tests/`` is put
+on ``sys.path`` by the repo-root ``conftest.py``)."""
+
+
+def delete_matching(manager, name, predicate, commit_epoch, snapshot_epoch):
+    """``DELETE ... WHERE predicate`` the way the product runs it:
+    resolve the victims in the snapshot, then delete them by value.
+    Returns the number of rows marked."""
+    victims = [
+        row
+        for row in manager.read_visible_rows(name, snapshot_epoch)
+        if predicate(row)
+    ]
+    return manager.delete_where(name, victims, commit_epoch, snapshot_epoch)

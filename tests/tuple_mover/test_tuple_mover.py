@@ -9,6 +9,7 @@ from repro.core.schema import ColumnDef, TableDefinition
 from repro.projections import super_projection
 from repro.storage import StorageManager
 from repro.tuple_mover import MergePolicy, TupleMover, plan_merges
+from storage_helpers import delete_matching
 
 
 @pytest.fixture
@@ -86,7 +87,7 @@ class TestMoveout:
     def test_moveout_translates_delete_vectors(self, setup):
         manager, mover = setup
         manager.insert(NAME, rows_of(range(10)), epoch=1)
-        manager.delete_where(NAME, lambda r: r["k"] < 3, commit_epoch=2, snapshot_epoch=1)
+        delete_matching(manager, NAME, lambda r: r["k"] < 3, commit_epoch=2, snapshot_epoch=1)
         mover.moveout(NAME)
         assert len(manager.read_visible_rows(NAME, epoch=2)) == 7
         assert len(manager.read_visible_rows(NAME, epoch=1)) == 10
@@ -131,7 +132,7 @@ class TestMergeout:
         manager, mover = setup
         manager.insert(NAME, rows_of(range(10)), epoch=1, direct_to_ros=True)
         manager.insert(NAME, rows_of(range(10, 20)), epoch=1, direct_to_ros=True)
-        manager.delete_where(NAME, lambda r: r["k"] == 5, 2, 1)
+        delete_matching(manager, NAME, lambda r: r["k"] == 5, 2, 1)
         mover.mergeout(NAME, ahm=0)  # AHM before the delete: keep it
         assert len(manager.read_visible_rows(NAME, epoch=2)) == 19
         assert len(manager.read_visible_rows(NAME, epoch=1)) == 20
@@ -140,7 +141,7 @@ class TestMergeout:
         manager, mover = setup
         manager.insert(NAME, rows_of(range(10)), epoch=1, direct_to_ros=True)
         manager.insert(NAME, rows_of(range(10, 20)), epoch=1, direct_to_ros=True)
-        manager.delete_where(NAME, lambda r: r["k"] < 5, 2, 1)
+        delete_matching(manager, NAME, lambda r: r["k"] < 5, 2, 1)
         result = mover.mergeout(NAME, ahm=2)
         assert result.purged_rows == 5
         state = manager.storage(NAME)

@@ -177,6 +177,99 @@ finally:
     shutil.rmtree(root, ignore_errors=True)
 EOF
 
+echo "== container read path: blocks decoded, counts not timings =="
+# One columnar walk serves scans and by-value deletes: a DELETE whose
+# victims sit in one block of a 5-block, 2-container table decodes — at
+# the live apply and again at its cold-start replay — at most (matched
+# columns x pieces overlapping the victims' bounds) blocks and nothing
+# of the container its bounds reject; and the delete marker it leaves
+# does not cost its container block pruning: the same point lookup
+# decodes no more blocks than before the DELETE.
+python - <<'EOF'
+import shutil, tempfile
+from repro import ColumnDef, Database, TableDefinition, types
+from repro.monitor import METRICS
+from repro.storage import StorageManager
+from repro.storage.block import BLOCK_ROWS
+
+DECODED = "storage.blocks_decoded"
+in_delete = {"calls": 0, "decoded": 0}
+original = StorageManager.delete_where
+
+
+def counted(self, *args, **kwargs):
+    before = METRICS.counter(DECODED)
+    try:
+        return original(self, *args, **kwargs)
+    finally:
+        in_delete["calls"] += 1
+        in_delete["decoded"] += METRICS.counter(DECODED) - before
+
+
+def lookup(db):
+    before = METRICS.counter(DECODED)
+    key = 2 * BLOCK_ROWS + 5  # block 2 of the big container
+    assert db.sql(f"SELECT v FROM t WHERE k = {key}") == [{"v": key % 9}]
+    return METRICS.counter(DECODED) - before
+
+
+root = tempfile.mkdtemp(prefix="read_path_")
+StorageManager.delete_where = counted
+try:
+    path = root + "/db"
+    db = Database(path, node_count=1, k_safety=0, segments_per_node=1)
+    db.create_table(TableDefinition(
+        "t", [ColumnDef("k", types.INTEGER), ColumnDef("v", types.INTEGER)],
+        primary_key=("k",),
+    ), sort_order=["k"])
+    big, far = 4 * BLOCK_ROWS, 1_000_000
+    db.load("t", [{"k": i, "v": i % 9} for i in range(big)], direct_to_ros=True)
+    db.load("t", [{"k": i, "v": i % 9} for i in range(far, far + 500)], direct_to_ros=True)
+    db.cluster.run_tuple_movers()
+    containers = db.cluster.nodes[0].manager.storage("t_super").containers
+    assert sorted(
+        len(c.column_reader("k").blocks) for c in containers.values()
+    ) == [1, 4], "expected a 4-block and a 1-block container"
+    del db
+
+    db = Database.open(path)
+    clean_lookup = lookup(db)
+    # victims inside block 1 of the big container: one piece overlaps
+    # their (min, max), two columns are matched
+    bound = 2 * 1
+    db.sql(f"DELETE FROM t WHERE k BETWEEN {BLOCK_ROWS + 10} AND {BLOCK_ROWS + 20}")
+    assert in_delete["calls"] == 1 and in_delete["decoded"] <= bound, in_delete
+    del db
+
+    in_delete.update(calls=0, decoded=0)
+    db = Database.open(path)
+    assert db.replay_report.commits_replayed == 1, db.replay_report
+    assert in_delete["calls"] == 1 and 0 < in_delete["decoded"] <= bound, in_delete
+    replay_decoded = in_delete["decoded"]
+    small = min(
+        db.cluster.nodes[0].manager.storage("t_super").containers.values(),
+        key=lambda c: c.row_count,
+    )
+    assert not any(reader._cache for reader in small._readers.values()), (
+        "the replayed DELETE decoded a container its victims' bounds reject"
+    )
+    assert db.sql("SELECT count(*) AS n FROM t")[0]["n"] == big + 500 - 11
+    del db
+
+    db = Database.open(path)  # cold caches again; the marker is replayed
+    marked_lookup = lookup(db)
+    assert marked_lookup <= clean_lookup, (
+        f"a delete marker cost its container {marked_lookup - clean_lookup} "
+        "more decoded blocks on a point lookup"
+    )
+    print("container read path OK: replayed DELETE decoded", replay_decoded,
+          "blocks (bound", str(bound) + "); point lookup", clean_lookup,
+          "blocks clean,", marked_lookup, "with a delete marker")
+finally:
+    StorageManager.delete_where = original
+    shutil.rmtree(root, ignore_errors=True)
+EOF
+
 echo "== Cluster.scrub() smoke =="
 python - <<'EOF'
 import shutil, tempfile

@@ -83,6 +83,13 @@ class ExecutorStats:
     def finalize(self) -> None:
         """Fold per-operator counters after execution."""
         self.rows_scanned = sum(scan.rows_scanned for scan in self._scans)
+        seek_blocks = sum(scan.seek_blocks for scan in self._scans)
+        if seek_blocks:
+            METRICS.inc("executor.seek_blocks", seek_blocks)
+            METRICS.inc(
+                "executor.seek_window_rows",
+                sum(scan.seek_window_rows for scan in self._scans),
+            )
 
 
 class _Fragments:

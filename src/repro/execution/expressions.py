@@ -224,9 +224,11 @@ class InList(Expr):
     def _compile(self):
         value = self.value.compiled()
         options = frozenset(self.options)
+        # a miss against a list holding NULL is NULL, not FALSE
+        miss = None if None in options else False
 
         def run(block: RowBlock) -> list:
-            return [None if v is None else v in options for v in value(block)]
+            return [None if v is None else v in options or miss for v in value(block)]
 
         return run
 

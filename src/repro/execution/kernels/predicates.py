@@ -14,10 +14,13 @@ What the kernels exploit, per column representation:
   decompressing");
 * **RLE vectors** — the test runs once per run, emitting position
   ranges, so a block of K runs costs O(K) regardless of row count;
-* **sorted plain columns** — comparisons and BETWEEN against the
-  block's leading sort column binary-search the value list into a
-  handful of position ranges (the paper's "applies predicates in the
-  most advantageous manner possible");
+* **the block's sort order** — a conjunction first walks the sort
+  prefix: comparisons and BETWEEN on the next sort column narrow a
+  window ``[lo, hi)`` by binary search *inside the window the columns
+  before it left*, and only an equality lets the walk go one column
+  deeper.  Whatever is left of the conjunction is evaluated over the
+  window alone (the paper's "applies predicates in the most
+  advantageous manner possible"; :func:`_conjunction`);
 * anything else — a straight vectorized mask.
 
 Three-valued logic: a Selection records rows where the predicate is
@@ -30,6 +33,7 @@ the row engine's "NULL does not pass" semantics exactly.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from operator import itemgetter
 
 from ..expressions import (
     And,
@@ -45,10 +49,12 @@ from ..expressions import (
     Or,
 )
 from .selection import Selection
-from .vectors import DictVector, RleVector, as_list, null_count_of
+from .vectors import ColumnVector, DictVector, RleVector, as_list, null_count_of
 
-#: Comparison op under logical negation (sound because the leaf only
-#: ever evaluates non-NULL values; NULL is excluded separately).
+#: Comparison op under logical negation — for the *seek*, which only
+#: ever runs over NULL- and NaN-free values.  A leaf's scalar test may
+#: meet a NaN, where ``NOT (v < x)`` is TRUE and ``v >= x`` is not, so
+#: it negates the test itself (``_NEGATED_TESTS``).
 _NEGATED_OP = {"=": "<>", "<>": "=", "<": ">=", "<=": ">", ">": "<=", ">=": "<"}
 
 #: Comparison op mirrored across its operands (literal <op> column).
@@ -63,6 +69,15 @@ _SCALAR_TESTS = {
     ">=": lambda lit: lambda v: v >= lit,
 }
 
+_NEGATED_TESTS = {
+    "=": _SCALAR_TESTS["<>"],
+    "<>": _SCALAR_TESTS["="],
+    "<": lambda lit: lambda v: not v < lit,
+    "<=": lambda lit: lambda v: not v <= lit,
+    ">": lambda lit: lambda v: not v > lit,
+    ">=": lambda lit: lambda v: not v >= lit,
+}
+
 
 class KernelPredicate:
     """A compiled vectorized predicate.
@@ -71,6 +86,9 @@ class KernelPredicate:
     maps the predicate's column names to vectors/lists, and
     ``sorted_by`` names the columns the block is sorted by (ascending,
     major first; empty when unknown).  Returns the TRUE-row Selection.
+    A caller that wants to know whether the sort order was used passes
+    a list as ``seeks``: every window a seek narrowed the block (or a
+    window of it) to appends its row count.
     """
 
     __slots__ = ("columns", "_evaluate")
@@ -79,8 +97,8 @@ class KernelPredicate:
         self.columns = columns
         self._evaluate = evaluate
 
-    def __call__(self, columns, row_count, sorted_by=()) -> Selection:
-        return self._evaluate(columns, row_count, sorted_by)
+    def __call__(self, columns, row_count, sorted_by=(), seeks=None) -> Selection:
+        return self._evaluate(columns, row_count, sorted_by, seeks)
 
 
 def compile_kernel_predicate(expr: Expr) -> KernelPredicate | None:
@@ -92,8 +110,9 @@ def compile_kernel_predicate(expr: Expr) -> KernelPredicate | None:
     if compiled is None:
         predicate = None
     else:
-        evaluate, columns = compiled
-        predicate = KernelPredicate(frozenset(columns), evaluate)
+        predicate = KernelPredicate(
+            frozenset(compiled.columns), _seeking(compiled).evaluate
+        )
     try:
         expr._kernel_predicate_cache = (predicate,)
     except AttributeError:  # pragma: no cover - exotic Expr subclass
@@ -111,53 +130,51 @@ def kernel_predicate_supported(expr: Expr | None) -> bool:
 # -- compilation -----------------------------------------------------------
 
 
-def _compile(expr: Expr, negated: bool):
-    """Return ``(evaluate, column_names)`` or None if unsupported."""
+class _Part:
+    """One compiled subtree: ``evaluate(columns, row_count, sorted_by,
+    seeks)`` over the column names in ``columns``.
+
+    A leaf that pins its column into one interval also carries
+    ``bounds`` — ``(name, low, high)``, each end None or ``(value,
+    inclusive)`` — which is what lets a conjunction seek for it instead
+    of calling it; a conjunction carries its ``conjuncts`` so a parent
+    AND can absorb them."""
+
+    __slots__ = ("evaluate", "columns", "bounds", "conjuncts")
+
+    def __init__(self, evaluate, columns, bounds=None, conjuncts=None):
+        self.evaluate = evaluate
+        self.columns = columns
+        self.bounds = bounds
+        self.conjuncts = conjuncts
+
+
+def _seeking(part: _Part) -> _Part:
+    """``part`` able to use the block's sort order on its own: a lone
+    seekable leaf is a conjunction of one."""
+    return _conjunction([part]) if part.bounds is not None else part
+
+
+def _compile(expr: Expr, negated: bool) -> _Part | None:
+    """Compile one subtree, or None if it is outside the dialect."""
     if isinstance(expr, Not):
         return _compile(expr.operand, not negated)
     if isinstance(expr, (And, Or)):
-        # De Morgan under negation: NOT(a AND b) == NOT a OR NOT b.
-        conjunction = isinstance(expr, And) != negated
         parts = [_compile(operand, negated) for operand in expr.operands]
         if any(part is None for part in parts):
             return None
-        evaluators = [evaluate for evaluate, _ in parts]
-        columns: set[str] = set()
-        for _, names in parts:
-            columns |= names
-
-        if conjunction:
-            def evaluate(block_columns, row_count, sorted_by):
-                result = evaluators[0](block_columns, row_count, sorted_by)
-                for child in evaluators[1:]:
-                    if result.is_empty:
-                        return result
-                    result = result.intersect(
-                        child(block_columns, row_count, sorted_by)
-                    )
-                return result
-        else:
-            def evaluate(block_columns, row_count, sorted_by):
-                result = evaluators[0](block_columns, row_count, sorted_by)
-                for child in evaluators[1:]:
-                    if result.is_all:
-                        return result
-                    result = result.union(
-                        child(block_columns, row_count, sorted_by)
-                    )
-                return result
-
-        return evaluate, columns
+        # De Morgan under negation: NOT(a AND b) == NOT a OR NOT b.
+        if isinstance(expr, And) != negated:
+            return _conjunction(parts)
+        return _disjunction(parts)
     if isinstance(expr, Literal):
         # WHERE TRUE / WHERE FALSE / WHERE NULL as a whole predicate.
         value = expr.value
-        if value is None:
-            keep_all = False
-        else:
-            keep_all = bool(value) != negated
-        if keep_all:
-            return (lambda _c, row_count, _s: Selection.all_rows(row_count)), set()
-        return (lambda _c, row_count, _s: Selection.none(row_count)), set()
+        if value is not None and bool(value) != negated:
+            return _Part(
+                lambda _c, row_count, _s, _k: Selection.all_rows(row_count), set()
+            )
+        return _const_none(set())
     if isinstance(expr, Comparison):
         return _compile_comparison(expr, negated)
     if isinstance(expr, Between):
@@ -171,6 +188,159 @@ def _compile(expr: Expr, negated: bool):
     return None
 
 
+def _disjunction(parts: list[_Part]) -> _Part:
+    evaluators = [_seeking(part).evaluate for part in parts]
+
+    def evaluate(block_columns, row_count, sorted_by, seeks):
+        result = evaluators[0](block_columns, row_count, sorted_by, seeks)
+        for child in evaluators[1:]:
+            if result.is_all:
+                return result
+            result = result.union(child(block_columns, row_count, sorted_by, seeks))
+        return result
+
+    return _Part(evaluate, set().union(*(part.columns for part in parts)))
+
+
+def _conjunction(parts: list[_Part]) -> _Part:
+    """AND of ``parts``: seek down the block's sort prefix, then
+    evaluate what the seek did not answer over the window it left.
+
+    The walk takes the block's sort columns in order.  On each, every
+    conjunct that bounds the column (``=``, ``<``, ``<=``, ``>``,
+    ``>=``, BETWEEN — :attr:`_Part.bounds`) narrows ``[lo, hi)`` by
+    binary search inside the current window, and is then answered.  The
+    walk goes on to the next sort column only if one of them was an
+    equality — only then is the next column sorted within the window —
+    and stops at a column no conjunct bounds, at one holding a NULL or
+    a NaN, and at an empty window.  The other conjuncts see the window
+    as their block: their columns cut to it (runs and codes stay
+    encoded), ``sorted_by`` without the pinned columns so a nested
+    AND/OR seeks again, and their selection shifted back.  A block
+    whose sort order answers nothing is the window ``[0, row_count)``
+    with nothing pinned: every conjunct over the whole block,
+    intersected.
+    """
+    conjuncts: list[_Part] = []
+    for part in parts:
+        conjuncts.extend(part.conjuncts or [part])
+    columns = set().union(*(part.columns for part in conjuncts))
+    bounded: dict[str, list[int]] = {}
+    for index, part in enumerate(conjuncts):
+        if part.bounds is not None:
+            bounded.setdefault(part.bounds[0], []).append(index)
+
+    def evaluate(block_columns, row_count, sorted_by, seeks):
+        lo, hi = 0, row_count
+        answered: list[int] = []
+        pinned = 0
+        for name in sorted_by if bounded else ():
+            if name not in bounded:
+                break
+            column = block_columns[name]
+            if not (isinstance(column, ColumnVector) and column.is_ordered()):
+                break
+            equality = False
+            for index in bounded[name]:
+                _, low, high = conjuncts[index].bounds
+                window = _seek(column, low, high, lo, hi)
+                if window is not None:
+                    lo, hi = window
+                    answered.append(index)
+                    equality = equality or low == high
+            if not equality or lo >= hi:
+                break
+            pinned += 1
+        rest = conjuncts
+        if answered:
+            if seeks is not None:
+                seeks.append(hi - lo)
+            if lo >= hi:
+                return Selection.none(row_count)
+            window = Selection(row_count, ranges=[(lo, hi)], count=hi - lo)
+            if len(answered) == len(conjuncts):
+                return window
+            rest = [
+                part
+                for index, part in enumerate(conjuncts)
+                if index not in answered
+            ]
+            block_columns = {
+                name: window.apply(block_columns[name])
+                for name in set().union(*(part.columns for part in rest))
+            }
+            sorted_by = sorted_by[pinned:]
+        result = Selection.all_rows(hi - lo)
+        for part in rest:
+            result = result.intersect(
+                part.evaluate(block_columns, hi - lo, sorted_by, seeks)
+            )
+            if result.is_empty:
+                break
+        return result.shifted(lo, row_count) if answered else result
+
+    return _Part(evaluate, columns, conjuncts=conjuncts)
+
+
+def _seek(column, low, high, lo: int, hi: int):
+    """Narrow ``[lo, hi)`` — a window in which ``column`` is sorted
+    ascending, NULL- and NaN-free — to the rows inside the interval
+    ``low .. high`` (each None or ``(value, inclusive)``).  Returns the
+    new ``(lo, hi)``, or None when the literal does not order against
+    the column's values: the conjunct then runs as a plain test, which
+    answers (``=``) or raises (``<``) exactly as the row engine does.
+
+    The one place the kernels binary-search: over the value list of a
+    plain vector, over the run boundaries of an RLE vector, and over
+    the codes of a dictionary vector through its entries.
+    """
+    if lo >= hi:
+        return lo, hi
+    if isinstance(column, RleVector):
+        runs, starts = column.runs, column.starts()
+        first = bisect_right(starts, lo) - 1
+        last = bisect_left(starts, hi)
+
+        def position(search, value):
+            run = search(runs, value, first, last, key=itemgetter(0))
+            return starts[run] if run < len(runs) else hi
+
+    elif isinstance(column, DictVector):
+        codes, entry = column.codes, column.entries.__getitem__
+
+        def position(search, value):
+            return search(codes, value, lo, hi, key=entry)
+
+    else:
+        values = column.values()
+
+        def position(search, value):
+            return search(values, value, lo, hi)
+
+    try:
+        if low is not None:
+            value, inclusive = low
+            found = position(bisect_left if inclusive else bisect_right, value)
+            lo = min(max(lo, found), hi)
+        if high is not None:
+            value, inclusive = high
+            found = position(bisect_right if inclusive else bisect_left, value)
+            hi = min(max(lo, found), hi)
+    except TypeError:
+        return None
+    return lo, hi
+
+
+def _bounds(name: str, low, high):
+    """The ``bounds`` of a leaf keeping ``low .. high`` of ``name``, or
+    None when an end is NaN: NaN orders against nothing, so no window
+    describes the rows it keeps."""
+    for end in (low, high):
+        if end is not None and end[0] != end[0]:
+            return None
+    return name, low, high
+
+
 def _compile_comparison(expr: Comparison, negated: bool):
     op = expr.op
     if isinstance(expr.left, ColumnRef) and isinstance(expr.right, Literal):
@@ -182,27 +352,14 @@ def _compile_comparison(expr: Comparison, negated: bool):
         return None
     if literal is None:
         # comparison with NULL is NULL either way: nothing passes.
-        return _const_none(), {name}
+        return _const_none({name})
+    test = (_NEGATED_TESTS if negated else _SCALAR_TESTS)[op](literal)
     if negated:
         op = _NEGATED_OP[op]
-    test = _SCALAR_TESTS[op](literal)
-
-    def sorted_ranges(values, row_count):
-        low = bisect_left(values, literal)
-        high = bisect_right(values, literal)
-        if op == "=":
-            return [(low, high)]
-        if op == "<>":
-            return [(0, low), (high, row_count)]
-        if op == "<":
-            return [(0, low)]
-        if op == "<=":
-            return [(0, high)]
-        if op == ">":
-            return [(high, row_count)]
-        return [(low, row_count)]  # ">="
-
-    return _make_leaf(name, test, sorted_ranges)
+    low = (literal, op != ">") if op in ("=", ">", ">=") else None
+    high = (literal, op != "<") if op in ("=", "<", "<=") else None
+    bounds = None if op == "<>" else _bounds(name, low, high)
+    return _make_leaf(name, test, bounds)
 
 
 def _compile_between(expr: Between, negated: bool):
@@ -215,24 +372,17 @@ def _compile_between(expr: Between, negated: bool):
     name = expr.value.name
     low, high = expr.low.value, expr.high.value
     if low is None or high is None:
-        return _const_none(), {name}
+        return _const_none({name})
     if negated:
         def test(v, low=low, high=high):
-            return v < low or v > high
+            return not low <= v <= high
 
-        def sorted_ranges(values, row_count):
-            return [
-                (0, bisect_left(values, low)),
-                (bisect_right(values, high), row_count),
-            ]
-    else:
-        def test(v, low=low, high=high):
-            return low <= v <= high
+        return _make_leaf(name, test)
 
-        def sorted_ranges(values, row_count):
-            return [(bisect_left(values, low), bisect_right(values, high))]
+    def test(v, low=low, high=high):
+        return low <= v <= high
 
-    return _make_leaf(name, test, sorted_ranges)
+    return _make_leaf(name, test, _bounds(name, (low, True), (high, True)))
 
 
 def _compile_in_list(expr: InList, negated: bool):
@@ -244,10 +394,10 @@ def _compile_in_list(expr: InList, negated: bool):
     if negated and has_null_option:
         # v NOT IN (..., NULL) is never TRUE: FALSE on a match, NULL
         # otherwise.
-        return _const_none(), {name}
+        return _const_none({name})
     choices = frozenset(option for option in options if option is not None)
     if not choices and not negated:
-        return _const_none(), {name}
+        return _const_none({name})
     if negated:
         def test(v, choices=choices):
             return v not in choices
@@ -255,7 +405,7 @@ def _compile_in_list(expr: InList, negated: bool):
         def test(v, choices=choices):
             return v in choices
 
-    return _make_leaf(name, test, None)
+    return _make_leaf(name, test)
 
 
 def _compile_is_null(expr: IsNull, negated: bool):
@@ -265,7 +415,7 @@ def _compile_is_null(expr: IsNull, negated: bool):
     # IS [NOT] NULL is two-valued, so outer NOT simply flips it.
     want_null = expr.negated == negated
 
-    def evaluate(columns, row_count, _sorted_by):
+    def evaluate(columns, row_count, _sorted_by, _seeks):
         column = columns[name]
         nulls = null_count_of(column)
         if nulls == 0:
@@ -277,7 +427,7 @@ def _compile_is_null(expr: IsNull, negated: bool):
             return Selection.from_mask([value is None for value in values])
         return Selection.from_mask([value is not None for value in values])
 
-    return evaluate, {name}
+    return _Part(evaluate, {name})
 
 
 def _compile_like(expr: Like, negated: bool):
@@ -290,17 +440,17 @@ def _compile_like(expr: Like, negated: bool):
     def test(v, regex=regex, want=want_match):
         return (regex.match(v) is not None) is want
 
-    return _make_leaf(name, test, None)
+    return _make_leaf(name, test)
 
 
-def _const_none():
-    return lambda _c, row_count, _s: Selection.none(row_count)
+def _const_none(columns: set) -> _Part:
+    return _Part(lambda _c, row_count, _s, _k: Selection.none(row_count), columns)
 
 
-def _make_leaf(name: str, test, sorted_ranges):
+def _make_leaf(name: str, test, bounds=None) -> _Part:
     """Leaf evaluator dispatching on the column's representation."""
 
-    def evaluate(columns, row_count, sorted_by):
+    def evaluate(columns, row_count, _sorted_by, _seeks):
         column = columns[name]
         if isinstance(column, DictVector):
             # test once per dictionary entry, select rows by code.
@@ -319,19 +469,9 @@ def _make_leaf(name: str, test, sorted_ranges):
                     ranges.append((position, position + length))
                 position += length
             return Selection.from_ranges(ranges, row_count)
-        if (
-            sorted_ranges is not None
-            and sorted_by
-            and sorted_by[0] == name
-            and null_count_of(column) == 0
-        ):
-            # block sorted ascending by this column: binary search.
-            return Selection.from_ranges(
-                sorted_ranges(as_list(column), row_count), row_count
-            )
         values = as_list(column)
         return Selection.from_mask(
             [value is not None and test(value) for value in values]
         )
 
-    return evaluate, {name}
+    return _Part(evaluate, {name}, bounds)

@@ -23,9 +23,10 @@ to the leaves instead.
 
 from __future__ import annotations
 
-from itertools import compress
+from bisect import bisect_right
+from itertools import compress, count
 
-from .vectors import ColumnVector, DictVector, RleVector
+from .vectors import ColumnVector, DictVector, PlainVector, RleVector
 
 
 class Selection:
@@ -150,6 +151,21 @@ class Selection:
             return Selection.from_ranges(out, self.row_count)
         return Selection.from_mask([not flag for flag in self.mask()])
 
+    def shifted(self, offset: int, row_count: int) -> "Selection":
+        """This selection of a window re-expressed over the
+        ``row_count``-row block the window starts at ``offset`` of.
+        Always ranges: a window's mask never grows to block length."""
+        if self._ranges is not None:
+            ranges = [(start + offset, stop + offset) for start, stop in self._ranges]
+        else:
+            ranges = []
+            for position in compress(count(offset), self._mask):
+                if ranges and ranges[-1][1] == position:
+                    ranges[-1] = (ranges[-1][0], position + 1)
+                else:
+                    ranges.append((position, position + 1))
+        return Selection(row_count, ranges=ranges, count=self.count)
+
     # -- application -----------------------------------------------------
 
     def apply(self, column):
@@ -157,33 +173,37 @@ class Selection:
 
         Encoded representations survive where the math allows: ranges
         slice RLE runs run-by-run and dictionary vectors keep their
-        dictionary with compressed code lists.
+        dictionary with compressed code lists.  A vector comes back as
+        a vector (exact NULL count, ordering inherited — see
+        :meth:`ColumnVector.is_ordered`), a list as a list.
         """
         if self.is_all:
             return column
         if self.is_empty:
             return []
-        if self._ranges is not None:
-            if isinstance(column, DictVector):
+        ranges, mask = self._ranges, self._mask
+        if isinstance(column, DictVector):
+            if ranges is not None:
                 codes = column.codes
                 kept: list = []
-                for start, stop in self._ranges:
+                for start, stop in ranges:
                     kept.extend(codes[start:stop])
-                return DictVector(kept, column.entries)
-            if isinstance(column, RleVector):
-                return RleVector(
-                    _slice_runs(column.runs, self._ranges), self.count
-                )
-            values = column.values() if isinstance(column, ColumnVector) else column
-            out: list = []
-            for start, stop in self._ranges:
-                out.extend(values[start:stop])
-            return out
-        mask = self._mask
-        if isinstance(column, DictVector):
-            return DictVector(list(compress(column.codes, mask)), column.entries)
+            else:
+                kept = list(compress(column.codes, mask))
+            return DictVector(kept, column.entries, origin=column)
+        if isinstance(column, RleVector) and ranges is not None:
+            return RleVector(_slice_runs(column, ranges), self.count, origin=column)
         values = column.values() if isinstance(column, ColumnVector) else column
-        return list(compress(values, mask))
+        if ranges is not None:
+            out: list = []
+            for start, stop in ranges:
+                out.extend(values[start:stop])
+        else:
+            out = list(compress(values, mask))
+        if isinstance(column, ColumnVector):
+            nulls = out.count(None) if column.null_count else 0
+            return PlainVector(out, nulls, origin=column)
+        return out
 
     def __repr__(self) -> str:
         shape = "ranges" if self._ranges is not None else "mask"
@@ -206,26 +226,20 @@ def _intersect_ranges(left: list[tuple], right: list[tuple]) -> list[tuple]:
     return out
 
 
-def _slice_runs(runs: list[tuple], ranges: list[tuple]) -> list[tuple]:
-    """Restrict ``runs`` to the row positions covered by ``ranges``."""
+def _slice_runs(vector: RleVector, ranges: list[tuple]) -> list[tuple]:
+    """Restrict ``vector``'s runs to the row positions covered by
+    ``ranges``: a search for each range's first run, then only the runs
+    the range overlaps."""
     out: list[tuple] = []
-    boundaries: list[tuple] = []  # (run_start, run_stop, value)
-    position = 0
-    for value, length in runs:
-        boundaries.append((position, position + length, value))
-        position += length
-    j = 0
+    runs, starts = vector.runs, vector.starts()
     for start, stop in ranges:
-        while j < len(boundaries) and boundaries[j][1] <= start:
-            j += 1
-        k = j
-        while k < len(boundaries) and boundaries[k][0] < stop:
-            run_start, run_stop, value = boundaries[k]
-            kept = min(run_stop, stop) - max(run_start, start)
-            if kept > 0:
-                if out and out[-1][0] == value:
-                    out[-1] = (value, out[-1][1] + kept)
-                else:
-                    out.append((value, kept))
+        k = bisect_right(starts, start) - 1
+        while k < len(runs) and starts[k] < stop:
+            value, length = runs[k]
+            kept = min(starts[k] + length, stop) - max(starts[k], start)
+            if out and out[-1][0] == value:
+                out[-1] = (value, out[-1][1] + kept)
+            else:
+                out.append((value, kept))
             k += 1
     return out

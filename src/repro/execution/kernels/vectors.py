@@ -14,23 +14,57 @@ never contain NULLs — storage blocks with NULLs decode to a
 :class:`PlainVector` (the presence bitmap's positions do not line up
 with run/code positions, so the encoded form is not usable once NULLs
 enter the picture).  ``null_count`` is therefore exact on every vector.
+
+Ordering contract: a block sorted by a column can be binary-searched
+only while every value in it orders against every other, which a NULL
+or a float NaN breaks.  :meth:`ColumnVector.is_ordered` answers that
+once per vector; a vector cut out of another (a visibility selection, a
+seek window) inherits a clean answer from the vector it was cut from,
+so the scan over a cached storage block is paid once per decode, not
+once per statement.
 """
 
 from __future__ import annotations
+
+from operator import ne
 
 
 class ColumnVector:
     """Base class: a fixed-length, read-only column of values."""
 
-    __slots__ = ("row_count", "null_count", "_values")
+    __slots__ = ("row_count", "null_count", "_values", "_ordered", "_origin")
 
     #: Encoded-representation kind: "plain" | "rle" | "dict".
     kind = "plain"
 
-    def __init__(self, row_count: int, null_count: int):
+    def __init__(self, row_count: int, null_count: int, origin=None):
         self.row_count = row_count
         self.null_count = null_count
         self._values: list | None = None
+        self._ordered: bool | None = None
+        #: The vector this one is a subset of, if any (see is_ordered).
+        self._origin: ColumnVector | None = origin
+
+    def is_ordered(self) -> bool:
+        """Whether every value orders against every other: no NULL and
+        no NaN.  A subset of an ordered vector is ordered; otherwise the
+        vector's own scalars are checked, once."""
+        ordered = self._ordered
+        if ordered is None:
+            origin = self._origin
+            if self.null_count:
+                ordered = False
+            elif origin is not None and origin.is_ordered():
+                ordered = True
+            else:
+                ordered = not _any_nan(self._scalars())
+            self._ordered = ordered
+            self._origin = None
+        return ordered
+
+    def _scalars(self):
+        """The distinct-ish values a scalar test has to visit."""
+        return self.values()
 
     def values(self) -> list:
         """The materialized value list (decoded once, then cached)."""
@@ -67,8 +101,8 @@ class PlainVector(ColumnVector):
 
     kind = "plain"
 
-    def __init__(self, values: list, null_count: int):
-        super().__init__(len(values), null_count)
+    def __init__(self, values: list, null_count: int, origin=None):
+        super().__init__(len(values), null_count, origin)
         self._values = values
 
     def _materialize(self) -> list:  # pragma: no cover - set in __init__
@@ -78,15 +112,32 @@ class PlainVector(ColumnVector):
 class RleVector(ColumnVector):
     """A column held as ``(value, run_length)`` pairs (no NULLs)."""
 
-    __slots__ = ("runs",)
+    __slots__ = ("runs", "_starts")
 
     kind = "rle"
 
-    def __init__(self, runs: list[tuple], row_count: int | None = None):
+    def __init__(
+        self, runs: list[tuple], row_count: int | None = None, origin=None
+    ):
         if row_count is None:
             row_count = sum(length for _, length in runs)
-        super().__init__(row_count, 0)
+        super().__init__(row_count, 0, origin)
         self.runs = runs
+        self._starts: list[int] | None = None
+
+    def starts(self) -> list[int]:
+        """Row position at which each run starts (built once)."""
+        starts = self._starts
+        if starts is None:
+            starts = self._starts = []
+            position = 0
+            for _, length in self.runs:
+                starts.append(position)
+                position += length
+        return starts
+
+    def _scalars(self):
+        return [value for value, _ in self.runs]
 
     def _materialize(self) -> list:
         out: list = []
@@ -106,10 +157,13 @@ class DictVector(ColumnVector):
 
     kind = "dict"
 
-    def __init__(self, codes: list[int], entries: list):
-        super().__init__(len(codes), 0)
+    def __init__(self, codes: list[int], entries: list, origin=None):
+        super().__init__(len(codes), 0, origin)
         self.codes = codes
         self.entries = entries
+
+    def _scalars(self):
+        return self.entries
 
     def _materialize(self) -> list:
         entries = self.entries
@@ -126,6 +180,17 @@ def as_list(column) -> list:
     if isinstance(column, ColumnVector):
         return column.values()
     return column
+
+
+def _any_nan(scalars) -> bool:
+    """Whether a NaN is among ``scalars`` (no NULLs in it)."""
+    try:
+        total = sum(scalars)
+        if total == total:  # one NaN would have poisoned the sum
+            return False
+    except (TypeError, OverflowError):  # not (only) machine numbers
+        pass
+    return any(map(ne, scalars, scalars))
 
 
 def null_count_of(column) -> int | None:

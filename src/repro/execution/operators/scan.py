@@ -60,6 +60,13 @@ class ScanOperator(Operator):
         self.failure_probe = failure_probe
         self.rows_scanned = 0
         self.rows_after_predicate = 0
+        #: Blocks whose sort order narrowed the predicate to a window
+        #: before anything was tested, and the rows inside those windows
+        #: — against ``rows_scanned``, how much of what the scan was
+        #: handed it actually had to look at.  (Folded into METRICS once
+        #: per query by ``ExecutorStats.finalize``, not once per block.)
+        self.seek_blocks = 0
+        self.seek_window_rows = 0
 
     def _needed_columns(self) -> list[str]:
         needed = set(self.columns)
@@ -82,6 +89,8 @@ class ScanOperator(Operator):
             if kernel is None:
                 row_predicate = self.predicate.compiled()
 
+        seeks: list[int] = []
+
         def emit(block: RowBlock):
             self.rows_scanned += block.row_count
             if kernel is not None:
@@ -92,8 +101,12 @@ class ScanOperator(Operator):
                 self.kernel_blocks += 1
                 METRICS.inc("executor.kernel_blocks")
                 selection = kernel(
-                    block.columns, block.row_count, block.sorted_by or ()
+                    block.columns, block.row_count, block.sorted_by or (), seeks
                 )
+                if seeks:
+                    self.seek_blocks += 1
+                    self.seek_window_rows += sum(seeks)
+                    seeks.clear()
                 if selection.is_empty:
                     return None
                 if not selection.is_all:

@@ -91,6 +91,7 @@ def check_container(container: "ROSContainer") -> None:
     """
     if not enabled():
         return
+    from ..storage.block import value_bounds
     from ..storage.ros import EPOCH_COLUMN
 
     meta = container.meta
@@ -132,22 +133,14 @@ def check_container(container: "ROSContainer") -> None:
                 f"{index} has {len(values) - len(non_nulls)} NULLs, index "
                 f"says {info.null_count}",
             )
-            if non_nulls:
-                actual_min, actual_max = min(non_nulls), max(non_nulls)
-                invariant(
-                    info.min_value == actual_min and info.max_value == actual_max,
-                    f"container {meta.container_id}: column {name!r} block "
-                    f"{index} min/max metadata ({info.min_value!r}, "
-                    f"{info.max_value!r}) does not match decoded values "
-                    f"({actual_min!r}, {actual_max!r}) — pruning would be "
-                    "wrong",
-                )
-            else:
-                invariant(
-                    info.min_value is None and info.max_value is None,
-                    f"container {meta.container_id}: column {name!r} block "
-                    f"{index} is all-NULL but has min/max metadata",
-                )
+            actual = value_bounds(non_nulls)
+            invariant(
+                (info.min_value, info.max_value) == actual,
+                f"container {meta.container_id}: column {name!r} block "
+                f"{index} min/max metadata ({info.min_value!r}, "
+                f"{info.max_value!r}) does not match decoded values "
+                f"{actual!r} — pruning would be wrong",
+            )
 
 
 # -- tuple mover -------------------------------------------------------

@@ -43,6 +43,11 @@ class OperatorProfile:
     #: How blocks were processed: "kernel", "row", "mixed", or "-" for
     #: operators without a kernel/row distinction.
     execution: str = "-"
+    #: A Scan's blocks that its predicate narrowed to a sort-order
+    #: window before testing anything, and the rows in those windows
+    #: (0 / 0: every block it was handed was filtered row by row).
+    seek_blocks: int = 0
+    seek_window_rows: int = 0
 
 
 @dataclass
@@ -68,12 +73,17 @@ class QueryProfile:
             execution = (
                 f" exec={op.execution}" if op.execution != "-" else ""
             )
+            seek = (
+                f" seek={op.seek_blocks}/{op.seek_window_rows}"
+                if op.seek_blocks
+                else ""
+            )
             lines.append(
                 "  " * op.depth
                 + f"{op.label}  "
                 + f"[rows={op.rows_produced} blocks={op.blocks_produced} "
                 + f"pulls={op.pulls} time={op.wall_seconds * 1000:.2f}ms "
-                + f"self={op.self_seconds * 1000:.2f}ms{execution}]"
+                + f"self={op.self_seconds * 1000:.2f}ms{seek}{execution}]"
             )
         return "\n".join(lines)
 
@@ -103,6 +113,8 @@ def profile_plan(root: "Operator") -> list[OperatorProfile]:
             pulls=op.pulls,
             wall_seconds=op.wall_seconds,
             execution=op.execution_mode(),
+            seek_blocks=getattr(op, "seek_blocks", 0),
+            seek_window_rows=getattr(op, "seek_window_rows", 0),
         )
         profiles.append(profile)
         for child in op.children:

@@ -88,6 +88,8 @@ _COLUMNS = {
         "wall_ms",
         "self_ms",
         "execution",
+        "seek_blocks",
+        "seek_window_rows",
     ],
     "projection_storage": [
         "node_name",
@@ -358,6 +360,8 @@ def _query_profiles_rows(db) -> list[dict]:
                     "wall_ms": op.wall_seconds * 1000.0,
                     "self_ms": op.self_seconds * 1000.0,
                     "execution": op.execution,
+                    "seek_blocks": op.seek_blocks,
+                    "seek_window_rows": op.seek_window_rows,
                 }
             )
     return rows

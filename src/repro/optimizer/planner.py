@@ -9,6 +9,7 @@ and lives here.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 from ..errors import PlanningError
@@ -38,7 +39,7 @@ from .logical import (
     ScanNode,
     SortNode,
 )
-from .rewrite import rewrite
+from .rewrite import _resync_child_fields, rewrite
 from .stats import StatsCatalog
 
 
@@ -67,6 +68,15 @@ def _key_names(keys: list[Expr]) -> list[str] | None:
             return None
         names.append(key.name)
     return names
+
+
+def _copy_nodes(node: LogicalNode) -> LogicalNode:
+    """A copy of the logical tree's nodes — the part ``rewrite``
+    mutates — sharing every expression and every column/key list."""
+    clone = copy.copy(node)
+    clone.children = [_copy_nodes(child) for child in node.children]
+    _resync_child_fields(clone)
+    return clone
 
 
 @dataclass
@@ -99,12 +109,13 @@ class PlannerBase:
     def plan(self, logical: LogicalNode) -> P.PhysicalNode:
         """Produce a physical plan for a logical query tree.
 
-        The tree is deep-copied first: rewrites mutate in place, and
-        callers (tests, the Database Designer) plan the same logical
-        tree repeatedly.
+        The tree's nodes are copied first: rewrites rebind node fields
+        (children, scan predicates, join types) in place, and callers
+        (tests, the Database Designer) plan the same logical tree
+        repeatedly.  Expressions are shared, not copied — no rewrite
+        and no planner step mutates an ``Expr``; they build new ones —
+        so a re-planned tree also keeps its compiled predicates.
         """
-        import copy
-
         from ..trace import TRACER
 
         with TRACER.span(
@@ -112,7 +123,7 @@ class PlannerBase:
             category="optimizer",
             optimizer=type(self).__name__,
         ):
-            logical = rewrite(copy.deepcopy(logical))
+            logical = rewrite(_copy_nodes(logical))
             return self._plan_node(logical)
 
     # -- dispatch ------------------------------------------------------------

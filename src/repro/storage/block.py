@@ -44,9 +44,9 @@ class BlockInfo:
     offset: int
     #: Byte length of the block within the column data file.
     length: int
-    #: Minimum non-NULL value in the block (None if all NULL).
+    #: Minimum non-NULL, non-NaN value in the block (None if there is none).
     min_value: object
-    #: Maximum non-NULL value in the block (None if all NULL).
+    #: Maximum non-NULL, non-NaN value in the block (None if there is none).
     max_value: object
 
     @property
@@ -118,6 +118,27 @@ def _apply_bitmap(bitmap: bytes, non_nulls: list, count: int) -> list:
     return values
 
 
+def value_bounds(non_nulls: list) -> tuple:
+    """``(min, max)`` of a block's non-NULL values for its position
+    index entry, ``(None, None)`` when there is nothing to bound.
+
+    NaN is left out the way NULL is: it satisfies no range predicate,
+    so pruning on the bounds of the other values is exact, while a NaN
+    *as* a bound would order against nothing.  ``min``/``max`` keep a
+    NaN only when it is the first value (nothing compares below or
+    above it), so a clean result needs no second pass.
+    """
+    if not non_nulls:
+        return None, None
+    low, high = min(non_nulls), max(non_nulls)
+    if low != low or high != high:
+        ordered = [value for value in non_nulls if value == value]
+        if not ordered:
+            return None, None
+        low, high = min(ordered), max(ordered)
+    return low, high
+
+
 def encode_block(
     values: list,
     dtype: DataType,
@@ -137,11 +158,7 @@ def encode_block(
     payload = encoding.encode(non_nulls)
     if null_count:
         payload = _presence_bitmap(values) + payload
-    if non_nulls:
-        min_value = min(non_nulls)
-        max_value = max(non_nulls)
-    else:
-        min_value = max_value = None
+    min_value, max_value = value_bounds(non_nulls)
     info = BlockInfo(
         start_position=start_position,
         row_count=len(values),

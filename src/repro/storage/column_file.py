@@ -190,17 +190,8 @@ class ColumnReader:
         if lo == 0 and hi == info.row_count:
             return vector
         from ..execution.kernels.selection import Selection
-        from ..execution.kernels.vectors import PlainVector
 
-        trimmed = Selection.from_ranges([(lo, hi)], info.row_count).apply(vector)
-        if isinstance(trimmed, list):
-            nulls = (
-                sum(1 for value in trimmed if value is None)
-                if info.null_count
-                else 0
-            )
-            return PlainVector(trimmed, nulls)
-        return trimmed
+        return Selection.from_ranges([(lo, hi)], info.row_count).apply(vector)
 
     def read_all(self) -> list:
         """Decode the entire column in position order."""

@@ -440,7 +440,7 @@ class StorageManager:
 
         for position, row in state.wos.visible(snapshot_epoch):
             if take(tuple(repr(row[name]) for name in names)):
-                state.wos.delete_epochs[position] = commit_epoch
+                state.wos.mark_deleted(position, commit_epoch)
                 deleted += 1
         bounds = {}
         for name in names:
@@ -736,7 +736,7 @@ class StorageManager:
             yield from self._scan_container(
                 state, container, epoch, names, prune, vectorized, sort_columns
             )
-        yield from self._scan_wos(state, epoch, names, sort_columns)
+        yield from self._scan_wos(state, epoch, names, vectorized, sort_columns)
 
     def _pruned_position_range(self, container, prune) -> tuple[int, int]:
         """Intersect pruned position ranges of restricted (ungrouped)
@@ -843,19 +843,23 @@ class StorageManager:
                 sort_columns=sort_columns,
             )
 
-    def _scan_wos(self, state, epoch, names, sort_columns=None):
-        visible_rows = [row for _, row in state.wos.visible(epoch)]
-        if not visible_rows:
+    def _scan_wos(self, state, epoch, names, vectorized, sort_columns):
+        """The WOS half of a scan: the batches of its sorted columnar
+        view (:class:`SortedView` — built once per mutation, not per
+        scan) visible at ``epoch``."""
+        if not state.wos.row_count:
+            return
+        view = state.wos.sorted_view(state.projection.sort_key_for)
+        batches = view.batches(epoch, names, BLOCK_ROWS)
+        if not batches:
             return
         METRICS.inc("storage.wos_scans")
-        METRICS.inc("storage.wos_rows_scanned", len(visible_rows))
-        visible_rows = state.projection.sorted_rows(visible_rows)
-        for start in range(0, len(visible_rows), BLOCK_ROWS):
-            chunk = visible_rows[start : start + BLOCK_ROWS]
+        METRICS.inc("storage.wos_rows_scanned", sum(rows for _, rows in batches))
+        for columns, row_count in batches:
+            if not vectorized:
+                columns = {name: vector.values() for name, vector in columns.items()}
             yield ScanBatch(
-                columns={name: [row[name] for row in chunk] for name in names},
-                row_count=len(chunk),
-                sort_columns=sort_columns,
+                columns=columns, row_count=row_count, sort_columns=sort_columns
             )
 
     def read_visible_rows(self, projection_name: str, epoch: int) -> list[dict]:

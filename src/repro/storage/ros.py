@@ -40,6 +40,7 @@ from ..lint import sanitizer
 from ..monitor import METRICS
 from ..projections import ProjectionDefinition
 from . import fsio
+from .block import value_bounds
 from .column_file import ColumnReader, ColumnWriter
 from .serde import read_value, write_value
 
@@ -444,10 +445,9 @@ class ROSContainer:
     def column_min_max(self, name: str):
         """(min, max) of a column from index metadata (no data decode)."""
         if self._group_of(name) is not None:
-            values = [v for v in self.read_column(name) if v is not None]
-            if not values:
-                return None, None
-            return min(values), max(values)
+            return value_bounds(
+                [v for v in self.read_column(name) if v is not None]
+            )
         reader = self.column_reader(name)
         return reader.min_value(), reader.max_value()
 

@@ -114,6 +114,55 @@ def test_query_profiles_execution_column(db):
     assert by_name["ExprEval"] == "-"
 
 
+SEEK_SQL = "SELECT v FROM t WHERE k BETWEEN 40 AND 56 AND tag = 'a'"
+
+
+def _scan_line(rendered):
+    (line,) = [
+        line.strip() for line in rendered.splitlines() if "Scan(" in line
+    ]
+    return re.sub(r"(time|self)=[\d.]+ms", r"\1=_", line)
+
+
+def test_explain_analyze_shows_what_a_seek_left_to_filter(db):
+    """A slow lookup explains itself: ``seek=<blocks narrowed>/<rows in
+    the windows>`` beside the rows the Scan produced.  Three containers
+    each narrowed ``k BETWEEN`` to a window (17 rows in all) before
+    ``tag = 'a'`` tested anything."""
+    assert _scan_line(db.sql("EXPLAIN ANALYZE " + SEEK_SQL)) == (
+        "Scan(t_super @e1) filter=((k BETWEEN 40 AND 56) AND (tag = 'a'))  "
+        "[rows=9 blocks=3 pulls=4 time=_ self=_ seek=3/17 exec=kernel]"
+    )
+    # no conjunct on the sort prefix: every block filtered row by row
+    assert _scan_line(db.sql("EXPLAIN ANALYZE SELECT v FROM t WHERE tag = 'a'")) == (
+        "Scan(t_super @e1) filter=(tag = 'a')  "
+        "[rows=250 blocks=3 pulls=4 time=_ self=_ exec=kernel]"
+    )
+    with force_row_engine():
+        assert " seek=" not in db.sql("EXPLAIN ANALYZE " + SEEK_SQL)
+
+
+def test_query_profiles_and_metrics_carry_the_seek(db):
+    from repro.monitor import METRICS
+
+    before = {
+        name: METRICS.counter(name)
+        for name in ("executor.seek_blocks", "executor.seek_window_rows")
+    }
+    db.sql(SEEK_SQL)
+    (scan,) = db.sql(
+        "SELECT rows_produced, seek_blocks, seek_window_rows "
+        "FROM v_monitor.query_profiles WHERE operator_name = 'Scan' "
+        "ORDER BY query_id DESC LIMIT 1"
+    )
+    assert scan == {"rows_produced": 9, "seek_blocks": 3, "seek_window_rows": 17}
+    assert METRICS.counter("executor.seek_blocks") - before["executor.seek_blocks"] == 3
+    assert (
+        METRICS.counter("executor.seek_window_rows")
+        - before["executor.seek_window_rows"]
+    ) == 17
+
+
 def test_both_engines_agree_with_sanitizer_on(db):
     """REPRO_SANITIZE=1 regression: the row-conservation checks stay
     silent on correct plans, in both engines."""

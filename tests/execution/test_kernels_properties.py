@@ -14,8 +14,10 @@ oracle over hundreds of randomly drawn inputs:
   representation must obey the boolean-algebra laws, and ``apply``
   must equal compress-by-mask on every vector kind.
 
-Everything is driven by fixed-seed ``random.Random`` instances, so a
-failure replays exactly.
+Those are driven by fixed-seed ``random.Random`` instances, so a
+failure replays exactly.  The last section holds the sort-prefix seek
+to the row engine and to a plain evaluation kept here, under
+Hypothesis (it prints the block's seed and the predicate on failure).
 """
 
 import math
@@ -305,3 +307,354 @@ def test_selection_apply_preserves_encoding():
             assert isinstance(out2, DictVector)
             assert out2.entries == dv.entries
         assert as_list(out2) == expected2
+
+
+# -- the sort-prefix seek --------------------------------------------------
+#
+# A compiled conjunction binary-searches the block's sort prefix and
+# evaluates the rest over the window that leaves.  Whatever the block
+# looks like — any sort prefix, any mix of plain / RLE / dictionary
+# columns, NULLs and NaNs anywhere, duplicates dense — its selection
+# must equal (i) the row engine's and (ii) the plain evaluation kept
+# below: every leaf over the whole block, combined by set algebra.
+
+import operator  # noqa: E402
+
+from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from repro.execution.expressions import And, Between, IsNull, Or  # noqa: E402
+from repro.execution.row_block import RowBlock  # noqa: E402
+from repro.types import sort_key  # noqa: E402
+
+SEEK_COLUMNS = ("c0", "c1", "c2", "c3")
+NAN = float("nan")
+#: per type family: the values a column is filled from, and literals on
+#: either side of them
+NUMBER_POOL = (-3, -1, -0.0, 0, 0.0, 1, 1.0, 2, 2.5, 3, 7)
+NUMBER_OUTSIDE = (-100, 100.5, NAN)
+WORD_POOL = ("", "a", "ab", "b", "m", "mm", "z")
+WORD_OUTSIDE = (" ", "zzz")
+PYTHON_OPS = {
+    "=": operator.eq, "<>": operator.ne, "<": operator.lt,
+    "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+}
+MIRRORED = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "<>": "<>"}
+
+
+def _encode(rng, values, representation):
+    """``values`` as the vector kind asked for (plain wherever the
+    encoded kinds cannot hold it: they are NULL-free by contract)."""
+    nulls = sum(1 for value in values if value is None)
+    if representation == "list":
+        return list(values)
+    if nulls or not values or representation == "plain":
+        return PlainVector(list(values), nulls)
+    if representation == "rle":
+        runs = []
+        for value in values:
+            # keyed by repr, as storage should: -0.0 does not fold into 0
+            if runs and repr(runs[-1][0]) == repr(value):
+                runs[-1] = (value, runs[-1][1] + 1)
+            else:
+                runs.append((value, 1))
+        return RleVector(runs, len(values))
+    entries = list({repr(value): value for value in values}.values())
+    rng.shuffle(entries)  # codes carry no order of their own
+    code = {repr(entry): index for index, entry in enumerate(entries)}
+    return DictVector([code[repr(value)] for value in values], entries)
+
+
+@st.composite
+def sorted_blocks(draw, searchable=st.booleans()):
+    """``(columns, row_count, sorted_by, pools)``: a block sorted the way
+    a projection sorts it, by a 1–3 column prefix of its 4 columns.
+    ``searchable`` blocks keep NULL, NaN and bare lists out of the sort
+    prefix, so every seek the predicate allows happens."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    row_count = draw(st.sampled_from((0, 1, 2, 5, 40, 200, 600)))
+    sorted_by = SEEK_COLUMNS[: draw(st.integers(1, 3))]
+    searchable = draw(searchable)
+    pools, lists, kinds = {}, {}, {}
+    for name in SEEK_COLUMNS:
+        clean = searchable and name in sorted_by
+        numeric = draw(st.booleans())
+        pool = list(NUMBER_POOL if numeric else WORD_POOL)
+        pool = rng.sample(pool, draw(st.integers(1, len(pool))))
+        if numeric and not clean and draw(st.integers(0, 5)) == 0:
+            pool.append(NAN)
+        if not clean and draw(st.integers(0, 3)) == 0:
+            pool.append(None)
+        pools[name] = (numeric, pool)
+        lists[name] = [rng.choice(pool) for _ in range(row_count)]
+        kinds[name] = draw(
+            st.sampled_from(("plain", "rle", "dict") + (() if clean else ("list",)))
+        )
+    order = sorted(
+        range(row_count),
+        key=lambda i: tuple(sort_key(lists[name][i]) for name in sorted_by),
+    )
+    columns = {
+        name: _encode(rng, [lists[name][i] for i in order], kinds[name])
+        for name in SEEK_COLUMNS
+    }
+    return columns, row_count, sorted_by, pools
+
+
+def _literals(pools, name):
+    numeric, pool = pools[name]
+    outside = NUMBER_OUTSIDE if numeric else WORD_OUTSIDE
+    return st.sampled_from(pool + list(outside) + [None])
+
+
+def _leaves(pools, name):
+    column, literal = ColumnRef(name), _literals(pools, name)
+    ops = st.sampled_from(COMPARISON_OPS)
+    return st.one_of(
+        st.builds(lambda op, v: Comparison(op, column, Literal(v)), ops, literal),
+        st.builds(lambda op, v: Comparison(op, Literal(v), column), ops, literal),
+        st.builds(
+            lambda a, b: Between(column, Literal(a), Literal(b)), literal, literal
+        ),
+        st.builds(lambda vs: InList(column, vs), st.lists(literal, max_size=3)),
+        st.builds(lambda flag: IsNull(column, flag), st.booleans()),
+    )
+
+
+def _trees(pools):
+    leaf = st.sampled_from(SEEK_COLUMNS).flatmap(lambda n: _leaves(pools, n))
+    return st.recursive(
+        leaf,
+        lambda inner: st.one_of(
+            st.builds(lambda ops: And(*ops), st.lists(inner, min_size=2, max_size=3)),
+            st.builds(lambda ops: Or(*ops), st.lists(inner, min_size=2, max_size=3)),
+            st.builds(Not, inner),
+        ),
+        max_leaves=6,
+    )
+
+
+def _prefix_shapes(draw, pools, sorted_by):
+    """The shapes the seek exists for: equalities down the prefix then
+    a two-sided range; a range on one sort column then an equality on
+    the next; the same with any leaf beside it."""
+    def compare(op, name):
+        return Comparison(op, ColumnRef(name), Literal(draw(_literals(pools, name))))
+
+    # mostly inside the sort prefix, sometimes past its end
+    depth = draw(st.integers(0, len(sorted_by) - draw(st.integers(0, 4)) // 4))
+    conjuncts = [compare("=", name) for name in SEEK_COLUMNS[:depth]]
+    last = SEEK_COLUMNS[depth]
+    shape = draw(st.integers(0, 3))
+    if shape == 0:
+        conjuncts += [
+            compare(draw(st.sampled_from((">", ">="))), last),
+            compare(draw(st.sampled_from(("<", "<="))), last),
+        ]
+    elif shape == 1:
+        low, high = draw(_literals(pools, last)), draw(_literals(pools, last))
+        conjuncts.append(Between(ColumnRef(last), Literal(low), Literal(high)))
+    elif shape == 2:
+        conjuncts.append(compare(draw(st.sampled_from(("<", "<=", ">", ">="))), last))
+        if depth + 1 < len(SEEK_COLUMNS):
+            conjuncts.append(compare("=", SEEK_COLUMNS[depth + 1]))
+    else:
+        conjuncts.append(draw(_trees(pools)))
+    conjuncts = draw(st.permutations(conjuncts))
+    return conjuncts[0] if len(conjuncts) == 1 else And(*conjuncts)
+
+
+@st.composite
+def blocks_and_predicates(draw):
+    columns, row_count, sorted_by, pools = draw(sorted_blocks())
+    if draw(st.booleans()):
+        expr = draw(_trees(pools))
+    else:
+        expr = _prefix_shapes(draw, pools, sorted_by)
+    return columns, row_count, sorted_by, expr
+
+
+def _reference_mask(expr, lists, row_count, negated=False):
+    """The plain evaluation: NOT pushed to the leaves, every leaf over
+    every row, NULL never passing, AND/OR as all/any."""
+    if isinstance(expr, Not):
+        return _reference_mask(expr.operand, lists, row_count, not negated)
+    if isinstance(expr, (And, Or)):
+        masks = [
+            _reference_mask(operand, lists, row_count, negated)
+            for operand in expr.operands
+        ]
+        combine = all if isinstance(expr, And) != negated else any
+        return [combine(flags) for flags in zip(*masks)]
+    if isinstance(expr, IsNull):
+        values = lists[expr.value.name]
+        return [(value is None) == (expr.negated == negated) for value in values]
+    if isinstance(expr, Comparison):
+        op, column, literal = expr.op, expr.left, expr.right
+        if isinstance(column, Literal):
+            op, column, literal = MIRRORED[op], expr.right, expr.left
+        compare, constant = PYTHON_OPS[op], literal.value
+
+        def test(value):
+            return constant is not None and compare(value, constant) != negated
+
+    elif isinstance(expr, Between):
+        column, low, high = expr.value, expr.low.value, expr.high.value
+
+        def test(value):
+            if low is None or high is None:
+                return False
+            return (low <= value <= high) != negated
+
+    else:
+        assert isinstance(expr, InList)
+        column, options = expr.value, expr.options
+
+        def test(value):
+            if None in options:  # a miss is NULL: TRUE only as a plain hit
+                return not negated and value in options
+            return (value in options) != negated
+
+    return [value is not None and test(value) for value in lists[column.name]]
+
+
+def _plain_block(sorted_by, **columns):
+    vectors = {
+        name: PlainVector(values, values.count(None))
+        for name, values in columns.items()
+    }
+    return vectors, len(columns["c0"]), sorted_by
+
+
+@settings(max_examples=300, deadline=None)
+@given(blocks_and_predicates())
+# a NULL in the sort column, placed where no probe of the search lands
+@example(
+    _plain_block(("c0",), c0=[None, None] + list(range(30)))
+    + (Comparison("<=", ColumnRef("c0"), Literal(25)),)
+)
+# a range on c0 leaves c1 unsorted inside the window
+@example(
+    _plain_block(("c0", "c1"), c0=[1, 1, 1, 2, 2, 2], c1=[5, 8, 9, 1, 7, 8])
+    + (
+        And(
+            Comparison(">=", ColumnRef("c0"), Literal(1)),
+            Comparison("=", ColumnRef("c1"), Literal(8)),
+        ),
+    )
+)
+def test_seek_matches_row_engine_and_plain_evaluation(case):
+    columns, row_count, sorted_by, expr = case
+    predicate = compile_kernel_predicate(expr)
+    assert predicate is not None, f"{expr!r} should compile to a kernel"
+    seeks = []
+    selection = predicate(columns, row_count, sorted_by, seeks)
+    assert selection.row_count == row_count
+    assert selection.count == len(selection.positions())
+    assert all(0 <= window <= row_count for window in seeks)
+
+    from repro.execution.kernels import as_list
+
+    lists = {name: as_list(column) for name, column in columns.items()}
+    row_engine = expr.evaluate(RowBlock(columns=lists, row_count=row_count))
+    assert selection.positions() == [i for i, flag in enumerate(row_engine) if flag]
+    reference = _reference_mask(expr, lists, row_count)
+    assert selection.positions() == [i for i, flag in enumerate(reference) if flag]
+
+
+@settings(max_examples=100, deadline=None)
+@given(sorted_blocks(searchable=st.just(True)), st.data())
+def test_a_disjunction_inside_the_window_seeks_again(block, data):
+    """``c0 = v AND (c1 = a OR c1 >= b)`` on a block sorted (c0, c1, …):
+    the walk pins c0, and the OR's branches — handed the window with
+    ``sorted_by`` shifted past c0 — each seek c1 inside it."""
+    columns, row_count, sorted_by, pools = block
+    if len(sorted_by) < 2 or not row_count:
+        return
+    from repro.execution.kernels import as_list
+
+    c0, c1 = as_list(columns["c0"]), as_list(columns["c1"])
+    v = data.draw(st.sampled_from(c0))
+    a, b = (data.draw(_literals(pools, "c1").filter(_orders)) for _ in "ab")
+    expr = And(
+        Comparison("=", ColumnRef("c0"), Literal(v)),
+        Or(
+            Comparison("=", ColumnRef("c1"), Literal(a)),
+            Comparison(">=", ColumnRef("c1"), Literal(b)),
+        ),
+    )
+    seeks = []
+    selection = compile_kernel_predicate(expr)(columns, row_count, sorted_by, seeks)
+    window = [y for x, y in zip(c0, c1) if x == v]
+    first = sum(1 for y in window if y == a)
+    second = [] if first == len(window) else [sum(1 for y in window if y >= b)]
+    assert seeks == [len(window), first] + second  # OR stops once it has all
+    assert selection.positions() == [
+        i for i, (x, y) in enumerate(zip(c0, c1)) if x == v and (y == a or y >= b)
+    ]
+
+
+def _orders(value):
+    return value is not None and value == value
+
+
+def _outcome(run):
+    try:
+        return "rows", run()
+    except Exception as exc:  # noqa: BLE001 - the type is the outcome
+        return "raises", type(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sorted_blocks(), st.sampled_from(COMPARISON_OPS + ("BETWEEN",)), st.data())
+def test_a_literal_of_the_wrong_type_fails_the_same_way_on_both_engines(
+    block, op, data
+):
+    """``meter = '7'``: the same rows or the same exception type, whether
+    or not the column could have been searched."""
+    columns, row_count, sorted_by, pools = block
+    name = data.draw(st.sampled_from(SEEK_COLUMNS))
+    numeric, _ = pools[name]
+    wrong = data.draw(st.sampled_from(WORD_POOL if numeric else NUMBER_POOL))
+    if op == "BETWEEN":
+        expr = Between(ColumnRef(name), Literal(wrong), Literal(wrong))
+    else:
+        expr = Comparison(op, ColumnRef(name), Literal(wrong))
+    from repro.execution.kernels import as_list
+
+    lists = {name: as_list(column) for name, column in columns.items()}
+    kernel = _outcome(
+        lambda: compile_kernel_predicate(expr)(columns, row_count, sorted_by).positions()
+    )
+    row = _outcome(
+        lambda: [
+            i
+            for i, flag in enumerate(
+                expr.evaluate(RowBlock(columns=lists, row_count=row_count))
+            )
+            if flag
+        ]
+    )
+    assert kernel == row
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [
+        # NOT over an inequality is not the mirrored inequality once a
+        # NaN is on either side: NOT (v < x) is TRUE, v >= x is not
+        Not(Comparison("<", ColumnRef("c"), Literal(1.0))),
+        Not(Comparison(">=", ColumnRef("c"), Literal(NAN))),
+        Not(Between(ColumnRef("c"), Literal(0.0), Literal(NAN))),
+        # a miss against an IN list holding NULL is NULL on both engines
+        InList(ColumnRef("c"), [None, 2.0]),
+        Not(InList(ColumnRef("c"), [None, 2.0])),
+    ],
+    ids=repr,
+)
+def test_nan_and_null_corner_cases_agree_across_engines(expr):
+    values = [0.5, NAN, 2.0, None, 3.0]
+    for column in (values, PlainVector(values, 1)):
+        kernel = compile_kernel_predicate(expr)({"c": column}, len(values))
+        row = expr.evaluate(RowBlock(columns={"c": values}, row_count=len(values)))
+        assert kernel.positions() == [i for i, flag in enumerate(row) if flag]

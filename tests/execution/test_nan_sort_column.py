@@ -1,0 +1,97 @@
+"""A NaN in a sort column must not make a seek answer from an unsorted
+list.
+
+``sort_key`` orders by raw value, so a FLOAT sort column holding NaN is
+stored in whatever order the comparisons happened to leave — and a
+binary search over it returned rows that do not match (``x = 0.5`` gave
+the rows holding 3.0 and NaN).  The seek declines on a vector that holds
+a NaN and the block bounds ignore NaN the way they ignore NULL, so the
+kernel engine, the forced row engine and a plain-Python oracle agree.
+"""
+
+import math
+
+import pytest
+
+from repro import ColumnDef, Database, TableDefinition, types
+from repro.execution.kernels import force_row_engine
+from repro.storage.block import value_bounds
+
+NAN = math.nan
+XS = [3.0, NAN, 1.0, 2.0, NAN, 0.5, 4.0, 1.0]
+
+PREDICATES = {
+    "x = 0.5": lambda x, y: x == 0.5,
+    "x < 2.5": lambda x, y: x < 2.5,
+    "x >= 2.0": lambda x, y: x >= 2.0,
+    "x BETWEEN 1.0 AND 3.0": lambda x, y: 1.0 <= x <= 3.0,
+    "x = 1.0 AND y >= 3": lambda x, y: x == 1.0 and y >= 3,
+    "x = 1.0 AND y = 7": lambda x, y: x == 1.0 and y == 7,
+    "x > 0.5 AND x <= 3.0 AND y < 7": lambda x, y: 0.5 < x <= 3.0 and y < 7,
+}
+
+
+@pytest.fixture(scope="module")
+def db(tmp_path_factory):
+    db = Database(
+        str(tmp_path_factory.mktemp("nan") / "db"), node_count=1, k_safety=0
+    )
+    db.create_table(
+        TableDefinition(
+            "t", [ColumnDef("x", types.FLOAT), ColumnDef("y", types.INTEGER)]
+        ),
+        sort_order=["x", "y"],
+    )
+    db.load("t", [{"x": x, "y": y} for y, x in enumerate(XS)])
+    db.cluster.run_tuple_movers()
+    return db
+
+
+@pytest.mark.parametrize("where", PREDICATES)
+def test_kernel_row_and_oracle_agree_over_a_nan_sort_column(db, where):
+    sql = f"SELECT y FROM t WHERE {where}"
+    oracle = [y for y, x in enumerate(XS) if PREDICATES[where](x, y)]
+    kernel = sorted(row["y"] for row in db.sql(sql))
+    with force_row_engine():
+        row = sorted(row["y"] for row in db.sql(sql))
+    assert kernel == row == oracle
+
+
+def test_wos_rows_with_nan_answer_the_same(db):
+    db.sql("INSERT INTO t VALUES (0.5, 100)")
+    try:
+        sql = "SELECT y FROM t WHERE x = 0.5"
+        kernel = sorted(row["y"] for row in db.sql(sql))
+        with force_row_engine():
+            row = sorted(row["y"] for row in db.sql(sql))
+        assert kernel == row == [5, 100]
+    finally:
+        db.sql("DELETE FROM t WHERE y = 100")
+
+
+def test_block_bounds_ignore_nan_like_null():
+    assert value_bounds([NAN, 3.0, 1.0]) == (1.0, 3.0)  # NaN first
+    assert value_bounds([3.0, NAN, 1.0]) == (1.0, 3.0)
+    assert value_bounds([NAN, NAN]) == (None, None)
+    assert value_bounds([]) == (None, None)
+    assert value_bounds(["b", "a"]) == ("a", "b")
+
+
+def test_container_pruning_with_nan_is_exact(db):
+    (container,) = db.cluster.nodes[0].manager.storage("t_super").containers.values()
+    assert container.column_min_max("x") == (0.5, 4.0)
+    assert container.may_contain("x", 4.0, None)
+    assert not container.may_contain("x", 4.5, None)
+    assert not container.may_contain("x", None, 0.25)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1(f): sort_key gives NaN no fixed place, so a "
+    "container with a NaN in a sort column is not totally ordered — "
+    "seeks decline on it instead of searching it",
+)
+def test_a_sort_column_holding_nan_is_totally_ordered(db):
+    (container,) = db.cluster.nodes[0].manager.storage("t_super").containers.values()
+    stored = [x for x in container.read_column("x") if x == x]
+    assert stored == sorted(stored)

@@ -42,7 +42,7 @@ GOLDEN_SCHEMAS = {
         "query_id", "sql", "epoch", "rows_returned", "query_ms",
         "operator_id", "parent_id", "depth", "operator_name", "label",
         "rows_produced", "blocks_produced", "pulls", "wall_ms", "self_ms",
-        "execution",
+        "execution", "seek_blocks", "seek_window_rows",
     ],
     "v_monitor.projection_storage": [
         "node_name", "projection_name", "anchor_table", "wos_rows",

@@ -264,3 +264,81 @@ class TestGenerations:
         assert join.join_type is JoinType.INNER  # converted
         conjuncts = [repr(c) for c in split_conjuncts(fact.predicate)]
         assert "(dim_id = 3)" in conjuncts  # transitive after conversion
+
+
+def _expressions_under(value, found):
+    """Every Expr reachable from a logical tree, by identity."""
+    from repro.execution.expressions import Expr
+    from repro.optimizer.logical import LogicalNode
+
+    if isinstance(value, Expr):
+        if id(value) not in found:
+            found[id(value)] = value
+            _expressions_under(list(vars(value).values()), found)
+    elif isinstance(value, LogicalNode):
+        _expressions_under(list(vars(value).values()), found)
+    elif isinstance(value, dict):
+        _expressions_under(list(value.values()), found)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            _expressions_under(item, found)
+    return found
+
+
+class TestPlanCopiesNodesNotExpressions:
+    """``PlannerBase.plan`` copies the logical *nodes* — what ``rewrite``
+    rebinds — and shares every expression: no rewrite and no planner
+    step mutates an ``Expr``, they build new ones."""
+
+    @staticmethod
+    def outer_join_query():
+        # exercises every in-place rewrite: outer->inner conversion,
+        # push-down into both scans, a transitive predicate
+        return FilterNode(
+            JoinNode(
+                ScanNode("fact", ["f_id", "dim_id", "v"]),
+                ScanNode("dim", ["d_id", "name"], predicate=C("d_id") == L(7)),
+                JoinType.LEFT,
+                [C("dim_id")],
+                [C("d_id")],
+            ),
+            And(C("name") == L("d7"), C("v") > L(5.0)),
+        )
+
+    def test_replanning_one_tree_leaves_it_untouched(self, star_db):
+        query = self.outer_join_query()
+        before = query.explain()
+        first = star_db.planner("v2").plan(query)
+        assert query.explain() == before
+        assert query.child.join_type is JoinType.LEFT
+        assert query.child.left.predicate is None
+        assert star_db.planner("v2").plan(query).explain() == first.explain()
+        assert len(star_db.query(query)) == len(star_db.query(query)) == 100
+
+    def test_no_expression_is_copied_or_mutated(self, star_db, monkeypatch):
+        import copy
+
+        from repro.execution.expressions import Expr
+
+        query = self.outer_join_query()
+        originals = _expressions_under(query, {})
+        assert len(originals) > 10
+        rendered = {key: repr(expr) for key, expr in originals.items()}
+        deep_copies, rebound = [], []
+        real_deepcopy = copy.deepcopy
+        monkeypatch.setattr(
+            copy, "deepcopy", lambda *a, **k: deep_copies.append(a) or real_deepcopy(*a, **k)
+        )
+
+        def watching(self, name, value):
+            if id(self) in originals and not name.startswith("_"):
+                rebound.append((self, name))  # caches are underscored
+            object.__setattr__(self, name, value)
+
+        monkeypatch.setattr(Expr, "__setattr__", watching, raising=False)
+        for optimizer in ("star", "starified", "v2"):
+            star_db.planner(optimizer).plan(query)
+        star_db.sql("SELECT f_id FROM fact WHERE dim_id = 3 AND v > 100.0")
+        assert deep_copies == []
+        assert rebound == []
+        assert {key: repr(expr) for key, expr in originals.items()} == rendered

@@ -2,15 +2,21 @@
 
 import os
 
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import types
 from repro.core.schema import ColumnDef, TableDefinition
 from repro.errors import StorageError
-from repro.projections import super_projection
+from repro.execution.kernels import PlainVector
+from repro.projections import ProjectionDefinition, super_projection
 from repro.storage import (
     DeleteVector,
     ROSContainer,
+    StorageManager,
     WriteOptimizedStore,
     combined_deletes,
 )
@@ -149,7 +155,7 @@ class TestWOS:
     def test_visibility_with_deletes(self):
         wos = WriteOptimizedStore()
         wos.insert(make_rows(3), epoch=1)
-        wos.delete_epochs[1] = 3
+        wos.mark_deleted(1, 3)
         assert len(list(wos.visible(2))) == 3  # delete not yet visible
         assert len(list(wos.visible(3))) == 2
         # the deleted row stays in the history, marker attached
@@ -161,6 +167,142 @@ class TestWOS:
         wos.insert(make_rows(2), epoch=7)
         assert wos.truncate_after_epoch(2) == 2
         assert wos.row_count == 3
+
+
+#: One step of a WOS history: (operation, small integers it reads).
+WOS_STEPS = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ("insert", "insert", "mark", "mark", "scan", "scan", "scan",
+             "drain", "retain", "truncate")
+        ),
+        st.integers(0, 40),
+        st.integers(0, 40),
+    ),
+    max_size=25,
+)
+
+
+VIEW_TABLE = TableDefinition(
+    "t",
+    [
+        ColumnDef("k", types.INTEGER),
+        ColumnDef("g", types.INTEGER),
+        ColumnDef("s", types.VARCHAR),
+        ColumnDef("v", types.FLOAT),
+    ],
+)
+
+
+def view_manager(root):
+    """A manager holding ``t_super`` sorted (g, s) — both collide often,
+    so only a *stable* sort reproduces the definition's order."""
+    manager = StorageManager(str(root))
+    projection = super_projection(VIEW_TABLE, sort_order=["g", "s"])
+    manager.register_projection(projection, VIEW_TABLE)
+    return manager, projection.name, manager.storage(projection.name)
+
+
+def view_rows(first, count, x=0, y=0):
+    return [
+        {"k": first + i, "g": (x + i) % 3, "s": "abc"[(y + i) % 3],
+         "v": None if (x + i) % 5 == 0 else float(i)}
+        for i in range(count)
+    ]
+
+
+class TestSortedView:
+    """Scans read the WOS through a sorted columnar view built once per
+    mutation.  Whatever the history, a scan hands out what the
+    definition does — visible at the epoch, stably sorted by the
+    projection's key, pivoted, cut into batches — and a scan that
+    follows a scan re-keys nothing."""
+
+    BATCH_ROWS = 7
+
+    @staticmethod
+    def expected(state, epoch, names, batch_rows):
+        rows = state.projection.sorted_rows(
+            [row for _, row in state.wos.visible(epoch)]
+        )
+        return [
+            {name: [row[name] for row in rows[start : start + batch_rows]] for name in names}
+            for start in range(0, len(rows), batch_rows)
+        ]
+
+    @settings(max_examples=120, deadline=None)
+    @given(WOS_STEPS)
+    def test_every_scan_equals_the_definition(self, tmp_path_factory, steps):
+        manager, name, state = view_manager(tmp_path_factory.mktemp("view"))
+        wos, epoch, serial = state.wos, 0, 0
+        with mock.patch("repro.storage.manager.BLOCK_ROWS", self.BATCH_ROWS):
+            for step, x, y in steps:
+                if step == "insert":
+                    epoch += 1
+                    rows = view_rows(serial, x % 12, x, y)
+                    serial += len(rows)
+                    manager.insert(name, rows, epoch)
+                elif step == "mark" and wos.row_count:
+                    position = x % wos.row_count
+                    if wos.delete_epochs[position] is None:
+                        epoch += 1
+                        wos.mark_deleted(position, epoch)
+                elif step == "drain" and x % 4 == 0:
+                    wos.drain()
+                elif step == "retain":
+                    wos.retain(lambda row, _epoch: row["k"] % 7 != x % 7)
+                elif step == "truncate":
+                    wos.truncate_after_epoch(max(epoch - x % 3, 0))
+                elif step == "scan":
+                    at = max(epoch + 1 - x % 5, 0)  # mostly recent snapshots
+                    names = ["k", "g", "s", "v"][: 1 + y % 4]
+                    for vectorized in (True, False):
+                        batches = list(
+                            manager._scan_wos(state, at, names, vectorized, ("g", "s"))
+                        )
+                        assert [
+                            {n: list(batch.columns[n]) for n in names}
+                            for batch in batches
+                        ] == self.expected(state, at, names, self.BATCH_ROWS)
+                        for batch in batches:
+                            assert batch.row_count == len(batch.columns[names[0]])
+                            assert batch.sort_columns == ("g", "s")
+                            for column in batch.columns.values():
+                                if vectorized:
+                                    assert isinstance(column, PlainVector)
+                                    assert column.null_count == list(column).count(None)
+                                else:
+                                    assert type(column) is list
+
+    def test_a_second_scan_of_an_unmutated_wos_rekeys_nothing(self, tmp_path):
+        manager, name, state = view_manager(tmp_path)
+        manager.insert(name, view_rows(0, 50), 1)
+        keyed = []
+        original = ProjectionDefinition.sort_key_for
+
+        def counting(self, row):
+            keyed.append(row)
+            return original(self, row)
+
+        with mock.patch.object(ProjectionDefinition, "sort_key_for", counting):
+            first = list(manager.scan(name, 1, vectorized=True))
+            assert len(keyed) == 50
+            second = list(manager.scan(name, 1, columns=["k"]))
+            third = list(manager.scan(name, 0))
+            assert len(keyed) == 50  # one sort per mutation, not per scan
+            assert [b.row_count for b in first + second + third] == [50, 50]
+            # every mutation drops the view; the next scan sorts again
+            for mutate in (
+                lambda wos: wos.insert(view_rows(50, 1), 2),
+                lambda wos: wos.mark_deleted(0, 3),
+                lambda wos: wos.retain(lambda row, _epoch: row["k"] != 7),
+                lambda wos: wos.truncate_after_epoch(2),
+                lambda wos: wos.drain(),
+            ):
+                before = len(keyed)
+                mutate(state.wos)
+                list(manager.scan(name, 5))
+                assert len(keyed) == before + state.wos.row_count
 
 
 class TestDeleteVector:

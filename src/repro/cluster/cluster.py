@@ -31,7 +31,7 @@ from ..errors import (
     UnknownObjectError,
 )
 from ..monitor import METRICS
-from ..storage import ScavengeReport, StorageManager
+from ..storage import HistoryRun, ScavengeReport, StorageManager
 from ..projections import (
     HashSegmentation,
     PrejoinSpec,
@@ -255,18 +255,29 @@ class Cluster:
         return out
 
     def route_rows(
-        self, projection: ProjectionDefinition, rows: list[dict]
-    ) -> dict[int, list[dict]]:
-        """node index -> rows that belong on it under the projection's
-        segmentation.  Replicated projections map every row to every
-        node (down nodes included; they catch up via recovery)."""
-        if projection.segmentation.replicated:
-            return {node: list(rows) for node in range(self.node_count)}
-        routed: dict[int, list[dict]] = {}
-        for row in rows:
-            node = projection.segmentation.node_for_row(row, self.node_count)
-            routed.setdefault(node, []).append(row)
-        return routed
+        self, projection: ProjectionDefinition, run: HistoryRun
+    ) -> dict[int, HistoryRun]:
+        """node index -> the rows of ``run`` that belong on it under the
+        projection's segmentation, by their ring positions — hashed
+        here and left on ``run`` unless it already carries them, so the
+        next copy of the family can.  Replicated projections map every
+        row to every node (down nodes included; they catch up via
+        recovery)."""
+        scheme = projection.segmentation
+        if scheme.replicated:
+            return {node: run for node in range(self.node_count)}
+        if run.positions is None:
+            run.positions = scheme.ring_positions(run.columns)
+        node_of = {
+            position: scheme.node_for_position(position, self.node_count)
+            for position in set(run.positions)
+        }
+        routed: dict[int, list[int]] = {}
+        for index, node in enumerate(map(node_of.__getitem__, run.positions)):
+            routed.setdefault(node, []).append(index)
+        if len(routed) == 1:  # every row on one node: the run as it is
+            return dict.fromkeys(routed, run)
+        return {node: run.take(indexes) for node, indexes in routed.items()}
 
     # -- DML application ------------------------------------------------
 
@@ -305,17 +316,35 @@ class Cluster:
                 self._node_crashed(node_index, "crashed applying a commit")
 
         for table_name, rows in sorted(record["inserts"].items()):
-            for copy in copies(table_name):
-                # the dimension as it stood before this epoch plus the
-                # record's own rows: what commit_dml checked
-                shaped = self.projection_rows(copy, rows, epoch - 1, record["inserts"])
-                for node_index, node_rows in self.route_rows(copy, shaped).items():
-                    on_node(
-                        node_index,
-                        lambda manager: manager.insert(
-                            copy.name, node_rows, epoch, record["direct_to_ros"]
-                        ),
-                    )
+            # one pivot per table and commit; every copy below shares
+            # its column lists, which alias the record's values
+            table_run = HistoryRun.from_rows(
+                self.catalog.table(table_name).column_names, rows, [epoch] * len(rows)
+            )
+            for family in self.catalog.families_for_table(table_name):
+                positions = None  # hashed once, for every copy of the family
+                for copy in family.all_copies:
+                    if copy.prejoin is None:
+                        shaped = table_run.project(copy.column_names)
+                    else:
+                        # the dimension as it stood before this epoch plus
+                        # the record's own rows: what commit_dml checked
+                        shaped = HistoryRun.from_rows(
+                            copy.column_names,
+                            self._expand_prejoin(
+                                copy, rows, epoch - 1, record["inserts"]
+                            ),
+                            table_run.epochs,
+                        )
+                    shaped.positions = positions
+                    for node_index, node_run in self.route_rows(copy, shaped).items():
+                        on_node(
+                            node_index,
+                            lambda manager: manager.insert(
+                                copy.name, node_run, epoch, record["direct_to_ros"]
+                            ),
+                        )
+                    positions = shaped.positions
         for delete in record["deletes"]:
             for copy in copies(delete["table"]):
                 for node_index in sorted(targets):

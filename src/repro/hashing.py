@@ -43,6 +43,21 @@ def _value_bytes(value) -> bytes:
     raise TypeError(f"unhashable SQL value {value!r}")
 
 
+def exact_keys(values: list) -> list:
+    """A memo key per value, equal exactly when the values' canonical
+    bytes are: ``-0.0`` / ``0.0`` and ``1`` / ``True`` / ``1.0`` are
+    ``==`` yet hash apart, so a hash memo cannot be keyed by value.
+    A column of one non-float type keys itself, floats key by their
+    bit patterns, anything else (a NULL, mixed types) by its bytes."""
+    kinds = set(map(type, values))
+    if kinds in ({str}, {int}, {bool}):
+        return values
+    if kinds == {float}:
+        count = len(values)
+        return list(struct.unpack(f"<{count}q", struct.pack(f"<{count}d", *values)))
+    return list(map(_value_bytes, values))
+
+
 def hash_value(value) -> int:
     """Hash a single SQL value into the segmentation ring."""
     return fnv1a_64(_value_bytes(value))

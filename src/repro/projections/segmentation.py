@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..hashing import RING_SIZE, hash_row
+from ..hashing import RING_SIZE, exact_keys, hash_row
+from ..monitor import METRICS
 
 
 class SegmentationScheme:
@@ -64,6 +65,20 @@ class HashSegmentation(SegmentationScheme):
     def ring_position(self, row: dict) -> int:
         """The tuple's position in ``[0, 2**64)``."""
         return hash_row([row[column] for column in self.columns])
+
+    def ring_positions(self, columns: dict[str, list]) -> list[int]:
+        """:meth:`ring_position` of every row of a batch held
+        column-wise, hashed once per distinct key in it (memo keyed
+        type-exactly, :func:`~repro.hashing.exact_keys`).  Every copy
+        of a projection family shares the result — buddies rotate the
+        node, not the position — and so does local-segment assignment."""
+        key_columns = [columns[name] for name in self.columns]
+        keys = list(zip(*map(exact_keys, key_columns)))
+        # one row per distinct key (which one is all the same to the hash)
+        distinct = dict(zip(keys, zip(*key_columns)))
+        position_of = {key: hash_row(row) for key, row in distinct.items()}
+        METRICS.inc("storage.ring_hashes", len(position_of))
+        return list(map(position_of.__getitem__, keys))
 
     def node_for_position(self, position: int, node_count: int) -> int:
         """Map a ring position to a node index (paper's range table)."""

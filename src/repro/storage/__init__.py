@@ -10,7 +10,7 @@ from .manager import (
     ScavengeReport,
     StorageManager,
 )
-from .ros import EPOCH_COLUMN, ContainerMeta, ROSContainer
+from .ros import EPOCH_COLUMN, ContainerMeta, HistoryRun, ROSContainer
 from .wos import DEFAULT_WOS_CAPACITY, WriteOptimizedStore
 
 __all__ = [
@@ -30,6 +30,7 @@ __all__ = [
     "StorageManager",
     "EPOCH_COLUMN",
     "ContainerMeta",
+    "HistoryRun",
     "ROSContainer",
     "DEFAULT_WOS_CAPACITY",
     "WriteOptimizedStore",

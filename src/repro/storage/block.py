@@ -15,8 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..monitor import METRICS
 from ..types import DataType
-from .encodings import ENCODINGS, Encoding, choose_encoding
+from .encodings import ENCODINGS, Encoding, encode_auto
 from .serde import (
     read_uvarint,
     read_value,
@@ -101,11 +102,8 @@ class BlockInfo:
 
 def _presence_bitmap(values: list) -> bytes:
     """Bitmap with bit i set when values[i] is non-NULL."""
-    bitmap = bytearray((len(values) + 7) // 8)
-    for index, value in enumerate(values):
-        if value is not None:
-            bitmap[index >> 3] |= 1 << (index & 7)
-    return bytes(bitmap)
+    bits = "".join(["0" if value is None else "1" for value in reversed(values)])
+    return int(bits, 2).to_bytes((len(values) + 7) // 8, "little")
 
 
 def _apply_bitmap(bitmap: bytes, non_nulls: list, count: int) -> list:
@@ -148,14 +146,19 @@ def encode_block(
 ) -> tuple[bytes, BlockInfo]:
     """Encode one block; return ``(payload_bytes, BlockInfo)``.
 
-    ``encoding=None`` means AUTO: pick empirically per block.  A block
-    containing NULLs prepends a presence bitmap to the payload.
+    ``encoding=None`` means AUTO: pick empirically per block, and
+    keep what the winning trial produced.  A block containing NULLs
+    prepends a presence bitmap to the payload.
     """
-    non_nulls = [value for value in values if value is not None]
-    null_count = len(values) - len(non_nulls)
+    null_count = values.count(None)
+    non_nulls = values
+    if null_count:
+        non_nulls = [value for value in values if value is not None]
     if encoding is None:
-        encoding = choose_encoding(dtype, non_nulls)
-    payload = encoding.encode(non_nulls)
+        encoding, payload = encode_auto(dtype, non_nulls)
+    else:
+        payload = encoding.encode(non_nulls)
+    METRICS.inc("storage.blocks_encoded")
     if null_count:
         payload = _presence_bitmap(values) + payload
     min_value, max_value = value_bounds(non_nulls)

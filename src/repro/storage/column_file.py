@@ -20,6 +20,7 @@ from ..monitor import METRICS
 from ..types import DataType
 from .block import BLOCK_ROWS, BlockInfo, decode_block, encode_block
 from .encodings import Encoding, encoding_by_name
+from .serde import read_uvarint, write_uvarint
 
 
 class ColumnWriter:
@@ -49,15 +50,23 @@ class ColumnWriter:
             self._flush_block()
 
     def extend(self, values) -> None:
-        """Add many values to the column."""
-        for value in values:
-            self.append(value)
+        """Add many values to the column: every full block is cut from
+        them as one slice, the rest waits for more (or ``finish``)."""
+        pending = self._pending
+        pending.extend(values)
+        full = len(pending) - len(pending) % self.block_rows
+        for start in range(0, full, self.block_rows):
+            self._encode(pending[start : start + self.block_rows])
+        self._pending = pending[full:]
 
     def _flush_block(self) -> None:
-        if not self._pending:
-            return
+        if self._pending:
+            self._encode(self._pending)
+            self._pending = []
+
+    def _encode(self, values: list) -> None:
         payload, info = encode_block(
-            self._pending,
+            values,
             self.dtype,
             self._encoding,
             start_position=self._row_count,
@@ -65,15 +74,12 @@ class ColumnWriter:
         )
         self._data += payload
         self._infos.append(info)
-        self._row_count += len(self._pending)
-        self._pending = []
+        self._row_count += len(values)
 
     def finish(self) -> tuple[bytes, bytes]:
         """Flush and return ``(data_bytes, position_index_bytes)``."""
         self._flush_block()
         index = bytearray()
-        from .serde import write_uvarint
-
         write_uvarint(index, len(self._infos))
         for info in self._infos:
             info.serialize(index)
@@ -93,8 +99,6 @@ def read_position_index(index_bytes: bytes) -> list[BlockInfo]:
     decode exceptions escape — the scavenger relies on this to
     quarantine rather than crash.
     """
-    from .serde import read_uvarint
-
     try:
         count, offset = read_uvarint(index_bytes, 0)
         if count > len(index_bytes):

@@ -11,14 +11,14 @@ Importing this package registers all encodings:
 * ``AUTO`` — empirical per-block chooser
 """
 
-from .base import ENCODINGS, Encoding, encoding_by_name, register
+from .base import ENCODINGS, BlockFacts, Encoding, encoding_by_name, register
 from .plain import COMPRESSED_PLAIN, PLAIN, CompressedPlainEncoding, PlainEncoding
 from .rle import RLE, RleEncoding
 from .delta import DELTAVAL, DeltaValueEncoding
 from .dictionary import BLOCK_DICT, BlockDictionaryEncoding
 from .delta_range import DELTARANGE_COMP, CompressedDeltaRangeEncoding
 from .common_delta import COMMONDELTA_COMP, CompressedCommonDeltaEncoding
-from .auto import AUTO, SAMPLE_SIZE, AutoEncoding, choose_encoding
+from .auto import AUTO, SAMPLE_SIZE, AutoEncoding, choose_encoding, encode_auto
 
 __all__ = [
     "ENCODINGS",

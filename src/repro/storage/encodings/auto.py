@@ -14,47 +14,52 @@ never overriding the Database Designer's encoding choices
 
 from __future__ import annotations
 
-from ...types import DataType
-from .base import ENCODINGS, Encoding
-from .plain import COMPRESSED_PLAIN, PLAIN
+from ...monitor import METRICS
+from ...types import FLOAT, INTEGER, VARCHAR, DataType
+from .base import ENCODINGS, BlockFacts, Encoding, register
+from .plain import PLAIN
 
 #: Concrete encodings AUTO chooses among, in tie-break preference order
 #: (structured encodings first: they keep operate-on-encoded-data
 #: opportunities that an opaque zlib blob does not).
 CANDIDATE_NAMES = (
-    "RLE",
-    "COMMONDELTA_COMP",
-    "DELTARANGE_COMP",
-    "DELTAVAL",
-    "BLOCK_DICT",
-    "COMPRESSED_PLAIN",
-    "PLAIN",
+    "RLE", "COMMONDELTA_COMP", "DELTARANGE_COMP", "DELTAVAL", "BLOCK_DICT",
+    "COMPRESSED_PLAIN", "PLAIN",
 )
 
 #: Trial-encode at most this many values when choosing.
 SAMPLE_SIZE = 4096
 
 
-def choose_encoding(dtype: DataType, values: list) -> Encoding:
-    """Pick the smallest applicable encoding for ``values`` of ``dtype``.
-
-    Returns a concrete encoding (never AUTO itself).  An empty block
-    gets PLAIN.
-    """
-    sample = [v for v in values[:SAMPLE_SIZE] if v is not None]
-    if not sample:
-        return PLAIN
-    best = PLAIN
-    best_size = None
-    for name in CANDIDATE_NAMES:
-        encoding = ENCODINGS[name]
-        if not encoding.supports(dtype, sample):
-            continue
-        size = len(encoding.encode(sample))
+def encode_auto(dtype: DataType, values: list) -> tuple[Encoding, bytes]:
+    """Trial-run every applicable candidate on the first
+    :data:`SAMPLE_SIZE` of a block's non-NULL ``values``: the smallest
+    output wins, :data:`CANDIDATE_NAMES` order breaks ties, an empty
+    block gets PLAIN.  Returns the winner and the block's payload under
+    it — the trial's own output whenever the sample was the whole block."""
+    sample = values[:SAMPLE_SIZE]
+    facts = BlockFacts(sample)
+    best, best_size, output = PLAIN, None, b""
+    applicable = [
+        encoding for encoding in map(ENCODINGS.__getitem__, CANDIDATE_NAMES)
+        if sample and encoding.supports(dtype, sample, facts)
+    ]
+    METRICS.inc("storage.trial_encodes", len(applicable))
+    for encoding in applicable:
+        trial = encoding.trial(sample, facts)
+        size = trial if isinstance(trial, int) else len(trial)
         if best_size is None or size < best_size:
-            best = encoding
-            best_size = size
-    return best
+            best, best_size, output = encoding, size, trial
+    if len(sample) < len(values) or isinstance(output, int):
+        output = best.encode(values)
+    return best, output
+
+
+def choose_encoding(dtype: DataType, values: list) -> Encoding:
+    """The concrete encoding (never AUTO itself) AUTO picks for
+    ``values`` of ``dtype``, judged on its first :data:`SAMPLE_SIZE`."""
+    sample = [v for v in values[:SAMPLE_SIZE] if v is not None]
+    return encode_auto(dtype, sample)[0]
 
 
 class AutoEncoding(Encoding):
@@ -67,27 +72,16 @@ class AutoEncoding(Encoding):
 
     name = "AUTO"
 
-    def encode(self, values: list) -> bytes:
-        # Type is inferred from the values themselves here; the block
-        # writer passes the declared type when it calls choose_encoding
-        # directly, which is the normal path.
-        from ...types import FLOAT, INTEGER, VARCHAR
-
-        if values and isinstance(values[0], int) and not isinstance(values[0], bool):
-            dtype = INTEGER
-        elif values and isinstance(values[0], float):
-            dtype = FLOAT
-        else:
-            dtype = VARCHAR
-        chosen = choose_encoding(dtype, values)
-        tag = CANDIDATE_NAMES.index(chosen.name)
-        return bytes([tag]) + chosen.encode(values)
+    def encode(self, values: list, facts: BlockFacts | None = None) -> bytes:
+        # the values' own type; the block writer passes the declared one
+        kinds = (facts or BlockFacts(values)).kinds
+        dtype = INTEGER if kinds == {int} else FLOAT if kinds == {float} else VARCHAR
+        chosen, payload = encode_auto(dtype, values)
+        return bytes([CANDIDATE_NAMES.index(chosen.name)]) + payload
 
     def decode(self, data: bytes, count: int) -> list:
         chosen = ENCODINGS[CANDIDATE_NAMES[data[0]]]
         return chosen.decode(data[1:], count)
 
-
-from .base import register  # noqa: E402  (registration after class defs)
 
 AUTO = register(AutoEncoding())

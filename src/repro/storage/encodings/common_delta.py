@@ -17,19 +17,13 @@ from __future__ import annotations
 
 import zlib
 from itertools import accumulate
+from operator import sub
 
 from ...types import DataType
-from ..serde import (
-    bit_width_for,
-    pack_bits,
-    read_svarint,
-    read_svarints,
-    read_uvarint,
-    unpack_bits,
-    write_svarint,
-    write_uvarint,
-)
-from .base import Encoding, register, values_are_integral
+from ..serde import bit_width_for, pack_bits, read_svarint, read_svarints
+from ..serde import read_uvarint, unpack_bits, write_svarint, write_svarints
+from ..serde import write_uvarint
+from .base import BlockFacts, Encoding, register
 
 
 class CompressedCommonDeltaEncoding(Encoding):
@@ -37,30 +31,17 @@ class CompressedCommonDeltaEncoding(Encoding):
 
     name = "COMMONDELTA_COMP"
 
-    #: A block whose consecutive deltas exceed this many distinct values
-    #: has no "common" deltas and should use another encoding.
-    max_delta_dictionary = 65536
-
-    def encode(self, values: list) -> bytes:
+    def encode(self, values: list, facts: BlockFacts | None = None) -> bytes:
         out = bytearray()
         write_svarint(out, values[0] if values else 0)
-        deltas = [values[i] - values[i - 1] for i in range(1, len(values))]
-        dictionary: dict[int, int] = {}
-        entries: list[int] = []
-        codes = []
-        for delta in deltas:
-            code = dictionary.get(delta)
-            if code is None:
-                code = len(entries)
-                dictionary[delta] = code
-                entries.append(delta)
-            codes.append(code)
-        write_uvarint(out, len(entries))
-        for entry in entries:
-            write_svarint(out, entry)
-        width = bit_width_for(max(len(entries) - 1, 0))
+        deltas = list(map(sub, values[1:], values))
+        # the distinct deltas, coded in order of first appearance
+        code_of = {delta: code for code, delta in enumerate(dict.fromkeys(deltas))}
+        write_uvarint(out, len(code_of))
+        write_svarints(out, list(code_of))
+        width = bit_width_for(max(len(code_of) - 1, 0))
         write_uvarint(out, width)
-        out += pack_bits(codes, width)
+        out += pack_bits(list(map(code_of.__getitem__, deltas)), width)
         return zlib.compress(bytes(out), level=6)
 
     def decode(self, data: bytes, count: int) -> list:
@@ -76,15 +57,9 @@ class CompressedCommonDeltaEncoding(Encoding):
             accumulate((entries[code] for code in codes), initial=first)
         )
 
-    def supports(self, dtype: DataType, values: list) -> bool:
-        if not (dtype.integral and values_are_integral(values)):
-            return False
-        if len(values) < 2:
-            return True
-        sample_deltas = {
-            values[i] - values[i - 1] for i in range(1, min(len(values), 8192))
-        }
-        return len(sample_deltas) <= self.max_delta_dictionary
+    def supports(self, dtype: DataType, values: list, facts=None) -> bool:
+        # any integer block: one with no common delta loses on size
+        return dtype.integral and (facts or BlockFacts(values)).kinds <= {int}
 
 
 COMMONDELTA_COMP = register(CompressedCommonDeltaEncoding())

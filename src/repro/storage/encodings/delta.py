@@ -12,8 +12,8 @@ columns (the "integer-based" types).
 from __future__ import annotations
 
 from ...types import DataType
-from ..serde import read_svarint, read_uvarints, write_svarint, write_uvarint
-from .base import Encoding, register, values_are_integral
+from ..serde import read_svarint, read_uvarints, write_svarint, write_uvarints
+from .base import BlockFacts, Encoding, register
 
 
 class DeltaValueEncoding(Encoding):
@@ -21,14 +21,13 @@ class DeltaValueEncoding(Encoding):
 
     name = "DELTAVAL"
 
-    def encode(self, values: list) -> bytes:
+    def encode(self, values: list, facts: BlockFacts | None = None) -> bytes:
         out = bytearray()
         if not values:
             return bytes(out)
         minimum = min(values)
         write_svarint(out, minimum)
-        for value in values:
-            write_uvarint(out, value - minimum)
+        write_uvarints(out, list(map((-minimum).__add__, values)))
         return bytes(out)
 
     def decode(self, data: bytes, count: int) -> list:
@@ -38,8 +37,8 @@ class DeltaValueEncoding(Encoding):
         deltas, _ = read_uvarints(data, offset, count)
         return [minimum + delta for delta in deltas]
 
-    def supports(self, dtype: DataType, values: list) -> bool:
-        return dtype.integral and values_are_integral(values)
+    def supports(self, dtype: DataType, values: list, facts=None) -> bool:
+        return dtype.integral and (facts or BlockFacts(values)).kinds <= {int}
 
 
 DELTAVAL = register(DeltaValueEncoding())

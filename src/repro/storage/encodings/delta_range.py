@@ -17,21 +17,24 @@ from __future__ import annotations
 
 import struct
 import zlib
-from itertools import accumulate
+from itertools import accumulate, chain
+from operator import sub
 
 from ...types import DataType
-from ..serde import read_svarints, write_svarint
-from .base import Encoding, register, values_are_float, values_are_integral
+from ..serde import read_svarints, write_svarints
+from .base import BlockFacts, Encoding, register
 
 
-def float_to_ordered_int(value: float) -> int:
-    """Reinterpret a double as a sign-magnitude-ordered 64-bit integer.
+def floats_to_ordered_ints(values: list[float]) -> list[int]:
+    """Reinterpret doubles as sign-magnitude-ordered 64-bit integers,
+    a whole block in one pack and one unpack.
 
     The mapping is monotone in the float ordering (NaNs aside), so
     sorted floats produce monotone integers with small deltas.
     """
-    raw = struct.unpack("<q", struct.pack("<d", value))[0]
-    return raw if raw >= 0 else raw ^ 0x7FFFFFFFFFFFFFFF
+    count = len(values)
+    raws = struct.unpack(f"<{count}q", struct.pack(f"<{count}d", *values))
+    return [raw if raw >= 0 else raw ^ 0x7FFFFFFFFFFFFFFF for raw in raws]
 
 
 def ordered_ints_to_floats(raws: list[int]) -> list[float]:
@@ -50,18 +53,14 @@ class CompressedDeltaRangeEncoding(Encoding):
     _INT_TAG = 0
     _FLOAT_TAG = 1
 
-    def encode(self, values: list) -> bytes:
-        out = bytearray()
+    def encode(self, values: list, facts: BlockFacts | None = None) -> bytes:
         if values and isinstance(values[0], float):
-            out.append(self._FLOAT_TAG)
-            stream = (float_to_ordered_int(value) for value in values)
+            out = bytearray([self._FLOAT_TAG])
+            values = floats_to_ordered_ints(values)
         else:
-            out.append(self._INT_TAG)
-            stream = iter(values)
-        previous = 0
-        for value in stream:
-            write_svarint(out, value - previous)
-            previous = value
+            out = bytearray([self._INT_TAG])
+        # each value less the one before it, the first less zero
+        write_svarints(out, list(map(sub, values, chain((0,), values))))
         return zlib.compress(bytes(out), level=6)
 
     def decode(self, data: bytes, count: int) -> list:
@@ -74,10 +73,9 @@ class CompressedDeltaRangeEncoding(Encoding):
             return ordered_ints_to_floats(values)
         return values
 
-    def supports(self, dtype: DataType, values: list) -> bool:
-        if dtype.integral:
-            return values_are_integral(values)
-        return values_are_float(values) or values_are_integral(values)
+    def supports(self, dtype: DataType, values: list, facts=None) -> bool:
+        kinds = (facts or BlockFacts(values)).kinds
+        return kinds <= {int} or (not dtype.integral and kinds <= {float})
 
 
 DELTARANGE_COMP = register(CompressedDeltaRangeEncoding())

@@ -13,16 +13,10 @@ bit-packed to the smallest width that covers the dictionary size.
 from __future__ import annotations
 
 from ...types import DataType
-from ..serde import (
-    bit_width_for,
-    pack_bits,
-    read_uvarint,
-    read_value,
-    unpack_bits,
-    write_uvarint,
-    write_value,
-)
-from .base import Encoding, register
+from ..serde import bit_width_for, pack_bits, read_uvarint, read_value
+from ..serde import unpack_bits, write_uvarint, write_values
+from .base import BlockFacts, Encoding, register
+from .plain import PLAIN
 
 
 class BlockDictionaryEncoding(Encoding):
@@ -34,24 +28,32 @@ class BlockDictionaryEncoding(Encoding):
     #: with more distinct values per block is not "few-valued".
     max_dictionary_size = 4096
 
-    def encode(self, values: list) -> bytes:
-        codes = []
-        dictionary: dict = {}
-        entries: list = []
-        for value in values:
-            code = dictionary.get(value)
-            if code is None:
-                code = len(entries)
-                dictionary[value] = code
-                entries.append(value)
-            codes.append(code)
+    def encode(self, values: list, facts: BlockFacts | None = None) -> bytes:
+        facts = facts or BlockFacts(values)
+        return self._payload(*self._codes(values, facts), facts)
+
+    def trial(self, values: list, facts: BlockFacts) -> bytes | int:
+        keys, code_of = self._codes(values, facts)
+        if len(code_of) < len(values):
+            return self._payload(keys, code_of, facts)
+        # every value its own entry: PLAIN's records, a header, the codes
+        return len(PLAIN.encode(values, facts)) + 2
+
+    @staticmethod
+    def _codes(values: list, facts: BlockFacts) -> tuple[list, dict]:
+        """A key per value; each distinct key's code, by first appearance."""
+        keys = facts.keys(values)
+        return keys, {key: code for code, key in enumerate(dict.fromkeys(keys))}
+
+    @staticmethod
+    def _payload(keys: list, code_of: dict, facts: BlockFacts) -> bytes:
+        entries = list(code_of) if facts.exact else [key[0] for key in code_of]
+        width = bit_width_for(max(len(entries) - 1, 0))
         out = bytearray()
         write_uvarint(out, len(entries))
-        for entry in entries:
-            write_value(out, entry)
-        width = bit_width_for(max(len(entries) - 1, 0))
+        write_values(out, entries, facts.kinds)
         write_uvarint(out, width)
-        out += pack_bits(codes, width)
+        out += pack_bits(list(map(code_of.__getitem__, keys)), width)
         return bytes(out)
 
     def decode(self, data: bytes, count: int) -> list:
@@ -74,15 +76,9 @@ class BlockDictionaryEncoding(Encoding):
         codes = unpack_bits(data[offset:], width, count)
         return entries, codes
 
-    def supports(self, dtype: DataType, values: list) -> bool:
-        if not values:
-            return True
-        sample = values[: self.max_dictionary_size + 1]
-        try:
-            distinct = len(set(sample))
-        except TypeError:  # pragma: no cover - defensive
-            return False
-        return distinct <= self.max_dictionary_size
+    def supports(self, dtype: DataType, values: list, facts=None) -> bool:
+        limit = self.max_dictionary_size
+        return len(values) <= limit or len(set(values[: limit + 1])) <= limit
 
 
 BLOCK_DICT = register(BlockDictionaryEncoding())

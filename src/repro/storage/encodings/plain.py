@@ -11,20 +11,22 @@ from __future__ import annotations
 
 import zlib
 
-from ..serde import read_value, write_value
-from .base import Encoding, register
+from ..serde import read_value, write_values
+from .base import BlockFacts, Encoding, register
 
 
 class PlainEncoding(Encoding):
-    """Self-describing value-at-a-time storage; applies to any type."""
+    """Self-describing records, one per value; applies to any type."""
 
     name = "PLAIN"
 
-    def encode(self, values: list) -> bytes:
-        out = bytearray()
-        for value in values:
-            write_value(out, value)
-        return bytes(out)
+    def encode(self, values: list, facts: BlockFacts | None = None) -> bytes:
+        facts = facts or BlockFacts(values)
+        if facts.plain is None:
+            out = bytearray()
+            write_values(out, values, facts.kinds)
+            facts.plain = bytes(out)
+        return facts.plain
 
     def decode(self, data: bytes, count: int) -> list:
         values = []
@@ -40,8 +42,8 @@ class CompressedPlainEncoding(PlainEncoding):
 
     name = "COMPRESSED_PLAIN"
 
-    def encode(self, values: list) -> bytes:
-        return zlib.compress(super().encode(values), level=6)
+    def encode(self, values: list, facts: BlockFacts | None = None) -> bytes:
+        return zlib.compress(super().encode(values, facts), level=6)
 
     def decode(self, data: bytes, count: int) -> list:
         return super().decode(zlib.decompress(data), count)

@@ -14,8 +14,11 @@ runs without expanding them (section 6.1), which
 
 from __future__ import annotations
 
+from itertools import groupby
+
 from ..serde import read_uvarint, read_value, write_uvarint, write_value
-from .base import Encoding, register
+from .base import BlockFacts, Encoding, register
+from .plain import PLAIN
 
 
 class RleEncoding(Encoding):
@@ -23,19 +26,31 @@ class RleEncoding(Encoding):
 
     name = "RLE"
 
-    def encode(self, values: list) -> bytes:
+    def encode(self, values: list, facts: BlockFacts | None = None) -> bytes:
+        return self._payload(self.runs(values, facts or BlockFacts(values)))
+
+    def trial(self, values: list, facts: BlockFacts) -> bytes | int:
+        runs = self.runs(values, facts)
+        if len(runs) < len(values):
+            return self._payload(runs)
+        # no two neighbours alike: PLAIN's records, a length byte each
+        return len(PLAIN.encode(values, facts)) + len(values)
+
+    @staticmethod
+    def _payload(runs: list) -> bytes:
         out = bytearray()
-        index = 0
-        total = len(values)
-        while index < total:
-            value = values[index]
-            run = index + 1
-            while run < total and values[run] == value:
-                run += 1
+        for value, length in runs:
             write_value(out, value)
-            write_uvarint(out, run - index)
-            index = run
+            write_uvarint(out, length)
         return bytes(out)
+
+    @staticmethod
+    def runs(values: list, facts: BlockFacts) -> list[tuple]:
+        """``(value, run_length)`` pairs: neighbours share a run only if
+        they decode identically (``-0.0`` ends a run of ``0.0``)."""
+        grouped = groupby(facts.keys(values))
+        runs = [(key, len(list(group))) for key, group in grouped]
+        return runs if facts.exact else [(key[0], length) for key, length in runs]
 
     def decode(self, data: bytes, count: int) -> list:
         values: list = []
@@ -56,17 +71,6 @@ class RleEncoding(Encoding):
             length, offset = read_uvarint(data, offset)
             emitted += length
             yield value, length
-
-    @staticmethod
-    def run_count(values: list) -> int:
-        """Number of runs in ``values`` (the encoded size driver)."""
-        runs = 0
-        previous = object()
-        for value in values:
-            if value != previous:
-                runs += 1
-                previous = value
-        return runs
 
 
 RLE = register(RleEncoding())

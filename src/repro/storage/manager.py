@@ -30,7 +30,7 @@ from ..projections import HashSegmentation, ProjectionDefinition
 from . import fsio
 from .block import BLOCK_ROWS
 from .delete_vector import DeleteVector, combined_deletes
-from .ros import EPOCH_COLUMN, ROSContainer
+from .ros import EPOCH_COLUMN, HistoryRun, ROSContainer
 from .wos import DEFAULT_WOS_CAPACITY, WriteOptimizedStore
 
 #: Subdirectory of a projection's storage where corrupt containers are
@@ -211,78 +211,88 @@ class StorageManager:
     def insert(
         self,
         projection_name: str,
-        rows: list[dict],
+        rows: list[dict] | HistoryRun,
         epoch: int,
         direct_to_ros: bool = False,
     ) -> list[int]:
-        """Store committed ``rows`` at ``epoch``.
+        """Store committed ``rows`` — row dicts, or the columnar run a
+        commit pivoted them into — at ``epoch``.
 
         Returns ids of any ROS containers created (empty if the rows
         went to the WOS).  Rows go directly to ROS when requested or
         when the WOS would overflow (section 4).
         """
         state = self._state(projection_name)
-        if not rows:
+        if not len(rows):
             return []
+        pivoted = isinstance(rows, HistoryRun)
         if direct_to_ros or state.wos.would_overflow(len(rows)):
             if not direct_to_ros:
                 # WOS overflow: the load was headed for memory but spills
                 # straight to ROS instead (section 4).
                 METRICS.inc("storage.wos_spills")
                 METRICS.inc("storage.wos_spill_rows", len(rows))
-            return list(self.write_run(projection_name, rows, [epoch] * len(rows)))
-        state.wos.insert(rows, epoch)
+            if not pivoted:
+                rows = HistoryRun.from_rows(
+                    state.projection.column_names, rows, [epoch] * len(rows)
+                )
+            return list(self.write_run(projection_name, rows))
+        state.wos.insert(list(rows.rows()) if pivoted else rows, epoch)
         return []
 
-    def _local_segment_of(self, state: ProjectionStorage, row: dict) -> int:
+    def _group_keys(self, state: ProjectionStorage, run: HistoryRun) -> list | None:
+        """The (partition key, local segment) of every row of ``run``,
+        or None when the whole run is one group: an unpartitioned table
+        on a node with one local segment."""
+        partitions = segments = None
+        if not len(run):
+            return None
+        if state.table.partition_by is not None:
+            partitions = list(map(state.table.partition_by, run.rows()))
         scheme = state.projection.segmentation
-        if self.segments_per_node <= 1 or not isinstance(scheme, HashSegmentation):
-            return 0
-        return scheme.local_segment_for_row(
-            row, self.node_count, self.segments_per_node
-        )
+        if self.segments_per_node > 1 and isinstance(scheme, HashSegmentation):
+            positions = run.positions or scheme.ring_positions(run.columns)
+            segment_of = {
+                position: scheme.local_segment_for_position(
+                    position, self.node_count, self.segments_per_node
+                )
+                for position in set(positions)
+            }
+            segments = map(segment_of.__getitem__, positions)
+        if partitions is None and segments is None:
+            return None
+        return list(zip(partitions or repeat(None), segments or repeat(0)))
 
-    def write_run(
-        self,
-        projection_name: str,
-        rows: list[dict],
-        epochs: list[int],
-        delete_epochs: list[int | None] | None = None,
-    ):
-        """Write a run of history records — ``rows[i]`` inserted at
-        ``epochs[i]``, deleted at ``delete_epochs[i]`` (None = live;
-        omitted = all live) — to ROS: split by (partition key, local
-        segment), sort each group, build one container per group.  The
-        one place unsorted rows become containers: direct loads, WOS
-        overflow, moveout and :meth:`load_history` write through it.
+    def write_run(self, projection_name: str, run: HistoryRun):
+        """Write a run of history records to ROS: split by (partition
+        key, local segment), sort each group, build one container per
+        group.  The one place unsorted rows become containers: direct
+        loads, WOS overflow, moveout and :meth:`load_history` write
+        through it.  Groups are index lists and the sort is a
+        permutation over the sort-key columns: no row is built (unless
+        the table is partitioned — a partition expression is a callable
+        over a row) and no key tuple per comparison.
 
         A generator: each container id is yielded once that container
         is published (moveout injects its fault between containers);
         nothing is written until it is iterated.
         """
         state = self._state(projection_name)
-        if delete_epochs is None:
-            delete_epochs = [None] * len(rows)
         groups: dict[tuple, list[int]] = {}
-        for index, row in enumerate(rows):
-            key = (
-                state.table.partition_key(row),
-                self._local_segment_of(state, row),
-            )
+        group_keys = self._group_keys(state, run)
+        if group_keys is None and len(run):
+            groups[None, 0] = list(range(len(run)))
+        for index, key in enumerate(group_keys or ()):
             groups.setdefault(key, []).append(index)
+        sort_keys = run.sort_keys(state.projection.sort_order)
         for (partition_key, local_segment), indexes in sorted(
             groups.items(), key=lambda item: repr(item[0])
         ):
-            ordered = sorted(
-                indexes, key=lambda i: state.projection.sort_key_for(rows[i])
-            )
             yield self.add_container_from_rows(
                 projection_name,
-                [rows[i] for i in ordered],
-                [epochs[i] for i in ordered],
+                run.take(sorted(indexes, key=sort_keys.__getitem__)),
                 partition_key=partition_key,
                 local_segment=local_segment,
-                delete_epochs=[delete_epochs[i] for i in ordered],
             )
 
     def _write_delete_vector(
@@ -300,20 +310,17 @@ class StorageManager:
     def add_container_from_rows(
         self,
         projection_name: str,
-        sorted_rows: list[dict],
-        epochs: list[int],
+        run: HistoryRun,
         partition_key=None,
         local_segment: int = 0,
         merged_from: list[int] | None = None,
-        delete_epochs: list[int | None] | None = None,
     ) -> int:
-        """Create one container from pre-sorted rows — where every
+        """Create one container from a pre-sorted run — where every
         container is born: :meth:`write_run` builds its groups here;
         mergeout and the truncate rewrite, whose one run is already
         sorted, call it directly.  ``merged_from`` stamps mergeout
         provenance into the container's metadata so a crash before
-        input retirement is self-healing; ``delete_epochs[i]`` (None =
-        live) is the delete marker of ``sorted_rows[i]``.
+        input retirement is self-healing.
 
         The markers reach disk as a DVROS *before* the container
         publishes: a crash in between leaves a vector without a target,
@@ -323,17 +330,17 @@ class StorageManager:
         container_id = self._next_container_id
         self._next_container_id += 1
         vector = dv_name = None
-        if delete_epochs is not None:
+        delete_epochs = run.delete_epochs
+        if delete_epochs and delete_epochs.count(None) < len(delete_epochs):
             deleted = [
                 position
                 for position, delete_epoch in enumerate(delete_epochs)
                 if delete_epoch is not None
             ]
-            if deleted:
-                vector = DeleteVector(
-                    container_id, deleted, [delete_epochs[p] for p in deleted]
-                )
-                dv_name = self._write_delete_vector(state, vector)
+            vector = DeleteVector(
+                container_id, deleted, [delete_epochs[p] for p in deleted]
+            )
+            dv_name = self._write_delete_vector(state, vector)
         path = os.path.join(
             self._projection_dir(projection_name), f"ros_{container_id:06d}"
         )
@@ -341,8 +348,7 @@ class StorageManager:
             path,
             container_id,
             state.projection,
-            sorted_rows,
-            epochs,
+            run,
             partition_key=partition_key,
             local_segment=local_segment,
             merged_from=merged_from,
@@ -871,25 +877,26 @@ class StorageManager:
                 rows.append({name: batch.columns[name][index] for name in names})
         return rows
 
-    def container_history(self, projection_name: str, container_id: int):
-        """Iterate ``(position, row, insert_epoch, delete_epoch_or_None)``
-        over every row of one ROS container, deleted or not, in sort
-        order — the one decode of columns + epoch column + combined
-        delete vectors (the WOS half: :meth:`WriteOptimizedStore.history`).
-        Positions are what a delete vector stores.  The files are read
-        by the call; row dicts are built one at a time as it is iterated."""
+    def container_run(self, projection_name: str, container_id: int) -> HistoryRun:
+        """Every row of one ROS container, deleted or not, in sort order
+        — the one decode of columns + epoch column + combined delete
+        vectors (the WOS half: :meth:`WriteOptimizedStore.history`).
+        Row ``i`` of the run sits at position ``i``, which is what a
+        delete vector stores."""
         state = self._state(projection_name)
         container = state.containers[container_id]
-        names = container.meta.columns
-        columns = container.read_columns(names)
-        values = zip(*(columns[name] for name in names))
-        positions = range(container.row_count)
-        return zip(
-            positions,
-            map(dict, map(zip, repeat(names), values)),
+        deletes = state.deletes_for(container_id)
+        return HistoryRun(
+            container.read_columns(container.meta.columns),
             container.read_epochs(),
-            map(state.deletes_for(container_id).get, positions),
+            list(map(deletes.get, range(container.row_count))) if deletes else None,
         )
+
+    def container_history(self, projection_name: str, container_id: int):
+        """:meth:`container_run` row by row: iterate ``(position, row,
+        insert_epoch, delete_epoch_or_None)``."""
+        records = self.container_run(projection_name, container_id).records()
+        return ((position, *record) for position, record in enumerate(records))
 
     def dump_rows(self, projection_name: str, after_epoch: int | None = None):
         """Yield ``(row, insert_epoch, delete_epoch_or_None)`` for every
@@ -1003,25 +1010,26 @@ class StorageManager:
         under ``epoch``; returns rows discarded."""
         victim = container.container_id
         name = state.projection.name
-        survivors = [
-            (row, inserted, None if deleted is None or deleted > epoch else deleted)
-            for _, row, inserted, deleted in self.container_history(name, victim)
-            if inserted <= epoch
-        ]
+        run = self.container_run(name, victim)
         # never empty: a victim with no row at or under ``epoch`` was
         # dropped whole instead of being rewritten
-        rows, epochs, delete_epochs = map(list, zip(*survivors))
+        survivors = run.take(
+            [i for i, inserted in enumerate(run.epochs) if inserted <= epoch]
+        )
+        if survivors.delete_epochs:
+            survivors.delete_epochs = [
+                None if deleted is None or deleted > epoch else deleted
+                for deleted in survivors.delete_epochs
+            ]
         self.add_container_from_rows(
             name,
-            rows,
-            epochs,
+            survivors,
             partition_key=container.meta.partition_key,
             local_segment=container.meta.local_segment,
             merged_from=[victim],
-            delete_epochs=delete_epochs,
         )
         self.remove_containers(name, [victim])
-        return container.row_count - len(rows)
+        return container.row_count - len(survivors)
 
     def load_history(
         self,
@@ -1032,14 +1040,10 @@ class StorageManager:
         ROS containers, preserving epochs and delete markers (persisted
         as delete vectors, each ahead of its container).  Used by
         recovery, refresh and rebalance."""
-        return list(
-            self.write_run(
-                projection_name,
-                [row for row, _, _ in records],
-                [insert_epoch for _, insert_epoch, _ in records],
-                [delete_epoch for _, _, delete_epoch in records],
-            )
-        )
+        rows, epochs, delete_epochs = map(list, zip(*records)) if records else ([],) * 3
+        names = self._state(projection_name).projection.column_names
+        run = HistoryRun.from_rows(names, rows, epochs, delete_epochs)
+        return list(self.write_run(projection_name, run))
 
     def forget_contents(self, projection_name: str) -> None:
         """Drop everything this copy holds — containers, their delete

@@ -33,19 +33,131 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from itertools import chain, repeat
+from operator import gt, itemgetter
 
 from .. import faults
 from ..errors import CorruptContainerError, StorageError
 from ..lint import sanitizer
 from ..monitor import METRICS
 from ..projections import ProjectionDefinition
+from ..types import INTEGER, NULL_FIRST
 from . import fsio
 from .block import value_bounds
 from .column_file import ColumnReader, ColumnWriter
-from .serde import read_value, write_value
+from .serde import read_value, write_values
 
 #: Name of the implicit per-row commit-epoch column.
 EPOCH_COLUMN = "_epoch"
+
+
+class HistoryRun:
+    """A run of history records, column-wise: row ``i`` holds
+    ``columns[name][i]``, was inserted at ``epochs[i]`` and deleted at
+    ``delete_epochs[i]`` (None = live; no list at all = all live).
+
+    The columnar form of the ``(row, insert_epoch, delete_epoch)``
+    triple and what the write side passes from a commit's pivot to a
+    published container; ``len()`` is its row count.  The lists are
+    shared, never copied or changed: a run made from a commit record
+    aliases the record's values.
+    """
+
+    __slots__ = ("columns", "epochs", "delete_epochs", "positions")
+
+    def __init__(
+        self,
+        columns: dict[str, list],
+        epochs: list[int],
+        delete_epochs: list[int | None] | None = None,
+        positions: list[int] | None = None,
+    ):
+        self.columns = columns
+        self.epochs = epochs
+        self.delete_epochs = delete_epochs
+        #: Ring position of each row under the segmentation of the
+        #: projection the run is headed for, when the caller already
+        #: hashed it (a commit does, once for every copy of a family).
+        self.positions = positions
+
+    def __len__(self) -> int:
+        return len(self.epochs)
+
+    @classmethod
+    def from_rows(
+        cls,
+        names: list[str],
+        rows: list[dict],
+        epochs: list[int],
+        delete_epochs: list[int | None] | None = None,
+    ) -> "HistoryRun":
+        """Pivot row dicts (each holding at least ``names``) once."""
+        if len(rows) != len(epochs):
+            raise StorageError("rows and epochs length mismatch")
+        columns = {name: list(map(itemgetter(name), rows)) for name in names}
+        return cls(columns, epochs, delete_epochs)
+
+    @classmethod
+    def concat(cls, runs: list["HistoryRun"]) -> "HistoryRun":
+        """The rows of ``runs`` (same columns) end to end."""
+        deletes = None
+        if any(run.delete_epochs for run in runs):
+            deletes = list(
+                chain.from_iterable(
+                    run.delete_epochs or [None] * len(run) for run in runs
+                )
+            )
+        return cls(
+            {
+                name: list(chain.from_iterable(run.columns[name] for run in runs))
+                for name in runs[0].columns
+            },
+            list(chain.from_iterable(run.epochs for run in runs)),
+            deletes,
+        )
+
+    def project(self, names: list[str]) -> "HistoryRun":
+        """The same rows narrowed to the columns ``names``."""
+        columns = {name: self.columns[name] for name in names}
+        return HistoryRun(columns, self.epochs, self.delete_epochs, self.positions)
+
+    def take(self, indexes: list[int]) -> "HistoryRun":
+        """The rows at ``indexes``, in that order."""
+
+        def pick(values):
+            return values and list(map(values.__getitem__, indexes))
+
+        return HistoryRun(
+            {name: pick(values) for name, values in self.columns.items()},
+            pick(self.epochs),
+            pick(self.delete_epochs),
+            pick(self.positions),
+        )
+
+    def rows(self):
+        """Iterate the run as fresh row dicts, built one at a time (the
+        WOS is a row store, a partition expression is a callable over a
+        row, recovery replays rows)."""
+        values = zip(*self.columns.values())
+        return map(dict, map(zip, repeat(list(self.columns)), values))
+
+    def records(self):
+        """Iterate ``(row, insert_epoch, delete_epoch)``."""
+        return zip(self.rows(), self.epochs, self.delete_epochs or repeat(None))
+
+    def sort_keys(self, sort_order: list[str]) -> list:
+        """One ordering key per row under ``sort_order`` (NULL first):
+        the values of a single sort column, tuples across several —
+        they order rows as ``ProjectionDefinition.sort_key_for`` does."""
+        keyed = [
+            [NULL_FIRST if value is None else value for value in values]
+            if None in values
+            else values
+            for values in map(self.columns.__getitem__, sort_order)
+        ]
+        if len(keyed) == 1:
+            return keyed[0]
+        return list(zip(*keyed)) if keyed else [()] * len(self)
 
 
 def _json_safe(value):
@@ -129,27 +241,25 @@ class ROSContainer:
         path: str,
         container_id: int,
         projection: ProjectionDefinition,
-        rows: list[dict],
-        epochs: list[int],
+        run: HistoryRun,
         partition_key=None,
         local_segment: int = 0,
         column_groups: list[list[str]] | None = None,
         merged_from: list[int] | None = None,
     ) -> "ROSContainer":
-        """Create a container at ``path`` from *already sorted* rows.
+        """Create a container at ``path`` from an *already sorted* run
+        (its delete markers are the caller's to persist).
 
-        ``epochs[i]`` is the commit epoch of ``rows[i]``.  Raises
-        :class:`StorageError` if the rows are not sorted by the
+        Raises :class:`StorageError` if the rows are not sorted by the
         projection's sort order — containers must be totally sorted.
 
         The commit is atomic: files are staged under ``path + ".tmp"``
         and published with one rename; a crash at any registered fault
         point leaves no partially visible container.
         """
-        if len(rows) != len(epochs):
-            raise StorageError("rows and epochs length mismatch")
-        keys = [projection.sort_key_for(row) for row in rows]
-        if any(keys[i] > keys[i + 1] for i in range(len(keys) - 1)):
+        epochs = run.epochs
+        keys = run.sort_keys(projection.sort_order)
+        if any(map(gt, keys, keys[1:])):
             raise StorageError("ROS container rows must be sorted by sort order")
         staged = fsio.staging_dir(path)
         checksums: dict[str, int] = {}
@@ -159,19 +269,17 @@ class ROSContainer:
             if column.name in grouped:
                 continue
             writer = ColumnWriter(column.dtype, column.encoding)
-            writer.extend(row[column.name] for row in rows)
+            writer.extend(run.columns[column.name])
             cls._write_column_files(staged, column.name, writer, checksums)
         for index, group in enumerate(column_groups):
-            cls._write_group_file(staged, index, group, rows, checksums)
-        from ..types import INTEGER
-
+            cls._write_group_file(staged, index, group, run, checksums)
         epoch_writer = ColumnWriter(INTEGER, "RLE")
         epoch_writer.extend(epochs)
         cls._write_column_files(staged, EPOCH_COLUMN, epoch_writer, checksums)
         meta = ContainerMeta(
             container_id=container_id,
             projection=projection.name,
-            row_count=len(rows),
+            row_count=len(run),
             partition_key=partition_key,
             local_segment=local_segment,
             min_epoch=min(epochs) if epochs else 0,
@@ -194,7 +302,7 @@ class ROSContainer:
             files=[os.path.join(path, name) for name in checksums],
         )
         METRICS.inc("storage.containers_written")
-        METRICS.inc("storage.container_rows_written", len(rows))
+        METRICS.inc("storage.container_rows_written", len(run))
         return cls(path, meta)
 
     @staticmethod
@@ -213,13 +321,13 @@ class ROSContainer:
         path: str,
         group_index: int,
         group: list[str],
-        rows: list[dict],
+        run: HistoryRun,
         checksums: dict[str, int],
     ) -> None:
         out = bytearray()
-        for row in rows:
-            for name in group:
-                write_value(out, row[name])
+        # row-major: the group's values of row 0, then of row 1, ...
+        columns = map(run.columns.__getitem__, group)
+        write_values(out, list(chain.from_iterable(zip(*columns))))
         group_path = os.path.join(path, f"_group{group_index}.dat")
         checksums[f"_group{group_index}.dat"] = fsio.write_bytes(
             group_path, bytes(out)

@@ -71,6 +71,39 @@ def read_svarint(data: bytes, offset: int) -> tuple[int, int]:
     return unzigzag(raw), offset
 
 
+def write_uvarints(out: bytearray, values: list[int]) -> None:
+    """Append every value of ``values`` as an unsigned varint.
+
+    The bulk form of :func:`write_uvarint` for the block encoders — the
+    write-side twin of :func:`read_uvarints`: a block of values under
+    128 (small deltas, run lengths, dictionary sizes) is its own bytes
+    and never enters the loop.
+    """
+    if not values:
+        return
+    if min(values) < 0:
+        raise EncodingError(f"uvarint cannot encode negative value {min(values)}")
+    if max(values) < 0x80:
+        out += bytes(values)
+        return
+    append = out.append
+    for value in values:
+        while value > 0x7F:
+            append(value & 0x7F | 0x80)
+            value >>= 7
+        append(value)
+
+
+def zigzags(values: list[int]) -> list[int]:
+    """:func:`zigzag` of every value of ``values``."""
+    return [(value << 1) ^ -1 if value < 0 else value << 1 for value in values]
+
+
+def write_svarints(out: bytearray, values: list[int]) -> None:
+    """Append every value of ``values`` as a zigzag varint."""
+    write_uvarints(out, zigzags(values))
+
+
 def read_uvarints(data: bytes, offset: int, count: int) -> tuple[list[int], int]:
     """Read ``count`` consecutive unsigned varints; return
     ``(values, new_offset)``.
@@ -159,6 +192,59 @@ def write_value(out: bytearray, value) -> None:
         write_string(out, value)
     else:
         raise EncodingError(f"unsupported SQL value {value!r}")
+
+
+def _tagged(tag: bytes, width: int, payload: bytes) -> bytearray:
+    """``payload`` cut into ``width``-byte records, ``tag`` before each."""
+    count = len(payload) // width
+    out = bytearray((width + 1) * count)
+    out[:: width + 1] = tag * count
+    for byte in range(width):
+        out[byte + 1 :: width + 1] = payload[byte::width]
+    return out
+
+
+def _string_record(value: str) -> bytes:
+    out = bytearray(b"\x03")
+    write_string(out, value)
+    return bytes(out)
+
+
+def write_values(out: bytearray, values: list, kinds=None) -> None:
+    """Append every value of ``values`` as :func:`write_value` does, a
+    column at a time: ``kinds`` is the set of their types (worked out
+    here when not given).  Small integers and booleans are byte
+    slices, doubles one ``struct.pack``, a string is serialised once
+    per distinct value; a list of mixed types (or holding NULLs — only
+    metadata and grouped columns do) goes value by value.
+    """
+    if kinds is None:
+        kinds = set(map(type, values))
+    count = len(values)
+    if not count:
+        return
+    if kinds == {int}:
+        raws = zigzags(values)
+        if max(raws) < 0x80:
+            out += _tagged(b"\x01", 1, bytes(raws))
+            return
+        append = out.append
+        for raw in raws:
+            append(1)
+            while raw > 0x7F:
+                append(raw & 0x7F | 0x80)
+                raw >>= 7
+            append(raw)
+    elif kinds == {float}:
+        out += _tagged(b"\x02", 8, struct.pack(f"<{count}d", *values))
+    elif kinds == {str}:
+        records = {value: _string_record(value) for value in set(values)}
+        out += b"".join(map(records.__getitem__, values))
+    elif kinds == {bool}:
+        out += bytes(map((5, 4).__getitem__, values))
+    else:
+        for value in values:
+            write_value(out, value)
 
 
 def read_value(data: bytes, offset: int):

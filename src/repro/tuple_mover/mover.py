@@ -21,7 +21,6 @@ layouts.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from time import perf_counter
 
@@ -29,6 +28,7 @@ from .. import faults
 from ..lint import sanitizer
 from ..monitor import METRICS
 from ..storage.manager import StorageManager
+from ..storage.ros import HistoryRun
 from ..trace import TRACER
 from .strata import MergePolicy, plan_merges
 
@@ -117,10 +117,11 @@ class TupleMover:
         if not rows:
             return []
         faults.inject("mover.wos.drain", node=self.manager.node_index)
+        run = HistoryRun.from_rows(
+            state.projection.column_names, rows, epochs, delete_epochs
+        )
         created = []
-        for container_id in self.manager.write_run(
-            projection_name, rows, epochs, delete_epochs
-        ):
+        for container_id in self.manager.write_run(projection_name, run):
             created.append(container_id)
             # a crash here loses the rest of the drained WOS — exactly
             # the window the LGE protects: it only advances after the
@@ -168,7 +169,7 @@ class TupleMover:
     def _merge_containers(
         self, state, projection_name: str, merge_ids: list[int], ahm: int, result
     ) -> int:
-        """K-way merge the input containers into one new container."""
+        """Merge the input containers into one new container."""
         with TRACER.span(
             "tuple_mover.mergeout",
             category="tuple_mover",
@@ -188,38 +189,34 @@ class TupleMover:
             for cid in merge_ids
         )
         template = state.containers[merge_ids[0]]
-        merged_rows: list[dict] = []
-        merged_epochs: list[int] = []
-        merged_deletes: list[int | None] = []
-        purged = 0
-        read = 0
-        for _, row, epoch, delete_epoch in heapq.merge(
-            *(
-                self.manager.container_history(projection_name, container_id)
-                for container_id in merge_ids
-            ),
-            key=lambda record: state.projection.sort_key_for(record[1]),
-        ):
-            read += 1
-            if delete_epoch is not None and delete_epoch <= ahm:
-                purged += 1
-                continue
-            merged_rows.append(row)
-            merged_epochs.append(epoch)
-            merged_deletes.append(delete_epoch)
+        # the inputs' columns end to end, then one stable sort of a
+        # permutation by the key columns: the inputs are sorted runs, so
+        # the sort merges them, ties staying in input order
+        inputs = HistoryRun.concat(
+            [self.manager.container_run(projection_name, cid) for cid in merge_ids]
+        )
+        read = len(inputs)
+        keys = inputs.sort_keys(state.projection.sort_order)
+        deletes = inputs.delete_epochs or [None] * read
+        merged = inputs.take(
+            [
+                index
+                for index in sorted(range(read), key=keys.__getitem__)
+                if deletes[index] is None or deletes[index] > ahm
+            ]
+        )
+        purged = read - len(merged)
         # surviving delete markers are persisted ahead of the merged
         # container, so no crash leaves it published without them.
         new_id = self.manager.add_container_from_rows(
             projection_name,
-            merged_rows,
-            merged_epochs,
+            merged,
             partition_key=template.meta.partition_key,
             local_segment=template.meta.local_segment,
             merged_from=merge_ids,
-            delete_epochs=merged_deletes,
         )
         sanitizer.check_mergeout_conservation(
-            projection_name, read, len(merged_rows), purged
+            projection_name, read, len(merged), purged
         )
         # crash window: the merged container is published but its
         # inputs are not yet retired.  The scavenger detects the
@@ -228,7 +225,7 @@ class TupleMover:
         self.manager.remove_containers(projection_name, merge_ids)
         self.stats.mergeouts += 1
         self.stats.rows_read += read
-        self.stats.rows_written += len(merged_rows)
+        self.stats.rows_written += len(merged)
         self.stats.rows_purged += purged
         self.stats.containers_created += 1
         self.stats.containers_retired += len(merge_ids)
@@ -239,7 +236,7 @@ class TupleMover:
         METRICS.observe("tuple_mover.mergeout_seconds", duration)
         self._dc_record(
             "mergeout", projection_name, len(merge_ids), 1, read,
-            len(merged_rows), purged, stratum, duration,
+            len(merged), purged, stratum, duration,
         )
         return new_id
 

@@ -1,0 +1,213 @@
+"""Counts, not timings: a load hashes a row once, sorts its key columns
+once and encodes a block once.
+
+A 3-node K=1 table segmented by an 18-valued key: one direct-to-ROS
+load, a WOS load, a moveout and a mergeout.  Before the write path
+passed columns, the same statements hashed every row 3.6 times (once
+per copy to route it, once per copy again to find its local segment),
+built a ``sort_key_for`` tuple twice per container row and once more
+per merged row, trial-encoded every AUTO block with up to seven
+value-at-a-time encoders and then encoded the winner again, built
+PLAIN's bytes twice, and fed ``ColumnWriter.append`` one value at a
+time.  Three ``METRICS`` counters (``storage.ring_hashes``,
+``storage.blocks_encoded``, ``storage.trial_encodes``) carry the same
+facts to ``v_monitor.metrics``.
+"""
+
+from collections import Counter
+
+import pytest
+
+from repro import ColumnDef, Database, TableDefinition, hashing, types
+from repro.monitor import METRICS
+from repro.projections import HashSegmentation, ProjectionDefinition
+from repro.storage import block as block_module
+from repro.storage.column_file import ColumnWriter
+from repro.storage.encodings import ENCODINGS, SAMPLE_SIZE, Encoding
+from repro.storage.encodings import plain as plain_module
+from repro.storage.encodings.auto import CANDIDATE_NAMES
+from repro.tuple_mover import MergePolicy
+
+DISTINCT = 18
+#: six (node, local segment) groups at most: whatever the ring does with
+#: 18 keys, the big load fills some block past SAMPLE_SIZE and the small
+#: one none
+BIG_LOAD, SMALL_LOAD = 6 * SAMPLE_SIZE + 600, 900
+DIRECT_ROWS = BIG_LOAD + SMALL_LOAD
+WOS_ROWS = 1500
+COUNTERS = ("storage.ring_hashes", "storage.blocks_encoded", "storage.trial_encodes")
+
+
+def make_rows(first, count):
+    return [
+        {"metric": f"metric_{k % DISTINCT:04d}", "k": k, "v": float(k % 97)}
+        for k in range(first, first + count)
+    ]
+
+
+@pytest.fixture(scope="module")
+def db(tmp_path_factory):
+    db = Database(
+        str(tmp_path_factory.mktemp("counts") / "db"),
+        node_count=3, k_safety=1, segments_per_node=2,
+        merge_policy=MergePolicy(min_inputs=2),
+    )
+    db.create_table(
+        TableDefinition(
+            "t",
+            [ColumnDef("metric", types.VARCHAR), ColumnDef("k", types.INTEGER),
+             ColumnDef("v", types.FLOAT)],
+        ),
+        sort_order=["metric", "k"],
+        segmentation=HashSegmentation(("metric",)),
+    )
+    return db
+
+
+class Spy:
+    """What the write path called while it was installed."""
+
+    def __init__(self, monkeypatch):
+        self.hashes = 0
+        self.sort_keys = 0
+        self.appends = 0
+        #: one entry per encoded block: AUTO or not, its row count and
+        #: a Counter of ("trial" | "encode" | "plain", encoding name)
+        self.blocks = []
+        self._depth = 0
+        real_hash = hashing.fnv1a_64
+
+        def counting_hash(data):
+            self.hashes += 1
+            return real_hash(data)
+
+        monkeypatch.setattr(hashing, "fnv1a_64", counting_hash)
+        monkeypatch.setattr(
+            ProjectionDefinition, "sort_key_for", self._counting("sort_keys")
+        )
+        monkeypatch.setattr(ColumnWriter, "append", self._counting("appends"))
+        real_block = block_module.encode_block
+
+        def counting_block(values, dtype, encoding, start_position, file_offset):
+            self.blocks.append((encoding is None, len(values), Counter()))
+            return real_block(values, dtype, encoding, start_position, file_offset)
+
+        monkeypatch.setattr(block_module, "encode_block", counting_block)
+        # column_file imported the name: it is the caller that matters
+        from repro.storage import column_file
+
+        monkeypatch.setattr(column_file, "encode_block", counting_block)
+        for encoding in {Encoding, *map(type, ENCODINGS.values())}:
+            for method in ("trial", "encode"):
+                if method in vars(encoding):
+                    monkeypatch.setattr(
+                        encoding, method, self._top_level(method, vars(encoding)[method])
+                    )
+        real_values = plain_module.write_values
+
+        def counting_plain(out, values, kinds=None):
+            self.blocks[-1][2]["plain", "PLAIN"] += 1
+            return real_values(out, values, kinds)
+
+        monkeypatch.setattr(plain_module, "write_values", counting_plain)
+
+    def _counting(self, attribute):
+        def raise_count(*args, **kwargs):
+            setattr(self, attribute, getattr(self, attribute) + 1)
+            raise AssertionError(f"{attribute}: the write path went row by row")
+
+        return raise_count
+
+    def _top_level(self, method, real):
+        """Count calls the block writer or the chooser made, not the
+        ones an encoder made of itself or of PLAIN underneath."""
+
+        def counted(encoding, *args, **kwargs):
+            if self._depth == 0 and self.blocks:
+                self.blocks[-1][2][method, encoding.name] += 1
+            self._depth += 1
+            try:
+                return real(encoding, *args, **kwargs)
+            finally:
+                self._depth -= 1
+
+        return counted
+
+
+def counters():
+    return {name: METRICS.counter(name) for name in COUNTERS}
+
+
+def check_blocks(spy, moved):
+    """Every AUTO block: at most one trial per candidate, the winner's
+    trial output kept when it saw the whole block, PLAIN built once."""
+    auto = [block for block in spy.blocks if block[0]]
+    assert auto and len(spy.blocks) == moved["storage.blocks_encoded"]
+    trials = 0
+    for _, rows, calls in auto:
+        tried = {name: n for (kind, name), n in calls.items() if kind == "trial"}
+        assert set(tried) <= set(CANDIDATE_NAMES) and set(tried.values()) == {1}, calls
+        trials += len(tried)
+        encodes = sum(n for (kind, _), n in calls.items() if kind == "encode")
+        whole_block_sampled = rows <= SAMPLE_SIZE
+        assert encodes == (0 if whole_block_sampled else 1), (rows, calls)
+        assert calls["plain", "PLAIN"] <= (1 if whole_block_sampled else 2), calls
+    assert trials == moved["storage.trial_encodes"]
+    return auto
+
+
+def test_direct_load_hashes_sorts_and_encodes_once(db, monkeypatch):
+    spy = Spy(monkeypatch)
+    before = counters()
+    db.load("t", make_rows(0, BIG_LOAD), direct_to_ros=True)
+    db.load("t", make_rows(BIG_LOAD, SMALL_LOAD), direct_to_ros=True)
+    moved = {name: METRICS.counter(name) - before[name] for name in COUNTERS}
+    # one hash per distinct key of a batch: primary and buddy share the
+    # ring position, and so does local-segment assignment
+    assert spy.hashes == moved["storage.ring_hashes"] == 2 * DISTINCT
+    assert spy.sort_keys == 0 and spy.appends == 0
+    auto = check_blocks(spy, moved)
+    assert any(rows > SAMPLE_SIZE for _, rows, _ in auto)
+    assert any(rows <= SAMPLE_SIZE for _, rows, _ in auto)
+    stored = sum(
+        container.row_count
+        for node in db.cluster.nodes
+        for name in node.manager.projection_names()
+        for container in node.manager.storage(name).containers.values()
+    )
+    assert stored == 2 * DIRECT_ROWS
+    assert db.sql("SELECT count(*) AS n FROM t")[0]["n"] == DIRECT_ROWS
+
+
+def test_moveout_and_mergeout_build_no_row_keys(db, monkeypatch):
+    db.load("t", make_rows(DIRECT_ROWS, WOS_ROWS))
+    assert any(
+        node.manager.wos_row_count(name)
+        for node in db.cluster.nodes
+        for name in node.manager.projection_names()
+    )
+    spy = Spy(monkeypatch)
+    before = counters()
+    mergeouts = METRICS.counter("tuple_mover.mergeouts")
+    db.cluster.run_tuple_movers()
+    moved = {name: METRICS.counter(name) - before[name] for name in COUNTERS}
+    assert METRICS.counter("tuple_mover.mergeouts") > mergeouts
+    # a moveout finds local segments from at most one hash per distinct
+    # key per drained WOS; a mergeout hashes nothing
+    assert spy.hashes == moved["storage.ring_hashes"] <= 6 * DISTINCT
+    assert spy.sort_keys == 0 and spy.appends == 0
+    check_blocks(spy, moved)
+    monkeypatch.undo()
+    assert db.sql("SELECT count(*) AS n FROM t")[0]["n"] == DIRECT_ROWS + WOS_ROWS
+
+
+def test_the_counters_are_a_v_monitor_query(db):
+    rows = db.sql(
+        "SELECT name, value FROM v_monitor.metrics WHERE kind = 'counter'"
+    )
+    values = {row["name"]: row["value"] for row in rows}
+    assert all(values.get(name, 0) > 0 for name in COUNTERS), values
+    # trials per block, from the system itself
+    assert values["storage.trial_encodes"] <= len(CANDIDATE_NAMES) * (
+        values["storage.blocks_encoded"]
+    )

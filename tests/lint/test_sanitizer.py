@@ -22,6 +22,7 @@ from repro.storage.column_file import read_position_index
 from repro.storage.serde import write_uvarint
 from repro.tuple_mover import TupleMover
 from repro.txn import EpochManager
+from storage_helpers import run_of
 
 pytestmark = pytest.mark.lint
 
@@ -80,12 +81,12 @@ def corrupt_pidx(container_path, column, mutate):
 class TestContainerInvariants:
     def test_clean_container_passes(self, tmp_path, projection):
         path = str(tmp_path / "ros_1")
-        ROSContainer.write(path, 1, projection, make_rows(50), [1] * 50)
+        ROSContainer.write(path, 1, projection, run_of(projection, make_rows(50), [1] * 50))
         assert ROSContainer.load(path).row_count == 50
 
     def test_corrupted_block_min_max_detected(self, tmp_path, projection):
         path = str(tmp_path / "ros_1")
-        ROSContainer.write(path, 1, projection, make_rows(50), [1] * 50)
+        ROSContainer.write(path, 1, projection, run_of(projection, make_rows(50), [1] * 50))
 
         def lie_about_min(infos):
             infos[0].min_value = 999_999
@@ -99,7 +100,7 @@ class TestContainerInvariants:
 
     def test_non_monotonic_position_index_detected(self, tmp_path, projection):
         path = str(tmp_path / "ros_1")
-        ROSContainer.write(path, 1, projection, make_rows(50), [1] * 50)
+        ROSContainer.write(path, 1, projection, run_of(projection, make_rows(50), [1] * 50))
 
         def shift_start(infos):
             infos[0].start_position = 7
@@ -111,7 +112,7 @@ class TestContainerInvariants:
 
     def test_corruption_ignored_when_disabled(self, tmp_path, projection):
         path = str(tmp_path / "ros_1")
-        ROSContainer.write(path, 1, projection, make_rows(50), [1] * 50)
+        ROSContainer.write(path, 1, projection, run_of(projection, make_rows(50), [1] * 50))
         corrupt_pidx(path, "k", lambda infos: setattr(infos[0], "min_value", 999_999))
         with sanitizer.override(False):
             assert ROSContainer.load(path).row_count == 50
@@ -166,8 +167,8 @@ class TestTupleMoverConservation:
         manager.insert(self.NAME, make_rows(20), epoch=1)
         original = StorageManager.add_container_from_rows
 
-        def lossy(self, name, rows, epochs, **kwargs):
-            return original(self, name, rows[:-1], epochs[:-1], **kwargs)
+        def lossy(self, name, run, **kwargs):
+            return original(self, name, run.take(range(len(run) - 1)), **kwargs)
 
         monkeypatch.setattr(StorageManager, "add_container_from_rows", lossy)
         with pytest.raises(InvariantViolation) as excinfo:

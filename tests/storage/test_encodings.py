@@ -21,14 +21,20 @@ def roundtrip(encoding, values):
     return encoding.decode(encoding.encode(values), len(values))
 
 
+def exactly(values):
+    """``values`` as compared exactly: ``-0.0 == 0.0`` and ``1 == True
+    == 1.0``, so ``==`` cannot tell a round trip that swapped them."""
+    return list(map(repr, values))
+
+
 class TestPlain:
     @given(st.lists(st.one_of(st.integers(), st.floats(allow_nan=False), st.text())))
     def test_roundtrip(self, values):
-        assert roundtrip(enc.PLAIN, values) == values
+        assert exactly(roundtrip(enc.PLAIN, values)) == exactly(values)
 
     @given(text_lists)
     def test_compressed_plain_roundtrip(self, values):
-        assert roundtrip(enc.COMPRESSED_PLAIN, values) == values
+        assert exactly(roundtrip(enc.COMPRESSED_PLAIN, values)) == exactly(values)
 
     def test_compressed_smaller_on_repetitive(self):
         values = ["warehouse"] * 5000
@@ -40,15 +46,31 @@ class TestPlain:
 class TestRle:
     @given(st.lists(st.sampled_from(["x", "y", "z"])))
     def test_roundtrip_low_cardinality(self, values):
-        assert roundtrip(enc.RLE, values) == values
+        assert exactly(roundtrip(enc.RLE, values)) == exactly(values)
 
     @given(int_lists)
     def test_roundtrip_any_ints(self, values):
-        assert roundtrip(enc.RLE, values) == values
+        assert exactly(roundtrip(enc.RLE, values)) == exactly(values)
 
     def test_sorted_low_cardinality_is_tiny(self):
         values = sorted(["a", "b", "c"] * 10000)
         assert len(enc.RLE.encode(values)) < 30
+
+    @given(st.lists(st.sampled_from([0.0, -0.0, 1.5, -1.5])))
+    def test_roundtrip_signed_zeros(self, values):
+        assert exactly(roundtrip(enc.RLE, values)) == exactly(values)
+
+    def test_negative_zero_ends_a_run_of_zeros(self):
+        # ``-0.0 == 0.0``: a run found with ``==`` swallowed it (and a
+        # stored -0.0 came back 0.0) until runs were keyed exactly
+        values = [0.0, 0.0, -0.0, -0.0, 0.0]
+        data = enc.RLE.encode(values)
+        assert exactly(enc.RLE.decode(data, 5)) == exactly(values)
+        runs = list(enc.RLE.iter_runs(data, 5))
+        assert [(repr(v), n) for v, n in runs] == [("0.0", 2), ("-0.0", 2), ("0.0", 1)]
+        # ... and so are 1, True and 1.0, where a block mixes types
+        mixed = [1, True, 1.0, 1]
+        assert exactly(roundtrip(enc.RLE, mixed)) == exactly(mixed)
 
     def test_iter_runs(self):
         values = ["a", "a", "b", "c", "c", "c"]
@@ -60,14 +82,17 @@ class TestRle:
         ]
 
     def test_run_count(self):
-        assert enc.RLE.run_count([]) == 0
-        assert enc.RLE.run_count([1, 1, 2, 1]) == 3
+        def run_count(values):
+            return len(enc.RLE.runs(values, enc.BlockFacts(values)))
+
+        assert run_count([]) == 0
+        assert run_count([1, 1, 2, 1]) == 3
 
 
 class TestDeltaValue:
     @given(int_lists)
     def test_roundtrip(self, values):
-        assert roundtrip(enc.DELTAVAL, values) == values
+        assert exactly(roundtrip(enc.DELTAVAL, values)) == exactly(values)
 
     def test_narrow_range_compact(self):
         # 10k values within a span of 100: one byte per value + header.
@@ -82,11 +107,25 @@ class TestDeltaValue:
 class TestBlockDictionary:
     @given(st.lists(st.sampled_from([10.25, 10.5, 10.75, 11.0])))
     def test_roundtrip_stock_prices(self, values):
-        assert roundtrip(enc.BLOCK_DICT, values) == values
+        assert exactly(roundtrip(enc.BLOCK_DICT, values)) == exactly(values)
 
     @given(text_lists)
     def test_roundtrip_text(self, values):
-        assert roundtrip(enc.BLOCK_DICT, values) == values
+        assert exactly(roundtrip(enc.BLOCK_DICT, values)) == exactly(values)
+
+    @given(st.lists(st.sampled_from([0.0, -0.0, 1.5, -1.5])))
+    def test_roundtrip_signed_zeros(self, values):
+        assert exactly(roundtrip(enc.BLOCK_DICT, values)) == exactly(values)
+
+    def test_both_zeros_get_a_dictionary_entry_each(self):
+        # a dictionary keyed by value held one entry for the two zeros
+        values = [0.0, -0.0, 0.0, 2.5, -0.0]
+        data = enc.BLOCK_DICT.encode(values)
+        entries, codes = enc.BLOCK_DICT.decode_parts(data, 5)
+        assert exactly(entries) == ["0.0", "-0.0", "2.5"]
+        assert codes == [0, 1, 0, 2, 1]
+        mixed = [1, True, 1.0, 1]
+        assert exactly(roundtrip(enc.BLOCK_DICT, mixed)) == exactly(mixed)
 
     def test_few_valued_compact(self):
         values = (["AAPL", "GOOG", "HP", "VERT"] * 2500)[:8192]
@@ -102,12 +141,12 @@ class TestBlockDictionary:
 class TestCompressedDeltaRange:
     @given(int_lists)
     def test_roundtrip_ints(self, values):
-        assert roundtrip(enc.DELTARANGE_COMP, values) == values
+        assert exactly(roundtrip(enc.DELTARANGE_COMP, values)) == exactly(values)
 
     @given(float_lists)
     def test_roundtrip_floats_exact(self, values):
         decoded = roundtrip(enc.DELTARANGE_COMP, values)
-        assert decoded == values
+        assert exactly(decoded) == exactly(values)
         assert all(type(d) is type(v) for d, v in zip(decoded, values))
 
     def test_sorted_floats_compact(self):
@@ -115,17 +154,17 @@ class TestCompressedDeltaRange:
         assert len(enc.DELTARANGE_COMP.encode(values)) < 8192 * 2
 
     def test_ordered_int_mapping_is_monotone(self):
-        from repro.storage.encodings.delta_range import float_to_ordered_int
+        from repro.storage.encodings.delta_range import floats_to_ordered_ints
 
         floats = [-1e300, -2.5, -0.0, 0.0, 1e-300, 3.25, 1e300]
-        mapped = [float_to_ordered_int(f) for f in floats]
+        mapped = floats_to_ordered_ints(floats)
         assert mapped == sorted(mapped)
 
 
 class TestCompressedCommonDelta:
     @given(int_lists)
     def test_roundtrip(self, values):
-        assert roundtrip(enc.COMMONDELTA_COMP, values) == values
+        assert exactly(roundtrip(enc.COMMONDELTA_COMP, values)) == exactly(values)
 
     def test_periodic_timestamps_tiny(self):
         # Readings every 300 s with a couple of breaks (section 8.2.2).
@@ -172,7 +211,7 @@ class TestAuto:
     @given(int_lists)
     @settings(max_examples=25)
     def test_auto_encoding_roundtrip(self, values):
-        assert roundtrip(enc.AUTO, values) == values
+        assert exactly(roundtrip(enc.AUTO, values)) == exactly(values)
 
     def test_never_larger_than_plain_by_much(self):
         import random

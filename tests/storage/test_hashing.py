@@ -1,5 +1,6 @@
 """Tests for deterministic segmentation hashing."""
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -39,3 +40,77 @@ class TestValueHashing:
     ), max_size=5))
     def test_row_hash_in_ring(self, values):
         assert 0 <= hash_row(values) < RING_SIZE
+
+
+class TestRingPositionMemo:
+    """``HashSegmentation.ring_positions`` hashes a batch column-wise,
+    once per distinct key — and must land every row exactly where
+    ``hash_row`` alone puts it."""
+
+    def positions(self, columns, names):
+        from repro.projections import HashSegmentation
+
+        return HashSegmentation(names).ring_positions(columns)
+
+    def test_equal_but_different_values_hash_apart(self):
+        # -0.0 == 0.0 and 1 == True == 1.0, and each pair shares a
+        # Python hash: a memo keyed by value would hand the second of
+        # each the first one's ring position
+        keys = [0.0, -0.0, 1, True, 1.0, "1", None, 0, False, 0.0, -0.0, 1]
+        expected = [hash_row([key]) for key in keys]
+        assert len(set(expected)) == 9
+        assert self.positions({"a": keys}, ("a",)) == expected
+
+    def test_one_column_types(self):
+        for keys in (
+            [0.0, -0.0, 2.5, float("inf"), -0.0],
+            [3, -3, 0, 3, 2**62],
+            ["", "a", "a", "metric_0004"],
+            [True, False, True],
+            [None, None],
+            [],
+        ):
+            assert self.positions({"a": keys}, ("a",)) == [
+                hash_row([key]) for key in keys
+            ]
+
+    @given(st.lists(st.tuples(
+        st.sampled_from([0.0, -0.0, 1.0, None, float("inf")]),
+        st.sampled_from([0, 1, True, False, "x", None]),
+    ), max_size=30))
+    def test_matches_hash_row_row_by_row(self, rows):
+        columns = {"a": [a for a, _ in rows], "b": [b for _, b in rows]}
+        assert self.positions(columns, ("b", "a")) == [
+            hash_row([b, a]) for a, b in rows
+        ]
+
+    def test_hashes_once_per_distinct_key(self, monkeypatch):
+        from repro import hashing
+
+        calls = []
+        real = hashing.fnv1a_64
+        monkeypatch.setattr(
+            hashing, "fnv1a_64", lambda data: calls.append(data) or real(data)
+        )
+        keys = [f"metric_{i % 18:04d}" for i in range(5000)]
+        positions = self.positions({"a": keys}, ("a",))
+        assert len(calls) == 18 and len(set(positions)) == 18
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 11: node_for_position takes the top bits of "
+    "FNV-1a, which a key's last bytes barely reach — sequential names "
+    "pile onto one ring third",
+)
+def test_sequential_string_keys_spread_over_three_nodes():
+    from collections import Counter
+
+    from repro.projections import HashSegmentation
+
+    scheme = HashSegmentation(("metric",))
+    nodes = Counter(
+        scheme.node_for_row({"metric": f"metric_{i:04d}"}, 3) for i in range(1000)
+    )
+    # within 2x of even: no node under 1/6 or over 2/3 of the keys
+    assert all(1000 / 6 <= nodes[node] <= 2000 / 3 for node in range(3)), nodes

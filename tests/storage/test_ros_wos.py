@@ -20,6 +20,7 @@ from repro.storage import (
     WriteOptimizedStore,
     combined_deletes,
 )
+from storage_helpers import run_of
 
 
 @pytest.fixture
@@ -46,7 +47,7 @@ class TestROSContainer:
     def test_write_load_roundtrip(self, tmp_path, projection):
         rows = make_rows(100)
         path = str(tmp_path / "ros_1")
-        ROSContainer.write(path, 1, projection, rows, [7] * 100)
+        ROSContainer.write(path, 1, projection, run_of(projection, rows, [7] * 100))
         loaded = ROSContainer.load(path)
         assert loaded.row_count == 100
         assert loaded.read_column("k") == [row["k"] for row in rows]
@@ -55,7 +56,9 @@ class TestROSContainer:
 
     def test_two_files_per_column(self, tmp_path, projection):
         path = str(tmp_path / "ros_1")
-        container = ROSContainer.write(path, 1, projection, make_rows(10), [1] * 10)
+        container = ROSContainer.write(
+            path, 1, projection, run_of(projection, make_rows(10), [1] * 10)
+        )
         files = container.file_inventory()
         for column in ("k", "v", "_epoch"):
             assert f"{column}.dat" in files
@@ -64,12 +67,14 @@ class TestROSContainer:
     def test_unsorted_rows_rejected(self, tmp_path, projection):
         rows = [{"k": 2, "v": "a"}, {"k": 1, "v": "b"}]
         with pytest.raises(StorageError):
-            ROSContainer.write(str(tmp_path / "r"), 1, projection, rows, [1, 1])
+            ROSContainer.write(
+                str(tmp_path / "r"), 1, projection, run_of(projection, rows, [1, 1])
+            )
 
     def test_min_max_and_pruning(self, tmp_path, projection):
         rows = [{"k": i, "v": "x"} for i in range(100, 200)]
         container = ROSContainer.write(
-            str(tmp_path / "r"), 1, projection, rows, [1] * 100
+            str(tmp_path / "r"), 1, projection, run_of(projection, rows, [1] * 100)
         )
         assert container.column_min_max("k") == (100, 199)
         assert container.may_contain("k", 150, 160)
@@ -81,8 +86,7 @@ class TestROSContainer:
             str(tmp_path / "r"),
             1,
             projection,
-            [{"k": 1, "v": "a"}],
-            [1],
+            run_of(projection, [{"k": 1, "v": "a"}], [1]),
             partition_key=(2012, 3),
             local_segment=2,
         )
@@ -96,8 +100,7 @@ class TestROSContainer:
             str(tmp_path / "r"),
             1,
             projection,
-            rows,
-            [1] * 50,
+            run_of(projection, rows, [1] * 50),
             column_groups=[["k", "v"]],
         )
         assert container.read_column("k") == [row["k"] for row in rows]
@@ -111,18 +114,18 @@ class TestROSContainer:
         # penalty — the ungrouped container must be smaller.
         rows = [{"k": i, "v": "const"} for i in range(2000)]
         grouped = ROSContainer.write(
-            str(tmp_path / "g"), 1, projection, rows, [1] * 2000,
+            str(tmp_path / "g"), 1, projection, run_of(projection, rows, [1] * 2000),
             column_groups=[["k", "v"]],
         )
         columnar = ROSContainer.write(
-            str(tmp_path / "c"), 2, projection, rows, [1] * 2000
+            str(tmp_path / "c"), 2, projection, run_of(projection, rows, [1] * 2000)
         )
         assert columnar.data_size_bytes() < grouped.data_size_bytes()
 
     def test_epoch_metadata(self, tmp_path, projection):
         rows = make_rows(4)
         container = ROSContainer.write(
-            str(tmp_path / "r"), 1, projection, rows, [3, 3, 5, 9]
+            str(tmp_path / "r"), 1, projection, run_of(projection, rows, [3, 3, 5, 9])
         )
         assert container.meta.min_epoch == 3
         assert container.meta.max_epoch == 9

@@ -31,7 +31,7 @@ from repro.projections import super_projection
 from repro.storage import ROSContainer, StorageManager
 from repro.storage.block import BLOCK_ROWS
 from repro.tuple_mover import MergePolicy, TupleMover
-from storage_helpers import delete_matching
+from storage_helpers import delete_matching, run_of
 
 NAME = "t_super"
 BASE_ROWS = 2 * BLOCK_ROWS + 700
@@ -71,7 +71,9 @@ def base_container(tmp_path_factory) -> str:
     path = os.path.join(tmp_path_factory.mktemp("walk_base"), "ros_000001")
     rows = [make_row(k, k * 6 // BASE_ROWS) for k in range(BASE_ROWS)]
     epochs = [2 if k % 3 == 0 else 1 for k in range(BASE_ROWS)]
-    ROSContainer.write(path, 1, PROJECTION, rows, epochs, column_groups=[["g"]])
+    ROSContainer.write(
+        path, 1, PROJECTION, run_of(PROJECTION, rows, epochs), column_groups=[["g"]]
+    )
     return path
 
 

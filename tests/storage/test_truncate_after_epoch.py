@@ -20,7 +20,7 @@ from repro.projections import super_projection
 from repro.storage import ROSContainer, StorageManager
 from repro.storage.manager import truncate_outcome_counts
 from repro.tuple_mover import MergePolicy, TupleMover
-from storage_helpers import delete_matching
+from storage_helpers import delete_matching, run_of
 
 NAME = "t_super"
 TABLE = TableDefinition(
@@ -150,8 +150,9 @@ class TestContainerClasses:
         assert left == [f"ros_{old:06d}"], f"container {new} left debris"
 
     def test_straddler_is_rewritten_with_provenance(self, manager):
+        projection = manager.storage(NAME).projection
         victim = manager.add_container_from_rows(
-            NAME, rows(1, 2, 3, 4, 5, 6), [1, 7, 3, 9, 5, 6]
+            NAME, run_of(projection, rows(1, 2, 3, 4, 5, 6), [1, 7, 3, 9, 5, 6])
         )
         # one marker under the epoch, one past it, one on a doomed row
         for key, epoch in ((1, 4), (3, 8), (2, 8)):

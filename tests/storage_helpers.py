@@ -12,3 +12,10 @@ def delete_matching(manager, name, predicate, commit_epoch, snapshot_epoch):
         if predicate(row)
     ]
     return manager.delete_where(name, victims, commit_epoch, snapshot_epoch)
+
+
+def run_of(projection, rows, epochs, delete_epochs=None):
+    """Row dicts as the columnar run the storage writer takes."""
+    from repro.storage import HistoryRun
+
+    return HistoryRun.from_rows(projection.column_names, rows, epochs, delete_epochs)

@@ -654,14 +654,15 @@ class DistributedExecutor:
         key_names = [name for name, _ in node.keys]
 
         def local_group(op):
-            if node.algorithm == "pipelined":
-                ordered = SortOperator(
-                    op, [SortKey(expr) for expr in key_exprs], pool=self.pool
-                )
-                return GroupByPipelinedOperator(
-                    ordered, key_exprs, key_names, node.aggregates
-                )
-            return GroupByHashOperator(
+            # "pipelined" is a fact about the input, not another
+            # algorithm: the keys are a sort prefix, so every block folds
+            # over its runs; containers still meet in the hash table.
+            operator = (
+                GroupByPipelinedOperator
+                if node.algorithm == "pipelined"
+                else GroupByHashOperator
+            )
+            return operator(
                 op, key_exprs, key_names, node.aggregates, pool=self.pool
             )
 

@@ -1,101 +1,163 @@
-"""GroupBy/aggregate kernels: RLE run arithmetic and dictionary keys.
+"""GroupBy/aggregate kernels: a block folds into the group table by its
+structure — runs where it has them, position buckets where it does not.
 
     Vertica's EE [...] operates directly on encoded data: a COUNT over
     an RLE run is the run length, a SUM is value x length.  (section 6.1)
 
-:func:`absorb_block_kernel` is the batch twin of
-``_AggregationCore.absorb_block``: it folds one block into the group
-hash table without the per-row ``tuple(...)`` key build when the block's
-structure allows it, and reports ``False`` (fold nothing) when it does
-not so the caller can run the row path instead.
+:func:`absorb_block_kernel` folds one block into the group hash table
+with one probe and one bulk fold per *run* or per *distinct key*, never
+per row.  Which it is reads only the block, in this order:
 
-Kernelized shapes, tried in order:
+* **no keys** — each accumulator folds its whole column at once (RLE via
+  ``add_run``, dictionary via a code histogram, plain via ``add_bulk``);
+* **one RLE key** — the vector's runs are the key runs;
+* **keys known to sit in runs** (every key RLE, or the keys are the
+  block's leading ``sorted_by`` columns) — key changes found at C speed;
+* **one dictionary key** — positions bucketed by integer code;
+* **any other column keys** — key changes counted; runs when the run
+  bounds describe the block in fewer integers than its positions would
+  (two a run against one a row), else positions bucketed by key.
 
-* **global aggregates** (no keys) — each accumulator folds the whole
-  column at once: RLE columns via ``add_run`` (O(runs)), dictionary
-  columns via a code histogram, plain columns via ``add_bulk`` (C-speed
-  ``sum``/``min``/``max``);
-* **run-structured keys** — all key columns RLE, or the block sorted by
-  a permutation of the keys: adjacent equal keys collapse to one hash
-  probe and one bulk fold per run;
-* **single dictionary key** — rows bucketed by dictionary *code*
-  (integers), the key value looked up once per distinct code.
-
-Anything else (expression keys, DISTINCT, user-defined aggregates,
-unstructured multi-column keys) returns ``False``; correctness never
-depends on the kernel path firing.
+:func:`groupby_fallback_reason` names the shapes that stay on the row
+path; correctness never depends on which rung fires.
 """
 
 from __future__ import annotations
 
-from itertools import groupby as _runs_of
+from collections import Counter, defaultdict
+from itertools import compress
+from operator import itemgetter, ne, or_
 
 from ..expressions import ColumnRef
-from .vectors import DictVector, RleVector, as_list, null_count_of
+from .vectors import ColumnVector, DictVector, RleVector
+from .vectors import any_nan, as_list, null_count_of
+
+#: The one object every NaN group key becomes: NaN keys are one group (as
+#: NULL keys are), and a dict finds an equal-by-identity key.
+NAN = float("nan")
 
 
-def groupby_kernel_supported(core) -> bool:
-    """Whether ``core``'s shape is in the kernel dialect at all.
-
-    Keys must be plain column references and every aggregate a built-in
-    over a column (or COUNT(*)), without DISTINCT — the same spec the
-    paper's single-instruction aggregation loops assume.
-    """
-    if not all(isinstance(expr, ColumnRef) for expr in core.key_exprs):
-        return False
-    for spec in core.specs:
-        if spec.distinct or spec.is_user_defined:
-            return False
-        if spec.arg is not None and not isinstance(spec.arg, ColumnRef):
-            return False
-    return True
+def groupby_fallback_reason(key_exprs, specs) -> str | None:
+    """Why this aggregation shape is outside the kernel dialect (None
+    when it is inside): keys must be plain column references and every
+    aggregate a built-in without DISTINCT."""
+    if not all(isinstance(expr, ColumnRef) for expr in key_exprs):
+        return "expression key"
+    if any(spec.distinct for spec in specs):
+        return "distinct"
+    if any(spec.is_user_defined for spec in specs):
+        return "user aggregate"
+    return None
 
 
-def absorb_block_kernel(core, groups: dict, block) -> bool:
-    """Fold ``block`` into ``groups`` via batch kernels.
+def key_values(column, scalars: list | None = None) -> list:
+    """``column`` as a list fit to be group keys — or ``scalars``, the
+    run values or dictionary entries its keys are drawn from: every NaN
+    replaced by :data:`NAN`.  Free for a vector that knows it holds none."""
+    values = as_list(column) if scalars is None else scalars
+    if isinstance(column, ColumnVector) and column.is_ordered():
+        return values
+    if any_nan(values):
+        return [NAN if value != value else value for value in values]
+    return values
 
-    Returns True when the block was fully absorbed; False means the
-    block's structure has no kernel shape and the caller must fold it
-    through the row path.  Assumes :func:`groupby_kernel_supported`.
-    """
+
+def absorb_block_kernel(core, groups: dict, block) -> None:
+    """Fold ``block`` into ``groups``; ``core``'s shape must have no
+    :func:`groupby_fallback_reason`."""
     row_count = block.row_count
     if row_count == 0:
-        return True
+        return
     arg_columns = [
-        block.column(spec.arg.name) if spec.arg is not None else None
-        for spec in core.specs
+        run(block) if run is not None else None for run in core._arg_runs
     ]
     if not core.key_exprs:
-        accumulators = groups.get(())
-        if accumulators is None:
-            accumulators = groups[()] = core.new_accumulators()
-        _fold_whole_columns(accumulators, arg_columns, row_count)
-        return True
-    key_columns = [block.column(expr.name) for expr in core.key_exprs]
-    runs = _key_runs(block, core.key_exprs, key_columns)
-    if runs is not None:
-        arg_values = [
-            as_list(column) if column is not None else None
-            for column in arg_columns
-        ]
-        for key, start, stop in runs:
-            accumulators = groups.get(key)
-            if accumulators is None:
-                accumulators = groups[key] = core.new_accumulators()
-            length = stop - start
-            for accumulator, values in zip(accumulators, arg_values):
-                if values is None:
-                    accumulator.add_count_star(length)
-                else:
-                    accumulator.add_bulk(values[start:stop])
-        return True
-    if len(key_columns) == 1 and isinstance(key_columns[0], DictVector):
-        _absorb_dict_key(core, groups, key_columns[0], arg_columns)
-        return True
-    return False
+        _fold_whole_columns(_group(core, groups, ()), arg_columns, row_count)
+        return
+    #: per aggregate (values, NULLs among them: 0 or None = unknown)
+    args = [
+        (None, None) if column is None
+        else (as_list(column), 0 if null_count_of(column) == 0 else None)
+        for column in arg_columns
+    ]
+    key_columns = [run(block) for run in core._key_runs]
+    first = key_columns[0]
+    if len(key_columns) == 1 and isinstance(first, RleVector):
+        starts = first.starts()
+        run_keys = zip(key_values(first, [value for value, _ in first.runs]))
+    else:
+        names = {expr.name for expr in core.key_exprs}
+        in_runs = names == set((block.sorted_by or ())[: len(names)]) or all(
+            isinstance(column, RleVector) for column in key_columns
+        )
+        if len(key_columns) == 1 and isinstance(first, DictVector) and not in_runs:
+            keys = [(entry,) for entry in key_values(first, first.entries)]
+            _fold_buckets(core, groups, first.codes, keys, args)
+            return
+        key_lists = [key_values(column) for column in key_columns]
+        starts = _run_starts(key_lists, row_count)
+        if not in_runs and 2 * len(starts) > row_count:
+            _fold_buckets(core, groups, zip(*key_lists), None, args)
+            return
+        run_keys = zip(*[map(keys.__getitem__, starts) for keys in key_lists])
+    for key, start, stop in zip(run_keys, starts, [*starts[1:], row_count]):
+        _fold(_group(core, groups, key), args, stop - start, start, None)
 
 
 # -- internals -------------------------------------------------------------
+
+
+def _group(core, groups: dict, key: tuple) -> list:
+    """The accumulators of ``key``: one probe, made on first sight."""
+    accumulators = groups.get(key)
+    if accumulators is None:
+        accumulators = groups[key] = core.new_accumulators()
+    return accumulators
+
+
+def _run_starts(key_lists: list[list], row_count: int) -> list[int]:
+    """The positions whose key differs from the row before (and 0)."""
+    changed = None
+    for values in key_lists:
+        flags = map(ne, values[1:], values)
+        changed = flags if changed is None else map(or_, changed, flags)
+    return [0, *compress(range(1, row_count), changed)]
+
+
+def _fold_buckets(core, groups: dict, labels, keys, args) -> None:
+    """Bucket the block's positions by ``labels`` once — dictionary
+    codes with ``keys[code]`` the group key, or the key tuples
+    themselves — then one probe and one bulk fold per distinct label."""
+    counting = all(values is None for values, _ in args)
+    if counting:  # nothing reads a column: a histogram is the answer
+        buckets = Counter(labels)
+    else:
+        buckets = defaultdict(list)
+        for position, label in enumerate(labels):
+            buckets[label].append(position)
+    for label, bucket in buckets.items():  # a count, or a position list
+        if counting:
+            count, first, take = bucket, None, None
+        else:
+            count, first, take = len(bucket), bucket[0], itemgetter(*bucket)
+        key = label if keys is None else keys[label]
+        _fold(_group(core, groups, key), args, count, first, take)
+
+
+def _fold(accumulators, args, count: int, first, take) -> None:
+    """One group's rows of this block into its accumulators: ``count``
+    of them, the first at ``first``, their values ``take(column)`` — or,
+    ``take`` being None, the ``count`` rows from ``first`` on.  A bulk
+    fold of one value is an ``add``."""
+    for accumulator, (values, nulls) in zip(accumulators, args):
+        if values is None:
+            accumulator.add_count_star(count)
+        elif count == 1:
+            accumulator.add(values[first])
+        elif take is None:
+            accumulator.add_bulk(values[first : first + count], nulls)
+        else:
+            accumulator.add_bulk(take(values), nulls)
 
 
 def _fold_whole_columns(accumulators, arg_columns, row_count: int) -> None:
@@ -107,79 +169,7 @@ def _fold_whole_columns(accumulators, arg_columns, row_count: int) -> None:
             for value, length in column.runs:
                 accumulator.add_run(value, length)
         elif isinstance(column, DictVector):
-            entries = column.entries
-            histogram: dict[int, int] = {}
-            for code in column.codes:
-                histogram[code] = histogram.get(code, 0) + 1
-            for code, count in histogram.items():
-                accumulator.add_run(entries[code], count)
+            for code, count in Counter(column.codes).items():
+                accumulator.add_run(column.entries[code], count)
         else:
             accumulator.add_bulk(as_list(column), null_count_of(column))
-
-
-def _key_runs(block, key_exprs, key_columns):
-    """Iterator of ``(key_tuple, start, stop)`` runs, or None.
-
-    Correctness does not require sortedness (the hash table tolerates a
-    key recurring), but a run structure is only *profitable* when equal
-    keys are adjacent: every key column RLE, or the block sorted by a
-    permutation of the keys.
-    """
-    all_rle = all(isinstance(column, RleVector) for column in key_columns)
-    if len(key_columns) == 1 and isinstance(key_columns[0], RleVector):
-        def single_runs():
-            position = 0
-            for value, length in key_columns[0].runs:
-                yield (value,), position, position + length
-                position += length
-
-        return single_runs()
-    if not all_rle:
-        sorted_by = getattr(block, "sorted_by", None) or ()
-        key_names = {expr.name for expr in key_exprs}
-        if key_names != set(sorted_by[: len(key_names)]):
-            return None
-
-    def merged_runs():
-        value_lists = [as_list(column) for column in key_columns]
-        position = 0
-        for key, group in _runs_of(zip(*value_lists)):
-            length = sum(1 for _ in group)
-            yield key, position, position + length
-            position += length
-
-    return merged_runs()
-
-
-def _absorb_dict_key(core, groups: dict, key, arg_columns) -> None:
-    """Single dictionary-coded key: bucket rows by integer code."""
-    entries = key.entries
-    if all(column is None for column in arg_columns):
-        # pure COUNT(*): a code histogram is the whole answer.
-        histogram: dict[int, int] = {}
-        for code in key.codes:
-            histogram[code] = histogram.get(code, 0) + 1
-        for code, count in histogram.items():
-            accumulators = groups.get((entries[code],))
-            if accumulators is None:
-                accumulators = groups[(entries[code],)] = core.new_accumulators()
-            for accumulator in accumulators:
-                accumulator.add_count_star(count)
-        return
-    buckets: dict[int, list[int]] = {}
-    for position, code in enumerate(key.codes):
-        bucket = buckets.get(code)
-        if bucket is None:
-            bucket = buckets[code] = []
-        bucket.append(position)
-    for code, positions in buckets.items():
-        accumulators = groups.get((entries[code],))
-        if accumulators is None:
-            accumulators = groups[(entries[code],)] = core.new_accumulators()
-        count = len(positions)
-        for accumulator, column in zip(accumulators, arg_columns):
-            if column is None:
-                accumulator.add_count_star(count)
-            else:
-                values = as_list(column)
-                accumulator.add_bulk(list(map(values.__getitem__, positions)))

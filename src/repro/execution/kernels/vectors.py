@@ -57,7 +57,7 @@ class ColumnVector:
             elif origin is not None and origin.is_ordered():
                 ordered = True
             else:
-                ordered = not _any_nan(self._scalars())
+                ordered = not any_nan(self._scalars())
             self._ordered = ordered
             self._origin = None
         return ordered
@@ -182,8 +182,10 @@ def as_list(column) -> list:
     return column
 
 
-def _any_nan(scalars) -> bool:
-    """Whether a NaN is among ``scalars`` (no NULLs in it)."""
+def any_nan(scalars) -> bool:
+    """Whether a NaN is among ``scalars``: only a NaN differs from
+    itself.  Machine numbers are settled by one ``sum``; anything else
+    (a NULL, a string, an integer past a float) by comparing."""
     try:
         total = sum(scalars)
         if total == total:  # one NaN would have poisoned the sum

@@ -56,6 +56,10 @@ class Operator:
         #: reports execution mode "-".
         self.kernel_blocks = 0
         self.row_blocks = 0
+        #: Why blocks took the row path, where the operator records it
+        #: (the group-by operators do): EXPLAIN ANALYZE prints it after
+        #: ``exec=row`` and ``v_monitor.query_profiles`` carries it.
+        self.fallback_reason = ""
         #: Cooperative cancellation hook (section 7 workload
         #: management): when set by the executor, every pull first
         #: calls ``cancel_token.check()``, which raises

@@ -4,14 +4,14 @@
     hash based algorithms [...] Vertica also implements classic
     pipelined (one-pass) aggregates.  (section 6.1)
 
-Three physical algorithms:
+Three physical algorithms over one aggregation core:
 
-* :class:`GroupByHashOperator` — general hash aggregation, with
-  partition-and-spill externalization when the group count exceeds the
-  operator's memory budget;
-* :class:`GroupByPipelinedOperator` — one-pass aggregation requiring
-  input sorted on the group keys (the payoff of sorted projections:
-  constant memory, streaming output);
+* :class:`GroupByHashOperator` — general hash aggregation, externalizing
+  when the group count exceeds the operator's memory budget;
+* :class:`GroupByPipelinedOperator` — the same operator where the plan
+  knows the keys are a sort prefix: every block folds in one pass over
+  its runs (the payoff of sorted projections), and the runs of
+  different containers meet in the hash table — nothing is sorted;
 * :class:`PrepassGroupByOperator` — the paper's L1-cache-sized
   pre-aggregation: bounded hash table flushed when full, merged by a
   downstream GroupBy, with the runtime shutoff that stops prepassing
@@ -31,11 +31,15 @@ from ...monitor import METRICS
 from ..aggregates import AggregateSpec, make_accumulator
 from ..expressions import ColumnRef, Expr
 from ..kernels import kernels_enabled
-from ..kernels.aggregate import absorb_block_kernel, groupby_kernel_supported
+from ..kernels.aggregate import (
+    absorb_block_kernel,
+    groupby_fallback_reason,
+    key_values,
+)
 from ..kernels.vectors import as_list
 from ..resource import ResourcePool, SpillFile
 from ..row_block import VECTOR_SIZE, RowBlock
-from .base import Operator
+from .base import Operator, SourceBlocks
 
 
 def _group_output_block(
@@ -86,25 +90,29 @@ class _AggregationCore:
         self._arg_runs = [
             spec.arg.compiled() if spec.arg is not None else None for spec in specs
         ]
-        #: Whether this core's shape is in the kernel dialect at all
-        #: (per-block structure still decides whether a kernel fires).
-        self.kernel_supported = groupby_kernel_supported(self)
+        #: Why this shape is outside the kernel dialect (None: inside).
+        self.shape_reason = groupby_fallback_reason(key_exprs, specs)
+        #: The reason of every block that took the row path.
+        self.fallback_reasons: set[str] = set()
 
     def new_accumulators(self):
         return [make_accumulator(spec) for spec in self.specs]
 
     def key_columns(self, block: RowBlock) -> list[list]:
-        return [as_list(run(block)) for run in self._key_runs]
+        return [key_values(run(block)) for run in self._key_runs]
 
     def absorb_block(self, groups: dict, block: RowBlock) -> bool:
         """Fold one block into the group hash table.
 
         Returns True when a batch kernel absorbed the block, False when
-        the per-row path did (the operator's execution-mode counters).
+        the per-row path did (the operator's execution-mode counters)
+        and noted why.
         """
-        if self.kernel_supported and kernels_enabled():
-            if absorb_block_kernel(self, groups, block):
-                return True
+        reason = self.shape_reason if kernels_enabled() else "forced row engine"
+        if reason is None:
+            absorb_block_kernel(self, groups, block)
+            return True
+        self.fallback_reasons.add(reason)
         key_columns = self.key_columns(block)
         arg_columns = [
             as_list(run(block)) if run is not None else None
@@ -161,8 +169,32 @@ class _AggregationCore:
         return RowBlock(columns=columns, row_count=block.row_count)
 
 
+def _absorb(op: Operator, groups: dict, block: RowBlock) -> None:
+    """Fold ``block`` into ``groups`` through ``op.core``, counted once,
+    by the engine that absorbed it."""
+    if op.core.absorb_block(groups, block):
+        op.kernel_blocks += 1
+        METRICS.inc("executor.kernel_blocks")
+    else:
+        op.row_blocks += 1
+        METRICS.inc("executor.row_fallback_blocks")
+        op.fallback_reason = ", ".join(sorted(op.core.fallback_reasons))
+
+
+def _partial_stages(op: Operator):
+    """The nearest group-by operators under ``op``: what feeds a merge."""
+    for child in op.children:
+        if isinstance(child, (GroupByHashOperator, PrepassGroupByOperator)):
+            yield child
+        else:
+            yield from _partial_stages(child)
+
+
 class GroupByHashOperator(Operator):
-    """Hash aggregation with partitioned spill externalization.
+    """Hash aggregation, externalizing past its budget: mergeable
+    aggregates spill partials partitioned by key; the others (AVG,
+    DISTINCT) keep the groups they have and spill the rows of every
+    other key for a pass of their own.
 
     ``merge_partials`` makes the operator consume partial rows (from a
     prepass or a Send/Recv of partials) instead of raw rows.
@@ -196,6 +228,7 @@ class GroupByHashOperator(Operator):
         self.pool = pool
         self.max_groups = max_groups
         self.spilled = False
+        self.rows_in = 0
 
     def _budget(self) -> int | None:
         if self.max_groups is not None:
@@ -209,50 +242,42 @@ class GroupByHashOperator(Operator):
         groups: dict = {}
         spill_files: list[SpillFile] | None = None
         partial_core: _AggregationCore | None = None
-        rows_absorbed = 0
+        overflow: SpillFile | None = None
         for block in self.children[0].blocks():
-            if spill_files is None:
-                if self.core.absorb_block(groups, block):
-                    self.kernel_blocks += 1
-                    METRICS.inc("executor.kernel_blocks")
-                else:
-                    self.row_blocks += 1
-                    METRICS.inc("executor.row_fallback_blocks")
-                rows_absorbed += block.row_count
-                if budget is not None and len(groups) > budget:
-                    if not all(spec.mergeable for spec in self.core.specs):
-                        raise ExecutionError(
-                            "group-by spill requires mergeable aggregates; "
-                            "raise the memory budget for AVG/DISTINCT queries"
-                        )
-                    self.spilled = True
-                    if self.pool is not None:
-                        self.pool.note_spill()
-                    spill_files = [SpillFile() for _ in range(self.SPILL_PARTITIONS)]
-                    partial_core = _AggregationCore(
-                        [ColumnRef(name) for name in self.core.key_names],
-                        self.core.key_names,
-                        merge_specs(self.core.specs)
-                        if not self.merge_partials
-                        else self.core.specs,
-                    )
-                    flushed = _group_output_block(
-                        list(groups.items()), self.core.key_names, self.core.specs
-                    )
-                    groups = {}
-                    self._spill_partials(flushed, partial_core, spill_files)
-            else:
+            self.rows_in += block.row_count
+            if spill_files is not None:
                 partial = (
                     block
                     if self.merge_partials
                     else self.core.to_partial_block(block)
                 )
                 self._spill_partials(partial, partial_core, spill_files)
-        if spill_files is None:
-            if sanitizer.enabled() and not self.merge_partials:
-                self._check_conservation(groups, rows_absorbed)
-            yield from self._emit(groups, self.core)
-        else:
+                continue
+            if overflow is not None:
+                block = self._keep_known(groups, block, overflow)
+            _absorb(self, groups, block)
+            if self.spilled or budget is None or len(groups) <= budget:
+                continue
+            self.spilled = True
+            if self.pool is not None:
+                self.pool.note_spill()
+            if not all(spec.mergeable for spec in self.core.specs):
+                overflow = SpillFile()
+                continue
+            spill_files = [SpillFile() for _ in range(self.SPILL_PARTITIONS)]
+            partial_core = _AggregationCore(
+                [ColumnRef(name) for name in self.core.key_names],
+                self.core.key_names,
+                merge_specs(self.core.specs)
+                if not self.merge_partials
+                else self.core.specs,
+            )
+            flushed = _group_output_block(
+                list(groups.items()), self.core.key_names, self.core.specs
+            )
+            groups = {}
+            self._spill_partials(flushed, partial_core, spill_files)
+        if spill_files is not None:
             for spill in spill_files:
                 partition_groups: dict = {}
                 schema = partial_core.key_names + [
@@ -263,15 +288,44 @@ class GroupByHashOperator(Operator):
                     partial_core.absorb_block(partition_groups, partial_block)
                 spill.close()
                 yield from self._emit(partition_groups, partial_core)
+            return
+        if sanitizer.enabled() and not self.spilled:
+            self._check_conservation(groups)
+        yield from self._emit(groups, self.core)
+        if overflow is not None:
+            again = GroupByHashOperator(
+                SourceBlocks(
+                    RowBlock.from_rows(rows, list(rows[0]))
+                    for rows in overflow.read_batches()
+                ),
+                self.core.key_exprs,
+                self.core.key_names,
+                self.output_specs,
+                pool=self.pool,
+                max_groups=self.max_groups,
+            )
+            again.cancel_token = self.cancel_token
+            yield from again.blocks()
+            overflow.close()
 
-    def _check_conservation(self, groups: dict, rows_absorbed: int) -> None:
-        """Sanitizer: COUNT(*) totals across groups must equal rows in
-        (whichever engine — run arithmetic, dictionary histograms, or
-        per-row folds — absorbed each block)."""
+    def _keep_known(self, groups: dict, block: RowBlock, overflow) -> RowBlock:
+        """Over budget with aggregates that have no partial: the rows of
+        keys already in the table; the rest go to ``overflow``."""
+        known = [key in groups for key in zip(*self.core.key_columns(block))]
+        rest = block.filter([not flag for flag in known])
+        if rest.row_count:
+            overflow.write_batch(rest.to_rows())
+        return block.filter(known)
+
+    def _check_conservation(self, groups: dict) -> None:
+        """Sanitizer: the COUNT(*) total across groups must equal the
+        rows in, whichever engine absorbed each block — this operator's
+        rows, or, merging partials, the rows into every partial stage
+        under it (prepass flushes and its passthrough included)."""
         star = next(
             (
                 index
-                for index, spec in enumerate(self.core.specs)
+                for index, spec in enumerate(self.output_specs)
                 if spec.func == "COUNT"
                 and spec.arg is None
                 and not spec.distinct
@@ -280,10 +334,16 @@ class GroupByHashOperator(Operator):
         )
         if star is None:
             return
-        total = sum(
-            accumulators[star].count for accumulators in groups.values()
-        )
-        sanitizer.check_groupby_conservation(rows_absorbed, total)
+        if self.merge_partials:
+            stages = list(_partial_stages(self))
+            if not stages:
+                return
+            rows_in = sum(stage.rows_in for stage in stages)
+            total = sum(group[star].total or 0 for group in groups.values())
+        else:
+            rows_in = self.rows_in
+            total = sum(group[star].count for group in groups.values())
+        sanitizer.check_groupby_conservation(rows_in, total)
 
     def _spill_partials(
         self, block: RowBlock, partial_core: _AggregationCore, spill_files
@@ -314,77 +374,18 @@ class GroupByHashOperator(Operator):
         keys = ", ".join(self.core.key_names) or "<global>"
         aggs = ", ".join(spec.describe() for spec in self.output_specs)
         mode = " merge" if self.merge_partials else ""
-        return f"GroupByHash(keys=[{keys}] aggs=[{aggs}]{mode})"
+        return f"{self.op_name}(keys=[{keys}] aggs=[{aggs}]{mode})"
 
 
-class GroupByPipelinedOperator(Operator):
-    """One-pass aggregation over input sorted by the group keys.
-
-    Emits each group as soon as the key changes; constant memory and
-    preserves sortedness — this is the algorithm sorted projections
-    unlock ("stream aggregation" in section 6.2's technique list).
-    """
+class GroupByPipelinedOperator(GroupByHashOperator):
+    """The hash operator under the name the plan gives it when the group
+    keys are a sort prefix of its input: every block then folds in one
+    pass over its key runs ("stream aggregation", section 6.2), and the
+    runs of different containers meet in the hash table.  Nothing is
+    sorted to find them, and nothing here differs: the kernel reads the
+    runs off the block, not off this class."""
 
     op_name = "GroupByPipelined"
-
-    def __init__(
-        self,
-        child: Operator,
-        key_exprs: list[Expr],
-        key_names: list[str],
-        aggregates: list[AggregateSpec],
-        merge_partials: bool = False,
-    ):
-        super().__init__([child])
-        self.merge_partials = merge_partials
-        self.output_specs = aggregates
-        if merge_partials:
-            self.core = _AggregationCore(
-                [ColumnRef(name) for name in key_names],
-                key_names,
-                merge_specs(aggregates),
-            )
-        else:
-            self.core = _AggregationCore(key_exprs, key_names, aggregates)
-
-    def _produce(self):
-        current_key = None
-        accumulators = None
-        pending: list[tuple[tuple, list]] = []
-        for block in self.children[0].blocks():
-            key_columns = self.core.key_columns(block)
-            arg_columns = [
-                as_list(run(block)) if run is not None else None
-                for run in self.core._arg_runs
-            ]
-            for index in range(block.row_count):
-                key = tuple(column[index] for column in key_columns)
-                if key != current_key or accumulators is None:
-                    if accumulators is not None:
-                        pending.append((current_key, accumulators))
-                        if len(pending) >= VECTOR_SIZE:
-                            yield _group_output_block(
-                                pending, self.core.key_names, self.core.specs
-                            )
-                            pending = []
-                    current_key = key
-                    accumulators = self.core.new_accumulators()
-                self.core._fold_one(accumulators, arg_columns, index)
-        if accumulators is not None:
-            pending.append((current_key, accumulators))
-        if pending:
-            yield _group_output_block(pending, self.core.key_names, self.core.specs)
-        elif not self.core.key_exprs:
-            yield _group_output_block(
-                [((), self.core.new_accumulators())],
-                self.core.key_names,
-                self.core.specs,
-            )
-
-    def label(self) -> str:
-        keys = ", ".join(self.core.key_names) or "<global>"
-        aggs = ", ".join(spec.describe() for spec in self.output_specs)
-        return f"GroupByPipelined(keys=[{keys}] aggs=[{aggs}])"
 
 
 class PrepassGroupByOperator(Operator):
@@ -433,12 +434,7 @@ class PrepassGroupByOperator(Operator):
                 self.rows_out_partial += partial.row_count
                 yield partial
                 continue
-            if self.core.absorb_block(groups, block):
-                self.kernel_blocks += 1
-                METRICS.inc("executor.kernel_blocks")
-            else:
-                self.row_blocks += 1
-                METRICS.inc("executor.row_fallback_blocks")
+            _absorb(self, groups, block)
             if len(groups) >= self.table_size:
                 yield from self._flush(groups)
                 groups = {}

@@ -340,11 +340,14 @@ def check_filter_conservation(rows_in: int, rows_out: int) -> None:
 
 
 def check_groupby_conservation(rows_in: int, count_star_total: int) -> None:
-    """Non-merge GROUP BY COUNT(*) outputs must sum to the input rows.
+    """GROUP BY COUNT(*) outputs must sum to the input rows — a
+    single-stage group-by's own, or, for a merge stage, the rows into
+    every partial stage under it (prepass flushes and passthrough
+    included).
 
     Row conservation across the kernel/row engines: however a block was
-    absorbed (RLE run arithmetic, dictionary histograms, per-row
-    folds), every input row lands in exactly one group.
+    absorbed (run folds, position buckets, per-row folds), every input
+    row lands in exactly one group.
     """
     if not enabled():
         return

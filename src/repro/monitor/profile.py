@@ -43,6 +43,9 @@ class OperatorProfile:
     #: How blocks were processed: "kernel", "row", "mixed", or "-" for
     #: operators without a kernel/row distinction.
     execution: str = "-"
+    #: Why blocks took the row path ("" when none did or the operator
+    #: does not record it): a group-by names its shape.
+    fallback_reason: str = ""
     #: A Scan's blocks that its predicate narrowed to a sort-order
     #: window before testing anything, and the rows in those windows
     #: (0 / 0: every block it was handed was filtered row by row).
@@ -73,6 +76,8 @@ class QueryProfile:
             execution = (
                 f" exec={op.execution}" if op.execution != "-" else ""
             )
+            if op.fallback_reason:
+                execution += f" ({op.fallback_reason})"
             seek = (
                 f" seek={op.seek_blocks}/{op.seek_window_rows}"
                 if op.seek_blocks
@@ -113,6 +118,7 @@ def profile_plan(root: "Operator") -> list[OperatorProfile]:
             pulls=op.pulls,
             wall_seconds=op.wall_seconds,
             execution=op.execution_mode(),
+            fallback_reason=op.fallback_reason,
             seek_blocks=getattr(op, "seek_blocks", 0),
             seek_window_rows=getattr(op, "seek_window_rows", 0),
         )

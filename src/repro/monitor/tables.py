@@ -88,6 +88,7 @@ _COLUMNS = {
         "wall_ms",
         "self_ms",
         "execution",
+        "fallback_reason",
         "seek_blocks",
         "seek_window_rows",
     ],
@@ -360,6 +361,7 @@ def _query_profiles_rows(db) -> list[dict]:
                     "wall_ms": op.wall_seconds * 1000.0,
                     "self_ms": op.self_seconds * 1000.0,
                     "execution": op.execution,
+                    "fallback_reason": op.fallback_reason,
                     "seek_blocks": op.seek_blocks,
                     "seek_window_rows": op.seek_window_rows,
                 }

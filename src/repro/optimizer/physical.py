@@ -65,19 +65,11 @@ def _predicate_engine(predicate: Expr | None) -> str:
 
 def _groupby_engine(keys: list, aggregates: list[AggregateSpec]) -> str:
     """Plan-time engine prediction for a GroupBy's aggregation shape."""
-    from ..execution.expressions import ColumnRef
     from ..execution.kernels import kernels_enabled
+    from ..execution.kernels.aggregate import groupby_fallback_reason
 
-    if not kernels_enabled():
-        return "row"
-    if not all(isinstance(expr, ColumnRef) for _, expr in keys):
-        return "row"
-    for spec in aggregates:
-        if spec.distinct or spec.is_user_defined:
-            return "row"
-        if spec.arg is not None and not isinstance(spec.arg, ColumnRef):
-            return "row"
-    return "kernel"
+    shape = groupby_fallback_reason([expr for _, expr in keys], aggregates)
+    return "kernel" if kernels_enabled() and shape is None else "row"
 
 
 class PhysicalNode:
@@ -212,7 +204,9 @@ class PhysGroupBy(PhysicalNode):
     child: PhysicalNode
     keys: list[tuple[str, Expr]]
     aggregates: list[AggregateSpec]
-    algorithm: str  # 'hash' | 'pipelined'
+    #: 'pipelined' when the keys are the scan's sort prefix (blocks fold
+    #: over their runs), else 'hash'; both aggregate into a hash table.
+    algorithm: str
     #: True when the child's segmentation makes groups node-local, so
     #: no merge phase is needed (section 3.6's "fully local distributed
     #: aggregations").

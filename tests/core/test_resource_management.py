@@ -80,6 +80,23 @@ class TestQueriesUnderMemoryPressure:
         assert all(row["n"] == 1 for row in rows)
         assert session.last_pool.spills >= 1
 
+    def test_sort_prefix_group_by_without_partials_spills_but_is_correct(self, db):
+        """AVG and DISTINCT over 5000 groups on the sort prefix, budget
+        250: this ran through a Sort's spill while a pipelined plan had
+        a Sort under it; without the Sort it must still run, not raise
+        "raise the memory budget"."""
+        session = db.session()
+        assert "GroupBy[pipelined" in session.sql(
+            "EXPLAIN SELECT k, avg(v) AS a FROM t GROUP BY k"
+        )
+        rows = session.sql(
+            "SELECT k, avg(v) AS a, count(DISTINCT v) AS d FROM t GROUP BY k"
+        )
+        assert sorted((row["k"], row["a"], row["d"]) for row in rows) == [
+            (k, float(k % 7), 1) for k in range(5000)
+        ]
+        assert session.last_pool.spills >= 1
+
     def test_narrow_group_by_stays_in_memory(self, db):
         session = db.session()
         rows = session.sql("SELECT v, count(*) AS n FROM t GROUP BY v")

@@ -1,0 +1,206 @@
+"""Counts, not timings: a GROUP BY folds runs and builds no row.
+
+Meter readings sorted ``(metric, meter, ts)`` on three nodes, in three
+direct-to-ROS loads plus rows still in the WOS.  The two scan-pass
+statements of the meter workloads, a rollup and a join-aggregate must
+run with no ``Sort`` under a GroupBy (a sort-prefix plan used to sort
+every surviving row to find runs the storage already has), no block
+turned into row dicts on its way into a group table, no per-row fold,
+no group-by block on the row path — and, per block, no more hash probes
+than its key runs plus its distinct keys: a probe per run or per key,
+never per row.
+"""
+
+import random
+
+import pytest
+
+from repro import ColumnDef, Database, TableDefinition, types
+from repro.execution.executor import DistributedExecutor
+from repro.execution.kernels import aggregate, as_list
+from repro.execution.operators import (
+    ExprEvalOperator,
+    FilterOperator,
+    HashJoinOperator,
+    ScanOperator,
+    SortOperator,
+    UnionAllOperator,
+    groupby,
+)
+from repro.execution.row_block import RowBlock
+from repro.workloads.meters import generate, meters_table, spec_for_rows
+
+GROUP_BYS = (
+    groupby.GroupByHashOperator,  # GroupByPipelined is one
+    groupby.PrepassGroupByOperator,
+)
+
+
+@pytest.fixture(scope="module")
+def loaded(tmp_path_factory):
+    rows = list(generate(spec_for_rows(6000, seed=3)))
+    random.Random(1).shuffle(rows)
+    db = Database(str(tmp_path_factory.mktemp("counts") / "db"), node_count=3, k_safety=1)
+    db.create_table(meters_table(), sort_order=["metric", "meter", "ts"])
+    db.create_table(
+        TableDefinition(
+            "meter_sites",
+            [ColumnDef("site_meter", types.INTEGER), ColumnDef("zone", types.INTEGER)],
+        ),
+        sort_order=["site_meter"],
+    )
+    sites = [{"site_meter": m, "zone": m % 7} for m in {row["meter"] for row in rows}]
+    db.load("meter_sites", sites, direct_to_ros=True)
+    third = len(rows) // 3
+    for start in range(0, 3 * third, third):
+        db.load("meter_readings", rows[start : start + third], direct_to_ros=True)
+    db.load("meter_readings", rows[3 * third :] + rows[:200])  # WOS, recurring keys
+    containers = sum(
+        len(node.manager.storage(name).containers)
+        for node in db.cluster.nodes
+        for name in node.manager.projection_names()
+        if name.startswith("meter_readings")
+    )
+    assert containers >= 6
+    return db, rows + rows[:200]
+
+
+@pytest.fixture
+def spies(monkeypatch):
+    """What the statement did: the operator roots it ran, the blocks its
+    group-bys absorbed with (probes, accumulator lists made) for each,
+    every block that became row dicts, and the per-row folds."""
+    seen = {"roots": [], "absorbed": [], "to_rows": [], "fold_one": 0}
+    counted = {"probes": 0, "made": 0}
+    operator = DistributedExecutor.operator
+    group, kernel = aggregate._group, aggregate.absorb_block_kernel
+    make = groupby._AggregationCore.new_accumulators
+    to_rows, fold_one = RowBlock.to_rows, groupby._AggregationCore._fold_one
+
+    def counting_group(core, groups, key):
+        counted["probes"] += 1
+        return group(core, groups, key)
+
+    def counting_make(self):
+        counted["made"] += 1
+        return make(self)
+
+    def counting_kernel(core, groups, block):
+        before = dict(counted)
+        kernel(core, groups, block)
+        seen["absorbed"].append(
+            (core, block, counted["probes"] - before["probes"],
+             counted["made"] - before["made"])
+        )
+
+    def spying_operator(self, plan):
+        seen["roots"].append(operator(self, plan))
+        return seen["roots"][-1]
+
+    def spying_to_rows(self):
+        seen["to_rows"].append(self)  # kept alive: ids stay unique
+        return to_rows(self)
+
+    def spying_fold_one(self, accumulators, arg_columns, index):
+        seen["fold_one"] += 1
+        return fold_one(self, accumulators, arg_columns, index)
+
+    monkeypatch.setattr(aggregate, "_group", counting_group)
+    monkeypatch.setattr(groupby, "absorb_block_kernel", counting_kernel)
+    monkeypatch.setattr(groupby._AggregationCore, "new_accumulators", counting_make)
+    monkeypatch.setattr(DistributedExecutor, "operator", spying_operator)
+    monkeypatch.setattr(RowBlock, "to_rows", spying_to_rows)
+    monkeypatch.setattr(groupby._AggregationCore, "_fold_one", spying_fold_one)
+    return seen
+
+
+def _sum(rows, key, column):
+    out: dict = {}
+    for row in rows:
+        out[row[key]] = out.get(row[key], 0) + row[column]
+    return out
+
+
+STATEMENTS = {
+    "filtered, by the sort prefix": (
+        "SELECT metric, count(*) AS n, sum(value) AS s FROM meter_readings "
+        "WHERE value < 50 GROUP BY metric",
+        lambda rows: _sum([r for r in rows if r["value"] < 50], "metric", "value"),
+        "metric",
+    ),
+    "by the second sort column, top 10": (
+        "SELECT meter, sum(ts) AS s FROM meter_readings "
+        "GROUP BY meter ORDER BY s DESC LIMIT 10",
+        lambda rows: dict(
+            sorted(_sum(rows, "meter", "ts").items(), key=lambda kv: -kv[1])[:10]
+        ),
+        "meter",
+    ),
+    "rollup inside one metric": (
+        "SELECT meter, avg(value) AS s FROM meter_readings "
+        "WHERE metric = '{metric}' GROUP BY meter",
+        lambda rows: {
+            meter: total / sum(1 for r in rows if r["meter"] == meter)
+            for meter, total in _sum(rows, "meter", "value").items()
+        },
+        "meter",
+    ),
+    "join, then aggregate": (
+        "SELECT zone, count(*) AS n, sum(ts) AS s FROM meter_readings "
+        "JOIN meter_sites ON meter = site_meter WHERE metric = '{metric}' GROUP BY zone",
+        lambda rows: _sum([dict(r, zone=r["meter"] % 7) for r in rows], "zone", "ts"),
+        "zone",
+    ),
+}
+
+
+def _between(op):
+    """The operators under a group-by, down to the Scans, Joins and
+    group-bys nearest to it (those excluded)."""
+    for child in op.children:
+        if not isinstance(child, (ScanOperator, HashJoinOperator, *GROUP_BYS)):
+            yield child
+            yield from _between(child)
+
+
+@pytest.mark.parametrize("name", STATEMENTS)
+def test_group_by_folds_runs_and_builds_no_row(loaded, spies, name):
+    db, rows = loaded
+    sql, expect, key = STATEMENTS[name]
+    metric = rows[0]["metric"]
+    if "{metric}" in sql:
+        sql, rows = sql.format(metric=metric), [r for r in rows if r["metric"] == metric]
+    answer = {row[key]: row["s"] for row in db.sql(sql)}
+    want = expect(rows)
+    assert answer.keys() == want.keys() and len(want) > 1
+    assert all(abs(answer[k] - want[k]) <= 1e-6 * abs(want[k]) for k in want)
+
+    (root,) = spies["roots"]
+    operators = list(root.walk())
+    group_bys = [op for op in operators if isinstance(op, GROUP_BYS)]
+    assert group_bys and sum(op.rows_in for op in group_bys) > 500
+    for op in group_bys:
+        assert not any(isinstance(o, SortOperator) for o in list(op.walk())[1:])
+        # what sits between a group table and the Scans / Joins that
+        # feed it only renames, filters or unions columns
+        assert all(
+            isinstance(o, (ExprEvalOperator, FilterOperator, UnionAllOperator))
+            for o in _between(op)
+        ), op.explain()
+        assert op.row_blocks == 0 and not op.fallback_reason
+    assert sum(op.kernel_blocks for op in group_bys) == len(spies["absorbed"]) >= 2
+    assert spies["fold_one"] == 0
+    absorbed = {id(block) for _, block, _, _ in spies["absorbed"]}
+    assert not absorbed & {id(block) for block in spies["to_rows"]}
+
+    folded = 0
+    for core, block, probes, made in spies["absorbed"]:
+        keys = list(zip(*[as_list(block.column(e.name)) for e in core.key_exprs]))
+        runs = 1 + sum(1 for a, b in zip(keys, keys[1:]) if a != b)
+        assert made <= len(set(keys))
+        assert probes <= runs + len(set(keys)), (
+            f"{probes} probes for a {block.row_count}-row block of {runs} "
+            f"key runs and {len(set(keys))} keys"
+        )
+        folded += 2 * probes <= block.row_count
+    assert folded, "no block was folded in fewer probes than half its rows"

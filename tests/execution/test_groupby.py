@@ -125,17 +125,27 @@ class TestHashGroupBy:
         assert len(out) == 2000
         assert all(row["s"] == row["g"] and row["n"] == 1 for row in out)
 
-    def test_spill_with_distinct_raises(self):
-        rows = [{"g": i, "v": i} for i in range(300)]
-        operator = GroupByHashOperator(
-            source(rows, ["g", "v"]),
-            [C("g")],
-            ["g"],
-            [AggregateSpec("COUNT", C("v"), "n", distinct=True)],
-            max_groups=10,
+    def test_spill_with_distinct_is_correct(self):
+        """AVG and DISTINCT have no partial to spill: past its budget the
+        operator keeps the groups it has and spills the *rows* of every
+        other key for a pass of their own (it used to raise "raise the
+        memory budget"; under a sort-prefix plan a Sort's spill hid it)."""
+        rows = [{"g": i % 150, "v": i % 7} for i in range(900)]
+        aggregates = [
+            AggregateSpec("COUNT", C("v"), "n", distinct=True),
+            AggregateSpec("AVG", C("v"), "a"),
+        ]
+        budgeted = GroupByHashOperator(
+            source(rows, ["g", "v"], block_rows=64),
+            [C("g")], ["g"], aggregates, max_groups=10,
         )
-        with pytest.raises(ExecutionError):
-            operator.rows()
+        roomy = GroupByHashOperator(
+            source(rows, ["g", "v"]), [C("g")], ["g"], aggregates
+        )
+        out = budgeted.rows()
+        assert budgeted.spilled and not roomy.spilled
+        assert len(out) == 150
+        assert by_key(out, "g") == by_key(roomy.rows(), "g")
 
     def test_merge_partials_mode(self):
         partials = [

@@ -14,7 +14,7 @@ import re
 
 import pytest
 
-from repro import types
+from repro import sdk, types
 from repro.core.database import Database
 from repro.core.schema import ColumnDef, TableDefinition
 from repro.errors import InvariantViolation
@@ -83,7 +83,7 @@ def _exec_modes(rendered):
     modes = {}
     for line in rendered.splitlines()[1:]:
         name = line.strip().split("(")[0]
-        tag = re.search(r" exec=(\w+)\]", line)
+        tag = re.search(r" exec=(\w+(?: \([^)]*\))?)\]", line)
         modes[name] = tag.group(1) if tag else None
     return modes
 
@@ -92,14 +92,92 @@ def test_explain_analyze_reports_actual_engine(db):
     modes = _exec_modes(db.sql("EXPLAIN ANALYZE " + AGG_SQL))
     assert modes["Scan"] == "kernel"
     assert modes["PrepassGroupBy"] == "kernel"
-    # the merge phase absorbs plain partial blocks per-row by design
-    assert modes["GroupByHash"] == "row"
+    # the merge phase folds plain partial blocks through the same key
+    # kernel: bare lists bucket by key, no row is built
+    assert modes["GroupByHash"] == "kernel"
     assert modes["ExprEval"] is None  # no kernel/row distinction
 
     with force_row_engine():
         forced = _exec_modes(db.sql("EXPLAIN ANALYZE " + AGG_SQL))
     assert forced["Scan"] == "row"
-    assert forced["PrepassGroupBy"] == "row"
+    # a group-by block on the row path says why
+    assert forced["PrepassGroupBy"] == "row (forced row engine)"
+    assert forced["GroupByHash"] == "row (forced row engine)"
+
+
+PIPELINED_SQL = "SELECT k, COUNT(*) AS n, AVG(v) AS a FROM t WHERE k < 6 GROUP BY k"
+
+
+def test_a_sort_prefix_group_by_has_no_sort_under_it(db):
+    """``pipelined`` says the keys are the scan's sort prefix, so every
+    block folds over its runs; the three containers meet in the hash
+    table.  Nothing is sorted to find runs the storage already has."""
+    assert db.sql("EXPLAIN " + PIPELINED_SQL) == (
+        "Project k=k, n=agg_1, a=agg_2  [segmented on (k), ~1 rows]\n"
+        "  GroupBy[pipelined local] [k] [COUNT(*), AVG(v)] [kernel]  "
+        "[segmented on (k), ~1 rows]\n"
+        "    Scan t_super WHERE (k < 6) [kernel]  [segmented on (k), ~1 rows]"
+    )
+    rendered = db.sql("EXPLAIN ANALYZE " + PIPELINED_SQL)
+    assert [line.strip().split("(")[0] for line in rendered.splitlines()[1:]] == [
+        "ExprEval", "GroupByPipelined", "Scan",
+    ]
+    assert _exec_modes(rendered)["GroupByPipelined"] == "kernel"
+    assert sorted(db.sql(PIPELINED_SQL), key=lambda row: row["k"]) == [
+        {"k": k, "n": 1, "a": float(k)} for k in range(6)
+    ]
+
+
+class _Widest(sdk.UserAggregate):
+    def __init__(self):
+        self.low = self.high = None
+
+    def add(self, value) -> None:
+        self.low = value if self.low is None else min(self.low, value)
+        self.high = value if self.high is None else max(self.high, value)
+
+    def final(self):
+        return None if self.low is None else self.high - self.low
+
+
+def test_every_group_by_block_on_the_row_path_says_why(db):
+    """The reasons are the shapes ``groupby_fallback_reason`` rejects and
+    the forced row engine — exactly four, none of them about how the
+    keys happen to be laid out — and ``query_profiles`` carries them."""
+    sdk.register_aggregate("widest", _Widest)
+    try:
+        shapes = {
+            "SELECT k % 3 AS b, COUNT(*) AS n FROM t GROUP BY k % 3": "expression key",
+            "SELECT tag, COUNT(DISTINCT v) AS n FROM t GROUP BY tag": "distinct",
+            "SELECT tag, widest(v) AS w FROM t GROUP BY tag": "user aggregate",
+        }
+        for sql in shapes:
+            db.sql(sql)
+        with force_row_engine():
+            db.sql(AGG_SQL)
+        # column keys of any layout, expression arguments, bare-list
+        # partials: kernel blocks, no reason
+        db.sql("SELECT v, tag, SUM(k * 2) AS s FROM t GROUP BY v, tag")
+    finally:
+        sdk.unregister_aggregate("widest")
+    rows = db.sql(
+        "SELECT sql, operator_name, execution, fallback_reason "
+        "FROM v_monitor.query_profiles WHERE blocks_produced > 0"
+    )
+    group_bys = [row for row in rows if "GroupBy" in row["operator_name"]]
+    for row in group_bys:
+        assert (row["execution"] == "row") == bool(row["fallback_reason"]), row
+    for sql, reason in shapes.items():
+        # (a merge stage above it reads partial *columns*: kernel, no reason)
+        said = {r["fallback_reason"] for r in group_bys if r["sql"] == sql}
+        assert said - {""} == {reason}
+    assert {row["fallback_reason"] for row in rows} - {""} == {
+        "expression key", "distinct", "user aggregate", "forced row engine",
+    }
+    assert all(
+        not row["fallback_reason"] for row in rows
+        if "GroupBy" not in row["operator_name"]
+    )
 
 
 def test_query_profiles_execution_column(db):
@@ -196,3 +274,23 @@ def test_groupby_conservation_check_fires(db):
             sanitizer.check_groupby_conservation(400, 399)
     with sanitizer.override(False):
         sanitizer.check_groupby_conservation(400, 399)
+
+
+def test_conservation_reaches_prepass_and_merge(db, monkeypatch):
+    """Two-phase plans are what the meter workloads run: rows into every
+    prepass must equal the merge stage's summed COUNT partials."""
+    from repro.execution.operators.groupby import PrepassGroupByOperator
+
+    flush = PrepassGroupByOperator._flush
+
+    def lossy(self, groups):
+        groups.pop(next(iter(groups)))  # a flush that forgets a group
+        return flush(self, groups)
+
+    with sanitizer.override(True):
+        assert len(db.sql(AGG_SQL)) == 2  # correct plans stay silent
+        monkeypatch.setattr(PrepassGroupByOperator, "_flush", lossy)
+        with pytest.raises(InvariantViolation, match="double-counted"):
+            db.sql(AGG_SQL)
+    with sanitizer.override(False):
+        assert len(db.sql(AGG_SQL)) == 1

@@ -658,3 +658,298 @@ def test_nan_and_null_corner_cases_agree_across_engines(expr):
         kernel = compile_kernel_predicate(expr)({"c": column}, len(values))
         row = expr.evaluate(RowBlock(columns={"c": values}, row_count=len(values)))
         assert kernel.positions() == [i for i, flag in enumerate(row) if flag]
+
+
+# -- the group-by key kernel vs the row engine vs a dict of lists ------------
+#
+# Whatever a block's keys look like — plain, RLE, dictionary or bare-list
+# columns, one to three of them, sorted by a key prefix, behind another
+# sort column, or not at all — the kernel's groups must equal the row
+# engine's and a plain ``dict`` of lists kept here, block after block with
+# keys recurring, and again through prepass -> merge with a table of 3 so
+# that flushes and the shut-off fire.  Floats agree up to summation order,
+# everything else exactly.
+
+import inspect  # noqa: E402
+import os  # noqa: E402
+from contextlib import nullcontext  # noqa: E402
+from dataclasses import dataclass, replace  # noqa: E402
+
+from hypothesis import seed  # noqa: E402
+
+from repro.execution.aggregates import AggregateSpec  # noqa: E402
+from repro.execution.kernels import aggregate, force_row_engine  # noqa: E402
+from repro.execution.operators import groupby  # noqa: E402
+from repro.execution.operators.base import SourceBlocks  # noqa: E402
+from repro.lint import sanitizer  # noqa: E402
+
+KEY_POOLS = {
+    # equal keys of different types, both zeros, NaN, NULL, past 64 bits
+    "numbers": (None, -0.0, 0.0, 0, 1, True, 1.0, 2, 2.5, NAN, 2**70, -(2**70)),
+    "words": (None, "", "a", "ab", "b", "z"),
+}
+INT_POOL = (None, None, -3, 0, 1, 7, 2**70, -(2**70))
+FLOAT_POOL = (None, -1.5, 0.0, 0.25, 3.0, 1e9)
+AGGREGATES = {
+    "COUNT(*)": ("COUNT", None), "COUNT(v)": ("COUNT", "v"), "SUM(v)": ("SUM", "v"),
+    "MIN(v)": ("MIN", "v"), "MAX(v)": ("MAX", "v"), "AVG(v)": ("AVG", "v"),
+    "SUM(w)": ("SUM", "w"),
+}
+REPRESENTATIONS = ("plain", "rle", "dict", "list")
+
+
+@dataclass(frozen=True)
+class GroupCase:
+    seed: int
+    rows: int
+    keys: tuple  # a KEY_POOLS name per key column
+    cardinality: int  # distinct values drawn for each key column
+    representations: tuple  # of k0, k1, k2, v, w
+    order: str  # "prefix": sorted by the keys; "inner": behind another
+    #             sort column; "none": shuffled
+    blocks: int
+    aggregates: tuple = tuple(AGGREGATES)
+
+
+def _sorts(value):
+    return (value is not None, value != value, value if _orders(value) else 0)
+
+
+def _group_blocks(case):
+    """The case's blocks, and the same rows as dicts for the oracle."""
+    rng = random.Random(case.seed)
+    names = [f"k{i}" for i in range(len(case.keys))]
+    domains = [
+        rng.sample(KEY_POOLS[pool], min(case.cardinality, len(KEY_POOLS[pool])))
+        for pool in case.keys
+    ]
+    cuts = sorted(rng.randrange(case.rows + 1) for _ in range(case.blocks - 1))
+    blocks, all_rows = [], []
+    for size in (b - a for a, b in zip([0, *cuts], [*cuts, case.rows])):
+        rows = [
+            {
+                "lead": rng.randrange(3),
+                **{name: rng.choice(domain) for name, domain in zip(names, domains)},
+                "v": rng.choice(INT_POOL), "w": rng.choice(FLOAT_POOL),
+            }
+            for _ in range(size)
+        ]
+        for row in rows:  # every NaN its own object, as a decode leaves them
+            row.update({n: float("nan") for n in names if row[n] != row[n]})
+        by = {"prefix": rng.sample(names, len(names)), "inner": ["lead", *names],
+              "none": []}[case.order]
+        by = by[: rng.randrange(1, len(by) + 1)] if case.order == "prefix" else by
+        rows.sort(key=lambda row: [_sorts(row[name]) for name in by])
+        columns = {"lead": [row["lead"] for row in rows]}
+        for name, representation in zip(
+            [*names, "v", "w"], [*case.representations[: len(names)], *case.representations[3:]]
+        ):
+            columns[name] = _encode(rng, [row[name] for row in rows], representation)
+        blocks.append(RowBlock(columns=columns, row_count=size, sorted_by=tuple(by) or None))
+        all_rows += rows
+    return names, blocks, all_rows
+
+
+def _specs(case, mergeable_only=False):
+    return [
+        AggregateSpec(func, None if arg is None else ColumnRef(arg), name)
+        for name, (func, arg) in AGGREGATES.items()
+        if name in case.aggregates and not (mergeable_only and func == "AVG")
+    ]
+
+
+def _key(values):
+    return tuple("<NaN>" if value is not None and value != value else value for value in values)
+
+
+def _oracle(names, rows, specs):
+    groups: dict = {}
+    for row in rows:
+        groups.setdefault(_key(row[name] for name in names), []).append(row)
+    out = {}
+    for key, members in groups.items():
+        finals = []
+        for spec in specs:
+            if spec.arg is None:
+                finals.append(len(members))
+                continue
+            values = [m[spec.arg.name] for m in members if m[spec.arg.name] is not None]
+            finals.append({
+                "COUNT": len, "SUM": lambda vs: sum(vs) if vs else None,
+                "MIN": lambda vs: min(vs, default=None),
+                "MAX": lambda vs: max(vs, default=None),
+                "AVG": lambda vs: sum(vs) / len(vs) if vs else None,
+            }[spec.func](values))
+        out[key] = finals
+    return out
+
+
+def _same_groups(got, want, specs, who):
+    assert got.keys() == want.keys(), f"{who}: groups differ from the oracle's"
+    for key, finals in want.items():
+        for spec, a, b in zip(specs, got[key], finals):
+            same = _final_close(a, b) if spec.arg and spec.arg.name == "w" else a == b
+            assert same, f"{who}: {spec.describe()} of {key} is {a!r}, oracle {b!r}"
+
+
+def _core_groups(names, blocks, specs):
+    core = groupby._AggregationCore([ColumnRef(n) for n in names], names, specs)
+    groups: dict = {}
+    modes = {core.absorb_block(groups, block) for block in blocks}
+    return modes, {
+        _key(key): [accumulator.final() for accumulator in accumulators]
+        for key, accumulators in groups.items()
+    }
+
+
+def _operator_groups(names, operator, specs):
+    return {
+        _key(row[name] for name in names): [row[spec.output_name] for spec in specs]
+        for row in operator.rows()
+    }
+
+
+def check_groups(case):
+    names, blocks, rows = _group_blocks(case)
+    specs = _specs(case)
+    want = _oracle(names, rows, specs)
+    modes, kernel = _core_groups(names, blocks, specs)
+    assert modes <= {True}, "a column-key block took the row path"
+    _same_groups(kernel, want, specs, "kernel")
+    with force_row_engine():
+        modes, row = _core_groups(names, blocks, specs)
+    assert modes <= {False}
+    _same_groups(row, want, specs, "row engine")
+    keys = [ColumnRef(name) for name in names]
+    direct = groupby.GroupByHashOperator(SourceBlocks(blocks), keys, names, specs)
+    _same_groups(_operator_groups(names, direct, specs), want, specs, "hash operator")
+    # two-phase, over the aggregates that have a partial
+    specs = _specs(case, mergeable_only=True)
+    want = _oracle(names, rows, specs)
+    for engine in (nullcontext, force_row_engine):
+        prepass = groupby.PrepassGroupByOperator(
+            SourceBlocks(blocks), keys, names, specs, table_size=3
+        )
+        prepass.SHUTOFF_CHECK_ROWS = 40
+        merge = groupby.GroupByHashOperator(
+            prepass, keys, names, specs, merge_partials=True
+        )
+        with engine():
+            got = _operator_groups(names, merge, specs)
+        _same_groups(got, want, specs, "prepass -> merge")
+
+
+group_cases = st.builds(
+    GroupCase,
+    seed=st.integers(0, 2**32),
+    rows=st.integers(0, 600),
+    keys=st.lists(st.sampled_from(sorted(KEY_POOLS)), min_size=1, max_size=3).map(tuple),
+    cardinality=st.integers(1, 12),
+    representations=st.tuples(*[st.sampled_from(REPRESENTATIONS)] * 5),
+    order=st.sampled_from(["prefix", "inner", "none"]),
+    blocks=st.integers(1, 5),
+    aggregates=st.sets(st.sampled_from(sorted(AGGREGATES)), min_size=1).map(
+        lambda chosen: tuple(name for name in AGGREGATES if name in chosen)
+    ),
+)
+EXTRA_SEEDS = [int(s) for s in os.environ.get("REPRO_FUZZ_SEEDS", "").split(",") if s]
+
+
+@pytest.mark.parametrize("seed_index", range(len(EXTRA_SEEDS) + 1))
+def test_key_kernel_matches_row_engine_and_a_dict_of_lists(seed_index):
+    @settings(max_examples=150, deadline=None)
+    @given(group_cases)
+    def run(case):
+        check_groups(case)
+
+    if seed_index:  # tools/check.sh: pinned + git-derived
+        run = seed(EXTRA_SEEDS[seed_index - 1])(run)
+    run()
+
+
+# -- planted mutations: each one fails the property --------------------------
+
+
+def _plant(monkeypatch, module, name, edits, also=()):
+    """Re-define ``module.name`` from its own source with ``edits``
+    applied (each ``old`` must occur exactly once)."""
+    source = inspect.getsource(getattr(module, name))
+    for old, new in edits:
+        assert source.count(old) == 1, f"{name} no longer reads {old!r}"
+        source = source.replace(old, new)
+    namespace = dict(vars(module))
+    exec(source, namespace)  # noqa: S102 - the product's own source, edited
+    for holder in (module, *also):
+        monkeypatch.setattr(holder, name, namespace[name])
+
+
+def mutate_a_runs_last_row_dropped(monkeypatch):
+    _plant(
+        monkeypatch, aggregate, "absorb_block_kernel",
+        [("[*starts[1:], row_count]", "[*(s - 1 for s in starts[1:]), row_count - 1]")],
+        also=[groupby],
+    )
+
+
+def mutate_bucket_path_shares_one_accumulator_list(monkeypatch):
+    _plant(
+        monkeypatch, aggregate, "_fold_buckets",
+        [("    for label, bucket in buckets.items():",
+          "    shared = core.new_accumulators()\n"
+          "    for label, bucket in buckets.items():"),
+         ("_group(core, groups, key)", "groups.setdefault(key, shared)")],
+    )
+
+
+def mutate_codes_read_through_another_blocks_dictionary(monkeypatch):
+    """The first block's code -> key table kept for every later block
+    (padded, so a later block's larger dictionary mis-keys, not raises)."""
+    _plant(
+        monkeypatch, aggregate, "absorb_block_kernel",
+        [("keys = [(entry,) for entry in key_values(first, first.entries)]",
+          "keys = core.__dict__.setdefault('_kept', [(entry,) for entry "
+          "in key_values(first, first.entries)] + [(None,)] * 20)")],
+        also=[groupby],
+    )
+
+
+def mutate_a_runs_fold_counts_nulls(monkeypatch):
+    """The fold promises ``add_bulk`` a NULL-free slice it never checked."""
+    _plant(
+        monkeypatch, aggregate, "_fold",
+        [("accumulator.add_bulk(values[first : first + count], nulls)",
+          "accumulator.add_bulk(values[first : first + count], 0)")],
+    )
+
+
+def mutate_count_partials_merged_by_count(monkeypatch):
+    monkeypatch.setattr(AggregateSpec, "merge_func", property(lambda self: self.func))
+
+
+RUNS = GroupCase(
+    seed=7, rows=400, keys=("numbers", "words"), cardinality=4,
+    representations=("plain", "list", "plain", "plain", "plain"),
+    order="inner", blocks=3,
+)
+
+
+@pytest.mark.parametrize(
+    "mutate, case",
+    [
+        (mutate_a_runs_last_row_dropped, RUNS),
+        (mutate_bucket_path_shares_one_accumulator_list, replace(RUNS, order="none")),
+        (
+            mutate_codes_read_through_another_blocks_dictionary,
+            replace(RUNS, keys=("words",), representations=("dict",) * 5, order="none"),
+        ),
+        (mutate_a_runs_fold_counts_nulls, replace(RUNS, aggregates=("COUNT(v)",))),
+        (mutate_count_partials_merged_by_count, replace(RUNS, aggregates=("COUNT(*)", "COUNT(v)"))),
+    ],
+    ids=lambda value: getattr(value, "__name__", "").removeprefix("mutate_") or "case",
+)
+def test_planted_mutation_fails_the_key_kernel_property(mutate, case, monkeypatch):
+    with sanitizer.override(False):  # the property must catch it, not the sanitizer
+        check_groups(case)
+        mutate(monkeypatch)
+        with pytest.raises(AssertionError, match="oracle"):
+            check_groups(case)

@@ -30,8 +30,8 @@ EXPLAIN_ANALYZE_GOLDEN = """\
 Query 1 (2 rows, _ ms)
 Sort(region ASC)  [rows=2 blocks=1 pulls=2 time=_ self=_]
   ExprEval(region=region, n=agg_1, total=agg_2)  [rows=2 blocks=1 pulls=2 time=_ self=_]
-    GroupByHash(keys=[region] aggs=[COUNT(*), SUM(amount)] merge)  [rows=2 blocks=1 pulls=2 time=_ self=_ exec=row]
-      PrepassGroupBy(keys=[region] table=1024)  [rows=2 blocks=1 pulls=2 time=_ self=_ exec=row]
+    GroupByHash(keys=[region] aggs=[COUNT(*), SUM(amount)] merge)  [rows=2 blocks=1 pulls=2 time=_ self=_ exec=kernel]
+      PrepassGroupBy(keys=[region] table=1024)  [rows=2 blocks=1 pulls=2 time=_ self=_ exec=kernel]
         HashJoin[INNER](sales.cust_id=customers.cust_id)  [rows=400 blocks=1 pulls=2 time=_ self=_]
           ExprEval(sale_id=sale_id, sales.cust_id=cust_id, amount=amount)  [rows=400 blocks=3 pulls=4 time=_ self=_]
             Scan(sales_super @e5) SIP[cust_id] from HashJoin  [rows=400 blocks=3 pulls=4 time=_ self=_ exec=kernel]
@@ -42,7 +42,7 @@ GOLDEN_SCHEMAS = {
         "query_id", "sql", "epoch", "rows_returned", "query_ms",
         "operator_id", "parent_id", "depth", "operator_name", "label",
         "rows_produced", "blocks_produced", "pulls", "wall_ms", "self_ms",
-        "execution", "seek_blocks", "seek_window_rows",
+        "execution", "fallback_reason", "seek_blocks", "seek_window_rows",
     ],
     "v_monitor.projection_storage": [
         "node_name", "projection_name", "anchor_table", "wos_rows",

@@ -39,7 +39,7 @@ echo "== kernel differential: fuzz corpus through both engines =="
 # the commit SHA extend the base corpus.  Zero divergences required.
 echo "   extra seeds: 7, ${GIT_SEED} (git-derived)"
 REPRO_FUZZ_SEEDS="7,${GIT_SEED}" REPRO_SANITIZE=1 \
-    python -m pytest -q tests/integration/test_sql_differential_fuzz.py tests/storage/test_write_path_byte_identity.py
+    python -m pytest -q tests/integration/test_sql_differential_fuzz.py tests/storage/test_write_path_byte_identity.py tests/execution/test_kernels_properties.py::test_key_kernel_matches_row_engine_and_a_dict_of_lists
 
 echo "== chaos seeds: two fixed + one fresh from the git SHA =="
 # The self-healing scenarios re-run on pinned seeds (regression

@@ -24,6 +24,7 @@ from ..dc import DataCollector
 from ..core.catalog import Catalog
 from ..core.schema import TableDefinition
 from ..errors import (
+    CatalogError,
     DataUnavailableError,
     InjectedFaultError,
     KSafetyError,
@@ -177,6 +178,14 @@ class Cluster:
         """Register a projection (creating buddies per K-safety) and,
         when ``populate`` is set, refresh it from existing table data."""
         table = self.catalog.table(primary.anchor_table)
+        missing = set(table.partition_columns()) - set(primary.column_names)
+        if missing:
+            # each node keys a row's partition from its own copy of it;
+            # refused before the journal: apply_commit cannot reject
+            raise CatalogError(
+                f"projection {primary.name!r} omits {sorted(missing)}, which the "
+                f"partition expression of table {table.name!r} reads"
+            )
         buddies = []
         if not primary.segmentation.replicated and self.k_safety > 0:
             buddies = [
@@ -213,36 +222,28 @@ class Cluster:
         self,
         projection: ProjectionDefinition,
         table_rows: list[dict],
-        epoch: int,
+        epochs: list[int],
         own_inserts: dict[str, list[dict]] | None = None,
     ) -> list[dict]:
-        """Shape table rows for one projection (column subset; prejoin
-        expansion for prejoin projections, against the dimension rows
-        visible at ``epoch`` plus — for a commit — the rows the same
-        commit record inserts into the dimension, ``own_inserts``)."""
+        """Shape table rows for one projection: the column subset, or
+        for a prejoin projection row ``i`` expanded against the
+        dimension rows visible at ``epochs[i]`` (read once per distinct
+        epoch) plus — for a commit — the rows the same commit record
+        inserts into the dimension, ``own_inserts``."""
         if projection.prejoin is None:
             names = projection.column_names
             return [{name: row[name] for name in names} for row in table_rows]
-        return self._expand_prejoin(projection, table_rows, epoch, own_inserts or {})
-
-    def _expand_prejoin(
-        self,
-        projection: ProjectionDefinition,
-        table_rows: list[dict],
-        epoch: int,
-        own_inserts: dict[str, list[dict]],
-    ) -> list[dict]:
         spec: PrejoinSpec = projection.prejoin
-        dimension_rows = self.read_table(spec.dimension_table, epoch)
-        dimension_rows += own_inserts.get(spec.dimension_table, [])
-        index: dict = {}
-        for dimension_row in dimension_rows:
-            index[dimension_row[spec.dimension_key]] = dimension_row
+        indexes: dict[int, dict] = {}
+        for epoch in set(epochs):
+            dimension_rows = self.read_table(spec.dimension_table, epoch)
+            dimension_rows += (own_inserts or {}).get(spec.dimension_table, [])
+            indexes[epoch] = {row[spec.dimension_key]: row for row in dimension_rows}
         carried = spec.carried_columns
         own_names = projection.own_column_names
         out = []
-        for row in table_rows:
-            dimension_row = index.get(row[spec.anchor_key])
+        for row, epoch in zip(table_rows, epochs):
+            dimension_row = indexes[epoch].get(row[spec.anchor_key])
             if dimension_row is None:
                 raise SqlAnalysisError(
                     f"prejoin load: no {spec.dimension_table} row with "
@@ -253,6 +254,26 @@ class Cluster:
                 shaped[target] = dimension_row[source]
             out.append(shaped)
         return out
+
+    def shape_run(
+        self,
+        projection: ProjectionDefinition,
+        table_run: HistoryRun,
+        dimension_epochs: list[int],
+        own_inserts: dict[str, list[dict]] | None = None,
+    ) -> HistoryRun:
+        """A run of table rows shaped for ``projection`` and its buddies:
+        the column subset, aliasing the run's lists, or a prejoin
+        expansion (:meth:`projection_rows`) — a function of rows, so the
+        one place besides a commit's pivot that builds them."""
+        if projection.prejoin is None:
+            return table_run.project(projection.column_names)
+        rows = self.projection_rows(
+            projection, list(table_run.rows()), dimension_epochs, own_inserts
+        )
+        return HistoryRun.from_rows(
+            projection.column_names, rows, table_run.epochs, table_run.delete_epochs
+        )
 
     def route_rows(
         self, projection: ProjectionDefinition, run: HistoryRun
@@ -322,21 +343,14 @@ class Cluster:
                 self.catalog.table(table_name).column_names, rows, [epoch] * len(rows)
             )
             for family in self.catalog.families_for_table(table_name):
-                positions = None  # hashed once, for every copy of the family
+                # once per family: a prejoin sees the dimension as it stood
+                # before this epoch plus the record's own rows (what
+                # commit_dml checked); route_rows leaves the ring positions
+                # on the run for the buddies
+                shaped = self.shape_run(
+                    family.primary, table_run, [epoch - 1] * len(rows), record["inserts"]
+                )
                 for copy in family.all_copies:
-                    if copy.prejoin is None:
-                        shaped = table_run.project(copy.column_names)
-                    else:
-                        # the dimension as it stood before this epoch plus
-                        # the record's own rows: what commit_dml checked
-                        shaped = HistoryRun.from_rows(
-                            copy.column_names,
-                            self._expand_prejoin(
-                                copy, rows, epoch - 1, record["inserts"]
-                            ),
-                            table_run.epochs,
-                        )
-                    shaped.positions = positions
                     for node_index, node_run in self.route_rows(copy, shaped).items():
                         on_node(
                             node_index,
@@ -344,7 +358,6 @@ class Cluster:
                                 copy.name, node_run, epoch, record["direct_to_ros"]
                             ),
                         )
-                    positions = shaped.positions
         for delete in record["deletes"]:
             for copy in copies(delete["table"]):
                 for node_index in sorted(targets):
@@ -417,15 +430,15 @@ class Cluster:
             )
         return rows
 
-    def collect_history(self, family: ProjectionFamily):
-        """(row, insert_epoch, delete_epoch) records covering the whole
-        family from up nodes — the replay log for refresh/recovery."""
-        records = []
-        for node_index, projection_name in self.scan_sources(family):
-            records.extend(
-                self.nodes[node_index].manager.dump_rows(projection_name)
-            )
-        return records
+    def collect_history(self, family: ProjectionFamily) -> HistoryRun:
+        """The history of the whole family, one run, from up nodes —
+        the replay log for refresh and rebalance."""
+        return HistoryRun.concat(
+            [
+                self.nodes[node_index].manager.history(projection_name)
+                for node_index, projection_name in self.scan_sources(family)
+            ]
+        )
 
     # -- commit protocol ----------------------------------------------------
 
@@ -458,7 +471,7 @@ class Cluster:
                 if family.primary.prejoin is not None:
                     self.projection_rows(
                         family.primary, rows,
-                        self.epochs.latest_queryable_epoch, inserts,
+                        [self.epochs.latest_queryable_epoch] * len(rows), inserts,
                     )
         predicates: dict[str, list] = {}
         for table_name, predicate in deletes:

@@ -10,7 +10,7 @@ projections, in a truncate step and two replay phases:
   replacement -> retire victim, see
   :meth:`~repro.storage.manager.StorageManager.truncate_after_epoch`);
   the buddy is then asked only for what was inserted or deleted past
-  the LGE (``dump_rows(after_epoch=lge)`` skips settled containers);
+  the LGE (``history(after_epoch=lge)`` skips settled containers);
 * **historical phase** — no locks; copies committed history from the
   node's Last Good Epoch up to a recent epoch ``E_h``;
 * **current phase** — takes a Shared lock on the table (blocking
@@ -20,8 +20,11 @@ projections, in a truncate step and two replay phases:
 *Refresh* populates a newly created projection from existing table
 data, and *rebalance* redistributes rows after the node count changes;
 both reuse the same history-replay machinery (the paper notes all
-three share structure).  All of them are **online**: queries keep
-running against the surviving copies throughout.
+three share structure): history moves as one columnar
+:class:`~repro.storage.HistoryRun` — ``take`` / ``project``,
+:meth:`Cluster.route_rows`, ``load_history`` — and a row is built only
+for a by-value delete's victims and a prejoin expansion.  All of them
+are **online**: queries keep running against the surviving copies.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from dataclasses import dataclass, field
 
 from ..errors import ClusterError, DataUnavailableError
 from ..projections import ProjectionFamily
+from ..storage import HistoryRun
 from ..storage.manager import truncate_outcome_counts
 from ..trace import TRACER
 from ..txn import LockMode
@@ -57,25 +61,22 @@ class RecoveryReport:
     per_projection: dict[str, tuple[int, int]] = field(default_factory=dict)
 
 
-def _buddy_records_for_node(
+def _buddy_history(
     cluster: Cluster,
     family: ProjectionFamily,
     node_index: int,
     copy,
     after_epoch: int | None = None,
-):
-    """History records the recovering node's ``copy`` should hold,
-    sourced from surviving copies of the same family.  With
+) -> HistoryRun:
+    """The history the recovering node's ``copy`` should hold, sourced
+    from a surviving copy of the same family.  With
     ``after_epoch`` only what was inserted or deleted past that epoch
     is read: buddy containers settled by then are skipped unopened
     (the paper's incremental recovery)."""
     if copy.segmentation.replicated:
         for source in cluster.membership.up_nodes():
             if source != node_index:
-                yield from cluster.nodes[source].manager.dump_rows(
-                    copy.name, after_epoch
-                )
-                return
+                return cluster.nodes[source].manager.history(copy.name, after_epoch)
         # DataUnavailableError (not a bare ClusterError) so recovery
         # callers — and the supervisor's retry loop — can distinguish
         # "no copy of this data is reachable" from protocol faults.
@@ -93,10 +94,7 @@ def _buddy_records_for_node(
         if cluster.membership.is_up(host):
             # the buddy's storage on `host` holds exactly this ring
             # segment's rows (offset rings line up one-to-one).
-            yield from cluster.nodes[host].manager.dump_rows(
-                other.name, after_epoch
-            )
-            return
+            return cluster.nodes[host].manager.history(other.name, after_epoch)
     raise DataUnavailableError(
         f"no live buddy to recover segment {base} of {copy.name} on "
         f"node {node_index}; the segment is unrecoverable until a "
@@ -176,10 +174,8 @@ def _recover_node(
                     truncate_span.attrs.update(outcomes)
                 # only what the node missed: buddy containers settled
                 # at the LGE are skipped without being read.
-                records = list(
-                    _buddy_records_for_node(
-                        cluster, family, node_index, copy, after_epoch=lge
-                    )
+                history = _buddy_history(
+                    cluster, family, node_index, copy, after_epoch=lge
                 )
             # 2. historical phase (no locks): (LGE, boundary]
             with TRACER.span(
@@ -189,7 +185,7 @@ def _recover_node(
                 projection=copy.name,
             ) as hist_span:
                 historical = _replay_window(
-                    manager, copy.name, records, lge, boundary
+                    manager, copy.name, history, lge, boundary
                 )
                 if hist_span is not None:
                     hist_span.attrs["rows"] = historical
@@ -205,7 +201,7 @@ def _recover_node(
                 )
                 try:
                     current_rows = _replay_window(
-                        manager, copy.name, records, boundary, current
+                        manager, copy.name, history, boundary, current
                     )
                 finally:
                     cluster.locks.release(RECOVERY_TXN_ID, table.name)
@@ -223,28 +219,28 @@ def _recover_node(
     return report
 
 
-def _replay_window(manager, projection_name, records, from_epoch, to_epoch):
-    """Replay one phase of recovery: load the history records inserted
-    in (from_epoch, to_epoch], then re-apply the delete markers stamped
-    in that window to rows the node already holds (inserted before its
-    LGE but deleted while it was down).  Returns the rows loaded."""
-    loaded = [
-        record for record in records if from_epoch < record[1] <= to_epoch
-    ]
+def _replay_window(manager, projection_name, history, from_epoch, to_epoch):
+    """Replay one phase of recovery: load the rows of ``history``
+    inserted in (from_epoch, to_epoch], then re-apply the delete markers
+    stamped in that window to rows the node already holds (inserted
+    before its LGE but deleted while it was down).  Returns the rows
+    loaded."""
+
+    def in_window(epoch):
+        return epoch is not None and from_epoch < epoch <= to_epoch
+
+    inserted = list(map(in_window, history.epochs))
+    loaded = history.take([index for index, new in enumerate(inserted) if new])
     manager.load_history(projection_name, loaded)
     # apply per delete epoch group for exact epoch stamping; the rows
     # just loaded carry their delete markers already
-    by_epoch: dict[int, list[dict]] = {}
-    for row, insert_epoch, delete_epoch in records:
-        if (
-            delete_epoch is not None
-            and from_epoch < delete_epoch <= to_epoch
-            and not from_epoch < insert_epoch <= to_epoch
-        ):
-            by_epoch.setdefault(delete_epoch, []).append(row)
-    for delete_epoch, rows in sorted(by_epoch.items()):
+    by_epoch: dict[int, list[int]] = {}
+    for index, delete_epoch in enumerate(history.delete_epochs or ()):
+        if in_window(delete_epoch) and not inserted[index]:
+            by_epoch.setdefault(delete_epoch, []).append(index)
+    for delete_epoch, indexes in sorted(by_epoch.items()):
         manager.delete_where(
-            projection_name, rows,
+            projection_name, list(history.take(indexes).rows()),
             commit_epoch=delete_epoch, snapshot_epoch=delete_epoch - 1,
         )
     return len(loaded)
@@ -265,36 +261,20 @@ def refresh_projection(cluster: Cluster, family: ProjectionFamily) -> int:
             break
     if source_family is None:
         return 0  # the table's first projection starts empty
-    table_records = cluster.collect_history(source_family)
+    history = cluster.collect_history(source_family)
     count = 0
     cluster.locks.acquire(RECOVERY_TXN_ID, table_name, LockMode.S)
     try:
+        # a prejoin carries the dimension as each row's insert epoch saw it
+        shaped = cluster.shape_run(family.primary, history, history.epochs)
         for copy in family.all_copies:
-            shaped = []
-            for row, insert_epoch, delete_epoch in table_records:
-                projected = cluster.projection_rows(copy, [row], insert_epoch)[0]
-                shaped.append((projected, insert_epoch, delete_epoch))
-            for node_index, records in _route_records(
-                cluster, copy, shaped
-            ).items():
+            for node_index, run in cluster.route_rows(copy, shaped).items():
                 if cluster.membership.is_up(node_index):
-                    cluster.nodes[node_index].manager.load_history(
-                        copy.name, records
-                    )
-                    count += len(records)
+                    cluster.nodes[node_index].manager.load_history(copy.name, run)
+                    count += len(run)
     finally:
         cluster.locks.release(RECOVERY_TXN_ID, table_name)
     return count
-
-
-def _route_records(cluster: Cluster, copy, records):
-    routed: dict[int, list] = {}
-    if copy.segmentation.replicated:
-        return {node: list(records) for node in range(cluster.node_count)}
-    for record in records:
-        node = copy.segmentation.node_for_row(record[0], cluster.node_count)
-        routed.setdefault(node, []).append(record)
-    return routed
 
 
 def _family_copy(cluster: Cluster, projection_name: str):
@@ -320,19 +300,17 @@ def repair_node_projection(
     family, copy = _family_copy(cluster, projection_name)
     table = cluster.catalog.table(copy.anchor_table)
     manager = cluster.nodes[node_index].manager
-    records = list(
-        _buddy_records_for_node(cluster, family, node_index, copy)
-    )
+    history = _buddy_history(cluster, family, node_index, copy)
     cluster.locks.acquire(RECOVERY_TXN_ID, table.name, LockMode.S)
     try:
         manager.forget_contents(projection_name)
-        manager.load_history(projection_name, records)
+        manager.load_history(projection_name, history)
     finally:
         cluster.locks.release(RECOVERY_TXN_ID, table.name)
     current = cluster.epochs.latest_queryable_epoch
     if current > cluster.epochs.lge(node_index, projection_name):
         cluster.epochs.set_lge(node_index, projection_name, current)
-    return len(records)
+    return len(history)
 
 
 @dataclass
@@ -425,7 +403,7 @@ def rebalance(cluster: Cluster, new_node_count: int) -> RebalanceReport:
     report = RebalanceReport(cluster.node_count, new_node_count)
     # gather full history per family, then rebuild placement
     histories = {
-        name: list(cluster.collect_history(family))
+        name: cluster.collect_history(family)
         for name, family in sorted(cluster.catalog.families.items())
     }
     old_nodes = cluster.nodes
@@ -448,7 +426,6 @@ def rebalance(cluster: Cluster, new_node_count: int) -> RebalanceReport:
         node.manager.node_count = new_node_count
     for name, family in sorted(cluster.catalog.families.items()):
         for copy in family.all_copies:
-            records = histories[name]
             for node in cluster.nodes:
                 manager = node.manager
                 if copy.name in manager.projection_names():
@@ -457,11 +434,8 @@ def rebalance(cluster: Cluster, new_node_count: int) -> RebalanceReport:
                     manager.register_projection(
                         copy, cluster.catalog.table(copy.anchor_table)
                     )
-            for node_index, node_records in _route_records(
-                cluster, copy, records
-            ).items():
-                cluster.nodes[node_index].manager.load_history(
-                    copy.name, node_records
-                )
-                report.rows_moved += len(node_records)
+            # hashed once: route_rows leaves the ring positions on the run
+            for node_index, run in cluster.route_rows(copy, histories[name]).items():
+                cluster.nodes[node_index].manager.load_history(copy.name, run)
+                report.rows_moved += len(run)
     return report

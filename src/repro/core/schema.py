@@ -77,6 +77,16 @@ class TableDefinition:
             return None
         return self.partition_by(row)
 
+    def partition_columns(self) -> list[str]:
+        """The columns the partition expression reads, which every
+        projection must store (a node keys a row from its own copy):
+        ``partition_by.referenced_columns()`` where the SQL path attached
+        it; an opaque callable may read any column, so all of them."""
+        if self.partition_by is None:
+            return []
+        referenced = getattr(self.partition_by, "referenced_columns", None)
+        return sorted(referenced()) if referenced else self.column_names
+
     def validate_row(self, row: dict) -> dict:
         """Type-check one row dict against the schema; returns the row
         with values normalized (e.g. int -> float for FLOAT columns)."""

@@ -445,7 +445,9 @@ class DistributedExecutor:
         projection copy and restricted to this ring segment."""
         if not pending_rows:
             return []
-        shaped = self.cluster.projection_rows(copy, pending_rows, self.epoch)
+        shaped = self.cluster.projection_rows(
+            copy, pending_rows, [self.epoch] * len(pending_rows)
+        )
         if copy.segmentation.replicated or base is None:
             return shaped
         primary_seg = copy.segmentation

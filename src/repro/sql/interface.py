@@ -301,6 +301,9 @@ def _create_table(db, analyzer, statement: ast.CreateTableStatement):
         def partition_fn(row, _expr=expr):
             return _expr.evaluate_row(row)
 
+        # what TableDefinition.partition_columns() reads
+        partition_fn.referenced_columns = expr.referenced_columns
+
     table = TableDefinition(
         statement.name,
         columns,

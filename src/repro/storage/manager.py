@@ -21,7 +21,7 @@ import shutil
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import compress, repeat
 
 from ..core.schema import TableDefinition
 from ..errors import StorageError, UnknownObjectError
@@ -31,7 +31,7 @@ from . import fsio
 from .block import BLOCK_ROWS
 from .delete_vector import DeleteVector, combined_deletes
 from .ros import EPOCH_COLUMN, HistoryRun, ROSContainer
-from .wos import DEFAULT_WOS_CAPACITY, WriteOptimizedStore
+from .wos import DEFAULT_WOS_CAPACITY, WriteOptimizedStore, visible_mask
 
 #: Subdirectory of a projection's storage where corrupt containers are
 #: moved (never deleted: the bytes are evidence and a repair source of
@@ -139,7 +139,7 @@ class ProjectionStorage:
 
     def delete_count(self) -> int:
         """Total delete markers across WOS and all containers."""
-        total = self.wos.row_count - self.wos.delete_epochs.count(None)
+        total = self.wos.row_count - self.wos.run.delete_epochs.count(None)
         for container_id in self.containers:
             total += len(self.deletes_for(container_id))
         return total
@@ -215,8 +215,9 @@ class StorageManager:
         epoch: int,
         direct_to_ros: bool = False,
     ) -> list[int]:
-        """Store committed ``rows`` — row dicts, or the columnar run a
-        commit pivoted them into — at ``epoch``.
+        """Store committed ``rows`` at ``epoch`` — the run a commit
+        pivoted them into, or row dicts (direct callers) pivoted here,
+        at the door: nothing below it sees a row.
 
         Returns ids of any ROS containers created (empty if the rows
         went to the WOS).  Rows go directly to ROS when requested or
@@ -225,19 +226,18 @@ class StorageManager:
         state = self._state(projection_name)
         if not len(rows):
             return []
-        pivoted = isinstance(rows, HistoryRun)
+        if not isinstance(rows, HistoryRun):
+            rows = HistoryRun.from_rows(
+                state.projection.column_names, rows, [epoch] * len(rows)
+            )
         if direct_to_ros or state.wos.would_overflow(len(rows)):
             if not direct_to_ros:
                 # WOS overflow: the load was headed for memory but spills
                 # straight to ROS instead (section 4).
                 METRICS.inc("storage.wos_spills")
                 METRICS.inc("storage.wos_spill_rows", len(rows))
-            if not pivoted:
-                rows = HistoryRun.from_rows(
-                    state.projection.column_names, rows, [epoch] * len(rows)
-                )
             return list(self.write_run(projection_name, rows))
-        state.wos.insert(list(rows.rows()) if pivoted else rows, epoch)
+        state.wos.insert(rows)
         return []
 
     def _group_keys(self, state: ProjectionStorage, run: HistoryRun) -> list | None:
@@ -245,8 +245,6 @@ class StorageManager:
         or None when the whole run is one group: an unpartitioned table
         on a node with one local segment."""
         partitions = segments = None
-        if not len(run):
-            return None
         if state.table.partition_by is not None:
             partitions = list(map(state.table.partition_by, run.rows()))
         scheme = state.projection.segmentation
@@ -267,8 +265,8 @@ class StorageManager:
         """Write a run of history records to ROS: split by (partition
         key, local segment), sort each group, build one container per
         group.  The one place unsorted rows become containers: direct
-        loads, WOS overflow, moveout and :meth:`load_history` write
-        through it.  Groups are index lists and the sort is a
+        loads, WOS overflow, moveout, recovery, refresh and rebalance
+        write through it.  Groups are index lists and the sort is a
         permutation over the sort-key columns: no row is built (unless
         the table is partitioned — a partition expression is a callable
         over a row) and no key tuple per comparison.
@@ -278,9 +276,11 @@ class StorageManager:
         nothing is written until it is iterated.
         """
         state = self._state(projection_name)
+        if not len(run):
+            return
         groups: dict[tuple, list[int]] = {}
         group_keys = self._group_keys(state, run)
-        if group_keys is None and len(run):
+        if group_keys is None:
             groups[None, 0] = list(range(len(run)))
         for index, key in enumerate(group_keys or ()):
             groups.setdefault(key, []).append(index)
@@ -444,8 +444,11 @@ class StorageManager:
                 return True
             return False
 
-        for position, row in state.wos.visible(snapshot_epoch):
-            if take(tuple(repr(row[name]) for name in names)):
+        wos = state.wos.run  # (one that never held a row has no columns yet)
+        keys = zip(*(map(repr, wos.columns.get(name, ())) for name in names))
+        visible = visible_mask(wos.epochs, wos.delete_epochs, snapshot_epoch)
+        for position, key in compress(enumerate(keys), visible):
+            if take(key):
                 state.wos.mark_deleted(position, commit_epoch)
                 deleted += 1
         bounds = {}
@@ -855,7 +858,7 @@ class StorageManager:
         scan) visible at ``epoch``."""
         if not state.wos.row_count:
             return
-        view = state.wos.sorted_view(state.projection.sort_key_for)
+        view = state.wos.sorted_view(state.projection.sort_order)
         batches = view.batches(epoch, names, BLOCK_ROWS)
         if not batches:
             return
@@ -880,7 +883,7 @@ class StorageManager:
     def container_run(self, projection_name: str, container_id: int) -> HistoryRun:
         """Every row of one ROS container, deleted or not, in sort order
         — the one decode of columns + epoch column + combined delete
-        vectors (the WOS half: :meth:`WriteOptimizedStore.history`).
+        vectors (the WOS half: ``WriteOptimizedStore.run``).
         Row ``i`` of the run sits at position ``i``, which is what a
         delete vector stores."""
         state = self._state(projection_name)
@@ -892,37 +895,38 @@ class StorageManager:
             list(map(deletes.get, range(container.row_count))) if deletes else None,
         )
 
-    def container_history(self, projection_name: str, container_id: int):
-        """:meth:`container_run` row by row: iterate ``(position, row,
-        insert_epoch, delete_epoch_or_None)``."""
-        records = self.container_run(projection_name, container_id).records()
-        return ((position, *record) for position, record in enumerate(records))
+    def history(
+        self, projection_name: str, after_epoch: int | None = None
+    ) -> HistoryRun:
+        """Every stored row, deleted or not, as one run of fresh lists:
+        the containers by ascending id, each in sort order, then the WOS.
 
-    def dump_rows(self, projection_name: str, after_epoch: int | None = None):
-        """Yield ``(row, insert_epoch, delete_epoch_or_None)`` for every
-        stored row, deleted or not.
-
-        This is the full physical history of the projection on this
-        node — the record recovery, refresh and rebalance replay from
-        (section 5.2: "the data+epoch itself serves as a log of past
-        system activity").  With ``after_epoch`` only rows inserted or
-        deleted past that epoch are yielded, and containers holding no
-        such row are skipped on their metadata without being read:
-        incremental recovery reads what the node missed, not the
-        buddy's whole projection.
+        The full physical history of the projection on this node — what
+        recovery, refresh and rebalance replay from (section 5.2: "the
+        data+epoch itself serves as a log of past system activity"),
+        under the one word its movers use (:class:`HistoryRun`,
+        :meth:`load_history`, ``collect_history``).  With ``after_epoch``
+        only rows inserted or deleted past that epoch are returned, and
+        containers holding no such row are skipped on their metadata
+        without being read: incremental recovery reads what the node
+        missed, not the buddy's whole projection.
         """
         state = self._state(projection_name)
-        containers = (  # lazily: one container decoded at a time
-            self.container_history(projection_name, container_id)
+        runs = [HistoryRun({name: [] for name in state.projection.column_names}, [])]
+        runs += (
+            self.container_run(projection_name, container_id)
             for container_id, container in sorted(state.containers.items())
             if after_epoch is None
             or not self._settled_at(state, container, after_epoch)
         )
-        for _, row, epoch, delete_epoch in chain(
-            chain.from_iterable(containers), state.wos.history()
-        ):
-            if after_epoch is None or max(epoch, delete_epoch or 0) > after_epoch:
-                yield row, epoch, delete_epoch
+        if state.wos.row_count:
+            runs.append(state.wos.run)
+        run = HistoryRun.concat(runs)
+        if after_epoch is None:
+            return run
+        deleted = (epoch or 0 for epoch in run.delete_epochs or repeat(0))
+        changed = map(max, run.epochs, deleted)
+        return run.take([i for i, epoch in enumerate(changed) if epoch > after_epoch])
 
     @staticmethod
     def _settled_at(
@@ -1010,17 +1014,9 @@ class StorageManager:
         under ``epoch``; returns rows discarded."""
         victim = container.container_id
         name = state.projection.name
-        run = self.container_run(name, victim)
         # never empty: a victim with no row at or under ``epoch`` was
         # dropped whole instead of being rewritten
-        survivors = run.take(
-            [i for i, inserted in enumerate(run.epochs) if inserted <= epoch]
-        )
-        if survivors.delete_epochs:
-            survivors.delete_epochs = [
-                None if deleted is None or deleted > epoch else deleted
-                for deleted in survivors.delete_epochs
-            ]
+        survivors = self.container_run(name, victim).truncated(epoch)
         self.add_container_from_rows(
             name,
             survivors,
@@ -1031,18 +1027,11 @@ class StorageManager:
         self.remove_containers(name, [victim])
         return container.row_count - len(survivors)
 
-    def load_history(
-        self,
-        projection_name: str,
-        records: list[tuple[dict, int, int | None]],
-    ) -> list[int]:
-        """Write (row, insert_epoch, delete_epoch) records straight to
-        ROS containers, preserving epochs and delete markers (persisted
-        as delete vectors, each ahead of its container).  Used by
-        recovery, refresh and rebalance."""
-        rows, epochs, delete_epochs = map(list, zip(*records)) if records else ([],) * 3
-        names = self._state(projection_name).projection.column_names
-        run = HistoryRun.from_rows(names, rows, epochs, delete_epochs)
+    def load_history(self, projection_name: str, run: HistoryRun) -> list[int]:
+        """Write a run of history straight to ROS containers, preserving
+        epochs and delete markers (persisted as delete vectors, each
+        ahead of its container): :meth:`write_run`, run to its end.
+        Used by recovery, refresh and rebalance."""
         return list(self.write_run(projection_name, run))
 
     def forget_contents(self, projection_name: str) -> None:
@@ -1074,8 +1063,9 @@ class StorageManager:
         self.remove_containers(projection_name, victims)
         # WOS rows of that partition are dropped too (rare path: data
         # normally reaches ROS before partition drops happen).
-        return reclaimed + state.wos.retain(
-            lambda row, _: state.table.partition_key(row) != partition_key
+        keys = map(state.table.partition_key, state.wos.run.rows())
+        return reclaimed + state.wos.keep(
+            [index for index, key in enumerate(keys) if key != partition_key]
         )
 
     def partition_keys(self, projection_name: str) -> list:

@@ -57,10 +57,11 @@ class HistoryRun:
     ``delete_epochs[i]`` (None = live; no list at all = all live).
 
     The columnar form of the ``(row, insert_epoch, delete_epoch)``
-    triple and what the write side passes from a commit's pivot to a
-    published container; ``len()`` is its row count.  The lists are
-    shared, never copied or changed: a run made from a commit record
-    aliases the record's values.
+    triple and the one form a stored history takes from a commit's
+    pivot to a published container and between nodes; ``len()`` is its
+    row count.  The lists are shared, never changed: a run aliases its
+    commit record's values and every copy of a family is handed the
+    same one, so whoever keeps rows (the WOS) copies them.
     """
 
     __slots__ = ("columns", "epochs", "delete_epochs", "positions")
@@ -134,10 +135,21 @@ class HistoryRun:
             pick(self.positions),
         )
 
+    def truncated(self, epoch: int) -> "HistoryRun":
+        """The rows inserted at or before ``epoch``, delete markers
+        stamped after it cleared."""
+        kept = self.take([i for i, e in enumerate(self.epochs) if e <= epoch])
+        if kept.delete_epochs:
+            kept.delete_epochs = [
+                None if deleted is None or deleted > epoch else deleted
+                for deleted in kept.delete_epochs
+            ]
+        return kept
+
     def rows(self):
-        """Iterate the run as fresh row dicts, built one at a time (the
-        WOS is a row store, a partition expression is a callable over a
-        row, recovery replays rows)."""
+        """Iterate the run as fresh row dicts, built one at a time —
+        for what is a function of a row: a partition expression, prejoin
+        expansion, the victims of a by-value delete."""
         values = zip(*self.columns.values())
         return map(dict, map(zip, repeat(list(self.columns)), values))
 
@@ -148,7 +160,7 @@ class HistoryRun:
     def sort_keys(self, sort_order: list[str]) -> list:
         """One ordering key per row under ``sort_order`` (NULL first):
         the values of a single sort column, tuples across several —
-        they order rows as ``ProjectionDefinition.sort_key_for`` does."""
+        they order rows as ``ProjectionDefinition.sorted_rows`` does."""
         keyed = [
             [NULL_FIRST if value is None else value for value in values]
             if None in values

@@ -13,35 +13,44 @@ across WOS and ROS.  A capacity cap models WOS saturation: when it is
 exceeded the storage manager routes new loads directly to the ROS
 (section 4 / section 7, "Direct Loading to the ROS").
 
-Scans read the WOS the way they read a container — sorted, column by
-column, visibility as a selection — through :class:`SortedView`, which
-the first scan after a mutation builds and every mutation drops: a
-commit never sorts, and a WOS nobody writes to is sorted once.
+The buffer is a growing :class:`~repro.storage.ros.HistoryRun`: a
+commit's run is appended, moveout takes the whole away.  Scans read it
+the way they read a container — sorted, column by column, visibility as
+a selection — through :class:`SortedView`, which the first scan after a
+mutation builds and every mutation drops: a commit never sorts, and a
+WOS nobody writes to is sorted once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .ros import HistoryRun
+
 #: Default per-projection WOS capacity, in rows.  Deliberately small so
 #: the moveout/overflow machinery is exercised at test scale.
 DEFAULT_WOS_CAPACITY = 65536
 
 
+def _empty_run() -> HistoryRun:
+    return HistoryRun({}, [], [])
+
+
 @dataclass
 class WriteOptimizedStore:
-    """In-memory row buffer for one projection on one node.
+    """In-memory buffer for one projection on one node: a growing run.
 
-    Three parallel lists hold its history records: ``rows[i]`` was
-    committed at ``epochs[i]`` and deleted at ``delete_epochs[i]`` (None
-    = live).  Positions are ordinals, meaningful until the next
-    operation that removes rows; each moves a row and its marker together.
+    Row ``i`` of ``run`` (deleted rows included, ``delete_epochs`` always
+    a list) sits at position ``i`` — an ordinal, meaningful until the
+    next operation that removes rows; each moves a row and its marker
+    together.  The run's lists are the WOS's own: it copies what it is
+    handed (a run's lists are shared), readers ``take`` / ``concat``
+    from it now rather than keep it, and it gives a run away only whole
+    (:meth:`drain`).
     """
 
     capacity: int = DEFAULT_WOS_CAPACITY
-    rows: list[dict] = field(default_factory=list)
-    epochs: list[int] = field(default_factory=list)
-    delete_epochs: list[int | None] = field(default_factory=list)
+    run: HistoryRun = field(default_factory=_empty_run)
     #: What :meth:`sorted_view` built; None after any mutation.
     _view: "SortedView | None" = field(
         default=None, init=False, repr=False, compare=False
@@ -50,54 +59,36 @@ class WriteOptimizedStore:
     @property
     def row_count(self) -> int:
         """Rows currently buffered."""
-        return len(self.rows)
+        return len(self.run)
 
     def would_overflow(self, incoming: int) -> bool:
         """Whether adding ``incoming`` rows exceeds capacity."""
-        return len(self.rows) + incoming > self.capacity
+        return len(self.run) + incoming > self.capacity
 
-    def insert(self, rows: list[dict], epoch: int) -> None:
-        """Buffer committed rows stamped with their commit epoch."""
-        self.rows.extend(rows)
-        self.epochs.extend([epoch] * len(rows))
-        self.delete_epochs.extend([None] * len(rows))
+    def insert(self, run: HistoryRun) -> None:
+        """Buffer a committed run, copied onto the WOS's own lists."""
+        own = self.run
+        for name, values in run.columns.items():
+            own.columns.setdefault(name, []).extend(values)
+        own.epochs.extend(run.epochs)
+        own.delete_epochs.extend(run.delete_epochs or [None] * len(run))
         self._view = None
 
     def mark_deleted(self, position: int, epoch: int) -> None:
         """Stamp the row at ``position`` deleted at ``epoch``."""
-        self.delete_epochs[position] = epoch
+        self.run.delete_epochs[position] = epoch
         self._view = None
 
-    def history(self):
-        """Yield ``(position, row, insert_epoch, delete_epoch)`` for
-        every buffered row, deleted or not — the WOS half of the storage
-        layer's one read path."""
-        return zip(
-            range(len(self.rows)), self.rows, self.epochs, self.delete_epochs
-        )
+    def drain(self) -> HistoryRun:
+        """Remove and return everything buffered — the moveout
+        primitive.  The WOS starts a new run, so this one is the caller's."""
+        return self._replace(_empty_run())
 
-    def drain(self) -> tuple[list[dict], list[int], list[int | None]]:
-        """Remove and return all buffered (rows, epochs, delete epochs)
-        — the moveout primitive.  The WOS is empty afterwards."""
-        run = self.rows, self.epochs, self.delete_epochs
-        self.rows, self.epochs, self.delete_epochs = [], [], []
-        self._view = None
-        return run
-
-    def retain(self, keep) -> int:
-        """Keep only the rows ``keep(row, insert_epoch)`` accepts, each
-        with its delete marker; returns how many were dropped."""
-        kept = [
-            (row, epoch, delete_epoch)
-            for _, row, epoch, delete_epoch in self.history()
-            if keep(row, epoch)
-        ]
-        dropped = len(self.rows) - len(kept)
-        self.rows = [row for row, _, _ in kept]
-        self.epochs = [epoch for _, epoch, _ in kept]
-        self.delete_epochs = [delete_epoch for _, _, delete_epoch in kept]
-        self._view = None
-        return dropped
+    def keep(self, indexes: list[int]) -> int:
+        """Keep only the rows at ``indexes`` (ascending), each with its
+        delete marker; returns how many were dropped."""
+        kept = self.run.take(indexes)
+        return len(self._replace(kept)) - len(kept)
 
     def truncate_after_epoch(self, epoch: int) -> int:
         """Drop rows committed after ``epoch`` and delete markers
@@ -105,48 +96,54 @@ class WriteOptimizedStore:
         recovery's initial truncation to the LGE."""
         from ..lint import sanitizer
 
-        past = sum(1 for e in self.epochs if e > epoch)
-        dropped = self.retain(lambda _, row_epoch: row_epoch <= epoch)
-        self.delete_epochs = [
-            None if delete_epoch is None or delete_epoch > epoch else delete_epoch
-            for delete_epoch in self.delete_epochs
-        ]
-        self._view = None
-        sanitizer.check_wos_truncate(epoch, past, dropped, self.epochs)
+        past = sum(1 for e in self.run.epochs if e > epoch)
+        kept = self.run.truncated(epoch)
+        dropped = len(self._replace(kept)) - len(kept)
+        sanitizer.check_wos_truncate(epoch, past, dropped, kept.epochs)
         return dropped
 
-    def visible(self, epoch: int):
-        """Yield ``(position, row)`` pairs visible at snapshot ``epoch``."""
-        for position, row, row_epoch, delete_epoch in self.history():
-            if row_epoch <= epoch and (delete_epoch is None or delete_epoch > epoch):
-                yield position, row
+    def _replace(self, run: HistoryRun) -> HistoryRun:
+        """Buffer ``run`` instead; returns what was buffered."""
+        old, self.run, self._view = self.run, run, None
+        return old
 
-    def sorted_view(self, sort_key) -> "SortedView":
-        """The buffered rows in ``sort_key`` order (stable), as columns;
-        built by the first call after a mutation, shared until the next
-        one.  ``sort_key`` is the owning projection's, so one WOS only
-        ever sees one."""
+    def sorted_view(self, sort_order: list[str]) -> "SortedView":
+        """The buffered rows stably sorted by ``sort_order`` (the owning
+        projection's: one WOS only ever sees one); built by the first
+        call after a mutation, shared until the next one."""
         view = self._view
         if view is None:
-            view = self._view = SortedView(self, sort_key)
+            view = self._view = SortedView(self.run, sort_order)
         return view
 
 
-class SortedView:
-    """One state of a WOS, sorted and pivoted for scans.
+def visible_mask(epochs, delete_epochs, epoch: int) -> list[bool]:
+    """Per row of parallel ``epochs`` / ``delete_epochs`` lists, whether
+    it is visible at snapshot ``epoch``."""
+    return [
+        inserted <= epoch and (deleted is None or deleted > epoch)
+        for inserted, deleted in zip(epochs, delete_epochs)
+    ]
 
-    Holds ``rows`` / ``epochs`` / ``delete_epochs`` stably sorted by
-    the projection's key and, per column asked for, the value list in
-    that order.  :meth:`batches` serves one snapshot epoch from it; the
+
+class SortedView:
+    """One state of a WOS, sorted for scans.
+
+    Holds the permutation that sorts the buffered run (the writer's
+    ``HistoryRun.sort_keys``: stable, NULL first), the epochs and
+    markers in that order and, per column asked for, the values gathered
+    through it.  :meth:`batches` serves one snapshot epoch from it; the
     cut for the last epoch served is kept, so consecutive scans at one
     epoch — every statement between two commits — share their vectors.
     """
 
-    def __init__(self, wos: WriteOptimizedStore, sort_key):
-        history = sorted(wos.history(), key=lambda record: sort_key(record[1]))
-        self._rows = [row for _, row, _, _ in history]
-        self._epochs = [epoch for _, _, epoch, _ in history]
-        self._delete_epochs = [deleted for _, _, _, deleted in history]
+    def __init__(self, run: HistoryRun, sort_order: list[str]):
+        keys = run.sort_keys(sort_order)
+        order = self._order = sorted(range(len(run)), key=keys.__getitem__)
+        self._epochs = list(map(run.epochs.__getitem__, order))
+        self._delete_epochs = list(map(run.delete_epochs.__getitem__, order))
+        #: the WOS's own lists: read until its next mutation drops the view
+        self._source = run.columns
         self._last_epoch = max(self._epochs, default=0)
         self._first_delete = min(
             (e for e in self._delete_epochs if e is not None), default=None
@@ -166,10 +163,7 @@ class SortedView:
         from ..execution.kernels.selection import Selection
 
         return Selection.from_mask(
-            [
-                inserted <= epoch and (deleted is None or deleted > epoch)
-                for inserted, deleted in zip(self._epochs, self._delete_epochs)
-            ]
+            visible_mask(self._epochs, self._delete_epochs, epoch)
         )
 
     def batches(self, epoch: int, names: list[str], batch_rows: int):
@@ -182,14 +176,16 @@ class SortedView:
             self._cut_epoch, self._cut = epoch, {}
             self._visible = self._visible_at(epoch)
         visible = self._visible
-        total = len(self._rows) if visible is None else visible.count
+        total = len(self._order) if visible is None else visible.count
         starts = range(0, total, batch_rows)
         for name in names:
             if name in self._cut:
                 continue
             values = self._columns.get(name)
             if values is None:
-                values = self._columns[name] = [row[name] for row in self._rows]
+                values = self._columns[name] = list(
+                    map(self._source[name].__getitem__, self._order)
+                )
             if visible is not None:
                 values = visible.apply(values)
             self._cut[name] = [

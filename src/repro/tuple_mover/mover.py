@@ -94,8 +94,9 @@ class TupleMover:
     def moveout(self, projection_name: str) -> list[int]:
         """Drain the projection's WOS into new ROS containers.
 
-        Deleted-but-unpurged WOS rows move too: the drained run carries
-        each row's delete marker, and the storage manager's one writer
+        The drained run goes to the writer as it is.  Deleted-but-
+        unpurged WOS rows move too: the run carries each row's delete
+        marker, and the storage manager's one writer
         persists them as DVROS ahead of each new container.  Returns new
         container ids.
         """
@@ -113,13 +114,10 @@ class TupleMover:
     def _moveout(self, projection_name: str) -> list[int]:
         started = perf_counter()
         state = self.manager.storage(projection_name)
-        rows, epochs, delete_epochs = state.wos.drain()
-        if not rows:
+        run = state.wos.drain()
+        if not len(run):
             return []
         faults.inject("mover.wos.drain", node=self.manager.node_index)
-        run = HistoryRun.from_rows(
-            state.projection.column_names, rows, epochs, delete_epochs
-        )
         created = []
         for container_id in self.manager.write_run(projection_name, run):
             created.append(container_id)
@@ -128,16 +126,16 @@ class TupleMover:
             # whole moveout, so recovery replays from the buddy.
             faults.inject("mover.moveout.container")
         rows_out = sum(state.containers[cid].row_count for cid in created)
-        sanitizer.check_moveout_conservation(projection_name, len(rows), rows_out)
+        sanitizer.check_moveout_conservation(projection_name, len(run), rows_out)
         self.stats.moveouts += 1
-        self.stats.rows_moved_out += len(rows)
+        self.stats.rows_moved_out += len(run)
         self.stats.containers_created += len(created)
         duration = perf_counter() - started
         METRICS.inc("tuple_mover.moveouts")
-        METRICS.inc("tuple_mover.rows_moved_out", len(rows))
+        METRICS.inc("tuple_mover.rows_moved_out", len(run))
         METRICS.observe("tuple_mover.moveout_seconds", duration)
         self._dc_record(
-            "moveout", projection_name, 0, len(created), len(rows),
+            "moveout", projection_name, 0, len(created), len(run),
             rows_out, 0, -1, duration,
         )
         return created

@@ -12,6 +12,12 @@ PLAIN's bytes twice, and fed ``ColumnWriter.append`` one value at a
 time.  Three ``METRICS`` counters (``storage.ring_hashes``,
 ``storage.blocks_encoded``, ``storage.trial_encodes``) carry the same
 facts to ``v_monitor.metrics``.
+
+And a committed row is pivoted once: from ``apply_commit`` through the
+WOS, a scan of it, moveout and ``publish_dir`` the history is one
+``HistoryRun`` — no second pivot, no row dict.  The WOS used to hold
+dicts: the commit's run was turned back into rows to be buffered,
+pivoted again by the first scan and a third time at moveout.
 """
 
 from collections import Counter
@@ -21,6 +27,7 @@ import pytest
 from repro import ColumnDef, Database, TableDefinition, hashing, types
 from repro.monitor import METRICS
 from repro.projections import HashSegmentation, ProjectionDefinition
+from repro.storage import HistoryRun, fsio
 from repro.storage import block as block_module
 from repro.storage.column_file import ColumnWriter
 from repro.storage.encodings import ENCODINGS, SAMPLE_SIZE, Encoding
@@ -211,3 +218,41 @@ def test_the_counters_are_a_v_monitor_query(db):
     assert values["storage.trial_encodes"] <= len(CANDIDATE_NAMES) * (
         values["storage.blocks_encoded"]
     )
+
+
+def test_a_committed_row_is_pivoted_once_and_never_turned_back(db, monkeypatch):
+    calls = Counter()
+    pivot = HistoryRun.from_rows.__func__
+
+    def counted_pivot(cls, *args, **kwargs):
+        calls["from_rows"] += 1
+        return pivot(cls, *args, **kwargs)
+
+    monkeypatch.setattr(HistoryRun, "from_rows", classmethod(counted_pivot))
+    for name in ("rows", "records"):
+        original = getattr(HistoryRun, name)
+        monkeypatch.setattr(
+            HistoryRun,
+            name,
+            lambda run, name=name, original=original: calls.update([name])
+            or original(run),
+        )
+    publish = fsio.publish_dir
+    monkeypatch.setattr(
+        fsio, "publish_dir", lambda *args: calls.update(["publish_dir"]) or publish(*args)
+    )
+    before = db.sql("SELECT count(*) AS n FROM t")[0]["n"]
+    first = DIRECT_ROWS + WOS_ROWS
+
+    db.load("t", make_rows(first, WOS_ROWS))  # one commit, one table
+    assert any(
+        node.manager.wos_row_count(name)
+        for node in db.cluster.nodes
+        for name in node.manager.projection_names()
+    )
+    assert db.sql("SELECT count(*) AS n FROM t")[0]["n"] == before + WOS_ROWS
+    db.cluster.run_tuple_movers()
+
+    assert calls.pop("publish_dir") > 0
+    assert calls == {"from_rows": 1}
+    assert db.sql("SELECT count(*) AS n FROM t")[0]["n"] == before + WOS_ROWS

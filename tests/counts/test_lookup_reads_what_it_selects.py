@@ -17,8 +17,8 @@ from repro import ColumnDef, Database, TableDefinition, types
 from repro.execution.kernels import predicates
 from repro.execution.kernels.selection import Selection
 from repro.monitor import METRICS
-from repro.projections import ProjectionDefinition
 from repro.storage.block import BLOCK_ROWS
+from repro.storage.wos import SortedView
 
 B_VALUES = 64
 LOADS = (2 * BLOCK_ROWS + 500, 3000, 2500)
@@ -130,15 +130,16 @@ def test_the_wos_is_sorted_once_per_mutation_not_per_lookup(db, monkeypatch):
         "t", [{"a": 9, "b": k % 10, "c": 10**6 + k, "v": 0.0} for k in range(1000)]
     )
     session.commit()
-    keyed = []
-    original = ProjectionDefinition.sort_key_for
+    sorted_rows = []
+    original = SortedView.__init__
     monkeypatch.setattr(
-        ProjectionDefinition,
-        "sort_key_for",
-        lambda self, row: keyed.append(row) or original(self, row),
+        SortedView,
+        "__init__",
+        lambda self, run, sort_order: sorted_rows.append(len(run))
+        or original(self, run, sort_order),
     )
     lookup = "SELECT c FROM t WHERE a = 9 AND b = 3"
     first = db.sql(lookup)
-    assert len(first) == 100 and len(keyed) == 1000
+    assert len(first) == 100 and sum(sorted_rows) == 1000
     assert db.sql(lookup) == first
-    assert len(keyed) == 1000  # the second lookup re-keyed no row
+    assert sum(sorted_rows) == 1000  # the second lookup sorted no row

@@ -16,7 +16,7 @@ WOS and direct inserts (duplicate rows, NULLs, ints into the FLOAT
 column), DELETE by :class:`Expr` and by callable, UPDATE, commits that
 span both tables and mover cycles interleave; then the database is
 dropped and reopened, and for **every node x projection copy** the
-sorted ``dump_rows()`` history — rows, insert epochs, delete epochs —
+sorted ``history()`` records — rows, insert epochs, delete epochs —
 must equal the live database's.  This is what holds the narrow and
 prejoin apply paths, which no benchmark workload and no other
 durability test runs.
@@ -25,7 +25,7 @@ Predicates read only ``k``, which every projection stores, so rows a
 narrow copy cannot tell apart are always victims together.  Otherwise
 which of two equal narrow rows takes the delete marker would depend on
 scan order (the by-value matcher marks the first it meets): invisible
-to every query at every epoch, but not to ``dump_rows``.
+to every query at every epoch, but not to ``history``.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -113,7 +113,7 @@ def copy_histories(db) -> dict:
                 insert_epoch,
                 delete_epoch or 0,
             )
-            for row, insert_epoch, delete_epoch in node.manager.dump_rows(copy.name)
+            for row, insert_epoch, delete_epoch in node.manager.history(copy.name).records()
         )
         for node in db.cluster.nodes
         for copy in db.cluster.catalog.all_projections()

@@ -184,14 +184,16 @@ def stored_rows(db):
         row
         for node in db.cluster.nodes
         for copy in db.cluster.catalog.all_projections()
-        for row, _, _ in node.manager.dump_rows(copy.name)
+        for row in node.manager.history(copy.name).rows()
     ]
 
 
 def copy_histories(db):
-    """The ``dump_rows()`` history of every node x projection copy."""
+    """The ``history()`` records of every node x projection copy."""
     return {
-        (node.index, copy.name): sorted(node.manager.dump_rows(copy.name), key=repr)
+        (node.index, copy.name): sorted(
+            node.manager.history(copy.name).records(), key=repr
+        )
         for node in db.cluster.nodes
         for copy in db.cluster.catalog.all_projections()
     }

@@ -8,12 +8,12 @@ of logical steps (insert to the WOS, direct or overflow insert to ROS,
 ``ahm=0``, ``persist_delete_vectors``) run against one
 :class:`StorageManager` and a list-of-triples model:
 
-* every physical reorganisation leaves the sorted ``dump_rows()``
+* every physical reorganisation leaves the sorted ``history()``
   multiset exactly as it was;
 * after every logical step it equals the model;
 * ``truncate_after_epoch`` and ``drop_partition`` filter it exactly as
   specified;
-* ``load_history(dump_rows())`` into a fresh manager reproduces it, and
+* ``load_history(history())`` into a fresh manager reproduces it, and
   the rows visible at every epoch.
 
 This is what holds the recovery-side reader and writer — paths no
@@ -57,7 +57,7 @@ def record_key(record):
 
 
 def history(manager) -> list:
-    return sorted(manager.dump_rows(NAME), key=record_key)
+    return sorted(manager.history(NAME).records(), key=record_key)
 
 
 def visible(records, epoch) -> list[int]:
@@ -146,9 +146,9 @@ def test_history_survives_every_reorganisation(
         for at in range(epoch + 1):
             assert stored_visible(manager, at) == visible(model, at)
 
-    # load_history(dump_rows()) into a fresh manager is the same history
+    # load_history(history()) into a fresh manager is the same history
     copy = make_manager(tmp_path_factory.mktemp("copy"))
-    copy.load_history(NAME, list(manager.dump_rows(NAME)))
+    copy.load_history(NAME, manager.history(NAME))
     assert copy.wos_row_count(NAME) == 0
     assert history(copy) == history(manager)
     for at in range(epoch + 1):
@@ -156,7 +156,7 @@ def test_history_survives_every_reorganisation(
 
     # incremental dump: exactly what happened past an epoch
     assert sorted(
-        manager.dump_rows(NAME, after_epoch=truncate_at), key=record_key
+        manager.history(NAME, after_epoch=truncate_at).records(), key=record_key
     ) == sorted(
         (r for r in model if max(r[1], r[2] or 0) > truncate_at), key=record_key
     )

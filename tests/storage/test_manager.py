@@ -154,7 +154,7 @@ class TestDeletes:
         # recovery copies deleted-but-unpurged rows (section 5.2)
         assert [
             (insert_epoch, delete_epoch)
-            for _, insert_epoch, delete_epoch in manager.dump_rows(NAME)
+            for _, insert_epoch, delete_epoch in manager.history(NAME).records()
         ] == [(1, 2)] * 5
 
 
@@ -162,8 +162,8 @@ def homes(manager, name):
     """``(home, history records)`` in the order a by-value delete walks
     a copy: the WOS, then its containers by ascending id."""
     state = manager.storage(name)
-    return [("wos", state.wos.history())] + [
-        (container_id, manager.container_history(name, container_id))
+    return [("wos", state.wos.run.records())] + [
+        (container_id, manager.container_run(name, container_id).records())
         for container_id in sorted(state.containers)
     ]
 
@@ -174,7 +174,7 @@ def markers(manager, name=NAME):
     return {
         (home, position): delete_epoch
         for home, records in homes(manager, name)
-        for position, _, _, delete_epoch in records
+        for position, (_, _, delete_epoch) in enumerate(records)
         if delete_epoch is not None
     }
 
@@ -189,7 +189,7 @@ def repr_multiset_marks(manager, victims, snapshot_epoch, name=NAME):
     budget = Counter(tuple(repr(v[n]) for n in names) for v in victims)
     marks = []
     for home, records in homes(manager, name):
-        for position, row, insert_epoch, delete_epoch in records:
+        for position, (row, insert_epoch, delete_epoch) in enumerate(records):
             if insert_epoch > snapshot_epoch:
                 continue
             if delete_epoch is not None and delete_epoch <= snapshot_epoch:
@@ -435,7 +435,7 @@ class TestPartitionDrop:
         wos = manager.storage(NAME).wos
         assert [
             (row["cid"], delete_epoch)
-            for _, row, _, delete_epoch in wos.history()
+            for row, _, delete_epoch in wos.run.records()
         ] == [(0, 2), (1, None), (2, 2), (3, None), (4, 2)]
 
 

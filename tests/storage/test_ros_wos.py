@@ -12,14 +12,16 @@ from repro import types
 from repro.core.schema import ColumnDef, TableDefinition
 from repro.errors import StorageError
 from repro.execution.kernels import PlainVector
-from repro.projections import ProjectionDefinition, super_projection
+from repro.projections import super_projection
 from repro.storage import (
     DeleteVector,
+    HistoryRun,
     ROSContainer,
     StorageManager,
     WriteOptimizedStore,
     combined_deletes,
 )
+from repro.storage.wos import SortedView, visible_mask
 from storage_helpers import run_of
 
 
@@ -131,43 +133,84 @@ class TestROSContainer:
         assert container.meta.max_epoch == 9
 
 
+def wos_run(rows, epoch):
+    """The run a commit would hand the WOS for ``rows`` at ``epoch``."""
+    return HistoryRun.from_rows(["k", "v"], rows, [epoch] * len(rows))
+
+
+def wos_visible(wos, epoch):
+    """The buffered rows visible at ``epoch``, in buffer order."""
+    mask = visible_mask(wos.run.epochs, wos.run.delete_epochs, epoch)
+    return [row for row, seen in zip(wos.run.rows(), mask) if seen]
+
+
 class TestWOS:
     def test_insert_and_drain(self):
         wos = WriteOptimizedStore(capacity=100)
-        wos.insert(make_rows(10), epoch=4)
+        wos.insert(wos_run(make_rows(10), 4))
         assert wos.row_count == 10
-        rows, epochs, delete_epochs = wos.drain()
-        assert len(rows) == 10 and epochs == [4] * 10
-        assert delete_epochs == [None] * 10
-        assert wos.row_count == 0
+        run = wos.drain()
+        assert list(run.rows()) == make_rows(10) and run.epochs == [4] * 10
+        assert run.delete_epochs == [None] * 10
+        assert wos.row_count == 0 and list(wos.run.rows()) == []
+
+    def test_the_wos_copies_what_it_is_handed(self):
+        """A run's lists are shared (every copy of a family, every node
+        of a replicated projection gets the same ones); the WOS appends
+        to its own."""
+        first, second = wos_run(make_rows(3), 1), wos_run(make_rows(2), 2)
+        one, other = WriteOptimizedStore(), WriteOptimizedStore()
+        for wos in (one, other):
+            wos.insert(first)
+            wos.insert(second)
+            wos.mark_deleted(0, 3)
+        assert len(first) == 3 and first.columns["k"] == [0, 1, 2]
+        assert first.delete_epochs is None
+        for wos in (one, other):
+            assert wos.run.columns["k"] == [0, 1, 2, 0, 1]
+            assert wos.run.epochs == [1, 1, 1, 2, 2]
+        # and a drained run is the caller's: the WOS starts new lists
+        drained = one.drain()
+        one.insert(second)
+        assert drained.columns["k"] == [0, 1, 2, 0, 1]
+        assert one.run.columns["k"] == [0, 1]
 
     def test_overflow_detection(self):
         wos = WriteOptimizedStore(capacity=10)
-        wos.insert(make_rows(8), epoch=1)
+        wos.insert(wos_run(make_rows(8), 1))
         assert wos.would_overflow(5)
         assert not wos.would_overflow(2)
 
     def test_visibility_by_epoch(self):
         wos = WriteOptimizedStore()
-        wos.insert(make_rows(3), epoch=2)
-        wos.insert(make_rows(2), epoch=5)
-        assert len(list(wos.visible(epoch=2))) == 3
-        assert len(list(wos.visible(epoch=5))) == 5
-        assert len(list(wos.visible(epoch=1))) == 0
+        wos.insert(wos_run(make_rows(3), 2))
+        wos.insert(wos_run(make_rows(2), 5))
+        assert len(wos_visible(wos, epoch=2)) == 3
+        assert len(wos_visible(wos, epoch=5)) == 5
+        assert len(wos_visible(wos, epoch=1)) == 0
 
     def test_visibility_with_deletes(self):
         wos = WriteOptimizedStore()
-        wos.insert(make_rows(3), epoch=1)
+        wos.insert(wos_run(make_rows(3), 1))
         wos.mark_deleted(1, 3)
-        assert len(list(wos.visible(2))) == 3  # delete not yet visible
-        assert len(list(wos.visible(3))) == 2
+        assert len(wos_visible(wos, 2)) == 3  # delete not yet visible
+        assert [row["k"] for row in wos_visible(wos, 3)] == [0, 2]
         # the deleted row stays in the history, marker attached
-        assert [deleted for *_, deleted in wos.history()] == [None, 3, None]
+        assert [deleted for *_, deleted in wos.run.records()] == [None, 3, None]
+
+    def test_keep_moves_each_row_with_its_marker(self):
+        wos = WriteOptimizedStore()
+        wos.insert(wos_run(make_rows(5), 1))
+        wos.mark_deleted(3, 2)
+        assert wos.keep([1, 3, 4]) == 2
+        assert [(row["k"], deleted) for row, _, deleted in wos.run.records()] == [
+            (1, None), (3, 2), (4, None)
+        ]
 
     def test_truncate_after_epoch(self):
         wos = WriteOptimizedStore()
-        wos.insert(make_rows(3), epoch=2)
-        wos.insert(make_rows(2), epoch=7)
+        wos.insert(wos_run(make_rows(3), 2))
+        wos.insert(wos_run(make_rows(2), 7))
         assert wos.truncate_after_epoch(2) == 2
         assert wos.row_count == 3
 
@@ -177,7 +220,7 @@ WOS_STEPS = st.lists(
     st.tuples(
         st.sampled_from(
             ("insert", "insert", "mark", "mark", "scan", "scan", "scan",
-             "drain", "retain", "truncate")
+             "drain", "keep", "truncate")
         ),
         st.integers(0, 40),
         st.integers(0, 40),
@@ -219,15 +262,13 @@ class TestSortedView:
     mutation.  Whatever the history, a scan hands out what the
     definition does — visible at the epoch, stably sorted by the
     projection's key, pivoted, cut into batches — and a scan that
-    follows a scan re-keys nothing."""
+    follows a scan sorts nothing."""
 
     BATCH_ROWS = 7
 
     @staticmethod
     def expected(state, epoch, names, batch_rows):
-        rows = state.projection.sorted_rows(
-            [row for _, row in state.wos.visible(epoch)]
-        )
+        rows = state.projection.sorted_rows(wos_visible(state.wos, epoch))
         return [
             {name: [row[name] for row in rows[start : start + batch_rows]] for name in names}
             for start in range(0, len(rows), batch_rows)
@@ -247,13 +288,15 @@ class TestSortedView:
                     manager.insert(name, rows, epoch)
                 elif step == "mark" and wos.row_count:
                     position = x % wos.row_count
-                    if wos.delete_epochs[position] is None:
+                    if wos.run.delete_epochs[position] is None:
                         epoch += 1
                         wos.mark_deleted(position, epoch)
                 elif step == "drain" and x % 4 == 0:
                     wos.drain()
-                elif step == "retain":
-                    wos.retain(lambda row, _epoch: row["k"] % 7 != x % 7)
+                elif step == "keep":
+                    wos.keep(
+                        [i for i, k in enumerate(wos.run.columns.get("k", ())) if k % 7 != x % 7]
+                    )
                 elif step == "truncate":
                     wos.truncate_after_epoch(max(epoch - x % 3, 0))
                 elif step == "scan":
@@ -280,32 +323,34 @@ class TestSortedView:
     def test_a_second_scan_of_an_unmutated_wos_rekeys_nothing(self, tmp_path):
         manager, name, state = view_manager(tmp_path)
         manager.insert(name, view_rows(0, 50), 1)
-        keyed = []
-        original = ProjectionDefinition.sort_key_for
+        built = []
+        original = SortedView.__init__
 
-        def counting(self, row):
-            keyed.append(row)
-            return original(self, row)
+        def counting(self, run, sort_order):
+            built.append(len(run))
+            original(self, run, sort_order)
 
-        with mock.patch.object(ProjectionDefinition, "sort_key_for", counting):
+        with mock.patch.object(SortedView, "__init__", counting):
             first = list(manager.scan(name, 1, vectorized=True))
-            assert len(keyed) == 50
+            assert built == [50]
             second = list(manager.scan(name, 1, columns=["k"]))
             third = list(manager.scan(name, 0))
-            assert len(keyed) == 50  # one sort per mutation, not per scan
+            assert built == [50]  # one sort per mutation, not per scan
             assert [b.row_count for b in first + second + third] == [50, 50]
             # every mutation drops the view; the next scan sorts again
             for mutate in (
-                lambda wos: wos.insert(view_rows(50, 1), 2),
+                lambda wos: wos.insert(run_of(state.projection, view_rows(50, 1), [2])),
                 lambda wos: wos.mark_deleted(0, 3),
-                lambda wos: wos.retain(lambda row, _epoch: row["k"] != 7),
+                lambda wos: wos.keep([i for i in range(wos.row_count) if i != 7]),
                 lambda wos: wos.truncate_after_epoch(2),
                 lambda wos: wos.drain(),
             ):
-                before = len(keyed)
                 mutate(state.wos)
+                rows = state.wos.row_count
+                del built[:]
                 list(manager.scan(name, 5))
-                assert len(keyed) == before + state.wos.row_count
+                list(manager.scan(name, 5))
+                assert built == ([rows] if rows else [])
 
 
 class TestDeleteVector:

@@ -11,7 +11,7 @@ three-block base container, and then, for **every** epoch of the
 history, a random ``prune`` and both ``vectorized`` values:
 
 * the scan's rows inside the exact pruned range are the model's — the
-  row-shaped readers ``container_history`` + ``WOS.history`` filtered by
+  row-shaped readers ``container_run`` + ``WOS.run`` (as records) filtered by
   ``insert_epoch <= e and not delete_epoch <= e`` — container by
   container in position order, then the WOS in sort order;
 * every batch is a sorted run out of one storage block of one container
@@ -168,14 +168,16 @@ def test_scan_is_the_model_at_every_epoch(tmp_path_factory, base_container, ops,
     # the model: every stored record, in the order a scan must yield it
     records = []  # (row tuple, insert epoch, delete epoch, home)
     for container_id in sorted(state.containers):
-        for position, row, inserted, deleted in manager.container_history(
-            NAME, container_id
+        for position, (row, inserted, deleted) in enumerate(
+            manager.container_run(NAME, container_id).records()
         ):
             # all ungrouped columns cut blocks every BLOCK_ROWS rows
             home = (container_id, position // BLOCK_ROWS)
             records.append((tuple(row[n] for n in NAMES), inserted, deleted, home))
-    wos = sorted(state.wos.history(), key=lambda r: PROJECTION.sort_key_for(r[1]))
-    for _, row, inserted, deleted in wos:
+    wos = sorted(
+        state.wos.run.records(), key=lambda r: PROJECTION.sort_key_for(r[0])
+    )
+    for row, inserted, deleted in wos:
         records.append((tuple(row[n] for n in NAMES), inserted, deleted, "wos"))
     home_of = {row[1]: home for row, _, _, home in records}
     assert len(home_of) == len(records)

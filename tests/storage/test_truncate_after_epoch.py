@@ -20,17 +20,18 @@ from repro.projections import super_projection
 from repro.storage import ROSContainer, StorageManager
 from repro.storage.manager import truncate_outcome_counts
 from repro.tuple_mover import MergePolicy, TupleMover
-from storage_helpers import delete_matching, run_of
+from storage_helpers import delete_matching, run_of, run_of_records
 
 NAME = "t_super"
 TABLE = TableDefinition(
     "t", [ColumnDef("k", types.INTEGER), ColumnDef("v", types.VARCHAR)]
 )
+PROJECTION = super_projection(TABLE, sort_order=["k"])
 
 
 def new_manager(root) -> StorageManager:
     manager = StorageManager(str(root), wos_capacity=1000)
-    manager.register_projection(super_projection(TABLE, sort_order=["k"]), TABLE)
+    manager.register_projection(PROJECTION, TABLE)
     return manager
 
 
@@ -66,7 +67,7 @@ def history(manager, after_epoch=None):
     """The projection's physical history as a sorted multiset."""
     return sorted(
         (row["k"], row["v"], insert_epoch, delete_epoch or 0)
-        for row, insert_epoch, delete_epoch in manager.dump_rows(NAME, after_epoch)
+        for row, insert_epoch, delete_epoch in manager.history(NAME, after_epoch).records()
     )
 
 
@@ -102,7 +103,7 @@ def oracle_truncate(manager, epoch) -> int:
     every container, rebuild the survivors."""
     survivors = []
     discarded = 0
-    for row, insert_epoch, delete_epoch in manager.dump_rows(NAME):
+    for row, insert_epoch, delete_epoch in manager.history(NAME).records():
         if insert_epoch > epoch:
             discarded += 1
             continue
@@ -110,7 +111,7 @@ def oracle_truncate(manager, epoch) -> int:
             delete_epoch = None
         survivors.append((row, insert_epoch, delete_epoch))
     manager.forget_contents(NAME)
-    manager.load_history(NAME, survivors)
+    manager.load_history(NAME, run_of_records(PROJECTION, survivors))
     return discarded
 
 
@@ -184,7 +185,8 @@ class TestContainerClasses:
         assert manager.read_visible_rows(NAME, 9) == rows(1, 2, 3, 4, 5)
         # the marker under the epoch survived, the one past it did not
         assert [
-            (row["k"], delete_epoch) for row, _, delete_epoch in manager.dump_rows(NAME)
+            (row["k"], delete_epoch)
+            for row, _, delete_epoch in manager.history(NAME).records()
         ] == [(0, 3), (1, None), (2, None), (3, None), (4, None), (5, None)]
         assert history(reopened(manager)) == history(manager)
 
@@ -214,10 +216,10 @@ class TestContainerClasses:
         assert manager.truncate_after_epoch(NAME, 5) == 3
 
         state = manager.storage(NAME)
-        assert [row["k"] for row in state.wos.rows] == [10, 11, 13]
+        assert state.wos.run.columns["k"] == [10, 11, 13]
         # 13 moved up a position and keeps its marker; 10's was stamped
         # past the epoch and is gone
-        assert state.wos.delete_epochs == [None, None, 5]
+        assert state.wos.run.delete_epochs == [None, None, 5]
         assert manager.read_visible_rows(NAME, 9) == rows(1, 2, 10, 11)
 
     def test_truncating_everything(self, manager):
@@ -264,7 +266,7 @@ class TestHistoryReads:
             (row, 1 + row["k"] % 3, 5 if row["k"] % 4 == 0 else None)
             for row in rows(*range(12))
         ]
-        manager.load_history(NAME, records)
+        manager.load_history(NAME, run_of_records(PROJECTION, records))
         expected = history(manager)
         assert [entry[0] for entry in expected if entry[3]] == [0, 4, 8]
         assert history(reopened(manager)) == expected

@@ -4,13 +4,14 @@ import pytest
 
 from repro.errors import InvariantViolation
 from repro.lint import sanitizer
+from repro.storage import HistoryRun
 from repro.storage.wos import WriteOptimizedStore
 
 
 def wos_with(epochs):
     wos = WriteOptimizedStore()
     for index, epoch in enumerate(epochs):
-        wos.insert([{"k": index}], epoch)
+        wos.insert(HistoryRun({"k": [index]}, [epoch]))
     return wos
 
 
@@ -20,20 +21,21 @@ class TestTruncateAfterEpoch:
         with sanitizer.override(True):
             dropped = wos.truncate_after_epoch(2)
         assert dropped == 2
-        assert wos.epochs == [1, 2, 2]
-        assert [row["k"] for row in wos.rows] == [0, 1, 3]
+        assert wos.run.epochs == [1, 2, 2]
+        assert wos.run.columns == {"k": [0, 1, 3]}
+        assert wos.run.delete_epochs == [None] * 3
 
     def test_empty_wos_is_a_noop(self):
         wos = WriteOptimizedStore()
         with sanitizer.override(True):
             assert wos.truncate_after_epoch(5) == 0
-        assert wos.rows == [] and wos.epochs == []
+        assert wos.run.columns == {} and wos.run.epochs == []
 
     def test_all_rows_truncated(self):
         wos = wos_with([7, 8, 9])
         with sanitizer.override(True):
             assert wos.truncate_after_epoch(6) == 3
-        assert wos.rows == [] and wos.epochs == []
+        assert wos.run.columns == {"k": []} and wos.run.epochs == []
 
     def test_nothing_truncated_when_all_at_or_below(self):
         wos = wos_with([1, 1, 2])

@@ -48,7 +48,7 @@ from repro.storage import ROSContainer, StorageManager
 from repro.storage.block import BLOCK_ROWS
 from repro.storage.encodings import SAMPLE_SIZE
 from repro.tuple_mover import MergePolicy, TupleMover
-from storage_helpers import run_of
+from storage_helpers import run_of, run_of_records
 
 #: Encodings a column of each type may declare.
 ANY_TYPE = ["AUTO", "PLAIN", "COMPRESSED_PLAIN", "RLE", "BLOCK_DICT"]
@@ -183,9 +183,9 @@ def check_storage(shape: Shape, root: str) -> None:
     product_dir = os.path.join(manager.root, projection.name)
     for batch in range(shape.batches):
         records = make_records(shape, batch)
-        assert manager.load_history(projection.name, records) == (
-            reference.load_history(records)
-        ), "different container ids"
+        assert manager.load_history(
+            projection.name, run_of_records(projection, records)
+        ) == reference.load_history(records), "different container ids"
         assert_same_tree(product_dir, reference.directory, f"load {batch}")
     if shape.batches > 1:
         merged = TupleMover(manager, MERGE_ALL).mergeout(projection.name, shape.ahm)

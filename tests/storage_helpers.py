@@ -19,3 +19,16 @@ def run_of(projection, rows, epochs, delete_epochs=None):
     from repro.storage import HistoryRun
 
     return HistoryRun.from_rows(projection.column_names, rows, epochs, delete_epochs)
+
+
+def run_of_records(projection, records):
+    """``(row, insert_epoch, delete_epoch)`` triples as a run — what
+    ``load_history`` takes."""
+    rows, epochs, delete_epochs = map(list, zip(*records)) if records else ([],) * 3
+    return run_of(projection, rows, epochs, delete_epochs)
+
+
+def kv_rows(keys, v=None):
+    """Rows of the count tests' table ``t(k, v)`` (``tests/counts/conftest.py``)
+    for ``keys``; ``v`` defaults to ``k % 9``."""
+    return [{"k": k, "v": k % 9 if v is None else v} for k in keys]

@@ -59,217 +59,6 @@ echo "   seeds: 11, 23, ${GIT_SEED} (git-derived)"
 REPRO_CRASH_SEEDS="11,23,${GIT_SEED}" REPRO_SANITIZE=1 \
     python -m pytest -q tests/chaos/test_kill_anywhere.py
 
-echo "== cold open rewrites nothing: counts, not timings =="
-# Load, drain (mover cycle), close, reopen: everything is under the
-# durable floor, so the open must keep every container as it is — zero
-# container writes.  Then the same with a journal tail past the floor:
-# exactly the tail's rows are written back, nothing else.
-python - <<'EOF'
-import shutil, tempfile
-from repro import ColumnDef, Database, TableDefinition, types
-from repro.monitor import METRICS
-
-WRITTEN = "storage.containers_written"
-ROWS_WRITTEN = "storage.container_rows_written"
-root = tempfile.mkdtemp(prefix="cold_open_")
-try:
-    path = root + "/db"
-    db = Database(path, node_count=3, k_safety=1)
-    db.create_table(TableDefinition(
-        "t", [ColumnDef("k", types.INTEGER), ColumnDef("v", types.INTEGER)],
-        primary_key=("k",),
-    ), sort_order=["k"])
-    db.load("t", [{"k": i, "v": i % 9} for i in range(600)], direct_to_ros=True)
-    db.load("t", [{"k": i, "v": i % 9} for i in range(600, 700)])
-    db.sql("DELETE FROM t WHERE k % 10 = 3")
-    db.cluster.run_tuple_movers()
-    del db
-
-    written = METRICS.counter(WRITTEN)
-    db = Database.open(path)
-    report = db.replay_report
-    assert METRICS.counter(WRITTEN) == written, "a drained open wrote containers"
-    assert (report.containers_rewritten, report.containers_dropped) == (0, 0), report
-    assert report.containers_kept > 0 and report.rows_truncated == 0, report
-    assert db.sql("SELECT count(*) AS n FROM t")[0]["n"] == 630
-    kept = report.containers_kept
-
-    tail = 40
-    db.load("t", [{"k": i, "v": 0} for i in range(700, 700 + tail)], direct_to_ros=True)
-    del db
-
-    rows_written = METRICS.counter(ROWS_WRITTEN)
-    db = Database.open(path)
-    report = db.replay_report
-    assert (report.containers_kept, report.containers_rewritten) == (kept, 0), report
-    # K=1: each tail row lives in two projection copies
-    assert report.rows_truncated == 2 * tail, report
-    assert METRICS.counter(ROWS_WRITTEN) - rows_written == 2 * tail, (
-        "the open wrote more than the journal tail"
-    )
-    assert db.sql("SELECT count(*) AS n FROM t")[0]["n"] == 630 + tail
-    print("cold open OK:", kept, "containers kept, 0 written when drained;",
-          2 * tail, "rows written with a", tail, "row journal tail (K=1)")
-finally:
-    shutil.rmtree(root, ignore_errors=True)
-EOF
-
-echo "== a commit writes its own bytes: counts, not timings =="
-# A bulk load, then single-row commits: each may rewrite less than one
-# segment budget beside its own record, however much was loaded before
-# it.  The next mover cycle's checkpoint frees the sealed segments, so
-# the journal on disk is its replay window and a reopen reads only that.
-python - <<'EOF'
-import os, shutil, tempfile
-from repro import ColumnDef, Database, TableDefinition, types
-from repro.monitor import METRICS
-from repro.storage.segment_log import SEGMENT_BYTES
-
-WRITTEN = "journal.bytes_written"
-REPLAYED = "journal.replay.records"
-root = tempfile.mkdtemp(prefix="commit_bytes_")
-try:
-    path = root + "/db"
-    db = Database(path, node_count=3, k_safety=1)
-    db.create_table(TableDefinition(
-        "t", [ColumnDef("k", types.INTEGER), ColumnDef("v", types.INTEGER)],
-        primary_key=("k",),
-    ), sort_order=["k"])
-    db.load("t", [{"k": i, "v": i % 9} for i in range(20000)], direct_to_ros=True)
-    worst = 0
-    for i in range(20):
-        before = METRICS.counter(WRITTEN)
-        db.sql(f"INSERT INTO t VALUES ({20000 + i}, 1)")
-        worst = max(worst, METRICS.counter(WRITTEN) - before)
-    assert worst <= SEGMENT_BYTES + 1024, (
-        f"a single-row commit rewrote {worst} journal bytes"
-    )
-
-    checkpoints = METRICS.counter("journal.checkpoints")
-    pruned = METRICS.counter("journal.segments_pruned")
-    db.cluster.run_tuple_movers()
-    assert METRICS.counter("journal.checkpoints") > checkpoints, (
-        "the mover cycle took no checkpoint although one frees a segment"
-    )
-    assert METRICS.counter("journal.segments_pruned") > pruned
-    journal_dir = os.path.join(path, "journal")
-    on_disk = sum(
-        os.path.getsize(os.path.join(journal_dir, name))
-        for name in os.listdir(journal_dir)
-    )
-    assert on_disk < 64 * 1024, f"{on_disk} journal bytes left under the floor"
-    tail = sum(
-        row["records"] for row in db.sql("SELECT records FROM v_monitor.journal")
-    )
-    del db
-
-    replayed = METRICS.counter(REPLAYED)
-    db = Database.open(path)
-    replayed = METRICS.counter(REPLAYED) - replayed
-    assert replayed == tail <= 21, (replayed, tail)  # the inserts and the floor
-    assert db.replay_report.commits_replayed == 0, db.replay_report
-    assert db.sql("SELECT count(*) AS n FROM t")[0]["n"] == 20020
-    print("commit bytes OK: a single-row commit wrote at most", worst,
-          "journal bytes after a 20,000-row load;", on_disk,
-          "journal bytes on disk after the mover cycle;", replayed,
-          "records read back by the reopen")
-finally:
-    shutil.rmtree(root, ignore_errors=True)
-EOF
-
-echo "== container read path: blocks decoded, counts not timings =="
-# One columnar walk serves scans and by-value deletes: a DELETE whose
-# victims sit in one block of a 5-block, 2-container table decodes — at
-# the live apply and again at its cold-start replay — at most (matched
-# columns x pieces overlapping the victims' bounds) blocks and nothing
-# of the container its bounds reject; and the delete marker it leaves
-# does not cost its container block pruning: the same point lookup
-# decodes no more blocks than before the DELETE.
-python - <<'EOF'
-import shutil, tempfile
-from repro import ColumnDef, Database, TableDefinition, types
-from repro.monitor import METRICS
-from repro.storage import StorageManager
-from repro.storage.block import BLOCK_ROWS
-
-DECODED = "storage.blocks_decoded"
-in_delete = {"calls": 0, "decoded": 0}
-original = StorageManager.delete_where
-
-
-def counted(self, *args, **kwargs):
-    before = METRICS.counter(DECODED)
-    try:
-        return original(self, *args, **kwargs)
-    finally:
-        in_delete["calls"] += 1
-        in_delete["decoded"] += METRICS.counter(DECODED) - before
-
-
-def lookup(db):
-    before = METRICS.counter(DECODED)
-    key = 2 * BLOCK_ROWS + 5  # block 2 of the big container
-    assert db.sql(f"SELECT v FROM t WHERE k = {key}") == [{"v": key % 9}]
-    return METRICS.counter(DECODED) - before
-
-
-root = tempfile.mkdtemp(prefix="read_path_")
-StorageManager.delete_where = counted
-try:
-    path = root + "/db"
-    db = Database(path, node_count=1, k_safety=0, segments_per_node=1)
-    db.create_table(TableDefinition(
-        "t", [ColumnDef("k", types.INTEGER), ColumnDef("v", types.INTEGER)],
-        primary_key=("k",),
-    ), sort_order=["k"])
-    big, far = 4 * BLOCK_ROWS, 1_000_000
-    db.load("t", [{"k": i, "v": i % 9} for i in range(big)], direct_to_ros=True)
-    db.load("t", [{"k": i, "v": i % 9} for i in range(far, far + 500)], direct_to_ros=True)
-    db.cluster.run_tuple_movers()
-    containers = db.cluster.nodes[0].manager.storage("t_super").containers
-    assert sorted(
-        len(c.column_reader("k").blocks) for c in containers.values()
-    ) == [1, 4], "expected a 4-block and a 1-block container"
-    del db
-
-    db = Database.open(path)
-    clean_lookup = lookup(db)
-    # victims inside block 1 of the big container: one piece overlaps
-    # their (min, max), two columns are matched
-    bound = 2 * 1
-    db.sql(f"DELETE FROM t WHERE k BETWEEN {BLOCK_ROWS + 10} AND {BLOCK_ROWS + 20}")
-    assert in_delete["calls"] == 1 and in_delete["decoded"] <= bound, in_delete
-    del db
-
-    in_delete.update(calls=0, decoded=0)
-    db = Database.open(path)
-    assert db.replay_report.commits_replayed == 1, db.replay_report
-    assert in_delete["calls"] == 1 and 0 < in_delete["decoded"] <= bound, in_delete
-    replay_decoded = in_delete["decoded"]
-    small = min(
-        db.cluster.nodes[0].manager.storage("t_super").containers.values(),
-        key=lambda c: c.row_count,
-    )
-    assert not any(reader._cache for reader in small._readers.values()), (
-        "the replayed DELETE decoded a container its victims' bounds reject"
-    )
-    assert db.sql("SELECT count(*) AS n FROM t")[0]["n"] == big + 500 - 11
-    del db
-
-    db = Database.open(path)  # cold caches again; the marker is replayed
-    marked_lookup = lookup(db)
-    assert marked_lookup <= clean_lookup, (
-        f"a delete marker cost its container {marked_lookup - clean_lookup} "
-        "more decoded blocks on a point lookup"
-    )
-    print("container read path OK: replayed DELETE decoded", replay_decoded,
-          "blocks (bound", str(bound) + "); point lookup", clean_lookup,
-          "blocks clean,", marked_lookup, "with a delete marker")
-finally:
-    StorageManager.delete_where = original
-    shutil.rmtree(root, ignore_errors=True)
-EOF
-
 echo "== Cluster.scrub() smoke =="
 python - <<'EOF'
 import shutil, tempfile

@@ -7,8 +7,8 @@ per the plan's distribution strategy:
 
 * **co-located** joins and **local-complete** group-bys run entirely
   inside each node's fragment (the segmentation payoff of section 3.6);
-* **broadcast inner** materializes the build side once and feeds a copy
-  to every probe fragment;
+* **broadcast inner** materializes the build side once, and the probe
+  fragments hash it once (as they do a replicated inner co-located);
 * **resegment** pushes both sides through Send/Recv exchanges hashed on
   the join keys (V2Opt's on-the-fly data transfer, section 6.2);
 * everything after the last distributed operator runs at the
@@ -503,7 +503,7 @@ class DistributedExecutor:
             current = current.children[0] if current.children else None
         return None
 
-    def _make_join_op(self, node, left_op, right_op):
+    def _make_join_op(self, node, left_op, right_op, shared_build=None):
         if node.algorithm == "merge":
             left_sorted = SortOperator(
                 left_op, [SortKey(key) for key in node.left_keys], pool=self.pool
@@ -530,6 +530,7 @@ class DistributedExecutor:
                 node.left_columns,
                 node.right_columns,
                 pool=self.pool,
+                shared_build=shared_build,
             )
             self._attach_sip(join, left_op, node)
         if node.residual is not None:
@@ -560,10 +561,11 @@ class DistributedExecutor:
                 ),
             )
         bases = left.bases() if not left.replicated else right.bases()
+        shared = {} if right.replicated else None  # one build, every node
         return _Fragments(
             {
                 base: self._make_join_op(
-                    node, left.op_for(base), right.op_for(base)
+                    node, left.op_for(base), right.op_for(base), shared
                 )
                 for base in bases
             }
@@ -589,9 +591,11 @@ class DistributedExecutor:
         bases = left.bases() if not left.replicated else [0]
         copies = max(len(bases) - 1, 0)
         self.stats.rows_broadcast += inner_rows * copies
+        shared: dict = {}  # the first fragment to run builds for all
 
         def make(base):
-            return self._make_join_op(node, left.op_for(base), SourceBlocks(list(blocks)))
+            right = SourceBlocks(list(blocks))
+            return self._make_join_op(node, left.op_for(base), right, shared)
 
         if left.replicated:
             return _Fragments(None, factory=make)

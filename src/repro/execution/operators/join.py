@@ -6,8 +6,11 @@
     RIGHT OUTER, FULL OUTER, SEMI, and ANTI joins are supported.
     (section 6.1)
 
-The hash join builds on its right (inner) child, publishes its key set
-to any registered SIP filters, then streams the left (probe) side.
+The hash join builds on its right (inner) child once per statement —
+its columns concatenated, each key mapped to a build position — publishes
+the table's key view to any registered SIP filters, then probes one key
+column per left block and *gathers*: build columns by position, probe
+columns through a selection (still encoded) or by position on a fan-out.
 When the build side exceeds the memory budget, it *switches algorithms
 at runtime*: both sides are externally sorted and the join completes
 as a sort-merge join — exactly the adaptive behaviour the paper
@@ -18,11 +21,15 @@ instead").
 
 from __future__ import annotations
 
+from collections import defaultdict
 from enum import Enum
+from itertools import chain, compress, repeat
 
 from ...errors import ExecutionError
+from ...monitor import METRICS
 from ...types import sort_key
-from ..expressions import ColumnRef, Expr
+from ..expressions import Expr
+from ..kernels.selection import Selection
 from ..kernels.vectors import as_list
 from ..resource import ResourcePool
 from ..row_block import VECTOR_SIZE, RowBlock
@@ -40,10 +47,6 @@ class JoinType(str, Enum):
     FULL = "FULL"
     SEMI = "SEMI"
     ANTI = "ANTI"
-
-
-def _null_row(column_names: list[str]) -> dict:
-    return {name: None for name in column_names}
 
 
 class _JoinEmitter:
@@ -67,6 +70,40 @@ class _JoinEmitter:
         return block
 
 
+def _join_keys(block: RowBlock, key_runs) -> list:
+    """Every row's join key: the value itself for one key column, a
+    tuple for several (None when a part is NULL), ``()`` for none."""
+    columns = [as_list(run(block)) for run in key_runs]
+    if len(columns) == 1:
+        return columns[0]
+    if not columns:  # no equi-key: a cross product
+        return [()] * block.row_count
+    return [None if None in key else key for key in zip(*columns)]
+
+
+class _HashBuild:
+    """A hash join's build side: ``block``, its rows plus a trailing NULL
+    row (what an unmatched probe row gathers), and ``table`` mapping each
+    key to its position — its position list unless ``unique``.  NULL is
+    never a key; ``1`` / ``1.0`` / ``True`` are one, NaN finds itself."""
+
+    def __init__(self, blocks: list[RowBlock], names: list[str], key_exprs):
+        runs = [key.compiled() for key in key_exprs]
+        keys = list(chain.from_iterable(_join_keys(block, runs) for block in blocks))
+        self.row_count = count = len(keys)
+        nulls = RowBlock({name: [None] for name in names}, 1)
+        self.block = RowBlock.concat([*(block.project(names) for block in blocks), nulls])
+        table: dict = dict(zip(keys, range(count)))
+        table.pop(None, None)
+        self.unique = len(table) == count - keys.count(None)
+        if not self.unique:
+            table = defaultdict(list)  # read through get() and `in` only
+            for position, key in enumerate(keys):
+                table[key].append(position)
+            table.pop(None, None)
+        self.table = table
+
+
 class HashJoinOperator(Operator):
     """Hash join; builds from the right child, probes with the left."""
 
@@ -83,6 +120,7 @@ class HashJoinOperator(Operator):
         right_columns: list[str] | None = None,
         pool: ResourcePool | None = None,
         max_build_rows: int | None = None,
+        shared_build: dict | None = None,
     ):
         super().__init__([left, right])
         if len(left_keys) != len(right_keys):
@@ -94,6 +132,9 @@ class HashJoinOperator(Operator):
         self.right_columns = right_columns
         self.pool = pool
         self.max_build_rows = max_build_rows
+        #: Given by the executor to every fragment probing one inner: the
+        #: first fragment to build stores its build here, the rest probe it.
+        self.shared_build = {} if shared_build is None else shared_build
         self.sip_filters: list[SipFilter] = []
         self.switched_to_merge = False
 
@@ -124,128 +165,116 @@ class HashJoinOperator(Operator):
         return list(self.left_columns) + list(self.right_columns)
 
     def _produce(self):
-        budget = self._budget()
-        build_rows: list[dict] = []
-        build_blocks_overflowed = False
-        right_blocks = self.children[1].blocks()
-        for block in right_blocks:
-            build_rows.extend(block.to_rows())
-            if budget is not None and len(build_rows) > budget:
-                build_blocks_overflowed = True
-                break
-        if build_blocks_overflowed:
-            # Runtime algorithm switch: finish draining the build side
-            # into the merge path and sort-merge join instead.
-            self.switched_to_merge = True
-            if self.pool is not None:
-                self.pool.note_spill()
-            yield from self._merge_fallback(build_rows, right_blocks)
-            return
-        table: dict[tuple, list[dict]] = {}
-        right_key_runs = [key.compiled() for key in self.right_keys]
-        for start in range(0, len(build_rows), VECTOR_SIZE):
-            chunk = build_rows[start : start + VECTOR_SIZE]
-            block = RowBlock.from_rows(chunk, self.right_columns)
-            key_columns = [run(block) for run in right_key_runs]
-            for index, row in enumerate(chunk):
-                key = tuple(column[index] for column in key_columns)
-                if None in key:
-                    continue
-                table.setdefault(key, []).append(row)
+        self._output_columns()  # a name collision fails before any work
+        build = self.shared_build.get("build")
+        if build is None:
+            budget = self._budget()
+            drained: list[RowBlock] = []
+            rows = 0
+            right_blocks = self.children[1].blocks()
+            for block in right_blocks:
+                drained.append(block)
+                rows += block.row_count
+                if budget is not None and rows > budget:
+                    # Runtime algorithm switch: finish draining the build
+                    # side into the merge path and sort-merge join instead.
+                    self.switched_to_merge = True
+                    if self.pool is not None:
+                        self.pool.note_spill()
+                    yield from self._merge_fallback(chain(drained, right_blocks))
+                    return
+            build = self.shared_build["build"] = _HashBuild(
+                drained, self.right_columns, self.right_keys
+            )
         for sip in self.sip_filters:
-            sip.publish(set(table))
-        yield from self._probe(table, build_rows)
+            sip.publish(build.table.keys())
+        yield from self._probe(build)
 
-    def _probe(self, table: dict, build_rows: list[dict]):
-        emitter = _JoinEmitter(self._output_columns())
-        left_key_runs = [key.compiled() for key in self.left_keys]
-        matched_build_ids: set[int] = set()
-        track_build = self.join_type in (JoinType.RIGHT, JoinType.FULL)
+    def _probe(self, build: _HashBuild):
+        join_type, table, null = self.join_type, build.table, build.row_count
+        preserve_left = join_type in (JoinType.LEFT, JoinType.FULL)
+        preserve_right = join_type in (JoinType.RIGHT, JoinType.FULL)
+        matched = bytearray(null + 1) if preserve_right else None
+        key_runs = [key.compiled() for key in self.left_keys]
         for block in self.children[0].blocks():
-            key_columns = [as_list(run(block)) for run in left_key_runs]
-            rows = block.to_rows()
-            for index, left_row in enumerate(rows):
-                key = tuple(column[index] for column in key_columns)
-                matches = [] if None in key else table.get(key, [])
-                out = self._emit_for_left(
-                    emitter, left_row, matches, matched_build_ids, track_build
-                )
-                yield from out
-        if track_build:
-            for right_row in build_rows:
-                if id(right_row) not in matched_build_ids:
-                    block = emitter.emit(
-                        {**_null_row(self.left_columns), **right_row}
-                    )
-                    if block is not None:
-                        yield block
-        final = emitter.flush()
-        if final is not None:
-            yield final
+            self.kernel_blocks += 1
+            METRICS.inc("executor.kernel_blocks")
+            probe = block.project(self.left_columns)
+            keys = _join_keys(block, key_runs)
+            if join_type in (JoinType.SEMI, JoinType.ANTI):
+                hits = list(map(table.__contains__, keys))
+                if join_type is JoinType.ANTI:
+                    hits = [not hit for hit in hits]
+                yield from self._gather(probe, Selection.from_mask(hits), None, None)
+                continue
+            found = list(map(table.get, keys))
+            if not build.unique:  # a probe row may match several build rows
+                rows, at = [], []
+                for index, positions in enumerate(found):
+                    if positions is not None:
+                        rows.extend(repeat(index, len(positions)))
+                        at.extend(positions)
+                    elif preserve_left:
+                        rows.append(index)
+                        at.append(null)
+            elif preserve_left:
+                rows = Selection.all_rows(block.row_count)
+                at = [null if position is None else position for position in found]
+            elif None in found:
+                hits = [position is not None for position in found]
+                rows, at = Selection.from_mask(hits), list(compress(found, hits))
+            else:  # every probe row matched once: its columns pass through
+                rows, at = Selection.all_rows(block.row_count), found
+            if matched is not None:
+                for position in at:
+                    matched[position] = 1
+            yield from self._gather(probe, rows, build, at)
+        if matched is not None:
+            unmatched = [position for position in range(null) if not matched[position]]
+            nulls = RowBlock({name: [None] for name in self.left_columns}, 1)
+            yield from self._gather(nulls, [0] * len(unmatched), build, unmatched)
 
-    def _emit_for_left(
-        self, emitter, left_row, matches, matched_build_ids, track_build
-    ):
-        out = []
-        if self.join_type is JoinType.SEMI:
-            if matches:
-                block = emitter.emit(left_row)
-                if block is not None:
-                    out.append(block)
-            return out
-        if self.join_type is JoinType.ANTI:
-            if not matches:
-                block = emitter.emit(left_row)
-                if block is not None:
-                    out.append(block)
-            return out
-        if matches:
-            for right_row in matches:
-                if track_build:
-                    matched_build_ids.add(id(right_row))
-                block = emitter.emit({**left_row, **right_row})
-                if block is not None:
-                    out.append(block)
-        elif self.join_type in (JoinType.LEFT, JoinType.FULL):
-            block = emitter.emit({**left_row, **_null_row(self.right_columns)})
-            if block is not None:
-                out.append(block)
-        return out
+    @staticmethod
+    def _gather(probe: RowBlock, rows, build, at):
+        """Output blocks: the probe rows at ``rows`` — a Selection, so
+        their columns keep their encoding, or positions — beside the build
+        rows at ``at`` (none for SEMI / ANTI).  Gathered blocks are cut at
+        VECTOR_SIZE; a selected one has at most the probe block's rows."""
+        if isinstance(rows, Selection):
+            if rows.count:
+                columns = {n: rows.apply(v) for n, v in probe.columns.items()}
+                if build is not None:
+                    columns.update(build.block.select_rows(at).columns)
+                yield RowBlock(columns, rows.count)
+            return
+        for start in range(0, len(rows), VECTOR_SIZE):
+            window = slice(start, start + VECTOR_SIZE)
+            columns = probe.select_rows(rows[window]).columns
+            columns.update(build.block.select_rows(at[window]).columns)
+            yield RowBlock(columns, len(rows[window]))
 
-    def _merge_fallback(self, drained_rows: list[dict], right_blocks):
-        """Complete the join as an external sort-merge join."""
+    def _merge_fallback(self, right_blocks):
+        """Complete the join as an external sort-merge join over the
+        drained and the remaining build blocks.  SIP filters stay
+        unpublished (the probe scan may already be running): no-ops."""
 
-        def remaining_right():
-            if drained_rows:
-                yield RowBlock.from_rows(drained_rows, self.right_columns)
-            yield from right_blocks
+        def sort(child, keys):
+            return SortOperator(
+                child,
+                [SortKey(expr) for expr in keys],
+                pool=self.pool,
+                max_buffered_rows=self.max_build_rows,
+            )
 
-        left_sorted = SortOperator(
-            self.children[0],
-            [SortKey(expr) for expr in self.left_keys],
-            pool=self.pool,
-            max_buffered_rows=self.max_build_rows,
-        )
-        right_sorted = SortOperator(
-            SourceBlocks(remaining_right()),
-            [SortKey(expr) for expr in self.right_keys],
-            pool=self.pool,
-            max_buffered_rows=self.max_build_rows,
-        )
         merge = MergeJoinOperator(
-            left_sorted,
-            right_sorted,
+            sort(self.children[0], self.left_keys),
+            sort(SourceBlocks(right_blocks), self.right_keys),
             self.left_keys,
             self.right_keys,
             self.join_type,
             self.left_columns,
             self.right_columns,
         )
-        # SIP filters can no longer help (the probe scan may already be
-        # running); publish an accept-all set so they become no-ops.
-        for sip in self.sip_filters:
-            if not sip.ready:
-                sip.build_keys = None
         yield from merge.blocks()
 
     def label(self) -> str:
@@ -317,10 +346,8 @@ class MergeJoinOperator(Operator):
         emitter = _JoinEmitter(self._output_columns())
         left_stream = self._row_stream(self.children[0], self.left_keys)
         right_stream = self._row_stream(self.children[1], self.right_keys)
-        left_ahead = None
-        right_ahead = None
-        left_group = self._next_group(left_stream, left_ahead)
-        right_group = self._next_group(right_stream, right_ahead)
+        left_group = self._next_group(left_stream, None)
+        right_group = self._next_group(right_stream, None)
         preserve_left = self.join_type in (JoinType.LEFT, JoinType.FULL)
         preserve_right = self.join_type in (JoinType.RIGHT, JoinType.FULL)
         while left_group is not None and right_group is not None:
@@ -373,7 +400,7 @@ class MergeJoinOperator(Operator):
         if not preserve:
             return
         for left_row in left_rows:
-            block = emitter.emit({**left_row, **_null_row(self.right_columns)})
+            block = emitter.emit({**left_row, **dict.fromkeys(self.right_columns)})
             if block is not None:
                 yield block
 
@@ -381,7 +408,7 @@ class MergeJoinOperator(Operator):
         if not preserve:
             return
         for right_row in right_rows:
-            block = emitter.emit({**_null_row(self.left_columns), **right_row})
+            block = emitter.emit({**dict.fromkeys(self.left_columns), **right_row})
             if block is not None:
                 yield block
 

@@ -7,18 +7,22 @@
     pass these filters are not output by the Scan.
 
 A :class:`SipFilter` is created at plan time pointing at a hash join;
-the join publishes its build-side key set once the hash table is built
+the join publishes its hash table's key view once the table is built
 (which, in a pull pipeline, always happens before the probe-side scan
 produces its first block).  The scan then drops rows whose join keys
-cannot match, so they never travel up the plan.
+cannot match — one test per dictionary entry or RLE run, not per row,
+kept as a selection so the other columns stay encoded.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Collection
+from dataclasses import dataclass
+from itertools import repeat
 
 from .expressions import Expr
-from .kernels.vectors import as_list
+from .kernels.selection import Selection
+from .kernels.vectors import DictVector, RleVector, as_list
 from .row_block import RowBlock
 
 
@@ -28,8 +32,9 @@ class SipFilter:
 
     #: Expressions over the scan's output that produce the join key.
     key_exprs: list[Expr]
-    #: Set by the owning HashJoin once its build side is hashed.
-    build_keys: set | None = None
+    #: Set by the owning HashJoin once its build side is hashed: the
+    #: key view of its table (anything with ``in``).
+    build_keys: Collection | None = None
     #: Rows eliminated by this filter (observability for the bench).
     rows_filtered: int = 0
     #: Human-readable origin, e.g. the join's label.
@@ -40,7 +45,7 @@ class SipFilter:
         """Whether the hash table has been published yet."""
         return self.build_keys is not None
 
-    def publish(self, build_keys: set) -> None:
+    def publish(self, build_keys: Collection) -> None:
         """Called by the join after building its hash table."""
         self.build_keys = build_keys
 
@@ -48,21 +53,34 @@ class SipFilter:
         """Filter a scan output block; a no-op until published."""
         if not self.ready or block.row_count == 0:
             return block
-        key_columns = [as_list(expr.evaluate(block)) for expr in self.key_exprs]
-        build_keys = self.build_keys
-        keep = [
-            index
-            for index in range(block.row_count)
-            if (key := tuple(col[index] for col in key_columns)) is not None
-            and None not in key
-            and key in build_keys
-        ]
-        self.rows_filtered += block.row_count - len(keep)
-        if len(keep) == block.row_count:
+        columns = [expr.evaluate(block) for expr in self.key_exprs]
+        selection = _members(self.build_keys, columns, block.row_count)
+        self.rows_filtered += block.row_count - selection.count
+        if selection.is_all:
             return block
-        return block.select_rows(keep)
+        columns = {name: selection.apply(v) for name, v in block.columns.items()}
+        return RowBlock(columns, selection.count, block.sorted_by)
 
     def describe(self) -> str:
         """Plan-display rendering."""
         keys = ", ".join(repr(expr) for expr in self.key_exprs)
         return f"SIP[{keys}] from {self.origin or 'join'}"
+
+
+def _members(keys: Collection, columns: list, row_count: int) -> Selection:
+    """The rows whose key is in ``keys``: one membership test per
+    dictionary entry, per RLE run or per plain value.  A NULL is never
+    a key, so unlike a predicate leaf no value needs a NULL guard: the
+    plain and dictionary rungs are one C-level ``map`` each."""
+    if len(columns) != 1:  # key tuples; a cross product's key is ()
+        tuples = zip(*map(as_list, columns)) if columns else repeat((), row_count)
+        return Selection.from_mask(list(map(keys.__contains__, tuples)))
+    (column,) = columns
+    if isinstance(column, DictVector):
+        hits = list(map(keys.__contains__, column.entries))
+        return Selection.from_mask(list(map(hits.__getitem__, column.codes)))
+    if isinstance(column, RleVector):
+        runs = zip(column.starts(), column.runs)
+        ranges = [(start, start + n) for start, (value, n) in runs if value in keys]
+        return Selection.from_ranges(ranges, row_count)
+    return Selection.from_mask(list(map(keys.__contains__, as_list(column))))

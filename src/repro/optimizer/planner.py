@@ -442,6 +442,26 @@ class PlannerBase:
         strategy, move_cost = self.choose_strategy(
             left, right, left_keys, right_keys
         )
+        if (
+            join_type in (JoinType.RIGHT, JoinType.FULL)
+            and left.distribution.kind == P.SEGMENTED
+            and (
+                strategy == P.BROADCAST_INNER
+                or (strategy == P.COLOCATED and right.distribution.kind == P.REPLICATED)
+            )
+        ):
+            # every probe fragment would hold the whole preserved inner
+            # and return the rows *its* slice did not match, once per
+            # node: only a resegmented inner is split as the probe is.
+            if P.RESEGMENT not in self.allowed_strategies:
+                raise PlanningError(
+                    f"{self.name} cannot place a {join_type.value} join whose "
+                    "inner every node holds whole: it needs a resegment"
+                )
+            strategy = P.RESEGMENT
+            move_cost = self.strategy_cost(
+                strategy, left.est_rows, right.est_rows, 16.0, 16.0
+            )
         algorithm = self.choose_algorithm(
             left, right, left_keys, right_keys, strategy
         )

@@ -22,8 +22,10 @@ from repro.execution.operators import (
     ExprEvalOperator,
     FilterOperator,
     HashJoinOperator,
+    Operator,
     ScanOperator,
     SortOperator,
+    SourceBlocks,
     UnionAllOperator,
     groupby,
 )
@@ -69,13 +71,15 @@ def loaded(tmp_path_factory):
 def spies(monkeypatch):
     """What the statement did: the operator roots it ran, the blocks its
     group-bys absorbed with (probes, accumulator lists made) for each,
-    every block that became row dicts, and the per-row folds."""
-    seen = {"roots": [], "absorbed": [], "to_rows": [], "fold_one": 0}
+    every block that became row dicts, the per-row folds, and which
+    operator yielded which block."""
+    seen = {"roots": [], "absorbed": [], "to_rows": [], "fold_one": 0, "yielded": []}
     counted = {"probes": 0, "made": 0}
     operator = DistributedExecutor.operator
     group, kernel = aggregate._group, aggregate.absorb_block_kernel
     make = groupby._AggregationCore.new_accumulators
     to_rows, fold_one = RowBlock.to_rows, groupby._AggregationCore._fold_one
+    blocks = Operator.blocks
 
     def counting_group(core, groups, key):
         counted["probes"] += 1
@@ -105,12 +109,18 @@ def spies(monkeypatch):
         seen["fold_one"] += 1
         return fold_one(self, accumulators, arg_columns, index)
 
+    def spying_blocks(self):
+        for block in blocks(self):
+            seen["yielded"].append((self, block))
+            yield block
+
     monkeypatch.setattr(aggregate, "_group", counting_group)
     monkeypatch.setattr(groupby, "absorb_block_kernel", counting_kernel)
     monkeypatch.setattr(groupby._AggregationCore, "new_accumulators", counting_make)
     monkeypatch.setattr(DistributedExecutor, "operator", spying_operator)
     monkeypatch.setattr(RowBlock, "to_rows", spying_to_rows)
     monkeypatch.setattr(groupby._AggregationCore, "_fold_one", spying_fold_one)
+    monkeypatch.setattr(Operator, "blocks", spying_blocks)
     return seen
 
 
@@ -155,10 +165,10 @@ STATEMENTS = {
 
 
 def _between(op):
-    """The operators under a group-by, down to the Scans, Joins and
-    group-bys nearest to it (those excluded)."""
+    """The operators under a group-by, down to the Scans and group-bys
+    nearest to it (those excluded) — through any join, both sides."""
     for child in op.children:
-        if not isinstance(child, (ScanOperator, HashJoinOperator, *GROUP_BYS)):
+        if not isinstance(child, (ScanOperator, *GROUP_BYS)):
             yield child
             yield from _between(child)
 
@@ -181,12 +191,19 @@ def test_group_by_folds_runs_and_builds_no_row(loaded, spies, name):
     assert group_bys and sum(op.rows_in for op in group_bys) > 500
     for op in group_bys:
         assert not any(isinstance(o, SortOperator) for o in list(op.walk())[1:])
-        # what sits between a group table and the Scans / Joins that
-        # feed it only renames, filters or unions columns
+        # what sits between a group table and the Scans that feed it
+        # only renames, filters, unions or hash-joins columns (a
+        # broadcast inner arrives as a Source), none of it by row, and
+        # no block it hands on becomes row dicts
+        between = list(_between(op))
         assert all(
-            isinstance(o, (ExprEvalOperator, FilterOperator, UnionAllOperator))
-            for o in _between(op)
+            isinstance(o, (ExprEvalOperator, FilterOperator, UnionAllOperator,
+                           HashJoinOperator, SourceBlocks))
+            and o.row_blocks == 0
+            for o in between
         ), op.explain()
+        handed_on = {id(b) for o, b in spies["yielded"] if o in between}
+        assert not handed_on & {id(block) for block in spies["to_rows"]}
         assert op.row_blocks == 0 and not op.fallback_reason
     assert sum(op.kernel_blocks for op in group_bys) == len(spies["absorbed"]) >= 2
     assert spies["fold_one"] == 0

@@ -1,0 +1,239 @@
+"""Every join flavour, every way a join can run, against a nested loop.
+
+The oracle below is the definition: a key whose part is NULL never
+matches, and two values match when they are the same object or ``==``
+— so ``1`` / ``1.0`` / ``True`` match, ``0.0`` / ``-0.0`` match, and a
+NaN matches only itself (a dict's rule, which the hash join keeps).  For
+INNER / LEFT / RIGHT / FULL / SEMI / ANTI, single- and two-column keys,
+duplicates on both sides and empty inputs, these must all equal it:
+
+* the hash join alone;
+* three hash-join fragments sharing one build, as the executor runs a
+  broadcast inner — they split the probe rows, except under RIGHT /
+  FULL, where the planner never splits the probe against a whole inner
+  (``test_preserved_inner_is_split.py``) and each fragment probes all;
+* the hash join under a one-row build budget, which switches to a
+  sort-merge join;
+* ``MergeJoinOperator`` over sorted inputs, as the executor feeds it.
+
+The two merge-based runs draw no NaN: a NaN has no place in the sort
+order a merge join walks (ROADMAP item 1(f)).  Probe keys also arrive
+RLE-, dictionary- and plain-coded through a real ``ScanOperator`` (with
+and without a SIP filter), and one probe block fans out past
+``VECTOR_SIZE`` output rows.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import types
+from repro.core.schema import ColumnDef, TableDefinition
+from repro.execution import (
+    VECTOR_SIZE,
+    ColumnRef,
+    DictVector,
+    HashJoinOperator,
+    JoinType,
+    MergeJoinOperator,
+    RleVector,
+    RowSource,
+    ScanOperator,
+    SortKey,
+    SortOperator,
+)
+from repro.projections import super_projection
+from repro.storage import StorageManager
+
+NAN, OTHER_NAN = float("nan"), float("nan")
+KEYS = [None, 0, 1, 1.0, True, False, 2, 0.0, -0.0, NAN, OTHER_NAN]
+ORDERED_KEYS = [key for key in KEYS if key == key]  # no NaN
+LEFT, RIGHT = ["l_id", "a", "b"], ["r_id", "c", "d"]
+FLAVOURS = list(JoinType)
+
+
+def _same(x, y) -> bool:
+    return x is not None and y is not None and (x is y or x == y)
+
+
+def oracle(join_type, left, right, left_keys, right_keys, right_columns=RIGHT):
+    out, matched = [], set()
+    left_columns = list(left[0]) if left else LEFT
+    for l in left:
+        hits = [
+            j for j, r in enumerate(right)
+            if all(_same(l[x], r[y]) for x, y in zip(left_keys, right_keys))
+        ]
+        if join_type in (JoinType.SEMI, JoinType.ANTI):
+            if bool(hits) == (join_type is JoinType.SEMI):
+                out.append(l)
+            continue
+        matched.update(hits)
+        out.extend({**l, **right[j]} for j in hits)
+        if not hits and join_type in (JoinType.LEFT, JoinType.FULL):
+            out.append({**l, **dict.fromkeys(right_columns)})
+    if join_type in (JoinType.RIGHT, JoinType.FULL):
+        out.extend(
+            {**dict.fromkeys(left_columns), **r}
+            for j, r in enumerate(right) if j not in matched
+        )
+    return out
+
+
+def canonical(rows) -> list:
+    return sorted(repr(sorted(row.items())) for row in rows)
+
+
+def keyed(pairs, names) -> list[dict]:
+    return [dict(zip(names, (i, *pair))) for i, pair in enumerate(pairs)]
+
+
+def hash_join(join_type, left_op, right, left_keys, right_keys, **kwargs):
+    return HashJoinOperator(
+        left_op,
+        RowSource(right, RIGHT, block_rows=3),
+        [ColumnRef(k) for k in left_keys],
+        [ColumnRef(k) for k in right_keys],
+        join_type,
+        left_columns=list(left_op_columns(left_op)),
+        right_columns=RIGHT,
+        **kwargs,
+    )
+
+
+def left_op_columns(op):
+    return op.columns if isinstance(op, ScanOperator) else LEFT
+
+
+def merge_join(join_type, left, right, left_keys, right_keys):
+    def sort(rows, names, keys):
+        source = RowSource(rows, names, block_rows=4)
+        return SortOperator(source, [SortKey(ColumnRef(k)) for k in keys])
+
+    return MergeJoinOperator(
+        sort(left, LEFT, left_keys),
+        sort(right, RIGHT, right_keys),
+        [ColumnRef(k) for k in left_keys],
+        [ColumnRef(k) for k in right_keys],
+        join_type,
+        LEFT,
+        RIGHT,
+    )
+
+
+def pairs(pool):
+    key = st.sampled_from(pool)
+    return st.lists(st.tuples(key, key), max_size=24)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    left=pairs(KEYS), right=pairs(KEYS), width=st.sampled_from([1, 2]),
+    block_rows=st.integers(1, 7),
+)
+def test_hash_join_alone_and_sharing_a_build_equal_the_oracle(
+    left, right, width, block_rows
+):
+    left, right = keyed(left, LEFT), keyed(right, RIGHT)
+    lk, rk = LEFT[1 : 1 + width], RIGHT[1 : 1 + width]
+    for join_type in FLAVOURS:
+        want = canonical(oracle(join_type, left, right, lk, rk))
+        alone = hash_join(join_type, RowSource(left, LEFT, block_rows), right, lk, rk)
+        assert canonical(alone.rows()) == want, join_type
+        assert alone.execution_mode() in ("kernel", "-")  # "-": no probe block
+
+        shared: dict = {}
+        whole = join_type in (JoinType.RIGHT, JoinType.FULL)
+        parts = [left] * 3 if whole else [left[i::3] for i in range(3)]
+        fragments = [
+            hash_join(join_type, RowSource(part, LEFT, block_rows), right, lk, rk,
+                      shared_build=shared)
+            for part in parts
+        ]
+        outputs = [canonical(fragment.rows()) for fragment in fragments]
+        assert all(f.children[1].pulls == 0 for f in fragments[1:]), "built twice"
+        if whole:
+            assert outputs == [want] * 3, join_type
+        else:
+            assert sorted(sum(outputs, [])) == want, join_type
+
+
+@settings(max_examples=80, deadline=None)
+@given(left=pairs(ORDERED_KEYS), right=pairs(ORDERED_KEYS), width=st.sampled_from([1, 2]))
+def test_switched_hash_join_and_merge_join_equal_the_oracle(left, right, width):
+    left, right = keyed(left, LEFT), keyed(right, RIGHT)
+    lk, rk = LEFT[1 : 1 + width], RIGHT[1 : 1 + width]
+    for join_type in FLAVOURS:
+        want = canonical(oracle(join_type, left, right, lk, rk))
+        switched = hash_join(
+            join_type, RowSource(left, LEFT, 5), right, lk, rk, max_build_rows=1
+        )
+        assert canonical(switched.rows()) == want, join_type
+        assert switched.switched_to_merge == (len(right) > 1)
+        merged = merge_join(join_type, left, right, lk, rk)
+        assert canonical(merged.rows()) == want, join_type
+
+
+# -- probe keys as storage hands them over ------------------------------------
+
+PROBE = ["l_id", "r", "k", "p"]
+
+
+@pytest.fixture(scope="module")
+def probe_storage(tmp_path_factory):
+    """``r`` RLE (the sort column), ``k`` BLOCK_DICT, ``p`` PLAIN with
+    NULLs: three containers plus rows still in the WOS."""
+    table = TableDefinition("probe", [ColumnDef(name, types.INTEGER) for name in PROBE])
+    projection = super_projection(
+        table, sort_order=["r", "l_id"],
+        encodings={"r": "RLE", "k": "BLOCK_DICT", "p": "PLAIN"},
+    )
+    manager = StorageManager(str(tmp_path_factory.mktemp("probe") / "n"))
+    manager.register_projection(projection, table)
+    rows = [
+        {"l_id": i, "r": i // 50 % 6, "k": i * 7 % 5, "p": None if i % 7 == 0 else i % 4}
+        for i in range(900)
+    ]
+    for start in range(0, 600, 200):
+        manager.insert("probe_super", rows[start : start + 200], epoch=1, direct_to_ros=True)
+    manager.insert("probe_super", rows[600:], epoch=1)
+    kinds = {
+        name: {type(block.columns[name]) for block in _scan(manager).blocks()}
+        for name in ("r", "k")
+    }
+    assert RleVector in kinds["r"] and DictVector in kinds["k"], kinds
+    return manager, sorted(_scan(manager).rows(), key=lambda row: row["l_id"])
+
+
+def _scan(manager):
+    return ScanOperator(manager, "probe_super", 1, PROBE)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    right=pairs([None, 0, 1, 1.0, True, False, 3, -0.0, 9, NAN]),
+    keys=st.sampled_from([("r",), ("k",), ("p",), ("r", "k"), ("k", "p")]),
+    sip=st.booleans(),
+)
+def test_encoded_probe_keys_equal_the_oracle(probe_storage, right, keys, sip):
+    manager, scanned = probe_storage
+    right = keyed(right, RIGHT)
+    rk = RIGHT[1 : 1 + len(keys)]
+    for join_type in FLAVOURS:
+        want = canonical(oracle(join_type, scanned, right, keys, rk))
+        scan = _scan(manager)
+        join = hash_join(join_type, scan, right, list(keys), rk)
+        if sip and join_type in (JoinType.INNER, JoinType.SEMI):
+            scan.sip_filters.append(join.make_sip_filter([ColumnRef(k) for k in keys]))
+        assert canonical(join.rows()) == want, (join_type, keys)
+
+
+@pytest.mark.parametrize("join_type", [JoinType.INNER, JoinType.FULL])
+def test_a_fan_out_is_cut_into_vector_sized_blocks(join_type):
+    left = keyed([(7, 0)] * 3 + [(8, 0)], LEFT)
+    right = keyed([(7, 0)] * 2000 + [(6, 0)], RIGHT)
+    join = hash_join(join_type, RowSource(left, LEFT, block_rows=4), right, ["a"], ["c"])
+    blocks = list(join.blocks())
+    assert max(block.row_count for block in blocks) == VECTOR_SIZE
+    out = [row for block in blocks for row in block.to_rows()]
+    assert canonical(out) == canonical(oracle(join_type, left, right, ["a"], ["c"]))

@@ -28,9 +28,9 @@ from collections import Counter, defaultdict
 from itertools import compress
 from operator import itemgetter, ne, or_
 
+from ...types import any_nan
 from ..expressions import ColumnRef
-from .vectors import ColumnVector, DictVector, RleVector
-from .vectors import any_nan, as_list, null_count_of
+from .vectors import ColumnVector, DictVector, RleVector, as_list, null_count_of
 
 #: The one object every NaN group key becomes: NaN keys are one group (as
 #: NULL keys are), and a dict finds an equal-by-identity key.
@@ -95,7 +95,7 @@ def absorb_block_kernel(core, groups: dict, block) -> None:
             _fold_buckets(core, groups, first.codes, keys, args)
             return
         key_lists = [key_values(column) for column in key_columns]
-        starts = _run_starts(key_lists, row_count)
+        starts = run_starts(key_lists, row_count)
         if not in_runs and 2 * len(starts) > row_count:
             _fold_buckets(core, groups, zip(*key_lists), None, args)
             return
@@ -115,8 +115,11 @@ def _group(core, groups: dict, key: tuple) -> list:
     return accumulators
 
 
-def _run_starts(key_lists: list[list], row_count: int) -> list[int]:
-    """The positions whose key differs from the row before (and 0)."""
+def run_starts(key_lists: list[list], row_count: int) -> list[int]:
+    """The positions whose key differs from the row before (and 0; only
+    0 with no key)."""
+    if not key_lists:
+        return [0]
     changed = None
     for values in key_lists:
         flags = map(ne, values[1:], values)

@@ -26,7 +26,7 @@ once per statement.
 
 from __future__ import annotations
 
-from operator import ne
+from ...types import any_nan
 
 
 class ColumnVector:
@@ -180,19 +180,6 @@ def as_list(column) -> list:
     if isinstance(column, ColumnVector):
         return column.values()
     return column
-
-
-def any_nan(scalars) -> bool:
-    """Whether a NaN is among ``scalars``: only a NaN differs from
-    itself.  Machine numbers are settled by one ``sum``; anything else
-    (a NULL, a string, an integer past a float) by comparing."""
-    try:
-        total = sum(scalars)
-        if total == total:  # one NaN would have poisoned the sum
-            return False
-    except (TypeError, OverflowError):  # not (only) machine numbers
-        pass
-    return any(map(ne, scalars, scalars))
 
 
 def null_count_of(column) -> int | None:

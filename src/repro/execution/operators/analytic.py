@@ -7,15 +7,27 @@ Supported functions: ROW_NUMBER, RANK, DENSE_RANK, and the aggregate
 functions COUNT/SUM/AVG/MIN/MAX over a window.  With an ORDER BY the
 aggregates are *running* (rows from partition start to the current row,
 peers included); without one they cover the whole partition.
+
+One permutation orders the input by (partition keys, then order keys)
+under the ordering rule every sort shares
+(:func:`repro.types.sort_permutation`), the input columns are gathered
+through it, and each function is one fold over the permuted columns: it
+resets where a partition starts and hands every row of a peer group —
+rows with equal ordering keys, so all NULLs are peers and so are all
+NaNs — the value it reached at the group's end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from ...errors import ExecutionError
-from ...types import sort_key
+from ...types import ordering_keys, sort_permutation
+from ..aggregates import Accumulator
 from ..expressions import Expr
+from ..kernels.aggregate import run_starts
+from ..kernels.vectors import as_list
 from ..row_block import VECTOR_SIZE, RowBlock
 from .base import Operator
 
@@ -59,26 +71,12 @@ class WindowSpec:
         return f"{self.func}({inner}) OVER ({' '.join(over)})"
 
 
-class _Desc:
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value
-
-    def __lt__(self, other):
-        return other.value < self.value
-
-    def __eq__(self, other):
-        return self.value == other.value
-
-
 class AnalyticOperator(Operator):
     """Computes one window function, appending its output column.
 
-    Materializes the input (window semantics require it), partitions,
-    orders within partitions, computes, and re-emits rows in the
-    computed order.  Chain several AnalyticOperators for several
-    window functions.
+    Materializes the input (window semantics require it) and re-emits it
+    permuted into (partition, order) order.  Chain several
+    AnalyticOperators for several window functions.
     """
 
     op_name = "Analytic"
@@ -88,96 +86,55 @@ class AnalyticOperator(Operator):
         self.spec = spec
 
     def _produce(self):
-        rows: list[dict] = []
-        for block in self.children[0].blocks():
-            rows.extend(block.to_rows())
-        if not rows:
+        blocks = [block for block in self.children[0].blocks() if block.row_count]
+        if not blocks:
             return
-        partitions: dict[tuple, list[dict]] = {}
-        for row in rows:
-            key = tuple(
-                sort_key(expr.evaluate_row(row)) for expr in self.spec.partition_by
-            )
-            partitions.setdefault(key, []).append(row)
-        out_rows: list[dict] = []
-        for key in sorted(partitions, key=repr):
-            out_rows.extend(self._compute_partition(partitions[key]))
-        column_names = list(out_rows[0])
-        for start in range(0, len(out_rows), VECTOR_SIZE):
-            yield RowBlock.from_rows(
-                out_rows[start : start + VECTOR_SIZE], column_names
-            )
-
-    def _order_key(self, row: dict):
-        parts = []
-        for expr, ascending in self.spec.order_by:
-            value = sort_key(expr.evaluate_row(row))
-            parts.append(value if ascending else _Desc(value))
-        return tuple(parts)
-
-    def _compute_partition(self, rows: list[dict]) -> list[dict]:
         spec = self.spec
-        if spec.order_by:
-            rows = sorted(rows, key=self._order_key)
-        name = spec.output_name
-        if spec.func == "ROW_NUMBER":
-            return [{**row, name: index + 1} for index, row in enumerate(rows)]
-        if spec.func in ("RANK", "DENSE_RANK"):
-            out = []
-            rank = 0
-            dense = 0
-            previous_key = object()
-            for index, row in enumerate(rows):
-                key = self._order_key(row)
-                if key != previous_key:
-                    rank = index + 1
-                    dense += 1
-                    previous_key = key
-                out.append({**row, name: rank if spec.func == "RANK" else dense})
-            return out
-        return self._compute_window_aggregate(rows)
+        whole = RowBlock.concat(blocks)
+        count = whole.row_count
+        exprs = spec.partition_by + [expr for expr, _ in spec.order_by]
+        keys = [as_list(expr.compiled()(whole)) for expr in exprs]
+        if keys:
+            descending = [False] * len(spec.partition_by)
+            descending += [not ascending for _, ascending in spec.order_by]
+            order = sort_permutation(keys, descending)
+            whole = whole.select_rows(order)
+            keys = [list(map(values.__getitem__, order)) for values in keys]
+        keyed = [ordering_keys([values]) for values in keys]
+        partitions = run_starts(keyed[: len(spec.partition_by)], count)
+        peers = run_starts(keyed, count) + [count]
+        yield from whole.with_column(
+            spec.output_name, self._fold(whole, set(partitions), peers)
+        ).slices(VECTOR_SIZE)
 
-    def _compute_window_aggregate(self, rows: list[dict]) -> list[dict]:
-        spec = self.spec
-        values = [
-            None if spec.arg is None else spec.arg.evaluate_row(row) for row in rows
-        ]
-        if not spec.order_by:
-            total = self._aggregate(values, count_star=spec.arg is None)
-            return [{**row, spec.output_name: total} for row in rows]
-        # running aggregate with peer rows included (RANGE UNBOUNDED
-        # PRECEDING .. CURRENT ROW, the SQL default)
-        out: list[dict] = []
-        keys = [self._order_key(row) for row in rows]
-        index = 0
-        while index < len(rows):
-            peer_end = index + 1
-            while peer_end < len(rows) and keys[peer_end] == keys[index]:
-                peer_end += 1
-            running = self._aggregate(
-                values[:peer_end], count_star=spec.arg is None
-            )
-            for position in range(index, peer_end):
-                out.append({**rows[position], spec.output_name: running})
-            index = peer_end
+    def _fold(self, whole: RowBlock, partitions: set, peers: list[int]) -> list:
+        """The function's value per row of the permuted input: a fold over
+        the peer groups ``peers[i]:peers[i + 1]``, restarted at every
+        position in ``partitions``."""
+        func, arg = self.spec.func, self.spec.arg
+        values = None if arg is None else as_list(arg.compiled()(whole))
+        out: list = []
+        for start, stop in zip(peers, peers[1:]):
+            if start in partitions:
+                first, dense = start, 0
+                accumulator = Accumulator(func, distinct=False)
+            dense += 1
+            if func == "ROW_NUMBER":
+                out.extend(range(start - first + 1, stop - first + 1))
+                continue
+            if func == "RANK":
+                value = start - first + 1
+            elif func == "DENSE_RANK":
+                value = dense
+            else:
+                if values is None:
+                    accumulator.add_count_star(stop - start)
+                else:
+                    for item in values[start:stop]:
+                        accumulator.add(item)
+                value = accumulator.final()
+            out.extend(repeat(value, stop - start))
         return out
-
-    def _aggregate(self, values: list, count_star: bool):
-        func = self.spec.func
-        if func == "COUNT":
-            if count_star:
-                return len(values)
-            return sum(1 for value in values if value is not None)
-        concrete = [value for value in values if value is not None]
-        if not concrete:
-            return None
-        if func == "SUM":
-            return sum(concrete)
-        if func == "AVG":
-            return sum(concrete) / len(concrete)
-        if func == "MIN":
-            return min(concrete)
-        return max(concrete)
 
     def label(self) -> str:
         return f"Analytic({self.spec.describe()})"

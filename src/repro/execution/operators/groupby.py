@@ -280,11 +280,7 @@ class GroupByHashOperator(Operator):
         if spill_files is not None:
             for spill in spill_files:
                 partition_groups: dict = {}
-                schema = partial_core.key_names + [
-                    spec.output_name for spec in partial_core.specs
-                ]
-                for rows in spill.read_batches():
-                    partial_block = RowBlock.from_rows(rows, schema)
+                for partial_block in spill.read_blocks():
                     partial_core.absorb_block(partition_groups, partial_block)
                 spill.close()
                 yield from self._emit(partition_groups, partial_core)
@@ -294,10 +290,7 @@ class GroupByHashOperator(Operator):
         yield from self._emit(groups, self.core)
         if overflow is not None:
             again = GroupByHashOperator(
-                SourceBlocks(
-                    RowBlock.from_rows(rows, list(rows[0]))
-                    for rows in overflow.read_batches()
-                ),
+                SourceBlocks(overflow.read_blocks()),
                 self.core.key_exprs,
                 self.core.key_names,
                 self.output_specs,
@@ -314,7 +307,7 @@ class GroupByHashOperator(Operator):
         known = [key in groups for key in zip(*self.core.key_columns(block))]
         rest = block.filter([not flag for flag in known])
         if rest.row_count:
-            overflow.write_batch(rest.to_rows())
+            overflow.write_block(rest)
         return block.filter(known)
 
     def _check_conservation(self, groups: dict) -> None:
@@ -348,15 +341,12 @@ class GroupByHashOperator(Operator):
     def _spill_partials(
         self, block: RowBlock, partial_core: _AggregationCore, spill_files
     ) -> None:
-        key_columns = partial_core.key_columns(block)
-        rows = block.to_rows()
-        buckets: list[list] = [[] for _ in spill_files]
-        for index, row in enumerate(rows):
-            key = tuple(column[index] for column in key_columns)
-            buckets[hash(key) % len(spill_files)].append(row)
+        buckets: list[list[int]] = [[] for _ in spill_files]
+        for index, key in enumerate(zip(*partial_core.key_columns(block))):
+            buckets[hash(key) % len(spill_files)].append(index)
         for spill, bucket in zip(spill_files, buckets):
             if bucket:
-                spill.write_batch(bucket)
+                spill.write_block(block.select_rows(bucket))
 
     def _emit(self, groups: dict, core: _AggregationCore):
         items = list(groups.items())

@@ -27,8 +27,9 @@ from itertools import chain, compress, repeat
 
 from ...errors import ExecutionError
 from ...monitor import METRICS
-from ...types import sort_key
+from ...types import NAN_LAST, ordering_keys
 from ..expressions import Expr
+from ..kernels.aggregate import run_starts
 from ..kernels.selection import Selection
 from ..kernels.vectors import as_list
 from ..resource import ResourcePool
@@ -49,36 +50,43 @@ class JoinType(str, Enum):
     ANTI = "ANTI"
 
 
-class _JoinEmitter:
-    """Buffers joined rows into vector-sized output blocks."""
-
-    def __init__(self, column_names: list[str]):
-        self.column_names = column_names
-        self._pending: list[dict] = []
-
-    def emit(self, row: dict):
-        self._pending.append(row)
-        if len(self._pending) >= VECTOR_SIZE:
-            return self.flush()
-        return None
-
-    def flush(self):
-        if not self._pending:
-            return None
-        block = RowBlock.from_rows(self._pending, self.column_names)
-        self._pending = []
-        return block
-
-
-def _join_keys(block: RowBlock, key_runs) -> list:
-    """Every row's join key: the value itself for one key column, a
-    tuple for several (None when a part is NULL), ``()`` for none."""
-    columns = [as_list(run(block)) for run in key_runs]
+def _join_keys(columns: list[list], row_count: int) -> list:
+    """Every row's join key over its key ``columns``: the value itself
+    for one column, a tuple for several (None when a part is NULL),
+    ``()`` for none."""
     if len(columns) == 1:
         return columns[0]
     if not columns:  # no equi-key: a cross product
-        return [()] * block.row_count
+        return [()] * row_count
     return [None if None in key else key for key in zip(*columns)]
+
+
+def _key_columns(block: RowBlock, key_runs) -> list[list]:
+    return [as_list(run(block)) for run in key_runs]
+
+
+def _null_row(names: list[str]) -> RowBlock:
+    """One row of NULLs: what a row that matched nothing is joined to."""
+    return RowBlock({name: [None] for name in names}, 1)
+
+
+def _gather(probe: RowBlock, rows, build: RowBlock | None, at):
+    """Output blocks: the probe rows at ``rows`` — a Selection, so their
+    columns keep their encoding, or positions — beside the ``build`` rows
+    at ``at`` (none for SEMI / ANTI).  Gathered blocks are cut at
+    VECTOR_SIZE; a selected one has at most the probe block's rows."""
+    if isinstance(rows, Selection):
+        if rows.count:
+            columns = {n: rows.apply(v) for n, v in probe.columns.items()}
+            if build is not None:
+                columns.update(build.select_rows(at).columns)
+            yield RowBlock(columns, rows.count)
+        return
+    for start in range(0, len(rows), VECTOR_SIZE):
+        window = slice(start, start + VECTOR_SIZE)
+        columns = probe.select_rows(rows[window]).columns
+        columns.update(build.select_rows(at[window]).columns)
+        yield RowBlock(columns, len(rows[window]))
 
 
 class _HashBuild:
@@ -89,9 +97,11 @@ class _HashBuild:
 
     def __init__(self, blocks: list[RowBlock], names: list[str], key_exprs):
         runs = [key.compiled() for key in key_exprs]
-        keys = list(chain.from_iterable(_join_keys(block, runs) for block in blocks))
+        keys = list(chain.from_iterable(
+            _join_keys(_key_columns(block, runs), block.row_count) for block in blocks
+        ))
         self.row_count = count = len(keys)
-        nulls = RowBlock({name: [None] for name in names}, 1)
+        nulls = _null_row(names)
         self.block = RowBlock.concat([*(block.project(names) for block in blocks), nulls])
         table: dict = dict(zip(keys, range(count)))
         table.pop(None, None)
@@ -200,12 +210,12 @@ class HashJoinOperator(Operator):
             self.kernel_blocks += 1
             METRICS.inc("executor.kernel_blocks")
             probe = block.project(self.left_columns)
-            keys = _join_keys(block, key_runs)
+            keys = _join_keys(_key_columns(block, key_runs), block.row_count)
             if join_type in (JoinType.SEMI, JoinType.ANTI):
                 hits = list(map(table.__contains__, keys))
                 if join_type is JoinType.ANTI:
                     hits = [not hit for hit in hits]
-                yield from self._gather(probe, Selection.from_mask(hits), None, None)
+                yield from _gather(probe, Selection.from_mask(hits), None, None)
                 continue
             found = list(map(table.get, keys))
             if not build.unique:  # a probe row may match several build rows
@@ -228,30 +238,11 @@ class HashJoinOperator(Operator):
             if matched is not None:
                 for position in at:
                     matched[position] = 1
-            yield from self._gather(probe, rows, build, at)
+            yield from _gather(probe, rows, build.block, at)
         if matched is not None:
             unmatched = [position for position in range(null) if not matched[position]]
-            nulls = RowBlock({name: [None] for name in self.left_columns}, 1)
-            yield from self._gather(nulls, [0] * len(unmatched), build, unmatched)
-
-    @staticmethod
-    def _gather(probe: RowBlock, rows, build, at):
-        """Output blocks: the probe rows at ``rows`` — a Selection, so
-        their columns keep their encoding, or positions — beside the build
-        rows at ``at`` (none for SEMI / ANTI).  Gathered blocks are cut at
-        VECTOR_SIZE; a selected one has at most the probe block's rows."""
-        if isinstance(rows, Selection):
-            if rows.count:
-                columns = {n: rows.apply(v) for n, v in probe.columns.items()}
-                if build is not None:
-                    columns.update(build.block.select_rows(at).columns)
-                yield RowBlock(columns, rows.count)
-            return
-        for start in range(0, len(rows), VECTOR_SIZE):
-            window = slice(start, start + VECTOR_SIZE)
-            columns = probe.select_rows(rows[window]).columns
-            columns.update(build.block.select_rows(at[window]).columns)
-            yield RowBlock(columns, len(rows[window]))
+            nulls = _null_row(self.left_columns)
+            yield from _gather(nulls, [0] * len(unmatched), build.block, unmatched)
 
     def _merge_fallback(self, right_blocks):
         """Complete the join as an external sort-merge join over the
@@ -285,8 +276,85 @@ class HashJoinOperator(Operator):
         return f"{algorithm}[{self.join_type.value}]({keys})"
 
 
+class _Chunk:
+    """Rows of one sorted join input and their keys: ``rows`` (every input
+    column) and ``block`` (the join's), per row the ordering key ``order``
+    and the join key ``join`` (None where a part is NULL), ``starts``:
+    where each run of equal ordering keys starts, then where the last run
+    ends, and ``matched``: which rows found a partner."""
+
+    def __init__(self, rows: RowBlock, key_runs, names: list[str]):
+        columns = _key_columns(rows, key_runs)
+        count = rows.row_count
+        self.rows = rows
+        self.block = rows.project(names)
+        self.join = _join_keys(columns, count)
+        self.order = ordering_keys(columns) if columns else self.join
+        self.starts = [*run_starts([self.order], count), count]
+        self.matched = bytearray(count)
+
+    def alone(self) -> list[int]:
+        """The rows of its runs that found no partner."""
+        return [row for row in range(self.starts[-1]) if not self.matched[row]]
+
+
+def _chunks(operator: Operator, key_exprs: list[Expr], names: list[str]):
+    """The sorted input of ``operator`` as chunks that never split a run
+    of equal keys: a block's last run is held back and joins the next
+    block's rows — held as blocks while it goes on, so one long run costs
+    one concatenation, and only one run is ever held."""
+    key_runs = [key.compiled() for key in key_exprs]
+    held: list[RowBlock] = []
+    for rows in operator.blocks():
+        if not rows.row_count:
+            continue
+        chunk = _Chunk(rows, key_runs, names)
+        if held and len(chunk.starts) == 2 and chunk.order[0] == held_key:
+            held.append(rows)  # the held run goes on through this block
+            continue
+        if held:
+            chunk = _Chunk(RowBlock.concat([*held, rows]), key_runs, names)
+        last = chunk.starts[-2]
+        held = [chunk.rows.select_rows(range(last, chunk.rows.row_count))]
+        held_key = chunk.order[last]
+        if last:
+            chunk.starts.pop()
+            yield chunk
+    if held:
+        yield _Chunk(RowBlock.concat(held), key_runs, names)
+
+
+def _pairs(left: _Chunk, start: int, stop: int, right: _Chunk, run: int) -> list:
+    """``(left row, right positions)`` for the left rows ``start:stop``
+    (one run) and the right ``run`` of the same ordering key: the whole
+    run each — except that a key with a NULL part matches nothing and a
+    NaN only itself (a dict's rule, the hash build's)."""
+    low, high = right.starts[run], right.starts[run + 1]
+    if left.join[start] is None or right.join[low] is None:
+        return []
+    key = left.order[start]
+    if not (key is NAN_LAST or type(key) is tuple and NAN_LAST in key):
+        return [(row, range(low, high)) for row in range(start, stop)]
+    table = defaultdict(list)
+    for position in range(low, high):
+        table[right.join[position]].append(position)
+    return [
+        (row, table[left.join[row]])
+        for row in range(start, stop)
+        if left.join[row] in table
+    ]
+
+
 class MergeJoinOperator(Operator):
-    """Merge join over inputs sorted ascending on the join keys."""
+    """Merge join over inputs sorted on the join keys under the ordering
+    rule (NULL first, NaN last: what a Sort emits).
+
+    Two pointers walk the sorted key columns, a left block at a time
+    against the right input's chunks; each left run finds its right run,
+    and the pairs are gathered as the hash join gathers its probes:
+    positions into the left block beside positions into the right chunk,
+    the NULL row for a preserved row that matched nothing.
+    """
 
     op_name = "MergeJoin"
 
@@ -307,110 +375,56 @@ class MergeJoinOperator(Operator):
         self.left_columns = left_columns
         self.right_columns = right_columns
 
-    def _output_columns(self) -> list[str]:
-        if self.join_type in (JoinType.SEMI, JoinType.ANTI):
-            return list(self.left_columns)
-        return list(self.left_columns) + list(self.right_columns)
-
-    @staticmethod
-    def _row_stream(operator: Operator, keys: list[Expr]):
-        runs = [key.compiled() for key in keys]
-        for block in operator.blocks():
-            key_columns = [as_list(run(block)) for run in runs]
-            rows = block.to_rows()
-            for index, row in enumerate(rows):
-                raw = tuple(column[index] for column in key_columns)
-                yield (tuple(sort_key(v) for v in raw), None in raw, row)
-
-    @staticmethod
-    def _next_group(stream, lookahead):
-        """Pull the next run of equal-key rows; returns
-        (key, has_null, rows, new_lookahead) or None at end."""
-        if lookahead is None:
-            try:
-                lookahead = next(stream)
-            except StopIteration:
-                return None
-        key, has_null, row = lookahead
-        rows = [row]
-        while True:
-            try:
-                lookahead = next(stream)
-            except StopIteration:
-                return key, has_null, rows, None
-            if lookahead[0] != key:
-                return key, has_null, rows, lookahead
-            rows.append(lookahead[2])
-
     def _produce(self):
-        emitter = _JoinEmitter(self._output_columns())
-        left_stream = self._row_stream(self.children[0], self.left_keys)
-        right_stream = self._row_stream(self.children[1], self.right_keys)
-        left_group = self._next_group(left_stream, None)
-        right_group = self._next_group(right_stream, None)
-        preserve_left = self.join_type in (JoinType.LEFT, JoinType.FULL)
-        preserve_right = self.join_type in (JoinType.RIGHT, JoinType.FULL)
-        while left_group is not None and right_group is not None:
-            left_key, left_null, left_rows, left_next = left_group
-            right_key, right_null, right_rows, right_next = right_group
-            if left_null or left_key < right_key:
-                yield from self._left_unmatched(emitter, left_rows, preserve_left)
-                left_group = self._next_group(left_stream, left_next)
-            elif right_null or right_key < left_key:
-                yield from self._right_unmatched(emitter, right_rows, preserve_right)
-                right_group = self._next_group(right_stream, right_next)
-            else:
-                yield from self._matched(emitter, left_rows, right_rows)
-                left_group = self._next_group(left_stream, left_next)
-                right_group = self._next_group(right_stream, right_next)
-        while left_group is not None:
-            _, _, left_rows, left_next = left_group
-            yield from self._left_unmatched(emitter, left_rows, preserve_left)
-            left_group = self._next_group(left_stream, left_next)
-        while right_group is not None:
-            _, _, right_rows, right_next = right_group
-            yield from self._right_unmatched(emitter, right_rows, preserve_right)
-            right_group = self._next_group(right_stream, right_next)
-        final = emitter.flush()
-        if final is not None:
-            yield final
-
-    def _matched(self, emitter, left_rows, right_rows):
-        if self.join_type is JoinType.SEMI:
-            for left_row in left_rows:
-                block = emitter.emit(left_row)
-                if block is not None:
-                    yield block
-            return
-        if self.join_type is JoinType.ANTI:
-            return
-        for left_row in left_rows:
-            for right_row in right_rows:
-                block = emitter.emit({**left_row, **right_row})
-                if block is not None:
-                    yield block
-
-    def _left_unmatched(self, emitter, left_rows, preserve: bool):
-        if self.join_type is JoinType.ANTI:
-            for left_row in left_rows:
-                block = emitter.emit(left_row)
-                if block is not None:
-                    yield block
-            return
-        if not preserve:
-            return
-        for left_row in left_rows:
-            block = emitter.emit({**left_row, **dict.fromkeys(self.right_columns)})
-            if block is not None:
-                yield block
-
-    def _right_unmatched(self, emitter, right_rows, preserve: bool):
-        if not preserve:
-            return
-        for right_row in right_rows:
-            block = emitter.emit({**dict.fromkeys(self.left_columns), **right_row})
-            if block is not None:
-                yield block
+        join_type = self.join_type
+        filtering = join_type in (JoinType.SEMI, JoinType.ANTI)
+        preserve_right = join_type in (JoinType.RIGHT, JoinType.FULL)
+        no_left, no_right = _null_row(self.left_columns), _null_row(self.right_columns)
+        key_runs = [key.compiled() for key in self.left_keys]
+        chunks = _chunks(self.children[1], self.right_keys, self.right_columns)
+        chunk, run = next(chunks, None), 0
+        for block in self.children[0].blocks():
+            if not block.row_count:
+                continue
+            left = _Chunk(block, key_runs, self.left_columns)
+            rows, at = [], []  # left rows beside positions into ``chunk``
+            for start, stop in zip(left.starts, left.starts[1:]):
+                key = left.order[start]
+                while chunk is not None:
+                    if run == len(chunk.starts) - 1:  # past its last run
+                        yield from _gather(left.block, rows, chunk.block, at)
+                        rows, at = [], []
+                        if preserve_right:
+                            alone = chunk.alone()
+                            yield from _gather(no_left, [0] * len(alone), chunk.block, alone)
+                        chunk, run = next(chunks, None), 0
+                    elif chunk.order[chunk.starts[run]] < key:
+                        run += 1
+                    else:
+                        break
+                if chunk is None or chunk.order[chunk.starts[run]] != key:
+                    continue
+                for row, positions in _pairs(left, start, stop, chunk, run):
+                    left.matched[row] = 1
+                    if not filtering:
+                        rows.extend(repeat(row, len(positions)))
+                        at.extend(positions)
+                    if preserve_right:
+                        for position in positions:
+                            chunk.matched[position] = 1
+            if filtering:
+                keep = [flag == (join_type is JoinType.SEMI) for flag in left.matched]
+                yield from _gather(left.block, Selection.from_mask(keep), None, None)
+                continue
+            if chunk is not None:
+                yield from _gather(left.block, rows, chunk.block, at)
+            if join_type in (JoinType.LEFT, JoinType.FULL):
+                alone = left.alone()
+                yield from _gather(left.block, alone, no_right, [0] * len(alone))
+        for chunk in chain([chunk] if chunk else [], chunks):
+            if preserve_right:
+                alone = chunk.alone()
+                yield from _gather(no_left, [0] * len(alone), chunk.block, alone)
 
     def label(self) -> str:
         keys = ", ".join(

@@ -21,6 +21,9 @@ import tempfile
 from dataclasses import dataclass, field
 
 from ..errors import ResourceExceededError
+from ..types import any_nan
+from .kernels.vectors import as_list
+from .row_block import RowBlock
 
 
 @dataclass
@@ -81,25 +84,43 @@ class ResourcePool:
 
 
 class SpillFile:
-    """A temp file of pickled row batches, for externalizing operators."""
+    """A temp file of blocks, for externalizing operators: the one spill
+    format (Sort's sorted runs, GroupBy's partials and overflow rows).
+    A block is written as its plain column lists, so an encoded vector
+    comes back decoded and nothing it was cut from rides along.
+
+    A block comes back holding the values it was written with — a NaN
+    the very object, which is all that tells two NaNs apart to a dict
+    (the join key rule) and which pickling would replace: the file keeps
+    the NaNs it writes, and their positions, in memory."""
 
     def __init__(self):
         self._handle = tempfile.NamedTemporaryFile(
             mode="w+b", suffix=".spill", delete=False
         )
-        self.batches = 0
+        #: per block written: column name -> [(position, NaN)]
+        self._nans: list[dict] = []
 
-    def write_batch(self, rows: list) -> None:
-        """Append one batch of rows."""
-        pickle.dump(rows, self._handle)
-        self.batches += 1
+    def write_block(self, block: RowBlock) -> None:
+        """Append one block."""
+        columns = {name: as_list(values) for name, values in block.columns.items()}
+        pickle.dump((columns, block.row_count), self._handle)
+        self._nans.append({
+            name: [(i, value) for i, value in enumerate(values) if value != value]
+            for name, values in columns.items()
+            if any_nan(values)
+        })
 
-    def read_batches(self):
-        """Yield batches back in write order."""
+    def read_blocks(self):
+        """Yield the blocks back in write order."""
         self._handle.flush()
         self._handle.seek(0)
-        for _ in range(self.batches):
-            yield pickle.load(self._handle)
+        for nans in self._nans:
+            columns, row_count = pickle.load(self._handle)
+            for name, found in nans.items():
+                for position, value in found:
+                    columns[name][position] = value
+            yield RowBlock(columns, row_count)
 
     def close(self) -> None:
         """Close and remove the backing file."""

@@ -35,6 +35,7 @@ from contextlib import contextmanager
 from typing import TYPE_CHECKING, Iterator
 
 from ..errors import InvariantViolation
+from ..types import sort_permutation
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..storage.ros import ROSContainer
@@ -336,6 +337,35 @@ def check_filter_conservation(rows_in: int, rows_out: int) -> None:
         0 <= rows_out <= rows_in,
         f"filter emitted {rows_out} rows from a {rows_in}-row block — "
         "a predicate kernel fabricated or lost track of rows",
+    )
+
+
+def check_sort_output(
+    key_columns: list[list],
+    descending: list[bool],
+    rows_in: int,
+    rows_out: int,
+    limit: int | None,
+) -> None:
+    """A Sort emits every row it took (its first ``limit`` under a limit
+    hint), keys non-decreasing under the one ordering rule: sorted again,
+    stably, the emitted ``key_columns`` stay where they are."""
+    if not enabled():
+        return
+    expected = rows_in if limit is None else min(rows_in, limit)
+    invariant(
+        rows_out == expected,
+        f"sort took {rows_in} rows and emitted {rows_out} (limit {limit}) — "
+        "rows were dropped or invented",
+    )
+    if not key_columns or not rows_out:
+        return
+    order = sort_permutation(key_columns, descending)
+    moved = next((i for i, position in enumerate(order) if i != position), None)
+    invariant(
+        moved is None,
+        f"sort emitted row {moved} out of key order — the output is not "
+        "what the ordering rule sorts it to",
     )
 
 

@@ -66,6 +66,7 @@ metrics registry at module load.
 from __future__ import annotations
 
 from ..errors import SqlAnalysisError, UnknownObjectError
+from ..types import sort_permutation
 
 #: Schema name all virtual tables live under.
 SCHEMA = "v_monitor"
@@ -629,12 +630,6 @@ def table_rows(db, qualified: str) -> tuple[list[str], list[dict]]:
     return list(_COLUMNS[short]), rows
 
 
-def _sort_key(value):
-    # None sorts first; the 1-tuple loses to every (0, value) on the
-    # first element, so mixed None/value columns stay comparable.
-    return (1,) if value is None else (0, value)
-
-
 def execute_monitor_select(session, statement) -> list[dict]:
     """Evaluate a SELECT whose FROM list is entirely ``v_monitor``.
 
@@ -660,13 +655,13 @@ def execute_monitor_select(session, statement) -> list[dict]:
         predicate = analyzer.convert(statement.where, scope)
         rows = [row for row in rows if predicate.evaluate_row(row) is True]
 
-    for expr, ascending in reversed(statement.order_by):
-        key = analyzer.convert(expr, scope)
-        rows = sorted(
-            rows,
-            key=lambda row: _sort_key(key.evaluate_row(row)),
-            reverse=not ascending,
-        )
+    if statement.order_by and rows:
+        keys = [
+            list(map(analyzer.convert(expr, scope).evaluate_row, rows))
+            for expr, _ in statement.order_by
+        ]
+        order = sort_permutation(keys, [not asc for _, asc in statement.order_by])
+        rows = list(map(rows.__getitem__, order))
 
     out_names: list[str] = []
     out_exprs: list = []

@@ -284,6 +284,8 @@ class StorageManager:
             groups[None, 0] = list(range(len(run)))
         for index, key in enumerate(group_keys or ()):
             groups.setdefault(key, []).append(index)
+        # the ordering rule's keys (types.ordering_keys), built once for
+        # every group: each group is one stable pass over them
         sort_keys = run.sort_keys(state.projection.sort_order)
         for (partition_key, local_segment), indexes in sorted(
             groups.items(), key=lambda item: repr(item[0])

@@ -41,7 +41,7 @@ from ..errors import CorruptContainerError, StorageError
 from ..lint import sanitizer
 from ..monitor import METRICS
 from ..projections import ProjectionDefinition
-from ..types import INTEGER, NULL_FIRST
+from ..types import INTEGER, ordering_keys, sort_permutation
 from . import fsio
 from .block import value_bounds
 from .column_file import ColumnReader, ColumnWriter
@@ -158,18 +158,19 @@ class HistoryRun:
         return zip(self.rows(), self.epochs, self.delete_epochs or repeat(None))
 
     def sort_keys(self, sort_order: list[str]) -> list:
-        """One ordering key per row under ``sort_order`` (NULL first):
-        the values of a single sort column, tuples across several —
-        they order rows as ``ProjectionDefinition.sorted_rows`` does."""
-        keyed = [
-            [NULL_FIRST if value is None else value for value in values]
-            if None in values
-            else values
-            for values in map(self.columns.__getitem__, sort_order)
-        ]
-        if len(keyed) == 1:
-            return keyed[0]
-        return list(zip(*keyed)) if keyed else [()] * len(self)
+        """One ordering key per row under ``sort_order``
+        (:func:`repro.types.ordering_keys`) — they order rows as
+        ``ProjectionDefinition.sorted_rows`` does."""
+        if not sort_order:
+            return [()] * len(self)
+        return ordering_keys(list(map(self.columns.__getitem__, sort_order)))
+
+    def sort_permutation(self, sort_order: list[str]) -> list[int]:
+        """The stable permutation ordering the run by ``sort_order``
+        (:func:`repro.types.sort_permutation`)."""
+        if not sort_order:
+            return list(range(len(self)))
+        return sort_permutation(list(map(self.columns.__getitem__, sort_order)))
 
 
 def _json_safe(value):

@@ -130,16 +130,16 @@ class SortedView:
     """One state of a WOS, sorted for scans.
 
     Holds the permutation that sorts the buffered run (the writer's
-    ``HistoryRun.sort_keys``: stable, NULL first), the epochs and
-    markers in that order and, per column asked for, the values gathered
-    through it.  :meth:`batches` serves one snapshot epoch from it; the
-    cut for the last epoch served is kept, so consecutive scans at one
-    epoch — every statement between two commits — share their vectors.
+    ``HistoryRun.sort_permutation``: stable, NULL first, NaN last), the
+    epochs and markers in that order and, per column asked for, the
+    values gathered through it.  :meth:`batches` serves one snapshot
+    epoch from it; the cut for the last epoch served is kept, so
+    consecutive scans at one epoch — every statement between two commits
+    — share their vectors.
     """
 
     def __init__(self, run: HistoryRun, sort_order: list[str]):
-        keys = run.sort_keys(sort_order)
-        order = self._order = sorted(range(len(run)), key=keys.__getitem__)
+        order = self._order = run.sort_permutation(sort_order)
         self._epochs = list(map(run.epochs.__getitem__, order))
         self._delete_epochs = list(map(run.delete_epochs.__getitem__, order))
         #: the WOS's own lists: read until its next mutation drops the view

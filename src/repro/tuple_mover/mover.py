@@ -194,12 +194,11 @@ class TupleMover:
             [self.manager.container_run(projection_name, cid) for cid in merge_ids]
         )
         read = len(inputs)
-        keys = inputs.sort_keys(state.projection.sort_order)
         deletes = inputs.delete_epochs or [None] * read
         merged = inputs.take(
             [
                 index
-                for index in sorted(range(read), key=keys.__getitem__)
+                for index in inputs.sort_permutation(state.projection.sort_order)
                 if deletes[index] is None or deletes[index] > ahm
             ]
         )

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import datetime as _dt
 from dataclasses import dataclass
+from itertools import groupby, repeat
+from operator import itemgetter, ne
 
 from .errors import LoadError, SqlAnalysisError
 
@@ -188,6 +190,101 @@ class _NullOrdering:
 NULL_FIRST = _NullOrdering()
 
 
+class _NanOrdering:
+    """Sentinel that sorts after every number and is equal to itself:
+    the sort key of a float NaN, which compares false with everything,
+    itself included, and so would leave a sort in whatever order its
+    comparisons happened to run."""
+
+    __slots__ = ()
+
+    def __lt__(self, other: object) -> bool:
+        return False
+
+    def __gt__(self, other: object) -> bool:
+        return not isinstance(other, _NanOrdering)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, _NanOrdering)
+
+    def __hash__(self) -> int:
+        return hash("__repro_nan__")
+
+    def __repr__(self) -> str:  # pragma: no cover - trivial
+        return "NAN_LAST"
+
+
+#: Singleton used as the sort key for a float NaN.
+NAN_LAST = _NanOrdering()
+
+
+# -- the ordering rule ---------------------------------------------------
+#
+# Every sort in the system orders by the rule below, written only here:
+# NULL before every value, NaN after every number, all NULLs (and all
+# NaNs) equal to each other, ties kept in input order.  Column-wise
+# callers (the write path, the operators, v_monitor) use
+# ``sort_permutation`` / ``ordering_keys``; ``sort_key`` is the same rule
+# for one value.
+
+
 def sort_key(value: object) -> object:
-    """Return a sort key where NULL orders before any other value."""
-    return NULL_FIRST if value is None else value
+    """Return a sort key where NULL orders before any other value and a
+    NaN after every number."""
+    if value is None:
+        return NULL_FIRST
+    return NAN_LAST if value != value else value
+
+
+def any_nan(scalars) -> bool:
+    """Whether a NaN is among ``scalars``: only a NaN differs from
+    itself.  Machine numbers are settled by one ``sum``; anything else
+    (a NULL, a string, an integer past a float) by comparing."""
+    try:
+        total = sum(scalars)
+        if total == total:  # one NaN would have poisoned the sum
+            return False
+    except (TypeError, OverflowError):  # not (only) machine numbers
+        pass
+    return any(map(ne, scalars, scalars))
+
+
+def _keyed(values: list) -> list:
+    """One column as sort keys: the list itself unless a NULL or a NaN
+    is in it (two C-level passes decide that)."""
+    if None in values or any_nan(values):
+        return list(map(sort_key, values))
+    return values
+
+
+def ordering_keys(columns: list[list]) -> list:
+    """One sort key per row of ``columns`` (equal-length lists, major
+    first): a single column's keys, tuples across several.  Keys compare
+    with ``<`` / ``==`` under the ordering rule."""
+    keyed = list(map(_keyed, columns))
+    return keyed[0] if len(keyed) == 1 else list(zip(*keyed))
+
+
+def sort_permutation(
+    columns: list[list], descending: list[bool] | None = None
+) -> list[int]:
+    """The stable permutation that orders the rows of ``columns`` (major
+    first; at least one) under the ordering rule, term ``i`` descending
+    where ``descending[i]``.
+
+    A sort is this permutation followed by a gather.  All-ascending keys
+    sort in one pass over key tuples (``ordering_keys``: a caller sorting
+    several subsets of one run by the same columns builds them once and
+    sorts each subset by them); otherwise every run of terms of one
+    direction is a stable pass, least significant first, DESC ones with
+    ``reverse=True`` (which keeps ties in input order)."""
+    order = list(range(len(columns[0])))
+    terms = zip(columns, descending or repeat(False))
+    passes = [
+        (reverse, [values for values, _ in run])
+        for reverse, run in groupby(terms, key=itemgetter(1))
+    ]
+    for reverse, run in reversed(passes):
+        keys = ordering_keys(run)
+        order.sort(key=keys.__getitem__, reverse=reverse)
+    return order

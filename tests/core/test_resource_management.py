@@ -5,7 +5,13 @@ import pytest
 
 from repro import ColumnDef, Database, TableDefinition, types
 from repro.errors import ResourceExceededError
-from repro.execution import ResourcePool, SpillFile, WorkloadPolicy
+from repro.execution import (
+    ResourcePool,
+    RleVector,
+    RowBlock,
+    SpillFile,
+    WorkloadPolicy,
+)
 
 
 class TestResourcePool:
@@ -31,16 +37,21 @@ class TestResourcePool:
 class TestSpillFile:
     def test_roundtrip_order(self):
         spill = SpillFile()
-        spill.write_batch([1, 2])
-        spill.write_batch([3])
-        assert list(spill.read_batches()) == [[1, 2], [3]]
+        spill.write_block(RowBlock({"a": [1, 2], "b": ["x", None]}, 2))
+        spill.write_block(RowBlock({"a": RleVector([(3, 2)]), "b": ["y", "z"]}, 2))
+        back = list(spill.read_blocks())
+        assert [block.columns for block in back] == [
+            {"a": [1, 2], "b": ["x", None]},
+            {"a": [3, 3], "b": ["y", "z"]},
+        ]
+        assert [block.row_count for block in back] == [2, 2]
         spill.close()
 
     def test_close_removes_file(self):
         import os
 
         spill = SpillFile()
-        spill.write_batch(["x"])
+        spill.write_block(RowBlock({"a": ["x"]}, 1))
         name = spill._handle.name
         spill.close()
         assert not os.path.exists(name)

@@ -1,8 +1,11 @@
 """Tests for the type system, schema objects and the catalog."""
 
 import datetime
+import functools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import types
 from repro.core.catalog import Catalog
@@ -71,6 +74,52 @@ class TestTypes:
         assert types.NULL_FIRST == types.NULL_FIRST
         assert types.NULL_FIRST < 0
         assert not (types.NULL_FIRST > "z")
+
+    def test_nan_sorts_after_every_number(self):
+        nan = float("nan")
+        values = [nan, 3.0, None, float("inf"), nan, -1.0]
+        ordered = sorted(values, key=types.sort_key)
+        assert ordered[:4] == [None, -1.0, 3.0, float("inf")]
+        assert all(value != value for value in ordered[4:])
+        assert types.sort_key(nan) == types.sort_key(float("nan"))
+        assert types.NULL_FIRST < types.NAN_LAST and not types.NAN_LAST < 1e308
+
+
+def _rank(value):
+    """Plain-Python ordering: NULL, then numbers, then NaN."""
+    if value is None:
+        return (0, 0)
+    return (2, 0) if value != value else (1, value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 3).flatmap(
+        lambda width: st.tuples(
+            st.lists(
+                st.tuples(*[
+                    st.sampled_from([None, float("nan"), -1, 0, 0.0, -0.0, 1, 2.5, True])
+                    for _ in range(width + 1)
+                ]),
+                max_size=40,
+            ),
+            st.lists(st.booleans(), min_size=width + 1, max_size=width + 1),
+        )
+    )
+)
+def test_sort_permutation_is_a_stable_sort_by_the_rule(case):
+    rows, descending = case
+    columns = [list(column) for column in zip(*rows)] or [[]]
+
+    def compare(i, j):
+        for values, desc in zip(columns, descending):
+            a, b = _rank(values[i]), _rank(values[j])
+            if a != b:
+                return (1 if a > b else -1) * (-1 if desc else 1)
+        return -1 if i < j else (1 if i > j else 0)
+
+    want = sorted(range(len(rows)), key=functools.cmp_to_key(compare))
+    assert types.sort_permutation(columns, descending) == want
 
 
 class TestTableDefinition:

@@ -1,12 +1,14 @@
-"""A NaN in a sort column must not make a seek answer from an unsorted
-list.
+"""A NaN in a sort column has a fixed place, and a seek never answers
+from an unsorted list.
 
-``sort_key`` orders by raw value, so a FLOAT sort column holding NaN is
-stored in whatever order the comparisons happened to leave — and a
-binary search over it returned rows that do not match (``x = 0.5`` gave
-the rows holding 3.0 and NaN).  The seek declines on a vector that holds
-a NaN and the block bounds ignore NaN the way they ignore NULL, so the
-kernel engine, the forced row engine and a plain-Python oracle agree.
+The ordering rule puts every NaN after every number (as NULL sits
+before), so a FLOAT sort column holding NaN is stored totally ordered.
+A container written before that rule held its NaNs wherever the
+comparisons happened to leave them, and a binary search over it returned
+rows that do not match (``x = 0.5`` gave the rows holding 3.0 and NaN),
+so the seek still declines on a vector that holds a NaN; the block
+bounds ignore NaN the way they ignore NULL.  The kernel engine, the
+forced row engine and a plain-Python oracle agree.
 """
 
 import math
@@ -85,13 +87,10 @@ def test_container_pruning_with_nan_is_exact(db):
     assert not container.may_contain("x", None, 0.25)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 1(f): sort_key gives NaN no fixed place, so a "
-    "container with a NaN in a sort column is not totally ordered — "
-    "seeks decline on it instead of searching it",
-)
 def test_a_sort_column_holding_nan_is_totally_ordered(db):
     (container,) = db.cluster.nodes[0].manager.storage("t_super").containers.values()
-    stored = [x for x in container.read_column("x") if x == x]
-    assert stored == sorted(stored)
+    stored = container.read_column("x")
+    numbers = [x for x in stored if x == x]
+    assert stored[: len(numbers)] == sorted(numbers)
+    nans = stored[len(numbers) :]  # every NaN after every number
+    assert len(nans) == 2 and all(x != x for x in nans)

@@ -69,6 +69,33 @@ def test_metrics_table_sorted_and_fully_columned(db):
         }
 
 
+def test_order_by_sorts_null_first_like_every_table(db):
+    """A v_monitor ORDER BY follows the one ordering rule: NULL before
+    every value ascending, after every value descending — as a table's
+    ORDER BY does."""
+    METRICS.set_gauge("test.gauge", 2.5)
+    METRICS.observe("test.histogram", 1.0)
+    ascending = [row["value"] for row in db.sql(
+        "SELECT name, value FROM v_monitor.metrics ORDER BY value"
+    )]
+    nulls = ascending.count(None)
+    assert nulls and ascending[:nulls] == [None] * nulls
+    assert ascending[nulls:] == sorted(ascending[nulls:])
+    descending = [row["value"] for row in db.sql(
+        "SELECT name, value FROM v_monitor.metrics ORDER BY kind, value DESC"
+    )]
+    histograms = [row["value"] for row in db.sql(
+        "SELECT value FROM v_monitor.metrics WHERE kind = 'histogram'"
+    )]
+    assert descending[-len(histograms):] == [None] * len(histograms)
+
+    db.sql("CREATE TABLE n (v INTEGER)")
+    db.sql("INSERT INTO n VALUES (2)")
+    db.sql("INSERT INTO n VALUES (NULL)")
+    db.sql("INSERT INTO n VALUES (1)")
+    assert [row["v"] for row in db.sql("SELECT v FROM n ORDER BY v")] == [None, 1, 2]
+
+
 def test_capture_reports_deltas_without_reset(db):
     before = METRICS.counter("queries.executed")
     with METRICS.capture(("queries.executed",)) as captured:

@@ -16,10 +16,11 @@ cover INTEGER (negatives, beyond 2**63), FLOAT (NaN, infinities, both
 zeros), VARCHAR (empty, non-ASCII), BOOLEAN, NULLs anywhere and
 all-NULL blocks; encodings are explicit or AUTO; tables partitioned or
 not; with and without delete markers, local segments and column groups.
-A sort column never holds NaN (ROADMAP item 1(f): it has no place in
-the order yet), and every NaN is its own object, as parsed or decoded
-ones are (two references to one NaN object are ``==``-by-identity to
-Python's containers, which no stored value can be).
+The FLOAT column is the last sort column, so NULLs sort before and NaNs
+after its numbers in both writers; every NaN is its own object, as
+parsed or decoded ones are (two references to one NaN object are
+``==``-by-identity to Python's containers, which no stored value can
+be).
 
 Five planted mutations of the product each fail the property; they run
 with the sanitizer off so that it is the bytes that catch them.
@@ -143,7 +144,7 @@ def make_schema(shape: Shape):
             ProjectionColumn(name, TYPES[name], encoding)
             for name, encoding in zip(TYPES, shape.encodings)
         ],
-        sort_order=["k", "s", "b"],
+        sort_order=["k", "s", "b", "f"],
         segmentation=HashSegmentation(shape.segmented_by),
     )
     return table, projection
@@ -331,17 +332,22 @@ def mutate_trial_payload_kept_for_a_larger_block(monkeypatch):
 
 
 def mutate_unstable_sort(monkeypatch):
-    """Ties come out in the opposite of input order."""
-    from repro.storage import manager
-    from repro.tuple_mover import mover
+    """Ties come out in the opposite of input order: in the groups of a
+    load, and in the permutation a mergeout sorts by."""
+    from repro import types
+    from repro.storage import manager, ros
 
     def unstable(iterable, key=None):
         ordered = builtins.sorted(iterable, key=key, reverse=True)
         ordered.reverse()
         return ordered
 
+    def unstable_permutation(columns, descending=None):
+        keys = types.ordering_keys(columns)
+        return unstable(range(len(columns[0])), key=keys.__getitem__)
+
     monkeypatch.setattr(manager, "sorted", unstable, raising=False)
-    monkeypatch.setattr(mover, "sorted", unstable, raising=False)
+    monkeypatch.setattr(ros, "sort_permutation", unstable_permutation)
 
 
 def mutate_value_keyed_hash_memo(monkeypatch):

@@ -419,7 +419,8 @@ class Cluster:
 
     def read_table(self, table_name: str, epoch: int) -> list[dict]:
         """All visible rows of a table at ``epoch`` (coordinator-side
-        convenience used by prejoin loads, refresh and tests)."""
+        convenience used by prejoin loads, statistics, the designer
+        sample, DELETE / UPDATE by a Python callable, and tests)."""
         family = self.catalog.super_projection_for(table_name)
         rows: list[dict] = []
         for node_index, projection_name in self.scan_sources(family):
@@ -445,7 +446,7 @@ class Cluster:
     def commit_dml(
         self,
         inserts: dict[str, list[dict]],
-        deletes: list[tuple[str, object]],
+        deletes: list[tuple[str, list[dict]]],
         snapshot_epoch: int,
         direct_to_ros: bool = False,
     ) -> int:
@@ -453,15 +454,16 @@ class Cluster:
         eject nodes that missed the message, advance the epoch, journal
         the record, apply it.
 
-        Returns the commit epoch.  ``deletes`` is a list of
-        (table, predicate) pairs.
+        Returns the commit epoch.  ``deletes`` is a list of (table,
+        victim rows) pairs, one per table: the row multiset the
+        transaction's DELETEs selected at ``snapshot_epoch``
+        (:meth:`repro.core.database.Session.commit` finds it with a
+        Scan).  The record carries those rows, never a predicate.
         """
         # Build: everything that can reject the commit runs here, with
         # the epoch clock, the membership and the journal untouched —
         # rows are type-checked and normalised, every prejoin anchor is
-        # shown to resolve, every DELETE's victims are resolved (the
-        # record carries the rows: a predicate is an arbitrary callable
-        # and cannot be journalled).
+        # shown to resolve.
         inserts = {
             table_name: list(map(self.catalog.table(table_name).validate_row, rows))
             for table_name, rows in inserts.items()
@@ -473,21 +475,6 @@ class Cluster:
                         family.primary, rows,
                         [self.epochs.latest_queryable_epoch] * len(rows), inserts,
                     )
-        predicates: dict[str, list] = {}
-        for table_name, predicate in deletes:
-            predicates.setdefault(table_name, []).append(predicate)
-        # one multiset per table: a row two DELETEs select is one victim
-        victims = [
-            (
-                table_name,
-                [
-                    row
-                    for row in self.read_table(table_name, snapshot_epoch)
-                    if any(predicate(row) for predicate in table_predicates)
-                ],
-            )
-            for table_name, table_predicates in predicates.items()
-        ]
         receivers = set(self.membership.broadcast_commit())
         # a *delayed* delivery ejects the node (no 2PC retry) but the
         # late message still lands there; recovery truncates it back to
@@ -504,7 +491,7 @@ class Cluster:
                 epoch=commit_epoch,
                 snapshot_epoch=snapshot_epoch,
                 inserts=inserts,
-                deletes=victims,
+                deletes=deletes,
                 direct_to_ros=direct_to_ros,
             )
             faults.inject("journal.commit.apply")
@@ -516,7 +503,7 @@ class Cluster:
                 "inserts": inserts,
                 "deletes": [
                     {"table": table_name, "rows": rows}
-                    for table_name, rows in victims
+                    for table_name, rows in deletes
                 ],
             },
             only_nodes=appliers,

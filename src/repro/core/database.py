@@ -21,12 +21,12 @@ from ..errors import DurabilityError, TransactionError
 from ..execution.executor import DistributedExecutor, ExecutorStats
 from ..lint.concur.runtime import TrackedLock
 from ..monitor import METRICS, QueryProfile, build_query_profile
-from ..execution.expressions import Expr
+from ..execution.expressions import ColumnRef, Expr, Literal, Or
 from ..execution.resource import ResourcePool, WorkloadPolicy
 from ..optimizer import StarifiedOpt, StarOpt, StatsCatalog, V2Opt
-from ..optimizer.logical import LogicalNode
+from ..optimizer.logical import LogicalNode, ProjectNode, ScanNode
 from ..tuple_mover import MergePolicy
-from ..txn import IsolationLevel, LockMode, Transaction, TxnStatus
+from ..txn import IsolationLevel, LockMode, PendingDelete, Transaction, TxnStatus
 from .schema import TableDefinition
 
 OPTIMIZERS = {
@@ -388,10 +388,13 @@ class Session:
         txn.check_active()
         try:
             if txn.has_dml:
+                # outside the commit lock: each table's X lock already
+                # fences the rows its DELETEs select
+                victims = self._delete_victims(txn)
                 with self.db._commit_lock:
                     epoch = self.db.cluster.commit_dml(
                         txn.pending_inserts,
-                        [(d.table, d.predicate) for d in txn.pending_deletes],
+                        victims,
                         snapshot_epoch=txn.snapshot_epoch,
                         direct_to_ros=txn.direct_to_ros,
                     )
@@ -424,33 +427,100 @@ class Session:
         if direct_to_ros:
             txn.direct_to_ros = True
 
-    def delete(self, table: str, predicate) -> None:
-        """Buffer a delete (Exclusive lock).  ``predicate`` is a
-        callable over row dicts or an :class:`Expr`."""
+    def delete(self, table: str, predicate, sql_text: str | None = None) -> None:
+        """Buffer a delete (Exclusive lock).  ``predicate`` is an
+        :class:`Expr` or a callable over row dicts; its victims are found
+        at commit (:meth:`_delete_victims`).  ``sql_text`` labels that
+        scan's profile in ``v_monitor.query_profiles``."""
         txn = self._active()
         self._acquire_lock(txn, table, LockMode.X)
-        txn.buffer_delete(table, _as_callable(predicate))
+        txn.buffer_delete(table, predicate, sql_text)
 
-    def update(self, table: str, assignments: dict[str, object], predicate) -> int:
+    def update(
+        self,
+        table: str,
+        assignments: dict[str, object],
+        predicate,
+        sql_text: str | None = None,
+    ) -> int:
         """SQL UPDATE: delete matching rows and insert updated copies
-        (section 3.7.1).  Returns the number of rows updated."""
+        (section 3.7.1).  Returns the number of rows updated.
+
+        The new rows come from a plan: a Scan of the table under the
+        predicate, and an ExprEval computing the SET list over its
+        blocks.  A callable predicate is opaque to the Scan and keeps
+        the row path: every visible row, tested and updated one at a
+        time."""
         txn = self._active()
         self._acquire_lock(txn, table, LockMode.X)
-        matcher = _as_callable(predicate)
-        current = self.db.cluster.read_table(table, txn.snapshot_epoch)
-        updated = []
-        for row in current:
-            if matcher(row):
-                new_row = dict(row)
-                for column, value in assignments.items():
-                    new_row[column] = (
-                        value.evaluate_row(row) if isinstance(value, Expr) else value
-                    )
-                updated.append(new_row)
+        columns = self.db.cluster.catalog.table(table).column_names
+        if isinstance(predicate, Expr):
+            outputs: dict[str, Expr] = {name: ColumnRef(name) for name in columns}
+            for column, value in assignments.items():
+                outputs[column] = value if isinstance(value, Expr) else Literal(value)
+            updated = self._execute(
+                ProjectNode(ScanNode(table, columns, predicate), outputs),
+                txn.snapshot_epoch,
+                pending_inserts={},
+                sql_text=sql_text or f"<update:{table}>",
+            )
+        else:
+            updated = [
+                {
+                    **row,
+                    **{
+                        column: value.evaluate_row(row) if isinstance(value, Expr) else value
+                        for column, value in assignments.items()
+                    },
+                }
+                for row in self.db.cluster.read_table(table, txn.snapshot_epoch)
+                if predicate(row)
+            ]
         if updated:
-            txn.buffer_delete(table, matcher)
+            txn.buffer_delete(table, predicate, sql_text)
             txn.buffer_insert(table, updated)
         return len(updated)
+
+    def _delete_victims(self, txn: Transaction) -> list[tuple[str, list[dict]]]:
+        """Per table, the row multiset the transaction's DELETEs select
+        at its snapshot — one multiset per table, so a row two DELETEs
+        select is one victim.  The transaction's own pending inserts are
+        not candidates.
+
+        A table whose predicates are all :class:`Expr` is read by one
+        Scan of the OR of them, which prunes containers, seeks the sort
+        prefix and runs the kernel predicate as any SELECT's Scan does.
+        A callable is opaque: its table keeps the row path, every
+        visible row tested one at a time."""
+        pending: dict[str, list[PendingDelete]] = {}
+        for delete in txn.pending_deletes:
+            pending.setdefault(delete.table, []).append(delete)
+        victims = []
+        for table, deletes in pending.items():
+            predicates = [delete.predicate for delete in deletes]
+            if all(isinstance(predicate, Expr) for predicate in predicates):
+                scan = ScanNode(
+                    table,
+                    self.db.cluster.catalog.table(table).column_names,
+                    predicates[0] if len(predicates) == 1 else Or(*predicates),
+                )
+                rows = self._execute(
+                    scan,
+                    txn.snapshot_epoch,
+                    pending_inserts={},
+                    sql_text="; ".join(
+                        delete.sql_text or f"<delete:{table}>" for delete in deletes
+                    ),
+                )
+            else:
+                tests = [_as_callable(predicate) for predicate in predicates]
+                rows = [
+                    row
+                    for row in self.db.cluster.read_table(table, txn.snapshot_epoch)
+                    if any(test(row) for test in tests)
+                ]
+            victims.append((table, rows))
+        return victims
 
     # -- queries -----------------------------------------------------------------
 
@@ -473,18 +543,34 @@ class Session:
             for table in {
                 scan.table
                 for scan in logical.walk()
-                if type(scan).__name__ == "ScanNode"
+                if isinstance(scan, ScanNode)
             }:
                 self._acquire_lock(txn, table, LockMode.S)
-        epoch = at_epoch if at_epoch is not None else txn.snapshot_epoch
-        planner = self.db.planner(optimizer)
-        plan = planner.plan(logical)
+        return self._execute(
+            logical,
+            at_epoch if at_epoch is not None else txn.snapshot_epoch,
+            pending_inserts=txn.pending_inserts if at_epoch is None else {},
+            sql_text=sql_text or f"<plan:{type(logical).__name__}>",
+            optimizer=optimizer,
+        )
+
+    def _execute(
+        self,
+        logical: LogicalNode,
+        epoch: int,
+        pending_inserts: dict[str, list[dict]],
+        sql_text: str,
+        optimizer: str | None = None,
+    ) -> list[dict]:
+        """Plan and run ``logical`` at ``epoch`` and record its profile —
+        a SELECT, and the reads of DELETE and UPDATE."""
+        plan = self.db.planner(optimizer).plan(logical)
         pool = ResourcePool(self.workload_policy or self.db.workload_policy)
         executor = DistributedExecutor(
             self.db.cluster,
             epoch,
             pool=pool,
-            pending_inserts=txn.pending_inserts if at_epoch is None else {},
+            pending_inserts=pending_inserts,
             cancel_token=self.cancel_token,
         )
         started = perf_counter()
@@ -496,7 +582,7 @@ class Session:
         self.last_profile = build_query_profile(
             self.db.cluster.dc,
             executor.root_operator,
-            sql=sql_text or f"<plan:{type(logical).__name__}>",
+            sql=sql_text,
             epoch=epoch,
             rows_returned=len(rows),
             wall_seconds=wall,

@@ -229,9 +229,9 @@ class Journal:
         """Journal one commit record *before* it is applied.  The
         payload stored here is what :meth:`Cluster.apply_commit` takes,
         at commit time and again at cold start: checked rows per table
-        and, per DELETE as a (table, rows) pair, the row multiset its
-        predicate selected at the snapshot — a predicate is an arbitrary
-        callable and cannot be journalled.
+        and, per table a transaction deleted from as a (table, rows)
+        pair, the row multiset its predicates selected at the snapshot —
+        a predicate may be an arbitrary callable and is never journalled.
         """
         return self._append(
             "commit",

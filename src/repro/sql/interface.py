@@ -220,7 +220,7 @@ def _execute_statement(session, text, copy_rows, trace, info=None, statement=Non
             if statement.where is not None
             else _always_true()
         )
-        return session.update(statement.table, assignments, predicate)
+        return session.update(statement.table, assignments, predicate, sql_text=text)
 
     if isinstance(statement, ast.DeleteStatement):
         scope = _single_table_scope(db.cluster.catalog, statement.table)
@@ -229,7 +229,7 @@ def _execute_statement(session, text, copy_rows, trace, info=None, statement=Non
             if statement.where is not None
             else _always_true()
         )
-        session.delete(statement.table, predicate)
+        session.delete(statement.table, predicate, sql_text=text)
         return None
 
     if isinstance(statement, ast.CreateTableStatement):

@@ -429,8 +429,9 @@ class StorageManager:
         its key has budget left — WOS first, then containers by
         ascending id, positions ascending, so a live commit and its
         replay mark the same rows.  The victims' per-column (min, max)
-        skip containers and blocks before anything is decoded, and a
-        column is compared only for the rows the columns before it left.
+        skip containers and blocks before anything is decoded, and in
+        the WOS and a container alike a column is compared only for the
+        rows the columns before it left.
         """
         state = self._state(projection_name)
         if not rows:
@@ -440,16 +441,30 @@ class StorageManager:
         wanted = list(map(set, zip(*budget)))  # per column: the victims' reprs
         deleted = 0
 
+        def matches(candidates, column):
+            """(position, key) of each candidate whose values are a
+            victim's, narrowed one column at a time: a column is read
+            and compared only for the rows the columns before it left."""
+            columns = []
+            for name, reprs in zip(names, wanted):
+                if not candidates:
+                    return []
+                values = column(name)
+                columns.append(values)
+                candidates = [p for p in candidates if repr(values[p]) in reprs]
+            return [(p, tuple(repr(values[p]) for values in columns)) for p in candidates]
+
         def take(key: tuple) -> bool:
             if budget[key] > 0:
                 budget[key] -= 1
                 return True
             return False
 
-        wos = state.wos.run  # (one that never held a row has no columns yet)
-        keys = zip(*(map(repr, wos.columns.get(name, ())) for name in names))
+        wos = state.wos.run
         visible = visible_mask(wos.epochs, wos.delete_epochs, snapshot_epoch)
-        for position, key in compress(enumerate(keys), visible):
+        for position, key in matches(
+            list(compress(range(len(wos.epochs)), visible)), wos.columns.__getitem__
+        ):
             if take(key):
                 state.wos.mark_deleted(position, commit_epoch)
                 deleted += 1
@@ -472,15 +487,10 @@ class StorageManager:
                 candidates = (
                     range(end - start) if visible is None else visible.positions()
                 )
-                columns = []
-                for name, reprs in zip(names, wanted):
-                    if not candidates:
-                        break
-                    values = container.read_range(name, start, end)
-                    columns.append(values)
-                    candidates = [p for p in candidates if repr(values[p]) in reprs]
-                for offset in candidates:
-                    if take(tuple(repr(values[offset]) for values in columns)):
+                for offset, key in matches(
+                    candidates, lambda name: container.read_range(name, start, end)
+                ):
+                    if take(key):
                         state.pending_ros_deletes.setdefault(
                             container_id, DeleteVector(container_id)
                         ).add(start + offset, commit_epoch)

@@ -36,7 +36,9 @@ class PendingDelete:
     """A buffered DELETE: predicate over rows of one table."""
 
     table: str
-    predicate: object  # Callable[[dict], bool]
+    predicate: object  # an Expr, or Callable[[dict], bool]
+    #: The statement's SQL text, when it came from SQL.
+    sql_text: str | None = None
 
 
 @dataclass
@@ -70,10 +72,10 @@ class Transaction:
         self.pending_inserts.setdefault(table, []).extend(rows)
         self.has_dml = True
 
-    def buffer_delete(self, table: str, predicate) -> None:
+    def buffer_delete(self, table: str, predicate, sql_text: str | None = None) -> None:
         """Queue a delete-by-predicate for commit."""
         self.check_active()
-        self.pending_deletes.append(PendingDelete(table, predicate))
+        self.pending_deletes.append(PendingDelete(table, predicate, sql_text))
         self.has_dml = True
 
     def local_inserts_for(self, table: str) -> list[dict]:

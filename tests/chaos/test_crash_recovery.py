@@ -19,6 +19,7 @@ from repro import types
 from repro.cluster import Cluster, recover_node
 from repro.core.schema import ColumnDef, TableDefinition
 from repro.faults import REGISTRY, FaultPlan
+from storage_helpers import rows_where
 
 pytestmark = pytest.mark.chaos
 
@@ -73,9 +74,8 @@ def apply_op(cluster, epoch, op):
         )
     if op[0] == "delete":
         _, mod, rem = op
-        return cluster.commit_dml(
-            {}, [("t", lambda row: row["k"] % mod == rem)], epoch
-        )
+        victims = rows_where(cluster, "t", lambda row: row["k"] % mod == rem, epoch)
+        return cluster.commit_dml({}, [("t", victims)], epoch)
     cluster.run_tuple_movers()
     return epoch
 

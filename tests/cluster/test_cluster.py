@@ -7,6 +7,7 @@ from repro.cluster import Cluster
 from repro.core.schema import ColumnDef, TableDefinition
 from repro.errors import DataUnavailableError, KSafetyError, QuorumLossError
 from repro.projections import HashSegmentation, Replicated
+from storage_helpers import rows_where
 
 
 def sales_table():
@@ -122,9 +123,8 @@ class TestRoutingAndCommit:
 
     def test_delete_applies_everywhere(self, cluster):
         cluster.commit_dml({"sales": sales_rows(100)}, [], 0)
-        cluster.commit_dml(
-            {}, [("sales", lambda row: row["sale_id"] < 30)], 1
-        )
+        victims = rows_where(cluster, "sales", lambda row: row["sale_id"] < 30, 1)
+        cluster.commit_dml({}, [("sales", victims)], 1)
         rows = cluster.read_table("sales", 2)
         assert len(rows) == 70
         assert len(cluster.read_table("sales", 1)) == 100  # history intact

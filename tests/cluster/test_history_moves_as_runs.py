@@ -30,6 +30,7 @@ from repro.projections import (
     Replicated,
 )
 from repro.tuple_mover import MergePolicy
+from storage_helpers import rows_where
 
 GROUPS = 4
 FACTS = TableDefinition(
@@ -100,9 +101,12 @@ class Side:
 
     def commit(self, inserts, deletes=(), direct_to_ros=False):
         cluster = self.cluster
-        cluster.commit_dml(
-            inserts, list(deletes), cluster.epochs.latest_queryable_epoch, direct_to_ros
-        )
+        epoch = cluster.epochs.latest_queryable_epoch
+        victims = [
+            (table, rows_where(cluster, table, predicate, epoch))
+            for table, predicate in deletes
+        ]
+        cluster.commit_dml(inserts, victims, epoch, direct_to_ros)
 
     def recover(self, node, lag):
         if self.product:

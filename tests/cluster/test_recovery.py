@@ -14,6 +14,7 @@ from repro.cluster import (
 from repro.core.schema import ColumnDef, TableDefinition
 from repro.errors import ClusterError
 from repro.projections import HashSegmentation
+from storage_helpers import rows_where
 
 
 def table():
@@ -62,9 +63,8 @@ class TestRecovery:
         epoch = cluster.commit_dml({"t": rows(40)}, [], 0)
         cluster.run_tuple_movers()
         cluster.fail_node(2)
-        epoch = cluster.commit_dml(
-            {}, [("t", lambda row: row["k"] < 10)], epoch
-        )
+        victims = rows_where(cluster, "t", lambda row: row["k"] < 10, epoch)
+        epoch = cluster.commit_dml({}, [("t", victims)], epoch)
         recover_node(cluster, 2)
         assert table_snapshot(cluster, epoch) == list(range(10, 40))
         # every node individually consistent: scan only its primary rows
@@ -135,7 +135,8 @@ class TestRefresh:
 
     def test_refresh_preserves_delete_history(self, cluster):
         epoch = cluster.commit_dml({"t": rows(20)}, [], 0)
-        epoch = cluster.commit_dml({}, [("t", lambda r: r["k"] >= 15)], epoch)
+        victims = rows_where(cluster, "t", lambda r: r["k"] >= 15, epoch)
+        epoch = cluster.commit_dml({}, [("t", victims)], epoch)
         from repro.projections import ProjectionColumn, ProjectionDefinition
 
         narrow = ProjectionDefinition(

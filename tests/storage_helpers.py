@@ -14,6 +14,13 @@ def delete_matching(manager, name, predicate, commit_epoch, snapshot_epoch):
     return manager.delete_where(name, victims, commit_epoch, snapshot_epoch)
 
 
+def rows_where(cluster, table, predicate, epoch):
+    """The victims of ``DELETE FROM table WHERE predicate`` at snapshot
+    ``epoch``, found the row way — every visible row, tested one at a
+    time — as ``Cluster.commit_dml`` takes them."""
+    return [row for row in cluster.read_table(table, epoch) if predicate(row)]
+
+
 def run_of(projection, rows, epochs, delete_epochs=None):
     """Row dicts as the columnar run the storage writer takes."""
     from repro.storage import HistoryRun

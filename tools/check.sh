@@ -59,33 +59,6 @@ echo "   seeds: 11, 23, ${GIT_SEED} (git-derived)"
 REPRO_CRASH_SEEDS="11,23,${GIT_SEED}" REPRO_SANITIZE=1 \
     python -m pytest -q tests/chaos/test_kill_anywhere.py
 
-echo "== Cluster.scrub() smoke =="
-python - <<'EOF'
-import shutil, tempfile
-from repro import types
-from repro.cluster import Cluster
-from repro.core.schema import ColumnDef, TableDefinition
-
-root = tempfile.mkdtemp(prefix="scrub_smoke_")
-try:
-    cluster = Cluster(root, node_count=3, k_safety=1)
-    table = TableDefinition(
-        "t", [ColumnDef("k", types.INTEGER), ColumnDef("v", types.VARCHAR)]
-    )
-    cluster.create_table(table, sort_order=["k"])
-    epoch = cluster.commit_dml(
-        {"t": [{"k": i, "v": f"row{i}"} for i in range(64)]}, [], 0,
-        direct_to_ros=True,
-    )
-    report = cluster.scrub()
-    assert report.clean(), f"fresh cluster scrub found damage: {report}"
-    rows = cluster.read_table("t", epoch)
-    assert len(rows) == 64, f"expected 64 rows after scrub, got {len(rows)}"
-    print("scrub smoke OK: clean pass over", cluster.node_count, "nodes")
-finally:
-    shutil.rmtree(root, ignore_errors=True)
-EOF
-
 echo "== trace smoke: distributed query -> spans on every node -> Perfetto JSON =="
 # A traced 3-node aggregate (tracing + sanitizer both on) must produce
 # one statement trace whose spans cover parse -> plan -> execute on

@@ -223,13 +223,13 @@ class Cluster:
         projection: ProjectionDefinition,
         table_rows: list[dict],
         epochs: list[int],
-        own_inserts: dict[str, list[dict]] | None = None,
+        own_inserts: dict[str, HistoryRun] | None = None,
     ) -> list[dict]:
         """Shape table rows for one projection: the column subset, or
         for a prejoin projection row ``i`` expanded against the
         dimension rows visible at ``epochs[i]`` (read once per distinct
-        epoch) plus — for a commit — the rows the same commit record
-        inserts into the dimension, ``own_inserts``."""
+        epoch) plus — for a commit — the rows the same commit inserts
+        into the dimension, ``own_inserts``."""
         if projection.prejoin is None:
             names = projection.column_names
             return [{name: row[name] for name in names} for row in table_rows]
@@ -237,7 +237,9 @@ class Cluster:
         indexes: dict[int, dict] = {}
         for epoch in set(epochs):
             dimension_rows = self.read_table(spec.dimension_table, epoch)
-            dimension_rows += (own_inserts or {}).get(spec.dimension_table, [])
+            own = (own_inserts or {}).get(spec.dimension_table)
+            if own is not None:
+                dimension_rows += own.rows()
             indexes[epoch] = {row[spec.dimension_key]: row for row in dimension_rows}
         carried = spec.carried_columns
         own_names = projection.own_column_names
@@ -260,7 +262,7 @@ class Cluster:
         projection: ProjectionDefinition,
         table_run: HistoryRun,
         dimension_epochs: list[int],
-        own_inserts: dict[str, list[dict]] | None = None,
+        own_inserts: dict[str, HistoryRun] | None = None,
     ) -> HistoryRun:
         """A run of table rows shaped for ``projection`` and its buddies:
         the column subset, aliasing the run's lists, or a prejoin
@@ -313,7 +315,8 @@ class Cluster:
         The record was checked when it was built, so nothing here can
         reject it.  Inserts go table by table in name order (a function
         of the record alone: the transaction's statement order is not
-        journalled) into every projection copy; deletes mark the
+        journalled), each a run built straight from the record's
+        columns, into every projection copy; deletes mark the
         record's row multiset by value
         (:meth:`StorageManager.delete_where`) in every copy, covered or
         narrow.
@@ -336,19 +339,20 @@ class Cluster:
                 # survivors (section 5).
                 self._node_crashed(node_index, "crashed applying a commit")
 
-        for table_name, rows in sorted(record["inserts"].items()):
-            # one pivot per table and commit; every copy below shares
-            # its column lists, which alias the record's values
-            table_run = HistoryRun.from_rows(
-                self.catalog.table(table_name).column_names, rows, [epoch] * len(rows)
-            )
+        # the record holds each table's columns: every copy below shares
+        # its lists, which alias the record's values
+        inserted = {
+            table_name: HistoryRun.stamped(columns, epoch)
+            for table_name, columns in record["inserts"].items()
+        }
+        for table_name, table_run in sorted(inserted.items()):
             for family in self.catalog.families_for_table(table_name):
                 # once per family: a prejoin sees the dimension as it stood
                 # before this epoch plus the record's own rows (what
                 # commit_dml checked); route_rows leaves the ring positions
                 # on the run for the buddies
                 shaped = self.shape_run(
-                    family.primary, table_run, [epoch - 1] * len(rows), record["inserts"]
+                    family.primary, table_run, [epoch - 1] * len(table_run), inserted
                 )
                 for copy in family.all_copies:
                     for node_index, node_run in self.route_rows(copy, shaped).items():
@@ -443,9 +447,24 @@ class Cluster:
 
     # -- commit protocol ----------------------------------------------------
 
+    def table_run(self, table_name: str, rows: list[dict]) -> HistoryRun:
+        """Row dicts holding exactly the table's columns, pivoted once
+        into the run a transaction buffers (epochs 0: unstamped)."""
+        names = self.catalog.table(table_name).column_names
+        try:
+            if set(map(len, rows)) <= {len(names)}:
+                return HistoryRun.from_rows(names, rows, [0] * len(rows))
+        except KeyError:  # a row lacks a column
+            pass
+        wrong = next(row for row in rows if set(row) != set(names))
+        raise SqlAnalysisError(
+            f"row columns {sorted(wrong)} do not match table "
+            f"{table_name!r} columns {sorted(names)}"
+        )
+
     def commit_dml(
         self,
-        inserts: dict[str, list[dict]],
+        inserts: dict[str, HistoryRun | list[dict]],
         deletes: list[tuple[str, list[dict]]],
         snapshot_epoch: int,
         direct_to_ros: bool = False,
@@ -454,27 +473,33 @@ class Cluster:
         eject nodes that missed the message, advance the epoch, journal
         the record, apply it.
 
-        Returns the commit epoch.  ``deletes`` is a list of (table,
-        victim rows) pairs, one per table: the row multiset the
-        transaction's DELETEs selected at ``snapshot_epoch``
+        Returns the commit epoch.  ``inserts`` maps a table to the run a
+        transaction buffered for it (row dicts from a direct caller are
+        pivoted at the door, :meth:`table_run`); the record holds its
+        columns.  ``deletes`` is a list of (table, victim rows) pairs,
+        one per table: the row multiset the transaction's DELETEs
+        selected at ``snapshot_epoch``
         (:meth:`repro.core.database.Session.commit` finds it with a
         Scan).  The record carries those rows, never a predicate.
         """
         # Build: everything that can reject the commit runs here, with
         # the epoch clock, the membership and the journal untouched —
-        # rows are type-checked and normalised, every prejoin anchor is
-        # shown to resolve.
-        inserts = {
-            table_name: list(map(self.catalog.table(table_name).validate_row, rows))
-            for table_name, rows in inserts.items()
-        }
-        for table_name, rows in inserts.items():
+        # columns are type-checked and normalised, every prejoin anchor
+        # is shown to resolve.
+        runs = {}
+        for table_name, run in inserts.items():
+            if not isinstance(run, HistoryRun):
+                run = self.table_run(table_name, run)
+            table = self.catalog.table(table_name)
+            runs[table_name] = HistoryRun(table.validate_columns(run.columns), run.epochs)
+        for table_name, run in runs.items():
             for family in self.catalog.families_for_table(table_name):
                 if family.primary.prejoin is not None:
                     self.projection_rows(
-                        family.primary, rows,
-                        [self.epochs.latest_queryable_epoch] * len(rows), inserts,
+                        family.primary, list(run.rows()),
+                        [self.epochs.latest_queryable_epoch] * len(run), runs,
                     )
+        inserts = {table_name: run.columns for table_name, run in runs.items()}
         receivers = set(self.membership.broadcast_commit())
         # a *delayed* delivery ejects the node (no 2PC retry) but the
         # late message still lands there; recovery truncates it back to
@@ -510,9 +535,7 @@ class Cluster:
         )
         self.membership.late_receivers = []
         METRICS.inc("cluster.commits")
-        METRICS.inc(
-            "cluster.committed_rows", sum(len(rows) for rows in inserts.values())
-        )
+        METRICS.inc("cluster.committed_rows", sum(map(len, runs.values())))
         METRICS.set_gauge("cluster.current_epoch", commit_epoch)
         return commit_epoch
 

@@ -25,6 +25,7 @@ from ..execution.expressions import ColumnRef, Expr, Literal, Or
 from ..execution.resource import ResourcePool, WorkloadPolicy
 from ..optimizer import StarifiedOpt, StarOpt, StatsCatalog, V2Opt
 from ..optimizer.logical import LogicalNode, ProjectNode, ScanNode
+from ..storage import HistoryRun
 from ..tuple_mover import MergePolicy
 from ..txn import IsolationLevel, LockMode, PendingDelete, Transaction, TxnStatus
 from .schema import TableDefinition
@@ -416,12 +417,21 @@ class Session:
     # -- DML -----------------------------------------------------------------
 
     def insert(
-        self, table: str, rows: list[dict], direct_to_ros: bool = False
+        self,
+        table: str,
+        rows: list[dict] | HistoryRun,
+        direct_to_ros: bool = False,
     ) -> None:
         """Buffer rows for insert (Insert lock; multiple loaders can
-        hold it concurrently)."""
+        hold it concurrently).  Row dicts (``db.load``'s) must hold
+        exactly the table's columns and are pivoted here, once
+        (:meth:`Cluster.table_run`); a run of every table column (what
+        COPY and ``INSERT ... VALUES`` build) is buffered as it is."""
         txn = self._active()
-        self.db.cluster.catalog.table(table)  # must exist
+        if isinstance(rows, HistoryRun):
+            self.db.cluster.catalog.table(table)  # must exist
+        else:
+            rows = self.db.cluster.table_run(table, rows)
         self._acquire_lock(txn, table, LockMode.I)
         txn.buffer_insert(table, rows)
         if direct_to_ros:
@@ -477,8 +487,9 @@ class Session:
                 if predicate(row)
             ]
         if updated:
+            run = self.db.cluster.table_run(table, updated)  # the one pivot
             txn.buffer_delete(table, predicate, sql_text)
-            txn.buffer_insert(table, updated)
+            txn.buffer_insert(table, run)
         return len(updated)
 
     def _delete_victims(self, txn: Transaction) -> list[tuple[str, list[dict]]]:
@@ -558,7 +569,7 @@ class Session:
         self,
         logical: LogicalNode,
         epoch: int,
-        pending_inserts: dict[str, list[dict]],
+        pending_inserts: dict[str, HistoryRun],
         sql_text: str,
         optimizer: str | None = None,
     ) -> list[dict]:

@@ -87,15 +87,25 @@ class TableDefinition:
         referenced = getattr(self.partition_by, "referenced_columns", None)
         return sorted(referenced()) if referenced else self.column_names
 
-    def validate_row(self, row: dict) -> dict:
-        """Type-check one row dict against the schema; returns the row
-        with values normalized (e.g. int -> float for FLOAT columns)."""
-        if set(row) != set(self.column_names):
+    def validate_columns(self, columns: dict[str, list]) -> dict[str, list]:
+        """Type-check rows given as columns (name -> values) against the
+        schema, a column at a time (:meth:`DataType.validate_column`);
+        returns the columns in table order with values normalized (e.g.
+        int -> float for FLOAT columns).  A bad value raises the error a
+        row-at-a-time check raises first: the earliest row's, and in it
+        the first column's."""
+        if set(columns) != set(self.column_names):
             raise SqlAnalysisError(
-                f"row columns {sorted(row)} do not match table "
+                f"row columns {sorted(columns)} do not match table "
                 f"{self.name!r} columns {sorted(self.column_names)}"
             )
-        return {
-            column.name: column.dtype.validate(row[column.name])
-            for column in self.columns
-        }
+        try:
+            return {
+                column.name: column.dtype.validate_column(columns[column.name])
+                for column in self.columns
+            }
+        except SqlAnalysisError:
+            for row in zip(*(columns[column.name] for column in self.columns)):
+                for column, value in zip(self.columns, row):
+                    column.dtype.validate(value)
+            raise

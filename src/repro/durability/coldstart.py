@@ -25,10 +25,11 @@ Replay order (each step idempotent over what the previous recovered):
 4. **Replay the tail** — commit records with epochs past the floor go
    to :meth:`Cluster.apply_commit`, the method that applied them when
    they were first committed; replay adds only the clock, the floor
-   skip and the dropped-table filter.  The journal itself was already
-   cut to its last valid prefix when opened: a torn or bit-flipped
-   record defines the recovery point, and every record after it is
-   discarded.
+   skip, the dropped-table filter and the pivot of inserts journalled
+   as row dicts (the form before records held columns).  The journal
+   itself was already cut to its last valid prefix when opened: a torn
+   or bit-flipped record defines the recovery point, and every record
+   after it is discarded.
 5. **Rejoin** — every node is marked down and handed to the
    :class:`~repro.cluster.supervisor.ClusterSupervisor` in the
    SCAVENGED state; the PR 5 recovery state machine replays each node
@@ -43,6 +44,7 @@ from typing import TYPE_CHECKING
 
 from ..errors import DurabilityError
 from ..monitor import METRICS
+from ..storage import HistoryRun
 from ..storage.manager import truncate_outcome_counts
 from ..trace import TRACER
 from ..txn.epochs import INITIAL_EPOCH
@@ -218,8 +220,8 @@ def _replay_commit(
         # scavenge already recovered it from disk.
         return
     inserts = {
-        name: rows
-        for name, rows in payload["inserts"].items()
+        name: _columns(cluster.catalog.table(name), inserted)
+        for name, inserted in payload["inserts"].items()
         if not _skip_table(cluster, name, record.lsn, drop_lsn)
     }
     deletes = [
@@ -228,9 +230,23 @@ def _replay_commit(
         if not _skip_table(cluster, delete["table"], record.lsn, drop_lsn)
     ]
     cluster.apply_commit({**payload, "inserts": inserts, "deletes": deletes})
-    report.rows_reinserted += sum(len(rows) for rows in inserts.values())
+    report.rows_reinserted += sum(
+        len(next(iter(columns.values()), ())) for columns in inserts.values()
+    )
     report.rows_redeleted += sum(len(delete["rows"]) for delete in deletes)
     report.commits_replayed += 1
+
+
+def _columns(table, inserted) -> dict[str, list]:
+    """One table's inserts in a commit record, as the columns
+    :meth:`Cluster.apply_commit` takes.  A record written before the
+    journal stored columns holds a list of row dicts: it is pivoted
+    here, once — the one place that form is read."""
+    if isinstance(inserted, list):
+        return HistoryRun.from_rows(
+            table.column_names, inserted, [0] * len(inserted)
+        ).columns
+    return inserted
 
 
 def _skip_table(cluster, table_name, lsn, drop_lsn) -> bool:

@@ -19,10 +19,10 @@ on disk is the replay window, not the history before it.
 
 Record kinds: ``genesis`` (cluster topology, first record ever),
 ``create_table`` / ``add_family`` / ``drop_table`` (catalog DDL),
-``commit`` (one committed epoch: inserts per table plus materialized
-delete rows), ``floor`` (the durable floor advanced — every up node
-has drained its WOS past this epoch), ``restore`` (a backup image was
-adopted at some epoch).
+``commit`` (one committed epoch: inserts per table as columns plus
+materialized delete rows), ``floor`` (the durable floor advanced —
+every up node has drained its WOS past this epoch), ``restore`` (a
+backup image was adopted at some epoch).
 """
 
 from __future__ import annotations
@@ -228,10 +228,14 @@ class Journal:
     ) -> int:
         """Journal one commit record *before* it is applied.  The
         payload stored here is what :meth:`Cluster.apply_commit` takes,
-        at commit time and again at cold start: checked rows per table
-        and, per table a transaction deleted from as a (table, rows)
-        pair, the row multiset its predicates selected at the snapshot —
-        a predicate may be an arbitrary callable and is never journalled.
+        at commit time and again at cold start: per table its checked
+        inserts as columns, ``{column: [values]}`` (so a column name is
+        written once per table, not once per row), and, per table a
+        transaction deleted from as a (table, rows) pair, the row
+        multiset its predicates selected at the snapshot — a predicate
+        may be an arbitrary callable and is never journalled.  Records
+        written before the inserts were columns hold a list of row dicts
+        per table; cold start reads both.
         """
         return self._append(
             "commit",
@@ -239,7 +243,7 @@ class Journal:
                 "epoch": epoch,
                 "snapshot_epoch": snapshot_epoch,
                 "direct_to_ros": direct_to_ros,
-                "inserts": {table: list(rows) for table, rows in inserts.items()},
+                "inserts": inserts,
                 "deletes": [
                     {"table": table, "rows": list(rows)} for table, rows in deletes
                 ],

@@ -21,6 +21,7 @@ filter into the probe-side scan of every fragment (section 6.1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .. import faults
 from ..errors import (
@@ -55,6 +56,9 @@ from .operators import (
     UnionAllOperator,
 )
 from .resource import ResourcePool
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from ..storage import HistoryRun
 
 
 @dataclass
@@ -128,7 +132,7 @@ class DistributedExecutor:
         cluster,
         epoch: int,
         pool: ResourcePool | None = None,
-        pending_inserts: dict[str, list[dict]] | None = None,
+        pending_inserts: dict[str, HistoryRun] | None = None,
         cancel_token=None,
     ):
         self.cluster = cluster
@@ -137,8 +141,8 @@ class DistributedExecutor:
         #: Cooperative cancel flag installed on every built operator
         #: (service-layer statement timeouts and ``Session.cancel()``).
         self.cancel_token = cancel_token
-        #: table -> uncommitted rows of the running transaction, which
-        #: must be visible to its own queries.
+        #: table -> uncommitted rows of the running transaction (the
+        #: run it buffered), which must be visible to its own queries.
         self.pending_inserts = pending_inserts or {}
         self.stats = ExecutorStats()
         #: Coordinator-side root of the most recent :meth:`run`, kept so
@@ -390,7 +394,9 @@ class DistributedExecutor:
         # scan predicates are written in stored column names already.
         raw_predicate = node.predicate
         rename = {raw: out for raw, out in node.rename.items() if raw != out}
-        pending = self.pending_inserts.get(node.table, [])
+        # the transaction's own uncommitted rows: its buffered run
+        own = self.pending_inserts.get(node.table)
+        pending = list(own.rows()) if own else []
 
         def make_scan(host: int, projection_name: str, base: int | None):
             copy = next(

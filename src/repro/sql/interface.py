@@ -17,6 +17,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 from ..core.schema import ColumnDef, TableDefinition
 from ..errors import LoadError, SqlAnalysisError
 from ..projections import HashSegmentation, ProjectionColumn, ProjectionDefinition, Replicated
+from ..storage import HistoryRun
 from ..types import type_from_name
 from . import ast
 from .analyzer import Analyzer, Scope, _FromItem
@@ -194,20 +195,21 @@ def _execute_statement(session, text, copy_rows, trace, info=None, statement=Non
         return db.explain(plan)
 
     if isinstance(statement, ast.InsertStatement):
+        # straight into columns, as COPY's lines go: no row dict to pivot
         table = db.cluster.catalog.table(statement.table)
+        for name in statement.columns:
+            table.column(name)  # raises for a column the table lacks
         columns = statement.columns or table.column_names
-        rows = []
-        for values in statement.rows:
+        inserted = {name: [None] * len(statement.rows) for name in table.column_names}
+        for index, values in enumerate(statement.rows):
             if len(values) != len(columns):
                 raise SqlAnalysisError(
                     f"INSERT has {len(values)} values for {len(columns)} columns"
                 )
-            row = {name: None for name in table.column_names}
             for name, value in zip(columns, values):
-                row[name] = _insert_constant(value)
-            rows.append(row)
-        session.insert(statement.table, rows)
-        return len(rows)
+                inserted[name][index] = _insert_constant(value)
+        session.insert(statement.table, HistoryRun.stamped(inserted, 0))
+        return len(statement.rows)
 
     if isinstance(statement, ast.UpdateStatement):
         scope = _single_table_scope(db.cluster.catalog, statement.table)
@@ -351,35 +353,72 @@ def _create_projection(db, statement: ast.CreateProjectionStatement):
 
 
 def _copy(session, statement: ast.CopyStatement, copy_rows) -> CopyResult:
-    """Bulk load with rejected-record collection (section 7)."""
+    """Bulk load with rejected-record collection (section 7), a column
+    at a time.
+
+    The lines are split once and transposed, and each COPY column is
+    parsed by one bulk call (:meth:`DataType.parse_column`); a column no
+    line named is NULL.  A line some column rejects, a line with the
+    wrong number of fields and a dict record take the per-line path,
+    :func:`_copy_record`, which loads the record or says why not (every
+    line does when the column list names a column the table lacks).
+    The good records keep their line order and are buffered as one run.
+    """
     if copy_rows is None:
         raise LoadError("COPY requires data (pass copy_rows=...)")
-    db = session.db
-    table = db.cluster.catalog.table(statement.table)
+    table = session.db.cluster.catalog.table(statement.table)
     columns = statement.columns or table.column_names
-    good: list[dict] = []
+    records = list(copy_rows)
+    split = [
+        record.split("|") if isinstance(record, str)
+        else list(map(str, record)) if isinstance(record, (list, tuple))
+        else None
+        for record in records
+    ]
+    lines = [
+        index
+        for index, fields in enumerate(split)
+        if fields is not None and len(fields) == len(columns)
+    ] if all(map(table.has_column, columns)) else []
+    texts = list(zip(*map(split.__getitem__, lines))) or [()] * len(columns)
+    values = {name: [None] * len(lines) for name in table.column_names}
+    rejected_at: set[int] = set()
+    for name, column_texts in zip(columns, texts):
+        values[name], rejects = table.column(name).dtype.parse_column(column_texts)
+        rejected_at.update(rejects)
+    run = HistoryRun.stamped(values, 0)
+    if rejected_at:
+        kept = [k for k in range(len(lines)) if k not in rejected_at]
+        run, lines = run.take(kept), list(map(lines.__getitem__, kept))
+    pieces = [run]
     rejected: list[tuple[int, str, str]] = []
-    for line_number, record in enumerate(copy_rows, start=1):
+    for index in sorted(set(range(len(records))).difference(lines)):
         try:
-            if isinstance(record, dict):
-                row = {name: None for name in table.column_names}
-                row.update(record)
-                row = table.validate_row(row)
-            else:
-                fields = (
-                    record.split("|") if isinstance(record, str) else list(record)
-                )
-                if len(fields) != len(columns):
-                    raise LoadError(
-                        f"expected {len(columns)} fields, got {len(fields)}"
-                    )
-                row = {name: None for name in table.column_names}
-                for name, field_text in zip(columns, fields):
-                    row[name] = table.column(name).dtype.parse_text(
-                        str(field_text)
-                    )
-            good.append(row)
+            record = _copy_record(table, columns, records[index])
         except Exception as exc:  # rejected record, keep loading
-            rejected.append((line_number, str(record)[:80], str(exc)))
-    session.insert(statement.table, good, direct_to_ros=len(good) > 10000)
-    return CopyResult(loaded=len(good), rejected=rejected)
+            rejected.append((index + 1, str(records[index])[:80], str(exc)))
+        else:
+            pieces.append(HistoryRun.stamped(record, 0))
+            lines.append(index)
+    if len(pieces) > 1:  # back into line order
+        run = HistoryRun.concat(pieces).take(
+            sorted(range(len(lines)), key=lines.__getitem__)
+        )
+    session.insert(statement.table, run, direct_to_ros=len(run) > 10000)
+    return CopyResult(loaded=len(run), rejected=rejected)
+
+
+def _copy_record(table, columns: list[str], record) -> dict[str, list]:
+    """One COPY record the per-line way, as one-row columns in table
+    order: a dict record type-checked, a line's fields parsed one by one
+    (:meth:`DataType.parse_text`).  Raises what rejects it."""
+    row = dict.fromkeys(table.column_names)
+    if isinstance(record, dict):
+        row.update(record)
+        return table.validate_columns({name: [value] for name, value in row.items()})
+    fields = record.split("|") if isinstance(record, str) else list(record)
+    if len(fields) != len(columns):
+        raise LoadError(f"expected {len(columns)} fields, got {len(fields)}")
+    for name, field_text in zip(columns, fields):
+        row[name] = table.column(name).dtype.parse_text(str(field_text))
+    return {name: [value] for name, value in row.items()}

@@ -99,6 +99,12 @@ class HistoryRun:
         return cls(columns, epochs, delete_epochs)
 
     @classmethod
+    def stamped(cls, columns: dict[str, list], epoch: int) -> "HistoryRun":
+        """``columns`` (equal-length lists: a COPY's batch, one table's
+        inserts in a commit record) as a run all inserted at ``epoch``."""
+        return cls(columns, [epoch] * len(next(iter(columns.values()), ())))
+
+    @classmethod
     def concat(cls, runs: list["HistoryRun"]) -> "HistoryRun":
         """The rows of ``runs`` (same columns) end to end."""
         deletes = None

@@ -12,8 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import TYPE_CHECKING
 
 from ..errors import TransactionError
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from ..storage import HistoryRun
 
 
 class IsolationLevel(str, Enum):
@@ -51,8 +55,10 @@ class Transaction:
     #: COMMITTED, pinned at start under SERIALIZABLE.
     snapshot_epoch: int = 0
     status: TxnStatus = TxnStatus.ACTIVE
-    #: table -> list of row dicts buffered for insert.
-    pending_inserts: dict[str, list[dict]] = field(default_factory=dict)
+    #: table -> the rows buffered for insert, one columnar run per
+    #: table (every table column; epochs 0 until the commit stamps its
+    #: own).
+    pending_inserts: dict[str, HistoryRun] = field(default_factory=dict)
     pending_deletes: list[PendingDelete] = field(default_factory=list)
     #: Whether the transaction performed any DML (drives epoch advance).
     has_dml: bool = False
@@ -66,10 +72,18 @@ class Transaction:
                 f"transaction {self.txn_id} is {self.status.value}"
             )
 
-    def buffer_insert(self, table: str, rows: list[dict]) -> None:
-        """Queue rows for insertion at commit."""
+    def buffer_insert(self, table: str, run: HistoryRun) -> None:
+        """Queue a run of rows for insertion at commit.  The transaction
+        takes the run's lists over: a later run for the same table is
+        appended to the first one's."""
         self.check_active()
-        self.pending_inserts.setdefault(table, []).extend(rows)
+        buffered = self.pending_inserts.get(table)
+        if buffered is None:
+            self.pending_inserts[table] = run
+        else:
+            for name, values in buffered.columns.items():
+                values.extend(run.columns[name])
+            buffered.epochs.extend(run.epochs)
         self.has_dml = True
 
     def buffer_delete(self, table: str, predicate, sql_text: str | None = None) -> None:
@@ -77,8 +91,3 @@ class Transaction:
         self.check_active()
         self.pending_deletes.append(PendingDelete(table, predicate, sql_text))
         self.has_dml = True
-
-    def local_inserts_for(self, table: str) -> list[dict]:
-        """This transaction's own uncommitted inserts into ``table``
-        (visible to its own reads)."""
-        return self.pending_inserts.get(table, [])

@@ -24,12 +24,14 @@ import datetime as _dt
 from dataclasses import dataclass
 from itertools import groupby, repeat
 from operator import itemgetter, ne
+from typing import Sequence
 
 from .errors import LoadError, SqlAnalysisError
 
 #: Minimum / maximum of Vertica's 64-bit integer domain.
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
+_NULL_TYPE = type(None)
 
 _DATE_ORIGIN = _dt.date(2000, 1, 1)
 _TS_ORIGIN = _dt.datetime(2000, 1, 1)
@@ -96,35 +98,97 @@ class DataType:
             raise SqlAnalysisError(f"{value} out of 64-bit range for {self.name}")
         return value
 
+    def validate_column(self, values: list) -> list:
+        """:meth:`validate` over a column: the checked values, or the
+        error of the first bad one.  A column holding only NULLs and
+        values of this type's own class is settled by the set of its
+        value types and, for an integral type, one ``min`` / ``max``,
+        and comes back as it is; anything else (an int bound for a
+        FLOAT column, a bool, a string) goes value by value."""
+        kinds = set(map(type, values))
+        if kinds <= {self.python_types[0], _NULL_TYPE}:
+            if not self.integral:
+                return values
+            # filter(None) drops NULLs (and zeros, which are in range)
+            known = list(filter(None, values)) if _NULL_TYPE in kinds else values
+            if not known or INT64_MIN <= min(known) and max(known) <= INT64_MAX:
+                return values
+        return list(map(self.validate, values))
+
     def parse_text(self, text: str) -> object:
         """Parse a CSV field into a value of this type (bulk loader path).
 
         An empty string parses to NULL, matching common CSV conventions.
-        Raises :class:`LoadError` for unparseable fields so the loader
-        can reject the record (section 7, "Bulk Loading and Rejected
+        Raises :class:`LoadError` for unparseable fields — an integral
+        one outside the 64-bit domain included — so the loader can
+        reject the record (section 7, "Bulk Loading and Rejected
         Records").
         """
         if text == "" or text.upper() == "NULL":
             return None
         try:
             if self is INTEGER:
-                return int(text)
-            if self is FLOAT:
+                value = int(text)
+            elif self is FLOAT:
                 return float(text)
-            if self is BOOLEAN:
+            elif self is BOOLEAN:
                 lowered = text.strip().lower()
                 if lowered in ("t", "true", "1", "yes"):
                     return True
                 if lowered in ("f", "false", "0", "no"):
                     return False
                 raise ValueError(text)
-            if self is DATE:
-                return date_to_days(_dt.date.fromisoformat(text.strip()))
-            if self is TIMESTAMP:
-                return timestamp_to_seconds(_dt.datetime.fromisoformat(text.strip()))
-            return text
+            elif self is DATE:
+                value = date_to_days(_dt.date.fromisoformat(text.strip()))
+            elif self is TIMESTAMP:
+                value = timestamp_to_seconds(_dt.datetime.fromisoformat(text.strip()))
+            else:
+                return text
         except ValueError as exc:
             raise LoadError(f"cannot parse {text!r} as {self.name}") from exc
+        if not INT64_MIN <= value <= INT64_MAX:
+            raise LoadError(f"{text!r} out of 64-bit range for {self.name}")
+        return value
+
+    def parse_column(self, texts: Sequence[str]) -> tuple[list, list[int]]:
+        """:meth:`parse_text` over a column of fields: the values, and
+        the indexes of the fields it rejects (their values are None).
+
+        A clean column is one bulk call of what ``parse_text`` applies —
+        ``int``, ``float``, the text itself, or ``parse_text`` mapped for
+        the other types — and, for INTEGER, one ``min`` / ``max``.  Only
+        a column holding a NULL (INTEGER, FLOAT, VARCHAR) or a field the
+        type rejects is parsed again a field at a time."""
+        values = self._parse_clean(texts)
+        if values is not None:
+            return values, []
+        values, rejected = [], []
+        for index, text in enumerate(texts):
+            try:
+                values.append(self.parse_text(text))
+            except Exception:  # rejected: the same catch as a COPY line's
+                values.append(None)
+                rejected.append(index)
+        return values, rejected
+
+    def _parse_clean(self, texts: Sequence[str]) -> list | None:
+        """The column parsed in one bulk call, or None when it is not
+        clean (see :meth:`parse_column`)."""
+        try:
+            if self is INTEGER:
+                values = list(map(int, texts))
+                if not values or INT64_MIN <= min(values) and max(values) <= INT64_MAX:
+                    return values
+                return None
+            if self is FLOAT:
+                return list(map(float, texts))
+            if self is VARCHAR:
+                if "" in texts or "NULL" in map(str.upper, texts):
+                    return None
+                return list(texts)
+            return list(map(self.parse_text, texts))
+        except Exception:  # a field parse_text rejects, whatever it raises
+            return None
 
 
 INTEGER = DataType("INTEGER", (int,), integral=True)

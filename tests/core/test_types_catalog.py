@@ -51,6 +51,19 @@ class TestTypes:
             types.INTEGER.parse_text("4x")
         with pytest.raises(LoadError):
             types.BOOLEAN.parse_text("maybe")
+        assert types.INTEGER.parse_text(str(2**63 - 1)) == 2**63 - 1
+        with pytest.raises(LoadError, match="out of 64-bit range"):
+            types.INTEGER.parse_text(str(2**63))
+
+    def test_parse_column_is_parse_text_a_column_at_a_time(self):
+        assert types.INTEGER.parse_column(("1", " 2 ", "-3")) == ([1, 2, -3], [])
+        assert types.INTEGER.parse_column(("1", "", "x", str(-(2**63) - 1), "null")) == (
+            [1, None, None, None, None],
+            [2, 3],
+        )
+        assert types.FLOAT.parse_column(("nan", "1e400"))[0][1] == float("inf")
+        assert types.VARCHAR.parse_column(("a", " NULL", "Null")) == (["a", " NULL", None], [])
+        assert types.BOOLEAN.parse_column(("t", "no", "maybe")) == ([True, False, None], [2])
 
     def test_date_helpers_roundtrip(self):
         day = datetime.date(2012, 8, 27)
@@ -83,6 +96,32 @@ class TestTypes:
         assert all(value != value for value in ordered[4:])
         assert types.sort_key(nan) == types.sort_key(float("nan"))
         assert types.NULL_FIRST < types.NAN_LAST and not types.NAN_LAST < 1e308
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([types.INTEGER, types.FLOAT, types.VARCHAR, types.BOOLEAN]),
+    st.lists(
+        st.one_of(
+            st.none(),
+            st.integers(-(2**64), 2**64),
+            st.floats(allow_nan=True),
+            st.booleans(),
+            st.text(max_size=2),
+        ),
+        max_size=8,
+    ),
+)
+def test_validate_column_is_validate_value_by_value(dtype, values):
+    def outcome(check):
+        try:
+            return "ok", repr(check())
+        except SqlAnalysisError as exc:
+            return "error", str(exc)
+
+    assert outcome(lambda: dtype.validate_column(values)) == outcome(
+        lambda: list(map(dtype.validate, values))
+    )
 
 
 def _rank(value):
@@ -136,14 +175,20 @@ class TestTableDefinition:
                 "t", [ColumnDef("a", types.INTEGER)], primary_key=("b",)
             )
 
-    def test_validate_row(self):
+    def test_validate_columns(self):
         table = TableDefinition(
             "t", [ColumnDef("a", types.INTEGER), ColumnDef("b", types.FLOAT)]
         )
-        row = table.validate_row({"a": 1, "b": 2})
-        assert row == {"a": 1, "b": 2.0}
-        with pytest.raises(SqlAnalysisError):
-            table.validate_row({"a": 1})  # missing column
+        columns = table.validate_columns({"b": [2, None], "a": [1, None]})
+        assert columns == {"a": [1, None], "b": [2.0, None]}
+        assert list(columns) == ["a", "b"] and type(columns["b"][0]) is float
+        with pytest.raises(SqlAnalysisError, match="do not match"):
+            table.validate_columns({"a": [1]})  # missing column
+        # the first bad value in row order, not in column order
+        with pytest.raises(SqlAnalysisError, match="'x'"):
+            table.validate_columns({"a": [1, 2**63], "b": ["x", 1.0]})
+        with pytest.raises(SqlAnalysisError, match="out of 64-bit range"):
+            table.validate_columns({"a": [1, 2**63], "b": [1.0, "x"]})
 
     def test_partition_key(self):
         table = TableDefinition(

@@ -13,11 +13,16 @@ time.  Three ``METRICS`` counters (``storage.ring_hashes``,
 ``storage.blocks_encoded``, ``storage.trial_encodes``) carry the same
 facts to ``v_monitor.metrics``.
 
-And a committed row is pivoted once: from ``apply_commit`` through the
-WOS, a scan of it, moveout and ``publish_dir`` the history is one
-``HistoryRun`` — no second pivot, no row dict.  The WOS used to hold
-dicts: the commit's run was turned back into rows to be buffered,
-pivoted again by the first scan and a third time at moveout.
+And a committed row is pivoted once: from ``Session.insert`` through
+the commit, the WOS, a scan of it, moveout and ``publish_dir`` the
+history is one ``HistoryRun`` — no second pivot, no row dict.  The WOS
+used to hold dicts: the commit's run was turned back into rows to be
+buffered, pivoted again by the first scan and a third time at moveout.
+A COPY is not pivoted at all: its lines are parsed into columns, which
+are validated, journalled and applied as they are — no ``parse_text``
+or ``validate`` per value, no row dict — and its commit record costs
+about its text in journal bytes.  It used to parse each line into a
+dict, type-check it value by value and journal it as a row dict.
 """
 
 from collections import Counter
@@ -256,3 +261,57 @@ def test_a_committed_row_is_pivoted_once_and_never_turned_back(db, monkeypatch):
     assert calls.pop("publish_dir") > 0
     assert calls == {"from_rows": 1}
     assert db.sql("SELECT count(*) AS n FROM t")[0]["n"] == before + WOS_ROWS
+
+
+def copy_lines(first, count):
+    return [f"{row['metric']}|{row['k']}|{row['v']!r}" for row in make_rows(first, count)]
+
+
+def wos_rows(db):
+    return sum(
+        node.manager.wos_row_count(name)
+        for node in db.cluster.nodes
+        for name in node.manager.projection_names()
+    )
+
+
+def test_a_copy_is_columns_from_its_first_byte_to_publish(db, monkeypatch):
+    assert not hasattr(TableDefinition, "validate_row")
+    calls = Counter()
+    pivot = HistoryRun.from_rows.__func__
+    monkeypatch.setattr(
+        HistoryRun,
+        "from_rows",
+        classmethod(lambda cls, *args: calls.update(["from_rows"]) or pivot(cls, *args)),
+    )
+    for owner, name in (
+        (HistoryRun, "rows"), (HistoryRun, "records"),
+        (types.DataType, "parse_text"), (types.DataType, "validate"),
+    ):
+        original = getattr(owner, name)
+        monkeypatch.setattr(
+            owner,
+            name,
+            lambda *args, name=name, original=original: calls.update([name])
+            or original(*args),
+        )
+    publish = fsio.publish_dir
+    monkeypatch.setattr(
+        fsio, "publish_dir", lambda *args: calls.update(["publish_dir"]) or publish(*args)
+    )
+    first = db.sql("SELECT count(*) AS n FROM t")[0]["n"]
+    for count, direct in ((12_000, True), (3_000, False)):
+        lines = copy_lines(first, count)
+        text_bytes = sum(len(line.encode()) + 1 for line in lines)
+        journalled = METRICS.counter("journal.bytes_written")
+        buffered = wos_rows(db)
+        result = db.sql("COPY t FROM STDIN", copy_rows=lines)
+        assert (result.loaded, result.rejected) == (count, [])
+        assert METRICS.counter("journal.bytes_written") - journalled <= 1.5 * text_bytes
+        # K=1: two copies of every row
+        assert wos_rows(db) - buffered == (0 if direct else 2 * count)
+        first += count
+    db.cluster.run_tuple_movers()
+    assert calls.pop("publish_dir") > 0
+    assert calls == {}
+    assert db.sql("SELECT count(*) AS n FROM t")[0]["n"] == first

@@ -72,7 +72,7 @@ def commit(journal, epoch, row_count=1):
     journal.log_commit(
         epoch=epoch,
         snapshot_epoch=epoch - 1,
-        inserts={"t": [{"k": k, "v": "row"} for k in range(row_count)]},
+        inserts={"t": {"k": list(range(row_count)), "v": ["row"] * row_count}},
         deletes=[],
         direct_to_ros=row_count > 1,
     )
@@ -112,7 +112,7 @@ class TestAppendReplay:
         journal.log_commit(
             epoch=1,
             snapshot_epoch=0,
-            inserts={"t": [{"k": 1}]},
+            inserts={"t": {"k": [1]}},
             deletes=[("t", [{"k": 0}])],
             direct_to_ros=False,
         )
@@ -127,7 +127,7 @@ class TestAppendReplay:
         assert replay.truncated_records == 0
         assert reopened.genesis == GENESIS
         commit = replay.records[2]
-        assert commit.payload["inserts"] == {"t": [{"k": 1}]}
+        assert commit.payload["inserts"] == {"t": {"k": [1]}}
         assert commit.payload["deletes"] == [{"table": "t", "rows": [{"k": 0}]}]
 
     def test_appends_continue_after_reopen(self, tmp_path):
@@ -177,7 +177,7 @@ class TestRotationAndCheckpoints:
             journal.log_commit(
                 epoch=epoch,
                 snapshot_epoch=epoch - 1,
-                inserts={"t": [{"k": epoch}]},
+                inserts={"t": {"k": [epoch]}},
                 deletes=[],
                 direct_to_ros=False,
             )
@@ -289,8 +289,8 @@ class TestAppendCost:
         straight = make_journal(tmp_path / "straight")
         reopened = make_journal(tmp_path / "reopened")
         for epoch in range(1, 3 * SEGMENT_BYTES // 900):  # ~900 bytes each
-            commit(straight, epoch, 40)
-            commit(reopened, epoch, 40)
+            commit(straight, epoch, 85)
+            commit(reopened, epoch, 85)
             if epoch == 3:
                 (active,) = read_all(reopened.directory).values()
                 assert len(active) < SEGMENT_BYTES
@@ -392,7 +392,7 @@ class TestDamageRecovery:
             journal.log_commit(
                 epoch=epoch,
                 snapshot_epoch=epoch - 1,
-                inserts={"t": [{"k": epoch}]},
+                inserts={"t": {"k": [epoch]}},
                 deletes=[],
                 direct_to_ros=False,
             )
@@ -445,7 +445,7 @@ class TestDamageRecovery:
             journal.log_commit(
                 epoch=epoch,
                 snapshot_epoch=epoch - 1,
-                inserts={"t": [{"k": epoch}]},
+                inserts={"t": {"k": [epoch]}},
                 deletes=[],
                 direct_to_ros=False,
             )

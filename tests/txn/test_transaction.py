@@ -3,7 +3,13 @@
 import pytest
 
 from repro.errors import TransactionError
+from repro.storage import HistoryRun
 from repro.txn import IsolationLevel, Transaction, TxnStatus
+
+
+def run_of(rows):
+    """Rows of a one-column table ``a`` as the run a session buffers."""
+    return HistoryRun.from_rows(["a"], rows, [0] * len(rows))
 
 
 class TestLifecycle:
@@ -15,10 +21,10 @@ class TestLifecycle:
 
     def test_buffering_marks_dml(self):
         txn = Transaction(txn_id=1)
-        txn.buffer_insert("t", [{"a": 1}])
+        txn.buffer_insert("t", run_of([{"a": 1}]))
         assert txn.has_dml
-        assert txn.local_inserts_for("t") == [{"a": 1}]
-        assert txn.local_inserts_for("other") == []
+        assert list(txn.pending_inserts["t"].rows()) == [{"a": 1}]
+        assert "other" not in txn.pending_inserts
 
     def test_buffer_delete(self):
         txn = Transaction(txn_id=1)
@@ -28,15 +34,18 @@ class TestLifecycle:
 
     def test_inserts_accumulate(self):
         txn = Transaction(txn_id=1)
-        txn.buffer_insert("t", [{"a": 1}])
-        txn.buffer_insert("t", [{"a": 2}])
-        assert len(txn.local_inserts_for("t")) == 2
+        first = run_of([{"a": 1}])
+        txn.buffer_insert("t", first)
+        txn.buffer_insert("t", run_of([{"a": 2}]))
+        # one run per table: the first run's lists take the later rows
+        assert txn.pending_inserts["t"] is first
+        assert first.columns == {"a": [1, 2]} and len(first) == 2
 
     def test_committed_txn_rejects_statements(self):
         txn = Transaction(txn_id=1)
         txn.status = TxnStatus.COMMITTED
         with pytest.raises(TransactionError):
-            txn.buffer_insert("t", [])
+            txn.buffer_insert("t", run_of([]))
         with pytest.raises(TransactionError):
             txn.check_active()
 

@@ -36,10 +36,15 @@ REPRO_SANITIZE=1 python -m pytest -q
 echo "== kernel differential: fuzz corpus through both engines =="
 # Every fuzz query runs on the vectorized kernels AND the forced row
 # engine (plus the oracle); one pinned extra seed and one derived from
-# the commit SHA extend the base corpus.  Zero divergences required.
+# the commit SHA extend the base corpus.  The same seeds drive the
+# write path's byte identity, column COPY against the per-line loader
+# and the group-key kernel.  Zero divergences required.
 echo "   extra seeds: 7, ${GIT_SEED} (git-derived)"
 REPRO_FUZZ_SEEDS="7,${GIT_SEED}" REPRO_SANITIZE=1 \
-    python -m pytest -q tests/integration/test_sql_differential_fuzz.py tests/storage/test_write_path_byte_identity.py tests/execution/test_kernels_properties.py::test_key_kernel_matches_row_engine_and_a_dict_of_lists
+    python -m pytest -q tests/integration/test_sql_differential_fuzz.py \
+    tests/storage/test_write_path_byte_identity.py \
+    tests/sql/test_copy_by_columns.py::test_column_copy_equals_the_per_line_loop \
+    tests/execution/test_kernels_properties.py::test_key_kernel_matches_row_engine_and_a_dict_of_lists
 
 echo "== chaos seeds: two fixed + one fresh from the git SHA =="
 # The self-healing scenarios re-run on pinned seeds (regression
@@ -58,48 +63,6 @@ echo "== crash-restart: kill-anywhere durability sweep =="
 echo "   seeds: 11, 23, ${GIT_SEED} (git-derived)"
 REPRO_CRASH_SEEDS="11,23,${GIT_SEED}" REPRO_SANITIZE=1 \
     python -m pytest -q tests/chaos/test_kill_anywhere.py
-
-echo "== trace smoke: distributed query -> spans on every node -> Perfetto JSON =="
-# A traced 3-node aggregate (tracing + sanitizer both on) must produce
-# one statement trace whose spans cover parse -> plan -> execute on
-# every participating node, export as valid Chrome trace-event JSON
-# (one pid per node plus the coordinator), and be queryable back
-# through v_monitor.trace_spans.
-REPRO_TRACE=1 REPRO_SANITIZE=1 python - <<'EOF'
-import json, shutil, tempfile
-from repro import ColumnDef, Database, TableDefinition, types
-from repro.trace import TraceSink
-
-root = tempfile.mkdtemp(prefix="trace_smoke_")
-try:
-    db = Database(root + "/db", node_count=3, k_safety=1)
-    db.create_table(TableDefinition(
-        "t", [ColumnDef("a", types.INTEGER), ColumnDef("b", types.INTEGER)],
-        primary_key=("a",),
-    ))
-    db.load("t", [{"a": i, "b": i % 5} for i in range(300)])
-    db.analyze_statistics()
-    db.sql("SELECT b, COUNT(*) AS n FROM t GROUP BY b ORDER BY b")
-    sink = TraceSink()
-    trace = sink.latest()
-    assert trace.root.name == "statement", trace.root.name
-    names = {span.name for span in trace.spans}
-    for required in ("sql.parse", "optimizer.plan", "executor.attempt"):
-        assert required in names, f"missing span {required}: {sorted(names)}"
-    assert trace.nodes() == [0, 1, 2], trace.nodes()
-    doc = json.loads(json.dumps(sink.to_chrome_trace([trace.trace_id])))
-    pids = {event["pid"] for event in doc["traceEvents"]}
-    assert pids == {0, 1, 2, 3}, pids
-    spans = db.sql(
-        "SELECT span_id FROM v_monitor.trace_spans "
-        f"WHERE trace_id = '{trace.trace_id}'"
-    )
-    assert len(spans) == len(trace.spans), (len(spans), len(trace.spans))
-    print("trace smoke OK:", len(trace.spans), "spans across nodes",
-          trace.nodes())
-finally:
-    shutil.rmtree(root, ignore_errors=True)
-EOF
 
 echo "== data collector: kill-mid-flush crash-restart + console snapshot =="
 # The DC segments reuse the stage/publish fault points: a flush is

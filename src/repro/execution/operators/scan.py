@@ -18,7 +18,7 @@ from ...storage.manager import StorageManager
 from ..expressions import Expr, column_range_from_predicate
 from ..kernels import kernels_enabled
 from ..kernels.predicates import compile_kernel_predicate
-from ..row_block import RowBlock, _sorted_prefix
+from ..row_block import RowBlock, sorted_prefix
 from ..sip import SipFilter
 from .base import Operator
 
@@ -68,18 +68,22 @@ class ScanOperator(Operator):
         self.seek_blocks = 0
         self.seek_window_rows = 0
 
-    def _needed_columns(self) -> list[str]:
-        needed = set(self.columns)
-        if self.predicate is not None:
-            needed |= self.predicate.referenced_columns()
+    def _carried_columns(self) -> list[str]:
+        """What leaves the predicate: the emitted columns, then the SIP
+        keys.  A predicate-only column is decoded, tested and dropped."""
+        carried = list(self.columns)
         for sip in self.sip_filters:
             for expr in sip.key_exprs:
-                needed |= expr.referenced_columns()
-        return sorted(needed)
+                carried += sorted(expr.referenced_columns() - set(carried))
+        return carried
 
     def _produce(self):
         prune = column_range_from_predicate(self.predicate)
-        needed = self._needed_columns()
+        carried = self._carried_columns()
+        needed_set = set(carried)
+        if self.predicate is not None:
+            needed_set |= self.predicate.referenced_columns()
+        needed = sorted(needed_set)
         use_kernels = kernels_enabled()
         kernel = None
         row_predicate = None
@@ -95,7 +99,7 @@ class ScanOperator(Operator):
             self.rows_scanned += block.row_count
             if kernel is not None:
                 # vectorized predicate: evaluated over only the
-                # predicate's columns; non-predicate columns are touched
+                # predicate's columns; the carried columns are touched
                 # (sliced, still encoded) only if the selection keeps
                 # anything — late materialization.
                 self.kernel_blocks += 1
@@ -109,6 +113,7 @@ class ScanOperator(Operator):
                     seeks.clear()
                 if selection.is_empty:
                     return None
+                block = block.project(carried)
                 if not selection.is_all:
                     block = RowBlock(
                         columns={
@@ -121,7 +126,8 @@ class ScanOperator(Operator):
             elif row_predicate is not None:
                 self.row_blocks += 1
                 METRICS.inc("executor.row_fallback_blocks")
-                block = block.filter(row_predicate(block))
+                mask = row_predicate(block)
+                block = block.project(carried).filter(mask)
             elif use_kernels:
                 self.kernel_blocks += 1
                 METRICS.inc("executor.kernel_blocks")
@@ -137,7 +143,6 @@ class ScanOperator(Operator):
 
         if self.failure_probe is not None:
             self.failure_probe()
-        needed_set = set(needed)
         for batch in self.manager.scan(
             self.projection_name,
             self.epoch,
@@ -149,7 +154,7 @@ class ScanOperator(Operator):
                 self.failure_probe()
             sorted_by = None
             if batch.sort_columns:
-                sorted_by = _sorted_prefix(batch.sort_columns, needed_set)
+                sorted_by = sorted_prefix(batch.sort_columns, needed_set)
             block = RowBlock(
                 columns=batch.columns,
                 row_count=batch.row_count,

@@ -111,7 +111,7 @@ class RowBlock:
         return RowBlock(
             columns={name: self.column(name) for name in names},
             row_count=self.row_count,
-            sorted_by=_sorted_prefix(self.sorted_by, set(names)),
+            sorted_by=sorted_prefix(self.sorted_by, set(names)),
         )
 
     def with_column(self, name: str, values: list) -> "RowBlock":
@@ -172,7 +172,7 @@ class RowBlock:
             )
 
 
-def _sorted_prefix(sorted_by: tuple | None, available: set) -> tuple | None:
+def sorted_prefix(sorted_by: tuple | None, available: set) -> tuple | None:
     """The leading run of ``sorted_by`` whose columns are all present."""
     if not sorted_by:
         return sorted_by

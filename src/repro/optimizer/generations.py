@@ -23,7 +23,7 @@ from ..execution.operators.join import JoinType
 from . import physical as P
 from .logical import LogicalNode
 from .planner import PlannerBase, output_columns
-from .rewrite import conjoin
+from .rewrite import _reads, conjoin
 
 
 class _OrderedJoinPlanner(PlannerBase):
@@ -32,7 +32,7 @@ class _OrderedJoinPlanner(PlannerBase):
     def join_order(self, planned: list[P.PhysicalNode], equis) -> list[int]:
         raise NotImplementedError
 
-    def order_joins(self, relations: list[LogicalNode], conditions):
+    def order_joins(self, relations: list[LogicalNode], conditions, needed=None):
         planned = [self._plan_node(relation) for relation in relations]
         equis = [
             (left, right)
@@ -63,8 +63,13 @@ class _OrderedJoinPlanner(PlannerBase):
                     left_keys.append(b)
                     right_keys.append(a)
                     pending.remove(pair)
+            # an intermediate join also carries the keys of the joins
+            # still to come and what the residuals read
+            keep = needed
+            if needed is not None:
+                keep = needed | _reads(residuals + [e for pair in pending for e in pair])
             current = self.make_join(
-                current, right, JoinType.INNER, left_keys, right_keys
+                current, right, JoinType.INNER, left_keys, right_keys, needed=keep
             )
         leftover = residuals + [Comparison("=", a, b) for a, b in pending]
         if leftover:

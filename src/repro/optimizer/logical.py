@@ -41,9 +41,10 @@ class LogicalNode:
 class ScanNode(LogicalNode):
     """Read a table (projection choice is the optimizer's job).
 
-    ``columns`` are the *output* names this scan must produce; when an
-    alias is in play the analyzer provides ``rename`` mapping stored
-    column name -> output name.
+    ``columns`` are the stored names this scan must produce (the
+    analyzer lists every table column; ``rewrite.prune_columns`` keeps
+    those the query reads); when an alias is in play ``rename`` maps
+    stored column name -> output name.
     """
 
     table: str
@@ -71,6 +72,9 @@ class JoinNode(LogicalNode):
     left_keys: list[Expr]
     right_keys: list[Expr]
     residual: Expr | None = None
+    #: Output names the plan above (and the residual) reads; None: every
+    #: column of both sides.  Set by ``rewrite.prune_columns``.
+    needed: set[str] | None = None
 
     def __post_init__(self):
         self.children = [self.left, self.right]

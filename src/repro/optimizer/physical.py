@@ -112,13 +112,15 @@ class PhysScan(PhysicalNode):
 
     table: str
     family_name: str
+    #: output names emitted; predicate-only columns are read, not emitted.
     columns: list[str]
     #: stored column name -> output name (aliasing).
     rename: dict[str, str]
     predicate: Expr | None
     distribution: Distribution
-    #: True when the chosen projection's sort order lets downstream
-    #: merge-join / pipelined group-by consume it directly.
+    #: The output's sort order: the leading columns of the chosen
+    #: projection's sort order that the scan emits (a merge join or a
+    #: pipelined group-by consumes it directly).
     sort_order: tuple[str, ...] = ()
     #: filled by join planning: SIP filter key exprs, one entry per
     #: participating hash join (executor wires the actual filters).
@@ -131,7 +133,7 @@ class PhysScan(PhysicalNode):
         predicate = f" WHERE {self.predicate!r}" if self.predicate is not None else ""
         sip = f" +{len(self.sip_requests)} SIP" if self.sip_requests else ""
         return (
-            f"Scan {self.family_name}{predicate}{sip}"
+            f"Scan {self.family_name} [{', '.join(self.columns)}]{predicate}{sip}"
             f" [{_predicate_engine(self.predicate)}]"
         )
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from ..errors import PlanningError
 from ..execution.expressions import ColumnRef, Expr
 from ..execution.operators.join import JoinType
+from ..execution.row_block import sorted_prefix
 from ..projections import HashSegmentation, ProjectionDefinition
 from . import physical as P
 from .cost import (
@@ -230,17 +231,15 @@ class PlannerBase:
                 f"no projection of {node.table!r} covers {sorted(needed_raw)}"
             )
         projection = best.primary
-        # keep declared order for requested raw columns, append extras
-        ordered_raw = list(node.columns)
-        for name in sorted(needed_raw - set(node.columns)):
-            ordered_raw.append(name)
-        out_names = [node.rename.get(raw, raw) for raw in ordered_raw]
+        # predicate-only columns are read, tested and dropped in the scan
+        out_names = [node.rename.get(raw, raw) for raw in node.columns]
         distribution = self._scan_distribution(projection, node.rename, out_names)
-        sort_order = tuple(
-            node.rename.get(name, name)
-            for name in projection.sort_order
-            if node.rename.get(name, name) in out_names
-        )
+        # the output is sorted by the leading sort columns it carries: a
+        # column after a dropped one is sorted only within its runs
+        sort_order = sorted_prefix(
+            tuple(node.rename.get(name, name) for name in projection.sort_order),
+            set(out_names),
+        ) or ()
         phys = P.PhysScan(
             table=node.table,
             family_name=best.primary.name,
@@ -279,12 +278,12 @@ class PlannerBase:
         generation allows it."""
         relations, conditions, reorderable = self._flatten_inner_joins(node)
         if reorderable and self.reorders_joins and len(relations) > 1:
-            return self.order_joins(relations, conditions)
+            return self.order_joins(relations, conditions, node.needed)
         left = self._plan_node(node.left)
         right = self._plan_node(node.right)
         return self.make_join(
             left, right, node.join_type, node.left_keys, node.right_keys,
-            node.residual,
+            node.residual, node.needed,
         )
 
     def _flatten_inner_joins(self, node: JoinNode):
@@ -313,8 +312,9 @@ class PlannerBase:
         visit(node)
         return relations, conditions, flattenable
 
-    def order_joins(self, relations, conditions) -> P.PhysicalNode:
-        """Generation-specific join ordering; must be overridden."""
+    def order_joins(self, relations, conditions, needed=None) -> P.PhysicalNode:
+        """Generation-specific join ordering; must be overridden.
+        ``needed`` is what the plan above reads (None: everything)."""
         raise NotImplementedError
 
     # -- join construction ----------------------------------------------------------
@@ -431,9 +431,11 @@ class PlannerBase:
     def make_join(
         self, left: P.PhysicalNode, right: P.PhysicalNode,
         join_type: JoinType, left_keys, right_keys, residual=None,
+        needed: set[str] | None = None,
     ) -> P.PhysJoin:
         """Assemble a physical join with strategy, algorithm, SIP and
-        output distribution."""
+        output distribution.  It emits the columns in ``needed`` (what
+        the plan above and the residual read; None: every column)."""
         # hash joins build from the right (inner) side: for INNER joins
         # put the smaller estimated input there.
         if join_type is JoinType.INNER and left.est_rows < right.est_rows:
@@ -483,6 +485,15 @@ class PlannerBase:
             and join_type in (JoinType.INNER, JoinType.SEMI)
             and self._scan_plan_reachable(left)
         )
+        left_columns, right_columns = output_columns(left), output_columns(right)
+        if needed is not None:
+            kept = [c for c in left_columns if c in needed]
+            right_columns = [c for c in right_columns if c in needed]
+            filtering = join_type in (JoinType.SEMI, JoinType.ANTI)
+            emitted = kept if filtering else kept + right_columns
+            # count(*) over a join reads rows, not values: one column
+            # carries them
+            left_columns = kept if emitted else left_columns[:1]
         join = P.PhysJoin(
             left=left,
             right=right,
@@ -491,8 +502,8 @@ class PlannerBase:
             left_keys=left_keys,
             right_keys=right_keys,
             strategy=strategy,
-            left_columns=output_columns(left),
-            right_columns=output_columns(right),
+            left_columns=left_columns,
+            right_columns=right_columns,
             distribution=distribution,
             residual=residual,
             sip=sip,

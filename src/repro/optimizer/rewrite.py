@@ -3,7 +3,9 @@
 Section 6.2 lists the classic rewrites Vertica adopted: introducing
 transitive predicates based on join keys, converting outer joins to
 inner joins, predicate push-down, and pruning unneeded columns.  These
-run before physical planning and are generation-independent.
+run before physical planning and are generation-independent; pruning
+runs last, so every scan reads only the columns the query names and a
+narrow projection can answer it.
 """
 
 from __future__ import annotations
@@ -21,10 +23,16 @@ from ..execution.expressions import (
 )
 from ..execution.operators.join import JoinType
 from .logical import (
+    AnalyticNode,
+    DistinctNode,
     FilterNode,
+    GroupByNode,
     JoinNode,
+    LimitNode,
     LogicalNode,
+    ProjectNode,
     ScanNode,
+    SortNode,
 )
 
 
@@ -241,11 +249,81 @@ def convert_outer_to_inner(node: LogicalNode) -> LogicalNode:
     return node
 
 
+def _reads(exprs) -> set[str]:
+    """Every column the expressions (None entries skipped) read."""
+    out: set[str] = set()
+    for expr in exprs:
+        if expr is not None:
+            out |= expr.referenced_columns()
+    return out
+
+
+def prune_columns(node: LogicalNode, needed: set[str] | None = None) -> LogicalNode:
+    """Narrow every scan to the columns the plan above it reads (section
+    6.2: "pruning unneeded columns").
+
+    A top-down walk: ``needed`` is the set of output names the node's
+    parent reads, None for every one — a bare root (a DELETE's victim
+    scan) and DISTINCT read whole rows.  Each node adds what it reads
+    itself; a join records what its parent and residual read in
+    ``JoinNode.needed`` so the physical join emits only that.
+    """
+    if isinstance(node, ScanNode):
+        if needed is not None:
+            _narrow_scan(node, needed)
+        return node
+    if isinstance(node, JoinNode):
+        if needed is not None:
+            needed = needed | _reads([node.residual])
+        node.needed = needed
+        keys = _reads(node.left_keys + node.right_keys)
+        below = None if needed is None else needed | keys
+        prune_columns(node.left, below)
+        filtering = node.join_type in (JoinType.SEMI, JoinType.ANTI)
+        prune_columns(node.right, keys if filtering else below)
+        return node
+    below: set[str] | None
+    if isinstance(node, ProjectNode):
+        below = _reads(node.outputs.values())
+    elif isinstance(node, GroupByNode):
+        below = _reads([*(expr for _, expr in node.keys),
+                        *(spec.arg for spec in node.aggregates)])
+    elif needed is None or isinstance(node, DistinctNode):
+        below = None
+    elif isinstance(node, FilterNode):
+        below = needed | node.predicate.referenced_columns()
+    elif isinstance(node, SortNode):
+        below = needed | _reads(expr for expr, _ in node.keys)
+    elif isinstance(node, AnalyticNode):
+        below = needed - {spec.output_name for spec in node.specs}
+        for spec in node.specs:
+            below |= _reads([spec.arg, *spec.partition_by,
+                             *(expr for expr, _ in spec.order_by)])
+    elif isinstance(node, LimitNode):
+        below = needed
+    else:
+        below = None
+    for child in node.children:
+        prune_columns(child, below)
+    return node
+
+
+def _narrow_scan(scan: ScanNode, needed: set[str]) -> None:
+    kept = [raw for raw in scan.columns if scan.rename.get(raw, raw) in needed]
+    if not kept:
+        # count(*) reads rows, not values: one column carries them — a
+        # predicate column when there is one, which is decoded anyway.
+        filtered = _reads([scan.predicate])
+        kept = [next((raw for raw in scan.columns if raw in filtered), scan.columns[0])]
+    scan.columns = kept
+
+
 def rewrite(node: LogicalNode) -> LogicalNode:
     """The standard rewrite pipeline: outer->inner, push-down,
-    transitive predicates, then a second push-down pass."""
+    transitive predicates, a second push-down pass, then column
+    pruning."""
     node = convert_outer_to_inner(node)
     node = push_down_filters(node)
     node = add_transitive_predicates(node)
     node = push_down_filters(node)
-    return node
+    return prune_columns(node)

@@ -52,6 +52,46 @@ def test_snapshot_renders_every_section(db_path, capsys):
     assert "alerts_firing=" in out
 
 
+def test_history_survives_failover_heal_and_restart(tmp_path, capsys):
+    """A database that went through load -> query -> mover -> failover
+    and heal -> restart: the snapshot serves the pre-restart history,
+    and the reopened database serves ``failover_events`` /
+    ``tuple_mover_events`` out of the same recovered rings as
+    ``dc_node_events`` / ``dc_tuple_mover``."""
+    reset_all()
+    path = str(tmp_path / "db")
+    db = Database(path, node_count=3, k_safety=1)
+    db.create_table(
+        TableDefinition(
+            "t", [ColumnDef("k", types.INTEGER), ColumnDef("v", types.INTEGER)]
+        ),
+        sort_order=["k"],
+    )
+    db.sql("INSERT INTO t VALUES (1, 10), (2, 20)")
+    db.sql("SELECT v FROM t WHERE k = 1")
+    db.cluster.run_tuple_movers()
+    db.cluster.fail_node(1)
+    db.cluster.supervisor.run_until_converged()
+    assert db.cluster.membership.is_up(1)
+    del db
+
+    assert main(["--db", path, "--snapshot"]) == 0
+    out = capsys.readouterr().out
+    for section in ("NODES", "ALERTS", "RECENT REQUESTS", "NODE EVENTS"):
+        assert f"── {section} " in out
+    assert "select" in out, "pre-restart history not served"
+
+    db = Database.open(path)
+    columns = "SELECT kind, node_index, detail FROM v_monitor."
+    failovers = db.sql(columns + "failover_events")
+    assert failovers, "failover history lost across the restart"
+    assert failovers == db.sql(columns + "dc_node_events")
+    assert any(row["detail"] == "UP->DOWN" for row in failovers), failovers
+    assert db.sql(
+        "SELECT rows_in FROM v_monitor.tuple_mover_events WHERE kind = 'moveout'"
+    ), "pre-restart moveout not served after the restart"
+
+
 def test_snapshot_shows_firing_alerts_first(db_path):
     db = Database.open(db_path)
     # force one warning alert to fire deterministically

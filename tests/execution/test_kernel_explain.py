@@ -57,15 +57,15 @@ def test_explain_marks_kernelized_operators(db):
         "Project tag=tag, n=agg_1, sv=agg_2  [coordinator, ~1 rows]\n"
         "  GroupBy[hash two-phase+prepass] [tag] [COUNT(*), SUM(v)] "
         "[kernel]  [coordinator, ~1 rows]\n"
-        "    Scan t_super WHERE (k < 100) [kernel]  "
-        "[segmented on (k), ~1 rows]"
+        "    Scan t_super [tag, v] WHERE (k < 100) [kernel]  "
+        "[segmented, ~1 rows]"
     )
 
 
 def test_explain_marks_row_fallback_predicate(db):
     assert db.sql("EXPLAIN " + ROW_SQL) == (
         "Project k=k  [segmented on (k), ~1 rows]\n"
-        "  Scan t_super WHERE ((v + 1.0) > 100.0) [row]  "
+        "  Scan t_super [k] WHERE ((v + 1.0) > 100.0) [row]  "
         "[segmented on (k), ~1 rows]"
     )
 
@@ -116,7 +116,7 @@ def test_a_sort_prefix_group_by_has_no_sort_under_it(db):
         "Project k=k, n=agg_1, a=agg_2  [segmented on (k), ~1 rows]\n"
         "  GroupBy[pipelined local] [k] [COUNT(*), AVG(v)] [kernel]  "
         "[segmented on (k), ~1 rows]\n"
-        "    Scan t_super WHERE (k < 6) [kernel]  [segmented on (k), ~1 rows]"
+        "    Scan t_super [k, v] WHERE (k < 6) [kernel]  [segmented on (k), ~1 rows]"
     )
     rendered = db.sql("EXPLAIN ANALYZE " + PIPELINED_SQL)
     assert [line.strip().split("(")[0] for line in rendered.splitlines()[1:]] == [

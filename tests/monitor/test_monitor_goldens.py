@@ -33,7 +33,7 @@ Sort(region ASC)  [rows=2 blocks=1 pulls=2 time=_ self=_]
     GroupByHash(keys=[region] aggs=[COUNT(*), SUM(amount)] merge)  [rows=2 blocks=1 pulls=2 time=_ self=_ exec=kernel]
       PrepassGroupBy(keys=[region] table=1024)  [rows=2 blocks=1 pulls=2 time=_ self=_ exec=kernel]
         HashJoin[INNER](sales.cust_id=customers.cust_id)  [rows=400 blocks=3 pulls=4 time=_ self=_ exec=kernel]
-          ExprEval(sale_id=sale_id, sales.cust_id=cust_id, amount=amount)  [rows=400 blocks=3 pulls=4 time=_ self=_]
+          ExprEval(sales.cust_id=cust_id, amount=amount)  [rows=400 blocks=3 pulls=4 time=_ self=_]
             Scan(sales_super @e5) SIP[cust_id] from HashJoin  [rows=400 blocks=3 pulls=4 time=_ self=_ exec=kernel]
           Source  [rows=10 blocks=3 pulls=4 time=_ self=_]"""
 

@@ -5,11 +5,15 @@ import pytest
 from repro import ColumnDef, Database, TableDefinition, types
 from repro.execution import And, ColumnRef, Comparison, IsNull, Literal
 from repro.execution.operators.join import JoinType
+from repro.execution.aggregates import AggregateSpec
 from repro.optimizer import (
+    DistinctNode,
     FilterNode,
+    GroupByNode,
     JoinNode,
     PhysJoin,
     PhysScan,
+    ProjectNode,
     ScanNode,
     rewrite,
 )
@@ -17,6 +21,7 @@ from repro.optimizer import physical as P
 from repro.optimizer.rewrite import (
     add_transitive_predicates,
     convert_outer_to_inner,
+    prune_columns,
     push_down_filters,
     split_conjuncts,
 )
@@ -89,6 +94,48 @@ class TestTransitivePredicates:
         add_transitive_predicates(join)
         add_transitive_predicates(join)
         assert len(split_conjuncts(fact.predicate)) == 1
+
+
+class TestPruneColumns:
+    def test_scans_and_joins_keep_what_the_plan_above_reads(self):
+        fact, dim = scans()
+        join = JoinNode(fact, dim, JoinType.INNER, [C("dim_id")], [C("d_id")])
+        plan = GroupByNode(join, [("name", C("name"))], [AggregateSpec("SUM", C("v"), "s")])
+        prune_columns(plan)
+        assert fact.columns == ["dim_id", "v"]
+        assert dim.columns == ["d_id", "name"]
+        assert join.needed == {"name", "v"}  # the keys are read below it
+
+    def test_a_filter_and_a_residual_keep_their_columns(self):
+        fact, dim = scans()
+        join = JoinNode(
+            fact, dim, JoinType.LEFT, [C("dim_id")], [C("d_id")],
+            residual=C("name") == L("x"),
+        )
+        plan = ProjectNode(FilterNode(join, C("f_id") > L(3)), {"v": C("v")})
+        prune_columns(plan)
+        assert join.needed == {"v", "f_id", "name"}
+        assert fact.columns == ["f_id", "dim_id", "v"]
+        assert dim.columns == ["d_id", "name"]
+
+    def test_a_bare_root_and_distinct_read_every_column(self):
+        fact, dim = scans()
+        prune_columns(fact)
+        assert fact.columns == ["f_id", "dim_id", "v"]
+        join = JoinNode(fact, dim, JoinType.INNER, [C("dim_id")], [C("d_id")])
+        prune_columns(DistinctNode(join))
+        assert join.needed is None
+        assert dim.columns == ["d_id", "name"]
+
+    def test_a_bare_count_keeps_one_column(self):
+        count = [AggregateSpec("COUNT", None, "n")]
+        fact, _ = scans()
+        prune_columns(GroupByNode(fact, [], count))
+        assert fact.columns == ["f_id"]
+        fact, _ = scans()
+        fact.predicate = C("v") > L(5)
+        prune_columns(GroupByNode(fact, [], count))
+        assert fact.columns == ["v"]  # decoded for the predicate anyway
 
 
 class TestOuterToInner:
@@ -191,6 +238,35 @@ class TestGenerations:
         plan = star_db.planner("v2").plan(query)
         scan = next(n for n in plan.walk() if isinstance(n, PhysScan))
         assert scan.family_name == "fact_by_v"
+
+    def test_a_scan_claims_only_the_sort_prefix_it_emits(self, tmp_path):
+        """A scan emitting ``meter`` of a ``(metric, meter, ts)``
+        projection is sorted only within each metric's run: it is not
+        sorted by ``meter``, so a GROUP BY meter over it hashes."""
+        from repro.workloads.meters import meters_table
+
+        db = Database(str(tmp_path / "so"), node_count=1)
+        db.create_table(meters_table(), sort_order=["metric", "meter", "ts"])
+        db.load("meter_readings", [
+            {"metric": m, "meter": k, "ts": t, "value": 1.0}
+            for m in ("a", "b") for k in range(3) for t in range(2)
+        ])
+        db.analyze_statistics()
+        planner = db.planner("v2")
+        second = planner.plan_scan(ScanNode("meter_readings", ["meter"]))
+        assert second.sort_order == ()
+        prefix = planner.plan_scan(ScanNode("meter_readings", ["ts", "meter", "metric"]))
+        assert prefix.sort_order == ("metric", "meter", "ts")
+        count = [AggregateSpec("COUNT", None, "n")]
+        grouped = planner.plan(
+            GroupByNode(ScanNode("meter_readings", ["meter"]), [("meter", C("meter"))], count)
+        )
+        assert grouped.algorithm == "hash"
+        assert sorted(
+            (row["meter"], row["n"]) for row in db.query(
+                GroupByNode(ScanNode("meter_readings", ["meter"]), [("meter", C("meter"))], count)
+            )
+        ) == [(0, 4), (1, 4), (2, 4)]
 
     def test_merge_join_chosen_for_matching_sort_orders(self, tmp_path):
         db = Database(str(tmp_path / "mj"), node_count=1)

@@ -242,8 +242,16 @@ class TestDdl:
         assert family.primary.column("cust").encoding == "RLE"
         # refreshed from existing data: narrow queries can use it
         db.analyze_statistics()
-        rows = db.sql("SELECT cust, count(*) AS n FROM sales GROUP BY cust")
-        assert len(rows) == 10
+        sql = "SELECT cust, count(*) AS n FROM sales GROUP BY cust"
+        assert "Scan sales_by_cust [cust]" in db.sql("EXPLAIN " + sql)
+        rows = db.sql(sql)
+        assert sorted((row["cust"], row["n"]) for row in rows) == [
+            (f"name{c}", 100) for c in range(10)
+        ]
+        # a column it does not store sends the query back to the super
+        explained = db.sql("EXPLAIN SELECT cust, sum(price) AS s FROM sales "
+                           "WHERE sale_id < 10 GROUP BY cust")
+        assert "Scan sales_super [cust, price] WHERE (sale_id < 10)" in explained
 
     def test_partitioned_table(self, db):
         db.sql(

@@ -13,15 +13,9 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 # Seed derived from the current commit: the chaos and fuzz stages mix
 # it in so every commit explores a fresh deterministic point of the
 # fault/query space.
-GIT_SEED=$(python - <<'EOF'
-import subprocess
-proc = subprocess.run(
-    ["git", "rev-parse", "HEAD"], capture_output=True, text=True
-)
-sha = proc.stdout.strip() or "0"
-print(int(sha[:8], 16) % 100000)
-EOF
-)
+GIT_SEED=$(python -c 'import subprocess
+sha = subprocess.run(["git", "rev-parse", "HEAD"], capture_output=True, text=True)
+print(int(sha.stdout.strip()[:8] or "0", 16) % 100000)')
 
 echo "== replint static analysis (src/repro, tests) =="
 python -m repro.lint src/repro tests
@@ -37,14 +31,16 @@ echo "== kernel differential: fuzz corpus through both engines =="
 # Every fuzz query runs on the vectorized kernels AND the forced row
 # engine (plus the oracle); one pinned extra seed and one derived from
 # the commit SHA extend the base corpus.  The same seeds drive the
-# write path's byte identity, column COPY against the per-line loader
-# and the group-key kernel.  Zero divergences required.
+# write path's byte identity, column COPY against the per-line loader,
+# the group-key kernel and narrow projections against the super
+# projection alone.  Zero divergences required.
 echo "   extra seeds: 7, ${GIT_SEED} (git-derived)"
 REPRO_FUZZ_SEEDS="7,${GIT_SEED}" REPRO_SANITIZE=1 \
     python -m pytest -q tests/integration/test_sql_differential_fuzz.py \
     tests/storage/test_write_path_byte_identity.py \
     tests/sql/test_copy_by_columns.py::test_column_copy_equals_the_per_line_loop \
-    tests/execution/test_kernels_properties.py::test_key_kernel_matches_row_engine_and_a_dict_of_lists
+    tests/execution/test_kernels_properties.py::test_key_kernel_matches_row_engine_and_a_dict_of_lists \
+    tests/integration/test_narrow_projections.py
 
 echo "== chaos seeds: two fixed + one fresh from the git SHA =="
 # The self-healing scenarios re-run on pinned seeds (regression
@@ -71,51 +67,11 @@ echo "== data collector: kill-mid-flush crash-restart + console snapshot =="
 # front end renders a one-shot snapshot of a database that has been
 # through load -> query -> mover -> failover + heal -> restart, and the
 # reopened database must serve failover_events / tuple_mover_events out
-# of the same recovered rings as dc_node_events / dc_tuple_mover.
+# of the same recovered rings as dc_node_events / dc_tuple_mover
+# (tests/dc/test_console.py).
 REPRO_SANITIZE=1 python -m pytest -q tests/dc/test_dc_crash_restart.py \
-    tests/dc/test_dc_acceptance.py
-python - <<'EOF'
-import shutil, subprocess, sys, tempfile
-from repro import ColumnDef, Database, TableDefinition, types
-
-root = tempfile.mkdtemp(prefix="console_smoke_")
-try:
-    db = Database(root + "/db", node_count=3, k_safety=1)
-    db.create_table(TableDefinition(
-        "t", [ColumnDef("k", types.INTEGER), ColumnDef("v", types.INTEGER)],
-    ), sort_order=["k"])
-    db.sql("INSERT INTO t VALUES (1, 10), (2, 20)")
-    db.sql("SELECT v FROM t WHERE k = 1")
-    db.cluster.run_tuple_movers()
-    db.cluster.fail_node(1)
-    db.cluster.supervisor.run_until_converged()
-    assert db.cluster.membership.is_up(1)
-    del db
-    proc = subprocess.run(
-        [sys.executable, "-m", "repro.console",
-         "--db", root + "/db", "--snapshot"],
-        capture_output=True, text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    for section in ("NODES", "ALERTS", "RECENT REQUESTS", "NODE EVENTS"):
-        assert section in proc.stdout, f"missing section {section}"
-    assert "select" in proc.stdout, "pre-restart history not served"
-    db = Database.open(root + "/db")
-    projection = "SELECT kind, node_index, detail FROM v_monitor."
-    failovers = db.sql(projection + "failover_events")
-    assert failovers, "failover history lost across the restart"
-    assert failovers == db.sql(projection + "dc_node_events")
-    assert any(f["detail"] == "UP->DOWN" for f in failovers), failovers
-    moveouts = db.sql(
-        "SELECT rows_in FROM v_monitor.tuple_mover_events "
-        "WHERE kind = 'moveout'"
-    )
-    assert moveouts, "pre-restart moveout not served after the restart"
-    print("console smoke OK: snapshot and the reopened history tables "
-          "served pre-restart history")
-finally:
-    shutil.rmtree(root, ignore_errors=True)
-EOF
+    tests/dc/test_dc_acceptance.py \
+    tests/dc/test_console.py::test_history_survives_failover_heal_and_restart
 
 echo "== perf smoke: bench harness writes BENCH_REPORT.json =="
 # Scaled-down benches through benchmarks/conftest.py, which records

@@ -14,15 +14,11 @@ engine's operators and runs it, verifying both agree.
 
 from __future__ import annotations
 
-import time
-
 import pytest
 
-from conftest import _emit, env_int
+from conftest import _emit
 
 from repro import ColumnDef, Database, TableDefinition, types
-from repro.execution.kernels import force_row_engine
-from repro.monitor import METRICS
 from repro.execution import (
     AggregateSpec,
     ColumnRef,
@@ -116,77 +112,3 @@ def test_handbuilt_figure3_tree(benchmark, db):
 
 def test_figure3_query_benchmark(benchmark, db):
     benchmark(lambda: db.sql(SQL))
-
-
-# -- operate-on-compressed speedup ---------------------------------------
-
-#: Rows for the kernel-vs-row timing table (sorted dept_id -> long RLE
-#: runs, exactly the layout run arithmetic exploits).
-FIG3_KERNEL_ROWS = env_int("REPRO_FIG3_ROWS", 120000)
-
-
-@pytest.fixture(scope="module")
-def big_departments(tmp_path_factory):
-    db = Database(str(tmp_path_factory.mktemp("fig3big")), node_count=1)
-    db.create_table(
-        TableDefinition(
-            "departments",
-            [ColumnDef("dept_id", types.INTEGER), ColumnDef("emp", types.VARCHAR)],
-        ),
-        sort_order=["dept_id"],
-    )
-    per_dept = max(1, FIG3_KERNEL_ROWS // 40)
-    rows = [
-        {"dept_id": dept, "emp": f"e{employee % 50}"}
-        for dept in range(40)
-        for employee in range(per_dept)
-    ]
-    db.load("departments", rows, direct_to_ros=True)
-    db.run_tuple_movers()
-    db.analyze_statistics()
-    return db
-
-
-def _best_ms(fn, repeats: int = 9) -> float:
-    fn()  # warm
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best * 1000
-
-
-def test_figure3_kernel_vs_row_speedup(benchmark, big_departments):
-    """The figure's workload shape on compressed blocks: RLE run
-    arithmetic and range selections vs. the per-row fallback.  The
-    best ratio lands in BENCH_REPORT.json as a x100 counter."""
-    db = big_departments
-    queries = [
-        "SELECT count(*) AS n FROM departments WHERE dept_id = 7",
-        "SELECT dept_id, count(*) AS n FROM departments "
-        "WHERE dept_id BETWEEN 5 AND 9 GROUP BY dept_id",
-    ]
-    table = []
-    best_ratio = 0.0
-    for sql in queries:
-        kernel_ms = _best_ms(lambda s=sql: db.sql(s))
-        with force_row_engine():
-            row_ms = _best_ms(lambda s=sql: db.sql(s))
-        ratio = row_ms / kernel_ms
-        best_ratio = max(best_ratio, ratio)
-        table.append([sql[:60], f"{kernel_ms:.2f}", f"{row_ms:.2f}", f"{ratio:.1f}x"])
-    from conftest import print_table
-
-    print_table(
-        f"Figure 3 workload — kernel vs row engine "
-        f"({FIG3_KERNEL_ROWS} rows)",
-        ["query", "kernel ms", "row ms", "speedup"],
-        table,
-    )
-    METRICS.inc("bench.figure3_kernel_speedup_x100", int(best_ratio * 100))
-    assert best_ratio >= 5.0, (
-        f"operate-on-compressed should win >=5x on RLE runs, got "
-        f"{best_ratio:.1f}x"
-    )
-    benchmark.pedantic(lambda: db.sql(queries[0]), rounds=1, iterations=1)

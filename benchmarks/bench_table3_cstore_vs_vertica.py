@@ -16,18 +16,11 @@ import pytest
 
 from repro import Database
 from repro.cstore import CStoreDatabase, CStoreEngine
-from repro.execution.kernels import force_row_engine
-from repro.monitor import METRICS
 from repro.workloads import cstore_benchmark as bench
 
 from conftest import env_float, print_table
 
 SCALE = env_float("REPRO_T3_SCALE", 0.25)
-
-#: Scale for the kernel-vs-row head-to-head: at tiny smoke scales
-#: per-query fixed costs (parse, plan) drown the execution delta, so
-#: this table never runs below scale 1.0.
-KERNEL_SCALE = max(SCALE, 1.0)
 
 #: The paper's Table 3 milliseconds, for side-by-side display.
 PAPER_MS = {
@@ -152,57 +145,3 @@ def test_table3_report(benchmark, cstore, vertica, data):
     assert wins >= 5
     assert vertica_bytes < cstore_bytes * 0.8
     benchmark.pedantic(lambda: vertica.sql(bench.queries()[0].sql), rounds=1, iterations=1)
-
-
-# -- operate-on-compressed speedup ---------------------------------------
-
-@pytest.fixture(scope="module")
-def vertica_kernel_scale(tmp_path_factory):
-    """Vertica-style stack at KERNEL_SCALE for the engine head-to-head."""
-    data = bench.generate(scale=KERNEL_SCALE)
-    db = Database(str(tmp_path_factory.mktemp("vkern")), node_count=1)
-    db.create_table(bench.lineitem_table())
-    db.create_table(bench.orders_table())
-    db.load("lineitem", data.lineitem, direct_to_ros=True)
-    db.load("orders", data.orders, direct_to_ros=True)
-    db.run_tuple_movers()
-    db.analyze_statistics()
-    return db, data
-
-
-def test_table3_kernel_vs_row_speedup(benchmark, vertica_kernel_scale):
-    """Same queries, two engines: vectorized kernels vs. the per-row
-    fallback (REPRO_FORCE_ROW_ENGINE).  The scan-heavy queries lean on
-    sorted-column binary search (Q1-Q3) and dictionary/bulk aggregation
-    (Q5); the best ratio lands in BENCH_REPORT.json as a x100 counter."""
-    db, data = vertica_kernel_scale
-    rows = []
-    best = ("", 0.0)
-    for spec in bench.queries():
-        if spec.name not in ("Q1", "Q2", "Q3", "Q5"):
-            continue  # joins (Q6, Q7) are probe-dominated either way
-        kernel_ms = _time_ms(lambda s=spec: db.sql(s.sql), repeats=5)
-        with force_row_engine():
-            row_ms = _time_ms(lambda s=spec: db.sql(s.sql), repeats=5)
-        ratio = row_ms / kernel_ms
-        if ratio > best[1]:
-            best = (spec.name, ratio)
-        rows.append(
-            [spec.name, f"{kernel_ms:.2f}", f"{row_ms:.2f}", f"{ratio:.1f}x"]
-        )
-    print_table(
-        f"C-Store queries — kernel vs row engine (scale={KERNEL_SCALE}: "
-        f"{data.lineitem_rows} lineitem rows)",
-        ["query", "kernel ms", "row ms", "speedup"],
-        rows,
-    )
-    METRICS.inc("bench.table3_kernel_speedup_x100", int(best[1] * 100))
-    assert best[1] >= 5.0, (
-        f"operate-on-compressed should win >=5x on at least one query, "
-        f"best was {best[0]} at {best[1]:.1f}x"
-    )
-    benchmark.pedantic(
-        lambda: db.sql(bench.queries()[0].sql), rounds=1, iterations=1
-    )
-
-

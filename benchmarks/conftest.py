@@ -22,8 +22,8 @@ from repro.monitor import METRICS
 
 #: Counters recorded per bench in BENCH_REPORT.json — the ones whose
 #: movement the paper's evaluation section argues about, plus the
-#: self-healing runtime's failover/recovery activity and the
-#: vectorized engine's kernel-vs-row block split.
+#: self-healing runtime's failover/recovery activity and the blocks
+#: the execution kernels ran over.
 TRACKED_COUNTERS = (
     "storage.blocks_decoded",
     "storage.bytes_decoded",
@@ -37,9 +37,6 @@ TRACKED_COUNTERS = (
     "queries.executed",
     "executor.query_retries",
     "executor.kernel_blocks",
-    "executor.row_fallback_blocks",
-    "bench.figure3_kernel_speedup_x100",
-    "bench.table3_kernel_speedup_x100",
     "cluster.nodes_failed",
     "supervisor.ticks",
     "supervisor.recoveries",

@@ -79,7 +79,7 @@ SECTIONS = [
         "RECENT REQUESTS",
         "dc_requests_completed",
         [
-            "record_id", "tick", "statement", "success", "engine",
+            "record_id", "tick", "statement", "success",
             "duration_ms", "rows_returned", "sql",
         ],
         8,

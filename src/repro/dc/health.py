@@ -38,10 +38,6 @@ class HealthConfig:
     #: queue_wait_p99 rule: p99 admission queue wait (ticks) budget.
     queue_wait_p99_budget_ticks: float = 8.0
     queue_wait_p99_clear_ticks: float = 4.0
-    #: row_engine_fallback rule: fraction of blocks decoded on the row
-    #: engine instead of the vectorized kernels.
-    row_fallback_raise_ratio: float = 0.5
-    row_fallback_clear_ratio: float = 0.25
     #: crc_failures rule: failures tolerated inside the sliding window.
     crc_failure_window_ticks: int = 32
     crc_failure_raise_count: float = 2.0
@@ -96,13 +92,6 @@ def _queue_wait_p99(monitor: "HealthMonitor") -> float:
     return _percentile(waits, 0.99)
 
 
-def _row_fallback_ratio(monitor: "HealthMonitor") -> float:
-    fallback = METRICS.counter("executor.row_fallback_blocks")
-    vectorized = METRICS.counter("storage.blocks_vectorized")
-    total = fallback + vectorized
-    return (fallback / total) if total else 0.0
-
-
 def _down_nodes(monitor: "HealthMonitor") -> float:
     return float(len(monitor.db.cluster.membership.down_nodes()))
 
@@ -155,14 +144,6 @@ DEFAULT_RULES = (
         _queue_wait_p99,
         lambda c: c.queue_wait_p99_budget_ticks,
         lambda c: c.queue_wait_p99_clear_ticks,
-    ),
-    AlertRule(
-        "row_engine_fallback",
-        "warning",
-        "too many blocks fell back from the kernels to the row engine",
-        _row_fallback_ratio,
-        lambda c: c.row_fallback_raise_ratio,
-        lambda c: c.row_fallback_clear_ratio,
     ),
 )
 

@@ -25,8 +25,6 @@ from .kernels import (
     RleVector,
     Selection,
     as_list,
-    force_row_engine,
-    kernels_enabled,
 )
 from .operators import *  # noqa: F401,F403 - re-export operator set
 from .operators import __all__ as _operators_all
@@ -57,8 +55,6 @@ __all__ = [
     "RleVector",
     "Selection",
     "as_list",
-    "force_row_engine",
-    "kernels_enabled",
     "ResourcePool",
     "SpillFile",
     "WorkloadPolicy",

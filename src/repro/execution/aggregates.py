@@ -11,9 +11,11 @@ merged by value, so plans containing them skip the prepass stage.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 from ..errors import ExecutionError
 from .expressions import Expr
+from .kernels.aggregate import NAN
 
 SUPPORTED = ("COUNT", "SUM", "AVG", "MIN", "MAX")
 
@@ -90,6 +92,8 @@ class Accumulator:
         if value is None:
             return
         if self.distinct:
+            if value != value:  # NaNs are one value, as they are one group
+                value = NAN
             if value in self.seen:
                 return
             self.seen.add(value)
@@ -114,7 +118,7 @@ class Accumulator:
         vector metadata), skipping the filter pass; None means unknown.
         """
         if self.distinct:
-            for value in values:
+            for value, _ in groupby(values):  # once per run of equal values
                 self.add(value)
             return
         if null_count != 0:
@@ -178,14 +182,20 @@ class _UserAccumulatorAdapter:
         if value is None:
             return
         if self.seen is not None:
+            if value != value:
+                value = NAN
             if value in self.seen:
                 return
             self.seen.add(value)
         self.inner.add(value)
 
-    def add_count_star(self, count: int = 1) -> None:
-        for _ in range(count):
-            self.inner.add(1)
+    def add_bulk(self, values, null_count: int | None = None) -> None:
+        for value in values:
+            self.add(value)
+
+    def add_run(self, value, length: int) -> None:
+        for _ in range(length):
+            self.add(value)
 
     def final(self):
         return self.inner.final()

@@ -4,7 +4,7 @@
     of function calls [...] Vertica operates on the encoded data
     whenever possible.  (section 6.1)
 
-This package is the kernel side of the two-engine execution model:
+This package is the execution engine's one way to touch a block:
 
 * :mod:`.vectors` — columnar vectors that keep a block's *encoded
   representation* (RLE runs, dictionary codes) alive across operators
@@ -15,58 +15,25 @@ This package is the kernel side of the two-engine execution model:
 * :mod:`.predicates` — a compiler from the expression tree to
   vectorized predicate kernels (dictionary comparisons test each
   dictionary entry once, RLE predicates test each run once, sorted
-  columns binary-search) returning ``None`` for anything unsupported;
+  columns binary-search, any other shape a mask over the block);
 * :mod:`.aggregate` — GroupBy/aggregate kernels (RLE run arithmetic,
   dictionary-keyed accumulation, bulk folds over plain columns).
 
-Every kernel has a row-engine twin: when a predicate or aggregate
-shape is not kernelizable the operator falls back to the existing
-per-row path, and ``REPRO_FORCE_ROW_ENGINE=1`` forces that fallback
-globally — the hook the kernel-vs-row differential harness uses to run
-the same query through both engines and demand identical answers.
+There is no second engine to fall back to: every predicate compiles
+and every aggregation shape folds here.  The tests hold the kernels to
+plain-Python oracles of their own.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from typing import Iterator
-
 from .selection import Selection
 from .vectors import ColumnVector, DictVector, PlainVector, RleVector, as_list
 
-#: Environment variable that disables every kernel path when set to a
-#: non-empty value other than "0".
-FORCE_ROW_ENV = "REPRO_FORCE_ROW_ENGINE"
-
-
-def kernels_enabled() -> bool:
-    """Whether operators may use kernel paths (checked per operator run)."""
-    return os.environ.get(FORCE_ROW_ENV, "") in ("", "0")
-
-
-@contextmanager
-def force_row_engine() -> Iterator[None]:
-    """Force the row engine within a ``with`` block (tests/harness)."""
-    previous = os.environ.get(FORCE_ROW_ENV)
-    os.environ[FORCE_ROW_ENV] = "1"
-    try:
-        yield
-    finally:
-        if previous is None:
-            del os.environ[FORCE_ROW_ENV]
-        else:
-            os.environ[FORCE_ROW_ENV] = previous
-
-
 __all__ = [
-    "FORCE_ROW_ENV",
     "ColumnVector",
     "DictVector",
     "PlainVector",
     "RleVector",
     "Selection",
     "as_list",
-    "force_row_engine",
-    "kernels_enabled",
 ]

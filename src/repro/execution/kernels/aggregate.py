@@ -14,12 +14,13 @@ per row.  Which it is reads only the block, in this order:
 * **keys known to sit in runs** (every key RLE, or the keys are the
   block's leading ``sorted_by`` columns) — key changes found at C speed;
 * **one dictionary key** — positions bucketed by integer code;
-* **any other column keys** — key changes counted; runs when the run
-  bounds describe the block in fewer integers than its positions would
-  (two a run against one a row), else positions bucketed by key.
+* **any other keys** — key changes counted; positions bucketed by key
+  when that is the cheaper fold (:func:`_by_key`), else runs.
 
-:func:`groupby_fallback_reason` names the shapes that stay on the row
-path; correctness never depends on which rung fires.
+Keys are whatever the key expressions evaluate to — columns, or the
+lists an expression key computes — and any aggregate folds, DISTINCT
+and user-defined ones included; correctness never depends on which
+rung fires.
 """
 
 from __future__ import annotations
@@ -37,19 +38,6 @@ from .vectors import ColumnVector, DictVector, RleVector, as_list, null_count_of
 NAN = float("nan")
 
 
-def groupby_fallback_reason(key_exprs, specs) -> str | None:
-    """Why this aggregation shape is outside the kernel dialect (None
-    when it is inside): keys must be plain column references and every
-    aggregate a built-in without DISTINCT."""
-    if not all(isinstance(expr, ColumnRef) for expr in key_exprs):
-        return "expression key"
-    if any(spec.distinct for spec in specs):
-        return "distinct"
-    if any(spec.is_user_defined for spec in specs):
-        return "user aggregate"
-    return None
-
-
 def key_values(column, scalars: list | None = None) -> list:
     """``column`` as a list fit to be group keys — or ``scalars``, the
     run values or dictionary entries its keys are drawn from: every NaN
@@ -63,8 +51,7 @@ def key_values(column, scalars: list | None = None) -> list:
 
 
 def absorb_block_kernel(core, groups: dict, block) -> None:
-    """Fold ``block`` into ``groups``; ``core``'s shape must have no
-    :func:`groupby_fallback_reason`."""
+    """Fold ``block`` into ``groups``, the group table of ``core``."""
     row_count = block.row_count
     if row_count == 0:
         return
@@ -86,17 +73,19 @@ def absorb_block_kernel(core, groups: dict, block) -> None:
         starts = first.starts()
         run_keys = zip(key_values(first, [value for value, _ in first.runs]))
     else:
-        names = {expr.name for expr in core.key_exprs}
-        in_runs = names == set((block.sorted_by or ())[: len(names)]) or all(
-            isinstance(column, RleVector) for column in key_columns
-        )
+        # an expression key (``meter % 3``) is in no sort order the block
+        # knows, whatever columns it reads
+        in_runs = all(isinstance(column, RleVector) for column in key_columns)
+        if all(isinstance(expr, ColumnRef) for expr in core.key_exprs):
+            names = {expr.name for expr in core.key_exprs}
+            in_runs = in_runs or names == set((block.sorted_by or ())[: len(names)])
         if len(key_columns) == 1 and isinstance(first, DictVector) and not in_runs:
             keys = [(entry,) for entry in key_values(first, first.entries)]
             _fold_buckets(core, groups, first.codes, keys, args)
             return
         key_lists = [key_values(column) for column in key_columns]
         starts = run_starts(key_lists, row_count)
-        if not in_runs and 2 * len(starts) > row_count:
+        if not in_runs and _by_key(key_lists, starts, row_count):
             _fold_buckets(core, groups, zip(*key_lists), None, args)
             return
         run_keys = zip(*[map(keys.__getitem__, starts) for keys in key_lists])
@@ -113,6 +102,21 @@ def _group(core, groups: dict, key: tuple) -> list:
     if accumulators is None:
         accumulators = groups[key] = core.new_accumulators()
     return accumulators
+
+
+def _by_key(key_lists: list[list], starts: list[int], row_count: int) -> bool:
+    """Whether bucketing the block's positions by key folds it cheaper
+    than folding its runs.  Measured on 4096-row blocks: a run costs
+    about a probe and a fold, a distinct key two, and bucketing a row an
+    eighth of one — so runs under two rows long always bucket, runs of
+    eight or more never do, and in between the distinct keys decide."""
+    runs = len(starts)
+    if 2 * runs > row_count:
+        return True
+    if 8 * runs <= row_count:
+        return False
+    keys = set(zip(*[map(values.__getitem__, starts) for values in key_lists]))
+    return 8 * (runs - 2 * len(keys)) > row_count
 
 
 def run_starts(key_lists: list[list], row_count: int) -> list[int]:

@@ -2,9 +2,11 @@
 
 :func:`compile_kernel_predicate` turns a predicate :class:`Expr` into a
 :class:`KernelPredicate` — a function from a block's columns to a
-:class:`Selection` of the rows where the predicate is TRUE — or returns
-``None`` when any part of the tree is outside the kernel dialect, in
-which case the operator falls back to the row engine.
+:class:`Selection` of the rows where the predicate is TRUE.  Every
+predicate compiles: the shapes below get a specialised leaf, and any
+other subtree (arithmetic, column-vs-column comparisons, functions,
+CASE) is a generic leaf inside the same tree, so a seek window or a
+dictionary leaf beside it still narrows what it evaluates.
 
 What the kernels exploit, per column representation:
 
@@ -21,13 +23,14 @@ What the kernels exploit, per column representation:
   deeper.  Whatever is left of the conjunction is evaluated over the
   window alone (the paper's "applies predicates in the most
   advantageous manner possible"; :func:`_conjunction`);
-* anything else — a straight vectorized mask.
+* anything else — the generic leaf: the subtree's compiled closure over
+  the block (or the window a seek left), its TRUE rows as a mask.
 
 Three-valued logic: a Selection records rows where the predicate is
 definitely TRUE.  NOT is therefore *pushed to the leaves* (De Morgan is
 sound in Kleene logic) and each leaf bakes negation into its scalar
-test over non-NULL values; NULL rows never enter a selection, matching
-the row engine's "NULL does not pass" semantics exactly.
+test over non-NULL values; NULL rows never enter a selection — SQL's
+"NULL does not pass", exactly as ``Expr.evaluate`` under a filter.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from ..expressions import (
     Not,
     Or,
 )
+from ..row_block import RowBlock
 from .selection import Selection
 from .vectors import ColumnVector, DictVector, RleVector, as_list, null_count_of
 
@@ -101,30 +105,16 @@ class KernelPredicate:
         return self._evaluate(columns, row_count, sorted_by, seeks)
 
 
-def compile_kernel_predicate(expr: Expr) -> KernelPredicate | None:
-    """Compile ``expr`` to a kernel, or None if unsupported (cached)."""
-    cached = getattr(expr, "_kernel_predicate_cache", None)
-    if cached is not None:
-        return cached[0]
-    compiled = _compile(expr, negated=False)
-    if compiled is None:
-        predicate = None
-    else:
+def compile_kernel_predicate(expr: Expr) -> KernelPredicate:
+    """Compile ``expr`` to a kernel (cached on the expression)."""
+    predicate = getattr(expr, "_kernel_predicate", None)
+    if predicate is None:
+        compiled = _compile(expr, negated=False)
         predicate = KernelPredicate(
             frozenset(compiled.columns), _seeking(compiled).evaluate
         )
-    try:
-        expr._kernel_predicate_cache = (predicate,)
-    except AttributeError:  # pragma: no cover - exotic Expr subclass
-        pass
+        expr._kernel_predicate = predicate
     return predicate
-
-
-def kernel_predicate_supported(expr: Expr | None) -> bool:
-    """Whether the kernel engine can evaluate ``expr`` (EXPLAIN hook)."""
-    if expr is None:
-        return True
-    return compile_kernel_predicate(expr) is not None
 
 
 # -- compilation -----------------------------------------------------------
@@ -155,14 +145,13 @@ def _seeking(part: _Part) -> _Part:
     return _conjunction([part]) if part.bounds is not None else part
 
 
-def _compile(expr: Expr, negated: bool) -> _Part | None:
-    """Compile one subtree, or None if it is outside the dialect."""
+def _compile(expr: Expr, negated: bool) -> _Part:
+    """Compile one subtree: a specialised leaf where its shape has one,
+    else :func:`_generic`."""
     if isinstance(expr, Not):
         return _compile(expr.operand, not negated)
     if isinstance(expr, (And, Or)):
         parts = [_compile(operand, negated) for operand in expr.operands]
-        if any(part is None for part in parts):
-            return None
         # De Morgan under negation: NOT(a AND b) == NOT a OR NOT b.
         if isinstance(expr, And) != negated:
             return _conjunction(parts)
@@ -175,17 +164,22 @@ def _compile(expr: Expr, negated: bool) -> _Part | None:
                 lambda _c, row_count, _s, _k: Selection.all_rows(row_count), set()
             )
         return _const_none(set())
-    if isinstance(expr, Comparison):
-        return _compile_comparison(expr, negated)
-    if isinstance(expr, Between):
-        return _compile_between(expr, negated)
-    if isinstance(expr, InList):
-        return _compile_in_list(expr, negated)
-    if isinstance(expr, IsNull):
-        return _compile_is_null(expr, negated)
-    if isinstance(expr, Like):
-        return _compile_like(expr, negated)
-    return None
+    compile_leaf = _LEAVES.get(type(expr))
+    part = compile_leaf(expr, negated) if compile_leaf is not None else None
+    return part if part is not None else _generic(expr, negated)
+
+
+def _generic(expr: Expr, negated: bool) -> _Part:
+    """Any subtree no specialised leaf takes: its compiled closure over
+    the block's columns (vectors stay vectors until it reads them), the
+    rows it calls TRUE kept.  NOT wraps the subtree, so NULL stays NULL
+    and never passes."""
+    run = (Not(expr) if negated else expr).compiled()
+
+    def evaluate(columns, row_count, _sorted_by, _seeks):
+        return Selection.from_mask(list(map(bool, run(RowBlock(columns, row_count)))))
+
+    return _Part(evaluate, expr.referenced_columns())
 
 
 def _disjunction(parts: list[_Part]) -> _Part:
@@ -288,7 +282,7 @@ def _seek(column, low, high, lo: int, hi: int):
     ``low .. high`` (each None or ``(value, inclusive)``).  Returns the
     new ``(lo, hi)``, or None when the literal does not order against
     the column's values: the conjunct then runs as a plain test, which
-    answers (``=``) or raises (``<``) exactly as the row engine does.
+    answers (``=``) or raises (``<``) exactly as ``Expr.evaluate`` does.
 
     The one place the kernels binary-search: over the value list of a
     plain vector, over the run boundaries of an RLE vector, and over
@@ -441,6 +435,18 @@ def _compile_like(expr: Like, negated: bool):
         return (regex.match(v) is not None) is want
 
     return _make_leaf(name, test)
+
+
+#: The specialised leaves; each returns None for a shape it does not
+#: take (an operand that is not a column or a literal), which then
+#: compiles :func:`_generic`.
+_LEAVES = {
+    Comparison: _compile_comparison,
+    Between: _compile_between,
+    InList: _compile_in_list,
+    IsNull: _compile_is_null,
+    Like: _compile_like,
+}
 
 
 def _const_none(columns: set) -> _Part:

@@ -50,16 +50,10 @@ class Operator:
         #: profiler derives per-operator self time by subtracting the
         #: children's inclusive totals.
         self.wall_seconds = 0.0
-        #: Blocks this operator processed via batch kernels vs the
-        #: per-row fallback.  Operators that have kernel paths bump
-        #: these per input block; everything else leaves both at 0 and
-        #: reports execution mode "-".
+        #: Input blocks this operator ran a batch kernel over (Scan,
+        #: Filter, the group-bys and HashJoin count them; the
+        #: ``executor.kernel_blocks`` counter is their sum).
         self.kernel_blocks = 0
-        self.row_blocks = 0
-        #: Why blocks took the row path, where the operator records it
-        #: (the group-by operators do): EXPLAIN ANALYZE prints it after
-        #: ``exec=row`` and ``v_monitor.query_profiles`` carries it.
-        self.fallback_reason = ""
         #: Cooperative cancellation hook (section 7 workload
         #: management): when set by the executor, every pull first
         #: calls ``cancel_token.check()``, which raises
@@ -106,19 +100,6 @@ class Operator:
         for block in self.blocks():
             out.extend(block.to_rows())
         return out
-
-    def execution_mode(self) -> str:
-        """How this operator processed its blocks: "kernel" when every
-        block went through a batch kernel, "row" when every block fell
-        back to per-row evaluation, "mixed" for some of each, and "-"
-        for operators without a kernel/row distinction."""
-        if self.kernel_blocks and self.row_blocks:
-            return "mixed"
-        if self.kernel_blocks:
-            return "kernel"
-        if self.row_blocks:
-            return "row"
-        return "-"
 
     # -- plan display ------------------------------------------------------
 

@@ -30,13 +30,7 @@ from ...lint import sanitizer
 from ...monitor import METRICS
 from ..aggregates import AggregateSpec, make_accumulator
 from ..expressions import ColumnRef, Expr
-from ..kernels import kernels_enabled
-from ..kernels.aggregate import (
-    absorb_block_kernel,
-    groupby_fallback_reason,
-    key_values,
-)
-from ..kernels.vectors import as_list
+from ..kernels.aggregate import absorb_block_kernel, key_values
 from ..resource import ResourcePool, SpillFile
 from ..row_block import VECTOR_SIZE, RowBlock
 from .base import Operator, SourceBlocks
@@ -90,63 +84,16 @@ class _AggregationCore:
         self._arg_runs = [
             spec.arg.compiled() if spec.arg is not None else None for spec in specs
         ]
-        #: Why this shape is outside the kernel dialect (None: inside).
-        self.shape_reason = groupby_fallback_reason(key_exprs, specs)
-        #: The reason of every block that took the row path.
-        self.fallback_reasons: set[str] = set()
-
     def new_accumulators(self):
         return [make_accumulator(spec) for spec in self.specs]
 
     def key_columns(self, block: RowBlock) -> list[list]:
         return [key_values(run(block)) for run in self._key_runs]
 
-    def absorb_block(self, groups: dict, block: RowBlock) -> bool:
-        """Fold one block into the group hash table.
-
-        Returns True when a batch kernel absorbed the block, False when
-        the per-row path did (the operator's execution-mode counters)
-        and noted why.
-        """
-        reason = self.shape_reason if kernels_enabled() else "forced row engine"
-        if reason is None:
-            absorb_block_kernel(self, groups, block)
-            return True
-        self.fallback_reasons.add(reason)
-        key_columns = self.key_columns(block)
-        arg_columns = [
-            as_list(run(block)) if run is not None else None
-            for run in self._arg_runs
-        ]
-        count = block.row_count
-        if not self.key_exprs:
-            accumulators = groups.get(())
-            if accumulators is None:
-                accumulators = groups[()] = self.new_accumulators()
-            self._fold_range(accumulators, arg_columns, count)
-            return False
-        for index in range(count):
-            key = tuple(column[index] for column in key_columns)
-            accumulators = groups.get(key)
-            if accumulators is None:
-                accumulators = groups[key] = self.new_accumulators()
-            self._fold_one(accumulators, arg_columns, index)
-        return False
-
-    def _fold_one(self, accumulators, arg_columns, index: int) -> None:
-        for accumulator, args in zip(accumulators, arg_columns):
-            if args is None:
-                accumulator.add_count_star()
-            else:
-                accumulator.add(args[index])
-
-    def _fold_range(self, accumulators, arg_columns, count: int) -> None:
-        for accumulator, args in zip(accumulators, arg_columns):
-            if args is None:
-                accumulator.add_count_star(count)
-            else:
-                for index in range(count):
-                    accumulator.add(args[index])
+    def absorb_block(self, groups: dict, block: RowBlock) -> None:
+        """Fold one block into the group hash table, a probe and a bulk
+        fold per key run or distinct key (:func:`absorb_block_kernel`)."""
+        absorb_block_kernel(self, groups, block)
 
     def to_partial_block(self, block: RowBlock) -> RowBlock:
         """Map raw rows 1:1 into the partial schema (no aggregation)."""
@@ -170,15 +117,10 @@ class _AggregationCore:
 
 
 def _absorb(op: Operator, groups: dict, block: RowBlock) -> None:
-    """Fold ``block`` into ``groups`` through ``op.core``, counted once,
-    by the engine that absorbed it."""
-    if op.core.absorb_block(groups, block):
-        op.kernel_blocks += 1
-        METRICS.inc("executor.kernel_blocks")
-    else:
-        op.row_blocks += 1
-        METRICS.inc("executor.row_fallback_blocks")
-        op.fallback_reason = ", ".join(sorted(op.core.fallback_reasons))
+    """Fold ``block`` into ``groups`` through ``op.core``, counted once."""
+    op.core.absorb_block(groups, block)
+    op.kernel_blocks += 1
+    METRICS.inc("executor.kernel_blocks")
 
 
 def _partial_stages(op: Operator):
@@ -312,7 +254,7 @@ class GroupByHashOperator(Operator):
 
     def _check_conservation(self, groups: dict) -> None:
         """Sanitizer: the COUNT(*) total across groups must equal the
-        rows in, whichever engine absorbed each block — this operator's
+        rows in, whichever rung absorbed each block — this operator's
         rows, or, merging partials, the rows into every partial stage
         under it (prepass flushes and its passthrough included)."""
         star = next(

@@ -16,7 +16,6 @@ from __future__ import annotations
 from ...monitor import METRICS
 from ...storage.manager import StorageManager
 from ..expressions import Expr, column_range_from_predicate
-from ..kernels import kernels_enabled
 from ..kernels.predicates import compile_kernel_predicate
 from ..row_block import RowBlock, sorted_prefix
 from ..sip import SipFilter
@@ -84,26 +83,21 @@ class ScanOperator(Operator):
         if self.predicate is not None:
             needed_set |= self.predicate.referenced_columns()
         needed = sorted(needed_set)
-        use_kernels = kernels_enabled()
         kernel = None
-        row_predicate = None
         if self.predicate is not None:
-            if use_kernels:
-                kernel = compile_kernel_predicate(self.predicate)
-            if kernel is None:
-                row_predicate = self.predicate.compiled()
+            kernel = compile_kernel_predicate(self.predicate)
 
         seeks: list[int] = []
 
         def emit(block: RowBlock):
             self.rows_scanned += block.row_count
+            self.kernel_blocks += 1
+            METRICS.inc("executor.kernel_blocks")
             if kernel is not None:
-                # vectorized predicate: evaluated over only the
-                # predicate's columns; the carried columns are touched
-                # (sliced, still encoded) only if the selection keeps
-                # anything — late materialization.
-                self.kernel_blocks += 1
-                METRICS.inc("executor.kernel_blocks")
+                # evaluated over only the predicate's columns; the
+                # carried columns are touched (sliced, still encoded)
+                # only if the selection keeps anything — late
+                # materialization.
                 selection = kernel(
                     block.columns, block.row_count, block.sorted_by or (), seeks
                 )
@@ -123,17 +117,6 @@ class ScanOperator(Operator):
                         row_count=selection.count,
                         sorted_by=block.sorted_by,
                     )
-            elif row_predicate is not None:
-                self.row_blocks += 1
-                METRICS.inc("executor.row_fallback_blocks")
-                mask = row_predicate(block)
-                block = block.project(carried).filter(mask)
-            elif use_kernels:
-                self.kernel_blocks += 1
-                METRICS.inc("executor.kernel_blocks")
-            else:
-                self.row_blocks += 1
-                METRICS.inc("executor.row_fallback_blocks")
             self.rows_after_predicate += block.row_count
             for sip in self.sip_filters:
                 block = sip.apply(block)
@@ -148,7 +131,6 @@ class ScanOperator(Operator):
             self.epoch,
             columns=needed,
             prune=prune or None,
-            vectorized=use_kernels,
         ):
             if self.failure_probe is not None:
                 self.failure_probe()

@@ -6,9 +6,8 @@ from ...errors import ExecutionError
 from ...lint import sanitizer
 from ...monitor import METRICS
 from ..expressions import Expr
-from ..kernels import kernels_enabled
+from ..kernels.aggregate import key_values
 from ..kernels.predicates import compile_kernel_predicate
-from ..kernels.vectors import as_list
 from ..row_block import RowBlock
 from .base import Operator
 
@@ -23,34 +22,24 @@ class FilterOperator(Operator):
         self.predicate = predicate
 
     def _produce(self):
-        kernel = None
-        if kernels_enabled():
-            kernel = compile_kernel_predicate(self.predicate)
-        predicate = self.predicate.compiled() if kernel is None else None
+        kernel = compile_kernel_predicate(self.predicate)
         for block in self.children[0].blocks():
-            if kernel is not None:
-                self.kernel_blocks += 1
-                METRICS.inc("executor.kernel_blocks")
-                selection = kernel(
-                    block.columns, block.row_count, block.sorted_by or ()
-                )
-                if selection.is_empty:
-                    continue
-                if selection.is_all:
-                    filtered = block
-                else:
-                    filtered = RowBlock(
-                        columns={
-                            name: selection.apply(values)
-                            for name, values in block.columns.items()
-                        },
-                        row_count=selection.count,
-                        sorted_by=block.sorted_by,
-                    )
+            self.kernel_blocks += 1
+            METRICS.inc("executor.kernel_blocks")
+            selection = kernel(block.columns, block.row_count, block.sorted_by or ())
+            if selection.is_empty:
+                continue
+            if selection.is_all:
+                filtered = block
             else:
-                self.row_blocks += 1
-                METRICS.inc("executor.row_fallback_blocks")
-                filtered = block.filter(predicate(block))
+                filtered = RowBlock(
+                    columns={
+                        name: selection.apply(values)
+                        for name, values in block.columns.items()
+                    },
+                    row_count=selection.count,
+                    sorted_by=block.sorted_by,
+                )
             if sanitizer.enabled():
                 sanitizer.check_filter_conservation(
                     block.row_count, filtered.row_count
@@ -139,7 +128,8 @@ class LimitOperator(Operator):
 
 
 class DistinctOperator(Operator):
-    """Removes duplicate rows (hash-based)."""
+    """Removes duplicate rows (hash-based); NaNs are one value, as they
+    are one group (``kernels.aggregate.key_values``)."""
 
     op_name = "Distinct"
 
@@ -150,7 +140,7 @@ class DistinctOperator(Operator):
         seen: set = set()
         for block in self.children[0].blocks():
             names = block.column_names
-            columns = [as_list(block.columns[name]) for name in names]
+            columns = [key_values(block.columns[name]) for name in names]
             keep = []
             for index in range(block.row_count):
                 key = tuple(column[index] for column in columns)

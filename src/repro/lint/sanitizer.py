@@ -375,9 +375,9 @@ def check_groupby_conservation(rows_in: int, count_star_total: int) -> None:
     every partial stage under it (prepass flushes and passthrough
     included).
 
-    Row conservation across the kernel/row engines: however a block was
-    absorbed (run folds, position buckets, per-row folds), every input
-    row lands in exactly one group.
+    Row conservation across the fold rungs: however a block was
+    absorbed (run folds, position buckets, whole-column folds), every
+    input row lands in exactly one group.
     """
     if not enabled():
         return

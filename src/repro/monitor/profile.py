@@ -40,12 +40,6 @@ class OperatorProfile:
     #: Wall time minus children's wall time (clamped at zero): the
     #: operator's own work, not the subtree's.
     self_seconds: float = 0.0
-    #: How blocks were processed: "kernel", "row", "mixed", or "-" for
-    #: operators without a kernel/row distinction.
-    execution: str = "-"
-    #: Why blocks took the row path ("" when none did or the operator
-    #: does not record it): a group-by names its shape.
-    fallback_reason: str = ""
     #: A Scan's blocks that its predicate narrowed to a sort-order
     #: window before testing anything, and the rows in those windows
     #: (0 / 0: every block it was handed was filtered row by row).
@@ -73,11 +67,6 @@ class QueryProfile:
         )
         lines = [header]
         for op in self.operators:
-            execution = (
-                f" exec={op.execution}" if op.execution != "-" else ""
-            )
-            if op.fallback_reason:
-                execution += f" ({op.fallback_reason})"
             seek = (
                 f" seek={op.seek_blocks}/{op.seek_window_rows}"
                 if op.seek_blocks
@@ -88,7 +77,7 @@ class QueryProfile:
                 + f"{op.label}  "
                 + f"[rows={op.rows_produced} blocks={op.blocks_produced} "
                 + f"pulls={op.pulls} time={op.wall_seconds * 1000:.2f}ms "
-                + f"self={op.self_seconds * 1000:.2f}ms{seek}{execution}]"
+                + f"self={op.self_seconds * 1000:.2f}ms{seek}]"
             )
         return "\n".join(lines)
 
@@ -117,8 +106,6 @@ def profile_plan(root: "Operator") -> list[OperatorProfile]:
             blocks_produced=op.blocks_produced,
             pulls=op.pulls,
             wall_seconds=op.wall_seconds,
-            execution=op.execution_mode(),
-            fallback_reason=op.fallback_reason,
             seek_blocks=getattr(op, "seek_blocks", 0),
             seek_window_rows=getattr(op, "seek_window_rows", 0),
         )

@@ -88,8 +88,6 @@ _COLUMNS = {
         "pulls",
         "wall_ms",
         "self_ms",
-        "execution",
-        "fallback_reason",
         "seek_blocks",
         "seek_window_rows",
     ],
@@ -231,7 +229,6 @@ _COLUMNS = {
         "sql",
         "success",
         "error",
-        "engine",
         "rows_returned",
         "duration_ms",
         "epoch",
@@ -295,7 +292,6 @@ _COLUMNS = {
         "session_id",
         "pool_name",
         "sql",
-        "engine",
         "rows_returned",
         "duration_ms",
         "threshold_ms",
@@ -361,8 +357,6 @@ def _query_profiles_rows(db) -> list[dict]:
                     "pulls": op.pulls,
                     "wall_ms": op.wall_seconds * 1000.0,
                     "self_ms": op.self_seconds * 1000.0,
-                    "execution": op.execution,
-                    "fallback_reason": op.fallback_reason,
                     "seek_blocks": op.seek_blocks,
                     "seek_window_rows": op.seek_window_rows,
                 }

@@ -48,30 +48,6 @@ REPLICATED = "replicated"
 COORDINATOR = "coordinator"
 
 
-def _predicate_engine(predicate: Expr | None) -> str:
-    """Plan-time engine prediction for a Scan/Filter predicate.
-
-    "kernel" means the predicate compiles to a vectorized kernel (and
-    runs there unless ``REPRO_FORCE_ROW_ENGINE`` forces the fallback);
-    "row" means it will evaluate per-row.
-    """
-    from ..execution.kernels import kernels_enabled
-    from ..execution.kernels.predicates import kernel_predicate_supported
-
-    if kernels_enabled() and kernel_predicate_supported(predicate):
-        return "kernel"
-    return "row"
-
-
-def _groupby_engine(keys: list, aggregates: list[AggregateSpec]) -> str:
-    """Plan-time engine prediction for a GroupBy's aggregation shape."""
-    from ..execution.kernels import kernels_enabled
-    from ..execution.kernels.aggregate import groupby_fallback_reason
-
-    shape = groupby_fallback_reason([expr for _, expr in keys], aggregates)
-    return "kernel" if kernels_enabled() and shape is None else "row"
-
-
 class PhysicalNode:
     """Base class for physical plan nodes."""
 
@@ -132,10 +108,7 @@ class PhysScan(PhysicalNode):
     def describe(self) -> str:
         predicate = f" WHERE {self.predicate!r}" if self.predicate is not None else ""
         sip = f" +{len(self.sip_requests)} SIP" if self.sip_requests else ""
-        return (
-            f"Scan {self.family_name} [{', '.join(self.columns)}]{predicate}{sip}"
-            f" [{_predicate_engine(self.predicate)}]"
-        )
+        return f"Scan {self.family_name} [{', '.join(self.columns)}]{predicate}{sip}"
 
 
 @dataclass
@@ -148,7 +121,7 @@ class PhysFilter(PhysicalNode):
         self.children = [self.child]
 
     def describe(self) -> str:
-        return f"Filter {self.predicate!r} [{_predicate_engine(self.predicate)}]"
+        return f"Filter {self.predicate!r}"
 
 
 @dataclass
@@ -227,11 +200,7 @@ class PhysGroupBy(PhysicalNode):
         mode = "local" if self.local_complete else "two-phase"
         prepass = "+prepass" if self.prepass else ""
         having = f" HAVING {self.having!r}" if self.having is not None else ""
-        engine = _groupby_engine(self.keys, self.aggregates)
-        return (
-            f"GroupBy[{self.algorithm} {mode}{prepass}] [{keys}] "
-            f"[{aggs}]{having} [{engine}]"
-        )
+        return f"GroupBy[{self.algorithm} {mode}{prepass}] [{keys}] [{aggs}]{having}"
 
 
 @dataclass

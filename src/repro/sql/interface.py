@@ -76,8 +76,8 @@ def execute_sql(
 
     It is also where the Data Collector's request history is written:
     every completed (or failed) statement lands in
-    ``dc_requests_completed`` with its duration, row count, engine mix
-    and resource pool — except reads of the ``v_monitor`` tables
+    ``dc_requests_completed`` with its duration, row count and
+    resource pool — except reads of the ``v_monitor`` tables
     themselves, so a polling console never floods its own history.
     """
     from time import perf_counter
@@ -105,25 +105,6 @@ def execute_sql(
         TRACER.end_trace(trace)
 
 
-def _engine_of(profile) -> str:
-    """Collapse a query profile's per-operator execution modes into one
-    label: "kernel", "row", "mixed", or "-" when nothing applies."""
-    if profile is None:
-        return "-"
-    modes = {
-        op.execution
-        for op in profile.operators
-        if op.execution != "-"
-    }
-    if not modes:
-        return "-"
-    if modes == {"kernel"}:
-        return "kernel"
-    if modes == {"row"}:
-        return "row"
-    return "mixed"
-
-
 def _record_request(
     session, text, info, duration_seconds, result=None, error=None
 ) -> None:
@@ -132,11 +113,6 @@ def _record_request(
         return
     collector = session.db.cluster.dc
     rows_returned = len(result) if isinstance(result, list) else 0
-    profile = (
-        session.last_profile
-        if error is None and info.get("kind") == "select"
-        else None
-    )
     collector.record(
         "requests",
         info.get("kind", "unknown"),
@@ -145,7 +121,6 @@ def _record_request(
         sql=text[:200],
         success=error is None,
         error=type(error).__name__ if error is not None else "",
-        engine=_engine_of(profile),
         rows_returned=rows_returned,
         duration_ms=duration_seconds * 1000.0,
         epoch=session.db.latest_epoch,

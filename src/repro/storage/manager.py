@@ -729,17 +729,16 @@ class StorageManager:
         epoch: int,
         columns: list[str] | None = None,
         prune: dict[str, tuple] | None = None,
-        vectorized: bool = False,
     ):
         """Yield :class:`ScanBatch` es of rows visible at ``epoch``.
 
         ``prune`` maps column name -> (low, high) and eliminates whole
         containers via their min/max metadata, then blocks via the
-        position index, before any data is read.  ``vectorized`` asks
-        for encoded column vectors instead of value lists.  Either way
-        a batch never crosses a storage block, so block-local
-        dictionaries stay valid, and rows deleted at ``epoch`` are
-        selected out of it, not decoded around.
+        position index, before any data is read.  Columns arrive as
+        encoded vectors (a row-grouped column as a value list).  A batch
+        never crosses a storage block, so block-local dictionaries stay
+        valid, and rows deleted at ``epoch`` are selected out of it, not
+        decoded around.
         """
         state = self._state(projection_name)
         names = columns or [c.name for c in state.projection.columns]
@@ -755,9 +754,9 @@ class StorageManager:
                 continue
             METRICS.inc("storage.containers_scanned")
             yield from self._scan_container(
-                state, container, epoch, names, prune, vectorized, sort_columns
+                state, container, epoch, names, prune, sort_columns
             )
-        yield from self._scan_wos(state, epoch, names, vectorized, sort_columns)
+        yield from self._scan_wos(state, epoch, names, sort_columns)
 
     def _pruned_position_range(self, container, prune) -> tuple[int, int]:
         """Intersect pruned position ranges of restricted (ungrouped)
@@ -842,16 +841,14 @@ class StorageManager:
             )
         return visible
 
-    def _scan_container(
-        self, state, container, epoch, names, prune, vectorized, sort_columns
-    ):
+    def _scan_container(self, state, container, epoch, names, prune, sort_columns):
         for block_index, start, end, visible in self._visible_pieces(
             state, container, epoch, names, prune
         ):
             columns = {}
             for name in names:
                 # a row-grouped column has no encoding to preserve
-                if vectorized and container._group_of(name) is None:
+                if container._group_of(name) is None:
                     values = container.column_reader(name).vector_for_range(
                         block_index, start, end
                     )
@@ -864,7 +861,7 @@ class StorageManager:
                 sort_columns=sort_columns,
             )
 
-    def _scan_wos(self, state, epoch, names, vectorized, sort_columns):
+    def _scan_wos(self, state, epoch, names, sort_columns):
         """The WOS half of a scan: the batches of its sorted columnar
         view (:class:`SortedView` — built once per mutation, not per
         scan) visible at ``epoch``."""
@@ -877,19 +874,19 @@ class StorageManager:
         METRICS.inc("storage.wos_scans")
         METRICS.inc("storage.wos_rows_scanned", sum(rows for _, rows in batches))
         for columns, row_count in batches:
-            if not vectorized:
-                columns = {name: vector.values() for name, vector in columns.items()}
             yield ScanBatch(
                 columns=columns, row_count=row_count, sort_columns=sort_columns
             )
 
     def read_visible_rows(self, projection_name: str, epoch: int) -> list[dict]:
         """Materialize every visible row (``read_table`` and tests)."""
+        from ..execution.kernels.vectors import as_list
+
         rows: list[dict] = []
         for batch in self.scan(projection_name, epoch):
             names = list(batch.columns)
-            for index in range(batch.row_count):
-                rows.append({name: batch.columns[name][index] for name in names})
+            for values in zip(*map(as_list, batch.columns.values())):
+                rows.append(dict(zip(names, values)))
         return rows
 
     def container_run(self, projection_name: str, container_id: int) -> HistoryRun:

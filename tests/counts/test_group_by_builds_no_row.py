@@ -5,19 +5,23 @@ direct-to-ROS loads plus rows still in the WOS.  The two scan-pass
 statements of the meter workloads, a rollup and a join-aggregate must
 run with no ``Sort`` under a GroupBy (a sort-prefix plan used to sort
 every surviving row to find runs the storage already has), no block
-turned into row dicts on its way into a group table, no per-row fold,
-no group-by block on the row path — and, per block, no more hash probes
-than its key runs plus its distinct keys: a probe per run or per key,
-never per row.
+turned into row dicts on its way into a group table — and, per block, no
+more hash probes than its key runs plus its distinct keys: a probe per
+run or per key, never per row.  The shapes that had a per-row path of
+their own fold the same way: an expression key folds once per group per
+block, and a DISTINCT argument adds a value once per run of it.  A COUNT
+over an RLE column is one accumulator call per run.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
 from repro import ColumnDef, Database, TableDefinition, types
+from repro.execution.aggregates import Accumulator
 from repro.execution.executor import DistributedExecutor
-from repro.execution.kernels import aggregate, as_list
+from repro.execution.kernels import RleVector, aggregate, as_list
 from repro.execution.operators import (
     ExprEvalOperator,
     FilterOperator,
@@ -71,14 +75,14 @@ def loaded(tmp_path_factory):
 def spies(monkeypatch):
     """What the statement did: the operator roots it ran, the blocks its
     group-bys absorbed with (probes, accumulator lists made) for each,
-    every block that became row dicts, the per-row folds, and which
-    operator yielded which block."""
-    seen = {"roots": [], "absorbed": [], "to_rows": [], "fold_one": 0, "yielded": []}
+    every block that became row dicts, and which operator yielded which
+    block."""
+    seen = {"roots": [], "absorbed": [], "to_rows": [], "yielded": []}
     counted = {"probes": 0, "made": 0}
     operator = DistributedExecutor.operator
     group, kernel = aggregate._group, aggregate.absorb_block_kernel
     make = groupby._AggregationCore.new_accumulators
-    to_rows, fold_one = RowBlock.to_rows, groupby._AggregationCore._fold_one
+    to_rows = RowBlock.to_rows
     blocks = Operator.blocks
 
     def counting_group(core, groups, key):
@@ -105,10 +109,6 @@ def spies(monkeypatch):
         seen["to_rows"].append(self)  # kept alive: ids stay unique
         return to_rows(self)
 
-    def spying_fold_one(self, accumulators, arg_columns, index):
-        seen["fold_one"] += 1
-        return fold_one(self, accumulators, arg_columns, index)
-
     def spying_blocks(self):
         for block in blocks(self):
             seen["yielded"].append((self, block))
@@ -119,7 +119,6 @@ def spies(monkeypatch):
     monkeypatch.setattr(groupby._AggregationCore, "new_accumulators", counting_make)
     monkeypatch.setattr(DistributedExecutor, "operator", spying_operator)
     monkeypatch.setattr(RowBlock, "to_rows", spying_to_rows)
-    monkeypatch.setattr(groupby._AggregationCore, "_fold_one", spying_fold_one)
     monkeypatch.setattr(Operator, "blocks", spying_blocks)
     return seen
 
@@ -199,14 +198,11 @@ def test_group_by_folds_runs_and_builds_no_row(loaded, spies, name):
         assert all(
             isinstance(o, (ExprEvalOperator, FilterOperator, UnionAllOperator,
                            HashJoinOperator, SourceBlocks))
-            and o.row_blocks == 0
             for o in between
         ), op.explain()
         handed_on = {id(b) for o, b in spies["yielded"] if o in between}
         assert not handed_on & {id(block) for block in spies["to_rows"]}
-        assert op.row_blocks == 0 and not op.fallback_reason
     assert sum(op.kernel_blocks for op in group_bys) == len(spies["absorbed"]) >= 2
-    assert spies["fold_one"] == 0
     absorbed = {id(block) for _, block, _, _ in spies["absorbed"]}
     assert not absorbed & {id(block) for block in spies["to_rows"]}
 
@@ -221,3 +217,120 @@ def test_group_by_folds_runs_and_builds_no_row(loaded, spies, name):
         )
         folded += 2 * probes <= block.row_count
     assert folded, "no block was folded in fewer probes than half its rows"
+
+
+@pytest.fixture
+def folds(monkeypatch):
+    """Every block a group table absorbed: ``(core, block, calls)``, the
+    calls being what the fold made into accumulators, by method."""
+    absorbed = []
+    calls: Counter = Counter()
+    for name in ("add", "add_bulk", "add_run", "add_count_star"):
+
+        def counting(self, *args, _name=name, _method=getattr(Accumulator, name)):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(Accumulator, name, counting)
+    absorb = groupby._AggregationCore.absorb_block
+
+    def spying(self, groups, block):
+        before = Counter(calls)
+        absorb(self, groups, block)
+        absorbed.append((self, block, calls - before))
+
+    monkeypatch.setattr(groupby._AggregationCore, "absorb_block", spying)
+    return absorbed
+
+
+def _runs(columns) -> int:
+    rows = list(zip(*columns))
+    return sum(1 for index, row in enumerate(rows) if index == 0 or row != rows[index - 1])
+
+
+def test_an_expression_key_folds_once_per_group_per_block(loaded, folds):
+    db, rows = loaded
+    sql = (
+        "SELECT meter % 3 AS b, count(*) AS n, sum(value) AS s "
+        "FROM meter_readings GROUP BY meter % 3"
+    )
+    answer = {row["b"]: (row["n"], row["s"]) for row in db.sql(sql)}
+    want: dict = {}
+    for row in rows:
+        n, total = want.get(row["meter"] % 3, (0, 0.0))
+        want[row["meter"] % 3] = (n + 1, total + row["value"])
+    assert answer.keys() == want.keys() == {0, 1, 2}
+    assert all(
+        answer[b][0] == want[b][0] and abs(answer[b][1] - want[b][1]) <= 1e-6 * abs(want[b][1])
+        for b in want
+    )
+    assert sum(block.row_count for _, block, _ in folds) > 500
+    for core, block, calls in folds:
+        groups = set(zip(*core.key_columns(block)))
+        assert sum(calls.values()) <= len(groups) * len(core.specs), (
+            f"{dict(calls)} fold calls for {len(groups)} groups of a "
+            f"{block.row_count}-row block"
+        )
+
+
+def test_a_distinct_argument_adds_once_per_run(loaded, folds):
+    db, rows = loaded
+    sql = (
+        "SELECT metric, count(DISTINCT meter) AS n FROM meter_readings GROUP BY metric"
+    )
+    want: dict = {}
+    for row in rows:
+        want.setdefault(row["metric"], set()).add(row["meter"])
+    assert {row["metric"]: row["n"] for row in db.sql(sql)} == {
+        metric: len(meters) for metric, meters in want.items()
+    }
+    assert sum(block.row_count for _, block, _ in folds) > 500
+    for _, block, calls in folds:
+        pairs = [as_list(block.column("metric")), as_list(block.column("meter"))]
+        assert calls["add"] <= _runs(pairs), (
+            f"{calls['add']} adds for {_runs(pairs)} (metric, meter) runs "
+            f"of a {block.row_count}-row block"
+        )
+
+
+@pytest.fixture(scope="module")
+def departments(tmp_path_factory):
+    """40 departments of 300 rows, ``dept_id`` sorted and RLE-coded."""
+    db = Database(str(tmp_path_factory.mktemp("rle") / "db"), node_count=1)
+    db.create_table(
+        TableDefinition(
+            "departments",
+            [ColumnDef("dept_id", types.INTEGER), ColumnDef("emp", types.VARCHAR)],
+        ),
+        sort_order=["dept_id"],
+        encodings={"dept_id": "RLE"},
+    )
+    rows = [{"dept_id": d, "emp": f"e{e % 50}"} for d in range(40) for e in range(300)]
+    db.load("departments", rows, direct_to_ros=True)
+    return db
+
+
+@pytest.mark.parametrize(
+    "sql, want",
+    [
+        ("SELECT dept_id, count(*) AS n FROM departments GROUP BY dept_id",
+         {d: 300 for d in range(40)}),
+        ("SELECT count(dept_id) AS n FROM departments WHERE dept_id BETWEEN 5 AND 9",
+         {None: 1500}),
+    ],
+    ids=["grouped", "global"],
+)
+def test_an_rle_count_folds_once_per_run(departments, folds, sql, want):
+    """COUNT over an RLE column is one accumulator call per run of it
+    (a run's length is its count), whatever the block's row count."""
+    rows = departments.sql(sql)
+    assert {row.get("dept_id"): row["n"] for row in rows} == want
+    scanned = [fold for fold in folds if "dept_id" in fold[1].columns]  # not partials
+    assert sum(block.row_count for _, block, _ in scanned) >= 1500
+    for _, block, calls in scanned:
+        column = block.column("dept_id")
+        assert isinstance(column, RleVector), type(column)
+        assert sum(calls.values()) <= len(column.runs), (
+            f"{dict(calls)} fold calls for {len(column.runs)} runs of a "
+            f"{block.row_count}-row block"
+        )

@@ -7,7 +7,8 @@ segmented and sorted on their join keys, so the planner picks a merge
 join.  Per statement — ORDER BY with mixed ASC / DESC and a LIMIT (also
 under a one-row memory budget, where the sort spills), every window
 function with and without PARTITION BY, the chosen merge join, a hash
-join switched to merge by a one-row budget, and a spilling GROUP BY:
+join switched to merge by a one-row budget, a spilling GROUP BY, SELECT
+DISTINCT and COUNT(DISTINCT):
 
 * no block is built from row dicts (``RowBlock.from_rows``);
 * only the result's blocks become row dicts (``RowBlock.to_rows``);
@@ -185,6 +186,10 @@ MERGE_JOIN = "SELECT k, av, bv FROM a JOIN b ON k = k2 WHERE av < 900"
 #: ``bv`` is no sort column of ``b``: a hash join, switched by a 1-row budget
 HASH_JOIN = "SELECT k, g, k2 FROM t JOIN b ON k = bv"
 GROUP_BY = "SELECT k, count(*) AS n, max(x) AS m FROM t GROUP BY k"
+DISTINCT = {
+    "select distinct": "SELECT DISTINCT g, x FROM t",
+    "count distinct": "SELECT g, count(DISTINCT x) AS n FROM t GROUP BY g",
+}
 
 
 def _run(db, sql, memory_rows=None):
@@ -258,3 +263,19 @@ def test_a_spilling_group_by_spills_blocks(db, spies):
     operators = _assert_columnar(spies)
     assert any(op.spilled for op in operators if isinstance(op, GroupByHashOperator))
     assert session.last_pool.spills >= 1
+
+
+@pytest.mark.parametrize("name", DISTINCT)
+def test_distinct_plans_build_no_row(db, spies, name):
+    """NULLs are one value and NaNs are one value, under DISTINCT too."""
+    _, rows = _run(db, DISTINCT[name])
+    values: dict = {}
+    for row in T:
+        values.setdefault(_rank(row["g"]), set()).add(_rank(row["x"]))
+    if name == "select distinct":
+        want = sorted((g, x) for g, xs in values.items() for x in xs)
+        assert sorted((_rank(r["g"]), _rank(r["x"])) for r in rows) == want
+    else:
+        want = {g: len(xs - {_rank(None)}) for g, xs in values.items()}
+        assert {_rank(r["g"]): r["n"] for r in rows} == want
+    _assert_columnar(spies)

@@ -97,12 +97,12 @@ def test_snapshot_shows_firing_alerts_first(db_path):
     # force one warning alert to fire deterministically
     from repro.monitor import METRICS
 
-    METRICS.inc("executor.row_fallback_blocks", 100)
+    METRICS.inc("storage.crc_failures", 100)
     out = render(db, db_path)
-    assert "alerts_firing=1 (row_engine_fallback)" in out
+    assert "alerts_firing=1 (crc_failures)" in out
     alerts = out.split("── ALERTS ")[1].splitlines()
     first_row = alerts[3]  # header, rule line, then rows
-    assert "row_engine_fallback" in first_row
+    assert "crc_failures" in first_row
     assert "firing" in first_row
 
 

@@ -37,7 +37,7 @@ class TestRequests:
         db.sql("SELECT k, v FROM t")
         db.sql("INSERT INTO t VALUES (100, 7)")
         rows = db.sql(
-            "SELECT statement, success, rows_returned, engine "
+            "SELECT statement, success, rows_returned "
             "FROM v_monitor.dc_requests_completed"
         )
         kinds = [r["statement"] for r in rows]
@@ -45,7 +45,6 @@ class TestRequests:
         select = rows[-2]
         assert select["success"] is True
         assert select["rows_returned"] == 10
-        assert select["engine"] in ("kernel", "row", "mixed")
 
     def test_failed_statement_recorded_and_error_logged(self, db):
         with pytest.raises(UnknownObjectError):

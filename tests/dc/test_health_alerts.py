@@ -81,14 +81,6 @@ class TestHysteresis:
 
 
 class TestRuleValues:
-    def test_row_fallback_ratio(self, db):
-        METRICS.inc("executor.row_fallback_blocks", 3)
-        METRICS.inc("storage.blocks_vectorized", 1)  # ratio 0.75 > 0.5
-        assert "row_engine_fallback" in db.health.evaluate()
-        METRICS.inc("storage.blocks_vectorized", 50)  # ratio < 0.25
-        assert "row_engine_fallback" not in db.health.evaluate()
-        assert db.health.state_of("row_engine_fallback").state == "ok"
-
     def test_crc_failures_window(self, db):
         health = db.health
         METRICS.inc("storage.crc_failures", 3)  # > raise_count 2
@@ -126,7 +118,6 @@ class TestRows:
             "node_down",
             "node_quarantined",
             "queue_wait_p99",
-            "row_engine_fallback",
         ]
         for row in rows:
             assert row["state"] == "ok"

@@ -140,7 +140,7 @@ def test_hash_join_alone_and_sharing_a_build_equal_the_oracle(
         want = canonical(oracle(join_type, left, right, lk, rk))
         alone = hash_join(join_type, RowSource(left, LEFT, block_rows), right, lk, rk)
         assert canonical(alone.rows()) == want, join_type
-        assert alone.execution_mode() in ("kernel", "-")  # "-": no probe block
+        assert alone.kernel_blocks == alone.children[0].blocks_produced
 
         shared: dict = {}
         whole = join_type in (JoinType.RIGHT, JoinType.FULL)

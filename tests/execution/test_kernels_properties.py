@@ -15,9 +15,10 @@ oracle over hundreds of randomly drawn inputs:
   must equal compress-by-mask on every vector kind.
 
 Those are driven by fixed-seed ``random.Random`` instances, so a
-failure replays exactly.  The last section holds the sort-prefix seek
-to the row engine and to a plain evaluation kept here, under
-Hypothesis (it prints the block's seed and the predicate on failure).
+failure replays exactly.  The last sections hold the sort-prefix seek
+to ``Expr.evaluate`` and to a plain evaluation kept here, under
+Hypothesis (it prints the block's seed and the predicate on failure),
+and the group-by key kernel to a dict of lists.
 """
 
 import math
@@ -315,15 +316,17 @@ def test_selection_apply_preserves_encoding():
 # evaluates the rest over the window that leaves.  Whatever the block
 # looks like — any sort prefix, any mix of plain / RLE / dictionary
 # columns, NULLs and NaNs anywhere, duplicates dense — its selection
-# must equal (i) the row engine's and (ii) the plain evaluation kept
-# below: every leaf over the whole block, combined by set algebra.
+# must equal (i) ``Expr.evaluate``'s and (ii) the plain evaluation kept
+# below: every leaf over the whole block, combined by set algebra.  A
+# ``c * 1`` leaf is the generic one: no specialised leaf takes it, and a
+# seek beside it still narrows the rows it evaluates.
 
 import operator  # noqa: E402
 
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from repro.execution.expressions import And, Between, IsNull, Or  # noqa: E402
+from repro.execution.expressions import And, Arithmetic, Between, IsNull, Or  # noqa: E402
 from repro.execution.row_block import RowBlock  # noqa: E402
 from repro.types import sort_key  # noqa: E402
 
@@ -414,6 +417,10 @@ def _leaves(pools, name):
         st.builds(lambda op, v: Comparison(op, column, Literal(v)), ops, literal),
         st.builds(lambda op, v: Comparison(op, Literal(v), column), ops, literal),
         st.builds(
+            lambda op, v: Comparison(op, Arithmetic("*", column, Literal(1)), Literal(v)),
+            ops, literal,
+        ),
+        st.builds(
             lambda a, b: Between(column, Literal(a), Literal(b)), literal, literal
         ),
         st.builds(lambda vs: InList(column, vs), st.lists(literal, max_size=3)),
@@ -493,6 +500,8 @@ def _reference_mask(expr, lists, row_count, negated=False):
         op, column, literal = expr.op, expr.left, expr.right
         if isinstance(column, Literal):
             op, column, literal = MIRRORED[op], expr.right, expr.left
+        if isinstance(column, Arithmetic):  # ``c * 1`` is ``c``
+            column = column.left
         compare, constant = PYTHON_OPS[op], literal.value
 
         def test(value):
@@ -546,7 +555,6 @@ def _plain_block(sorted_by, **columns):
 def test_seek_matches_row_engine_and_plain_evaluation(case):
     columns, row_count, sorted_by, expr = case
     predicate = compile_kernel_predicate(expr)
-    assert predicate is not None, f"{expr!r} should compile to a kernel"
     seeks = []
     selection = predicate(columns, row_count, sorted_by, seeks)
     assert selection.row_count == row_count
@@ -556,8 +564,8 @@ def test_seek_matches_row_engine_and_plain_evaluation(case):
     from repro.execution.kernels import as_list
 
     lists = {name: as_list(column) for name, column in columns.items()}
-    row_engine = expr.evaluate(RowBlock(columns=lists, row_count=row_count))
-    assert selection.positions() == [i for i, flag in enumerate(row_engine) if flag]
+    evaluated = expr.evaluate(RowBlock(columns=lists, row_count=row_count))
+    assert selection.positions() == [i for i, flag in enumerate(evaluated) if flag]
     reference = _reference_mask(expr, lists, row_count)
     assert selection.positions() == [i for i, flag in enumerate(reference) if flag]
 
@@ -646,7 +654,7 @@ def test_a_literal_of_the_wrong_type_fails_the_same_way_on_both_engines(
         Not(Comparison("<", ColumnRef("c"), Literal(1.0))),
         Not(Comparison(">=", ColumnRef("c"), Literal(NAN))),
         Not(Between(ColumnRef("c"), Literal(0.0), Literal(NAN))),
-        # a miss against an IN list holding NULL is NULL on both engines
+        # a miss against an IN list holding NULL is NULL, not FALSE
         InList(ColumnRef("c"), [None, 2.0]),
         Not(InList(ColumnRef("c"), [None, 2.0])),
     ],
@@ -660,25 +668,24 @@ def test_nan_and_null_corner_cases_agree_across_engines(expr):
         assert kernel.positions() == [i for i, flag in enumerate(row) if flag]
 
 
-# -- the group-by key kernel vs the row engine vs a dict of lists ------------
+# -- the group-by key kernel vs a dict of lists ------------------------------
 #
 # Whatever a block's keys look like — plain, RLE, dictionary or bare-list
 # columns, one to three of them, sorted by a key prefix, behind another
-# sort column, or not at all — the kernel's groups must equal the row
-# engine's and a plain ``dict`` of lists kept here, block after block with
+# sort column, or not at all — the kernel's groups must equal a plain
+# ``dict`` of lists kept here, block after block with
 # keys recurring, and again through prepass -> merge with a table of 3 so
 # that flushes and the shut-off fire.  Floats agree up to summation order,
 # everything else exactly.
 
 import inspect  # noqa: E402
 import os  # noqa: E402
-from contextlib import nullcontext  # noqa: E402
 from dataclasses import dataclass, replace  # noqa: E402
 
 from hypothesis import seed  # noqa: E402
 
 from repro.execution.aggregates import AggregateSpec  # noqa: E402
-from repro.execution.kernels import aggregate, force_row_engine  # noqa: E402
+from repro.execution.kernels import aggregate  # noqa: E402
 from repro.execution.operators import groupby  # noqa: E402
 from repro.execution.operators.base import SourceBlocks  # noqa: E402
 from repro.lint import sanitizer  # noqa: E402
@@ -795,8 +802,9 @@ def _same_groups(got, want, specs, who):
 def _core_groups(names, blocks, specs):
     core = groupby._AggregationCore([ColumnRef(n) for n in names], names, specs)
     groups: dict = {}
-    modes = {core.absorb_block(groups, block) for block in blocks}
-    return modes, {
+    for block in blocks:
+        core.absorb_block(groups, block)
+    return {
         _key(key): [accumulator.final() for accumulator in accumulators]
         for key, accumulators in groups.items()
     }
@@ -813,30 +821,19 @@ def check_groups(case):
     names, blocks, rows = _group_blocks(case)
     specs = _specs(case)
     want = _oracle(names, rows, specs)
-    modes, kernel = _core_groups(names, blocks, specs)
-    assert modes <= {True}, "a column-key block took the row path"
-    _same_groups(kernel, want, specs, "kernel")
-    with force_row_engine():
-        modes, row = _core_groups(names, blocks, specs)
-    assert modes <= {False}
-    _same_groups(row, want, specs, "row engine")
+    _same_groups(_core_groups(names, blocks, specs), want, specs, "kernel")
     keys = [ColumnRef(name) for name in names]
     direct = groupby.GroupByHashOperator(SourceBlocks(blocks), keys, names, specs)
     _same_groups(_operator_groups(names, direct, specs), want, specs, "hash operator")
     # two-phase, over the aggregates that have a partial
     specs = _specs(case, mergeable_only=True)
     want = _oracle(names, rows, specs)
-    for engine in (nullcontext, force_row_engine):
-        prepass = groupby.PrepassGroupByOperator(
-            SourceBlocks(blocks), keys, names, specs, table_size=3
-        )
-        prepass.SHUTOFF_CHECK_ROWS = 40
-        merge = groupby.GroupByHashOperator(
-            prepass, keys, names, specs, merge_partials=True
-        )
-        with engine():
-            got = _operator_groups(names, merge, specs)
-        _same_groups(got, want, specs, "prepass -> merge")
+    prepass = groupby.PrepassGroupByOperator(
+        SourceBlocks(blocks), keys, names, specs, table_size=3
+    )
+    prepass.SHUTOFF_CHECK_ROWS = 40
+    merge = groupby.GroupByHashOperator(prepass, keys, names, specs, merge_partials=True)
+    _same_groups(_operator_groups(names, merge, specs), want, specs, "prepass -> merge")
 
 
 group_cases = st.builds(
@@ -856,7 +853,7 @@ EXTRA_SEEDS = [int(s) for s in os.environ.get("REPRO_FUZZ_SEEDS", "").split(",")
 
 
 @pytest.mark.parametrize("seed_index", range(len(EXTRA_SEEDS) + 1))
-def test_key_kernel_matches_row_engine_and_a_dict_of_lists(seed_index):
+def test_key_kernel_matches_a_dict_of_lists(seed_index):
     @settings(max_examples=150, deadline=None)
     @given(group_cases)
     def run(case):

@@ -5,34 +5,42 @@ FLOAT key is NaN came back as one group of 4 while they sat in the WOS
 (one shared NaN object, and a tuple finds an identical element before
 it compares) and as four groups of 1 after moveout (every decoded NaN
 is its own object, and NaN != NaN) — a GROUP BY answer that changed
-when the tuple mover ran, on both engines.  NaN keys are one group, as
-NULL keys are (PostgreSQL's rule): the kernel, the row path and the
-spill partitioner all read group keys through ``kernels.aggregate.
-key_values``, which gives every NaN the same object and costs a vector
-that knows it holds none (``ColumnVector.is_ordered``) nothing.
+when the tuple mover ran.  NaN keys are one group, as NULL keys are
+(PostgreSQL's rule): the key kernel, the spill partitioner and SELECT
+DISTINCT read keys through ``kernels.aggregate.key_values``, which
+gives every NaN the same object and costs a vector that knows it holds
+none (``ColumnVector.is_ordered``) nothing; a DISTINCT aggregate's
+``seen`` set does the same to the values it keeps.
 """
 
 import pytest
 
 from repro import ColumnDef, Database, TableDefinition, types
-from repro.execution.kernels import force_row_engine
 
-#: name -> (statement, its keys, what ``s`` is of a group's ``k`` values)
+
+#: name -> (statement, its keys, a group's rows -> the columns after the
+#: keys, in the statement's order)
 STATEMENTS = {
     "one key": (
-        "SELECT g, COUNT(*) AS n, SUM(k) AS s FROM t GROUP BY g", ("g",), sum,
+        "SELECT g, COUNT(*) AS n, SUM(k) AS s FROM t GROUP BY g", ("g",),
+        lambda rows: (len(rows), sum(row["k"] for row in rows)),
     ),
     "two keys": (
         "SELECT g, h, COUNT(*) AS n, SUM(k) AS s FROM t GROUP BY g, h",
-        ("g", "h"), sum,
+        ("g", "h"), lambda rows: (len(rows), sum(row["k"] for row in rows)),
     ),
     "not mergeable": (
-        "SELECT g, COUNT(*) AS n, AVG(k) AS s FROM t GROUP BY g",
-        ("g",), lambda ks: sum(ks) / len(ks),
+        "SELECT g, COUNT(*) AS n, AVG(k) AS s FROM t GROUP BY g", ("g",),
+        lambda rows: (len(rows), sum(row["k"] for row in rows) / len(rows)),
     ),
-    "row path": (
+    "distinct argument": (
         "SELECT g, COUNT(*) AS n, COUNT(DISTINCT k) AS s FROM t GROUP BY g",
-        ("g",), lambda ks: len(set(ks)),
+        ("g",), lambda rows: (len(rows), len({row["k"] for row in rows})),
+    ),
+    "select distinct": ("SELECT DISTINCT g FROM t", ("g",), lambda rows: ()),
+    "count distinct": (
+        "SELECT COUNT(DISTINCT g) AS n FROM t", (),
+        lambda rows: (len({_label(row["g"]) for row in rows}),),
     ),
 }
 
@@ -51,19 +59,15 @@ def _label(value):
 
 
 def answers(db, loaded):
-    """Every statement's groups, checked against a plain dict of lists."""
+    """Every statement's rows, checked against a plain dict of lists."""
     out = {}
     for name, (sql, keys, fold) in STATEMENTS.items():
         groups: dict = {}
         for row in loaded:
-            key = tuple(_label(row[column]) for column in keys)
-            groups.setdefault(key, []).append(row["k"])
-        want = sorted((key + (len(ks), fold(ks)) for key, ks in groups.items()), key=repr)
+            groups.setdefault(tuple(_label(row[key]) for key in keys), []).append(row)
+        want = sorted((key + fold(rows) for key, rows in groups.items()), key=repr)
         out[name] = sorted(
-            (
-                tuple(_label(row[key]) for key in keys) + (row["n"], row["s"])
-                for row in db.sql(sql)
-            ),
+            (tuple(_label(value) for value in row.values()) for row in db.sql(sql)),
             key=repr,
         )
         assert out[name] == want, name
@@ -89,21 +93,17 @@ def test_a_group_by_answer_does_not_change_when_the_mover_runs(db):
     db.load("t", loaded)
     in_wos = answers(db, loaded)
     assert in_wos["one key"] == [("nan", 4, 16), (1.0, 4, 12)]
+    assert in_wos["select distinct"] == [("nan",), (1.0,)]
+    assert in_wos["count distinct"] == [(2,)]
     db.cluster.run_tuple_movers()  # moveout: every NaN decodes to its own object
     assert answers(db, loaded) == in_wos
-    with force_row_engine():
-        assert answers(db, loaded) == in_wos
     loaded += rows_of(8, 8)
     db.load("t", loaded[8:], direct_to_ros=True)
     db.load("t", rows_of(16, 4))  # ROS + ROS + WOS
     loaded += rows_of(16, 4)
     mixed = answers(db, loaded)
-    with force_row_engine():
-        assert answers(db, loaded) == mixed
     db.cluster.run_tuple_movers()  # moveout + mergeout
     assert answers(db, loaded) == mixed
-    with force_row_engine():
-        assert answers(db, loaded) == mixed
 
 
 def test_nan_keys_stay_one_group_through_a_spill():

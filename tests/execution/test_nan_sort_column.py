@@ -7,8 +7,8 @@ A container written before that rule held its NaNs wherever the
 comparisons happened to leave them, and a binary search over it returned
 rows that do not match (``x = 0.5`` gave the rows holding 3.0 and NaN),
 so the seek still declines on a vector that holds a NaN; the block
-bounds ignore NaN the way they ignore NULL.  The kernel engine, the
-forced row engine and a plain-Python oracle agree.
+bounds ignore NaN the way they ignore NULL.  The engine and a
+plain-Python oracle agree.
 """
 
 import math
@@ -16,7 +16,6 @@ import math
 import pytest
 
 from repro import ColumnDef, Database, TableDefinition, types
-from repro.execution.kernels import force_row_engine
 from repro.storage.block import value_bounds
 
 NAN = math.nan
@@ -53,20 +52,14 @@ def db(tmp_path_factory):
 def test_kernel_row_and_oracle_agree_over_a_nan_sort_column(db, where):
     sql = f"SELECT y FROM t WHERE {where}"
     oracle = [y for y, x in enumerate(XS) if PREDICATES[where](x, y)]
-    kernel = sorted(row["y"] for row in db.sql(sql))
-    with force_row_engine():
-        row = sorted(row["y"] for row in db.sql(sql))
-    assert kernel == row == oracle
+    assert sorted(row["y"] for row in db.sql(sql)) == oracle
 
 
 def test_wos_rows_with_nan_answer_the_same(db):
     db.sql("INSERT INTO t VALUES (0.5, 100)")
     try:
         sql = "SELECT y FROM t WHERE x = 0.5"
-        kernel = sorted(row["y"] for row in db.sql(sql))
-        with force_row_engine():
-            row = sorted(row["y"] for row in db.sql(sql))
-        assert kernel == row == [5, 100]
+        assert sorted(row["y"] for row in db.sql(sql)) == [5, 100]
     finally:
         db.sql("DELETE FROM t WHERE y = 100")
 

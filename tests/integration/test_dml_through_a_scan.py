@@ -8,11 +8,10 @@ tested with ``Expr.evaluate_row``, the SET list evaluated the same way.
 
 A table with NULLs, NaNs and duplicate rows, in ROS containers and in
 the WOS, takes a fixed list of statements — NULL, NaN, LIKE, IN,
-BETWEEN, OR / NOT and arithmetic the kernels cannot compile — on 1 and
-3 nodes, with one of the three down, under the kernels and under the
-forced row engine.  Per statement, the victim multiset handed to
-``Cluster.commit_dml``, the rows it inserts and the table after the
-commit must equal the oracle's.
+BETWEEN, OR / NOT and arithmetic (the kernels' generic leaf) — on 1 and
+3 nodes, with one of the three down.  Per statement, the victim
+multiset handed to ``Cluster.commit_dml``, the rows it inserts and the
+table after the commit must equal the oracle's.
 """
 
 import math
@@ -22,7 +21,6 @@ import pytest
 
 from repro import ColumnDef, Database, TableDefinition, types
 from repro.cluster import Cluster
-from repro.execution.kernels import force_row_engine
 from repro.sql.analyzer import Analyzer
 from repro.sql.interface import _single_table_scope
 from repro.sql.parser import parse
@@ -119,9 +117,8 @@ def commits(monkeypatch):
     return seen
 
 
-@pytest.mark.parametrize("engine", ["kernel", "row"])
 @pytest.mark.parametrize("layout", ["1-node", "3-node", "3-node-one-down"])
-def test_dml_through_the_plan_equals_the_row_path(tmp_path, commits, engine, layout):
+def test_dml_through_the_plan_equals_the_row_path(tmp_path, commits, layout):
     db = build(tmp_path / "db", 1 if layout == "1-node" else 3)
     if layout.endswith("down"):
         db.fail_node(1)
@@ -130,11 +127,7 @@ def test_dml_through_the_plan_equals_the_row_path(tmp_path, commits, engine, lay
         victims, inserted = oracle(db, text)
         before = multiset(db.cluster.read_table("t", db.latest_epoch))
         commits.clear()
-        if engine == "row":
-            with force_row_engine():
-                db.sql(text)
-        else:
-            db.sql(text)
+        db.sql(text)
         ((got_inserts, got_deletes),) = commits
         assert [table for table, _ in got_deletes] == ["t"], text
         assert multiset(got_deletes[0][1]) == multiset(victims), text

@@ -1,16 +1,17 @@
-"""Differential SQL fuzzing: kernel engine vs. row engine vs. oracle.
+"""Differential SQL fuzzing: the engine vs. a plain-Python oracle.
 
-A seeded generator produces random SELECTs (filters, group-bys,
-aggregates, order-bys, limits) over the meters workload of section
-8.2.2.  Every query is built twice from the same random draws: once as
-SQL text for the engine (parse -> analyze -> optimize -> distributed
-execution over WOS + ROS containers) and once as plain Python over the
-in-memory row list.  Each SQL query then runs through *both* execution
-engines — the vectorized kernels (default) and the per-row fallback
-(``REPRO_FORCE_ROW_ENGINE=1``) — and all three answers must match
-row-for-row.  Same query, two engines, one oracle: any kernel that
-mishandles NULLs, selection bitmaps, RLE run arithmetic or dictionary
-codes shows up as a three-way divergence here.
+A seeded generator produces random SELECTs (filters, group-bys by a
+column or an expression, aggregates including COUNT(DISTINCT),
+order-bys, limits) over the meters workload of section 8.2.2.  Every
+query is built twice from the same random draws: once as SQL text for
+the engine (parse -> analyze -> optimize -> distributed execution over
+WOS + ROS containers) and once as plain Python over the in-memory row
+list, and the two answers must match row-for-row.  The predicates mix
+the shapes the kernels specialise (sort-prefix seeks, dictionary and
+RLE comparisons, IN, BETWEEN) with ones only the generic leaf takes
+(arithmetic, a column against a column, a function) under AND / OR /
+NOT, so a selection bitmap, RLE run arithmetic, a dictionary code or a
+seek window that the generic leaf then reads wrongly shows up here.
 
 Floating-point SUM/AVG are compared with a tiny relative tolerance:
 the distributed executor adds partials in segment order, the oracle in
@@ -39,7 +40,6 @@ import pytest
 from repro import types
 from repro.core.database import Database
 from repro.core.schema import ColumnDef, TableDefinition
-from repro.execution.kernels import force_row_engine
 from repro.workloads.meters import generate, meters_table, spec_for_rows
 
 DATA_SEED = 3
@@ -80,8 +80,10 @@ def loaded(tmp_path_factory):
 # -- predicate generator -------------------------------------------------
 
 def _atom(rng, rows):
-    """One random comparison: returns (sql_text, python_predicate)."""
-    kind = rng.randrange(6)
+    """One random comparison: returns (sql_text, python_predicate).
+    Kinds 0-5 have a specialised kernel leaf; 6-9 compile to the
+    generic one."""
+    kind = rng.randrange(10)
     sample = rng.choice(rows)
     if kind == 0:
         op = rng.choice(["<", "<=", ">", ">=", "="])
@@ -106,6 +108,17 @@ def _atom(rng, rows):
             f"metric IN ({quoted})",
             lambda r, s=chosen: r["metric"] in s,
         )
+    if kind == 6:
+        c = round(rng.uniform(-100.0, 300.0), 2)
+        return f"value * 2 > {c}", lambda r, c=c: r["value"] * 2 > c
+    if kind == 7:
+        rest = rng.randrange(3)
+        return f"meter % 3 = {rest}", lambda r, m=rest: r["meter"] % 3 == m
+    if kind == 8:
+        return "meter < ts", lambda r: r["meter"] < r["ts"]
+    if kind == 9:
+        c = round(rng.uniform(0.0, 120.0), 2)
+        return f"ABS(value) < {c}", lambda r, c=c: abs(r["value"]) < c
     low = min(sample["meter"], sample["meter"] + rng.randrange(5))
     high = low + rng.randrange(8)
     return (
@@ -166,20 +179,29 @@ def _oracle_global_agg(rows, pred):
     ]
 
 
-def _oracle_group_by(rows, pred, key):
+def _oracle_group_by(rows, pred, name, key):
+    """``name`` is the output column of the group key ``key(row)``."""
     groups: dict = {}
     for r in rows:
         if pred(r):
-            bucket = groups.setdefault(r[key], [0, 0.0, None])
+            bucket = groups.setdefault(key(r), [0, 0.0, None])
             bucket[0] += 1
             bucket[1] += r["value"]
             bucket[2] = (
                 r["ts"] if bucket[2] is None else max(bucket[2], r["ts"])
             )
     return [
-        {key: k, "n": n, "sv": sv, "mx": mx}
+        {name: k, "n": n, "sv": sv, "mx": mx}
         for k, (n, sv, mx) in sorted(groups.items())
     ]
+
+
+def _oracle_count_distinct(rows, pred):
+    meters: dict = {}
+    for r in rows:
+        if pred(r):
+            meters.setdefault(r["metric"], set()).add(r["meter"])
+    return [{"metric": m, "n": len(ms)} for m, ms in sorted(meters.items())]
 
 
 def _close(a, b):
@@ -206,7 +228,7 @@ def _rows_match(got, want):
 def _one_query(rng, rows):
     """Draw one random query: returns (sql, expected_rows)."""
     where_sql, pred = _predicate(rng, rows)
-    shape = rng.randrange(4)
+    shape = rng.randrange(6)
     if shape == 0:
         limit = rng.choice([None, None, 5, 40])
         sql = (
@@ -222,33 +244,38 @@ def _one_query(rng, rows):
             f"SUM(value) AS sv FROM {TABLE} WHERE {where_sql}"
         )
         return sql, _oracle_global_agg(rows, pred)
+    if shape == 4:
+        sql = (
+            f"SELECT meter % 3 AS b, COUNT(*) AS n, SUM(value) AS sv, MAX(ts) AS mx "
+            f"FROM {TABLE} WHERE {where_sql} GROUP BY meter % 3 ORDER BY b"
+        )
+        return sql, _oracle_group_by(rows, pred, "b", lambda r: r["meter"] % 3)
+    if shape == 5:
+        sql = (
+            f"SELECT metric, COUNT(DISTINCT meter) AS n FROM {TABLE} "
+            f"WHERE {where_sql} GROUP BY metric ORDER BY metric"
+        )
+        return sql, _oracle_count_distinct(rows, pred)
     key = "metric" if shape == 2 else "meter"
     sql = (
         f"SELECT {key}, COUNT(*) AS n, SUM(value) AS sv, MAX(ts) AS mx "
         f"FROM {TABLE} WHERE {where_sql} GROUP BY {key} ORDER BY {key}"
     )
-    return sql, _oracle_group_by(rows, pred, key)
+    return sql, _oracle_group_by(rows, pred, key, lambda r, k=key: r[k])
 
 
 @pytest.mark.parametrize("fuzz_seed", FUZZ_SEEDS)
 def test_engine_matches_oracle(loaded, fuzz_seed):
-    """Kernel engine vs. row engine vs. oracle over the fuzz corpus."""
+    """The engine vs. the oracle over the fuzz corpus."""
     db, rows = loaded
     rng = random.Random(fuzz_seed)
     for index in range(QUERIES_PER_SEED):
         sql, expected = _one_query(rng, rows)
-        kernel = db.sql(sql)
-        with force_row_engine():
-            row = db.sql(sql)
-        assert _rows_match(kernel, expected), (
+        got = db.sql(sql)
+        assert _rows_match(got, expected), (
             f"seed {fuzz_seed} query {index} diverged from oracle\n"
-            f"  sql: {sql}\n  kernel({len(kernel)}): {kernel[:3]}\n"
+            f"  sql: {sql}\n  engine({len(got)}): {got[:3]}\n"
             f"  oracle({len(expected)}): {expected[:3]}"
-        )
-        assert _rows_match(row, kernel), (
-            f"seed {fuzz_seed} query {index} kernel/row divergence\n"
-            f"  sql: {sql}\n  kernel({len(kernel)}): {kernel[:3]}\n"
-            f"  row({len(row)}): {row[:3]}"
         )
 
 
@@ -283,17 +310,7 @@ def edge_db(tmp_path_factory):
         ),
         sort_order=["k"],
     )
-    db.load(
-        "nulls_heavy",
-        [
-            {
-                "k": i,
-                "tag": None if i % 3 == 0 else ["red", "blue"][i % 2],
-                "value": None if i % 2 == 0 else float(i),
-            }
-            for i in range(EDGE_ROWS)
-        ],
-    )
+    db.load("nulls_heavy", _nulls_heavy_rows())
     db.create_table(
         TableDefinition(
             "deleted_all",
@@ -316,66 +333,122 @@ def edge_db(tmp_path_factory):
         sort_order=["flag"],
         encodings={"flag": "RLE"},
     )
-    db.load(
-        "single_run",
-        [{"flag": 7, "v": float(i % 50)} for i in range(EDGE_ROWS)],
-    )
+    db.load("single_run", EDGE_SQL["single_run"][0])
     db.run_tuple_movers()
     return db
 
 
-#: Per-table query battery run through both engines.
+def _keep(rows, test):
+    return [row for row in rows if test(row)]
+
+
+def _sum(values):
+    values = [value for value in values if value is not None]
+    return sum(values) if values else None
+
+
+def _nulls_heavy_rows():
+    return [
+        {
+            "k": i,
+            "tag": None if i % 3 == 0 else ["red", "blue"][i % 2],
+            "value": None if i % 2 == 0 else float(i),
+        }
+        for i in range(EDGE_ROWS)
+    ]
+
+
+def _tagged(rows):
+    out: dict = {}
+    for row in _keep(rows, lambda r: r["tag"] is not None):
+        out.setdefault(row["tag"], []).append(row)
+    return [
+        {"tag": tag, "n": len(members), "sv": _sum(r["value"] for r in members)}
+        for tag, members in sorted(out.items())
+    ]
+
+
+#: Per table: its visible rows, and (SQL, the answer from those rows)
+#: pairs.  Rows are generated in ``k`` / load order, which every ORDER BY
+#: here follows.
 EDGE_SQL = {
-    "nulls_heavy": [
-        "SELECT k, tag, value FROM nulls_heavy WHERE value > 100.0 "
-        "ORDER BY k LIMIT 20",
-        "SELECT k FROM nulls_heavy WHERE value IS NULL AND k < 50 ORDER BY k",
-        "SELECT k FROM nulls_heavy WHERE tag IS NOT NULL AND k >= 580 "
-        "ORDER BY k",
-        "SELECT COUNT(*) AS n, SUM(value) AS sv, MIN(value) AS mn "
-        "FROM nulls_heavy WHERE tag = 'red'",
-        "SELECT tag, COUNT(*) AS n, SUM(value) AS sv FROM nulls_heavy "
-        "WHERE tag IS NOT NULL GROUP BY tag ORDER BY tag",
-        "SELECT k FROM nulls_heavy WHERE tag IN ('red', 'green') "
-        "AND value > 550.0 ORDER BY k",
-        "SELECT COUNT(*) AS n FROM nulls_heavy WHERE NOT (tag = 'blue')",
-    ],
-    "deleted_all": [
-        "SELECT k, v FROM deleted_all WHERE k > 0 ORDER BY k",
-        "SELECT COUNT(*) AS n, SUM(v) AS sv FROM deleted_all",
-        "SELECT k, COUNT(*) AS n FROM deleted_all GROUP BY k ORDER BY k",
-        "SELECT k FROM deleted_all WHERE v BETWEEN 1.0 AND 9.0 ORDER BY k",
-    ],
-    "single_run": [
-        "SELECT COUNT(*) AS n FROM single_run WHERE flag = 7",
-        "SELECT COUNT(*) AS n FROM single_run WHERE flag < 7",
-        "SELECT flag, COUNT(*) AS n, SUM(v) AS sv FROM single_run "
-        "GROUP BY flag ORDER BY flag",
-        "SELECT COUNT(*) AS n, SUM(v) AS sv FROM single_run "
-        "WHERE flag BETWEEN 5 AND 9",
-        "SELECT v FROM single_run WHERE flag = 7 AND v = 49.0 "
-        "ORDER BY v LIMIT 5",
-    ],
+    "nulls_heavy": (_nulls_heavy_rows(), [
+        ("SELECT k, tag, value FROM nulls_heavy WHERE value > 100.0 "
+         "ORDER BY k LIMIT 20",
+         lambda rows: _keep(rows, lambda r: r["value"] is not None and r["value"] > 100.0)[:20]),
+        ("SELECT k FROM nulls_heavy WHERE value IS NULL AND k < 50 ORDER BY k",
+         lambda rows: [{"k": r["k"]} for r in rows if r["value"] is None and r["k"] < 50]),
+        ("SELECT k FROM nulls_heavy WHERE tag IS NOT NULL AND k >= 580 ORDER BY k",
+         lambda rows: [{"k": r["k"]} for r in rows if r["tag"] is not None and r["k"] >= 580]),
+        ("SELECT COUNT(*) AS n, SUM(value) AS sv, MIN(value) AS mn "
+         "FROM nulls_heavy WHERE tag = 'red'",
+         lambda rows: [{
+             "n": len(_keep(rows, lambda r: r["tag"] == "red")),
+             "sv": _sum(r["value"] for r in rows if r["tag"] == "red"),
+             "mn": min((r["value"] for r in rows
+                        if r["tag"] == "red" and r["value"] is not None), default=None),
+         }]),
+        ("SELECT tag, COUNT(*) AS n, SUM(value) AS sv FROM nulls_heavy "
+         "WHERE tag IS NOT NULL GROUP BY tag ORDER BY tag", _tagged),
+        ("SELECT k FROM nulls_heavy WHERE tag IN ('red', 'green') "
+         "AND value > 550.0 ORDER BY k",
+         lambda rows: [{"k": r["k"]} for r in rows if r["tag"] in ("red", "green")
+                       and r["value"] is not None and r["value"] > 550.0]),
+        ("SELECT COUNT(*) AS n FROM nulls_heavy WHERE NOT (tag = 'blue')",
+         lambda rows: [{"n": len(_keep(rows, lambda r: r["tag"] not in (None, "blue")))}]),
+        # the generic leaf over NULLs: NULL arithmetic is NULL, and NOT
+        # of NULL is NULL — neither passes
+        ("SELECT k FROM nulls_heavy WHERE value * 2 > k + 500 ORDER BY k",
+         lambda rows: [{"k": r["k"]} for r in rows
+                       if r["value"] is not None and r["value"] * 2 > r["k"] + 500]),
+        ("SELECT COUNT(*) AS n FROM nulls_heavy WHERE NOT (value * 2 > k + 500) "
+         "AND k < 400",
+         lambda rows: [{"n": len(_keep(rows, lambda r: r["value"] is not None
+                                       and r["k"] < 400
+                                       and not r["value"] * 2 > r["k"] + 500))}]),
+    ]),
+    "deleted_all": ([], [
+        ("SELECT k, v FROM deleted_all WHERE k > 0 ORDER BY k", lambda rows: []),
+        ("SELECT COUNT(*) AS n, SUM(v) AS sv FROM deleted_all",
+         lambda rows: [{"n": 0, "sv": None}]),
+        ("SELECT k, COUNT(*) AS n FROM deleted_all GROUP BY k ORDER BY k",
+         lambda rows: []),
+        ("SELECT k FROM deleted_all WHERE v BETWEEN 1.0 AND 9.0 ORDER BY k",
+         lambda rows: []),
+    ]),
+    "single_run": ([{"flag": 7, "v": float(i % 50)} for i in range(EDGE_ROWS)], [
+        ("SELECT COUNT(*) AS n FROM single_run WHERE flag = 7",
+         lambda rows: [{"n": len(rows)}]),
+        ("SELECT COUNT(*) AS n FROM single_run WHERE flag < 7", lambda rows: [{"n": 0}]),
+        ("SELECT flag, COUNT(*) AS n, SUM(v) AS sv FROM single_run "
+         "GROUP BY flag ORDER BY flag",
+         lambda rows: [{"flag": 7, "n": len(rows), "sv": _sum(r["v"] for r in rows)}]),
+        ("SELECT COUNT(*) AS n, SUM(v) AS sv FROM single_run "
+         "WHERE flag BETWEEN 5 AND 9",
+         lambda rows: [{"n": len(rows), "sv": _sum(r["v"] for r in rows)}]),
+        ("SELECT v FROM single_run WHERE flag = 7 AND v = 49.0 "
+         "ORDER BY v LIMIT 5",
+         lambda rows: [{"v": r["v"]} for r in rows if r["v"] == 49.0][:5]),
+    ]),
 }
 
 
 @pytest.mark.parametrize("table", sorted(EDGE_SQL))
 def test_edge_tables_kernel_vs_row(edge_db, table):
-    """Both engines agree row-for-row on the hostile block layouts."""
-    for sql in EDGE_SQL[table]:
-        kernel = edge_db.sql(sql)
-        with force_row_engine():
-            row = edge_db.sql(sql)
-        assert _rows_match(kernel, row), (
-            f"kernel/row divergence\n  sql: {sql}\n"
-            f"  kernel({len(kernel)}): {kernel[:3]}\n"
-            f"  row({len(row)}): {row[:3]}"
+    """The kernels agree row-for-row with a row-at-a-time oracle on the
+    hostile block layouts."""
+    rows, battery = EDGE_SQL[table]
+    for sql, oracle in battery:
+        got, want = edge_db.sql(sql), oracle(rows)
+        assert _rows_match(got, want), (
+            f"divergence from the oracle\n  sql: {sql}\n"
+            f"  engine({len(got)}): {got[:3]}\n"
+            f"  oracle({len(want)}): {want[:3]}"
         )
 
 
 def test_edge_tables_pinned_shapes(edge_db):
-    """Spot-check absolute answers so both engines can't be wrong
-    together in the same way."""
+    """Spot-check absolute answers, written out by hand."""
     assert edge_db.sql("SELECT COUNT(*) AS n FROM deleted_all") == [{"n": 0}]
     assert edge_db.sql("SELECT k FROM deleted_all WHERE k >= 0") == []
     rows = edge_db.sql("SELECT COUNT(*) AS n FROM single_run WHERE flag = 7")

@@ -30,11 +30,11 @@ EXPLAIN_ANALYZE_GOLDEN = """\
 Query 1 (2 rows, _ ms)
 Sort(region ASC)  [rows=2 blocks=1 pulls=2 time=_ self=_]
   ExprEval(region=region, n=agg_1, total=agg_2)  [rows=2 blocks=1 pulls=2 time=_ self=_]
-    GroupByHash(keys=[region] aggs=[COUNT(*), SUM(amount)] merge)  [rows=2 blocks=1 pulls=2 time=_ self=_ exec=kernel]
-      PrepassGroupBy(keys=[region] table=1024)  [rows=2 blocks=1 pulls=2 time=_ self=_ exec=kernel]
-        HashJoin[INNER](sales.cust_id=customers.cust_id)  [rows=400 blocks=3 pulls=4 time=_ self=_ exec=kernel]
+    GroupByHash(keys=[region] aggs=[COUNT(*), SUM(amount)] merge)  [rows=2 blocks=1 pulls=2 time=_ self=_]
+      PrepassGroupBy(keys=[region] table=1024)  [rows=2 blocks=1 pulls=2 time=_ self=_]
+        HashJoin[INNER](sales.cust_id=customers.cust_id)  [rows=400 blocks=3 pulls=4 time=_ self=_]
           ExprEval(sales.cust_id=cust_id, amount=amount)  [rows=400 blocks=3 pulls=4 time=_ self=_]
-            Scan(sales_super @e5) SIP[cust_id] from HashJoin  [rows=400 blocks=3 pulls=4 time=_ self=_ exec=kernel]
+            Scan(sales_super @e5) SIP[cust_id] from HashJoin  [rows=400 blocks=3 pulls=4 time=_ self=_]
           Source  [rows=10 blocks=3 pulls=4 time=_ self=_]"""
 
 GOLDEN_SCHEMAS = {
@@ -42,7 +42,7 @@ GOLDEN_SCHEMAS = {
         "query_id", "sql", "epoch", "rows_returned", "query_ms",
         "operator_id", "parent_id", "depth", "operator_name", "label",
         "rows_produced", "blocks_produced", "pulls", "wall_ms", "self_ms",
-        "execution", "fallback_reason", "seek_blocks", "seek_window_rows",
+        "seek_blocks", "seek_window_rows",
     ],
     "v_monitor.projection_storage": [
         "node_name", "projection_name", "anchor_table", "wos_rows",
@@ -95,7 +95,7 @@ GOLDEN_SCHEMAS = {
     ],
     "v_monitor.dc_requests_completed": [
         "record_id", "tick", "statement", "session_id", "pool_name",
-        "sql", "success", "error", "engine", "rows_returned",
+        "sql", "success", "error", "rows_returned",
         "duration_ms", "epoch",
     ],
     "v_monitor.dc_resource_acquisitions": [
@@ -120,7 +120,7 @@ GOLDEN_SCHEMAS = {
     ],
     "v_monitor.slow_queries": [
         "record_id", "tick", "statement", "session_id", "pool_name",
-        "sql", "engine", "rows_returned", "duration_ms",
+        "sql", "rows_returned", "duration_ms",
         "threshold_ms",
     ],
     "v_monitor.alerts": [

@@ -104,7 +104,7 @@ class TestScan:
         rows = [{"month": 1, "cid": c, "value": 0.0} for c in (5, 1, 3)]
         manager.insert(NAME, rows, epoch=1, direct_to_ros=True)
         batch = next(manager.scan(NAME, epoch=1))
-        assert batch.columns["cid"] == [1, 3, 5]
+        assert list(batch.columns["cid"]) == [1, 3, 5]
 
 
 class TestDeletes:

@@ -302,23 +302,17 @@ class TestSortedView:
                 elif step == "scan":
                     at = max(epoch + 1 - x % 5, 0)  # mostly recent snapshots
                     names = ["k", "g", "s", "v"][: 1 + y % 4]
-                    for vectorized in (True, False):
-                        batches = list(
-                            manager._scan_wos(state, at, names, vectorized, ("g", "s"))
-                        )
-                        assert [
-                            {n: list(batch.columns[n]) for n in names}
-                            for batch in batches
-                        ] == self.expected(state, at, names, self.BATCH_ROWS)
-                        for batch in batches:
-                            assert batch.row_count == len(batch.columns[names[0]])
-                            assert batch.sort_columns == ("g", "s")
-                            for column in batch.columns.values():
-                                if vectorized:
-                                    assert isinstance(column, PlainVector)
-                                    assert column.null_count == list(column).count(None)
-                                else:
-                                    assert type(column) is list
+                    batches = list(manager._scan_wos(state, at, names, ("g", "s")))
+                    assert [
+                        {n: list(batch.columns[n]) for n in names}
+                        for batch in batches
+                    ] == self.expected(state, at, names, self.BATCH_ROWS)
+                    for batch in batches:
+                        assert batch.row_count == len(batch.columns[names[0]])
+                        assert batch.sort_columns == ("g", "s")
+                        for column in batch.columns.values():
+                            assert isinstance(column, PlainVector)
+                            assert column.null_count == list(column).count(None)
 
     def test_a_second_scan_of_an_unmutated_wos_rekeys_nothing(self, tmp_path):
         manager, name, state = view_manager(tmp_path)
@@ -331,7 +325,7 @@ class TestSortedView:
             original(self, run, sort_order)
 
         with mock.patch.object(SortedView, "__init__", counting):
-            first = list(manager.scan(name, 1, vectorized=True))
+            first = list(manager.scan(name, 1))
             assert built == [50]
             second = list(manager.scan(name, 1, columns=["k"]))
             third = list(manager.scan(name, 0))

@@ -4,11 +4,11 @@
 position-index pruning, pieces cut at storage blocks, MVCC visibility
 as a selection over each piece — whatever the container carries: delete
 markers in memory or on disk, rows past the snapshot epoch, encoded
-vectors or value lists, a row-grouped column.  Random histories of
+columns, a row-grouped column.  Random histories of
 multi-epoch WOS and direct inserts, by-value deletes,
 ``persist_delete_vectors``, moveout and mergeout run on top of a fixed
 three-block base container, and then, for **every** epoch of the
-history, a random ``prune`` and both ``vectorized`` values:
+history, a random ``prune``:
 
 * the scan's rows inside the exact pruned range are the model's — the
   row-shaped readers ``container_run`` + ``WOS.run`` (as records) filtered by
@@ -191,31 +191,24 @@ def test_scan_is_the_model_at_every_epoch(tmp_path_factory, base_container, ops,
             if inserted <= at and not (deleted is not None and deleted <= at)
             and inside(row)
         ]
-        for vectorized in (False, True):
-            scanned = []
-            for batch in manager.scan(
-                NAME, at, prune=prune or None, vectorized=vectorized
-            ):
-                assert list(batch.columns) == NAMES
-                rows = list(zip(*(list(batch.columns[n]) for n in NAMES)))
-                assert 0 < batch.row_count == len(rows) <= BLOCK_ROWS
-                assert len({home_of[row[1]] for row in rows}) == 1, (
-                    "a batch crosses a storage block"
-                )
-                keys = [(row[0], row[1]) for row in rows]
-                assert all(a <= b for a, b in zip(keys, keys[1:])), (
-                    "a batch is not a sorted run"
-                )
-                scanned.extend(rows)
-            wrong = difference([row for row in scanned if inside(row)], expected)
-            assert wrong is None, (
-                f"epoch {at}, prune {prune}, vectorized={vectorized}: {wrong}"
+        scanned = []
+        for batch in manager.scan(NAME, at, prune=prune or None):
+            assert list(batch.columns) == NAMES
+            rows = list(zip(*(list(batch.columns[n]) for n in NAMES)))
+            assert 0 < batch.row_count == len(rows) <= BLOCK_ROWS
+            assert len({home_of[row[1]] for row in rows}) == 1, (
+                "a batch crosses a storage block"
             )
+            keys = [(row[0], row[1]) for row in rows]
+            assert all(a <= b for a, b in zip(keys, keys[1:])), (
+                "a batch is not a sorted run"
+            )
+            scanned.extend(rows)
+        wrong = difference([row for row in scanned if inside(row)], expected)
+        assert wrong is None, f"epoch {at}, prune {prune}: {wrong}"
         # the row-grouped column alone: same pieces, cut by BLOCK_ROWS
         alone = []
-        for batch in manager.scan(
-            NAME, at, columns=["g"], prune=prune or None, vectorized=vectorized
-        ):
+        for batch in manager.scan(NAME, at, columns=["g"], prune=prune or None):
             assert 0 < batch.row_count == len(batch.columns["g"]) <= BLOCK_ROWS
             alone.extend(batch.columns["g"])
         wrong = difference(alone, [row[NAMES.index("g")] for row in scanned])

@@ -27,10 +27,10 @@ echo "== full test suite (sanitizer on) =="
 # below add seeds, environment or a scripted scenario, never a re-run.
 REPRO_SANITIZE=1 python -m pytest -q
 
-echo "== kernel differential: fuzz corpus through both engines =="
-# Every fuzz query runs on the vectorized kernels AND the forced row
-# engine (plus the oracle); one pinned extra seed and one derived from
-# the commit SHA extend the base corpus.  The same seeds drive the
+echo "== fuzz corpus against the oracle =="
+# Every fuzz query's answer must equal its plain-Python oracle; one
+# pinned extra seed and one derived from the commit SHA extend the base
+# corpus.  The same seeds drive the
 # write path's byte identity, column COPY against the per-line loader,
 # the group-key kernel and narrow projections against the super
 # projection alone.  Zero divergences required.
@@ -39,7 +39,7 @@ REPRO_FUZZ_SEEDS="7,${GIT_SEED}" REPRO_SANITIZE=1 \
     python -m pytest -q tests/integration/test_sql_differential_fuzz.py \
     tests/storage/test_write_path_byte_identity.py \
     tests/sql/test_copy_by_columns.py::test_column_copy_equals_the_per_line_loop \
-    tests/execution/test_kernels_properties.py::test_key_kernel_matches_row_engine_and_a_dict_of_lists \
+    tests/execution/test_kernels_properties.py::test_key_kernel_matches_a_dict_of_lists \
     tests/integration/test_narrow_projections.py
 
 echo "== chaos seeds: two fixed + one fresh from the git SHA =="

@@ -31,6 +31,7 @@ from ..errors import (
     SqlAnalysisError,
     UnknownObjectError,
 )
+from ..execution.kernels.vectors import as_list
 from ..monitor import METRICS
 from ..storage import HistoryRun, ScavengeReport, StorageManager
 from ..projections import (
@@ -218,45 +219,6 @@ class Cluster:
 
     # -- routing --------------------------------------------------------
 
-    def projection_rows(
-        self,
-        projection: ProjectionDefinition,
-        table_rows: list[dict],
-        epochs: list[int],
-        own_inserts: dict[str, HistoryRun] | None = None,
-    ) -> list[dict]:
-        """Shape table rows for one projection: the column subset, or
-        for a prejoin projection row ``i`` expanded against the
-        dimension rows visible at ``epochs[i]`` (read once per distinct
-        epoch) plus — for a commit — the rows the same commit inserts
-        into the dimension, ``own_inserts``."""
-        if projection.prejoin is None:
-            names = projection.column_names
-            return [{name: row[name] for name in names} for row in table_rows]
-        spec: PrejoinSpec = projection.prejoin
-        indexes: dict[int, dict] = {}
-        for epoch in set(epochs):
-            dimension_rows = self.read_table(spec.dimension_table, epoch)
-            own = (own_inserts or {}).get(spec.dimension_table)
-            if own is not None:
-                dimension_rows += own.rows()
-            indexes[epoch] = {row[spec.dimension_key]: row for row in dimension_rows}
-        carried = spec.carried_columns
-        own_names = projection.own_column_names
-        out = []
-        for row, epoch in zip(table_rows, epochs):
-            dimension_row = indexes[epoch].get(row[spec.anchor_key])
-            if dimension_row is None:
-                raise SqlAnalysisError(
-                    f"prejoin load: no {spec.dimension_table} row with "
-                    f"{spec.dimension_key}={row[spec.anchor_key]!r}"
-                )
-            shaped = {name: row[name] for name in own_names}
-            for source, target in carried.items():
-                shaped[target] = dimension_row[source]
-            out.append(shaped)
-        return out
-
     def shape_run(
         self,
         projection: ProjectionDefinition,
@@ -266,15 +228,47 @@ class Cluster:
     ) -> HistoryRun:
         """A run of table rows shaped for ``projection`` and its buddies:
         the column subset, aliasing the run's lists, or a prejoin
-        expansion (:meth:`projection_rows`) — a function of rows, so the
-        one place besides a commit's pivot that builds them."""
+        expansion — row ``i`` joined to the dimension as it stood at
+        ``dimension_epochs[i]`` (read once per distinct epoch) plus, for
+        a commit, the rows the same commit inserts into the dimension,
+        ``own_inserts``.  The join is a gather: each epoch's dimension
+        key column is indexed once, the anchor key column probes it, and
+        a carried column is the dimension column picked at the positions
+        found.  Raises :class:`SqlAnalysisError` for an anchor key no
+        dimension row holds."""
         if projection.prejoin is None:
             return table_run.project(projection.column_names)
-        rows = self.projection_rows(
-            projection, list(table_run.rows()), dimension_epochs, own_inserts
-        )
-        return HistoryRun.from_rows(
-            projection.column_names, rows, table_run.epochs, table_run.delete_epochs
+        spec: PrejoinSpec = projection.prejoin
+        own = (own_inserts or {}).get(spec.dimension_table)
+        names = list(dict.fromkeys([spec.dimension_key, *spec.carried_columns]))
+        dimension: dict[str, list] = {name: [] for name in names}
+        index_of: dict[int, dict] = {}
+        for epoch in set(dimension_epochs):
+            columns = self.read_columns(spec.dimension_table, epoch, names)
+            start = len(dimension[spec.dimension_key])
+            for name in names:
+                dimension[name] += columns[name]
+                if own is not None:
+                    dimension[name] += own.columns[name]
+            keys = dimension[spec.dimension_key]
+            # a key held twice answers with its last row
+            index_of[epoch] = dict(zip(keys[start:], range(start, len(keys))))
+        anchor_keys = table_run.columns[spec.anchor_key]
+        positions = [
+            index_of[epoch].get(key) for epoch, key in zip(dimension_epochs, anchor_keys)
+        ]
+        if None in positions:
+            raise SqlAnalysisError(
+                f"prejoin load: no {spec.dimension_table} row with "
+                f"{spec.dimension_key}={anchor_keys[positions.index(None)]!r}"
+            )
+        columns = {name: table_run.columns[name] for name in projection.own_column_names}
+        for source, target in spec.carried_columns.items():
+            columns[target] = list(map(dimension[source].__getitem__, positions))
+        return HistoryRun(
+            {name: columns[name] for name in projection.column_names},
+            table_run.epochs,
+            table_run.delete_epochs,
         )
 
     def route_rows(
@@ -421,19 +415,23 @@ class Cluster:
         returns partial rows from whichever copies happen to resolve."""
         self.scan_sources(family)
 
-    def read_table(self, table_name: str, epoch: int) -> list[dict]:
-        """All visible rows of a table at ``epoch`` (coordinator-side
-        convenience used by prejoin loads, statistics, the designer
-        sample, DELETE / UPDATE by a Python callable, and tests)."""
+    def read_columns(
+        self, table_name: str, epoch: int, names: list[str] | None = None
+    ) -> dict[str, list]:
+        """The rows of a table visible at ``epoch``, column-wise: a fresh
+        list per column of ``names`` (default: every table column), read
+        by the storage scan from the up copies of its super projection.
+        The coordinator's one whole-table read — prejoin expansion,
+        statistics, the Designer's sample — and it builds no row."""
         family = self.catalog.super_projection_for(table_name)
-        rows: list[dict] = []
+        names = list(names or self.catalog.table(table_name).column_names)
+        columns: dict[str, list] = {name: [] for name in names}
         for node_index, projection_name in self.scan_sources(family):
-            rows.extend(
-                self.nodes[node_index].manager.read_visible_rows(
-                    projection_name, epoch
-                )
-            )
-        return rows
+            manager = self.nodes[node_index].manager
+            for batch in manager.scan(projection_name, epoch, columns=names):
+                for name, values in columns.items():
+                    values += as_list(batch.columns[name])
+        return columns
 
     def collect_history(self, family: ProjectionFamily) -> HistoryRun:
         """The history of the whole family, one run, from up nodes —
@@ -495,8 +493,8 @@ class Cluster:
         for table_name, run in runs.items():
             for family in self.catalog.families_for_table(table_name):
                 if family.primary.prejoin is not None:
-                    self.projection_rows(
-                        family.primary, list(run.rows()),
+                    self.shape_run(
+                        family.primary, run,
                         [self.epochs.latest_queryable_epoch] * len(run), runs,
                     )
         inserts = {table_name: run.columns for table_name, run in runs.items()}

@@ -22,9 +22,11 @@ from ..execution.executor import DistributedExecutor, ExecutorStats
 from ..lint.concur.runtime import TrackedLock
 from ..monitor import METRICS, QueryProfile, build_query_profile
 from ..execution.expressions import ColumnRef, Expr, Literal, Or
+from ..execution.kernels.predicates import compile_kernel_predicate
 from ..execution.resource import ResourcePool, WorkloadPolicy
 from ..optimizer import StarifiedOpt, StarOpt, StatsCatalog, V2Opt
 from ..optimizer.logical import LogicalNode, ProjectNode, ScanNode
+from ..optimizer.planner import _copy_nodes
 from ..storage import HistoryRun
 from ..tuple_mover import MergePolicy
 from ..txn import IsolationLevel, LockMode, PendingDelete, Transaction, TxnStatus
@@ -437,60 +439,81 @@ class Session:
         if direct_to_ros:
             txn.direct_to_ros = True
 
-    def delete(self, table: str, predicate, sql_text: str | None = None) -> None:
+    def delete(self, table: str, predicate: Expr, sql_text: str | None = None) -> None:
         """Buffer a delete (Exclusive lock).  ``predicate`` is an
-        :class:`Expr` or a callable over row dicts; its victims are found
-        at commit (:meth:`_delete_victims`).  ``sql_text`` labels that
-        scan's profile in ``v_monitor.query_profiles``."""
+        :class:`Expr`; its victims are found at commit
+        (:meth:`_delete_victims`).  ``sql_text`` labels that scan's
+        profile in ``v_monitor.query_profiles``."""
+        _require_expr(predicate)
         txn = self._active()
         self._acquire_lock(txn, table, LockMode.X)
+        self._drop_own_inserts(txn, table, predicate)
         txn.buffer_delete(table, predicate, sql_text)
 
     def update(
         self,
         table: str,
         assignments: dict[str, object],
-        predicate,
+        predicate: Expr,
         sql_text: str | None = None,
     ) -> int:
         """SQL UPDATE: delete matching rows and insert updated copies
         (section 3.7.1).  Returns the number of rows updated.
 
         The new rows come from a plan: a Scan of the table under the
-        predicate, and an ExprEval computing the SET list over its
-        blocks.  A callable predicate is opaque to the Scan and keeps
-        the row path: every visible row, tested and updated one at a
-        time."""
+        predicate (an :class:`Expr`), and an ExprEval computing the SET
+        list (expressions or constants) over its blocks.  The Scan reads
+        the transaction's own view (:meth:`_own_view`); the pending rows
+        it updated leave the transaction's buffer, replaced by their
+        updated copies."""
+        _require_expr(predicate)
         txn = self._active()
         self._acquire_lock(txn, table, LockMode.X)
         columns = self.db.cluster.catalog.table(table).column_names
-        if isinstance(predicate, Expr):
-            outputs: dict[str, Expr] = {name: ColumnRef(name) for name in columns}
-            for column, value in assignments.items():
-                outputs[column] = value if isinstance(value, Expr) else Literal(value)
-            updated = self._execute(
-                ProjectNode(ScanNode(table, columns, predicate), outputs),
-                txn.snapshot_epoch,
-                pending_inserts={},
-                sql_text=sql_text or f"<update:{table}>",
-            )
-        else:
-            updated = [
-                {
-                    **row,
-                    **{
-                        column: value.evaluate_row(row) if isinstance(value, Expr) else value
-                        for column, value in assignments.items()
-                    },
-                }
-                for row in self.db.cluster.read_table(table, txn.snapshot_epoch)
-                if predicate(row)
-            ]
+        outputs: dict[str, Expr] = {name: ColumnRef(name) for name in columns}
+        for column, value in assignments.items():
+            outputs[column] = value if isinstance(value, Expr) else Literal(value)
+        updated = self._execute(
+            self._own_view(txn, ProjectNode(ScanNode(table, columns, predicate), outputs)),
+            txn.snapshot_epoch,
+            pending_inserts=txn.pending_inserts,
+            sql_text=sql_text or f"<update:{table}>",
+        )
         if updated:
             run = self.db.cluster.table_run(table, updated)  # the one pivot
+            self._drop_own_inserts(txn, table, predicate)
             txn.buffer_delete(table, predicate, sql_text)
             txn.buffer_insert(table, run)
         return len(updated)
+
+    @staticmethod
+    def _own_view(txn: Transaction, logical: LogicalNode) -> LogicalNode:
+        """``logical`` as the transaction sees it: a copy whose Scans of
+        a table it deleted from hide the stored rows its DELETEs select
+        (``ScanNode.deleted``).  Its pending inserts reach the Scans
+        through the executor."""
+        deleted: dict[str, list[Expr]] = {}
+        for delete in txn.pending_deletes:
+            deleted.setdefault(delete.table, []).append(delete.predicate)
+        if not deleted:
+            return logical
+        logical = _copy_nodes(logical)
+        for node in logical.walk():
+            if isinstance(node, ScanNode) and node.table in deleted:
+                node.deleted = _any_of(deleted[node.table])
+        return logical
+
+    @staticmethod
+    def _drop_own_inserts(txn: Transaction, table: str, predicate: Expr) -> None:
+        """Drop the rows ``predicate`` selects from the run ``txn``
+        buffered for ``table``: a DELETE or UPDATE acts on its own
+        transaction's inserts there, while the victims its commit marks
+        are stored rows only."""
+        own = txn.pending_inserts.get(table)
+        if own:
+            selection = compile_kernel_predicate(predicate)(own.columns, len(own), (), [])
+            if not selection.is_empty:
+                txn.pending_inserts[table] = own.take(selection.invert().positions())
 
     def _delete_victims(self, txn: Transaction) -> list[tuple[str, list[dict]]]:
         """Per table, the row multiset the transaction's DELETEs select
@@ -498,38 +521,28 @@ class Session:
         select is one victim.  The transaction's own pending inserts are
         not candidates.
 
-        A table whose predicates are all :class:`Expr` is read by one
-        Scan of the OR of them, which prunes containers, seeks the sort
-        prefix and runs the kernel predicate as any SELECT's Scan does.
-        A callable is opaque: its table keeps the row path, every
-        visible row tested one at a time."""
+        Each table is read by one Scan of the OR of its predicates, which
+        prunes containers, seeks the sort prefix and runs the kernel
+        predicate as any SELECT's Scan does."""
         pending: dict[str, list[PendingDelete]] = {}
         for delete in txn.pending_deletes:
             pending.setdefault(delete.table, []).append(delete)
         victims = []
         for table, deletes in pending.items():
             predicates = [delete.predicate for delete in deletes]
-            if all(isinstance(predicate, Expr) for predicate in predicates):
-                scan = ScanNode(
-                    table,
-                    self.db.cluster.catalog.table(table).column_names,
-                    predicates[0] if len(predicates) == 1 else Or(*predicates),
-                )
-                rows = self._execute(
-                    scan,
-                    txn.snapshot_epoch,
-                    pending_inserts={},
-                    sql_text="; ".join(
-                        delete.sql_text or f"<delete:{table}>" for delete in deletes
-                    ),
-                )
-            else:
-                tests = [_as_callable(predicate) for predicate in predicates]
-                rows = [
-                    row
-                    for row in self.db.cluster.read_table(table, txn.snapshot_epoch)
-                    if any(test(row) for test in tests)
-                ]
+            scan = ScanNode(
+                table,
+                self.db.cluster.catalog.table(table).column_names,
+                _any_of(predicates),
+            )
+            rows = self._execute(
+                scan,
+                txn.snapshot_epoch,
+                pending_inserts={},
+                sql_text="; ".join(
+                    delete.sql_text or f"<delete:{table}>" for delete in deletes
+                ),
+            )
             victims.append((table, rows))
         return victims
 
@@ -557,10 +570,16 @@ class Session:
                 if isinstance(scan, ScanNode)
             }:
                 self._acquire_lock(txn, table, LockMode.S)
+        if at_epoch is not None:  # the past holds none of the transaction's writes
+            return self._execute(
+                logical, at_epoch, pending_inserts={},
+                sql_text=sql_text or f"<plan:{type(logical).__name__}>",
+                optimizer=optimizer,
+            )
         return self._execute(
-            logical,
-            at_epoch if at_epoch is not None else txn.snapshot_epoch,
-            pending_inserts=txn.pending_inserts if at_epoch is None else {},
+            self._own_view(txn, logical),
+            txn.snapshot_epoch,
+            pending_inserts=txn.pending_inserts,
             sql_text=sql_text or f"<plan:{type(logical).__name__}>",
             optimizer=optimizer,
         )
@@ -611,12 +630,14 @@ class Session:
         return execute_sql(self, text, copy_rows=copy_rows)
 
 
-def _as_callable(predicate):
-    if isinstance(predicate, Expr):
-        compiled = predicate
+def _any_of(predicates: list[Expr]) -> Expr:
+    return predicates[0] if len(predicates) == 1 else Or(*predicates)
 
-        def run(row: dict) -> bool:
-            return compiled.evaluate_row(row) is True
 
-        return run
-    return predicate
+def _require_expr(predicate) -> None:
+    """A DML predicate is an :class:`Expr` — what a Scan can prune,
+    seek and run as a kernel; a Python callable over rows is refused."""
+    if not isinstance(predicate, Expr):
+        raise TypeError(
+            f"a DELETE / UPDATE predicate is an Expr, not {type(predicate).__name__}"
+        )

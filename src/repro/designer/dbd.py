@@ -39,6 +39,7 @@ from ..projections import (
     ProjectionFamily,
     Replicated,
 )
+from ..storage import HistoryRun
 from ..storage.encodings import choose_encoding
 
 #: Rows of per-table sample data used for encoding experiments.
@@ -267,15 +268,22 @@ class DatabaseDesigner:
     def choose_encodings(
         self, definition: ProjectionDefinition
     ) -> dict[str, str]:
-        """Empirical encoding experiments on sorted sample data."""
-        rows = self.db.cluster.read_table(
-            definition.anchor_table, self.db.latest_epoch
-        )[:ENCODING_SAMPLE_ROWS]
-        rows = definition.sorted_rows(rows)
+        """Empirical encoding experiments on sample data sorted by the
+        proposed sort order: the table's first rows, read a column at a
+        time and ordered by one permutation over the sort columns."""
+        columns = self.db.cluster.read_columns(
+            definition.anchor_table, self.db.latest_epoch, definition.column_names
+        )
+        sample = HistoryRun.stamped(
+            {name: values[:ENCODING_SAMPLE_ROWS] for name, values in columns.items()}, 0
+        )
+        order = sample.sort_permutation(definition.sort_order)
         encodings: dict[str, str] = {}
         for column in definition.columns:
-            values = [row[column.name] for row in rows if row.get(column.name) is not None]
-            encodings[column.name] = choose_encoding(column.dtype, values).name
+            values = map(sample.columns[column.name].__getitem__, order)
+            encodings[column.name] = choose_encoding(
+                column.dtype, [value for value in values if value is not None]
+            ).name
         return encodings
 
     # -- entry point ------------------------------------------------------------------------

@@ -387,29 +387,23 @@ class DistributedExecutor:
 
     def _build_scan(self, node):
         family = self.cluster.catalog.family(node.family_name)
-        table = self.cluster.catalog.table(node.table)
         # node.columns are output names; translate back to stored names.
         inverse = {out: raw for raw, out in node.rename.items()}
         raw_columns = [inverse.get(name, name) for name in node.columns]
         # scan predicates are written in stored column names already.
         raw_predicate = node.predicate
         rename = {raw: out for raw, out in node.rename.items() if raw != out}
-        # the transaction's own uncommitted rows: its buffered run
-        own = self.pending_inserts.get(node.table)
-        pending = list(own.rows()) if own else []
+        pending = self._pending_by_base(family)
 
         def make_scan(host: int, projection_name: str, base: int | None):
-            copy = next(
-                c for c in family.all_copies if c.name == projection_name
-            )
-            extra = self._pending_for(copy, table, pending, base)
             scan = ScanOperator(
                 self.cluster.nodes[host].manager,
                 projection_name,
                 self.epoch,
                 raw_columns,
                 predicate=raw_predicate,
-                extra_rows=extra,
+                deleted=node.deleted,
+                pending=pending.get(base),
                 node_index=host,
                 failure_probe=self._scan_probe(host),
             )
@@ -446,27 +440,24 @@ class DistributedExecutor:
             }
         )
 
-    def _pending_for(self, copy, table, pending_rows, base):
-        """The transaction's own uncommitted rows, shaped for this
-        projection copy and restricted to this ring segment."""
-        if not pending_rows:
-            return []
-        shaped = self.cluster.projection_rows(
-            copy, pending_rows, [self.epoch] * len(pending_rows)
+    def _pending_by_base(self, family) -> dict[int | None, HistoryRun]:
+        """The running transaction's own uncommitted rows of the family's
+        table — the run it buffered — shaped for the family once and
+        split by ring segment (``None``: a replicated family's scan takes
+        them all), as a commit would route them."""
+        own = self.pending_inserts.get(family.primary.anchor_table)
+        if not own:
+            return {}
+        shaped = self.cluster.shape_run(
+            family.primary, own, [self.epoch] * len(own), self.pending_inserts
         )
-        if copy.segmentation.replicated or base is None:
-            return shaped
-        primary_seg = copy.segmentation
-        return [
-            row
-            for row in shaped
-            if (
-                primary_seg.node_for_row(row, self.cluster.node_count)
-                - getattr(primary_seg, "offset", 0)
-            )
-            % self.cluster.node_count
-            == base
-        ]
+        scheme = family.primary.segmentation
+        if scheme.replicated:
+            return {None: shaped}
+        return {
+            (node - scheme.offset) % self.cluster.node_count: run
+            for node, run in self.cluster.route_rows(family.primary, shaped).items()
+        }
 
     # -- joins --------------------------------------------------------------
 

@@ -14,8 +14,9 @@ last (section 6.1).
 from __future__ import annotations
 
 from ...monitor import METRICS
+from ...storage import HistoryRun
 from ...storage.manager import StorageManager
-from ..expressions import Expr, column_range_from_predicate
+from ..expressions import And, CaseWhen, Expr, Literal, column_range_from_predicate
 from ..kernels.predicates import compile_kernel_predicate
 from ..row_block import RowBlock, sorted_prefix
 from ..sip import SipFilter
@@ -35,7 +36,8 @@ class ScanOperator(Operator):
         columns: list[str],
         predicate: Expr | None = None,
         sip_filters: list[SipFilter] | None = None,
-        extra_rows: list[dict] | None = None,
+        deleted: Expr | None = None,
+        pending: HistoryRun | None = None,
         node_index: int | None = None,
         failure_probe=None,
     ):
@@ -46,9 +48,13 @@ class ScanOperator(Operator):
         self.columns = list(columns)
         self.predicate = predicate
         self.sip_filters = sip_filters or []
+        #: What the scanning transaction's own DELETEs select: hidden
+        #: from the storage rows, not from ``pending``.
+        self.deleted = deleted
         #: Rows visible only to the scanning transaction (its own
-        #: uncommitted inserts), appended after storage rows.
-        self.extra_rows = extra_rows or []
+        #: uncommitted inserts, a run shaped for this projection and
+        #: segment), one block after the storage rows.
+        self.pending = pending
         #: Cluster node hosting this scan (None outside a cluster).
         self.node_index = node_index
         #: Zero-argument callable consulted before every batch; the
@@ -80,16 +86,22 @@ class ScanOperator(Operator):
         prune = column_range_from_predicate(self.predicate)
         carried = self._carried_columns()
         needed_set = set(carried)
+        pending_kernel = kernel = None
         if self.predicate is not None:
             needed_set |= self.predicate.referenced_columns()
+            pending_kernel = kernel = compile_kernel_predicate(self.predicate)
+        if self.deleted is not None:
+            needed_set |= self.deleted.referenced_columns()
+            # NOT (deleted) would hide the rows it leaves NULL as well
+            kept = CaseWhen([(self.deleted, Literal(False))], Literal(True))
+            kernel = compile_kernel_predicate(
+                kept if self.predicate is None else And(self.predicate, kept)
+            )
         needed = sorted(needed_set)
-        kernel = None
-        if self.predicate is not None:
-            kernel = compile_kernel_predicate(self.predicate)
 
         seeks: list[int] = []
 
-        def emit(block: RowBlock):
+        def emit(block: RowBlock, kernel):
             self.rows_scanned += block.row_count
             self.kernel_blocks += 1
             METRICS.inc("executor.kernel_blocks")
@@ -142,17 +154,15 @@ class ScanOperator(Operator):
                 row_count=batch.row_count,
                 sorted_by=sorted_by,
             )
-            out = emit(block)
+            out = emit(block, kernel)
             if out is not None:
                 yield out
-        if self.extra_rows:
+        if self.pending:
             block = RowBlock(
-                columns={
-                    name: [row[name] for row in self.extra_rows] for name in needed
-                },
-                row_count=len(self.extra_rows),
+                columns={name: self.pending.columns[name] for name in needed},
+                row_count=len(self.pending),
             )
-            out = emit(block)
+            out = emit(block, pending_kernel)
             if out is not None:
                 yield out
 
@@ -160,6 +170,8 @@ class ScanOperator(Operator):
         parts = [f"Scan({self.projection_name} @e{self.epoch})"]
         if self.predicate is not None:
             parts.append(f"filter={self.predicate!r}")
+        if self.deleted is not None:
+            parts.append(f"hiding={self.deleted!r}")
         for sip in self.sip_filters:
             parts.append(sip.describe())
         return " ".join(parts)

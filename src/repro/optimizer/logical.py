@@ -44,7 +44,10 @@ class ScanNode(LogicalNode):
     ``columns`` are the stored names this scan must produce (the
     analyzer lists every table column; ``rewrite.prune_columns`` keeps
     those the query reads); when an alias is in play ``rename`` maps
-    stored column name -> output name.
+    stored column name -> output name.  ``deleted`` is what the
+    running transaction's own DELETEs on the table select (the OR of
+    their predicates): stored rows it selects are hidden from the scan,
+    the transaction's pending rows are not.
     """
 
     table: str
@@ -52,6 +55,7 @@ class ScanNode(LogicalNode):
     predicate: Expr | None = None
     rename: dict[str, str] = field(default_factory=dict)
     alias: str = ""
+    deleted: Expr | None = None
 
     def __post_init__(self):
         self.children = []

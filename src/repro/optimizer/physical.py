@@ -101,6 +101,8 @@ class PhysScan(PhysicalNode):
     #: filled by join planning: SIP filter key exprs, one entry per
     #: participating hash join (executor wires the actual filters).
     sip_requests: list[list[Expr]] = field(default_factory=list)
+    #: The transaction's own DELETEs on the table (``ScanNode.deleted``).
+    deleted: Expr | None = None
 
     def __post_init__(self):
         self.children = []

@@ -205,6 +205,8 @@ class PlannerBase:
             else set()
         )
         needed_raw = set(node.columns) | predicate_raw_columns
+        if node.deleted is not None:
+            needed_raw |= node.deleted.referenced_columns()
         selectivity = estimate_selectivity(node.predicate, table_stats)
         best = None
         best_cost = None
@@ -248,6 +250,7 @@ class PlannerBase:
             predicate=node.predicate,
             distribution=distribution,
             sort_order=sort_order,
+            deleted=node.deleted,
         )
         phys.est_rows = max(table_stats.row_count * selectivity, 1.0)
         phys.est_cost = scan_cost(

@@ -133,27 +133,32 @@ SAMPLE_ROWS = 10_000
 
 
 def collect_table_stats(cluster, table_name: str, epoch: int, seed: int = 17) -> TableStats:
-    """Gather statistics for a table from its live data."""
-    rows = cluster.read_table(table_name, epoch)
-    stats = TableStats(table=table_name, row_count=len(rows))
-    if not rows:
-        for column in cluster.catalog.table(table_name).columns:
-            stats.columns[column.name] = ColumnStats(column.name)
+    """Gather statistics for a table from its live data, read a column
+    at a time (:meth:`Cluster.read_columns`); the sample is one list of
+    row positions every column is gathered at."""
+    columns = cluster.read_columns(table_name, epoch)
+    row_count = len(next(iter(columns.values()), ()))
+    stats = TableStats(table=table_name, row_count=row_count)
+    if not row_count:
+        for name in columns:
+            stats.columns[name] = ColumnStats(name)
         return stats
-    rng = random.Random(seed)
-    sample = rows if len(rows) <= SAMPLE_ROWS else rng.sample(rows, SAMPLE_ROWS)
+    sample = None
+    if row_count > SAMPLE_ROWS:
+        sample = random.Random(seed).sample(range(row_count), SAMPLE_ROWS)
     family = cluster.catalog.super_projection_for(table_name)
     encoded = _encoded_bytes_per_column(cluster, family)
-    for column in cluster.catalog.table(table_name).columns:
-        values = [row[column.name] for row in sample]
+    for name, values in columns.items():
+        if sample is not None:
+            values = list(map(values.__getitem__, sample))
         concrete = [value for value in values if value is not None]
-        stats.columns[column.name] = ColumnStats(
-            name=column.name,
+        stats.columns[name] = ColumnStats(
+            name=name,
             min_value=min(concrete, default=None),
             max_value=max(concrete, default=None),
-            ndv=estimate_ndv(values, len(rows)),
+            ndv=estimate_ndv(values, row_count),
             histogram=Histogram.build(values),
-            avg_encoded_bytes=encoded.get(column.name, 8.0),
+            avg_encoded_bytes=encoded.get(name, 8.0),
         )
     return stats
 

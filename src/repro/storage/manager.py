@@ -879,7 +879,8 @@ class StorageManager:
             )
 
     def read_visible_rows(self, projection_name: str, epoch: int) -> list[dict]:
-        """Materialize every visible row (``read_table`` and tests)."""
+        """Materialize every visible row as a dict (tests and examples;
+        the product reads columns)."""
         from ..execution.kernels.vectors import as_list
 
         rows: list[dict] = []

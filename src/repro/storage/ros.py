@@ -154,8 +154,8 @@ class HistoryRun:
 
     def rows(self):
         """Iterate the run as fresh row dicts, built one at a time —
-        for what is a function of a row: a partition expression, prejoin
-        expansion, the victims of a by-value delete."""
+        for what is a function of a row: a partition expression, the
+        victims of a by-value delete."""
         values = zip(*self.columns.values())
         return map(dict, map(zip, repeat(list(self.columns)), values))
 

@@ -17,6 +17,7 @@ from typing import TYPE_CHECKING
 from ..errors import TransactionError
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from ..execution.expressions import Expr
     from ..storage import HistoryRun
 
 
@@ -37,10 +38,10 @@ class TxnStatus(str, Enum):
 
 @dataclass
 class PendingDelete:
-    """A buffered DELETE: predicate over rows of one table."""
+    """A buffered DELETE: a predicate over rows of one table."""
 
     table: str
-    predicate: object  # an Expr, or Callable[[dict], bool]
+    predicate: Expr
     #: The statement's SQL text, when it came from SQL.
     sql_text: str | None = None
 

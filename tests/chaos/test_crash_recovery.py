@@ -19,7 +19,7 @@ from repro import types
 from repro.cluster import Cluster, recover_node
 from repro.core.schema import ColumnDef, TableDefinition
 from repro.faults import REGISTRY, FaultPlan
-from storage_helpers import rows_where
+from storage_helpers import read_table, rows_where
 
 pytestmark = pytest.mark.chaos
 
@@ -97,7 +97,7 @@ def heal(cluster):
 
 def visible(cluster, epoch):
     return sorted(
-        (row["k"], row["v"]) for row in cluster.read_table("t", epoch)
+        (row["k"], row["v"]) for row in read_table(cluster, "t", epoch)
     )
 
 

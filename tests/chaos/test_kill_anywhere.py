@@ -42,6 +42,7 @@ from repro.projections import (
     ProjectionColumn,
     ProjectionDefinition,
 )
+from storage_helpers import read_table
 
 pytestmark = pytest.mark.chaos
 
@@ -138,7 +139,7 @@ def capture(db):
     for name in state["tables"]:
         state[name] = sorted(
             tuple(sorted(row.items()))
-            for row in db.cluster.read_table(name, epoch)
+            for row in read_table(db.cluster, name, epoch)
         )
     state["copies"] = {
         f"node{node.index}:{copy.name}": sorted(

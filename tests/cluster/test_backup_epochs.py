@@ -7,6 +7,7 @@ from repro import types
 from repro.cluster import Cluster, create_backup, restore_backup
 from repro.core.schema import ColumnDef, TableDefinition
 from repro.errors import ClusterError
+from storage_helpers import read_table
 
 
 def table():
@@ -70,7 +71,7 @@ def test_pristine_cluster_adopts_image_timeline(tmp_path):
     assert restored == len(image.entries)
     # the target adopted the image's epoch clock, so its rows are visible
     assert target.epochs.latest_queryable_epoch >= image.epoch
-    visible = target.read_table("t", target.epochs.latest_queryable_epoch)
+    visible = read_table(target, "t", target.epochs.latest_queryable_epoch)
     assert sorted(row["k"] for row in visible) == list(range(30))
 
 
@@ -87,5 +88,5 @@ def test_restore_at_current_epoch_accepted(tmp_path):
             node.manager.remove_containers(copy.name, list(state.containers))
     restored = restore_backup(cluster, image)
     assert restored == len(image.entries)
-    visible = cluster.read_table("t", epoch)
+    visible = read_table(cluster, "t", epoch)
     assert sorted(row["k"] for row in visible) == list(range(20))

@@ -7,7 +7,7 @@ from repro.cluster import Cluster
 from repro.core.schema import ColumnDef, TableDefinition
 from repro.errors import DataUnavailableError, KSafetyError, QuorumLossError
 from repro.projections import HashSegmentation, Replicated
-from storage_helpers import rows_where
+from storage_helpers import read_table, rows_where
 
 
 def sales_table():
@@ -72,7 +72,7 @@ class TestRoutingAndCommit:
     def test_insert_visible_after_commit(self, cluster):
         epoch = cluster.commit_dml({"sales": sales_rows(100)}, [], 0)
         assert epoch == 1
-        rows = cluster.read_table("sales", epoch)
+        rows = read_table(cluster, "sales", epoch)
         assert len(rows) == 100
 
     def test_rows_split_across_nodes(self, cluster):
@@ -125,9 +125,9 @@ class TestRoutingAndCommit:
         cluster.commit_dml({"sales": sales_rows(100)}, [], 0)
         victims = rows_where(cluster, "sales", lambda row: row["sale_id"] < 30, 1)
         cluster.commit_dml({}, [("sales", victims)], 1)
-        rows = cluster.read_table("sales", 2)
+        rows = read_table(cluster, "sales", 2)
         assert len(rows) == 70
-        assert len(cluster.read_table("sales", 1)) == 100  # history intact
+        assert len(read_table(cluster, "sales", 1)) == 100  # history intact
 
     def test_epoch_advances_per_commit(self, cluster):
         first = cluster.commit_dml({"sales": sales_rows(1)}, [], 0)
@@ -151,7 +151,7 @@ class TestMembership:
         cluster.commit_dml({"sales": sales_rows(100)}, [], 0)
         cluster.run_tuple_movers()
         cluster.fail_node(0)
-        rows = cluster.read_table("sales", 1)
+        rows = read_table(cluster, "sales", 1)
         assert sorted(row["sale_id"] for row in rows) == list(range(100))
 
     def test_scan_sources_prefer_primary(self, cluster):
@@ -176,7 +176,7 @@ class TestMembership:
         cluster.membership.eject(0, "test")
         assert not cluster.check_data_available()
         with pytest.raises(DataUnavailableError):
-            cluster.read_table("sales", 1)
+            read_table(cluster, "sales", 1)
 
     def test_ahm_holds_while_node_down(self, cluster):
         for start in range(0, 50, 10):
@@ -197,10 +197,10 @@ class TestTupleMoverIntegration:
     def test_moveout_preserves_visibility(self, cluster):
         cluster.commit_dml({"sales": sales_rows(500)}, [], 0)
         before = sorted(
-            row["sale_id"] for row in cluster.read_table("sales", 1)
+            row["sale_id"] for row in read_table(cluster, "sales", 1)
         )
         cluster.run_tuple_movers()
-        after = sorted(row["sale_id"] for row in cluster.read_table("sales", 1))
+        after = sorted(row["sale_id"] for row in read_table(cluster, "sales", 1))
         assert before == after
 
 

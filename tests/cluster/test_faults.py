@@ -23,6 +23,7 @@ from repro.cluster import (
 from repro.core.schema import ColumnDef, TableDefinition
 from repro.errors import ClusterError
 from repro.faults import FaultPlan
+from storage_helpers import read_table
 
 
 def table():
@@ -45,7 +46,7 @@ def cluster(tmp_path):
 
 
 def snapshot(cluster, epoch):
-    return sorted(row["k"] for row in cluster.read_table("t", epoch))
+    return sorted(row["k"] for row in read_table(cluster, "t", epoch))
 
 
 class TestCommitOrEject:

@@ -30,7 +30,7 @@ from repro.projections import (
     Replicated,
 )
 from repro.tuple_mover import MergePolicy
-from storage_helpers import rows_where
+from storage_helpers import read_table, rows_where
 
 GROUPS = 4
 FACTS = TableDefinition(
@@ -213,6 +213,6 @@ def test_moved_history_equals_the_triple_at_a_time_reference(tmp_path_factory, s
     # and the table answers the same on both, at every epoch
     for epoch in range(sides[0].cluster.epochs.latest_queryable_epoch + 1):
         answers = [
-            sorted(map(repr, side.cluster.read_table("facts", epoch))) for side in sides
+            sorted(map(repr, read_table(side.cluster, "facts", epoch))) for side in sides
         ]
         assert answers[0] == answers[1]

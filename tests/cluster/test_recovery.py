@@ -14,7 +14,7 @@ from repro.cluster import (
 from repro.core.schema import ColumnDef, TableDefinition
 from repro.errors import ClusterError
 from repro.projections import HashSegmentation
-from storage_helpers import rows_where
+from storage_helpers import read_table, rows_where
 
 
 def table():
@@ -37,7 +37,7 @@ def cluster(tmp_path):
 
 
 def table_snapshot(cluster, epoch):
-    return sorted(row["k"] for row in cluster.read_table("t", epoch))
+    return sorted(row["k"] for row in read_table(cluster, "t", epoch))
 
 
 class TestRecovery:

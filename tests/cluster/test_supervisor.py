@@ -14,6 +14,7 @@ from repro.cluster.supervisor import DOWN, QUARANTINED, SCAVENGED, UP
 from repro.core.schema import ColumnDef, TableDefinition
 from repro.errors import ClusterError
 from repro.faults import FaultPlan
+from storage_helpers import read_table
 
 
 def sales_table():
@@ -45,7 +46,7 @@ def cluster(tmp_path):
 
 
 def visible_ids(cluster, epoch=1):
-    return sorted(row["sale_id"] for row in cluster.read_table("sales", epoch))
+    return sorted(row["sale_id"] for row in read_table(cluster, "sales", epoch))
 
 
 def node_events(cluster, kind=None):

@@ -3,9 +3,10 @@ dimension once per distinct insert epoch, not once per fact row.
 
 Refresh used to shape one history record at a time, and shaping a row
 for a prejoin copy reads the whole dimension table: 400 facts x 2
-copies = 800 ``read_table`` calls.  A run is shaped once per family,
-the dimension read once per insert epoch it holds — and each fact still
-carries the dimension value that was visible at its own epoch.
+copies = 800 whole-table reads.  A run is shaped once per family, the
+dimension read (``Cluster.read_columns``) once per insert epoch it
+holds — and each fact still carries the dimension value that was
+visible at its own epoch.
 """
 
 import pytest
@@ -22,8 +23,7 @@ from repro.projections import (
 
 FACTS = 400
 PREJOIN = ProjectionDefinition(
-    # named to sort after a_orders_super: read_table serves a table from
-    # its first projection that holds every column
+    # named to sort after a_orders_super, which serves the table's reads
     name="a_orders_with_customer",
     anchor_table="a_orders",
     columns=[
@@ -62,13 +62,13 @@ def db(tmp_path):
 @pytest.fixture
 def dimension_reads(monkeypatch):
     reads = []
-    original = Cluster.read_table
+    original = Cluster.read_columns
 
-    def counted(self, table_name, epoch):
+    def counted(self, table_name, epoch, names=None):
         reads.append((table_name, epoch))
-        return original(self, table_name, epoch)
+        return original(self, table_name, epoch, names)
 
-    monkeypatch.setattr(Cluster, "read_table", counted)
+    monkeypatch.setattr(Cluster, "read_columns", counted)
     return reads
 
 

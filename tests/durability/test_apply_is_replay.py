@@ -13,8 +13,9 @@ transactions run against a durable star schema whose dimension sorts
   onto ``z_dim``.
 
 WOS and direct inserts (duplicate rows, NULLs, ints into the FLOAT
-column), DELETE by :class:`Expr` and by callable, UPDATE, commits that
-span both tables and mover cycles interleave; then the database is
+column), DELETE on the sort key and on ``k % m`` (the kernels' generic
+leaf), UPDATE, commits that span both tables and mover cycles
+interleave; then the database is
 dropped and reopened, and for **every node x projection copy** the
 sorted ``history()`` records — rows, insert epochs, delete epochs —
 must equal the live database's.  This is what holds the narrow and
@@ -34,7 +35,7 @@ from hypothesis import strategies as st
 from repro import types
 from repro.core.database import Database
 from repro.core.schema import ColumnDef, TableDefinition
-from repro.execution import ColumnRef
+from repro.execution import Arithmetic, ColumnRef, Literal
 from repro.projections import (
     HashSegmentation,
     PrejoinSpec,
@@ -171,7 +172,9 @@ def run_transaction(db, transaction, dims: list[int]) -> None:
             session.delete(FACT, ColumnRef("k") == statement[1])
         elif kind == "delete_fn":
             _, modulus, rest = statement
-            session.delete(FACT, lambda row: row["k"] % modulus == rest)
+            session.delete(
+                FACT, Arithmetic("%", ColumnRef("k"), Literal(modulus)) == rest
+            )
         else:
             session.update(
                 FACT,

@@ -8,6 +8,7 @@ from repro.cluster import create_backup, restore_backup
 from repro.core.database import Database
 from repro.core.schema import ColumnDef, TableDefinition
 from repro.errors import DurabilityError, InjectedFaultError, SqlAnalysisError
+from repro.execution import ColumnRef
 from repro.faults import FaultPlan
 from repro.projections import (
     HashSegmentation,
@@ -17,6 +18,7 @@ from repro.projections import (
     Replicated,
 )
 from repro.storage.segment_log import SEGMENT_BYTES
+from storage_helpers import read_table
 
 
 def table(name="t"):
@@ -51,7 +53,7 @@ def capture(db):
     for name in state["tables"]:
         state[name] = sorted(
             tuple(sorted(row.items()))
-            for row in db.cluster.read_table(name, epoch)
+            for row in read_table(db.cluster, name, epoch)
         )
     return state
 
@@ -256,8 +258,8 @@ class TestCommitRecord:
         db = build(tmp_path / "db")
         db.load("t", rows(10), direct_to_ros=True)
         session = db.session()
-        session.delete("t", lambda row: row["k"] < 5)
-        session.delete("t", lambda row: row["k"] < 3)
+        session.delete("t", ColumnRef("k") < 5)
+        session.delete("t", ColumnRef("k") < 3)
         session.commit()
         before = capture(db)
         assert before["t"] == capture_rows(rows(5, start=5))
@@ -316,7 +318,7 @@ class TestCommitRecord:
         db.load("t", [{"k": i, "d": i % 2, "x": 10 * i} for i in range(8)])
         db.run_tuple_movers()
         db.sql("UPDATE t SET x = x + 1 WHERE d = 1")
-        read = db.cluster.read_table("t", db.latest_epoch)
+        read = read_table(db.cluster, "t", db.latest_epoch)
         assert all(set(row) == {"k", "d", "x"} for row in read)
         assert sorted(row["x"] for row in read) == [0, 11, 20, 31, 40, 51, 60, 71]
         before = copy_histories(db)

@@ -15,6 +15,7 @@ from repro.faults import FaultPlan
 from repro.monitor import METRICS
 from repro.trace import TRACER
 from repro.tuple_mover import MergePolicy
+from storage_helpers import read_table
 
 #: Two containers in a stratum already merge, so a mover cycle run while
 #: a node is down (the floor cannot advance) merges a container under
@@ -45,7 +46,7 @@ def count(db):
 
 def visible(db):
     return sorted(
-        row["a"] for row in db.cluster.read_table("t", db.latest_epoch)
+        row["a"] for row in read_table(db.cluster, "t", db.latest_epoch)
     )
 
 

@@ -5,6 +5,7 @@ import pytest
 from repro import ColumnDef, Database, IsolationLevel, TableDefinition, types
 from repro.execution import AggregateSpec, ColumnRef
 from repro.optimizer import GroupByNode, ScanNode
+from storage_helpers import read_table
 
 C = ColumnRef
 
@@ -92,13 +93,13 @@ class TestRollbackSemantics:
         session.commit()
         assert db.session().query(count_plan()) == [{"n": 102}]
 
-    def test_update_own_pending_rows_not_supported_but_consistent(self, db):
-        # UPDATE sees the snapshot, not the txn's own pending inserts
-        # (documented restriction); the pending insert still commits.
+    def test_update_sees_own_pending_rows(self, db):
+        # UPDATE sees the txn's own pending inserts: the buffered row is
+        # replaced by its updated copy, and only that copy commits.
         session = db.session()
         session.insert("t", [{"k": 950}])
         changed = session.update("t", {"k": 951}, C("k") == 950)
-        assert changed == 0  # not yet visible to update's snapshot scan
+        assert changed == 1
         session.commit()
-        final = {row["k"] for row in db.cluster.read_table("t", db.latest_epoch)}
-        assert 950 in final
+        final = {row["k"] for row in read_table(db.cluster, "t", db.latest_epoch)}
+        assert 951 in final and 950 not in final

@@ -14,6 +14,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import ColumnDef, Database, TableDefinition, types
+from repro.execution import Arithmetic, ColumnRef, Literal
+from storage_helpers import read_table
+
+
+def k_mod(modulus: int):
+    """``k % modulus`` as an expression."""
+    return Arithmetic("%", ColumnRef("k"), Literal(modulus))
 
 
 class Model:
@@ -84,7 +91,7 @@ def test_every_epoch_is_a_consistent_snapshot(tmp_path_factory, ops):
         low = max(db.cluster.epochs.ahm, 0)
         for epoch in [e for e in checkpoints if e >= low] + [db.latest_epoch]:
             got = {
-                row["k"] for row in db.cluster.read_table("t", epoch)
+                row["k"] for row in read_table(db.cluster, "t", epoch)
             }
             assert got == model.visible(epoch), f"divergence at epoch {epoch}"
 
@@ -102,7 +109,7 @@ def test_every_epoch_is_a_consistent_snapshot(tmp_path_factory, ops):
         elif op == "delete":
             session = db.session()
             snapshot = session.begin().snapshot_epoch
-            session.delete("t", lambda row, m=arg: row["k"] % m == 0)
+            session.delete("t", k_mod(arg) == 0)
             epoch = session.commit()
             model.delete_where_mod(arg, epoch, snapshot)
             checkpoints.append(epoch)
@@ -155,11 +162,11 @@ def test_single_long_scenario(tmp_path):
         if round_index % 2:
             session = db.session()
             snapshot = session.begin().snapshot_epoch
-            session.delete("t", lambda row: row["k"] % 3 == 0)
+            session.delete("t", k_mod(3) == 0)
             depoch = session.commit()
             model.delete_where_mod(3, depoch, snapshot)
             epochs.append(depoch)
         db.cluster.run_tuple_movers()
     for epoch in epochs:
-        got = {row["k"] for row in db.cluster.read_table("t", epoch)}
+        got = {row["k"] for row in read_table(db.cluster, "t", epoch)}
         assert got == model.visible(epoch)

@@ -11,6 +11,7 @@ from repro.projections import (
     ProjectionColumn,
     ProjectionDefinition,
 )
+from storage_helpers import read_table
 
 row_lists = st.lists(
     st.tuples(
@@ -108,9 +109,9 @@ class TestRebalanceInvariance:
         db = build_db(tmp_path_factory, rows)
         db.run_tuple_movers()
         epoch = db.latest_epoch
-        before = multiset(db.cluster.read_table("t", epoch))
+        before = multiset(read_table(db.cluster, "t", epoch))
         rebalance(db.cluster, new_nodes)
-        after = multiset(db.cluster.read_table("t", epoch))
+        after = multiset(read_table(db.cluster, "t", epoch))
         assert before == after
         # placement matches the new ring exactly
         family = db.cluster.catalog.super_projection_for("t")

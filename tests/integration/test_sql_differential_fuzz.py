@@ -40,6 +40,7 @@ import pytest
 from repro import types
 from repro.core.database import Database
 from repro.core.schema import ColumnDef, TableDefinition
+from repro.execution import Literal
 from repro.workloads.meters import generate, meters_table, spec_for_rows
 
 DATA_SEED = 3
@@ -323,7 +324,7 @@ def edge_db(tmp_path_factory):
         [{"k": i, "v": float(i)} for i in range(EDGE_ROWS)],
     )
     session = db.session()
-    session.delete("deleted_all", lambda row: True)
+    session.delete("deleted_all", Literal(True))
     session.commit()
     db.create_table(
         TableDefinition(

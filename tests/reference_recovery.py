@@ -22,7 +22,7 @@ moved, where to, or in which order.
 from repro.cluster.node import ClusterNode
 from repro.cluster.recovery import _fresh_node_dirname
 from repro.projections import HashSegmentation
-from storage_helpers import run_of_records
+from storage_helpers import read_table, run_of_records
 
 
 def container_records(manager, name, container_id):
@@ -178,6 +178,22 @@ def collect_records(cluster, family):
     return records
 
 
+def shape_record_row(cluster, projection, row, epoch):
+    """``row`` shaped for ``projection`` on its own: its columns, and for
+    a prejoin the dimension row visible at ``epoch`` joined on — the
+    whole dimension read for every record."""
+    shaped = {name: row[name] for name in projection.own_column_names}
+    spec = projection.prejoin
+    if spec is not None:
+        dimension = {
+            other[spec.dimension_key]: other
+            for other in read_table(cluster, spec.dimension_table, epoch)
+        }
+        for source, target in spec.carried_columns.items():
+            shaped[target] = dimension[row[spec.anchor_key]][source]
+    return shaped
+
+
 def refresh_projection(cluster, family):
     """``family`` was registered with ``populate=False``."""
     table = cluster.catalog.table(family.primary.anchor_table)
@@ -191,7 +207,7 @@ def refresh_projection(cluster, family):
     table_records = collect_records(cluster, source)
     for copy in family.all_copies:
         shaped = [
-            (cluster.projection_rows(copy, [row], [insert_epoch])[0], insert_epoch, deleted)
+            (shape_record_row(cluster, copy, row, insert_epoch), insert_epoch, deleted)
             for row, insert_epoch, deleted in table_records
         ]
         for node_index, records in route_records(cluster, copy, shaped).items():

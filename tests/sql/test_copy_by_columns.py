@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from repro import ColumnDef, Database, TableDefinition, types
 from repro.errors import LoadError, SqlAnalysisError
+from storage_helpers import read_table
 
 COLUMNS = [
     ColumnDef("k", types.INTEGER),
@@ -72,7 +73,7 @@ def make_db(path) -> Database:
 
 
 def stored(db) -> list[str]:
-    return [repr(row) for row in db.cluster.read_table("t", db.latest_epoch)]
+    return [repr(row) for row in read_table(db.cluster, "t", db.latest_epoch)]
 
 
 def test_an_out_of_range_integer_rejects_its_line_not_the_copy(tmp_path):
@@ -191,6 +192,6 @@ def test_good_records_keep_their_line_order(tmp_path):
     records.insert(5, "bad|1|x|t|2000-01-01")
     result = db.sql("COPY t FROM STDIN", copy_rows=records)
     assert (result.loaded, [line for line, _, _ in result.rejected]) == (12, [6])
-    assert [row["s"] for row in db.cluster.read_table("t", db.latest_epoch)] == [
+    assert [row["s"] for row in read_table(db.cluster, "t", db.latest_epoch)] == [
         f"s{i}" for i in range(12)
     ]

@@ -14,11 +14,26 @@ def delete_matching(manager, name, predicate, commit_epoch, snapshot_epoch):
     return manager.delete_where(name, victims, commit_epoch, snapshot_epoch)
 
 
+def read_table(cluster, table, epoch):
+    """Every row of ``table`` visible at ``epoch``, as row dicts read off
+    the up copies of its super projection — the row-at-a-time view the
+    tests compare with (the product reads columns,
+    ``Cluster.read_columns``)."""
+    family = cluster.catalog.super_projection_for(table)
+    return [
+        row
+        for node_index, projection_name in cluster.scan_sources(family)
+        for row in cluster.nodes[node_index].manager.read_visible_rows(
+            projection_name, epoch
+        )
+    ]
+
+
 def rows_where(cluster, table, predicate, epoch):
     """The victims of ``DELETE FROM table WHERE predicate`` at snapshot
     ``epoch``, found the row way — every visible row, tested one at a
     time — as ``Cluster.commit_dml`` takes them."""
-    return [row for row in cluster.read_table(table, epoch) if predicate(row)]
+    return [row for row in read_table(cluster, table, epoch) if predicate(row)]
 
 
 def run_of(projection, rows, epochs, delete_epochs=None):

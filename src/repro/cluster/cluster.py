@@ -275,26 +275,45 @@ class Cluster:
         self, projection: ProjectionDefinition, run: HistoryRun
     ) -> dict[int, HistoryRun]:
         """node index -> the rows of ``run`` that belong on it under the
-        projection's segmentation, by their ring positions — hashed
-        here and left on ``run`` unless it already carries them, so the
-        next copy of the family can.  Replicated projections map every
-        row to every node (down nodes included; they catch up via
-        recovery)."""
+        projection's segmentation, by their ring positions.  The split
+        by ring range is derived from ``run`` once (positions hashed
+        here unless the run carries them): every copy of the family
+        hands the same run of a range to its node — a buddy rotates the
+        node, not the range — so what a node builds from it, the next
+        copy's node can take.  Replicated projections map every row to
+        every node (down nodes included; they catch up via recovery)."""
         scheme = projection.segmentation
         if scheme.replicated:
-            return {node: run for node in range(self.node_count)}
+            return dict.fromkeys(range(self.node_count), run.shared())
+        by_range = run.shared().derive(
+            ("ranges", scheme.columns, self.node_count),
+            lambda: self._split_by_range(scheme, run),
+        )
+        return {
+            scheme.node_for_range(ring_range, self.node_count): part
+            for ring_range, part in by_range.items()
+        }
+
+    def _split_by_range(
+        self, scheme: HashSegmentation, run: HistoryRun
+    ) -> dict[int, HistoryRun]:
+        """ring range -> the rows of ``run`` in it (the run itself when
+        it is all one range)."""
         if run.positions is None:
             run.positions = scheme.ring_positions(run.columns)
-        node_of = {
-            position: scheme.node_for_position(position, self.node_count)
+        range_of = {
+            position: scheme.ring_range(position, self.node_count)
             for position in set(run.positions)
         }
         routed: dict[int, list[int]] = {}
-        for index, node in enumerate(map(node_of.__getitem__, run.positions)):
-            routed.setdefault(node, []).append(index)
-        if len(routed) == 1:  # every row on one node: the run as it is
+        for index, ring_range in enumerate(map(range_of.__getitem__, run.positions)):
+            routed.setdefault(ring_range, []).append(index)
+        if len(routed) == 1:
             return dict.fromkeys(routed, run)
-        return {node: run.take(indexes) for node, indexes in routed.items()}
+        return {
+            ring_range: run.take(indexes).shared()
+            for ring_range, indexes in routed.items()
+        }
 
     # -- DML application ------------------------------------------------
 
@@ -343,8 +362,9 @@ class Cluster:
             for family in self.catalog.families_for_table(table_name):
                 # once per family: a prejoin sees the dimension as it stood
                 # before this epoch plus the record's own rows (what
-                # commit_dml checked); route_rows leaves the ring positions
-                # on the run for the buddies
+                # commit_dml checked); route_rows hashes and splits it once,
+                # and every copy's node is handed the same run of a ring
+                # range, so each container is sorted and encoded once
                 shaped = self.shape_run(
                     family.primary, table_run, [epoch - 1] * len(table_run), inserted
                 )

@@ -80,10 +80,19 @@ class HashSegmentation(SegmentationScheme):
         METRICS.inc("storage.ring_hashes", len(position_of))
         return list(map(position_of.__getitem__, keys))
 
+    def ring_range(self, position: int, node_count: int) -> int:
+        """Which of ``node_count`` equal ring ranges holds a position —
+        the same for every copy of a family."""
+        return position * node_count // RING_SIZE
+
+    def node_for_range(self, ring_range: int, node_count: int) -> int:
+        """The node storing a ring range: the range's index rotated by
+        the buddy offset."""
+        return (ring_range + self.offset) % node_count
+
     def node_for_position(self, position: int, node_count: int) -> int:
         """Map a ring position to a node index (paper's range table)."""
-        base = position * node_count // RING_SIZE
-        return (base + self.offset) % node_count
+        return self.node_for_range(self.ring_range(position, node_count), node_count)
 
     def node_for_row(self, row: dict, node_count: int) -> int:
         return self.node_for_position(self.ring_position(row), node_count)

@@ -9,10 +9,17 @@ Selection is *empirical*: every applicable concrete encoding is trial-
 run on (a sample of) the block and the smallest output wins.  The
 paper credits exactly this empirical approach for users essentially
 never overriding the Database Designer's encoding choices
-(section 6.3).
+(section 6.3).  Where the output's size is arithmetic over the
+block's statistics (PLAIN, RLE, DELTAVAL, BLOCK_DICT) the trial is that
+arithmetic and builds nothing; a zlib-staged candidate is built and
+compressed.  The winner is built once.
 """
 
 from __future__ import annotations
+
+from functools import partial
+from itertools import islice
+from operator import is_not
 
 from ...monitor import METRICS
 from ...types import FLOAT, INTEGER, VARCHAR, DataType
@@ -31,13 +38,11 @@ CANDIDATE_NAMES = (
 SAMPLE_SIZE = 4096
 
 
-def encode_auto(dtype: DataType, values: list) -> tuple[Encoding, bytes]:
-    """Trial-run every applicable candidate on the first
-    :data:`SAMPLE_SIZE` of a block's non-NULL ``values``: the smallest
-    output wins, :data:`CANDIDATE_NAMES` order breaks ties, an empty
-    block gets PLAIN.  Returns the winner and the block's payload under
-    it — the trial's own output whenever the sample was the whole block."""
-    sample = values[:SAMPLE_SIZE]
+def _judge(dtype: DataType, sample: list) -> tuple[Encoding, bytes | int, BlockFacts]:
+    """Trial-run every applicable candidate on ``sample``: the smallest
+    wins, :data:`CANDIDATE_NAMES` order breaks ties, an empty sample
+    gets PLAIN.  Returns the winner, what its trial gave (its exact size
+    or, from a zlib stage, its payload) and the sample's facts."""
     facts = BlockFacts(sample)
     best, best_size, output = PLAIN, None, b""
     applicable = [
@@ -50,16 +55,29 @@ def encode_auto(dtype: DataType, values: list) -> tuple[Encoding, bytes]:
         size = trial if isinstance(trial, int) else len(trial)
         if best_size is None or size < best_size:
             best, best_size, output = encoding, size, trial
-    if len(sample) < len(values) or isinstance(output, int):
-        output = best.encode(values)
+    return best, output, facts
+
+
+def encode_auto(dtype: DataType, values: list) -> tuple[Encoding, bytes]:
+    """Judge the first :data:`SAMPLE_SIZE` of a block's non-NULL
+    ``values`` and encode the block with the winner.  Returns the winner
+    and the block's payload under it: built once, and the trial's own
+    output when a zlib stage won on the whole block."""
+    sample = values[:SAMPLE_SIZE]
+    best, output, facts = _judge(dtype, sample)
+    if len(sample) < len(values):
+        return best, best.encode(values)
+    if isinstance(output, int):
+        return best, best.encode(values, facts)
     return best, output
 
 
 def choose_encoding(dtype: DataType, values: list) -> Encoding:
     """The concrete encoding (never AUTO itself) AUTO picks for
-    ``values`` of ``dtype``, judged on its first :data:`SAMPLE_SIZE`."""
-    sample = [v for v in values[:SAMPLE_SIZE] if v is not None]
-    return encode_auto(dtype, sample)[0]
+    ``values`` of ``dtype``: judged, like a block, on the first
+    :data:`SAMPLE_SIZE` of its non-NULL values, and never built."""
+    sample = list(islice(filter(partial(is_not, None), values), SAMPLE_SIZE))
+    return _judge(dtype, sample)[0]
 
 
 class AutoEncoding(Encoding):

@@ -9,26 +9,35 @@ encodings only ever see concrete values.
 Encodings are registered by name in :data:`ENCODINGS`; the ``AUTO``
 pseudo-encoding picks the cheapest applicable one per column by
 empirical trial (the same mechanism the Database Designer's storage
-optimization phase uses, section 6.3).
+optimization phase uses, section 6.3): an exact size where arithmetic
+over the block's :class:`BlockFacts` gives one, a built payload where
+only a zlib stage can tell.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from itertools import filterfalse
-from operator import ne
+from functools import cached_property
+from itertools import compress, count, filterfalse
+from operator import ne, sub
 
 from ...errors import EncodingError
 from ...types import DataType
+from ..serde import values_size
 
 
 class BlockFacts:
-    """What every candidate asks about a block's non-NULL values,
-    answered once per block and handed to each ``supports`` / ``encode``."""
+    """What the candidates ask about a block's non-NULL ``values``,
+    each fact worked out once per block, on its first ask, and handed
+    to every ``supports`` / ``trial`` / ``encode``.
 
-    __slots__ = ("kinds", "exact", "plain")
+    The closed-form candidates' sizes are arithmetic over these (run
+    starts, the dictionary, the minimum, record sizes), so AUTO learns
+    what PLAIN, RLE, DELTAVAL and BLOCK_DICT would write without
+    writing it."""
 
     def __init__(self, values: list[object]):
+        self.values = values
         #: The set of the values' types.
         self.kinds = kinds = set(map(type, values))
         #: Whether ``==`` tells the values apart exactly: one type and,
@@ -44,14 +53,68 @@ class BlockFacts:
         #: PLAIN's bytes for the block, once something has built them.
         self.plain: bytes | None = None
 
-    def keys(self, values: list[object]) -> list:
+    @cached_property
+    def keys(self) -> list:
         """What runs and dictionary entries are found by: the values
         when ``==`` is exact, else tuples (value first) equal only if
         the values decode identically — a stored ``-0.0`` or ``True``
         must not come back as the ``0.0`` or ``1`` it is ``==`` to."""
         if self.exact:
-            return values
-        return [(v, type(v), object() if v != v else not v and repr(v)) for v in values]
+            return self.values
+        return [
+            (v, type(v), object() if v != v else not v and repr(v))
+            for v in self.values
+        ]
+
+    @cached_property
+    def run_starts(self) -> list[int]:
+        """The position of each run's first value: neighbours share a
+        run only if they decode identically."""
+        keys = self.keys
+        if not keys:
+            return []
+        return [0, *compress(count(1), map(ne, keys[1:], keys))]
+
+    @cached_property
+    def heads(self) -> list:
+        """The value each run repeats."""
+        return list(map(self.values.__getitem__, self.run_starts))
+
+    @cached_property
+    def run_lengths(self) -> list[int]:
+        """How many values each run holds."""
+        starts = self.run_starts
+        return list(map(sub, [*starts[1:], len(self.values)], starts))
+
+    @cached_property
+    def codes(self) -> dict:
+        """The block's dictionary: each distinct key's code, by first
+        appearance."""
+        return dict(zip(dict.fromkeys(self.keys), count()))
+
+    @cached_property
+    def entries(self) -> list:
+        """The dictionary's values, in code order."""
+        return list(self.codes) if self.exact else [key[0] for key in self.codes]
+
+    @cached_property
+    def minimum(self):
+        """The smallest value."""
+        return min(self.values)
+
+    @cached_property
+    def plain_size(self) -> int:
+        """The length of PLAIN's bytes for the block."""
+        if self.plain is not None:
+            return len(self.plain)
+        return values_size(self.values, self.kinds)
+
+    def records_size(self, values: list) -> int:
+        """The length of PLAIN's records for ``values``, some of the
+        block's own (its run heads, its dictionary entries)."""
+        if len(values) == len(self.values):
+            return self.plain_size
+        return values_size(values, self.kinds)
 
 
 class Encoding(ABC):
@@ -70,8 +133,10 @@ class Encoding(ABC):
         """Decode ``count`` values from ``data``."""
 
     def trial(self, values: list[object], facts: BlockFacts) -> bytes | int:
-        """What AUTO compares: the payload of ``values`` — or, where
-        arithmetic shows it larger than PLAIN's, a size it is at least."""
+        """What AUTO compares for ``values``: the exact length of their
+        payload where arithmetic over ``facts`` gives it, else the
+        payload itself (what a zlib stage makes of bytes is known only
+        by running it)."""
         return self.encode(values, facts)
 
     def supports(

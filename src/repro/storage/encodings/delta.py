@@ -12,7 +12,8 @@ columns (the "integer-based" types).
 from __future__ import annotations
 
 from ...types import DataType
-from ..serde import read_svarint, read_uvarints, write_svarint, write_uvarints
+from ..serde import read_svarint, read_uvarints, uvarint_size, uvarints_size
+from ..serde import write_svarint, write_uvarints, zigzag
 from .base import BlockFacts, Encoding, register
 
 
@@ -25,10 +26,17 @@ class DeltaValueEncoding(Encoding):
         out = bytearray()
         if not values:
             return bytes(out)
-        minimum = min(values)
+        minimum = facts.minimum if facts else min(values)
         write_svarint(out, minimum)
         write_uvarints(out, list(map((-minimum).__add__, values)))
         return bytes(out)
+
+    def trial(self, values: list, facts: BlockFacts) -> int:
+        if not values:
+            return 0
+        minimum = facts.minimum
+        offsets = list(map((-minimum).__add__, values))
+        return uvarint_size(zigzag(minimum)) + uvarints_size(offsets)
 
     def decode(self, data: bytes, count: int) -> list:
         if count == 0:

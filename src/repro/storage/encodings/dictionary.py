@@ -13,10 +13,10 @@ bit-packed to the smallest width that covers the dictionary size.
 from __future__ import annotations
 
 from ...types import DataType
-from ..serde import bit_width_for, pack_bits, read_uvarint, read_value
-from ..serde import unpack_bits, write_uvarint, write_values
+from ..serde import bit_width_for, pack_bits, packed_size, read_uvarint
+from ..serde import read_value, unpack_bits, uvarint_size, write_uvarint
+from ..serde import write_values
 from .base import BlockFacts, Encoding, register
-from .plain import PLAIN
 
 
 class BlockDictionaryEncoding(Encoding):
@@ -30,31 +30,30 @@ class BlockDictionaryEncoding(Encoding):
 
     def encode(self, values: list, facts: BlockFacts | None = None) -> bytes:
         facts = facts or BlockFacts(values)
-        return self._payload(*self._codes(values, facts), facts)
-
-    def trial(self, values: list, facts: BlockFacts) -> bytes | int:
-        keys, code_of = self._codes(values, facts)
-        if len(code_of) < len(values):
-            return self._payload(keys, code_of, facts)
-        # every value its own entry: PLAIN's records, a header, the codes
-        return len(PLAIN.encode(values, facts)) + 2
-
-    @staticmethod
-    def _codes(values: list, facts: BlockFacts) -> tuple[list, dict]:
-        """A key per value; each distinct key's code, by first appearance."""
-        keys = facts.keys(values)
-        return keys, {key: code for code, key in enumerate(dict.fromkeys(keys))}
-
-    @staticmethod
-    def _payload(keys: list, code_of: dict, facts: BlockFacts) -> bytes:
-        entries = list(code_of) if facts.exact else [key[0] for key in code_of]
-        width = bit_width_for(max(len(entries) - 1, 0))
+        entries = facts.entries
+        width = self.code_width(entries)
         out = bytearray()
         write_uvarint(out, len(entries))
         write_values(out, entries, facts.kinds)
         write_uvarint(out, width)
-        out += pack_bits(list(map(code_of.__getitem__, keys)), width)
+        out += pack_bits(list(map(facts.codes.__getitem__, facts.keys)), width)
         return bytes(out)
+
+    def trial(self, values: list, facts: BlockFacts) -> int:
+        # the entry count, the entries' records, the width, the codes
+        entries = facts.entries
+        width = self.code_width(entries)
+        return (
+            uvarint_size(len(entries))
+            + facts.records_size(entries)
+            + uvarint_size(width)
+            + packed_size(len(values), width)
+        )
+
+    @staticmethod
+    def code_width(entries: list) -> int:
+        """Bits per code: none for a dictionary of one entry."""
+        return bit_width_for(max(len(entries) - 1, 0))
 
     def decode(self, data: bytes, count: int) -> list:
         entries, codes = self.decode_parts(data, count)

@@ -28,6 +28,9 @@ class PlainEncoding(Encoding):
             facts.plain = bytes(out)
         return facts.plain
 
+    def trial(self, values: list, facts: BlockFacts) -> int:
+        return facts.plain_size
+
     def decode(self, data: bytes, count: int) -> list:
         values = []
         offset = 0
@@ -44,6 +47,9 @@ class CompressedPlainEncoding(PlainEncoding):
 
     def encode(self, values: list, facts: BlockFacts | None = None) -> bytes:
         return zlib.compress(super().encode(values, facts), level=6)
+
+    def trial(self, values: list, facts: BlockFacts) -> bytes:
+        return self.encode(values, facts)
 
     def decode(self, data: bytes, count: int) -> list:
         return super().decode(zlib.decompress(data), count)

@@ -14,11 +14,9 @@ runs without expanding them (section 6.1), which
 
 from __future__ import annotations
 
-from itertools import groupby
-
-from ..serde import read_uvarint, read_value, write_uvarint, write_value
+from ..serde import interleave, read_uvarint, read_value, record_sizes
+from ..serde import uvarint_sizes, uvarints_size, write_uvarints, write_values
 from .base import BlockFacts, Encoding, register
-from .plain import PLAIN
 
 
 class RleEncoding(Encoding):
@@ -27,30 +25,26 @@ class RleEncoding(Encoding):
     name = "RLE"
 
     def encode(self, values: list, facts: BlockFacts | None = None) -> bytes:
-        return self._payload(self.runs(values, facts or BlockFacts(values)))
-
-    def trial(self, values: list, facts: BlockFacts) -> bytes | int:
-        runs = self.runs(values, facts)
-        if len(runs) < len(values):
-            return self._payload(runs)
-        # no two neighbours alike: PLAIN's records, a length byte each
-        return len(PLAIN.encode(values, facts)) + len(values)
-
-    @staticmethod
-    def _payload(runs: list) -> bytes:
+        facts = facts or BlockFacts(values)
+        heads, lengths = facts.heads, facts.run_lengths
         out = bytearray()
-        for value, length in runs:
-            write_value(out, value)
-            write_uvarint(out, length)
-        return bytes(out)
+        write_values(out, heads, facts.kinds)
+        records = bytes(out)
+        out.clear()
+        write_uvarints(out, lengths)
+        return interleave(
+            records, record_sizes(heads, facts.kinds), bytes(out), uvarint_sizes(lengths)
+        )
+
+    def trial(self, values: list, facts: BlockFacts) -> int:
+        # a record per run head, a varint per run length
+        return facts.records_size(facts.heads) + uvarints_size(facts.run_lengths)
 
     @staticmethod
     def runs(values: list, facts: BlockFacts) -> list[tuple]:
         """``(value, run_length)`` pairs: neighbours share a run only if
         they decode identically (``-0.0`` ends a run of ``0.0``)."""
-        grouped = groupby(facts.keys(values))
-        runs = [(key, len(list(group))) for key, group in grouped]
-        return runs if facts.exact else [(key[0], length) for key, length in runs]
+        return list(zip(facts.heads, facts.run_lengths))
 
     def decode(self, data: bytes, count: int) -> list:
         values: list = []

@@ -30,7 +30,7 @@ from ..projections import HashSegmentation, ProjectionDefinition
 from . import fsio
 from .block import BLOCK_ROWS
 from .delete_vector import DeleteVector, combined_deletes
-from .ros import EPOCH_COLUMN, HistoryRun, ROSContainer
+from .ros import EPOCH_COLUMN, ContainerImage, HistoryRun, ROSContainer
 from .wos import DEFAULT_WOS_CAPACITY, WriteOptimizedStore, visible_mask
 
 #: Subdirectory of a projection's storage where corrupt containers are
@@ -271,6 +271,13 @@ class StorageManager:
         the table is partitioned — a partition expression is a callable
         over a row) and no key tuple per comparison.
 
+        Of a run handed to every copy of a family
+        (:meth:`HistoryRun.shared`: a commit's, a recovery's) the sorted
+        groups and each group's container image are derived once: every
+        copy's containers are the same bytes — copies share columns,
+        encodings and sort order, and local segments ignore the buddy
+        offset — so the next copy publishes what the first one built.
+
         A generator: each container id is yielded once that container
         is published (moveout injects its fault between containers);
         nothing is written until it is iterated.
@@ -278,6 +285,47 @@ class StorageManager:
         state = self._state(projection_name)
         if not len(run):
             return
+        projection = state.projection
+        # what the groups, and then the images, are a function of
+        grouping = (
+            state.table.partition_by,
+            getattr(projection.segmentation, "columns", None),
+            self.node_count,
+            self.segments_per_node,
+            tuple(projection.sort_order),
+        )
+        groups = run.derive(
+            ("groups", *grouping, tuple(projection.columns)),
+            lambda: self._sorted_groups(state, run),
+        )
+        shared = run.derived is not None
+        for entry in groups:
+            (partition_key, local_segment), indexes, image = entry
+            if image is not None:
+                yield self._publish(state, image, partition_key, local_segment)
+                continue
+            # one group's rows at a time
+            group = run.take(indexes)
+            if shared:
+                group.shared()
+            container_id = self.add_container_from_rows(
+                projection_name,
+                group,
+                partition_key=partition_key,
+                local_segment=local_segment,
+            )
+            if shared:
+                # the image add_container_from_rows derived on the group
+                # is what the next copy publishes; the rows' order is no
+                # longer needed
+                entry[1:] = None, self._image(state, group)
+            yield container_id
+
+    def _sorted_groups(self, state: ProjectionStorage, run: HistoryRun) -> list:
+        """``[(partition key, local segment), indexes, None]`` per group
+        of ``run`` — the indexes in sort order, the last item the
+        group's container image once one is built — in the order the
+        groups' containers are written."""
         groups: dict[tuple, list[int]] = {}
         group_keys = self._group_keys(state, run)
         if group_keys is None:
@@ -287,15 +335,20 @@ class StorageManager:
         # the ordering rule's keys (types.ordering_keys), built once for
         # every group: each group is one stable pass over them
         sort_keys = run.sort_keys(state.projection.sort_order)
-        for (partition_key, local_segment), indexes in sorted(
-            groups.items(), key=lambda item: repr(item[0])
-        ):
-            yield self.add_container_from_rows(
-                projection_name,
-                run.take(sorted(indexes, key=sort_keys.__getitem__)),
-                partition_key=partition_key,
-                local_segment=local_segment,
-            )
+        return [
+            [key, sorted(indexes, key=sort_keys.__getitem__), None]
+            for key, indexes in sorted(groups.items(), key=lambda item: repr(item[0]))
+        ]
+
+    @staticmethod
+    def _image(state: ProjectionStorage, run: HistoryRun) -> ContainerImage:
+        """The container image of a sorted run, derived from it: built
+        once, whoever asks."""
+        projection = state.projection
+        return run.derive(
+            ("image", tuple(projection.columns), tuple(projection.sort_order)),
+            lambda: ContainerImage.build(projection, run),
+        )
 
     def _write_delete_vector(
         self, state: ProjectionStorage, vector: DeleteVector
@@ -322,17 +375,32 @@ class StorageManager:
         mergeout and the truncate rewrite, whose one run is already
         sorted, call it directly.  ``merged_from`` stamps mergeout
         provenance into the container's metadata so a crash before
-        input retirement is self-healing.
+        input retirement is self-healing.  The container's image is
+        derived from ``run`` (:meth:`_image`).
 
         The markers reach disk as a DVROS *before* the container
         publishes: a crash in between leaves a vector without a target,
         which scavenge deletes, never a container without its deletes.
         """
         state = self._state(projection_name)
+        return self._publish(
+            state, self._image(state, run), partition_key, local_segment, merged_from
+        )
+
+    def _publish(
+        self,
+        state: ProjectionStorage,
+        image: ContainerImage,
+        partition_key,
+        local_segment: int,
+        merged_from: list[int] | None = None,
+    ) -> int:
+        """Publish ``image`` as this node's next container (its delete
+        markers first, as a DVROS)."""
         container_id = self._next_container_id
         self._next_container_id += 1
         vector = dv_name = None
-        delete_epochs = run.delete_epochs
+        delete_epochs = image.delete_epochs
         if delete_epochs and delete_epochs.count(None) < len(delete_epochs):
             deleted = [
                 position
@@ -343,14 +411,15 @@ class StorageManager:
                 container_id, deleted, [delete_epochs[p] for p in deleted]
             )
             dv_name = self._write_delete_vector(state, vector)
+        projection_name = state.projection.name
         path = os.path.join(
             self._projection_dir(projection_name), f"ros_{container_id:06d}"
         )
-        container = ROSContainer.write(
+        container = ROSContainer.publish(
             path,
             container_id,
-            state.projection,
-            run,
+            projection_name,
+            image,
             partition_key=partition_key,
             local_segment=local_segment,
             merged_from=merged_from,
@@ -899,11 +968,15 @@ class StorageManager:
         state = self._state(projection_name)
         container = state.containers[container_id]
         deletes = state.deletes_for(container_id)
-        return HistoryRun(
+        run = HistoryRun(
             container.read_columns(container.meta.columns),
             container.read_epochs(),
             list(map(deletes.get, range(container.row_count))) if deletes else None,
         )
+        # the run is on its way elsewhere (a merge, a rewrite, another
+        # node): what reading it cached is not kept twice
+        container.release()
+        return run
 
     def history(
         self, projection_name: str, after_epoch: int | None = None

@@ -64,7 +64,7 @@ class HistoryRun:
     same one, so whoever keeps rows (the WOS) copies them.
     """
 
-    __slots__ = ("columns", "epochs", "delete_epochs", "positions")
+    __slots__ = ("columns", "epochs", "delete_epochs", "positions", "derived")
 
     def __init__(
         self,
@@ -80,6 +80,32 @@ class HistoryRun:
         #: projection the run is headed for, when the caller already
         #: hashed it (a commit does, once for every copy of a family).
         self.positions = positions
+        #: What the copies of a family work out alike from the run, by
+        #: the key of what it depends on (:meth:`derive`); None while
+        #: the run is one node's alone.
+        self.derived: dict | None = None
+
+    def shared(self) -> "HistoryRun":
+        """This run, handed to every copy of a projection family (a
+        commit's, a recovery's): from now on :meth:`derive` keeps what
+        it makes.  Returns the run."""
+        if self.derived is None:
+            self.derived = {}
+        return self
+
+    def derive(self, key, make):
+        """``make()``, called once per ``key`` for a :meth:`shared` run —
+        its split by ring range, its sorted groups, a container's
+        encoded files: what the first copy works out, the next copy
+        takes — and every time for a run one node writes (moveout,
+        mergeout).  Nothing outlives the run."""
+        if self.derived is None:
+            return make()
+        try:
+            return self.derived[key]
+        except KeyError:
+            value = self.derived[key] = make()
+            return value
 
     def __len__(self) -> int:
         return len(self.epochs)
@@ -243,6 +269,81 @@ def _meta_crc(payload: dict) -> int:
     return fsio.crc32(json.dumps(payload, sort_keys=True).encode("utf-8"))
 
 
+class ContainerImage:
+    """A container's files before any node holds them: the sorted run's
+    encoded columns (``.dat`` + ``.pidx`` each, row-major group files,
+    the ``_epoch`` column), what ``meta.json`` says of its rows and its
+    delete markers.  One image is published as any number of containers
+    (:meth:`ROSContainer.publish`) — on a direct load, the byte-identical
+    container of every copy of a projection family."""
+
+    __slots__ = (
+        "files", "row_count", "min_epoch", "max_epoch", "columns",
+        "column_groups", "delete_epochs",
+    )
+
+    def __init__(
+        self,
+        files: list[list[tuple[str, bytes]]],
+        run: HistoryRun,
+        columns: list[str],
+        column_groups: list[list[str]],
+    ):
+        #: (file name, bytes) pairs, one list per column or group, in
+        #: the order they are written.
+        self.files = files
+        self.row_count = len(run)
+        self.min_epoch = min(run.epochs) if run.epochs else 0
+        self.max_epoch = max(run.epochs) if run.epochs else 0
+        self.columns = columns
+        self.column_groups = column_groups
+        self.delete_epochs = run.delete_epochs
+
+    @classmethod
+    def build(
+        cls,
+        projection: ProjectionDefinition,
+        run: HistoryRun,
+        column_groups: list[list[str]] | None = None,
+    ) -> "ContainerImage":
+        """Encode an *already sorted* run under ``projection``'s columns.
+
+        Raises :class:`StorageError` if the rows are not sorted by the
+        projection's sort order — containers must be totally sorted.
+        """
+        keys = run.sort_keys(projection.sort_order)
+        if any(map(gt, keys, keys[1:])):
+            raise StorageError("ROS container rows must be sorted by sort order")
+        column_groups = column_groups or []
+        grouped = {name for group in column_groups for name in group}
+        files = [
+            _column_files(
+                column.name,
+                ColumnWriter(column.dtype, column.encoding),
+                run.columns[column.name],
+            )
+            for column in projection.columns
+            if column.name not in grouped
+        ]
+        for index, group in enumerate(column_groups):
+            out = bytearray()
+            # row-major: the group's values of row 0, then of row 1, ...
+            columns = map(run.columns.__getitem__, group)
+            write_values(out, list(chain.from_iterable(zip(*columns))))
+            files.append([(f"_group{index}.dat", bytes(out))])
+        files.append(
+            _column_files(EPOCH_COLUMN, ColumnWriter(INTEGER, "RLE"), run.epochs)
+        )
+        names = [column.name for column in projection.columns]
+        return cls(files, run, names, column_groups)
+
+
+def _column_files(name: str, writer: ColumnWriter, values: list) -> list:
+    writer.extend(values)
+    data, index = writer.finish()
+    return [(f"{name}.dat", data), (f"{name}.pidx", index)]
+
+
 class ROSContainer:
     """One immutable sorted run of complete tuples on disk."""
 
@@ -267,44 +368,49 @@ class ROSContainer:
         merged_from: list[int] | None = None,
     ) -> "ROSContainer":
         """Create a container at ``path`` from an *already sorted* run
-        (its delete markers are the caller's to persist).
+        (its delete markers are the caller's to persist): build its
+        image (:meth:`ContainerImage.build`) and publish it."""
+        image = ContainerImage.build(projection, run, column_groups)
+        return cls.publish(
+            path, container_id, projection.name, image,
+            partition_key=partition_key, local_segment=local_segment,
+            merged_from=merged_from,
+        )
 
-        Raises :class:`StorageError` if the rows are not sorted by the
-        projection's sort order — containers must be totally sorted.
+    @classmethod
+    def publish(
+        cls,
+        path: str,
+        container_id: int,
+        projection_name: str,
+        image: ContainerImage,
+        partition_key=None,
+        local_segment: int = 0,
+        merged_from: list[int] | None = None,
+    ) -> "ROSContainer":
+        """Write ``image`` as container ``container_id`` at ``path``.
 
         The commit is atomic: files are staged under ``path + ".tmp"``
         and published with one rename; a crash at any registered fault
         point leaves no partially visible container.
         """
-        epochs = run.epochs
-        keys = run.sort_keys(projection.sort_order)
-        if any(map(gt, keys, keys[1:])):
-            raise StorageError("ROS container rows must be sorted by sort order")
         staged = fsio.staging_dir(path)
         checksums: dict[str, int] = {}
-        column_groups = column_groups or []
-        grouped = {name for group in column_groups for name in group}
-        for column in projection.columns:
-            if column.name in grouped:
-                continue
-            writer = ColumnWriter(column.dtype, column.encoding)
-            writer.extend(run.columns[column.name])
-            cls._write_column_files(staged, column.name, writer, checksums)
-        for index, group in enumerate(column_groups):
-            cls._write_group_file(staged, index, group, run, checksums)
-        epoch_writer = ColumnWriter(INTEGER, "RLE")
-        epoch_writer.extend(epochs)
-        cls._write_column_files(staged, EPOCH_COLUMN, epoch_writer, checksums)
+        for files in image.files:
+            paths = [os.path.join(staged, name) for name, _ in files]
+            for file_path, (name, data) in zip(paths, files):
+                checksums[name] = fsio.write_bytes(file_path, data)
+            faults.inject("ros.write.column", files=paths)
         meta = ContainerMeta(
             container_id=container_id,
-            projection=projection.name,
-            row_count=len(run),
+            projection=projection_name,
+            row_count=image.row_count,
             partition_key=partition_key,
             local_segment=local_segment,
-            min_epoch=min(epochs) if epochs else 0,
-            max_epoch=max(epochs) if epochs else 0,
-            columns=[column.name for column in projection.columns],
-            column_groups=column_groups,
+            min_epoch=image.min_epoch,
+            max_epoch=image.max_epoch,
+            columns=list(image.columns),
+            column_groups=image.column_groups,
             checksums=checksums,
             merged_from=sorted(merged_from or []),
         )
@@ -321,37 +427,8 @@ class ROSContainer:
             files=[os.path.join(path, name) for name in checksums],
         )
         METRICS.inc("storage.containers_written")
-        METRICS.inc("storage.container_rows_written", len(run))
+        METRICS.inc("storage.container_rows_written", image.row_count)
         return cls(path, meta)
-
-    @staticmethod
-    def _write_column_files(
-        path: str, name: str, writer: ColumnWriter, checksums: dict[str, int]
-    ) -> None:
-        data, index = writer.finish()
-        dat_path = os.path.join(path, f"{name}.dat")
-        pidx_path = os.path.join(path, f"{name}.pidx")
-        checksums[f"{name}.dat"] = fsio.write_bytes(dat_path, data)
-        checksums[f"{name}.pidx"] = fsio.write_bytes(pidx_path, index)
-        faults.inject("ros.write.column", files=[dat_path, pidx_path])
-
-    @staticmethod
-    def _write_group_file(
-        path: str,
-        group_index: int,
-        group: list[str],
-        run: HistoryRun,
-        checksums: dict[str, int],
-    ) -> None:
-        out = bytearray()
-        # row-major: the group's values of row 0, then of row 1, ...
-        columns = map(run.columns.__getitem__, group)
-        write_values(out, list(chain.from_iterable(zip(*columns))))
-        group_path = os.path.join(path, f"_group{group_index}.dat")
-        checksums[f"_group{group_index}.dat"] = fsio.write_bytes(
-            group_path, bytes(out)
-        )
-        faults.inject("ros.write.column", files=[group_path])
 
     @classmethod
     def load(cls, path: str, verify_checksums: bool = True) -> "ROSContainer":
@@ -511,6 +588,12 @@ class ROSContainer:
                 "(read-time corruption detection)"
             )
         return data
+
+    def release(self) -> None:
+        """Drop what reads have cached — file bytes, decoded blocks,
+        grouped columns; the next read loads them again."""
+        self._readers.clear()
+        self._group_cache.clear()
 
     def column_reader(self, name: str) -> ColumnReader:
         """Positional reader for an ungrouped column (or ``_epoch``)."""

@@ -10,8 +10,20 @@ Table 4 measures — easy to reason about.
 from __future__ import annotations
 
 import struct
+from itertools import accumulate, chain
 
 from ..errors import EncodingError
+
+#: Byte tables for writing varints of values under 2**14 a plane at a
+#: time (:func:`_short_varints`): with ``b0`` / ``b1`` a value's low and
+#: high byte, its first varint byte is ``b0 | _CONTINUED[b1]`` and its
+#: second ``_DOUBLED[b1] | _TOP_BIT[b0]``, dropped where that is zero.
+_CONTINUED = bytes([0] + [0x80] * 255)
+_DOUBLED = bytes(b << 1 & 0xFF for b in range(256))
+_TOP_BIT = bytes(b >> 7 for b in range(256))
+_DROPPED = bytes([1] + [0] * 255)
+#: ``_VARINT_BYTES[b]``: the length of the varint of a value ``b`` bits long.
+_VARINT_BYTES = bytes(max(1, -(-bits // 7)) for bits in range(256))
 
 
 def write_uvarint(out: bytearray, value: int) -> None:
@@ -83,8 +95,12 @@ def write_uvarints(out: bytearray, values: list[int]) -> None:
         return
     if min(values) < 0:
         raise EncodingError(f"uvarint cannot encode negative value {min(values)}")
-    if max(values) < 0x80:
+    top = max(values)
+    if top < 0x80:
         out += bytes(values)
+        return
+    if top < 0x4000:
+        out += _short_varints(values)
         return
     append = out.append
     for value in values:
@@ -92,6 +108,55 @@ def write_uvarints(out: bytearray, values: list[int]) -> None:
             append(value & 0x7F | 0x80)
             value >>= 7
         append(value)
+
+
+def _or(first: bytes, second: bytes) -> bytes:
+    """The bitwise OR of two byte strings of one length."""
+    merged = int.from_bytes(first, "little") | int.from_bytes(second, "little")
+    return merged.to_bytes(len(first), "little")
+
+
+def _short_varints(values: list[int], tag: bytes = b"") -> bytes:
+    """The varints of ``values`` (each ``0 <= value < 2**14``), ``tag``
+    (empty or one byte) before each, a byte plane at a time.
+
+    Each value becomes UTF-16 code units — the tag, its first byte, its
+    second byte or U+0100 where it has none — and the text, with every
+    U+0100 taken out, is the bytes (Latin-1).  No loop per value."""
+    count = len(values)
+    packed = struct.pack(f"<{count}H", *values)
+    low, high = packed[0::2], packed[1::2]
+    first = _or(low, high.translate(_CONTINUED))
+    second = _or(high.translate(_DOUBLED), low.translate(_TOP_BIT))
+    step = 2 * (len(tag) + 2)
+    units = bytearray(step * count)
+    if tag:
+        units[0::step] = tag * count
+    units[step - 4 :: step] = first
+    units[step - 2 :: step] = second
+    units[step - 1 :: step] = second.translate(_DROPPED)
+    return units.decode("utf-16-le").replace("\u0100", "").encode("latin-1")
+
+
+def uvarint_sizes(values: list[int]) -> bytes | list[int]:
+    """The length of each varint :func:`write_uvarints` writes for
+    ``values``: a byte per seven bits of the value."""
+    try:
+        return bytes(map(int.bit_length, values)).translate(_VARINT_BYTES)
+    except ValueError:  # a value of 256 bits or more
+        return [-(-bits // 7) or 1 for bits in map(int.bit_length, values)]
+
+
+def uvarints_size(values: list[int]) -> int:
+    """The length of what :func:`write_uvarints` appends for ``values``."""
+    if not values or max(values) < 0x80:
+        return len(values)
+    return sum(uvarint_sizes(values))
+
+
+def uvarint_size(value: int) -> int:
+    """The length of :func:`write_uvarint`'s bytes for ``value``."""
+    return -(-value.bit_length() // 7) or 1
 
 
 def zigzags(values: list[int]) -> list[int]:
@@ -225,8 +290,12 @@ def write_values(out: bytearray, values: list, kinds=None) -> None:
         return
     if kinds == {int}:
         raws = zigzags(values)
-        if max(raws) < 0x80:
+        top = max(raws)
+        if top < 0x80:
             out += _tagged(b"\x01", 1, bytes(raws))
+            return
+        if top < 0x4000:
+            out += _short_varints(raws, b"\x01")
             return
         append = out.append
         for raw in raws:
@@ -245,6 +314,62 @@ def write_values(out: bytearray, values: list, kinds=None) -> None:
     else:
         for value in values:
             write_value(out, value)
+
+
+def record_sizes(values: list, kinds) -> list[int]:
+    """The length of each record :func:`write_values` writes for
+    ``values`` (``kinds``: the set of their types): a tag byte, then a
+    varint, a double, nothing or a length-prefixed string."""
+    if kinds == {int}:
+        return [size + 1 for size in uvarint_sizes(zigzags(values))]
+    if kinds == {str}:
+        lengths = list(map(len, map(str.encode, values)))
+        return [1 + size + length for size, length in zip(uvarint_sizes(lengths), lengths)]
+    if kinds == {float}:
+        return [9] * len(values)
+    if kinds == {bool}:
+        return [1] * len(values)
+    return list(map(_record_size, values))
+
+
+def _record_size(value) -> int:
+    out = bytearray()
+    write_value(out, value)
+    return len(out)
+
+
+def interleave(first: bytes, first_sizes, second: bytes, second_sizes) -> bytes:
+    """Item ``i`` of ``first``, then item ``i`` of ``second``, for every
+    ``i``: each byte string is its items end to end, ``*_sizes`` their
+    lengths (as many of one as of the other)."""
+    first_ends = list(accumulate(first_sizes))
+    second_ends = list(accumulate(second_sizes))
+    firsts = map(first.__getitem__, map(slice, [0, *first_ends], first_ends))
+    seconds = map(second.__getitem__, map(slice, [0, *second_ends], second_ends))
+    return b"".join(chain.from_iterable(zip(firsts, seconds)))
+
+
+def values_size(values: list, kinds=None) -> int:
+    """The length of what :func:`write_values` appends for ``values``
+    (``kinds``: the set of their types): the sum of
+    :func:`record_sizes`, without a list where a block of integers or
+    strings allows."""
+    if kinds is None:
+        kinds = set(map(type, values))
+    count = len(values)
+    if not count:
+        return 0
+    if kinds == {int}:
+        if -0x40 <= min(values) and max(values) < 0x40:
+            return 2 * count
+        return count + uvarints_size(zigzags(values))
+    if kinds == {str}:
+        if all(map(str.isascii, values)):
+            lengths = list(map(len, values))
+        else:
+            lengths = list(map(len, map(str.encode, values)))
+        return count + sum(lengths) + uvarints_size(lengths)
+    return sum(record_sizes(values, kinds))
 
 
 def read_value(data: bytes, offset: int):
@@ -267,22 +392,21 @@ def read_value(data: bytes, offset: int):
 
 
 def pack_bits(values: list[int], bit_width: int) -> bytes:
-    """Bit-pack ``values`` (each < 2**bit_width) into a byte string."""
-    if bit_width == 0:
+    """Bit-pack ``values`` (each < 2**bit_width) into a byte string:
+    value ``i`` is bits ``[i * bit_width, (i + 1) * bit_width)`` of one
+    little-endian integer, whose binary digits are the values' own,
+    last value first."""
+    if bit_width == 0 or not values:
         return b""
-    buffer = 0
-    bits = 0
-    out = bytearray()
-    for value in values:
-        buffer |= value << bits
-        bits += bit_width
-        while bits >= 8:
-            out.append(buffer & 0xFF)
-            buffer >>= 8
-            bits -= 8
-    if bits:
-        out.append(buffer & 0xFF)
-    return bytes(out)
+    distinct = set(values)
+    digits_of = dict(zip(distinct, map(f"{{:0{bit_width}b}}".format, distinct)))
+    digits = "".join(map(digits_of.__getitem__, reversed(values)))
+    return int(digits, 2).to_bytes(packed_size(len(values), bit_width), "little")
+
+
+def packed_size(count: int, bit_width: int) -> int:
+    """The length of :func:`pack_bits`' bytes for ``count`` values."""
+    return (count * bit_width + 7) // 8
 
 
 def unpack_bits(data: bytes, bit_width: int, count: int) -> list[int]:

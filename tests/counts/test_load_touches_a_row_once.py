@@ -1,5 +1,6 @@
 """Counts, not timings: a load hashes a row once, sorts its key columns
-once and encodes a block once.
+once and encodes a block once — once per projection family, not per
+copy.
 
 A 3-node K=1 table segmented by an 18-valued key: one direct-to-ROS
 load, a WOS load, a moveout and a mergeout.  Before the write path
@@ -11,7 +12,12 @@ value-at-a-time encoders and then encoded the winner again, built
 PLAIN's bytes twice, and fed ``ColumnWriter.append`` one value at a
 time.  Three ``METRICS`` counters (``storage.ring_hashes``,
 ``storage.blocks_encoded``, ``storage.trial_encodes``) carry the same
-facts to ``v_monitor.metrics``.
+facts to ``v_monitor.metrics``.  AUTO's trials of PLAIN, RLE, DELTAVAL
+and BLOCK_DICT are arithmetic: a winner among them is built exactly
+once, a loser never (it used to be the trial's own bytes, so a block
+the sample covered was never encoded after its trials).  And a direct
+K=1 load sorts and encodes the primary copy's groups only: the buddy's
+containers are the same bytes, published from the same image.
 
 And a committed row is pivoted once: from ``Session.insert`` through
 the commit, the WOS, a scan of it, moveout and ``publish_dir`` the
@@ -25,6 +31,7 @@ about its text in journal bytes.  It used to parse each line into a
 dict, type-check it value by value and journal it as a row dict.
 """
 
+import builtins
 from collections import Counter
 
 import pytest
@@ -34,6 +41,7 @@ from repro.monitor import METRICS
 from repro.projections import HashSegmentation, ProjectionDefinition
 from repro.storage import HistoryRun, fsio
 from repro.storage import block as block_module
+from repro.storage import manager as manager_module
 from repro.storage.column_file import ColumnWriter
 from repro.storage.encodings import ENCODINGS, SAMPLE_SIZE, Encoding
 from repro.storage.encodings import plain as plain_module
@@ -83,8 +91,12 @@ class Spy:
         self.hashes = 0
         self.sort_keys = 0
         self.appends = 0
-        #: one entry per encoded block: AUTO or not, its row count and
-        #: a Counter of ("trial" | "encode" | "plain", encoding name)
+        #: groups sorted by their sort keys
+        self.sorts = 0
+        #: one entry per encoded block: AUTO or not, its row count, a
+        #: Counter of ("trial" | "sized" | "encode" | "plain", encoding
+        #: name) — "sized": a trial that gave a size, not bytes — and
+        #: the encoding it was written with
         self.blocks = []
         self._depth = 0
         real_hash = hashing.fnv1a_64
@@ -101,8 +113,21 @@ class Spy:
         real_block = block_module.encode_block
 
         def counting_block(values, dtype, encoding, start_position, file_offset):
-            self.blocks.append((encoding is None, len(values), Counter()))
-            return real_block(values, dtype, encoding, start_position, file_offset)
+            entry = [encoding is None, len(values), Counter(), None]
+            self.blocks.append(entry)
+            payload, info = real_block(
+                values, dtype, encoding, start_position, file_offset
+            )
+            entry[3] = info.encoding
+            return payload, info
+
+        def counting_sorted(iterable, key=None, reverse=False):
+            # a group's indexes, ordered by the run's sort keys
+            if getattr(key, "__name__", None) == "__getitem__":
+                self.sorts += 1
+            return builtins.sorted(iterable, key=key, reverse=reverse)
+
+        monkeypatch.setattr(manager_module, "sorted", counting_sorted, raising=False)
 
         monkeypatch.setattr(block_module, "encode_block", counting_block)
         # column_file imported the name: it is the caller that matters
@@ -135,13 +160,17 @@ class Spy:
         ones an encoder made of itself or of PLAIN underneath."""
 
         def counted(encoding, *args, **kwargs):
-            if self._depth == 0 and self.blocks:
+            top = self._depth == 0 and self.blocks
+            if top:
                 self.blocks[-1][2][method, encoding.name] += 1
             self._depth += 1
             try:
-                return real(encoding, *args, **kwargs)
+                result = real(encoding, *args, **kwargs)
             finally:
                 self._depth -= 1
+            if top and isinstance(result, int):
+                self.blocks[-1][2]["sized", encoding.name] += 1
+            return result
 
         return counted
 
@@ -151,26 +180,46 @@ def counters():
 
 
 def check_blocks(spy, moved):
-    """Every AUTO block: at most one trial per candidate, the winner's
-    trial output kept when it saw the whole block, PLAIN built once."""
+    """Every AUTO block: at most one trial per candidate; a winner its
+    trial sized by arithmetic built exactly once and such a loser never;
+    a zlib-staged winner's trial output kept when it saw the whole
+    block, built once more when it did not; PLAIN's bytes built at most
+    once for the sample and once for the block."""
     auto = [block for block in spy.blocks if block[0]]
     assert auto and len(spy.blocks) == moved["storage.blocks_encoded"]
     trials = 0
-    for _, rows, calls in auto:
+    for _, rows, calls, chosen in auto:
         tried = {name: n for (kind, name), n in calls.items() if kind == "trial"}
         assert set(tried) <= set(CANDIDATE_NAMES) and set(tried.values()) == {1}, calls
         trials += len(tried)
-        encodes = sum(n for (kind, _), n in calls.items() if kind == "encode")
+        sized = {name for kind, name in calls if kind == "sized"}
+        built = {name: n for (kind, name), n in calls.items() if kind == "encode"}
         whole_block_sampled = rows <= SAMPLE_SIZE
-        assert encodes == (0 if whole_block_sampled else 1), (rows, calls)
+        if chosen in sized or not whole_block_sampled:
+            assert built == {chosen: 1}, (rows, chosen, calls)
+        else:
+            assert built == {}, (rows, chosen, calls)
         assert calls["plain", "PLAIN"] <= (1 if whole_block_sampled else 2), calls
     assert trials == moved["storage.trial_encodes"]
     return auto
 
 
+def stored_blocks(db, projection_name):
+    """Blocks of every column (``_epoch`` too) of every container of a
+    projection copy, on every node."""
+    return sum(
+        len(container.column_reader(name).blocks)
+        for node in db.cluster.nodes
+        if projection_name in node.manager.projection_names()
+        for container in node.manager.storage(projection_name).containers.values()
+        for name in [*container.meta.columns, "_epoch"]
+    )
+
+
 def test_direct_load_hashes_sorts_and_encodes_once(db, monkeypatch):
     spy = Spy(monkeypatch)
     before = counters()
+    containers = METRICS.counter("storage.containers_written")
     db.load("t", make_rows(0, BIG_LOAD), direct_to_ros=True)
     db.load("t", make_rows(BIG_LOAD, SMALL_LOAD), direct_to_ros=True)
     moved = {name: METRICS.counter(name) - before[name] for name in COUNTERS}
@@ -179,8 +228,16 @@ def test_direct_load_hashes_sorts_and_encodes_once(db, monkeypatch):
     assert spy.hashes == moved["storage.ring_hashes"] == 2 * DISTINCT
     assert spy.sort_keys == 0 and spy.appends == 0
     auto = check_blocks(spy, moved)
-    assert any(rows > SAMPLE_SIZE for _, rows, _ in auto)
-    assert any(rows <= SAMPLE_SIZE for _, rows, _ in auto)
+    assert any(rows > SAMPLE_SIZE for _, rows, _, _ in auto)
+    assert any(rows <= SAMPLE_SIZE for _, rows, _, _ in auto)
+    # once per family: the primary's groups are sorted and its blocks
+    # encoded, the buddy publishes the same images
+    (family,) = db.cluster.catalog.families_for_table("t")
+    primary, buddy = family.all_copies
+    written = METRICS.counter("storage.containers_written") - containers
+    assert spy.sorts * 2 == written
+    assert moved["storage.blocks_encoded"] == stored_blocks(db, primary.name)
+    assert stored_blocks(db, buddy.name) == stored_blocks(db, primary.name)
     stored = sum(
         container.row_count
         for node in db.cluster.nodes

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from repro import types
 from repro.storage import encodings as enc
+from repro.storage.block import encode_block
 
 int_lists = st.lists(st.integers(min_value=-(2**62), max_value=2**62))
 float_lists = st.lists(st.floats(allow_nan=False, allow_infinity=False))
@@ -207,6 +208,22 @@ class TestAuto:
 
     def test_empty_block_gets_plain(self):
         assert enc.choose_encoding(types.INTEGER, []).name == "PLAIN"
+
+    def test_chooser_judges_the_sample_the_block_writer_does(self):
+        # NULLs first, then the sample: judged on the first SAMPLE_SIZE
+        # values, NULLs dropped after, the Designer saw 96 'a's (RLE)
+        # where the block writer sees 4000 distinct strings too
+        values = [None] * 4000 + ["a"] * 96 + [f"distinct_{i}" for i in range(4000)]
+        _, info = encode_block(values, types.VARCHAR, None, 0, 0)
+        chosen = enc.choose_encoding(types.VARCHAR, values)
+        assert chosen.name == info.encoding == "COMPRESSED_PLAIN"
+
+    def test_chooser_builds_no_winner(self, monkeypatch):
+        def built(*args):
+            raise AssertionError("the chooser built a payload")
+
+        monkeypatch.setattr(enc.RleEncoding, "encode", built)
+        assert enc.choose_encoding(types.VARCHAR, ["a"] * 5000).name == "RLE"
 
     @given(int_lists)
     @settings(max_examples=25)

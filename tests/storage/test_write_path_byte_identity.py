@@ -24,6 +24,16 @@ be).
 
 Five planted mutations of the product each fail the property; they run
 with the sanitizer off so that it is the bytes that catch them.
+
+AUTO sizes PLAIN, RLE, DELTAVAL and BLOCK_DICT by arithmetic instead of
+building them, which keeps its choices — and so the bytes — only if
+the arithmetic is exact: a fourth property holds each of those trials
+to the length of the payload its encoding writes, on drawn blocks of
+varint edges (127/128, 16383/16384, beyond 2**63), booleans, strings
+of 128 UTF-8 bytes and more, NaN and both zeros, mixed int/bool blocks,
+runs of 128 and more, and one-entry dictionaries (no code bits).  Two
+planted mutations of the arithmetic fail it.
+
 ``REPRO_FUZZ_SEEDS`` (tools/check.sh) adds seeded runs of each property.
 """
 
@@ -47,7 +57,7 @@ from repro.projections import (
 )
 from repro.storage import ROSContainer, StorageManager
 from repro.storage.block import BLOCK_ROWS
-from repro.storage.encodings import SAMPLE_SIZE
+from repro.storage.encodings import ENCODINGS, SAMPLE_SIZE, BlockFacts
 from repro.tuple_mover import MergePolicy, TupleMover
 from storage_helpers import run_of, run_of_records
 
@@ -390,3 +400,113 @@ def test_planted_mutation_fails_the_property(mutate, shape, tmp_path, monkeypatc
         mutate(monkeypatch)
         with pytest.raises(AssertionError, match="differs|different"):
             check_storage(shape, str(tmp_path / "mutant"))
+
+
+# -- exact sizes --------------------------------------------------------------
+
+#: The candidates AUTO sizes by arithmetic.
+CLOSED_FORM = ("PLAIN", "RLE", "DELTAVAL", "BLOCK_DICT")
+INT_EDGES = [
+    0, 1, -1, 63, 64, -64, -65, 127, 128, -128, 8191, 8192, 16383, 16384,
+    -16384, 2**21, 2**63 - 1, 2**63, -(2**63), 2**64, 2**70, -(2**70), 2**300,
+]
+STRING_EDGES = ["", "a", "zürich", "x" * 127, "x" * 128, "é" * 64, "東京" * 50, "y" * 20000]
+FLOAT_EDGES = [0.0, -0.0, float("inf"), float("-inf"), 1.5, -2.5e300]
+run_lengths = st.one_of(
+    st.integers(1, 4), st.sampled_from([127, 128, 129, 300, 16383, 16384])
+)
+block_values = st.sampled_from(
+    [
+        st.one_of(st.sampled_from(INT_EDGES), st.integers(-(2**80), 2**80)),
+        st.booleans(),
+        st.one_of(st.sampled_from(STRING_EDGES), st.text(max_size=150)),
+        # each NaN drawn is its own object, as a parsed one is
+        st.one_of(st.sampled_from(FLOAT_EDGES), st.floats(), st.just("nan")).map(
+            lambda value: float(value) if value == "nan" else value
+        ),
+        st.one_of(st.integers(-200, 200), st.booleans()),  # mixed kinds
+    ]
+).flatmap(
+    lambda values: st.one_of(
+        # runs of one value: RLE's lengths, one-entry dictionaries
+        st.lists(st.tuples(values, run_lengths), max_size=12).map(
+            lambda runs: [value for value, length in runs for _ in range(length)][
+                : 2 * BLOCK_ROWS
+            ]
+        ),
+        # no runs to speak of: dictionaries of up to 2**13 codes
+        st.lists(values, max_size=300),
+        st.integers(1, 5000).map(lambda count: list(range(-count // 2, count - count // 2))),
+    )
+)
+#: Blocks every run of the property checks, whatever is drawn; each
+#: planted mutation fails on one of them.
+SIZE_CORPUS = [
+    [7] * 300 + [8] * 3,
+    ["é" * 64] * 130 + ["a"],
+    list(range(-70, 70)),
+    [True] * 3 + [1] * 2 + [False],
+    [float("nan"), 0.0, -0.0, 0.0, float("nan")],
+    ["one entry"] * 9,
+]
+
+
+def check_sizes(values: list) -> None:
+    """Each closed-form candidate that applies: its trial is exactly the
+    length of the payload its encoding writes."""
+    kinds = set(map(type, values))
+    dtype = types.INTEGER if kinds <= {int} else types.VARCHAR
+    for name in CLOSED_FORM:
+        encoding = ENCODINGS[name]
+        if not encoding.supports(dtype, values, BlockFacts(values)):
+            continue
+        size = encoding.trial(values, BlockFacts(values))
+        payload = encoding.encode(values, BlockFacts(values))
+        assert isinstance(size, int), f"{name}: the trial built bytes"
+        assert size == len(payload), f"{name}: trial size {size} != {len(payload)}"
+        assert list(map(repr, encoding.decode(payload, len(values)))) == list(
+            map(repr, values)
+        ), f"{name}: round trip"
+
+
+@pytest.mark.parametrize("seed_index", range(len(EXTRA_SEEDS) + 1))
+def test_a_closed_form_trial_is_its_payload_length(seed_index):
+    for block in SIZE_CORPUS:
+        check_sizes(block)
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(block_values)
+    def run(values):
+        check_sizes(values)
+
+    if seed_index:
+        run = seed(EXTRA_SEEDS[seed_index - 1])(run)
+    run()
+
+
+def mutate_rle_lengths_one_byte_each(monkeypatch):
+    """A run length of 128 or more counted as one byte."""
+    from repro.storage.encodings import rle
+
+    monkeypatch.setattr(rle, "uvarints_size", len)
+
+
+def mutate_dictionary_codes_rounded_down(monkeypatch):
+    """The packed codes sized ``floor(n * w / 8)``."""
+    from repro.storage.encodings import dictionary
+
+    monkeypatch.setattr(
+        dictionary, "packed_size", lambda count, bit_width: count * bit_width // 8
+    )
+
+
+@pytest.mark.parametrize(
+    "mutate", [mutate_rle_lengths_one_byte_each, mutate_dictionary_codes_rounded_down]
+)
+def test_planted_size_mutation_fails_the_property(mutate, monkeypatch):
+    for block in SIZE_CORPUS:
+        check_sizes(block)
+    mutate(monkeypatch)
+    with pytest.raises(AssertionError, match="trial size"):
+        for block in SIZE_CORPUS:
+            check_sizes(block)

@@ -31,7 +31,8 @@ echo "== fuzz corpus against the oracle =="
 # Every fuzz query's answer must equal its plain-Python oracle; one
 # pinned extra seed and one derived from the commit SHA extend the base
 # corpus.  The same seeds drive the
-# write path's byte identity, column COPY against the per-line loader,
+# write path's byte identity, AUTO's closed-form trial sizes against the
+# payloads they stand for, column COPY against the per-line loader,
 # the group-key kernel and narrow projections against the super
 # projection alone.  Zero divergences required.
 echo "   extra seeds: 7, ${GIT_SEED} (git-derived)"

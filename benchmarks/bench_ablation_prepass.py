@@ -18,6 +18,7 @@ from repro.execution import (
     GroupByHashOperator,
     PrepassGroupByOperator,
     RowSource,
+    blocks_to_rows,
 )
 
 from conftest import print_table
@@ -36,7 +37,7 @@ def _run(cardinality: int):
     final = GroupByHashOperator(
         prepass, [C("g")], ["g"], aggregates, merge_partials=True
     )
-    out = final.rows()
+    out = blocks_to_rows(final.blocks())
     assert len(out) == cardinality
     assert sum(row["n"] for row in out) == ROWS
     return prepass

@@ -13,7 +13,15 @@ import time
 import pytest
 
 from repro import ColumnDef, Database, TableDefinition, types
-from repro.execution import ColumnRef, HashJoinOperator, JoinType, Literal, RowSource, ScanOperator
+from repro.execution import (
+    ColumnRef,
+    HashJoinOperator,
+    JoinType,
+    Literal,
+    RowSource,
+    ScanOperator,
+    blocks_to_rows,
+)
 
 from conftest import print_table
 
@@ -56,7 +64,7 @@ def _join(manager, epoch, use_sip: bool):
         sip = join.make_sip_filter([C("dim_id")])
         scan.sip_filters.append(sip)
     start = time.perf_counter()
-    rows = join.rows()
+    rows = blocks_to_rows(join.blocks())
     elapsed = (time.perf_counter() - start) * 1000
     return rows, scan, elapsed
 

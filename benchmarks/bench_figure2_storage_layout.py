@@ -13,6 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro import ColumnDef, Database, TableDefinition, types
+from repro.execution import ColumnRef, Literal
 from repro.projections import HashSegmentation
 
 from conftest import _emit, print_table
@@ -31,8 +32,7 @@ def db(tmp_path_factory):
         "readings",
         [ColumnDef("cid", types.INTEGER), ColumnDef("value", types.FLOAT),
          ColumnDef("month_key", types.INTEGER)],
-        partition_by=lambda row: row["month_key"],
-        partition_by_text="EXTRACT MONTH, YEAR FROM TIMESTAMP (as month_key)",
+        partition_by=ColumnRef("month_key"),
     )
     db.create_table(
         table,
@@ -119,7 +119,6 @@ def test_pruning_via_partition_minmax(benchmark, db):
     """Partition separation keeps min/max pruning effective: a
     one-month query touches one month's containers."""
     from repro.execution.executor import DistributedExecutor
-    from repro.execution import ColumnRef, Literal
     from repro.optimizer import ScanNode
 
     def run():
@@ -129,7 +128,7 @@ def test_pruning_via_partition_minmax(benchmark, db):
             predicate=ColumnRef("month_key") == Literal(201204),
         )
         executor = DistributedExecutor(db.cluster, db.latest_epoch)
-        rows = executor.run(db.planner().plan(plan))
+        rows = executor.run(db.planner().plan(plan)).to_rows()
         return executor, rows
 
     executor, rows = run()

@@ -29,6 +29,7 @@ from repro.execution import (
     PrepassGroupByOperator,
     ScanOperator,
     StorageUnionOperator,
+    blocks_to_rows,
 )
 
 C = ColumnRef
@@ -98,7 +99,7 @@ def test_handbuilt_figure3_tree(benchmark, db):
     plan = ParallelUnionOperator(pipelines, threads=2)
     _emit("\n=== Figure 3 — hand-built operator tree ===")
     _emit(plan.explain())
-    rows = plan.rows()
+    rows = blocks_to_rows(plan.blocks())
     # exactly the 20 small departments pass the HAVING filter
     assert sorted(row["dept_id"] for row in rows) == list(range(20))
     assert all(row["count"] == 3 for row in rows)

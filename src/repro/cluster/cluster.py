@@ -160,11 +160,12 @@ class Cluster:
     ) -> ProjectionFamily:
         """Register a table and build its super projection family
         (primary + K buddies), with storage on every node."""
+        from ..durability import encode_table
+
+        record = {"table": encode_table(table)}  # (refuses what a reopen could not read)
         self.catalog.add_table(table)
         if self.journal is not None:
-            from ..durability import encode_table
-
-            self.journal.log_ddl("create_table", {"table": encode_table(table)})
+            self.journal.log_ddl("create_table", record)
         primary = super_projection(
             table,
             sort_order=sort_order,
@@ -330,7 +331,7 @@ class Cluster:
         of the record alone: the transaction's statement order is not
         journalled), each a run built straight from the record's
         columns, into every projection copy; deletes mark the
-        record's row multiset by value
+        record's row multiset (columns too) by value
         (:meth:`StorageManager.delete_where`) in every copy, covered or
         narrow.
         """
@@ -382,7 +383,7 @@ class Cluster:
                     on_node(
                         node_index,
                         lambda manager: manager.delete_where(
-                            copy.name, delete["rows"], epoch, record["snapshot_epoch"]
+                            copy.name, delete["columns"], epoch, record["snapshot_epoch"]
                         ),
                     )
 
@@ -483,7 +484,7 @@ class Cluster:
     def commit_dml(
         self,
         inserts: dict[str, HistoryRun | list[dict]],
-        deletes: list[tuple[str, list[dict]]],
+        deletes: list[tuple[str, dict[str, list] | list[dict]]],
         snapshot_epoch: int,
         direct_to_ros: bool = False,
     ) -> int:
@@ -494,11 +495,12 @@ class Cluster:
         Returns the commit epoch.  ``inserts`` maps a table to the run a
         transaction buffered for it (row dicts from a direct caller are
         pivoted at the door, :meth:`table_run`); the record holds its
-        columns.  ``deletes`` is a list of (table, victim rows) pairs,
+        columns.  ``deletes`` is a list of (table, victim columns) pairs,
         one per table: the row multiset the transaction's DELETEs
         selected at ``snapshot_epoch``
         (:meth:`repro.core.database.Session.commit` finds it with a
-        Scan).  The record carries those rows, never a predicate.
+        Scan; a direct caller's victim rows are pivoted at the same
+        door).  The record carries those columns, never a predicate.
         """
         # Build: everything that can reject the commit runs here, with
         # the epoch clock, the membership and the journal untouched —
@@ -518,6 +520,10 @@ class Cluster:
                         [self.epochs.latest_queryable_epoch] * len(run), runs,
                     )
         inserts = {table_name: run.columns for table_name, run in runs.items()}
+        deletes = [
+            (name, rows if isinstance(rows, dict) else self.table_run(name, rows).columns)
+            for name, rows in deletes
+        ]
         receivers = set(self.membership.broadcast_commit())
         # a *delayed* delivery ejects the node (no 2PC retry) but the
         # late message still lands there; recovery truncates it back to
@@ -544,10 +550,7 @@ class Cluster:
                 "snapshot_epoch": snapshot_epoch,
                 "direct_to_ros": direct_to_ros,
                 "inserts": inserts,
-                "deletes": [
-                    {"table": table_name, "rows": rows}
-                    for table_name, rows in deletes
-                ],
+                "deletes": [{"table": name, "columns": columns} for name, columns in deletes],
             },
             only_nodes=appliers,
         )

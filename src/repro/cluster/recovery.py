@@ -240,7 +240,7 @@ def _replay_window(manager, projection_name, history, from_epoch, to_epoch):
             by_epoch.setdefault(delete_epoch, []).append(index)
     for delete_epoch, indexes in sorted(by_epoch.items()):
         manager.delete_where(
-            projection_name, list(history.take(indexes).rows()),
+            projection_name, history.take(indexes).columns,
             commit_epoch=delete_epoch, snapshot_epoch=delete_epoch - 1,
         )
     return len(loaded)

@@ -24,6 +24,7 @@ from ..monitor import METRICS, QueryProfile, build_query_profile
 from ..execution.expressions import ColumnRef, Expr, Literal, Or
 from ..execution.kernels.predicates import compile_kernel_predicate
 from ..execution.resource import ResourcePool, WorkloadPolicy
+from ..execution.row_block import RowBlock
 from ..optimizer import StarifiedOpt, StarOpt, StatsCatalog, V2Opt
 from ..optimizer.logical import LogicalNode, ProjectNode, ScanNode
 from ..optimizer.planner import _copy_nodes
@@ -479,12 +480,11 @@ class Session:
             pending_inserts=txn.pending_inserts,
             sql_text=sql_text or f"<update:{table}>",
         )
-        if updated:
-            run = self.db.cluster.table_run(table, updated)  # the one pivot
+        if updated.row_count:
             self._drop_own_inserts(txn, table, predicate)
             txn.buffer_delete(table, predicate, sql_text)
-            txn.buffer_insert(table, run)
-        return len(updated)
+            txn.buffer_insert(table, HistoryRun.stamped(updated.columns, 0))
+        return updated.row_count
 
     @staticmethod
     def _own_view(txn: Transaction, logical: LogicalNode) -> LogicalNode:
@@ -515,11 +515,11 @@ class Session:
             if not selection.is_empty:
                 txn.pending_inserts[table] = own.take(selection.invert().positions())
 
-    def _delete_victims(self, txn: Transaction) -> list[tuple[str, list[dict]]]:
+    def _delete_victims(self, txn: Transaction) -> list[tuple[str, dict]]:
         """Per table, the row multiset the transaction's DELETEs select
-        at its snapshot — one multiset per table, so a row two DELETEs
-        select is one victim.  The transaction's own pending inserts are
-        not candidates.
+        at its snapshot, as columns — one multiset per table, so a row
+        two DELETEs select is one victim.  The transaction's own pending
+        inserts are not candidates.
 
         Each table is read by one Scan of the OR of its predicates, which
         prunes containers, seeks the sort prefix and runs the kernel
@@ -535,7 +535,7 @@ class Session:
                 self.db.cluster.catalog.table(table).column_names,
                 _any_of(predicates),
             )
-            rows = self._execute(
+            found = self._execute(
                 scan,
                 txn.snapshot_epoch,
                 pending_inserts={},
@@ -543,7 +543,7 @@ class Session:
                     delete.sql_text or f"<delete:{table}>" for delete in deletes
                 ),
             )
-            victims.append((table, rows))
+            victims.append((table, found.columns))
         return victims
 
     # -- queries -----------------------------------------------------------------
@@ -560,7 +560,8 @@ class Session:
         Historical queries pass ``at_epoch`` ("a query executing in the
         recent past needs no locks and is assured of a consistent
         snapshot").  ``sql_text`` labels the query's profile in
-        ``v_monitor.query_profiles``.
+        ``v_monitor.query_profiles``.  The result is pivoted to row
+        dicts here, once, for the caller.
         """
         txn = self._active()
         if txn.isolation is IsolationLevel.SERIALIZABLE:
@@ -571,18 +572,13 @@ class Session:
             }:
                 self._acquire_lock(txn, table, LockMode.S)
         if at_epoch is not None:  # the past holds none of the transaction's writes
-            return self._execute(
-                logical, at_epoch, pending_inserts={},
-                sql_text=sql_text or f"<plan:{type(logical).__name__}>",
-                optimizer=optimizer,
+            view, epoch, pending = logical, at_epoch, {}
+        else:
+            view, epoch, pending = (
+                self._own_view(txn, logical), txn.snapshot_epoch, txn.pending_inserts
             )
-        return self._execute(
-            self._own_view(txn, logical),
-            txn.snapshot_epoch,
-            pending_inserts=txn.pending_inserts,
-            sql_text=sql_text or f"<plan:{type(logical).__name__}>",
-            optimizer=optimizer,
-        )
+        sql_text = sql_text or f"<plan:{type(logical).__name__}>"
+        return self._execute(view, epoch, pending, sql_text, optimizer).to_rows()
 
     def _execute(
         self,
@@ -591,9 +587,10 @@ class Session:
         pending_inserts: dict[str, HistoryRun],
         sql_text: str,
         optimizer: str | None = None,
-    ) -> list[dict]:
+    ) -> RowBlock:
         """Plan and run ``logical`` at ``epoch`` and record its profile —
-        a SELECT, and the reads of DELETE and UPDATE."""
+        a SELECT, and the reads of DELETE and UPDATE; the result is
+        columns (:meth:`DistributedExecutor.run`)."""
         plan = self.db.planner(optimizer).plan(logical)
         pool = ResourcePool(self.workload_policy or self.db.workload_policy)
         executor = DistributedExecutor(
@@ -604,7 +601,7 @@ class Session:
             cancel_token=self.cancel_token,
         )
         started = perf_counter()
-        rows = executor.run(plan)
+        result = executor.run(plan)
         wall = perf_counter() - started
         self.last_stats = executor.stats
         self.last_pool = pool
@@ -614,10 +611,10 @@ class Session:
             executor.root_operator,
             sql=sql_text,
             epoch=epoch,
-            rows_returned=len(rows),
+            rows_returned=result.row_count,
             wall_seconds=wall,
         )
-        return rows
+        return result
 
     def explain(self, logical: LogicalNode, optimizer: str | None = None) -> str:
         """Physical plan for a query under this session's database."""

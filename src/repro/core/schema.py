@@ -11,10 +11,13 @@ projection level, so bulk deletion stays fast on every projection).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING
 
 from ..errors import SqlAnalysisError
 from ..types import DataType
+
+if TYPE_CHECKING:
+    from ..execution.expressions import Expr
 
 
 @dataclass(frozen=True)
@@ -33,17 +36,16 @@ class ColumnDef:
 class TableDefinition:
     """A logical table: name, columns and optional partition expression.
 
-    ``partition_by`` maps a row (dict of column name -> value) to its
-    partition key; it models ``CREATE TABLE ... PARTITION BY <expr>``.
-    Most real partition expressions are date-derived (month/year); any
-    deterministic callable is accepted here.
+    ``partition_by`` is the :class:`Expr` of ``CREATE TABLE ...
+    PARTITION BY <expr>``, evaluated over a run's columns to give each
+    row its partition key (:meth:`partition_keys`).  Most real partition
+    expressions are date-derived (month/year).  The journal keeps its
+    SQL text (``repr``) and rebuilds it through the parser and analyzer.
     """
 
     name: str
     columns: list[ColumnDef]
-    partition_by: Callable[[dict], object] | None = None
-    #: Source text of the partition expression, for catalog display.
-    partition_by_text: str | None = None
+    partition_by: Expr | None = None
     #: Primary-key column names (used for constraint-aware planning).
     primary_key: tuple[str, ...] = field(default_factory=tuple)
 
@@ -54,6 +56,13 @@ class TableDefinition:
         for key in self.primary_key:
             if key not in names:
                 raise SqlAnalysisError(f"primary key column {key!r} not in table")
+        from ..execution.expressions import Expr
+
+        if not isinstance(self.partition_by, (Expr, type(None))):
+            raise TypeError(f"a partition expression is an Expr, not {self.partition_by!r}")
+        missing = sorted(set(self.partition_columns()) - set(names))
+        if missing:
+            raise SqlAnalysisError(f"partition expression reads {missing}, not in {self.name!r}")
 
     @property
     def column_names(self) -> list[str]:
@@ -71,21 +80,23 @@ class TableDefinition:
         """Whether the table defines a column called ``name``."""
         return any(column.name == name for column in self.columns)
 
-    def partition_key(self, row: dict):
-        """Partition key of ``row`` (None when the table is unpartitioned)."""
-        if self.partition_by is None:
-            return None
-        return self.partition_by(row)
+    def partition_keys(self, columns: dict[str, list], row_count: int) -> list:
+        """The partition key of each of ``row_count`` rows given as
+        ``columns`` (name -> values): the expression evaluated once over
+        them; None for each when the table is unpartitioned."""
+        from ..execution.row_block import RowBlock
+
+        if self.partition_by is None or not row_count:  # (an empty run has no columns)
+            return [None] * row_count
+        names = self.partition_columns()
+        return self.partition_by.evaluate(RowBlock({n: columns[n] for n in names}, row_count))
 
     def partition_columns(self) -> list[str]:
         """The columns the partition expression reads, which every
-        projection must store (a node keys a row from its own copy):
-        ``partition_by.referenced_columns()`` where the SQL path attached
-        it; an opaque callable may read any column, so all of them."""
+        projection must store (a node keys a row from its own copy)."""
         if self.partition_by is None:
             return []
-        referenced = getattr(self.partition_by, "referenced_columns", None)
-        return sorted(referenced()) if referenced else self.column_names
+        return sorted(self.partition_by.referenced_columns())
 
     def validate_columns(self, columns: dict[str, list]) -> dict[str, list]:
         """Type-check rows given as columns (name -> values) against the

@@ -3,21 +3,17 @@
 The journal stores catalog DDL as plain JSON so a cold start can
 rebuild :class:`~repro.core.catalog.Catalog` without importing pickled
 code.  Every field round-trips by value; data types are encoded by
-name and resolved through :func:`repro.types.type_from_name`.
-
-One documented limitation: ``TableDefinition.partition_by`` is an
-arbitrary Python callable and cannot be serialized.  The journal keeps
-``partition_by_text`` for catalog display, but a reopened table is
-unpartitioned — partition keys only influence how moveout groups rows
-into containers (and ``drop_partition``), never which rows are
-visible, so the differential oracles are unaffected.
+name and resolved through :func:`repro.types.type_from_name`; a table's
+partition expression as its SQL text (``repr`` of the ``Expr``), rebuilt
+by the parser and analyzer ``CREATE TABLE ... PARTITION BY`` runs — so
+:func:`encode_table` refuses an expression whose text does not read back.
 """
 
 from __future__ import annotations
 
 from ..core.catalog import Catalog
 from ..core.schema import ColumnDef, TableDefinition
-from ..errors import DurabilityError
+from ..errors import CatalogError, DurabilityError, ReproError
 from ..projections.projection import (
     PrejoinSpec,
     ProjectionColumn,
@@ -29,27 +25,39 @@ from ..types import type_from_name
 
 
 def encode_table(table: TableDefinition) -> dict:
-    """Encode a table definition as a JSON-safe dict."""
+    """Encode a table definition as a JSON-safe dict, refusing a partition
+    expression whose text does not read back (a reopen has only the text)."""
+    text = None if table.partition_by is None else repr(table.partition_by)
+    if repr(_partition_by(table.name, table.column_names, text)) != repr(table.partition_by):
+        raise CatalogError(f"partition expression {text} of {table.name!r} does not read back")
     return {
         "name": table.name,
         "columns": [[column.name, column.dtype.name] for column in table.columns],
-        "partition_by_text": table.partition_by_text,
+        "partition_by_text": text,
         "primary_key": list(table.primary_key),
     }
 
 
 def decode_table(payload: dict) -> TableDefinition:
-    """Rebuild a table definition (without its partition callable)."""
+    """Rebuild a table definition, its partition expression included."""
+    name, columns = payload["name"], payload["columns"]
     return TableDefinition(
-        name=payload["name"],
-        columns=[
-            ColumnDef(name, type_from_name(dtype))
-            for name, dtype in payload["columns"]
-        ],
-        partition_by=None,
-        partition_by_text=payload.get("partition_by_text"),
+        name=name,
+        columns=[ColumnDef(column, type_from_name(dtype)) for column, dtype in columns],
+        partition_by=_partition_by(name, [c for c, _ in columns], payload.get("partition_by_text")),
         primary_key=tuple(payload.get("primary_key", ())),
     )
+
+
+def _partition_by(table: str, columns: list[str], text: str | None):
+    """``text`` read as CREATE TABLE reads ``PARTITION BY``; None for display
+    text journalled before it was an Expr (reopened unpartitioned then too)."""
+    from ..sql.interface import partition_expression
+
+    try:
+        return None if text is None else partition_expression(table, columns, text)
+    except (ReproError, ValueError, TypeError):  # (a bad DATE literal, -'text')
+        return None
 
 
 def _encode_segmentation(scheme) -> dict:

@@ -25,8 +25,9 @@ Replay order (each step idempotent over what the previous recovered):
 4. **Replay the tail** — commit records with epochs past the floor go
    to :meth:`Cluster.apply_commit`, the method that applied them when
    they were first committed; replay adds only the clock, the floor
-   skip, the dropped-table filter and the pivot of inserts journalled
-   as row dicts (the form before records held columns).  The journal
+   skip, the dropped-table filter and the pivot of inserts and delete
+   victims journalled as row dicts (the form before records held
+   columns).  The journal
    itself was already cut to its last valid prefix when opened: a torn
    or bit-flipped record defines the recovery point, and every record
    after it is discarded.
@@ -224,29 +225,33 @@ def _replay_commit(
         for name, inserted in payload["inserts"].items()
         if not _skip_table(cluster, name, record.lsn, drop_lsn)
     }
-    deletes = [
-        delete
-        for delete in payload["deletes"]
-        if not _skip_table(cluster, delete["table"], record.lsn, drop_lsn)
-    ]
+    deletes = []
+    for delete in payload["deletes"]:
+        name = delete["table"]
+        if not _skip_table(cluster, name, record.lsn, drop_lsn):
+            victims = delete["columns"] if "columns" in delete else delete["rows"]
+            victims = _columns(cluster.catalog.table(name), victims)
+            deletes.append({"table": name, "columns": victims})
     cluster.apply_commit({**payload, "inserts": inserts, "deletes": deletes})
-    report.rows_reinserted += sum(
-        len(next(iter(columns.values()), ())) for columns in inserts.values()
-    )
-    report.rows_redeleted += sum(len(delete["rows"]) for delete in deletes)
+    report.rows_reinserted += sum(map(_row_count, inserts.values()))
+    report.rows_redeleted += sum(_row_count(delete["columns"]) for delete in deletes)
     report.commits_replayed += 1
 
 
-def _columns(table, inserted) -> dict[str, list]:
-    """One table's inserts in a commit record, as the columns
-    :meth:`Cluster.apply_commit` takes.  A record written before the
-    journal stored columns holds a list of row dicts: it is pivoted
+def _columns(table, journalled) -> dict[str, list]:
+    """One table's inserts or delete victims in a commit record, as the
+    columns :meth:`Cluster.apply_commit` takes.  A record written before
+    the journal stored columns holds a list of row dicts: it is pivoted
     here, once — the one place that form is read."""
-    if isinstance(inserted, list):
+    if isinstance(journalled, list):
         return HistoryRun.from_rows(
-            table.column_names, inserted, [0] * len(inserted)
+            table.column_names, journalled, [0] * len(journalled)
         ).columns
-    return inserted
+    return journalled
+
+
+def _row_count(columns: dict[str, list]) -> int:
+    return len(next(iter(columns.values()), ()))
 
 
 def _skip_table(cluster, table_name, lsn, drop_lsn) -> bool:

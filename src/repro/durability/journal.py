@@ -231,11 +231,11 @@ class Journal:
         at commit time and again at cold start: per table its checked
         inserts as columns, ``{column: [values]}`` (so a column name is
         written once per table, not once per row), and, per table a
-        transaction deleted from as a (table, rows) pair, the row
-        multiset its predicates selected at the snapshot — a predicate
-        may be an arbitrary callable and is never journalled.  Records
-        written before the inserts were columns hold a list of row dicts
-        per table; cold start reads both.
+        transaction deleted from as a (table, columns) pair, the row
+        multiset its predicates selected at the snapshot, as columns too
+        — a predicate is never journalled.  Records written before the
+        inserts (or the deletes) were columns hold row dicts; cold start
+        reads both.
         """
         return self._append(
             "commit",
@@ -244,9 +244,7 @@ class Journal:
                 "snapshot_epoch": snapshot_epoch,
                 "direct_to_ros": direct_to_ros,
                 "inserts": inserts,
-                "deletes": [
-                    {"table": table, "rows": list(rows)} for table, rows in deletes
-                ],
+                "deletes": [{"table": table, "columns": columns} for table, columns in deletes],
             },
         )
 

@@ -56,6 +56,7 @@ from .operators import (
     UnionAllOperator,
 )
 from .resource import ResourcePool
+from .row_block import RowBlock
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
     from ..storage import HistoryRun
@@ -160,8 +161,9 @@ class DistributedExecutor:
                 op.cancel_token = self.cancel_token
         return root
 
-    def run(self, plan) -> list[dict]:
-        """Execute and materialize the result rows, failing over to
+    def run(self, plan) -> RowBlock:
+        """Execute and materialize the result as one block of plain
+        column lists (no columns when it is empty), failing over to
         buddy copies when a node dies mid-query.
 
         A scan or exchange that hits a dead/ejected node (or an armed
@@ -199,7 +201,7 @@ class DistributedExecutor:
                     # failover net (and inside the attempt span).
                     operator = self.operator(plan)
                     self.root_operator = operator
-                    rows = operator.rows()
+                    blocks = list(operator.blocks())
                     if attempt_span is not None:
                         record_plan_spans(
                             TRACER.active, operator, attempt_span
@@ -238,7 +240,7 @@ class DistributedExecutor:
                 self.stats = ExecutorStats()
                 continue
             self.stats.finalize()
-            return rows
+            return RowBlock.concat(blocks) if blocks else RowBlock.empty([])
 
     # -- helpers ----------------------------------------------------------
 

@@ -115,7 +115,14 @@ class ColumnRef(Expr):
         return {self.name}
 
     def __repr__(self):
-        return self.name
+        return _sql_name(self.name)  # (a keyword double-quoted)
+
+
+def _sql_name(name: str) -> str:
+    global _sql_name  # the lexer's, bound at first use: repro.sql imports this module
+    from ..sql.lexer import sql_name as _sql_name
+
+    return _sql_name(name)
 
 
 class Literal(Expr):
@@ -136,7 +143,11 @@ class Literal(Expr):
         return set()
 
     def __repr__(self):
-        return repr(self.value)
+        # an expression's repr is SQL the parser reads back: the journal
+        # keeps a partition expression so (``durability.codec`` checks it)
+        if isinstance(self.value, str):
+            return "'" + self.value.replace("'", "''") + "'"
+        return "NULL" if self.value is None else repr(self.value)
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +247,8 @@ class InList(Expr):
         return self.value.referenced_columns()
 
     def __repr__(self):
-        return f"({self.value!r} IN {sorted(map(repr, self.options))})"
+        options = ", ".join(sorted(repr(Literal(option)) for option in self.options))
+        return f"({self.value!r} IN ({options}))"
 
 
 class IsNull(Expr):
@@ -508,7 +520,7 @@ class Like(Expr):
 
     def __repr__(self):
         middle = "NOT LIKE" if self.negated else "LIKE"
-        return f"({self.value!r} {middle} {self.pattern!r})"
+        return f"({self.value!r} {middle} {Literal(self.pattern)!r})"
 
 
 class CaseWhen(Expr):

@@ -94,13 +94,6 @@ class Operator:
     def __iter__(self):
         return self.blocks()
 
-    def rows(self):
-        """Materialize the operator's full output as row dicts."""
-        out: list[dict] = []
-        for block in self.blocks():
-            out.extend(block.to_rows())
-        return out
-
     # -- plan display ------------------------------------------------------
 
     def label(self) -> str:

@@ -83,10 +83,6 @@ class RowBlock:
             for index in range(self.row_count)
         ]
 
-    def row(self, index: int) -> tuple:
-        """One row as a tuple in column order."""
-        return tuple(self.columns[name][index] for name in self.column_names)
-
     def select_rows(self, keep: list[int]) -> "RowBlock":
         """A new block containing only the rows at the given indexes."""
         return RowBlock(

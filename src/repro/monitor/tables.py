@@ -66,6 +66,7 @@ metrics registry at module load.
 from __future__ import annotations
 
 from ..errors import SqlAnalysisError, UnknownObjectError
+from ..execution.row_block import RowBlock
 from ..types import sort_permutation
 
 #: Schema name all virtual tables live under.
@@ -398,25 +399,21 @@ def _locks_rows(db) -> list[dict]:
 def _node_states_rows(db) -> list[dict]:
     cluster = db.cluster
     now = cluster.clock.now
-    rows = []
-    for index, record in sorted(cluster.supervisor.states().items()):
-        rows.append(
-            {
-                "node_name": cluster.nodes[index].name,
-                "node_index": index,
-                "is_up": cluster.membership.is_up(index),
-                "supervisor_state": record.state,
-                "recovery_attempts": record.recovery_attempts,
-                "next_attempt_tick": record.next_attempt_tick,
-                "last_transition_tick": record.last_transition_tick,
-                "heartbeat_age": cluster.membership.heartbeat_age(index, now),
-                "missed_heartbeats": cluster.membership.missed_heartbeats.get(
-                    index, 0
-                ),
-                "last_error": record.last_error,
-            }
-        )
-    return rows
+    return [
+        {
+            "node_name": cluster.nodes[index].name,
+            "node_index": index,
+            "is_up": cluster.membership.is_up(index),
+            "supervisor_state": record.state,
+            "recovery_attempts": record.recovery_attempts,
+            "next_attempt_tick": record.next_attempt_tick,
+            "last_transition_tick": record.last_transition_tick,
+            "heartbeat_age": cluster.membership.heartbeat_age(index, now),
+            "missed_heartbeats": cluster.membership.missed_heartbeats.get(index, 0),
+            "last_error": record.last_error,
+        }
+        for index, record in sorted(cluster.supervisor.states().items())
+    ]
 
 
 def _sessions_rows(db) -> list[dict]:
@@ -644,55 +641,33 @@ def execute_monitor_select(session, statement) -> list[dict]:
     columns, rows = table_rows(session.db, ref.table)
     scope = monitor_scope(ref, columns)
     analyzer = Analyzer(session.db.cluster.catalog)
+    # the virtual table as one block: every expression below is
+    # evaluated once over it, a column at a time
+    block = RowBlock({name: [row[name] for row in rows] for name in columns}, len(rows))
 
     if statement.where is not None:
-        predicate = analyzer.convert(statement.where, scope)
-        rows = [row for row in rows if predicate.evaluate_row(row) is True]
+        passed = analyzer.convert(statement.where, scope).evaluate(block)
+        block = block.select_rows([i for i, value in enumerate(passed) if value is True])
 
-    if statement.order_by and rows:
-        keys = [
-            list(map(analyzer.convert(expr, scope).evaluate_row, rows))
-            for expr, _ in statement.order_by
-        ]
+    if statement.order_by and block.row_count:
+        keys = [analyzer.convert(expr, scope).evaluate(block) for expr, _ in statement.order_by]
         order = sort_permutation(keys, [not asc for _, asc in statement.order_by])
-        rows = list(map(rows.__getitem__, order))
+        block = block.select_rows(order)
 
-    out_names: list[str] = []
-    out_exprs: list = []
+    out: dict[str, list] = {}
     for index, item in enumerate(statement.items):
         if isinstance(item.expr, ast.Star):
-            for column in columns:
-                out_names.append(column)
-                out_exprs.append(None)
+            out.update(block.columns)
             continue
-        if item.alias:
-            name = item.alias
-        elif isinstance(item.expr, ast.Identifier):
-            name = item.expr.name
-        else:
-            name = f"col{index + 1}"
-        out_names.append(name)
-        out_exprs.append(analyzer.convert(item.expr, scope))
-
-    projected = []
-    for row in rows:
-        out: dict = {}
-        for name, compiled in zip(out_names, out_exprs):
-            out[name] = row[name] if compiled is None else compiled.evaluate_row(row)
-        projected.append(out)
+        identifier = isinstance(item.expr, ast.Identifier)
+        name = item.alias or (item.expr.name if identifier else f"col{index + 1}")
+        out[name] = analyzer.convert(item.expr, scope).evaluate(block)
+    projected = RowBlock(out, block.row_count).to_rows()
 
     if statement.distinct:
-        seen = set()
-        unique = []
+        first: dict[tuple, dict] = {}
         for row in projected:
-            fingerprint = tuple(repr(row[name]) for name in out_names)
-            if fingerprint not in seen:
-                seen.add(fingerprint)
-                unique.append(row)
-        projected = unique
+            first.setdefault(tuple(map(repr, row.values())), row)
+        projected = list(first.values())
 
-    if statement.offset:
-        projected = projected[statement.offset :]
-    if statement.limit is not None:
-        projected = projected[: statement.limit]
-    return projected
+    return projected[statement.offset or 0 :][: statement.limit]  # (a None limit keeps all)

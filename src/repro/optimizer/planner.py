@@ -10,7 +10,6 @@ and lives here.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
 
 from ..errors import PlanningError
 from ..execution.expressions import ColumnRef, Expr
@@ -78,14 +77,6 @@ def _copy_nodes(node: LogicalNode) -> LogicalNode:
     clone.children = [_copy_nodes(child) for child in node.children]
     _resync_child_fields(clone)
     return clone
-
-
-@dataclass
-class PlannedJoinSide:
-    """A physical subtree plus its planning metadata."""
-
-    plan: P.PhysicalNode
-    est_rows: float
 
 
 class PlannerBase:

@@ -147,18 +147,11 @@ class SqlService:
         discover it at commit, after doing work), and steps back up
         automatically when quorum has returned.
         """
-        has_quorum = self.db.cluster.membership.has_quorum()
+        if self.db.cluster.membership.has_quorum():
+            self.exit_read_only()  # quorum returned: step back up and let the write run
+        else:
+            self.enter_read_only("quorum lost")
         with self._mutex:
-            if not has_quorum and not self._read_only:
-                self._read_only = True
-                self._read_only_reason = "quorum lost"
-                METRICS.inc("service.read_only_entered")
-                METRICS.set_gauge("service.read_only", 1)
-            if self._read_only and has_quorum:
-                # quorum returned: step back up and let the write run.
-                self._read_only = False
-                self._read_only_reason = ""
-                METRICS.set_gauge("service.read_only", 0)
             if self._read_only:
                 raise ReadOnlyModeError(
                     f"service is read-only ({self._read_only_reason}); "
@@ -169,19 +162,17 @@ class SqlService:
 
     def session_rows(self) -> list[dict]:
         """One dict per live session for ``v_monitor.sessions``."""
-        rows = []
-        for session in self.sessions():
-            rows.append(
-                {
-                    "session_id": session.session_id,
-                    "state": session.state,
-                    "pool_name": session.pool,
-                    "isolation": session.isolation.name,
-                    "txn_id": session.txn_id,
-                    "current_statement": session.current_statement,
-                    "statements_run": session.statements_run,
-                    "statements_failed": session.statements_failed,
-                    "last_error": session.last_error,
-                }
-            )
-        return rows
+        return [
+            {
+                "session_id": session.session_id,
+                "state": session.state,
+                "pool_name": session.pool,
+                "isolation": session.isolation.name,
+                "txn_id": session.txn_id,
+                "current_statement": session.current_statement,
+                "statements_run": session.statements_run,
+                "statements_failed": session.statements_failed,
+                "last_error": session.last_error,
+            }
+            for session in self.sessions()
+        ]

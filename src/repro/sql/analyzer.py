@@ -189,12 +189,10 @@ class Analyzer:
             )
             return Not(expr) if node.negated else expr
         if isinstance(node, ast.InExpr):
-            values = []
-            for option in node.options:
-                if not isinstance(option, ast.Constant):
-                    raise SqlAnalysisError("IN list must contain constants")
-                values.append(option.value)
-            expr = InList(self.convert(node.value, scope), values)
+            values = [self.convert(option, scope) for option in node.options]
+            if not all(isinstance(value, Literal) for value in values):  # (-1 folds to one)
+                raise SqlAnalysisError("IN list must contain constants")
+            expr = InList(self.convert(node.value, scope), [v.value for v in values])
             return Not(expr) if node.negated else expr
         if isinstance(node, ast.IsNullExpr):
             return IsNull(self.convert(node.value, scope), node.negated)

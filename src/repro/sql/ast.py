@@ -187,7 +187,6 @@ class CreateTableStatement:
     columns: list[ColumnSpec]
     primary_key: list[str] = field(default_factory=list)
     partition_by: SqlExpr | None = None
-    partition_by_text: str | None = None
 
 
 @dataclass

@@ -16,12 +16,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 from ..core.schema import ColumnDef, TableDefinition
 from ..errors import LoadError, SqlAnalysisError
+from ..execution.expressions import Expr
 from ..projections import HashSegmentation, ProjectionColumn, ProjectionDefinition, Replicated
 from ..storage import HistoryRun
 from ..types import type_from_name
 from . import ast
 from .analyzer import Analyzer, Scope, _FromItem
-from .parser import parse
+from .parser import parse, parse_expression
 
 
 @dataclass
@@ -210,7 +211,7 @@ def _execute_statement(session, text, copy_rows, trace, info=None, statement=Non
         return None
 
     if isinstance(statement, ast.CreateTableStatement):
-        return _create_table(db, analyzer, statement)
+        return _create_table(db, statement)
 
     if isinstance(statement, ast.CreateProjectionStatement):
         return _create_projection(db, statement)
@@ -264,28 +265,33 @@ def _always_true():
     return Literal(True)
 
 
-def _create_table(db, analyzer, statement: ast.CreateTableStatement):
+def partition_expression(
+    table: str, names: list[str], node: ast.SqlExpr | str
+) -> Expr:
+    """The ``PARTITION BY`` of table ``table`` as an :class:`Expr` over
+    its columns ``names``: CREATE TABLE's parsed expression, or the
+    text the journal keeps of it (parsed here)."""
+    if isinstance(node, str):
+        node = parse_expression(node)
+    scope = Scope([_FromItem(ast.TableRef(table), names)])
+    return Analyzer(None).convert(node, scope)
+
+
+def _create_table(db, statement: ast.CreateTableStatement):
     columns = [
         ColumnDef(spec.name, type_from_name(spec.type_name))
         for spec in statement.columns
     ]
-    partition_fn = None
+    partition_by = None
     if statement.partition_by is not None:
-        names = [spec.name for spec in statement.columns]
-        scope = Scope([_FromItem(ast.TableRef(statement.name), names)])
-        expr = analyzer.convert(statement.partition_by, scope)
-
-        def partition_fn(row, _expr=expr):
-            return _expr.evaluate_row(row)
-
-        # what TableDefinition.partition_columns() reads
-        partition_fn.referenced_columns = expr.referenced_columns
-
+        partition_by = partition_expression(
+            statement.name, [spec.name for spec in statement.columns],
+            statement.partition_by,
+        )
     table = TableDefinition(
         statement.name,
         columns,
-        partition_by=partition_fn,
-        partition_by_text=statement.partition_by_text,
+        partition_by=partition_by,
         primary_key=tuple(statement.primary_key),
     )
     encodings = {

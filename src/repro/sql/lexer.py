@@ -9,6 +9,7 @@ experiments need.)
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from ..errors import SqlSyntaxError
 
@@ -42,6 +43,16 @@ class Token:
         if self.kind != kind:
             return False
         return value is None or self.value == value
+
+
+@lru_cache(maxsize=4096)
+def sql_name(name: str) -> str:
+    """``name`` double-quoted unless each dotted part is one plain, non-keyword word."""
+    plain = (
+        (w[:1].isalpha() or w[:1] == "_") and w.upper() not in KEYWORDS
+        and all(c.isalnum() or c == "_" for c in w) for w in name.split(".")
+    )
+    return name if all(plain) else f'"{name}"'
 
 
 def tokenize(text: str) -> list[Token]:

@@ -291,14 +291,9 @@ class Parser:
                 break
         self.expect("op", ")")
         partition_by = None
-        partition_text = None
         if self.accept_keyword("PARTITION", "BY"):
-            start = self.peek().position
             partition_by = self._expr()
-            partition_text = self.text[start : self.peek().position].strip()
-        return ast.CreateTableStatement(
-            name, columns, primary_key, partition_by, partition_text
-        )
+        return ast.CreateTableStatement(name, columns, primary_key, partition_by)
 
     def _create_projection(self) -> ast.CreateProjectionStatement:
         self.expect("keyword", "PROJECTION")
@@ -540,3 +535,11 @@ class Parser:
 def parse(text: str):
     """Parse one SQL statement."""
     return Parser(text).parse_statement()
+
+
+def parse_expression(text: str) -> ast.SqlExpr:
+    """Parse one scalar expression (a journalled ``PARTITION BY``)."""
+    parser = Parser(text)
+    expr = parser._expr()
+    parser.expect("eof")
+    return expr

@@ -246,7 +246,7 @@ class StorageManager:
         on a node with one local segment."""
         partitions = segments = None
         if state.table.partition_by is not None:
-            partitions = list(map(state.table.partition_by, run.rows()))
+            partitions = state.table.partition_keys(run.columns, len(run))
         scheme = state.projection.segmentation
         if self.segments_per_node > 1 and isinstance(scheme, HashSegmentation):
             positions = run.positions or scheme.ring_positions(run.columns)
@@ -267,9 +267,9 @@ class StorageManager:
         group.  The one place unsorted rows become containers: direct
         loads, WOS overflow, moveout, recovery, refresh and rebalance
         write through it.  Groups are index lists and the sort is a
-        permutation over the sort-key columns: no row is built (unless
-        the table is partitioned — a partition expression is a callable
-        over a row) and no key tuple per comparison.
+        permutation over the sort-key columns: no row is built and no key
+        tuple per comparison; a partition expression is evaluated once
+        over the run's columns.
 
         Of a run handed to every copy of a family
         (:meth:`HistoryRun.shared`: a commit's, a recovery's) the sorted
@@ -483,17 +483,17 @@ class StorageManager:
     def delete_where(
         self,
         projection_name: str,
-        rows: list[dict],
+        victims: dict[str, list],
         commit_epoch: int,
         snapshot_epoch: int,
     ) -> int:
-        """Mark the row multiset ``rows`` deleted at ``commit_epoch``, by
-        value, among the rows visible at ``snapshot_epoch`` (delete never
-        modifies storage; it appends delete vectors).  Returns the
-        number of rows marked.
+        """Mark the row multiset ``victims`` (columns: name -> values)
+        deleted at ``commit_epoch``, by value, among the rows visible at
+        ``snapshot_epoch`` (delete never modifies storage; it appends
+        delete vectors).  Returns the number of rows marked.
 
-        Rows match on the copy's columns they carry (a prejoin copy on
-        its own columns, a narrow copy on its subset), keyed by ``repr``
+        Rows match on the copy's columns the victims carry (a prejoin
+        copy on its own columns, a narrow copy on its subset), keyed by ``repr``
         of each value, one budget per call: a stored row is marked while
         its key has budget left — WOS first, then containers by
         ascending id, positions ascending, so a live commit and its
@@ -503,10 +503,11 @@ class StorageManager:
         rows the columns before it left.
         """
         state = self._state(projection_name)
-        if not rows:
+        names = [n for n in state.projection.column_names if n in victims]
+        if not names or not victims[names[0]]:
             return 0
-        names = [n for n in state.projection.column_names if n in rows[0]]
-        budget = Counter(tuple(repr(row[name]) for name in names) for row in rows)
+        count = len(victims[names[0]])
+        budget = Counter(zip(*(map(repr, victims[name]) for name in names)))
         wanted = list(map(set, zip(*budget)))  # per column: the victims' reprs
         deleted = 0
 
@@ -539,13 +540,13 @@ class StorageManager:
                 deleted += 1
         bounds = {}
         for name in names:
-            values = [row[name] for row in rows]
+            values = victims[name]
             # NULL and NaN order against nothing: no bound through them
             if not any(value is None or value != value for value in values):
                 bounds[name] = min(values), max(values)
         for container_id in sorted(state.containers):
             container = state.containers[container_id]
-            if deleted == len(rows) or not all(
+            if deleted == count or not all(
                 container.may_contain(name, low, high)
                 for name, (low, high) in bounds.items()
             ):
@@ -1146,7 +1147,8 @@ class StorageManager:
         self.remove_containers(projection_name, victims)
         # WOS rows of that partition are dropped too (rare path: data
         # normally reaches ROS before partition drops happen).
-        keys = map(state.table.partition_key, state.wos.run.rows())
+        run = state.wos.run
+        keys = state.table.partition_keys(run.columns, len(run))
         return reclaimed + state.wos.keep(
             [index for index, key in enumerate(keys) if key != partition_key]
         )

@@ -179,9 +179,8 @@ class HistoryRun:
         return kept
 
     def rows(self):
-        """Iterate the run as fresh row dicts, built one at a time —
-        for what is a function of a row: a partition expression, the
-        victims of a by-value delete."""
+        """Iterate the run as fresh row dicts, built one at a time — for
+        tests and oracles: nothing in the product reads a run by row."""
         values = zip(*self.columns.values())
         return map(dict, map(zip, repeat(list(self.columns)), values))
 

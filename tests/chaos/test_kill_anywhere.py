@@ -66,15 +66,17 @@ DURABILITY_POINTS = {
 }
 
 #: Upper bound (exclusive) for the seeded skip at each point: at most
-#: the number of times the fault-free workload fires it (11, 11, 2, 2,
-#: 7 and 22), so the fault always lands.  ``journal.commit.apply``
-#: takes its full count so the sweep can cut the localized DELETE (its
-#: last fire) between journal and apply: pinned seed 11 does — the
-#: reopen must replay that DELETE by value — and pinned seed 23 cuts
-#: the two-table commit.
+#: the number of times the fault-free workload fires it (12, 12, 2, 2,
+#: 8 and 22), so the fault always lands.  The journal appends reach the
+#: UPDATE's record (the last but one): pinned seed 11 tears its staging
+#: file and bit-flips ``t2``'s ``create_table`` record, pinned seed 23
+#: bit-flips the UPDATE's.  ``journal.commit.apply`` stops short of the
+#: UPDATE so the sweep can cut the localized DELETE between journal and
+#: apply: pinned seed 11 does — the reopen must replay that DELETE by
+#: value — and pinned seed 23 cuts the two-table commit.
 SKIP_RANGE = {
-    "journal.append.stage": 10,
-    "journal.append.publish": 10,
+    "journal.append.stage": 11,
+    "journal.append.publish": 11,
     "journal.checkpoint.stage": 2,
     "journal.checkpoint.publish": 2,
     "journal.commit.apply": 7,
@@ -109,14 +111,22 @@ def load_both(db):
 
 
 #: Fixed workload: WOS loads, a mover cycle (floor + checkpoint), a
-#: scattered delete, mid-stream DDL, a two-table commit, a direct-to-ROS
-#: load, a localized delete, a second mover cycle.
+#: scattered delete, mid-stream DDL (``t2``, partitioned by an
+#: expression the journal keeps as SQL), a two-table commit, a
+#: direct-to-ROS load, a localized delete, an UPDATE of the partitioned
+#: table (its victims and new rows both columns in one record), a second
+#: mover cycle.
 OPS = [
     ("load-wos-1", lambda db: db.load("t", rows(15))),
     ("movers-1", lambda db: db.run_tuple_movers()),
     ("load-wos-2", lambda db: db.load("t", rows(15, start=15))),
     ("delete", lambda db: db.sql("DELETE FROM t WHERE k % 5 = 1")),
-    ("create-t2", lambda db: db.create_table(table("t2"), sort_order=["k"])),
+    (
+        "create-t2",
+        lambda db: db.sql(
+            "CREATE TABLE t2 (k INTEGER, v VARCHAR, PRIMARY KEY (k)) PARTITION BY k % 3"
+        ),
+    ),
     ("load-t2", lambda db: db.load("t2", rows(10))),
     ("load-both", load_both),
     (
@@ -127,13 +137,15 @@ OPS = [
     # containers; every other container of every copy is skipped on
     # its (min, max) by the live apply and again by its replay
     ("delete-range", lambda db: db.sql("DELETE FROM t WHERE k BETWEEN 32 AND 34")),
+    ("update-t2", lambda db: db.sql("UPDATE t2 SET v = 'u' WHERE k % 3 = 1")),
     ("movers-2", lambda db: db.run_tuple_movers()),
 ]
 
 
 def capture(db):
-    """Every table's rows, and what each projection copy on each node
-    shows (the oracle has the SUT's topology, so placement agrees)."""
+    """Every table's rows, what each projection copy on each node shows
+    and the partition keys of its containers (the oracle has the SUT's
+    topology, so placement agrees)."""
     epoch = db.latest_epoch
     state = {"tables": sorted(db.cluster.catalog.tables)}
     for name in state["tables"]:
@@ -146,6 +158,11 @@ def capture(db):
             tuple(sorted(row.items()))
             for row in node.manager.read_visible_rows(copy.name, epoch)
         )
+        for node in db.cluster.nodes
+        for copy in db.cluster.catalog.all_projections()
+    }
+    state["partitions"] = {
+        f"node{node.index}:{copy.name}": node.manager.partition_keys(copy.name)
         for node in db.cluster.nodes
         for copy in db.cluster.catalog.all_projections()
     }
@@ -327,7 +344,7 @@ class TestExchangeFailover:
         join.sip = False
         executor = DistributedExecutor(db.cluster, db.latest_epoch)
         return sorted(
-            tuple(sorted(row.items())) for row in executor.run(physical)
+            tuple(sorted(row.items())) for row in executor.run(physical).to_rows()
         )
 
     def test_exchange_crash_fails_over(self, tmp_path):

@@ -12,6 +12,7 @@ from repro.execution import (
     GroupByHashOperator,
     RowBlock,
     RowSource,
+    blocks_to_rows,
 )
 
 C = ColumnRef
@@ -76,11 +77,11 @@ class TestUserAggregates:
     def test_register_and_group_by(self):
         sdk.register_aggregate("second_largest", _SecondLargest)
         rows = [{"g": i % 2, "v": i} for i in range(10)]
-        out = GroupByHashOperator(
+        out = blocks_to_rows(GroupByHashOperator(
             RowSource(rows, ["g", "v"]),
             [C("g")], ["g"],
             [AggregateSpec("SECOND_LARGEST", C("v"), "sl")],
-        ).rows()
+        ).blocks())
         got = {row["g"]: row["sl"] for row in out}
         assert got == {0: 6, 1: 7}
 

@@ -16,6 +16,7 @@ from repro.errors import (
     SqlAnalysisError,
     UnknownObjectError,
 )
+from repro.execution import Arithmetic, ColumnRef, Literal
 from repro.projections import ProjectionFamily, super_projection
 
 
@@ -194,11 +195,16 @@ class TestTableDefinition:
         table = TableDefinition(
             "t",
             [ColumnDef("m", types.INTEGER)],
-            partition_by=lambda row: row["m"] % 12,
+            partition_by=Arithmetic("%", ColumnRef("m"), Literal(12)),
         )
-        assert table.partition_key({"m": 25}) == 1
+        assert table.partition_keys({"m": [25, 12, None]}, 3) == [1, 0, None]
+        assert table.partition_columns() == ["m"]
         unpartitioned = TableDefinition("u", [ColumnDef("m", types.INTEGER)])
-        assert unpartitioned.partition_key({"m": 25}) is None
+        assert unpartitioned.partition_keys({"m": [25]}, 1) == [None]
+        with pytest.raises(TypeError, match="partition expression is an Expr"):
+            TableDefinition(
+                "v", [ColumnDef("m", types.INTEGER)], partition_by=lambda row: 0
+            )
 
 
 class TestCatalog:

@@ -8,7 +8,7 @@ dictionary-coded in ROS.  Each is a broadcast hash join under a GroupBy.
 Per statement:
 
 * no block becomes row dicts — ``RowBlock.to_rows`` sees only the
-  statement's result and ``RowBlock.from_rows`` nothing;
+  statement's result, once, and ``RowBlock.from_rows`` nothing;
 * the broadcast inner is hashed once, though three fragments probe it;
 * every probe block is a kernel block;
 * the SIP filter makes at most one membership test per dictionary
@@ -195,7 +195,7 @@ def test_a_join_gathers_and_builds_no_row(loaded, spies, name):
         op.children[0].blocks_produced for op in joins
     )
     assert spies["from_rows"] == 0
-    assert len(spies["to_rows"]) == root.blocks_produced  # the result, only
+    assert len(spies["to_rows"]) == 1  # the result, pivoted once in Session.query
     for column, row_count, tests in spies["sip"]:
         assert tests <= _values_tested(column, row_count), (type(column), row_count)
 

@@ -11,7 +11,7 @@ join switched to merge by a one-row budget, a spilling GROUP BY, SELECT
 DISTINCT and COUNT(DISTINCT):
 
 * no block is built from row dicts (``RowBlock.from_rows``);
-* only the result's blocks become row dicts (``RowBlock.to_rows``);
+* only the result becomes row dicts, in one ``RowBlock.to_rows``;
 * no expression is evaluated a row at a time (``Expr.evaluate_row``);
 * the answer is the reference, computed in plain Python.
 """
@@ -202,7 +202,7 @@ def _run(db, sql, memory_rows=None):
 def _assert_columnar(spies):
     (root,) = spies["roots"]
     assert spies["from_rows"] == 0
-    assert len(spies["to_rows"]) == root.blocks_produced  # the result, only
+    assert len(spies["to_rows"]) == 1  # the result, pivoted once in Session.query
     assert spies["evaluate_row"] == 0
     return list(root.walk())
 

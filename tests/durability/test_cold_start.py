@@ -474,6 +474,31 @@ class TestCrashPoints:
         assert reopened.replay_report.truncated_records == 0
         assert capture(reopened) == before
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP 1(a): a checkpoint prunes the segment holding a "
+        "create_table journalled after the older checkpoint, so falling "
+        "back to that one loses the table",
+    )
+    def test_a_fallback_past_a_pruned_create_table_keeps_the_table(self, tmp_path):
+        root = tmp_path / "db"
+        db = build(root)
+        bulk = SEGMENT_BYTES // 10  # a load over a segment's budget seals it
+        db.load("t", rows(bulk), direct_to_ros=True)
+        db.run_tuple_movers()  # the older checkpoint
+        db.create_table(table("t2"), sort_order=["k"])
+        db.load("t", rows(bulk, start=bulk), direct_to_ros=True)
+        db.load("t", rows(1, start=2 * bulk))
+        db.run_tuple_movers()  # the newest: prunes the create_table's segment
+        del db
+        newest = sorted((root / "journal").glob("ckpt_*.json"))[-1]
+        damaged = bytearray(newest.read_bytes())
+        damaged[len(damaged) // 2] ^= 0x01
+        newest.write_bytes(bytes(damaged))
+
+        reopened = Database.open(str(root))
+        assert sorted(reopened.cluster.catalog.tables) == ["t", "t2"]
+
 
 class TestBackupRestartRestore:
     def test_backup_survives_full_process_restart(self, tmp_path):

@@ -19,6 +19,7 @@ from repro.durability import (
 from repro.storage import segment_log
 from repro.storage.segment_log import SEGMENT_BYTES, _frame, _parse_line
 from repro.errors import DurabilityError, InjectedFaultError
+from repro.execution import Arithmetic, ColumnRef, Literal
 from repro.faults import FaultPlan
 from repro.monitor import METRICS
 from repro.projections.projection import (
@@ -113,7 +114,7 @@ class TestAppendReplay:
             epoch=1,
             snapshot_epoch=0,
             inserts={"t": {"k": [1]}},
-            deletes=[("t", [{"k": 0}])],
+            deletes=[("t", {"k": [0]})],
             direct_to_ros=False,
         )
         journal.log_floor(1)
@@ -128,7 +129,7 @@ class TestAppendReplay:
         assert reopened.genesis == GENESIS
         commit = replay.records[2]
         assert commit.payload["inserts"] == {"t": {"k": [1]}}
-        assert commit.payload["deletes"] == [{"table": "t", "rows": [{"k": 0}]}]
+        assert commit.payload["deletes"] == [{"table": "t", "columns": {"k": [0]}}]
 
     def test_appends_continue_after_reopen(self, tmp_path):
         journal = make_journal(tmp_path)
@@ -548,8 +549,7 @@ class TestCodec:
                 ColumnDef("region", types.VARCHAR),
                 ColumnDef("amount", types.FLOAT),
             ],
-            partition_by=lambda row: row["sale_id"] % 2,
-            partition_by_text="sale_id % 2",
+            partition_by=Arithmetic("%", ColumnRef("sale_id"), Literal(2)),
             primary_key=("sale_id",),
         )
 
@@ -564,8 +564,9 @@ class TestCodec:
             c.dtype for c in table.columns
         ]
         assert decoded.primary_key == table.primary_key
-        assert decoded.partition_by_text == "sale_id % 2"
-        assert decoded.partition_by is None  # documented limitation
+        # the expression round-trips: its SQL text, parsed and analyzed
+        assert repr(decoded.partition_by) == "(sale_id % 2)"
+        assert decoded.partition_columns() == ["sale_id"]
 
     def test_family_roundtrip(self):
         family = make_family(self.table())

@@ -15,7 +15,6 @@ import pytest
 
 from repro import ColumnDef, Database, TableDefinition, types
 from repro.errors import CatalogError
-from repro.projections import ProjectionColumn, ProjectionDefinition, Replicated
 
 ROWS = [{"a": i % 3, "b": i, "c": float(i)} for i in range(30)]
 NARROW = (
@@ -60,20 +59,19 @@ def test_sql_projection_without_the_partition_column_is_refused(db, path):
     assert Database.open(path).sql("SELECT count(*) AS n FROM t") == [{"n": 30}]
 
 
-def test_an_opaque_partition_callable_reads_every_column(tmp_path):
+def test_a_partition_callable_is_refused(tmp_path):
     db = Database(str(tmp_path / "db"), node_count=1)
-    table = TableDefinition(
-        "t",
-        [ColumnDef("a", types.INTEGER), ColumnDef("b", types.INTEGER)],
-        partition_by=lambda row: row["a"] % 2,
-    )
-    db.create_table(table)
-    assert table.partition_columns() == ["a", "b"]
-    narrow = ProjectionDefinition(
-        "t_a", "t", [ProjectionColumn("a", types.INTEGER)], ["a"], Replicated()
-    )
-    with pytest.raises(CatalogError):
-        db.cluster.add_projection_family(narrow)
+    journalled = db.cluster.journal.record_count()
+    with pytest.raises(TypeError, match="partition expression is an Expr"):
+        db.create_table(
+            TableDefinition(
+                "t",
+                [ColumnDef("a", types.INTEGER), ColumnDef("b", types.INTEGER)],
+                partition_by=lambda row: row["a"] % 2,
+            )
+        )
+    assert db.cluster.journal.record_count() == journalled
+    assert "t" not in db.cluster.catalog.tables
 
 
 def test_direct_load_survives_a_reopen_with_the_partition_column(db, path):

@@ -17,7 +17,7 @@ import functools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.execution import AnalyticOperator, ColumnRef, RowSource, WindowSpec
+from repro.execution import AnalyticOperator, ColumnRef, RowSource, WindowSpec, blocks_to_rows
 from repro.execution.aggregates import Accumulator
 
 NAN, OTHER_NAN = float("nan"), float("nan")
@@ -127,7 +127,7 @@ def test_window_functions_equal_the_oracle(rows, func, partitioned, order, block
         partition_by=[ColumnRef("p")] if partitioned else [],
         order_by=[(ColumnRef(column), ascending) for column, ascending in order],
     )
-    out = AnalyticOperator(RowSource(rows, NAMES, block_rows), spec).rows()
+    out = blocks_to_rows(AnalyticOperator(RowSource(rows, NAMES, block_rows), spec).blocks())
     want = oracle(rows, func, partitioned, order)
     got: dict = {}
     for row in out:
@@ -151,11 +151,11 @@ def test_running_aggregate_is_a_prefix_fold(monkeypatch):
     monkeypatch.setattr(Accumulator, "add", lambda self, value: steps.append(add(self, value)))
     rows = [{"id": i, "p": 0, "o": i, "q": 0, "v": 1} for i in range(3000)]
     spec = WindowSpec("SUM", ColumnRef("v"), "w", order_by=[(ColumnRef("o"), True)])
-    out = AnalyticOperator(RowSource(rows, NAMES), spec).rows()
+    out = blocks_to_rows(AnalyticOperator(RowSource(rows, NAMES), spec).blocks())
     assert [row["w"] for row in out] == list(range(1, 3001))
     assert len(steps) == len(rows)
 
 
 def test_empty_input_yields_nothing():
     spec = WindowSpec("RANK", None, "w", order_by=[(ColumnRef("o"), True)])
-    assert AnalyticOperator(RowSource([], NAMES), spec).rows() == []
+    assert blocks_to_rows(AnalyticOperator(RowSource([], NAMES), spec).blocks()) == []

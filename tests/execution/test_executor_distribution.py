@@ -50,7 +50,7 @@ def db(tmp_path):
 def run_with_stats(db, plan_logical, optimizer="v2"):
     physical = db.planner(optimizer).plan(plan_logical)
     executor = DistributedExecutor(db.cluster, db.latest_epoch)
-    rows = executor.run(physical)
+    rows = executor.run(physical).to_rows()
     return rows, executor.stats, physical
 
 

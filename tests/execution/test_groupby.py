@@ -10,6 +10,7 @@ from repro.execution import (
     GroupByPipelinedOperator,
     PrepassGroupByOperator,
     RowSource,
+    blocks_to_rows,
 )
 
 C = ColumnRef
@@ -26,7 +27,7 @@ def by_key(rows, key):
 class TestHashGroupBy:
     def test_count_sum_min_max_avg(self):
         rows = [{"g": i % 2, "v": i} for i in range(10)]
-        out = GroupByHashOperator(
+        out = blocks_to_rows(GroupByHashOperator(
             source(rows, ["g", "v"]),
             [C("g")],
             ["g"],
@@ -37,14 +38,14 @@ class TestHashGroupBy:
                 AggregateSpec("MAX", C("v"), "hi"),
                 AggregateSpec("AVG", C("v"), "mean"),
             ],
-        ).rows()
+        ).blocks())
         groups = by_key(out, "g")
         assert groups[0] == {"g": 0, "n": 5, "total": 20, "lo": 0, "hi": 8, "mean": 4.0}
         assert groups[1]["total"] == 25
 
     def test_nulls_ignored_by_aggregates(self):
         rows = [{"g": 1, "v": None}, {"g": 1, "v": 4}]
-        out = GroupByHashOperator(
+        out = blocks_to_rows(GroupByHashOperator(
             source(rows, ["g", "v"]),
             [C("g")],
             ["g"],
@@ -53,23 +54,23 @@ class TestHashGroupBy:
                 AggregateSpec("SUM", C("v"), "s"),
                 AggregateSpec("AVG", C("v"), "a"),
             ],
-        ).rows()
+        ).blocks())
         assert out == [{"g": 1, "n": 1, "s": 4, "a": 4.0}]
 
     def test_count_star_counts_null_rows(self):
         rows = [{"g": 1, "v": None}, {"g": 1, "v": 2}]
-        out = GroupByHashOperator(
+        out = blocks_to_rows(GroupByHashOperator(
             source(rows, ["g", "v"]), [C("g")], ["g"],
             [AggregateSpec("COUNT", None, "n")],
-        ).rows()
+        ).blocks())
         assert out == [{"g": 1, "n": 2}]
 
     def test_null_group_key_is_a_group(self):
         rows = [{"g": None, "v": 1}, {"g": None, "v": 2}, {"g": 3, "v": 3}]
-        out = GroupByHashOperator(
+        out = blocks_to_rows(GroupByHashOperator(
             source(rows, ["g", "v"]), [C("g")], ["g"],
             [AggregateSpec("SUM", C("v"), "s")],
-        ).rows()
+        ).blocks())
         assert sorted(out, key=lambda r: repr(r["g"])) == [
             {"g": 3, "s": 3},
             {"g": None, "s": 3},
@@ -77,36 +78,36 @@ class TestHashGroupBy:
 
     def test_global_aggregate(self):
         rows = [{"v": i} for i in range(5)]
-        out = GroupByHashOperator(
+        out = blocks_to_rows(GroupByHashOperator(
             source(rows, ["v"]), [], [], [AggregateSpec("SUM", C("v"), "s")]
-        ).rows()
+        ).blocks())
         assert out == [{"s": 10}]
 
     def test_global_aggregate_empty_input(self):
-        out = GroupByHashOperator(
+        out = blocks_to_rows(GroupByHashOperator(
             source([], ["v"]), [], [],
             [AggregateSpec("COUNT", None, "n"), AggregateSpec("SUM", C("v"), "s")],
-        ).rows()
+        ).blocks())
         assert out == [{"n": 0, "s": None}]
 
     def test_distinct_aggregate(self):
         rows = [{"g": 1, "v": 5}, {"g": 1, "v": 5}, {"g": 1, "v": 7}]
-        out = GroupByHashOperator(
+        out = blocks_to_rows(GroupByHashOperator(
             source(rows, ["g", "v"]), [C("g")], ["g"],
             [AggregateSpec("COUNT", C("v"), "n", distinct=True)],
-        ).rows()
+        ).blocks())
         assert out == [{"g": 1, "n": 2}]
 
     def test_expression_group_key(self):
         rows = [{"v": i} for i in range(10)]
         from repro.execution import Arithmetic, Literal
 
-        out = GroupByHashOperator(
+        out = blocks_to_rows(GroupByHashOperator(
             source(rows, ["v"]),
             [Arithmetic("%", C("v"), Literal(3))],
             ["bucket"],
             [AggregateSpec("COUNT", None, "n")],
-        ).rows()
+        ).blocks())
         assert sorted((row["bucket"], row["n"]) for row in out) == [
             (0, 4), (1, 3), (2, 3),
         ]
@@ -120,7 +121,7 @@ class TestHashGroupBy:
             [AggregateSpec("SUM", C("v"), "s"), AggregateSpec("COUNT", None, "n")],
             max_groups=100,
         )
-        out = operator.rows()
+        out = blocks_to_rows(operator.blocks())
         assert operator.spilled
         assert len(out) == 2000
         assert all(row["s"] == row["g"] and row["n"] == 1 for row in out)
@@ -142,10 +143,10 @@ class TestHashGroupBy:
         roomy = GroupByHashOperator(
             source(rows, ["g", "v"]), [C("g")], ["g"], aggregates
         )
-        out = budgeted.rows()
+        out = blocks_to_rows(budgeted.blocks())
         assert budgeted.spilled and not roomy.spilled
         assert len(out) == 150
-        assert by_key(out, "g") == by_key(roomy.rows(), "g")
+        assert by_key(out, "g") == by_key(blocks_to_rows(roomy.blocks()), "g")
 
     def test_merge_partials_mode(self):
         partials = [
@@ -153,7 +154,7 @@ class TestHashGroupBy:
             {"g": 1, "n": 2, "s": 5},
             {"g": 2, "n": 1, "s": 7},
         ]
-        out = GroupByHashOperator(
+        out = blocks_to_rows(GroupByHashOperator(
             source(partials, ["g", "n", "s"]),
             [C("g")],
             ["g"],
@@ -162,7 +163,7 @@ class TestHashGroupBy:
                 AggregateSpec("SUM", C("s"), "s"),
             ],
             merge_partials=True,
-        ).rows()
+        ).blocks())
         groups = by_key(out, "g")
         assert groups[1] == {"g": 1, "n": 5, "s": 15}
         assert groups[2] == {"g": 2, "n": 1, "s": 7}
@@ -178,22 +179,22 @@ class TestPipelinedGroupBy:
             AggregateSpec("SUM", C("v"), "s"),
             AggregateSpec("AVG", C("v"), "a"),
         ]
-        pipelined = GroupByPipelinedOperator(
+        pipelined = blocks_to_rows(GroupByPipelinedOperator(
             source(rows, ["g", "v"]), [C("g")], ["g"], aggregates
-        ).rows()
-        hashed = GroupByHashOperator(
+        ).blocks())
+        hashed = blocks_to_rows(GroupByHashOperator(
             source(rows, ["g", "v"]), [C("g")], ["g"], aggregates
-        ).rows()
+        ).blocks())
         assert sorted(pipelined, key=lambda r: r["g"]) == sorted(
             hashed, key=lambda r: r["g"]
         )
 
     def test_streams_groups_in_order(self):
         rows = [{"g": g, "v": 1} for g in (1, 1, 2, 3, 3, 3)]
-        out = GroupByPipelinedOperator(
+        out = blocks_to_rows(GroupByPipelinedOperator(
             source(rows, ["g", "v"]), [C("g")], ["g"],
             [AggregateSpec("COUNT", None, "n")],
-        ).rows()
+        ).blocks())
         assert out == [
             {"g": 1, "n": 2},
             {"g": 2, "n": 1},
@@ -201,9 +202,9 @@ class TestPipelinedGroupBy:
         ]
 
     def test_global_empty(self):
-        out = GroupByPipelinedOperator(
+        out = blocks_to_rows(GroupByPipelinedOperator(
             source([], ["v"]), [], [], [AggregateSpec("COUNT", None, "n")]
-        ).rows()
+        ).blocks())
         assert out == [{"n": 0}]
 
 
@@ -225,7 +226,9 @@ class TestPrepass:
             source(rows, ["g", "v"]), [C("g")], ["g"], aggregates
         )
         key = lambda row: row["g"]
-        assert sorted(final.rows(), key=key) == sorted(direct.rows(), key=key)
+        assert sorted(blocks_to_rows(final.blocks()), key=key) == sorted(
+            blocks_to_rows(direct.blocks()), key=key
+        )
 
     def test_prepass_reduces_rows_on_low_cardinality(self):
         rows = [{"g": i % 3, "v": 1} for i in range(5000)]
@@ -249,11 +252,11 @@ class TestPrepass:
         # correctness preserved even after shutoff
         from repro.execution import SourceBlocks
 
-        final = GroupByHashOperator(
+        final = blocks_to_rows(GroupByHashOperator(
             SourceBlocks(out),
             [C("g")], ["g"], [AggregateSpec("COUNT", None, "n")],
             merge_partials=True,
-        ).rows()
+        ).blocks())
         assert len(final) == 20000
         assert all(row["n"] == 1 for row in final)
 

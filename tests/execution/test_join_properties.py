@@ -42,6 +42,7 @@ from repro.execution import (
     ScanOperator,
     SortKey,
     SortOperator,
+    blocks_to_rows,
 )
 from repro.projections import super_projection
 from repro.storage import StorageManager
@@ -139,7 +140,7 @@ def test_hash_join_alone_and_sharing_a_build_equal_the_oracle(
     for join_type in FLAVOURS:
         want = canonical(oracle(join_type, left, right, lk, rk))
         alone = hash_join(join_type, RowSource(left, LEFT, block_rows), right, lk, rk)
-        assert canonical(alone.rows()) == want, join_type
+        assert canonical(blocks_to_rows(alone.blocks())) == want, join_type
         assert alone.kernel_blocks == alone.children[0].blocks_produced
 
         shared: dict = {}
@@ -150,7 +151,7 @@ def test_hash_join_alone_and_sharing_a_build_equal_the_oracle(
                       shared_build=shared)
             for part in parts
         ]
-        outputs = [canonical(fragment.rows()) for fragment in fragments]
+        outputs = [canonical(blocks_to_rows(fragment.blocks())) for fragment in fragments]
         assert all(f.children[1].pulls == 0 for f in fragments[1:]), "built twice"
         if whole:
             assert outputs == [want] * 3, join_type
@@ -168,10 +169,10 @@ def test_switched_hash_join_and_merge_join_equal_the_oracle(left, right, width):
         switched = hash_join(
             join_type, RowSource(left, LEFT, 5), right, lk, rk, max_build_rows=1
         )
-        assert canonical(switched.rows()) == want, join_type
+        assert canonical(blocks_to_rows(switched.blocks())) == want, join_type
         assert switched.switched_to_merge == (len(right) > 1)
         merged = merge_join(join_type, left, right, lk, rk)
-        assert canonical(merged.rows()) == want, join_type
+        assert canonical(blocks_to_rows(merged.blocks())) == want, join_type
 
 
 # -- probe keys as storage hands them over ------------------------------------
@@ -202,7 +203,7 @@ def probe_storage(tmp_path_factory):
         for name in ("r", "k")
     }
     assert RleVector in kinds["r"] and DictVector in kinds["k"], kinds
-    return manager, sorted(_scan(manager).rows(), key=lambda row: row["l_id"])
+    return manager, sorted(blocks_to_rows(_scan(manager).blocks()), key=lambda row: row["l_id"])
 
 
 def _scan(manager):
@@ -225,7 +226,7 @@ def test_encoded_probe_keys_equal_the_oracle(probe_storage, right, keys, sip):
         join = hash_join(join_type, scan, right, list(keys), rk)
         if sip and join_type in (JoinType.INNER, JoinType.SEMI):
             scan.sip_filters.append(join.make_sip_filter([ColumnRef(k) for k in keys]))
-        assert canonical(join.rows()) == want, (join_type, keys)
+        assert canonical(blocks_to_rows(join.blocks())) == want, (join_type, keys)
 
 
 @pytest.mark.parametrize("join_type", [JoinType.INNER, JoinType.FULL])

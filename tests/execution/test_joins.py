@@ -14,6 +14,7 @@ from repro.execution import (
     ScanOperator,
     SortKey,
     SortOperator,
+    blocks_to_rows,
 )
 
 C = ColumnRef
@@ -73,39 +74,39 @@ EXPECTED_INNER_IDS = [1, 2, 3]
 
 class TestHashJoinFlavors:
     def test_inner(self):
-        out = hash_join(JoinType.INNER).rows()
+        out = blocks_to_rows(hash_join(JoinType.INNER).blocks())
         assert sorted(row["f_id"] for row in out) == EXPECTED_INNER_IDS
         assert all("d_name" in row for row in out)
 
     def test_left(self):
-        out = hash_join(JoinType.LEFT).rows()
+        out = blocks_to_rows(hash_join(JoinType.LEFT).blocks())
         assert sorted(row["f_id"] for row in out) == [1, 2, 3, 4, 5]
         unmatched = [row for row in out if row["f_id"] in (4, 5)]
         assert all(row["d_name"] is None for row in unmatched)
 
     def test_right(self):
-        out = hash_join(JoinType.RIGHT).rows()
+        out = blocks_to_rows(hash_join(JoinType.RIGHT).blocks())
         assert sorted(row["d_id"] for row in out) == [10, 20, 20, 30]
         thirty = [row for row in out if row["d_id"] == 30]
         assert thirty[0]["f_id"] is None
 
     def test_full(self):
-        out = hash_join(JoinType.FULL).rows()
+        out = blocks_to_rows(hash_join(JoinType.FULL).blocks())
         assert len(out) == 6  # 3 matches + facts 4,5 + dim 30
 
     def test_semi(self):
-        out = hash_join(JoinType.SEMI).rows()
+        out = blocks_to_rows(hash_join(JoinType.SEMI).blocks())
         assert sorted(row["f_id"] for row in out) == EXPECTED_INNER_IDS
         assert all(set(row) == {"f_id", "f_dim"} for row in out)
 
     def test_anti(self):
-        out = hash_join(JoinType.ANTI).rows()
+        out = blocks_to_rows(hash_join(JoinType.ANTI).blocks())
         assert sorted(row["f_id"] for row in out) == [4, 5]
 
     def test_duplicate_build_keys_multiply(self):
         right = [{"d_id": 10, "d_name": "a"}, {"d_id": 10, "d_name": "b"}]
         left = [{"f_id": 1, "f_dim": 10}]
-        out = hash_join(JoinType.INNER, left=left, right=right).rows()
+        out = blocks_to_rows(hash_join(JoinType.INNER, left=left, right=right).blocks())
         assert len(out) == 2
 
     def test_column_collision_detected(self):
@@ -118,7 +119,7 @@ class TestHashJoinFlavors:
             left_columns=["a"], right_columns=["a"],
         )
         with pytest.raises(ExecutionError):
-            join.rows()
+            blocks_to_rows(join.blocks())
 
 
 class TestMergeJoinFlavors:
@@ -128,8 +129,8 @@ class TestMergeJoinFlavors:
          JoinType.SEMI, JoinType.ANTI],
     )
     def test_merge_matches_hash(self, join_type):
-        hash_out = hash_join(join_type).rows()
-        merge_out = merge_join(join_type).rows()
+        hash_out = blocks_to_rows(hash_join(join_type).blocks())
+        merge_out = blocks_to_rows(merge_join(join_type).blocks())
         key = lambda row: tuple(
             (value is None, value) for value in sorted(
                 ((k, v) for k, v in row.items()), key=lambda kv: kv[0]
@@ -143,7 +144,7 @@ class TestMergeJoinFlavors:
     def test_merge_duplicates_cross_product(self):
         left = [{"f_id": i, "f_dim": 10} for i in range(3)]
         right = [{"d_id": 10, "d_name": f"n{i}"} for i in range(2)]
-        out = merge_join(JoinType.INNER, left=left, right=right).rows()
+        out = blocks_to_rows(merge_join(JoinType.INNER, left=left, right=right).blocks())
         assert len(out) == 6
 
 
@@ -152,10 +153,10 @@ class TestRuntimeSwitch:
         left = [{"f_id": i, "f_dim": i % 50} for i in range(500)]
         right = [{"d_id": i, "d_name": str(i)} for i in range(200)]
         join = hash_join(JoinType.INNER, left=left, right=right, max_build_rows=50)
-        out = join.rows()
+        out = blocks_to_rows(join.blocks())
         assert join.switched_to_merge
         # correctness identical to unconstrained hash join
-        reference = hash_join(JoinType.INNER, left=left, right=right).rows()
+        reference = blocks_to_rows(hash_join(JoinType.INNER, left=left, right=right).blocks())
         normalize = lambda rows: sorted(
             tuple(sorted((k, repr(v)) for k, v in row.items())) for row in rows
         )
@@ -168,7 +169,7 @@ class TestRuntimeSwitch:
         left = [{"f_id": i, "f_dim": i} for i in range(100)]
         right = [{"d_id": i, "d_name": str(i)} for i in range(100)]
         join = hash_join(JoinType.INNER, left=left, right=right, pool=pool)
-        join.rows()
+        blocks_to_rows(join.blocks())
         assert pool.spills >= 1
 
 
@@ -204,7 +205,7 @@ class TestSip:
         )
         sip = join.make_sip_filter([C("f_dim")])
         scan.sip_filters.append(sip)
-        out = join.rows()
+        out = blocks_to_rows(join.blocks())
         assert len(out) == 50  # 5 of 100 dims match, 10 facts each
         assert sip.rows_filtered == 950
         # the join saw only pre-filtered rows
@@ -216,7 +217,7 @@ class TestSip:
         from repro.execution import SipFilter
 
         scan.sip_filters.append(SipFilter(key_exprs=[C("f_dim")]))
-        assert len(scan.rows()) == 1000
+        assert len(blocks_to_rows(scan.blocks())) == 1000
 
 
 class TestJoinProperties:
@@ -228,7 +229,7 @@ class TestJoinProperties:
     def test_inner_join_count_matches_bruteforce(self, left_keys, right_keys):
         left = [{"f_id": i, "f_dim": k} for i, k in enumerate(left_keys)]
         right = [{"d_id": k, "d_name": str(i)} for i, k in enumerate(right_keys)]
-        out = hash_join(JoinType.INNER, left=left, right=right).rows()
+        out = blocks_to_rows(hash_join(JoinType.INNER, left=left, right=right).blocks())
         expected = sum(
             1 for lk in left_keys for rk in right_keys if lk == rk
         )
@@ -244,7 +245,7 @@ class TestJoinProperties:
     def test_left_join_preserves_every_left_row(self, left_keys, right_keys):
         left = [{"f_id": i, "f_dim": k} for i, k in enumerate(left_keys)]
         right = [{"d_id": k, "d_name": str(i)} for i, k in enumerate(right_keys)]
-        out = hash_join(JoinType.LEFT, left=left, right=right).rows()
+        out = blocks_to_rows(hash_join(JoinType.LEFT, left=left, right=right).blocks())
         from collections import Counter
 
         per_left = Counter(row["f_id"] for row in out)
@@ -259,8 +260,8 @@ class TestJoinProperties:
     def test_semi_plus_anti_partition_left(self, keys):
         left = [{"f_id": i, "f_dim": k} for i, k in enumerate(keys)]
         right = [{"d_id": k, "d_name": ""} for k in range(0, 9, 2)]
-        semi = hash_join(JoinType.SEMI, left=left, right=right).rows()
-        anti = hash_join(JoinType.ANTI, left=left, right=right).rows()
+        semi = blocks_to_rows(hash_join(JoinType.SEMI, left=left, right=right).blocks())
+        anti = blocks_to_rows(hash_join(JoinType.ANTI, left=left, right=right).blocks())
         assert len(semi) + len(anti) == len(left)
         assert {row["f_id"] for row in semi}.isdisjoint(
             row["f_id"] for row in anti

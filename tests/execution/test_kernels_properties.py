@@ -689,6 +689,7 @@ from repro.execution.kernels import aggregate  # noqa: E402
 from repro.execution.operators import groupby  # noqa: E402
 from repro.execution.operators.base import SourceBlocks  # noqa: E402
 from repro.lint import sanitizer  # noqa: E402
+from repro.execution import blocks_to_rows
 
 KEY_POOLS = {
     # equal keys of different types, both zeros, NaN, NULL, past 64 bits
@@ -813,7 +814,7 @@ def _core_groups(names, blocks, specs):
 def _operator_groups(names, operator, specs):
     return {
         _key(row[name] for name in names): [row[spec.output_name] for spec in specs]
-        for row in operator.rows()
+        for row in blocks_to_rows(operator.blocks())
     }
 
 

@@ -109,7 +109,13 @@ def test_a_group_by_answer_does_not_change_when_the_mover_runs(db):
 def test_nan_keys_stay_one_group_through_a_spill():
     """Partials are partitioned by ``hash(key)``, and a NaN hashes by
     identity: the partitioner reads keys through the same function."""
-    from repro.execution import AggregateSpec, ColumnRef, GroupByHashOperator, RowSource
+    from repro.execution import (
+        AggregateSpec,
+        ColumnRef,
+        GroupByHashOperator,
+        RowSource,
+        blocks_to_rows,
+    )
 
     rows = [
         {"g": float("nan") if i % 2 else float(i % 40), "v": 1} for i in range(400)
@@ -123,6 +129,6 @@ def test_nan_keys_stay_one_group_through_a_spill():
             RowSource(rows, ["g", "v"], block_rows=50),
             [ColumnRef("g")], ["g"], aggregates, max_groups=5,
         )
-        out = {_label(row["g"]): row["s"] for row in operator.rows()}
+        out = {_label(row["g"]): row["s"] for row in blocks_to_rows(operator.blocks())}
         assert operator.spilled
         assert len(out) == 21 and out["nan"] == 200

@@ -60,14 +60,14 @@ class TestRowBlock:
 class TestFilterProject:
     def test_filter(self):
         rows = [{"a": i} for i in range(10)]
-        out = FilterOperator(source(rows), C("a") >= L(7)).rows()
+        out = blocks_to_rows(FilterOperator(source(rows), C("a") >= L(7)).blocks())
         assert [row["a"] for row in out] == [7, 8, 9]
 
     def test_expr_eval(self):
         rows = [{"a": 2, "b": 3}]
-        out = ExprEvalOperator(
+        out = blocks_to_rows(ExprEvalOperator(
             source(rows, ["a", "b"]), {"total": C("a") + C("b"), "a": C("a")}
-        ).rows()
+        ).blocks())
         assert out == [{"total": 5, "a": 2}]
 
     def test_filter_drops_empty_blocks(self):
@@ -79,12 +79,14 @@ class TestFilterProject:
 class TestSort:
     def test_in_memory_sort(self):
         rows = [{"a": value} for value in (5, 1, 4, 2, 3)]
-        out = SortOperator(source(rows), [SortKey(C("a"))]).rows()
+        out = blocks_to_rows(SortOperator(source(rows), [SortKey(C("a"))]).blocks())
         assert [row["a"] for row in out] == [1, 2, 3, 4, 5]
 
     def test_descending(self):
         rows = [{"a": value} for value in (1, 3, 2)]
-        out = SortOperator(source(rows), [SortKey(C("a"), ascending=False)]).rows()
+        out = blocks_to_rows(
+            SortOperator(source(rows), [SortKey(C("a"), ascending=False)]).blocks()
+        )
         assert [row["a"] for row in out] == [3, 2, 1]
 
     def test_multi_key(self):
@@ -93,14 +95,14 @@ class TestSort:
             {"a": 1, "b": 1},
             {"a": 0, "b": 9},
         ]
-        out = SortOperator(
+        out = blocks_to_rows(SortOperator(
             source(rows, ["a", "b"]), [SortKey(C("a")), SortKey(C("b"))]
-        ).rows()
+        ).blocks())
         assert out == [{"a": 0, "b": 9}, {"a": 1, "b": 1}, {"a": 1, "b": 2}]
 
     def test_nulls_first(self):
         rows = [{"a": 2}, {"a": None}, {"a": 1}]
-        out = SortOperator(source(rows), [SortKey(C("a"))]).rows()
+        out = blocks_to_rows(SortOperator(source(rows), [SortKey(C("a"))]).blocks())
         assert [row["a"] for row in out] == [None, 1, 2]
 
     def test_external_sort_spills(self):
@@ -110,53 +112,53 @@ class TestSort:
             [SortKey(C("a"))],
             max_buffered_rows=50,
         )
-        out = operator.rows()
+        out = blocks_to_rows(operator.blocks())
         assert [row["a"] for row in out] == list(range(1, 1001))
         assert operator.spilled_runs > 1
 
     def test_limit_hint(self):
         rows = [{"a": value} for value in range(100, 0, -1)]
-        out = SortOperator(
+        out = blocks_to_rows(SortOperator(
             source(rows), [SortKey(C("a"))], limit_hint=3
-        ).rows()
+        ).blocks())
         assert [row["a"] for row in out] == [1, 2, 3]
 
     def test_external_sort_with_limit(self):
         rows = [{"a": value} for value in range(500, 0, -1)]
-        out = SortOperator(
+        out = blocks_to_rows(SortOperator(
             source(rows, block_rows=50),
             [SortKey(C("a"))],
             max_buffered_rows=40,
             limit_hint=5,
-        ).rows()
+        ).blocks())
         assert [row["a"] for row in out] == [1, 2, 3, 4, 5]
 
 
 class TestLimitDistinct:
     def test_limit(self):
         rows = [{"a": i} for i in range(10)]
-        assert len(LimitOperator(source(rows), 4).rows()) == 4
+        assert len(blocks_to_rows(LimitOperator(source(rows), 4).blocks())) == 4
 
     def test_limit_offset(self):
         rows = [{"a": i} for i in range(10)]
-        out = LimitOperator(source(rows), 3, offset=5).rows()
+        out = blocks_to_rows(LimitOperator(source(rows), 3, offset=5).blocks())
         assert [row["a"] for row in out] == [5, 6, 7]
 
     def test_limit_stops_early(self):
         rows = [{"a": i} for i in range(1000)]
         upstream = source(rows, block_rows=10)
-        LimitOperator(upstream, 5).rows()
+        blocks_to_rows(LimitOperator(upstream, 5).blocks())
         assert upstream.rows_produced <= 10
 
     def test_distinct(self):
         rows = [{"a": i % 3} for i in range(9)]
-        out = DistinctOperator(source(rows)).rows()
+        out = blocks_to_rows(DistinctOperator(source(rows)).blocks())
         assert sorted(row["a"] for row in out) == [0, 1, 2]
 
     def test_union_all(self):
         a = source([{"x": 1}], ["x"])
         b = source([{"x": 2}], ["x"])
-        assert len(UnionAllOperator([a, b]).rows()) == 2
+        assert len(blocks_to_rows(UnionAllOperator([a, b]).blocks())) == 2
 
 
 class TestAnalytic:
@@ -174,7 +176,9 @@ class TestAnalytic:
             "ROW_NUMBER", None, "rn",
             partition_by=[C("dept")], order_by=[(C("salary"), True)],
         )
-        out = AnalyticOperator(source(self.rows(), ["dept", "salary"]), spec).rows()
+        out = blocks_to_rows(
+            AnalyticOperator(source(self.rows(), ["dept", "salary"]), spec).blocks()
+        )
         by_dept = {}
         for row in out:
             by_dept.setdefault(row["dept"], []).append(row["rn"])
@@ -185,7 +189,9 @@ class TestAnalytic:
             "RANK", None, "r", partition_by=[C("dept")],
             order_by=[(C("salary"), True)],
         )
-        out = AnalyticOperator(source(self.rows(), ["dept", "salary"]), spec).rows()
+        out = blocks_to_rows(
+            AnalyticOperator(source(self.rows(), ["dept", "salary"]), spec).blocks()
+        )
         b_ranks = [row["r"] for row in out if row["dept"] == "b"]
         assert b_ranks == [1, 1]
 
@@ -193,12 +199,16 @@ class TestAnalytic:
         spec = WindowSpec(
             "DENSE_RANK", None, "r", order_by=[(C("salary"), True)]
         )
-        out = AnalyticOperator(source(self.rows(), ["dept", "salary"]), spec).rows()
+        out = blocks_to_rows(
+            AnalyticOperator(source(self.rows(), ["dept", "salary"]), spec).blocks()
+        )
         assert [row["r"] for row in out] == [1, 1, 2, 3, 4]
 
     def test_partition_sum(self):
         spec = WindowSpec("SUM", C("salary"), "total", partition_by=[C("dept")])
-        out = AnalyticOperator(source(self.rows(), ["dept", "salary"]), spec).rows()
+        out = blocks_to_rows(
+            AnalyticOperator(source(self.rows(), ["dept", "salary"]), spec).blocks()
+        )
         totals = {row["dept"]: row["total"] for row in out}
         assert totals == {"a": 600, "b": 100}
 
@@ -207,7 +217,9 @@ class TestAnalytic:
             "SUM", C("salary"), "running",
             partition_by=[C("dept")], order_by=[(C("salary"), True)],
         )
-        out = AnalyticOperator(source(self.rows(), ["dept", "salary"]), spec).rows()
+        out = blocks_to_rows(
+            AnalyticOperator(source(self.rows(), ["dept", "salary"]), spec).blocks()
+        )
         a_running = [row["running"] for row in out if row["dept"] == "a"]
         assert a_running == [100, 300, 600]
 
@@ -216,7 +228,9 @@ class TestAnalytic:
             "COUNT", None, "c", partition_by=[C("dept")],
             order_by=[(C("salary"), True)],
         )
-        out = AnalyticOperator(source(self.rows(), ["dept", "salary"]), spec).rows()
+        out = blocks_to_rows(
+            AnalyticOperator(source(self.rows(), ["dept", "salary"]), spec).blocks()
+        )
         b_counts = [row["c"] for row in out if row["dept"] == "b"]
         assert b_counts == [2, 2]  # tied salaries are peers
 
@@ -290,7 +304,7 @@ class TestUnions:
         seen_keys = []
         total = 0
         for pipe in pipes:
-            keys = {row["k"] for row in pipe.rows()}
+            keys = {row["k"] for row in blocks_to_rows(pipe.blocks())}
             seen_keys.append(keys)
             total += sum(1 for _ in ())
         # each key appears in exactly one pipeline
@@ -302,16 +316,16 @@ class TestUnions:
         union = StorageUnionOperator(
             [source([{"a": 1}], ["a"]), source([{"a": 2}], ["a"])]
         )
-        assert len(union.rows()) == 2
+        assert len(blocks_to_rows(union.blocks())) == 2
 
     def test_parallel_union_combines(self):
         pipes = [source([{"a": i}], ["a"]) for i in range(4)]
-        out = ParallelUnionOperator(pipes, threads=1).rows()
+        out = blocks_to_rows(ParallelUnionOperator(pipes, threads=1).blocks())
         assert [row["a"] for row in out] == [0, 1, 2, 3]
 
     def test_parallel_union_threads(self):
         pipes = [source([{"a": i}], ["a"]) for i in range(4)]
-        out = ParallelUnionOperator(pipes, threads=4).rows()
+        out = blocks_to_rows(ParallelUnionOperator(pipes, threads=4).blocks())
         assert [row["a"] for row in out] == [0, 1, 2, 3]
 
 

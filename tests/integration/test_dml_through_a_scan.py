@@ -26,7 +26,7 @@ from repro.execution import ColumnRef
 from repro.sql.analyzer import Analyzer
 from repro.sql.interface import _single_table_scope
 from repro.sql.parser import parse
-from storage_helpers import read_table, rows_where
+from storage_helpers import read_table, rows_of, rows_where
 
 NAN = math.nan
 STATEMENTS = [
@@ -132,7 +132,7 @@ def test_dml_through_the_plan_equals_the_row_path(tmp_path, commits, layout):
         db.sql(text)
         ((got_inserts, got_deletes),) = commits
         assert [table for table, _ in got_deletes] == ["t"], text
-        assert multiset(got_deletes[0][1]) == multiset(victims), text
+        assert multiset(rows_of(got_deletes[0][1])) == multiset(victims), text
         got = got_inserts["t"].rows() if "t" in got_inserts else []
         assert multiset(got) == multiset(inserted), text
         stored = [
@@ -164,7 +164,7 @@ def test_deletes_of_one_transaction_are_one_victim_multiset(tmp_path, commits):
             session.delete("t", ColumnRef("k") == 9)
         session.commit()
         ((_, got_deletes),) = commits
-        assert multiset(got_deletes[0][1]) == multiset(want)
+        assert multiset(rows_of(got_deletes[0][1])) == multiset(want)
 
 
 def test_a_dml_predicate_is_an_expression(tmp_path, commits):

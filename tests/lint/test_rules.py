@@ -80,7 +80,7 @@ class TestR1Operators:
         class Derived(Base):
             pass
 
-        assert Derived().rows() == [] and Derived().label() == "Base"
+        assert list(Derived().blocks()) == [] and Derived().label() == "Base"
 
     def test_private_helper_exempt(self):
         # a private, function-local operator (union._PipelineSource is

@@ -22,7 +22,7 @@ moved, where to, or in which order.
 from repro.cluster.node import ClusterNode
 from repro.cluster.recovery import _fresh_node_dirname
 from repro.projections import HashSegmentation
-from storage_helpers import read_table, run_of_records
+from storage_helpers import columns_of, partition_key_of, read_table, run_of_records
 
 
 def container_records(manager, name, container_id):
@@ -83,7 +83,7 @@ def load_records(manager, name, records):
             segment = scheme.local_segment_for_row(
                 row, manager.node_count, manager.segments_per_node
             )
-        groups.setdefault((state.table.partition_key(row), segment), []).append(record)
+        groups.setdefault((partition_key_of(state.table, row), segment), []).append(record)
     for (partition_key, segment), group in sorted(
         groups.items(), key=lambda item: repr(item[0])
     ):
@@ -132,7 +132,8 @@ def replay_window(manager, name, records, from_epoch, to_epoch):
             by_epoch.setdefault(delete_epoch, []).append(row)
     for delete_epoch, rows in sorted(by_epoch.items()):
         manager.delete_where(
-            name, rows, commit_epoch=delete_epoch, snapshot_epoch=delete_epoch - 1
+            name, columns_of(rows), commit_epoch=delete_epoch,
+            snapshot_epoch=delete_epoch - 1,
         )
 
 

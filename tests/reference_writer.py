@@ -37,6 +37,7 @@ from repro.storage.serde import (
 )
 from repro.tuple_mover.strata import plan_merges
 from repro.types import INTEGER
+from storage_helpers import partition_key_of
 
 CANDIDATE_NAMES = (
     "RLE",
@@ -399,7 +400,7 @@ class ReferenceStorage:
     def load_history(self, records) -> list[int]:
         groups: dict[tuple, list[int]] = {}
         for index, (row, _, _) in enumerate(records):
-            key = (self.table.partition_key(row), self._local_segment_of(row))
+            key = (partition_key_of(self.table, row), self._local_segment_of(row))
             groups.setdefault(key, []).append(index)
         created = []
         for (partition_key, local_segment), indexes in sorted(

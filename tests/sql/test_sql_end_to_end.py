@@ -112,6 +112,12 @@ class TestSelect:
         assert rows[0]["bucket"] == "low"
         assert rows[1]["bucket"] == "high"
 
+    def test_in_list_takes_negative_constants(self, db):
+        rows = db.sql("SELECT sale_id FROM sales WHERE sale_id - 5 IN (-4, -3) ORDER BY sale_id")
+        assert [row["sale_id"] for row in rows] == [1, 2]
+        with pytest.raises(SqlAnalysisError, match="constants"):
+            db.sql("SELECT sale_id FROM sales WHERE sale_id IN (-sale_id)")
+
     def test_like(self, db):
         rows = db.sql("SELECT count(*) AS n FROM customers WHERE name LIKE 'name_'")
         assert rows == [{"n": 10}]

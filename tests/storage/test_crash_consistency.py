@@ -20,6 +20,7 @@ from repro.errors import (
     InjectedFaultError,
     StorageError,
 )
+from repro.execution import ColumnRef
 from repro.faults import FaultPlan
 from repro.projections import super_projection
 from repro.storage import StorageManager
@@ -36,8 +37,7 @@ def table():
             ColumnDef("cid", types.INTEGER),
             ColumnDef("value", types.FLOAT),
         ],
-        partition_by=lambda row: row["month"],
-        partition_by_text="month",
+        partition_by=ColumnRef("month"),
     )
 
 

@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 
 from repro import types
 from repro.core.schema import ColumnDef, TableDefinition
+from repro.execution import ColumnRef
 from repro.projections import super_projection
 from repro.storage import StorageManager
 from repro.tuple_mover import MergePolicy, TupleMover
@@ -42,8 +43,7 @@ def make_manager(root) -> StorageManager:
             ColumnDef("k", types.INTEGER),
             ColumnDef("pad", types.VARCHAR),
         ],
-        partition_by=lambda row: row["part"],
-        partition_by_text="part",
+        partition_by=ColumnRef("part"),
     )
     # tiny WOS: a handful of small inserts fill it and the next spills
     manager = StorageManager(str(root), wos_capacity=8)

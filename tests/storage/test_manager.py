@@ -7,9 +7,10 @@ import pytest
 from repro import types
 from repro.core.schema import ColumnDef, TableDefinition
 from repro.errors import UnknownObjectError
+from repro.execution import ColumnRef
 from repro.projections import super_projection
 from repro.storage import StorageManager
-from storage_helpers import delete_matching
+from storage_helpers import columns_of, delete_matching
 
 
 @pytest.fixture
@@ -21,8 +22,7 @@ def table():
             ColumnDef("cid", types.INTEGER),
             ColumnDef("value", types.FLOAT),
         ],
-        partition_by=lambda row: row["month"],
-        partition_by_text="month",
+        partition_by=ColumnRef("month"),
     )
 
 
@@ -207,7 +207,9 @@ def delete_like_the_reference(manager, victims, commit_epoch, name=NAME):
     marked ``(home, position)`` list."""
     before = markers(manager, name)
     expected = repr_multiset_marks(manager, victims, commit_epoch - 1, name)
-    count = manager.delete_where(name, victims, commit_epoch, commit_epoch - 1)
+    count = manager.delete_where(
+        name, columns_of(victims), commit_epoch, commit_epoch - 1
+    )
     after = markers(manager, name)
     assert {key: after[key] for key in after.keys() - before.keys()} == dict.fromkeys(
         expected, commit_epoch
@@ -303,14 +305,15 @@ class TestByValueDeleteIsTheReprMultiset:
         assert delete_like_the_reference(manager, [row(5, 1.5)] * 2, 3) == [
             (container_id, 2)
         ]
-        assert manager.delete_where(NAME, [row(5, 1.5)], 4, 3) == 0
+        assert manager.delete_where(NAME, columns_of([row(5, 1.5)]), 4, 3) == 0
 
     def test_victim_deleted_at_the_snapshot_is_not_marked_again(self, manager):
         row = self.row
         self.load(manager, [row(1, 1.0), row(2, 2.0)], [row(3, 3.0)])
         victims = [row(1, 1.0), row(3, 3.0)]
-        assert manager.delete_where(NAME, victims, 2, 1) == 2
-        assert manager.delete_where(NAME, victims + [row(2, 2.0)], 3, 2) == 1
+        assert manager.delete_where(NAME, columns_of(victims), 2, 1) == 2
+        again = columns_of(victims + [row(2, 2.0)])
+        assert manager.delete_where(NAME, again, 3, 2) == 1
         assert sorted(markers(manager).values()) == [2, 2, 3]
         # ... but a snapshot before the first delete still sees them
         assert repr_multiset_marks(manager, victims, 1) != []
@@ -333,7 +336,7 @@ class TestByValueDeleteIsTheReprMultiset:
 
     def test_no_victims_marks_nothing(self, manager):
         self.load(manager, [self.row(1, 1.0)])
-        assert manager.delete_where(NAME, [], 2, 1) == 0
+        assert manager.delete_where(NAME, {}, 2, 1) == 0
         assert markers(manager) == {}
 
     def test_prejoin_and_narrow_copies_match_on_the_columns_they_share(

@@ -207,7 +207,7 @@ def test_golden_bytes_journal(tmp_path):
         epoch=2,
         snapshot_epoch=1,
         inserts={"t": {"k": [1], "v": ["a"]}},
-        deletes=[("t", [{"k": 0, "v": None}])],
+        deletes=[("t", {"k": [0], "v": [None]})],
         direct_to_ros=False,
     )
     journal.log_floor(1)
@@ -227,8 +227,8 @@ def test_golden_bytes_journal(tmp_path):
             b'"node_count":3}}\n'
             b'3552d0ca {"kind":"create_table","lsn":1,"payload":{"table":'
             b'{"name":"t"}}}\n'
-            b'87dcb63c {"kind":"commit","lsn":2,"payload":{"deletes":'
-            b'[{"rows":[{"k":0,"v":null}],"table":"t"}],"direct_to_ros":'
+            b'4dfcf388 {"kind":"commit","lsn":2,"payload":{"deletes":'
+            b'[{"columns":{"k":[0],"v":[null]},"table":"t"}],"direct_to_ros":'
             b'false,"epoch":2,"inserts":{"t":{"k":[1],"v":["a"]}},'
             b'"snapshot_epoch":1}}\n'
         ),

@@ -49,6 +49,7 @@ from hypothesis import strategies as st
 from reference_writer import ReferenceStorage, write_container
 from repro import types
 from repro.core.schema import ColumnDef, TableDefinition
+from repro.execution import Arithmetic, CaseWhen, ColumnRef, FunctionCall, Literal, Not
 from repro.lint import sanitizer
 from repro.projections import (
     HashSegmentation,
@@ -139,13 +140,18 @@ def make_records(shape: Shape, batch: int = 0) -> list[tuple]:
     return records
 
 
+#: Up to seven partition keys: three for ``b`` (TRUE, FALSE, NULL) times
+#: the parity of ``LENGTH(s)``, and NULL where ``s`` is NULL.
+PARTITION_BY = CaseWhen(
+    [(ColumnRef("b"), Literal(4)), (Not(ColumnRef("b")), Literal(2))], Literal(0)
+) + Arithmetic("%", FunctionCall("LENGTH", ColumnRef("s")), Literal(2))
+
+
 def make_schema(shape: Shape):
     table = TableDefinition(
         "t",
         [ColumnDef(name, dtype) for name, dtype in TYPES.items()],
-        partition_by=(lambda row: (row["b"], len(row["s"] or "") % 2))
-        if shape.partitioned
-        else None,
+        partition_by=PARTITION_BY if shape.partitioned else None,
     )
     projection = ProjectionDefinition(
         name="t_super",

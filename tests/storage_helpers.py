@@ -11,7 +11,28 @@ def delete_matching(manager, name, predicate, commit_epoch, snapshot_epoch):
         for row in manager.read_visible_rows(name, snapshot_epoch)
         if predicate(row)
     ]
-    return manager.delete_where(name, victims, commit_epoch, snapshot_epoch)
+    return manager.delete_where(
+        name, columns_of(victims), commit_epoch, snapshot_epoch
+    )
+
+
+def columns_of(rows):
+    """Row dicts as columns (name -> values): the form ``delete_where``
+    takes its victims in."""
+    return {name: [row[name] for row in rows] for name in (rows[0] if rows else ())}
+
+
+def rows_of(columns):
+    """Columns (name -> values) as row dicts: ``columns_of`` undone."""
+    return [dict(zip(columns, values)) for values in zip(*columns.values())]
+
+
+def partition_key_of(table, row):
+    """The oracles' partition key of one row dict: the table's partition
+    expression evaluated on that row alone (None when unpartitioned)."""
+    if table.partition_by is None:
+        return None
+    return table.partition_by.evaluate_row(row)
 
 
 def read_table(cluster, table, epoch):

@@ -62,7 +62,7 @@ def _run_resegmented(db):
     join.strategy = P.RESEGMENT
     join.sip = False
     executor = DistributedExecutor(db.cluster, db.latest_epoch)
-    rows = executor.run(physical)
+    rows = executor.run(physical).to_rows()
     assert len(rows) == 600
     root = executor.root_operator
     assert root is not None

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro import types
 from repro.core.schema import ColumnDef, TableDefinition
+from repro.execution import ColumnRef
 from repro.projections import super_projection
 from repro.storage import StorageManager
 from repro.tuple_mover import MergePolicy, TupleMover, plan_merges
@@ -152,7 +153,7 @@ class TestMergeout:
         table = TableDefinition(
             "p",
             [ColumnDef("month", types.INTEGER), ColumnDef("k", types.INTEGER)],
-            partition_by=lambda row: row["month"],
+            partition_by=ColumnRef("month"),
         )
         projection = super_projection(table, sort_order=["k"])
         manager = StorageManager(str(tmp_path / "n"))

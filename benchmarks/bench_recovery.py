@@ -15,6 +15,7 @@ import pytest
 from repro import ColumnDef, Database, TableDefinition, types
 
 from conftest import print_table
+from storage_helpers import nodes_of
 
 
 @pytest.fixture()
@@ -82,11 +83,10 @@ def test_incremental_recovery_report(benchmark, db):
     own = db.cluster.nodes[1].manager.read_visible_rows(
         family.primary.name, db.latest_epoch
     )
+    loaded = batch(0, 6000)
+    placed = nodes_of(family.primary.segmentation, loaded, 3)
     expected = {
-        row["eid"]
-        for row in batch(0, 6000)
-        if row["eid"] >= 100
-        and family.primary.segmentation.node_for_row(row, 3) == 1
+        row["eid"] for row, at in zip(loaded, placed) if row["eid"] >= 100 and at == 1
     }
     assert {row["eid"] for row in own} == expected
     benchmark.pedantic(lambda: db.sql(count_sql), rounds=1, iterations=1)

@@ -43,6 +43,7 @@ from ..projections import (
     make_buddy,
     super_projection,
 )
+from ..projections.segmentation import split_by_range
 from ..trace import TRACER
 from ..tuple_mover import MergePolicy
 from ..txn import EpochManager, LockManager
@@ -302,13 +303,7 @@ class Cluster:
         it is all one range)."""
         if run.positions is None:
             run.positions = scheme.ring_positions(run.columns)
-        range_of = {
-            position: scheme.ring_range(position, self.node_count)
-            for position in set(run.positions)
-        }
-        routed: dict[int, list[int]] = {}
-        for index, ring_range in enumerate(map(range_of.__getitem__, run.positions)):
-            routed.setdefault(ring_range, []).append(index)
+        routed = split_by_range(run.positions, self.node_count)
         if len(routed) == 1:
             return dict.fromkeys(routed, run)
         return {
@@ -414,8 +409,7 @@ class Cluster:
         for base in range(self.node_count):
             chosen = None
             for copy in family.all_copies:
-                offset = getattr(copy.segmentation, "offset", 0)
-                host = (base + offset) % self.node_count
+                host = copy.segmentation.node_for_range(base, self.node_count)
                 if self.membership.is_up(host):
                     chosen = (host, copy.name)
                     break

@@ -84,13 +84,11 @@ def _buddy_history(
             f"no live source to recover replicated projection "
             f"{copy.name} on node {node_index}"
         )
-    my_offset = getattr(copy.segmentation, "offset", 0)
-    base = (node_index - my_offset) % cluster.node_count
+    base = copy.segmentation.range_for_node(node_index, cluster.node_count)
     for other in family.all_copies:
         if other.name == copy.name:
             continue
-        other_offset = getattr(other.segmentation, "offset", 0)
-        host = (base + other_offset) % cluster.node_count
+        host = other.segmentation.node_for_range(base, cluster.node_count)
         if cluster.membership.is_up(host):
             # the buddy's storage on `host` holds exactly this ring
             # segment's rows (offset rings line up one-to-one).

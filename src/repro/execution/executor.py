@@ -457,7 +457,7 @@ class DistributedExecutor:
         if scheme.replicated:
             return {None: shaped}
         return {
-            (node - scheme.offset) % self.cluster.node_count: run
+            scheme.range_for_node(node, self.cluster.node_count): run
             for node, run in self.cluster.route_rows(family.primary, shaped).items()
         }
 

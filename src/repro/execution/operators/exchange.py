@@ -17,9 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ...errors import ExecutionError
-from ...hashing import hash_row
+from ...projections.segmentation import ring_positions, split_by_range
 from ...trace import TRACER
 from ..expressions import Expr
+from ..kernels.vectors import as_list
 from ..row_block import RowBlock
 from .base import Operator
 
@@ -71,10 +72,10 @@ class Exchange:
 class SendOperator(Operator):
     """Routes its child's output into an exchange.
 
-    ``segment_exprs`` routes each row by hash of the given expressions
-    (the segmentation-based path); ``broadcast=True`` copies every
-    block to every destination.  As an operator it yields nothing —
-    data continues on the Recv side.
+    ``segment_exprs`` routes each row by its key's ring position, one
+    ring range per destination — the rule storage places rows by;
+    ``broadcast=True`` copies every block to every destination.  As an
+    operator it yields nothing — data continues on the Recv side.
     """
 
     op_name = "Send"
@@ -143,18 +144,16 @@ class SendOperator(Operator):
                     self.exchange.push(destination, block)
             return
         runs = [expr.compiled() for expr in self.segment_exprs]
+        memo: dict = {}  # one hash per distinct key of the whole stream
         for block in self.children[0].blocks():
             if self.failure_probe is not None:
                 self.failure_probe()
-            key_columns = [run(block) for run in runs]
-            buckets: dict[int, list[int]] = {}
-            for index in range(block.row_count):
-                values = [column[index] for column in key_columns]
-                destination = hash_row(values) % destinations
-                buckets.setdefault(destination, []).append(index)
+            positions = ring_positions(
+                [as_list(run(block)) for run in runs], block.row_count, memo
+            )
             # per-destination row selection preserves input order, so a
             # sorted input stream stays sorted per channel.
-            for destination, indexes in sorted(buckets.items()):
+            for destination, indexes in split_by_range(positions, destinations).items():
                 self.exchange.push(destination, block.select_rows(indexes))
 
     def _produce(self):

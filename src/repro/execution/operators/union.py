@@ -17,8 +17,9 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 
-from ...hashing import hash_row
+from ...projections.segmentation import ring_positions, split_by_range
 from ..expressions import Expr
+from ..kernels.vectors import as_list
 from ..row_block import RowBlock
 from .base import Operator
 
@@ -49,24 +50,18 @@ class StorageUnionOperator(Operator):
         if self._buckets is not None:
             return
         buckets: list[list[RowBlock]] = [[] for _ in range(self.fanout)]
-        runs = (
-            [expr.compiled() for expr in self.resegment_exprs]
-            if self.resegment_exprs
-            else None
-        )
+        runs = [expr.compiled() for expr in self.resegment_exprs or ()]
+        memo: dict = {}  # one hash per distinct key over every source
         for source in self.children:
             for block in source.blocks():
-                if runs is None or self.fanout == 1:
+                if self.fanout == 1:
                     buckets[0].append(block)
                     continue
-                key_columns = [run(block) for run in runs]
-                indexes: list[list[int]] = [[] for _ in range(self.fanout)]
-                for index in range(block.row_count):
-                    values = [column[index] for column in key_columns]
-                    indexes[hash_row(values) % self.fanout].append(index)
-                for pipeline, keep in enumerate(indexes):
-                    if keep:
-                        buckets[pipeline].append(block.select_rows(keep))
+                positions = ring_positions(
+                    [as_list(run(block)) for run in runs], block.row_count, memo
+                )
+                for pipeline, keep in split_by_range(positions, self.fanout).items():
+                    buckets[pipeline].append(block.select_rows(keep))
         self._buckets = buckets
 
     def pipeline_source(self, pipeline: int) -> Operator:

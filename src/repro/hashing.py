@@ -5,6 +5,11 @@ Projection segmentation (section 3.6) maps each tuple to a node through
 must be stable across processes and runs — Python's built-in ``hash``
 is salted for strings, so we implement FNV-1a over a canonical byte
 representation of each value.
+
+Values that compare equal hash equally: a ``bool`` and an integral
+``float`` within int64 hash as the ``int`` they equal (``-0.0`` as
+``0``), so an INTEGER key and a FLOAT key holding the same number land
+on the same node, and a memo of positions may be keyed by value.
 """
 
 from __future__ import annotations
@@ -14,6 +19,8 @@ import struct
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
+_INT64_MIN = -(1 << 63)
+_INT64_END = 1 << 63
 
 #: Size of the segmentation ring: hash values lie in ``[0, RING_SIZE)``.
 RING_SIZE = 1 << 64
@@ -29,38 +36,19 @@ def fnv1a_64(data: bytes) -> int:
 
 
 def _value_bytes(value) -> bytes:
-    """Canonical byte representation of a single SQL value."""
+    """Canonical byte representation of a single SQL value; equal
+    values get equal bytes."""
     if value is None:
         return b"\x00N"
-    if isinstance(value, bool):
-        return b"\x01T" if value else b"\x01F"
-    if isinstance(value, int):
-        return b"\x02" + value.to_bytes(8, "little", signed=True)
-    if isinstance(value, float):
-        return b"\x03" + struct.pack("<d", value)
     if isinstance(value, str):
         return b"\x04" + value.encode("utf-8")
+    if isinstance(value, float):
+        if not (value.is_integer() and _INT64_MIN <= value < _INT64_END):
+            return b"\x03" + struct.pack("<d", value)
+        value = int(value)
+    if isinstance(value, int):  # a bool is the int it equals
+        return b"\x02" + value.to_bytes(8, "little", signed=True)
     raise TypeError(f"unhashable SQL value {value!r}")
-
-
-def exact_keys(values: list) -> list:
-    """A memo key per value, equal exactly when the values' canonical
-    bytes are: ``-0.0`` / ``0.0`` and ``1`` / ``True`` / ``1.0`` are
-    ``==`` yet hash apart, so a hash memo cannot be keyed by value.
-    A column of one non-float type keys itself, floats key by their
-    bit patterns, anything else (a NULL, mixed types) by its bytes."""
-    kinds = set(map(type, values))
-    if kinds in ({str}, {int}, {bool}):
-        return values
-    if kinds == {float}:
-        count = len(values)
-        return list(struct.unpack(f"<{count}q", struct.pack(f"<{count}d", *values)))
-    return list(map(_value_bytes, values))
-
-
-def hash_value(value) -> int:
-    """Hash a single SQL value into the segmentation ring."""
-    return fnv1a_64(_value_bytes(value))
 
 
 def hash_row(values) -> int:

@@ -12,14 +12,55 @@ buddies — the property K-safety needs.
 Within a node, tuples are further segregated into *local segments*
 (section 3.6) by subdividing the node's ring range; cluster expansion
 moves whole local segments without rewriting them.
+
+This module is the one home of placement: a key's ring position
+(:func:`ring_positions`), which of ``count`` ring ranges a position
+falls in (:func:`split_by_range` — storage nodes, the resegmenting
+Send's destinations and StorageUnion's pipelines alike), and which host
+serves a ring segment of a buddy copy (:meth:`SegmentationScheme.node_for_range`
+and its inverse).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..hashing import RING_SIZE, exact_keys, hash_row
+from ..hashing import RING_SIZE, hash_row
 from ..monitor import METRICS
+
+
+def ring_positions(
+    key_columns: list[list], row_count: int, memo: dict | None = None
+) -> list[int]:
+    """The ring position of each of ``row_count`` rows of a batch whose
+    key columns are ``key_columns``, hashed once per distinct key.
+    Equal keys hash equally (:mod:`repro.hashing`), so the memo is keyed
+    by value; pass ``memo`` to share it across the batches of one
+    stream.  With no key columns every row has the empty key, so a
+    keyless stream lands in one ring range."""
+    keys = list(zip(*key_columns)) if key_columns else [()] * row_count
+    position_of = {} if memo is None else memo
+    known = len(position_of)
+    for key in dict.fromkeys(keys):
+        if key not in position_of:
+            position_of[key] = hash_row(key)
+    METRICS.inc("storage.ring_hashes", len(position_of) - known)
+    return list(map(position_of.__getitem__, keys))
+
+
+def ring_range(position: int, count: int) -> int:
+    """Which of ``count`` equal ring ranges holds a position."""
+    return position * count // RING_SIZE
+
+
+def split_by_range(positions: list[int], count: int) -> dict[int, list[int]]:
+    """ring range -> the indexes (ascending) of the positions in it,
+    over ``count`` equal ranges."""
+    range_of = {position: ring_range(position, count) for position in set(positions)}
+    routed: dict[int, list[int]] = {}
+    for index, position_range in enumerate(map(range_of.__getitem__, positions)):
+        routed.setdefault(position_range, []).append(index)
+    return routed
 
 
 class SegmentationScheme:
@@ -27,10 +68,18 @@ class SegmentationScheme:
 
     #: True when every node stores a full copy.
     replicated = False
+    #: Buddy rotation of the ring-segment-to-node assignment.
+    offset = 0
 
-    def node_for_row(self, row: dict, node_count: int) -> int | None:
-        """Index of the node that stores ``row`` (None = all nodes)."""
-        raise NotImplementedError
+    def node_for_range(self, ring_range: int, node_count: int) -> int:
+        """The node storing ring segment ``ring_range`` of this copy:
+        the segment's index rotated by the buddy offset."""
+        return (ring_range + self.offset) % node_count
+
+    def range_for_node(self, node: int, node_count: int) -> int:
+        """The ring segment this copy stores on ``node`` (the inverse
+        of :meth:`node_for_range`)."""
+        return (node - self.offset) % node_count
 
     def describe(self) -> str:
         """Human-readable DDL-ish description."""
@@ -42,9 +91,6 @@ class Replicated(SegmentationScheme):
     """UNSEGMENTED ALL NODES: a full copy on every node."""
 
     replicated = True
-
-    def node_for_row(self, row: dict, node_count: int) -> None:
-        return None
 
     def describe(self) -> str:
         return "UNSEGMENTED ALL NODES"
@@ -62,40 +108,14 @@ class HashSegmentation(SegmentationScheme):
     columns: tuple[str, ...]
     offset: int = 0
 
-    def ring_position(self, row: dict) -> int:
-        """The tuple's position in ``[0, 2**64)``."""
-        return hash_row([row[column] for column in self.columns])
-
     def ring_positions(self, columns: dict[str, list]) -> list[int]:
-        """:meth:`ring_position` of every row of a batch held
-        column-wise, hashed once per distinct key in it (memo keyed
-        type-exactly, :func:`~repro.hashing.exact_keys`).  Every copy
-        of a projection family shares the result — buddies rotate the
-        node, not the position — and so does local-segment assignment."""
+        """The ring position of every row of a batch held column-wise
+        (:func:`ring_positions` of the segmentation columns).  Every
+        copy of a projection family shares the result — buddies rotate
+        the node, not the position — and so does local-segment
+        assignment."""
         key_columns = [columns[name] for name in self.columns]
-        keys = list(zip(*map(exact_keys, key_columns)))
-        # one row per distinct key (which one is all the same to the hash)
-        distinct = dict(zip(keys, zip(*key_columns)))
-        position_of = {key: hash_row(row) for key, row in distinct.items()}
-        METRICS.inc("storage.ring_hashes", len(position_of))
-        return list(map(position_of.__getitem__, keys))
-
-    def ring_range(self, position: int, node_count: int) -> int:
-        """Which of ``node_count`` equal ring ranges holds a position —
-        the same for every copy of a family."""
-        return position * node_count // RING_SIZE
-
-    def node_for_range(self, ring_range: int, node_count: int) -> int:
-        """The node storing a ring range: the range's index rotated by
-        the buddy offset."""
-        return (ring_range + self.offset) % node_count
-
-    def node_for_position(self, position: int, node_count: int) -> int:
-        """Map a ring position to a node index (paper's range table)."""
-        return self.node_for_range(self.ring_range(position, node_count), node_count)
-
-    def node_for_row(self, row: dict, node_count: int) -> int:
-        return self.node_for_position(self.ring_position(row), node_count)
+        return ring_positions(key_columns, len(key_columns[0]))
 
     def local_segment_for_position(
         self, position: int, node_count: int, segments_per_node: int
@@ -110,13 +130,6 @@ class HashSegmentation(SegmentationScheme):
         return min(
             within * segments_per_node // node_range,
             segments_per_node - 1,
-        )
-
-    def local_segment_for_row(
-        self, row: dict, node_count: int, segments_per_node: int
-    ) -> int:
-        return self.local_segment_for_position(
-            self.ring_position(row), node_count, segments_per_node
         )
 
     def describe(self) -> str:

@@ -14,7 +14,7 @@ from repro.cluster import (
 from repro.core.schema import ColumnDef, TableDefinition
 from repro.errors import ClusterError
 from repro.projections import HashSegmentation
-from storage_helpers import read_table, rows_where
+from storage_helpers import nodes_of, read_table, rows_where
 
 
 def table():
@@ -52,11 +52,8 @@ class TestRecovery:
         # node 1's primary data matches what it would have had
         family = cluster.catalog.super_projection_for("t")
         own = cluster.nodes[1].manager.read_visible_rows(family.primary.name, epoch)
-        expected = {
-            row["k"]
-            for row in rows(100)
-            if family.primary.segmentation.node_for_row(row, 3) == 1
-        }
+        placed = nodes_of(family.primary.segmentation, rows(100), 3)
+        expected = {row["k"] for row, at in zip(rows(100), placed) if at == 1}
         assert {row["k"] for row in own} == expected
 
     def test_recover_missed_deletes(self, cluster):

@@ -13,6 +13,7 @@ import pytest
 
 from repro import ColumnDef, Database, TableDefinition, types
 from repro.projections import HashSegmentation, Replicated
+from storage_helpers import nodes_of
 
 COMMITS = (range(0, 6), range(6, 10))
 
@@ -44,10 +45,9 @@ def check_every_copy_holds_exactly_its_rows(db, committed):
             if copy.segmentation.replicated:
                 expected = committed
             else:
+                placed = nodes_of(copy.segmentation, committed, node_count)
                 expected = [
-                    row
-                    for row in committed
-                    if copy.segmentation.node_for_row(row, node_count) == node.index
+                    row for row, at in zip(committed, placed) if at == node.index
                 ]
             held = node.manager.history(copy.name)
             assert Counter(row["k"] for row in held.rows()) == Counter(

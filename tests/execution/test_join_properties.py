@@ -22,13 +22,24 @@ NaN still matches only itself.  Probe keys also arrive
 RLE-, dictionary- and plain-coded through a real ``ScanOperator`` (with
 and without a SIP filter), and one probe block fans out past
 ``VECTOR_SIZE`` output rows.
+
+Through a 3-node ``Database`` the same keys sit in INTEGER, FLOAT and
+BOOLEAN columns, and INNER / LEFT / FULL joins between them must equal
+the oracle whether the plan is co-located (both tables segmented on the
+join key), broadcasts the inner or resegments both sides: each of those
+places a row by its key's ring position, so values that compare equal
+must land together.  ``REPRO_FUZZ_SEEDS`` (tools/check.sh) adds seeded
+runs.  Three reproducers of rows lost that way are pinned at the end.
 """
+
+import os
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import types
+from repro import Database, types
 from repro.core.schema import ColumnDef, TableDefinition
 from repro.execution import (
     VECTOR_SIZE,
@@ -44,7 +55,10 @@ from repro.execution import (
     SortOperator,
     blocks_to_rows,
 )
-from repro.projections import super_projection
+from repro.execution.executor import DistributedExecutor
+from repro.optimizer import physical as P
+from repro.optimizer.logical import JoinNode, ScanNode
+from repro.projections import HashSegmentation, super_projection
 from repro.storage import StorageManager
 
 NAN, OTHER_NAN = float("nan"), float("nan")
@@ -238,3 +252,171 @@ def test_a_fan_out_is_cut_into_vector_sized_blocks(join_type):
     assert max(block.row_count for block in blocks) == VECTOR_SIZE
     out = [row for block in blocks for row in block.to_rows()]
     assert canonical(out) == canonical(oracle(join_type, left, right, ["a"], ["c"]))
+
+
+# -- through a 3-node Database ------------------------------------------------
+
+#: per column kind: its SQL type and the keys drawn for it ("nan": a
+#: fresh NaN per row, which matches nothing — not even a NaN)
+POOLS = {
+    "i": (types.INTEGER, [None, 0, 1, 2, 7]),
+    "f": (types.FLOAT, [None, 0.0, -0.0, 1.0, 2.0, 0.5, "nan"]),
+    "b": (types.BOOLEAN, [None, True, False]),
+}
+#: (left key kinds, right key kinds); the last pairing has no equi-key:
+#: a cross product, which a resegmenting Send routes to one destination
+KEY_KINDS = [
+    (("i",), ("f",)), (("f",), ("f",)), (("f",), ("i",)), (("b",), ("i",)),
+    (("i",), ("b",)), (("i", "f"), ("f", "i")), ((), ()),
+]
+DISTRIBUTED = [JoinType.INNER, JoinType.LEFT, JoinType.FULL]
+#: setup -> (left rows, right rows, the strategy planned per flavour).
+#: On three nodes the cost model broadcasts the smaller side of an INNER
+#: join, and resegments a FULL one rather than broadcast its inner; the
+#: resegment setup forces its INNER join across the Send as well.
+SETUPS = {
+    P.COLOCATED: (30, 30, dict.fromkeys(DISTRIBUTED, P.COLOCATED)),
+    P.BROADCAST_INNER: (60, 20, dict(zip(DISTRIBUTED, [P.BROADCAST_INNER] * 2 + [P.RESEGMENT]))),
+    P.RESEGMENT: (20, 60, dict(zip(DISTRIBUTED, [P.BROADCAST_INNER] + [P.RESEGMENT] * 2))),
+}
+EXTRA_SEEDS = [int(s) for s in os.environ.get("REPRO_FUZZ_SEEDS", "").split(",") if s]
+
+
+def _draw(rng, kind):
+    value = rng.choice(POOLS[kind][1])
+    return float("nan") if value == "nan" else value
+
+
+def _create(db, rng, name, side, kinds, colocated, count):
+    """Table ``name`` with an id and one column per key kind, segmented
+    on its join key when ``colocated``, else on the id."""
+    columns = [f"{side}_{kind}" for kind in kinds]
+    db.create_table(
+        TableDefinition(
+            name,
+            [ColumnDef(f"{side}_id", types.INTEGER)]
+            + [ColumnDef(column, POOLS[kind][0]) for column, kind in zip(columns, kinds)],
+        ),
+        segmentation=HashSegmentation(tuple(columns) if colocated else (f"{side}_id",)),
+    )
+    rows = [
+        {f"{side}_id": i, **{c: _draw(rng, k) for c, k in zip(columns, kinds)}}
+        for i in range(count)
+    ]
+    db.load(name, rows, direct_to_ros=rng.random() < 0.5)
+    return [f"{side}_id", *columns], rows
+
+
+@pytest.mark.parametrize("strategy", list(SETUPS))
+@pytest.mark.parametrize("seed", [0, 1, *EXTRA_SEEDS])
+def test_distributed_joins_equal_the_oracle(tmp_path, seed, strategy):
+    rng = random.Random(seed * 31 + list(SETUPS).index(strategy))
+    left_count, right_count, planned = SETUPS[strategy]
+    db = Database(str(tmp_path / "db"), node_count=3, k_safety=1, durable=False)
+    colocated, tables = strategy == P.COLOCATED, []
+    for n, (left_kinds, right_kinds) in enumerate(KEY_KINDS):
+        if colocated and not left_kinds:
+            continue  # a join without a key has no co-located plan
+        left = _create(db, rng, f"l{n}", "l", left_kinds, colocated, left_count)
+        right = _create(db, rng, f"r{n}", "r", right_kinds, colocated, right_count)
+        tables.append((n, left, right))
+    db.analyze_statistics()
+    for n, (left_names, left), (right_names, right) in tables:
+        lk, rk = left_names[1:], right_names[1:]
+        for join_type in DISTRIBUTED:
+            plan = db.planner().plan(JoinNode(
+                ScanNode(f"l{n}", left_names), ScanNode(f"r{n}", right_names),
+                join_type, [ColumnRef(k) for k in lk], [ColumnRef(k) for k in rk],
+            ))
+            (join,) = [node for node in plan.walk() if isinstance(node, P.PhysJoin)]
+            assert join.strategy == planned[join_type], (lk, rk, join_type)
+            if strategy == P.RESEGMENT:
+                join.strategy = P.RESEGMENT
+            got = DistributedExecutor(db.cluster, db.latest_epoch).run(plan).to_rows()
+            want = oracle(join_type, left, right, lk, rk, right_names)
+            assert canonical(got) == canonical(want), (seed, lk, rk, join_type)
+
+
+# -- reproducers: equal keys of different types used to land apart -------------
+
+
+@pytest.fixture(scope="module")
+def int_and_float_keys(tmp_path_factory):
+    """``a.k`` INTEGER and ``b.f`` FLOAT over 50 values, ``a.x`` all
+    ``0.0`` and one ``b.f`` of ``-0.0``; both tables segmented on id."""
+    db = Database(
+        str(tmp_path_factory.mktemp("resegment") / "db"), node_count=3, k_safety=1,
+        durable=False,
+    )
+    db.create_table(
+        TableDefinition("a", [ColumnDef("id", types.INTEGER), ColumnDef("k", types.INTEGER),
+                              ColumnDef("x", types.FLOAT)]),
+        segmentation=HashSegmentation(("id",)),
+    )
+    db.create_table(
+        TableDefinition("b", [ColumnDef("id", types.INTEGER), ColumnDef("f", types.FLOAT)]),
+        segmentation=HashSegmentation(("id",)),
+    )
+    db.load("a", [{"id": i, "k": i % 50, "x": 0.0} for i in range(3000)], direct_to_ros=True)
+    db.load(
+        "b", [{"id": i, "f": float(i % 50)} for i in range(9000)] + [{"id": 9000, "f": -0.0}],
+        direct_to_ros=True,
+    )
+    db.analyze_statistics()
+    return db
+
+
+def test_a_resegmented_integer_key_meets_the_float_it_equals(int_and_float_keys):
+    sql = "SELECT a.id, b.f FROM a LEFT JOIN b ON a.k = b.f"
+    assert "HashJoin[LEFT] (k=f) resegment" in int_and_float_keys.sql("EXPLAIN " + sql)
+    rows = int_and_float_keys.sql(sql)
+    matched = sum(row["f"] is not None for row in rows)
+    assert (matched, len(rows) - matched) == (540_060, 0)
+
+
+def test_a_resegmented_zero_meets_negative_zero(int_and_float_keys):
+    sql = "SELECT a.id, b.f FROM a LEFT JOIN b ON a.x = b.f"
+    assert "resegment" in int_and_float_keys.sql("EXPLAIN " + sql)
+    rows = int_and_float_keys.sql(sql)
+    assert sum(row["f"] is not None for row in rows) == 543_000
+
+
+def test_a_colocated_integer_key_meets_the_float_it_equals(tmp_path):
+    db = Database(str(tmp_path / "db"), node_count=3, k_safety=1, durable=False)
+    db.create_table(TableDefinition("a", [ColumnDef("k", types.INTEGER)]),
+                    sort_order=["k"], segmentation=HashSegmentation(("k",)))
+    db.create_table(TableDefinition("b", [ColumnDef("f", types.FLOAT)]),
+                    sort_order=["f"], segmentation=HashSegmentation(("f",)))
+    db.load("a", [{"k": i % 50} for i in range(3000)], direct_to_ros=True)
+    db.load("b", [{"f": float(i % 50)} for i in range(3000)], direct_to_ros=True)
+    db.analyze_statistics()
+    sql = "SELECT a.k FROM a JOIN b ON a.k = b.f"
+    assert "MergeJoin[INNER] (k=f) colocated" in db.sql("EXPLAIN " + sql)
+    assert len(db.sql(sql)) == 180_000
+
+
+# -- a join without an equi-key across the Send ---------------------------------
+
+
+@pytest.mark.parametrize("join_type", [JoinType.FULL, JoinType.RIGHT])
+@pytest.mark.parametrize("left_count", [40, 0])
+def test_a_resegmented_join_without_a_key_keeps_every_row(tmp_path, join_type, left_count):
+    """``ON TRUE`` leaves the join no key, so its Send routes every row
+    by the empty key: both sides meet at one destination."""
+    db = Database(str(tmp_path / "db"), node_count=3, k_safety=1, durable=False)
+    for name, count in (("p", left_count), ("q", 30)):
+        db.create_table(
+            TableDefinition(name, [ColumnDef(f"{name}_id", types.INTEGER)]),
+            segmentation=HashSegmentation((f"{name}_id",)),
+        )
+        if count:
+            db.load(name, [{f"{name}_id": i} for i in range(count)], direct_to_ros=True)
+    db.analyze_statistics()
+    sql = f"SELECT p.p_id, q.q_id FROM p {join_type.value} JOIN q ON TRUE"
+    assert f"HashJoin[{join_type.value}] () resegment" in db.sql("EXPLAIN " + sql)
+    left = [{"p_id": i} for i in range(left_count)]
+    right = [{"q_id": i} for i in range(30)]
+    want = oracle(join_type, left, right, [], [], ["q_id"])
+    assert canonical(db.sql(sql)) == canonical(
+        [{"p_id": row.get("p_id"), "q_id": row["q_id"]} for row in want]
+    )

@@ -72,18 +72,33 @@ def test_block_bounds_ignore_nan_like_null():
     assert value_bounds(["b", "a"]) == ("a", "b")
 
 
+def containers(db):
+    """The table's containers: its integral and fractional values spread
+    over the node's local segments, one container each."""
+    return list(db.cluster.nodes[0].manager.storage("t_super").containers.values())
+
+
 def test_container_pruning_with_nan_is_exact(db):
-    (container,) = db.cluster.nodes[0].manager.storage("t_super").containers.values()
-    assert container.column_min_max("x") == (0.5, 4.0)
-    assert container.may_contain("x", 4.0, None)
-    assert not container.may_contain("x", 4.5, None)
-    assert not container.may_contain("x", None, 0.25)
+    lows, highs = [], []
+    for container in containers(db):
+        numbers = [x for x in container.read_column("x") if x == x]
+        assert numbers, "a container of NaN alone"
+        assert container.column_min_max("x") == (min(numbers), max(numbers))
+        assert container.may_contain("x", 4.0, None) == (max(numbers) >= 4.0)
+        assert not container.may_contain("x", 4.5, None)
+        assert not container.may_contain("x", None, 0.25)
+        lows.append(min(numbers))
+        highs.append(max(numbers))
+    assert (min(lows), max(highs)) == (0.5, 4.0)
 
 
 def test_a_sort_column_holding_nan_is_totally_ordered(db):
-    (container,) = db.cluster.nodes[0].manager.storage("t_super").containers.values()
-    stored = container.read_column("x")
-    numbers = [x for x in stored if x == x]
-    assert stored[: len(numbers)] == sorted(numbers)
-    nans = stored[len(numbers) :]  # every NaN after every number
-    assert len(nans) == 2 and all(x != x for x in nans)
+    nans = 0
+    for container in containers(db):
+        stored = container.read_column("x")
+        numbers = [x for x in stored if x == x]
+        assert stored[: len(numbers)] == sorted(numbers)
+        # every NaN after every number
+        assert all(x != x for x in stored[len(numbers) :])
+        nans += len(stored) - len(numbers)
+    assert nans == 2

@@ -21,7 +21,9 @@ moved, where to, or in which order.
 
 from repro.cluster.node import ClusterNode
 from repro.cluster.recovery import _fresh_node_dirname
+from repro.hashing import hash_row
 from repro.projections import HashSegmentation
+from repro.projections.segmentation import ring_range
 from storage_helpers import columns_of, partition_key_of, read_table, run_of_records
 
 
@@ -80,8 +82,9 @@ def load_records(manager, name, records):
         row = record[0]
         segment = 0
         if manager.segments_per_node > 1 and isinstance(scheme, HashSegmentation):
-            segment = scheme.local_segment_for_row(
-                row, manager.node_count, manager.segments_per_node
+            position = hash_row([row[column] for column in scheme.columns])
+            segment = scheme.local_segment_for_position(
+                position, manager.node_count, manager.segments_per_node
             )
         groups.setdefault((partition_key_of(state.table, row), segment), []).append(record)
     for (partition_key, segment), group in sorted(
@@ -101,7 +104,11 @@ def route_records(cluster, copy, records):
         return {node: list(records) for node in range(cluster.node_count)}
     routed = {}
     for record in records:
-        node = copy.segmentation.node_for_row(record[0], cluster.node_count)
+        scheme = copy.segmentation
+        position = hash_row([record[0][column] for column in scheme.columns])
+        node = scheme.node_for_range(
+            ring_range(position, cluster.node_count), cluster.node_count
+        )
         routed.setdefault(node, []).append(record)
     return routed
 
@@ -110,9 +117,9 @@ def buddy_records(cluster, family, node_index, copy, after_epoch=None):
     if copy.segmentation.replicated:
         source = next(n for n in cluster.membership.up_nodes() if n != node_index)
         return dump_records(cluster.nodes[source].manager, copy.name, after_epoch)
-    base = (node_index - getattr(copy.segmentation, "offset", 0)) % cluster.node_count
+    base = (node_index - copy.segmentation.offset) % cluster.node_count
     for other in family.all_copies:
-        host = (base + getattr(other.segmentation, "offset", 0)) % cluster.node_count
+        host = (base + other.segmentation.offset) % cluster.node_count
         if other.name != copy.name and cluster.membership.is_up(host):
             return dump_records(cluster.nodes[host].manager, other.name, after_epoch)
     raise AssertionError(f"no live buddy for {copy.name} on node {node_index}")

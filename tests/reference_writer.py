@@ -24,6 +24,7 @@ import os
 import struct
 import zlib
 
+from repro.hashing import hash_row
 from repro.projections import HashSegmentation
 from repro.storage import fsio
 from repro.storage.block import BLOCK_ROWS, BlockInfo, value_bounds
@@ -371,8 +372,9 @@ class ReferenceStorage:
         scheme = self.projection.segmentation
         if self.segments_per_node <= 1 or not isinstance(scheme, HashSegmentation):
             return 0
-        return scheme.local_segment_for_row(
-            row, self.node_count, self.segments_per_node
+        position = hash_row([row[column] for column in scheme.columns])
+        return scheme.local_segment_for_position(
+            position, self.node_count, self.segments_per_node
         )
 
     def _add_container(self, records, partition_key, local_segment, merged_from=None):

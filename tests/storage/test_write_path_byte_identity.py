@@ -22,7 +22,7 @@ parsed or decoded ones are (two references to one NaN object are
 ``==``-by-identity to Python's containers, which no stored value can
 be).
 
-Five planted mutations of the product each fail the property; they run
+Four planted mutations of the product each fail the property; they run
 with the sanitizer off so that it is the bytes that catch them.
 
 AUTO sizes PLAIN, RLE, DELTAVAL and BLOCK_DICT by arithmetic instead of
@@ -366,14 +366,6 @@ def mutate_unstable_sort(monkeypatch):
     monkeypatch.setattr(ros, "sort_permutation", unstable_permutation)
 
 
-def mutate_value_keyed_hash_memo(monkeypatch):
-    """The ring-position memo keyed by ``==``: ``-0.0`` lands where
-    ``0.0`` was hashed to."""
-    from repro.projections import segmentation
-
-    monkeypatch.setattr(segmentation, "exact_keys", lambda values: values)
-
-
 def mutate_last_partial_block_dropped(monkeypatch):
     """``ColumnWriter`` forgets the slice that did not fill a block."""
     from repro.storage.column_file import ColumnWriter
@@ -394,7 +386,6 @@ def mutate_last_partial_block_dropped(monkeypatch):
         (mutate_trial_payload_kept_for_a_larger_block, BIG),
         (mutate_unstable_sort, BIG),
         (mutate_unstable_sort, replace(BIG, rows=900, batches=3)),
-        (mutate_value_keyed_hash_memo, replace(BIG, segments_per_node=16)),
         (mutate_last_partial_block_dropped, BIG),
     ],
     ids=lambda value: getattr(value, "__name__", "").removeprefix("mutate_")

@@ -1,6 +1,8 @@
 """Helpers shared by the storage-level test modules (``tests/`` is put
 on ``sys.path`` by the repo-root ``conftest.py``)."""
 
+from repro.projections.segmentation import ring_range
+
 
 def delete_matching(manager, name, predicate, commit_epoch, snapshot_epoch):
     """``DELETE ... WHERE predicate`` the way the product runs it:
@@ -20,6 +22,18 @@ def columns_of(rows):
     """Row dicts as columns (name -> values): the form ``delete_where``
     takes its victims in."""
     return {name: [row[name] for row in rows] for name in (rows[0] if rows else ())}
+
+
+def nodes_of(scheme, rows, node_count):
+    """The node each row dict lands on under a hash ``scheme``, through
+    the batch API the product places by (the batch's ring positions,
+    then the range table)."""
+    if not rows:
+        return []
+    return [
+        scheme.node_for_range(ring_range(position, node_count), node_count)
+        for position in scheme.ring_positions(columns_of(rows))
+    ]
 
 
 def rows_of(columns):

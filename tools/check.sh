@@ -33,15 +33,17 @@ echo "== fuzz corpus against the oracle =="
 # corpus.  The same seeds drive the
 # write path's byte identity, AUTO's closed-form trial sizes against the
 # payloads they stand for, column COPY against the per-line loader,
-# the group-key kernel and narrow projections against the super
-# projection alone.  Zero divergences required.
+# the group-key kernel, narrow projections against the super
+# projection alone and co-located / broadcast / resegmented joins on a
+# 3-node cluster against the join oracle.  Zero divergences required.
 echo "   extra seeds: 7, ${GIT_SEED} (git-derived)"
 REPRO_FUZZ_SEEDS="7,${GIT_SEED}" REPRO_SANITIZE=1 \
     python -m pytest -q tests/integration/test_sql_differential_fuzz.py \
     tests/storage/test_write_path_byte_identity.py \
     tests/sql/test_copy_by_columns.py::test_column_copy_equals_the_per_line_loop \
     tests/execution/test_kernels_properties.py::test_key_kernel_matches_a_dict_of_lists \
-    tests/integration/test_narrow_projections.py
+    tests/integration/test_narrow_projections.py \
+    tests/execution/test_join_properties.py::test_distributed_joins_equal_the_oracle
 
 echo "== chaos seeds: two fixed + one fresh from the git SHA =="
 # The self-healing scenarios re-run on pinned seeds (regression

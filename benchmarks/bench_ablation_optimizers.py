@@ -5,7 +5,9 @@ StarifiedOpt and V2Opt, reporting plannability, the chosen join
 strategy, estimated cost and measured runtime — the paper's narrative:
 StarOpt handles only co-located stars; StarifiedOpt "bridges the gap"
 by starifying everything (broadcasts); V2Opt moves data on the fly and
-wins on fact-fact joins.
+wins on fact-fact joins.  V2Opt is the product planner
+(``repro.optimizer.PlannerBase``); the two it replaced are the test
+suite's ``reference_planners``.
 """
 
 from __future__ import annotations
@@ -18,10 +20,14 @@ from repro import ColumnDef, Database, TableDefinition, types
 from repro.errors import PlanningError
 from repro.execution import ColumnRef
 from repro.execution.operators.join import JoinType
-from repro.optimizer import JoinNode, PhysJoin, ScanNode
+from repro.optimizer import JoinNode, PhysJoin, PlannerBase, ScanNode
 from repro.projections import Replicated
 
 from conftest import print_table
+from reference_planners import StarifiedOpt, StarOpt, run_planned
+
+#: the generations by the names the report prints
+PLANNERS = {"star": StarOpt, "starified": StarifiedOpt, "v2": PlannerBase}
 
 C = ColumnRef
 
@@ -86,14 +92,13 @@ def fact_fact_query():
 
 
 def _evaluate(db, optimizer: str, query):
+    start = time.perf_counter()
     try:
-        plan = db.planner(optimizer).plan(query)
+        rows, _, plan = run_planned(PLANNERS[optimizer], db, query)
     except PlanningError:
         return None
-    join = next(n for n in plan.walk() if isinstance(n, PhysJoin))
-    start = time.perf_counter()
-    rows = db.query(query, optimizer=optimizer)
     elapsed = (time.perf_counter() - start) * 1000
+    join = next(n for n in plan.walk() if isinstance(n, PhysJoin))
     return {
         "strategy": join.strategy,
         "cost": plan.est_cost.total,
@@ -106,7 +111,7 @@ def test_optimizer_generations_report(benchmark, db):
     table = []
     outcomes = {}
     for query_name, query in (("star", star_query()), ("fact-fact", fact_fact_query())):
-        for optimizer in ("star", "starified", "v2"):
+        for optimizer in PLANNERS:
             outcome = _evaluate(db, optimizer, query)
             outcomes[(query_name, optimizer)] = outcome
             if outcome is None:
@@ -148,12 +153,12 @@ def test_optimizer_generations_report(benchmark, db):
         outcomes[("fact-fact", "v2")]["cost"]
         <= outcomes[("fact-fact", "starified")]["cost"] * 1.01
     )
-    benchmark.pedantic(lambda: db.planner('v2').plan(star_query()), rounds=1, iterations=1)
+    benchmark.pedantic(lambda: db.planner().plan(star_query()), rounds=1, iterations=1)
 
 
 @pytest.mark.parametrize("optimizer", ["starified", "v2"])
 def test_fact_fact_benchmark(benchmark, db, optimizer):
     query = fact_fact_query()
     benchmark.pedantic(
-        lambda: db.query(query, optimizer=optimizer), rounds=2, iterations=1
+        lambda: run_planned(PLANNERS[optimizer], db, query), rounds=2, iterations=1
     )

@@ -5,8 +5,8 @@ Database: C-Store 7 Years Later* (PVLDB 5(12), 2012): columnar storage
 with the paper's six encodings, projections with ring segmentation and
 buddies, ROS/WOS with a stratified tuple mover, epoch-based MVCC with
 the paper's seven-mode lock model, a simulated K-safe cluster with
-incremental recovery, a vectorized pull-model execution engine, three
-optimizer generations, a Database Designer, and a SQL front end —
+incremental recovery, a vectorized pull-model execution engine, the
+V2Opt-style cost-based planner, a Database Designer, and a SQL front end —
 plus a C-Store-2005-style baseline engine for the paper's Table 3
 comparison.
 

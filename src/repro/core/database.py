@@ -1,8 +1,8 @@
 """The public database facade.
 
 :class:`Database` assembles the whole system — simulated cluster,
-epoch-based transactions, locking, statistics, the optimizer
-generations and the distributed executor — behind the API an
+epoch-based transactions, locking, statistics, the planner and the
+distributed executor — behind the API an
 application would use.  :class:`Session` provides transactions with the
 paper's semantics: snapshot reads that take no locks (section 5),
 Insert/Exclusive table locks for writers (Table 1), UPDATE as
@@ -17,7 +17,7 @@ from time import perf_counter
 
 from ..cluster import Cluster, recover_node
 from ..durability.journal import DEFAULT_CHECKPOINT_INTERVAL
-from ..errors import DurabilityError, TransactionError
+from ..errors import DurabilityError
 from ..execution.executor import DistributedExecutor, ExecutorStats
 from ..lint.concur.runtime import TrackedLock
 from ..monitor import METRICS, QueryProfile, build_query_profile
@@ -25,20 +25,13 @@ from ..execution.expressions import ColumnRef, Expr, Literal, Or
 from ..execution.kernels.predicates import compile_kernel_predicate
 from ..execution.resource import ResourcePool, WorkloadPolicy
 from ..execution.row_block import RowBlock
-from ..optimizer import StarifiedOpt, StarOpt, StatsCatalog, V2Opt
+from ..optimizer import PlannerBase, StatsCatalog
 from ..optimizer.logical import LogicalNode, ProjectNode, ScanNode
 from ..optimizer.planner import _copy_nodes
 from ..storage import HistoryRun
 from ..tuple_mover import MergePolicy
 from ..txn import IsolationLevel, LockMode, PendingDelete, Transaction, TxnStatus
 from .schema import TableDefinition
-
-OPTIMIZERS = {
-    "star": StarOpt,
-    "starified": StarifiedOpt,
-    "v2": V2Opt,
-}
-
 
 class Database:
     """A single-process simulation of a Vertica-style cluster."""
@@ -48,7 +41,6 @@ class Database:
         path: str,
         node_count: int = 3,
         k_safety: int = 1,
-        optimizer: str = "v2",
         segments_per_node: int = 3,
         wos_capacity: int = 65536,
         merge_policy: MergePolicy | None = None,
@@ -69,7 +61,6 @@ class Database:
             path,
             node_count=node_count,
             k_safety=k_safety,
-            optimizer=optimizer,
             segments_per_node=segments_per_node,
             wos_capacity=wos_capacity,
             merge_policy=merge_policy,
@@ -99,7 +90,6 @@ class Database:
     def open(
         cls,
         path: str,
-        optimizer: str = "v2",
         merge_policy: MergePolicy | None = None,
         workload_policy: WorkloadPolicy | None = None,
         journal_checkpoint_interval: int | None = None,
@@ -129,7 +119,6 @@ class Database:
             path,
             node_count=genesis["node_count"],
             k_safety=genesis["k_safety"],
-            optimizer=optimizer,
             segments_per_node=genesis["segments_per_node"],
             wos_capacity=genesis["wos_capacity"],
             merge_policy=merge_policy,
@@ -149,7 +138,6 @@ class Database:
         *,
         node_count: int,
         k_safety: int,
-        optimizer: str,
         segments_per_node: int,
         wos_capacity: int,
         merge_policy: MergePolicy | None,
@@ -175,7 +163,6 @@ class Database:
         #: when this database came up through :meth:`open`; else None.
         self.replay_report = None
         self.stats = StatsCatalog()
-        self.optimizer_name = optimizer
         self._txn_id_lock = TrackedLock("Database._txn_id_lock")
         self._next_txn_id = 1  # concurrency: guarded-by(self._txn_id_lock)
         #: Serializes commit application across sessions: the storage
@@ -248,23 +235,17 @@ class Database:
         session.insert(table, rows, direct_to_ros=direct_to_ros)
         return session.commit()
 
-    def query(self, logical: LogicalNode, optimizer: str | None = None) -> list[dict]:
+    def query(self, logical: LogicalNode) -> list[dict]:
         """Run a query in a fresh READ COMMITTED session."""
-        return self.session().query(logical, optimizer=optimizer)
+        return self.session().query(logical)
 
-    def explain(self, logical: LogicalNode, optimizer: str | None = None) -> str:
+    def explain(self, logical: LogicalNode) -> str:
         """Physical plan text for a query."""
-        planner = self.planner(optimizer)
-        return planner.plan(logical).explain()
+        return self.planner().plan(logical).explain()
 
-    def planner(self, optimizer: str | None = None):
-        """Instantiate an optimizer generation bound to current stats."""
-        name = optimizer or self.optimizer_name
-        try:
-            cls = OPTIMIZERS[name]
-        except KeyError:
-            raise TransactionError(f"unknown optimizer {name!r}") from None
-        return cls(self.cluster, self.stats)
+    def planner(self) -> PlannerBase:
+        """The planner, bound to the current statistics."""
+        return PlannerBase(self.cluster, self.stats)
 
     def analyze_statistics(self) -> None:
         """Collect optimizer statistics from live data."""
@@ -289,14 +270,6 @@ class Database:
         if session.txn is not None and session.txn.has_dml:
             session.commit()
         return result
-
-    def system(self, view: str) -> list[dict]:
-        """A monitoring view (``projections``, ``storage_containers``,
-        ``nodes``, ``locks``, ``epochs``) — section 7's resource and
-        allocation reporting."""
-        from .monitor import system_view
-
-        return system_view(self, view)
 
     # -- maintenance ---------------------------------------------------------------
 
@@ -551,7 +524,6 @@ class Session:
     def query(
         self,
         logical: LogicalNode,
-        optimizer: str | None = None,
         at_epoch: int | None = None,
         sql_text: str | None = None,
     ) -> list[dict]:
@@ -578,7 +550,7 @@ class Session:
                 self._own_view(txn, logical), txn.snapshot_epoch, txn.pending_inserts
             )
         sql_text = sql_text or f"<plan:{type(logical).__name__}>"
-        return self._execute(view, epoch, pending, sql_text, optimizer).to_rows()
+        return self._execute(view, epoch, pending, sql_text).to_rows()
 
     def _execute(
         self,
@@ -586,12 +558,11 @@ class Session:
         epoch: int,
         pending_inserts: dict[str, HistoryRun],
         sql_text: str,
-        optimizer: str | None = None,
     ) -> RowBlock:
         """Plan and run ``logical`` at ``epoch`` and record its profile —
         a SELECT, and the reads of DELETE and UPDATE; the result is
         columns (:meth:`DistributedExecutor.run`)."""
-        plan = self.db.planner(optimizer).plan(logical)
+        plan = self.db.planner().plan(logical)
         pool = ResourcePool(self.workload_policy or self.db.workload_policy)
         executor = DistributedExecutor(
             self.db.cluster,
@@ -616,9 +587,9 @@ class Session:
         )
         return result
 
-    def explain(self, logical: LogicalNode, optimizer: str | None = None) -> str:
+    def explain(self, logical: LogicalNode) -> str:
         """Physical plan for a query under this session's database."""
-        return self.db.explain(logical, optimizer=optimizer)
+        return self.db.explain(logical)
 
     def sql(self, text: str, copy_rows=None):
         """Execute one SQL statement inside this session's transaction."""

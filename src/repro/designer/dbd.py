@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from ..core.catalog import Catalog
 from ..errors import DesignError
 from ..execution.expressions import ColumnRef
-from ..optimizer import PhysScan, ScanNode
+from ..optimizer import PhysScan, PlannerBase, ScanNode
 from ..optimizer.logical import GroupByNode, JoinNode, LogicalNode, SortNode
 from ..optimizer.rewrite import split_conjuncts
 from ..projections import (
@@ -252,8 +252,7 @@ class DatabaseDesigner:
         for definition in extra_projections:
             scratch.families[definition.name] = ProjectionFamily(definition, [])
         shim = _HypotheticalCluster(self.db.cluster, scratch)
-        planner_cls = type(self.db.planner())
-        planner = planner_cls(shim, self.db.stats)
+        planner = PlannerBase(shim, self.db.stats)
         total = 0.0
         chosen: dict[str, int] = {}
         for query in workload:

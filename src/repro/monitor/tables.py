@@ -8,7 +8,11 @@ the same for the reproduction's tables:
   query (the tabular twin of ``EXPLAIN ANALYZE``), fanned out of the
   collector's memory-only ``profiles`` ring;
 * ``v_monitor.projection_storage`` — per-(node, projection) storage
-  accounting;
+  accounting and the copy's last good epoch (LGE);
+* ``v_monitor.storage_containers`` — one row per ROS container
+  (Figure 2's content, live);
+* ``v_monitor.epochs`` — the epoch clock: current, latest queryable,
+  the ancient history mark (AHM) and whether any node is down;
 * ``v_monitor.tuple_mover_events`` — completed moveout/mergeout
   operations with durations and strata (the ``tuple_mover`` ring);
 * ``v_monitor.locks`` — currently granted table locks;
@@ -101,6 +105,24 @@ _COLUMNS = {
         "ros_containers",
         "ros_bytes",
         "delete_markers",
+        "lge",
+    ],
+    "storage_containers": [
+        "node_name",
+        "projection_name",
+        "container_id",
+        "row_count",
+        "partition_key",
+        "local_segment",
+        "min_epoch",
+        "max_epoch",
+        "bytes",
+    ],
+    "epochs": [
+        "current_epoch",
+        "latest_queryable_epoch",
+        "ahm",
+        "nodes_down",
     ],
     "tuple_mover_events": [
         "event_id",
@@ -365,9 +387,8 @@ def _query_profiles_rows(db) -> list[dict]:
     return rows
 
 
-def projection_storage_rows(db) -> list[dict]:
-    """Per-(node, projection) storage accounting (also the body of
-    ``Database.system("projections")``)."""
+def _projection_storage_rows(db) -> list[dict]:
+    """Per-(node, projection) storage accounting and LGE."""
     rows = []
     for node in db.cluster.nodes:
         for name in node.manager.projection_names():
@@ -384,9 +405,45 @@ def projection_storage_rows(db) -> list[dict]:
                     "ros_containers": len(state.containers),
                     "ros_bytes": node.manager.total_data_bytes(name),
                     "delete_markers": state.delete_count(),
+                    "lge": db.cluster.epochs.lge(node.index, name),
                 }
             )
     return rows
+
+
+def _storage_containers_rows(db) -> list[dict]:
+    rows = []
+    for node in db.cluster.nodes:
+        for name in node.manager.projection_names():
+            containers = node.manager.storage(name).containers
+            for container_id in sorted(containers):
+                container = containers[container_id]
+                rows.append(
+                    {
+                        "node_name": node.name,
+                        "projection_name": name,
+                        "container_id": container_id,
+                        "row_count": container.row_count,
+                        "partition_key": container.meta.partition_key,
+                        "local_segment": container.meta.local_segment,
+                        "min_epoch": container.meta.min_epoch,
+                        "max_epoch": container.meta.max_epoch,
+                        "bytes": container.size_bytes(),
+                    }
+                )
+    return rows
+
+
+def _epochs_rows(db) -> list[dict]:
+    epochs = db.cluster.epochs
+    return [
+        {
+            "current_epoch": epochs.current_epoch,
+            "latest_queryable_epoch": epochs.latest_queryable_epoch,
+            "ahm": epochs.ahm,
+            "nodes_down": epochs.nodes_down,
+        }
+    ]
 
 
 def _locks_rows(db) -> list[dict]:
@@ -597,7 +654,9 @@ def _alerts_rows(db) -> list[dict]:
 
 _PRODUCERS = {
     "query_profiles": _query_profiles_rows,
-    "projection_storage": projection_storage_rows,
+    "projection_storage": _projection_storage_rows,
+    "storage_containers": _storage_containers_rows,
+    "epochs": _epochs_rows,
     "locks": _locks_rows,
     "node_states": _node_states_rows,
     "sessions": _sessions_rows,

@@ -1,11 +1,15 @@
-"""Query optimization: logical plans, statistics, cost model, and the
-three optimizer generations of section 6.2."""
+"""Query optimization: logical plans, rewrites, statistics, the cost
+model and the physical planner.
+
+The planner (:class:`PlannerBase`) is V2Opt's policy from section 6.2,
+the only one the product plans with.  StarOpt and StarifiedOpt, the
+generations it replaced, live in the test suite as oracles and as the
+fixtures of the section 6.2 ablation benchmark."""
 
 from .cost import (
     CostBreakdown,
     estimate_selectivity,
 )
-from .generations import StarifiedOpt, StarOpt, V2Opt
 from .logical import (
     AnalyticNode,
     DistinctNode,
@@ -51,9 +55,6 @@ from .stats import (
 __all__ = [
     "CostBreakdown",
     "estimate_selectivity",
-    "StarifiedOpt",
-    "StarOpt",
-    "V2Opt",
     "AnalyticNode",
     "DistinctNode",
     "FilterNode",

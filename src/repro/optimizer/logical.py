@@ -1,8 +1,8 @@
 """Logical query plans.
 
 The SQL analyzer (or the programmatic query builder) produces a tree of
-these nodes; the three optimizer generations (section 6.2) turn them
-into physical plans.  Logical nodes carry no algorithm or distribution
+these nodes; the planner (section 6.2's V2Opt policy) turns them into
+physical plans.  Logical nodes carry no algorithm or distribution
 choices — only *what* to compute.
 """
 

@@ -1,10 +1,12 @@
-"""Shared physical planning machinery for all optimizer generations.
+"""The physical planner: V2Opt's policy (section 6.2).
 
-The three optimizers (StarOpt, StarifiedOpt, V2Opt — section 6.2)
-differ in join ordering and in which distribution strategies they may
-use; everything else — projection choice, predicate-derived scan
-costing, group-by phasing, prepass placement, SIP wiring — is shared
-and lives here.
+Projection choice, predicate-derived scan costing, greedy cost-based
+join ordering, distribution-aware join placement (co-located,
+broadcast or resegmented, chosen by cost), group-by phasing, prepass
+placement and SIP wiring.  It is the only planner in the product; the
+generations V2Opt replaced, StarOpt and StarifiedOpt, are re-expressed
+as subclasses in the test suite, where they serve as oracles and as
+the section 6.2 ablation.
 """
 
 from __future__ import annotations
@@ -12,14 +14,13 @@ from __future__ import annotations
 import copy
 
 from ..errors import PlanningError
-from ..execution.expressions import ColumnRef, Expr
+from ..execution.expressions import ColumnRef, Comparison, Expr
 from ..execution.operators.join import JoinType
 from ..execution.row_block import sorted_prefix
 from ..projections import HashSegmentation, ProjectionDefinition
 from . import physical as P
 from .cost import (
     CostBreakdown,
-    average_row_bytes,
     estimate_selectivity,
     groupby_cost,
     join_cost,
@@ -39,7 +40,7 @@ from .logical import (
     ScanNode,
     SortNode,
 )
-from .rewrite import _resync_child_fields, rewrite
+from .rewrite import _reads, _resync_child_fields, conjoin, rewrite
 from .stats import StatsCatalog
 
 
@@ -80,17 +81,8 @@ def _copy_nodes(node: LogicalNode) -> LogicalNode:
 
 
 class PlannerBase:
-    """Common planning logic; generations override join policy hooks."""
-
-    name = "base"
-    #: Strategies this generation may use for non-colocated joins.
-    allowed_strategies: tuple[str, ...] = (
-        P.COLOCATED,
-        P.BROADCAST_INNER,
-        P.RESEGMENT,
-    )
-    #: Whether this generation reorders inner-join chains.
-    reorders_joins = True
+    """Turns a logical tree into a physical plan over the cluster's
+    projections and the current statistics."""
 
     def __init__(self, cluster, stats: StatsCatalog):
         self.cluster = cluster
@@ -110,11 +102,7 @@ class PlannerBase:
         """
         from ..trace import TRACER
 
-        with TRACER.span(
-            "optimizer.plan",
-            category="optimizer",
-            optimizer=type(self).__name__,
-        ):
+        with TRACER.span("optimizer.plan", category="optimizer"):
             logical = rewrite(_copy_nodes(logical))
             return self._plan_node(logical)
 
@@ -268,10 +256,9 @@ class PlannerBase:
     # -- joins --------------------------------------------------------------------
 
     def plan_join_tree(self, node: JoinNode) -> P.PhysicalNode:
-        """Plan a join subtree, reordering inner-join chains when the
-        generation allows it."""
+        """Plan a join subtree, reordering inner-join chains."""
         relations, conditions, reorderable = self._flatten_inner_joins(node)
-        if reorderable and self.reorders_joins and len(relations) > 1:
+        if reorderable and len(relations) > 1:
             return self.order_joins(relations, conditions, node.needed)
         left = self._plan_node(node.left)
         right = self._plan_node(node.right)
@@ -307,9 +294,87 @@ class PlannerBase:
         return relations, conditions, flattenable
 
     def order_joins(self, relations, conditions, needed=None) -> P.PhysicalNode:
-        """Generation-specific join ordering; must be overridden.
-        ``needed`` is what the plan above reads (None: everything)."""
-        raise NotImplementedError
+        """A left-deep join of an inner-join chain's leaves in
+        :meth:`join_order`; conditions no join consumed are a filter on
+        top.  ``needed`` is what the plan above reads (None:
+        everything)."""
+        planned = [self._plan_node(relation) for relation in relations]
+        equis = [
+            (left, right)
+            for left, right, residual in conditions
+            if left is not None
+        ]
+        residuals = [
+            residual for _, _, residual in conditions if residual is not None
+        ]
+        order = self.join_order(planned, equis)
+        current = planned[order[0]]
+        pending = list(equis)
+        for index in order[1:]:
+            right = planned[index]
+            left_keys: list[Expr] = []
+            right_keys: list[Expr] = []
+            current_columns = set(output_columns(current))
+            right_columns = set(output_columns(right))
+            for pair in list(pending):
+                a, b = pair
+                a_cols = a.referenced_columns()
+                b_cols = b.referenced_columns()
+                if a_cols <= current_columns and b_cols <= right_columns:
+                    left_keys.append(a)
+                    right_keys.append(b)
+                    pending.remove(pair)
+                elif b_cols <= current_columns and a_cols <= right_columns:
+                    left_keys.append(b)
+                    right_keys.append(a)
+                    pending.remove(pair)
+            # an intermediate join also carries the keys of the joins
+            # still to come and what the residuals read
+            keep = needed
+            if needed is not None:
+                keep = needed | _reads(residuals + [e for pair in pending for e in pair])
+            current = self.make_join(
+                current, right, JoinType.INNER, left_keys, right_keys, needed=keep
+            )
+        leftover = residuals + [Comparison("=", a, b) for a, b in pending]
+        if leftover:
+            predicate = conjoin(leftover)
+            filtered = P.PhysFilter(current, predicate, current.distribution)
+            filtered.est_rows = current.est_rows * 0.5
+            filtered.est_cost = current.est_cost
+            return filtered
+        return current
+
+    def join_order(self, planned: list[P.PhysicalNode], equis) -> list[int]:
+        """Greedy: start from the smallest filtered input, then
+        repeatedly add the smallest relation an equi-condition connects
+        to what is joined so far (the smallest of the rest when none
+        does)."""
+        remaining = set(range(len(planned)))
+        start = min(remaining, key=lambda i: planned[i].est_rows)
+        order = [start]
+        remaining.discard(start)
+        current_columns = set(output_columns(planned[start]))
+
+        def connects(index: int) -> bool:
+            columns = set(output_columns(planned[index]))
+            for a, b in equis:
+                a_cols = a.referenced_columns()
+                b_cols = b.referenced_columns()
+                if (a_cols <= current_columns and b_cols <= columns) or (
+                    b_cols <= current_columns and a_cols <= columns
+                ):
+                    return True
+            return False
+
+        while remaining:
+            connected = [index for index in remaining if connects(index)]
+            pool = connected or sorted(remaining)
+            best = min(pool, key=lambda i: planned[i].est_rows)
+            order.append(best)
+            remaining.discard(best)
+            current_columns |= set(output_columns(planned[best]))
+        return order
 
     # -- join construction ----------------------------------------------------------
 
@@ -357,24 +422,18 @@ class PlannerBase:
         self, left: P.PhysicalNode, right: P.PhysicalNode,
         left_keys, right_keys,
     ) -> tuple[str, CostBreakdown]:
-        """Cheapest allowed distribution strategy for a join."""
+        """Cheapest distribution strategy for a join: co-located when
+        the layouts allow it, else broadcast or resegment by cost."""
         left_bytes = 16.0
         right_bytes = 16.0
         options: list[tuple[float, str, CostBreakdown]] = []
         if self.colocated_possible(left, right, left_keys, right_keys):
             options.append((0.0, P.COLOCATED, CostBreakdown()))
         for strategy in (P.BROADCAST_INNER, P.RESEGMENT):
-            if strategy not in self.allowed_strategies:
-                continue
             cost = self.strategy_cost(
                 strategy, left.est_rows, right.est_rows, left_bytes, right_bytes
             )
             options.append((cost.total, strategy, cost))
-        if not options:
-            raise PlanningError(
-                f"{self.name} cannot place this join: no co-located layout "
-                "and data movement is not permitted"
-            )
         options.sort(key=lambda item: item[0])
         _, strategy, cost = options[0]
         return strategy, cost
@@ -449,11 +508,6 @@ class PlannerBase:
             # every probe fragment would hold the whole preserved inner
             # and return the rows *its* slice did not match, once per
             # node: only a resegmented inner is split as the probe is.
-            if P.RESEGMENT not in self.allowed_strategies:
-                raise PlanningError(
-                    f"{self.name} cannot place a {join_type.value} join whose "
-                    "inner every node holds whole: it needs a resegment"
-                )
             strategy = P.RESEGMENT
             move_cost = self.strategy_cost(
                 strategy, left.est_rows, right.est_rows, 16.0, 16.0

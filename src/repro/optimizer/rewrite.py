@@ -1,9 +1,9 @@
-"""Logical rewrites shared by all optimizer generations.
+"""Logical rewrites applied before physical planning.
 
 Section 6.2 lists the classic rewrites Vertica adopted: introducing
 transitive predicates based on join keys, converting outer joins to
 inner joins, predicate push-down, and pruning unneeded columns.  These
-run before physical planning and are generation-independent; pruning
+run before physical planning and do not depend on it; pruning
 runs last, so every scan reads only the columns the query names and a
 narrow projection can answer it.
 """

@@ -338,7 +338,7 @@ class TestExchangeFailover:
             [ColumnRef("f_id")],
             [ColumnRef("link")],
         )
-        physical = db.planner("v2").plan(plan)
+        physical = db.planner().plan(plan)
         join = next(n for n in physical.walk() if isinstance(n, PhysJoin))
         join.strategy = P.RESEGMENT
         join.sip = False

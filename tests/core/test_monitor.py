@@ -1,4 +1,5 @@
-"""Tests for the monitoring views and date-part functions."""
+"""Tests for the v_monitor storage, lock and epoch tables and the
+date-part functions."""
 
 import pytest
 
@@ -21,53 +22,62 @@ def db(tmp_path):
 
 
 class TestSystemViews:
+    """Section 7's resource and allocation reporting, as SQL over the
+    ``v_monitor`` tables."""
+
     def test_projections_view(self, db):
-        rows = db.system("projections")
+        rows = db.sql("SELECT * FROM v_monitor.projection_storage")
         # 3 nodes x 2 copies (primary + buddy)
         assert len(rows) == 6
-        assert {row["projection"] for row in rows} == {"t_super", "t_super_b1"}
+        assert {row["projection_name"] for row in rows} == {"t_super", "t_super_b1"}
         assert sum(row["wos_rows"] + row["ros_rows"] for row in rows) == 600
 
     def test_wos_drains_into_view(self, db):
-        before = db.system("projections")
-        assert sum(row["wos_rows"] for row in before) == 600
+        sql = "SELECT wos_rows, ros_rows FROM v_monitor.projection_storage"
+        assert sum(row["wos_rows"] for row in db.sql(sql)) == 600
         db.run_tuple_movers()
-        after = db.system("projections")
+        after = db.sql(sql)
         assert sum(row["wos_rows"] for row in after) == 0
         assert sum(row["ros_rows"] for row in after) == 600
 
     def test_storage_containers_view(self, db):
         db.run_tuple_movers()
-        rows = db.system("storage_containers")
+        rows = db.sql("SELECT * FROM v_monitor.storage_containers")
         assert rows
-        assert all(row["rows"] > 0 for row in rows)
+        assert all(row["row_count"] > 0 for row in rows)
         assert all(row["min_epoch"] <= row["max_epoch"] for row in rows)
+        assert sum(row["row_count"] for row in rows) == 600
 
     def test_nodes_view_tracks_failure(self, db):
         db.run_tuple_movers()
-        assert all(row["up"] for row in db.system("nodes"))
+        states = "SELECT is_up FROM v_monitor.node_states ORDER BY node_index"
+        assert all(row["is_up"] for row in db.sql(states))
         db.fail_node(2)
-        rows = db.system("nodes")
-        assert [row["up"] for row in rows] == [True, True, False]
-        assert rows[0]["min_lge"] > 0
+        assert [row["is_up"] for row in db.sql(states)] == [True, True, False]
+        lges = db.sql(
+            "SELECT lge FROM v_monitor.projection_storage WHERE node_name = 'node00'"
+        )
+        assert lges and min(row["lge"] for row in lges) > 0
 
     def test_locks_view(self, db):
         session = db.session()
         session.insert("t", [{"k": 999, "v": "y"}])
-        rows = db.system("locks")
-        assert rows == [{"object": "t", "txn": session.txn.txn_id,
+        rows = db.sql("SELECT * FROM v_monitor.locks")
+        assert rows == [{"object_name": "t", "txn_id": session.txn.txn_id,
                          "mode": LockMode.I.value}]
         session.rollback()
-        assert db.system("locks") == []
+        assert db.sql("SELECT * FROM v_monitor.locks") == []
 
     def test_epochs_view(self, db):
-        row = db.system("epochs")[0]
+        (row,) = db.sql("SELECT * FROM v_monitor.epochs")
         assert row["current_epoch"] == row["latest_queryable_epoch"] + 1
         assert row["nodes_down"] is False
+        db.fail_node(2)
+        assert db.sql("SELECT nodes_down FROM v_monitor.epochs") == [{"nodes_down": True}]
 
     def test_unknown_view(self, db):
         with pytest.raises(UnknownObjectError):
-            db.system("threads")
+            db.sql("SELECT * FROM v_monitor.threads")
 
 
 class TestDateParts:

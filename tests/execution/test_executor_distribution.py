@@ -6,11 +6,12 @@ import pytest
 
 from repro import ColumnDef, Database, TableDefinition, types
 from repro.execution import AggregateSpec, ColumnRef, Literal
-from repro.execution.executor import DistributedExecutor
 from repro.execution.operators.join import JoinType
-from repro.optimizer import GroupByNode, JoinNode, PhysJoin, ScanNode
+from repro.optimizer import GroupByNode, JoinNode, PhysJoin, PlannerBase, ScanNode
 from repro.optimizer import physical as P
 from repro.projections import HashSegmentation, Replicated
+
+from reference_planners import StarifiedOpt, run_planned
 
 C = ColumnRef
 L = Literal
@@ -47,13 +48,6 @@ def db(tmp_path):
     return db
 
 
-def run_with_stats(db, plan_logical, optimizer="v2"):
-    physical = db.planner(optimizer).plan(plan_logical)
-    executor = DistributedExecutor(db.cluster, db.latest_epoch)
-    rows = executor.run(physical).to_rows()
-    return rows, executor.stats, physical
-
-
 class TestColocated:
     def test_fact_dim_no_data_movement(self, db):
         plan = JoinNode(
@@ -62,7 +56,7 @@ class TestColocated:
             JoinType.INNER,
             [C("dim_id")], [C("d_id")],
         )
-        rows, stats, physical = run_with_stats(db, plan)
+        rows, stats, physical = run_planned(PlannerBase, db, plan)
         assert len(rows) == 600
         join = next(n for n in physical.walk() if isinstance(n, PhysJoin))
         assert join.strategy == P.COLOCATED
@@ -78,7 +72,7 @@ class TestColocated:
             JoinType.INNER,
             [C("f_id")], [C("f2")],
         )
-        rows, stats, physical = run_with_stats(db, plan)
+        rows, stats, physical = run_planned(PlannerBase, db, plan)
         assert len(rows) == 600
         join = next(n for n in physical.walk() if isinstance(n, PhysJoin))
         assert join.strategy == P.COLOCATED
@@ -95,7 +89,7 @@ class TestDataMovement:
         )
 
     def test_v2_moves_data(self, db):
-        rows, stats, physical = run_with_stats(db, self.fact_fact(), "v2")
+        rows, stats, physical = run_planned(PlannerBase, db, self.fact_fact())
         assert len(rows) == 600  # f_id 0..299 each match two fact2 rows
         join = next(n for n in physical.walk() if isinstance(n, PhysJoin))
         assert join.strategy in (P.RESEGMENT, P.BROADCAST_INNER)
@@ -103,7 +97,7 @@ class TestDataMovement:
         assert moved > 0
 
     def test_starified_broadcasts(self, db):
-        rows, stats, physical = run_with_stats(db, self.fact_fact(), "starified")
+        rows, stats, physical = run_planned(StarifiedOpt, db, self.fact_fact())
         assert len(rows) == 600
         join = next(n for n in physical.walk() if isinstance(n, PhysJoin))
         assert join.strategy == P.BROADCAST_INNER
@@ -111,8 +105,8 @@ class TestDataMovement:
 
     def test_resegment_preserves_multiset(self, db):
         # force resegment by comparing against broadcast answer
-        broadcast_rows, _, _ = run_with_stats(db, self.fact_fact(), "starified")
-        v2_rows, _, _ = run_with_stats(db, self.fact_fact(), "v2")
+        broadcast_rows, _, _ = run_planned(StarifiedOpt, db, self.fact_fact())
+        v2_rows, _, _ = run_planned(PlannerBase, db, self.fact_fact())
         normalize = lambda rows: sorted(
             tuple(sorted(row.items())) for row in rows
         )
@@ -126,7 +120,7 @@ class TestTwoPhaseAggregation:
             [("f_id", C("f_id"))],
             [AggregateSpec("COUNT", None, "n")],
         )
-        physical = db.planner("v2").plan(plan)
+        physical = db.planner().plan(plan)
         group = next(
             n for n in physical.walk() if isinstance(n, P.PhysGroupBy)
         )
@@ -140,7 +134,7 @@ class TestTwoPhaseAggregation:
             [("dim_id", C("dim_id"))],
             [AggregateSpec("COUNT", None, "n")],
         )
-        physical = db.planner("v2").plan(plan)
+        physical = db.planner().plan(plan)
         group = next(
             n for n in physical.walk() if isinstance(n, P.PhysGroupBy)
         )
@@ -156,7 +150,7 @@ class TestTwoPhaseAggregation:
             [("dim_id", C("dim_id"))],
             [AggregateSpec("AVG", C("f_id"), "mean")],
         )
-        physical = db.planner("v2").plan(plan)
+        physical = db.planner().plan(plan)
         group = next(
             n for n in physical.walk() if isinstance(n, P.PhysGroupBy)
         )
@@ -170,7 +164,7 @@ class TestTwoPhaseAggregation:
             [],
             [AggregateSpec("COUNT", None, "n")],
         )
-        physical = db.planner("v2").plan(plan)
+        physical = db.planner().plan(plan)
         group = next(
             n for n in physical.walk() if isinstance(n, P.PhysGroupBy)
         )

@@ -28,8 +28,11 @@ BOOLEAN columns, and INNER / LEFT / FULL joins between them must equal
 the oracle whether the plan is co-located (both tables segmented on the
 join key), broadcasts the inner or resegments both sides: each of those
 places a row by its key's ring position, so values that compare equal
-must land together.  ``REPRO_FUZZ_SEEDS`` (tools/check.sh) adds seeded
-runs.  Three reproducers of rows lost that way are pinned at the end.
+must land together.  StarOpt and StarifiedOpt (``reference_planners``)
+plan every draw too, and wherever they accept one their plan must give
+the oracle's answer as well.  ``REPRO_FUZZ_SEEDS`` (tools/check.sh)
+adds seeded runs.  Three reproducers of rows lost that way are pinned at
+the end.
 """
 
 import os
@@ -41,6 +44,7 @@ from hypothesis import strategies as st
 
 from repro import Database, types
 from repro.core.schema import ColumnDef, TableDefinition
+from repro.errors import PlanningError
 from repro.execution import (
     VECTOR_SIZE,
     ColumnRef,
@@ -60,6 +64,8 @@ from repro.optimizer import physical as P
 from repro.optimizer.logical import JoinNode, ScanNode
 from repro.projections import HashSegmentation, super_projection
 from repro.storage import StorageManager
+
+from reference_planners import StarifiedOpt, StarOpt, run_planned
 
 NAN, OTHER_NAN = float("nan"), float("nan")
 KEYS = [None, 0, 1, 1.0, True, False, 2, 0.0, -0.0, NAN, OTHER_NAN]
@@ -279,6 +285,14 @@ SETUPS = {
     P.BROADCAST_INNER: (60, 20, dict(zip(DISTRIBUTED, [P.BROADCAST_INNER] * 2 + [P.RESEGMENT]))),
     P.RESEGMENT: (20, 60, dict(zip(DISTRIBUTED, [P.BROADCAST_INNER] + [P.RESEGMENT] * 2))),
 }
+#: setup -> the older generations that accept some of its draws: StarOpt
+#: places only co-located joins; StarifiedOpt broadcasts the rest, bar
+#: the RIGHT / FULL joins only a resegment places
+ACCEPTED_BY = {
+    P.COLOCATED: {StarOpt, StarifiedOpt},
+    P.BROADCAST_INNER: {StarifiedOpt},
+    P.RESEGMENT: {StarifiedOpt},
+}
 EXTRA_SEEDS = [int(s) for s in os.environ.get("REPRO_FUZZ_SEEDS", "").split(",") if s]
 
 
@@ -321,20 +335,30 @@ def test_distributed_joins_equal_the_oracle(tmp_path, seed, strategy):
         right = _create(db, rng, f"r{n}", "r", right_kinds, colocated, right_count)
         tables.append((n, left, right))
     db.analyze_statistics()
+    accepted = set()
     for n, (left_names, left), (right_names, right) in tables:
         lk, rk = left_names[1:], right_names[1:]
         for join_type in DISTRIBUTED:
-            plan = db.planner().plan(JoinNode(
+            query = JoinNode(
                 ScanNode(f"l{n}", left_names), ScanNode(f"r{n}", right_names),
                 join_type, [ColumnRef(k) for k in lk], [ColumnRef(k) for k in rk],
-            ))
+            )
+            plan = db.planner().plan(query)
             (join,) = [node for node in plan.walk() if isinstance(node, P.PhysJoin)]
             assert join.strategy == planned[join_type], (lk, rk, join_type)
             if strategy == P.RESEGMENT:
                 join.strategy = P.RESEGMENT
             got = DistributedExecutor(db.cluster, db.latest_epoch).run(plan).to_rows()
-            want = oracle(join_type, left, right, lk, rk, right_names)
-            assert canonical(got) == canonical(want), (seed, lk, rk, join_type)
+            want = canonical(oracle(join_type, left, right, lk, rk, right_names))
+            assert canonical(got) == want, (seed, lk, rk, join_type)
+            for planner in (StarOpt, StarifiedOpt):
+                try:
+                    got, _, _ = run_planned(planner, db, query)
+                except PlanningError:
+                    continue
+                accepted.add(planner)
+                assert canonical(got) == want, (planner, seed, lk, rk, join_type)
+    assert accepted == ACCEPTED_BY[strategy]
 
 
 # -- reproducers: equal keys of different types used to land apart -------------

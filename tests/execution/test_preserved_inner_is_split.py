@@ -8,7 +8,8 @@ with ``d`` replicated, a merge join co-located against the replicated
 copy.  Either way every probe fragment held the whole inner and
 returned the inner rows *its* slice of ``f`` did not match — d 10–19
 three times each, 330 rows instead of 310.  The planner now resegments
-such a join; a planner generation that cannot resegment refuses it.
+such a join; the older generations, which cannot resegment
+(``reference_planners``), refuse it.
 """
 
 import pytest
@@ -18,6 +19,8 @@ from repro.errors import PlanningError
 from repro.execution import ColumnRef, JoinType
 from repro.optimizer.logical import JoinNode, ScanNode
 from repro.projections import Replicated
+
+from reference_planners import StarifiedOpt, StarOpt, run_planned
 
 
 @pytest.fixture(scope="module", params=["segmented", "replicated"])
@@ -57,9 +60,9 @@ def test_unmatched_inner_rows_come_back_once(db, join_type):
     )
 
 
-@pytest.mark.parametrize("optimizer", ["star", "starified"])
+@pytest.mark.parametrize("planner", [StarOpt, StarifiedOpt], ids=["star", "starified"])
 @pytest.mark.parametrize("join_type", [JoinType.RIGHT, JoinType.FULL])
-def test_a_planner_that_cannot_resegment_refuses(db, optimizer, join_type):
+def test_a_planner_that_cannot_resegment_refuses(db, planner, join_type):
     query = JoinNode(
         ScanNode("f", ["f_id", "f_dim"]),
         ScanNode("d", ["d_id", "d_name"]),
@@ -68,4 +71,4 @@ def test_a_planner_that_cannot_resegment_refuses(db, optimizer, join_type):
         [ColumnRef("d_id")],
     )
     with pytest.raises(PlanningError):
-        db.query(query, optimizer=optimizer)
+        run_planned(planner, db, query)

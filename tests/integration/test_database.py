@@ -11,11 +11,14 @@ from repro.optimizer import (
     GroupByNode,
     JoinNode,
     LimitNode,
+    PlannerBase,
     ProjectNode,
     ScanNode,
     SortNode,
 )
 from repro.projections import Replicated
+
+from reference_planners import StarifiedOpt, StarOpt, run_planned
 
 C = ColumnRef
 L = Literal
@@ -152,14 +155,17 @@ def join_plan():
 
 
 class TestJoins:
-    @pytest.mark.parametrize("optimizer", ["star", "starified", "v2"])
-    def test_join_all_generations(self, db, optimizer):
+    @pytest.mark.parametrize(
+        "planner", [StarOpt, StarifiedOpt, PlannerBase], ids=["star", "starified", "v2"]
+    )
+    def test_join_all_generations(self, db, planner):
         plan = GroupByNode(
             join_plan(),
             [("region", C("region"))],
             [AggregateSpec("COUNT", None, "n")],
         )
-        rows = sorted(db.query(plan, optimizer=optimizer), key=lambda r: r["region"])
+        rows, _, _ = run_planned(planner, db, plan)
+        rows = sorted(rows, key=lambda r: r["region"])
         assert [row["region"] for row in rows] == ["east", "west"]
         assert sum(row["n"] for row in rows) == 2000
 
@@ -207,10 +213,10 @@ class TestJoins:
             [C("q")],
         )
         with pytest.raises(PlanningError):
-            db2.query(plan, optimizer="star")
-        # starified and v2 both handle it
-        assert len(db2.query(plan, optimizer="starified")) == 500
-        assert len(db2.query(plan, optimizer="v2")) == 500
+            run_planned(StarOpt, db2, plan)
+        # starified and the product planner both handle it
+        assert len(run_planned(StarifiedOpt, db2, plan)[0]) == 500
+        assert len(db2.query(plan)) == 500
 
     def test_left_join(self, db):
         # delete a customer; its orders survive a LEFT join with NULLs
@@ -317,6 +323,6 @@ class TestExplain:
 
     def test_explain_differs_between_generations(self, db, tmp_path):
         plan = join_plan()
-        star = db.explain(plan, optimizer="star")
-        v2 = db.explain(plan, optimizer="v2")
+        star = StarOpt(db.cluster, db.stats).plan(plan).explain()
+        v2 = db.explain(plan)
         assert "Scan" in star and "Scan" in v2

@@ -46,7 +46,14 @@ GOLDEN_SCHEMAS = {
     ],
     "v_monitor.projection_storage": [
         "node_name", "projection_name", "anchor_table", "wos_rows",
-        "ros_rows", "ros_containers", "ros_bytes", "delete_markers",
+        "ros_rows", "ros_containers", "ros_bytes", "delete_markers", "lge",
+    ],
+    "v_monitor.storage_containers": [
+        "node_name", "projection_name", "container_id", "row_count",
+        "partition_key", "local_segment", "min_epoch", "max_epoch", "bytes",
+    ],
+    "v_monitor.epochs": [
+        "current_epoch", "latest_queryable_epoch", "ahm", "nodes_down",
     ],
     "v_monitor.tuple_mover_events": [
         "event_id", "kind", "node_name", "projection_name",

@@ -1,4 +1,5 @@
-"""Tests for logical rewrites and the three optimizer generations."""
+"""Tests for logical rewrites, the planner, and the planner against the
+generations it replaced (``reference_planners``)."""
 
 import pytest
 
@@ -13,6 +14,7 @@ from repro.optimizer import (
     JoinNode,
     PhysJoin,
     PhysScan,
+    PlannerBase,
     ProjectNode,
     ScanNode,
     rewrite,
@@ -26,6 +28,8 @@ from repro.optimizer.rewrite import (
     split_conjuncts,
 )
 from repro.projections import Replicated
+
+from reference_planners import StarifiedOpt, StarOpt, run_planned
 
 C = ColumnRef
 L = Literal
@@ -194,13 +198,13 @@ def star_query():
 
 class TestGenerations:
     def test_staropt_plans_star_colocated(self, star_db):
-        plan = star_db.planner("star").plan(star_query())
+        plan = StarOpt(star_db.cluster, star_db.stats).plan(star_query())
         joins = [n for n in plan.walk() if isinstance(n, PhysJoin)]
         assert len(joins) == 1
         assert joins[0].strategy == P.COLOCATED
 
     def test_staropt_puts_fact_on_probe_side(self, star_db):
-        plan = star_db.planner("star").plan(star_query())
+        plan = StarOpt(star_db.cluster, star_db.stats).plan(star_query())
         join = next(n for n in plan.walk() if isinstance(n, PhysJoin))
         left_scan = next(
             n for n in join.left.walk() if isinstance(n, PhysScan)
@@ -208,14 +212,14 @@ class TestGenerations:
         assert left_scan.table == "fact"
 
     def test_v2_uses_sip_on_hash_joins(self, star_db):
-        plan = star_db.planner("v2").plan(star_query())
+        plan = star_db.planner().plan(star_query())
         join = next(n for n in plan.walk() if isinstance(n, PhysJoin))
         if join.algorithm == "hash" and join.strategy != P.RESEGMENT:
             assert join.sip
 
     def test_all_generations_same_results(self, star_db):
-        for optimizer in ("star", "starified", "v2"):
-            rows = star_db.query(star_query(), optimizer=optimizer)
+        for planner in (StarOpt, StarifiedOpt, PlannerBase):
+            rows, _, _ = run_planned(planner, star_db, star_query())
             assert len(rows) == 2000
 
     def test_projection_choice_prefers_predicate_sorted(self, star_db):
@@ -235,7 +239,7 @@ class TestGenerations:
         star_db.add_projection(narrow)
         star_db.analyze_statistics()
         query = ScanNode("fact", ["f_id"], predicate=C("v") > L(1990.0))
-        plan = star_db.planner("v2").plan(query)
+        plan = star_db.planner().plan(query)
         scan = next(n for n in plan.walk() if isinstance(n, PhysScan))
         assert scan.family_name == "fact_by_v"
 
@@ -252,7 +256,7 @@ class TestGenerations:
             for m in ("a", "b") for k in range(3) for t in range(2)
         ])
         db.analyze_statistics()
-        planner = db.planner("v2")
+        planner = db.planner()
         second = planner.plan_scan(ScanNode("meter_readings", ["meter"]))
         assert second.sort_order == ()
         prefix = planner.plan_scan(ScanNode("meter_readings", ["ts", "meter", "metric"]))
@@ -294,7 +298,7 @@ class TestGenerations:
             [C("k")],
             [C("k2")],
         )
-        plan = db.planner("v2").plan(query)
+        plan = db.planner().plan(query)
         join = next(n for n in plan.walk() if isinstance(n, PhysJoin))
         assert join.algorithm == "merge"
         rows = db.query(query)
@@ -322,14 +326,14 @@ class TestGenerations:
             [C("jbig1")],
             [C("jbig2")],
         )
-        v2_plan = db.planner("v2").plan(query)
+        v2_plan = db.planner().plan(query)
         v2_join = next(n for n in v2_plan.walk() if isinstance(n, PhysJoin))
         assert v2_join.strategy in (P.RESEGMENT, P.BROADCAST_INNER)
-        star_plan = db.planner("starified").plan(query)
+        rows, _, star_plan = run_planned(StarifiedOpt, db, query)
         star_join = next(n for n in star_plan.walk() if isinstance(n, PhysJoin))
         assert star_join.strategy == P.BROADCAST_INNER
-        assert len(db.query(query, optimizer="v2")) == 20000
-        assert len(db.query(query, optimizer="starified")) == 20000
+        assert len(db.query(query)) == 20000
+        assert len(rows) == 20000
 
     def test_rewrite_wrapper(self):
         fact, dim = scans()
@@ -384,11 +388,11 @@ class TestPlanCopiesNodesNotExpressions:
     def test_replanning_one_tree_leaves_it_untouched(self, star_db):
         query = self.outer_join_query()
         before = query.explain()
-        first = star_db.planner("v2").plan(query)
+        first = star_db.planner().plan(query)
         assert query.explain() == before
         assert query.child.join_type is JoinType.LEFT
         assert query.child.left.predicate is None
-        assert star_db.planner("v2").plan(query).explain() == first.explain()
+        assert star_db.planner().plan(query).explain() == first.explain()
         assert len(star_db.query(query)) == len(star_db.query(query)) == 100
 
     def test_no_expression_is_copied_or_mutated(self, star_db, monkeypatch):
@@ -412,8 +416,8 @@ class TestPlanCopiesNodesNotExpressions:
             object.__setattr__(self, name, value)
 
         monkeypatch.setattr(Expr, "__setattr__", watching, raising=False)
-        for optimizer in ("star", "starified", "v2"):
-            star_db.planner(optimizer).plan(query)
+        for planner in (StarOpt, StarifiedOpt, PlannerBase):
+            planner(star_db.cluster, star_db.stats).plan(query)
         star_db.sql("SELECT f_id FROM fact WHERE dim_id = 3 AND v > 100.0")
         assert deep_copies == []
         assert rebound == []

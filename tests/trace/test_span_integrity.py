@@ -57,7 +57,7 @@ def _run_resegmented(db):
         [C("f_id")],
         [C("link")],
     )
-    physical = db.planner("v2").plan(plan)
+    physical = db.planner().plan(plan)
     join = next(n for n in physical.walk() if isinstance(n, PhysJoin))
     join.strategy = P.RESEGMENT
     join.sip = False

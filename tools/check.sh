@@ -83,13 +83,16 @@ echo "== perf smoke: bench harness writes BENCH_REPORT.json =="
 # bench into BENCH_REPORT.json at the repo root.  The full report comes
 # from the same command without the scale-down env vars:
 #     python -m pytest benchmarks/ -q
+# The section 6.2 ablation runs the planner against StarOpt and
+# StarifiedOpt from tests/reference_planners.py.
 REPRO_T4B_ROWS=20000 REPRO_FAILOVER_ROWS=8000 \
 REPRO_SESSION_STATEMENTS=2 REPRO_RESTART_COMMITS=12 \
 REPRO_DC_STATEMENTS=100 python -m pytest \
     benchmarks/bench_figure3_plan.py benchmarks/bench_degraded_failover.py \
     benchmarks/bench_concurrent_sessions.py \
     benchmarks/bench_restart_recovery.py \
-    benchmarks/bench_dc_overhead.py -q
+    benchmarks/bench_dc_overhead.py \
+    benchmarks/bench_ablation_optimizers.py -q
 test -s BENCH_REPORT.json
 python - <<'EOF'
 import json

@@ -86,6 +86,9 @@ class Cluster:
         #: :meth:`repro.core.database.Database.open` can replay them
         #: after a crash.  ``None`` for throwaway/test clusters.
         self.journal = journal
+        #: The :class:`repro.core.Database` serving this cluster, which
+        #: a ``v_monitor`` scan reads (set by it; None for a bare cluster).
+        self.database = None
         self.epochs = EpochManager()
         self.locks = LockManager()
         self.membership = Membership(node_count)
@@ -136,7 +139,7 @@ class Cluster:
         ``query_retry``, ``recovery_transition``, ``quarantine``,
         ``degraded_mode``; ``node_index`` -1 = cluster-wide) in the
         collector's ``node_events`` ring — served as
-        ``v_monitor.failover_events`` / ``dc_node_events`` — and flush:
+        ``v_monitor.dc_node_events`` — and flush:
         node deaths and recovery transitions are rare and precious, so
         they go durable immediately."""
         name = f"node{node_index:02d}" if node_index >= 0 else "-"

@@ -28,7 +28,7 @@ and
    QUARANTINED after ``max_recovery_attempts`` failures rather than
    retried forever;
 4. re-evaluates the degraded modes and records transitions into the
-   collector as failover events (``v_monitor.failover_events``).
+   collector as failover events (``v_monitor.dc_node_events``).
 
 Everything runs off :class:`repro.cluster.clock.SimulatedClock`; no
 wall-clock call is involved, so a chaos seed replays tick-for-tick.
@@ -45,7 +45,7 @@ from .recovery import recover_node
 
 #: Supervisor states, in lifecycle order.  RESTARTING / RECOVERING /
 #: CURRENT are transient within one tick but still recorded as
-#: transitions so ``v_monitor.failover_events`` shows the full path.
+#: transitions so ``v_monitor.dc_node_events`` shows the full path.
 DOWN = "DOWN"
 RESTARTING = "RESTARTING"
 SCAVENGED = "SCAVENGED"

@@ -21,6 +21,7 @@ from ..errors import DurabilityError
 from ..execution.executor import DistributedExecutor, ExecutorStats
 from ..lint.concur.runtime import TrackedLock
 from ..monitor import METRICS, QueryProfile, build_query_profile
+from ..monitor.tables import is_monitor_table, reads_monitor
 from ..execution.expressions import ColumnRef, Expr, Literal, Or
 from ..execution.kernels.predicates import compile_kernel_predicate
 from ..execution.resource import ResourcePool, WorkloadPolicy
@@ -176,6 +177,7 @@ class Database:
         #: a service wraps this database; the ``v_monitor.sessions`` /
         #: ``resource_pools`` producers read it (None = no service).
         self.service = None
+        self.cluster.database = self
         #: The health/alert engine behind ``v_monitor.alerts`` and the
         #: ``v_monitor.slow_queries`` threshold (lazy import: repro.dc
         #: sits above the cluster in the import graph).
@@ -540,7 +542,7 @@ class Session:
             for table in {
                 scan.table
                 for scan in logical.walk()
-                if isinstance(scan, ScanNode)
+                if isinstance(scan, ScanNode) and not is_monitor_table(scan.table)
             }:
                 self._acquire_lock(txn, table, LockMode.S)
         if at_epoch is not None:  # the past holds none of the transaction's writes
@@ -578,7 +580,7 @@ class Session:
         self.last_pool = pool
         METRICS.inc("queries.executed")
         self.last_profile = build_query_profile(
-            self.db.cluster.dc,
+            None if reads_monitor(logical) else self.db.cluster.dc,
             executor.root_operator,
             sql=sql_text,
             epoch=epoch,

@@ -6,9 +6,8 @@ up/down transitions, tuple-mover cycles, errors — into per-component
 ring buffers that are periodically persisted, then serves them back as
 ordinary SQL tables.  This module is that subsystem for the
 reproduction, and the only store of operational history in it: every
-``v_monitor`` history table (``dc_*``, ``tuple_mover_events``,
-``failover_events``, ``query_profiles``) is a column map over one of
-these rings.
+``v_monitor`` history table (``dc_*``, ``query_profiles``) is a
+column map over one of these rings.
 
 Every event flows through one :meth:`DataCollector.record` call into a
 per-component ring bounded by a :class:`RetentionPolicy` (record count

@@ -31,6 +31,7 @@ from ..errors import (
     PlanningError,
 )
 from ..monitor import METRICS
+from ..monitor.tables import is_monitor_table, table_rows
 from ..trace import TRACER, record_plan_spans
 from .aggregates import AggregateSpec
 from .expressions import ColumnRef, substitute_columns
@@ -305,18 +306,13 @@ class DistributedExecutor:
         as a whole must pass :meth:`Cluster.check_data_available` — a
         cluster with *any* unreachable segment performs a safety
         shutdown (section 5.3), it does not keep serving the tables
-        that happen to survive."""
-        from ..optimizer import physical as P
-
-        stack = [plan]
-        seen: set[str] = set()
-        while stack:
-            node = stack.pop()
-            if isinstance(node, P.PhysScan) and node.family_name not in seen:
-                seen.add(node.family_name)
-                family = self.cluster.catalog.family(node.family_name)
-                self.cluster.require_family_available(family)
-            stack.extend(node.children)
+        that happen to survive.  A plan that scans only ``v_monitor``
+        tables reads no stored data and answers through the shutdown."""
+        families = self._families(plan)
+        for name in families:
+            self.cluster.require_family_available(self.cluster.catalog.family(name))
+        if not families:
+            return
         try:
             self.cluster.require_data_available()
         except DataUnavailableError:
@@ -329,26 +325,35 @@ class DistributedExecutor:
         family re-resolves to on the surviving buddies.  Annotated onto
         the ``failover.retry`` span so a trace names not just the dead
         node but who took over its segments."""
+        resolved: dict = {}
+        for name in self._families(plan):
+            family = self.cluster.catalog.family(name)
+            if family.primary.segmentation.replicated:
+                resolved[name] = "replicated"
+            else:
+                try:
+                    resolved[name] = [
+                        [host, projection_name]
+                        for host, projection_name in self.cluster.scan_sources(family)
+                    ]
+                except DataUnavailableError as exc:
+                    resolved[name] = f"unavailable: {exc}"
+        return resolved
+
+    @staticmethod
+    def _families(plan) -> list[str]:
+        """The projection families ``plan`` scans, each once (a
+        ``v_monitor`` leaf has none)."""
         from ..optimizer import physical as P
 
-        resolved: dict = {}
+        families: dict[str, None] = {}
         stack = [plan]
         while stack:
             node = stack.pop()
-            if isinstance(node, P.PhysScan) and node.family_name not in resolved:
-                family = self.cluster.catalog.family(node.family_name)
-                if family.primary.segmentation.replicated:
-                    resolved[node.family_name] = "replicated"
-                else:
-                    try:
-                        resolved[node.family_name] = [
-                            [host, projection_name]
-                            for host, projection_name in self.cluster.scan_sources(family)
-                        ]
-                    except DataUnavailableError as exc:
-                        resolved[node.family_name] = f"unavailable: {exc}"
+            if isinstance(node, P.PhysScan) and not is_monitor_table(node.table):
+                families[node.family_name] = None
             stack.extend(node.children)
-        return resolved
+        return list(families)
 
     # -- node-death probes ------------------------------------------------
 
@@ -388,6 +393,8 @@ class DistributedExecutor:
     # -- scans -------------------------------------------------------------
 
     def _build_scan(self, node):
+        if is_monitor_table(node.table):
+            return self._build_virtual_scan(node)
         family = self.cluster.catalog.family(node.family_name)
         # node.columns are output names; translate back to stored names.
         inverse = {out: raw for raw, out in node.rename.items()}
@@ -440,6 +447,20 @@ class DistributedExecutor:
                 base: make_scan(host, projection_name, base)
                 for base, (host, projection_name) in enumerate(sources)
             }
+        )
+
+    def _build_virtual_scan(self, node) -> Operator:
+        """A ``v_monitor`` leaf: one coordinator operator over the
+        table's rows, made once per attempt and pivoted to one block,
+        under the pushed-down predicate and the scan's output names."""
+        names, rows = table_rows(self.cluster.database, node.table)
+        block = RowBlock({name: [row[name] for row in rows] for name in names}, len(rows))
+        out: Operator = SourceBlocks([block] if rows else [])
+        if node.predicate is not None:
+            out = FilterOperator(out, node.predicate)
+        inverse = {output: raw for raw, output in node.rename.items()}
+        return ExprEvalOperator(
+            out, {name: ColumnRef(inverse.get(name, name)) for name in node.columns}
         )
 
     def _pending_by_base(self, family) -> dict[int | None, HistoryRun]:

@@ -14,10 +14,8 @@ Three kinds of fact, one home each:
   separate histories.
 
 The ``v_monitor`` table definitions live in
-:mod:`repro.monitor.tables` and are imported lazily by the SQL front
-end (they depend on analyzer/execution modules, which in turn import
-this package's registry — keeping them out of ``__init__`` avoids the
-cycle).
+:mod:`repro.monitor.tables`, which the analyzer, the planner and the
+executor read: a virtual table is a scan leaf of the one plan.
 """
 
 from .profile import (

@@ -137,7 +137,8 @@ def build_query_profile(
 ) -> QueryProfile:
     """Assemble a :class:`QueryProfile` for a finished query and record
     it in ``collector``'s ``profiles`` ring; the record id is the query
-    id (0 when the collector is disabled and nothing was recorded)."""
+    id (0 when the collector is None or disabled and nothing was
+    recorded)."""
     fields = {
         "sql": sql,
         "epoch": epoch,
@@ -145,7 +146,11 @@ def build_query_profile(
         "wall_seconds": wall_seconds,
         "operators": profile_plan(root),
     }
-    record = collector.record("profiles", "select", **fields)
+    record = (
+        collector.record("profiles", "select", **fields)
+        if collector is not None
+        else None
+    )
     return QueryProfile(
         query_id=record.record_id if record is not None else 0, **fields
     )

@@ -13,16 +13,10 @@ the same for the reproduction's tables:
   (Figure 2's content, live);
 * ``v_monitor.epochs`` — the epoch clock: current, latest queryable,
   the ancient history mark (AHM) and whether any node is down;
-* ``v_monitor.tuple_mover_events`` — completed moveout/mergeout
-  operations with durations and strata (the ``tuple_mover`` ring);
 * ``v_monitor.locks`` — currently granted table locks;
 * ``v_monitor.node_states`` — per-node view of the self-healing
   runtime: membership, supervisor state machine, heartbeat age and
   recovery backoff/attempt bookkeeping;
-* ``v_monitor.failover_events`` — the ``node_events`` ring
-  (ejections, mid-query retries, recovery transitions, quarantines,
-  degraded-mode changes, heartbeat misses, journal checkpoints),
-  stamped with the simulated-clock tick;
 * ``v_monitor.sessions`` — live service sessions (state, pool,
   transaction, current statement) when a
   :class:`repro.service.SqlService` wraps the database;
@@ -45,33 +39,33 @@ the same for the reproduction's tables:
   ``dc_tuple_mover``, ``dc_errors`` — serving
   :class:`repro.dc.DataCollector`'s retention-bounded (and, for
   durable databases, crash-recoverable) operational history.  The
-  collector (``db.cluster.dc``) is the only history store: these six,
-  ``tuple_mover_events`` and ``failover_events`` are all entries of
-  one ring → column map (:data:`_RING_TABLES`), and all are empty
-  when the collector is disabled;
+  collector (``db.cluster.dc``) is the only history store and each
+  ring has one table: the six are entries of one ring → column map
+  (:data:`_RING_TABLES`), and all are empty when the collector is
+  disabled.  ``dc_node_events`` holds ejections, mid-query retries,
+  recovery transitions, quarantines, degraded-mode changes, heartbeat
+  misses and journal checkpoints; ``dc_tuple_mover`` the completed
+  moveouts and mergeouts (join ``node_states`` on ``node_index`` for
+  the node's name);
 * ``v_monitor.slow_queries`` — the requests history filtered to
   statements at or above ``db.health.config.slow_query_ms``;
 * ``v_monitor.alerts`` — the health engine's rules
   (:class:`repro.dc.HealthMonitor`), re-evaluated on every read, one
   row per rule with its firing state and raise/clear history.
 
-Virtual tables never reach the optimizer or the distributed executor:
-their rows are tiny, in-memory and node-local, so
-:func:`execute_monitor_select` evaluates the statement directly —
-reusing the analyzer's scope resolution and runtime ``Expr`` objects
-so WHERE/ORDER BY/LIMIT behave exactly as they do over real tables.
-Joins, grouping and aggregates over virtual tables are rejected.
-
-This module is imported lazily by the SQL front end: it depends on the
-analyzer, which lives above the storage layers that import the
-metrics registry at module load.
+A virtual table is a leaf of the one plan: the analyzer resolves its
+columns here (:func:`columns_of`), the planner gives it a scan with no
+projection family and a replicated distribution, and the executor
+makes its rows (:func:`table_rows`) once per leaf at the coordinator,
+so joins, grouping, windows and EXPLAIN work as over any table.
+Whether a table is virtual is :func:`is_monitor_table`'s decision
+alone.  Reading one takes no lock, writes no history
+(:func:`reads_monitor`) and answers while user data is unavailable.
 """
 
 from __future__ import annotations
 
-from ..errors import SqlAnalysisError, UnknownObjectError
-from ..execution.row_block import RowBlock
-from ..types import sort_permutation
+from ..errors import UnknownObjectError
 
 #: Schema name all virtual tables live under.
 SCHEMA = "v_monitor"
@@ -124,19 +118,6 @@ _COLUMNS = {
         "ahm",
         "nodes_down",
     ],
-    "tuple_mover_events": [
-        "event_id",
-        "kind",
-        "node_name",
-        "projection_name",
-        "containers_in",
-        "containers_out",
-        "rows_in",
-        "rows_out",
-        "rows_purged",
-        "stratum",
-        "duration_ms",
-    ],
     "locks": [
         "object_name",
         "txn_id",
@@ -153,15 +134,6 @@ _COLUMNS = {
         "heartbeat_age",
         "missed_heartbeats",
         "last_error",
-    ],
-    "failover_events": [
-        "event_id",
-        "tick",
-        "kind",
-        "node_index",
-        "node_name",
-        "attempt",
-        "detail",
     ],
     "sessions": [
         "session_id",
@@ -337,6 +309,19 @@ _COLUMNS = {
 def is_monitor_table(name: str) -> bool:
     """Whether a FROM-clause table name addresses the v_monitor schema."""
     return name.lower().startswith(SCHEMA + ".")
+
+
+def reads_monitor(plan) -> bool:
+    """Whether a logical plan scans a virtual table.  Such a statement
+    is recorded in no history: reading ``query_profiles`` or
+    ``dc_requests_completed`` must not grow it."""
+    stack = [plan]
+    while stack:
+        node = stack.pop()
+        if is_monitor_table(getattr(node, "table", "")):  # only a scan has one
+            return True
+        stack.extend(node.children)
+    return False
 
 
 def table_names() -> list[str]:
@@ -586,19 +571,11 @@ def _journal_rows(db) -> list[dict]:
     return journal.monitor_rows()
 
 
-def _node_name(record: dict) -> str:
-    return f"node{record['node_index']:02d}"
-
-
 #: The history tables: table -> (collector ring, {column: source}).
 #: A column reads the record key of its own name unless the map names
-#: another key (the collector stores each record's event kind under
-#: "kind" and its id under "record_id") or a function of the record.
+#: another (the collector stores each record's event kind under
+#: "kind").  Each ring has one table: one name per fact.
 _RING_TABLES = {
-    "tuple_mover_events": (
-        "tuple_mover", {"event_id": "record_id", "node_name": _node_name}
-    ),
-    "failover_events": ("node_events", {"event_id": "record_id"}),
     "dc_requests_completed": ("requests", {"statement": "kind"}),
     "dc_resource_acquisitions": (
         "resource_acquisitions", {"outcome": "kind"}
@@ -615,10 +592,7 @@ def _dc_component_rows(db, table: str) -> list[dict]:
     component, sources = _RING_TABLES[table]
     columns = [(name, sources.get(name, name)) for name in _COLUMNS[table]]
     return [
-        {
-            name: source(record) if callable(source) else record.get(source)
-            for name, source in columns
-        }
+        {name: record.get(source) for name, source in columns}
         for record in db.cluster.dc.rows(component)
     ]
 
@@ -678,55 +652,3 @@ def table_rows(db, qualified: str) -> tuple[list[str], list[dict]]:
     else:
         rows = _PRODUCERS[short](db)
     return list(_COLUMNS[short]), rows
-
-
-def execute_monitor_select(session, statement) -> list[dict]:
-    """Evaluate a SELECT whose FROM list is entirely ``v_monitor``.
-
-    Supports select lists of columns/scalar expressions (plus ``*``),
-    WHERE, DISTINCT, ORDER BY and LIMIT/OFFSET.  Raises
-    :class:`SqlAnalysisError` for joins, grouping, aggregates or
-    multi-table FROM lists — virtual tables are for inspection, not
-    analytics.
-    """
-    from ..sql import ast
-    from ..sql.analyzer import Analyzer, monitor_scope
-
-    if len(statement.from_tables) != 1 or statement.joins:
-        raise SqlAnalysisError("v_monitor tables cannot be joined")
-    if statement.group_by or statement.having:
-        raise SqlAnalysisError("v_monitor tables do not support GROUP BY")
-    ref = statement.from_tables[0]
-    columns, rows = table_rows(session.db, ref.table)
-    scope = monitor_scope(ref, columns)
-    analyzer = Analyzer(session.db.cluster.catalog)
-    # the virtual table as one block: every expression below is
-    # evaluated once over it, a column at a time
-    block = RowBlock({name: [row[name] for row in rows] for name in columns}, len(rows))
-
-    if statement.where is not None:
-        passed = analyzer.convert(statement.where, scope).evaluate(block)
-        block = block.select_rows([i for i, value in enumerate(passed) if value is True])
-
-    if statement.order_by and block.row_count:
-        keys = [analyzer.convert(expr, scope).evaluate(block) for expr, _ in statement.order_by]
-        order = sort_permutation(keys, [not asc for _, asc in statement.order_by])
-        block = block.select_rows(order)
-
-    out: dict[str, list] = {}
-    for index, item in enumerate(statement.items):
-        if isinstance(item.expr, ast.Star):
-            out.update(block.columns)
-            continue
-        identifier = isinstance(item.expr, ast.Identifier)
-        name = item.alias or (item.expr.name if identifier else f"col{index + 1}")
-        out[name] = analyzer.convert(item.expr, scope).evaluate(block)
-    projected = RowBlock(out, block.row_count).to_rows()
-
-    if statement.distinct:
-        first: dict[tuple, dict] = {}
-        for row in projected:
-            first.setdefault(tuple(map(repr, row.values())), row)
-        projected = list(first.values())
-
-    return projected[statement.offset or 0 :][: statement.limit]  # (a None limit keeps all)

@@ -17,6 +17,7 @@ from ..errors import PlanningError
 from ..execution.expressions import ColumnRef, Comparison, Expr
 from ..execution.operators.join import JoinType
 from ..execution.row_block import sorted_prefix
+from ..monitor.tables import is_monitor_table
 from ..projections import HashSegmentation, ProjectionDefinition
 from . import physical as P
 from .cost import (
@@ -42,6 +43,9 @@ from .logical import (
 )
 from .rewrite import _reads, _resync_child_fields, conjoin, rewrite
 from .stats import StatsCatalog
+
+#: The row estimate of a ``v_monitor`` table, which has no statistics.
+VIRTUAL_TABLE_ROWS = 100.0
 
 
 def output_columns(node: P.PhysicalNode) -> list[str]:
@@ -177,6 +181,17 @@ class PlannerBase:
         """
         # Convention: node.columns and node.predicate use the table's
         # stored (raw) column names; node.rename maps raw -> output.
+        out_names = [node.rename.get(raw, raw) for raw in node.columns]
+        if is_monitor_table(node.table):
+            # no family and no statistics: the executor makes the rows
+            # once, at the coordinator, so every node may have them —
+            # a join treats the table as a replicated dimension
+            phys = P.PhysScan(
+                node.table, node.table, out_names, dict(node.rename),
+                node.predicate, P.Distribution(P.REPLICATED),
+            )
+            phys.est_rows = VIRTUAL_TABLE_ROWS
+            return phys
         table_stats = self.stats.get(node.table)
         predicate_raw_columns = (
             node.predicate.referenced_columns()
@@ -213,7 +228,6 @@ class PlannerBase:
             )
         projection = best.primary
         # predicate-only columns are read, tested and dropped in the scan
-        out_names = [node.rename.get(raw, raw) for raw in node.columns]
         distribution = self._scan_distribution(projection, node.rename, out_names)
         # the output is sorted by the leading sort columns it carries: a
         # column after a dropped one is sorted only within its runs
@@ -581,7 +595,8 @@ class PlannerBase:
         return None
 
     def _scan_plan_reachable(self, node: P.PhysicalNode) -> bool:
-        return self._scan_plan_of(node) is not None
+        scan = self._scan_plan_of(node)  # a v_monitor leaf takes no SIP filter
+        return scan is not None and not is_monitor_table(scan.table)
 
     # -- group by ----------------------------------------------------------------------
 

@@ -36,6 +36,7 @@ from ..execution.expressions import (
 )
 from ..execution.operators.analytic import WindowSpec
 from ..execution.operators.join import JoinType
+from ..monitor.tables import columns_of, is_monitor_table
 from ..optimizer.logical import (
     AnalyticNode,
     DistinctNode,
@@ -114,17 +115,6 @@ class Scope:
         raise SqlAnalysisError(f"no FROM item produces {output!r}")
 
 
-def monitor_scope(ref: ast.TableRef, columns: list[str]) -> Scope:
-    """Scope over a virtual (``v_monitor``) table's fixed column list.
-
-    Virtual tables are not in the catalog, so :func:`build_scope`
-    cannot resolve them; their evaluator supplies the columns directly
-    and gets the same qualified/unqualified resolution rules as real
-    tables.
-    """
-    return Scope([_FromItem(ref, list(columns))])
-
-
 def build_scope(catalog: Catalog, refs: list[ast.TableRef]) -> Scope:
     """Resolve the FROM list and assign output names."""
     names = [ref.name for ref in refs]
@@ -133,10 +123,14 @@ def build_scope(catalog: Catalog, refs: list[ast.TableRef]) -> Scope:
     counts: dict[str, int] = {}
     items = []
     for ref in refs:
-        table = catalog.table(ref.table)
-        for column in table.column_names:
+        columns = (
+            columns_of(ref.table)
+            if is_monitor_table(ref.table)
+            else catalog.table(ref.table).column_names
+        )
+        for column in columns:
             counts[column] = counts.get(column, 0) + 1
-        items.append(_FromItem(ref, table.column_names))
+        items.append(_FromItem(ref, columns))
     for item in items:
         for column in item.table_columns:
             if counts[column] > 1:
@@ -353,9 +347,9 @@ class Analyzer:
                         continue
                     for column in from_item.table_columns:
                         output = from_item.rename.get(column, column)
-                        items.append(
-                            ast.SelectItem(ast.Identifier(output), output)
-                        )
+                        items.append(ast.SelectItem(
+                            ast.Identifier(column, from_item.ref.name), output
+                        ))
             else:
                 items.append(item)
 
@@ -417,12 +411,24 @@ class Analyzer:
                 )
             plan = ProjectNode(plan, select_exprs)
 
+        # a sort key the select list does not output is computed by the
+        # projection as a hidden column, and dropped after the sort
+        project, names = plan, list(plan.outputs)
+        for index, (expr, ascending) in enumerate(order_exprs):
+            if not expr.referenced_columns() <= set(names):
+                if stmt.distinct:
+                    raise SqlAnalysisError("ORDER BY of a SELECT DISTINCT must be selected")
+                hidden = self._fresh("sort")
+                project.outputs[hidden] = expr
+                order_exprs[index] = (ColumnRef(hidden), ascending)
         if stmt.distinct:
             plan = DistinctNode(plan)
         if order_exprs:
             plan = SortNode(plan, order_exprs)
         if stmt.limit is not None:
             plan = LimitNode(plan, stmt.limit, stmt.offset)
+        if len(project.outputs) > len(names):
+            plan = ProjectNode(plan, {name: ColumnRef(name) for name in names})
         return plan
 
     @staticmethod
@@ -509,7 +515,7 @@ class Analyzer:
         for item in scope.items:
             scans[item.ref.name] = ScanNode(
                 item.ref.table,
-                self.catalog.table(item.ref.table).column_names,
+                list(item.table_columns),
                 rename=dict(item.rename),
                 alias=item.ref.name,
             )
@@ -630,7 +636,6 @@ class Analyzer:
                 name = self._fresh("gk")
             group_keys.append((name, expr))
             key_by_repr[repr(expr)] = name
-        aggregates: list[AggregateSpec] = []
 
         def finish_expr(node: ast.SqlExpr) -> Expr:
             hoisted = self._hoist_aggregates(node, scope, registry)
@@ -647,8 +652,6 @@ class Analyzer:
         having_expr = None
         if stmt.having is not None:
             having_expr = finish_expr(stmt.having)
-        aggregates = list(registry.values())
-        group_node = GroupByNode(plan, group_keys, aggregates, having=having_expr)
         for order_ast, ascending in stmt.order_by:
             if (
                 isinstance(order_ast, ast.Identifier)
@@ -665,8 +668,8 @@ class Analyzer:
                 )
             else:
                 order_exprs.append((finish_expr(order_ast), ascending))
-        project = ProjectNode(group_node, select_exprs)
-        return project, select_names
+        group_node = GroupByNode(plan, group_keys, list(registry.values()), having=having_expr)
+        return ProjectNode(group_node, select_exprs), select_names
 
     def _post_group_expr(
         self, node: ast.SqlExpr, scope: Scope, key_by_repr, registry

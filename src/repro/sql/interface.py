@@ -17,6 +17,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 from ..core.schema import ColumnDef, TableDefinition
 from ..errors import LoadError, SqlAnalysisError
 from ..execution.expressions import Expr
+from ..monitor.tables import reads_monitor
 from ..projections import HashSegmentation, ProjectionColumn, ProjectionDefinition, Replicated
 from ..storage import HistoryRun
 from ..types import type_from_name
@@ -153,22 +154,21 @@ def _execute_statement(session, text, copy_rows, trace, info=None, statement=Non
     analyzer = Analyzer(db.cluster.catalog)
 
     if isinstance(statement, ast.SelectStatement):
-        if _is_monitor_select(statement):
-            from ..monitor.tables import execute_monitor_select
-
-            # reading the monitoring tables is not itself an
-            # operational event worth recording.
-            info["skip"] = True
-            return execute_monitor_select(session, statement)
         with TRACER.span("sql.analyze", category="sql"):
             plan = analyzer.analyze_select(statement)
+        # reading the monitoring tables is not itself an operational
+        # event worth recording
+        info["skip"] = reads_monitor(plan)
         return session.query(plan, at_epoch=statement.at_epoch, sql_text=text)
 
     if isinstance(statement, ast.ExplainStatement):
-        if statement.analyze:
-            return _explain_analyze(session, analyzer, statement, text)
         plan = analyzer.analyze_select(statement.select)
-        return db.explain(plan)
+        if not statement.analyze:
+            return db.explain(plan)
+        # EXPLAIN ANALYZE / PROFILE: execute, then render the profile
+        info["skip"] = reads_monitor(plan)
+        session.query(plan, at_epoch=statement.select.at_epoch, sql_text=text)
+        return session.last_profile.render()
 
     if isinstance(statement, ast.InsertStatement):
         # straight into columns, as COPY's lines go: no row dict to pivot
@@ -224,39 +224,6 @@ def _execute_statement(session, text, copy_rows, trace, info=None, statement=Non
         return _copy(session, statement, copy_rows)
 
     raise SqlAnalysisError(f"unsupported statement {type(statement).__name__}")
-
-
-def _is_monitor_select(statement: ast.SelectStatement) -> bool:
-    """Whether the SELECT reads only ``v_monitor`` virtual tables.
-
-    Mixing virtual and catalog tables in one FROM list is rejected —
-    virtual tables never reach the optimizer, so they cannot be joined
-    against real data.
-    """
-    from ..monitor.tables import is_monitor_table
-
-    tables = [ref.table for ref in statement.from_tables]
-    tables += [join.table.table for join in statement.joins]
-    if not tables:
-        return False
-    flags = [is_monitor_table(name) for name in tables]
-    if any(flags) and not all(flags):
-        raise SqlAnalysisError(
-            "cannot mix v_monitor and regular tables in one query"
-        )
-    return all(flags)
-
-
-def _explain_analyze(session, analyzer, statement, text: str) -> str:
-    """EXPLAIN ANALYZE / PROFILE: execute, then render the annotated plan."""
-    select = statement.select
-    if _is_monitor_select(select):
-        raise SqlAnalysisError(
-            "EXPLAIN ANALYZE over v_monitor tables is not supported"
-        )
-    plan = analyzer.analyze_select(select)
-    session.query(plan, at_epoch=select.at_epoch, sql_text=text)
-    return session.last_profile.render()
 
 
 def _always_true():

@@ -5,7 +5,7 @@ Four scenario families, all deterministic per seed:
 
 * a node killed **mid-query** fails over to buddy copies at the same
   snapshot epoch and returns exactly the fault-free oracle's rows,
-  with the retry visible in ``v_monitor.failover_events``;
+  with the retry visible in ``v_monitor.dc_node_events``;
 * a node killed repeatedly **during recovery** is retried with
   exponential backoff until it heals;
 * **quorum loss** rejects writes with :class:`QuorumLossError` while
@@ -103,12 +103,12 @@ def test_kill_mid_query_fails_over_and_self_heals(seed, tmp_path):
     assert not sut.cluster.membership.is_up(victim)
 
     retries = sut.sql(
-        "SELECT node_index, attempt FROM v_monitor.failover_events "
+        "SELECT node_index, attempt FROM v_monitor.dc_node_events "
         "WHERE kind = 'query_retry'"
     )
     assert retries == [{"node_index": victim, "attempt": 1}]
     ejections = sut.sql(
-        "SELECT node_index FROM v_monitor.failover_events "
+        "SELECT node_index FROM v_monitor.dc_node_events "
         "WHERE kind = 'ejection'"
     )
     assert {"node_index": victim} in ejections
@@ -195,7 +195,7 @@ def test_quorum_loss_rejects_writes_but_answers_reads(seed, tmp_path):
     # ...while reads keep answering, and the mode change is logged.
     assert sut.sql(SELECT) == expected
     degraded = sut.sql(
-        "SELECT detail FROM v_monitor.failover_events "
+        "SELECT detail FROM v_monitor.dc_node_events "
         "WHERE kind = 'degraded_mode'"
     )
     assert any("quorum lost" in row["detail"] for row in degraded)
@@ -207,8 +207,8 @@ def test_quorum_loss_rejects_writes_but_answers_reads(seed, tmp_path):
     oracle.load("sales", [{"sale_id": 9000, "cid": 1, "price": 1.0}])
     assert sut.sql(SELECT) == oracle.sql(SELECT)
     healthy = sut.sql(
-        "SELECT detail FROM v_monitor.failover_events "
-        "WHERE kind = 'degraded_mode' ORDER BY event_id DESC LIMIT 1"
+        "SELECT detail FROM v_monitor.dc_node_events "
+        "WHERE kind = 'degraded_mode' ORDER BY record_id DESC LIMIT 1"
     )
     assert "healthy" in healthy[0]["detail"]
 

@@ -4,8 +4,8 @@ date-part functions."""
 import pytest
 
 from repro import ColumnDef, Database, TableDefinition, types
-from repro.errors import UnknownObjectError
-from repro.txn import LockMode
+from repro.errors import DataUnavailableError, QuorumLossError, UnknownObjectError
+from repro.txn import IsolationLevel, LockMode
 
 
 @pytest.fixture
@@ -78,6 +78,63 @@ class TestSystemViews:
     def test_unknown_view(self, db):
         with pytest.raises(UnknownObjectError):
             db.sql("SELECT * FROM v_monitor.threads")
+
+
+class TestMonitorIsAScan:
+    """A ``v_monitor`` table is a scan leaf of the one plan: what a user
+    table answers, it answers, and reading it takes no lock and needs
+    no user data to be available."""
+
+    def test_order_by_a_select_list_alias(self, db):
+        rows = db.sql(
+            "SELECT node_name, wos_rows + ros_rows AS total "
+            "FROM v_monitor.projection_storage ORDER BY total DESC, node_name"
+        )
+        assert len(rows) == 6 and sum(row["total"] for row in rows) == 600
+        assert [row["total"] for row in rows] == sorted(
+            (row["total"] for row in rows), reverse=True
+        )
+
+    def test_a_bare_count(self, db):
+        assert db.sql("SELECT count(*) AS n FROM v_monitor.projection_storage") == [
+            {"n": 6}
+        ]
+
+    def test_explain_names_the_virtual_scan(self, db):
+        text = db.sql("EXPLAIN SELECT * FROM v_monitor.epochs")
+        assert "Scan v_monitor.epochs [current_epoch" in text
+
+    def test_explain_analyze_renders_a_profile(self, db):
+        text = db.sql(
+            "EXPLAIN ANALYZE SELECT node_name, count(*) AS n "
+            "FROM v_monitor.storage_containers GROUP BY node_name"
+        )
+        assert text.startswith("Query 0 (")  # a v_monitor read is not recorded
+        assert "GroupByHash" in text and "Source" in text
+
+    def test_a_serializable_read_locks_no_virtual_table(self, db):
+        session = db.session(IsolationLevel.SERIALIZABLE)
+        session.sql("SELECT count(*) AS n FROM t")
+        rows = session.sql(
+            "SELECT object_name, mode FROM v_monitor.locks WHERE txn_id = "
+            f"{session.txn.txn_id}"
+        )
+        assert rows == [{"object_name": "t", "mode": LockMode.S.value}]
+        session.rollback()
+
+    def test_a_monitor_read_answers_during_a_safety_shutdown(self, db):
+        db.fail_node(0)
+        with pytest.raises(QuorumLossError):
+            db.fail_node(1)  # down all the same
+        rows = db.sql("SELECT node_name, is_up FROM v_monitor.node_states ORDER BY node_name")
+        assert [row["is_up"] for row in rows] == [False, False, True]
+        with pytest.raises(DataUnavailableError):
+            db.sql("SELECT count(*) AS n FROM t")
+        with pytest.raises(DataUnavailableError):
+            db.sql(
+                "SELECT s.node_name, t.v FROM v_monitor.node_states s "
+                "JOIN t ON s.node_index = t.k"
+            )
 
 
 class TestDateParts:

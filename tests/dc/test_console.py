@@ -55,9 +55,8 @@ def test_snapshot_renders_every_section(db_path, capsys):
 def test_history_survives_failover_heal_and_restart(tmp_path, capsys):
     """A database that went through load -> query -> mover -> failover
     and heal -> restart: the snapshot serves the pre-restart history,
-    and the reopened database serves ``failover_events`` /
-    ``tuple_mover_events`` out of the same recovered rings as
-    ``dc_node_events`` / ``dc_tuple_mover``."""
+    and the reopened database serves ``dc_node_events`` /
+    ``dc_tuple_mover`` out of the recovered rings."""
     reset_all()
     path = str(tmp_path / "db")
     db = Database(path, node_count=3, k_safety=1)
@@ -83,12 +82,11 @@ def test_history_survives_failover_heal_and_restart(tmp_path, capsys):
 
     db = Database.open(path)
     columns = "SELECT kind, node_index, detail FROM v_monitor."
-    failovers = db.sql(columns + "failover_events")
+    failovers = db.sql(columns + "dc_node_events")
     assert failovers, "failover history lost across the restart"
-    assert failovers == db.sql(columns + "dc_node_events")
     assert any(row["detail"] == "UP->DOWN" for row in failovers), failovers
     assert db.sql(
-        "SELECT rows_in FROM v_monitor.tuple_mover_events WHERE kind = 'moveout'"
+        "SELECT rows_in FROM v_monitor.dc_tuple_mover WHERE kind = 'moveout'"
     ), "pre-restart moveout not served after the restart"
 
 

@@ -60,11 +60,25 @@ class TestRequests:
     def test_monitor_selects_not_recorded(self, db):
         db.sql("SELECT k FROM t")
         before = len(db.sql("SELECT * FROM v_monitor.dc_requests_completed"))
+        counts = db.cluster.dc.counts()
         for _ in range(5):
             db.sql("SELECT * FROM v_monitor.dc_requests_completed")
             db.sql("SELECT * FROM v_monitor.alerts")
+            # grouped, joined and profiled reads run through the engine
+            # and are recorded no more than a bare one
+            db.sql(
+                "SELECT statement, count(*) AS n FROM v_monitor.dc_requests_completed "
+                "GROUP BY statement"
+            )
+            db.sql(
+                "SELECT p.query_id, r.duration_ms FROM v_monitor.query_profiles p "
+                "JOIN v_monitor.dc_requests_completed r ON p.sql = r.sql"
+            )
+            db.sql("EXPLAIN ANALYZE SELECT count(*) AS n FROM v_monitor.query_profiles")
         after = len(db.sql("SELECT * FROM v_monitor.dc_requests_completed"))
         assert after == before  # polling leaves no trace of itself
+        now = db.cluster.dc.counts()
+        assert (now["requests"], now["profiles"]) == (counts["requests"], counts["profiles"])
 
     def test_service_sessions_attributed(self, db):
         service = SqlService(

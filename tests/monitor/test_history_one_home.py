@@ -1,6 +1,6 @@
 """One home per operational fact: the Data Collector rings.
 
-``tuple_mover_events``, ``failover_events`` and ``query_profiles`` are
+``dc_tuple_mover``, ``dc_node_events`` and ``query_profiles`` are
 column maps over the database's own collector, so histories of two
 databases in one process never mix, profiling a SELECT writes nothing,
 the kill switch empties them like the ``dc_*`` tables, and on a durable
@@ -16,7 +16,7 @@ from repro.monitor import METRICS
 
 pytestmark = pytest.mark.dc
 
-REHOMED = ("tuple_mover_events", "query_profiles", "failover_events")
+REHOMED = ("dc_tuple_mover", "query_profiles", "dc_node_events")
 
 
 def make_db(path, **kwargs):
@@ -51,31 +51,18 @@ def test_two_databases_keep_separate_histories(tmp_path):
     for name in REHOMED:
         assert table(b, name) == [], name
         assert table(a, name) != [], name
-    events = table(a, "tuple_mover_events")
-    records = table(a, "dc_tuple_mover")
-    assert len(events) == len(records)
-    for event, record in zip(events, records):
-        assert event.pop("event_id") == record.pop("record_id")
-        assert event.pop("node_name") == f"node{record.pop('node_index'):02d}"
-        del record["tick"]
-        assert event == record
     # b starts its own ids from 1 whatever a has done
     b.sql("SELECT count(*) AS n FROM t")
     assert {row["query_id"] for row in table(b, "query_profiles")} == {1}
 
 
-def test_failover_events_is_the_node_events_ring(tmp_path):
+def test_node_events_ring_holds_recovery_transitions(tmp_path):
     db = make_db(tmp_path / "db", durable=False)
     busy(db)
-    events = table(db, "failover_events")
-    records = table(db, "dc_node_events")
-    assert [e.pop("event_id") for e in events] == [
-        r.pop("record_id") for r in records
-    ]
-    assert events == records
+    events = table(db, "dc_node_events")
     kinds = {event["kind"] for event in events}
     assert "recovery_transition" in kinds
-    ids = [e["event_id"] for e in table(db, "failover_events")]
+    ids = [e["record_id"] for e in events]
     assert ids == sorted(set(ids))
 
 
@@ -121,7 +108,7 @@ def test_kill_switch_empties_the_rehomed_tables(tmp_path):
     db = make_db(tmp_path / "db", durable=False)
     db.cluster.dc.enabled = False
     busy(db)
-    for name in REHOMED + ("dc_tuple_mover", "dc_node_events"):
+    for name in REHOMED:
         assert table(db, name) == [], name
     rendered = db.sql("EXPLAIN ANALYZE SELECT count(*) AS n FROM t")
     assert rendered.startswith("Query 0 (1 rows")
@@ -133,12 +120,12 @@ def test_rehomed_tables_survive_reopen(tmp_path):
     db = make_db(path)
     busy(db)
     db.run_tuple_movers()
-    movers = table(db, "tuple_mover_events")
-    failovers = table(db, "failover_events")
+    movers = table(db, "dc_tuple_mover")
+    failovers = table(db, "dc_node_events")
     assert movers and failovers
     del db
     reopened = Database.open(str(path))
-    assert table(reopened, "tuple_mover_events") == movers
-    recovered = table(reopened, "failover_events")
+    assert table(reopened, "dc_tuple_mover") == movers
+    recovered = table(reopened, "dc_node_events")
     assert recovered[: len(failovers)] == failovers
     assert table(reopened, "query_profiles") == []  # memory-only ring

@@ -55,20 +55,11 @@ GOLDEN_SCHEMAS = {
     "v_monitor.epochs": [
         "current_epoch", "latest_queryable_epoch", "ahm", "nodes_down",
     ],
-    "v_monitor.tuple_mover_events": [
-        "event_id", "kind", "node_name", "projection_name",
-        "containers_in", "containers_out", "rows_in", "rows_out",
-        "rows_purged", "stratum", "duration_ms",
-    ],
     "v_monitor.locks": ["object_name", "txn_id", "mode"],
     "v_monitor.node_states": [
         "node_name", "node_index", "is_up", "supervisor_state",
         "recovery_attempts", "next_attempt_tick", "last_transition_tick",
         "heartbeat_age", "missed_heartbeats", "last_error",
-    ],
-    "v_monitor.failover_events": [
-        "event_id", "tick", "kind", "node_index", "node_name",
-        "attempt", "detail",
     ],
     "v_monitor.metrics": [
         "name", "kind", "value", "observations", "total",
@@ -259,14 +250,16 @@ def test_projection_storage_contents(scenario):
 def test_tuple_mover_events_contents(scenario):
     db, _ = scenario
     events = db.sql(
-        "SELECT * FROM v_monitor.tuple_mover_events ORDER BY event_id"
+        "SELECT m.*, s.node_name FROM v_monitor.dc_tuple_mover m "
+        "JOIN v_monitor.node_states s ON m.node_index = s.node_index "
+        "ORDER BY m.record_id"
     )
     kinds = [event["kind"] for event in events]
     # one customers moveout + four sales moveouts, then the mergeouts
     # the fourth cycle triggers once stratum 0 reaches min_inputs.
     assert kinds.count("moveout") == 5
     assert kinds.count("mergeout") >= 1
-    assert [event["event_id"] for event in events] == list(
+    assert [event["record_id"] for event in events] == list(
         range(1, len(events) + 1)
     )
     for event in events:

@@ -95,6 +95,30 @@ class TestSelect:
         )
         assert [row["sale_id"] for row in rows] == [997, 996, 995]
 
+    def test_order_by_what_is_not_selected(self, db):
+        rows = db.sql(
+            "SELECT cust FROM sales WHERE sale_id < 20 "
+            "ORDER BY price * -1, sale_id DESC LIMIT 3"
+        )
+        assert rows == [{"cust": "name9"}, {"cust": "name8"}, {"cust": "name7"}]
+        rows = db.sql(
+            "SELECT cid, count(*) AS n FROM sales GROUP BY cid "
+            "ORDER BY sum(price) DESC LIMIT 1"
+        )
+        sums = {c: sum(float(i % 37) for i in range(c, 1000, 10)) for c in range(10)}
+        assert rows == [{"cid": max(sums, key=sums.get), "n": 100}]
+        with pytest.raises(SqlAnalysisError):
+            db.sql("SELECT DISTINCT cid FROM sales ORDER BY price")
+
+    def test_qualified_star_over_shared_names(self, db):
+        rows = db.sql(
+            "SELECT c.*, s.price FROM customers c JOIN sales s ON c.cid = s.cid "
+            "WHERE s.sale_id = 13"
+        )
+        assert rows == [
+            {"c.cid": 3, "name": "name3", "region": "north", "price": 13.0}
+        ]
+
     def test_distinct(self, db):
         rows = db.sql("SELECT DISTINCT cid FROM sales")
         assert sorted(row["cid"] for row in rows) == list(range(10))

@@ -69,9 +69,8 @@ echo "== data collector: kill-mid-flush crash-restart + console snapshot =="
 # must serve an exact record-prefix of the history.  Then the console
 # front end renders a one-shot snapshot of a database that has been
 # through load -> query -> mover -> failover + heal -> restart, and the
-# reopened database must serve failover_events / tuple_mover_events out
-# of the same recovered rings as dc_node_events / dc_tuple_mover
-# (tests/dc/test_console.py).
+# reopened database must serve dc_node_events / dc_tuple_mover out of
+# the recovered rings (tests/dc/test_console.py).
 REPRO_SANITIZE=1 python -m pytest -q tests/dc/test_dc_crash_restart.py \
     tests/dc/test_dc_acceptance.py \
     tests/dc/test_console.py::test_history_survives_failover_heal_and_restart

@@ -196,8 +196,8 @@ class DataCollector:
             record = DCRecord(ring.next_id, tick, kind, payload)
             ring.next_id += 1
             ring.records.append(record)
-            self._evict_ring(ring, tick)
-            METRICS.inc("dc.records")
+            evicted = self._evict_ring(ring, tick)
+            METRICS.fold({"dc.records": 1, "dc.records_evicted": evicted})
             RACES.note_write("DataCollector._rings", "DataCollector.record")
             if self.persist and ring.log is not None:
                 ring.pending.append(record)
@@ -219,11 +219,13 @@ class DataCollector:
             return
         with self._lock:
             now = self.clock.now
-            for ring in self._rings.values():
-                self._evict_ring(ring, now)
+            evicted = sum(self._evict_ring(ring, now) for ring in self._rings.values())
+            if evicted:
+                METRICS.inc("dc.records_evicted", evicted)
 
-    def _evict_ring(self, ring: _Ring, now: int) -> None:
-        """Apply both retention bounds to one ring (caller holds lock)."""
+    def _evict_ring(self, ring: _Ring, now: int) -> int:
+        """Apply both retention bounds to one ring (caller holds lock);
+        returns how many records went, for the caller to count."""
         evicted = 0
         over = len(ring.records) - ring.max_records
         if over > 0:
@@ -234,8 +236,7 @@ class DataCollector:
         ):
             del ring.records[0]
             evicted += 1
-        if evicted:
-            METRICS.inc("dc.records_evicted", evicted)
+        return evicted
 
     # -- reads ----------------------------------------------------------
 
@@ -319,6 +320,7 @@ class DataCollector:
         """
         recovered_total = 0
         truncated_total = 0
+        evicted = 0
         now = self.clock.now if self.clock is not None else 0
         for name in COMPONENTS:
             ring = self._rings[name]
@@ -336,9 +338,11 @@ class DataCollector:
             )
             if ring.records:
                 ring.next_id = max(r.record_id for r in ring.records) + 1
-                self._evict_ring(ring, now)
+                evicted += self._evict_ring(ring, now)
         METRICS.inc("dc.recovered_records", recovered_total)
         METRICS.inc("dc.truncated_records", truncated_total)
+        if evicted:
+            METRICS.inc("dc.records_evicted", evicted)
 
     def _wipe(self) -> None:
         """Remove any previous incarnation's segments (fresh database)."""

@@ -73,6 +73,9 @@ class ExecutorStats:
     _scans: list[ScanOperator] = field(default_factory=list)
     _exchanges: list[Exchange] = field(default_factory=list)
     _sips: list = field(default_factory=list)
+    #: The operator trees the attempt ran: its root and each broadcast
+    #: inner side, which is materialized while the plan is built.
+    _roots: list[Operator] = field(default_factory=list)
 
     @property
     def rows_resegmented(self) -> int:
@@ -87,15 +90,23 @@ class ExecutorStats:
         return sum(sip.rows_filtered for sip in self._sips)
 
     def finalize(self) -> None:
-        """Fold per-operator counters after execution."""
-        self.rows_scanned = sum(scan.rows_scanned for scan in self._scans)
-        seek_blocks = sum(scan.seek_blocks for scan in self._scans)
-        if seek_blocks:
-            METRICS.inc("executor.seek_blocks", seek_blocks)
-            METRICS.inc(
-                "executor.seek_window_rows",
-                sum(scan.seek_window_rows for scan in self._scans),
-            )
+        """Fold the attempt's per-operator counters into METRICS in one
+        bump: the blocks its kernels ran over, what its scans' storage
+        walks counted, and their seeks."""
+        scans = self._scans
+        self.rows_scanned = sum(scan.rows_scanned for scan in scans)
+        seen: set[int] = set()
+        counts = {
+            "executor.kernel_blocks": sum(
+                op.kernel_blocks for root in self._roots for op in root.walk(seen)
+            ),
+            "executor.seek_blocks": sum(scan.seek_blocks for scan in scans),
+            "executor.seek_window_rows": sum(scan.seek_window_rows for scan in scans),
+        }
+        for scan in scans:
+            for name, amount in scan.storage_counts.items():
+                counts[name] = counts.get(name, 0) + amount
+        METRICS.fold(counts)
 
 
 class _Fragments:
@@ -195,6 +206,7 @@ class DistributedExecutor:
                 attempt=attempts + 1,
                 epoch=self.epoch,
             )
+            stats = self.stats
             try:
                 with attempt_cm as attempt_span:
                     # broadcast joins materialize their inner side
@@ -202,6 +214,7 @@ class DistributedExecutor:
                     # failover net (and inside the attempt span).
                     operator = self.operator(plan)
                     self.root_operator = operator
+                    stats._roots.append(operator)
                     blocks = list(operator.blocks())
                     if attempt_span is not None:
                         record_plan_spans(
@@ -240,7 +253,9 @@ class DistributedExecutor:
                 # must not inflate the profile of the retry that wins.
                 self.stats = ExecutorStats()
                 continue
-            self.stats.finalize()
+            finally:
+                # an aborted attempt's work is counted too
+                stats.finalize()
             return RowBlock.concat(blocks) if blocks else RowBlock.empty([])
 
     # -- helpers ----------------------------------------------------------
@@ -599,6 +614,7 @@ class DistributedExecutor:
             # install here so the build is cancellable too.
             for op in inner.walk():
                 op.cancel_token = self.cancel_token
+        self.stats._roots.append(inner)
         with TRACER.span(
             "exchange.broadcast", category="exchange"
         ) as bc_span:

@@ -85,6 +85,15 @@ class Expr:
     def __truediv__(self, other):
         return Arithmetic("/", self, _wrap(other))
 
+    def __repr__(self) -> str:
+        """SQL text the parser reads back, made once by the subclass's
+        ``_render``: an ``Expr`` is immutable, so its text is kept on it
+        beside its compiled forms (a plan's Scans share one predicate)."""
+        text = self.__dict__.get("_text")
+        if text is None:
+            text = self._text = self._render()
+        return text
+
     def __hash__(self):
         return hash(repr(self))
 
@@ -114,7 +123,7 @@ class ColumnRef(Expr):
     def referenced_columns(self) -> set[str]:
         return {self.name}
 
-    def __repr__(self):
+    def _render(self) -> str:
         return _sql_name(self.name)  # (a keyword double-quoted)
 
 
@@ -142,7 +151,7 @@ class Literal(Expr):
     def referenced_columns(self) -> set[str]:
         return set()
 
-    def __repr__(self):
+    def _render(self) -> str:
         # an expression's repr is SQL the parser reads back: the journal
         # keeps a partition expression so (``durability.codec`` checks it)
         if isinstance(self.value, str):
@@ -189,7 +198,7 @@ class Comparison(Expr):
     def referenced_columns(self) -> set[str]:
         return self.left.referenced_columns() | self.right.referenced_columns()
 
-    def __repr__(self):
+    def _render(self) -> str:
         return f"({self.left!r} {self.op} {self.right!r})"
 
 
@@ -221,7 +230,7 @@ class Between(Expr):
             | self.high.referenced_columns()
         )
 
-    def __repr__(self):
+    def _render(self) -> str:
         return f"({self.value!r} BETWEEN {self.low!r} AND {self.high!r})"
 
 
@@ -246,7 +255,7 @@ class InList(Expr):
     def referenced_columns(self) -> set[str]:
         return self.value.referenced_columns()
 
-    def __repr__(self):
+    def _render(self) -> str:
         options = ", ".join(sorted(repr(Literal(option)) for option in self.options))
         return f"({self.value!r} IN ({options}))"
 
@@ -272,7 +281,7 @@ class IsNull(Expr):
     def referenced_columns(self) -> set[str]:
         return self.value.referenced_columns()
 
-    def __repr__(self):
+    def _render(self) -> str:
         middle = "IS NOT NULL" if self.negated else "IS NULL"
         return f"({self.value!r} {middle})"
 
@@ -306,7 +315,7 @@ class And(Expr):
             out |= operand.referenced_columns()
         return out
 
-    def __repr__(self):
+    def _render(self) -> str:
         return "(" + " AND ".join(map(repr, self.operands)) + ")"
 
 
@@ -335,7 +344,7 @@ class Or(Expr):
             out |= operand.referenced_columns()
         return out
 
-    def __repr__(self):
+    def _render(self) -> str:
         return "(" + " OR ".join(map(repr, self.operands)) + ")"
 
 
@@ -356,7 +365,7 @@ class Not(Expr):
     def referenced_columns(self) -> set[str]:
         return self.operand.referenced_columns()
 
-    def __repr__(self):
+    def _render(self) -> str:
         return f"(NOT {self.operand!r})"
 
 
@@ -423,7 +432,7 @@ class Arithmetic(Expr):
     def referenced_columns(self) -> set[str]:
         return self.left.referenced_columns() | self.right.referenced_columns()
 
-    def __repr__(self):
+    def _render(self) -> str:
         return f"({self.left!r} {self.op} {self.right!r})"
 
 
@@ -475,7 +484,7 @@ class FunctionCall(Expr):
     def referenced_columns(self) -> set[str]:
         return self.operand.referenced_columns()
 
-    def __repr__(self):
+    def _render(self) -> str:
         return f"{self.name}({self.operand!r})"
 
 
@@ -518,7 +527,7 @@ class Like(Expr):
     def referenced_columns(self) -> set[str]:
         return self.value.referenced_columns()
 
-    def __repr__(self):
+    def _render(self) -> str:
         middle = "NOT LIKE" if self.negated else "LIKE"
         return f"({self.value!r} {middle} {Literal(self.pattern)!r})"
 
@@ -558,7 +567,7 @@ class CaseWhen(Expr):
             out |= condition.referenced_columns() | value.referenced_columns()
         return out
 
-    def __repr__(self):
+    def _render(self) -> str:
         parts = " ".join(
             f"WHEN {condition!r} THEN {value!r}"
             for condition, value in self.branches

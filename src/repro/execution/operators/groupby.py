@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from ...errors import ExecutionError
 from ...lint import sanitizer
-from ...monitor import METRICS
 from ..aggregates import AggregateSpec, make_accumulator
 from ..expressions import ColumnRef, Expr
 from ..kernels.aggregate import absorb_block_kernel, key_values
@@ -120,7 +119,6 @@ def _absorb(op: Operator, groups: dict, block: RowBlock) -> None:
     """Fold ``block`` into ``groups`` through ``op.core``, counted once."""
     op.core.absorb_block(groups, block)
     op.kernel_blocks += 1
-    METRICS.inc("executor.kernel_blocks")
 
 
 def _partial_stages(op: Operator):

@@ -26,7 +26,6 @@ from enum import Enum
 from itertools import chain, compress, repeat
 
 from ...errors import ExecutionError
-from ...monitor import METRICS
 from ...types import NAN_LAST, ordering_keys
 from ..expressions import Expr
 from ..kernels.aggregate import run_starts
@@ -208,7 +207,6 @@ class HashJoinOperator(Operator):
         key_runs = [key.compiled() for key in self.left_keys]
         for block in self.children[0].blocks():
             self.kernel_blocks += 1
-            METRICS.inc("executor.kernel_blocks")
             probe = block.project(self.left_columns)
             keys = _join_keys(_key_columns(block, key_runs), block.row_count)
             if join_type in (JoinType.SEMI, JoinType.ANTI):

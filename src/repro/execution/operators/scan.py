@@ -13,7 +13,8 @@ last (section 6.1).
 
 from __future__ import annotations
 
-from ...monitor import METRICS
+from collections import Counter
+
 from ...storage import HistoryRun
 from ...storage.manager import StorageManager
 from ..expressions import And, CaseWhen, Expr, Literal, column_range_from_predicate
@@ -72,6 +73,9 @@ class ScanOperator(Operator):
         #: per query by ``ExecutorStats.finalize``, not once per block.)
         self.seek_blocks = 0
         self.seek_window_rows = 0
+        #: The storage walk's counters (containers scanned and pruned,
+        #: blocks pruned), folded the same way.
+        self.storage_counts: Counter = Counter()
 
     def _carried_columns(self) -> list[str]:
         """What leaves the predicate: the emitted columns, then the SIP
@@ -104,7 +108,6 @@ class ScanOperator(Operator):
         def emit(block: RowBlock, kernel):
             self.rows_scanned += block.row_count
             self.kernel_blocks += 1
-            METRICS.inc("executor.kernel_blocks")
             if kernel is not None:
                 # evaluated over only the predicate's columns; the
                 # carried columns are touched (sliced, still encoded)
@@ -143,6 +146,7 @@ class ScanOperator(Operator):
             self.epoch,
             columns=needed,
             prune=prune or None,
+            counts=self.storage_counts,
         ):
             if self.failure_probe is not None:
                 self.failure_probe()

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from ...errors import ExecutionError
 from ...lint import sanitizer
-from ...monitor import METRICS
 from ..expressions import Expr
 from ..kernels.aggregate import key_values
 from ..kernels.predicates import compile_kernel_predicate
@@ -25,7 +24,6 @@ class FilterOperator(Operator):
         kernel = compile_kernel_predicate(self.predicate)
         for block in self.children[0].blocks():
             self.kernel_blocks += 1
-            METRICS.inc("executor.kernel_blocks")
             selection = kernel(block.columns, block.row_count, block.sorted_by or ())
             if selection.is_empty:
                 continue

@@ -91,29 +91,21 @@ def profile_plan(root: "Operator") -> list[OperatorProfile]:
     """
     profiles: list[OperatorProfile] = []
     seen: set[int] = set()
-
-    def visit(op: "Operator", parent_id: int | None, depth: int) -> None:
+    pending = [(root, None, 0)]  # preorder: children pushed reversed
+    while pending:
+        op, parent_id, depth = pending.pop()
         if id(op) in seen:
-            return
+            continue
         seen.add(id(op))
-        profile = OperatorProfile(
-            operator_id=len(profiles) + 1,
-            parent_id=parent_id,
-            depth=depth,
-            op_name=op.op_name,
-            label=op.label(),
-            rows_produced=op.rows_produced,
-            blocks_produced=op.blocks_produced,
-            pulls=op.pulls,
-            wall_seconds=op.wall_seconds,
-            seek_blocks=getattr(op, "seek_blocks", 0),
-            seek_window_rows=getattr(op, "seek_window_rows", 0),
+        operator_id = len(profiles) + 1
+        profiles.append(OperatorProfile(
+            operator_id, parent_id, depth, op.op_name, op.label(),
+            op.rows_produced, op.blocks_produced, op.pulls, op.wall_seconds,
+            0.0, getattr(op, "seek_blocks", 0), getattr(op, "seek_window_rows", 0),
+        ))
+        pending.extend(
+            [(child, operator_id, depth + 1) for child in reversed(op.children)]
         )
-        profiles.append(profile)
-        for child in op.children:
-            visit(child, profile.operator_id, depth + 1)
-
-    visit(root, None, 0)
     child_time: dict[int, float] = {}
     for profile in profiles:
         if profile.parent_id is not None:

@@ -114,6 +114,16 @@ class MetricsRegistry:
             self._counters[name] = self._counters.get(name, 0) + amount
             RACES.note_write("METRICS._counters", "MetricsRegistry.inc")
 
+    def fold(self, counts: dict[str, int]) -> None:
+        """Add each nonzero amount in ``counts`` to its counter, all
+        under one lock: a walk that tallied locally bumps the registry
+        once, not once per step and counter."""
+        with self._lock:
+            for name, amount in counts.items():
+                if amount:
+                    self._counters[name] = self._counters.get(name, 0) + amount
+            RACES.note_write("METRICS._counters", "MetricsRegistry.fold")
+
     def set_gauge(self, name: str, value: float) -> None:
         """Set gauge ``name`` to ``value`` (last write wins)."""
         with self._lock:

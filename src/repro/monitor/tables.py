@@ -69,6 +69,7 @@ from ..errors import UnknownObjectError
 
 #: Schema name all virtual tables live under.
 SCHEMA = "v_monitor"
+_PREFIX = SCHEMA + "."
 
 _COLUMNS = {
     "query_profiles": [
@@ -308,7 +309,7 @@ _COLUMNS = {
 
 def is_monitor_table(name: str) -> bool:
     """Whether a FROM-clause table name addresses the v_monitor schema."""
-    return name.lower().startswith(SCHEMA + ".")
+    return name.lower().startswith(_PREFIX)
 
 
 def reads_monitor(plan) -> bool:

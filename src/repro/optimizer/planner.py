@@ -11,14 +11,13 @@ the section 6.2 ablation.
 
 from __future__ import annotations
 
-import copy
-
 from ..errors import PlanningError
 from ..execution.expressions import ColumnRef, Comparison, Expr
 from ..execution.operators.join import JoinType
 from ..execution.row_block import sorted_prefix
 from ..monitor.tables import is_monitor_table
 from ..projections import HashSegmentation, ProjectionDefinition
+from ..trace import TRACER
 from . import physical as P
 from .cost import (
     CostBreakdown,
@@ -77,8 +76,11 @@ def _key_names(keys: list[Expr]) -> list[str] | None:
 
 def _copy_nodes(node: LogicalNode) -> LogicalNode:
     """A copy of the logical tree's nodes — the part ``rewrite``
-    mutates — sharing every expression and every column/key list."""
-    clone = copy.copy(node)
+    mutates — sharing every expression and every column/key list.  A
+    node's fields are its ``__dict__``, so copying that dict is the
+    whole copy (no ``copy`` protocol, no ``__init__``)."""
+    clone = object.__new__(type(node))
+    clone.__dict__.update(node.__dict__)
     clone.children = [_copy_nodes(child) for child in node.children]
     _resync_child_fields(clone)
     return clone
@@ -104,8 +106,6 @@ class PlannerBase:
         and no planner step mutates an ``Expr``; they build new ones —
         so a re-planned tree also keeps its compiled predicates.
         """
-        from ..trace import TRACER
-
         with TRACER.span("optimizer.plan", category="optimizer"):
             logical = rewrite(_copy_nodes(logical))
             return self._plan_node(logical)
@@ -202,16 +202,21 @@ class PlannerBase:
         if node.deleted is not None:
             needed_raw |= node.deleted.referenced_columns()
         selectivity = estimate_selectivity(node.predicate, table_stats)
-        best = None
-        best_cost = None
-        for family in self.cluster.catalog.families_for_table(node.table):
+        candidates = [
+            family
+            for family in self.cluster.catalog.families_for_table(node.table)
+            # prejoins are picked by join planning, not scans
+            if family.primary.prejoin is None and family.primary.covers(needed_raw)
+        ]
+        if not candidates:
+            raise PlanningError(
+                f"no projection of {node.table!r} covers {sorted(needed_raw)}"
+            )
+
+        def cost(family) -> float:
             projection = family.primary
-            if projection.prejoin is not None:
-                continue  # prejoins are picked by join planning, not scans
-            if not projection.covers(needed_raw):
-                continue
             io_bytes = sum(
-                self.stats.bytes_for(family.primary.name, raw)
+                self.stats.bytes_for(projection.name, raw)
                 or table_stats.column(raw).avg_encoded_bytes
                 for raw in needed_raw
             )
@@ -220,12 +225,10 @@ class PlannerBase:
             # -> container pruning shrinks the read dramatically.
             if projection.sort_order and projection.sort_order[0] in predicate_raw_columns:
                 cost *= max(selectivity, 0.05)
-            if best_cost is None or cost < best_cost:
-                best, best_cost = family, cost
-        if best is None:
-            raise PlanningError(
-                f"no projection of {node.table!r} covers {sorted(needed_raw)}"
-            )
+            return cost
+
+        # the first of the cheapest; one candidate needs no costing
+        best = min(candidates, key=cost) if len(candidates) > 1 else candidates[0]
         projection = best.primary
         # predicate-only columns are read, tested and dropped in the scan
         distribution = self._scan_distribution(projection, node.rename, out_names)

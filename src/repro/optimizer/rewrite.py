@@ -105,11 +105,12 @@ def _try_push(node: LogicalNode, conjunct: Expr) -> bool:
     if isinstance(node, ScanNode):
         outputs = {node.rename.get(name, name) for name in node.columns}
         if referenced <= outputs:
-            # scan predicates live in stored-name space
-            inverse = {out: raw for raw, out in node.rename.items()}
-            translated = substitute_columns(conjunct, inverse)
-            existing = split_conjuncts(node.predicate)
-            node.predicate = conjoin(existing + [translated])
+            # scan predicates live in stored-name space; a conjunct
+            # naming no renamed column is already written in it
+            inverse = {out: raw for raw, out in node.rename.items() if out != raw}
+            if not referenced.isdisjoint(inverse):
+                conjunct = substitute_columns(conjunct, inverse)
+            node.predicate = conjoin(split_conjuncts(node.predicate) + [conjunct])
             return True
         return False
     if isinstance(node, FilterNode):

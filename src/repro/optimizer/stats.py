@@ -125,7 +125,7 @@ class TableStats:
     columns: dict[str, ColumnStats] = field(default_factory=dict)
 
     def column(self, name: str) -> ColumnStats:
-        return self.columns.get(name, ColumnStats(name))
+        return self.columns.get(name) or ColumnStats(name)
 
 
 #: Rows sampled per table when collecting statistics.
@@ -199,7 +199,7 @@ class StatsCatalog:
     family_bytes: dict[str, dict[str, float]] = field(default_factory=dict)
 
     def get(self, table_name: str) -> TableStats:
-        return self.tables.get(table_name, TableStats(table_name))
+        return self.tables.get(table_name) or TableStats(table_name)
 
     def put(self, stats: TableStats) -> None:
         self.tables[stats.table] = stats

@@ -375,12 +375,9 @@ class Analyzer:
             for conjunct in where_conjuncts
             if not isinstance(conjunct, ast.InSubquery)
         ]
-        where_expr = (
-            conjoin([self.convert(conjunct, scope) for conjunct in plain])
-            if plain
-            else None
+        plan = self._build_join_tree(
+            stmt, scope, [self.convert(conjunct, scope) for conjunct in plain]
         )
-        plan = self._build_join_tree(stmt, scope, where_expr)
         for subquery in subqueries:
             plan = self._flatten_in_subquery(plan, subquery, scope)
 
@@ -496,14 +493,14 @@ class Analyzer:
     # -- join tree ----------------------------------------------------------------
 
     def _build_join_tree(
-        self, stmt: ast.SelectStatement, scope: Scope, where: Expr | None
+        self, stmt: ast.SelectStatement, scope: Scope, where: list[Expr]
     ) -> LogicalNode:
         items_by_name = {item.ref.name: item for item in scope.items}
         # split WHERE into: equi-join conditions between items, per-item
         # filters, and multi-item residuals.
         equi_conditions: list[tuple[str, str, Expr, Expr]] = []
         residuals: list[Expr] = []
-        for conjunct in split_conjuncts(where):
+        for conjunct in where:
             classified = self._classify_conjunct(conjunct, scope)
             if classified is not None:
                 equi_conditions.append(classified)

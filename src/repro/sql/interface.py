@@ -9,6 +9,7 @@ record handling of section 7).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from time import perf_counter
 from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -20,6 +21,7 @@ from ..execution.expressions import Expr
 from ..monitor.tables import reads_monitor
 from ..projections import HashSegmentation, ProjectionColumn, ProjectionDefinition, Replicated
 from ..storage import HistoryRun
+from ..trace import TRACER
 from ..types import type_from_name
 from . import ast
 from .analyzer import Analyzer, Scope, _FromItem
@@ -82,10 +84,6 @@ def execute_sql(
     resource pool — except reads of the ``v_monitor`` tables
     themselves, so a polling console never floods its own history.
     """
-    from time import perf_counter
-
-    from ..trace import TRACER
-
     trace = TRACER.start_trace("statement", attrs={"sql": text})
     info = {"kind": "unknown", "skip": False}
     started = perf_counter()
@@ -139,8 +137,6 @@ def _record_request(
 
 def _execute_statement(session, text, copy_rows, trace, info=None, statement=None):
     db = session.db
-    from ..trace import TRACER
-
     if info is None:
         info = {}
     if statement is None:

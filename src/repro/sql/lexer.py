@@ -1,15 +1,25 @@
 """SQL lexer.
 
-Hand-written tokenizer for the supported SQL dialect.  (The real
-Vertica borrowed PostgreSQL's parser — section 2.1; we implement a
-compact dialect covering everything the paper's examples and
-experiments need.)
+One compiled pattern tokenizes a statement: leading whitespace, then an
+alternation of named groups — comments, numbers, words, strings, quoted
+identifiers, operators, the end of the text — walked once with
+``finditer``, the way sqlparser-rs lexes in one linear pass.  A last
+catch-all group matches any other character, so bad input raises
+:class:`SqlSyntaxError` at its position instead of being skipped.  (The real Vertica borrowed
+PostgreSQL's parser — section 2.1; we implement a compact dialect
+covering everything the paper's examples and experiments need.)
+
+A number is decimal digits (``\\d``: what ``int`` and ``float`` read)
+with an optional fraction and exponent; an exponent sign with no digit
+after it is refused, and a word may not start with a digit ``int``
+cannot read (``²``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+import re
+from functools import lru_cache, partial
+from typing import NamedTuple
 
 from ..errors import SqlSyntaxError
 
@@ -26,13 +36,33 @@ KEYWORDS = {
     "EXPLAIN", "ANALYZE", "PROFILE",
 }
 
-#: Multi-character operators, longest first.
-OPERATORS = ["<>", "!=", ">=", "<=", "=", "<", ">", "+", "-", "*", "/", "%",
-             "(", ")", ",", ".", ";"]
+_MANTISSA = r"(?:\d+(?:\.\d*)?|\.\d+)"
+
+#: The whole lexical grammar; the group that matched names the token.
+#: Alternatives are tried in order: a comment before the ``-``
+#: operator, a number before a word and before the ``.`` operator.  A
+#: string's closing quote may not be followed by another, so an
+#: unterminated ``'it''s`` is not read as ``'it'`` plus a stray quote.
+_TOKEN = re.compile(
+    rf"""
+    \s*                          # whitespace belongs to the match after it
+    (?:
+      (?P<comment>--[^\n]*)
+    | (?P<malformed>{_MANTISSA}[eE][+-](?!\d))
+    | (?P<number>{_MANTISSA}(?:[eE][+-]?\d+)?)
+    | (?P<word>\w+)
+    | (?P<string>'[^']*(?:''[^']*)*'(?!'))
+    | (?P<quoted>"[^"]*")
+    | (?P<op><>|!=|>=|<=|[=<>+\-*/%(),.;])
+    | (?P<end>\Z)
+    | (?P<bad>.)
+    )
+    """,
+    re.VERBOSE | re.DOTALL,
+)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One lexical token."""
 
     kind: str  # 'keyword' | 'ident' | 'number' | 'string' | 'op' | 'eof'
@@ -45,6 +75,11 @@ class Token:
         return value is None or self.value == value
 
 
+#: A ``Token`` made by ``tuple.__new__`` directly, skipping the
+#: Python-level ``__new__`` a ``NamedTuple`` generates.
+_token = partial(tuple.__new__, Token)
+
+
 @lru_cache(maxsize=4096)
 def sql_name(name: str) -> str:
     """``name`` double-quoted unless each dotted part is one plain, non-keyword word."""
@@ -55,85 +90,42 @@ def sql_name(name: str) -> str:
     return name if all(plain) else f'"{name}"'
 
 
+def _refuse(kind: str, text: str, position: int) -> SqlSyntaxError:
+    if kind == "malformed":
+        return SqlSyntaxError(f"malformed number {text!r} at {position}")
+    if text == "'":
+        return SqlSyntaxError(f"unterminated string at {position}")
+    if text == '"':
+        return SqlSyntaxError(f"unterminated quoted identifier at {position}")
+    return SqlSyntaxError(f"unexpected character {text[0]!r} at {position}")
+
+
 def tokenize(text: str) -> list[Token]:
     """Tokenize SQL text; raises :class:`SqlSyntaxError` on bad input."""
     tokens: list[Token] = []
-    index = 0
-    length = len(text)
-    while index < length:
-        char = text[index]
-        if char.isspace():
-            index += 1
+    append = tokens.append
+    for match in _TOKEN.finditer(text):
+        kind = match.lastgroup
+        if kind == "comment":
             continue
-        if text.startswith("--", index):
-            newline = text.find("\n", index)
-            index = length if newline < 0 else newline + 1
-            continue
-        if char == "'":
-            end = index + 1
-            parts = []
-            while True:
-                if end >= length:
-                    raise SqlSyntaxError(f"unterminated string at {index}")
-                if text[end] == "'":
-                    if end + 1 < length and text[end + 1] == "'":
-                        parts.append("'")
-                        end += 2
-                        continue
-                    break
-                parts.append(text[end])
-                end += 1
-            tokens.append(Token("string", "".join(parts), index))
-            index = end + 1
-            continue
-        if char.isdigit() or (
-            char == "." and index + 1 < length and text[index + 1].isdigit()
-        ):
-            end = index
-            seen_dot = False
-            seen_exp = False
-            while end < length:
-                c = text[end]
-                if c.isdigit():
-                    end += 1
-                elif c == "." and not seen_dot and not seen_exp:
-                    seen_dot = True
-                    end += 1
-                elif c in "eE" and not seen_exp and end + 1 < length and (
-                    text[end + 1].isdigit() or text[end + 1] in "+-"
-                ):
-                    seen_exp = True
-                    end += 2 if text[end + 1] in "+-" else 1
-                else:
-                    break
-            tokens.append(Token("number", text[index:end], index))
-            index = end
-            continue
-        if char.isalpha() or char == "_":
-            end = index
-            while end < length and (text[end].isalnum() or text[end] == "_"):
-                end += 1
-            word = text[index:end]
-            upper = word.upper()
+        if kind == "end":
+            break
+        value = match.group(kind)
+        position = match.start(kind)
+        if kind == "word":
+            upper = value.upper()
             if upper in KEYWORDS:
-                tokens.append(Token("keyword", upper, index))
+                kind, value = "keyword", upper
+            elif value[0].isalpha() or value[0] == "_":
+                kind = "ident"
             else:
-                tokens.append(Token("ident", word, index))
-            index = end
-            continue
-        if char == '"':
-            end = text.find('"', index + 1)
-            if end < 0:
-                raise SqlSyntaxError(f"unterminated quoted identifier at {index}")
-            tokens.append(Token("ident", text[index + 1 : end], index))
-            index = end + 1
-            continue
-        for operator in OPERATORS:
-            if text.startswith(operator, index):
-                tokens.append(Token("op", operator, index))
-                index += len(operator)
-                break
-        else:
-            raise SqlSyntaxError(f"unexpected character {char!r} at {index}")
-    tokens.append(Token("eof", "", length))
+                kind = "bad"
+        elif kind == "string":
+            value = value[1:-1].replace("''", "'")
+        elif kind == "quoted":
+            kind, value = "ident", value[1:-1]
+        if kind == "bad" or kind == "malformed":
+            raise _refuse(kind, value, position)
+        append(_token((kind, value, position)))
+    append(_token(("eof", "", len(text))))
     return tokens

@@ -223,12 +223,14 @@ class ColumnReader:
         info = self.blocks[block_index]
         return self.block_values(block_index)[position - info.start_position]
 
-    def position_range_for(self, low, high) -> tuple[int, int]:
+    def position_range_for(self, low, high) -> tuple[int, int, int]:
         """Smallest [start, end) position range covering all blocks
-        that may hold values in [low, high] — pure metadata, no decode.
+        that may hold values in [low, high] — pure metadata, no decode —
+        and how many blocks the metadata excluded.
 
         The first step of the container walk: on a sorted column a
-        range predicate maps to a contiguous run of blocks.
+        range predicate maps to a contiguous run of blocks.  The caller
+        counts the excluded blocks (``storage.blocks_pruned``).
         """
         start = None
         end = 0
@@ -240,11 +242,9 @@ class ColumnReader:
                 end = info.end_position
             else:
                 pruned += 1
-        if pruned:
-            METRICS.inc("storage.blocks_pruned", pruned)
         if start is None:
-            return 0, 0
-        return start, end
+            return 0, 0, pruned
+        return start, end, pruned
 
     def read_range(self, start: int, end: int) -> list:
         """Decode only positions [start, end) (block-aligned reads)."""

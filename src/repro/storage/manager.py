@@ -544,6 +544,7 @@ class StorageManager:
             # NULL and NaN order against nothing: no bound through them
             if not any(value is None or value != value for value in values):
                 bounds[name] = min(values), max(values)
+        counts: Counter = Counter()  # blocks the victims' bounds pruned
         for container_id in sorted(state.containers):
             container = state.containers[container_id]
             if deleted == count or not all(
@@ -552,7 +553,7 @@ class StorageManager:
             ):
                 continue
             for _, start, end, visible in self._visible_pieces(
-                state, container, snapshot_epoch, names, bounds
+                state, container, snapshot_epoch, names, bounds, counts
             ):
                 candidates = (
                     range(end - start) if visible is None else visible.positions()
@@ -565,6 +566,7 @@ class StorageManager:
                             container_id, DeleteVector(container_id)
                         ).add(start + offset, commit_epoch)
                         deleted += 1
+        METRICS.fold(counts)
         return deleted
 
     def persist_delete_vectors(self, projection_name: str) -> int:
@@ -799,6 +801,7 @@ class StorageManager:
         epoch: int,
         columns: list[str] | None = None,
         prune: dict[str, tuple] | None = None,
+        counts: Counter | None = None,
     ):
         """Yield :class:`ScanBatch` es of rows visible at ``epoch``.
 
@@ -809,10 +812,18 @@ class StorageManager:
         never crosses a storage block, so block-local dictionaries stay
         valid, and rows deleted at ``epoch`` are selected out of it, not
         decoded around.
+
+        The container walk's counters (containers scanned and pruned,
+        blocks pruned) go to ``counts`` when the caller folds them
+        itself — the Scan operator, once per query — and otherwise to
+        ``METRICS`` once, when the walk reaches the WOS.
         """
         state = self._state(projection_name)
         names = columns or [c.name for c in state.projection.columns]
         sort_columns = tuple(state.projection.sort_order) or None
+        own = counts is None
+        if own:
+            counts = Counter()
         for container_id in sorted(state.containers):
             container = state.containers[container_id]
             if prune and not all(
@@ -820,15 +831,17 @@ class StorageManager:
                 for column, (low, high) in prune.items()
                 if column in container.meta.columns
             ):
-                METRICS.inc("storage.containers_pruned")
+                counts["storage.containers_pruned"] += 1
                 continue
-            METRICS.inc("storage.containers_scanned")
+            counts["storage.containers_scanned"] += 1
             yield from self._scan_container(
-                state, container, epoch, names, prune, sort_columns
+                state, container, epoch, names, prune, sort_columns, counts
             )
+        if own:
+            METRICS.fold(counts)
         yield from self._scan_wos(state, epoch, names, sort_columns)
 
-    def _pruned_position_range(self, container, prune) -> tuple[int, int]:
+    def _pruned_position_range(self, container, prune, counts) -> tuple[int, int]:
         """Intersect pruned position ranges of restricted (ungrouped)
         columns — the first step of the columnar walk."""
         start, end = 0, container.row_count
@@ -838,14 +851,15 @@ class StorageManager:
                     continue
                 if container._group_of(column) is not None:
                     continue
-                lo, hi = container.column_reader(column).position_range_for(
+                lo, hi, pruned = container.column_reader(column).position_range_for(
                     low, high
                 )
+                counts["storage.blocks_pruned"] += pruned
                 start = max(start, lo)
                 end = min(end, hi)
         return start, end
 
-    def _visible_pieces(self, state, container, epoch, names, prune):
+    def _visible_pieces(self, state, container, epoch, names, prune, counts):
         """The one columnar walk of a container: yield ``(block_index,
         start, end, visible)`` for every piece of the pruned position
         range holding a row visible at ``epoch``.
@@ -862,7 +876,7 @@ class StorageManager:
         is decoded.  Scans and by-value deletes both read through here,
         so MVCC visibility has one implementation.
         """
-        start, end = self._pruned_position_range(container, prune)
+        start, end = self._pruned_position_range(container, prune, counts)
         if start >= end or container.meta.min_epoch > epoch:
             return
         for name in names:
@@ -911,9 +925,11 @@ class StorageManager:
             )
         return visible
 
-    def _scan_container(self, state, container, epoch, names, prune, sort_columns):
+    def _scan_container(
+        self, state, container, epoch, names, prune, sort_columns, counts
+    ):
         for block_index, start, end, visible in self._visible_pieces(
-            state, container, epoch, names, prune
+            state, container, epoch, names, prune, counts
         ):
             columns = {}
             for name in names:

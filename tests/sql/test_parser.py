@@ -179,3 +179,54 @@ class TestDmlDdlParsing:
     def test_explain(self):
         stmt = parse("EXPLAIN SELECT a FROM t")
         assert isinstance(stmt, ast.ExplainStatement)
+
+
+class TestMalformedInput:
+    """Bad input is a :class:`SqlSyntaxError` naming where it is, never a
+    ``ValueError`` from converting a token."""
+
+    @pytest.mark.parametrize(
+        "text, position",
+        [
+            # str.isdigit accepts "²"; int() does not
+            ("SELECT ² FROM t", 7),
+            # an exponent sign with no digit after it
+            ("SELECT a FROM t WHERE b = 1e+", 26),
+            ("SELECT a FROM t WHERE b = 2e-", 26),
+        ],
+    )
+    def test_a_malformed_number_is_a_syntax_error(self, text, position):
+        with pytest.raises(SqlSyntaxError, match=f"at {position}$"):
+            parse(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "SELECT a FROM t LIMIT 1.5",
+            "SELECT a FROM t OFFSET 1e1",
+            "AT EPOCH 1.5 SELECT a FROM t",
+        ],
+    )
+    def test_an_integer_clause_takes_only_an_integer(self, text, tmp_path):
+        from repro import ColumnDef, Database, TableDefinition, types
+        from repro.service import SqlService
+
+        with pytest.raises(SqlSyntaxError, match="expected an integer"):
+            parse(text)
+        db = Database(str(tmp_path / "db"), node_count=1, k_safety=0)
+        db.create_table(TableDefinition("t", [ColumnDef("a", types.INTEGER)]))
+        with pytest.raises(SqlSyntaxError, match="expected an integer"):
+            db.sql(text)
+        service = SqlService(db)
+        try:
+            with pytest.raises(SqlSyntaxError, match="expected an integer"):
+                service.connect().execute(text)
+        finally:
+            service.shutdown()
+
+    def test_not_before_is_null_is_refused(self):
+        # it used to parse as plain IS NULL, silently dropping the NOT
+        with pytest.raises(SqlSyntaxError, match="dangling NOT"):
+            parse("SELECT a FROM t WHERE a NOT IS NULL")
+        where = parse("SELECT a FROM t WHERE a IS NOT NULL").where
+        assert where == ast.IsNullExpr(ast.Identifier("a"), negated=True)

@@ -34,8 +34,10 @@ echo "== fuzz corpus against the oracle =="
 # write path's byte identity, AUTO's closed-form trial sizes against the
 # payloads they stand for, column COPY against the per-line loader,
 # the group-key kernel, narrow projections against the super
-# projection alone and co-located / broadcast / resegmented joins on a
-# 3-node cluster against the join oracle.  Zero divergences required.
+# projection alone, co-located / broadcast / resegmented joins on a
+# 3-node cluster against the join oracle, and the one-pattern lexer and
+# the precedence-climbing parser against the character-walking lexer
+# and fully parenthesised text.  Zero divergences required.
 echo "   extra seeds: 7, ${GIT_SEED} (git-derived)"
 REPRO_FUZZ_SEEDS="7,${GIT_SEED}" REPRO_SANITIZE=1 \
     python -m pytest -q tests/integration/test_sql_differential_fuzz.py \
@@ -43,7 +45,9 @@ REPRO_FUZZ_SEEDS="7,${GIT_SEED}" REPRO_SANITIZE=1 \
     tests/sql/test_copy_by_columns.py::test_column_copy_equals_the_per_line_loop \
     tests/execution/test_kernels_properties.py::test_key_kernel_matches_a_dict_of_lists \
     tests/integration/test_narrow_projections.py \
-    tests/execution/test_join_properties.py::test_distributed_joins_equal_the_oracle
+    tests/execution/test_join_properties.py::test_distributed_joins_equal_the_oracle \
+    tests/sql/test_front_end_properties.py::test_one_pattern_lexes_as_the_character_walk \
+    tests/sql/test_front_end_properties.py::test_minimal_parentheses_parse_as_full_ones
 
 echo "== chaos seeds: two fixed + one fresh from the git SHA =="
 # The self-healing scenarios re-run on pinned seeds (regression

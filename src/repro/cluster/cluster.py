@@ -17,6 +17,7 @@ distributed behaviours live:
 from __future__ import annotations
 
 import os
+from collections.abc import Iterable
 from typing import TYPE_CHECKING
 
 from .. import faults
@@ -387,51 +388,73 @@ class Cluster:
 
     # -- reads -----------------------------------------------------------
 
+    def serving_copy(
+        self, family: ProjectionFamily, segment: int, excluding: int | None = None
+    ) -> tuple[int, str]:
+        """The (node, projection copy) ring segment ``segment`` of
+        ``family`` is read from: the one answer scans, the availability
+        check, failover and recovery all take (section 5.2).
+
+        A segmented family's segment comes from the first copy in
+        ``family.all_copies`` whose host for it is up and is not
+        ``excluding`` — the primary, else the buddy at the next offset.
+        A replicated family's comes from node ``segment`` itself under
+        the same test, else from the lowest node that passes it.  With
+        no such copy it raises :class:`DataUnavailableError` naming the
+        segment, the family and the table — the condition that shuts a
+        real cluster down (section 5.3)."""
+        primary = family.primary
+        is_up = self.membership.is_up
+        if primary.segmentation.replicated:
+            for host in (segment, *self.membership.up_nodes()):
+                if host != excluding and is_up(host):
+                    return host, primary.name
+        else:
+            for copy in family.all_copies:
+                host = copy.segmentation.node_for_range(segment, self.node_count)
+                if host != excluding and is_up(host):
+                    return host, copy.name
+        besides = "" if excluding is None else f" besides node {excluding}"
+        raise DataUnavailableError(
+            f"segment {segment} of projection family {primary.name} "
+            f"(table {primary.anchor_table}) has no reachable copy{besides}"
+        )
+
     def scan_sources(
         self, family: ProjectionFamily
     ) -> list[tuple[int, str]]:
-        """Choose (node, projection copy) pairs that together cover the
-        family's full row set using only up nodes.
+        """(node, projection copy) pairs that together cover the family's
+        full row set from up nodes: each ring segment's serving copy (a
+        replicated family is one segment — any copy holds every row)."""
+        segments = 1 if family.primary.segmentation.replicated else self.node_count
+        return [self.serving_copy(family, segment) for segment in range(segments)]
 
-        With the primary copy's host down, the buddy copy hosted at
-        ``(node + offset) % N`` serves that ring segment (section 5.2).
-        Raises :class:`DataUnavailableError` when no copy of some
-        segment is reachable — the condition that shuts a real cluster
-        down.
-        """
-        primary = family.primary
-        if primary.segmentation.replicated:
-            up = self.membership.up_nodes()
-            if not up:
-                raise DataUnavailableError(
-                    f"no node up for replicated projection family "
-                    f"{primary.name}"
-                )
-            return [(up[0], primary.name)]
-        sources: list[tuple[int, str]] = []
-        for base in range(self.node_count):
-            chosen = None
-            for copy in family.all_copies:
-                host = copy.segmentation.node_for_range(base, self.node_count)
-                if self.membership.is_up(host):
-                    chosen = (host, copy.name)
-                    break
-            if chosen is None:
-                raise DataUnavailableError(
-                    f"segment {base} of projection family {primary.name} "
-                    f"(table {primary.anchor_table}) has no reachable "
-                    "copy; cluster would shut down"
-                )
-            sources.append(chosen)
-        return sources
+    def resolve_sources(
+        self, first: Iterable[str] = ()
+    ) -> dict[str, list[tuple[int, str]]]:
+        """One pass over the catalog's families: family name -> the
+        serving copy of ring segments ``0 .. N-1``, the families named
+        in ``first`` resolved first so an error names one of them.
 
-    def require_family_available(self, family: ProjectionFamily) -> None:
-        """Fail fast with :class:`DataUnavailableError` (naming the
-        segment and family) when some segment of ``family`` has no
-        reachable copy.  The executor calls this for every scanned
-        family before running a query, so an unavailable table never
-        returns partial rows from whichever copies happen to resolve."""
-        self.scan_sources(family)
+        This is the paper's safety-shutdown check (section 5.3): a
+        cluster with *any* segment that has no reachable copy refuses
+        reads, it does not keep serving the tables that happen to
+        survive.  The pass is the one writer of the
+        ``cluster.data_available`` gauge."""
+        families = self.catalog.families
+        try:
+            resolved = {
+                name: [
+                    self.serving_copy(families[name], segment)
+                    for segment in range(self.node_count)
+                ]
+                for name in dict.fromkeys([*first, *sorted(families)])
+            }
+        except DataUnavailableError:
+            METRICS.set_gauge("cluster.data_available", 0)
+            raise
+        METRICS.set_gauge("cluster.data_available", 1)
+        return resolved
 
     def read_columns(
         self, table_name: str, epoch: int, names: list[str] | None = None
@@ -664,20 +687,11 @@ class Cluster:
 
         return scrub(self, repair=repair)
 
-    def require_data_available(self) -> None:
-        """The paper's safety-shutdown criterion, as an assertion: raise
-        :class:`DataUnavailableError` naming the first segment and
-        projection family with no reachable copy.  The executor enforces
-        this before building any query, so an unavailable cluster never
-        returns partial rows."""
-        for _, family in sorted(self.catalog.families.items()):
-            self.scan_sources(family)
-
     def check_data_available(self) -> bool:
         """Whether every projection family still has every segment
         reachable (the paper's shutdown criterion)."""
         try:
-            self.require_data_available()
+            self.resolve_sources()
         except DataUnavailableError:
             return False
         return True

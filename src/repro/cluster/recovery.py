@@ -32,7 +32,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
-from ..errors import ClusterError, DataUnavailableError
+from ..errors import ClusterError
 from ..projections import ProjectionFamily
 from ..storage import HistoryRun
 from ..storage.manager import truncate_outcome_counts
@@ -68,36 +68,17 @@ def _buddy_history(
     copy,
     after_epoch: int | None = None,
 ) -> HistoryRun:
-    """The history the recovering node's ``copy`` should hold, sourced
-    from a surviving copy of the same family.  With
-    ``after_epoch`` only what was inserted or deleted past that epoch
-    is read: buddy containers settled by then are skipped unopened
-    (the paper's incremental recovery)."""
-    if copy.segmentation.replicated:
-        for source in cluster.membership.up_nodes():
-            if source != node_index:
-                return cluster.nodes[source].manager.history(copy.name, after_epoch)
-        # DataUnavailableError (not a bare ClusterError) so recovery
-        # callers — and the supervisor's retry loop — can distinguish
-        # "no copy of this data is reachable" from protocol faults.
-        raise DataUnavailableError(
-            f"no live source to recover replicated projection "
-            f"{copy.name} on node {node_index}"
-        )
-    base = copy.segmentation.range_for_node(node_index, cluster.node_count)
-    for other in family.all_copies:
-        if other.name == copy.name:
-            continue
-        host = other.segmentation.node_for_range(base, cluster.node_count)
-        if cluster.membership.is_up(host):
-            # the buddy's storage on `host` holds exactly this ring
-            # segment's rows (offset rings line up one-to-one).
-            return cluster.nodes[host].manager.history(other.name, after_epoch)
-    raise DataUnavailableError(
-        f"no live buddy to recover segment {base} of {copy.name} on "
-        f"node {node_index}; the segment is unrecoverable until a "
-        "buddy host returns"
-    )
+    """The history the recovering node's ``copy`` should hold, read from
+    the copy serving the same ring segment on another up node (the
+    buddy's storage there holds exactly that segment's rows; offset
+    rings line up one-to-one).  With ``after_epoch`` only what was
+    inserted or deleted past that epoch is read: buddy containers
+    settled by then are skipped unopened (the paper's incremental
+    recovery).  No live buddy raises :class:`DataUnavailableError`, so
+    the supervisor's retry loop can tell it from a protocol fault."""
+    segment = copy.segmentation.range_for_node(node_index, cluster.node_count)
+    host, name = cluster.serving_copy(family, segment, excluding=node_index)
+    return cluster.nodes[host].manager.history(name, after_epoch)
 
 
 def recover_node(

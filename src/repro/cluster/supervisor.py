@@ -248,9 +248,9 @@ class ClusterSupervisor:
 
     def _update_degraded_modes(self) -> None:
         has_quorum = self.cluster.membership.has_quorum()
+        # the availability pass writes the cluster.data_available gauge
         data_available = self.cluster.check_data_available()
         METRICS.set_gauge("cluster.has_quorum", int(has_quorum))
-        METRICS.set_gauge("cluster.data_available", int(data_available))
         modes = (has_quorum, data_available)
         if modes == self._last_modes:
             return

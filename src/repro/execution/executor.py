@@ -161,6 +161,9 @@ class DistributedExecutor:
         #: Coordinator-side root of the most recent :meth:`run`, kept so
         #: the profiler can walk the finished plan afterwards.
         self.root_operator: Operator | None = None
+        #: The running attempt's pass (:meth:`Cluster.resolve_sources`):
+        #: family -> the serving copy of each ring segment.
+        self._sources: dict | None = None
 
     # -- public API -----------------------------------------------------
 
@@ -181,7 +184,8 @@ class DistributedExecutor:
         A scan or exchange that hits a dead/ejected node (or an armed
         ``executor.scan`` / ``executor.exchange`` fault) raises
         :class:`NodeDownError`; the executor marks the node down,
-        re-resolves scan sources against the surviving buddies at the
+        resolves every segment again against the surviving buddies (the
+        retry's pass is the one the next attempt builds from) at the
         *same* snapshot epoch and retries the whole query (section
         5.2's "queries keep answering through node deaths").  The
         attempt budget is bounded by the node count — every retry
@@ -189,17 +193,22 @@ class DistributedExecutor:
         :class:`DataUnavailableError` when no copy of some segment is
         reachable.
         """
+        from ..optimizer import physical as P
+
         attempts = 0
         budget = max(self.cluster.node_count, 1)
+        scanned = [
+            node.family_name
+            for node in plan.walk()
+            if isinstance(node, P.PhysScan) and not is_monitor_table(node.table)
+        ]
+        self._sources = None
         while True:
             if self.cancel_token is not None:
                 # a cancelled statement must not burn a failover retry.
                 self.cancel_token.check()
-            # fail fast, naming the missing segment and family, before
-            # any operator is built: a query over unavailable data must
-            # return zero rows, never the partial set that the still
-            # reachable copies could produce.
-            self._require_availability(plan)
+            if self._sources is None:
+                self._sources = self._resolve(scanned)
             attempt_cm = TRACER.span(
                 "executor.attempt",
                 category="executor",
@@ -245,10 +254,14 @@ class DistributedExecutor:
                     attempt=attempts,
                     epoch=self.epoch,
                 ) as retry_span:
+                    # the next attempt builds from this pass: who took
+                    # over the dead node's segments, named on the span.
+                    self._sources = self._resolve(scanned)
                     if retry_span is not None:
-                        retry_span.attrs["resolved_sources"] = (
-                            self._resolved_sources(plan)
-                        )
+                        retry_span.attrs["resolved_sources"] = {
+                            name: [list(source) for source in self._sources[name]]
+                            for name in dict.fromkeys(scanned)
+                        }
                 # fresh counters: the aborted attempt's partial scans
                 # must not inflate the profile of the retry that wins.
                 self.stats = ExecutorStats()
@@ -314,61 +327,15 @@ class DistributedExecutor:
             return transform(built)
         return built.map(transform)
 
-    def _require_availability(self, plan) -> None:
-        """Enforce the availability contract before building anything:
-        every family the plan scans must be fully reachable (the error
-        names the first missing segment and its family), and the cluster
-        as a whole must pass :meth:`Cluster.check_data_available` — a
-        cluster with *any* unreachable segment performs a safety
-        shutdown (section 5.3), it does not keep serving the tables
-        that happen to survive.  A plan that scans only ``v_monitor``
-        tables reads no stored data and answers through the shutdown."""
-        families = self._families(plan)
-        for name in families:
-            self.cluster.require_family_available(self.cluster.catalog.family(name))
-        if not families:
-            return
-        try:
-            self.cluster.require_data_available()
-        except DataUnavailableError:
-            METRICS.set_gauge("cluster.data_available", 0)
-            raise
-        METRICS.set_gauge("cluster.data_available", 1)
-
-    def _resolved_sources(self, plan) -> dict:
-        """After a failover: the (node, projection copy) each scanned
-        family re-resolves to on the surviving buddies.  Annotated onto
-        the ``failover.retry`` span so a trace names not just the dead
-        node but who took over its segments."""
-        resolved: dict = {}
-        for name in self._families(plan):
-            family = self.cluster.catalog.family(name)
-            if family.primary.segmentation.replicated:
-                resolved[name] = "replicated"
-            else:
-                try:
-                    resolved[name] = [
-                        [host, projection_name]
-                        for host, projection_name in self.cluster.scan_sources(family)
-                    ]
-                except DataUnavailableError as exc:
-                    resolved[name] = f"unavailable: {exc}"
-        return resolved
-
-    @staticmethod
-    def _families(plan) -> list[str]:
-        """The projection families ``plan`` scans, each once (a
-        ``v_monitor`` leaf has none)."""
-        from ..optimizer import physical as P
-
-        families: dict[str, None] = {}
-        stack = [plan]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, P.PhysScan) and not is_monitor_table(node.table):
-                families[node.family_name] = None
-            stack.extend(node.children)
-        return list(families)
+    def _resolve(self, scanned: list[str]) -> dict:
+        """The attempt's one pass over the catalog (scanned families
+        first): the availability check and every scan's source.  It
+        runs before any operator is built, so a query over unavailable
+        data raises :class:`DataUnavailableError` naming the missing
+        segment and family, never returns the partial set the reachable
+        copies could produce.  A plan that scans only ``v_monitor``
+        tables reads no stored data and answers through a shutdown."""
+        return self.cluster.resolve_sources(scanned) if scanned else {}
 
     # -- node-death probes ------------------------------------------------
 
@@ -393,8 +360,9 @@ class DistributedExecutor:
     def _attach_exchange_probe(self, sender: SendOperator) -> None:
         """Give a Send operator a probe bound to the node hosting its
         fragment's scan, so a death mid-exchange is attributed to the
-        right node (the same host becomes the sender's trace node)."""
-        for op in sender.children[0].walk():
+        right node (the same host becomes the sender's trace node).  A
+        broadcast inner replayed below it ran earlier and is passed by."""
+        for op in sender.children[0].walk({id(root) for root in self.stats._roots}):
             if isinstance(op, ScanOperator) and op.node_index is not None:
                 host = op.node_index
 
@@ -443,20 +411,12 @@ class DistributedExecutor:
                 )
             return out
 
+        sources = self._sources[node.family_name]
         if family.primary.segmentation.replicated:
-            up = self.cluster.membership.up_nodes()
-            if not up:
-                raise DataUnavailableError(
-                    f"no node up for replicated projection family "
-                    f"{family.primary.name} (table {node.table})"
-                )
-
-            def factory(base: int):
-                host = base if base in up else up[0]
-                return make_scan(host, family.primary.name, None)
-
-            return _Fragments(None, factory=factory)
-        sources = self.cluster.scan_sources(family)
+            # fragment ``base`` reads node ``base``'s copy while it is up
+            return _Fragments(
+                None, factory=lambda base: make_scan(*sources[base], None)
+            )
         return _Fragments(
             {
                 base: make_scan(host, projection_name, base)
@@ -622,16 +582,24 @@ class DistributedExecutor:
             inner_rows = sum(block.row_count for block in blocks)
             if bc_span is not None:
                 bc_span.attrs["rows_materialized"] = inner_rows
+
+        def replay() -> SourceBlocks:
+            # the inner already ran: every replay is its parent, and
+            # under tracing its spans nest in the broadcast's time
+            source = SourceBlocks(list(blocks), replays=inner)
+            if bc_span is not None:
+                source.trace_span_id = bc_span.span_id
+            return source
+
         if isinstance(left, Operator):
-            return self._make_join_op(node, left, SourceBlocks(iter(blocks)))
+            return self._make_join_op(node, left, replay())
         bases = left.bases() if not left.replicated else [0]
         copies = max(len(bases) - 1, 0)
         self.stats.rows_broadcast += inner_rows * copies
         shared: dict = {}  # the first fragment to run builds for all
 
         def make(base):
-            right = SourceBlocks(list(blocks))
-            return self._make_join_op(node, left.op_for(base), right, shared)
+            return self._make_join_op(node, left.op_for(base), replay(), shared)
 
         if left.replicated:
             return _Fragments(None, factory=make)

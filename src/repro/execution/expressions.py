@@ -643,10 +643,15 @@ def column_range_from_predicate(expr: Expr | None) -> dict[str, tuple]:
 
     Understands ``col <op> literal`` (and the mirrored form), BETWEEN,
     and conjunctions thereof.  Anything else contributes no bound.
+    Derived once per expression and cached on it (as its kernel is), so
+    every node's Scan of one plan shares the result: callers only read it.
     """
-    bounds: dict[str, tuple] = {}
     if expr is None:
-        return bounds
+        return {}
+    cached = getattr(expr, "_prune_bounds", None)
+    if cached is not None:
+        return cached
+    bounds: dict[str, tuple] = {}
 
     def tighten(column: str, low, high):
         current_low, current_high = bounds.get(column, (None, None))
@@ -682,4 +687,5 @@ def column_range_from_predicate(expr: Expr | None) -> dict[str, tuple]:
                 tighten(column, literal, None)
 
     walk(expr)
+    expr._prune_bounds = bounds
     return bounds

@@ -136,12 +136,19 @@ class Operator:
 
 class SourceBlocks(Operator):
     """Adapter feeding a precomputed list/iterator of blocks into a
-    plan (tests, Send/Recv endpoints, subquery results)."""
+    plan (tests, Send/Recv endpoints, subquery results).  ``replays`` is
+    the operator that already produced them (a broadcast inner): the
+    Source's one child, so a profile walk reaches what it replays."""
 
     op_name = "Source"
 
-    def __init__(self, blocks_iterable, column_names: list[str] | None = None):
-        super().__init__()
+    def __init__(
+        self,
+        blocks_iterable,
+        column_names: list[str] | None = None,
+        replays: Operator | None = None,
+    ):
+        super().__init__(None if replays is None else [replays])
         self._blocks = blocks_iterable
         self._columns = column_names
 

@@ -7,10 +7,7 @@
     memory allocated, by externalizing their buffers to disk.
 
 Budgets are expressed in *rows* (a proxy for bytes that keeps the
-simulation deterministic).  The resource pool also implements the
-paper's zone idea: operators separated by a pipeline breaker (Sort,
-hash build) can reuse each other's memory, so the pool hands memory
-back when an operator finishes.
+simulation deterministic).
 """
 
 from __future__ import annotations
@@ -20,7 +17,6 @@ import pickle
 import tempfile
 from dataclasses import dataclass, field
 
-from ..errors import ResourceExceededError
 from ..types import any_nan
 from .kernels.vectors import as_list
 from .row_block import RowBlock
@@ -38,23 +34,12 @@ class WorkloadPolicy:
 
 @dataclass
 class ResourcePool:
-    """Tracks grants against one query's memory budget."""
+    """One query's memory budget: what each operator may hold before it
+    externalizes, and how many times one did."""
 
     policy: WorkloadPolicy = field(default_factory=WorkloadPolicy)
-    granted: dict[int, int] = field(default_factory=dict)
-    _next_grant: int = 1
     #: Count of spill events (observability for tests/benches).
     spills: int = 0
-
-    @property
-    def in_use(self) -> int:
-        """Rows of memory currently granted."""
-        return sum(self.granted.values())
-
-    @property
-    def available(self) -> int:
-        """Rows of memory still grantable."""
-        return max(self.policy.query_memory_rows - self.in_use, 0)
 
     def operator_budget(self) -> int:
         """Default per-operator grant size."""
@@ -62,21 +47,6 @@ class ResourcePool:
             int(self.policy.query_memory_rows * self.policy.per_operator_fraction),
             1,
         )
-
-    def grant(self, rows: int) -> int:
-        """Reserve ``rows`` of memory; returns a grant id."""
-        if rows > self.available:
-            raise ResourceExceededError(
-                f"requested {rows} rows, only {self.available} available"
-            )
-        grant_id = self._next_grant
-        self._next_grant += 1
-        self.granted[grant_id] = rows
-        return grant_id
-
-    def release(self, grant_id: int) -> None:
-        """Return a grant to the pool (zone hand-back)."""
-        self.granted.pop(grant_id, None)
 
     def note_spill(self) -> None:
         """Record that an operator externalized to disk."""

@@ -4,7 +4,6 @@ memory pressure (section 6.1 externalization + section 7)."""
 import pytest
 
 from repro import ColumnDef, Database, TableDefinition, types
-from repro.errors import ResourceExceededError
 from repro.execution import (
     ResourcePool,
     RleVector,
@@ -15,18 +14,6 @@ from repro.execution import (
 
 
 class TestResourcePool:
-    def test_grant_and_release(self):
-        pool = ResourcePool(WorkloadPolicy(query_memory_rows=100))
-        grant = pool.grant(60)
-        assert pool.available == 40
-        pool.release(grant)
-        assert pool.available == 100
-
-    def test_over_grant_raises(self):
-        pool = ResourcePool(WorkloadPolicy(query_memory_rows=10))
-        with pytest.raises(ResourceExceededError):
-            pool.grant(11)
-
     def test_operator_budget_fraction(self):
         pool = ResourcePool(
             WorkloadPolicy(query_memory_rows=1000, per_operator_fraction=0.25)

@@ -35,7 +35,9 @@ Sort(region ASC)  [rows=2 blocks=1 pulls=2 time=_ self=_]
         HashJoin[INNER](sales.cust_id=customers.cust_id)  [rows=400 blocks=3 pulls=4 time=_ self=_]
           ExprEval(sales.cust_id=cust_id, amount=amount)  [rows=400 blocks=3 pulls=4 time=_ self=_]
             Scan(sales_super @e5) SIP[cust_id] from HashJoin  [rows=400 blocks=3 pulls=4 time=_ self=_]
-          Source  [rows=10 blocks=3 pulls=4 time=_ self=_]"""
+          Source  [rows=10 blocks=3 pulls=4 time=_ self=_]
+            ExprEval(customers.cust_id=cust_id, region=region)  [rows=10 blocks=3 pulls=4 time=_ self=_]
+              Scan(customers_super @e5)  [rows=10 blocks=3 pulls=4 time=_ self=_]"""
 
 GOLDEN_SCHEMAS = {
     "v_monitor.query_profiles": [
@@ -194,7 +196,7 @@ def test_profile_shows_rows_blocks_and_time(scenario):
     wall time, and the join + group-by plan is fully annotated."""
     _, rendered = scenario
     lines = rendered.splitlines()[1:]
-    assert len(lines) == 8
+    assert len(lines) == 10
     for line in lines:
         assert re.search(r"\[rows=\d+ blocks=\d+ pulls=\d+ time=\d", line)
     assert any("HashJoin" in line for line in lines)

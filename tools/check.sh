@@ -35,9 +35,11 @@ echo "== fuzz corpus against the oracle =="
 # payloads they stand for, column COPY against the per-line loader,
 # the group-key kernel, narrow projections against the super
 # projection alone, co-located / broadcast / resegmented joins on a
-# 3-node cluster against the join oracle, and the one-pattern lexer and
+# 3-node cluster against the join oracle, the one-pattern lexer and
 # the precedence-climbing parser against the character-walking lexer
-# and fully parenthesised text.  Zero divergences required.
+# and fully parenthesised text, and the one serving-copy chooser
+# against the scan, replicated-scan and recovery choosers it replaced.
+# Zero divergences required.
 echo "   extra seeds: 7, ${GIT_SEED} (git-derived)"
 REPRO_FUZZ_SEEDS="7,${GIT_SEED}" REPRO_SANITIZE=1 \
     python -m pytest -q tests/integration/test_sql_differential_fuzz.py \
@@ -47,7 +49,8 @@ REPRO_FUZZ_SEEDS="7,${GIT_SEED}" REPRO_SANITIZE=1 \
     tests/integration/test_narrow_projections.py \
     tests/execution/test_join_properties.py::test_distributed_joins_equal_the_oracle \
     tests/sql/test_front_end_properties.py::test_one_pattern_lexes_as_the_character_walk \
-    tests/sql/test_front_end_properties.py::test_minimal_parentheses_parse_as_full_ones
+    tests/sql/test_front_end_properties.py::test_minimal_parentheses_parse_as_full_ones \
+    tests/cluster/test_serving_copy_properties.py
 
 echo "== chaos seeds: two fixed + one fresh from the git SHA =="
 # The self-healing scenarios re-run on pinned seeds (regression

@@ -17,9 +17,21 @@ from ..execution.operators.join import JoinType
 
 
 class LogicalNode:
-    """Base class for logical plan nodes."""
+    """Base class for logical plan nodes.  A node's inputs are its
+    fields named in ``_edges``; ``children`` reads them, so there is no
+    second copy of the tree's edges to keep in step."""
 
-    children: list["LogicalNode"]
+    _edges: tuple[str, ...] = ("child",)
+
+    @property
+    def children(self) -> list["LogicalNode"]:
+        return [getattr(self, edge) for edge in self._edges]
+
+    def map_children(self, fn) -> "LogicalNode":
+        """Replace each input by ``fn(input)`` in place; returns the node."""
+        for edge in self._edges:
+            setattr(self, edge, fn(getattr(self, edge)))
+        return self
 
     def describe(self) -> str:
         raise NotImplementedError
@@ -57,8 +69,7 @@ class ScanNode(LogicalNode):
     alias: str = ""
     deleted: Expr | None = None
 
-    def __post_init__(self):
-        self.children = []
+    _edges = ()
 
     def describe(self) -> str:
         alias = f" AS {self.alias}" if self.alias else ""
@@ -80,8 +91,7 @@ class JoinNode(LogicalNode):
     #: column of both sides.  Set by ``rewrite.prune_columns``.
     needed: set[str] | None = None
 
-    def __post_init__(self):
-        self.children = [self.left, self.right]
+    _edges = ("left", "right")
 
     def describe(self) -> str:
         keys = ", ".join(
@@ -97,9 +107,6 @@ class FilterNode(LogicalNode):
     child: LogicalNode
     predicate: Expr
 
-    def __post_init__(self):
-        self.children = [self.child]
-
     def describe(self) -> str:
         return f"Filter {self.predicate!r}"
 
@@ -110,9 +117,6 @@ class ProjectNode(LogicalNode):
 
     child: LogicalNode
     outputs: dict[str, Expr]
-
-    def __post_init__(self):
-        self.children = [self.child]
 
     def describe(self) -> str:
         body = ", ".join(f"{name}={expr!r}" for name, expr in self.outputs.items())
@@ -128,9 +132,6 @@ class GroupByNode(LogicalNode):
     aggregates: list[AggregateSpec]
     having: Expr | None = None
 
-    def __post_init__(self):
-        self.children = [self.child]
-
     def describe(self) -> str:
         keys = ", ".join(name for name, _ in self.keys) or "<global>"
         aggs = ", ".join(spec.describe() for spec in self.aggregates)
@@ -144,9 +145,6 @@ class DistinctNode(LogicalNode):
 
     child: LogicalNode
 
-    def __post_init__(self):
-        self.children = [self.child]
-
     def describe(self) -> str:
         return "Distinct"
 
@@ -157,9 +155,6 @@ class SortNode(LogicalNode):
 
     child: LogicalNode
     keys: list[tuple[Expr, bool]]  # (expr, ascending)
-
-    def __post_init__(self):
-        self.children = [self.child]
 
     def describe(self) -> str:
         keys = ", ".join(
@@ -176,9 +171,6 @@ class LimitNode(LogicalNode):
     limit: int
     offset: int = 0
 
-    def __post_init__(self):
-        self.children = [self.child]
-
     def describe(self) -> str:
         return f"Limit {self.limit} OFFSET {self.offset}"
 
@@ -189,9 +181,6 @@ class AnalyticNode(LogicalNode):
 
     child: LogicalNode
     specs: list[WindowSpec]
-
-    def __post_init__(self):
-        self.children = [self.child]
 
     def describe(self) -> str:
         return "Analytic " + "; ".join(spec.describe() for spec in self.specs)

@@ -40,7 +40,7 @@ from .logical import (
     ScanNode,
     SortNode,
 )
-from .rewrite import _reads, _resync_child_fields, conjoin, rewrite
+from .rewrite import _reads, conjoin, rewrite
 from .stats import StatsCatalog
 
 #: The row estimate of a ``v_monitor`` table, which has no statistics.
@@ -81,9 +81,7 @@ def _copy_nodes(node: LogicalNode) -> LogicalNode:
     whole copy (no ``copy`` protocol, no ``__init__``)."""
     clone = object.__new__(type(node))
     clone.__dict__.update(node.__dict__)
-    clone.children = [_copy_nodes(child) for child in node.children]
-    _resync_child_fields(clone)
-    return clone
+    return clone.map_children(_copy_nodes)
 
 
 class PlannerBase:

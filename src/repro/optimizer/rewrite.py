@@ -86,17 +86,7 @@ def push_down_filters(node: LogicalNode) -> LogicalNode:
         if not remaining:
             return child
         return FilterNode(child, conjoin(remaining))
-    for index, child in enumerate(list(node.children)):
-        node.children[index] = push_down_filters(child)
-    _resync_child_fields(node)
-    return node
-
-
-def _resync_child_fields(node: LogicalNode) -> None:
-    if isinstance(node, JoinNode):
-        node.left, node.right = node.children
-    elif hasattr(node, "child") and node.children:
-        node.child = node.children[0]
+    return node.map_children(push_down_filters)
 
 
 def _try_push(node: LogicalNode, conjunct: Expr) -> bool:
@@ -136,13 +126,11 @@ def _try_push(node: LogicalNode, conjunct: Expr) -> bool:
             if _try_push(node.left, conjunct):
                 return True
             node.left = FilterNode(node.left, conjunct)
-            node.children[0] = node.left
             return True
         if right_ok and referenced <= _output_columns_of(node.right):
             if _try_push(node.right, conjunct):
                 return True
             node.right = FilterNode(node.right, conjunct)
-            node.children[1] = node.right
             return True
         return False
     return False
@@ -231,7 +219,6 @@ def convert_outer_to_inner(node: LogicalNode) -> LogicalNode:
     NULLs of the null-extended side (section 6.2)."""
     if isinstance(node, FilterNode):
         node.child = convert_outer_to_inner(node.child)
-        node.children[0] = node.child
         child = node.child
         if isinstance(child, JoinNode):
             for conjunct in split_conjuncts(node.predicate):
@@ -244,10 +231,7 @@ def convert_outer_to_inner(node: LogicalNode) -> LogicalNode:
                 ):
                     child.join_type = JoinType.INNER
         return node
-    for index, child in enumerate(list(node.children)):
-        node.children[index] = convert_outer_to_inner(child)
-    _resync_child_fields(node)
-    return node
+    return node.map_children(convert_outer_to_inner)
 
 
 def _reads(exprs) -> set[str]:

@@ -4,9 +4,11 @@ Name resolution works in two spaces (matching the planner/executor
 convention): each FROM item's columns get *output names* — the bare
 column name when unambiguous across the FROM list, otherwise
 ``alias.column`` — and scans carry the raw->output rename map.
-Aggregates are detected in the select list / HAVING / ORDER BY, hoisted
-into a GroupBy node under generated names, and the outer expressions
-are rewritten to reference them.
+``Analyzer.convert`` is the one AST -> ``Expr`` translation; a grouped
+or windowed SELECT passes it a lookup that maps an aggregate call to
+its hoisted output, a group key's expression to the key and a window
+call to its output, so every path shares one select list and one
+ORDER BY resolver.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from ..execution.expressions import (
     Literal,
     Not,
     Or,
-    substitute_columns,
 )
 from ..execution.operators.analytic import WindowSpec
 from ..execution.operators.join import JoinType
@@ -151,16 +152,23 @@ class Analyzer:
 
     # -- expression conversion -----------------------------------------
 
-    def convert(self, node: ast.SqlExpr, scope: Scope) -> Expr:
-        """SqlExpr -> runtime Expr over output names.  Aggregate and
-        window calls are rejected here; callers hoist them first."""
+    def convert(self, node: ast.SqlExpr, scope: Scope, lookup=None) -> Expr:
+        """SqlExpr -> runtime Expr over output names: the analyzer's one
+        translation.  ``lookup(node)``, when given, is asked at every
+        subtree first and may return its replacement — a hoisted
+        aggregate, a group key or a window output; an aggregate or window
+        call it does not replace is rejected."""
+        if lookup is not None:
+            found = lookup(node)
+            if found is not None:
+                return found
         if isinstance(node, ast.Constant):
             return Literal(node.value)
         if isinstance(node, ast.Identifier):
             return ColumnRef(scope.resolve(node))
         if isinstance(node, ast.BinaryOp):
-            left = self.convert(node.left, scope)
-            right = self.convert(node.right, scope)
+            left = self.convert(node.left, scope, lookup)
+            right = self.convert(node.right, scope, lookup)
             if node.op == "AND":
                 return And(left, right)
             if node.op == "OR":
@@ -169,36 +177,40 @@ class Analyzer:
                 return Comparison(node.op, left, right)
             return Arithmetic(node.op, left, right)
         if isinstance(node, ast.UnaryOp):
+            operand = self.convert(node.operand, scope, lookup)
             if node.op == "NOT":
-                return Not(self.convert(node.operand, scope))
-            operand = self.convert(node.operand, scope)
+                return Not(operand)
             if isinstance(operand, Literal) and operand.value is not None:
                 return Literal(-operand.value)
             return Arithmetic("-", Literal(0), operand)
         if isinstance(node, ast.BetweenExpr):
             expr = Between(
-                self.convert(node.value, scope),
-                self.convert(node.low, scope),
-                self.convert(node.high, scope),
+                self.convert(node.value, scope, lookup),
+                self.convert(node.low, scope, lookup),
+                self.convert(node.high, scope, lookup),
             )
             return Not(expr) if node.negated else expr
         if isinstance(node, ast.InExpr):
-            values = [self.convert(option, scope) for option in node.options]
+            values = [self.convert(option, scope, lookup) for option in node.options]
             if not all(isinstance(value, Literal) for value in values):  # (-1 folds to one)
                 raise SqlAnalysisError("IN list must contain constants")
-            expr = InList(self.convert(node.value, scope), [v.value for v in values])
+            expr = InList(
+                self.convert(node.value, scope, lookup), [v.value for v in values]
+            )
             return Not(expr) if node.negated else expr
         if isinstance(node, ast.IsNullExpr):
-            return IsNull(self.convert(node.value, scope), node.negated)
+            return IsNull(self.convert(node.value, scope, lookup), node.negated)
         if isinstance(node, ast.LikeExpr):
-            return Like(self.convert(node.value, scope), node.pattern, node.negated)
+            return Like(
+                self.convert(node.value, scope, lookup), node.pattern, node.negated
+            )
         if isinstance(node, ast.CaseExpr):
             branches = [
-                (self.convert(cond, scope), self.convert(value, scope))
+                (self.convert(cond, scope, lookup), self.convert(value, scope, lookup))
                 for cond, value in node.branches
             ]
             default = (
-                self.convert(node.default, scope)
+                self.convert(node.default, scope, lookup)
                 if node.default is not None
                 else None
             )
@@ -212,124 +224,19 @@ class Analyzer:
                 raise SqlAnalysisError(
                     f"function {node.name} expects one argument"
                 )
-            return FunctionCall(node.name, self.convert(node.args[0], scope))
+            return FunctionCall(node.name, self.convert(node.args[0], scope, lookup))
         if isinstance(node, ast.WindowCall):
             raise SqlAnalysisError("window function not allowed in this context")
         if isinstance(node, ast.Star):
             raise SqlAnalysisError("* not allowed in this context")
         raise SqlAnalysisError(f"cannot analyze {type(node).__name__}")
 
-    # -- aggregate hoisting ------------------------------------------------
-
-    def _contains_aggregate(self, node: ast.SqlExpr) -> bool:
-        if isinstance(node, ast.FuncCall):
-            return _is_aggregate_name(node.name) or any(
-                self._contains_aggregate(arg) for arg in node.args
-            )
-        if isinstance(node, ast.WindowCall):
-            return False
-        if isinstance(node, ast.BinaryOp):
-            return self._contains_aggregate(node.left) or self._contains_aggregate(
-                node.right
-            )
-        if isinstance(node, ast.UnaryOp):
-            return self._contains_aggregate(node.operand)
-        if isinstance(node, ast.BetweenExpr):
-            return any(
-                self._contains_aggregate(n)
-                for n in (node.value, node.low, node.high)
-            )
-        if isinstance(node, (ast.InExpr, ast.IsNullExpr, ast.LikeExpr)):
-            return self._contains_aggregate(node.value)
-        if isinstance(node, ast.CaseExpr):
-            parts = [n for pair in node.branches for n in pair]
-            if node.default is not None:
-                parts.append(node.default)
-            return any(self._contains_aggregate(n) for n in parts)
-        return False
-
-    def _contains_window(self, node: ast.SqlExpr) -> bool:
-        if isinstance(node, ast.WindowCall):
-            return True
-        if isinstance(node, ast.BinaryOp):
-            return self._contains_window(node.left) or self._contains_window(
-                node.right
-            )
-        if isinstance(node, ast.UnaryOp):
-            return self._contains_window(node.operand)
-        return False
-
-    def _hoist_aggregates(
-        self,
-        node: ast.SqlExpr,
-        scope: Scope,
-        registry: dict[str, AggregateSpec],
-    ) -> ast.SqlExpr:
-        """Replace aggregate calls in the tree with identifiers naming
-        hoisted AggregateSpecs (dedup by description)."""
-        if isinstance(node, ast.FuncCall) and _is_aggregate_name(node.name):
-            arg = None
-            if node.star:
-                if node.name != "COUNT":
-                    raise SqlAnalysisError(f"{node.name}(*) is not valid")
-            else:
-                if len(node.args) != 1:
-                    raise SqlAnalysisError(
-                        f"aggregate {node.name} expects one argument"
-                    )
-                arg = self.convert(node.args[0], scope)
-            key = f"{node.name}|{node.distinct}|{arg!r}"
-            if key not in registry:
-                registry[key] = AggregateSpec(
-                    node.name, arg, self._fresh("agg"), node.distinct
-                )
-            return ast.Identifier(registry[key].output_name)
-        if isinstance(node, ast.BinaryOp):
-            return ast.BinaryOp(
-                node.op,
-                self._hoist_aggregates(node.left, scope, registry),
-                self._hoist_aggregates(node.right, scope, registry),
-            )
-        if isinstance(node, ast.UnaryOp):
-            return ast.UnaryOp(
-                node.op, self._hoist_aggregates(node.operand, scope, registry)
-            )
-        if isinstance(node, ast.BetweenExpr):
-            return ast.BetweenExpr(
-                self._hoist_aggregates(node.value, scope, registry),
-                self._hoist_aggregates(node.low, scope, registry),
-                self._hoist_aggregates(node.high, scope, registry),
-                node.negated,
-            )
-        if isinstance(node, (ast.InExpr,)):
-            return ast.InExpr(
-                self._hoist_aggregates(node.value, scope, registry),
-                node.options,
-                node.negated,
-            )
-        if isinstance(node, ast.IsNullExpr):
-            return ast.IsNullExpr(
-                self._hoist_aggregates(node.value, scope, registry), node.negated
-            )
-        if isinstance(node, ast.CaseExpr):
-            return ast.CaseExpr(
-                [
-                    (
-                        self._hoist_aggregates(cond, scope, registry),
-                        self._hoist_aggregates(value, scope, registry),
-                    )
-                    for cond, value in node.branches
-                ],
-                self._hoist_aggregates(node.default, scope, registry)
-                if node.default is not None
-                else None,
-            )
-        return node
-
     # -- SELECT analysis -----------------------------------------------------
 
     def analyze_select(self, stmt: ast.SelectStatement) -> LogicalNode:
-        """Build the logical plan for a SELECT."""
+        """Build the logical plan for a SELECT, clause by clause: FROM and
+        WHERE, then GROUP BY and HAVING or the window functions, then the
+        select list, ORDER BY, DISTINCT and LIMIT."""
         if not stmt.from_tables:
             raise SqlAnalysisError("SELECT requires a FROM clause")
         refs = list(stmt.from_tables) + [join.table for join in stmt.joins]
@@ -353,18 +260,16 @@ class Analyzer:
             else:
                 items.append(item)
 
-        # classify: aggregation needed?
-        registry: dict[str, AggregateSpec] = {}
-        has_window = any(self._contains_window(item.expr) for item in items)
-        aggregated = bool(stmt.group_by) or any(
-            self._contains_aggregate(item.expr) for item in items
-        ) or (stmt.having is not None)
-        if has_window and aggregated:
+        windowed = any(ast.contains(item.expr, _is_window) for item in items)
+        grouped = bool(stmt.group_by) or stmt.having is not None or any(
+            ast.contains(item.expr, _is_aggregate) for item in items
+        )
+        if windowed and grouped:
             raise SqlAnalysisError(
                 "window functions cannot be combined with GROUP BY here"
             )
 
-        where_conjuncts = self._split_ast_conjuncts(stmt.where)
+        where_conjuncts = ast.conjuncts(stmt.where)
         subqueries = [
             conjunct
             for conjunct in where_conjuncts
@@ -381,32 +286,37 @@ class Analyzer:
         for subquery in subqueries:
             plan = self._flatten_in_subquery(plan, subquery, scope)
 
-        select_names: list[str] = []
-        select_exprs: dict[str, Expr] = {}
-        order_exprs: list[tuple[Expr, bool]] = []
-
-        if aggregated:
-            plan, post_scope_names = self._plan_aggregation(
-                stmt, items, scope, registry, plan,
-                select_names, select_exprs, order_exprs,
-            )
-        elif has_window:
-            plan = self._plan_windows(
-                stmt, items, scope, plan, select_names, select_exprs, order_exprs
-            )
-        else:
-            for item in items:
-                expr = self.convert(item.expr, scope)
-                name = item.alias or self._default_name(item.expr)
-                if name in select_exprs:
-                    name = self._fresh(name)
-                select_names.append(name)
-                select_exprs[name] = expr
-            for order_ast, ascending in stmt.order_by:
-                order_exprs.append(
-                    (self._order_expr(order_ast, scope, items, select_exprs), ascending)
-                )
-            plan = ProjectNode(plan, select_exprs)
+        # one select list for every path: alias or default name, a fresh
+        # name on a clash; the path's lookup maps what its node computes
+        names: list[str] = []
+        for item in items:
+            name = item.alias or self._default_name(item.expr)
+            names.append(self._fresh(name) if name in names else name)
+        lookup = None
+        if grouped:
+            keys, aggregates, lookup = self._grouping(stmt, scope)
+        elif windowed:
+            specs, lookup = self._windowing(scope, {
+                id(item.expr): name for item, name in zip(items, names)
+            })
+        select_exprs = {
+            name: self.convert(item.expr, scope, lookup)
+            for item, name in zip(items, names)
+        }
+        having = (
+            self.convert(stmt.having, scope, lookup)
+            if stmt.having is not None
+            else None
+        )
+        order_exprs = [
+            (self._order_expr(node, scope, select_exprs, lookup), ascending)
+            for node, ascending in stmt.order_by
+        ]
+        if grouped:
+            plan = GroupByNode(plan, keys, list(aggregates.values()), having=having)
+        elif windowed:
+            plan = AnalyticNode(plan, specs)
+        plan = ProjectNode(plan, select_exprs)
 
         # a sort key the select list does not output is computed by the
         # projection as a hidden column, and dropped after the sort
@@ -427,16 +337,6 @@ class Analyzer:
         if len(project.outputs) > len(names):
             plan = ProjectNode(plan, {name: ColumnRef(name) for name in names})
         return plan
-
-    @staticmethod
-    def _split_ast_conjuncts(node: ast.SqlExpr | None) -> list:
-        if node is None:
-            return []
-        if isinstance(node, ast.BinaryOp) and node.op == "AND":
-            return Analyzer._split_ast_conjuncts(
-                node.left
-            ) + Analyzer._split_ast_conjuncts(node.right)
-        return [node]
 
     def _flatten_in_subquery(
         self, plan: LogicalNode, subquery: ast.InSubquery, scope: Scope
@@ -473,22 +373,24 @@ class Analyzer:
             return expr.name
         if isinstance(expr, ast.FuncCall):
             return expr.name.lower()
+        if isinstance(expr, ast.WindowCall):
+            return self._fresh(expr.func.name.lower())
         return self._fresh("col")
 
     def _order_expr(
-        self, node: ast.SqlExpr, scope: Scope, items, select_exprs: dict[str, Expr]
+        self, node: ast.SqlExpr, scope: Scope, select_exprs: dict[str, Expr], lookup
     ) -> Expr:
-        # positional ORDER BY 2 / alias reference / plain expression
+        """One ORDER BY key on every path: a position in 1..n, else a
+        select alias, else an expression converted like the select list."""
         if isinstance(node, ast.Constant) and isinstance(node.value, int):
             names = list(select_exprs)
-            index = node.value - 1
-            if not 0 <= index < len(names):
+            if not 1 <= node.value <= len(names):
                 raise SqlAnalysisError(f"ORDER BY position {node.value} out of range")
-            return ColumnRef(names[index])
+            return ColumnRef(names[node.value - 1])
         if isinstance(node, ast.Identifier) and node.qualifier is None:
             if node.name in select_exprs:
                 return ColumnRef(node.name)
-        return self.convert(node, scope)
+        return self.convert(node, scope, lookup)
 
     # -- join tree ----------------------------------------------------------------
 
@@ -617,166 +519,84 @@ class Analyzer:
             return b, a
         return None
 
-    # -- aggregation ------------------------------------------------------------------
+    # -- aggregation and windows ------------------------------------------------
 
-    def _plan_aggregation(
-        self, stmt, items, scope, registry, plan,
-        select_names, select_exprs, order_exprs,
-    ):
-        group_keys: list[tuple[str, Expr]] = []
+    def _grouping(self, stmt: ast.SelectStatement, scope: Scope):
+        """GROUP BY's keys, the aggregates hoisted so far (by description)
+        and the lookup reading an expression after the grouping: an
+        aggregate call is its hoisted output, a subtree whose conversion
+        is a key's (top-down) is that key, any other column is refused."""
+        keys: list[tuple[str, Expr]] = []
         key_by_repr: dict[str, str] = {}
-        for group_ast in stmt.group_by:
-            expr = self.convert(group_ast, scope)
-            if isinstance(expr, ColumnRef):
-                name = expr.name
-            else:
-                name = self._fresh("gk")
-            group_keys.append((name, expr))
+        for node in stmt.group_by:
+            expr = self.convert(node, scope)
+            name = expr.name if isinstance(expr, ColumnRef) else self._fresh("gk")
+            keys.append((name, expr))
             key_by_repr[repr(expr)] = name
+        aggregates: dict[str, AggregateSpec] = {}
+        # only an identifier converts to a ColumnRef: with no computed
+        # key, no other subtree can match one
+        computed = any(not isinstance(expr, ColumnRef) for _, expr in keys)
 
-        def finish_expr(node: ast.SqlExpr) -> Expr:
-            hoisted = self._hoist_aggregates(node, scope, registry)
-            return self._post_group_expr(hoisted, scope, key_by_repr, registry)
-
-        for item in items:
-            expr = finish_expr(item.expr)
-            name = item.alias or self._default_name(item.expr)
-            if name in select_exprs:
-                name = self._fresh(name)
-            self._check_grouped(expr, key_by_repr, registry)
-            select_names.append(name)
-            select_exprs[name] = expr
-        having_expr = None
-        if stmt.having is not None:
-            having_expr = finish_expr(stmt.having)
-        for order_ast, ascending in stmt.order_by:
-            if (
-                isinstance(order_ast, ast.Identifier)
-                and order_ast.qualifier is None
-                and order_ast.name in select_exprs
-            ):
-                order_exprs.append((ColumnRef(order_ast.name), ascending))
-            elif isinstance(order_ast, ast.Constant) and isinstance(
-                order_ast.value, int
-            ):
-                names = list(select_exprs)
-                order_exprs.append(
-                    (ColumnRef(names[order_ast.value - 1]), ascending)
-                )
-            else:
-                order_exprs.append((finish_expr(order_ast), ascending))
-        group_node = GroupByNode(plan, group_keys, list(registry.values()), having=having_expr)
-        return ProjectNode(group_node, select_exprs), select_names
-
-    def _post_group_expr(
-        self, node: ast.SqlExpr, scope: Scope, key_by_repr, registry
-    ) -> Expr:
-        """Convert a hoisted expression in the post-GROUP BY scope:
-        aggregate placeholders become ColumnRefs; other sub-expressions
-        must match a group key."""
-        agg_names = {spec.output_name for spec in registry.values()}
-        if isinstance(node, ast.Identifier) and node.qualifier is None:
-            if node.name in agg_names:
-                return ColumnRef(node.name)
-        converted = None
-        try:
-            converted = self.convert(node, scope)
-        except SqlAnalysisError:
-            pass
-        if converted is not None and repr(converted) in key_by_repr:
-            return ColumnRef(key_by_repr[repr(converted)])
-        # descend structurally
-        if isinstance(node, ast.Identifier):
-            if converted is not None:
-                return converted  # will be validated by _check_grouped
-            return ColumnRef(node.name)
-        if isinstance(node, ast.Constant):
-            return Literal(node.value)
-        if isinstance(node, ast.BinaryOp):
-            left = self._post_group_expr(node.left, scope, key_by_repr, registry)
-            right = self._post_group_expr(node.right, scope, key_by_repr, registry)
-            if node.op == "AND":
-                return And(left, right)
-            if node.op == "OR":
-                return Or(left, right)
-            if node.op in ("=", "<>", "<", "<=", ">", ">="):
-                return Comparison(node.op, left, right)
-            return Arithmetic(node.op, left, right)
-        if isinstance(node, ast.UnaryOp):
-            operand = self._post_group_expr(node.operand, scope, key_by_repr, registry)
-            if node.op == "NOT":
-                return Not(operand)
-            return Arithmetic("-", Literal(0), operand)
-        if isinstance(node, ast.BetweenExpr):
-            return Between(
-                self._post_group_expr(node.value, scope, key_by_repr, registry),
-                self._post_group_expr(node.low, scope, key_by_repr, registry),
-                self._post_group_expr(node.high, scope, key_by_repr, registry),
-            )
-        if isinstance(node, ast.IsNullExpr):
-            return IsNull(
-                self._post_group_expr(node.value, scope, key_by_repr, registry),
-                node.negated,
-            )
-        if converted is not None:
-            return converted
-        raise SqlAnalysisError(
-            f"expression {type(node).__name__} is not valid after GROUP BY"
-        )
-
-    def _check_grouped(self, expr: Expr, key_by_repr, registry) -> None:
-        valid = set(key_by_repr.values()) | {
-            spec.output_name for spec in registry.values()
-        }
-        stray = expr.referenced_columns() - valid
-        if stray:
-            raise SqlAnalysisError(
-                f"column(s) {sorted(stray)} must appear in GROUP BY or an "
-                "aggregate function"
-            )
-
-    # -- windows --------------------------------------------------------------------------
-
-    def _plan_windows(
-        self, stmt, items, scope, plan, select_names, select_exprs, order_exprs
-    ):
-        specs: list[WindowSpec] = []
-        for item in items:
-            if isinstance(item.expr, ast.WindowCall):
-                call = item.expr
-                name = item.alias or self._fresh(call.func.name.lower())
+        def lookup(node: ast.SqlExpr) -> Expr | None:
+            if _is_aggregate(node):
                 arg = None
-                if call.func.args:
-                    arg = self.convert(call.func.args[0], scope)
-                specs.append(
-                    WindowSpec(
-                        call.func.name,
-                        arg,
-                        name,
-                        partition_by=[
-                            self.convert(e, scope) for e in call.partition_by
-                        ],
-                        order_by=[
-                            (self.convert(e, scope), asc)
-                            for e, asc in call.order_by
-                        ],
+                if node.star:
+                    if node.name != "COUNT":
+                        raise SqlAnalysisError(f"{node.name}(*) is not valid")
+                elif len(node.args) != 1:
+                    raise SqlAnalysisError(f"aggregate {node.name} expects one argument")
+                else:
+                    arg = self.convert(node.args[0], scope)
+                key = f"{node.name}|{node.distinct}|{arg!r}"
+                if key not in aggregates:
+                    aggregates[key] = AggregateSpec(
+                        node.name, arg, self._fresh("agg"), node.distinct
                     )
-                )
-                select_names.append(name)
-                select_exprs[name] = ColumnRef(name)
-            else:
-                expr = self.convert(item.expr, scope)
-                name = item.alias or self._default_name(item.expr)
-                select_names.append(name)
-                select_exprs[name] = expr
-        plan = AnalyticNode(plan, specs)
-        for order_ast, ascending in stmt.order_by:
-            if (
-                isinstance(order_ast, ast.Identifier)
-                and order_ast.qualifier is None
-                and order_ast.name in select_exprs
+                return ColumnRef(aggregates[key].output_name)
+            if not isinstance(node, ast.Identifier) and (
+                not computed or ast.contains(node, _is_aggregate)
             ):
-                order_exprs.append((ColumnRef(order_ast.name), ascending))
-            else:
-                order_exprs.append((self.convert(order_ast, scope), ascending))
-        return ProjectNode(plan, select_exprs)
+                return None
+            expr = self.convert(node, scope)
+            name = key_by_repr.get(repr(expr))
+            if name is not None:
+                return ColumnRef(name)
+            if isinstance(expr, ColumnRef):
+                raise SqlAnalysisError(
+                    f"column {expr.name!r} must appear in GROUP BY or an "
+                    "aggregate function"
+                )
+            return None
+
+        return keys, aggregates, lookup
+
+    def _windowing(self, scope: Scope, names: dict[int, str]):
+        """The window specs found so far and the lookup turning each
+        window call into one; a call that is a whole select item outputs
+        under the item's name (``names``, by node identity)."""
+        specs: list[WindowSpec] = []
+
+        def lookup(node: ast.SqlExpr) -> Expr | None:
+            if not isinstance(node, ast.WindowCall):
+                return None
+            func = node.func
+            name = names.get(id(node)) or self._fresh(func.name.lower())
+            specs.append(WindowSpec(
+                func.name,
+                self.convert(func.args[0], scope) if func.args else None,
+                name,
+                partition_by=[self.convert(e, scope) for e in node.partition_by],
+                order_by=[(self.convert(e, scope), asc) for e, asc in node.order_by],
+            ))
+            return ColumnRef(name)
+
+        return specs, lookup
+
+
+def _is_aggregate(node: ast.SqlExpr) -> bool:
+    return isinstance(node, ast.FuncCall) and _is_aggregate_name(node.name)
+
+
+def _is_window(node: ast.SqlExpr) -> bool:
+    return isinstance(node, ast.WindowCall)

@@ -113,6 +113,46 @@ class WindowCall(SqlExpr):
     order_by: list[tuple[SqlExpr, bool]] = field(default_factory=list)
 
 
+def children(node: SqlExpr) -> list[SqlExpr]:
+    """The expressions directly under ``node``, in field order.  A field
+    holds an expression, a list of them or a list of tuples of them (CASE
+    branches, ORDER BY keys); an IN subquery's SELECT is a statement, not
+    a child."""
+    out: list[SqlExpr] = []
+    for value in vars(node).values():
+        if isinstance(value, SqlExpr):
+            out.append(value)
+        elif isinstance(value, list):
+            for item in value:
+                if isinstance(item, SqlExpr):
+                    out.append(item)
+                elif isinstance(item, tuple):
+                    out.extend(part for part in item if isinstance(part, SqlExpr))
+    return out
+
+
+def conjuncts(node: SqlExpr | None) -> list[SqlExpr]:
+    """The top-level AND conjuncts of a predicate (none for None)."""
+    if node is None:
+        return []
+    if isinstance(node, BinaryOp) and node.op == "AND":
+        return conjuncts(node.left) + conjuncts(node.right)
+    return [node]
+
+
+def contains(node: SqlExpr, test) -> bool:
+    """Whether ``test`` holds at ``node`` or anywhere below it.  A window
+    call's insides are its own scope: the search does not enter them."""
+    pending = [node]
+    while pending:
+        node = pending.pop()
+        if test(node):
+            return True
+        if not isinstance(node, WindowCall):
+            pending.extend(children(node))
+    return False
+
+
 # -- statements ---------------------------------------------------------------
 
 

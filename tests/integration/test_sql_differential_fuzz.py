@@ -2,7 +2,12 @@
 
 A seeded generator produces random SELECTs (filters, group-bys by a
 column or an expression, aggregates including COUNT(DISTINCT),
-order-bys, limits) over the meters workload of section 8.2.2.  Every
+order-bys, limits) over the meters workload of section 8.2.2.  Grouped
+draws add a HAVING built from WHERE's shapes (NOT BETWEEN, NOT IN, IS
+NULL over a CASE, arithmetic, AND / OR / NOT) over aggregates and the
+group key, a select expression computed after the grouping (a function
+of an aggregate, a CASE over one) and an ORDER BY by position, alias or
+expression; window draws order by position, alias or expression too.  Every
 query is built twice from the same random draws: once as SQL text for
 the engine (parse -> analyze -> optimize -> distributed execution over
 WOS + ROS containers) and once as plain Python over the in-memory row
@@ -224,12 +229,204 @@ def _rows_match(got, want):
     return True
 
 
+# -- grouped and window draws --------------------------------------------
+
+#: Group keys: (SQL, the key of a row).
+GROUP_KEYS = (
+    ("metric", lambda r: r["metric"]),
+    ("meter", lambda r: r["meter"]),
+    ("meter % 3", lambda r: r["meter"] % 3),
+)
+
+#: Integer aggregates a HAVING may test: (SQL, name in ``_groups``).
+HAVING_AGGREGATES = (
+    ("COUNT(*)", "n"), ("SUM(meter)", "sm"), ("MAX(ts)", "mx"), ("MIN(ts)", "mn"),
+)
+
+
+def _groups(rows, pred, key):
+    """Per group key: the aggregates a grouped draw reads."""
+    members: dict = {}
+    for r in rows:
+        if pred(r):
+            members.setdefault(key(r), []).append(r)
+    return {
+        k: {
+            "k": k,
+            "n": len(g),
+            "sm": sum(r["meter"] for r in g),
+            "mx": max(r["ts"] for r in g),
+            "mn": min(r["ts"] for r in g),
+            "sv": sum(r["value"] for r in g),
+        }
+        for k, g in members.items()
+    }
+
+
+def _key_atom(rng, key_sql, groups):
+    """A HAVING test of the group key itself."""
+    sample = rng.choice(sorted(groups))
+    negated = rng.random() < 0.5
+    word = "NOT " if negated else ""
+    if key_sql == "metric":
+        chosen = sorted({sample, rng.choice(sorted(groups))})
+        quoted = ", ".join(f"'{m}'" for m in chosen)
+        return (f"metric {word}IN ({quoted})",
+                lambda g, c=set(chosen), n=negated: (g["k"] in c) != n)
+    if rng.random() < 0.5:
+        low, high = sample, sample + rng.randrange(6)
+        return (f"{key_sql} {word}BETWEEN {low} AND {high}",
+                lambda g, lo=low, hi=high, n=negated: (lo <= g["k"] <= hi) != n)
+    rest = rng.randrange(2)
+    return (f"{key_sql} % 2 {word}IN ({rest})",
+            lambda g, m=rest, n=negated: (g["k"] % 2 == m) != n)
+
+
+def _having_atom(rng, key_sql, groups):
+    """One HAVING test over aggregates or the key: (SQL, test of a group)."""
+    if not groups:
+        return "COUNT(*) > 0", lambda g: g["n"] > 0
+    sample = rng.choice([groups[k] for k in sorted(groups)])
+    agg, name = rng.choice(HAVING_AGGREGATES)
+    c = sample[name] + rng.randrange(-2, 3)
+    kind = rng.randrange(6)
+    if kind == 0:
+        op = rng.choice(["<", "<=", ">", ">=", "="])
+        return f"{agg} {op} {c}", lambda g, f=_cmp(name, op, c): f(g)
+    if kind == 1:
+        negated = rng.random() < 0.7
+        low, high = c - rng.randrange(4), c + rng.randrange(4)
+        return (f"{agg} {'NOT ' if negated else ''}BETWEEN {low} AND {high}",
+                lambda g, a=name, lo=low, hi=high, n=negated: (lo <= g[a] <= hi) != n)
+    if kind == 2:
+        rests = sorted({rng.randrange(3), rng.randrange(3)})
+        negated = rng.random() < 0.7
+        listed = ", ".join(map(str, rests))
+        return (f"{agg} % 3 {'NOT ' if negated else ''}IN ({listed})",
+                lambda g, a=name, r=set(rests), n=negated: (g[a] % 3 in r) != n)
+    if kind == 3:
+        negated = rng.random() < 0.5
+        return (f"CASE WHEN {agg} > {c} THEN MAX(ts) END IS {'NOT ' if negated else ''}NULL",
+                lambda g, a=name, c=c, n=negated: (g[a] > c) == n)
+    if kind == 4:
+        spread = sample["mx"] - sample["mn"] + rng.randrange(-1, 2)
+        return (f"MAX(ts) - MIN(ts) + COUNT(*) * 0 >= {spread}",
+                lambda g, s=spread: g["mx"] - g["mn"] >= s)
+    return _key_atom(rng, key_sql, groups)
+
+
+def _having(rng, key_sql, groups):
+    """1-3 HAVING atoms joined with AND/OR, possibly negated."""
+    atoms = [_having_atom(rng, key_sql, groups) for _ in range(1 + rng.randrange(3))]
+    connector = rng.choice(["AND", "OR"])
+    sql = f" {connector} ".join(f"({text})" for text, _ in atoms)
+    join = all if connector == "AND" else any
+    test = lambda g, ts=[t for _, t in atoms], j=join: j(t(g) for t in ts)  # noqa: E731
+    if rng.random() < 0.25:
+        return f"NOT ({sql})", lambda g, t=test: not t(g)
+    return sql, test
+
+
+def _post_group_select(rng, key_sql, groups):
+    """A select expression computed after the grouping: (SQL, its value
+    for a group, whether that value is a number)."""
+    c = rng.choice([groups[k] for k in sorted(groups)])["sm"] if groups else 0
+    kind = rng.randrange(4)
+    if kind == 0:
+        return f"ABS(SUM(meter) - {c})", lambda g, c=c: abs(g["sm"] - c), True
+    if kind == 1:
+        n = rng.randrange(1, 80)
+        return (f"CASE WHEN COUNT(*) > {n} THEN 'many' ELSE 'few' END",
+                lambda g, n=n: "many" if g["n"] > n else "few", False)
+    if kind == 2 and key_sql != "metric":
+        return (f"({key_sql}) * 1000 + COUNT(*)",
+                lambda g: g["k"] * 1000 + g["n"], True)
+    return "MAX(ts) - MIN(ts)", lambda g: g["mx"] - g["mn"], True
+
+
+def _grouped_query(rng, rows, where_sql, pred):
+    """GROUP BY + HAVING + a post-group expression + ORDER BY by
+    position, alias or expression (the key breaks every tie)."""
+    key_sql, key = rng.choice(GROUP_KEYS)
+    groups = _groups(rows, pred, key)
+    having_sql, keep = _having(rng, key_sql, groups)
+    f_sql, f_of, numeric = _post_group_select(rng, key_sql, groups)
+    order = rng.randrange(5)
+    if order == 0:
+        order_sql, sort_key = "2 DESC, 1", lambda g: (-g["n"], g["k"])
+    elif order == 1:
+        order_sql, sort_key = "f, k", lambda g, f=f_of: (f(g), g["k"])
+    elif order == 2 and numeric:
+        order_sql, sort_key = "4 DESC, k", lambda g, f=f_of: (-f(g), g["k"])
+    elif order == 3:
+        order_sql, sort_key = f"MAX(ts) DESC, {key_sql}", lambda g: (-g["mx"], g["k"])
+    else:
+        order_sql, sort_key = f"COUNT(*) % 5, {key_sql}", lambda g: (g["n"] % 5, g["k"])
+    limit = rng.choice([None, None, 3])
+    sql = (
+        f"SELECT {key_sql} AS k, COUNT(*) AS n, SUM(value) AS sv, {f_sql} AS f "
+        f"FROM {TABLE} WHERE {where_sql} GROUP BY {key_sql} "
+        f"HAVING {having_sql} ORDER BY {order_sql}"
+    )
+    kept = sorted((g for g in groups.values() if keep(g)), key=sort_key)
+    if limit is not None:
+        sql += f" LIMIT {limit}"
+        kept = kept[:limit]
+    return sql, [{"k": g["k"], "n": g["n"], "sv": g["sv"], "f": f_of(g)} for g in kept]
+
+
+#: Window functions over PARTITION BY metric: (SQL call, OVER's ORDER
+#: BY, the value of row ``r`` among its partition ``part``).
+WINDOWS = (
+    ("ROW_NUMBER()", "ts, meter",
+     lambda r, part: sum((p["ts"], p["meter"]) <= (r["ts"], r["meter"]) for p in part)),
+    ("RANK()", "ts", lambda r, part: 1 + sum(p["ts"] < r["ts"] for p in part)),
+    ("DENSE_RANK()", "ts DESC",
+     lambda r, part: 1 + len({p["ts"] for p in part if p["ts"] > r["ts"]})),
+    ("SUM(meter)", "ts", lambda r, part: sum(p["meter"] for p in part if p["ts"] <= r["ts"])),
+    ("COUNT(*)", None, lambda r, part: len(part)),
+)
+
+
+def _window_query(rng, rows, where_sql, pred):
+    """A window function with ORDER BY by position, alias or expression
+    (metric, meter, ts break every tie)."""
+    call, over_order, value = rng.choice(WINDOWS)
+    over = "PARTITION BY metric" + (f" ORDER BY {over_order}" if over_order else "")
+    order = rng.randrange(3)
+    if order == 0:
+        order_sql, sort_key = "4 DESC, 1, 2, 3", lambda r: (-r["w"], r["metric"], r["meter"], r["ts"])
+    elif order == 1:
+        order_sql, sort_key = "w, metric, meter, ts", lambda r: (r["w"], r["metric"], r["meter"], r["ts"])
+    else:
+        order_sql = "ts - meter * 100, metric, meter, ts"
+        sort_key = lambda r: (r["ts"] - r["meter"] * 100, r["metric"], r["meter"], r["ts"])  # noqa: E731
+    sql = (
+        f"SELECT metric, meter, ts, {call} OVER ({over}) AS w FROM {TABLE} "
+        f"WHERE {where_sql} ORDER BY {order_sql} LIMIT 25"
+    )
+    kept = [r for r in rows if pred(r)]
+    partitions: dict = {}
+    for r in kept:
+        partitions.setdefault(r["metric"], []).append(r)
+    out = [
+        {"metric": r["metric"], "meter": r["meter"], "ts": r["ts"],
+         "w": value(r, partitions[r["metric"]])}
+        for r in kept
+    ]
+    return sql, sorted(out, key=sort_key)[:25]
+
+
 # -- the fuzz loop -------------------------------------------------------
 
 def _one_query(rng, rows):
     """Draw one random query: returns (sql, expected_rows)."""
     where_sql, pred = _predicate(rng, rows)
-    shape = rng.randrange(6)
+    shape = rng.randrange(9)
+    if shape in (6, 7):
+        return _grouped_query(rng, rows, where_sql, pred)
+    if shape == 8:
+        return _window_query(rng, rows, where_sql, pred)
     if shape == 0:
         limit = rng.choice([None, None, 5, 40])
         sql = (

@@ -28,7 +28,10 @@ echo "== full test suite (sanitizer on) =="
 REPRO_SANITIZE=1 python -m pytest -q
 
 echo "== fuzz corpus against the oracle =="
-# Every fuzz query's answer must equal its plain-Python oracle; one
+# Every fuzz query's answer must equal its plain-Python oracle — plain
+# and grouped SELECTs (HAVING over aggregates and the group key, select
+# expressions after the grouping, ORDER BY by position, alias or
+# expression) and window functions ordered the same three ways; one
 # pinned extra seed and one derived from the commit SHA extend the base
 # corpus.  The same seeds drive the
 # write path's byte identity, AUTO's closed-form trial sizes against the

@@ -76,8 +76,7 @@ def star_query():
         ScanNode("fact", ["f_id", "dim_id", "v"]),
         ScanNode("dim", ["d_id", "label"]),
         JoinType.INNER,
-        [C("dim_id")],
-        [C("d_id")],
+        condition=C("dim_id") == C("d_id"),
     )
 
 
@@ -86,8 +85,7 @@ def fact_fact_query():
         ScanNode("fact", ["f_id", "dim_id"]),
         ScanNode("fact2", ["g_id", "link"]),
         JoinType.INNER,
-        [C("f_id")],
-        [C("link")],
+        condition=C("f_id") == C("link"),
     )
 
 

@@ -31,7 +31,8 @@ from ..errors import DesignError
 from ..execution.expressions import ColumnRef
 from ..optimizer import PhysScan, PlannerBase, ScanNode
 from ..optimizer.logical import GroupByNode, JoinNode, LogicalNode, SortNode
-from ..optimizer.rewrite import split_conjuncts
+from ..optimizer.planner import _copy_nodes, split_condition
+from ..optimizer.rewrite import _output_columns_of, push_down_filters, split_conjuncts
 from ..projections import (
     HashSegmentation,
     ProjectionColumn,
@@ -204,8 +205,15 @@ class DatabaseDesigner:
                 if isinstance(expr, ColumnRef)
             ]
             self._attribute_columns(node, tuple(columns), "order", interesting)
-        for join in (n for n in node.walk() if isinstance(n, JoinNode)):
-            for keys, side in ((join.left_keys, join.left), (join.right_keys, join.right)):
+        # the join keys the planner would use: WHERE pooled into the
+        # conditions, each split as the planner splits it
+        for join in (n for n in push_down_filters(_copy_nodes(node)).walk()
+                     if isinstance(n, JoinNode)):
+            left_keys, right_keys, _ = split_condition(
+                split_conjuncts(join.condition),
+                _output_columns_of(join.left), _output_columns_of(join.right),
+            )
+            for keys, side in ((left_keys, join.left), (right_keys, join.right)):
                 columns = tuple(
                     key.name for key in keys if isinstance(key, ColumnRef)
                 )

@@ -514,6 +514,7 @@ class DistributedExecutor:
                 node.join_type,
                 node.left_columns,
                 node.right_columns,
+                node.residual,
             )
         else:
             join = HashJoinOperator(
@@ -526,10 +527,9 @@ class DistributedExecutor:
                 node.right_columns,
                 pool=self.pool,
                 shared_build=shared_build,
+                residual=node.residual,
             )
             self._attach_sip(join, left_op, node)
-        if node.residual is not None:
-            join = FilterOperator(join, node.residual)
         return join
 
     def _build_join(self, node):

@@ -29,6 +29,7 @@ from ...errors import ExecutionError
 from ...types import NAN_LAST, ordering_keys
 from ..expressions import Expr
 from ..kernels.aggregate import run_starts
+from ..kernels.predicates import compile_kernel_predicate
 from ..kernels.selection import Selection
 from ..kernels.vectors import as_list
 from ..resource import ResourcePool
@@ -88,6 +89,29 @@ def _gather(probe: RowBlock, rows, build: RowBlock | None, at):
         yield RowBlock(columns, len(rows[window]))
 
 
+def _match(residual, left: RowBlock, rows: list, right: RowBlock, at: list,
+           left_matched=None, right_matched=None):
+    """The candidate pairs — ``left`` rows at ``rows`` beside ``right``
+    rows at ``at`` — a join keeps: those its ``residual`` (None: all) is
+    TRUE on, over the gathered pairs.  Only a kept pair marks its rows in
+    ``left_matched`` / ``right_matched`` (bytearrays, or None)."""
+    if residual is not None and rows:
+        kernel = compile_kernel_predicate(residual)
+        columns = {}
+        for name in kernel.columns:
+            side, positions = (left, rows) if name in left.columns else (right, at)
+            columns[name] = list(map(as_list(side.columns[name]).__getitem__, positions))
+        keep = kernel(columns, len(rows)).mask()
+        rows, at = list(compress(rows, keep)), list(compress(at, keep))
+    if left_matched is not None:
+        for row in rows:
+            left_matched[row] = 1
+    if right_matched is not None:
+        for position in at:
+            right_matched[position] = 1
+    return rows, at
+
+
 class _HashBuild:
     """A hash join's build side: ``block``, its rows plus a trailing NULL
     row (what an unmatched probe row gathers), and ``table`` mapping each
@@ -130,6 +154,7 @@ class HashJoinOperator(Operator):
         pool: ResourcePool | None = None,
         max_build_rows: int | None = None,
         shared_build: dict | None = None,
+        residual: Expr | None = None,
     ):
         super().__init__([left, right])
         if len(left_keys) != len(right_keys):
@@ -139,6 +164,7 @@ class HashJoinOperator(Operator):
         self.join_type = JoinType(join_type)
         self.left_columns = left_columns
         self.right_columns = right_columns
+        self.residual = residual
         self.pool = pool
         self.max_build_rows = max_build_rows
         #: Given by the executor to every fragment probing one inner: the
@@ -209,6 +235,9 @@ class HashJoinOperator(Operator):
             self.kernel_blocks += 1
             probe = block.project(self.left_columns)
             keys = _join_keys(_key_columns(block, key_runs), block.row_count)
+            if self.residual is not None:
+                yield from self._probe_pairs(block, probe, keys, build, matched)
+                continue
             if join_type in (JoinType.SEMI, JoinType.ANTI):
                 hits = list(map(table.__contains__, keys))
                 if join_type is JoinType.ANTI:
@@ -242,6 +271,25 @@ class HashJoinOperator(Operator):
             nulls = _null_row(self.left_columns)
             yield from _gather(nulls, [0] * len(unmatched), build.block, unmatched)
 
+    def _probe_pairs(self, block, probe, keys, build: _HashBuild, matched):
+        """One probe block under a residual: what it keeps of every pair."""
+        rows, at = [], []
+        for index, positions in enumerate(map(build.table.get, keys)):
+            if positions is not None:
+                positions = [positions] if build.unique else positions
+                rows.extend(repeat(index, len(positions)))
+                at.extend(positions)
+        hit = bytearray(block.row_count)
+        rows, at = _match(self.residual, block, rows, build.block, at, hit, matched)
+        if self.join_type in (JoinType.SEMI, JoinType.ANTI):
+            keep = [flag == (self.join_type is JoinType.SEMI) for flag in hit]
+            yield from _gather(probe, Selection.from_mask(keep), None, None)
+            return
+        if self.join_type in (JoinType.LEFT, JoinType.FULL):
+            alone = [row for row in range(block.row_count) if not hit[row]]
+            rows, at = rows + alone, at + [build.row_count] * len(alone)
+        yield from _gather(probe, rows, build.block, at)
+
     def _merge_fallback(self, right_blocks):
         """Complete the join as an external sort-merge join over the
         drained and the remaining build blocks.  SIP filters stay
@@ -263,15 +311,13 @@ class HashJoinOperator(Operator):
             self.join_type,
             self.left_columns,
             self.right_columns,
+            self.residual,
         )
         yield from merge.blocks()
 
     def label(self) -> str:
-        keys = ", ".join(
-            f"{l!r}={r!r}" for l, r in zip(self.left_keys, self.right_keys)
-        )
         algorithm = "MergeJoin(switched)" if self.switched_to_merge else "HashJoin"
-        return f"{algorithm}[{self.join_type.value}]({keys})"
+        return _label(algorithm, self)
 
 
 class _Chunk:
@@ -365,6 +411,7 @@ class MergeJoinOperator(Operator):
         join_type: JoinType = JoinType.INNER,
         left_columns: list[str] | None = None,
         right_columns: list[str] | None = None,
+        residual: Expr | None = None,
     ):
         super().__init__([left, right])
         self.left_keys = left_keys
@@ -372,15 +419,26 @@ class MergeJoinOperator(Operator):
         self.join_type = JoinType(join_type)
         self.left_columns = left_columns
         self.right_columns = right_columns
+        self.residual = residual
 
     def _produce(self):
         join_type = self.join_type
         filtering = join_type in (JoinType.SEMI, JoinType.ANTI)
         preserve_right = join_type in (JoinType.RIGHT, JoinType.FULL)
+        marks_left = filtering or join_type in (JoinType.LEFT, JoinType.FULL)
         no_left, no_right = _null_row(self.left_columns), _null_row(self.right_columns)
         key_runs = [key.compiled() for key in self.left_keys]
         chunks = _chunks(self.children[1], self.right_keys, self.right_columns)
         chunk, run = next(chunks, None), 0
+
+        def pairs(left: _Chunk, rows, at):  # gathered; SEMI / ANTI only mark
+            rows, at = _match(
+                self.residual, left.rows, rows, chunk.rows, at,
+                left.matched if marks_left else None,
+                chunk.matched if preserve_right else None,
+            )
+            return () if filtering else _gather(left.block, rows, chunk.block, at)
+
         for block in self.children[0].blocks():
             if not block.row_count:
                 continue
@@ -390,7 +448,7 @@ class MergeJoinOperator(Operator):
                 key = left.order[start]
                 while chunk is not None:
                     if run == len(chunk.starts) - 1:  # past its last run
-                        yield from _gather(left.block, rows, chunk.block, at)
+                        yield from pairs(left, rows, at)
                         rows, at = [], []
                         if preserve_right:
                             alone = chunk.alone()
@@ -403,19 +461,14 @@ class MergeJoinOperator(Operator):
                 if chunk is None or chunk.order[chunk.starts[run]] != key:
                     continue
                 for row, positions in _pairs(left, start, stop, chunk, run):
-                    left.matched[row] = 1
-                    if not filtering:
-                        rows.extend(repeat(row, len(positions)))
-                        at.extend(positions)
-                    if preserve_right:
-                        for position in positions:
-                            chunk.matched[position] = 1
+                    rows.extend(repeat(row, len(positions)))
+                    at.extend(positions)
+            if chunk is not None:
+                yield from pairs(left, rows, at)
             if filtering:
                 keep = [flag == (join_type is JoinType.SEMI) for flag in left.matched]
                 yield from _gather(left.block, Selection.from_mask(keep), None, None)
                 continue
-            if chunk is not None:
-                yield from _gather(left.block, rows, chunk.block, at)
             if join_type in (JoinType.LEFT, JoinType.FULL):
                 alone = left.alone()
                 yield from _gather(left.block, alone, no_right, [0] * len(alone))
@@ -425,7 +478,10 @@ class MergeJoinOperator(Operator):
                 yield from _gather(no_left, [0] * len(alone), chunk.block, alone)
 
     def label(self) -> str:
-        keys = ", ".join(
-            f"{l!r}={r!r}" for l, r in zip(self.left_keys, self.right_keys)
-        )
-        return f"MergeJoin[{self.join_type.value}]({keys})"
+        return _label("MergeJoin", self)
+
+
+def _label(algorithm: str, join) -> str:
+    keys = ", ".join(f"{l!r}={r!r}" for l, r in zip(join.left_keys, join.right_keys))
+    residual = f" residual {join.residual!r}" if join.residual is not None else ""
+    return f"{algorithm}[{join.join_type.value}]({keys}){residual}"

@@ -79,25 +79,23 @@ class ScanNode(LogicalNode):
 
 @dataclass
 class JoinNode(LogicalNode):
-    """Equi-join of two subtrees, with optional residual predicate."""
+    """Join of two subtrees on a ``condition`` (None: every pair).  The
+    planner splits it into hash / merge keys and a residual the join
+    evaluates on the pairs the keys find (``planner.split_condition``)."""
 
     left: LogicalNode
     right: LogicalNode
     join_type: JoinType
-    left_keys: list[Expr]
-    right_keys: list[Expr]
-    residual: Expr | None = None
-    #: Output names the plan above (and the residual) reads; None: every
-    #: column of both sides.  Set by ``rewrite.prune_columns``.
+    condition: Expr | None = None
+    #: Output names the plan above reads; None: every column of both
+    #: sides.  Set by ``rewrite.prune_columns``.
     needed: set[str] | None = None
 
     _edges = ("left", "right")
 
     def describe(self) -> str:
-        keys = ", ".join(
-            f"{l!r}={r!r}" for l, r in zip(self.left_keys, self.right_keys)
-        )
-        return f"Join {self.join_type.value} ON {keys}"
+        condition = f" ON {self.condition!r}" if self.condition is not None else ""
+        return f"Join {self.join_type.value}{condition}"
 
 
 @dataclass

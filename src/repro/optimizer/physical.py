@@ -158,6 +158,7 @@ class PhysJoin(PhysicalNode):
     left_columns: list[str]
     right_columns: list[str]
     distribution: Distribution
+    #: what the join evaluates on the pairs its keys find
     residual: Expr | None = None
     #: whether a SIP filter was pushed into the probe-side scan.
     sip: bool = False
@@ -170,9 +171,10 @@ class PhysJoin(PhysicalNode):
             f"{l!r}={r!r}" for l, r in zip(self.left_keys, self.right_keys)
         )
         sip = " SIP" if self.sip else ""
+        residual = f" residual {self.residual!r}" if self.residual is not None else ""
         return (
             f"{self.algorithm.title()}Join[{self.join_type.value}] "
-            f"({keys}) {self.strategy}{sip}"
+            f"({keys}) {self.strategy}{sip}{residual}"
         )
 
 

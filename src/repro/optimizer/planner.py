@@ -40,7 +40,7 @@ from .logical import (
     ScanNode,
     SortNode,
 )
-from .rewrite import _reads, conjoin, rewrite
+from .rewrite import _reads, conjoin, rewrite, split_conjuncts
 from .stats import StatsCatalog
 
 #: The row estimate of a ``v_monitor`` table, which has no statistics.
@@ -72,6 +72,34 @@ def _key_names(keys: list[Expr]) -> list[str] | None:
             return None
         names.append(key.name)
     return names
+
+
+def split_condition(
+    conjuncts: list[Expr], left_columns: set[str], right_columns: set[str]
+) -> tuple[list[Expr], list[Expr], Expr | None]:
+    """A join's conjuncts as ``(left_keys, right_keys, residual)``: the
+    one place a join condition becomes keys.  ``l = r`` is a key pair
+    when each side reads only one input (a constant reads none, so
+    ``3 IN (SELECT y ...)`` keys on ``3``); every other conjunct is the
+    residual the join evaluates on the pairs the keys find."""
+    left_keys: list[Expr] = []
+    right_keys: list[Expr] = []
+    residual: list[Expr] = []
+    for conjunct in conjuncts:
+        if isinstance(conjunct, Comparison) and conjunct.op == "=":
+            a, b = conjunct.left, conjunct.right
+            a_cols, b_cols = a.referenced_columns(), b.referenced_columns()
+            if a_cols or b_cols:
+                if a_cols <= left_columns and b_cols <= right_columns:
+                    left_keys.append(a)
+                    right_keys.append(b)
+                    continue
+                if b_cols <= left_columns and a_cols <= right_columns:
+                    left_keys.append(b)
+                    right_keys.append(a)
+                    continue
+        residual.append(conjunct)
+    return left_keys, right_keys, conjoin(residual)
 
 
 def _copy_nodes(node: LogicalNode) -> LogicalNode:
@@ -272,21 +300,24 @@ class PlannerBase:
 
     def plan_join_tree(self, node: JoinNode) -> P.PhysicalNode:
         """Plan a join subtree, reordering inner-join chains."""
-        relations, conditions, reorderable = self._flatten_inner_joins(node)
+        relations, conjuncts, reorderable = self._flatten_inner_joins(node)
         if reorderable and len(relations) > 1:
-            return self.order_joins(relations, conditions, node.needed)
+            return self.order_joins(relations, conjuncts, node.needed)
         left = self._plan_node(node.left)
         right = self._plan_node(node.right)
         return self.make_join(
-            left, right, node.join_type, node.left_keys, node.right_keys,
-            node.residual, node.needed,
+            left, right, node.join_type,
+            *split_condition(split_conjuncts(node.condition),
+                             set(output_columns(left)), set(output_columns(right))),
+            node.needed,
         )
 
     def _flatten_inner_joins(self, node: JoinNode):
-        """Collect the leaves and equi-conditions of a pure inner-join
-        tree; returns (leaf logical nodes, conditions, flattenable)."""
+        """The leaves of a pure inner-join tree and the pool of its
+        conditions' conjuncts; returns (leaf logical nodes, conjuncts,
+        flattenable)."""
         relations: list[LogicalNode] = []
-        conditions: list[tuple[Expr, Expr, Expr | None]] = []
+        conjuncts: list[Expr] = []
         flattenable = True
 
         def visit(current: LogicalNode):
@@ -294,70 +325,51 @@ class PlannerBase:
             if isinstance(current, JoinNode) and current.join_type is JoinType.INNER:
                 visit(current.left)
                 visit(current.right)
-                for left_key, right_key in zip(
-                    current.left_keys, current.right_keys
-                ):
-                    conditions.append((left_key, right_key, None))
-                if current.residual is not None:
-                    conditions.append((None, None, current.residual))
+                conjuncts.extend(split_conjuncts(current.condition))
             else:
                 relations.append(current)
                 if isinstance(current, JoinNode):
                     flattenable = False
 
         visit(node)
-        return relations, conditions, flattenable
+        return relations, conjuncts, flattenable
 
-    def order_joins(self, relations, conditions, needed=None) -> P.PhysicalNode:
+    def order_joins(self, relations, conjuncts, needed=None) -> P.PhysicalNode:
         """A left-deep join of an inner-join chain's leaves in
-        :meth:`join_order`; conditions no join consumed are a filter on
-        top.  ``needed`` is what the plan above reads (None:
-        everything)."""
+        :meth:`join_order`.  Each step takes the pooled conjuncts whose
+        columns it is the first to cover and splits them into its keys
+        and residual, so every conjunct runs in exactly one join.
+        ``needed`` is what the plan above reads (None: everything)."""
         planned = [self._plan_node(relation) for relation in relations]
         equis = [
-            (left, right)
-            for left, right, residual in conditions
-            if left is not None
-        ]
-        residuals = [
-            residual for _, _, residual in conditions if residual is not None
+            (conjunct.left, conjunct.right)
+            for conjunct in conjuncts
+            if isinstance(conjunct, Comparison) and conjunct.op == "="
         ]
         order = self.join_order(planned, equis)
         current = planned[order[0]]
-        pending = list(equis)
+        columns = set(output_columns(current))
+        reads = [conjunct.referenced_columns() for conjunct in conjuncts]
+        pending = list(range(len(conjuncts)))  # positions, never ``==``
         for index in order[1:]:
             right = planned[index]
-            left_keys: list[Expr] = []
-            right_keys: list[Expr] = []
-            current_columns = set(output_columns(current))
             right_columns = set(output_columns(right))
-            for pair in list(pending):
-                a, b = pair
-                a_cols = a.referenced_columns()
-                b_cols = b.referenced_columns()
-                if a_cols <= current_columns and b_cols <= right_columns:
-                    left_keys.append(a)
-                    right_keys.append(b)
-                    pending.remove(pair)
-                elif b_cols <= current_columns and a_cols <= right_columns:
-                    left_keys.append(b)
-                    right_keys.append(a)
-                    pending.remove(pair)
-            # an intermediate join also carries the keys of the joins
-            # still to come and what the residuals read
+            covered = columns | right_columns
+            mine = [i for i in pending if reads[i] <= covered]
+            pending = [i for i in pending if not reads[i] <= covered]
+            # an intermediate join also carries what the conjuncts still
+            # to come read
             keep = needed
             if needed is not None:
-                keep = needed | _reads(residuals + [e for pair in pending for e in pair])
+                keep = needed.union(*(reads[i] for i in pending))
             current = self.make_join(
-                current, right, JoinType.INNER, left_keys, right_keys, needed=keep
+                current, right, JoinType.INNER,
+                *split_condition([conjuncts[i] for i in mine], columns, right_columns),
+                keep,
             )
-        leftover = residuals + [Comparison("=", a, b) for a, b in pending]
-        if leftover:
-            predicate = conjoin(leftover)
-            filtered = P.PhysFilter(current, predicate, current.distribution)
-            filtered.est_rows = current.est_rows * 0.5
-            filtered.est_cost = current.est_cost
-            return filtered
+            columns = set(output_columns(current))
+        if pending:
+            raise PlanningError(f"no join covers {conjuncts[pending[0]]!r}")
         return current
 
     def join_order(self, planned: list[P.PhysicalNode], equis) -> list[int]:
@@ -503,7 +515,10 @@ class PlannerBase:
     ) -> P.PhysJoin:
         """Assemble a physical join with strategy, algorithm, SIP and
         output distribution.  It emits the columns in ``needed`` (what
-        the plan above and the residual read; None: every column)."""
+        the plan above reads; None: every column) and what the residual
+        reads."""
+        if needed is not None and residual is not None:
+            needed = needed | residual.referenced_columns()
         # hash joins build from the right (inner) side: for INNER joins
         # put the smaller estimated input there.
         if join_type is JoinType.INNER and left.est_rows < right.est_rows:
@@ -546,7 +561,7 @@ class PlannerBase:
             algorithm == "hash"
             and strategy != P.RESEGMENT
             and join_type in (JoinType.INNER, JoinType.SEMI)
-            and self._scan_plan_reachable(left)
+            and self._sip_target(left, left_keys)
         )
         left_columns, right_columns = output_columns(left), output_columns(right)
         if needed is not None:
@@ -595,9 +610,13 @@ class PlannerBase:
             current = current.children[0] if current.children else None
         return None
 
-    def _scan_plan_reachable(self, node: P.PhysicalNode) -> bool:
-        scan = self._scan_plan_of(node)  # a v_monitor leaf takes no SIP filter
-        return scan is not None and not is_monitor_table(scan.table)
+    def _sip_target(self, node: P.PhysicalNode, keys: list[Expr]) -> bool:
+        # the probe's first scan takes the filter if it emits the keys'
+        # columns (under a join it may not) and is no v_monitor leaf
+        scan = self._scan_plan_of(node)
+        return scan is not None and not is_monitor_table(scan.table) and (
+            _reads(keys) <= set(scan.columns)
+        )
 
     # -- group by ----------------------------------------------------------------------
 

@@ -72,20 +72,23 @@ def _output_columns_of(node: LogicalNode) -> set[str]:
 def push_down_filters(node: LogicalNode) -> LogicalNode:
     """Push filter predicates as close to the scans as possible.
 
-    Conjuncts referencing one side of a join move below it (respecting
-    outer-join null-extension: predicates cannot be pushed to the
-    preserved side's opposite); scan-level conjuncts merge into the
-    scan's predicate.
+    An INNER join's condition and the filters above it are one pool: a
+    conjunct reading one side sinks to that side (a scan's predicate at
+    the end), a conjunct reading both joins the lowest INNER join whose
+    sides cover it.  Above an outer join only a conjunct on its
+    preserved side moves (on the NULL-extended side it would change
+    which rows survive), and an outer join's ON stays whole on it.
     """
     if isinstance(node, FilterNode):
         child = push_down_filters(node.child)
-        remaining: list[Expr] = []
-        for conjunct in split_conjuncts(node.predicate):
-            if not _try_push(child, conjunct):
-                remaining.append(conjunct)
+        remaining = [c for c in split_conjuncts(node.predicate) if not _try_push(child, c)]
         if not remaining:
             return child
         return FilterNode(child, conjoin(remaining))
+    if isinstance(node, JoinNode) and node.join_type is JoinType.INNER:
+        conjuncts, node.condition = split_conjuncts(node.condition), None
+        stuck = [c for c in conjuncts if not _try_push(node, c)]
+        node.condition = conjoin(split_conjuncts(node.condition) + stuck)
     return node.map_children(push_down_filters)
 
 
@@ -113,24 +116,17 @@ def _try_push(node: LogicalNode, conjunct: Expr) -> bool:
             return True
         return False
     if isinstance(node, JoinNode):
-        # outer joins: a predicate on the NULL-extended side cannot be
-        # pushed below the join (it would change which rows survive).
-        left_ok = node.join_type in (
-            JoinType.INNER,
-            JoinType.LEFT,
-            JoinType.SEMI,
-            JoinType.ANTI,
-        )
+        inner = node.join_type is JoinType.INNER
+        left_ok = node.join_type not in (JoinType.RIGHT, JoinType.FULL)
         right_ok = node.join_type in (JoinType.INNER, JoinType.RIGHT)
-        if left_ok and referenced <= _output_columns_of(node.left):
-            if _try_push(node.left, conjunct):
+        for side, ok in (("left", left_ok), ("right", right_ok)):
+            child = getattr(node, side)
+            if ok and referenced <= _output_columns_of(child):
+                if not _try_push(child, conjunct):
+                    setattr(node, side, FilterNode(child, conjunct))
                 return True
-            node.left = FilterNode(node.left, conjunct)
-            return True
-        if right_ok and referenced <= _output_columns_of(node.right):
-            if _try_push(node.right, conjunct):
-                return True
-            node.right = FilterNode(node.right, conjunct)
+        if inner and referenced <= _output_columns_of(node):
+            node.condition = conjoin(split_conjuncts(node.condition) + [conjunct])
             return True
         return False
     return False
@@ -146,13 +142,19 @@ def add_transitive_predicates(node: LogicalNode) -> LogicalNode:
     for join in [n for n in node.walk() if isinstance(n, JoinNode)]:
         if join.join_type is not JoinType.INNER:
             continue
-        for left_key, right_key in zip(join.left_keys, join.right_keys):
+        left_columns = _output_columns_of(join.left)
+        for conjunct in split_conjuncts(join.condition):
             if not (
-                isinstance(left_key, ColumnRef) and isinstance(right_key, ColumnRef)
+                isinstance(conjunct, Comparison) and conjunct.op == "="
+                and isinstance(conjunct.left, ColumnRef)
+                and isinstance(conjunct.right, ColumnRef)
             ):
                 continue
-            _copy_constant_predicates(join.left, left_key.name, join.right, right_key.name)
-            _copy_constant_predicates(join.right, right_key.name, join.left, left_key.name)
+            a, b = conjunct.left.name, conjunct.right.name
+            if b in left_columns:
+                a, b = b, a
+            _copy_constant_predicates(join.left, a, join.right, b)
+            _copy_constant_predicates(join.right, b, join.left, a)
     return node
 
 
@@ -250,22 +252,20 @@ def prune_columns(node: LogicalNode, needed: set[str] | None = None) -> LogicalN
     A top-down walk: ``needed`` is the set of output names the node's
     parent reads, None for every one — a bare root (a DELETE's victim
     scan) and DISTINCT read whole rows.  Each node adds what it reads
-    itself; a join records what its parent and residual read in
-    ``JoinNode.needed`` so the physical join emits only that.
+    itself; a join records what its parent reads in ``JoinNode.needed``
+    so the physical join emits only that and what its residual reads.
     """
     if isinstance(node, ScanNode):
         if needed is not None:
             _narrow_scan(node, needed)
         return node
     if isinstance(node, JoinNode):
-        if needed is not None:
-            needed = needed | _reads([node.residual])
         node.needed = needed
-        keys = _reads(node.left_keys + node.right_keys)
-        below = None if needed is None else needed | keys
+        condition = _reads([node.condition])
+        below = None if needed is None else needed | condition
         prune_columns(node.left, below)
         filtering = node.join_type in (JoinType.SEMI, JoinType.ANTI)
-        prune_columns(node.right, keys if filtering else below)
+        prune_columns(node.right, condition if filtering else below)
         return node
     below: set[str] | None
     if isinstance(node, ProjectNode):

@@ -50,7 +50,7 @@ from ..optimizer.logical import (
     ScanNode,
     SortNode,
 )
-from ..optimizer.rewrite import conjoin, split_conjuncts
+from ..optimizer.rewrite import conjoin
 from . import ast
 
 _WINDOW_FUNCS = ("ROW_NUMBER", "RANK", "DENSE_RANK") + tuple(AGGREGATE_FUNCS)
@@ -108,12 +108,6 @@ class Scope:
         if len(candidates) > 1:
             raise SqlAnalysisError(f"ambiguous column {identifier.name!r}")
         return candidates[0]
-
-    def item_of_output(self, output: str) -> _FromItem:
-        for item in self.items:
-            if output in item.output_names:
-                return item
-        raise SqlAnalysisError(f"no FROM item produces {output!r}")
 
 
 def build_scope(catalog: Catalog, refs: list[ast.TableRef]) -> Scope:
@@ -269,21 +263,13 @@ class Analyzer:
                 "window functions cannot be combined with GROUP BY here"
             )
 
-        where_conjuncts = ast.conjuncts(stmt.where)
-        subqueries = [
-            conjunct
-            for conjunct in where_conjuncts
-            if isinstance(conjunct, ast.InSubquery)
-        ]
-        plain = [
-            conjunct
-            for conjunct in where_conjuncts
-            if not isinstance(conjunct, ast.InSubquery)
-        ]
-        plan = self._build_join_tree(
-            stmt, scope, [self.convert(conjunct, scope) for conjunct in plain]
-        )
-        for subquery in subqueries:
+        # WHERE filters the joins; an IN subquery is a SEMI / ANTI join above
+        plan = self._build_join_tree(stmt, scope)
+        where = ast.conjuncts(stmt.where)
+        plain = [c for c in where if not isinstance(c, ast.InSubquery)]
+        if plain:
+            plan = FilterNode(plan, conjoin([self.convert(c, scope) for c in plain]))
+        for subquery in (c for c in where if isinstance(c, ast.InSubquery)):
             plan = self._flatten_in_subquery(plan, subquery, scope)
 
         # one select list for every path: alias or default name, a fresh
@@ -348,13 +334,8 @@ class Analyzer:
         value = self.convert(subquery.value, scope)
         subplan = self.analyze_select(subquery.select)
         output = self._single_output_name(subplan)
-        return JoinNode(
-            plan,
-            subplan,
-            JoinType.ANTI if subquery.negated else JoinType.SEMI,
-            [value],
-            [ColumnRef(output)],
-        )
+        join_type = JoinType.ANTI if subquery.negated else JoinType.SEMI
+        return JoinNode(plan, subplan, join_type, Comparison("=", value, ColumnRef(output)))
 
     @staticmethod
     def _single_output_name(plan: LogicalNode) -> str:
@@ -394,130 +375,25 @@ class Analyzer:
 
     # -- join tree ----------------------------------------------------------------
 
-    def _build_join_tree(
-        self, stmt: ast.SelectStatement, scope: Scope, where: list[Expr]
-    ) -> LogicalNode:
-        items_by_name = {item.ref.name: item for item in scope.items}
-        # split WHERE into: equi-join conditions between items, per-item
-        # filters, and multi-item residuals.
-        equi_conditions: list[tuple[str, str, Expr, Expr]] = []
-        residuals: list[Expr] = []
-        for conjunct in where:
-            classified = self._classify_conjunct(conjunct, scope)
-            if classified is not None:
-                equi_conditions.append(classified)
-            else:
-                residuals.append(conjunct)
-
-        scans: dict[str, LogicalNode] = {}
-        reachable: dict[str, set[str]] = {}
-        for item in scope.items:
-            scans[item.ref.name] = ScanNode(
-                item.ref.table,
-                list(item.table_columns),
-                rename=dict(item.rename),
-                alias=item.ref.name,
-            )
-            reachable[item.ref.name] = item.output_names
-
-        # start with the comma-joined FROM tables (inner), then apply
-        # explicit JOIN clauses in order.
-        plan: LogicalNode | None = None
-        joined: set[str] = set()
-        plan_columns: set[str] = set()
-
-        def attach(name: str, join_type: JoinType, condition: Expr | None):
-            nonlocal plan, plan_columns
-            right = scans[name]
-            right_columns = reachable[name]
-            if plan is None:
-                plan = right
-                plan_columns = set(right_columns)
-                joined.add(name)
-                return
-            left_keys: list[Expr] = []
-            right_keys: list[Expr] = []
-            residual_parts: list[Expr] = []
-            if condition is not None:
-                for conjunct in split_conjuncts(condition):
-                    pair = self._split_equi(
-                        conjunct, plan_columns, right_columns
-                    )
-                    if pair is not None:
-                        left_keys.append(pair[0])
-                        right_keys.append(pair[1])
-                    else:
-                        residual_parts.append(conjunct)
-            if join_type is JoinType.INNER:
-                for quad in list(equi_conditions):
-                    a_item, b_item, a_expr, b_expr = quad
-                    if a_item in joined and b_item == name:
-                        left_keys.append(a_expr)
-                        right_keys.append(b_expr)
-                        equi_conditions.remove(quad)
-                    elif b_item in joined and a_item == name:
-                        left_keys.append(b_expr)
-                        right_keys.append(a_expr)
-                        equi_conditions.remove(quad)
-            plan = JoinNode(
-                plan,
-                right,
-                join_type,
-                left_keys,
-                right_keys,
-                residual=conjoin(residual_parts),
-            )
-            plan_columns |= right_columns
-            joined.add(name)
-
-        for ref in stmt.from_tables:
-            attach(ref.name, JoinType.INNER, None)
-        for join in stmt.joins:
-            condition = (
-                self.convert(join.condition, scope)
-                if join.condition is not None
-                else None
-            )
-            attach(join.table.name, JoinType(join.join_type), condition)
-
-        # unconsumed equi conditions + residuals go into a filter above
-        leftovers = residuals + [
-            Comparison("=", a_expr, b_expr)
-            for _, _, a_expr, b_expr in equi_conditions
+    def _build_join_tree(self, stmt: ast.SelectStatement, scope: Scope) -> LogicalNode:
+        """The FROM list folded into INNER joins with no condition, then
+        each JOIN with its ON (the scope's items are in this order); the
+        planner splits the conditions."""
+        ons = [(JoinType.INNER, None)] * len(stmt.from_tables) + [
+            (JoinType(join.join_type), join.condition) for join in stmt.joins
         ]
-        predicate = conjoin(leftovers)
-        if predicate is not None:
-            plan = FilterNode(plan, predicate)
+        plan, columns = None, set()
+        for item, (join_type, on) in zip(scope.items, ons):
+            scan = ScanNode(item.ref.table, list(item.table_columns),
+                            rename=dict(item.rename), alias=item.ref.name)
+            columns |= item.output_names
+            condition = None if on is None else self.convert(on, scope)
+            if condition is not None and not condition.referenced_columns() <= columns:
+                raise SqlAnalysisError(
+                    f"the ON clause of JOIN {item.ref.name} reads a table joined after it"
+                )
+            plan = scan if plan is None else JoinNode(plan, scan, join_type, condition)
         return plan
-
-    def _classify_conjunct(self, conjunct: Expr, scope: Scope):
-        """Detect `a.x = b.y` between two different FROM items."""
-        if not isinstance(conjunct, Comparison) or conjunct.op != "=":
-            return None
-        left, right = conjunct.left, conjunct.right
-        if not (isinstance(left, ColumnRef) and isinstance(right, ColumnRef)):
-            return None
-        try:
-            left_item = scope.item_of_output(left.name)
-            right_item = scope.item_of_output(right.name)
-        except SqlAnalysisError:
-            return None
-        if left_item is right_item:
-            return None
-        return (left_item.ref.name, right_item.ref.name, left, right)
-
-    @staticmethod
-    def _split_equi(conjunct: Expr, left_columns: set[str], right_columns: set[str]):
-        if not isinstance(conjunct, Comparison) or conjunct.op != "=":
-            return None
-        a, b = conjunct.left, conjunct.right
-        a_cols = a.referenced_columns()
-        b_cols = b.referenced_columns()
-        if a_cols and a_cols <= left_columns and b_cols and b_cols <= right_columns:
-            return a, b
-        if b_cols and b_cols <= left_columns and a_cols and a_cols <= right_columns:
-            return b, a
-        return None
 
     # -- aggregation and windows ------------------------------------------------
 

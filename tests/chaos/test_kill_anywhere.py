@@ -335,8 +335,7 @@ class TestExchangeFailover:
             ScanNode("fact", ["f_id", "dim_id"]),
             ScanNode("fact2", ["g_id", "link"]),
             JoinType.INNER,
-            [ColumnRef("f_id")],
-            [ColumnRef("link")],
+            condition=ColumnRef("f_id") == ColumnRef("link"),
         )
         physical = db.planner().plan(plan)
         join = next(n for n in physical.walk() if isinstance(n, PhysJoin))

@@ -54,7 +54,7 @@ class TestColocated:
             ScanNode("fact", ["f_id", "dim_id"]),
             ScanNode("dim", ["d_id", "name"]),
             JoinType.INNER,
-            [C("dim_id")], [C("d_id")],
+            condition=C("dim_id") == C("d_id"),
         )
         rows, stats, physical = run_planned(PlannerBase, db, plan)
         assert len(rows) == 600
@@ -70,7 +70,7 @@ class TestColocated:
             ScanNode("fact", ["f_id", "dim_id"],
                      rename={"f_id": "f2", "dim_id": "d2"}, alias="b"),
             JoinType.INNER,
-            [C("f_id")], [C("f2")],
+            condition=C("f_id") == C("f2"),
         )
         rows, stats, physical = run_planned(PlannerBase, db, plan)
         assert len(rows) == 600
@@ -85,7 +85,7 @@ class TestDataMovement:
             ScanNode("fact", ["f_id", "dim_id"]),
             ScanNode("fact2", ["g_id", "link"]),
             JoinType.INNER,
-            [C("f_id")], [C("link")],
+            condition=C("f_id") == C("link"),
         )
 
     def test_v2_moves_data(self, db):
@@ -191,7 +191,7 @@ class TestPendingInsertsRouting:
             ScanNode("fact", ["f_id", "dim_id"]),
             ScanNode("dim", ["d_id", "name"]),
             JoinType.INNER,
-            [C("dim_id")], [C("d_id")],
+            condition=C("dim_id") == C("d_id"),
         )
         rows = session.query(plan)
         assert len(rows) == 601

@@ -16,6 +16,11 @@ duplicates on both sides and empty inputs, these must all equal it:
   sort-merge join;
 * ``MergeJoinOperator`` over sorted inputs, as the executor feeds it.
 
+Each of those draws a residual too — a conjunct that is no key, which
+the join evaluates on the pairs its keys find: only a pair it holds on
+matches, so a preserved row whose pairs it rejects all is NULL-extended
+and SEMI / ANTI decide on the pairs it keeps.
+
 The merge-based runs draw NaN too: the sort under them puts every NaN
 after every number, so two NaNs meet in one run of the walk, and there a
 NaN still matches only itself.  Probe keys also arrive
@@ -30,11 +35,15 @@ join key), broadcasts the inner or resegments both sides: each of those
 places a row by its key's ring position, so values that compare equal
 must land together.  StarOpt and StarifiedOpt (``reference_planners``)
 plan every draw too, and wherever they accept one their plan must give
-the oracle's answer as well.  ``REPRO_FUZZ_SEEDS`` (tools/check.sh)
-adds seeded runs.  Three reproducers of rows lost that way are pinned at
-the end.
+the oracle's answer as well; each join runs once more with a non-key ON
+conjunct.  Three tables of drawn sizes joined through SQL — each
+conjunct in an ON or in WHERE, the second join inner or outer — must
+equal a nested loop over them whatever order the planner joins them
+in.  ``REPRO_FUZZ_SEEDS`` (tools/check.sh) adds seeded runs.  Three
+reproducers of rows lost that way are pinned at the end.
 """
 
+import itertools
 import os
 import random
 
@@ -50,6 +59,7 @@ from repro.execution import (
     ColumnRef,
     DictVector,
     HashJoinOperator,
+    IsNull,
     JoinType,
     MergeJoinOperator,
     RleVector,
@@ -62,7 +72,8 @@ from repro.execution import (
 from repro.execution.executor import DistributedExecutor
 from repro.optimizer import physical as P
 from repro.optimizer.logical import JoinNode, ScanNode
-from repro.projections import HashSegmentation, super_projection
+from repro.optimizer.rewrite import conjoin
+from repro.projections import HashSegmentation, Replicated, super_projection
 from repro.storage import StorageManager
 
 from reference_planners import StarifiedOpt, StarOpt, run_planned
@@ -77,13 +88,17 @@ def _same(x, y) -> bool:
     return x is not None and y is not None and (x is y or x == y)
 
 
-def oracle(join_type, left, right, left_keys, right_keys, right_columns=RIGHT):
+def oracle(join_type, left, right, left_keys, right_keys, right_columns=RIGHT,
+           residual=None):
+    """The join by its definition: ``residual(l, r)``, when given, must
+    hold on a pair as well as its keys."""
     out, matched = [], set()
     left_columns = list(left[0]) if left else LEFT
     for l in left:
         hits = [
             j for j, r in enumerate(right)
             if all(_same(l[x], r[y]) for x, y in zip(left_keys, right_keys))
+            and (residual is None or residual(l, r))
         ]
         if join_type in (JoinType.SEMI, JoinType.ANTI):
             if bool(hits) == (join_type is JoinType.SEMI):
@@ -126,7 +141,16 @@ def left_op_columns(op):
     return op.columns if isinstance(op, ScanOperator) else LEFT
 
 
-def merge_join(join_type, left, right, left_keys, right_keys):
+#: (the residual a join evaluates, its oracle): none, one reading both
+#: sides, one reading the inner side alone
+RESIDUALS = [
+    (None, None),
+    (ColumnRef("l_id") < ColumnRef("r_id"), lambda l, r: l["l_id"] < r["r_id"]),
+    (IsNull(ColumnRef("d"), negated=True), lambda l, r: r["d"] is not None),
+]
+
+
+def merge_join(join_type, left, right, left_keys, right_keys, residual=None):
     def sort(rows, names, keys):
         source = RowSource(rows, names, block_rows=4)
         return SortOperator(source, [SortKey(ColumnRef(k)) for k in keys])
@@ -139,6 +163,7 @@ def merge_join(join_type, left, right, left_keys, right_keys):
         join_type,
         LEFT,
         RIGHT,
+        residual,
     )
 
 
@@ -150,16 +175,19 @@ def pairs(pool):
 @settings(max_examples=120, deadline=None)
 @given(
     left=pairs(KEYS), right=pairs(KEYS), width=st.sampled_from([1, 2]),
-    block_rows=st.integers(1, 7),
+    block_rows=st.integers(1, 7), residual=st.sampled_from(RESIDUALS),
 )
 def test_hash_join_alone_and_sharing_a_build_equal_the_oracle(
-    left, right, width, block_rows
+    left, right, width, block_rows, residual
 ):
     left, right = keyed(left, LEFT), keyed(right, RIGHT)
     lk, rk = LEFT[1 : 1 + width], RIGHT[1 : 1 + width]
+    expr, holds = residual
     for join_type in FLAVOURS:
-        want = canonical(oracle(join_type, left, right, lk, rk))
-        alone = hash_join(join_type, RowSource(left, LEFT, block_rows), right, lk, rk)
+        want = canonical(oracle(join_type, left, right, lk, rk, residual=holds))
+        alone = hash_join(
+            join_type, RowSource(left, LEFT, block_rows), right, lk, rk, residual=expr
+        )
         assert canonical(blocks_to_rows(alone.blocks())) == want, join_type
         assert alone.kernel_blocks == alone.children[0].blocks_produced
 
@@ -168,7 +196,7 @@ def test_hash_join_alone_and_sharing_a_build_equal_the_oracle(
         parts = [left] * 3 if whole else [left[i::3] for i in range(3)]
         fragments = [
             hash_join(join_type, RowSource(part, LEFT, block_rows), right, lk, rk,
-                      shared_build=shared)
+                      shared_build=shared, residual=expr)
             for part in parts
         ]
         outputs = [canonical(blocks_to_rows(fragment.blocks())) for fragment in fragments]
@@ -180,18 +208,23 @@ def test_hash_join_alone_and_sharing_a_build_equal_the_oracle(
 
 
 @settings(max_examples=80, deadline=None)
-@given(left=pairs(KEYS), right=pairs(KEYS), width=st.sampled_from([1, 2]))
-def test_switched_hash_join_and_merge_join_equal_the_oracle(left, right, width):
+@given(
+    left=pairs(KEYS), right=pairs(KEYS), width=st.sampled_from([1, 2]),
+    residual=st.sampled_from(RESIDUALS),
+)
+def test_switched_hash_join_and_merge_join_equal_the_oracle(left, right, width, residual):
     left, right = keyed(left, LEFT), keyed(right, RIGHT)
     lk, rk = LEFT[1 : 1 + width], RIGHT[1 : 1 + width]
+    expr, holds = residual
     for join_type in FLAVOURS:
-        want = canonical(oracle(join_type, left, right, lk, rk))
+        want = canonical(oracle(join_type, left, right, lk, rk, residual=holds))
         switched = hash_join(
-            join_type, RowSource(left, LEFT, 5), right, lk, rk, max_build_rows=1
+            join_type, RowSource(left, LEFT, 5), right, lk, rk, max_build_rows=1,
+            residual=expr,
         )
         assert canonical(blocks_to_rows(switched.blocks())) == want, join_type
         assert switched.switched_to_merge == (len(right) > 1)
-        merged = merge_join(join_type, left, right, lk, rk)
+        merged = merge_join(join_type, left, right, lk, rk, expr)
         assert canonical(blocks_to_rows(merged.blocks())) == want, join_type
 
 
@@ -338,10 +371,11 @@ def test_distributed_joins_equal_the_oracle(tmp_path, seed, strategy):
     accepted = set()
     for n, (left_names, left), (right_names, right) in tables:
         lk, rk = left_names[1:], right_names[1:]
-        for join_type in DISTRIBUTED:
+        keys = [ColumnRef(l) == ColumnRef(r) for l, r in zip(lk, rk)]
+        for join_type, (expr, holds) in itertools.product(DISTRIBUTED, RESIDUALS[:2]):
             query = JoinNode(
                 ScanNode(f"l{n}", left_names), ScanNode(f"r{n}", right_names),
-                join_type, [ColumnRef(k) for k in lk], [ColumnRef(k) for k in rk],
+                join_type, condition=conjoin(keys if expr is None else keys + [expr]),
             )
             plan = db.planner().plan(query)
             (join,) = [node for node in plan.walk() if isinstance(node, P.PhysJoin)]
@@ -349,8 +383,8 @@ def test_distributed_joins_equal_the_oracle(tmp_path, seed, strategy):
             if strategy == P.RESEGMENT:
                 join.strategy = P.RESEGMENT
             got = DistributedExecutor(db.cluster, db.latest_epoch).run(plan).to_rows()
-            want = canonical(oracle(join_type, left, right, lk, rk, right_names))
-            assert canonical(got) == want, (seed, lk, rk, join_type)
+            want = canonical(oracle(join_type, left, right, lk, rk, right_names, holds))
+            assert canonical(got) == want, (seed, lk, rk, join_type, expr)
             for planner in (StarOpt, StarifiedOpt):
                 try:
                     got, _, _ = run_planned(planner, db, query)
@@ -359,6 +393,104 @@ def test_distributed_joins_equal_the_oracle(tmp_path, seed, strategy):
                 accepted.add(planner)
                 assert canonical(got) == want, (planner, seed, lk, rk, join_type)
     assert accepted == ACCEPTED_BY[strategy]
+
+
+# -- three tables through SQL ---------------------------------------------------
+
+
+def _lt(x, y):
+    return None if x is None or y is None else x < y
+
+
+def _eq(x, y):
+    return None if x is None or y is None else x == y
+
+
+#: the conjuncts a three-table query draws from: (SQL, the tables it
+#: reads, its value on a row of all three tables' columns — None is NULL)
+CONJUNCTS = [
+    ("t1.k = t2.k", {1, 2}, lambda r: _eq(r["t1.k"], r["t2.k"])),
+    ("t2.k = t3.k", {2, 3}, lambda r: _eq(r["t2.k"], r["t3.k"])),
+    ("t1.k = t3.k", {1, 3}, lambda r: _eq(r["t1.k"], r["t3.k"])),
+    ("t1.k + 1 = t3.k", {1, 3},
+     lambda r: _eq(None if r["t1.k"] is None else r["t1.k"] + 1, r["t3.k"])),
+    ("t1.v < t3.v", {1, 3}, lambda r: _lt(r["t1.v"], r["t3.v"])),
+    ("t2.v < t1.v", {1, 2}, lambda r: _lt(r["t2.v"], r["t1.v"])),
+    ("t2.v < 3", {2}, lambda r: _lt(r["t2.v"], 3)),
+]
+
+
+def _three_tables(db, rng):
+    """``t1`` / ``t2`` / ``t3`` ``(id, k, v)`` of drawn sizes, segmented
+    on ``id`` or ``k`` or replicated; ``k`` and ``v`` small, with NULLs."""
+    tables = {}
+    for name in ("t1", "t2", "t3"):
+        segmentation = rng.choice(
+            [HashSegmentation(("id",)), HashSegmentation(("k",)), Replicated()]
+        )
+        db.create_table(
+            TableDefinition(name, [ColumnDef(c, types.INTEGER) for c in ("id", "k", "v")]),
+            segmentation=segmentation,
+        )
+        rows = [
+            {"id": i, "k": rng.choice([None, 0, 1, 2, 3]), "v": rng.choice([None, *range(6)])}
+            for i in range(rng.choice([0, 1, 4, 12, 30]))
+        ]
+        if rows:
+            db.load(name, rows, direct_to_ros=rng.random() < 0.5)
+        tables[name] = rows
+    db.analyze_statistics()
+    return tables
+
+
+def _nested_loop(tables, on1, outer, on2, where):
+    """``t1 JOIN t2 ON on1 <outer> JOIN t3 ON on2 WHERE where`` by its
+    definition: (t1.id, t2.id, t3.id) per row, None where NULL-extended."""
+    nulls = {name: {"id": None, "k": None, "v": None} for name in tables}
+
+    def row(*parts):
+        return {f"t{n}.{c}": value for n, part in enumerate(parts, 1) for c, value in part.items()}
+
+    def holds(conjuncts, r):
+        return all(fn(r) is True for _, _, fn in conjuncts)
+
+    pairs = [(a, b) for a in tables["t1"] for b in tables["t2"] if holds(on1, row(a, b, nulls["t3"]))]
+    out, matched = [], set()
+    for a, b in pairs:
+        hits = [j for j, c in enumerate(tables["t3"]) if holds(on2, row(a, b, c))]
+        matched.update(hits)
+        out += [(a, b, tables["t3"][j]) for j in hits]
+        if not hits and outer in ("LEFT", "FULL"):
+            out.append((a, b, nulls["t3"]))
+    if outer in ("RIGHT", "FULL"):
+        out += [
+            (nulls["t1"], nulls["t2"], c) for j, c in enumerate(tables["t3"]) if j not in matched
+        ]
+    return sorted(
+        (repr(a["id"]), repr(b["id"]), repr(c["id"]))
+        for a, b, c in out if holds(where, row(a, b, c))
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 1, *EXTRA_SEEDS])
+def test_three_table_joins_equal_the_nested_loop(tmp_path, seed):
+    rng = random.Random(seed)
+    db = Database(str(tmp_path / "db"), node_count=3, k_safety=1, durable=False)
+    tables = _three_tables(db, rng)
+    for _ in range(24):
+        outer = rng.choice(["INNER", "INNER", "LEFT", "RIGHT", "FULL"])
+        on1, on2, where = [], [], []
+        chosen = [CONJUNCTS[0], rng.choice(CONJUNCTS[1:4])] + rng.sample(CONJUNCTS[4:], 2)
+        for conjunct in chosen:
+            places = [on2, where] if 3 in conjunct[1] else [on1, on2, where]
+            rng.choice(places).append(conjunct)
+        first = f"t1 JOIN t2 ON {' AND '.join(c[0] for c in on1)}" if on1 else "t1, t2"
+        on = " AND ".join(c[0] for c in on2) or "TRUE"
+        sql = f"SELECT t1.id AS i1, t2.id AS i2, t3.id AS i3 FROM {first} {outer} JOIN t3 ON {on}"
+        if where:
+            sql += " WHERE " + " AND ".join(c[0] for c in where)
+        got = sorted((repr(r["i1"]), repr(r["i2"]), repr(r["i3"])) for r in db.sql(sql))
+        assert got == _nested_loop(tables, on1, outer, on2, where), (seed, sql)
 
 
 # -- reproducers: equal keys of different types used to land apart -------------

@@ -1,24 +1,16 @@
 """An outer join's non-equi ON conjunct decides what matched.
 
-``a.x < b.y`` is no equi-key: the analyzer keeps it as the join's
-residual, and the executor runs that residual as a filter above the
-join.  So an outer join loses the NULL-extended rows of the rows the
-conjunct rejects, where it must keep them: on ``a`` (40 rows, ``x = i %
-7``) and ``b`` (30 rows, ``y = j % 5``) 360 pairs match, 16 rows of
-``a`` match nothing (``x`` of 4, 5 or 6) and 6 rows of ``b`` match
-nothing (``y`` of 0).  The nested loop below is the definition.
+``a.x < b.y`` is no equi-key: it is the join's residual, which the
+join evaluates on its candidate pairs, so a row whose pairs it rejects
+all is NULL-extended, not lost.  On ``a`` (40 rows, ``x = i % 7``) and
+``b`` (30 rows, ``y = j % 5``) 360 pairs match, 16 rows of ``a`` match
+nothing (``x`` of 4, 5 or 6) and 6 rows of ``b`` match nothing (``y``
+of 0).  The nested loop below is the definition.
 """
 
 import pytest
 
 from repro import ColumnDef, Database, TableDefinition, types
-
-LEDGER = pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP 1(h): an outer join's non-equi ON conjunct is a filter "
-    "above the join, so the NULL-extended rows it rejects are lost",
-)
-
 
 @pytest.fixture(scope="module")
 def db(tmp_path_factory):
@@ -51,11 +43,7 @@ def nested_loop(join_type):
     return out
 
 
-@pytest.mark.parametrize(
-    "join_type",
-    ["INNER", pytest.param("LEFT", marks=LEDGER), pytest.param("RIGHT", marks=LEDGER),
-     pytest.param("FULL", marks=LEDGER)],
-)
+@pytest.mark.parametrize("join_type", ["INNER", "LEFT", "RIGHT", "FULL"])
 def test_a_non_equi_on_conjunct_keeps_the_unmatched_rows(db, join_type):
     rows = db.sql(f"SELECT a.id, b.jd FROM a {join_type} JOIN b ON a.x < b.y")
     want = nested_loop(join_type)

@@ -52,8 +52,7 @@ def _run_resegmented(db):
         ScanNode("fact", ["f_id", "dim_id"]),
         ScanNode("fact2", ["g_id", "link"]),
         JoinType.INNER,
-        [C("f_id")],
-        [C("link")],
+        condition=C("f_id") == C("link"),
     )
     physical = db.planner().plan(plan)
     join = next(n for n in physical.walk() if isinstance(n, PhysJoin))

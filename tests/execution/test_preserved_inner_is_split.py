@@ -67,8 +67,7 @@ def test_a_planner_that_cannot_resegment_refuses(db, planner, join_type):
         ScanNode("f", ["f_id", "f_dim"]),
         ScanNode("d", ["d_id", "d_name"]),
         join_type,
-        [ColumnRef("f_dim")],
-        [ColumnRef("d_id")],
+        condition=ColumnRef("f_dim") == ColumnRef("d_id"),
     )
     with pytest.raises(PlanningError):
         run_planned(planner, db, query)

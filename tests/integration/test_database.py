@@ -149,8 +149,7 @@ def join_plan():
         ScanNode("orders", ["oid", "cid", "amount"]),
         ScanNode("customers", ["cid", "region"], rename={"cid": "c_cid"}),
         JoinType.INNER,
-        [C("cid")],
-        [C("c_cid")],
+        condition=C("cid") == C("c_cid"),
     )
 
 
@@ -181,8 +180,7 @@ class TestJoins:
                 rename={"cid": "c_cid"},
             ),
             JoinType.INNER,
-            [C("cid")],
-            [C("c_cid")],
+            condition=C("cid") == C("c_cid"),
         )
         session = db.session()
         rows = session.query(plan)
@@ -209,8 +207,7 @@ class TestJoins:
             ScanNode("a", ["x", "y"]),
             ScanNode("b", ["p", "q"]),
             JoinType.INNER,
-            [C("y")],
-            [C("q")],
+            condition=C("y") == C("q"),
         )
         with pytest.raises(PlanningError):
             run_planned(StarOpt, db2, plan)
@@ -227,8 +224,7 @@ class TestJoins:
             ScanNode("orders", ["oid", "cid"]),
             ScanNode("customers", ["cid", "region"], rename={"cid": "c_cid"}),
             JoinType.LEFT,
-            [C("cid")],
-            [C("c_cid")],
+            condition=C("cid") == C("c_cid"),
         )
         rows = db.query(plan)
         assert len(rows) == 2000

@@ -51,7 +51,7 @@ class TestPushDown:
 
     def test_join_side_routing(self):
         fact, dim = scans()
-        join = JoinNode(fact, dim, JoinType.INNER, [C("dim_id")], [C("d_id")])
+        join = JoinNode(fact, dim, JoinType.INNER, condition=C("dim_id") == C("d_id"))
         plan = FilterNode(join, And(C("v") > L(5), C("name") == L("x")))
         result = push_down_filters(plan)
         assert result is join
@@ -60,7 +60,7 @@ class TestPushDown:
 
     def test_left_join_blocks_null_side_pushdown(self):
         fact, dim = scans()
-        join = JoinNode(fact, dim, JoinType.LEFT, [C("dim_id")], [C("d_id")])
+        join = JoinNode(fact, dim, JoinType.LEFT, condition=C("dim_id") == C("d_id"))
         plan = FilterNode(join, IsNull(C("name")))
         result = push_down_filters(plan)
         # predicate on the NULL-extended side must stay above the join
@@ -79,7 +79,7 @@ class TestTransitivePredicates:
     def test_constant_copied_across_join_keys(self):
         fact, dim = scans()
         dim.predicate = C("d_id") == L(7)
-        join = JoinNode(fact, dim, JoinType.INNER, [C("dim_id")], [C("d_id")])
+        join = JoinNode(fact, dim, JoinType.INNER, condition=C("dim_id") == C("d_id"))
         add_transitive_predicates(join)
         conjuncts = [repr(c) for c in split_conjuncts(fact.predicate)]
         assert "(dim_id = 7)" in conjuncts
@@ -87,14 +87,14 @@ class TestTransitivePredicates:
     def test_not_applied_to_outer_joins(self):
         fact, dim = scans()
         dim.predicate = C("d_id") == L(7)
-        join = JoinNode(fact, dim, JoinType.LEFT, [C("dim_id")], [C("d_id")])
+        join = JoinNode(fact, dim, JoinType.LEFT, condition=C("dim_id") == C("d_id"))
         add_transitive_predicates(join)
         assert fact.predicate is None
 
     def test_idempotent(self):
         fact, dim = scans()
         dim.predicate = C("d_id") == L(7)
-        join = JoinNode(fact, dim, JoinType.INNER, [C("dim_id")], [C("d_id")])
+        join = JoinNode(fact, dim, JoinType.INNER, condition=C("dim_id") == C("d_id"))
         add_transitive_predicates(join)
         add_transitive_predicates(join)
         assert len(split_conjuncts(fact.predicate)) == 1
@@ -103,7 +103,7 @@ class TestTransitivePredicates:
 class TestPruneColumns:
     def test_scans_and_joins_keep_what_the_plan_above_reads(self):
         fact, dim = scans()
-        join = JoinNode(fact, dim, JoinType.INNER, [C("dim_id")], [C("d_id")])
+        join = JoinNode(fact, dim, JoinType.INNER, condition=C("dim_id") == C("d_id"))
         plan = GroupByNode(join, [("name", C("name"))], [AggregateSpec("SUM", C("v"), "s")])
         prune_columns(plan)
         assert fact.columns == ["dim_id", "v"]
@@ -113,12 +113,12 @@ class TestPruneColumns:
     def test_a_filter_and_a_residual_keep_their_columns(self):
         fact, dim = scans()
         join = JoinNode(
-            fact, dim, JoinType.LEFT, [C("dim_id")], [C("d_id")],
-            residual=C("name") == L("x"),
+            fact, dim, JoinType.LEFT,
+            condition=And(C("dim_id") == C("d_id"), C("name") == L("x")),
         )
         plan = ProjectNode(FilterNode(join, C("f_id") > L(3)), {"v": C("v")})
         prune_columns(plan)
-        assert join.needed == {"v", "f_id", "name"}
+        assert join.needed == {"v", "f_id"}  # the condition is read below it
         assert fact.columns == ["f_id", "dim_id", "v"]
         assert dim.columns == ["d_id", "name"]
 
@@ -126,7 +126,7 @@ class TestPruneColumns:
         fact, dim = scans()
         prune_columns(fact)
         assert fact.columns == ["f_id", "dim_id", "v"]
-        join = JoinNode(fact, dim, JoinType.INNER, [C("dim_id")], [C("d_id")])
+        join = JoinNode(fact, dim, JoinType.INNER, condition=C("dim_id") == C("d_id"))
         prune_columns(DistinctNode(join))
         assert join.needed is None
         assert dim.columns == ["d_id", "name"]
@@ -145,14 +145,14 @@ class TestPruneColumns:
 class TestOuterToInner:
     def test_null_rejecting_filter_converts(self):
         fact, dim = scans()
-        join = JoinNode(fact, dim, JoinType.LEFT, [C("dim_id")], [C("d_id")])
+        join = JoinNode(fact, dim, JoinType.LEFT, condition=C("dim_id") == C("d_id"))
         plan = FilterNode(join, C("name") == L("x"))
         convert_outer_to_inner(plan)
         assert join.join_type is JoinType.INNER
 
     def test_is_null_filter_does_not_convert(self):
         fact, dim = scans()
-        join = JoinNode(fact, dim, JoinType.LEFT, [C("dim_id")], [C("d_id")])
+        join = JoinNode(fact, dim, JoinType.LEFT, condition=C("dim_id") == C("d_id"))
         plan = FilterNode(join, IsNull(C("name")))
         convert_outer_to_inner(plan)
         assert join.join_type is JoinType.LEFT
@@ -191,8 +191,7 @@ def star_query():
         ScanNode("fact", ["f_id", "dim_id", "v"]),
         ScanNode("dim", ["d_id", "name"]),
         JoinType.INNER,
-        [C("dim_id")],
-        [C("d_id")],
+        condition=C("dim_id") == C("d_id"),
     )
 
 
@@ -295,8 +294,7 @@ class TestGenerations:
             ScanNode("a", ["k", "x"]),
             ScanNode("b", ["k2", "y"]),
             JoinType.INNER,
-            [C("k")],
-            [C("k2")],
+            condition=C("k") == C("k2"),
         )
         plan = db.planner().plan(query)
         join = next(n for n in plan.walk() if isinstance(n, PhysJoin))
@@ -323,8 +321,7 @@ class TestGenerations:
             ScanNode("big1", ["a", "jbig1"]),
             ScanNode("big2", ["b", "jbig2"]),
             JoinType.INNER,
-            [C("jbig1")],
-            [C("jbig2")],
+            condition=C("jbig1") == C("jbig2"),
         )
         v2_plan = db.planner().plan(query)
         v2_join = next(n for n in v2_plan.walk() if isinstance(n, PhysJoin))
@@ -338,7 +335,7 @@ class TestGenerations:
     def test_rewrite_wrapper(self):
         fact, dim = scans()
         dim.predicate = C("d_id") == L(3)
-        join = JoinNode(fact, dim, JoinType.LEFT, [C("dim_id")], [C("d_id")])
+        join = JoinNode(fact, dim, JoinType.LEFT, condition=C("dim_id") == C("d_id"))
         plan = FilterNode(join, C("name") == L("x"))
         result = rewrite(plan)
         assert join.join_type is JoinType.INNER  # converted
@@ -379,8 +376,7 @@ class TestPlanCopiesNodesNotExpressions:
                 ScanNode("fact", ["f_id", "dim_id", "v"]),
                 ScanNode("dim", ["d_id", "name"], predicate=C("d_id") == L(7)),
                 JoinType.LEFT,
-                [C("dim_id")],
-                [C("d_id")],
+                condition=C("dim_id") == C("d_id"),
             ),
             And(C("name") == L("d7"), C("v") > L(5.0)),
         )

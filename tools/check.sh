@@ -38,7 +38,9 @@ echo "== fuzz corpus against the oracle =="
 # payloads they stand for, column COPY against the per-line loader,
 # the group-key kernel, narrow projections against the super
 # projection alone, co-located / broadcast / resegmented joins on a
-# 3-node cluster against the join oracle, the one-pattern lexer and
+# 3-node cluster against the join oracle (with and without a non-key
+# ON conjunct), three-table joins through SQL against a nested loop
+# (each conjunct in an ON or in WHERE), the one-pattern lexer and
 # the precedence-climbing parser against the character-walking lexer
 # and fully parenthesised text, and the one serving-copy chooser
 # against the scan, replicated-scan and recovery choosers it replaced.
@@ -51,6 +53,7 @@ REPRO_FUZZ_SEEDS="7,${GIT_SEED}" REPRO_SANITIZE=1 \
     tests/execution/test_kernels_properties.py::test_key_kernel_matches_a_dict_of_lists \
     tests/integration/test_narrow_projections.py \
     tests/execution/test_join_properties.py::test_distributed_joins_equal_the_oracle \
+    tests/execution/test_join_properties.py::test_three_table_joins_equal_the_nested_loop \
     tests/sql/test_front_end_properties.py::test_one_pattern_lexes_as_the_character_walk \
     tests/sql/test_front_end_properties.py::test_minimal_parentheses_parse_as_full_ones \
     tests/cluster/test_serving_copy_properties.py

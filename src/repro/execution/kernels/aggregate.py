@@ -14,8 +14,11 @@ per row.  Which it is reads only the block, in this order:
 * **keys known to sit in runs** (every key RLE, or the keys are the
   block's leading ``sorted_by`` columns) — key changes found at C speed;
 * **one dictionary key** — positions bucketed by integer code;
+* **one other key, COUNT only** — a ``Counter`` of its values;
 * **any other keys** — key changes counted; positions bucketed by key
-  when that is the cheaper fold (:func:`_by_key`), else runs.
+  when that is the cheaper fold (:func:`_by_key`), else runs.  One key
+  column's own values label its rows; a key tuple is made once per
+  distinct label, never per row.
 
 Keys are whatever the key expressions evaluate to — columns, or the
 lists an expression key computes — and any aggregate folds, DISTINCT
@@ -81,12 +84,18 @@ def absorb_block_kernel(core, groups: dict, block) -> None:
             in_runs = in_runs or names == set((block.sorted_by or ())[: len(names)])
         if len(key_columns) == 1 and isinstance(first, DictVector) and not in_runs:
             keys = [(entry,) for entry in key_values(first, first.entries)]
-            _fold_buckets(core, groups, first.codes, keys, args)
+            _fold_buckets(core, groups, first.codes, keys.__getitem__, args)
             return
         key_lists = [key_values(column) for column in key_columns]
-        starts = run_starts(key_lists, row_count)
-        if not in_runs and _by_key(key_lists, starts, row_count):
-            _fold_buckets(core, groups, zip(*key_lists), None, args)
+        one = len(key_lists) == 1
+        # a COUNT-only block over one key is a histogram of it: no runs
+        histogram = one and not in_runs and all(values is None for values, _ in args)
+        starts = None if histogram else run_starts(key_lists, row_count)
+        if histogram or not in_runs and _by_key(key_lists, starts, row_count):
+            if one:  # the column's own values label its rows
+                _fold_buckets(core, groups, key_lists[0], lambda label: (label,), args)
+            else:
+                _fold_buckets(core, groups, zip(*key_lists), None, args)
             return
         run_keys = zip(*[map(keys.__getitem__, starts) for keys in key_lists])
     for key, start, stop in zip(run_keys, starts, [*starts[1:], row_count]):
@@ -106,17 +115,18 @@ def _group(core, groups: dict, key: tuple) -> list:
 
 def _by_key(key_lists: list[list], starts: list[int], row_count: int) -> bool:
     """Whether bucketing the block's positions by key folds it cheaper
-    than folding its runs.  Measured on 4096-row blocks: a run costs
-    about a probe and a fold, a distinct key two, and bucketing a row an
-    eighth of one — so runs under two rows long always bucket, runs of
-    eight or more never do, and in between the distinct keys decide."""
+    than folding its runs.  Measured on 4096-row blocks (COUNT and SUM):
+    a run costs about a probe and a fold (2-3 us), a distinct key two,
+    and bucketing a row a sixteenth of one — so runs under two rows long
+    always bucket, runs of sixteen or more never do, and in between the
+    distinct keys decide."""
     runs = len(starts)
     if 2 * runs > row_count:
         return True
-    if 8 * runs <= row_count:
+    if 16 * runs <= row_count:
         return False
     keys = set(zip(*[map(values.__getitem__, starts) for values in key_lists]))
-    return 8 * (runs - 2 * len(keys)) > row_count
+    return 16 * (runs - 2 * len(keys)) > row_count
 
 
 def run_starts(key_lists: list[list], row_count: int) -> list[int]:
@@ -131,10 +141,11 @@ def run_starts(key_lists: list[list], row_count: int) -> list[int]:
     return [0, *compress(range(1, row_count), changed)]
 
 
-def _fold_buckets(core, groups: dict, labels, keys, args) -> None:
+def _fold_buckets(core, groups: dict, labels, key_of, args) -> None:
     """Bucket the block's positions by ``labels`` once — dictionary
-    codes with ``keys[code]`` the group key, or the key tuples
-    themselves — then one probe and one bulk fold per distinct label."""
+    codes or one key column's values, ``key_of(label)`` the group key, or
+    (``key_of`` None) the key tuples themselves — then one probe and one
+    bulk fold per distinct label."""
     counting = all(values is None for values, _ in args)
     if counting:  # nothing reads a column: a histogram is the answer
         buckets = Counter(labels)
@@ -147,7 +158,7 @@ def _fold_buckets(core, groups: dict, labels, keys, args) -> None:
             count, first, take = bucket, None, None
         else:
             count, first, take = len(bucket), bucket[0], itemgetter(*bucket)
-        key = label if keys is None else keys[label]
+        key = label if key_of is None else key_of(label)
         _fold(_group(core, groups, key), args, count, first, take)
 
 

@@ -16,6 +16,11 @@ What the kernels exploit, per column representation:
   decompressing");
 * **RLE vectors** — the test runs once per run, emitting position
   ranges, so a block of K runs costs O(K) regardless of row count;
+* **plain columns** — a comparison, BETWEEN or IN over a NULL-free
+  column (a vector's NULL count says so, a bare list one ``None in``
+  scan) is ``map`` passes of :mod:`operator` functions, no Python call
+  per row (Rozenberg's "a predicate is a bulk operation over its
+  column"); a column holding NULLs runs the test per non-NULL value;
 * **the block's sort order** — a conjunction first walks the sort
   prefix: comparisons and BETWEEN on the next sort column narrow a
   window ``[lo, hi)`` by binary search *inside the window the columns
@@ -28,15 +33,16 @@ What the kernels exploit, per column representation:
 
 Three-valued logic: a Selection records rows where the predicate is
 definitely TRUE.  NOT is therefore *pushed to the leaves* (De Morgan is
-sound in Kleene logic) and each leaf bakes negation into its scalar
-test over non-NULL values; NULL rows never enter a selection — SQL's
+sound in Kleene logic) and each leaf bakes negation into its tests
+over non-NULL values; NULL rows never enter a selection — SQL's
 "NULL does not pass", exactly as ``Expr.evaluate`` under a filter.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from operator import itemgetter
+from itertools import repeat
+from operator import and_, eq, ge, gt, is_, is_not, itemgetter, le, lt, ne, not_
 
 from ..expressions import (
     And,
@@ -56,31 +62,15 @@ from .selection import Selection
 from .vectors import ColumnVector, DictVector, RleVector, as_list, null_count_of
 
 #: Comparison op under logical negation — for the *seek*, which only
-#: ever runs over NULL- and NaN-free values.  A leaf's scalar test may
-#: meet a NaN, where ``NOT (v < x)`` is TRUE and ``v >= x`` is not, so
-#: it negates the test itself (``_NEGATED_TESTS``).
+#: ever runs over NULL- and NaN-free values.  A leaf's tests may meet a
+#: NaN, where ``NOT (v < x)`` is TRUE and ``v >= x`` is not, so they
+#: negate the comparison's answer instead.
 _NEGATED_OP = {"=": "<>", "<>": "=", "<": ">=", "<=": ">", ">": "<=", ">=": "<"}
 
 #: Comparison op mirrored across its operands (literal <op> column).
 _MIRRORED_OP = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "<>": "<>"}
 
-_SCALAR_TESTS = {
-    "=": lambda lit: lambda v: v == lit,
-    "<>": lambda lit: lambda v: v != lit,
-    "<": lambda lit: lambda v: v < lit,
-    "<=": lambda lit: lambda v: v <= lit,
-    ">": lambda lit: lambda v: v > lit,
-    ">=": lambda lit: lambda v: v >= lit,
-}
-
-_NEGATED_TESTS = {
-    "=": _SCALAR_TESTS["<>"],
-    "<>": _SCALAR_TESTS["="],
-    "<": lambda lit: lambda v: not v < lit,
-    "<=": lambda lit: lambda v: not v <= lit,
-    ">": lambda lit: lambda v: not v > lit,
-    ">=": lambda lit: lambda v: not v >= lit,
-}
+_OPERATORS = {"=": eq, "<>": ne, "<": lt, "<=": le, ">": gt, ">=": ge}
 
 
 class KernelPredicate:
@@ -347,13 +337,18 @@ def _compile_comparison(expr: Comparison, negated: bool):
     if literal is None:
         # comparison with NULL is NULL either way: nothing passes.
         return _const_none({name})
-    test = (_NEGATED_TESTS if negated else _SCALAR_TESTS)[op](literal)
+    compare = _OPERATORS[op]
+
+    def test(v):
+        return compare(v, literal) != negated
+
+    bulk = _bulk(lambda values: map(compare, values, repeat(literal)), negated)
     if negated:
         op = _NEGATED_OP[op]
     low = (literal, op != ">") if op in ("=", ">", ">=") else None
     high = (literal, op != "<") if op in ("=", "<", "<=") else None
     bounds = None if op == "<>" else _bounds(name, low, high)
-    return _make_leaf(name, test, bounds)
+    return _make_leaf(name, test, bulk, bounds)
 
 
 def _compile_between(expr: Between, negated: bool):
@@ -367,16 +362,25 @@ def _compile_between(expr: Between, negated: bool):
     low, high = expr.low.value, expr.high.value
     if low is None or high is None:
         return _const_none({name})
-    if negated:
-        def test(v, low=low, high=high):
-            return not low <= v <= high
+    try:
+        low <= high  # noqa: B015 - literals that order against each other
+    except TypeError:
+        # ``v <= high`` may raise where the row engine never asks it
+        # (``low <= v`` FALSE): only the chained scalar test answers alike
+        bulk = None
+    else:
+        bulk = _bulk(
+            lambda values: map(
+                and_, map(le, repeat(low), values), map(le, values, repeat(high))
+            ),
+            negated,
+        )
 
-        return _make_leaf(name, test)
+    def test(v):
+        return (low <= v <= high) != negated
 
-    def test(v, low=low, high=high):
-        return low <= v <= high
-
-    return _make_leaf(name, test, _bounds(name, (low, True), (high, True)))
+    bounds = None if negated else _bounds(name, (low, True), (high, True))
+    return _make_leaf(name, test, bulk, bounds)
 
 
 def _compile_in_list(expr: InList, negated: bool):
@@ -392,14 +396,12 @@ def _compile_in_list(expr: InList, negated: bool):
     choices = frozenset(option for option in options if option is not None)
     if not choices and not negated:
         return _const_none({name})
-    if negated:
-        def test(v, choices=choices):
-            return v not in choices
-    else:
-        def test(v, choices=choices):
-            return v in choices
 
-    return _make_leaf(name, test)
+    def test(v):
+        return (v in choices) != negated
+
+    bulk = _bulk(lambda values: map(choices.__contains__, values), negated)
+    return _make_leaf(name, test, bulk)
 
 
 def _compile_is_null(expr: IsNull, negated: bool):
@@ -416,10 +418,8 @@ def _compile_is_null(expr: IsNull, negated: bool):
             if want_null:
                 return Selection.none(row_count)
             return Selection.all_rows(row_count)
-        values = as_list(column)
-        if want_null:
-            return Selection.from_mask([value is None for value in values])
-        return Selection.from_mask([value is not None for value in values])
+        test = is_ if want_null else is_not
+        return Selection.from_mask(list(map(test, as_list(column), repeat(None))))
 
     return _Part(evaluate, {name})
 
@@ -434,7 +434,7 @@ def _compile_like(expr: Like, negated: bool):
     def test(v, regex=regex, want=want_match):
         return (regex.match(v) is not None) is want
 
-    return _make_leaf(name, test)
+    return _make_leaf(name, test, None)
 
 
 #: The specialised leaves; each returns None for a shape it does not
@@ -453,8 +453,20 @@ def _const_none(columns: set) -> _Part:
     return _Part(lambda _c, row_count, _s, _k: Selection.none(row_count), columns)
 
 
-def _make_leaf(name: str, test, bounds=None) -> _Part:
-    """Leaf evaluator dispatching on the column's representation."""
+def _bulk(flags, negated: bool):
+    """A leaf's test over a NULL-free value list as C-level passes:
+    ``flags(values)``, each flag negated under NOT — never the flipped
+    operator, which answers otherwise on a NaN."""
+    if negated:
+        return lambda values: map(not_, flags(values))
+    return flags
+
+
+def _make_leaf(name: str, test, bulk, bounds=None) -> _Part:
+    """Leaf evaluator dispatching on the column's representation:
+    ``test`` once per dictionary entry or run, ``bulk`` (None for a
+    shape without one) over a NULL-free plain column, else ``test`` per
+    non-NULL row."""
 
     def evaluate(columns, row_count, _sorted_by, _seeks):
         column = columns[name]
@@ -465,7 +477,7 @@ def _make_leaf(name: str, test, bounds=None) -> _Part:
                 return Selection.none(row_count)
             if all(truth):
                 return Selection.all_rows(row_count)
-            return Selection.from_mask([truth[code] for code in column.codes])
+            return Selection.from_mask(list(map(truth.__getitem__, column.codes)))
         if isinstance(column, RleVector):
             # test once per run, emit position ranges.
             ranges = []
@@ -476,6 +488,9 @@ def _make_leaf(name: str, test, bounds=None) -> _Part:
                 position += length
             return Selection.from_ranges(ranges, row_count)
         values = as_list(column)
+        nulls = null_count_of(column)
+        if bulk is not None and (not nulls if nulls is not None else None not in values):
+            return Selection.from_mask(list(bulk(values)))
         return Selection.from_mask(
             [value is not None and test(value) for value in values]
         )

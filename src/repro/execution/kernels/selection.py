@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from itertools import compress, count
+from operator import and_, ne, not_, or_
 
 from .vectors import ColumnVector, DictVector, PlainVector, RleVector
 
@@ -108,7 +109,7 @@ class Selection:
             for start, stop in self._ranges:
                 out.extend(range(start, stop))
             return out
-        return [index for index, flag in enumerate(self.mask()) if flag]
+        return list(compress(range(self.row_count), self._mask))
 
     # -- algebra ---------------------------------------------------------
 
@@ -122,8 +123,7 @@ class Selection:
             return Selection.from_ranges(
                 _intersect_ranges(self._ranges, other._ranges), self.row_count
             )
-        mask = [a and b for a, b in zip(self.mask(), other.mask())]
-        return Selection.from_mask(mask)
+        return Selection.from_mask(list(map(and_, self.mask(), other.mask())))
 
     def union(self, other: "Selection") -> "Selection":
         """Rows kept by either (disjunction)."""
@@ -134,8 +134,7 @@ class Selection:
         if self._ranges is not None and other._ranges is not None:
             merged = sorted(self._ranges + other._ranges)
             return Selection.from_ranges(merged, self.row_count)
-        mask = [a or b for a, b in zip(self.mask(), other.mask())]
-        return Selection.from_mask(mask)
+        return Selection.from_mask(list(map(or_, self.mask(), other.mask())))
 
     def invert(self) -> "Selection":
         """The complementary row set (bitmap algebra; see module note)."""
@@ -149,21 +148,24 @@ class Selection:
             if cursor < self.row_count:
                 out.append((cursor, self.row_count))
             return Selection.from_ranges(out, self.row_count)
-        return Selection.from_mask([not flag for flag in self.mask()])
+        return Selection.from_mask(list(map(not_, self._mask)))
 
     def shifted(self, offset: int, row_count: int) -> "Selection":
         """This selection of a window re-expressed over the
         ``row_count``-row block the window starts at ``offset`` of.
         Always ranges: a window's mask never grows to block length."""
-        if self._ranges is not None:
+        mask = self._mask
+        if mask is None:
             ranges = [(start + offset, stop + offset) for start, stop in self._ranges]
+        elif self.count:
+            # the kept runs alternate with the dropped ones between the
+            # positions where the mask flips
+            flips = compress(count(offset + 1), map(ne, mask[1:], mask))
+            edges = [offset, *flips, offset + len(mask)]
+            first = 0 if mask[0] else 1
+            ranges = list(zip(edges[first::2], edges[first + 1 :: 2]))
         else:
             ranges = []
-            for position in compress(count(offset), self._mask):
-                if ranges and ranges[-1][1] == position:
-                    ranges[-1] = (ranges[-1][0], position + 1)
-                else:
-                    ranges.append((position, position + 1))
         return Selection(row_count, ranges=ranges, count=self.count)
 
     # -- application -----------------------------------------------------

@@ -23,6 +23,7 @@ from ..execution.expressions import (
     Literal,
     Not,
     Or,
+    column_range_from_predicate,
 )
 from .stats import StatsCatalog, TableStats
 
@@ -41,9 +42,20 @@ def estimate_selectivity(predicate: Expr | None, stats: TableStats) -> float:
     if predicate is None:
         return 1.0
     if isinstance(predicate, And):
+        # the range conjuncts of one column (``a > 1 AND a < 9``) are one
+        # interval, asked of the histogram once: as two independent
+        # halves they multiply to many times the rows they keep
+        ranges: dict[str, list[Expr]] = {}
         result = 1.0
         for operand in predicate.operands:
-            result *= estimate_selectivity(operand, stats)
+            name = _range_column(operand)
+            if name is None:
+                result *= estimate_selectivity(operand, stats)
+            else:
+                ranges.setdefault(name, []).append(operand)
+        for name, conjuncts in ranges.items():
+            low, high = column_range_from_predicate(And(*conjuncts))[name]
+            result *= stats.column(name).histogram.selectivity_range(low, high)
         return result
     if isinstance(predicate, Or):
         result = 0.0
@@ -71,6 +83,16 @@ def estimate_selectivity(predicate: Expr | None, stats: TableStats) -> float:
             fraction = stats.column(column_names[0]).histogram.null_fraction
             return 1.0 - fraction if predicate.negated else fraction
     return DEFAULT_SELECTIVITY
+
+
+def _range_column(conjunct: Expr) -> str | None:
+    """The column ``conjunct`` bounds on one side or both — an inequality
+    or BETWEEN against literals — else None."""
+    if isinstance(conjunct, Between) or (
+        isinstance(conjunct, Comparison) and conjunct.op in ("<", "<=", ">", ">=")
+    ):
+        return next(iter(column_range_from_predicate(conjunct)), None)
+    return None
 
 
 def _comparison_selectivity(predicate: Comparison, stats: TableStats) -> float:

@@ -50,7 +50,8 @@ class Histogram:
 
     def selectivity_range(self, low, high) -> float:
         """Estimated fraction of rows with low <= value <= high
-        (``None`` bound = open)."""
+        (``None`` bound = open).  A bucket of numbers the range cuts
+        counts the share of its span the range covers (:func:`_covered`)."""
         if not self.bounds or self.total_rows == 0:
             return 1.0
         concrete_fraction = 1.0 - self.null_fraction
@@ -66,7 +67,7 @@ class Histogram:
                 bucket_low
             ) > sort_key(high):
                 continue
-            matched_buckets += 1
+            matched_buckets += _covered(bucket_low, bucket_high, low, high)
         return max(
             min(concrete_fraction * matched_buckets / len(self.bounds), 1.0),
             0.0,
@@ -78,6 +79,25 @@ class Histogram:
         if ndv <= 0:
             return 1.0
         return min((1.0 - self.null_fraction) / ndv, 1.0)
+
+
+def _covered(bucket_low, bucket_high, low, high) -> float:
+    """The share of the bucket ``(bucket_low, bucket_high]`` that the
+    range ``low .. high`` covers, the bucket's values spread evenly over
+    its span.  A bucket without a lower end, or whose ends or the
+    range's are not all numbers, counts whole."""
+    low = bucket_low if low is None else low
+    high = bucket_high if high is None else high
+    ends = (bucket_low, bucket_high, low, high)
+    if not all(type(end) in (int, float) and end == end for end in ends):
+        return 1.0
+    if bucket_low >= bucket_high:  # one value, repeated
+        return 1.0
+    if all(type(end) is int for end in ends):  # it holds bucket_low + 1 .. bucket_high
+        covered = min(high, bucket_high) - max(low, bucket_low + 1) + 1
+    else:
+        covered = min(high, bucket_high) - max(low, bucket_low)
+    return min(max(covered / (bucket_high - bucket_low), 0.0), 1.0)
 
 
 def estimate_ndv(sample: list, total_rows: int) -> float:

@@ -22,6 +22,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import compress, repeat
+from operator import ge
 
 from ..core.schema import TableDefinition
 from ..errors import StorageError, UnknownObjectError
@@ -921,7 +922,7 @@ class StorageManager:
         if container.meta.max_epoch > epoch:
             epochs = container.column_reader(EPOCH_COLUMN).read_range(start, end)
             visible = visible.intersect(
-                Selection.from_mask([e <= epoch for e in epochs])
+                Selection.from_mask(list(map(ge, repeat(epoch), epochs)))
             )
         return visible
 

@@ -65,12 +65,12 @@ def work(monkeypatch):
     make_leaf, from_mask = predicates._make_leaf, Selection.from_mask.__func__
     call = predicates.KernelPredicate.__call__
 
-    def counting_leaf(name, test, bounds=None):
+    def counting_leaf(name, test, *rest):
         def counted_test(value):
             counted["n"] += 1
             return test(value)
 
-        return make_leaf(name, counted_test, bounds)
+        return make_leaf(name, counted_test, *rest)
 
     def counting_mask(cls, mask):
         counted["n"] += len(mask)

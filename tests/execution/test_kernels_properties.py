@@ -10,6 +10,9 @@ oracle over hundreds of randomly drawn inputs:
   entry and broadcasting through the codes must select exactly the
   rows a per-row evaluation selects, for every comparison operator,
   IN lists and LIKE;
+* plain-column leaves — the bulk ``map`` form over a NULL-free column
+  and the guarded test over one holding NULLs must keep the rows a
+  per-row evaluation keeps, NaN and wrong-typed literals included;
 * selection algebra — intersect/union/invert on the dual mask/ranges
   representation must obey the boolean-algebra laws, and ``apply``
   must equal compress-by-mask on every vector kind.
@@ -22,12 +25,14 @@ and the group-by key kernel to a dict of lists.
 """
 
 import math
+import os
 import random
 
 import pytest
 
 from repro.execution.aggregates import Accumulator
 from repro.execution.expressions import (
+    Between,
     ColumnRef,
     Comparison,
     InList,
@@ -41,9 +46,12 @@ from repro.execution.kernels import (
     RleVector,
     Selection,
 )
+from repro.execution.kernels import predicates
 from repro.execution.kernels.predicates import compile_kernel_predicate
 
 COMPARISON_OPS = ("=", "<>", "<", "<=", ">", ">=")
+#: tools/check.sh: a pinned seed and one derived from the commit
+EXTRA_SEEDS = [int(s) for s in os.environ.get("REPRO_FUZZ_SEEDS", "").split(",") if s]
 AGG_FUNCS = ("COUNT", "SUM", "AVG", "MIN", "MAX")
 
 
@@ -183,6 +191,72 @@ def test_dict_in_list_and_like_match_row_oracle():
                 if expr.evaluate_row({"c": v})
             ]
             assert got == oracle, f"{expr!r} over {vector.values()}"
+
+
+# -- plain-column leaves -------------------------------------------------
+#
+# Over a NULL-free plain column a comparison, BETWEEN or IN leaf is
+# ``map`` passes of operator functions; over one holding NULLs it is the
+# scalar test per non-NULL value.  Either way, bare list or vector, it
+# must keep exactly the rows ``Expr.evaluate_row`` keeps — NaN in the
+# column or as the literal, ``-0.0`` beside ``0``, ints beside floats —
+# or raise the same exception type.
+
+PLAIN_POOLS = (
+    (-3, 0, 1, 2, 7, 2**70),
+    (-1.5, -0.0, 0.0, 0.25, 3.0, 7.0),
+    (-3, -0.0, 0, 0.0, 1, 1.0, True, 2.5),
+    ("", "a", "ab", "b", "z"),
+)
+
+
+def _random_plain_leaf(rng):
+    """``(values, column, expr)``: a plain column (bare list or vector,
+    NULL-free, NULL-bearing or NaN-bearing) and a leaf over it, maybe
+    negated, whose literals are drawn from the column's pool, NaN, NULL
+    or the other type family."""
+    pool = list(rng.choice(PLAIN_POOLS))
+    numeric = not isinstance(pool[0], str)
+    flavour = rng.choice(("clean", "nulls", "nan"))
+    if flavour == "nan" and numeric:
+        pool.append(float("nan"))
+    if flavour == "nulls":
+        pool.append(None)
+    values = [rng.choice(pool) for _ in range(rng.randrange(60))]
+    column = rng.choice((values, PlainVector(values, values.count(None))))
+    others = PLAIN_POOLS[3] if numeric else PLAIN_POOLS[0]
+    literals = pool + [float("nan"), None] + [rng.choice(others)]
+
+    def literal():
+        return rng.choice(literals) if rng.random() < 0.9 else rng.choice(pool)
+
+    c = ColumnRef("c")
+    shape = rng.choice(("cmp", "mirrored", "between", "in"))
+    if shape == "cmp":
+        expr = Comparison(rng.choice(COMPARISON_OPS), c, Literal(literal()))
+    elif shape == "mirrored":
+        expr = Comparison(rng.choice(COMPARISON_OPS), Literal(literal()), c)
+    elif shape == "between":
+        expr = Between(c, Literal(literal()), Literal(literal()))
+    else:
+        expr = InList(c, [literal() for _ in range(rng.randrange(4))])
+    return values, column, Not(expr) if rng.random() < 0.5 else expr
+
+
+def check_plain_leaves(seed, draws=1000):
+    rng = random.Random(seed)
+    for _ in range(draws):
+        values, column, expr = _random_plain_leaf(rng)
+        got = _outcome(lambda: _kernel_positions(expr, column, len(values)))
+        want = _outcome(
+            lambda: [i for i, v in enumerate(values) if expr.evaluate_row({"c": v})]
+        )
+        assert got == want, f"{expr!r} over {values}: kernel={got} oracle={want}"
+
+
+@pytest.mark.parametrize("seed", [4150, *EXTRA_SEEDS])
+def test_plain_leaves_match_row_oracle(seed):
+    check_plain_leaves(seed)
 
 
 def test_rle_predicate_matches_row_oracle():
@@ -326,7 +400,7 @@ import operator  # noqa: E402
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from repro.execution.expressions import And, Arithmetic, Between, IsNull, Or  # noqa: E402
+from repro.execution.expressions import And, Arithmetic, IsNull, Or  # noqa: E402
 from repro.execution.row_block import RowBlock  # noqa: E402
 from repro.types import sort_key  # noqa: E402
 
@@ -679,7 +753,6 @@ def test_nan_and_null_corner_cases_agree_across_engines(expr):
 # everything else exactly.
 
 import inspect  # noqa: E402
-import os  # noqa: E402
 from dataclasses import dataclass, replace  # noqa: E402
 
 from hypothesis import seed  # noqa: E402
@@ -850,7 +923,6 @@ group_cases = st.builds(
         lambda chosen: tuple(name for name in AGGREGATES if name in chosen)
     ),
 )
-EXTRA_SEEDS = [int(s) for s in os.environ.get("REPRO_FUZZ_SEEDS", "").split(",") if s]
 
 
 @pytest.mark.parametrize("seed_index", range(len(EXTRA_SEEDS) + 1))
@@ -920,6 +992,16 @@ def mutate_a_runs_fold_counts_nulls(monkeypatch):
     )
 
 
+def mutate_one_key_labels_are_not_key_tuples(monkeypatch):
+    """One key column's values bucket the rows, and each is taken for
+    its group key as it stands, not as the 1-tuple every key is."""
+    _plant(
+        monkeypatch, aggregate, "absorb_block_kernel",
+        [("lambda label: (label,)", "lambda label: label")],
+        also=[groupby],
+    )
+
+
 def mutate_count_partials_merged_by_count(monkeypatch):
     monkeypatch.setattr(AggregateSpec, "merge_func", property(lambda self: self.func))
 
@@ -942,6 +1024,10 @@ RUNS = GroupCase(
         ),
         (mutate_a_runs_fold_counts_nulls, replace(RUNS, aggregates=("COUNT(v)",))),
         (mutate_count_partials_merged_by_count, replace(RUNS, aggregates=("COUNT(*)", "COUNT(v)"))),
+        (
+            mutate_one_key_labels_are_not_key_tuples,
+            replace(RUNS, keys=("words",), order="none"),
+        ),
     ],
     ids=lambda value: getattr(value, "__name__", "").removeprefix("mutate_") or "case",
 )
@@ -951,3 +1037,18 @@ def test_planted_mutation_fails_the_key_kernel_property(mutate, case, monkeypatc
         mutate(monkeypatch)
         with pytest.raises(AssertionError, match="oracle"):
             check_groups(case)
+
+
+def test_planted_mutation_fails_the_plain_leaf_property(monkeypatch):
+    """NOT (v < x) compiled to ``v >= x`` over a plain column: the two
+    differ only where a NaN sits, which the property draws."""
+    check_plain_leaves(4150)
+    _plant(
+        monkeypatch, predicates, "_compile_comparison",
+        [("bulk = _bulk(lambda values: map(compare, values, repeat(literal)), negated)",
+          "flipped = _OPERATORS[_NEGATED_OP[op] if negated else op]\n"
+          "    bulk = _bulk(lambda values: map(flipped, values, repeat(literal)), False)")],
+    )
+    monkeypatch.setitem(predicates._LEAVES, Comparison, predicates._compile_comparison)
+    with pytest.raises(AssertionError, match="oracle"):
+        check_plain_leaves(4150)

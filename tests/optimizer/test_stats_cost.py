@@ -117,6 +117,46 @@ class TestSelectivity:
         sel = estimate_selectivity(IsNull(C("a")), self._stats())
         assert sel == 0.0
 
+    @pytest.mark.parametrize(
+        "predicate",
+        [
+            And(C("a") > L(400), C("a") < L(500)),
+            And(L(500) > C("a"), C("flag") == L("Y"), C("a") >= L(400)),
+            And(Between(C("a"), L(350), L(600)), C("a") <= L(499), C("a") > L(400)),
+        ],
+        ids=repr,
+    )
+    def test_a_range_on_one_column_is_one_interval(self, predicate):
+        """``a > 400 AND a < 500`` keeps a tenth of the rows, not the
+        product of its two halves (60 % x 50 %)."""
+        stats = self._stats()
+        sel = estimate_selectivity(predicate, stats)
+        if "flag" in repr(predicate):
+            sel /= estimate_selectivity(C("flag") == L("Y"), stats)
+        assert 0.1 / 1.5 <= sel <= 0.1 * 1.5
+
+
+def test_table3_q3_scan_estimate_is_within_half_again_of_what_ran(tmp_path):
+    """Q3 (``l_shipdate > 1200 AND l_shipdate < 1300``) on 3 nodes: the
+    scan's estimate beside the rows its scans returned."""
+    import re
+
+    from repro.workloads import cstore_benchmark as cb
+
+    data = cb.generate(scale=0.2)
+    db = Database(str(tmp_path / "db"), node_count=3, k_safety=1)
+    db.create_table(cb.lineitem_table())
+    db.load("lineitem", data.lineitem, direct_to_ros=True)
+    db.analyze_statistics()
+    (q3,) = [query for query in cb.queries() if query.name == "Q3"]
+    (estimate,) = re.findall(r"Scan lineitem\S* .*~(\d+) rows", db.sql("EXPLAIN " + q3.sql))
+    ran = sum(
+        int(rows)
+        for rows in re.findall(r"Scan\(lineitem\S* .*rows=(\d+)", db.sql("EXPLAIN ANALYZE " + q3.sql))
+    )
+    assert ran == sum(1 for row in data.lineitem if cb.D1 < row["l_shipdate"] < cb.D2)
+    assert max(int(estimate) / ran, ran / int(estimate)) <= 1.5, (estimate, ran)
+
 
 class TestCompressionAwareCost:
     def test_rle_column_cheaper_to_scan(self, tmp_path):

@@ -36,7 +36,8 @@ echo "== fuzz corpus against the oracle =="
 # corpus.  The same seeds drive the
 # write path's byte identity, AUTO's closed-form trial sizes against the
 # payloads they stand for, column COPY against the per-line loader,
-# the group-key kernel, narrow projections against the super
+# the group-key kernel, the plain-column predicate leaves against the
+# row engine, narrow projections against the super
 # projection alone, co-located / broadcast / resegmented joins on a
 # 3-node cluster against the join oracle (with and without a non-key
 # ON conjunct), three-table joins through SQL against a nested loop
@@ -51,6 +52,7 @@ REPRO_FUZZ_SEEDS="7,${GIT_SEED}" REPRO_SANITIZE=1 \
     tests/storage/test_write_path_byte_identity.py \
     tests/sql/test_copy_by_columns.py::test_column_copy_equals_the_per_line_loop \
     tests/execution/test_kernels_properties.py::test_key_kernel_matches_a_dict_of_lists \
+    tests/execution/test_kernels_properties.py::test_plain_leaves_match_row_oracle \
     tests/integration/test_narrow_projections.py \
     tests/execution/test_join_properties.py::test_distributed_joins_equal_the_oracle \
     tests/execution/test_join_properties.py::test_three_table_joins_equal_the_nested_loop \

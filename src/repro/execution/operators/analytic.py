@@ -24,9 +24,9 @@ from itertools import repeat
 
 from ...errors import ExecutionError
 from ...types import ordering_keys, sort_permutation
-from ..aggregates import Accumulator
+from ..aggregates import AggregateSpec
 from ..expressions import Expr
-from ..kernels.aggregate import run_starts
+from ..kernels.aggregate import aggregate_state, fold_runs, run_starts
 from ..kernels.vectors import as_list
 from ..row_block import VECTOR_SIZE, RowBlock
 from .base import Operator
@@ -113,11 +113,15 @@ class AnalyticOperator(Operator):
         position in ``partitions``."""
         func, arg = self.spec.func, self.spec.arg
         values = None if arg is None else as_list(arg.compiled()(whole))
+        clean = values is None or None not in values
+        folds = AggregateSpec(func, arg, self.spec.output_name) if func in _AGGREGATE else None
         out: list = []
         for start, stop in zip(peers, peers[1:]):
             if start in partitions:
                 first, dense = start, 0
-                accumulator = Accumulator(func, distinct=False)
+                if folds is not None:  # one group: the partition so far
+                    state = aggregate_state(folds)
+                    state.grow(1)
             dense += 1
             if func == "ROW_NUMBER":
                 out.extend(range(start - first + 1, stop - first + 1))
@@ -127,12 +131,8 @@ class AnalyticOperator(Operator):
             elif func == "DENSE_RANK":
                 value = dense
             else:
-                if values is None:
-                    accumulator.add_count_star(stop - start)
-                else:
-                    for item in values[start:stop]:
-                        accumulator.add(item)
-                value = accumulator.final()
+                fold_runs(state, [0], [start], [stop], values, clean)
+                value = state.results()[0]
             out.extend(repeat(value, stop - start))
         return out
 

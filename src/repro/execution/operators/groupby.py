@@ -27,97 +27,61 @@ from __future__ import annotations
 
 from ...errors import ExecutionError
 from ...lint import sanitizer
-from ..aggregates import AggregateSpec, make_accumulator
+from ..aggregates import AggregateSpec
 from ..expressions import ColumnRef, Expr
-from ..kernels.aggregate import absorb_block_kernel, key_values
+from ..kernels.aggregate import GroupTable, absorb_block_kernel, key_values
 from ..resource import ResourcePool, SpillFile
-from ..row_block import VECTOR_SIZE, RowBlock
+from ..row_block import RowBlock
 from .base import Operator, SourceBlocks
-
-
-def _group_output_block(
-    items: list[tuple[tuple, list]],
-    key_names: list[str],
-    specs: list[AggregateSpec],
-) -> RowBlock:
-    """Build an output block from (key, accumulators) pairs."""
-    columns: dict[str, list] = {name: [] for name in key_names}
-    for spec in specs:
-        columns[spec.output_name] = []
-    for key, accumulators in items:
-        for name, value in zip(key_names, key):
-            columns[name].append(value)
-        for spec, accumulator in zip(specs, accumulators):
-            columns[spec.output_name].append(accumulator.final())
-    return RowBlock(columns=columns, row_count=len(items))
 
 
 def merge_specs(specs: list[AggregateSpec]) -> list[AggregateSpec]:
     """Specs for the merge stage: fold partials by their merge function,
     reading from the partial column of the same output name."""
-    merged = []
     for spec in specs:
         if not spec.mergeable:
             raise ExecutionError(f"{spec.describe()} has no mergeable partial")
-        merged.append(
-            AggregateSpec(spec.merge_func, ColumnRef(spec.output_name), spec.output_name)
-        )
-    return merged
+    return [AggregateSpec(s.merge_func, ColumnRef(s.output_name), s.output_name) for s in specs]
 
 
 class _AggregationCore:
     """Shared accumulate-into-hash-table logic."""
 
-    def __init__(
-        self,
-        key_exprs: list[Expr],
-        key_names: list[str],
-        specs: list[AggregateSpec],
-    ):
+    def __init__(self, key_exprs: list[Expr], key_names: list[str], specs: list[AggregateSpec]):
         if len(key_exprs) != len(key_names):
             raise ExecutionError("group key exprs and names must align")
         self.key_exprs = key_exprs
         self.key_names = key_names
         self.specs = specs
         self._key_runs = [expr.compiled() for expr in key_exprs]
-        self._arg_runs = [
-            spec.arg.compiled() if spec.arg is not None else None for spec in specs
-        ]
-    def new_accumulators(self):
-        return [make_accumulator(spec) for spec in self.specs]
+        #: the keys' names, when all are columns: the ``sorted_by`` prefix that runs them
+        refs = all(isinstance(expr, ColumnRef) for expr in key_exprs)
+        self.sorting = {expr.name for expr in key_exprs} if refs else None
+        self._arg_runs = [spec.arg and spec.arg.compiled() for spec in specs]
+
+    def new_table(self) -> GroupTable:
+        return GroupTable(self.specs, self.key_names)
 
     def key_columns(self, block: RowBlock) -> list[list]:
         return [key_values(run(block)) for run in self._key_runs]
 
-    def absorb_block(self, groups: dict, block: RowBlock) -> None:
-        """Fold one block into the group hash table, a probe and a bulk
-        fold per key run or distinct key (:func:`absorb_block_kernel`)."""
-        absorb_block_kernel(self, groups, block)
-
     def to_partial_block(self, block: RowBlock) -> RowBlock:
         """Map raw rows 1:1 into the partial schema (no aggregation)."""
-        key_columns = self.key_columns(block)
-        arg_columns = [
-            run(block) if run is not None else None for run in self._arg_runs
-        ]
-        columns: dict[str, list] = {}
-        for name, values in zip(self.key_names, key_columns):
-            columns[name] = values
-        for spec, args in zip(self.specs, arg_columns):
-            if spec.func == "COUNT" and args is None:
-                columns[spec.output_name] = [1] * block.row_count
-            elif spec.func == "COUNT":
-                columns[spec.output_name] = [
-                    0 if value is None else 1 for value in args
-                ]
-            else:
+        columns = dict(zip(self.key_names, self.key_columns(block)))
+        for spec, run in zip(self.specs, self._arg_runs):
+            args = None if run is None else run(block)
+            if spec.func != "COUNT":
                 columns[spec.output_name] = list(args)
+            elif args is None:
+                columns[spec.output_name] = [1] * block.row_count
+            else:
+                columns[spec.output_name] = [0 if value is None else 1 for value in args]
         return RowBlock(columns=columns, row_count=block.row_count)
 
 
-def _absorb(op: Operator, groups: dict, block: RowBlock) -> None:
-    """Fold ``block`` into ``groups`` through ``op.core``, counted once."""
-    op.core.absorb_block(groups, block)
+def _absorb(op: Operator, table: GroupTable, block: RowBlock) -> None:
+    """Fold ``block`` into ``table`` (:func:`absorb_block_kernel`), counted."""
+    absorb_block_kernel(op.core, table, block)
     op.kernel_blocks += 1
 
 
@@ -179,9 +143,8 @@ class GroupByHashOperator(Operator):
 
     def _produce(self):
         budget = self._budget()
-        groups: dict = {}
+        table = self.core.new_table()
         spill_files: list[SpillFile] | None = None
-        partial_core: _AggregationCore | None = None
         overflow: SpillFile | None = None
         for block in self.children[0].blocks():
             self.rows_in += block.row_count
@@ -191,12 +154,12 @@ class GroupByHashOperator(Operator):
                     if self.merge_partials
                     else self.core.to_partial_block(block)
                 )
-                self._spill_partials(partial, partial_core, spill_files)
+                self._spill_partials(partial, spill_files)
                 continue
             if overflow is not None:
-                block = self._keep_known(groups, block, overflow)
-            _absorb(self, groups, block)
-            if self.spilled or budget is None or len(groups) <= budget:
+                block = self._keep_known(table, block, overflow)
+            _absorb(self, table, block)
+            if self.spilled or budget is None or len(table) <= budget:
                 continue
             self.spilled = True
             if self.pool is not None:
@@ -205,29 +168,24 @@ class GroupByHashOperator(Operator):
                 overflow = SpillFile()
                 continue
             spill_files = [SpillFile() for _ in range(self.SPILL_PARTITIONS)]
-            partial_core = _AggregationCore(
-                [ColumnRef(name) for name in self.core.key_names],
-                self.core.key_names,
-                merge_specs(self.core.specs)
-                if not self.merge_partials
-                else self.core.specs,
-            )
-            flushed = _group_output_block(
-                list(groups.items()), self.core.key_names, self.core.specs
-            )
-            groups = {}
-            self._spill_partials(flushed, partial_core, spill_files)
-        if spill_files is not None:
+            for flushed in table.blocks():
+                self._spill_partials(flushed, spill_files)
+            table = None
+        if spill_files is not None:  # each partition's partials merged
             for spill in spill_files:
-                partition_groups: dict = {}
-                for partial_block in spill.read_blocks():
-                    partial_core.absorb_block(partition_groups, partial_block)
+                merge = GroupByHashOperator(
+                    SourceBlocks(spill.read_blocks()), [], self.core.key_names,
+                    self.output_specs, merge_partials=True,
+                )
+                merge.cancel_token = self.cancel_token
+                yield from merge.blocks()
                 spill.close()
-                yield from self._emit(partition_groups, partial_core)
             return
         if sanitizer.enabled() and not self.spilled:
-            self._check_conservation(groups)
-        yield from self._emit(groups, self.core)
+            self._check_conservation(table)
+        if not table and not self.core.key_exprs and not self.spilled:
+            table.ids([()])  # a global aggregate over empty input: one row
+        yield from table.blocks()
         if overflow is not None:
             again = GroupByHashOperator(
                 SourceBlocks(overflow.read_blocks()),
@@ -241,64 +199,40 @@ class GroupByHashOperator(Operator):
             yield from again.blocks()
             overflow.close()
 
-    def _keep_known(self, groups: dict, block: RowBlock, overflow) -> RowBlock:
+    def _keep_known(self, table: GroupTable, block: RowBlock, overflow) -> RowBlock:
         """Over budget with aggregates that have no partial: the rows of
         keys already in the table; the rest go to ``overflow``."""
-        known = [key in groups for key in zip(*self.core.key_columns(block))]
+        known = list(map(table.index.__contains__, zip(*self.core.key_columns(block))))
         rest = block.filter([not flag for flag in known])
         if rest.row_count:
             overflow.write_block(rest)
         return block.filter(known)
 
-    def _check_conservation(self, groups: dict) -> None:
+    def _check_conservation(self, table: GroupTable) -> None:
         """Sanitizer: the COUNT(*) total across groups must equal the
         rows in, whichever rung absorbed each block — this operator's
         rows, or, merging partials, the rows into every partial stage
         under it (prepass flushes and its passthrough included)."""
-        star = next(
-            (
-                index
-                for index, spec in enumerate(self.output_specs)
-                if spec.func == "COUNT"
-                and spec.arg is None
-                and not spec.distinct
-            ),
-            None,
-        )
-        if star is None:
+        stars = [state for spec, state in zip(self.output_specs, table.states)
+                 if spec.func == "COUNT" and spec.arg is None and not spec.distinct]
+        if not stars:
             return
-        if self.merge_partials:
-            stages = list(_partial_stages(self))
-            if not stages:
-                return
-            rows_in = sum(stage.rows_in for stage in stages)
-            total = sum(group[star].total or 0 for group in groups.values())
+        if not self.merge_partials:
+            rows_in, total = self.rows_in, sum(stars[0].rows)
+        elif stages := list(_partial_stages(self)):  # a SUM of the partial counts
+            rows_in, total = sum(stage.rows_in for stage in stages), sum(stars[0].totals)
         else:
-            rows_in = self.rows_in
-            total = sum(group[star].count for group in groups.values())
+            return
         sanitizer.check_groupby_conservation(rows_in, total)
 
-    def _spill_partials(
-        self, block: RowBlock, partial_core: _AggregationCore, spill_files
-    ) -> None:
+    def _spill_partials(self, block: RowBlock, spill_files) -> None:
         buckets: list[list[int]] = [[] for _ in spill_files]
-        for index, key in enumerate(zip(*partial_core.key_columns(block))):
+        keys = zip(*[key_values(block.columns[name]) for name in self.core.key_names])
+        for index, key in enumerate(keys):
             buckets[hash(key) % len(spill_files)].append(index)
         for spill, bucket in zip(spill_files, buckets):
             if bucket:
                 spill.write_block(block.select_rows(bucket))
-
-    def _emit(self, groups: dict, core: _AggregationCore):
-        items = list(groups.items())
-        for start in range(0, len(items), VECTOR_SIZE):
-            yield _group_output_block(
-                items[start : start + VECTOR_SIZE], core.key_names, core.specs
-            )
-        if not items and not core.key_exprs and not self.spilled:
-            # a global aggregate over empty input still yields one row
-            yield _group_output_block(
-                [((), core.new_accumulators())], core.key_names, core.specs
-            )
 
     def label(self) -> str:
         keys = ", ".join(self.core.key_names) or "<global>"
@@ -346,9 +280,7 @@ class PrepassGroupByOperator(Operator):
         super().__init__([child])
         for spec in aggregates:
             if not spec.mergeable:
-                raise ExecutionError(
-                    f"aggregate {spec.describe()} cannot be prepassed"
-                )
+                raise ExecutionError(f"aggregate {spec.describe()} cannot be prepassed")
         self.core = _AggregationCore(key_exprs, key_names, aggregates)
         self.table_size = table_size or self.DEFAULT_TABLE_SIZE
         self.shut_off = False
@@ -356,7 +288,7 @@ class PrepassGroupByOperator(Operator):
         self.rows_out_partial = 0
 
     def _produce(self):
-        groups: dict = {}
+        table = self.core.new_table()
         for block in self.children[0].blocks():
             self.rows_in += block.row_count
             if self.shut_off:
@@ -364,32 +296,26 @@ class PrepassGroupByOperator(Operator):
                 self.rows_out_partial += partial.row_count
                 yield partial
                 continue
-            _absorb(self, groups, block)
-            if len(groups) >= self.table_size:
-                yield from self._flush(groups)
-                groups = {}
+            _absorb(self, table, block)
+            if len(table) >= self.table_size:
+                yield from self._flush(table)
+                table = self.core.new_table()
             if (
                 self.rows_in >= self.SHUTOFF_CHECK_ROWS
                 and self.rows_out_partial > self.SHUTOFF_RATIO * self.rows_in
             ):
                 # Not reducing: emit the current table and become a
                 # passthrough (the paper's runtime decision to stop).
-                if groups:
-                    yield from self._flush(groups)
-                    groups = {}
+                if table:
+                    yield from self._flush(table)
+                    table = self.core.new_table()
                 self.shut_off = True
-        if groups:
-            yield from self._flush(groups)
+        if table:
+            yield from self._flush(table)
 
-    def _flush(self, groups: dict):
-        items = list(groups.items())
-        self.rows_out_partial += len(items)
-        for start in range(0, len(items), VECTOR_SIZE):
-            yield _group_output_block(
-                items[start : start + VECTOR_SIZE],
-                self.core.key_names,
-                self.core.specs,
-            )
+    def _flush(self, table: GroupTable):
+        self.rows_out_partial += len(table)
+        yield from table.blocks()
 
     def label(self) -> str:
         keys = ", ".join(self.core.key_names) or "<global>"

@@ -33,7 +33,7 @@ from ..kernels.predicates import compile_kernel_predicate
 from ..kernels.selection import Selection
 from ..kernels.vectors import as_list
 from ..resource import ResourcePool
-from ..row_block import VECTOR_SIZE, RowBlock
+from ..row_block import VECTOR_SIZE, RowBlock, gather
 from ..sip import SipFilter
 from .base import Operator, SourceBlocks
 from .sort import SortKey, SortOperator
@@ -100,7 +100,7 @@ def _match(residual, left: RowBlock, rows: list, right: RowBlock, at: list,
         columns = {}
         for name in kernel.columns:
             side, positions = (left, rows) if name in left.columns else (right, at)
-            columns[name] = list(map(as_list(side.columns[name]).__getitem__, positions))
+            columns[name] = gather(side.columns[name], positions)
         keep = kernel(columns, len(rows)).mask()
         rows, at = list(compress(rows, keep)), list(compress(at, keep))
     if left_matched is not None:

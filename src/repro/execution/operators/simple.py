@@ -5,7 +5,7 @@ from __future__ import annotations
 from ...errors import ExecutionError
 from ...lint import sanitizer
 from ..expressions import Expr
-from ..kernels.aggregate import key_values
+from ..kernels.aggregate import GroupTable, key_values
 from ..kernels.predicates import compile_kernel_predicate
 from ..row_block import RowBlock
 from .base import Operator
@@ -126,8 +126,10 @@ class LimitOperator(Operator):
 
 
 class DistinctOperator(Operator):
-    """Removes duplicate rows (hash-based); NaNs are one value, as they
-    are one group (``kernels.aggregate.key_values``)."""
+    """Removes duplicate rows: a group table with no aggregate over every
+    column, so NaNs are one value as they are one group
+    (``kernels.aggregate.key_values``) and rows come out in first-seen
+    order."""
 
     op_name = "Distinct"
 
@@ -135,18 +137,11 @@ class DistinctOperator(Operator):
         super().__init__([child])
 
     def _produce(self):
-        seen: set = set()
+        table = None
         for block in self.children[0].blocks():
-            names = block.column_names
-            columns = [key_values(block.columns[name]) for name in names]
-            keep = []
-            for index in range(block.row_count):
-                key = tuple(column[index] for column in columns)
-                if key not in seen:
-                    seen.add(key)
-                    keep.append(index)
-            if keep:
-                yield block.select_rows(keep)
+            table = table or GroupTable([], block.column_names)
+            table.ids(zip(*[key_values(block.columns[name]) for name in table.names]))
+        yield from table.blocks() if table else ()
 
     def label(self) -> str:
         return "Distinct"

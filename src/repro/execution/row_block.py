@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..errors import ExecutionError
-from .kernels.vectors import as_list
+from .kernels.vectors import PlainVector, as_list, null_count_of
 
 #: Default number of rows per block flowing between operators.
 VECTOR_SIZE = 4096
@@ -86,10 +86,7 @@ class RowBlock:
     def select_rows(self, keep: list[int]) -> "RowBlock":
         """A new block containing only the rows at the given indexes."""
         return RowBlock(
-            columns={
-                name: list(map(as_list(values).__getitem__, keep))
-                for name, values in self.columns.items()
-            },
+            columns={name: gather(values, keep) for name, values in self.columns.items()},
             row_count=len(keep),
             sorted_by=self.sorted_by,
         )
@@ -166,6 +163,15 @@ class RowBlock:
                 row_count=min(size, self.row_count - start),
                 sorted_by=self.sorted_by,
             )
+
+
+def gather(column, positions) -> list:
+    """``column``'s values at ``positions``: a vector's gather keeps its
+    promise of no NULL (and, through its origin, of no NaN)."""
+    values = list(map(as_list(column).__getitem__, positions))
+    if null_count_of(column) == 0:
+        return PlainVector(values, 0, origin=column)
+    return values
 
 
 def sorted_prefix(sorted_by: tuple | None, available: set) -> tuple | None:

@@ -301,9 +301,12 @@ def sort_key(value: object) -> object:
 
 
 def any_nan(scalars) -> bool:
-    """Whether a NaN is among ``scalars``: only a NaN differs from
-    itself.  Machine numbers are settled by one ``sum``; anything else
-    (a NULL, a string, an integer past a float) by comparing."""
+    """Whether a NaN is among ``scalars`` (a sequence): only a NaN differs
+    from itself.  Machine numbers are settled by one ``sum``; anything
+    else (a NULL, a string, an integer past a float) by comparing — text
+    at once, not after ``sum`` has raised on it."""
+    if scalars and isinstance(scalars[0], str):
+        return any(map(ne, scalars, scalars))
     try:
         total = sum(scalars)
         if total == total:  # one NaN would have poisoned the sum

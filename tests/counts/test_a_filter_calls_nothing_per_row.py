@@ -6,7 +6,7 @@ vector or a bare list, as a WOS batch is — is ``map`` passes of
 operator functions: its scalar test runs zero times.  Over a dictionary
 column the test runs once per entry.  Above the scan, the join pass of
 the meter workloads (``COUNT(*) ... JOIN meter_sites ... GROUP BY
-kind``) probes its group table at most once per distinct key per block:
+kind``) looks up a group id at most once per distinct key per block:
 the key column's values are the histogram's labels, never runs of them.
 """
 
@@ -118,20 +118,21 @@ def test_a_count_over_the_join_pass_probes_once_per_key_per_block(meters_db, mon
     db, rows, meters = meters_db
     cut = meters[len(meters) // 3]
     absorbed = []
-    probes = Counter()
-    group, kernel = aggregate._group, aggregate.absorb_block_kernel
+    lookups = Counter()
+    ids, kernel = aggregate.GroupTable.ids, aggregate.absorb_block_kernel
 
-    def counting_group(core, groups, key):
-        probes["n"] += 1
-        return group(core, groups, key)
+    def counting_ids(table, keys):
+        keys = list(keys)
+        lookups["n"] += len(keys)
+        return ids(table, keys)
 
-    def spying_kernel(core, groups, block):
-        before = probes["n"]
-        kernel(core, groups, block)
+    def spying_kernel(core, table, block):
+        before = lookups["n"]
+        kernel(core, table, block)
         keys = set(core.key_columns(block)[0])
-        absorbed.append((block.row_count, len(keys), probes["n"] - before))
+        absorbed.append((block.row_count, len(keys), lookups["n"] - before))
 
-    monkeypatch.setattr(aggregate, "_group", counting_group)
+    monkeypatch.setattr(aggregate.GroupTable, "ids", counting_ids)
     monkeypatch.setattr(groupby, "absorb_block_kernel", spying_kernel)
     answer = db.sql(
         "SELECT kind, count(*) AS n FROM meter_readings "
@@ -141,4 +142,4 @@ def test_a_count_over_the_join_pass_probes_once_per_key_per_block(meters_db, mon
     assert {row["kind"]: row["n"] for row in answer} == want
     assert sum(count for count, _, _ in absorbed) >= sum(want.values())
     for count, keys, made in absorbed:
-        assert made <= keys, f"{made} probes for {keys} keys in a {count}-row block"
+        assert made <= keys, f"{made} lookups for {keys} keys in a {count}-row block"

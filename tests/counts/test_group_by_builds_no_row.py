@@ -5,12 +5,13 @@ direct-to-ROS loads plus rows still in the WOS.  The two scan-pass
 statements of the meter workloads, a rollup and a join-aggregate must
 run with no ``Sort`` under a GroupBy (a sort-prefix plan used to sort
 every surviving row to find runs the storage already has), no block
-turned into row dicts on its way into a group table — and, per block, no
-more hash probes than its key runs plus its distinct keys: a probe per
-run or per key, never per row.  The shapes that had a per-row path of
-their own fold the same way: an expression key folds once per group per
-block, and a DISTINCT argument adds a value once per run of it.  A COUNT
-over an RLE column is one accumulator call per run.
+turned into row dicts on its way into a group table, no object made per
+group (a group is an id into flat state lists) — and, per block, no
+more group-id lookups than its key runs: a lookup per run or per
+distinct key, never per row.  The shapes that had a per-row path of
+their own fold the same way: an expression key looks up each group once
+per block, and a DISTINCT argument folds into its group's set once per
+run or once per block.  A COUNT over an RLE column is one count per run.
 """
 
 import random
@@ -19,7 +20,6 @@ from collections import Counter
 import pytest
 
 from repro import ColumnDef, Database, TableDefinition, types
-from repro.execution.aggregates import Accumulator
 from repro.execution.executor import DistributedExecutor
 from repro.execution.kernels import RleVector, aggregate, as_list
 from repro.execution.operators import (
@@ -74,32 +74,25 @@ def loaded(tmp_path_factory):
 @pytest.fixture
 def spies(monkeypatch):
     """What the statement did: the operator roots it ran, the blocks its
-    group-bys absorbed with (probes, accumulator lists made) for each,
+    group-bys absorbed with the table and the group-id lookups for each,
     every block that became row dicts, and which operator yielded which
     block."""
     seen = {"roots": [], "absorbed": [], "to_rows": [], "yielded": []}
-    counted = {"probes": 0, "made": 0}
+    counted = {"lookups": 0}
     operator = DistributedExecutor.operator
-    group, kernel = aggregate._group, aggregate.absorb_block_kernel
-    make = groupby._AggregationCore.new_accumulators
+    ids, kernel = aggregate.GroupTable.ids, aggregate.absorb_block_kernel
     to_rows = RowBlock.to_rows
     blocks = Operator.blocks
 
-    def counting_group(core, groups, key):
-        counted["probes"] += 1
-        return group(core, groups, key)
+    def counting_ids(table, keys):
+        keys = list(keys)
+        counted["lookups"] += len(keys)
+        return ids(table, keys)
 
-    def counting_make(self):
-        counted["made"] += 1
-        return make(self)
-
-    def counting_kernel(core, groups, block):
-        before = dict(counted)
-        kernel(core, groups, block)
-        seen["absorbed"].append(
-            (core, block, counted["probes"] - before["probes"],
-             counted["made"] - before["made"])
-        )
+    def counting_kernel(core, table, block):
+        before = counted["lookups"]
+        kernel(core, table, block)
+        seen["absorbed"].append((core, table, block, counted["lookups"] - before))
 
     def spying_operator(self, plan):
         seen["roots"].append(operator(self, plan))
@@ -114,9 +107,8 @@ def spies(monkeypatch):
             seen["yielded"].append((self, block))
             yield block
 
-    monkeypatch.setattr(aggregate, "_group", counting_group)
+    monkeypatch.setattr(aggregate.GroupTable, "ids", counting_ids)
     monkeypatch.setattr(groupby, "absorb_block_kernel", counting_kernel)
-    monkeypatch.setattr(groupby._AggregationCore, "new_accumulators", counting_make)
     monkeypatch.setattr(DistributedExecutor, "operator", spying_operator)
     monkeypatch.setattr(RowBlock, "to_rows", spying_to_rows)
     monkeypatch.setattr(Operator, "blocks", spying_blocks)
@@ -203,43 +195,60 @@ def test_group_by_folds_runs_and_builds_no_row(loaded, spies, name):
         handed_on = {id(b) for o, b in spies["yielded"] if o in between}
         assert not handed_on & {id(block) for block in spies["to_rows"]}
     assert sum(op.kernel_blocks for op in group_bys) == len(spies["absorbed"]) >= 2
-    absorbed = {id(block) for _, block, _, _ in spies["absorbed"]}
+    absorbed = {id(block) for _, _, block, _ in spies["absorbed"]}
     assert not absorbed & {id(block) for block in spies["to_rows"]}
 
     folded = 0
-    for core, block, probes, made in spies["absorbed"]:
+    for core, table, block, lookups in spies["absorbed"]:
         keys = list(zip(*[as_list(block.column(e.name)) for e in core.key_exprs]))
         runs = 1 + sum(1 for a, b in zip(keys, keys[1:]) if a != b)
-        assert made <= len(set(keys))
-        assert probes <= runs + len(set(keys)), (
-            f"{probes} probes for a {block.row_count}-row block of {runs} "
-            f"key runs and {len(set(keys))} keys"
+        assert lookups <= runs, (
+            f"{lookups} group-id lookups for a {block.row_count}-row block of "
+            f"{runs} key runs and {len(set(keys))} keys"
         )
-        folded += 2 * probes <= block.row_count
-    assert folded, "no block was folded in fewer probes than half its rows"
+        folded += 2 * lookups <= block.row_count
+        # a group is an id: its state is an item of each flat list
+        for state in table.states:
+            for held in vars(state).values():
+                if isinstance(held, list):
+                    assert len(held) == len(table.index)
+                    assert all(isinstance(item, (int, float)) or item is None for item in held)
+    assert folded, "no block was folded in fewer lookups than half its rows"
+
+
+STATES = (
+    aggregate._State, aggregate._Total, aggregate._Extreme,
+    aggregate._Distinct, aggregate._User,
+)
 
 
 @pytest.fixture
 def folds(monkeypatch):
     """Every block a group table absorbed: ``(core, block, calls)``, the
-    calls being what the fold made into accumulators, by method."""
+    calls being what the fold made into state columns, by method — an
+    ``add_counts`` counted once per (group, rows) pair it was handed."""
     absorbed = []
     calls: Counter = Counter()
-    for name in ("add", "add_bulk", "add_run", "add_count_star"):
+    for state in STATES:
+        for name in ("add_counts", "fold", "fold_rows", "fold_weighted"):
+            if name not in vars(state):
+                continue
 
-        def counting(self, *args, _name=name, _method=getattr(Accumulator, name)):
-            calls[_name] += 1
-            return _method(self, *args)
+            def counting(self, *args, _name=name, _method=vars(state)[name]):
+                if _name == "add_counts":
+                    args = (list(args[0]),)
+                calls[_name] += len(args[0]) if _name == "add_counts" else 1
+                return _method(self, *args)
 
-        monkeypatch.setattr(Accumulator, name, counting)
-    absorb = groupby._AggregationCore.absorb_block
+            monkeypatch.setattr(state, name, counting)
+    absorb = groupby.absorb_block_kernel
 
-    def spying(self, groups, block):
+    def spying(core, table, block):
         before = Counter(calls)
-        absorb(self, groups, block)
-        absorbed.append((self, block, calls - before))
+        absorb(core, table, block)
+        absorbed.append((core, block, calls - before))
 
-    monkeypatch.setattr(groupby._AggregationCore, "absorb_block", spying)
+    monkeypatch.setattr(groupby, "absorb_block_kernel", spying)
     return absorbed
 
 
@@ -267,7 +276,9 @@ def test_an_expression_key_folds_once_per_group_per_block(loaded, folds):
     assert sum(block.row_count for _, block, _ in folds) > 500
     for core, block, calls in folds:
         groups = set(zip(*core.key_columns(block)))
-        assert sum(calls.values()) <= len(groups) * len(core.specs), (
+        # a count per group per COUNT; the SUM one pass over the block
+        assert calls["add_counts"] <= len(groups) * len(core.specs)
+        assert calls["fold"] + calls["fold_rows"] <= len(groups) * len(core.specs), (
             f"{dict(calls)} fold calls for {len(groups)} groups of a "
             f"{block.row_count}-row block"
         )
@@ -286,9 +297,10 @@ def test_a_distinct_argument_adds_once_per_run(loaded, folds):
     }
     assert sum(block.row_count for _, block, _ in folds) > 500
     for _, block, calls in folds:
-        pairs = [as_list(block.column("metric")), as_list(block.column("meter"))]
-        assert calls["add"] <= _runs(pairs), (
-            f"{calls['add']} adds for {_runs(pairs)} (metric, meter) runs "
+        metrics = [as_list(block.column("metric"))]
+        # a set update per run of the group key, or one pass per block
+        assert calls["fold"] <= _runs(metrics) and calls["fold_rows"] <= 1, (
+            f"{dict(calls)} fold calls for {_runs(metrics)} metric runs "
             f"of a {block.row_count}-row block"
         )
 
@@ -321,7 +333,7 @@ def departments(tmp_path_factory):
     ids=["grouped", "global"],
 )
 def test_an_rle_count_folds_once_per_run(departments, folds, sql, want):
-    """COUNT over an RLE column is one accumulator call per run of it
+    """COUNT over an RLE column is one (group, count) pair per run of it
     (a run's length is its count), whatever the block's row count."""
     rows = departments.sql(sql)
     assert {row.get("dept_id"): row["n"] for row in rows} == want

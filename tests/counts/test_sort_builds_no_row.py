@@ -158,8 +158,9 @@ def _window(func, partition, rows):
                 "COUNT": len(seen),
                 "SUM": _fold(seen, lambda a, b: a + b),
                 "AVG": None if not seen else _fold(seen, lambda a, b: a + b) / len(seen),
-                "MIN": _fold(seen, lambda a, b: b if b < a else a),
-                "MAX": _fold(seen, lambda a, b: b if b > a else a),
+                # as the sort orders them: NaN after every number
+                "MIN": min(seen, key=_rank, default=None),
+                "MAX": max(seen, key=_rank, default=None),
             }[func]
     return out
 

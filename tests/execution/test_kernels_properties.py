@@ -3,9 +3,11 @@
 Each property pits a kernel shortcut against the obvious decoded
 oracle over hundreds of randomly drawn inputs:
 
-* RLE run arithmetic — folding ``(value, length)`` runs into an
-  accumulator via :meth:`Accumulator.add_run` must equal folding the
-  decoded values one at a time, for every built-in aggregate;
+* RLE run arithmetic — folding ``(value, length)`` runs into a group
+  table's state column must equal folding the decoded values, and one
+  ``zip`` pass over rows and their group ids must equal a fold per group
+  and a fold per value, for every built-in aggregate (DISTINCT too), NaN
+  and NULL among the values;
 * dictionary comparisons — evaluating a predicate once per dictionary
   entry and broadcasting through the codes must select exactly the
   rows a per-row evaluation selects, for every comparison operator,
@@ -27,10 +29,12 @@ and the group-by key kernel to a dict of lists.
 import math
 import os
 import random
+from collections import Counter
+from itertools import compress
 
 import pytest
 
-from repro.execution.aggregates import Accumulator
+from repro.execution.aggregates import AggregateSpec
 from repro.execution.expressions import (
     Between,
     ColumnRef,
@@ -47,12 +51,14 @@ from repro.execution.kernels import (
     Selection,
 )
 from repro.execution.kernels import predicates
+from repro.execution.kernels.aggregate import aggregate_state, fold_runs
 from repro.execution.kernels.predicates import compile_kernel_predicate
 
 COMPARISON_OPS = ("=", "<>", "<", "<=", ">", ">=")
 #: tools/check.sh: a pinned seed and one derived from the commit
 EXTRA_SEEDS = [int(s) for s in os.environ.get("REPRO_FUZZ_SEEDS", "").split(",") if s]
 AGG_FUNCS = ("COUNT", "SUM", "AVG", "MIN", "MAX")
+NAN = float("nan")
 
 
 def _random_runs(rng, max_runs=12):
@@ -71,6 +77,8 @@ def _random_runs(rng, max_runs=12):
 def _final_close(a, b):
     if a is None or b is None:
         return a is None and b is None
+    if a != a or b != b:  # NaN
+        return a != a and b != b
     if isinstance(a, float) or isinstance(b, float):
         return math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-9)
     return a == b
@@ -78,42 +86,79 @@ def _final_close(a, b):
 
 # -- RLE run arithmetic --------------------------------------------------
 
+def _state(func, distinct, groups=1):
+    state = aggregate_state(AggregateSpec(func, ColumnRef("v"), "out", distinct))
+    state.grow(groups)
+    return state
+
+
+def _sort_order_extreme(func, values):
+    """MIN / MAX as the sort orders values: NaN after every number."""
+    ranked = [(value != value, value) for value in values if value is not None]
+    if not ranked:
+        return None
+    return (min if func == "MIN" else max)(ranked, key=lambda pair: pair)[1]
+
+
 @pytest.mark.parametrize("func", AGG_FUNCS)
 def test_add_run_matches_decoded_oracle(func):
+    """A global aggregate over an RLE column (a SUM folded as value x
+    length) equals the same aggregate over the decoded values."""
     rng = random.Random(4001)
-    for _ in range(200):
+    for index in range(200):
         runs = _random_runs(rng)
+        if rng.random() < 0.2:
+            runs.insert(rng.randrange(len(runs) + 1), (NAN, 1 + rng.randrange(3)))
         vector = RleVector(runs)
-        kernel = Accumulator(func, distinct=False)
-        for value, length in runs:
-            kernel.add_run(value, length)
-        oracle = Accumulator(func, distinct=False)
-        for value in vector.values():
-            oracle.add(value)
-        assert _final_close(kernel.final(), oracle.final()), (
-            f"{func} over runs {runs}: "
-            f"kernel={kernel.final()} oracle={oracle.final()}"
+        spec = AggregateSpec(func, ColumnRef("v"), "out", distinct=index % 2 == 1)
+        got = []
+        for column in (vector, PlainVector(vector.values(), 0)):
+            core = groupby._AggregationCore([], [], [spec])
+            table = core.new_table()
+            aggregate.absorb_block_kernel(core, table, RowBlock({"v": column}, len(column)))
+            got.append(table.states[0].results()[0])
+        kernel, decoded = got
+        assert _final_close(kernel, decoded), (
+            f"{spec.describe()} over runs {runs}: kernel={kernel} oracle={decoded}"
         )
+        if func in ("MIN", "MAX"):
+            assert _final_close(kernel, _sort_order_extreme(func, vector.values())), runs
 
 
 @pytest.mark.parametrize("func", AGG_FUNCS)
 def test_add_bulk_matches_add_loop(func):
+    """One ``zip`` pass over rows and their group ids equals a fold per
+    group and a fold per value."""
     rng = random.Random(4002)
-    for _ in range(200):
+    pool = (None, NAN, -0.0, 0, 1, 2.5, -7.25, 40)
+    for index in range(200):
+        distinct = index % 2 == 1
+        groups = 1 + rng.randrange(4)
         values = [
-            None if rng.random() < 0.25 else round(rng.uniform(-50, 50), 2)
+            rng.choice(pool) if rng.random() < 0.3 else round(rng.uniform(-50, 50), 2)
             for _ in range(rng.randrange(30))
         ]
-        null_count = sum(1 for v in values if v is None)
-        bulk = Accumulator(func, distinct=False)
-        bulk.add_bulk(values, null_count=null_count)
-        unknown = Accumulator(func, distinct=False)
-        unknown.add_bulk(values)  # null_count=None: must self-filter
-        loop = Accumulator(func, distinct=False)
-        for value in values:
-            loop.add(value)
-        assert _final_close(bulk.final(), loop.final())
-        assert _final_close(unknown.final(), loop.final())
+        gids = [rng.randrange(groups) for _ in values]
+        keep = [value is not None for value in values]
+        ids, kept = list(compress(gids, keep)), list(compress(values, keep))
+        rows = _state(func, distinct, groups)
+        if rows.counts:
+            rows.add_counts(Counter(ids).items())
+        if rows.reads:
+            rows.fold_rows(ids, kept)
+        per_group, per_value = _state(func, distinct, groups), _state(func, distinct, groups)
+        for gid in range(groups):
+            mine = [value for value, g in zip(values, gids) if g == gid]
+            fold_runs(per_group, [gid], [0], [len(mine)], mine, clean=False)
+            for value in mine:
+                fold_runs(per_value, [gid], [0], [1], [value], clean=False)
+            if func in ("MIN", "MAX"):
+                want = _sort_order_extreme(func, mine)
+                assert _final_close(rows.results()[gid], want), (func, mine)
+        for other in (per_group, per_value):
+            assert all(
+                _final_close(a, b) for a, b in zip(rows.results(), other.results())
+            ), (func, distinct, values, gids, rows.results(), other.results())
 
 
 def test_rle_vector_run_decode_round_trip():
@@ -405,7 +450,6 @@ from repro.execution.row_block import RowBlock  # noqa: E402
 from repro.types import sort_key  # noqa: E402
 
 SEEK_COLUMNS = ("c0", "c1", "c2", "c3")
-NAN = float("nan")
 #: per type family: the values a column is filled from, and literals on
 #: either side of them
 NUMBER_POOL = (-3, -1, -0.0, 0, 0.0, 1, 1.0, 2, 2.5, 3, 7)
@@ -437,6 +481,12 @@ def _encode(rng, values, representation):
                 runs.append((value, 1))
         return RleVector(runs, len(values))
     entries = list({repr(value): value for value in values}.values())
+    # a filtered container's dictionary also holds entries no row uses
+    numbers = [entry for entry in entries if entry == entry]
+    entries += [
+        entry + "~" if isinstance(entry, str) else entry + 1000
+        for entry in rng.sample(numbers, rng.randrange(min(3, len(numbers)) + 1))
+    ]
     rng.shuffle(entries)  # codes carry no order of their own
     code = {repr(entry): index for index, entry in enumerate(entries)}
     return DictVector([code[repr(value)] for value in values], entries)
@@ -757,7 +807,6 @@ from dataclasses import dataclass, replace  # noqa: E402
 
 from hypothesis import seed  # noqa: E402
 
-from repro.execution.aggregates import AggregateSpec  # noqa: E402
 from repro.execution.kernels import aggregate  # noqa: E402
 from repro.execution.operators import groupby  # noqa: E402
 from repro.execution.operators.base import SourceBlocks  # noqa: E402
@@ -770,11 +819,14 @@ KEY_POOLS = {
     "words": (None, "", "a", "ab", "b", "z"),
 }
 INT_POOL = (None, None, -3, 0, 1, 7, 2**70, -(2**70))
-FLOAT_POOL = (None, -1.5, 0.0, 0.25, 3.0, 1e9)
+FLOAT_POOL = (None, -1.5, 0.0, 0.25, 3.0, 1e9, NAN)
+#: name -> (function, argument column, DISTINCT)
 AGGREGATES = {
-    "COUNT(*)": ("COUNT", None), "COUNT(v)": ("COUNT", "v"), "SUM(v)": ("SUM", "v"),
-    "MIN(v)": ("MIN", "v"), "MAX(v)": ("MAX", "v"), "AVG(v)": ("AVG", "v"),
-    "SUM(w)": ("SUM", "w"),
+    "COUNT(*)": ("COUNT", None, False), "COUNT(v)": ("COUNT", "v", False),
+    "SUM(v)": ("SUM", "v", False), "MIN(v)": ("MIN", "v", False),
+    "MAX(v)": ("MAX", "v", False), "AVG(v)": ("AVG", "v", False),
+    "SUM(w)": ("SUM", "w", False), "MIN(w)": ("MIN", "w", False),
+    "MAX(w)": ("MAX", "w", False), "COUNT(DISTINCT w)": ("COUNT", "w", True),
 }
 REPRESENTATIONS = ("plain", "rle", "dict", "list")
 
@@ -832,11 +884,12 @@ def _group_blocks(case):
 
 
 def _specs(case, mergeable_only=False):
-    return [
-        AggregateSpec(func, None if arg is None else ColumnRef(arg), name)
-        for name, (func, arg) in AGGREGATES.items()
-        if name in case.aggregates and not (mergeable_only and func == "AVG")
+    specs = [
+        AggregateSpec(func, None if arg is None else ColumnRef(arg), name, distinct)
+        for name, (func, arg, distinct) in AGGREGATES.items()
+        if name in case.aggregates
     ]
+    return [spec for spec in specs if spec.mergeable or not mergeable_only]
 
 
 def _key(values):
@@ -855,10 +908,13 @@ def _oracle(names, rows, specs):
                 finals.append(len(members))
                 continue
             values = [m[spec.arg.name] for m in members if m[spec.arg.name] is not None]
+            if spec.distinct:  # all NaNs one value
+                values = list({_key([value]): value for value in values}.values())
             finals.append({
                 "COUNT": len, "SUM": lambda vs: sum(vs) if vs else None,
-                "MIN": lambda vs: min(vs, default=None),
-                "MAX": lambda vs: max(vs, default=None),
+                # as the sort orders them: NaN after every number
+                "MIN": lambda vs: min(vs, key=_sorts, default=None),
+                "MAX": lambda vs: max(vs, key=_sorts, default=None),
                 "AVG": lambda vs: sum(vs) / len(vs) if vs else None,
             }[spec.func](values))
         out[key] = finals
@@ -875,19 +931,21 @@ def _same_groups(got, want, specs, who):
 
 def _core_groups(names, blocks, specs):
     core = groupby._AggregationCore([ColumnRef(n) for n in names], names, specs)
-    groups: dict = {}
+    table = core.new_table()
     for block in blocks:
-        core.absorb_block(groups, block)
-    return {
-        _key(key): [accumulator.final() for accumulator in accumulators]
-        for key, accumulators in groups.items()
-    }
+        aggregate.absorb_block_kernel(core, table, block)
+    return _rows_groups(names, blocks_to_rows(table.blocks()), specs)
 
 
 def _operator_groups(names, operator, specs):
+    return _rows_groups(names, blocks_to_rows(operator.blocks()), specs)
+
+
+def _rows_groups(names, rows, specs):
+    """Output rows as {key: finals}; a row short of a column has None."""
     return {
-        _key(row[name] for name in names): [row[spec.output_name] for spec in specs]
-        for row in blocks_to_rows(operator.blocks())
+        _key(row.get(name) for name in names): [row.get(spec.output_name) for spec in specs]
+        for row in rows
     }
 
 
@@ -899,6 +957,17 @@ def check_groups(case):
     keys = [ColumnRef(name) for name in names]
     direct = groupby.GroupByHashOperator(SourceBlocks(blocks), keys, names, specs)
     _same_groups(_operator_groups(names, direct, specs), want, specs, "hash operator")
+    # over a budget of two groups: the rows of unknown keys spilled for a
+    # pass of their own (an aggregate with no partial), or partials
+    # spilled by key partition (every aggregate has one)
+    for who, chosen in (("overflow", specs), ("partitions", _specs(case, True))):
+        spilling = groupby.GroupByHashOperator(
+            SourceBlocks(blocks), keys, names, chosen, max_groups=2
+        )
+        _same_groups(
+            _operator_groups(names, spilling, chosen), _oracle(names, rows, chosen),
+            chosen, f"spilling to {who}",
+        )
     # two-phase, over the aggregates that have a partial
     specs = _specs(case, mergeable_only=True)
     want = _oracle(names, rows, specs)
@@ -961,13 +1030,23 @@ def mutate_a_runs_last_row_dropped(monkeypatch):
     )
 
 
-def mutate_bucket_path_shares_one_accumulator_list(monkeypatch):
+def mutate_bucket_path_folds_every_row_into_one_group(monkeypatch):
+    """Each group of a bucketed block handed every row's value, not the
+    values at its own positions: the counts stay right."""
     _plant(
-        monkeypatch, aggregate, "_fold_buckets",
-        [("    for label, bucket in buckets.items():",
-          "    shared = core.new_accumulators()\n"
-          "    for label, bucket in buckets.items():"),
-         ("_group(core, groups, key)", "groups.setdefault(key, shared)")],
+        monkeypatch, aggregate, "_fold_gathered",
+        [("itemgetter(*bucket)(values) if len(bucket) > 1 else [values[bucket[0]]]",
+          "values")],
+    )
+
+
+def mutate_zip_path_folds_every_row_into_one_group(monkeypatch):
+    """Every row of a block folded in the ``zip`` pass handed the id of
+    its first label's group: the counts stay right."""
+    _plant(
+        monkeypatch, aggregate, "_fold_labelled",
+        [("list(map(dict(zip(tally, gids)).__getitem__, labels))",
+          "[gids[0]] * len(labels)")],
     )
 
 
@@ -975,30 +1054,29 @@ def mutate_codes_read_through_another_blocks_dictionary(monkeypatch):
     """The first block's code -> key table kept for every later block
     (padded, so a later block's larger dictionary mis-keys, not raises)."""
     _plant(
-        monkeypatch, aggregate, "absorb_block_kernel",
-        [("keys = [(entry,) for entry in key_values(first, first.entries)]",
-          "keys = core.__dict__.setdefault('_kept', [(entry,) for entry "
-          "in key_values(first, first.entries)] + [(None,)] * 20)")],
-        also=[groupby],
+        monkeypatch, aggregate, "_labels",
+        [("entries = key_values(first, first.entries)",
+          "entries = globals().setdefault('_kept', "
+          "key_values(first, first.entries) + [None] * 20)")],
     )
 
 
 def mutate_a_runs_fold_counts_nulls(monkeypatch):
-    """The fold promises ``add_bulk`` a NULL-free slice it never checked."""
+    """An argument column that says how many NULLs it holds is folded
+    as though it held none, and each run counts its NULLs."""
     _plant(
-        monkeypatch, aggregate, "_fold",
-        [("accumulator.add_bulk(values[first : first + count], nulls)",
-          "accumulator.add_bulk(values[first : first + count], 0)")],
+        monkeypatch, aggregate, "_argument",
+        [("nulls == 0 or nulls is None and None not in values",
+          "nulls is not None or None not in values")],
     )
 
 
 def mutate_one_key_labels_are_not_key_tuples(monkeypatch):
-    """One key column's values bucket the rows, and each is taken for
-    its group key as it stands, not as the 1-tuple every key is."""
+    """One key column's values label the rows, and each is taken for its
+    group key as it stands, not as the 1-tuple every key is."""
     _plant(
-        monkeypatch, aggregate, "absorb_block_kernel",
-        [("lambda label: (label,)", "lambda label: label")],
-        also=[groupby],
+        monkeypatch, aggregate, "_labels",
+        [("return key_values(first), zip", "return key_values(first), iter")],
     )
 
 
@@ -1016,13 +1094,20 @@ RUNS = GroupCase(
 @pytest.mark.parametrize(
     "mutate, case",
     [
-        (mutate_a_runs_last_row_dropped, RUNS),
-        (mutate_bucket_path_shares_one_accumulator_list, replace(RUNS, order="none")),
+        (mutate_a_runs_last_row_dropped, replace(RUNS, keys=("words",), order="prefix")),
+        (
+            mutate_bucket_path_folds_every_row_into_one_group,
+            replace(RUNS, keys=("words",), order="none"),
+        ),
+        (mutate_zip_path_folds_every_row_into_one_group, replace(RUNS, order="none")),
         (
             mutate_codes_read_through_another_blocks_dictionary,
             replace(RUNS, keys=("words",), representations=("dict",) * 5, order="none"),
         ),
-        (mutate_a_runs_fold_counts_nulls, replace(RUNS, aggregates=("COUNT(v)",))),
+        (
+            mutate_a_runs_fold_counts_nulls,
+            replace(RUNS, keys=("words",), order="prefix", aggregates=("COUNT(v)",)),
+        ),
         (mutate_count_partials_merged_by_count, replace(RUNS, aggregates=("COUNT(*)", "COUNT(v)"))),
         (
             mutate_one_key_labels_are_not_key_tuples,

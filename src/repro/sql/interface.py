@@ -300,10 +300,13 @@ def _copy(session, statement: ast.CopyStatement, copy_rows) -> CopyResult:
     """Bulk load with rejected-record collection (section 7), a column
     at a time.
 
-    The lines are split once and transposed, and each COPY column is
-    parsed by one bulk call (:meth:`DataType.parse_column`); a column no
-    line named is NULL.  A line some column rejects, a line with the
-    wrong number of fields and a dict record take the per-line path,
+    The text lines with the right number of fields are joined and split
+    once, and each COPY column is a slice of the fields, parsed by one
+    bulk call (:meth:`DataType.parse_column`); a column no line named is
+    NULL.  No object is built per line, so a short COPY allocates too
+    little to start a garbage collection, which it would pay for whole.
+    A line some column rejects, a line with the wrong number of fields,
+    a field list and a dict record take the per-line path,
     :func:`_copy_record`, which loads the record or says why not (every
     line does when the column list names a column the table lacks).
     The good records keep their line order and are buffered as one run.
@@ -313,18 +316,14 @@ def _copy(session, statement: ast.CopyStatement, copy_rows) -> CopyResult:
     table = session.db.cluster.catalog.table(statement.table)
     columns = statement.columns or table.column_names
     records = list(copy_rows)
-    split = [
-        record.split("|") if isinstance(record, str)
-        else list(map(str, record)) if isinstance(record, (list, tuple))
-        else None
-        for record in records
-    ]
+    width = len(columns)
     lines = [
         index
-        for index, fields in enumerate(split)
-        if fields is not None and len(fields) == len(columns)
+        for index, record in enumerate(records)
+        if isinstance(record, str) and record.count("|") == width - 1
     ] if all(map(table.has_column, columns)) else []
-    texts = list(zip(*map(split.__getitem__, lines))) or [()] * len(columns)
+    fields = "|".join(map(records.__getitem__, lines)).split("|") if lines else []
+    texts = [fields[column::width] for column in range(width)]
     values = {name: [None] * len(lines) for name in table.column_names}
     rejected_at: set[int] = set()
     for name, column_texts in zip(columns, texts):

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from enum import Enum
+from functools import cached_property
 from itertools import chain, compress, repeat
 
 from ...errors import ExecutionError
@@ -31,7 +32,7 @@ from ..expressions import Expr
 from ..kernels.aggregate import run_starts
 from ..kernels.predicates import compile_kernel_predicate
 from ..kernels.selection import Selection
-from ..kernels.vectors import as_list
+from ..kernels.vectors import PlainVector, as_list
 from ..resource import ResourcePool
 from ..row_block import VECTOR_SIZE, RowBlock, gather
 from ..sip import SipFilter
@@ -113,8 +114,10 @@ def _match(residual, left: RowBlock, rows: list, right: RowBlock, at: list,
 
 
 class _HashBuild:
-    """A hash join's build side: ``block``, its rows plus a trailing NULL
-    row (what an unmatched probe row gathers), and ``table`` mapping each
+    """A hash join's build side: ``block``, its rows — columns that know
+    their NULL counts, so a gather of NULL-free ones promises no NULL —
+    ``padded``, the same plus a trailing NULL row (what an unmatched
+    probe row of a LEFT / FULL join gathers), and ``table`` mapping each
     key to its position — its position list unless ``unique``.  NULL is
     never a key; ``1`` / ``1.0`` / ``True`` are one, NaN finds itself."""
 
@@ -124,8 +127,13 @@ class _HashBuild:
             _join_keys(_key_columns(block, runs), block.row_count) for block in blocks
         ))
         self.row_count = count = len(keys)
-        nulls = _null_row(names)
-        self.block = RowBlock.concat([*(block.project(names) for block in blocks), nulls])
+        columns = {name: list(chain.from_iterable(
+            as_list(block.column(name)) for block in blocks
+        )) for name in names}
+        self.block = RowBlock(
+            {name: PlainVector(values, values.count(None)) for name, values in columns.items()},
+            count,
+        )
         table: dict = dict(zip(keys, range(count)))
         table.pop(None, None)
         self.unique = len(table) == count - keys.count(None)
@@ -135,6 +143,13 @@ class _HashBuild:
                 table[key].append(position)
             table.pop(None, None)
         self.table = table
+
+    @cached_property
+    def padded(self) -> RowBlock:
+        return RowBlock(
+            {name: [*as_list(values), None] for name, values in self.block.columns.items()},
+            self.row_count + 1,
+        )
 
 
 class HashJoinOperator(Operator):
@@ -265,7 +280,7 @@ class HashJoinOperator(Operator):
             if matched is not None:
                 for position in at:
                     matched[position] = 1
-            yield from _gather(probe, rows, build.block, at)
+            yield from _gather(probe, rows, build.padded if preserve_left else build.block, at)
         if matched is not None:
             unmatched = [position for position in range(null) if not matched[position]]
             nulls = _null_row(self.left_columns)
@@ -288,6 +303,8 @@ class HashJoinOperator(Operator):
         if self.join_type in (JoinType.LEFT, JoinType.FULL):
             alone = [row for row in range(block.row_count) if not hit[row]]
             rows, at = rows + alone, at + [build.row_count] * len(alone)
+            yield from _gather(probe, rows, build.padded, at)
+            return
         yield from _gather(probe, rows, build.block, at)
 
     def _merge_fallback(self, right_blocks):

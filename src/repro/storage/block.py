@@ -14,16 +14,14 @@ only sees the non-NULL values.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import mul
 
+from ..errors import EncodingError
 from ..monitor import METRICS
 from ..types import DataType
 from .encodings import ENCODINGS, Encoding, encode_auto
-from .serde import (
-    read_uvarint,
-    read_value,
-    write_uvarint,
-    write_value,
-)
+from .serde import read_uvarint, read_value, unpack_bits, write_uvarint, write_value
 
 #: Default number of rows per block.
 BLOCK_ROWS = 8192
@@ -107,13 +105,13 @@ def _presence_bitmap(values: list) -> bytes:
 
 
 def _apply_bitmap(bitmap: bytes, non_nulls: list, count: int) -> list:
-    """Rebuild a value list of length ``count`` from bitmap + non-NULLs."""
-    values = [None] * count
-    cursor = iter(non_nulls)
-    for index in range(count):
-        if bitmap[index >> 3] & (1 << (index & 7)):
-            values[index] = next(cursor)
-    return values
+    """Rebuild a value list of length ``count`` from bitmap + non-NULLs:
+    a row's rank among the non-NULL rows (0 if NULL) indexes ``[None, *non_nulls]``."""
+    present = unpack_bits(bitmap, 1, count)
+    if sum(present) != len(non_nulls):
+        raise EncodingError("the presence bitmap disagrees with the values")
+    slots = map(mul, present, accumulate(present))
+    return list(map([None, *non_nulls].__getitem__, slots))
 
 
 def value_bounds(non_nulls: list) -> tuple:

@@ -21,6 +21,7 @@ from functools import partial
 from itertools import islice
 from operator import is_not
 
+from ...errors import EncodingError
 from ...monitor import METRICS
 from ...types import FLOAT, INTEGER, VARCHAR, DataType
 from .base import ENCODINGS, BlockFacts, Encoding, register
@@ -98,6 +99,8 @@ class AutoEncoding(Encoding):
         return bytes([CANDIDATE_NAMES.index(chosen.name)]) + payload
 
     def decode(self, data: bytes, count: int) -> list:
+        if not data or data[0] >= len(CANDIDATE_NAMES):
+            raise EncodingError("AUTO payload without a valid encoding tag")
         chosen = ENCODINGS[CANDIDATE_NAMES[data[0]]]
         return chosen.decode(data[1:], count)
 

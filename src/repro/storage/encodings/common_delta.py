@@ -19,8 +19,9 @@ import zlib
 from itertools import accumulate
 from operator import sub
 
+from ...errors import EncodingError
 from ...types import DataType
-from ..serde import bit_width_for, pack_bits, read_svarint, read_svarints
+from ..serde import bit_width_for, inflate, pack_bits, read_svarint, read_svarints
 from ..serde import read_uvarint, unpack_bits, write_svarint, write_svarints
 from ..serde import write_uvarint
 from .base import BlockFacts, Encoding, register
@@ -47,15 +48,15 @@ class CompressedCommonDeltaEncoding(Encoding):
     def decode(self, data: bytes, count: int) -> list:
         if count == 0:
             return []
-        raw = zlib.decompress(data)
+        raw = inflate(data)
         first, offset = read_svarint(raw, 0)
         size, offset = read_uvarint(raw, offset)
         entries, offset = read_svarints(raw, offset, size)
         width, offset = read_uvarint(raw, offset)
         codes = unpack_bits(raw[offset:], width, count - 1)
-        return list(
-            accumulate((entries[code] for code in codes), initial=first)
-        )
+        if max(codes, default=-1) >= size:
+            raise EncodingError("a delta code beyond the dictionary")
+        return list(accumulate(map(entries.__getitem__, codes), initial=first))
 
     def supports(self, dtype: DataType, values: list, facts=None) -> bool:
         # any integer block: one with no common delta loses on size

@@ -43,7 +43,7 @@ class DeltaValueEncoding(Encoding):
             return []
         minimum, offset = read_svarint(data, 0)
         deltas, _ = read_uvarints(data, offset, count)
-        return [minimum + delta for delta in deltas]
+        return list(map(minimum.__add__, deltas))
 
     def supports(self, dtype: DataType, values: list, facts=None) -> bool:
         return dtype.integral and (facts or BlockFacts(values)).kinds <= {int}

@@ -17,12 +17,17 @@ from __future__ import annotations
 
 import struct
 import zlib
+from array import array
 from itertools import accumulate, chain
 from operator import sub
 
+from ...errors import EncodingError
 from ...types import DataType
-from ..serde import read_svarints, write_svarints
+from ..serde import inflate, lane_mask, read_svarints, unzigzag_lanes, varint_lanes, write_svarints
 from .base import BlockFacts, Encoding, register
+
+
+_LOW_WORD = (1 << 64) - 1
 
 
 def floats_to_ordered_ints(values: list[float]) -> list[int]:
@@ -37,12 +42,16 @@ def floats_to_ordered_ints(values: list[float]) -> list[int]:
     return [raw if raw >= 0 else raw ^ 0x7FFFFFFFFFFFFFFF for raw in raws]
 
 
-def ordered_ints_to_floats(raws: list[int]) -> list[float]:
-    """Inverse of :func:`float_to_ordered_int` over a whole block: one
-    pack and one unpack instead of a pair per value."""
-    patterns = [raw if raw >= 0 else raw ^ 0x7FFFFFFFFFFFFFFF for raw in raws]
-    count = len(patterns)
-    return list(struct.unpack(f"<{count}d", struct.pack(f"<{count}q", *patterns)))
+def deltas_to_floats(deltas: int, width: int, count: int) -> list[float]:
+    """The floats whose ordered ints have the deltas in ``deltas``, one
+    two's complement delta in each ``width``-byte lane (``width`` >= 8).
+    A delta may take 65 bits, so the sums are taken modulo 2**64."""
+    words = memoryview(deltas.to_bytes(width * count, "little")).cast("q")[:: width // 8]
+    ordered = int.from_bytes(array("Q", map(_LOW_WORD.__and__, accumulate(words))), "little")
+    # the sign fix of floats_to_ordered_ints: a negative one's low 63 bits flipped
+    signs = (ordered >> 63) & lane_mask(b"\x01" + bytes(7), 8 * count)
+    patterns = ordered ^ ((signs << 63) - signs)
+    return memoryview(patterns.to_bytes(8 * count, "little")).cast("d").tolist()
 
 
 class CompressedDeltaRangeEncoding(Encoding):
@@ -64,14 +73,17 @@ class CompressedDeltaRangeEncoding(Encoding):
         return zlib.compress(bytes(out), level=6)
 
     def decode(self, data: bytes, count: int) -> list:
-        raw = zlib.decompress(data)
+        raw = inflate(data)
         if count == 0:
             return []
+        if raw[:1] == bytes([self._FLOAT_TAG]):
+            read = varint_lanes(raw, 1, count, 8)
+            if read is None:  # cut short, or a delta beyond 65 bits
+                raise EncodingError("corrupt float deltas")
+            lanes, width, _ = read
+            return deltas_to_floats(unzigzag_lanes(lanes, width, count), width, count)
         deltas, _ = read_svarints(raw, 1, count)
-        values = list(accumulate(deltas))
-        if raw[0] == self._FLOAT_TAG:
-            return ordered_ints_to_floats(values)
-        return values
+        return list(accumulate(deltas))
 
     def supports(self, dtype: DataType, values: list, facts=None) -> bool:
         kinds = (facts or BlockFacts(values)).kinds

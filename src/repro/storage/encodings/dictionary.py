@@ -12,9 +12,10 @@ bit-packed to the smallest width that covers the dictionary size.
 
 from __future__ import annotations
 
+from ...errors import EncodingError
 from ...types import DataType
 from ..serde import bit_width_for, pack_bits, packed_size, read_uvarint
-from ..serde import read_value, unpack_bits, uvarint_size, write_uvarint
+from ..serde import read_values, unpack_bits, uvarint_size, write_uvarint
 from ..serde import write_values
 from .base import BlockFacts, Encoding, register
 
@@ -57,7 +58,7 @@ class BlockDictionaryEncoding(Encoding):
 
     def decode(self, data: bytes, count: int) -> list:
         entries, codes = self.decode_parts(data, count)
-        return [entries[code] for code in codes]
+        return list(map(entries.__getitem__, codes))
 
     def decode_parts(self, data: bytes, count: int) -> tuple[list, list[int]]:
         """Decode to ``(entries, codes)`` without mapping codes to values.
@@ -67,12 +68,11 @@ class BlockDictionaryEncoding(Encoding):
         codes as integers).
         """
         size, offset = read_uvarint(data, 0)
-        entries = []
-        for _ in range(size):
-            entry, offset = read_value(data, offset)
-            entries.append(entry)
+        entries, offset = read_values(data, offset, size)
         width, offset = read_uvarint(data, offset)
         codes = unpack_bits(data[offset:], width, count)
+        if max(codes, default=-1) >= size:
+            raise EncodingError("a code beyond the dictionary")
         return entries, codes
 
     def supports(self, dtype: DataType, values: list, facts=None) -> bool:

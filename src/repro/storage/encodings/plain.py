@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import zlib
 
-from ..serde import read_value, write_values
+from ..serde import inflate, read_values, write_values
 from .base import BlockFacts, Encoding, register
 
 
@@ -32,12 +32,7 @@ class PlainEncoding(Encoding):
         return facts.plain_size
 
     def decode(self, data: bytes, count: int) -> list:
-        values = []
-        offset = 0
-        for _ in range(count):
-            value, offset = read_value(data, offset)
-            values.append(value)
-        return values
+        return read_values(data, 0, count)[0]
 
 
 class CompressedPlainEncoding(PlainEncoding):
@@ -52,7 +47,7 @@ class CompressedPlainEncoding(PlainEncoding):
         return self.encode(values, facts)
 
     def decode(self, data: bytes, count: int) -> list:
-        return super().decode(zlib.decompress(data), count)
+        return super().decode(inflate(data), count)
 
 
 PLAIN = register(PlainEncoding())

@@ -14,8 +14,10 @@ runs without expanding them (section 6.1), which
 
 from __future__ import annotations
 
-from ..serde import interleave, read_uvarint, read_value, record_sizes
-from ..serde import uvarint_sizes, uvarints_size, write_uvarints, write_values
+from itertools import chain, repeat
+
+from ..serde import CONTINUING, interleave, read_uvarint, read_uvarints, read_value, record_sizes
+from ..serde import unzigzags, uvarint_sizes, uvarints_size, write_uvarints, write_values
 from .base import BlockFacts, Encoding, register
 
 
@@ -47,24 +49,36 @@ class RleEncoding(Encoding):
         return list(zip(facts.heads, facts.run_lengths))
 
     def decode(self, data: bytes, count: int) -> list:
-        values: list = []
-        for value, length in self.iter_runs(data, count):
-            values.extend([value] * length)
-        return values
+        heads, lengths = self._heads_and_lengths(data, count)
+        return list(chain.from_iterable(map(repeat, heads, lengths)))
 
     def iter_runs(self, data: bytes, count: int):
-        """Yield ``(value, run_length)`` pairs without materializing rows.
+        """``(value, run_length)`` pairs without materializing rows.
 
         This is the hook that lets GroupBy and Scan operate directly on
         encoded data.
         """
-        emitted = 0
-        offset = 0
+        return zip(*self._heads_and_lengths(data, count))
+
+    @staticmethod
+    def _heads_and_lengths(data: bytes, count: int) -> tuple[list, list[int]]:
+        """The run heads and the run lengths of ``count`` rows.  A block
+        of integers — a tag, a value and a length per run, all varints —
+        is read as a whole; one of other kinds run by run."""
+        if data[:1] == b"\x01":
+            words, _ = read_uvarints(data, 0, len(data.translate(None, CONTINUING)))
+            tags, lengths = words[0::3], words[2::3]
+            if len(words) % 3 == 0 and tags.count(1) == len(tags) and sum(lengths) == count:
+                return unzigzags(words[1::3]), lengths
+        heads, lengths = [], []
+        emitted = offset = 0
         while emitted < count:
             value, offset = read_value(data, offset)
             length, offset = read_uvarint(data, offset)
+            heads.append(value)
+            lengths.append(length)
             emitted += length
-            yield value, length
+        return heads, lengths
 
 
 RLE = register(RleEncoding())

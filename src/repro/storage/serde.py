@@ -10,7 +10,9 @@ Table 4 measures — easy to reason about.
 from __future__ import annotations
 
 import struct
-from itertools import accumulate, chain
+import zlib
+from itertools import accumulate, chain, repeat
+from operator import add, and_, lshift, neg, rshift, xor
 
 from ..errors import EncodingError
 
@@ -24,6 +26,22 @@ _TOP_BIT = bytes(b >> 7 for b in range(256))
 _DROPPED = bytes([1] + [0] * 255)
 #: ``_VARINT_BYTES[b]``: the length of the varint of a value ``b`` bits long.
 _VARINT_BYTES = bytes(max(1, -(-bits // 7)) for bits in range(256))
+#: A varint stream as UTF-8 for :func:`varint_lanes`: a byte that continues
+#: a varint is U+0880 + its 7-bit group, one that ends it U+0080 + its
+#: group and a tab.
+_TABBED_UTF8 = (
+    bytes(0xE0 if b & 0x80 else 0xC2 | (b & 0x40) >> 6 for b in range(256)),
+    bytes(0xA2 | (b & 0x40) >> 6 if b & 0x80 else 0x80 | b & 0x3F for b in range(256)),
+    bytes(0x80 | b & 0x3F if b & 0x80 else 0x09 for b in range(256)),
+)
+#: Such a character's low byte to its 7-bit group, a space (padding) to 0.
+_UNPAD = bytes(128) + bytes(range(128))
+#: The bytes that continue a varint.
+CONTINUING = bytes(range(0x80, 0x100))
+_LANE_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+#: ``_BIT_PLANES[w][k]``: code ``k`` of a byte of ``8 // w`` codes of ``w`` bits.
+_BIT_PLANES = {w: [bytes(b >> shift & (1 << w) - 1 for b in range(256)) for shift in range(0, 8, w)]
+               for w in (1, 2, 4)}
 
 
 def write_uvarint(out: bytearray, value: int) -> None:
@@ -169,48 +187,102 @@ def write_svarints(out: bytearray, values: list[int]) -> None:
     write_uvarints(out, zigzags(values))
 
 
-def read_uvarints(data: bytes, offset: int, count: int) -> tuple[list[int], int]:
-    """Read ``count`` consecutive unsigned varints; return
-    ``(values, new_offset)``.
+def lane_mask(pattern: bytes, size: int) -> int:
+    """``pattern`` repeated over ``size`` bytes as one little-endian int
+    (built per call: a cache keyed on block size grows with the sizes)."""
+    return int.from_bytes(pattern * (size // len(pattern)), "little")
 
-    The bulk form of :func:`read_uvarint` for the block decoders: one
-    call per block instead of one per value, with the varint loop
-    inlined.  A run of single-byte varints — small deltas, the common
-    case in sorted columns — is its own byte values and never enters
-    the loop.
-    """
+
+def varint_lanes(data: bytes, offset: int, count: int, width: int = 1):
+    """The ``count`` varints at ``offset`` as one little-endian int of
+    lanes of ``width`` bytes or more, a value each: ``(lanes, width,
+    new_offset)``, or None if a varint takes over 15 bytes or is cut
+    short.  A tab after each varint, expanded, pads it to its lane;
+    log2(width) mask-and-shift steps over the block close the gaps
+    between the 7-bit groups.  No step is taken per value."""
     head = data[offset : offset + count]
-    if len(head) == count and max(head, default=0) < 0x80:
-        return list(head), offset + count
+    if width == 1 and len(head) == count and head.isascii():
+        return int.from_bytes(head, "little"), 1, offset + count
+    stream = data[offset : offset + 15 * count]
+    units = bytearray(3 * len(stream))
+    for plane, table in enumerate(_TABBED_UTF8):
+        units[plane::3] = stream.translate(table)
+    text = units.decode("utf-8")
+    if text.count("\t") < count:
+        return None
+    # lanes wider than the mean varint: wide enough if all are equal
+    width = max(width, 1 << (-(-len(stream) // max(count, 1))).bit_length())
+    while True:
+        if width > 16:
+            return None
+        padded = text.expandtabs(width).encode("utf-16-le")[0 : 2 * width * count : 2]
+        if padded[width - 1 :: width] == b" " * count:
+            break
+        width *= 2
+    lanes = int.from_bytes(padded.translate(_UNPAD), "little")
+    half = 1
+    while half < width:
+        low = lanes & lane_mask(b"\xff" * half + b"\0" * half, len(padded))
+        lanes = low | ((lanes ^ low) >> half)
+        half *= 2
+    return lanes, width, offset + len(padded) - padded.count(b" ")
+
+
+def unzigzag_lanes(lanes: int, width: int, count: int) -> int:
+    """:func:`unzigzag` in every lane: each becomes its value's two's complement."""
+    signs = lanes & lane_mask(b"\x01".ljust(width, b"\0"), width * count)
+    return ((lanes ^ signs) >> 1) ^ ((signs << 8 * width) - signs)
+
+
+def lane_values(lanes: int, width: int, count: int, signed: bool = False) -> list[int]:
+    """The value in each of ``count`` lanes (two's complement if ``signed``)."""
+    packed = memoryview(lanes.to_bytes(width * count, "little"))
+    if width < 16:
+        fmt = _LANE_FORMATS[width]
+        return packed.cast(fmt.lower() if signed else fmt).tolist()
+    highs = packed.cast("q" if signed else "Q")[1::2]
+    return list(map(add, packed.cast("Q")[0::2], map(lshift, highs, repeat(64))))
+
+
+def _read_each(read, data: bytes, offset: int, count: int) -> tuple[list, int]:
+    """``count`` values read one at a time by ``read``."""
     values = []
-    append = values.append
-    try:
-        for _ in range(count):
-            byte = data[offset]
-            offset += 1
-            if byte < 0x80:
-                append(byte)
-                continue
-            result = byte & 0x7F
-            shift = 7
-            while True:
-                byte = data[offset]
-                offset += 1
-                result |= (byte & 0x7F) << shift
-                if byte < 0x80:
-                    break
-                shift += 7
-            append(result)
-    except IndexError:
-        raise EncodingError("truncated varint") from None
+    for _ in range(count):
+        value, offset = read(data, offset)
+        values.append(value)
     return values, offset
+
+
+def read_uvarints(data: bytes, offset: int, count: int, signed: bool = False):
+    """Read ``count`` unsigned (zigzag if ``signed``) varints: ``(values, new_offset)``."""
+    # a few varints read faster one at a time than through the lanes' fixed steps
+    read = varint_lanes(data, offset, count) if count > 8 else None
+    if read is None:  # or an integer beyond 2**105, or a short stream
+        return _read_each(read_svarint if signed else read_uvarint, data, offset, count)
+    lanes, width, offset = read
+    if signed:
+        lanes = unzigzag_lanes(lanes, width, count)
+    return lane_values(lanes, width, count, signed), offset
 
 
 def read_svarints(data: bytes, offset: int, count: int) -> tuple[list[int], int]:
     """Read ``count`` consecutive zigzag varints; return
     ``(values, new_offset)``."""
-    raws, offset = read_uvarints(data, offset, count)
-    return [(raw >> 1) ^ -(raw & 1) for raw in raws], offset
+    return read_uvarints(data, offset, count, signed=True)
+
+
+def unzigzags(raws: list[int]) -> list[int]:
+    """:func:`unzigzag` of every value of ``raws``."""
+    ones = repeat(1)
+    return list(map(xor, map(rshift, raws, ones), map(neg, map(and_, raws, ones))))
+
+
+def inflate(data: bytes) -> bytes:
+    """``zlib.decompress`` raising :class:`EncodingError` on a bad stream."""
+    try:
+        return zlib.decompress(data)
+    except zlib.error as exc:
+        raise EncodingError(f"corrupt compressed payload: {exc}") from None
 
 
 def write_double(out: bytearray, value: float) -> None:
@@ -220,6 +292,8 @@ def write_double(out: bytearray, value: float) -> None:
 
 def read_double(data: bytes, offset: int) -> tuple[float, int]:
     """Read an IEEE-754 little-endian double."""
+    if offset + 8 > len(data):
+        raise EncodingError("truncated double")
     return struct.unpack_from("<d", data, offset)[0], offset + 8
 
 
@@ -233,7 +307,12 @@ def write_string(out: bytearray, value: str) -> None:
 def read_string(data: bytes, offset: int) -> tuple[str, int]:
     """Read a length-prefixed UTF-8 string."""
     length, offset = read_uvarint(data, offset)
-    return data[offset : offset + length].decode("utf-8"), offset + length
+    if offset + length > len(data):
+        raise EncodingError("truncated string")
+    try:
+        return data[offset : offset + length].decode("utf-8"), offset + length
+    except UnicodeDecodeError as exc:
+        raise EncodingError(f"corrupt string: {exc}") from None
 
 
 def write_value(out: bytearray, value) -> None:
@@ -374,6 +453,8 @@ def values_size(values: list, kinds=None) -> int:
 
 def read_value(data: bytes, offset: int):
     """Read one self-describing SQL value; return ``(value, new_offset)``."""
+    if offset >= len(data):
+        raise EncodingError("truncated value")
     tag = data[offset]
     offset += 1
     if tag == 0:
@@ -389,6 +470,31 @@ def read_value(data: bytes, offset: int):
     if tag == 5:
         return False, offset
     raise EncodingError(f"unknown value tag {tag}")
+
+
+def read_values(data: bytes, offset: int, count: int) -> tuple[list, int]:
+    """Read ``count`` records of :func:`write_values`; return ``(values,
+    new_offset)``: in bulk if all are doubles, one-byte records or
+    integers (a tag and a varint: twice as many varints); strings and
+    mixed blocks record by record."""
+    end = offset + 9 * count
+    if len(data) >= end and data[offset:end:9] == b"\x02" * count:
+        body = bytearray(8 * count)
+        for byte in range(8):
+            body[byte::8] = data[offset + byte + 1 : end : 9]
+        return memoryview(body).cast("d").tolist(), end
+    end = offset + count
+    singles = data[offset:end]
+    if len(singles) == count and not singles.translate(None, b"\x00\x04\x05"):
+        return list(map({0: None, 4: True, 5: False}.__getitem__, singles)), end
+    if data[offset : offset + 1] == b"\x01":
+        try:
+            words, end = read_svarints(data, offset, 2 * count)
+        except EncodingError:  # not integers throughout: read record by record
+            words = []
+        if words[0::2].count(-1) == count:  # every tag the byte 1, zigzag -1
+            return words[1::2], end
+    return _read_each(read_value, data, offset, count)
 
 
 def pack_bits(values: list[int], bit_width: int) -> bytes:
@@ -410,23 +516,44 @@ def packed_size(count: int, bit_width: int) -> int:
 
 
 def unpack_bits(data: bytes, bit_width: int, count: int) -> list[int]:
-    """Inverse of :func:`pack_bits` for ``count`` values."""
+    """Inverse of :func:`pack_bits` for ``count`` values: widths 1, 2, 4
+    and 8 through per-byte tables, the others by :func:`_spread_bits`."""
     if bit_width == 0:
         return [0] * count
-    values = []
-    buffer = 0
-    bits = 0
-    mask = (1 << bit_width) - 1
-    position = 0
-    for _ in range(count):
-        while bits < bit_width:
-            buffer |= data[position] << bits
-            position += 1
-            bits += 8
-        values.append(buffer & mask)
-        buffer >>= bit_width
-        bits -= bit_width
-    return values
+    size = packed_size(count, bit_width)
+    data = bytes(data[:size])
+    if len(data) < size:
+        raise EncodingError("truncated bit-packed codes")
+    if bit_width == 8:
+        return list(data)
+    planes = _BIT_PLANES.get(bit_width)
+    if planes is None:
+        return _spread_bits(data, bit_width, count)
+    codes = bytearray(len(data) * len(planes))
+    for plane, table in enumerate(planes):
+        codes[plane :: len(planes)] = data.translate(table)
+    return list(codes[:count])
+
+
+def _spread_bits(data: bytes, bit_width: int, count: int) -> list[int]:
+    """:func:`unpack_bits` for widths up to 64: each ``bit_width`` bytes
+    (eight codes) move to eight lanes of their own, and three
+    mask-and-shift steps over the block move each code to its lane."""
+    lane = 1 << max(3, (bit_width - 1).bit_length())  # bits
+    if lane > 64:
+        raise EncodingError(f"bit width {bit_width} out of range")
+    groups = -(-count // 8)
+    data = data.ljust(groups * bit_width, b"\0")
+    spread = bytearray(groups * lane)  # eight lanes of lane // 8 bytes a group
+    for byte in range(bit_width):
+        spread[byte :: lane] = data[byte :: bit_width]
+    codes = int.from_bytes(spread, "little")
+    for half in (4, 2, 1):
+        unit = ((1 << half * bit_width) - 1).to_bytes(half * lane // 4, "little")
+        low = codes & lane_mask(unit, len(spread))
+        codes = low | ((codes ^ low) << half * (lane - bit_width))
+    packed = codes.to_bytes(len(spread), "little")
+    return memoryview(packed).cast(_LANE_FORMATS[lane // 8])[:count].tolist()
 
 
 def bit_width_for(max_value: int) -> int:

@@ -14,7 +14,10 @@ Per statement:
 * the SIP filter makes at most one membership test per dictionary
   entry, RLE run or plain value of each block — never one per row of an
   encoded key;
-* the answer is the reference.
+* the answer is the reference;
+* the build side's columns reach the operators above the join as
+  vectors that promise no NULL (none of them holds one), not as lists
+  of unknown NULL count.
 """
 
 import random
@@ -25,6 +28,7 @@ import pytest
 from repro import ColumnDef, Database, TableDefinition, types
 from repro.execution.executor import DistributedExecutor
 from repro.execution.kernels import DictVector, RleVector
+from repro.execution.kernels.vectors import null_count_of
 from repro.execution.operators import HashJoinOperator, join
 from repro.execution.row_block import RowBlock
 from repro.execution.sip import SipFilter
@@ -208,3 +212,24 @@ def test_sip_tests_runs_and_entries_not_rows(loaded, spies):
         if isinstance(column, (DictVector, RleVector))
     ]
     assert encoded and all(2 * tests <= row_count for row_count, tests in encoded)
+
+
+@pytest.mark.parametrize("name", STATEMENTS)
+def test_an_inner_join_gathers_build_columns_that_promise_no_null(loaded, monkeypatch, name):
+    db, readings, data = loaded
+    sql, reference = STATEMENTS[name]
+    gathered = []
+    gather = join._gather
+
+    def spying_gather(probe, rows, build, at):
+        for block in gather(probe, rows, build, at):
+            if build is not None:
+                gathered.extend(block.columns[column] for column in build.column_names)
+            yield block
+
+    monkeypatch.setattr(join, "_gather", spying_gather)
+    answer = {tuple(row.values())[0]: row["agg"] for row in db.sql(sql)}
+    assert answer == reference(readings, data)
+    # Q7 keeps none of the build side's columns above the join
+    assert gathered or name == "Q7"
+    assert [null_count_of(column) for column in gathered] == [0] * len(gathered)

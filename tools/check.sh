@@ -43,9 +43,10 @@ echo "== fuzz corpus against the oracle =="
 # ON conjunct), three-table joins through SQL against a nested loop
 # (each conjunct in an ON or in WHERE), the one-pattern lexer and
 # the precedence-climbing parser against the character-walking lexer
-# and fully parenthesised text, and the one serving-copy chooser
-# against the scan, replicated-scan and recovery choosers it replaced.
-# Zero divergences required.
+# and fully parenthesised text, the one serving-copy chooser
+# against the scan, replicated-scan and recovery choosers it replaced,
+# and every encoding's bulk block decoder against the value-at-a-time
+# one.  Zero divergences required.
 echo "   extra seeds: 7, ${GIT_SEED} (git-derived)"
 REPRO_FUZZ_SEEDS="7,${GIT_SEED}" REPRO_SANITIZE=1 \
     python -m pytest -q tests/integration/test_sql_differential_fuzz.py \
@@ -58,7 +59,8 @@ REPRO_FUZZ_SEEDS="7,${GIT_SEED}" REPRO_SANITIZE=1 \
     tests/execution/test_join_properties.py::test_three_table_joins_equal_the_nested_loop \
     tests/sql/test_front_end_properties.py::test_one_pattern_lexes_as_the_character_walk \
     tests/sql/test_front_end_properties.py::test_minimal_parentheses_parse_as_full_ones \
-    tests/cluster/test_serving_copy_properties.py
+    tests/cluster/test_serving_copy_properties.py \
+    tests/storage/test_bulk_decode_properties.py
 
 echo "== chaos seeds: two fixed + one fresh from the git SHA =="
 # The self-healing scenarios re-run on pinned seeds (regression

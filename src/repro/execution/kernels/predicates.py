@@ -40,9 +40,8 @@ over non-NULL values; NULL rows never enter a selection — SQL's
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from itertools import repeat
-from operator import and_, eq, ge, gt, is_, is_not, itemgetter, le, lt, ne, not_
+from operator import and_, eq, ge, gt, is_, is_not, le, lt, ne, not_
 
 from ..expressions import (
     And,
@@ -59,7 +58,7 @@ from ..expressions import (
 )
 from ..row_block import RowBlock
 from .selection import Selection
-from .vectors import ColumnVector, DictVector, RleVector, as_list, null_count_of
+from .vectors import ColumnVector, DictVector, RleVector, as_list, null_count_of, seek
 
 #: Comparison op under logical negation — for the *seek*, which only
 #: ever runs over NULL- and NaN-free values.  A leaf's tests may meet a
@@ -227,7 +226,7 @@ def _conjunction(parts: list[_Part]) -> _Part:
             equality = False
             for index in bounded[name]:
                 _, low, high = conjuncts[index].bounds
-                window = _seek(column, low, high, lo, hi)
+                window = seek(column, low, high, lo, hi)
                 if window is not None:
                     lo, hi = window
                     answered.append(index)
@@ -264,55 +263,6 @@ def _conjunction(parts: list[_Part]) -> _Part:
         return result.shifted(lo, row_count) if answered else result
 
     return _Part(evaluate, columns, conjuncts=conjuncts)
-
-
-def _seek(column, low, high, lo: int, hi: int):
-    """Narrow ``[lo, hi)`` — a window in which ``column`` is sorted
-    ascending, NULL- and NaN-free — to the rows inside the interval
-    ``low .. high`` (each None or ``(value, inclusive)``).  Returns the
-    new ``(lo, hi)``, or None when the literal does not order against
-    the column's values: the conjunct then runs as a plain test, which
-    answers (``=``) or raises (``<``) exactly as ``Expr.evaluate`` does.
-
-    The one place the kernels binary-search: over the value list of a
-    plain vector, over the run boundaries of an RLE vector, and over
-    the codes of a dictionary vector through its entries.
-    """
-    if lo >= hi:
-        return lo, hi
-    if isinstance(column, RleVector):
-        runs, starts = column.runs, column.starts()
-        first = bisect_right(starts, lo) - 1
-        last = bisect_left(starts, hi)
-
-        def position(search, value):
-            run = search(runs, value, first, last, key=itemgetter(0))
-            return starts[run] if run < len(runs) else hi
-
-    elif isinstance(column, DictVector):
-        codes, entry = column.codes, column.entries.__getitem__
-
-        def position(search, value):
-            return search(codes, value, lo, hi, key=entry)
-
-    else:
-        values = column.values()
-
-        def position(search, value):
-            return search(values, value, lo, hi)
-
-    try:
-        if low is not None:
-            value, inclusive = low
-            found = position(bisect_left if inclusive else bisect_right, value)
-            lo = min(max(lo, found), hi)
-        if high is not None:
-            value, inclusive = high
-            found = position(bisect_right if inclusive else bisect_left, value)
-            hi = min(max(lo, found), hi)
-    except TypeError:
-        return None
-    return lo, hi
 
 
 def _bounds(name: str, low, high):

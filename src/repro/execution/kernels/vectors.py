@@ -21,12 +21,19 @@ or a float NaN breaks.  :meth:`ColumnVector.is_ordered` answers that
 once per vector; a vector cut out of another (a visibility selection, a
 seek window) inherits a clean answer from the vector it was cut from,
 so the scan over a cached storage block is paid once per decode, not
-once per statement.
+once per statement.  :func:`seek` is the one binary search over such a
+vector: the kernels' sort-prefix seek and the storage walk's
+container skip both call it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from operator import itemgetter
+
 from ...types import any_nan
+
+_RUN_VALUE = itemgetter(0)
 
 
 class ColumnVector:
@@ -187,3 +194,52 @@ def null_count_of(column) -> int | None:
     if isinstance(column, ColumnVector):
         return column.null_count
     return None
+
+
+def seek(column: ColumnVector, low, high, lo: int, hi: int):
+    """Narrow ``[lo, hi)`` — a window in which ``column`` is sorted
+    ascending and :meth:`~ColumnVector.is_ordered` — to the rows inside
+    the interval ``low .. high`` (each None or ``(value, inclusive)``).
+    Returns the new ``(lo, hi)``, or None when the literal does not
+    order against the column's values (``TypeError``).
+
+    The one binary search over a sorted column: over the value list of
+    a plain vector, over the run heads of an RLE vector and over the
+    codes of a dictionary vector through its entries — neither is
+    decoded to values.  One ``bisect`` per bound, no closure.
+    """
+    if lo >= hi:
+        return lo, hi
+    starts = None
+    if isinstance(column, RleVector):
+        # runs [first, last) cover the window; a run index maps back to
+        # its start, the end of the window past the last run
+        starts = column.starts()
+        keys, key = column.runs, _RUN_VALUE
+        first, last = bisect_right(starts, lo) - 1, bisect_left(starts, hi)
+    elif isinstance(column, DictVector):
+        keys, key, first, last = column.codes, column.entries.__getitem__, lo, hi
+    else:
+        keys, key, first, last = column.values(), None, lo, hi
+    try:
+        # each end clamped into [lo, hi] by comparisons: min/max calls
+        # would cost as much as the searches
+        if low is not None:
+            value, inclusive = low
+            search = bisect_left if inclusive else bisect_right
+            found = search(keys, value, first, last, key=key)
+            if starts is not None:
+                found = starts[found] if found < last else hi
+            if found > lo:
+                lo = found if found < hi else hi
+        if high is not None:
+            value, inclusive = high
+            search = bisect_right if inclusive else bisect_left
+            found = search(keys, value, first, last, key=key)
+            if starts is not None:
+                found = starts[found] if found < last else hi
+            if found < hi:
+                hi = found if found > lo else lo
+    except TypeError:
+        return None
+    return lo, hi

@@ -21,7 +21,7 @@ from ..errors import EncodingError
 from ..monitor import METRICS
 from ..types import DataType
 from .encodings import ENCODINGS, Encoding, encode_auto
-from .serde import read_uvarint, read_value, unpack_bits, write_uvarint, write_value
+from .serde import read_uvarint, read_value, write_uvarint, write_value
 
 #: Default number of rows per block.
 BLOCK_ROWS = 8192
@@ -104,10 +104,18 @@ def _presence_bitmap(values: list) -> bytes:
     return int(bits, 2).to_bytes((len(values) + 7) // 8, "little")
 
 
+#: ``"0"`` / ``"1"`` -> byte 0 / 1: a bitmap's binary digits as flags.
+_DIGIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
 def _apply_bitmap(bitmap: bytes, non_nulls: list, count: int) -> list:
     """Rebuild a value list of length ``count`` from bitmap + non-NULLs:
-    a row's rank among the non-NULL rows (0 if NULL) indexes ``[None, *non_nulls]``."""
-    present = unpack_bits(bitmap, 1, count)
+    a row's rank among the non-NULL rows (0 if NULL) indexes ``[None, *non_nulls]``.
+    The flags are the bitmap's binary digits, lowest first, as bytes."""
+    if len(bitmap) < (count + 7) // 8:
+        raise EncodingError("truncated presence bitmap")
+    digits = format(int.from_bytes(bitmap, "little"), "b")[::-1][:count]
+    present = digits.encode().translate(_DIGIT_FLAGS).ljust(count, b"\0")
     if sum(present) != len(non_nulls):
         raise EncodingError("the presence bitmap disagrees with the values")
     slots = map(mul, present, accumulate(present))

@@ -204,7 +204,8 @@ class ColumnReader:
             values.extend(self.block_values(index))
         return values
 
-    def _block_for_position(self, position: int) -> int:
+    def block_index(self, position: int) -> int:
+        """Index of the block holding ``position``."""
         low, high = 0, len(self.blocks) - 1
         while low <= high:
             mid = (low + high) // 2
@@ -219,7 +220,7 @@ class ColumnReader:
 
     def get(self, position: int):
         """Value at an ordinal position (the tuple-reconstruction path)."""
-        block_index = self._block_for_position(position)
+        block_index = self.block_index(position)
         info = self.blocks[block_index]
         return self.block_values(block_index)[position - info.start_position]
 

@@ -146,6 +146,32 @@ class ProjectionStorage:
         return total
 
 
+def _sort_prefix(sort_order, prune) -> list:
+    """The bounds in ``prune`` a container's sort order can answer by
+    binary search: the leading sort column's, then the next column's
+    only inside an equality on the one before (only there is it
+    sorted).  One ``(name, (low end, high end))`` per column, each end
+    None or ``(value, inclusive)`` as :func:`seek` takes it; empty when
+    only a one-sided bound on the leading column would be left — its
+    min/max check already proves a row there — or a bound is NaN, which
+    orders against nothing."""
+    prefix = []
+    for name in sort_order if prune else ():
+        if name not in prune:
+            break
+        low, high = prune[name]
+        if low != low or high != high:
+            break
+        ends = (None if low is None else (low, True),
+                None if high is None else (high, True))
+        prefix.append((name, ends))
+        if None in ends or low != high:
+            break
+    if len(prefix) == 1 and None in prefix[0][1]:
+        return []
+    return prefix
+
+
 class StorageManager:
     """Physical storage for one node, rooted at a directory."""
 
@@ -553,8 +579,9 @@ class StorageManager:
                 for name, (low, high) in bounds.items()
             ):
                 continue
+            span = self._pruned_position_range(container, bounds, counts)
             for _, start, end, visible in self._visible_pieces(
-                state, container, snapshot_epoch, names, bounds, counts
+                state, container, snapshot_epoch, names, span
             ):
                 candidates = (
                     range(end - start) if visible is None else visible.positions()
@@ -807,8 +834,9 @@ class StorageManager:
         """Yield :class:`ScanBatch` es of rows visible at ``epoch``.
 
         ``prune`` maps column name -> (low, high) and eliminates whole
-        containers via their min/max metadata, then blocks via the
-        position index, before any data is read.  Columns arrive as
+        containers via their min/max metadata and via the sort prefix
+        (:meth:`_holds_prefix`), then blocks via the position index,
+        before a container is opened.  Columns arrive as
         encoded vectors (a row-grouped column as a value list).  A batch
         never crosses a storage block, so block-local dictionaries stay
         valid, and rows deleted at ``epoch`` are selected out of it, not
@@ -825,6 +853,10 @@ class StorageManager:
         own = counts is None
         if own:
             counts = Counter()
+        prefix = _sort_prefix(state.projection.sort_order, prune)
+        if prefix:
+            # storage imports the kernels lazily (they import storage)
+            from ..execution.kernels.vectors import seek
         for container_id in sorted(state.containers):
             container = state.containers[container_id]
             if prune and not all(
@@ -834,13 +866,55 @@ class StorageManager:
             ):
                 counts["storage.containers_pruned"] += 1
                 continue
+            span = self._pruned_position_range(container, prune, counts)
+            if span[0] >= span[1] or (
+                prefix
+                and container.meta.min_epoch <= epoch
+                and not self._holds_prefix(container, prefix, span, seek)
+            ):
+                counts["storage.containers_pruned"] += 1
+                continue
             counts["storage.containers_scanned"] += 1
             yield from self._scan_container(
-                state, container, epoch, names, prune, sort_columns, counts
+                state, container, epoch, names, span, sort_columns
             )
         if own:
             METRICS.fold(counts)
         yield from self._scan_wos(state, epoch, names, sort_columns)
+
+    @staticmethod
+    def _holds_prefix(container, prefix, span, seek) -> bool:
+        """Whether ``container`` may hold a row inside the sort prefix's
+        window (:func:`_sort_prefix`) — False only when the window is
+        empty.  The window starts as ``span``, the blocks the position
+        index leaves, and each prefix column narrows it by one ``seek``
+        over the cached block holding it: runs and dictionary codes are
+        searched, never decoded to values.  A window the search cannot
+        judge answers True, and the container is opened: one spread
+        over two blocks, a row-grouped column, a block with a NULL or a
+        NaN, a literal that does not order against the column."""
+        lo, hi = span
+        index = None
+        for name, bounds in prefix:
+            if container._group_of(name) is not None:
+                return True
+            reader = container.column_reader(name)
+            if index is None:
+                index = reader.block_index(lo)
+            info = reader.blocks[index]
+            if hi > info.end_position:
+                return True
+            vector = reader.block_vector(index)
+            if not vector.is_ordered():
+                return True
+            first = info.start_position
+            window = seek(vector, *bounds, lo - first, hi - first)
+            if window is None:
+                return True
+            lo, hi = window[0] + first, window[1] + first
+            if lo >= hi:
+                return False
+        return True
 
     def _pruned_position_range(self, container, prune, counts) -> tuple[int, int]:
         """Intersect pruned position ranges of restricted (ungrouped)
@@ -860,10 +934,11 @@ class StorageManager:
                 end = min(end, hi)
         return start, end
 
-    def _visible_pieces(self, state, container, epoch, names, prune, counts):
+    def _visible_pieces(self, state, container, epoch, names, span):
         """The one columnar walk of a container: yield ``(block_index,
-        start, end, visible)`` for every piece of the pruned position
-        range holding a row visible at ``epoch``.
+        start, end, visible)`` for every piece of ``span`` — the pruned
+        position range (:meth:`_pruned_position_range`) — holding a row
+        visible at ``epoch``.
 
         Pieces are cut at the storage blocks of the first ungrouped
         column of ``names`` (all ungrouped columns share block
@@ -877,7 +952,7 @@ class StorageManager:
         is decoded.  Scans and by-value deletes both read through here,
         so MVCC visibility has one implementation.
         """
-        start, end = self._pruned_position_range(container, prune, counts)
+        start, end = span
         if start >= end or container.meta.min_epoch > epoch:
             return
         for name in names:
@@ -926,11 +1001,9 @@ class StorageManager:
             )
         return visible
 
-    def _scan_container(
-        self, state, container, epoch, names, prune, sort_columns, counts
-    ):
+    def _scan_container(self, state, container, epoch, names, span, sort_columns):
         for block_index, start, end, visible in self._visible_pieces(
-            state, container, epoch, names, prune, counts
+            state, container, epoch, names, span
         ):
             columns = {}
             for name in names:

@@ -351,6 +351,14 @@ class ROSContainer:
         self.meta = meta
         self._readers: dict[str, ColumnReader] = {}
         self._group_cache: dict[int, dict[str, list]] = {}
+        # what the immutable files say, worked out once (on first ask)
+        self._groups = {
+            name: index
+            for index, group in enumerate(meta.column_groups)
+            for name in group
+        }
+        self._bounds: dict[str, tuple] = {}
+        self._size_bytes: int | None = None
 
     # -- construction -------------------------------------------------
 
@@ -562,10 +570,7 @@ class ROSContainer:
         return self.meta.container_id
 
     def _group_of(self, name: str) -> int | None:
-        for index, group in enumerate(self.meta.column_groups):
-            if name in group:
-                return index
-        return None
+        return self._groups.get(name)
 
     def _checked_read(self, file_name: str) -> bytes:
         """Read one container file, verifying its committed CRC32.
@@ -653,12 +658,17 @@ class ROSContainer:
 
     def column_min_max(self, name: str):
         """(min, max) of a column from index metadata (no data decode)."""
-        if self._group_of(name) is not None:
-            return value_bounds(
-                [v for v in self.read_column(name) if v is not None]
-            )
-        reader = self.column_reader(name)
-        return reader.min_value(), reader.max_value()
+        bounds = self._bounds.get(name)
+        if bounds is None:
+            if self._group_of(name) is not None:
+                bounds = value_bounds(
+                    [v for v in self.read_column(name) if v is not None]
+                )
+            else:
+                reader = self.column_reader(name)
+                bounds = reader.min_value(), reader.max_value()
+            self._bounds[name] = bounds
+        return bounds
 
     def may_contain(self, column: str, low, high) -> bool:
         """Container-level pruning check on one column ([22] in the
@@ -674,12 +684,13 @@ class ROSContainer:
 
     def size_bytes(self) -> int:
         """Total bytes of user data files (excluding meta.json)."""
-        total = 0
-        for entry in os.listdir(self.path):
-            if entry == "meta.json":
-                continue
-            total += os.path.getsize(os.path.join(self.path, entry))
-        return total
+        if self._size_bytes is None:
+            self._size_bytes = sum(
+                os.path.getsize(os.path.join(self.path, entry))
+                for entry in os.listdir(self.path)
+                if entry != "meta.json"
+            )
+        return self._size_bytes
 
     def data_size_bytes(self) -> int:
         """Bytes of .dat files for user columns (no indexes, no epoch);

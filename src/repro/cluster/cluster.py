@@ -121,6 +121,9 @@ class Cluster:
             fresh=dc_fresh,
             retention=dc_retention,
         )
+        #: Set while a cold start rejoins the nodes: failover events
+        #: then wait for the one flush after the cluster converges.
+        self.defer_event_flush = False
         # the lower layers emit through duck-typed ``collector``
         # attributes so txn/tuple_mover never import repro.dc.
         self.locks.collector = self.dc
@@ -142,17 +145,20 @@ class Cluster:
         collector's ``node_events`` ring — served as
         ``v_monitor.dc_node_events`` — and flush:
         node deaths and recovery transitions are rare and precious, so
-        they go durable immediately."""
+        they go durable immediately, except inside a cold start's rejoin
+        (:attr:`defer_event_flush`), which flushes once when it is done."""
         name = f"node{node_index:02d}" if node_index >= 0 else "-"
         self.dc.record(
             "node_events",
             kind,
+            defer_flush=self.defer_event_flush,
             node_index=node_index,
             node_name=name,
             attempt=attempt,
             detail=detail,
         )
-        self.dc.flush()
+        if not self.defer_event_flush:
+            self.dc.flush()
 
     # -- DDL ---------------------------------------------------------------
 

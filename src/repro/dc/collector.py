@@ -22,7 +22,12 @@ stage/publish per flush (fault points ``dc.flush.stage`` /
 rewrites less than that beside its own records, never the component's
 history — and recovery to a valid record prefix, never a torn middle.
 Operational history so survives ``Database.open()`` cold starts; sealed
-segments past the retention cap are pruned.  The one
+segments past the retention cap are pruned.  Recovered history is
+kept as the CRC-checked frames it was read as and parsed on the ring's
+first read (:meth:`DataCollector.rows`): recording, flushing, counting
+and count eviction never need a recovered record's fields, so an open
+and the statements after it do not pay for history nobody asked for.
+The one
 exception is the ``profiles`` ring (per-operator query profiles): it is
 memory-only — no segment log, never batched for a flush — so profiling
 a SELECT writes nothing.
@@ -37,12 +42,14 @@ statement-throughput tax.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from ..lint.concur.runtime import RACES, TrackedLock
 from ..monitor.registry import METRICS
 from ..monitor.retention import DEFAULT_RETENTION, RetentionPolicy
-from ..storage.segment_log import SEGMENT_SUFFIX, SegmentLog
+from ..storage.segment_log import SEGMENT_SUFFIX, SegmentLog, parse_bodies
 
 #: Persisted component names (= ring buffers = on-disk segment families
 #: = the ``v_monitor`` history tables built on top).
@@ -63,6 +70,9 @@ PROFILE_CAPACITY = 256
 DEFAULT_FLUSH_INTERVAL = 16
 #: Records per on-disk segment before the component rotates files.
 DEFAULT_SEGMENT_RECORDS = 128
+#: The id at the head of a frame the collector wrote (its keys are
+#: sorted, and ``id`` sorts first).
+_FRAME_ID = re.compile(rb'\{"id":(\d+)[,}]')
 
 
 @dataclass(frozen=True)
@@ -100,6 +110,9 @@ class _Ring:
     #: Record-count bound (oldest evicted first).
     max_records: int
     records: list[DCRecord] = field(default_factory=list)
+    #: Bodies recovered from disk and not read yet, oldest first, all
+    #: older than ``records``: CRC-checked bytes, parsed on first read.
+    frames: list[bytes] = field(default_factory=list)
     next_id: int = 1
     #: Records appended since the component's last flush.
     pending: list[DCRecord] = field(default_factory=list)
@@ -226,17 +239,27 @@ class DataCollector:
     def _evict_ring(self, ring: _Ring, now: int) -> int:
         """Apply both retention bounds to one ring (caller holds lock);
         returns how many records went, for the caller to count."""
-        evicted = 0
-        over = len(ring.records) - ring.max_records
-        if over > 0:
-            del ring.records[:over]
-            evicted += over
+        evicted = self._evict_over(ring)
+        if ring.frames and self.retention.max_age_ticks is not None:
+            self._read_frames(ring)  # an age bound needs the ticks
         while ring.records and self.retention.expired(
             ring.records[0].tick, now
         ):
             del ring.records[0]
             evicted += 1
         return evicted
+
+    @staticmethod
+    def _evict_over(ring: _Ring) -> int:
+        """Evict the oldest records past the ring's record bound, unread
+        frames first (they are older); returns how many went."""
+        over = len(ring.frames) + len(ring.records) - ring.max_records
+        if over <= 0:
+            return 0
+        unread = min(over, len(ring.frames))
+        del ring.frames[:unread]
+        del ring.records[: over - unread]
+        return over
 
     # -- reads ----------------------------------------------------------
 
@@ -246,13 +269,16 @@ class DataCollector:
         observe a record mid-mutation (records are frozen) or tear the
         list (copied under the mutex)."""
         with self._lock:
-            return [record.row() for record in self._rings[component].records]
+            ring = self._rings[component]
+            if ring.frames:
+                self._read_frames(ring)
+            return [record.row() for record in ring.records]
 
     def counts(self) -> dict[str, int]:
         """Retained record count per component (tests, console)."""
         with self._lock:
             return {
-                name: len(ring.records)
+                name: len(ring.frames) + len(ring.records)
                 for name, ring in sorted(self._rings.items())
             }
 
@@ -262,6 +288,7 @@ class DataCollector:
         with self._lock:
             for ring in self._rings.values():
                 ring.records.clear()
+                ring.frames.clear()
                 ring.pending.clear()
             self._dirty = 0
 
@@ -313,36 +340,76 @@ class DataCollector:
     # -- cold-start recovery --------------------------------------------
 
     def _recover(self) -> None:
-        """Load every component's valid record prefix from disk.
+        """Take every component's valid frame prefix from disk.
 
-        Recovered records re-enter the rings (retention applies) and
-        each ring's id sequence continues past the newest recovered id.
+        The frames stay unparsed (:meth:`_read_frames` parses them on
+        the ring's first read); the retention cap applies to them now,
+        and each ring's id sequence continues past the id at the head
+        of its newest frame.  The simulated clock starts at 0, so no
+        age bound can expire a recovered record at the open itself.
         """
         recovered_total = 0
         truncated_total = 0
         evicted = 0
-        now = self.clock.now if self.clock is not None else 0
         for name in COMPONENTS:
             ring = self._rings[name]
-            recovered, truncated = ring.log.open(valid=lambda body: "id" in body)
+            recovered, truncated = ring.log.open(parse=False)
             recovered_total += len(recovered)
             truncated_total += truncated
-            ring.records.extend(
+            ring.frames = list(map(itemgetter(1), recovered))
+            if not ring.frames:
+                continue
+            newest = _FRAME_ID.match(ring.frames[-1])
+            if newest is None:  # not a frame this collector wrote
+                self._read_frames(ring)
+                if ring.records:
+                    ring.next_id = max(r.record_id for r in ring.records) + 1
+            else:
+                ring.next_id = int(newest.group(1)) + 1
+            evicted += self._evict_over(ring)
+        METRICS.inc("dc.recovered_records", recovered_total)
+        METRICS.inc("dc.truncated_records", truncated_total)
+        if evicted:
+            METRICS.inc("dc.records_evicted", evicted)
+
+    def _read_frames(self, ring: _Ring) -> None:
+        """Parse the ring's recovered frames into the records before its
+        own (caller holds the lock): one bulk parse
+        (:func:`repro.storage.segment_log.parse_bodies`).
+
+        A frame whose CRC holds but whose body is no record — only a
+        hand-made one can be — ends the history, as an eager open would
+        have cut it: it and every frame after it are dropped and
+        counted in ``dc.truncated_records``, and the component's
+        segments are rewritten from what the ring keeps, so the next
+        open finds no damage."""
+        frames, ring.frames = ring.frames, []
+        bodies = parse_bodies(frames)
+        if bodies is None:  # the JSON prefix, frame by frame
+            bodies = []
+            for frame in frames:
+                body = parse_bodies([frame])
+                if body is None:
+                    break
+                bodies += body
+        records = []
+        for body in bodies:
+            if not (isinstance(body, dict) and "kind" in body and "id" in body):
+                break
+            records.append(
                 DCRecord(
                     body["id"],
                     body.get("tick", 0),
                     body["kind"],
                     body.get("payload", {}),
                 )
-                for _, body in recovered
             )
-            if ring.records:
-                ring.next_id = max(r.record_id for r in ring.records) + 1
-                evicted += self._evict_ring(ring, now)
-        METRICS.inc("dc.recovered_records", recovered_total)
-        METRICS.inc("dc.truncated_records", truncated_total)
-        if evicted:
-            METRICS.inc("dc.records_evicted", evicted)
+        ring.records[:0] = records
+        if len(records) < len(frames):
+            METRICS.inc("dc.truncated_records", len(frames) - len(records))
+            ring.log.clear()
+            ring.pending = list(ring.records)
+            self._flush_locked()
 
     def _wipe(self) -> None:
         """Remove any previous incarnation's segments (fresh database)."""

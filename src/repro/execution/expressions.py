@@ -652,13 +652,23 @@ def column_range_from_predicate(expr: Expr | None) -> dict[str, tuple]:
     if cached is not None:
         return cached
     bounds: dict[str, tuple] = {}
+    unordered: set[str] = set()
 
     def tighten(column: str, low, high):
+        if column in unordered:
+            return
         current_low, current_high = bounds.get(column, (None, None))
-        if low is not None and (current_low is None or low > current_low):
-            current_low = low
-        if high is not None and (current_high is None or high < current_high):
-            current_high = high
+        try:
+            if low is not None and (current_low is None or low > current_low):
+                current_low = low
+            if high is not None and (current_high is None or high < current_high):
+                current_high = high
+        except TypeError:
+            # literals that do not order against each other: one of
+            # them does not order against the column, so no bound
+            unordered.add(column)
+            bounds.pop(column, None)
+            return
         bounds[column] = (current_low, current_high)
 
     def walk(node: Expr):

@@ -57,15 +57,19 @@ class BlockInfo:
         """Whether the block can hold values in the closed range [low, high].
 
         ``None`` bounds are open.  Blocks that are all-NULL never match
-        a value range.  This is the pruning primitive for both block
-        skipping and ROS container elimination.
+        a value range, and a bound that does not order against the
+        block's values proves nothing.  This is the pruning primitive
+        for both block skipping and ROS container elimination.
         """
         if self.min_value is None and self.max_value is None:
             return False
-        if low is not None and self.max_value is not None and self.max_value < low:
-            return False
-        if high is not None and self.min_value is not None and self.min_value > high:
-            return False
+        try:
+            if low is not None and self.max_value is not None and self.max_value < low:
+                return False
+            if high is not None and self.min_value is not None and self.min_value > high:
+                return False
+        except TypeError:
+            pass
         return True
 
     def serialize(self, out: bytearray) -> None:

@@ -525,9 +525,13 @@ class StorageManager:
         its key has budget left — WOS first, then containers by
         ascending id, positions ascending, so a live commit and its
         replay mark the same rows.  The victims' per-column (min, max)
-        skip containers and blocks before anything is decoded, and in
-        the WOS and a container alike a column is compared only for the
-        rows the columns before it left.
+        skip containers and blocks before anything is decoded, and their
+        sort prefix narrows a container to its window
+        (:meth:`_prefix_window`): a row outside it cannot equal a victim,
+        so only the blocks the window overlaps are decoded and only its
+        rows compared.  In the WOS and a container alike a column is
+        compared, by one map over its values, only at the rows the
+        columns before it left.
         """
         state = self._state(projection_name)
         names = [n for n in state.projection.column_names if n in victims]
@@ -538,18 +542,20 @@ class StorageManager:
         wanted = list(map(set, zip(*budget)))  # per column: the victims' reprs
         deleted = 0
 
-        def matches(candidates, column):
-            """(position, key) of each candidate whose values are a
-            victim's, narrowed one column at a time: a column is read
-            and compared only for the rows the columns before it left."""
-            columns = []
+        def matches(positions, column):
+            """(position, key) of each of ``positions`` whose values are
+            a victim's, narrowed one column at a time."""
+            keys: list[list[str]] = []
             for name, reprs in zip(names, wanted):
-                if not candidates:
-                    return []
+                if not positions:
+                    return ()
                 values = column(name)
-                columns.append(values)
-                candidates = [p for p in candidates if repr(values[p]) in reprs]
-            return [(p, tuple(repr(values[p]) for values in columns)) for p in candidates]
+                picked = list(map(repr, map(values.__getitem__, positions)))
+                keep = list(map(reprs.__contains__, picked))
+                positions = list(compress(positions, keep))
+                keys = [list(compress(key, keep)) for key in keys]
+                keys.append(list(compress(picked, keep)))
+            return zip(positions, zip(*keys))
 
         def take(key: tuple) -> bool:
             if budget[key] > 0:
@@ -571,6 +577,9 @@ class StorageManager:
             # NULL and NaN order against nothing: no bound through them
             if not any(value is None or value != value for value in values):
                 bounds[name] = min(values), max(values)
+        prefix = _sort_prefix(state.projection.sort_order, bounds)
+        if prefix:
+            from ..execution.kernels.vectors import seek
         counts: Counter = Counter()  # blocks the victims' bounds pruned
         for container_id in sorted(state.containers):
             container = state.containers[container_id]
@@ -580,14 +589,16 @@ class StorageManager:
             ):
                 continue
             span = self._pruned_position_range(container, bounds, counts)
+            if prefix and container.meta.min_epoch <= snapshot_epoch:
+                span = self._prefix_window(container, prefix, span, seek)
             for _, start, end, visible in self._visible_pieces(
                 state, container, snapshot_epoch, names, span
             ):
-                candidates = (
+                positions = (
                     range(end - start) if visible is None else visible.positions()
                 )
                 for offset, key in matches(
-                    candidates, lambda name: container.read_range(name, start, end)
+                    positions, lambda name: container.read_range(name, start, end)
                 ):
                     if take(key):
                         state.pending_ros_deletes.setdefault(
@@ -835,7 +846,7 @@ class StorageManager:
 
         ``prune`` maps column name -> (low, high) and eliminates whole
         containers via their min/max metadata and via the sort prefix
-        (:meth:`_holds_prefix`), then blocks via the position index,
+        (:meth:`_prefix_window`), then blocks via the position index,
         before a container is opened.  Columns arrive as
         encoded vectors (a row-grouped column as a value list).  A batch
         never crosses a storage block, so block-local dictionaries stay
@@ -867,11 +878,11 @@ class StorageManager:
                 counts["storage.containers_pruned"] += 1
                 continue
             span = self._pruned_position_range(container, prune, counts)
-            if span[0] >= span[1] or (
-                prefix
-                and container.meta.min_epoch <= epoch
-                and not self._holds_prefix(container, prefix, span, seek)
-            ):
+            if prefix and container.meta.min_epoch <= epoch:
+                window = self._prefix_window(container, prefix, span, seek)
+            else:
+                window = span
+            if window[0] >= window[1]:
                 counts["storage.containers_pruned"] += 1
                 continue
             counts["storage.containers_scanned"] += 1
@@ -883,38 +894,36 @@ class StorageManager:
         yield from self._scan_wos(state, epoch, names, sort_columns)
 
     @staticmethod
-    def _holds_prefix(container, prefix, span, seek) -> bool:
-        """Whether ``container`` may hold a row inside the sort prefix's
-        window (:func:`_sort_prefix`) — False only when the window is
-        empty.  The window starts as ``span``, the blocks the position
-        index leaves, and each prefix column narrows it by one ``seek``
-        over the cached block holding it: runs and dictionary codes are
-        searched, never decoded to values.  A window the search cannot
-        judge answers True, and the container is opened: one spread
-        over two blocks, a row-grouped column, a block with a NULL or a
-        NaN, a literal that does not order against the column."""
+    def _prefix_window(container, prefix, span, seek) -> tuple[int, int]:
+        """The positions of ``span`` — the blocks the position index
+        leaves — that may hold a row inside the sort prefix's window
+        (:func:`_sort_prefix`); empty when none can.  Each prefix column
+        narrows it by one ``seek`` over the cached block holding it:
+        runs and dictionary codes are searched, never decoded to values.
+        Where the search cannot judge, the window narrowed so far (at
+        first ``span`` itself) is the answer: one spread over two blocks,
+        a row-grouped column, a block with a NULL or a NaN, a literal
+        that does not order against the column."""
         lo, hi = span
         index = None
         for name, bounds in prefix:
-            if container._group_of(name) is not None:
-                return True
+            if lo >= hi or container._group_of(name) is not None:
+                break
             reader = container.column_reader(name)
             if index is None:
                 index = reader.block_index(lo)
             info = reader.blocks[index]
             if hi > info.end_position:
-                return True
+                break
             vector = reader.block_vector(index)
             if not vector.is_ordered():
-                return True
+                break
             first = info.start_position
             window = seek(vector, *bounds, lo - first, hi - first)
             if window is None:
-                return True
+                break
             lo, hi = window[0] + first, window[1] + first
-            if lo >= hi:
-                return False
-        return True
+        return lo, hi
 
     def _pruned_position_range(self, container, prune, counts) -> tuple[int, int]:
         """Intersect pruned position ranges of restricted (ungrouped)

@@ -672,14 +672,19 @@ class ROSContainer:
 
     def may_contain(self, column: str, low, high) -> bool:
         """Container-level pruning check on one column ([22] in the
-        paper: min/max stored per ROS to prune at plan time)."""
+        paper: min/max stored per ROS to prune at plan time).  A bound
+        that does not order against the column's values proves nothing:
+        the container may hold a row."""
         minimum, maximum = self.column_min_max(column)
         if minimum is None and maximum is None:
             return False
-        if low is not None and maximum < low:
-            return False
-        if high is not None and minimum > high:
-            return False
+        try:
+            if low is not None and maximum < low:
+                return False
+            if high is not None and minimum > high:
+                return False
+        except TypeError:
+            pass
         return True
 
     def size_bytes(self) -> int:

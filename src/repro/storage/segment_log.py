@@ -19,15 +19,22 @@ written again.  Torn tails and bit flips that do
 reach a published segment fail the per-record CRC at
 :meth:`SegmentLog.open`, which cuts the log to its longest valid record
 prefix, exactly like recovery truncates a projection past its Last Good
-Epoch.  What a record means, when sealed segments may go and which lock
-serializes access are the client's business.
+Epoch.  An intact segment is checked whole, at C speed (one CRC map,
+one JSON scan map); only a segment that fails that check is walked a
+line at a time to find where its damage starts.  What a record means,
+when sealed segments may go and which lock serializes access are the
+client's business.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
+import zlib
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple
 
 from .. import faults
@@ -48,8 +55,18 @@ def _frame(body: dict) -> str:
     return f"{fsio.crc32(text.encode('utf-8')):08x} {text}\n"
 
 
-def _parse_line(raw: bytes) -> dict | None:
-    """Decode one framed line; ``None`` if torn or corrupted."""
+#: Every frame of a segment as the bulk check reads it: its CRC as eight
+#: lowercase hex digits and its body.  A segment these do not tile
+#: exactly is walked a line at a time.
+_FRAMES = re.compile(rb"([0-9a-f]{8}) ([^\n]*)\n")
+#: The C scanner under ``json.loads``: ``(value, end)`` of the JSON
+#: value at an index of a string.
+_SCAN = json.decoder.JSONDecoder().scan_once
+
+
+def _checked_text(raw: bytes) -> str | None:
+    """The body of one framed line whose framing and CRC hold; ``None``
+    if torn or corrupted."""
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError:
@@ -65,13 +82,108 @@ def _parse_line(raw: bytes) -> dict | None:
         return None
     if fsio.crc32(body_text.encode("utf-8")) != expected:
         return None
+    return body_text
+
+
+def _is_record(body) -> bool:
+    return isinstance(body, dict) and "kind" in body
+
+
+def _parse_line(raw: bytes) -> dict | None:
+    """Decode one framed line; ``None`` if torn or corrupted."""
+    body_text = _checked_text(raw)
+    if body_text is None:
+        return None
     try:
         body = json.loads(body_text)
     except ValueError:
         return None
-    if not isinstance(body, dict) or "kind" not in body:
+    return body if _is_record(body) else None
+
+
+def parse_bodies(bodies: list[bytes]) -> list | None:
+    """The JSON value of every body, or ``None`` if one is not exactly
+    one JSON value — what ``json.loads`` answers for each, reached by
+    one map of the C scanner, not a Python call per body."""
+    try:
+        texts = list(map(bytes.decode, bodies))
+        # the scanner signals "no value here" with StopIteration, which
+        # ends the map early: a short list is a failed body
+        scanned = list(map(_SCAN, texts, repeat(0)))
+    except (UnicodeDecodeError, ValueError):
         return None
-    return body
+    if len(scanned) != len(texts) or list(map(itemgetter(1), scanned)) != list(
+        map(len, texts)
+    ):
+        return None
+    return list(map(itemgetter(0), scanned))
+
+
+def _check_segment(raw: bytes, parse: bool) -> tuple[list[int], list] | None:
+    """The body sizes of an intact segment's frames and the bodies —
+    parsed, or as bytes when ``parse`` is false — checked whole: the
+    frames tile the file, it is UTF-8, every CRC holds (one
+    ``zlib.crc32`` map) and, when parsed, every body is one JSON value.
+    ``None`` when anything fails; the caller then walks the segment a
+    line at a time."""
+    found = _FRAMES.findall(raw)
+    if not found:
+        return None
+    heads, bodies = zip(*found)
+    sizes = list(map(len, bodies))
+    if 10 * len(sizes) + sum(sizes) != len(raw):
+        return None
+    crcs = b"%08x" * len(bodies) % tuple(map(zlib.crc32, bodies))
+    if b"".join(heads) != crcs:
+        return None
+    if parse:  # each body decoded as UTF-8, then scanned
+        bodies = parse_bodies(bodies)
+        if bodies is None:
+            return None
+    else:
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+    return sizes, list(bodies)
+
+
+def _valid_prefix(
+    raw: bytes, valid: Callable[[dict], bool] | None, parse: bool
+) -> tuple[list, int]:
+    """The bodies of one segment's records before its first invalid
+    one, and the bytes their frames take.  An intact segment is checked
+    whole (:func:`_check_segment`) and ``valid`` then asked of each
+    record in order; any other is walked line by line, asking the same
+    questions of each record in the same order."""
+    checked = _check_segment(raw, parse) if raw else ([], [])
+    if checked is not None:
+        sizes, bodies = checked
+        count = len(bodies)
+        if parse:
+            for count, body in enumerate(bodies):
+                if not _is_record(body) or (valid is not None and not valid(body)):
+                    break
+            else:
+                count = len(bodies)
+        return bodies[:count], 10 * count + sum(sizes[:count])
+    bodies = []
+    offset = 0
+    while offset < len(raw):
+        newline = raw.find(b"\n", offset)
+        line = raw[offset : newline + 1] if newline >= 0 else raw[offset:]
+        if parse:
+            body = _parse_line(line)
+            if body is None or (valid is not None and not valid(body)):
+                break
+        else:
+            body = _checked_text(line)
+            if body is None:
+                break
+            body = body.encode("utf-8")
+        bodies.append(body)
+        offset += len(line)
+    return bodies, offset
 
 
 def _publish(final: str, data: bytes, stage_point: str, publish_point: str) -> None:
@@ -205,7 +317,7 @@ class SegmentLog:
         return Appended(written, framed)
 
     def open(
-        self, valid: Callable[[dict], bool] | None = None
+        self, valid: Callable[[dict], bool] | None = None, *, parse: bool = True
     ) -> tuple[list[tuple[int, dict]], int]:
         """Recover the log from disk and leave its tail ready to extend.
 
@@ -216,33 +328,30 @@ class SegmentLog:
         record is damage *at that point*: its segment is truncated to
         the bytes before it and every later segment deleted.  Stages a
         crashed append left behind are removed.
+
+        With ``parse`` false a body comes back as the bytes its CRC
+        covers, unparsed, and a frame is valid when its framing and CRC
+        hold: the client parses what it reads, when it reads it
+        (:func:`parse_bodies`), and ``valid`` must be None.
         """
+        if not parse and valid is not None:
+            raise ValueError("an unparsed open has no body to validate")
         files = self.files
         files.discard_staged()
         indexes = files.indexes()
         records: list[tuple[int, dict]] = []
         truncated = 0
-        self.active_index, self._frames, self._bytes = 1, [], 0
-        self._counts = {}
+        self.active_index, self._counts = 1, {}
+        tail = b""  # the valid frames of the last segment holding records
         for position, index in enumerate(indexes):
             with open(files.path(index), "rb") as handle:
                 raw = handle.read()
-            frames: list[bytes] = []
-            offset = 0
-            while offset < len(raw):
-                newline = raw.find(b"\n", offset)
-                line = raw[offset : newline + 1] if newline >= 0 else raw[offset:]
-                body = _parse_line(line)
-                if body is None or (valid is not None and not valid(body)):
-                    break
-                frames.append(line)
-                records.append((index, body))
-                offset += len(line)
-            if frames:
+            bodies, offset = _valid_prefix(raw, valid, parse)
+            records += zip(repeat(index), bodies)
+            if bodies:
                 # the last segment holding records is the one to extend
-                # (``offset`` is where its valid frames end: their bytes)
-                self.active_index, self._frames, self._bytes = index, frames, offset
-                self._counts[index] = len(frames)
+                self.active_index, tail = index, raw[:offset]
+                self._counts[index] = len(bodies)
             if offset < len(raw):
                 # an unterminated tail counts as the one record it tore
                 truncated += raw.count(b"\n", offset) or 1
@@ -255,6 +364,9 @@ class SegmentLog:
                         truncated += handle.read().count(b"\n")
                     os.remove(files.path(later))
                 break
+        # a frame is a line: no body holds a newline
+        self._frames = [frame + b"\n" for frame in tail.split(b"\n")[:-1]]
+        self._bytes = len(tail)
         return records, truncated
 
     def sealed(self) -> list[tuple[int, int]]:
@@ -265,6 +377,13 @@ class SegmentLog:
             for index, count in sorted(self._counts.items())
             if index != self.active_index
         ]
+
+    def clear(self) -> None:
+        """Delete every segment: the log starts again empty."""
+        for index in self.files.indexes():
+            os.remove(self.files.path(index))
+        self.active_index, self._frames, self._bytes = 1, [], 0
+        self._counts = {}
 
     def drop(self, index: int) -> None:
         """Delete a sealed segment."""

@@ -199,7 +199,9 @@ def varint_lanes(data: bytes, offset: int, count: int, width: int = 1):
     new_offset)``, or None if a varint takes over 15 bytes or is cut
     short.  A tab after each varint, expanded, pads it to its lane;
     log2(width) mask-and-shift steps over the block close the gaps
-    between the 7-bit groups.  No step is taken per value."""
+    between the 7-bit groups.  The width is the longest varint's, found
+    by one search, so the tabs are expanded once.  No step is taken per
+    value."""
     head = data[offset : offset + count]
     if width == 1 and len(head) == count and head.isascii():
         return int.from_bytes(head, "little"), 1, offset + count
@@ -210,8 +212,11 @@ def varint_lanes(data: bytes, offset: int, count: int, width: int = 1):
     text = units.decode("utf-8")
     if text.count("\t") < count:
         return None
-    # lanes wider than the mean varint: wide enough if all are equal
-    width = max(width, 1 << (-(-len(stream) // max(count, 1))).bit_length())
+    # lanes wider than the longest varint: a run of 7 (3) bytes that
+    # continue one is a varint of 8 (4) bytes or more; bytes past the
+    # varints may only widen them, and a varint over 15 bytes still fails
+    marks = stream.translate(_TOP_BIT)
+    width = max(width, 16 if b"\1" * 7 in marks else 8 if b"\1" * 3 in marks else 4)
     while True:
         if width > 16:
             return None

@@ -6,7 +6,10 @@ spread, PLAIN records read as a block, the NULL bitmap through a table —
 so the Python lines it runs do not depend on how many rows the block
 holds.  The count is ``sys.settrace`` line events inside
 ``repro.storage`` while one block decodes: a block of 8,192 rows must
-cost exactly what a block of 4,096 rows of the same shape costs.
+cost exactly what a block of 4,096 rows of the same shape costs.  And
+the varint lanes are as wide as the block's longest varint from the
+start: a float block expands its tabs (``str.expandtabs``) once, also
+when most of its deltas are short and a few take ten bytes.
 """
 
 import os
@@ -91,3 +94,42 @@ def decode_lines(shape: str, rows: int) -> int:
 @pytest.mark.parametrize("shape", SHAPES)
 def test_a_block_of_twice_the_rows_runs_the_same_lines(shape):
     assert decode_lines(shape, 8192) == decode_lines(shape, 4096)
+
+
+def expandtabs_calls(function) -> int:
+    """Calls of ``str.expandtabs`` while ``function`` runs."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "c_call" and getattr(arg, "__name__", "") == "expandtabs":
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        function()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+#: Float blocks whose varints are mostly shorter than eight bytes.
+FLOAT_BLOCKS = {
+    # six-byte deltas, and ten-byte ones into and out of every tenth
+    # (negative) reading: the mean is under eight bytes
+    "meter": lambda rows: [
+        -(100.0 + index) if index % 10 == 9 else 100.0 + index % 7 * 0.001
+        for index in range(rows)
+    ],
+    "slow": lambda rows: [100.0 + index % 97 * 0.01 for index in range(rows)],
+    "signs": _floats,
+}
+
+
+@pytest.mark.parametrize("shape", FLOAT_BLOCKS)
+def test_a_float_block_expands_its_lanes_once(shape):
+    values = FLOAT_BLOCKS[shape](8192)
+    payload, info = encode_block(values, types.FLOAT, ENCODINGS["DELTARANGE_COMP"], 0, 0)
+    assert info.encoding == "DELTARANGE_COMP"
+    assert decode_block(payload, info) == values
+    assert expandtabs_calls(lambda: decode_block(payload, info)) == 1

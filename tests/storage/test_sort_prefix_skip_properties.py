@@ -3,7 +3,7 @@
 ``StorageManager.scan`` answers the sort prefix of its ``prune`` bounds
 by a binary search over each container's cached block before it opens
 the container, and skips a container whose window is empty
-(``StorageManager._holds_prefix``).  Over random tables — sort orders of
+(``StorageManager._prefix_window``).  Over random tables — sort orders of
 1–3 columns over INTEGER, VARCHAR and FLOAT (NaN among the values), with
 and without NULLs, each column PLAIN, RLE, BLOCK_DICT or AUTO, blocks of
 six rows so a few dozen rows make multi-block containers — and random
@@ -12,7 +12,11 @@ snapshot, rows still in the WOS), a conjunction of ``=``, BETWEEN, ``<``
 and ``>`` on the prefix (literals of another type among them: ``1.0``
 and ``TRUE`` on an integer column, ``'7'``, ``7``) returns through the
 scan and the kernel exactly what it returns with the skip switched off:
-the same rows in the same order, or the same error.
+the same rows in the same order, or the same error.  A by-value DELETE
+(``StorageManager.delete_where``, live and at replay) walks only that
+window: over the same tables and histories, victims drawn from the
+stored rows (duplicates, NULL and NaN among them) mark the same rows
+as with the window switched off.
 
 ``REPRO_FUZZ_SEEDS`` (tools/check.sh) adds seeded runs.
 """
@@ -167,7 +171,9 @@ def check(root, table, batches, epoch, predicate):
     pruned = METRICS.counter("storage.containers_pruned") - pruned
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(
-            StorageManager, "_holds_prefix", staticmethod(lambda *_: True)
+            StorageManager,
+            "_prefix_window",
+            staticmethod(lambda container, prefix, span, seek: span),
         )
         opening = answer(manager, names, epoch, predicate)
     assert skipping == opening, f"{predicate!r} at epoch {epoch}"
@@ -238,3 +244,51 @@ def test_the_skip_fires_on_a_two_column_prefix(tmp_path_factory, small_blocks):
     table = (["i", "i", "f"], [False] * 3, ["RLE", "BLOCK_DICT", "AUTO"], 2)
     pruned = check(str(tmp_path_factory.mktemp("skip")), table, batches, 1, predicate)
     assert pruned == 2
+
+
+@st.composite
+def deletes(draw):
+    kinds, nullable, encodings, width = table = draw(tables())
+    batches = draw(histories(kinds, nullable))
+    stored = [row for _, rows, _, _ in batches for row in rows]
+    victims = draw(st.lists(st.sampled_from(stored), min_size=1, max_size=8))
+    return table, batches, draw(st.integers(0, 5)), victims
+
+
+def marked(root, table, batches, epoch, victims):
+    """What ``delete_where`` of ``victims`` (their c0..c2) marks."""
+    manager, _ = build(root, *table, batches)
+    columns = {f"c{i}": [row[i] for row in victims] for i in range(3)}
+    count = manager.delete_where(NAME, columns, 6, epoch)
+    state = manager.storage(NAME)
+    return count, state.wos.run.delete_epochs, {
+        container: sorted(zip(vector.positions, vector.epochs))
+        for container, vector in state.pending_ros_deletes.items()
+    }
+
+
+@pytest.mark.parametrize("seed_index", range(len(EXTRA_SEEDS) + 1))
+def test_a_delete_marks_what_searching_every_row_marks(
+    tmp_path_factory, small_blocks, seed_index
+):
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(deletes())
+    def run(case):
+        table, batches, epoch, victims = case
+        windowed = marked(str(tmp_path_factory.mktemp("window")), table, batches, epoch, victims)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                StorageManager,
+                "_prefix_window",
+                staticmethod(lambda container, prefix, span, seek: span),
+            )
+            searched = marked(str(tmp_path_factory.mktemp("all")), table, batches, epoch, victims)
+        assert windowed == searched
+
+    if seed_index:
+        run = seed(EXTRA_SEEDS[seed_index - 1])(run)
+    run()

@@ -46,8 +46,12 @@ echo "== fuzz corpus against the oracle =="
 # and fully parenthesised text, the one serving-copy chooser
 # against the scan, replicated-scan and recovery choosers it replaced,
 # every encoding's bulk block decoder against the value-at-a-time
-# one, and scans that skip containers by their sort prefix against the
-# same scans opening every container.  Zero divergences required.
+# one, scans that skip containers by their sort prefix against the
+# same scans opening every container, and the bulk segment-log open
+# against the line-at-a-time walk (journal, Data Collector and the
+# unparsed open under torn, flipped and hand-made frames; lazily read
+# Data Collector history against an eager load after crash-mid-flush
+# runs).  Zero divergences required.
 echo "   extra seeds: 7, ${GIT_SEED} (git-derived)"
 REPRO_FUZZ_SEEDS="7,${GIT_SEED}" REPRO_SANITIZE=1 \
     python -m pytest -q tests/integration/test_sql_differential_fuzz.py \
@@ -62,7 +66,8 @@ REPRO_FUZZ_SEEDS="7,${GIT_SEED}" REPRO_SANITIZE=1 \
     tests/sql/test_front_end_properties.py::test_minimal_parentheses_parse_as_full_ones \
     tests/cluster/test_serving_copy_properties.py \
     tests/storage/test_bulk_decode_properties.py \
-    tests/storage/test_sort_prefix_skip_properties.py
+    tests/storage/test_sort_prefix_skip_properties.py \
+    tests/storage/test_segment_log_bulk_open.py
 
 echo "== chaos seeds: two fixed + one fresh from the git SHA =="
 # The self-healing scenarios re-run on pinned seeds (regression

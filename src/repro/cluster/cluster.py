@@ -46,7 +46,7 @@ from ..projections import (
 )
 from ..projections.segmentation import split_by_range
 from ..trace import TRACER
-from ..tuple_mover import MergePolicy
+from ..tuple_mover import CycleMemo, MergePolicy
 from ..txn import EpochManager, LockManager
 from .clock import SimulatedClock
 from .membership import Membership
@@ -719,17 +719,18 @@ class Cluster:
             if advance_ahm:
                 self.epochs.advance_ahm()
             durable_epoch = self.epochs.latest_queryable_epoch
+            memo = CycleMemo(self.k_safety, len(self.membership.up) - 1)
             for node_index in self.membership.up_nodes():
                 node = self.nodes[node_index]
                 try:
                     for projection_name in node.manager.projection_names():
-                        node.mover.moveout(projection_name)
+                        node.mover.moveout(projection_name, memo)
                         node.manager.persist_delete_vectors(projection_name)
                         if durable_epoch > self.epochs.lge(node_index, projection_name):
                             self.epochs.set_lge(
                                 node_index, projection_name, durable_epoch
                             )
-                        node.mover.mergeout(projection_name, self.epochs.ahm)
+                        node.mover.mergeout(projection_name, self.epochs.ahm, memo)
                 except InjectedFaultError:
                     # the tuple mover is node-local: one node dying mid
                     # moveout/mergeout never blocks the others.  Its LGE

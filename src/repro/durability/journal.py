@@ -53,6 +53,11 @@ DEFAULT_CHECKPOINT_INTERVAL = 32
 CHECKPOINTS_RETAINED = 2
 
 
+def _is_lsn(value) -> bool:
+    """Whether a record's ``lsn`` is one: a non-negative int."""
+    return type(value) is int and value >= 0
+
+
 @dataclass(frozen=True)
 class JournalRecord:
     """One decoded journal record."""
@@ -405,7 +410,12 @@ class Journal:
         self._next_checkpoint_index = (indexes[0] + 1) if indexes else 1
         for index in indexes:
             body = read_framed_file(self._checkpoints.path(index))
-            if body is not None and body.get("kind") == "checkpoint":
+            if (
+                body is not None
+                and body.get("kind") == "checkpoint"
+                and isinstance(body.get("payload"), dict)
+                and _is_lsn(body["payload"].get("lsn"))
+            ):
                 return body["payload"], skipped
             skipped += 1
         return None, skipped
@@ -419,9 +429,10 @@ class Journal:
         expected = None
 
         def dense(body: dict) -> bool:
+            # a record without a payload or a valid LSN is damage too
             nonlocal expected
             lsn = body.get("lsn")
-            if not isinstance(lsn, int):
+            if not _is_lsn(lsn) or "payload" not in body:
                 return False
             if lsn != expected and lsn > holes_through + 1:
                 return False

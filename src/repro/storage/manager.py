@@ -304,6 +304,8 @@ class StorageManager:
         copy's containers are the same bytes — copies share columns,
         encodings and sort order, and local segments ignore the buddy
         offset — so the next copy publishes what the first one built.
+        A mover cycle hands a buddy's drained run its primary's
+        derivations when both hold the same input (``CycleMemo``).
 
         A generator: each container id is yielded once that container
         is published (moveout injects its fault between containers);
@@ -329,7 +331,9 @@ class StorageManager:
         for entry in groups:
             (partition_key, local_segment), indexes, image = entry
             if image is not None:
-                yield self._publish(state, image, partition_key, local_segment)
+                yield self.publish_image(
+                    projection_name, image, partition_key, local_segment
+                )
                 continue
             # one group's rows at a time
             group = run.take(indexes)
@@ -345,7 +349,7 @@ class StorageManager:
                 # the image add_container_from_rows derived on the group
                 # is what the next copy publishes; the rows' order is no
                 # longer needed
-                entry[1:] = None, self._image(state, group)
+                entry[1:] = None, self.image_of(projection_name, group)
             yield container_id
 
     def _sorted_groups(self, state: ProjectionStorage, run: HistoryRun) -> list:
@@ -368,13 +372,16 @@ class StorageManager:
         ]
 
     @staticmethod
-    def _image(state: ProjectionStorage, run: HistoryRun) -> ContainerImage:
+    def image_key(projection: ProjectionDefinition) -> tuple:
+        """What a sorted run's container image depends on besides the run."""
+        return ("image", tuple(projection.columns), tuple(projection.sort_order))
+
+    def image_of(self, projection_name: str, run: HistoryRun) -> ContainerImage:
         """The container image of a sorted run, derived from it: built
-        once, whoever asks."""
-        projection = state.projection
+        once per :meth:`HistoryRun.shared` run, whoever asks."""
+        projection = self._state(projection_name).projection
         return run.derive(
-            ("image", tuple(projection.columns), tuple(projection.sort_order)),
-            lambda: ContainerImage.build(projection, run),
+            self.image_key(projection), lambda: ContainerImage.build(projection, run)
         )
 
     def _write_delete_vector(
@@ -398,32 +405,33 @@ class StorageManager:
         merged_from: list[int] | None = None,
     ) -> int:
         """Create one container from a pre-sorted run — where every
-        container is born: :meth:`write_run` builds its groups here;
+        container image is built: :meth:`write_run` builds its groups here;
         mergeout and the truncate rewrite, whose one run is already
         sorted, call it directly.  ``merged_from`` stamps mergeout
         provenance into the container's metadata so a crash before
         input retirement is self-healing.  The container's image is
-        derived from ``run`` (:meth:`_image`).
+        derived from ``run`` (:meth:`image_of`).
 
         The markers reach disk as a DVROS *before* the container
         publishes: a crash in between leaves a vector without a target,
         which scavenge deletes, never a container without its deletes.
         """
-        state = self._state(projection_name)
-        return self._publish(
-            state, self._image(state, run), partition_key, local_segment, merged_from
+        return self.publish_image(
+            projection_name, self.image_of(projection_name, run),
+            partition_key, local_segment, merged_from,
         )
 
-    def _publish(
+    def publish_image(
         self,
-        state: ProjectionStorage,
+        projection_name: str,
         image: ContainerImage,
-        partition_key,
-        local_segment: int,
+        partition_key=None,
+        local_segment: int = 0,
         merged_from: list[int] | None = None,
     ) -> int:
-        """Publish ``image`` as this node's next container (its delete
-        markers first, as a DVROS)."""
+        """Publish ``image`` as this copy's next container (its delete
+        markers first, as a DVROS), whichever copy built it."""
+        state = self._state(projection_name)
         container_id = self._next_container_id
         self._next_container_id += 1
         vector = dv_name = None
@@ -438,7 +446,6 @@ class StorageManager:
                 container_id, deleted, [delete_epochs[p] for p in deleted]
             )
             dv_name = self._write_delete_vector(state, vector)
-        projection_name = state.projection.name
         path = os.path.join(
             self._projection_dir(projection_name), f"ros_{container_id:06d}"
         )

@@ -97,8 +97,8 @@ class HistoryRun:
         """``make()``, called once per ``key`` for a :meth:`shared` run —
         its split by ring range, its sorted groups, a container's
         encoded files: what the first copy works out, the next copy
-        takes — and every time for a run one node writes (moveout,
-        mergeout).  Nothing outlives the run."""
+        takes, a buddy's drained run too (``CycleMemo``) — and every
+        time for a run one node writes alone.  Nothing outlives the run."""
         if self.derived is None:
             return make()
         try:
@@ -278,7 +278,7 @@ class ContainerImage:
 
     __slots__ = (
         "files", "row_count", "min_epoch", "max_epoch", "columns",
-        "column_groups", "delete_epochs",
+        "column_groups", "delete_epochs", "token",
     )
 
     def __init__(
@@ -297,6 +297,8 @@ class ContainerImage:
         self.columns = columns
         self.column_groups = column_groups
         self.delete_epochs = run.delete_epochs
+        #: These bytes' provenance, carried by every container published from them.
+        self.token = object()
 
     @classmethod
     def build(
@@ -346,7 +348,7 @@ def _column_files(name: str, writer: ColumnWriter, values: list) -> list:
 class ROSContainer:
     """One immutable sorted run of complete tuples on disk."""
 
-    def __init__(self, path: str, meta: ContainerMeta):
+    def __init__(self, path: str, meta: ContainerMeta, size_bytes=None, image_token=None):
         self.path = path
         self.meta = meta
         self._readers: dict[str, ColumnReader] = {}
@@ -358,7 +360,9 @@ class ROSContainer:
             for name in group
         }
         self._bounds: dict[str, tuple] = {}
-        self._size_bytes: int | None = None
+        self._size_bytes: int | None = size_bytes
+        #: Its image's token (None when loaded or adopted): same token, same bytes.
+        self.image_token = image_token
 
     # -- construction -------------------------------------------------
 
@@ -435,7 +439,9 @@ class ROSContainer:
         )
         METRICS.inc("storage.containers_written")
         METRICS.inc("storage.container_rows_written", image.row_count)
-        return cls(path, meta)
+        # the bytes written are known: sizing the container walks no directory
+        size = sum(len(data) for _, data in chain(*image.files))
+        return cls(path, meta, size, image.token)
 
     @classmethod
     def load(cls, path: str, verify_checksums: bool = True) -> "ROSContainer":

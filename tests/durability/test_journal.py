@@ -524,6 +524,70 @@ class TestDamageRecovery:
         Journal.open(directory)
         assert not [n for n in os.listdir(directory) if n.endswith(".tmp")]
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"kind": "floor", "lsn": 4},  # no payload
+            {"kind": "floor", "lsn": -1, "payload": {"epoch": 9}},
+            {"kind": "floor", "lsn": True, "payload": {"epoch": 9}},
+            {"kind": "floor", "lsn": "4", "payload": {"epoch": 9}},
+        ],
+    )
+    @pytest.mark.parametrize("torn_after", [False, True], ids=["bulk", "per_line"])
+    def test_a_record_without_payload_or_lsn_is_damage(
+        self, tmp_path, bad, torn_after
+    ):
+        """Regression: a CRC-valid record lacking its payload made
+        ``Journal.open`` raise a bare ``KeyError`` and one with a
+        negative LSN was replayed.  Either ends the valid prefix and is
+        truncated as a failed CRC is — on an intact segment, checked
+        whole, and on a damaged one (a torn frame after it), walked line
+        by line."""
+        directory = str(tmp_path / "journal")
+        journal = make_journal(tmp_path)
+        for epoch in range(1, 4):
+            journal.log_floor(epoch)
+        path = os.path.join(directory, segment_files(directory)[-1])
+        valid = os.path.getsize(path)
+        with open(path, "ab") as handle:
+            handle.write(_frame(bad).encode("utf-8"))
+            if torn_after:
+                handle.write(_frame({"kind": "floor", "lsn": 5, "payload": {}})[:9].encode())
+
+        replay = Journal.open(directory).last_replay
+        assert [r.lsn for r in replay.records] == [0, 1, 2, 3]
+        assert replay.floor == 3
+        assert replay.truncated_records == 1  # a torn tail counts as one
+        assert os.path.getsize(path) == valid
+        assert Journal.open(directory).last_replay.truncated_records == 0
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"kind": "checkpoint", "lsn": 1},  # no payload
+            {"kind": "checkpoint", "lsn": 1, "payload": {"floor": 1}},  # no lsn
+            {"kind": "checkpoint", "lsn": 1, "payload": {"lsn": -2, "floor": 1}},
+        ],
+    )
+    def test_a_checkpoint_without_payload_or_lsn_falls_back(self, tmp_path, bad):
+        """Regression: such a checkpoint raised ``KeyError`` on open; it
+        is skipped as a torn one is."""
+        directory = str(tmp_path / "journal")
+        journal = make_journal(tmp_path)
+        journal.log_floor(3)
+        journal.write_checkpoint(
+            floor=3, current_epoch=4, ahm=0, catalog={"tables": [], "families": []}
+        )
+        ckpt = os.path.join(directory, checkpoint_files(directory)[-1])
+        with open(ckpt, "wb") as handle:
+            handle.write(_frame(bad).encode("utf-8"))
+
+        replay = Journal.open(directory).last_replay
+        assert replay.checkpoint is None
+        assert replay.checkpoints_skipped == 1
+        assert [r.lsn for r in replay.records] == [0, 1]
+        assert replay.floor == 3
+
     def test_torn_checkpoint_falls_back(self, tmp_path):
         directory = str(tmp_path / "journal")
         journal = make_journal(tmp_path)

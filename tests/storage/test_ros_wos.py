@@ -124,6 +124,19 @@ class TestROSContainer:
         )
         assert columnar.data_size_bytes() < grouped.data_size_bytes()
 
+    @pytest.mark.parametrize("groups", [None, [["k", "v"]]], ids=["columns", "grouped"])
+    def test_a_published_container_knows_its_size(self, tmp_path, projection, groups):
+        """Publishing seeds ``size_bytes`` from the bytes it wrote: no
+        directory walk for mergeout planning; a loaded container walks
+        its directory, to the same figure."""
+        container = ROSContainer.write(
+            str(tmp_path / "r"), 1, projection, run_of(projection, make_rows(300), [1] * 300),
+            column_groups=groups,
+        )
+        with mock.patch("repro.storage.ros.os.listdir", side_effect=AssertionError):
+            seeded = container.size_bytes()
+        assert seeded == ROSContainer.load(container.path).size_bytes() > 0
+
     def test_epoch_metadata(self, tmp_path, projection):
         rows = make_rows(4)
         container = ROSContainer.write(

@@ -8,8 +8,9 @@ from repro import types
 from repro.core.schema import ColumnDef, TableDefinition
 from repro.execution import ColumnRef
 from repro.projections import super_projection
-from repro.storage import StorageManager
-from repro.tuple_mover import MergePolicy, TupleMover, plan_merges
+from repro.storage import HistoryRun, StorageManager
+from repro.storage.ros import ContainerImage
+from repro.tuple_mover import CycleMemo, MergePolicy, TupleMover, plan_merges
 from storage_helpers import delete_matching
 
 
@@ -224,3 +225,102 @@ class TestTupleMoverProperties:
             mover.mergeout("h_super")
         final = manager.read_visible_rows("h_super", epoch=len(batches))
         assert sorted(row["k"] for row in final) == sorted(expected)
+
+
+class TestCycleMemo:
+    """Two nodes holding one copy each: the second takes the first's
+    images only where its input is provably the same."""
+
+    @pytest.fixture
+    def nodes(self, tmp_path, table, monkeypatch):
+        projection = super_projection(table, sort_order=["k"])
+        movers = []
+        for index in range(2):
+            manager = StorageManager(str(tmp_path / f"n{index}"), wos_capacity=100_000)
+            manager.register_projection(projection, table)
+            movers.append(
+                TupleMover(manager, MergePolicy(base_size=512, multiplier=4, min_inputs=2))
+            )
+        self.builds = 0
+        build = ContainerImage.build.__func__
+
+        def counted(cls, *args, **kwargs):
+            self.builds += 1
+            return build(cls, *args, **kwargs)
+
+        monkeypatch.setattr(ContainerImage, "build", classmethod(counted))
+        return movers
+
+    @staticmethod
+    def run(values, epoch=1):
+        return HistoryRun({"k": values, "v": [f"v{v % 3}" for v in values]}, [epoch] * len(values))
+
+    @staticmethod
+    def files(mover):
+        state = mover.manager.storage(NAME)
+        found = []
+        for container_id, container in sorted(state.containers.items()):
+            for name in sorted(container.meta.checksums):
+                with open(f"{container.path}/{name}", "rb") as handle:
+                    found.append(handle.read())
+            found.append(sorted(state.deletes_for(container_id).items()))
+        return found
+
+    def moved_out(self, nodes, first, second, memo):
+        nodes[0].manager.insert(NAME, first, 1)
+        nodes[1].manager.insert(NAME, second, 1)
+        built = []
+        for mover in nodes:
+            before = self.builds
+            mover.moveout(NAME, memo)
+            built.append(self.builds - before)
+        return built
+
+    def test_the_same_objects_publish_one_image(self, nodes):
+        run = self.run(list(range(500, 0, -1)))
+        assert self.moved_out(nodes, run, run, CycleMemo(buddies=1, others=1)) == [1, 0]
+        assert self.files(nodes[0]) == self.files(nodes[1])
+
+    @pytest.mark.parametrize("change", ["copies", "epochs", "markers"])
+    def test_another_input_builds_its_own(self, nodes, change):
+        run = self.run(list(range(500, 0, -1)))
+        other = self.run(list(range(500, 0, -1)))  # equal values, other objects
+        if change != "copies":
+            other.columns = run.columns
+        if change == "epochs":
+            other.epochs = [1] * 499 + [0]
+        memo = CycleMemo(buddies=1, others=1)
+        nodes[0].manager.insert(NAME, run, 1)
+        nodes[1].manager.insert(NAME, other, 1)
+        if change == "markers":
+            nodes[1].manager.storage(NAME).wos.mark_deleted(3, 1)
+        before = self.builds
+        for mover in nodes:
+            mover.moveout(NAME, memo)
+        assert self.builds - before == 2
+
+    def test_a_merge_takes_the_image_of_the_same_inputs(self, nodes):
+        for wave in range(2):
+            run = self.run(list(range(wave * 300, wave * 300 + 300)))
+            assert self.moved_out(nodes, run, run, CycleMemo(buddies=1, others=1)) == [1, 0]
+        memo, built = CycleMemo(buddies=1, others=1), []
+        for mover in nodes:
+            before = self.builds
+            assert mover.mergeout(NAME, 0, memo).merged_groups == 1
+            built.append(self.builds - before)
+        assert built == [1, 0]
+        assert self.files(nodes[0]) == self.files(nodes[1])
+        assert nodes[0].stats == nodes[1].stats
+
+    @pytest.mark.parametrize("change", ["markers", "ahm", "no_takers"])
+    def test_a_merge_of_other_inputs_builds_its_own(self, nodes, change):
+        for wave in range(2):
+            run = self.run(list(range(wave * 300, wave * 300 + 300)))
+            self.moved_out(nodes, run, run, CycleMemo(buddies=1, others=1))
+        if change == "markers":
+            delete_matching(nodes[1].manager, NAME, lambda row: row["k"] == 7, 2, 1)
+        memo = CycleMemo(buddies=int(change != "no_takers"), others=1)
+        before = self.builds
+        for index, mover in enumerate(nodes):
+            mover.mergeout(NAME, index if change == "ahm" else 0, memo)
+        assert self.builds - before == 2

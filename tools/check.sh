@@ -51,7 +51,9 @@ echo "== fuzz corpus against the oracle =="
 # against the line-at-a-time walk (journal, Data Collector and the
 # unparsed open under torn, flipped and hand-made frames; lazily read
 # Data Collector history against an eager load after crash-mid-flush
-# runs).  Zero divergences required.
+# runs), and mover cycles whose buddies publish their primaries' images
+# against the same drawn history with that memo forced to miss (files,
+# container ids and dc_tuple_mover rows).  Zero divergences required.
 echo "   extra seeds: 7, ${GIT_SEED} (git-derived)"
 REPRO_FUZZ_SEEDS="7,${GIT_SEED}" REPRO_SANITIZE=1 \
     python -m pytest -q tests/integration/test_sql_differential_fuzz.py \
@@ -67,7 +69,8 @@ REPRO_FUZZ_SEEDS="7,${GIT_SEED}" REPRO_SANITIZE=1 \
     tests/cluster/test_serving_copy_properties.py \
     tests/storage/test_bulk_decode_properties.py \
     tests/storage/test_sort_prefix_skip_properties.py \
-    tests/storage/test_segment_log_bulk_open.py
+    tests/storage/test_segment_log_bulk_open.py \
+    tests/cluster/test_buddy_byte_identity.py::test_the_memo_changes_no_byte
 
 echo "== chaos seeds: two fixed + one fresh from the git SHA =="
 # The self-healing scenarios re-run on pinned seeds (regression

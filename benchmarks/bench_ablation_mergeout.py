@@ -17,6 +17,7 @@ from __future__ import annotations
 import pytest
 
 from repro import types
+from repro.columnar import blocks_to_rows
 from repro.core.schema import ColumnDef, TableDefinition
 from repro.projections import super_projection
 from repro.storage import StorageManager
@@ -54,7 +55,7 @@ def _run(tmp_path, mode: str):
                     __import__("repro.tuple_mover.mover", fromlist=["MergeResult"]).MergeResult(),
                 )
     # verify no data loss in any mode
-    visible = manager.read_visible_rows("t_super", epoch=BATCHES)
+    visible = blocks_to_rows(manager.scan("t_super", epoch=BATCHES))
     assert len(visible) == total_rows
     return {
         "containers": manager.container_count("t_super"),

@@ -12,6 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro import Database
+from repro.columnar import blocks_to_rows
 from repro.projections import (
     HashSegmentation,
     ProjectionColumn,
@@ -70,9 +71,9 @@ def test_figure1_report(benchmark, db):
         rows = []
         total = 0
         for node in db.cluster.nodes:
-            stored = node.manager.read_visible_rows(
+            stored = blocks_to_rows(node.manager.scan(
                 family.primary.name, db.latest_epoch
-            )
+            ))
             total += len(stored)
             rows.append(
                 [
@@ -111,9 +112,9 @@ def test_projections_answer_identically(benchmark, db):
     for node_index, projection_name in db.cluster.scan_sources(
         catalog.family(super_name)
     ):
-        for row in db.cluster.nodes[node_index].manager.read_visible_rows(
+        for row in blocks_to_rows(db.cluster.nodes[node_index].manager.scan(
             projection_name, db.latest_epoch
-        ):
+        )):
             by_super.append({"cust": row["cust"], "price": row["price"]})
     normalize = lambda rows: sorted(
         (row["cust"], row["price"]) for row in rows

@@ -13,6 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro import ColumnDef, Database, TableDefinition, types
+from repro.columnar import blocks_to_rows
 
 from conftest import print_table
 from storage_helpers import nodes_of
@@ -80,9 +81,9 @@ def test_incremental_recovery_report(benchmark, db):
     # phase E: the recovered node serves queries again, consistently
     assert db.sql(count_sql)[0]["n"] == 5900
     family = db.cluster.catalog.super_projection_for("events")
-    own = db.cluster.nodes[1].manager.read_visible_rows(
+    own = blocks_to_rows(db.cluster.nodes[1].manager.scan(
         family.primary.name, db.latest_epoch
-    )
+    ))
     loaded = batch(0, 6000)
     placed = nodes_of(family.primary.segmentation, loaded, 3)
     expected = {

@@ -13,6 +13,7 @@ Run:  python examples/projections_and_segmentation.py
 import tempfile
 
 from repro import Database, types
+from repro.columnar import blocks_to_rows
 from repro.projections import (
     HashSegmentation,
     ProjectionColumn,
@@ -61,18 +62,18 @@ def main() -> None:
     for family in db.cluster.catalog.families_for_table("sales"):
         print(f"  {family.primary.name}:")
         for node in db.cluster.nodes:
-            stored = node.manager.read_visible_rows(
-                family.primary.name, db.latest_epoch)
+            stored = blocks_to_rows(node.manager.scan(
+                family.primary.name, db.latest_epoch))
             keys = [str(r.get("sale_id", r.get("cust"))) for r in stored]
             print(f"    {node.name}: {', '.join(keys) or '(empty)'}")
 
     print("\n== buddies never co-locate a row with the primary ==")
     family = db.cluster.catalog.super_projection_for("sales")
     for node in db.cluster.nodes:
-        primary_ids = {r["sale_id"] for r in node.manager.read_visible_rows(
-            family.primary.name, db.latest_epoch)}
-        buddy_ids = {r["sale_id"] for r in node.manager.read_visible_rows(
-            family.buddies[0].name, db.latest_epoch)}
+        primary_ids = {r["sale_id"] for r in blocks_to_rows(node.manager.scan(
+            family.primary.name, db.latest_epoch))}
+        buddy_ids = {r["sale_id"] for r in blocks_to_rows(node.manager.scan(
+            family.buddies[0].name, db.latest_epoch))}
         print(f"  {node.name}: primary {sorted(primary_ids)} "
               f"| buddy {sorted(buddy_ids)} "
               f"| overlap {sorted(primary_ids & buddy_ids)}")

@@ -21,6 +21,7 @@ from collections.abc import Iterable
 from typing import TYPE_CHECKING
 
 from .. import faults
+from ..columnar.vectors import as_list
 from ..dc import DataCollector
 from ..core.catalog import Catalog
 from ..core.schema import TableDefinition
@@ -32,7 +33,6 @@ from ..errors import (
     SqlAnalysisError,
     UnknownObjectError,
 )
-from ..execution.kernels.vectors import as_list
 from ..monitor import METRICS
 from ..storage import HistoryRun, ScavengeReport, StorageManager
 from ..projections import (

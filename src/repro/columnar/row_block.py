@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..errors import ExecutionError
-from .kernels.vectors import PlainVector, as_list, null_count_of
+from .vectors import PlainVector, as_list, null_count_of
 
 #: Default number of rows per block flowing between operators.
 VECTOR_SIZE = 4096
@@ -26,7 +26,7 @@ class RowBlock:
     """A columnar batch of rows.
 
     Columns are equal-length sequences: plain lists, or (from a
-    vectorized scan) :class:`~repro.execution.kernels.vectors.ColumnVector`
+    vectorized scan) :class:`~repro.columnar.vectors.ColumnVector`
     instances that keep their encoded form until something actually
     indexes them.  ``sorted_by`` names the columns this block's rows are
     sorted by ascending (major first), when known — the hook kernel

@@ -4,7 +4,7 @@ A :class:`ColumnVector` carries one block-range of one column in its
 *encoded representation* — RLE runs or block-dictionary codes — plus a
 lazily-built, cached materialization.  Vectors implement the read-only
 sequence protocol (``len``, indexing, slicing, iteration), so they can
-sit inside a :class:`repro.execution.row_block.RowBlock` and flow
+sit inside a :class:`~repro.columnar.row_block.RowBlock` and flow
 through operators that know nothing about kernels: the first per-row
 access simply materializes the values.  Kernel-aware operators instead
 dispatch on the vector kind and work on runs/codes directly.
@@ -31,7 +31,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from operator import itemgetter
 
-from ...types import any_nan
+from ..types import any_nan
 
 _RUN_VALUE = itemgetter(0)
 

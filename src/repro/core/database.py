@@ -16,6 +16,7 @@ import os
 from time import perf_counter
 
 from ..cluster import Cluster, recover_node
+from ..columnar.row_block import RowBlock
 from ..durability.journal import DEFAULT_CHECKPOINT_INTERVAL
 from ..errors import DurabilityError
 from ..execution.executor import DistributedExecutor, ExecutorStats
@@ -25,7 +26,6 @@ from ..monitor.tables import is_monitor_table, reads_monitor
 from ..execution.expressions import ColumnRef, Expr, Literal, Or
 from ..execution.kernels.predicates import compile_kernel_predicate
 from ..execution.resource import ResourcePool, WorkloadPolicy
-from ..execution.row_block import RowBlock
 from ..optimizer import PlannerBase, StatsCatalog
 from ..optimizer.logical import LogicalNode, ProjectNode, ScanNode
 from ..optimizer.planner import _copy_nodes

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from ..columnar.row_block import RowBlock
 from ..errors import SqlAnalysisError
 from ..types import DataType
 
@@ -84,8 +85,6 @@ class TableDefinition:
         """The partition key of each of ``row_count`` rows given as
         ``columns`` (name -> values): the expression evaluated once over
         them; None for each when the table is unpartitioned."""
-        from ..execution.row_block import RowBlock
-
         if self.partition_by is None or not row_count:  # (an empty run has no columns)
             return [None] * row_count
         names = self.partition_columns()

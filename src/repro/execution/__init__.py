@@ -1,5 +1,16 @@
 """The Vertica-style vectorized, pull-model execution engine (section 6)."""
 
+from ..columnar import (
+    VECTOR_SIZE,
+    ColumnVector,
+    DictVector,
+    PlainVector,
+    RleVector,
+    RowBlock,
+    Selection,
+    as_list,
+    blocks_to_rows,
+)
 from .aggregates import AggregateSpec
 from .expressions import (
     And,
@@ -18,18 +29,9 @@ from .expressions import (
     Or,
     column_range_from_predicate,
 )
-from .kernels import (
-    ColumnVector,
-    DictVector,
-    PlainVector,
-    RleVector,
-    Selection,
-    as_list,
-)
 from .operators import *  # noqa: F401,F403 - re-export operator set
 from .operators import __all__ as _operators_all
 from .resource import ResourcePool, SpillFile, WorkloadPolicy
-from .row_block import VECTOR_SIZE, RowBlock, blocks_to_rows
 from .sip import SipFilter
 
 __all__ = [

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .. import faults
+from ..columnar.row_block import RowBlock
 from ..errors import (
     DataUnavailableError,
     InjectedFaultError,
@@ -57,7 +58,6 @@ from .operators import (
     UnionAllOperator,
 )
 from .resource import ResourcePool
-from .row_block import RowBlock
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
     from ..storage import HistoryRun

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..columnar.row_block import RowBlock
 from ..errors import ExecutionError
-from .row_block import RowBlock
 
 # ---------------------------------------------------------------------------
 # base

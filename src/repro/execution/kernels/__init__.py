@@ -4,14 +4,11 @@
     of function calls [...] Vertica operates on the encoded data
     whenever possible.  (section 6.1)
 
-This package is the execution engine's one way to touch a block:
+This package is the execution engine's one way to compute over a block
+of :mod:`repro.columnar` vectors (which keep a block's encoded
+representation alive across operators) and the selections describing
+the rows a predicate kept:
 
-* :mod:`.vectors` — columnar vectors that keep a block's *encoded
-  representation* (RLE runs, dictionary codes) alive across operators
-  while still looking like ordinary Python sequences, so any operator
-  that was never taught about kernels transparently materializes;
-* :mod:`.selection` — selection bitmaps/position-ranges describing the
-  rows a predicate kept, composable without touching data columns;
 * :mod:`.predicates` — a compiler from the expression tree to
   vectorized predicate kernels (dictionary comparisons test each
   dictionary entry once, RLE predicates test each run once, sorted
@@ -23,17 +20,3 @@ There is no second engine to fall back to: every predicate compiles
 and every aggregation shape folds here.  The tests hold the kernels to
 plain-Python oracles of their own.
 """
-
-from __future__ import annotations
-
-from .selection import Selection
-from .vectors import ColumnVector, DictVector, PlainVector, RleVector, as_list
-
-__all__ = [
-    "ColumnVector",
-    "DictVector",
-    "PlainVector",
-    "RleVector",
-    "Selection",
-    "as_list",
-]

@@ -29,9 +29,9 @@ from functools import partial
 from itertools import compress, count, filterfalse, repeat
 from operator import eq, gt, is_not, itemgetter, lt, mul, ne, not_, or_, sub
 
+from ...columnar.row_block import VECTOR_SIZE, RowBlock
+from ...columnar.vectors import ColumnVector, DictVector, PlainVector, RleVector, as_list, null_count_of
 from ...types import any_nan
-from ..row_block import VECTOR_SIZE, RowBlock
-from .vectors import ColumnVector, DictVector, PlainVector, RleVector, as_list, null_count_of
 
 #: The one object every NaN group key becomes: NaN keys are one group (as
 #: NULL keys are), and a dict finds an equal-by-identity key.

@@ -43,6 +43,9 @@ from __future__ import annotations
 from itertools import repeat
 from operator import and_, eq, ge, gt, is_, is_not, le, lt, ne, not_
 
+from ...columnar.row_block import RowBlock
+from ...columnar.selection import Selection
+from ...columnar.vectors import ColumnVector, DictVector, RleVector, as_list, null_count_of, seek
 from ..expressions import (
     And,
     Between,
@@ -56,9 +59,6 @@ from ..expressions import (
     Not,
     Or,
 )
-from ..row_block import RowBlock
-from .selection import Selection
-from .vectors import ColumnVector, DictVector, RleVector, as_list, null_count_of, seek
 
 #: Comparison op under logical negation — for the *seek*, which only
 #: ever runs over NULL- and NaN-free values.  A leaf's tests may meet a

@@ -22,13 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import repeat
 
+from ...columnar.row_block import VECTOR_SIZE, RowBlock
+from ...columnar.vectors import as_list
 from ...errors import ExecutionError
 from ...types import ordering_keys, sort_permutation
 from ..aggregates import AggregateSpec
 from ..expressions import Expr
 from ..kernels.aggregate import aggregate_state, fold_runs, run_starts
-from ..kernels.vectors import as_list
-from ..row_block import VECTOR_SIZE, RowBlock
 from .base import Operator
 
 _RANKING = ("ROW_NUMBER", "RANK", "DENSE_RANK")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from time import perf_counter
 
-from ..row_block import RowBlock
+from ...columnar.row_block import RowBlock
 
 
 class Operator:

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ...columnar.row_block import RowBlock
+from ...columnar.vectors import as_list
 from ...errors import ExecutionError
 from ...projections.segmentation import ring_positions, split_by_range
 from ...trace import TRACER
 from ..expressions import Expr
-from ..kernels.vectors import as_list
-from ..row_block import RowBlock
 from .base import Operator
 
 

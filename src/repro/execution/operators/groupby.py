@@ -25,13 +25,13 @@ prepass outputs flow into an ordinary merge-mode GroupBy.
 
 from __future__ import annotations
 
+from ...columnar.row_block import RowBlock
 from ...errors import ExecutionError
 from ...lint import sanitizer
 from ..aggregates import AggregateSpec
 from ..expressions import ColumnRef, Expr
 from ..kernels.aggregate import GroupTable, absorb_block_kernel, key_values
 from ..resource import ResourcePool, SpillFile
-from ..row_block import RowBlock
 from .base import Operator, SourceBlocks
 
 

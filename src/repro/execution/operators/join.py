@@ -26,15 +26,15 @@ from enum import Enum
 from functools import cached_property
 from itertools import chain, compress, repeat
 
+from ...columnar.row_block import VECTOR_SIZE, RowBlock, gather
+from ...columnar.selection import Selection
+from ...columnar.vectors import PlainVector, as_list
 from ...errors import ExecutionError
 from ...types import NAN_LAST, ordering_keys
 from ..expressions import Expr
 from ..kernels.aggregate import run_starts
 from ..kernels.predicates import compile_kernel_predicate
-from ..kernels.selection import Selection
-from ..kernels.vectors import PlainVector, as_list
 from ..resource import ResourcePool
-from ..row_block import VECTOR_SIZE, RowBlock, gather
 from ..sip import SipFilter
 from .base import Operator, SourceBlocks
 from .sort import SortKey, SortOperator

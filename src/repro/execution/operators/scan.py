@@ -15,11 +15,11 @@ from __future__ import annotations
 
 from collections import Counter
 
+from ...columnar.row_block import RowBlock
 from ...storage import HistoryRun
 from ...storage.manager import StorageManager
 from ..expressions import And, CaseWhen, Expr, Literal, column_range_from_predicate
 from ..kernels.predicates import compile_kernel_predicate
-from ..row_block import RowBlock, sorted_prefix
 from ..sip import SipFilter
 from .base import Operator
 
@@ -141,7 +141,7 @@ class ScanOperator(Operator):
 
         if self.failure_probe is not None:
             self.failure_probe()
-        for batch in self.manager.scan(
+        for block in self.manager.scan(
             self.projection_name,
             self.epoch,
             columns=needed,
@@ -150,14 +150,6 @@ class ScanOperator(Operator):
         ):
             if self.failure_probe is not None:
                 self.failure_probe()
-            sorted_by = None
-            if batch.sort_columns:
-                sorted_by = sorted_prefix(batch.sort_columns, needed_set)
-            block = RowBlock(
-                columns=batch.columns,
-                row_count=batch.row_count,
-                sorted_by=sorted_by,
-            )
             out = emit(block, kernel)
             if out is not None:
                 yield out

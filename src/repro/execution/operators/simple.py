@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
+from ...columnar.row_block import RowBlock
 from ...errors import ExecutionError
 from ...lint import sanitizer
 from ..expressions import Expr
 from ..kernels.aggregate import GroupTable, key_values
 from ..kernels.predicates import compile_kernel_predicate
-from ..row_block import RowBlock
 from .base import Operator
 
 

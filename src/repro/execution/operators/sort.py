@@ -19,12 +19,12 @@ from dataclasses import dataclass
 from itertools import islice, repeat
 from operator import itemgetter
 
+from ...columnar.row_block import VECTOR_SIZE, RowBlock
+from ...columnar.vectors import as_list
 from ...lint import sanitizer
 from ...types import ordering_keys, sort_permutation
 from ..expressions import Expr
-from ..kernels.vectors import as_list
 from ..resource import ResourcePool, SpillFile
-from ..row_block import VECTOR_SIZE, RowBlock
 from .base import Operator
 
 

@@ -17,10 +17,10 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 
+from ...columnar.row_block import RowBlock
+from ...columnar.vectors import as_list
 from ...projections.segmentation import ring_positions, split_by_range
 from ..expressions import Expr
-from ..kernels.vectors import as_list
-from ..row_block import RowBlock
 from .base import Operator
 
 

@@ -17,9 +17,9 @@ import pickle
 import tempfile
 from dataclasses import dataclass, field
 
+from ..columnar.row_block import RowBlock
+from ..columnar.vectors import as_list
 from ..types import any_nan
-from .kernels.vectors import as_list
-from .row_block import RowBlock
 
 
 @dataclass

@@ -20,10 +20,10 @@ from collections.abc import Collection
 from dataclasses import dataclass
 from itertools import repeat
 
+from ..columnar.row_block import RowBlock
+from ..columnar.selection import Selection
+from ..columnar.vectors import DictVector, RleVector, as_list
 from .expressions import Expr
-from .kernels.selection import Selection
-from .kernels.vectors import DictVector, RleVector, as_list
-from .row_block import RowBlock
 
 
 @dataclass

@@ -11,10 +11,10 @@ the section 6.2 ablation.
 
 from __future__ import annotations
 
+from ..columnar.row_block import sorted_prefix
 from ..errors import PlanningError
 from ..execution.expressions import ColumnRef, Comparison, Expr
 from ..execution.operators.join import JoinType
-from ..execution.row_block import sorted_prefix
 from ..monitor.tables import is_monitor_table
 from ..projections import HashSegmentation, ProjectionDefinition
 from ..trace import TRACER

@@ -6,7 +6,6 @@ from .delete_vector import DeleteVector, combined_deletes
 from .manager import (
     ProjectionStorage,
     QuarantinedContainer,
-    ScanBatch,
     ScavengeReport,
     StorageManager,
 )
@@ -25,7 +24,6 @@ __all__ = [
     "combined_deletes",
     "ProjectionStorage",
     "QuarantinedContainer",
-    "ScanBatch",
     "ScavengeReport",
     "StorageManager",
     "EPOCH_COLUMN",

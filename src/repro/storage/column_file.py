@@ -7,18 +7,20 @@
     implicit and are never stored explicitly.  (section 3.7)
 
 :class:`ColumnWriter` produces the two byte streams; :class:`ColumnReader`
-serves decoded values by position, whole-column reads, and position
-ranges pruned by the index's min/max.  The reader is also where "fast
-tuple reconstruction" happens: fetching the value at position *p* touches
-a single block located through the index, never a full-file scan.
+serves a column — a column file's, or a row-grouped column's decoded
+values — block by block: values or encoded vectors by position, and
+position ranges pruned by the index's min/max, so fetching position *p*
+("fast tuple reconstruction") touches one block, never the whole file.
 """
 
 from __future__ import annotations
 
+from ..columnar.selection import Selection
+from ..columnar.vectors import DictVector, PlainVector, RleVector
 from ..errors import CorruptContainerError, StorageError
 from ..monitor import METRICS
 from ..types import DataType
-from .block import BLOCK_ROWS, BlockInfo, decode_block, encode_block
+from .block import BLOCK_ROWS, BlockInfo, decode_block, encode_block, value_bounds
 from .encodings import Encoding, encoding_by_name
 from .serde import read_uvarint, write_uvarint
 
@@ -133,6 +135,22 @@ class ColumnReader:
         self._vector_cache: dict[int, object] = {}
         self.row_count = self.blocks[-1].end_position if self.blocks else 0
 
+    @classmethod
+    def of_values(cls, values: list, cuts: list[BlockInfo]) -> "ColumnReader":
+        """A reader over a column already decoded (a row-grouped one),
+        cut where the blocks ``cuts`` are: each block PLAIN and cached,
+        its min/max the values' own (:func:`value_bounds`)."""
+        reader = cls(b"", b"\x00")  # no bytes, no blocks
+        for index, cut in enumerate(cuts):
+            first, count = cut.start_position, cut.row_count
+            block = reader._cache[index] = values[first : first + count]
+            non_nulls = [value for value in block if value is not None]
+            bounds = value_bounds(non_nulls)
+            nulls = count - len(non_nulls)
+            reader.blocks.append(BlockInfo(first, count, nulls, "PLAIN", 0, 0, *bounds))
+        reader.row_count = len(values)
+        return reader
+
     def block_values(self, block_index: int) -> list:
         """Decode (with caching) the values of one block."""
         cached = self._cache.get(block_index)
@@ -157,16 +175,8 @@ class ColumnReader:
         """
         cached = self._vector_cache.get(block_index)
         if cached is None:
-            from ..execution.kernels.vectors import (
-                DictVector,
-                PlainVector,
-                RleVector,
-            )
-
             info = self.blocks[block_index]
             if info.null_count == 0 and info.encoding in ("RLE", "BLOCK_DICT"):
-                from .encodings import encoding_by_name
-
                 payload = self._data[info.offset : info.offset + info.length]
                 encoding = encoding_by_name(info.encoding)
                 if info.encoding == "RLE":
@@ -193,8 +203,6 @@ class ColumnReader:
         hi = min(end - info.start_position, info.row_count)
         if lo == 0 and hi == info.row_count:
             return vector
-        from ..execution.kernels.selection import Selection
-
         return Selection.from_ranges([(lo, hi)], info.row_count).apply(vector)
 
     def read_all(self) -> list:

@@ -24,6 +24,9 @@ from dataclasses import dataclass, field
 from itertools import compress, repeat
 from operator import ge
 
+from ..columnar.row_block import RowBlock, sorted_prefix
+from ..columnar.selection import Selection
+from ..columnar.vectors import seek
 from ..core.schema import TableDefinition
 from ..errors import StorageError, UnknownObjectError
 from ..monitor import METRICS
@@ -94,17 +97,6 @@ class ScavengeReport:
             self.removed_tmp or self.quarantined or self.duplicates_retired
             or self.stale_delete_vectors
         )
-
-
-@dataclass
-class ScanBatch:
-    """A vectorized slice of visible rows handed to the Scan operator."""
-
-    columns: dict[str, list]
-    row_count: int
-    #: The projection sort order (major first) — every batch is a sorted
-    #: run; lets the execution kernels binary-search and detect runs.
-    sort_columns: tuple | None = None
 
 
 @dataclass
@@ -578,28 +570,19 @@ class StorageManager:
             if take(key):
                 state.wos.mark_deleted(position, commit_epoch)
                 deleted += 1
+        if deleted == count:
+            return deleted
         bounds = {}
         for name in names:
             values = victims[name]
             # NULL and NaN order against nothing: no bound through them
             if not any(value is None or value != value for value in values):
                 bounds[name] = min(values), max(values)
-        prefix = _sort_prefix(state.projection.sort_order, bounds)
-        if prefix:
-            from ..execution.kernels.vectors import seek
-        counts: Counter = Counter()  # blocks the victims' bounds pruned
-        for container_id in sorted(state.containers):
-            container = state.containers[container_id]
-            if deleted == count or not all(
-                container.may_contain(name, low, high)
-                for name, (low, high) in bounds.items()
-            ):
-                continue
-            span = self._pruned_position_range(container, bounds, counts)
-            if prefix and container.meta.min_epoch <= snapshot_epoch:
-                span = self._prefix_window(container, prefix, span, seek)
+        counts: Counter = Counter()
+        for container, _, window in self._walk(state, snapshot_epoch, bounds, counts):
+            container_id = container.container_id
             for _, start, end, visible in self._visible_pieces(
-                state, container, snapshot_epoch, names, span
+                state, container, snapshot_epoch, names, window
             ):
                 positions = (
                     range(end - start) if visible is None else visible.positions()
@@ -612,7 +595,10 @@ class StorageManager:
                             container_id, DeleteVector(container_id)
                         ).add(start + offset, commit_epoch)
                         deleted += 1
-        METRICS.fold(counts)
+            if deleted == count:
+                break
+        # the containers the walk passed over are a scan's count, not a delete's
+        METRICS.fold({"storage.blocks_pruned": counts["storage.blocks_pruned"]})
         return deleted
 
     def persist_delete_vectors(self, projection_name: str) -> int:
@@ -849,32 +835,49 @@ class StorageManager:
         prune: dict[str, tuple] | None = None,
         counts: Counter | None = None,
     ):
-        """Yield :class:`ScanBatch` es of rows visible at ``epoch``.
+        """Yield the rows visible at ``epoch`` as :class:`RowBlock` s of
+        encoded vectors, each a sorted run (``sorted_by``: the sort
+        order's prefix among ``columns``).
 
         ``prune`` maps column name -> (low, high) and eliminates whole
-        containers via their min/max metadata and via the sort prefix
-        (:meth:`_prefix_window`), then blocks via the position index,
-        before a container is opened.  Columns arrive as
-        encoded vectors (a row-grouped column as a value list).  A batch
-        never crosses a storage block, so block-local dictionaries stay
-        valid, and rows deleted at ``epoch`` are selected out of it, not
-        decoded around.
+        containers and blocks before a container is opened
+        (:meth:`_walk`).  A block never crosses a storage block, so
+        block-local dictionaries stay valid, and rows deleted at
+        ``epoch`` are selected out of it, not decoded around.
 
-        The container walk's counters (containers scanned and pruned,
-        blocks pruned) go to ``counts`` when the caller folds them
-        itself — the Scan operator, once per query — and otherwise to
-        ``METRICS`` once, when the walk reaches the WOS.
+        The walk's counters (containers scanned and pruned, blocks
+        pruned) go to ``counts`` when the caller folds them itself — the
+        Scan operator, once per query — and otherwise to ``METRICS``
+        once, when the walk reaches the WOS.
         """
         state = self._state(projection_name)
         names = columns or [c.name for c in state.projection.columns]
-        sort_columns = tuple(state.projection.sort_order) or None
+        sorted_by = sorted_prefix(tuple(state.projection.sort_order) or None, set(names))
         own = counts is None
         if own:
             counts = Counter()
+        for container, span, _ in self._walk(state, epoch, prune, counts):
+            counts["storage.containers_scanned"] += 1
+            yield from self._scan_container(
+                state, container, epoch, names, span, sorted_by
+            )
+        if own:
+            METRICS.fold(counts)
+        yield from self._scan_wos(state, epoch, names, sorted_by)
+
+    def _walk(self, state, epoch, prune, counts):
+        """The one container walk of a scan and a by-value delete: yield
+        ``(container, span, window)`` for each container, by ascending
+        id, that may hold a row inside every (low, high) of ``prune``.
+
+        ``span`` is the positions the position index leaves
+        (:meth:`_pruned_position_range`, blocks pruned counted in
+        ``counts``), ``window`` the part of it the sort prefix can hold
+        (:meth:`_prefix_window`, searched only in a container with a row
+        at or before ``epoch``).  A container whose min/max or window
+        rules it out is counted in ``storage.containers_pruned`` and not
+        yielded."""
         prefix = _sort_prefix(state.projection.sort_order, prune)
-        if prefix:
-            # storage imports the kernels lazily (they import storage)
-            from ..execution.kernels.vectors import seek
         for container_id in sorted(state.containers):
             container = state.containers[container_id]
             if prune and not all(
@@ -884,24 +887,16 @@ class StorageManager:
             ):
                 counts["storage.containers_pruned"] += 1
                 continue
-            span = self._pruned_position_range(container, prune, counts)
+            span = window = self._pruned_position_range(container, prune, counts)
             if prefix and container.meta.min_epoch <= epoch:
-                window = self._prefix_window(container, prefix, span, seek)
-            else:
-                window = span
+                window = self._prefix_window(container, prefix, span)
             if window[0] >= window[1]:
                 counts["storage.containers_pruned"] += 1
                 continue
-            counts["storage.containers_scanned"] += 1
-            yield from self._scan_container(
-                state, container, epoch, names, span, sort_columns
-            )
-        if own:
-            METRICS.fold(counts)
-        yield from self._scan_wos(state, epoch, names, sort_columns)
+            yield container, span, window
 
     @staticmethod
-    def _prefix_window(container, prefix, span, seek) -> tuple[int, int]:
+    def _prefix_window(container, prefix, span) -> tuple[int, int]:
         """The positions of ``span`` — the blocks the position index
         leaves — that may hold a row inside the sort prefix's window
         (:func:`_sort_prefix`); empty when none can.  Each prefix column
@@ -909,12 +904,12 @@ class StorageManager:
         runs and dictionary codes are searched, never decoded to values.
         Where the search cannot judge, the window narrowed so far (at
         first ``span`` itself) is the answer: one spread over two blocks,
-        a row-grouped column, a block with a NULL or a NaN, a literal
-        that does not order against the column."""
+        a block with a NULL or a NaN, a literal that does not order
+        against the column."""
         lo, hi = span
         index = None
         for name, bounds in prefix:
-            if lo >= hi or container._group_of(name) is not None:
+            if lo >= hi:
                 break
             reader = container.column_reader(name)
             if index is None:
@@ -933,14 +928,12 @@ class StorageManager:
         return lo, hi
 
     def _pruned_position_range(self, container, prune, counts) -> tuple[int, int]:
-        """Intersect pruned position ranges of restricted (ungrouped)
+        """Intersect the pruned position ranges of the restricted
         columns — the first step of the columnar walk."""
         start, end = 0, container.row_count
         if prune:
             for column, (low, high) in prune.items():
                 if column not in container.meta.columns:
-                    continue
-                if container._group_of(column) is not None:
                     continue
                 lo, hi, pruned = container.column_reader(column).position_range_for(
                     low, high
@@ -952,17 +945,14 @@ class StorageManager:
 
     def _visible_pieces(self, state, container, epoch, names, span):
         """The one columnar walk of a container: yield ``(block_index,
-        start, end, visible)`` for every piece of ``span`` — the pruned
-        position range (:meth:`_pruned_position_range`) — holding a row
+        start, end, visible)`` for every piece of ``span`` holding a row
         visible at ``epoch``.
 
-        Pieces are cut at the storage blocks of the first ungrouped
-        column of ``names`` (all ungrouped columns share block
-        boundaries — the same :class:`ColumnWriter` cadence wrote them);
-        when every one is row-grouped ``block_index`` is None and pieces
-        are ``BLOCK_ROWS`` long.  ``visible`` is None when every row of
-        the piece is visible — the container carries no delete marker
-        at or before ``epoch`` and no row past it — and otherwise the
+        Pieces are cut at the storage blocks of the first of ``names``
+        (every column, row-grouped ones too, shares the container's
+        block boundaries).  ``visible`` is None when every row of the
+        piece is visible — the container carries no delete marker at or
+        before ``epoch`` and no row past it — and otherwise the
         :class:`Selection` of the rows that are (:meth:`_visible_rows`);
         a piece with nothing visible is skipped before any data column
         is decoded.  Scans and by-value deletes both read through here,
@@ -971,22 +961,11 @@ class StorageManager:
         start, end = span
         if start >= end or container.meta.min_epoch > epoch:
             return
-        for name in names:
-            if container._group_of(name) is None:
-                blocks = [
-                    (index, info.start_position, info.end_position)
-                    for index, info in enumerate(container.column_reader(name).blocks)
-                ]
-                break
-        else:
-            blocks = [
-                (None, first, first + BLOCK_ROWS)
-                for first in range(0, container.row_count, BLOCK_ROWS)
-            ]
         deletes = state.deletes_for(container.container_id)
         dead = sorted(p for p, e in deletes.items() if e <= epoch) if deletes else []
-        for block_index, block_start, block_end in blocks:
-            piece_start, piece_end = max(start, block_start), min(end, block_end)
+        for block_index, info in enumerate(container.column_reader(names[0]).blocks):
+            piece_start = max(start, info.start_position)
+            piece_end = min(end, info.end_position)
             if piece_start >= piece_end:
                 continue
             visible = None
@@ -1004,8 +983,6 @@ class StorageManager:
         visible at ``epoch``: not among ``dead`` (the sorted positions
         deleted at or before it) and — read only from a container
         straddling ``epoch`` — not inserted after it."""
-        from ..execution.kernels.selection import Selection
-
         gone = dead[bisect_left(dead, start) : bisect_left(dead, end)]
         visible = Selection.from_ranges(
             [(p - start, p - start + 1) for p in gone], end - start
@@ -1017,54 +994,34 @@ class StorageManager:
             )
         return visible
 
-    def _scan_container(self, state, container, epoch, names, span, sort_columns):
+    def _scan_container(self, state, container, epoch, names, span, sorted_by):
         for block_index, start, end, visible in self._visible_pieces(
             state, container, epoch, names, span
         ):
             columns = {}
             for name in names:
-                # a row-grouped column has no encoding to preserve
-                if container._group_of(name) is None:
-                    values = container.column_reader(name).vector_for_range(
-                        block_index, start, end
-                    )
-                else:
-                    values = container.read_range(name, start, end)
+                values = container.column_reader(name).vector_for_range(
+                    block_index, start, end
+                )
                 columns[name] = values if visible is None else visible.apply(values)
-            yield ScanBatch(
-                columns=columns,
-                row_count=end - start if visible is None else visible.count,
-                sort_columns=sort_columns,
+            yield RowBlock(
+                columns,
+                end - start if visible is None else visible.count,
+                sorted_by,
             )
 
-    def _scan_wos(self, state, epoch, names, sort_columns):
-        """The WOS half of a scan: the batches of its sorted columnar
+    def _scan_wos(self, state, epoch, names, sorted_by):
+        """The WOS half of a scan: the blocks of its sorted columnar
         view (:class:`SortedView` — built once per mutation, not per
         scan) visible at ``epoch``."""
         if not state.wos.row_count:
             return
         view = state.wos.sorted_view(state.projection.sort_order)
-        batches = view.batches(epoch, names, BLOCK_ROWS)
-        if not batches:
-            return
-        METRICS.inc("storage.wos_scans")
-        METRICS.inc("storage.wos_rows_scanned", sum(rows for _, rows in batches))
-        for columns, row_count in batches:
-            yield ScanBatch(
-                columns=columns, row_count=row_count, sort_columns=sort_columns
-            )
-
-    def read_visible_rows(self, projection_name: str, epoch: int) -> list[dict]:
-        """Materialize every visible row as a dict (tests and examples;
-        the product reads columns)."""
-        from ..execution.kernels.vectors import as_list
-
-        rows: list[dict] = []
-        for batch in self.scan(projection_name, epoch):
-            names = list(batch.columns)
-            for values in zip(*map(as_list, batch.columns.values())):
-                rows.append(dict(zip(names, values)))
-        return rows
+        blocks = view.batches(epoch, names, BLOCK_ROWS, sorted_by)
+        if blocks:
+            METRICS.inc("storage.wos_scans")
+            METRICS.inc("storage.wos_rows_scanned", sum(b.row_count for b in blocks))
+        yield from blocks
 
     def container_run(self, projection_name: str, container_id: int) -> HistoryRun:
         """Every row of one ROS container, deleted or not, in sort order

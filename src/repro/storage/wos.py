@@ -25,6 +25,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..columnar.row_block import RowBlock
+from ..columnar.selection import Selection
+from ..columnar.vectors import PlainVector
 from .ros import HistoryRun
 
 #: Default per-projection WOS capacity, in rows.  Deliberately small so
@@ -160,18 +163,16 @@ class SortedView:
         first_delete = self._first_delete
         if self._last_epoch <= epoch and (first_delete is None or first_delete > epoch):
             return None
-        from ..execution.kernels.selection import Selection
-
         return Selection.from_mask(
             visible_mask(self._epochs, self._delete_epochs, epoch)
         )
 
-    def batches(self, epoch: int, names: list[str], batch_rows: int):
-        """``(columns, row_count)`` per batch of at most ``batch_rows``
-        rows visible at ``epoch``, in sort order; ``columns`` maps each
-        of ``names`` to a NULL-counted plain vector."""
-        from ..execution.kernels.vectors import PlainVector
-
+    def batches(
+        self, epoch: int, names: list[str], batch_rows: int, sorted_by: tuple | None
+    ) -> list[RowBlock]:
+        """The blocks of at most ``batch_rows`` rows visible at
+        ``epoch``, in sort order, each of ``names`` a NULL-counted plain
+        vector."""
         if epoch != self._cut_epoch:
             self._cut_epoch, self._cut = epoch, {}
             self._visible = self._visible_at(epoch)
@@ -193,9 +194,10 @@ class SortedView:
                 for chunk in (values[start : start + batch_rows] for start in starts)
             ]
         return [
-            (
+            RowBlock(
                 {name: self._cut[name][index] for name in names},
                 min(batch_rows, total - start),
+                sorted_by,
             )
             for index, start in enumerate(starts)
         ]

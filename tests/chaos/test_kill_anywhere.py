@@ -28,6 +28,7 @@ import zlib
 import pytest
 
 from repro import types
+from repro.columnar import blocks_to_rows
 from repro.core.database import Database
 from repro.core.schema import ColumnDef, TableDefinition
 from repro.errors import DurabilityError, InjectedFaultError
@@ -156,7 +157,7 @@ def capture(db):
     state["copies"] = {
         f"node{node.index}:{copy.name}": sorted(
             tuple(sorted(row.items()))
-            for row in node.manager.read_visible_rows(copy.name, epoch)
+            for row in blocks_to_rows(node.manager.scan(copy.name, epoch))
         )
         for node in db.cluster.nodes
         for copy in db.cluster.catalog.all_projections()

@@ -19,6 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import ColumnDef, Database, TableDefinition, types
+from repro.columnar import blocks_to_rows
 from repro.projections import HashSegmentation, ProjectionColumn, ProjectionDefinition
 
 VALUES = "xyz"
@@ -125,6 +126,6 @@ def test_every_copy_shows_the_reference_rows_at_every_epoch(tmp_path_factory, st
             shown = Counter(
                 tuple(row[name] for name in names)
                 for node in cluster.nodes
-                for row in node.manager.read_visible_rows(copy.name, epoch)
+                for row in blocks_to_rows(node.manager.scan(copy.name, epoch))
             )
             assert shown == visible(history, epoch, names), (copy.name, epoch)

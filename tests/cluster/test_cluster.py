@@ -4,6 +4,7 @@ import pytest
 
 from repro import types
 from repro.cluster import Cluster
+from repro.columnar import blocks_to_rows
 from repro.core.schema import ColumnDef, TableDefinition
 from repro.errors import DataUnavailableError, KSafetyError, QuorumLossError
 from repro.projections import HashSegmentation, Replicated
@@ -79,7 +80,7 @@ class TestRoutingAndCommit:
         cluster.commit_dml({"sales": sales_rows(300)}, [], 0)
         family = cluster.catalog.super_projection_for("sales")
         counts = [
-            len(node.manager.read_visible_rows(family.primary.name, 1))
+            len(blocks_to_rows(node.manager.scan(family.primary.name, 1)))
             for node in cluster.nodes
         ]
         assert sum(counts) == 300
@@ -91,13 +92,13 @@ class TestRoutingAndCommit:
         for node in cluster.nodes:
             primary_ids = {
                 row["sale_id"]
-                for row in node.manager.read_visible_rows(family.primary.name, 1)
+                for row in blocks_to_rows(node.manager.scan(family.primary.name, 1))
             }
             buddy_ids = {
                 row["sale_id"]
-                for row in node.manager.read_visible_rows(
+                for row in blocks_to_rows(node.manager.scan(
                     family.buddies[0].name, 1
-                )
+                ))
             }
             assert primary_ids.isdisjoint(buddy_ids)
 
@@ -107,7 +108,7 @@ class TestRoutingAndCommit:
         buddy_rows = []
         for node in cluster.nodes:
             buddy_rows.extend(
-                node.manager.read_visible_rows(family.buddies[0].name, 1)
+                blocks_to_rows(node.manager.scan(family.buddies[0].name, 1))
             )
         assert sorted(row["sale_id"] for row in buddy_rows) == list(range(100))
 
@@ -118,7 +119,7 @@ class TestRoutingAndCommit:
         family = cluster.catalog.super_projection_for("sales")
         for node in cluster.nodes:
             assert (
-                len(node.manager.read_visible_rows(family.primary.name, 1)) == 50
+                len(blocks_to_rows(node.manager.scan(family.primary.name, 1))) == 50
             )
 
     def test_delete_applies_everywhere(self, cluster):
@@ -253,7 +254,7 @@ class TestPrejoin:
         prejoin_rows = []
         for node in cluster.nodes:
             prejoin_rows.extend(
-                node.manager.read_visible_rows("orders_pj", epoch)
+                blocks_to_rows(node.manager.scan("orders_pj", epoch))
             )
         names = {row["oid"]: row["cust_name"] for row in prejoin_rows}
         assert names == {10: "bob", 11: "ann"}

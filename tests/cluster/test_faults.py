@@ -20,6 +20,7 @@ from repro.cluster import (
     restore_backup,
     scrub,
 )
+from repro.columnar import blocks_to_rows
 from repro.core.schema import ColumnDef, TableDefinition
 from repro.errors import ClusterError
 from repro.faults import FaultPlan
@@ -74,7 +75,7 @@ class TestCommitOrEject:
         late_rows = []
         for copy in family.all_copies:
             late_rows.extend(
-                cluster.nodes[2].manager.read_visible_rows(copy.name, epoch)
+                blocks_to_rows(cluster.nodes[2].manager.scan(copy.name, epoch))
             )
         assert late_rows
         report = recover_node(cluster, 2)
@@ -201,15 +202,15 @@ class TestScrub:
         primary = family.primary.name
         manager = cluster.nodes[0].manager
         before = sorted(
-            row["k"] for row in manager.read_visible_rows(primary, epoch)
+            row["k"] for row in blocks_to_rows(manager.scan(primary, epoch))
         )
         # nuke the whole copy, then rebuild it from buddies
         manager.forget_contents(primary)
-        assert manager.read_visible_rows(primary, epoch) == []
+        assert blocks_to_rows(manager.scan(primary, epoch)) == []
         replayed = repair_node_projection(cluster, 0, primary)
         assert replayed >= len(before)
         after = sorted(
-            row["k"] for row in manager.read_visible_rows(primary, epoch)
+            row["k"] for row in blocks_to_rows(manager.scan(primary, epoch))
         )
         assert after == before
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import ColumnDef, Database, TableDefinition, types
+from repro.columnar import blocks_to_rows
 from repro.errors import DataUnavailableError
 from storage_helpers import nodes_of
 
@@ -43,9 +44,9 @@ class TestKSafety2:
             sets = [
                 {
                     row["k"]
-                    for row in node.manager.read_visible_rows(
+                    for row in blocks_to_rows(node.manager.scan(
                         copy.name, db.latest_epoch
-                    )
+                    ))
                 }
                 for copy in family.all_copies
             ]
@@ -71,9 +72,9 @@ class TestKSafety2:
         # recovered nodes individually hold exactly their segments
         family = db.cluster.catalog.super_projection_for("t")
         for node_index in (0, 3):
-            own = db.cluster.nodes[node_index].manager.read_visible_rows(
+            own = blocks_to_rows(db.cluster.nodes[node_index].manager.scan(
                 family.primary.name, db.latest_epoch
-            )
+            ))
             assert set(nodes_of(family.primary.segmentation, own, 5)) <= {node_index}
 
     def test_k1_design_cannot_survive_two(self, tmp_path):

@@ -11,6 +11,7 @@ from repro.cluster import (
     recover_node,
     restore_backup,
 )
+from repro.columnar import blocks_to_rows
 from repro.core.schema import ColumnDef, TableDefinition
 from repro.errors import ClusterError
 from repro.projections import HashSegmentation
@@ -51,7 +52,7 @@ class TestRecovery:
         assert cluster.membership.is_up(1)
         # node 1's primary data matches what it would have had
         family = cluster.catalog.super_projection_for("t")
-        own = cluster.nodes[1].manager.read_visible_rows(family.primary.name, epoch)
+        own = blocks_to_rows(cluster.nodes[1].manager.scan(family.primary.name, epoch))
         placed = nodes_of(family.primary.segmentation, rows(100), 3)
         expected = {row["k"] for row, at in zip(rows(100), placed) if at == 1}
         assert {row["k"] for row in own} == expected
@@ -68,7 +69,7 @@ class TestRecovery:
         family = cluster.catalog.super_projection_for("t")
         total = 0
         for node in cluster.nodes:
-            total += len(node.manager.read_visible_rows(family.primary.name, epoch))
+            total += len(blocks_to_rows(node.manager.scan(family.primary.name, epoch)))
         assert total == 30
 
     def test_recover_preserves_historical_snapshots(self, cluster):
@@ -127,7 +128,7 @@ class TestRefresh:
         cluster.add_projection_family(narrow)
         stored = []
         for node in cluster.nodes:
-            stored.extend(node.manager.read_visible_rows("t_narrow", epoch))
+            stored.extend(blocks_to_rows(node.manager.scan("t_narrow", epoch)))
         assert sorted(row["k"] for row in stored) == list(range(40))
 
     def test_refresh_preserves_delete_history(self, cluster):
@@ -146,7 +147,7 @@ class TestRefresh:
         cluster.add_projection_family(narrow)
         visible = []
         for node in cluster.nodes:
-            visible.extend(node.manager.read_visible_rows("t_n2", epoch))
+            visible.extend(blocks_to_rows(node.manager.scan("t_n2", epoch)))
         assert sorted(row["k"] for row in visible) == list(range(15))
 
 
@@ -160,7 +161,7 @@ class TestRebalance:
         assert table_snapshot(cluster, epoch) == list(range(200))
         family = cluster.catalog.super_projection_for("t")
         counts = [
-            len(node.manager.read_visible_rows(family.primary.name, epoch))
+            len(blocks_to_rows(node.manager.scan(family.primary.name, epoch)))
             for node in cluster.nodes
         ]
         assert sum(counts) == 200

@@ -12,6 +12,7 @@ from collections import Counter
 import pytest
 
 from repro import ColumnDef, Database, TableDefinition, types
+from repro.columnar import blocks_to_rows
 from repro.projections import HashSegmentation, Replicated
 from storage_helpers import nodes_of
 
@@ -53,7 +54,7 @@ def check_every_copy_holds_exactly_its_rows(db, committed):
             assert Counter(row["k"] for row in held.rows()) == Counter(
                 row["k"] for row in expected
             ), (copy.name, node.index)
-            assert node.manager.read_visible_rows(copy.name, db.latest_epoch) == sorted(
+            assert blocks_to_rows(node.manager.scan(copy.name, db.latest_epoch)) == sorted(
                 expected, key=lambda row: row["k"]
             )
 

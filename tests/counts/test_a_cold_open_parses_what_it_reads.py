@@ -99,8 +99,8 @@ class Spy:
             spy.flushes += 1
             return flush(self)
 
-        def windowed(container, prefix, span, seek):
-            found = window(container, prefix, span, seek)
+        def windowed(container, prefix, span):
+            found = window(container, prefix, span)
             spy.windows.setdefault(container, []).append(found)
             return found
 

@@ -16,6 +16,7 @@ from collections import Counter
 import pytest
 
 from repro import ColumnDef, Database, TableDefinition, types
+from repro.columnar import DictVector, PlainVector, RowBlock
 from repro.execution.expressions import (
     Between,
     ColumnRef,
@@ -24,10 +25,9 @@ from repro.execution.expressions import (
     Literal,
     Not,
 )
-from repro.execution.kernels import DictVector, PlainVector, aggregate, predicates
+from repro.execution.kernels import aggregate, predicates
 from repro.execution.kernels.predicates import compile_kernel_predicate
 from repro.execution.operators import groupby
-from repro.execution.row_block import RowBlock
 from repro.workloads.meters import generate, meters_table, spec_for_rows
 
 ROWS = 4096

@@ -18,8 +18,8 @@ answers equal a row-at-a-time computation done here.
 import pytest
 
 from repro import ColumnDef, Database, TableDefinition, types
+from repro.columnar import RowBlock
 from repro.designer import DatabaseDesigner
-from repro.execution.row_block import RowBlock
 from repro.projections import (
     HashSegmentation,
     PrejoinSpec,
@@ -27,14 +27,13 @@ from repro.projections import (
     ProjectionDefinition,
     Replicated,
 )
-from repro.storage import HistoryRun, StorageManager
+from repro.storage import HistoryRun
 from repro.storage.encodings import choose_encoding
 from storage_helpers import read_table
 
 ROW_BUILDERS = [
     (HistoryRun, "rows"),
     (HistoryRun, "from_rows"),
-    (StorageManager, "read_visible_rows"),
     (RowBlock, "from_rows"),
 ]
 

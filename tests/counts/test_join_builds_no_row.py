@@ -26,11 +26,10 @@ from dataclasses import replace
 import pytest
 
 from repro import ColumnDef, Database, TableDefinition, types
+from repro.columnar import DictVector, RleVector, RowBlock
+from repro.columnar.vectors import null_count_of
 from repro.execution.executor import DistributedExecutor
-from repro.execution.kernels import DictVector, RleVector
-from repro.execution.kernels.vectors import null_count_of
 from repro.execution.operators import HashJoinOperator, join
-from repro.execution.row_block import RowBlock
 from repro.execution.sip import SipFilter
 from repro.workloads import cstore_benchmark as cb
 from repro.workloads.meters import generate, meters_table, spec_for_rows

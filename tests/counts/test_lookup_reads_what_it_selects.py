@@ -14,8 +14,8 @@ rows once per mutation, not once per lookup.
 import pytest
 
 from repro import ColumnDef, Database, TableDefinition, types
+from repro.columnar import Selection
 from repro.execution.kernels import predicates
-from repro.execution.kernels.selection import Selection
 from repro.monitor import METRICS
 from repro.storage.block import BLOCK_ROWS
 from repro.storage.wos import SortedView

@@ -24,8 +24,8 @@ each over one block of the virtual table.
 import pytest
 
 from repro import Database
+from repro.columnar import RowBlock
 from repro.execution.expressions import Expr
-from repro.execution.row_block import RowBlock
 from repro.storage import HistoryRun
 
 ROW_CALLS = [

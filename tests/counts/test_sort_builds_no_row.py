@@ -22,6 +22,7 @@ import math
 import pytest
 
 from repro import ColumnDef, Database, TableDefinition, types
+from repro.columnar import RowBlock
 from repro.execution import WorkloadPolicy
 from repro.execution.executor import DistributedExecutor
 from repro.execution.expressions import Expr
@@ -32,7 +33,6 @@ from repro.execution.operators import (
     MergeJoinOperator,
     SortOperator,
 )
-from repro.execution.row_block import RowBlock
 from repro.projections import HashSegmentation
 
 ROWS = 3000

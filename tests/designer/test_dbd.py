@@ -3,6 +3,7 @@
 import pytest
 
 from repro import ColumnDef, Database, TableDefinition, types
+from repro.columnar import blocks_to_rows
 from repro.designer import (
     BALANCED,
     LOAD_OPTIMIZED,
@@ -127,7 +128,7 @@ class TestEncodingPhase:
             family = db.cluster.catalog.family(projection.name)
             # populated via refresh
             total = sum(
-                len(node.manager.read_visible_rows(copy.name, db.latest_epoch))
+                len(blocks_to_rows(node.manager.scan(copy.name, db.latest_epoch)))
                 for node in db.cluster.nodes
                 for copy in [family.primary]
             )

@@ -34,6 +34,7 @@ from itertools import compress
 
 import pytest
 
+from repro.columnar import DictVector, PlainVector, RleVector, Selection
 from repro.execution.aggregates import AggregateSpec
 from repro.execution.expressions import (
     Between,
@@ -43,12 +44,6 @@ from repro.execution.expressions import (
     Like,
     Literal,
     Not,
-)
-from repro.execution.kernels import (
-    DictVector,
-    PlainVector,
-    RleVector,
-    Selection,
 )
 from repro.execution.kernels import predicates
 from repro.execution.kernels.aggregate import aggregate_state, fold_runs
@@ -370,7 +365,7 @@ def test_selection_apply_is_compress_on_every_vector_kind():
         n = rle.row_count
         selection, mask = _random_selection(rng, n)
         expected = [v for v, keep in zip(rle.values(), mask) if keep]
-        from repro.execution.kernels import as_list
+        from repro.columnar import as_list
 
         assert as_list(selection.apply(rle)) == expected
         plain = PlainVector(list(rle.values()), 0)
@@ -416,7 +411,7 @@ def test_selection_apply_preserves_encoding():
             assert all(
                 a[0] != b[0] for a, b in zip(out.runs, out.runs[1:])
             )
-        from repro.execution.kernels import as_list
+        from repro.columnar import as_list
 
         assert as_list(out) == expected
         dv = _random_dict_vector(rng)
@@ -446,7 +441,7 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from repro.execution.expressions import And, Arithmetic, IsNull, Or  # noqa: E402
-from repro.execution.row_block import RowBlock  # noqa: E402
+from repro.columnar import RowBlock  # noqa: E402
 from repro.types import sort_key  # noqa: E402
 
 SEEK_COLUMNS = ("c0", "c1", "c2", "c3")
@@ -685,7 +680,7 @@ def test_seek_matches_row_engine_and_plain_evaluation(case):
     assert selection.count == len(selection.positions())
     assert all(0 <= window <= row_count for window in seeks)
 
-    from repro.execution.kernels import as_list
+    from repro.columnar import as_list
 
     lists = {name: as_list(column) for name, column in columns.items()}
     evaluated = expr.evaluate(RowBlock(columns=lists, row_count=row_count))
@@ -703,7 +698,7 @@ def test_a_disjunction_inside_the_window_seeks_again(block, data):
     columns, row_count, sorted_by, pools = block
     if len(sorted_by) < 2 or not row_count:
         return
-    from repro.execution.kernels import as_list
+    from repro.columnar import as_list
 
     c0, c1 = as_list(columns["c0"]), as_list(columns["c1"])
     v = data.draw(st.sampled_from(c0))
@@ -752,7 +747,7 @@ def test_a_literal_of_the_wrong_type_fails_the_same_way_on_both_engines(
         expr = Between(ColumnRef(name), Literal(wrong), Literal(wrong))
     else:
         expr = Comparison(op, ColumnRef(name), Literal(wrong))
-    from repro.execution.kernels import as_list
+    from repro.columnar import as_list
 
     lists = {name: as_list(column) for name, column in columns.items()}
     kernel = _outcome(

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro import ColumnDef, Database, TableDefinition, types
 from repro.cluster import rebalance
+from repro.columnar import blocks_to_rows
 from repro.projections import (
     HashSegmentation,
     ProjectionColumn,
@@ -85,7 +86,7 @@ class TestProjectionEquivalence:
                     continue
                 for node in db.cluster.nodes:
                     gathered.extend(
-                        node.manager.read_visible_rows(copy.name, epoch)
+                        blocks_to_rows(node.manager.scan(copy.name, epoch))
                     )
                 shaped = multiset(
                     {"k": r["k"], "s": r["s"], "f": r["f"]} for r in gathered
@@ -116,7 +117,7 @@ class TestRebalanceInvariance:
         # placement matches the new ring exactly
         family = db.cluster.catalog.super_projection_for("t")
         for node in db.cluster.nodes:
-            own = node.manager.read_visible_rows(family.primary.name, epoch)
+            own = blocks_to_rows(node.manager.scan(family.primary.name, epoch))
             placed = nodes_of(family.primary.segmentation, own, new_nodes)
             assert set(placed) <= {node.index}
 

@@ -3,7 +3,7 @@
 Every block decoder works a whole block at a time: varints padded into
 lanes of one big integer, bit-packed codes through per-byte tables or a
 lane spread, PLAIN records of one fixed-width tag (and integers) read
-as a block, the NULL bitmap expanded through the width-1 table.
+as a block, the NULL bitmap expanded as the binary digits of one integer.
 ``tests/reference_decoder.py`` holds the decoders they replaced, and
 this module holds the two to one answer: for every encoding, with and
 without NULLs, a block decodes to the same values of the same types

@@ -13,6 +13,7 @@ import os
 import pytest
 
 from repro import faults, types
+from repro.columnar import blocks_to_rows
 from repro.core.schema import ColumnDef, TableDefinition
 from repro.errors import (
     CorruptContainerError,
@@ -68,7 +69,7 @@ def fresh_manager(manager, table, projection):
 
 def visible_cids(manager, epoch=10):
     return sorted(
-        row["cid"] for row in manager.read_visible_rows(NAME, epoch)
+        row["cid"] for row in blocks_to_rows(manager.scan(NAME, epoch))
     )
 
 
@@ -371,7 +372,7 @@ class TestAdoptContainer:
         with open(os.path.join(adopted.path, "meta.json")) as handle:
             assert json.load(handle)["container_id"] == new_id
         assert sorted(
-            row["cid"] for row in other.read_visible_rows(NAME, 10)
+            row["cid"] for row in blocks_to_rows(other.scan(NAME, 10))
         ) == list(range(10)) + [100, 101, 102]
 
     def test_adopt_rejects_wrong_projection(self, manager, table, tmp_path):

@@ -24,6 +24,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import types
+from repro.columnar import blocks_to_rows
 from repro.core.schema import ColumnDef, TableDefinition
 from repro.execution import ColumnRef
 from repro.projections import super_projection
@@ -69,7 +70,7 @@ def visible(records, epoch) -> list[int]:
 
 
 def stored_visible(manager, epoch) -> list[int]:
-    return sorted(row["k"] for row in manager.read_visible_rows(NAME, epoch))
+    return sorted(row["k"] for row in blocks_to_rows(manager.scan(NAME, epoch)))
 
 
 # WOS inserts are listed twice: half of all steps buffer rows, so the

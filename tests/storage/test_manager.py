@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 from repro import types
+from repro.columnar import blocks_to_rows
 from repro.core.schema import ColumnDef, TableDefinition
 from repro.errors import UnknownObjectError
 from repro.execution import ColumnRef
@@ -78,15 +79,15 @@ class TestScan:
     def test_scan_merges_wos_and_ros(self, manager):
         manager.insert(NAME, make_rows(5), epoch=1, direct_to_ros=True)
         manager.insert(NAME, make_rows(3, month=2), epoch=2)
-        rows = manager.read_visible_rows(NAME, epoch=2)
+        rows = blocks_to_rows(manager.scan(NAME, epoch=2))
         assert len(rows) == 8
 
     def test_scan_respects_epoch(self, manager):
         manager.insert(NAME, make_rows(5), epoch=1, direct_to_ros=True)
         manager.insert(NAME, make_rows(3, month=2), epoch=5, direct_to_ros=True)
-        assert len(manager.read_visible_rows(NAME, epoch=1)) == 5
-        assert len(manager.read_visible_rows(NAME, epoch=4)) == 5
-        assert len(manager.read_visible_rows(NAME, epoch=5)) == 8
+        assert len(blocks_to_rows(manager.scan(NAME, epoch=1))) == 5
+        assert len(blocks_to_rows(manager.scan(NAME, epoch=4))) == 5
+        assert len(blocks_to_rows(manager.scan(NAME, epoch=5))) == 8
 
     def test_scan_column_subset(self, manager):
         manager.insert(NAME, make_rows(5), epoch=1, direct_to_ros=True)
@@ -114,9 +115,9 @@ class TestDeletes:
             manager, NAME, lambda row: row["cid"] < 2, commit_epoch=2, snapshot_epoch=1
         )
         assert deleted == 2
-        assert len(manager.read_visible_rows(NAME, epoch=2)) == 3
+        assert len(blocks_to_rows(manager.scan(NAME, epoch=2))) == 3
         # historical snapshot still sees them
-        assert len(manager.read_visible_rows(NAME, epoch=1)) == 5
+        assert len(blocks_to_rows(manager.scan(NAME, epoch=1))) == 5
 
     def test_delete_from_ros(self, manager):
         manager.insert(NAME, make_rows(5), epoch=1, direct_to_ros=True)
@@ -124,7 +125,7 @@ class TestDeletes:
             manager, NAME, lambda row: row["cid"] == 4, commit_epoch=2, snapshot_epoch=1
         )
         assert deleted == 1
-        assert len(manager.read_visible_rows(NAME, epoch=2)) == 4
+        assert len(blocks_to_rows(manager.scan(NAME, epoch=2))) == 4
 
     def test_delete_is_not_physical(self, manager):
         manager.insert(NAME, make_rows(5), epoch=1, direct_to_ros=True)
@@ -143,14 +144,14 @@ class TestDeletes:
         manager.insert(NAME, make_rows(5), epoch=1, direct_to_ros=True)
         delete_matching(manager, NAME, lambda r: r["cid"] < 3, 2, 1)
         assert manager.persist_delete_vectors(NAME) == 1
-        assert len(manager.read_visible_rows(NAME, epoch=2)) == 2
+        assert len(blocks_to_rows(manager.scan(NAME, epoch=2))) == 2
         state = manager.storage(NAME)
         assert not state.pending_ros_deletes
 
     def test_deleted_rows_stay_in_the_history(self, manager):
         manager.insert(NAME, make_rows(5), epoch=1, direct_to_ros=True)
         delete_matching(manager, NAME, lambda r: True, 2, 1)
-        assert manager.read_visible_rows(NAME, 2) == []
+        assert blocks_to_rows(manager.scan(NAME, 2)) == []
         # recovery copies deleted-but-unpurged rows (section 5.2)
         assert [
             (insert_epoch, delete_epoch)
@@ -249,7 +250,7 @@ class TestByValueDeleteIsTheReprMultiset:
         victims = [row(2, 2.5), row(1, other), row(4, other), row(11, other)]
         marked = delete_like_the_reference(manager, victims, 2)
         assert len(marked) == 4
-        assert [r["cid"] for r in manager.read_visible_rows(NAME, 2)] == [10, 0, 3, 5]
+        assert [r["cid"] for r in blocks_to_rows(manager.scan(NAME, 2))] == [10, 0, 3, 5]
         # NaN matches NaN only: a 3.0 victim does not take row 3
         assert delete_like_the_reference(manager, [row(3, 3.0)], 3) == []
 
@@ -391,7 +392,7 @@ class TestByValueDeleteIsTheReprMultiset:
         marked = delete_like_the_reference(manager, victims, 2, prejoin.name)
         assert len(marked) == 3
         assert sorted(
-            r["value"] for r in manager.read_visible_rows(prejoin.name, 2)
+            r["value"] for r in blocks_to_rows(manager.scan(prejoin.name, 2))
         ) == [0.0, 1.0, 2.0, 4.0, 5.0, 7.0, 8.0, 9.0, 11.0]
         # the narrow copy cannot tell its cid=2 rows apart: the first
         # two in walk order take the markers, as at every replay
@@ -399,7 +400,7 @@ class TestByValueDeleteIsTheReprMultiset:
         (container_id,) = manager.storage(narrow.name).containers
         assert marked == [("wos", 2), ("wos", 3), (container_id, 4)]
         assert sorted(
-            r["cid"] for r in manager.read_visible_rows(narrow.name, 2)
+            r["cid"] for r in blocks_to_rows(manager.scan(narrow.name, 2))
         ) == [0, 0, 0, 1, 1, 1, 2, 3, 3]
 
 
@@ -410,7 +411,7 @@ class TestPartitionDrop:
         reclaimed = manager.drop_partition(NAME, 3)
         assert reclaimed == 10
         assert manager.partition_keys(NAME) == [4]
-        rows = manager.read_visible_rows(NAME, epoch=1)
+        rows = blocks_to_rows(manager.scan(NAME, epoch=1))
         assert all(row["month"] == 4 for row in rows)
 
     def test_drop_partition_covers_wos(self, manager):
@@ -428,13 +429,13 @@ class TestPartitionDrop:
             manager, NAME, lambda row: row["month"] == 4 and row["cid"] in (0, 2, 4), 2, 1
         )
         assert deleted == 3
-        assert len(manager.read_visible_rows(NAME, epoch=2)) == 7
+        assert len(blocks_to_rows(manager.scan(NAME, epoch=2))) == 7
 
         assert manager.drop_partition(NAME, 3) == 5
 
-        visible = manager.read_visible_rows(NAME, epoch=2)
+        visible = blocks_to_rows(manager.scan(NAME, epoch=2))
         assert [(row["month"], row["cid"]) for row in visible] == [(4, 1), (4, 3)]
-        assert len(manager.read_visible_rows(NAME, epoch=1)) == 5
+        assert len(blocks_to_rows(manager.scan(NAME, epoch=1))) == 5
         wos = manager.storage(NAME).wos
         assert [
             (row["cid"], delete_epoch)

@@ -9,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import types
+from repro.columnar import PlainVector
 from repro.core.schema import ColumnDef, TableDefinition
 from repro.errors import StorageError
-from repro.execution.kernels import PlainVector
 from repro.projections import super_projection
 from repro.storage import (
+    EPOCH_COLUMN,
     DeleteVector,
     HistoryRun,
     ROSContainer,
@@ -108,8 +109,17 @@ class TestROSContainer:
         assert container.read_column("k") == [row["k"] for row in rows]
         assert container.read_column("v") == [row["v"] for row in rows]
         assert "_group0.dat" in container.file_inventory()
-        with pytest.raises(StorageError):
-            container.column_reader("k")
+        # a grouped column is read like any other: cut at the
+        # container's own blocks, PLAIN vectors, bounds from its values
+        reader = container.column_reader("k")
+        epochs = container.column_reader(EPOCH_COLUMN)
+        assert [(b.start_position, b.row_count) for b in reader.blocks] == [
+            (b.start_position, b.row_count) for b in epochs.blocks
+        ]
+        assert isinstance(reader.block_vector(0), PlainVector)
+        assert container.column_min_max("k") == (
+            min(row["k"] for row in rows), max(row["k"] for row in rows)
+        )
 
     def test_grouped_mode_compression_penalty(self, tmp_path, projection):
         # The paper: hybrid row-column storage exacts a compression
@@ -322,7 +332,7 @@ class TestSortedView:
                     ] == self.expected(state, at, names, self.BATCH_ROWS)
                     for batch in batches:
                         assert batch.row_count == len(batch.columns[names[0]])
-                        assert batch.sort_columns == ("g", "s")
+                        assert batch.sorted_by == ("g", "s")
                         for column in batch.columns.values():
                             assert isinstance(column, PlainVector)
                             assert column.null_count == list(column).count(None)

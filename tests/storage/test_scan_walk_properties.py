@@ -17,12 +17,14 @@ history, a random ``prune``:
 * every batch is a sorted run out of one storage block of one container
   (or out of the WOS);
 * asking for the row-grouped column alone walks the same pieces.
+
+``REPRO_FUZZ_SEEDS`` (tools/check.sh) adds seeded runs.
 """
 
 import os
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from repro import types
@@ -134,13 +136,21 @@ def difference(scanned: list, model: list) -> str | None:
     return f"{len(scanned)} rows scanned, the model has {len(model)}"
 
 
-@given(ops=operations, data=st.data())
-@settings(
-    max_examples=15,
-    deadline=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
-def test_scan_is_the_model_at_every_epoch(tmp_path_factory, base_container, ops, data):
+EXTRA_SEEDS = [int(s) for s in os.environ.get("REPRO_FUZZ_SEEDS", "").split(",") if s]
+
+
+def test_scan_is_the_model_at_every_epoch(tmp_path_factory, base_container):
+    @given(ops=operations, data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def run(ops, data):
+        check(tmp_path_factory, base_container, ops, data)
+
+    run()
+    for extra in EXTRA_SEEDS:
+        seed(extra)(run)()
+
+
+def check(tmp_path_factory, base_container, ops, data):
     manager = StorageManager(str(tmp_path_factory.mktemp("walk")), wos_capacity=16)
     manager.register_projection(PROJECTION, TABLE)
     manager.adopt_container(NAME, base_container)
@@ -206,7 +216,7 @@ def test_scan_is_the_model_at_every_epoch(tmp_path_factory, base_container, ops,
             scanned.extend(rows)
         wrong = difference([row for row in scanned if inside(row)], expected)
         assert wrong is None, f"epoch {at}, prune {prune}: {wrong}"
-        # the row-grouped column alone: same pieces, cut by BLOCK_ROWS
+        # the row-grouped column alone: the same pieces
         alone = []
         for batch in manager.scan(NAME, at, columns=["g"], prune=prune or None):
             assert 0 < batch.row_count == len(batch.columns["g"]) <= BLOCK_ROWS

@@ -6,7 +6,8 @@ the container, and skips a container whose window is empty
 (``StorageManager._prefix_window``).  Over random tables — sort orders of
 1–3 columns over INTEGER, VARCHAR and FLOAT (NaN among the values), with
 and without NULLs, each column PLAIN, RLE, BLOCK_DICT or AUTO, blocks of
-six rows so a few dozen rows make multi-block containers — and random
+six rows so a few dozen rows make multi-block containers, any of them,
+sort columns included, maybe stored row-grouped — and random
 histories (containers holding rows deleted or inserted after the
 snapshot, rows still in the WOS), a conjunction of ``=``, BETWEEN, ``<``
 and ``>`` on the prefix (literals of another type among them: ``1.0``
@@ -29,6 +30,7 @@ from hypothesis import HealthCheck, example, given, seed, settings
 from hypothesis import strategies as st
 
 from repro import types
+from repro.columnar import as_list
 from repro.core.schema import ColumnDef, TableDefinition
 from repro.execution.expressions import (
     And,
@@ -39,11 +41,11 @@ from repro.execution.expressions import (
     column_range_from_predicate,
 )
 from repro.execution.kernels.predicates import compile_kernel_predicate
-from repro.execution.kernels.vectors import as_list
 from repro.monitor import METRICS
 from repro.projections import super_projection
 from repro.storage import HistoryRun, StorageManager
 from repro.storage.column_file import ColumnWriter
+from repro.storage.ros import ContainerImage
 
 NAME = "t_super"
 #: Rows per storage block while the property runs.
@@ -66,11 +68,15 @@ ENCODINGS = ["AUTO", "PLAIN", "RLE", "BLOCK_DICT"]
 
 @st.composite
 def tables(draw):
-    """``(kinds, nullable, encodings, sort width)`` of columns c0..c2."""
+    """``(kinds, nullable, encodings, sort width, column groups)`` of
+    columns c0..c2 (and ``k``, which a group may hold too)."""
     kinds = draw(st.lists(st.sampled_from(sorted(KINDS)), min_size=3, max_size=3))
     nullable = draw(st.lists(st.sampled_from([False, False, True]), min_size=3, max_size=3))
     encodings = draw(st.lists(st.sampled_from(ENCODINGS), min_size=3, max_size=3))
-    return kinds, nullable, encodings, draw(st.sampled_from([1, 2, 2, 3, 3]))
+    width = draw(st.sampled_from([1, 2, 2, 3, 3]))
+    slots = draw(st.lists(st.sampled_from([None, None, 0, 1]), min_size=4, max_size=4))
+    groups = [[n for n, s in zip(["c0", "c1", "c2", "k"], slots) if s == g] for g in (0, 1)]
+    return kinds, nullable, encodings, width, [group for group in groups if group]
 
 
 @st.composite
@@ -122,7 +128,7 @@ def predicates(draw, kinds, width, batches):
     return leaves[0] if len(leaves) == 1 else And(*leaves)
 
 
-def build(root, kinds, nullable, encodings, width, batches):
+def build(root, kinds, nullable, encodings, width, groups, batches):
     names = ["c0", "c1", "c2", "k"]
     table = TableDefinition(
         "t",
@@ -136,16 +142,23 @@ def build(root, kinds, nullable, encodings, width, batches):
     )
     manager = StorageManager(root)
     manager.register_projection(projection, table)
+    image = ContainerImage.build.__func__
     k = 0
-    for target, rows, epochs, deletes in batches:
-        columns = {name: list(values) for name, values in zip(names, zip(*rows))}
-        columns["k"] = list(range(k, k + len(rows)))
-        k += len(rows)
-        run = HistoryRun(columns, epochs, deletes)
-        if target == "ros":
-            list(manager.write_run(NAME, run))
-        else:
-            manager.storage(NAME).wos.insert(run)
+    with pytest.MonkeyPatch.context() as patch:
+        # every container the manager writes stores ``groups`` row-grouped
+        patch.setattr(
+            ContainerImage, "build",
+            classmethod(lambda cls, projection, run: image(cls, projection, run, groups)),
+        )
+        for target, rows, epochs, deletes in batches:
+            columns = {name: list(values) for name, values in zip(names, zip(*rows))}
+            columns["k"] = list(range(k, k + len(rows)))
+            k += len(rows)
+            run = HistoryRun(columns, epochs, deletes)
+            if target == "ros":
+                list(manager.write_run(NAME, run))
+            else:
+                manager.storage(NAME).wos.insert(run)
     return manager, names
 
 
@@ -156,9 +169,9 @@ def answer(manager, names, epoch, predicate):
     rows = []
     try:
         prune = column_range_from_predicate(predicate)
-        for batch in manager.scan(NAME, epoch, prune=prune or None):
-            kept = kernel(batch.columns, batch.row_count, batch.sort_columns or ())
-            rows += zip(*(as_list(kept.apply(batch.columns[n])) for n in names))
+        for block in manager.scan(NAME, epoch, prune=prune or None):
+            kept = kernel(block.columns, block.row_count, block.sorted_by or ())
+            rows += zip(*(as_list(kept.apply(block.columns[n])) for n in names))
     except TypeError as error:
         return type(error).__name__
     return repr(rows)
@@ -173,7 +186,7 @@ def check(root, table, batches, epoch, predicate):
         patch.setattr(
             StorageManager,
             "_prefix_window",
-            staticmethod(lambda container, prefix, span, seek: span),
+            staticmethod(lambda container, prefix, span: span),
         )
         opening = answer(manager, names, epoch, predicate)
     assert skipping == opening, f"{predicate!r} at epoch {epoch}"
@@ -182,7 +195,7 @@ def check(root, table, batches, epoch, predicate):
 
 @st.composite
 def cases(draw):
-    kinds, nullable, encodings, width = table = draw(tables())
+    kinds, nullable, encodings, width, _ = table = draw(tables())
     batches = draw(histories(kinds, nullable))
     return table, batches, draw(st.integers(0, 5)), draw(predicates(kinds, width, batches))
 
@@ -190,7 +203,7 @@ def cases(draw):
 #: ``c1`` is sorted only inside ``c0 = 1``: searched over its whole
 #: block, ``c1 = 3`` finds nothing.
 SEARCHED_IN_ITS_WINDOW = (
-    (["i", "i", "f"], [False] * 3, ["PLAIN"] * 3, 2),
+    (["i", "i", "f"], [False] * 3, ["PLAIN"] * 3, 2, []),
     [("ros", [(0, 1, 0.5), (0, 2, 0.5), (0, 9, 0.5), (1, 3, 0.5)], [1] * 4, [None] * 4)],
     1,
     And(
@@ -241,14 +254,14 @@ def test_the_skip_fires_on_a_two_column_prefix(tmp_path_factory, small_blocks):
         Comparison("=", ColumnRef("c0"), Literal(1)),
         Comparison("=", ColumnRef("c1"), Literal(3)),
     )
-    table = (["i", "i", "f"], [False] * 3, ["RLE", "BLOCK_DICT", "AUTO"], 2)
+    table = (["i", "i", "f"], [False] * 3, ["RLE", "BLOCK_DICT", "AUTO"], 2, [])
     pruned = check(str(tmp_path_factory.mktemp("skip")), table, batches, 1, predicate)
     assert pruned == 2
 
 
 @st.composite
 def deletes(draw):
-    kinds, nullable, encodings, width = table = draw(tables())
+    kinds, nullable, _, _, _ = table = draw(tables())
     batches = draw(histories(kinds, nullable))
     stored = [row for _, rows, _, _ in batches for row in rows]
     victims = draw(st.lists(st.sampled_from(stored), min_size=1, max_size=8))
@@ -284,7 +297,7 @@ def test_a_delete_marks_what_searching_every_row_marks(
             patch.setattr(
                 StorageManager,
                 "_prefix_window",
-                staticmethod(lambda container, prefix, span, seek: span),
+                staticmethod(lambda container, prefix, span: span),
             )
             searched = marked(str(tmp_path_factory.mktemp("all")), table, batches, epoch, victims)
         assert windowed == searched

@@ -14,6 +14,7 @@ import random
 import pytest
 
 from repro import types
+from repro.columnar import blocks_to_rows
 from repro.core.schema import ColumnDef, TableDefinition
 from repro.monitor import METRICS
 from repro.projections import super_projection
@@ -72,7 +73,7 @@ def history(manager, after_epoch=None):
 
 
 def visible_keys(manager, epoch):
-    return sorted(row["k"] for row in manager.read_visible_rows(NAME, epoch))
+    return sorted(row["k"] for row in blocks_to_rows(manager.scan(NAME, epoch)))
 
 
 def disk_image(manager):
@@ -182,7 +183,7 @@ class TestContainerClasses:
         assert manager.truncate_after_epoch(NAME, 5) == 0
 
         assert outcomes(before) == (0, 1, 0)
-        assert manager.read_visible_rows(NAME, 9) == rows(1, 2, 3, 4, 5)
+        assert blocks_to_rows(manager.scan(NAME, 9)) == rows(1, 2, 3, 4, 5)
         # the marker under the epoch survived, the one past it did not
         assert [
             (row["k"], delete_epoch)
@@ -201,7 +202,7 @@ class TestContainerClasses:
 
         assert outcomes(before) == (1, 0, 0)
         assert disk_image(manager) == image
-        assert manager.read_visible_rows(NAME, 9) == rows(1, 2, 3, 4, 5)
+        assert blocks_to_rows(manager.scan(NAME, 9)) == rows(1, 2, 3, 4, 5)
 
     def test_mixed_wos_and_ros(self, manager):
         to_ros(manager, (1, 2), epoch=1)
@@ -220,7 +221,7 @@ class TestContainerClasses:
         # 13 moved up a position and keeps its marker; 10's was stamped
         # past the epoch and is gone
         assert state.wos.run.delete_epochs == [None, None, 5]
-        assert manager.read_visible_rows(NAME, 9) == rows(1, 2, 10, 11)
+        assert blocks_to_rows(manager.scan(NAME, 9)) == rows(1, 2, 10, 11)
 
     def test_truncating_everything(self, manager):
         to_ros(manager, range(5), epoch=1)
@@ -278,7 +279,7 @@ class TestHistoryReads:
         fresh = reopened(manager)
         delete_matching(fresh, NAME, lambda row: row["k"] == 1, 3, 2)
         fresh.persist_delete_vectors(NAME)
-        assert reopened(fresh).read_visible_rows(NAME, 9) == rows(2, 3, 4, 5)
+        assert blocks_to_rows(reopened(fresh).scan(NAME, 9)) == rows(2, 3, 4, 5)
 
 
 def random_history(manager, rng):

@@ -1,6 +1,7 @@
 """Helpers shared by the storage-level test modules (``tests/`` is put
 on ``sys.path`` by the repo-root ``conftest.py``)."""
 
+from repro.columnar import blocks_to_rows
 from repro.projections.segmentation import ring_range
 
 
@@ -10,7 +11,7 @@ def delete_matching(manager, name, predicate, commit_epoch, snapshot_epoch):
     Returns the number of rows marked."""
     victims = [
         row
-        for row in manager.read_visible_rows(name, snapshot_epoch)
+        for row in blocks_to_rows(manager.scan(name, snapshot_epoch))
         if predicate(row)
     ]
     return manager.delete_where(
@@ -58,9 +59,9 @@ def read_table(cluster, table, epoch):
     return [
         row
         for node_index, projection_name in cluster.scan_sources(family)
-        for row in cluster.nodes[node_index].manager.read_visible_rows(
+        for row in blocks_to_rows(cluster.nodes[node_index].manager.scan(
             projection_name, epoch
-        )
+        ))
     ]
 
 

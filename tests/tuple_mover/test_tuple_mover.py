@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import types
+from repro.columnar import blocks_to_rows
 from repro.core.schema import ColumnDef, TableDefinition
 from repro.execution import ColumnRef
 from repro.projections import super_projection
@@ -76,23 +77,23 @@ class TestMoveout:
         created = mover.moveout(NAME)
         assert len(created) == 1
         assert manager.wos_row_count(NAME) == 0
-        assert len(manager.read_visible_rows(NAME, epoch=1)) == 50
+        assert len(blocks_to_rows(manager.scan(NAME, epoch=1))) == 50
 
     def test_moveout_preserves_epochs(self, setup):
         manager, mover = setup
         manager.insert(NAME, rows_of(range(10)), epoch=1)
         manager.insert(NAME, rows_of(range(100, 110)), epoch=2)
         mover.moveout(NAME)
-        assert len(manager.read_visible_rows(NAME, epoch=1)) == 10
-        assert len(manager.read_visible_rows(NAME, epoch=2)) == 20
+        assert len(blocks_to_rows(manager.scan(NAME, epoch=1))) == 10
+        assert len(blocks_to_rows(manager.scan(NAME, epoch=2))) == 20
 
     def test_moveout_translates_delete_vectors(self, setup):
         manager, mover = setup
         manager.insert(NAME, rows_of(range(10)), epoch=1)
         delete_matching(manager, NAME, lambda r: r["k"] < 3, commit_epoch=2, snapshot_epoch=1)
         mover.moveout(NAME)
-        assert len(manager.read_visible_rows(NAME, epoch=2)) == 7
-        assert len(manager.read_visible_rows(NAME, epoch=1)) == 10
+        assert len(blocks_to_rows(manager.scan(NAME, epoch=2))) == 7
+        assert len(blocks_to_rows(manager.scan(NAME, epoch=1))) == 10
 
     def test_moveout_empty_wos_noop(self, setup):
         manager, mover = setup
@@ -102,7 +103,7 @@ class TestMoveout:
         manager, mover = setup
         manager.insert(NAME, rows_of([5, 1, 9, 3]), epoch=1)
         mover.moveout(NAME)
-        rows = manager.read_visible_rows(NAME, epoch=1)
+        rows = blocks_to_rows(manager.scan(NAME, epoch=1))
         assert [row["k"] for row in rows] == [1, 3, 5, 9]
 
 
@@ -118,7 +119,7 @@ class TestMergeout:
         result = mover.mergeout(NAME)
         assert result.merged_groups >= 1
         assert manager.container_count(NAME) < 4
-        rows = manager.read_visible_rows(NAME, epoch=1)
+        rows = blocks_to_rows(manager.scan(NAME, epoch=1))
         assert sorted(row["k"] for row in rows) == list(range(40))
 
     def test_merge_output_sorted(self, setup):
@@ -136,8 +137,8 @@ class TestMergeout:
         manager.insert(NAME, rows_of(range(10, 20)), epoch=1, direct_to_ros=True)
         delete_matching(manager, NAME, lambda r: r["k"] == 5, 2, 1)
         mover.mergeout(NAME, ahm=0)  # AHM before the delete: keep it
-        assert len(manager.read_visible_rows(NAME, epoch=2)) == 19
-        assert len(manager.read_visible_rows(NAME, epoch=1)) == 20
+        assert len(blocks_to_rows(manager.scan(NAME, epoch=2))) == 19
+        assert len(blocks_to_rows(manager.scan(NAME, epoch=1))) == 20
 
     def test_merge_purges_pre_ahm_deletes(self, setup):
         manager, mover = setup
@@ -194,7 +195,7 @@ class TestMergeout:
             )
         mover.run_once()
         assert manager.container_count(NAME) <= 2
-        rows = manager.read_visible_rows(NAME, epoch=1)
+        rows = blocks_to_rows(manager.scan(NAME, epoch=1))
         assert sorted(row["k"] for row in rows) == list(range(40))
 
 
@@ -223,7 +224,7 @@ class TestTupleMoverProperties:
             manager.insert("h_super", rows, epoch=epoch)
             mover.moveout("h_super")
             mover.mergeout("h_super")
-        final = manager.read_visible_rows("h_super", epoch=len(batches))
+        final = blocks_to_rows(manager.scan("h_super", epoch=len(batches)))
         assert sorted(row["k"] for row in final) == sorted(expected)
 
 

@@ -46,8 +46,10 @@ echo "== fuzz corpus against the oracle =="
 # and fully parenthesised text, the one serving-copy chooser
 # against the scan, replicated-scan and recovery choosers it replaced,
 # every encoding's bulk block decoder against the value-at-a-time
-# one, scans that skip containers by their sort prefix against the
-# same scans opening every container, and the bulk segment-log open
+# one, the container walk's scans against a row model at every epoch,
+# scans that skip containers by their sort prefix (row-grouped sort
+# columns among them) against the same scans opening every container,
+# and the bulk segment-log open
 # against the line-at-a-time walk (journal, Data Collector and the
 # unparsed open under torn, flipped and hand-made frames; lazily read
 # Data Collector history against an eager load after crash-mid-flush
@@ -68,6 +70,7 @@ REPRO_FUZZ_SEEDS="7,${GIT_SEED}" REPRO_SANITIZE=1 \
     tests/sql/test_front_end_properties.py::test_minimal_parentheses_parse_as_full_ones \
     tests/cluster/test_serving_copy_properties.py \
     tests/storage/test_bulk_decode_properties.py \
+    tests/storage/test_scan_walk_properties.py \
     tests/storage/test_sort_prefix_skip_properties.py \
     tests/storage/test_segment_log_bulk_open.py \
     tests/cluster/test_buddy_byte_identity.py::test_the_memo_changes_no_byte

@@ -19,6 +19,7 @@ import os
 import shutil
 from dataclasses import dataclass, field
 
+from ..durability.journal import FORMAT, check_format
 from ..errors import ClusterError
 from ..storage import fsio
 from ..txn.epochs import INITIAL_EPOCH
@@ -82,6 +83,7 @@ def create_backup(
                 )
                 _link_tree(container.path, target)
     manifest = {
+        "format": FORMAT,
         "epoch": image.epoch,
         "base_image": image.base_image,
         "entries": image.entries,
@@ -97,28 +99,38 @@ def create_backup(
     return image
 
 
+#: The fields every manifest carries besides its ``format``.
+_MANIFEST_FIELDS = ("epoch", "base_image", "entries", "tables", "projections")
+
+
 def load_manifest(backup_dir: str) -> dict:
-    """Read a backup's manifest."""
+    """Read a backup's manifest, refusing one of another stored format
+    (:class:`DurabilityError`) or one missing a field (:class:`ClusterError`)."""
     path = os.path.join(backup_dir, "manifest.json")
     try:
         with open(path) as handle:
-            return json.load(handle)
+            manifest = json.load(handle)
     except ValueError as error:
         raise ClusterError(
             f"backup manifest {path} is unreadable: {error}"
         ) from error
+    check_format(f"backup manifest {path}", manifest)
+    missing = [name for name in _MANIFEST_FIELDS if name not in manifest]
+    if missing:
+        raise ClusterError(f"backup manifest {path} lacks {', '.join(missing)}")
+    return manifest
 
 
-def _validate_manifest(cluster: Cluster, image: BackupImage) -> None:
+def _validate_manifest(cluster: Cluster, image: BackupImage) -> dict:
     """Check the on-disk manifest against the live catalog before any
-    bytes move: restoring into a cluster that lacks the backed-up
-    tables or projections would silently orphan their data."""
+    bytes move, and return it: restoring into a cluster that lacks the
+    backed-up tables or projections would silently orphan their data."""
     manifest_path = os.path.join(image.path, "manifest.json")
     if not os.path.isfile(manifest_path):
         raise ClusterError(f"backup image {image.path} has no manifest.json")
     manifest = load_manifest(image.path)
     missing_tables = sorted(
-        set(manifest.get("tables", ())) - set(cluster.catalog.tables)
+        set(manifest["tables"]) - set(cluster.catalog.tables)
     )
     if missing_tables:
         raise ClusterError(
@@ -126,14 +138,15 @@ def _validate_manifest(cluster: Cluster, image: BackupImage) -> None:
             + ", ".join(missing_tables)
         )
     missing_projections = sorted(
-        set(manifest.get("projections", ())) - set(cluster.catalog.families)
+        set(manifest["projections"]) - set(cluster.catalog.families)
     )
     if missing_projections:
         raise ClusterError(
             "backup references projections missing from the catalog: "
             + ", ".join(missing_projections)
         )
-    _validate_image_epoch(cluster, manifest.get("epoch", image.epoch))
+    _validate_image_epoch(cluster, manifest["epoch"])
+    return manifest
 
 
 def _validate_image_epoch(cluster: Cluster, image_epoch: int) -> None:
@@ -172,8 +185,7 @@ def restore_backup(cluster: Cluster, image: BackupImage) -> int:
     full checksum verification on the way in, so a bit-rotted backup is
     rejected instead of restored.
     """
-    _validate_manifest(cluster, image)
-    manifest_epoch = load_manifest(image.path).get("epoch", image.epoch)
+    manifest_epoch = _validate_manifest(cluster, image)["epoch"]
     pristine = cluster.epochs.current_epoch == INITIAL_EPOCH
     if cluster.journal is not None and not pristine:
         # The restored containers carry epochs the journal knows

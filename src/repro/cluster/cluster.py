@@ -670,8 +670,23 @@ class Cluster:
             table = self.catalog.table(family.primary.anchor_table)
             for copy in family.all_copies:
                 manager.register_projection(copy, table)
+        report = self.scavenge_node(node_index, manager)
+        self.nodes[node_index] = ClusterNode(
+            index=node_index, manager=manager, merge_policy=old.merge_policy
+        )
+        self.nodes[node_index].mover.collector = self.dc
+        return report
+
+    def scavenge_node(
+        self, node_index: int, manager: StorageManager
+    ) -> ScavengeReport:
+        """Scavenge ``manager``, node ``node_index``'s storage, recording
+        every container it quarantines in ``dc_errors``.  A copy that
+        lost one holds less than its Last Good Epoch says: the LGE drops
+        to 0, so recovery rebuilds the copy from its buddy."""
         report = manager.scavenge()
         for quarantined in report.quarantined:
+            self.epochs.invalidate_lge(node_index, quarantined.projection)
             self.dc.record(
                 "errors",
                 "quarantined_container",
@@ -679,10 +694,6 @@ class Cluster:
                 node_index=node_index,
                 detail=f"{quarantined.projection}: {quarantined.reason}",
             )
-        self.nodes[node_index] = ClusterNode(
-            index=node_index, manager=manager, merge_policy=old.merge_policy
-        )
-        self.nodes[node_index].mover.collector = self.dc
         return report
 
     def scrub(self, repair: bool = True):

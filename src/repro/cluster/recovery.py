@@ -124,6 +124,12 @@ def _recover_node(
                 # its own disk instead of deadlocking on the other.
                 report.per_projection[copy.name] = (0, 0)
                 continue
+            # only what the node missed: buddy containers settled at the
+            # LGE are skipped without being read.  Read before anything
+            # is truncated, so a copy with no live buddy keeps its disk.
+            history = _buddy_history(
+                cluster, family, node_index, copy, after_epoch=lge
+            )
             # 1. truncate to the LGE: WOS contents died with the node
             #    and post-LGE ROS state may be incomplete.  Containers
             #    wholly at or under the LGE stay untouched, those wholly
@@ -151,11 +157,6 @@ def _recover_node(
                 report.containers_dropped += outcomes["containers_dropped"]
                 if truncate_span is not None:
                     truncate_span.attrs.update(outcomes)
-                # only what the node missed: buddy containers settled
-                # at the LGE are skipped without being read.
-                history = _buddy_history(
-                    cluster, family, node_index, copy, after_epoch=lge
-                )
             # 2. historical phase (no locks): (LGE, boundary]
             with TRACER.span(
                 "recovery.historical",

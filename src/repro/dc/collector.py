@@ -73,6 +73,8 @@ DEFAULT_SEGMENT_RECORDS = 128
 #: The id at the head of a frame the collector wrote (its keys are
 #: sorted, and ``id`` sorts first).
 _FRAME_ID = re.compile(rb'\{"id":(\d+)[,}]')
+#: The fields of every record a flush writes: each is required.
+_FIELDS = {"id", "tick", "kind", "payload"}
 
 
 @dataclass(frozen=True)
@@ -377,8 +379,9 @@ class DataCollector:
         own (caller holds the lock): one bulk parse
         (:func:`repro.storage.segment_log.parse_bodies`).
 
-        A frame whose CRC holds but whose body is no record — only a
-        hand-made one can be — ends the history, as an eager open would
+        A frame whose CRC holds but whose body is no record, or lacks a
+        field the flush writes — only a hand-made one can — ends the
+        history, as an eager open would
         have cut it: it and every frame after it are dropped and
         counted in ``dc.truncated_records``, and the component's
         segments are rewritten from what the ring keeps, so the next
@@ -394,15 +397,10 @@ class DataCollector:
                 bodies += body
         records = []
         for body in bodies:
-            if not (isinstance(body, dict) and "kind" in body and "id" in body):
+            if not (isinstance(body, dict) and _FIELDS <= body.keys()):
                 break
             records.append(
-                DCRecord(
-                    body["id"],
-                    body.get("tick", 0),
-                    body["kind"],
-                    body.get("payload", {}),
-                )
+                DCRecord(body["id"], body["tick"], body["kind"], body["payload"])
             )
         ring.records[:0] = records
         if len(records) < len(frames):

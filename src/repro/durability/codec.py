@@ -6,7 +6,10 @@ code.  Every field round-trips by value; data types are encoded by
 name and resolved through :func:`repro.types.type_from_name`; a table's
 partition expression as its SQL text (``repr`` of the ``Expr``), rebuilt
 by the parser and analyzer ``CREATE TABLE ... PARTITION BY`` runs — so
-:func:`encode_table` refuses an expression whose text does not read back.
+:func:`encode_table` refuses an expression whose text does not read back,
+and a decode of such text raises :class:`CatalogError`.  Every field an
+encoder writes is required: a decode of a payload missing one raises
+``KeyError``, which the journal counts as damage.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from ..projections.projection import (
 )
 from ..projections.segmentation import HashSegmentation, Replicated
 from ..types import type_from_name
-
 
 def encode_table(table: TableDefinition) -> dict:
     """Encode a table definition as a JSON-safe dict, refusing a partition
@@ -44,20 +46,22 @@ def decode_table(payload: dict) -> TableDefinition:
     return TableDefinition(
         name=name,
         columns=[ColumnDef(column, type_from_name(dtype)) for column, dtype in columns],
-        partition_by=_partition_by(name, [c for c, _ in columns], payload.get("partition_by_text")),
-        primary_key=tuple(payload.get("primary_key", ())),
+        partition_by=_partition_by(name, [c for c, _ in columns], payload["partition_by_text"]),
+        primary_key=tuple(payload["primary_key"]),
     )
 
 
 def _partition_by(table: str, columns: list[str], text: str | None):
-    """``text`` read as CREATE TABLE reads ``PARTITION BY``; None for display
-    text journalled before it was an Expr (reopened unpartitioned then too)."""
+    """``text`` read as CREATE TABLE reads ``PARTITION BY``; text that does
+    not read raises :class:`CatalogError`."""
     from ..sql.interface import partition_expression
 
     try:
         return None if text is None else partition_expression(table, columns, text)
-    except (ReproError, ValueError, TypeError):  # (a bad DATE literal, -'text')
-        return None
+    except (ReproError, ValueError, TypeError) as exc:  # (a bad DATE literal, -'text')
+        raise CatalogError(
+            f"partition expression {text} of {table!r} does not read back: {exc}"
+        ) from None
 
 
 def _encode_segmentation(scheme) -> dict:
@@ -108,7 +112,7 @@ def encode_projection(projection: ProjectionDefinition) -> dict:
 def decode_projection(payload: dict) -> ProjectionDefinition:
     """Rebuild one projection copy."""
     prejoin = None
-    if payload.get("prejoin") is not None:
+    if payload["prejoin"] is not None:
         spec = payload["prejoin"]
         prejoin = PrejoinSpec(
             dimension_table=spec["dimension_table"],
@@ -126,8 +130,8 @@ def decode_projection(payload: dict) -> ProjectionDefinition:
         sort_order=list(payload["sort_order"]),
         segmentation=_decode_segmentation(payload["segmentation"]),
         prejoin=prejoin,
-        buddy_offset=payload.get("buddy_offset", 0),
-        comment=payload.get("comment", ""),
+        buddy_offset=payload["buddy_offset"],
+        comment=payload["comment"],
     )
 
 

@@ -6,8 +6,9 @@ Replay order (each step idempotent over what the previous recovered):
    apply DDL records past its LSN, yielding the final catalog; register
    every projection on every node's storage manager.
 2. **Scavenge** — per node, the PR 3 machinery: delete ``.tmp``
-   orphans, load every published container (quarantining corruption),
-   resolve crash-interrupted mergeouts, re-attach delete vectors.
+   orphans, load every published container (quarantining corruption,
+   a damaged delete vector's target included), resolve crash-interrupted
+   mergeouts, re-attach delete vectors.
 3. **Truncate to the floor** — the journal's durable floor is the
    epoch every node had fully drained to ROS at the last all-up mover
    cycle; anything newer on disk may be incomplete on *some* node, so
@@ -25,9 +26,7 @@ Replay order (each step idempotent over what the previous recovered):
 4. **Replay the tail** — commit records with epochs past the floor go
    to :meth:`Cluster.apply_commit`, the method that applied them when
    they were first committed; replay adds only the clock, the floor
-   skip, the dropped-table filter and the pivot of inserts and delete
-   victims journalled as row dicts (the form before records held
-   columns).  The journal
+   skip and the dropped-table filter.  The journal
    itself was already cut to its last valid prefix when opened: a torn
    or bit-flipped record defines the recovery point, and every record
    after it is discarded.
@@ -35,7 +34,11 @@ Replay order (each step idempotent over what the previous recovered):
    :class:`~repro.cluster.supervisor.ClusterSupervisor` in the
    SCAVENGED state; the PR 5 recovery state machine replays each node
    back to currency (trivially, from its own disk — the replay above
-   restored LGE = latest queryable) and rejoins it.
+   restored LGE = latest queryable) and rejoins it.  A copy that lost
+   a container to quarantine is the exception: its LGE stays 0, so
+   rejoining rebuilds it from its buddy (and the quarantine is purged),
+   and with no buddy (K=0) its node stays down and a read of its
+   segments raises :class:`~repro.errors.DataUnavailableError`.
 """
 
 from __future__ import annotations
@@ -45,11 +48,10 @@ from typing import TYPE_CHECKING
 
 from ..errors import DurabilityError
 from ..monitor import METRICS
-from ..storage import HistoryRun
 from ..storage.manager import truncate_outcome_counts
 from ..trace import TRACER
 from ..txn.epochs import INITIAL_EPOCH
-from .codec import decode_catalog, decode_family, decode_table
+from .codec import decode_family, decode_table
 from .journal import Journal, JournalRecord
 
 if TYPE_CHECKING:
@@ -114,7 +116,7 @@ def replay_journal(cluster: "Cluster", journal: Journal) -> ColdStartReport:
             drop_lsn = _rebuild_catalog(cluster, replay, report)
         with TRACER.span("cold_start.scavenge", category="recovery"):
             for node in cluster.nodes:
-                scavenge = node.manager.scavenge()
+                scavenge = cluster.scavenge_node(node.index, node.manager)
                 report.containers_quarantined += len(scavenge.quarantined)
         if replay.checkpoint is not None:
             cluster.epochs.current_epoch = max(
@@ -140,6 +142,9 @@ def replay_journal(cluster: "Cluster", journal: Journal) -> ColdStartReport:
         _restore_epoch_marks(cluster, replay)
         with TRACER.span("cold_start.rejoin", category="recovery"):
             report.rejoin_ticks = _rejoin_all_nodes(cluster)
+        for node_index in cluster.membership.up_nodes():
+            # rejoined: every copy scavenge quarantined from was rebuilt
+            cluster.nodes[node_index].manager.purge_quarantine()
         report.projections = [
             copy.name for copy in cluster.catalog.all_projections()
         ]
@@ -157,7 +162,7 @@ def _rebuild_catalog(cluster, replay, report) -> dict[str, int]:
     to a dropped (possibly recreated) table."""
     catalog = cluster.catalog
     if replay.checkpoint is not None:
-        decoded = decode_catalog(replay.checkpoint["catalog"])
+        decoded = replay.checkpoint["catalog"]
         for name in sorted(decoded.tables):
             catalog.add_table(decoded.tables[name])
         for name in sorted(decoded.families):
@@ -221,33 +226,19 @@ def _replay_commit(
         # scavenge already recovered it from disk.
         return
     inserts = {
-        name: _columns(cluster.catalog.table(name), inserted)
+        name: inserted
         for name, inserted in payload["inserts"].items()
         if not _skip_table(cluster, name, record.lsn, drop_lsn)
     }
-    deletes = []
-    for delete in payload["deletes"]:
-        name = delete["table"]
-        if not _skip_table(cluster, name, record.lsn, drop_lsn):
-            victims = delete["columns"] if "columns" in delete else delete["rows"]
-            victims = _columns(cluster.catalog.table(name), victims)
-            deletes.append({"table": name, "columns": victims})
+    deletes = [
+        delete
+        for delete in payload["deletes"]
+        if not _skip_table(cluster, delete["table"], record.lsn, drop_lsn)
+    ]
     cluster.apply_commit({**payload, "inserts": inserts, "deletes": deletes})
     report.rows_reinserted += sum(map(_row_count, inserts.values()))
     report.rows_redeleted += sum(_row_count(delete["columns"]) for delete in deletes)
     report.commits_replayed += 1
-
-
-def _columns(table, journalled) -> dict[str, list]:
-    """One table's inserts or delete victims in a commit record, as the
-    columns :meth:`Cluster.apply_commit` takes.  A record written before
-    the journal stored columns holds a list of row dicts: it is pivoted
-    here, once — the one place that form is read."""
-    if isinstance(journalled, list):
-        return HistoryRun.from_rows(
-            table.column_names, journalled, [0] * len(journalled)
-        ).columns
-    return journalled
 
 
 def _row_count(columns: dict[str, list]) -> int:
@@ -282,9 +273,13 @@ def _restore_epoch_marks(cluster, replay) -> None:
     if replay.checkpoint is not None:
         ahm = min(replay.checkpoint["ahm"], current)
     cluster.epochs.ahm = max(ahm, 0)
-    for node_index in range(cluster.node_count):
+    for node in cluster.nodes:
+        # a copy that lost a container to quarantine holds less than any
+        # epoch certifies: at LGE 0 its rejoin rebuilds it from its buddy
+        damaged = {record.projection for record in node.manager.quarantined}
         for copy in cluster.catalog.all_projections():
-            cluster.epochs.set_lge(node_index, copy.name, current)
+            if copy.name not in damaged:
+                cluster.epochs.set_lge(node.index, copy.name, current)
 
 
 def _rejoin_all_nodes(cluster) -> int:

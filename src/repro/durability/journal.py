@@ -7,20 +7,29 @@ stage/publish atomicity of every append and the cut to the longest
 valid record prefix at open are :mod:`repro.storage.segment_log`'s; a
 record body here is ``{"kind": ..., "lsn": ..., "payload": ...}``.
 
+Stored format.  The genesis records :data:`FORMAT`, and an open of a
+journal whose genesis names another number (none at all counts as 0) is
+refused before any file under it changes.  Format 1 has no optional
+field: a record or checkpoint missing one its writer writes is damage,
+cut or skipped like a failed CRC (DESIGN.md, "Stored format").
+
 Bounded replay.  Segments rotate after ``segment_records`` records or
 ``segment_log.SEGMENT_BYTES`` of them, so a bulk-load record seals its
 segment behind itself.  A checkpoint snapshots the catalog, the durable
 floor epoch and the epoch counters; at cold start replay begins from
-the newest valid checkpoint, and sealed segments fully covered by it (no
-record past its LSN, no commit past the floor) are pruned.  One is due
+the newest valid checkpoint.  A sealed segment is pruned once the floor
+has passed its every commit and no other record in it (DDL, ``floor``,
+``restore``) is past the *older* retained checkpoint, so a fallback to
+that one still finds each of them; a checkpoint is published twice when
+that frees a segment now.  One is due
 every ``checkpoint_interval`` appends, or sooner when the floor has
 passed a sealed segment — when taking it frees a file — so what stays
 on disk is the replay window, not the history before it.
 
 Record kinds: ``genesis`` (cluster topology, first record ever),
 ``create_table`` / ``add_family`` / ``drop_table`` (catalog DDL),
-``commit`` (one committed epoch: inserts per table as columns plus
-materialized delete rows), ``floor`` (the durable floor advanced —
+``commit`` (one committed epoch: inserts and delete victims per table
+as columns), ``floor`` (the durable floor advanced —
 every up node has drained its WOS past this epoch), ``restore`` (a
 backup image was adopted at some epoch).
 """
@@ -40,6 +49,7 @@ from ..storage.segment_log import (
     read_framed_file,
     write_framed_file,
 )
+from .codec import decode_catalog, decode_family, decode_table
 
 SEGMENT_PREFIX = "seg_"
 CHECKPOINT_PREFIX = "ckpt_"
@@ -51,11 +61,59 @@ DEFAULT_SEGMENT_RECORDS = 64
 DEFAULT_CHECKPOINT_INTERVAL = 32
 #: Old checkpoints retained (newest may be torn; keep a fallback).
 CHECKPOINTS_RETAINED = 2
+#: The stored format this build writes into every genesis and backup
+#: manifest, and the only one it opens.
+FORMAT = 1
+
+#: The payload fields the writer of each record kind writes: in format 1
+#: every one is required.  A DDL record's catalog object is decoded to
+#: tell, and the genesis's ``format`` is checked before anything else.
+_FIELDS = {
+    "drop_table": ("name",),
+    "commit": ("epoch", "snapshot_epoch", "direct_to_ros", "inserts", "deletes"),
+    "floor": ("epoch",),
+    "restore": ("epoch", "current_epoch", "entries"),
+    "checkpoint": ("lsn", "floor", "current_epoch", "ahm", "catalog", "genesis"),
+}
 
 
 def _is_lsn(value) -> bool:
     """Whether a record's ``lsn`` is one: a non-negative int."""
     return type(value) is int and value >= 0
+
+
+def _well_formed(body: dict) -> bool:
+    """Whether a record has a valid LSN and every field its kind's
+    writer writes: the catalog objects in it are decoded to tell."""
+    try:
+        kind, payload = body["kind"], body["payload"]
+        if not _is_lsn(body["lsn"]) or not all(
+            map(payload.__contains__, _FIELDS.get(kind, ()))
+        ):
+            return False
+        if kind == "create_table":
+            decode_table(payload["table"])
+        elif kind == "add_family":
+            decode_family(payload["family"])
+        elif kind == "commit":
+            return all("table" in d and "columns" in d for d in payload["deletes"])
+        elif kind == "checkpoint":
+            return _is_lsn(payload["lsn"])
+    except (KeyError, TypeError, AttributeError):
+        return False
+    return True
+
+
+def check_format(what: str, record: dict) -> None:
+    """Refuse ``what`` when ``record`` (a genesis or a backup manifest)
+    names another stored format; one with no ``format`` is format 0."""
+    found = record.get("format", 0)
+    if found != FORMAT:
+        raise DurabilityError(
+            f"{what} is stored in format {found}; this build reads format "
+            f"{FORMAT} only (re-load it: SELECT out with a build that reads "
+            "it, COPY into a fresh database)"
+        )
 
 
 @dataclass(frozen=True)
@@ -71,7 +129,8 @@ class JournalRecord:
 class JournalReplay:
     """What :meth:`Journal.open` recovered from disk."""
 
-    #: Newest valid checkpoint body, or ``None`` (replay from genesis).
+    #: Newest valid checkpoint body, its ``catalog`` decoded (a
+    #: :class:`~repro.core.catalog.Catalog`), or ``None``.
     checkpoint: dict | None
     #: All records surviving CRC validation, in LSN order.
     records: list[JournalRecord]
@@ -98,6 +157,9 @@ class _SegmentSummary:
     last_lsn: int = -1
     records: int = 0
     max_commit_epoch: int = 0
+    #: LSN of its newest record that is not a commit (DDL, ``floor``,
+    #: ``restore``): only the journal and later checkpoints hold one.
+    last_state_lsn: int = -1
 
     def note(self, record: JournalRecord) -> None:
         if self.first_lsn < 0:
@@ -106,8 +168,10 @@ class _SegmentSummary:
         self.records += 1
         if record.kind in ("commit", "restore"):
             self.max_commit_epoch = max(
-                self.max_commit_epoch, record.payload.get("epoch", 0)
+                self.max_commit_epoch, record.payload["epoch"]
             )
+        if record.kind != "commit":
+            self.last_state_lsn = record.lsn
 
 
 class Journal:
@@ -134,6 +198,8 @@ class Journal:
         #: on every node and need not be replayed.
         self.floor = 0
         self.checkpoint_lsn = -1
+        #: LSN of the retained checkpoint before the newest (-1: none).
+        self._older_checkpoint_lsn = -1
         self.last_replay: JournalReplay | None = None
         self._lock = TrackedLock("Journal._lock")
         # concurrency: guarded-by(self._lock) — LSN counter, the segment
@@ -168,7 +234,8 @@ class Journal:
         segment_records: int = DEFAULT_SEGMENT_RECORDS,
         checkpoint_interval: int = DEFAULT_CHECKPOINT_INTERVAL,
     ) -> "Journal":
-        """Start a fresh journal; its first record is the genesis."""
+        """Start a fresh journal; its first record is the genesis, which
+        records :data:`FORMAT`."""
         if cls.exists(directory):
             raise DurabilityError(
                 f"journal already exists at {directory!r}; "
@@ -180,8 +247,8 @@ class Journal:
             segment_records=segment_records,
             checkpoint_interval=checkpoint_interval,
         )
-        journal.genesis = dict(genesis)
-        journal._append("genesis", dict(genesis))
+        journal.genesis = {**genesis, "format": FORMAT}
+        journal._append("genesis", dict(journal.genesis))
         return journal
 
     @classmethod
@@ -194,9 +261,11 @@ class Journal:
     ) -> "Journal":
         """Reopen a journal from disk, validating every record.
 
-        A damaged suffix — a record failing its CRC, or the first LSN
-        missing past the checkpoint — is cut off on disk so that the
-        next append extends a clean tail.  The recovered state is left
+        A journal of another stored format, or one with no genesis left,
+        is refused first, before any file under ``directory`` changes.
+        A damaged suffix — a record failing its CRC or missing a field,
+        or the first LSN missing past the checkpoint — is cut off on disk
+        so that the next append extends a clean tail.  The recovered state is left
         in ``last_replay`` for the cold-start path.
         """
         if not cls.exists(directory):
@@ -238,9 +307,7 @@ class Journal:
         written once per table, not once per row), and, per table a
         transaction deleted from as a (table, columns) pair, the row
         multiset its predicates selected at the snapshot, as columns too
-        — a predicate is never journalled.  Records written before the
-        inserts (or the deletes) were columns hold row dicts; cold start
-        reads both.
+        — a predicate is never journalled.
         """
         return self._append(
             "commit",
@@ -312,7 +379,13 @@ class Journal:
     def write_checkpoint(
         self, *, floor: int, current_epoch: int, ahm: int, catalog: dict
     ) -> None:
-        """Publish a checkpoint and prune segments it fully covers.
+        """Publish a checkpoint and prune the segments it frees.
+
+        A sealed segment the floor has passed stays while it holds a DDL,
+        ``floor`` or ``restore`` record newer than the older retained
+        checkpoint: a fallback to that one needs it.  When one does, the
+        same checkpoint is published a second time, which then covers it
+        as the older one too, and the segment goes now, not a cycle later.
 
         Callers must guarantee ``floor`` is genuinely durable: every
         node is up and has drained its WOS through ``floor`` (the
@@ -320,39 +393,47 @@ class Journal:
         """
         with self._lock:
             covered_lsn = self._next_lsn - 1
-            floor = max(floor, self.floor)
+            self.floor = max(floor, self.floor)
             body = {
                 "lsn": covered_lsn,
-                "floor": floor,
+                "floor": self.floor,
                 "current_epoch": current_epoch,
                 "ahm": ahm,
                 "catalog": catalog,
                 "genesis": self.genesis,
             }
-            write_framed_file(
-                self._checkpoints.path(self._next_checkpoint_index),
-                {"kind": "checkpoint", "lsn": covered_lsn, "payload": body},
-                stage_point="journal.checkpoint.stage",
-                publish_point="journal.checkpoint.publish",
-            )
-            self._next_checkpoint_index += 1
-            self.checkpoint_lsn = covered_lsn
-            self.floor = floor
+            held = True
+            while held and self._older_checkpoint_lsn < covered_lsn:
+                write_framed_file(
+                    self._checkpoints.path(self._next_checkpoint_index),
+                    {"kind": "checkpoint", "lsn": covered_lsn, "payload": body},
+                    stage_point="journal.checkpoint.stage",
+                    publish_point="journal.checkpoint.publish",
+                )
+                self._next_checkpoint_index += 1
+                self._older_checkpoint_lsn = self.checkpoint_lsn
+                self.checkpoint_lsn = covered_lsn
+                METRICS.inc("journal.checkpoints")
+                held = self._prune_segments()
             self._appends_since_checkpoint = 0
-            METRICS.inc("journal.checkpoints")
-            self._prune_segments()
             self._prune_checkpoints()
 
-    def _prune_segments(self) -> None:
+    def _prune_segments(self) -> bool:
+        """Drop every sealed segment the floor has passed whose other
+        records a fallback to the older checkpoint finds elsewhere;
+        returns whether the floor has passed one kept for such a record."""
+        held = False
         for index, _ in self._log.sealed():
             summary = self._segments[index]
-            if summary.last_lsn > self.checkpoint_lsn:
-                continue
             if summary.max_commit_epoch > self.floor:
+                continue
+            if summary.last_state_lsn > self._older_checkpoint_lsn:
+                held = True
                 continue
             self._log.drop(index)
             del self._segments[index]
             METRICS.inc("journal.segments_pruned")
+        return held
 
     def _prune_checkpoints(self) -> None:
         for index in self._checkpoints.indexes()[:-CHECKPOINTS_RETAINED]:
@@ -361,7 +442,20 @@ class Journal:
     # -- replay --------------------------------------------------------
 
     def _load(self) -> JournalReplay:
-        checkpoint, skipped = self._load_checkpoint()
+        checkpoint, self._older_checkpoint_lsn, skipped = self._load_checkpoint()
+        # the genesis is found, and its format checked, before any file changes
+        genesis = checkpoint["genesis"] if checkpoint else None
+        first = self._log.files.indexes()[:1]
+        if genesis is None and first:  # the first record of the first segment
+            body = read_framed_file(self._log.files.path(first[0]))
+            if body is not None and body["kind"] == "genesis":
+                genesis = body.get("payload")
+        if genesis is None:
+            raise DurabilityError(
+                f"journal at {self.directory!r} lost its genesis record"
+            )
+        check_format(f"the journal at {self.directory!r}", genesis)
+        self._checkpoints.discard_staged()
         self.checkpoint_lsn = checkpoint["lsn"] if checkpoint else -1
         # Pruning follows the newest checkpoint.  Having fallen back to
         # an older one, the pruned range reaches to an LSN only the
@@ -369,20 +463,6 @@ class Journal:
         records, truncated = self._load_segments(
             holes_through=float("inf") if skipped else self.checkpoint_lsn
         )
-        if not records and checkpoint is None:
-            raise DurabilityError(
-                f"journal at {self.directory!r} has no valid records"
-            )
-        genesis = checkpoint["genesis"] if checkpoint else None
-        if genesis is None:
-            for record in records:
-                if record.kind == "genesis":
-                    genesis = record.payload
-                    break
-        if genesis is None:
-            raise DurabilityError(
-                f"journal at {self.directory!r} lost its genesis record"
-            )
         self.genesis = dict(genesis)
         floor = checkpoint["floor"] if checkpoint else 0
         for record in records:
@@ -403,22 +483,31 @@ class Journal:
             checkpoints_skipped=skipped,
         )
 
-    def _load_checkpoint(self) -> tuple[dict | None, int]:
-        self._checkpoints.discard_staged()
-        skipped = 0
+    def _load_checkpoint(self) -> tuple[dict | None, int, int]:
+        """The newest well-formed checkpoint, the LSN of the well-formed
+        one below it (-1: none) and how many newer ones were skipped.
+        Reads only."""
         indexes = self._checkpoints.indexes()[::-1]
         self._next_checkpoint_index = (indexes[0] + 1) if indexes else 1
+        found: list[dict] = []
+        skipped = 0
         for index in indexes:
             body = read_framed_file(self._checkpoints.path(index))
-            if (
-                body is not None
-                and body.get("kind") == "checkpoint"
-                and isinstance(body.get("payload"), dict)
-                and _is_lsn(body["payload"].get("lsn"))
-            ):
-                return body["payload"], skipped
-            skipped += 1
-        return None, skipped
+            if body is not None and body["kind"] == "checkpoint" and _well_formed(body):
+                if not found:
+                    try:
+                        body["payload"]["catalog"] = decode_catalog(body["payload"]["catalog"])
+                    except (KeyError, TypeError, AttributeError):
+                        skipped += 1
+                        continue
+                found.append(body["payload"])
+                if len(found) == 2:
+                    break
+            elif not found:
+                skipped += 1
+        if not found:
+            return None, -1, skipped
+        return found[0], found[1]["lsn"] if len(found) == 2 else -1, skipped
 
     def _load_segments(self, holes_through: float) -> tuple[list[JournalRecord], int]:
         # LSNs are dense, so the first one missing (a lost segment) is
@@ -429,11 +518,11 @@ class Journal:
         expected = None
 
         def dense(body: dict) -> bool:
-            # a record without a payload or a valid LSN is damage too
+            # a record missing a field its writer writes is damage too
             nonlocal expected
-            lsn = body.get("lsn")
-            if not _is_lsn(lsn) or "payload" not in body:
+            if not _well_formed(body):
                 return False
+            lsn = body["lsn"]
             if lsn != expected and lsn > holes_through + 1:
                 return False
             expected = lsn + 1

@@ -20,10 +20,14 @@ import os
 from dataclasses import dataclass, field
 
 from .. import faults
+from ..errors import CorruptContainerError
 from ..lint import sanitizer
 from ..types import INTEGER
 from . import fsio
 from .column_file import ColumnReader, ColumnWriter
+
+#: A DVROS's files, in the order ``target.txt`` lists their CRC32s.
+_FILES = ("positions.dat", "positions.pidx", "epochs.dat", "epochs.pidx")
 
 
 @dataclass
@@ -81,8 +85,11 @@ class DeleteVector:
         Positions are ascending integers (delta-friendly) and epochs
         are near-constant (RLE-friendly) — the "efficient compression
         mechanisms" of section 3.7.1 fall out of reusing the encodings.
-        Committed with the same stage-then-rename protocol as ROS
-        containers, so a crash never leaves a half-written vector.
+        ``target.txt`` holds the target (a container id, or ``wos``) and
+        each file's CRC32 in :data:`_FILES` order, checked like a
+        container's at :meth:`load`.  Committed with the same
+        stage-then-rename protocol as ROS containers, so a crash never
+        leaves a half-written vector.
         """
         self.sort()
         staged = fsio.staging_dir(path)
@@ -91,33 +98,38 @@ class DeleteVector:
         epoch_writer = ColumnWriter(INTEGER, "RLE")
         epoch_writer.extend(self.epochs)
         staged_files = []
+        crcs = []
         for name, writer in (("positions", position_writer), ("epochs", epoch_writer)):
             data, index = writer.finish()
             for suffix, payload in ((".dat", data), (".pidx", index)):
                 file_path = os.path.join(staged, f"{name}{suffix}")
-                fsio.write_bytes(file_path, payload)
+                crcs.append(f"{fsio.write_bytes(file_path, payload):08x}")
                 staged_files.append(file_path)
-        fsio.write_text(
-            os.path.join(staged, "target.txt"),
-            "wos" if self.target_container is None else str(self.target_container),
-        )
+        target = "wos" if self.target_container is None else str(self.target_container)
+        fsio.write_text(os.path.join(staged, "target.txt"), " ".join([target, *crcs]))
         faults.inject("dv.publish", files=staged_files)
         fsio.publish_dir(staged, path)
 
     @classmethod
     def load(cls, path: str) -> "DeleteVector":
-        """Load a persisted DVROS."""
-        columns = {}
-        for name in ("positions", "epochs"):
-            with open(os.path.join(path, f"{name}.dat"), "rb") as handle:
-                data = handle.read()
-            with open(os.path.join(path, f"{name}.pidx"), "rb") as handle:
-                index = handle.read()
-            columns[name] = ColumnReader(data, index).read_all()
-        with open(os.path.join(path, "target.txt")) as handle:
-            raw = handle.read().strip()
-        target = None if raw == "wos" else int(raw)
-        return cls(target, columns["positions"], columns["epochs"])
+        """Load a persisted DVROS, raising :class:`CorruptContainerError`
+        when a file is missing or fails its CRC32."""
+        try:
+            with open(os.path.join(path, "target.txt")) as handle:
+                target, *crcs = handle.read().split()
+            raw = []
+            for name, crc in zip(_FILES, crcs, strict=True):
+                with open(os.path.join(path, name), "rb") as handle:
+                    raw.append(handle.read())
+                if f"{fsio.crc32(raw[-1]):08x}" != crc:
+                    raise ValueError(f"{name} fails its CRC32")
+            return cls(
+                None if target == "wos" else int(target),
+                ColumnReader(raw[0], raw[1]).read_all(),
+                ColumnReader(raw[2], raw[3]).read_all(),
+            )
+        except (OSError, ValueError, UnicodeDecodeError) as exc:
+            raise CorruptContainerError(f"delete vector {path}: {exc}") from None
 
 
 def combined_deletes(vectors: list[DeleteVector]) -> dict[int, int]:

@@ -28,7 +28,7 @@ from ..columnar.row_block import RowBlock, sorted_prefix
 from ..columnar.selection import Selection
 from ..columnar.vectors import seek
 from ..core.schema import TableDefinition
-from ..errors import StorageError, UnknownObjectError
+from ..errors import CorruptContainerError, StorageError, UnknownObjectError
 from ..monitor import METRICS
 from ..projections import HashSegmentation, ProjectionDefinition
 from . import fsio
@@ -732,21 +732,29 @@ class StorageManager:
     def _scavenge_delete_vector(
         self, state: ProjectionStorage, entry: str, report: ScavengeReport
     ) -> None:
-        if entry in state.loaded_dv_dirs:
-            return
         path = os.path.join(self._projection_dir(state.projection.name), entry)
+        if entry in state.loaded_dv_dirs or not os.path.isdir(path):
+            return  # attached already, or dropped with its quarantined target
+        digits = entry.split("_")[1]
+        target = int(digits) if digits.isdigit() else None
+        if target not in state.containers:
+            # a DVROS whose container is gone (retired or quarantined)
+            # is dead weight
+            shutil.rmtree(path, ignore_errors=True)
+            report.stale_delete_vectors += 1
+            return
         try:
             vector = DeleteVector.load(path)
-        except (StorageError, OSError, ValueError):
-            shutil.rmtree(path, ignore_errors=True)
-            report.stale_delete_vectors += 1
-            return
-        target = vector.target_container
-        if target is None or target not in state.containers:
-            # WOS vectors are never persisted; a DVROS whose container
-            # is gone (retired or quarantined) is dead weight.
-            shutil.rmtree(path, ignore_errors=True)
-            report.stale_delete_vectors += 1
+            if vector.target_container != target:
+                raise CorruptContainerError(
+                    f"delete vector {path} names container {vector.target_container}"
+                )
+        except StorageError as exc:
+            # its deletes are lost, so its container's rows cannot be
+            # trusted: quarantined, the copy is rebuilt from a buddy
+            report.quarantined.append(
+                self.quarantine_container(state.projection.name, target, str(exc))
+            )
             return
         state.persisted_ros_deletes.setdefault(target, []).append(vector)
         state.loaded_dv_dirs.add(entry)
@@ -810,19 +818,19 @@ class StorageManager:
 
     def purge_quarantine(self, projection_name: str | None = None) -> int:
         """Delete quarantined container directories (post-repair
-        cleanup).  Returns how many were purged."""
+        cleanup), those an earlier manager over the same disk moved there
+        included.  Returns how many this manager had recorded."""
         names = (
             [projection_name] if projection_name else self.projection_names()
         )
-        purged = 0
-        keep = []
-        for record in self.quarantined:
-            if record.projection in names:
-                shutil.rmtree(record.path, ignore_errors=True)
-                purged += 1
-            else:
-                keep.append(record)
+        keep = [record for record in self.quarantined if record.projection not in names]
+        purged = len(self.quarantined) - len(keep)
         self.quarantined = keep
+        for name in names:
+            shutil.rmtree(
+                os.path.join(self._projection_dir(name), QUARANTINE_DIR),
+                ignore_errors=True,
+            )
         return purged
 
     # -- reads ------------------------------------------------------------

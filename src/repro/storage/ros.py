@@ -442,13 +442,12 @@ class ROSContainer:
         return cls(path, meta, size, image.token)
 
     @classmethod
-    def load(cls, path: str, verify_checksums: bool = True) -> "ROSContainer":
+    def load(cls, path: str) -> "ROSContainer":
         """Open an existing container directory.
 
         Raises :class:`CorruptContainerError` when the metadata is
-        missing/damaged or (with ``verify_checksums``) any file's
-        CRC32 disagrees with the committed checksum — the condition
-        the storage manager quarantines on.
+        missing/damaged or any file's CRC32 disagrees with the committed
+        checksum — the condition the storage manager quarantines on.
         """
         meta_path = os.path.join(path, "meta.json")
         try:
@@ -464,13 +463,12 @@ class ROSContainer:
             ) from None
         meta = cls._meta_from_json(path, raw)
         container = cls(path, meta)
-        if verify_checksums:
-            bad = container.verify()
-            if bad:
-                raise CorruptContainerError(
-                    f"container {path} failed checksum verification: "
-                    + ", ".join(bad)
-                )
+        bad = container.verify()
+        if bad:
+            raise CorruptContainerError(
+                f"container {path} failed checksum verification: "
+                + ", ".join(bad)
+            )
         sanitizer.check_container(container)
         return container
 
@@ -481,8 +479,7 @@ class ROSContainer:
             raise CorruptContainerError(
                 f"container {path} meta.json is not an object"
             )
-        recorded_crc = raw.pop("meta_crc", None)
-        if recorded_crc is not None and recorded_crc != _meta_crc(raw):
+        if raw.pop("meta_crc", None) != _meta_crc(raw):
             raise CorruptContainerError(
                 f"container {path} meta.json fails its self-checksum"
             )
@@ -497,8 +494,8 @@ class ROSContainer:
                 max_epoch=raw["max_epoch"],
                 columns=raw["columns"],
                 column_groups=raw["column_groups"],
-                checksums=dict(raw.get("checksums") or {}),
-                merged_from=list(raw.get("merged_from") or []),
+                checksums=dict(raw["checksums"]),
+                merged_from=list(raw["merged_from"]),
             )
         except (KeyError, TypeError) as exc:
             raise CorruptContainerError(
@@ -529,25 +526,22 @@ class ROSContainer:
         meta_path = os.path.join(staged, "meta.json")
         try:
             with open(meta_path) as handle:
-                raw = json.load(handle)
+                meta = cls._meta_from_json(source_dir, json.load(handle))
         except (OSError, ValueError) as exc:
             raise CorruptContainerError(
                 f"cannot adopt {source_dir}: unreadable meta.json ({exc})"
             ) from None
-        raw.pop("meta_crc", None)
-        raw["container_id"] = container_id
-        raw["merged_from"] = []
-        raw["meta_crc"] = _meta_crc(raw)
-        fsio.write_json(meta_path, raw)
+        meta.container_id = container_id
+        meta.merged_from = []
+        fsio.write_json(meta_path, meta.to_json())
         fsio.publish_dir(staged, path)
         return cls.load(path)
 
     def verify(self) -> list[str]:
         """Names of files whose on-disk bytes fail CRC verification.
 
-        Empty list means the container is intact (or predates
-        checksums, in which case there is nothing to verify against).
-        Reads every file fresh from disk — this is the scrub primitive.
+        Empty list means the container is intact.  Reads every file
+        fresh from disk — this is the scrub primitive.
         """
         bad = []
         for name, expected in sorted(self.meta.checksums.items()):
@@ -588,8 +582,7 @@ class ROSContainer:
             data = handle.read()
         METRICS.inc("storage.container_files_read")
         METRICS.inc("storage.container_bytes_read", len(data))
-        expected = self.meta.checksums.get(file_name)
-        if expected is not None and fsio.crc32(data) != expected:
+        if fsio.crc32(data) != self.meta.checksums.get(file_name):
             METRICS.inc("storage.crc_failures")
             raise CorruptContainerError(
                 f"container {self.path}: {file_name} fails its CRC32 "

@@ -204,10 +204,11 @@ def write_framed_file(
 
 
 def read_framed_file(path: str) -> dict | None:
-    """The record of a :func:`write_framed_file` file; ``None`` if damaged."""
+    """The first record of a framed file (the one of a
+    :func:`write_framed_file` file); ``None`` if damaged."""
     with open(path, "rb") as handle:
-        raw = handle.read()
-    return _parse_line(raw.split(b"\n", 1)[0] + b"\n")
+        raw = handle.readline()
+    return _parse_line(raw.rstrip(b"\n") + b"\n")
 
 
 class FileFamily(NamedTuple):

@@ -196,6 +196,19 @@ class TestScrub:
         cluster.fail_node(0)
         assert snapshot(cluster, epoch) == list(range(40))
 
+    def test_recovery_after_scavenge_quarantine_rebuilds_the_copy(self, cluster):
+        """A copy that lost a container at restart holds less than its
+        Last Good Epoch says: recovery rebuilds it from its buddy, so the
+        node serves every row before any scrub runs."""
+        epoch = cluster.commit_dml({"t": rows(40)}, [], 0, direct_to_ros=True)
+        cluster.run_tuple_movers()  # every copy's LGE reaches the epoch
+        self.corrupt_one_container(cluster, node_index=1)
+        cluster.fail_node(1)
+        assert cluster.restart_node(1).quarantined
+        recover_node(cluster, 1)
+        cluster.fail_node(0)
+        assert snapshot(cluster, epoch) == list(range(40))
+
     def test_repair_node_projection_rebuilds_copy(self, cluster):
         epoch = cluster.commit_dml({"t": rows(50)}, [], 0, direct_to_ros=True)
         family = cluster.catalog.super_projection_for("t")

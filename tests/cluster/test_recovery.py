@@ -196,6 +196,28 @@ class TestBackup:
         assert restored == len(image.entries)
         assert table_snapshot(cluster, epoch) == list(range(80))
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP 1(d): a backup image links the containers but not "
+        "their delete vectors, so a restore brings deleted rows back",
+    )
+    def test_a_restore_keeps_the_deletes_of_its_image(self, cluster, tmp_path):
+        epoch = cluster.commit_dml({"t": rows(80)}, [], 0, direct_to_ros=True)
+        victims = rows(10)
+        epoch = cluster.commit_dml(
+            {}, [("t", {"k": [r["k"] for r in victims], "v": [r["v"] for r in victims]})],
+            epoch,
+        )
+        cluster.run_tuple_movers()  # the deletes reach disk as delete vectors
+        image = create_backup(cluster, str(tmp_path / "bk"))
+        family = cluster.catalog.super_projection_for("t")
+        for node in cluster.nodes:
+            for copy in family.all_copies:
+                state = node.manager.storage(copy.name)
+                node.manager.remove_containers(copy.name, list(state.containers))
+        restore_backup(cluster, image)
+        assert table_snapshot(cluster, epoch) == list(range(10, 80))
+
     def test_backup_survives_mergeout(self, cluster, tmp_path):
         # hard links keep the image alive even after the tuple mover
         # retires the original containers.

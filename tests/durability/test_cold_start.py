@@ -464,7 +464,9 @@ class TestCrashPoints:
         del db
         journal_dir = root / "journal"
         checkpoints = sorted(journal_dir.glob("ckpt_*.json"))
-        assert [c.name for c in checkpoints] == ["ckpt_000002.json", "ckpt_000003.json"]
+        # the first cycle publishes its checkpoint twice: the segment it
+        # frees holds the CREATE TABLE, which the older one must cover
+        assert [c.name for c in checkpoints] == ["ckpt_000003.json", "ckpt_000004.json"]
         assert sorted(journal_dir.glob("seg_*.log"))[0].name != "seg_000001.log"
         damaged = bytearray(checkpoints[-1].read_bytes())
         damaged[len(damaged) // 2] ^= 0x01
@@ -474,12 +476,6 @@ class TestCrashPoints:
         assert reopened.replay_report.truncated_records == 0
         assert capture(reopened) == before
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP 1(a): a checkpoint prunes the segment holding a "
-        "create_table journalled after the older checkpoint, so falling "
-        "back to that one loses the table",
-    )
     def test_a_fallback_past_a_pruned_create_table_keeps_the_table(self, tmp_path):
         root = tmp_path / "db"
         db = build(root)
@@ -498,6 +494,38 @@ class TestCrashPoints:
 
         reopened = Database.open(str(root))
         assert sorted(reopened.cluster.catalog.tables) == ["t", "t2"]
+
+    def test_a_fallback_past_a_checkpoint_with_an_unmoved_floor_keeps_moved_out_rows(
+        self, tmp_path
+    ):
+        """ROADMAP 1(a), second half: a cycle logs its floor without
+        checkpointing, only DDL follows and seals that segment, and the
+        next cycle checkpoints with the floor unmoved.  That checkpoint
+        must not take the only ``floor`` record past the older one with
+        it: falling back, the open would truncate the moved-out rows."""
+        root = tmp_path / "db"
+        db = build(root)  # default interval: 32 appends are never reached
+        bulk = SEGMENT_BYTES // 10
+        db.load("t", rows(bulk), direct_to_ros=True)
+        db.run_tuple_movers()  # the older checkpoint
+        db.load("t", rows(5, start=bulk))
+        db.run_tuple_movers()  # the floor moves past the 5 rows
+        # one add_family record over a segment's budget, then a small
+        # table: only DDL seals the segment holding that floor record
+        wide = [ColumnDef(f"c{i:03d}", types.INTEGER) for i in range(160)]
+        db.create_table(TableDefinition("wide", wide), sort_order=["c000"])
+        db.create_table(table("t3"), sort_order=["k"])
+        db.run_tuple_movers()  # the newest, at the same floor
+        before = capture(db)
+        del db
+        newest = sorted((root / "journal").glob("ckpt_*.json"))[-1]
+        damaged = bytearray(newest.read_bytes())
+        damaged[len(damaged) // 2] ^= 0x01
+        newest.write_bytes(bytes(damaged))
+
+        reopened = Database.open(str(root))
+        assert len(capture(reopened)["t"]) == bulk + 5
+        assert capture(reopened) == before
 
 
 class TestBackupRestartRestore:

@@ -1,28 +1,17 @@
 """The commit record holds each table's inserts and delete victims as
-columns, and a journal written when they were row dicts still opens.
+columns, and a ``create_table`` record its partition expression as text.
 
 ``Journal.log_commit`` stores ``{table: {column: [values]}}`` and
 ``[{table, columns: {column: [values]}}]``: a column name once per
 table, and the lists ``Cluster.apply_commit`` turns into a run, or into
 ``delete_where``'s victims, without a pivot, at commit time and at cold
-start.  Before, the record held row dicts; cold start still reads that
-form, pivoting it once where it decodes the record.  Four checks: the
-record's form on disk, a row-dict record appended by hand to a journal's
-tail, a tail mixing both forms under the random transactions of
-``test_apply_is_replay.py``, which must reopen copy for copy, and a
-``create_table`` record holding its partition expression as the text
-of the statement that made it.
+start.  Two checks: the record's form on disk, and a ``create_table``
+record holding its partition expression as the text of the statement
+that made it.
 """
-
-from itertools import count
-
-import pytest
-from hypothesis import HealthCheck, given, settings
-from test_apply_is_replay import build, copy_histories, run_transaction, steps
 
 from repro import ColumnDef, Database, TableDefinition, types
 from repro.durability import Journal, encode_table
-from storage_helpers import rows_of
 
 
 def make(path) -> Database:
@@ -39,20 +28,6 @@ def make(path) -> Database:
         sort_order=["k"],
     )
     return db
-
-
-def log_as_rows(journal, *, inserts, deletes, **fields):
-    """Append a commit record in the form records had before columns."""
-    return journal._append(
-        "commit",
-        {
-            **fields,
-            "inserts": {table: rows_of(columns) for table, columns in inserts.items()},
-            "deletes": [
-                {"table": table, "rows": rows_of(columns)} for table, columns in deletes
-            ],
-        },
-    )
 
 
 def test_a_commit_record_holds_columns(tmp_path):
@@ -73,63 +48,6 @@ def test_a_commit_record_holds_columns(tmp_path):
     assert delete.payload["deletes"] == [
         {"table": "t", "columns": {"k": [2], "x": [2.0], "s": [None]}}
     ]
-
-
-def test_a_row_dict_commit_record_replays_to_its_rows(tmp_path):
-    path = tmp_path / "db"
-    db = make(path)
-    db.sql("INSERT INTO t VALUES (1, 1.5, 'columns')")
-    # a commit the journal took, in the form records had before columns,
-    # and the database crashed before applying it
-    log_as_rows(
-        db.cluster.journal,
-        epoch=db.current_epoch,
-        snapshot_epoch=db.latest_epoch,
-        inserts={"t": {"k": [2, 3], "x": [2.5, None], "s": ["rows", None]}},
-        deletes=[("t", {"k": [1], "x": [1.5], "s": ["columns"]})],
-        direct_to_ros=False,
-    )
-    del db
-    reopened = Database.open(str(path))
-    assert reopened.replay_report.commits_replayed == 2
-    assert reopened.replay_report.rows_reinserted == 3
-    assert reopened.replay_report.rows_redeleted == 1
-    assert reopened.sql("SELECT k, x, s FROM t ORDER BY k") == [
-        {"k": 2, "x": 2.5, "s": "rows"},
-        {"k": 3, "x": None, "s": None},
-    ]
-
-
-@given(steps=steps)
-@settings(
-    max_examples=25,
-    deadline=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
-def test_a_tail_mixing_both_forms_reopens_copy_for_copy(tmp_path_factory, steps):
-    path = tmp_path_factory.mktemp("mixed") / "db"
-    log_commit = Journal.log_commit
-    commits = count()
-
-    def every_other_as_rows(journal, **fields):
-        as_rows = log_as_rows if next(commits) % 2 else log_commit
-        return as_rows(journal, **fields)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(Journal, "log_commit", every_other_as_rows)
-        db = build(path)
-        dims: list[int] = []
-        for step in steps:
-            if step == "movers":
-                db.run_tuple_movers()
-            else:
-                run_transaction(db, step, dims)
-    live = copy_histories(db)
-    epoch = db.latest_epoch
-    del db
-    reopened = Database.open(str(path))
-    assert reopened.latest_epoch == epoch
-    assert copy_histories(reopened) == live
 
 
 def test_a_create_table_record_holding_its_statement_text_reopens_partitioned(

@@ -16,6 +16,7 @@ from repro.durability import (
     encode_family,
     encode_table,
 )
+from repro.durability.journal import FORMAT
 from repro.storage import segment_log
 from repro.storage.segment_log import SEGMENT_BYTES, _frame, _parse_line
 from repro.errors import DurabilityError, InjectedFaultError
@@ -109,7 +110,8 @@ class TestFraming:
 class TestAppendReplay:
     def test_roundtrip(self, tmp_path):
         journal = make_journal(tmp_path)
-        journal.log_ddl("create_table", {"table": {"name": "t"}})
+        t = TableDefinition("t", [ColumnDef("k", types.INTEGER)])
+        journal.log_ddl("create_table", {"table": encode_table(t)})
         journal.log_commit(
             epoch=1,
             snapshot_epoch=0,
@@ -126,7 +128,7 @@ class TestAppendReplay:
         assert [record.lsn for record in replay.records] == [0, 1, 2, 3]
         assert replay.floor == 1
         assert replay.truncated_records == 0
-        assert reopened.genesis == GENESIS
+        assert reopened.genesis == {**GENESIS, "format": FORMAT}
         commit = replay.records[2]
         assert commit.payload["inserts"] == {"t": {"k": [1]}}
         assert commit.payload["deletes"] == [{"table": "t", "columns": {"k": [0]}}]
@@ -194,7 +196,7 @@ class TestRotationAndCheckpoints:
         replay = reopened.last_replay
         assert replay.checkpoint is not None
         assert replay.checkpoint["floor"] == 8
-        assert replay.checkpoint["genesis"] == GENESIS
+        assert replay.checkpoint["genesis"] == {**GENESIS, "format": FORMAT}
         assert replay.floor == 8
         # every surviving commit record is covered by the checkpoint
         # floor: replay of the tail is bounded, not from genesis.
@@ -281,7 +283,9 @@ class TestAppendCost:
         # frame, and in the empty journal the genesis they share a
         # segment with; the 50,000 rows stay where they are
         assert written_loaded == 2 * framed_loaded
-        genesis = _frame({"kind": "genesis", "lsn": 0, "payload": GENESIS})
+        genesis = _frame(
+            {"kind": "genesis", "lsn": 0, "payload": {**GENESIS, "format": FORMAT}}
+        )
         assert written_empty == written_loaded + len(genesis)
 
     def test_reopen_mid_segment_continues_it_to_the_budget(self, tmp_path):
@@ -439,8 +443,10 @@ class TestDamageRecovery:
         journal = make_journal(tmp_path, segment_records=2)
         journal.log_floor(1)  # segment 1
         journal.write_checkpoint(floor=1, current_epoch=2, ahm=0, catalog=catalog)
-        for epoch in (2, 3, 4, 5):  # segment 2 (pruned below) and 3
-            journal.log_floor(epoch)
+        # segment 2 (pruned below) and 3: commits under the floor, so
+        # no record of segment 2 is one a fallback needs
+        for epoch in (2, 3, 4, 5):
+            commit(journal, epoch)
         journal.write_checkpoint(floor=5, current_epoch=6, ahm=0, catalog=catalog)
         for epoch in (6, 7, 8):  # segments 4 and 5: the tail to keep
             journal.log_commit(

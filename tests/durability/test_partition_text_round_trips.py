@@ -6,8 +6,8 @@ must print SQL that parses back to the same expression, column names
 that are keywords or not identifiers included.  What cannot (a float
 ``inf``, a name holding a double quote) is refused when the table is
 created, before anything is journalled: a reopen has nothing else to
-go on.  Text an older release journalled for display only reopens
-unpartitioned, as it did then.
+go on.  Text that does not read back is refused by a typed error when
+it is decoded, never reopened as an unpartitioned table.
 """
 
 import pytest
@@ -145,15 +145,17 @@ def test_a_table_partitioned_on_quoted_keyword_columns_reopens_partitioned(tmp_p
 @pytest.mark.parametrize(
     "text", ["EXTRACT MONTH, YEAR FROM TIMESTAMP (as month_key)", "foo(a)", "DATE 'June'", "-'x'"]
 )
-def test_display_text_decodes_unpartitioned(text):
+def test_display_text_is_refused_by_a_typed_error(text):
     payload = {**encode_table(table(None, ["a"])), "partition_by_text": text}
-    assert decode_table(payload).partition_by is None
+    with pytest.raises(CatalogError, match="does not read back"):
+        decode_table(payload)
 
 
-def test_display_text_from_an_older_release_reopens_unpartitioned(tmp_path, monkeypatch):
+def test_display_text_in_the_journal_refuses_the_open(tmp_path, monkeypatch):
     """The Python API once took a callable plus free display text, such
-    as ``EXTRACT MONTH, YEAR FROM TIMESTAMP (as month_key)``; its table
-    reopened unpartitioned, and still does, with its rows."""
+    as ``EXTRACT MONTH, YEAR FROM TIMESTAMP (as month_key)``.  A table
+    journalled with text that does not read is not reopened unpartitioned
+    (its rows would route differently): the open raises a typed error."""
     path = str(tmp_path / "db")
     db = Database(path, node_count=3, k_safety=1)
 
@@ -165,11 +167,7 @@ def test_display_text_from_an_older_release_reopens_unpartitioned(tmp_path, monk
     db.sql("CREATE TABLE p (a INTEGER, b INTEGER) PARTITION BY a % 3")
     monkeypatch.undo()
     db.load("p", [{"a": a, "b": a} for a in range(30)], direct_to_ros=True)
-    db.sql("INSERT INTO p VALUES (30, 30)")
     del db
 
-    db = Database.open(path)
-    assert db.cluster.catalog.table("p").partition_by is None
-    assert sorted(r["a"] for r in db.sql("SELECT a FROM p")) == list(range(31))
-    db.load("p", [{"a": 31, "b": 31}], direct_to_ros=True)
-    assert db.sql("SELECT count(*) AS n FROM p")[0]["n"] == 32
+    with pytest.raises(CatalogError, match="does not read back"):
+        Database.open(path)

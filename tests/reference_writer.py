@@ -339,6 +339,7 @@ def write_container(
 def write_delete_vector(path, container_id, positions, epochs) -> None:
     """The DVROS directory ``DeleteVector.write`` publishes."""
     os.makedirs(path)
+    crcs = []
     for name, encoding, values in (
         ("positions", "COMMONDELTA_COMP", positions),
         ("epochs", "RLE", epochs),
@@ -346,9 +347,12 @@ def write_delete_vector(path, container_id, positions, epochs) -> None:
         writer = ColumnWriter(INTEGER, encoding)
         writer.extend(values)
         data, index = writer.finish()
-        fsio.write_bytes(os.path.join(path, f"{name}.dat"), data)
-        fsio.write_bytes(os.path.join(path, f"{name}.pidx"), index)
-    fsio.write_text(os.path.join(path, "target.txt"), str(container_id))
+        crcs.append(fsio.write_bytes(os.path.join(path, f"{name}.dat"), data))
+        crcs.append(fsio.write_bytes(os.path.join(path, f"{name}.pidx"), index))
+    fsio.write_text(
+        os.path.join(path, "target.txt"),
+        " ".join([str(container_id), *(f"{crc:08x}" for crc in crcs)]),
+    )
 
 
 class ReferenceStorage:

@@ -218,13 +218,14 @@ def test_golden_bytes_journal(tmp_path):
     journal.log_floor(2)
     assert read_all(directory) == {
         "ckpt_000001.json": (
-            b'adfb1543 {"kind":"checkpoint","lsn":3,"payload":{"ahm":0,'
+            b'8fead623 {"kind":"checkpoint","lsn":3,"payload":{"ahm":0,'
             b'"catalog":{"families":[],"tables":[]},"current_epoch":3,'
-            b'"floor":1,"genesis":{"k_safety":1,"node_count":3},"lsn":3}}\n'
+            b'"floor":1,"genesis":{"format":1,"k_safety":1,"node_count":3},'
+            b'"lsn":3}}\n'
         ),
         "seg_000001.log": (
-            b'0406cd75 {"kind":"genesis","lsn":0,"payload":{"k_safety":1,'
-            b'"node_count":3}}\n'
+            b'3093c652 {"kind":"genesis","lsn":0,"payload":{"format":1,'
+            b'"k_safety":1,"node_count":3}}\n'
             b'3552d0ca {"kind":"create_table","lsn":1,"payload":{"table":'
             b'{"name":"t"}}}\n'
             b'4dfcf388 {"kind":"commit","lsn":2,"payload":{"deletes":'

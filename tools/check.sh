@@ -83,15 +83,18 @@ echo "   seeds: 101, 202, ${GIT_SEED} (git-derived)"
 REPRO_CHAOS_SEEDS="101,202,${GIT_SEED}" REPRO_SANITIZE=1 \
     python -m pytest -q -m chaos tests/chaos/test_self_healing.py
 
-echo "== crash-restart: kill-anywhere durability sweep =="
+echo "== crash-restart: kill-anywhere durability sweep + delete-vector damage =="
 # Every durability fault point x allowed action: a fixed workload is
 # crashed (or silently corrupted) mid-flight, the database reopens
 # from disk, and the recovered state must be an exact op-boundary
-# snapshot of a fault-free oracle run.  Two pinned seeds anchor
+# snapshot of a fault-free oracle run.  The same seeds draw which
+# delete-vector file and bit to flip before a reopen, which must be
+# loud with K=0 and equal the oracle with K=1.  Two pinned seeds anchor
 # regressions; one derived from the commit SHA explores fresh offsets.
 echo "   seeds: 11, 23, ${GIT_SEED} (git-derived)"
 REPRO_CRASH_SEEDS="11,23,${GIT_SEED}" REPRO_SANITIZE=1 \
-    python -m pytest -q tests/chaos/test_kill_anywhere.py
+    python -m pytest -q tests/chaos/test_kill_anywhere.py \
+    tests/durability/test_delete_vector_damage.py
 
 echo "== data collector: kill-mid-flush crash-restart + console snapshot =="
 # The DC segments reuse the stage/publish fault points: a flush is

@@ -666,6 +666,8 @@ class Cluster:
             segments_per_node=old.manager.segments_per_node,
             wos_capacity=old.manager.wos_capacity,
         )
+        # known already: not reported again, and a repair still purges it
+        manager.quarantined = old.manager.quarantined
         for _, family in sorted(self.catalog.families.items()):
             table = self.catalog.table(family.primary.anchor_table)
             for copy in family.all_copies:

@@ -2,9 +2,10 @@
 
 Replay order (each step idempotent over what the previous recovered):
 
-1. **Catalog** — decode the newest valid checkpoint's catalog, then
-   apply DDL records past its LSN, yielding the final catalog; register
-   every projection on every node's storage manager.
+1. **Catalog** — the newest valid checkpoint's catalog, then the DDL
+   records past its LSN (all decoded by the journal's open), yield the
+   final catalog; register every projection on every node's storage
+   manager.
 2. **Scavenge** — per node, the PR 3 machinery: delete ``.tmp``
    orphans, load every published container (quarantining corruption,
    a damaged delete vector's target included), resolve crash-interrupted
@@ -51,7 +52,6 @@ from ..monitor import METRICS
 from ..storage.manager import truncate_outcome_counts
 from ..trace import TRACER
 from ..txn.epochs import INITIAL_EPOCH
-from .codec import decode_family, decode_table
 from .journal import Journal, JournalRecord
 
 if TYPE_CHECKING:
@@ -174,10 +174,10 @@ def _rebuild_catalog(cluster, replay, report) -> dict[str, int]:
         if record.lsn <= replay.checkpoint_lsn:
             continue  # the checkpoint catalog already reflects it
         if record.kind == "create_table":
-            catalog.add_table(decode_table(record.payload["table"]))
+            catalog.add_table(record.payload["table"])
             report.ddl_replayed += 1
         elif record.kind == "add_family":
-            catalog.add_family(decode_family(record.payload["family"]))
+            catalog.add_family(record.payload["family"])
             report.ddl_replayed += 1
         elif record.kind == "drop_table":
             catalog.drop_table(record.payload["name"])

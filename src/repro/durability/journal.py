@@ -66,7 +66,7 @@ CHECKPOINTS_RETAINED = 2
 FORMAT = 1
 
 #: The payload fields the writer of each record kind writes: in format 1
-#: every one is required.  A DDL record's catalog object is decoded to
+#: every one is required.  A record's catalog objects are decoded to
 #: tell, and the genesis's ``format`` is checked before anything else.
 _FIELDS = {
     "drop_table": ("name",),
@@ -75,6 +75,12 @@ _FIELDS = {
     "restore": ("epoch", "current_epoch", "entries"),
     "checkpoint": ("lsn", "floor", "current_epoch", "ahm", "catalog", "genesis"),
 }
+#: Record kind -> (payload field holding a catalog object, its decoder).
+_DECODED = {
+    "create_table": ("table", decode_table),
+    "add_family": ("family", decode_family),
+    "checkpoint": ("catalog", decode_catalog),
+}
 
 
 def _is_lsn(value) -> bool:
@@ -82,26 +88,22 @@ def _is_lsn(value) -> bool:
     return type(value) is int and value >= 0
 
 
-def _well_formed(body: dict) -> bool:
-    """Whether a record has a valid LSN and every field its kind's
-    writer writes: the catalog objects in it are decoded to tell."""
+def _decode(body: dict) -> bool:
+    """Whether a record has a valid LSN and every field its kind's writer
+    writes, its catalog object decoded in place to tell: the one decode
+    of the journal's catalog objects."""
     try:
         kind, payload = body["kind"], body["payload"]
-        if not _is_lsn(body["lsn"]) or not all(
-            map(payload.__contains__, _FIELDS.get(kind, ()))
-        ):
+        if not _is_lsn(body["lsn"]) or not all(map(payload.__contains__, _FIELDS.get(kind, ()))):
             return False
-        if kind == "create_table":
-            decode_table(payload["table"])
-        elif kind == "add_family":
-            decode_family(payload["family"])
-        elif kind == "commit":
+        if kind in _DECODED:
+            name, decoder = _DECODED[kind]
+            payload[name] = decoder(payload[name])
+        if kind == "commit":
             return all("table" in d and "columns" in d for d in payload["deletes"])
-        elif kind == "checkpoint":
-            return _is_lsn(payload["lsn"])
+        return kind != "checkpoint" or _is_lsn(payload["lsn"])
     except (KeyError, TypeError, AttributeError):
         return False
-    return True
 
 
 def check_format(what: str, record: dict) -> None:
@@ -118,7 +120,9 @@ def check_format(what: str, record: dict) -> None:
 
 @dataclass(frozen=True)
 class JournalRecord:
-    """One decoded journal record."""
+    """One decoded journal record; a DDL record's table or family is
+    decoded too (a :class:`~repro.core.schema.TableDefinition` or
+    :class:`~repro.projections.projection.ProjectionFamily`)."""
 
     lsn: int
     kind: str
@@ -132,7 +136,7 @@ class JournalReplay:
     #: Newest valid checkpoint body, its ``catalog`` decoded (a
     #: :class:`~repro.core.catalog.Catalog`), or ``None``.
     checkpoint: dict | None
-    #: All records surviving CRC validation, in LSN order.
+    #: All records surviving validation, in LSN order (decoded).
     records: list[JournalRecord]
     #: Durable floor: max of checkpoint floor and floor/restore records.
     floor: int
@@ -198,8 +202,12 @@ class Journal:
         #: on every node and need not be replayed.
         self.floor = 0
         self.checkpoint_lsn = -1
-        #: LSN of the retained checkpoint before the newest (-1: none).
+        #: LSN of the retained checkpoint before the newest (-1: none);
+        #: known from the first checkpoint published after an open on.
         self._older_checkpoint_lsn = -1
+        #: Indexes of checkpoint files an open found unreadable: removed
+        #: by the next checkpoint, not by index with the old ones.
+        self._unreadable_checkpoints: list[int] = []
         self.last_replay: JournalReplay | None = None
         self._lock = TrackedLock("Journal._lock")
         # concurrency: guarded-by(self._lock) — LSN counter, the segment
@@ -402,21 +410,26 @@ class Journal:
                 "catalog": catalog,
                 "genesis": self.genesis,
             }
-            held = True
-            while held and self._older_checkpoint_lsn < covered_lsn:
-                write_framed_file(
-                    self._checkpoints.path(self._next_checkpoint_index),
-                    {"kind": "checkpoint", "lsn": covered_lsn, "payload": body},
-                    stage_point="journal.checkpoint.stage",
-                    publish_point="journal.checkpoint.publish",
-                )
-                self._next_checkpoint_index += 1
-                self._older_checkpoint_lsn = self.checkpoint_lsn
-                self.checkpoint_lsn = covered_lsn
-                METRICS.inc("journal.checkpoints")
-                held = self._prune_segments()
+            self._publish_checkpoint(body)
+            if self._prune_segments():
+                # a segment the floor has passed is held for a fallback
+                # to the older checkpoint: publish again, so that covers it
+                self._publish_checkpoint(body)
+                self._prune_segments()
             self._appends_since_checkpoint = 0
             self._prune_checkpoints()
+
+    def _publish_checkpoint(self, body: dict) -> None:
+        write_framed_file(
+            self._checkpoints.path(self._next_checkpoint_index),
+            {"kind": "checkpoint", "lsn": body["lsn"], "payload": body},
+            stage_point="journal.checkpoint.stage",
+            publish_point="journal.checkpoint.publish",
+        )
+        self._next_checkpoint_index += 1
+        self._older_checkpoint_lsn = self.checkpoint_lsn
+        self.checkpoint_lsn = body["lsn"]
+        METRICS.inc("journal.checkpoints")
 
     def _prune_segments(self) -> bool:
         """Drop every sealed segment the floor has passed whose other
@@ -436,20 +449,26 @@ class Journal:
         return held
 
     def _prune_checkpoints(self) -> None:
+        # an unreadable one goes first, so the fallback it was skipped for
+        # stays retained behind the new one
+        for index in self._unreadable_checkpoints:
+            os.remove(self._checkpoints.path(index))
+        self._unreadable_checkpoints = []
         for index in self._checkpoints.indexes()[:-CHECKPOINTS_RETAINED]:
             os.remove(self._checkpoints.path(index))
 
     # -- replay --------------------------------------------------------
 
     def _load(self) -> JournalReplay:
-        checkpoint, self._older_checkpoint_lsn, skipped = self._load_checkpoint()
+        checkpoint, self._unreadable_checkpoints = self._load_checkpoint()
+        skipped = len(self._unreadable_checkpoints)
         # the genesis is found, and its format checked, before any file changes
         genesis = checkpoint["genesis"] if checkpoint else None
         first = self._log.files.indexes()[:1]
         if genesis is None and first:  # the first record of the first segment
             body = read_framed_file(self._log.files.path(first[0]))
-            if body is not None and body["kind"] == "genesis":
-                genesis = body.get("payload")
+            if body is not None and body["kind"] == "genesis" and _decode(body):
+                genesis = body["payload"]
         if genesis is None:
             raise DurabilityError(
                 f"journal at {self.directory!r} lost its genesis record"
@@ -483,31 +502,16 @@ class Journal:
             checkpoints_skipped=skipped,
         )
 
-    def _load_checkpoint(self) -> tuple[dict | None, int, int]:
-        """The newest well-formed checkpoint, the LSN of the well-formed
-        one below it (-1: none) and how many newer ones were skipped.
-        Reads only."""
+    def _load_checkpoint(self) -> tuple[dict | None, list[int]]:
+        """The newest well-formed checkpoint and the indexes of the newer
+        ones skipped as unreadable.  Reads only."""
         indexes = self._checkpoints.indexes()[::-1]
         self._next_checkpoint_index = (indexes[0] + 1) if indexes else 1
-        found: list[dict] = []
-        skipped = 0
-        for index in indexes:
+        for position, index in enumerate(indexes):
             body = read_framed_file(self._checkpoints.path(index))
-            if body is not None and body["kind"] == "checkpoint" and _well_formed(body):
-                if not found:
-                    try:
-                        body["payload"]["catalog"] = decode_catalog(body["payload"]["catalog"])
-                    except (KeyError, TypeError, AttributeError):
-                        skipped += 1
-                        continue
-                found.append(body["payload"])
-                if len(found) == 2:
-                    break
-            elif not found:
-                skipped += 1
-        if not found:
-            return None, -1, skipped
-        return found[0], found[1]["lsn"] if len(found) == 2 else -1, skipped
+            if body is not None and body["kind"] == "checkpoint" and _decode(body):
+                return body["payload"], indexes[:position]
+        return None, indexes
 
     def _load_segments(self, holes_through: float) -> tuple[list[JournalRecord], int]:
         # LSNs are dense, so the first one missing (a lost segment) is
@@ -520,7 +524,7 @@ class Journal:
         def dense(body: dict) -> bool:
             # a record missing a field its writer writes is damage too
             nonlocal expected
-            if not _well_formed(body):
+            if not _decode(body):
                 return False
             lsn = body["lsn"]
             if lsn != expected and lsn > holes_through + 1:

@@ -629,7 +629,8 @@ class StorageManager:
            never reached their rename;
         2. load every published container not already in memory,
            quarantining any that fails metadata or checksum
-           verification instead of crashing;
+           verification instead of crashing, and report again what an
+           earlier pass quarantined and no repair has purged;
         3. retire mergeout inputs whose merged output was published
            before a crash (``merged_from`` bookkeeping) — duplicate
            row coverage is resolved idempotently;
@@ -657,6 +658,8 @@ class StorageManager:
             if fsio.is_staging_dir(entry):
                 shutil.rmtree(os.path.join(directory, entry), ignore_errors=True)
                 report.removed_tmp.append(f"{name}/{entry}")
+        if QUARANTINE_DIR in entries:
+            self._scavenge_quarantine(state, report)
         for entry in entries:
             if not entry.startswith("ros_") or fsio.is_staging_dir(entry):
                 continue
@@ -707,6 +710,23 @@ class StorageManager:
             return
         state.containers[meta.container_id] = container
         report.containers_loaded += 1
+
+    def _scavenge_quarantine(
+        self, state: ProjectionStorage, report: ScavengeReport
+    ) -> None:
+        """Report what an earlier pass quarantined and no repair purged
+        yet: until one does, the copy is still missing those rows."""
+        root = os.path.join(self._projection_dir(state.projection.name), QUARANTINE_DIR)
+        recorded = {record.path for record in self.quarantined}
+        for entry in sorted(os.listdir(root)):
+            path = os.path.join(root, entry)
+            if path not in recorded:
+                record = QuarantinedContainer(
+                    state.projection.name, entry.partition(".")[0], path,
+                    "quarantined earlier, not yet repaired",
+                )
+                self.quarantined.append(record)
+                report.quarantined.append(record)
 
     def _retire_merge_duplicates(
         self, state: ProjectionStorage, report: ScavengeReport
@@ -818,19 +838,19 @@ class StorageManager:
 
     def purge_quarantine(self, projection_name: str | None = None) -> int:
         """Delete quarantined container directories (post-repair
-        cleanup), those an earlier manager over the same disk moved there
-        included.  Returns how many this manager had recorded."""
+        cleanup).  Returns how many were purged."""
         names = (
             [projection_name] if projection_name else self.projection_names()
         )
-        keep = [record for record in self.quarantined if record.projection not in names]
-        purged = len(self.quarantined) - len(keep)
+        purged = 0
+        keep = []
+        for record in self.quarantined:
+            if record.projection in names:
+                shutil.rmtree(record.path, ignore_errors=True)
+                purged += 1
+            else:
+                keep.append(record)
         self.quarantined = keep
-        for name in names:
-            shutil.rmtree(
-                os.path.join(self._projection_dir(name), QUARANTINE_DIR),
-                ignore_errors=True,
-            )
         return purged
 
     # -- reads ------------------------------------------------------------

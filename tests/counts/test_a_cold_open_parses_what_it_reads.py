@@ -151,10 +151,8 @@ def test_a_cold_open_parses_each_journal_segment_once_and_no_history(
     # ... of every journal line and of nothing else: no Data Collector frame
     assert sum(spy.parsed) == lines_in(os.path.join(path, "journal", "seg_*.log"))
     assert spy.checked[False] == len(dc_segments)
-    # no line parsed on its own but the retained checkpoints' one record
-    # each: the newest to replay from, the older for its LSN (pruning
-    # keeps what a fallback to it needs)
-    assert spy.lines == len(checkpoints) <= 2
+    # no line parsed on its own but the newest checkpoint's one record
+    assert spy.lines == (1 if checkpoints else 0)
     # the rejoin's node events reach disk in one flush
     assert spy.flushes == 1
 

@@ -86,6 +86,16 @@ def quarantine_errors(db):
     ]
 
 
+def quarantined_entries(db):
+    found = []
+    for node in db.cluster.nodes:
+        for copy in db.cluster.catalog.all_projections():
+            quarantine = os.path.join(node.manager.root, copy.name, "quarantine")
+            if os.path.isdir(quarantine):
+                found += os.listdir(quarantine)
+    return found
+
+
 @pytest.mark.parametrize("seed", crash_seeds())
 def test_a_damaged_vector_without_a_buddy_is_loud(tmp_path, seed):
     root = tmp_path / "db"
@@ -98,6 +108,22 @@ def test_a_damaged_vector_without_a_buddy_is_loud(tmp_path, seed):
     assert quarantine_errors(db) == [{"kind": "quarantined_container", "source": "scavenge"}]
     with pytest.raises(DataUnavailableError):
         db.sql("SELECT COUNT(*) AS n FROM t")
+
+
+@pytest.mark.parametrize("seed", crash_seeds())
+def test_a_damaged_vector_without_a_buddy_stays_loud_on_every_open(tmp_path, seed):
+    root = tmp_path / "db"
+    build(root, node_count=1, k_safety=0)
+    flipped = flip_one_vector(root, 0, seed)
+    Database.open(str(root))
+
+    # the container sits in quarantine, its deletes gone: nothing on
+    # disk is damaged any more, yet the copy is still missing its rows
+    db = Database.open(str(root))
+    assert db.replay_report.containers_quarantined == 1, flipped
+    with pytest.raises(DataUnavailableError):
+        db.sql("SELECT COUNT(*) AS n FROM t")
+    assert quarantined_entries(db)
 
 
 @pytest.mark.parametrize("seed", crash_seeds())
@@ -114,7 +140,9 @@ def test_a_damaged_vector_with_a_buddy_reopens_to_the_oracle(tmp_path, seed):
     assert rows_of(db) == oracle
     assert db.sql("SELECT COUNT(*) AS n FROM t") == [{"n": 90}]
     assert db.cluster.scrub().clean()
-    for node in db.cluster.nodes:
-        for copy in db.cluster.catalog.all_projections():
-            quarantine = os.path.join(node.manager.root, copy.name, "quarantine")
-            assert not os.path.exists(quarantine)
+    assert not quarantined_entries(db)
+    del db
+
+    db = Database.open(str(root))
+    assert db.replay_report.containers_quarantined == 0
+    assert rows_of(db) == oracle

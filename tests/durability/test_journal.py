@@ -63,6 +63,14 @@ def checkpoint_files(directory):
     return sorted(n for n in os.listdir(directory) if n.startswith("ckpt_"))
 
 
+def flip_a_bit(path, offset=20):
+    with open(path, "r+b") as handle:
+        handle.seek(offset)
+        byte = handle.read(1)[0]
+        handle.seek(offset)
+        handle.write(bytes([byte ^ 0x01]))
+
+
 CATALOG = {"tables": [], "families": []}
 
 
@@ -458,12 +466,7 @@ class TestDamageRecovery:
             )
         files = segment_files(directory)
         assert files == ["seg_000003.log", "seg_000004.log", "seg_000005.log"]
-        newest = os.path.join(directory, checkpoint_files(directory)[-1])
-        with open(newest, "r+b") as handle:  # one flipped bit
-            handle.seek(20)
-            byte = handle.read(1)[0]
-            handle.seek(20)
-            handle.write(bytes([byte ^ 0x01]))
+        flip_a_bit(os.path.join(directory, checkpoint_files(directory)[-1]))
 
         reopened = Journal.open(directory, segment_records=2)
         replay = reopened.last_replay
@@ -473,6 +476,36 @@ class TestDamageRecovery:
         assert replay.truncated_records == 0
         assert segment_files(directory) == files
         assert reopened.log_floor(9) == 9
+
+    def test_the_checkpoint_after_a_fallback_keeps_the_fallback(self, tmp_path):
+        """An unreadable checkpoint an open skipped goes with the next
+        checkpoint, and the one it fell back to stays retained behind
+        it: should the new one be damaged too, the fallback is still
+        there to read, not pruned for the unreadable file's sake."""
+        directory = str(tmp_path / "journal")
+        catalog = {"tables": [], "families": []}
+        journal = make_journal(tmp_path, segment_records=2)
+        journal.log_floor(1)
+        journal.write_checkpoint(floor=1, current_epoch=2, ahm=0, catalog=catalog)
+        for epoch in (2, 3):
+            commit(journal, epoch)
+        journal.write_checkpoint(floor=1, current_epoch=4, ahm=0, catalog=catalog)
+        fallback, damaged = checkpoint_files(directory)
+        flip_a_bit(os.path.join(directory, damaged))
+
+        reopened = Journal.open(directory, segment_records=2)
+        assert reopened.last_replay.checkpoint_lsn == 1
+        commit(reopened, 4)
+        reopened.write_checkpoint(floor=1, current_epoch=5, ahm=0, catalog=catalog)
+        fallback_then, newest = checkpoint_files(directory)
+        assert fallback_then == fallback and newest > damaged
+        flip_a_bit(os.path.join(directory, newest))
+
+        again = Journal.open(directory, segment_records=2).last_replay
+        assert again.checkpoints_skipped == 1
+        assert again.checkpoint_lsn == 1
+        assert [r.lsn for r in again.records if r.lsn > 1] == [2, 3, 4]
+        assert again.truncated_records == 0
 
     def test_a_segment_cut_to_nothing_still_marks_the_journal(self, tmp_path):
         """Damaged at its first record, the only segment is emptied, not

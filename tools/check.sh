@@ -89,8 +89,9 @@ echo "== crash-restart: kill-anywhere durability sweep + delete-vector damage ==
 # from disk, and the recovered state must be an exact op-boundary
 # snapshot of a fault-free oracle run.  The same seeds draw which
 # delete-vector file and bit to flip before a reopen, which must be
-# loud with K=0 and equal the oracle with K=1.  Two pinned seeds anchor
-# regressions; one derived from the commit SHA explores fresh offsets.
+# loud with K=0, at that open and the next, and equal the oracle with
+# K=1.  Two pinned seeds anchor regressions; one derived from the
+# commit SHA explores fresh offsets.
 echo "   seeds: 11, 23, ${GIT_SEED} (git-derived)"
 REPRO_CRASH_SEEDS="11,23,${GIT_SEED}" REPRO_SANITIZE=1 \
     python -m pytest -q tests/chaos/test_kill_anywhere.py \

@@ -666,7 +666,7 @@ class Cluster:
             segments_per_node=old.manager.segments_per_node,
             wos_capacity=old.manager.wos_capacity,
         )
-        # known already: not reported again, and a repair still purges it
+        # known already: not reported again, and the rebuild still purges it
         manager.quarantined = old.manager.quarantined
         for _, family in sorted(self.catalog.families.items()):
             table = self.catalog.table(family.primary.anchor_table)
@@ -682,29 +682,33 @@ class Cluster:
     def scavenge_node(
         self, node_index: int, manager: StorageManager
     ) -> ScavengeReport:
-        """Scavenge ``manager``, node ``node_index``'s storage, recording
-        every container it quarantines in ``dc_errors``.  A copy that
-        lost one holds less than its Last Good Epoch says: the LGE drops
-        to 0, so recovery rebuilds the copy from its buddy."""
+        """Scavenge ``manager``, node ``node_index``'s storage, and note
+        every container it quarantines (:meth:`note_quarantine`)."""
         report = manager.scavenge()
         for quarantined in report.quarantined:
-            self.epochs.invalidate_lge(node_index, quarantined.projection)
-            self.dc.record(
-                "errors",
-                "quarantined_container",
-                source="scavenge",
-                node_index=node_index,
-                detail=f"{quarantined.projection}: {quarantined.reason}",
-            )
+            self.note_quarantine(node_index, quarantined, "scavenge")
         return report
 
-    def scrub(self, repair: bool = True):
+    def note_quarantine(self, node_index: int, record, source: str) -> None:
+        """A copy that lost a container holds less than its Last Good
+        Epoch says: the LGE drops to 0, so only a rebuild from its buddy
+        brings it back, and the loss is recorded in ``dc_errors``."""
+        self.epochs.invalidate_lge(node_index, record.projection)
+        self.dc.record(
+            "errors",
+            "quarantined_container",
+            source=source,
+            node_index=node_index,
+            detail=f"{record.projection}: {record.reason}",
+        )
+
+    def scrub(self):
         """Verify every container on every up node against its stored
-        checksums; quarantine failures and (by default) rebuild them
-        from buddy copies.  See :func:`repro.cluster.recovery.scrub`."""
+        checksums; quarantine failures and rebuild them from buddy
+        copies.  See :func:`repro.cluster.recovery.scrub`."""
         from .recovery import scrub
 
-        return scrub(self, repair=repair)
+        return scrub(self)
 
     def check_data_available(self) -> bool:
         """Whether every projection family still has every segment

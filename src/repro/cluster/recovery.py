@@ -32,7 +32,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
-from ..errors import ClusterError
+from ..errors import ClusterError, DataUnavailableError
 from ..projections import ProjectionFamily
 from ..storage import HistoryRun
 from ..storage.manager import truncate_outcome_counts
@@ -57,6 +57,8 @@ class RecoveryReport:
     containers_kept: int = 0
     containers_rewritten: int = 0
     containers_dropped: int = 0
+    #: Quarantined container directories deleted once their copy was rebuilt.
+    purged: int = 0
     #: projection -> (historical, current) row counts.
     per_projection: dict[str, tuple[int, int]] = field(default_factory=dict)
 
@@ -98,105 +100,99 @@ def recover_node(
         "recovery", attrs={"node": node_index, "historical_lag": historical_lag}
     )
     try:
-        return _recover_node(cluster, node_index, historical_lag)
+        report = RecoveryReport(node=node_index)
+        boundary = max(cluster.epochs.latest_queryable_epoch - historical_lag, 0)
+        for _, family in sorted(cluster.catalog.families.items()):
+            for copy in family.all_copies:
+                if needs_rebuild(cluster, node_index, copy.name):
+                    rebuild_copy(cluster, node_index, family, copy, boundary, report)
+                else:
+                    # nothing committed since the copy's ROS was certified
+                    # complete: its disk holds everything and no buddy need
+                    # be reachable, so a cluster that lost BOTH buddies of a
+                    # segment (no quorum, so no new commits) heals itself,
+                    # each node rejoining from its own disk
+                    report.per_projection[copy.name] = (0, 0)
+        with TRACER.span(
+            "recovery.rejoin", category="recovery", node_index=node_index
+        ):
+            cluster.membership.rejoin(node_index)
+            cluster.epochs.node_up(node_index)
+        return report
     finally:
         TRACER.end_trace(trace)
 
 
-def _recover_node(
-    cluster: Cluster, node_index: int, historical_lag: int
-) -> RecoveryReport:
-    report = RecoveryReport(node=node_index)
+def needs_rebuild(cluster: Cluster, node_index: int, projection_name: str) -> bool:
+    """Whether a copy's LGE lags the current epoch: only its buddy can fill the gap."""
+    epochs = cluster.epochs
+    return epochs.lge(node_index, projection_name) < epochs.latest_queryable_epoch
+
+
+def rebuild_copy(
+    cluster: Cluster,
+    node_index: int,
+    family: ProjectionFamily,
+    copy,
+    boundary: int,
+    report: RecoveryReport,
+) -> None:
+    """Bring one copy on one node to the current epoch from its buddy:
+    the one rebuild recovery, repair and scrub share (section 5.2).
+
+    The copy is truncated to its LGE, the window (LGE, ``boundary``] is
+    replayed lock-free, (``boundary``, current] under a Shared lock on
+    the table, the LGE moves to the current epoch and the copy's
+    quarantine records are purged: whatever they reported missing has
+    just been replayed.  From LGE 0 this is a wipe and reload."""
     manager = cluster.nodes[node_index].manager
+    table = cluster.catalog.table(copy.anchor_table)
     current = cluster.epochs.latest_queryable_epoch
-    boundary = max(current - historical_lag, 0)
-    for _, family in sorted(cluster.catalog.families.items()):
-        for copy in family.all_copies:
-            table = cluster.catalog.table(copy.anchor_table)
-            lge = cluster.epochs.lge(node_index, copy.name)
-            if lge >= current:
-                # Nothing was committed after this copy's ROS was
-                # certified complete, so the scavenged disk already
-                # holds everything and no buddy needs to be reachable.
-                # This is what lets a cluster that lost BOTH buddies of
-                # a segment (no data lost, no quorum, so no new
-                # commits either) heal itself: each node rejoins from
-                # its own disk instead of deadlocking on the other.
-                report.per_projection[copy.name] = (0, 0)
-                continue
-            # only what the node missed: buddy containers settled at the
-            # LGE are skipped without being read.  Read before anything
-            # is truncated, so a copy with no live buddy keeps its disk.
-            history = _buddy_history(
-                cluster, family, node_index, copy, after_epoch=lge
+    lge = cluster.epochs.lge(node_index, copy.name)
+    # only what the node missed: buddy containers settled at the LGE
+    # are skipped without being read.  Read before anything is
+    # truncated, so a copy with no live buddy keeps its disk.
+    history = _buddy_history(cluster, family, node_index, copy, after_epoch=lge)
+    # 1. truncate to the LGE: WOS contents died with the node and
+    #    post-LGE ROS state may be incomplete.  Containers wholly at or
+    #    under the LGE stay untouched, those wholly past it are dropped,
+    #    and only one straddling it is rewritten (delete vector ->
+    #    replacement -> retire).  The LGE is still invalidated *first*:
+    #    from here until the replay completes the node holds less than
+    #    the LGE certifies, so if this attempt crashes the retry must
+    #    re-replay everything instead of trusting it.
+    where = {"category": "recovery", "node_index": node_index, "projection": copy.name}
+    outcomes_before = truncate_outcome_counts()
+    with TRACER.span("recovery.truncate", lge=lge, **where) as truncate_span:
+        cluster.epochs.invalidate_lge(node_index, copy.name)
+        report.truncated_rows += manager.truncate_after_epoch(copy.name, lge)
+        outcomes = truncate_outcome_counts(since=outcomes_before)
+        report.containers_kept += outcomes["containers_kept"]
+        report.containers_rewritten += outcomes["containers_rewritten"]
+        report.containers_dropped += outcomes["containers_dropped"]
+        if truncate_span is not None:
+            truncate_span.attrs.update(outcomes)
+    # 2. historical phase (no locks): (LGE, boundary]
+    with TRACER.span("recovery.historical", **where) as hist_span:
+        historical = _replay_window(manager, copy.name, history, lge, boundary)
+        if hist_span is not None:
+            hist_span.attrs["rows"] = historical
+    # 3. current phase (Shared lock): (boundary, current]
+    with TRACER.span("recovery.current", **where) as cur_span:
+        cluster.locks.acquire(RECOVERY_TXN_ID, table.name, LockMode.S)
+        try:
+            current_rows = _replay_window(
+                manager, copy.name, history, boundary, current
             )
-            # 1. truncate to the LGE: WOS contents died with the node
-            #    and post-LGE ROS state may be incomplete.  Containers
-            #    wholly at or under the LGE stay untouched, those wholly
-            #    past it are dropped, and only one straddling it is
-            #    rewritten (delete vector -> replacement -> retire).
-            #    The LGE is still invalidated *first*: from here until
-            #    the replay completes the node holds less than the LGE
-            #    certifies, so if this attempt crashes the retry must
-            #    re-replay everything instead of trusting it.
-            outcomes_before = truncate_outcome_counts()
-            with TRACER.span(
-                "recovery.truncate",
-                category="recovery",
-                node_index=node_index,
-                projection=copy.name,
-                lge=lge,
-            ) as truncate_span:
-                cluster.epochs.invalidate_lge(node_index, copy.name)
-                report.truncated_rows += manager.truncate_after_epoch(
-                    copy.name, lge
-                )
-                outcomes = truncate_outcome_counts(since=outcomes_before)
-                report.containers_kept += outcomes["containers_kept"]
-                report.containers_rewritten += outcomes["containers_rewritten"]
-                report.containers_dropped += outcomes["containers_dropped"]
-                if truncate_span is not None:
-                    truncate_span.attrs.update(outcomes)
-            # 2. historical phase (no locks): (LGE, boundary]
-            with TRACER.span(
-                "recovery.historical",
-                category="recovery",
-                node_index=node_index,
-                projection=copy.name,
-            ) as hist_span:
-                historical = _replay_window(
-                    manager, copy.name, history, lge, boundary
-                )
-                if hist_span is not None:
-                    hist_span.attrs["rows"] = historical
-            # 3. current phase (Shared lock): (boundary, current]
-            with TRACER.span(
-                "recovery.current",
-                category="recovery",
-                node_index=node_index,
-                projection=copy.name,
-            ) as cur_span:
-                cluster.locks.acquire(
-                    RECOVERY_TXN_ID, table.name, LockMode.S
-                )
-                try:
-                    current_rows = _replay_window(
-                        manager, copy.name, history, boundary, current
-                    )
-                finally:
-                    cluster.locks.release(RECOVERY_TXN_ID, table.name)
-                if cur_span is not None:
-                    cur_span.attrs["rows"] = current_rows
-            cluster.epochs.set_lge(node_index, copy.name, current)
-            report.historical_rows += historical
-            report.current_rows += current_rows
-            report.per_projection[copy.name] = (historical, current_rows)
-    with TRACER.span(
-        "recovery.rejoin", category="recovery", node_index=node_index
-    ):
-        cluster.membership.rejoin(node_index)
-        cluster.epochs.node_up(node_index)
-    return report
+        finally:
+            cluster.locks.release(RECOVERY_TXN_ID, table.name)
+        if cur_span is not None:
+            cur_span.attrs["rows"] = current_rows
+    cluster.epochs.set_lge(node_index, copy.name, current)
+    report.purged += manager.purge_quarantine(copy.name)
+    report.historical_rows += historical
+    report.current_rows += current_rows
+    report.per_projection[copy.name] = (historical, current_rows)
 
 
 def _replay_window(manager, projection_name, history, from_epoch, to_epoch):
@@ -271,26 +267,15 @@ def repair_node_projection(
 ) -> int:
     """Rebuild one projection copy on one (up) node from its buddies.
 
-    Used when scavenge or scrub quarantined containers: the surviving
-    local state cannot be trusted to be complete, so the copy is wiped
-    and reloaded wholesale from a live buddy under a Shared lock (the
-    same online discipline as recovery's current phase).  Returns the
-    number of history records replayed.
+    The copy's LGE drops to 0 and :func:`rebuild_copy` replays its whole
+    history under a Shared lock (the window boundary at 0): a wipe and
+    reload, online.  Returns the number of history records replayed.
     """
     family, copy = _family_copy(cluster, projection_name)
-    table = cluster.catalog.table(copy.anchor_table)
-    manager = cluster.nodes[node_index].manager
-    history = _buddy_history(cluster, family, node_index, copy)
-    cluster.locks.acquire(RECOVERY_TXN_ID, table.name, LockMode.S)
-    try:
-        manager.forget_contents(projection_name)
-        manager.load_history(projection_name, history)
-    finally:
-        cluster.locks.release(RECOVERY_TXN_ID, table.name)
-    current = cluster.epochs.latest_queryable_epoch
-    if current > cluster.epochs.lge(node_index, projection_name):
-        cluster.epochs.set_lge(node_index, projection_name, current)
-    return len(history)
+    report = RecoveryReport(node=node_index)
+    cluster.epochs.invalidate_lge(node_index, projection_name)
+    rebuild_copy(cluster, node_index, family, copy, 0, report)
+    return report.historical_rows + report.current_rows
 
 
 @dataclass
@@ -310,10 +295,12 @@ class ScrubReport:
         return not (self.corrupt or self.repaired)
 
 
-def scrub(cluster: Cluster, repair: bool = True) -> ScrubReport:
+def scrub(cluster: Cluster) -> ScrubReport:
     """Deep-verify every ROS container on every up node against its
-    stored CRC32s; quarantine failures and (with ``repair``) rebuild
-    the damaged projection copies from buddies.
+    stored CRC32s, quarantine failures and rebuild the damaged
+    projection copies from buddies.  A copy no buddy can rebuild takes
+    its node out of service, so reads of its segments raise
+    :class:`DataUnavailableError` instead of answering short.
 
     This is the background data-integrity pass a production system runs
     to catch *silent* corruption — bit rot the crash-recovery scavenge
@@ -324,27 +311,27 @@ def scrub(cluster: Cluster, repair: bool = True) -> ScrubReport:
         manager = cluster.nodes[node_index].manager
         damaged: set[str] = set()
         for projection_name in manager.projection_names():
-            for container_id, bad_files in manager.verify_containers(
-                projection_name
-            ):
+            for container_id, bad_files in manager.verify_containers(projection_name):
                 report.corrupt.append(
                     (node_index, projection_name, container_id, bad_files)
                 )
-                manager.quarantine_container(
+                record = manager.quarantine_container(
                     projection_name,
                     container_id,
                     "scrub: " + ", ".join(bad_files),
                 )
+                cluster.note_quarantine(node_index, record, "scrub")
                 damaged.add(projection_name)
-        # projections already holding quarantined containers from an
-        # earlier scavenge pass need their copies rebuilt too.
-        for record in manager.quarantined:
-            damaged.add(record.projection)
-        if repair and damaged:
-            for projection_name in sorted(damaged):
-                repair_node_projection(cluster, node_index, projection_name)
-                report.repaired.append((node_index, projection_name))
-            report.purged += manager.purge_quarantine()
+        rebuilt = RecoveryReport(node=node_index)
+        for projection_name in sorted(damaged):
+            family, copy = _family_copy(cluster, projection_name)
+            try:
+                rebuild_copy(cluster, node_index, family, copy, 0, rebuilt)
+            except DataUnavailableError as exc:
+                cluster.note_node_failure(node_index, f"scrub: {exc}")
+                break
+            report.repaired.append((node_index, projection_name))
+        report.purged += rebuilt.purged
     return report
 
 

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from ..errors import ClusterError, ReproError
 from ..monitor import METRICS
 from .cluster import Cluster
-from .recovery import recover_node
+from .recovery import needs_rebuild, recover_node
 
 #: Supervisor states, in lifecycle order.  RESTARTING / RECOVERING /
 #: CURRENT are transient within one tick but still recorded as
@@ -186,16 +186,25 @@ class ClusterSupervisor:
     # -- phase 3: drive recovery -----------------------------------------
 
     def _drive_recovery(self, now: int) -> None:
-        for node_index in sorted(self._nodes):
+        due = [
+            node_index
+            for node_index, record in self._nodes.items()
+            if record.state in (DOWN, SCAVENGED) and now >= record.next_attempt_tick
+        ]
+        # nodes that rejoin from their own disk go first, so a node
+        # whose copy needs a rebuild finds its buddy up
+        for node_index in sorted(due, key=lambda i: (self._needs_buddy(i), i)):
             record = self._nodes[node_index]
-            if record.state not in (DOWN, SCAVENGED):
-                continue
-            if now < record.next_attempt_tick:
-                continue
             if record.state == DOWN:
                 self._try_restart(node_index, record, now)
             else:
                 self._try_recover(node_index, record, now)
+
+    def _needs_buddy(self, node_index: int) -> bool:
+        return any(
+            needs_rebuild(self.cluster, node_index, copy.name)
+            for copy in self.cluster.catalog.all_projections()
+        )
 
     def _try_restart(self, node_index: int, record, now: int) -> None:
         self._transition(node_index, RESTARTING, now)

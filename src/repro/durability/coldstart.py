@@ -37,9 +37,9 @@ Replay order (each step idempotent over what the previous recovered):
    back to currency (trivially, from its own disk — the replay above
    restored LGE = latest queryable) and rejoins it.  A copy that lost
    a container to quarantine is the exception: its LGE stays 0, so
-   rejoining rebuilds it from its buddy (and the quarantine is purged),
-   and with no buddy (K=0) its node stays down and a read of its
-   segments raises :class:`~repro.errors.DataUnavailableError`.
+   rejoining rebuilds it from its buddy (and the rebuild purges the
+   quarantine), and with no buddy (K=0) its node stays down and a read
+   of its segments raises :class:`~repro.errors.DataUnavailableError`.
 """
 
 from __future__ import annotations
@@ -142,9 +142,6 @@ def replay_journal(cluster: "Cluster", journal: Journal) -> ColdStartReport:
         _restore_epoch_marks(cluster, replay)
         with TRACER.span("cold_start.rejoin", category="recovery"):
             report.rejoin_ticks = _rejoin_all_nodes(cluster)
-        for node_index in cluster.membership.up_nodes():
-            # rejoined: every copy scavenge quarantined from was rebuilt
-            cluster.nodes[node_index].manager.purge_quarantine()
         report.projections = [
             copy.name for copy in cluster.catalog.all_projections()
         ]

@@ -836,16 +836,13 @@ class StorageManager:
                 damaged.append((container_id, bad))
         return damaged
 
-    def purge_quarantine(self, projection_name: str | None = None) -> int:
-        """Delete quarantined container directories (post-repair
-        cleanup).  Returns how many were purged."""
-        names = (
-            [projection_name] if projection_name else self.projection_names()
-        )
+    def purge_quarantine(self, projection_name: str) -> int:
+        """Delete the copy's quarantined container directories once it
+        has been rebuilt.  Returns how many were purged."""
         purged = 0
         keep = []
         for record in self.quarantined:
-            if record.projection in names:
+            if record.projection == projection_name:
                 shutil.rmtree(record.path, ignore_errors=True)
                 purged += 1
             else:
@@ -1212,7 +1209,7 @@ class StorageManager:
     def forget_contents(self, projection_name: str) -> None:
         """Drop everything this copy holds — containers, their delete
         vectors in memory and on disk, the WOS — and keep it registered:
-        repair and rebalance wipe a copy with this before reloading it
+        rebalance wipes a copy with this before reloading it
         through :meth:`load_history`."""
         state = self._state(projection_name)
         self.remove_containers(projection_name, list(state.containers))

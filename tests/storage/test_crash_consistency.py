@@ -260,7 +260,7 @@ class TestCorruptionDetection:
         record = manager.quarantine_container(NAME, container_id, "test")
         assert state.containers == {}
         assert os.path.isdir(record.path)
-        assert manager.purge_quarantine() == 1
+        assert manager.purge_quarantine(NAME) == 1
         assert not os.path.exists(record.path)
         assert manager.quarantined == []
 

@@ -83,15 +83,18 @@ echo "   seeds: 101, 202, ${GIT_SEED} (git-derived)"
 REPRO_CHAOS_SEEDS="101,202,${GIT_SEED}" REPRO_SANITIZE=1 \
     python -m pytest -q -m chaos tests/chaos/test_self_healing.py
 
-echo "== crash-restart: kill-anywhere durability sweep + delete-vector damage =="
+echo "== crash-restart: kill-anywhere durability sweep + container damage =="
 # Every durability fault point x allowed action: a fixed workload is
 # crashed (or silently corrupted) mid-flight, the database reopens
 # from disk, and the recovered state must be an exact op-boundary
 # snapshot of a fault-free oracle run.  The same seeds draw which
 # delete-vector file and bit to flip before a reopen, which must be
 # loud with K=0, at that open and the next, and equal the oracle with
-# K=1.  Two pinned seeds anchor regressions; one derived from the
-# commit SHA explores fresh offsets.
+# K=1 after one rejoin tick; and which container's k.dat to flip
+# before a restart + recover_node (the next open rebuilds nothing) or
+# a live scrub (K=0: the node leaves service and reads are loud; K=1:
+# the oracle).  Two pinned seeds anchor regressions; one derived from
+# the commit SHA explores fresh offsets.
 echo "   seeds: 11, 23, ${GIT_SEED} (git-derived)"
 REPRO_CRASH_SEEDS="11,23,${GIT_SEED}" REPRO_SANITIZE=1 \
     python -m pytest -q tests/chaos/test_kill_anywhere.py \

@@ -9,9 +9,12 @@ record body here is ``{"kind": ..., "lsn": ..., "payload": ...}``.
 
 Stored format.  The genesis records :data:`FORMAT`, and an open of a
 journal whose genesis names another number (none at all counts as 0) is
-refused before any file under it changes.  Format 1 has no optional
+refused before any file under it changes.  Format 2 has no optional
 field: a record or checkpoint missing one its writer writes is damage,
-cut or skipped like a failed CRC (DESIGN.md, "Stored format").
+cut or skipped like a failed CRC (DESIGN.md, "Stored format").  It
+differs from format 1 in two block layouts (DELTARANGE_COMP floats in
+fixed lanes, strings as a lengths stream and one body), so a format-1
+database is refused like any other number.
 
 Bounded replay.  Segments rotate after ``segment_records`` records or
 ``segment_log.SEGMENT_BYTES`` of them, so a bulk-load record seals its
@@ -63,9 +66,9 @@ DEFAULT_CHECKPOINT_INTERVAL = 32
 CHECKPOINTS_RETAINED = 2
 #: The stored format this build writes into every genesis and backup
 #: manifest, and the only one it opens.
-FORMAT = 1
+FORMAT = 2
 
-#: The payload fields the writer of each record kind writes: in format 1
+#: The payload fields the writer of each record kind writes: in format 2
 #: every one is required.  A record's catalog objects are decoded to
 #: tell, and the genesis's ``format`` is checked before anything else.
 _FIELDS = {

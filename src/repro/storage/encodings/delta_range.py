@@ -9,25 +9,30 @@ Floats are first reinterpreted as their raw 64-bit patterns and the
 *patterns* are delta-coded — unlike arithmetic float deltas this is
 exactly reversible, and neighbouring floats in a sorted or
 range-confined column share high-order bits so their pattern deltas
-are small.  Either stream is then run through zlib (the "compressed"
-part).
+are small; each delta is zigzagged modulo 2**64 into a fixed-width
+lane.  Either stream is then run through zlib (the "compressed" part).
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
-from array import array
 from itertools import accumulate, chain
 from operator import sub
 
 from ...errors import EncodingError
 from ...types import DataType
-from ..serde import inflate, lane_mask, read_svarints, unzigzag_lanes, varint_lanes, write_svarints
+from ..serde import inflate, lane_mask, read_svarints, unzigzag_lanes, write_svarints
 from .base import BlockFacts, Encoding, register
 
 
 _LOW_WORD = (1 << 64) - 1
+
+
+def _flip_negatives(lanes: int, count: int) -> int:
+    """Each 8-byte lane's low 63 bits flipped where its top bit is set (double <-> ordered int)."""
+    signs = (lanes >> 63) & lane_mask(b"\x01" + bytes(7), 8 * count)
+    return lanes ^ ((signs << 63) - signs)
 
 
 def floats_to_ordered_ints(values: list[float]) -> list[int]:
@@ -38,20 +43,8 @@ def floats_to_ordered_ints(values: list[float]) -> list[int]:
     sorted floats produce monotone integers with small deltas.
     """
     count = len(values)
-    raws = struct.unpack(f"<{count}q", struct.pack(f"<{count}d", *values))
-    return [raw if raw >= 0 else raw ^ 0x7FFFFFFFFFFFFFFF for raw in raws]
-
-
-def deltas_to_floats(deltas: int, width: int, count: int) -> list[float]:
-    """The floats whose ordered ints have the deltas in ``deltas``, one
-    two's complement delta in each ``width``-byte lane (``width`` >= 8).
-    A delta may take 65 bits, so the sums are taken modulo 2**64."""
-    words = memoryview(deltas.to_bytes(width * count, "little")).cast("q")[:: width // 8]
-    ordered = int.from_bytes(array("Q", map(_LOW_WORD.__and__, accumulate(words))), "little")
-    # the sign fix of floats_to_ordered_ints: a negative one's low 63 bits flipped
-    signs = (ordered >> 63) & lane_mask(b"\x01" + bytes(7), 8 * count)
-    patterns = ordered ^ ((signs << 63) - signs)
-    return memoryview(patterns.to_bytes(8 * count, "little")).cast("d").tolist()
+    patterns = int.from_bytes(struct.pack(f"<{count}d", *values), "little")
+    return memoryview(_flip_negatives(patterns, count).to_bytes(8 * count, "little")).cast("q").tolist()
 
 
 class CompressedDeltaRangeEncoding(Encoding):
@@ -63,27 +56,41 @@ class CompressedDeltaRangeEncoding(Encoding):
     _FLOAT_TAG = 1
 
     def encode(self, values: list, facts: BlockFacts | None = None) -> bytes:
-        if values and isinstance(values[0], float):
-            out = bytearray([self._FLOAT_TAG])
-            values = floats_to_ordered_ints(values)
-        else:
+        if not values or not isinstance(values[0], float):
             out = bytearray([self._INT_TAG])
-        # each value less the one before it, the first less zero
-        write_svarints(out, list(map(sub, values, chain((0,), values))))
+            # each value less the one before it, the first less zero
+            write_svarints(out, list(map(sub, values, chain((0,), values))))
+            return zlib.compress(bytes(out), level=6)
+        # the tag, a width w, then per value w bytes: the zigzag of its
+        # ordered int less the one before modulo 2**64, w the widest's
+        count = len(values)
+        ordered = floats_to_ordered_ints(values)
+        deltas = map(_LOW_WORD.__and__, map(sub, ordered, chain((0,), ordered)))
+        lanes = int.from_bytes(struct.pack(f"<{count}Q", *deltas), "little")
+        signs = (lanes >> 63) & lane_mask(b"\x01" + bytes(7), 8 * count)
+        words = ((lanes << 1) ^ (signs << 64) ^ ((signs << 64) - signs)).to_bytes(8 * count, "little")
+        width = 1 + max((byte for byte in range(8) if words[byte::8].strip(b"\0")), default=0)
+        out = bytearray([self._FLOAT_TAG, width]) + bytes(width * count)
+        for byte in range(width):
+            out[2 + byte :: width] = words[byte::8]
         return zlib.compress(bytes(out), level=6)
 
     def decode(self, data: bytes, count: int) -> list:
         raw = inflate(data)
-        if count == 0:
-            return []
-        if raw[:1] == bytes([self._FLOAT_TAG]):
-            read = varint_lanes(raw, 1, count, 8)
-            if read is None:  # cut short, or a delta beyond 65 bits
-                raise EncodingError("corrupt float deltas")
-            lanes, width, _ = read
-            return deltas_to_floats(unzigzag_lanes(lanes, width, count), width, count)
-        deltas, _ = read_svarints(raw, 1, count)
-        return list(accumulate(deltas))
+        if raw[:1] != bytes([self._FLOAT_TAG]):
+            deltas, _ = read_svarints(raw, 1, count)
+            return list(accumulate(deltas))
+        # widen the lanes to 8 bytes, unzigzag, sum modulo 2**64, undo the sign fix
+        width = raw[1] if len(raw) > 1 else 0
+        if not 1 <= width <= 8 or len(raw) != 2 + width * count:
+            raise EncodingError(f"corrupt float lanes: width {width}, {len(raw)} bytes, {count} rows")
+        words = bytearray(8 * count)
+        for byte in range(width):
+            words[byte::8] = raw[2 + byte :: width]
+        deltas = unzigzag_lanes(int.from_bytes(words, "little"), 8, count).to_bytes(8 * count, "little")
+        sums = map(_LOW_WORD.__and__, accumulate(memoryview(deltas).cast("q")))
+        ordered = int.from_bytes(struct.pack(f"<{count}Q", *sums), "little")
+        return memoryview(_flip_negatives(ordered, count).to_bytes(8 * count, "little")).cast("d").tolist()
 
     def supports(self, dtype: DataType, values: list, facts=None) -> bool:
         kinds = (facts or BlockFacts(values)).kinds

@@ -1,22 +1,23 @@
 """Plain (uncompressed) encoding, with an optional zlib variant.
 
-``PLAIN`` stores every value as a self-describing record; it is the
-fallback when no structured encoding applies.  ``COMPRESSED_PLAIN``
-runs the plain bytes through zlib, standing in for the block-level
-LZ-style compression a production column store layers under its
-structured encodings.
+``PLAIN`` stores every value as a self-describing record (a list of
+strings as one block); the fallback when no structured encoding
+applies.  ``COMPRESSED_PLAIN`` runs the plain bytes through zlib,
+standing in for the block-level LZ-style compression a production
+column store layers under its structured encodings.
 """
 
 from __future__ import annotations
 
 import zlib
 
+from ...errors import EncodingError
 from ..serde import inflate, read_values, write_values
 from .base import BlockFacts, Encoding, register
 
 
 class PlainEncoding(Encoding):
-    """Self-describing records, one per value; applies to any type."""
+    """Self-describing records, one per value or a block of strings; any type."""
 
     name = "PLAIN"
 
@@ -32,7 +33,10 @@ class PlainEncoding(Encoding):
         return facts.plain_size
 
     def decode(self, data: bytes, count: int) -> list:
-        return read_values(data, 0, count)[0]
+        values, end = read_values(data, 0, count)
+        if end != len(data):
+            raise EncodingError(f"{len(data) - end} bytes past the last value")
+        return values
 
 
 class CompressedPlainEncoding(PlainEncoding):

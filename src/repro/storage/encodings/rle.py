@@ -16,8 +16,9 @@ from __future__ import annotations
 
 from itertools import chain, repeat
 
-from ..serde import CONTINUING, interleave, read_uvarint, read_uvarints, read_value, record_sizes
-from ..serde import unzigzags, uvarint_sizes, uvarints_size, write_uvarints, write_values
+from ...errors import EncodingError
+from ..serde import CONTINUING, STRINGS, interleave, read_strings, read_uvarint, read_uvarints, read_value
+from ..serde import record_sizes, unzigzags, uvarint_sizes, uvarints_size, write_uvarints, write_values
 from .base import BlockFacts, Encoding, register
 
 
@@ -31,6 +32,9 @@ class RleEncoding(Encoding):
         heads, lengths = facts.heads, facts.run_lengths
         out = bytearray()
         write_values(out, heads, facts.kinds)
+        if facts.kinds == {str}:  # the heads as one block, then the lengths
+            write_uvarints(out, lengths)
+            return bytes(out)
         records = bytes(out)
         out.clear()
         write_uvarints(out, lengths)
@@ -62,9 +66,15 @@ class RleEncoding(Encoding):
 
     @staticmethod
     def _heads_and_lengths(data: bytes, count: int) -> tuple[list, list[int]]:
-        """The run heads and the run lengths of ``count`` rows.  A block
-        of integers — a tag, a value and a length per run, all varints —
-        is read as a whole; one of other kinds run by run."""
+        """The run heads and the run lengths of ``count`` rows.  A block of
+        integers (a tag, a value and a length per run, all varints) or of
+        strings (their block, then the lengths) is read whole; others run by run."""
+        if data[:1] == STRINGS:
+            heads, offset = read_strings(data, 0)
+            lengths, offset = read_uvarints(data, offset, len(heads))
+            if sum(lengths) != count or offset != len(data):
+                raise EncodingError("RLE runs disagree with the block")
+            return heads, lengths
         if data[:1] == b"\x01":
             words, _ = read_uvarints(data, 0, len(data.translate(None, CONTINUING)))
             tags, lengths = words[0::3], words[2::3]

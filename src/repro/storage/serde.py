@@ -2,7 +2,7 @@
 
 Encodings (section 3.4) are defined in terms of a handful of
 primitives: unsigned varints, zigzag-coded signed varints, IEEE
-doubles, and length-prefixed strings.  Keeping these in one module
+doubles, length-prefixed strings and blocks of strings.  Keeping these in one module
 makes every encoding short and makes byte-level sizes — the quantity
 Table 4 measures — easy to reason about.
 """
@@ -193,9 +193,9 @@ def lane_mask(pattern: bytes, size: int) -> int:
     return int.from_bytes(pattern * (size // len(pattern)), "little")
 
 
-def varint_lanes(data: bytes, offset: int, count: int, width: int = 1):
+def varint_lanes(data: bytes, offset: int, count: int):
     """The ``count`` varints at ``offset`` as one little-endian int of
-    lanes of ``width`` bytes or more, a value each: ``(lanes, width,
+    lanes of ``width`` bytes, a value each: ``(lanes, width,
     new_offset)``, or None if a varint takes over 15 bytes or is cut
     short.  A tab after each varint, expanded, pads it to its lane;
     log2(width) mask-and-shift steps over the block close the gaps
@@ -203,9 +203,11 @@ def varint_lanes(data: bytes, offset: int, count: int, width: int = 1):
     by one search, so the tabs are expanded once.  No step is taken per
     value."""
     head = data[offset : offset + count]
-    if width == 1 and len(head) == count and head.isascii():
+    if len(head) == count and head.isascii():
         return int.from_bytes(head, "little"), 1, offset + count
-    stream = data[offset : offset + 15 * count]
+    stream = data[offset : offset + 3 * count]  # bodies may follow: 3 bytes a varint first
+    if len(stream.translate(None, CONTINUING)) < count:
+        stream = data[offset : offset + 15 * count]
     units = bytearray(3 * len(stream))
     for plane, table in enumerate(_TABBED_UTF8):
         units[plane::3] = stream.translate(table)
@@ -214,16 +216,12 @@ def varint_lanes(data: bytes, offset: int, count: int, width: int = 1):
         return None
     # lanes wider than the longest varint: a run of 7 (3) bytes that
     # continue one is a varint of 8 (4) bytes or more; bytes past the
-    # varints may only widen them, and a varint over 15 bytes still fails
+    # varints may only widen them, and a varint over 15 bytes fails
     marks = stream.translate(_TOP_BIT)
-    width = max(width, 16 if b"\1" * 7 in marks else 8 if b"\1" * 3 in marks else 4)
-    while True:
-        if width > 16:
-            return None
-        padded = text.expandtabs(width).encode("utf-16-le")[0 : 2 * width * count : 2]
-        if padded[width - 1 :: width] == b" " * count:
-            break
-        width *= 2
+    width = 16 if b"\1" * 7 in marks else 8 if b"\1" * 3 in marks else 4
+    padded = text.expandtabs(width).encode("utf-16-le")[0 : 2 * width * count : 2]
+    if padded[width - 1 :: width] != b" " * count:
+        return None
     lanes = int.from_bytes(padded.translate(_UNPAD), "little")
     half = 1
     while half < width:
@@ -353,19 +351,17 @@ def _tagged(tag: bytes, width: int, payload: bytes) -> bytearray:
     return out
 
 
-def _string_record(value: str) -> bytes:
-    out = bytearray(b"\x03")
-    write_string(out, value)
-    return bytes(out)
+#: The tag of a block of strings (:func:`write_values`): no record's tag.
+STRINGS = b"\x06"
 
 
 def write_values(out: bytearray, values: list, kinds=None) -> None:
     """Append every value of ``values`` as :func:`write_value` does, a
     column at a time: ``kinds`` is the set of their types (worked out
     here when not given).  Small integers and booleans are byte
-    slices, doubles one ``struct.pack``, a string is serialised once
-    per distinct value; a list of mixed types (or holding NULLs — only
-    metadata and grouped columns do) goes value by value.
+    slices, doubles one ``struct.pack``, strings one block (:data:`STRINGS`,
+    count, UTF-8 lengths, bodies); a list of mixed types (or holding NULLs
+    — only metadata and grouped columns do) goes value by value.
     """
     if kinds is None:
         kinds = set(map(type, values))
@@ -391,8 +387,11 @@ def write_values(out: bytearray, values: list, kinds=None) -> None:
     elif kinds == {float}:
         out += _tagged(b"\x02", 8, struct.pack(f"<{count}d", *values))
     elif kinds == {str}:
-        records = {value: _string_record(value) for value in set(values)}
-        out += b"".join(map(records.__getitem__, values))
+        text = "".join(values)
+        out += STRINGS
+        write_uvarint(out, count)
+        write_uvarints(out, list(map(len, values if text.isascii() else map(str.encode, values))))
+        out += text.encode("utf-8")
     elif kinds == {bool}:
         out += bytes(map((5, 4).__getitem__, values))
     else:
@@ -402,13 +401,10 @@ def write_values(out: bytearray, values: list, kinds=None) -> None:
 
 def record_sizes(values: list, kinds) -> list[int]:
     """The length of each record :func:`write_values` writes for
-    ``values`` (``kinds``: the set of their types): a tag byte, then a
-    varint, a double, nothing or a length-prefixed string."""
+    ``values`` (``kinds``: the set of their types, not ``{str}``): a
+    tag byte, then a varint, a double or nothing."""
     if kinds == {int}:
         return [size + 1 for size in uvarint_sizes(zigzags(values))]
-    if kinds == {str}:
-        lengths = list(map(len, map(str.encode, values)))
-        return [1 + size + length for size, length in zip(uvarint_sizes(lengths), lengths)]
     if kinds == {float}:
         return [9] * len(values)
     if kinds == {bool}:
@@ -452,7 +448,7 @@ def values_size(values: list, kinds=None) -> int:
             lengths = list(map(len, values))
         else:
             lengths = list(map(len, map(str.encode, values)))
-        return count + sum(lengths) + uvarints_size(lengths)
+        return 1 + uvarint_size(count) + sum(lengths) + uvarints_size(lengths)
     return sum(record_sizes(values, kinds))
 
 
@@ -477,11 +473,34 @@ def read_value(data: bytes, offset: int):
     raise EncodingError(f"unknown value tag {tag}")
 
 
+def read_strings(data: bytes, offset: int, expected: int | None = None) -> tuple[list[str], int]:
+    """Read a block of (``expected``) strings: ``(values, new_offset)``.
+    The lengths, read by the lanes, are summed into offsets; an ASCII
+    body decodes once and is sliced, any other is sliced and decoded."""
+    count, offset = read_uvarint(data, offset + 1)
+    if expected not in (None, count):
+        raise EncodingError(f"{count} strings where {expected} were written")
+    lengths, offset = read_uvarints(data, offset, count)
+    ends = list(accumulate(lengths, initial=0))
+    body = bytes(data[offset : offset + ends[-1]])
+    if len(body) != ends[-1]:
+        raise EncodingError("truncated strings")
+    slices = map(slice, ends, ends[1:])
+    if body.isascii():
+        return list(map(body.decode().__getitem__, slices)), offset + len(body)
+    try:
+        return list(map(bytes.decode, map(body.__getitem__, slices))), offset + len(body)
+    except UnicodeDecodeError as exc:
+        raise EncodingError(f"corrupt string: {exc}") from None
+
+
 def read_values(data: bytes, offset: int, count: int) -> tuple[list, int]:
     """Read ``count`` records of :func:`write_values`; return ``(values,
-    new_offset)``: in bulk if all are doubles, one-byte records or
-    integers (a tag and a varint: twice as many varints); strings and
-    mixed blocks record by record."""
+    new_offset)``: in bulk if all are doubles, one-byte records,
+    integers (a tag and a varint: twice as many varints) or a block of
+    strings; mixed blocks record by record."""
+    if count and data[offset : offset + 1] == STRINGS:
+        return read_strings(data, offset, count)
     end = offset + 9 * count
     if len(data) >= end and data[offset:end:9] == b"\x02" * count:
         body = bytearray(8 * count)

@@ -1,11 +1,12 @@
-"""The stored format is a number, and format 1 has no optional field.
+"""The stored format is a number, and format 2 has no optional field.
 
 A database's genesis records ``format``; one naming another number (no
-key at all is format 0) refuses to open with a typed error naming both
-numbers, and the refusal comes before any file under the database
-changes: a staged checkpoint and a torn journal tail planted beside it
-are still there, byte for byte.  A backup manifest records the format
-too and is refused the same way.  Every field a writer writes is
+key at all is format 0; format 1 is the block layouts before floats in
+fixed lanes and strings as two streams) refuses to open with a typed
+error naming both numbers, and the refusal comes before any file under
+the database changes: a staged checkpoint and a torn journal tail
+planted beside it are still there, byte for byte.  A backup manifest
+records the format too and is refused the same way.  Every field a writer writes is
 required, and one missing takes its artifact's damage path: a journal
 record cuts the log there, a checkpoint gives way to the older one, a
 container is quarantined (and, with K=1, rebuilt from its buddy), and a
@@ -90,7 +91,7 @@ def set_format(genesis, found):
 
 
 @pytest.mark.parametrize("checkpointed", [False, True], ids=["genesis-record", "checkpoint"])
-@pytest.mark.parametrize("found", [0, 2])
+@pytest.mark.parametrize("found", [0, 1])
 def test_another_format_is_refused_before_any_file_changes(tmp_path, found, checkpointed):
     root = tmp_path / "db"
     db = build(root, checkpointed)
@@ -118,7 +119,7 @@ def test_another_format_is_refused_before_any_file_changes(tmp_path, found, chec
 
 
 def test_the_format_is_recorded_and_an_open_cleans_up(tmp_path):
-    """The control for the refusal above: at format 1 the same planted
+    """The control for the refusal above: at format 2 the same planted
     stage and torn tail are gone after the open."""
     root = tmp_path / "db"
     db = build(root, checkpointed=False)
@@ -152,7 +153,7 @@ def edit_manifest(path, change):
         json.dump(manifest, handle)
 
 
-@pytest.mark.parametrize("found", [0, 2])
+@pytest.mark.parametrize("found", [0, 1])
 def test_a_manifest_of_another_format_is_refused(backed_up, tmp_path, found):
     db, image, manifest = backed_up
     edit_manifest(manifest, lambda m: set_format(m, found))

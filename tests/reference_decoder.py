@@ -5,6 +5,10 @@ Everything here is value-at-a-time: the varint loop with a fast path
 for a block of one-byte varints, ``unpack_bits`` taking a value's bits
 from a byte buffer, PLAIN reading one self-describing record per value,
 RLE a record and a length per run, the NULL bitmap tested bit by bit.
+The two layouts of stored format 2 are read the same way: a block of
+strings (PLAIN, RLE heads, BLOCK_DICT entries) its count, then a length
+at a time, then a body at a time, and DELTARANGE_COMP's float lanes a
+lane at a time, each delta summed modulo 2**64.
 The one change from that code is the errors: a short or malformed
 payload made these loops raise ``IndexError``, ``struct.error``,
 ``zlib.error`` or ``StopIteration``; :func:`decode_block` turns each
@@ -69,7 +73,27 @@ def unpack_bits(data: bytes, bit_width: int, count: int) -> list[int]:
     return values
 
 
+def read_strings(data: bytes, offset: int) -> tuple[list[str], int]:
+    count, offset = read_uvarint(data, offset + 1)
+    lengths = []
+    for _ in range(count):
+        length, offset = read_uvarint(data, offset)
+        lengths.append(length)
+    values = []
+    for length in lengths:
+        if offset + length > len(data):
+            raise EncodingError("truncated string")
+        values.append(data[offset : offset + length].decode("utf-8"))
+        offset += length
+    return values, offset
+
+
 def read_records(data: bytes, offset: int, count: int) -> tuple[list, int]:
+    if count and data[offset : offset + 1] == b"\x06":
+        values, offset = read_strings(data, offset)
+        if len(values) != count:
+            raise EncodingError("a block of strings of another count")
+        return values, offset
     values = []
     for _ in range(count):
         value, offset = read_value(data, offset)
@@ -87,7 +111,10 @@ def ordered_ints_to_floats(raws: list[int]) -> list[float]:
 
 
 def plain(data: bytes, count: int) -> list:
-    return read_records(data, 0, count)[0]
+    values, offset = read_records(data, 0, count)
+    if offset != len(data):
+        raise EncodingError("bytes past the last value")
+    return values
 
 
 def compressed_plain(data: bytes, count: int) -> list:
@@ -97,6 +124,16 @@ def compressed_plain(data: bytes, count: int) -> list:
 def iter_runs(data: bytes, count: int):
     emitted = 0
     offset = 0
+    if data[:1] == b"\x06":  # a block of string heads, then the lengths
+        heads, offset = read_strings(data, 0)
+        lengths = []
+        for _ in heads:
+            length, offset = read_uvarint(data, offset)
+            lengths.append(length)
+        if sum(lengths) != count or offset != len(data):
+            raise EncodingError("RLE runs disagree with the block")
+        yield from zip(heads, lengths)
+        return
     while emitted < count:
         value, offset = read_value(data, offset)
         length, offset = read_uvarint(data, offset)
@@ -135,11 +172,21 @@ def deltarange(data: bytes, count: int) -> list:
     raw = zlib.decompress(data)
     if count == 0:
         return []
-    deltas, _ = read_svarints(raw, 1, count)
-    values = list(accumulate(deltas))
-    if raw[0] == 1:
-        return ordered_ints_to_floats(values)
-    return values
+    if raw[0] != 1:
+        deltas, _ = read_svarints(raw, 1, count)
+        return list(accumulate(deltas))
+    # a width byte, then per value a lane of that many bytes: the zigzag
+    # of its ordered int's delta, modulo 2**64
+    width = raw[1]
+    if not 1 <= width <= 8 or len(raw) != 2 + width * count:
+        raise EncodingError("corrupt float lanes")
+    ordered = []
+    total = 0
+    for index in range(count):
+        lane = int.from_bytes(raw[2 + index * width : 2 + (index + 1) * width], "little")
+        total = (total + ((lane >> 1) ^ -(lane & 1))) % 2**64
+        ordered.append(total - 2**64 if total >= 2**63 else total)
+    return ordered_ints_to_floats(ordered)
 
 
 def commondelta(data: bytes, count: int) -> list:

@@ -11,7 +11,11 @@ a key tuple per row, and mergeout as a ``heapq.merge`` of row records.
 One thing differs from that parent, as it does in the product: RLE
 runs and dictionary entries are told apart type-exactly (``-0.0`` is
 not ``0.0``, NaN is nothing's equal), so only a block holding both
-zeros encodes differently from what the parent wrote.
+zeros encodes differently from what the parent wrote.  And the two
+layouts of stored format 2 are written value by value too: a list of
+strings as one block (its count, each length, then each body; an RLE
+block's run lengths follow its heads), and DELTARANGE_COMP's floats as
+one lane per delta, all of the widest one's width.
 
 Unchanged product pieces are reused: the scalar ``serde`` functions,
 ``BlockInfo``, ``ContainerMeta``, ``fsio`` and ``plan_merges``.
@@ -60,10 +64,24 @@ def _identical(a, b) -> bool:
     return a == b and type(a) is type(b) and repr(a) == repr(b)
 
 
+def write_records(out: bytearray, values: list) -> None:
+    """A record per value; strings (and nothing else) as one block: the
+    tag 6, the count, each length, then each body."""
+    if not values or not all(type(value) is str for value in values):
+        for value in values:
+            write_value(out, value)
+        return
+    out.append(6)
+    write_uvarint(out, len(values))
+    for value in values:
+        write_uvarint(out, len(value.encode("utf-8")))
+    for value in values:
+        out += value.encode("utf-8")
+
+
 def encode_plain(values: list) -> bytes:
     out = bytearray()
-    for value in values:
-        write_value(out, value)
+    write_records(out, values)
     return bytes(out)
 
 
@@ -72,7 +90,7 @@ def encode_compressed_plain(values: list) -> bytes:
 
 
 def encode_rle(values: list) -> bytes:
-    out = bytearray()
+    heads, lengths = [], []
     index = 0
     total = len(values)
     while index < total:
@@ -80,9 +98,18 @@ def encode_rle(values: list) -> bytes:
         run = index + 1
         while run < total and _identical(values[run], value):
             run += 1
-        write_value(out, value)
-        write_uvarint(out, run - index)
+        heads.append(value)
+        lengths.append(run - index)
         index = run
+    out = bytearray()
+    if heads and all(type(head) is str for head in heads):  # heads, then lengths
+        write_records(out, heads)
+        for length in lengths:
+            write_uvarint(out, length)
+        return bytes(out)
+    for head, length in zip(heads, lengths):
+        write_value(out, head)
+        write_uvarint(out, length)
     return bytes(out)
 
 
@@ -112,8 +139,7 @@ def encode_block_dict(values: list) -> bytes:
         codes.append(code)
     out = bytearray()
     write_uvarint(out, len(entries))
-    for entry in entries:
-        write_value(out, entry)
+    write_records(out, entries)
     width = bit_width_for(max(len(entries) - 1, 0))
     write_uvarint(out, width)
     out += pack_bits(codes, width)
@@ -127,14 +153,25 @@ def _float_to_ordered_int(value: float) -> int:
 
 def encode_deltarange(values: list) -> bytes:
     out = bytearray()
-    if values and isinstance(values[0], float):
-        out.append(1)
-        stream = (_float_to_ordered_int(value) for value in values)
-    else:
-        out.append(0)
-        stream = iter(values)
     previous = 0
-    for value in stream:
+    if values and isinstance(values[0], float):
+        # each delta modulo 2**64 as a signed word, zigzagged, in lanes
+        # as wide as the widest needs
+        lanes = []
+        for value in values:
+            ordered = _float_to_ordered_int(value)
+            delta = (ordered - previous) % 2**64
+            if delta >= 2**63:
+                delta -= 2**64
+            lanes.append((delta << 1) ^ -1 if delta < 0 else delta << 1)
+            previous = ordered
+        width = max(1, -(-max(lanes).bit_length() // 8))
+        out += bytes([1, width])
+        for lane in lanes:
+            out += lane.to_bytes(width, "little")
+        return zlib.compress(bytes(out), level=6)
+    out.append(0)
+    for value in values:
         write_svarint(out, value - previous)
         previous = value
     return zlib.compress(bytes(out), level=6)
@@ -311,9 +348,7 @@ def write_container(
         column_files(column.name, writer)
     for index, group in enumerate(column_groups):
         out = bytearray()
-        for row in rows:
-            for name in group:
-                write_value(out, row[name])
+        write_records(out, [row[name] for row in rows for name in group])
         checksums[f"_group{index}.dat"] = fsio.write_bytes(
             os.path.join(path, f"_group{index}.dat"), bytes(out)
         )

@@ -4,8 +4,11 @@ decoder, and nothing else.
 Each case below used to escape as ``IndexError`` (bit-packed codes,
 BLOCK_DICT, COMMONDELTA_COMP, PLAIN), ``struct.error`` (a cut double)
 or ``zlib.error`` (a bad compressed stream); callers that quarantine a
-corrupt container catch ``EncodingError``.  The sweep cuts blocks of
-every encoding, with and without NULLs, at every length.
+corrupt container catch ``EncodingError``.  The layouts of stored
+format 2 are held to it too: float lanes of a width outside 1..8 or of
+a length other than ``2 + width * rows``, and a block of strings whose
+lengths do not sum to its body or whose body is not UTF-8.  The sweep
+cuts blocks of every encoding, with and without NULLs, at every length.
 """
 
 import zlib
@@ -34,6 +37,12 @@ def _common_delta_code_beyond_entries() -> bytes:
     return zlib.compress(bytes(raw))
 
 
+def _float_lanes(width: int, extra: bytes = b"") -> bytes:
+    """A DELTARANGE_COMP float payload of three rows in ``width``-byte
+    lanes (``extra`` after them)."""
+    return zlib.compress(bytes([1, width]) + bytes(3 * width) + extra)
+
+
 CASES = {
     "bit-packed codes cut short": lambda: serde.unpack_bits(b"\x01", 4, 5),
     "bit-packed codes of width 3 cut short": lambda: serde.unpack_bits(b"\x01\x02", 3, 8),
@@ -60,6 +69,30 @@ CASES = {
     "DELTARANGE_COMP bad zlib": lambda: ENCODINGS["DELTARANGE_COMP"].decode(b"\x00oops", 3),
     "DELTARANGE_COMP floats cut short": lambda: ENCODINGS["DELTARANGE_COMP"].decode(
         zlib.compress(zlib.decompress(_payload("DELTARANGE_COMP", [1.5, -2.5, 3.0]))[:-1]), 3
+    ),
+    "DELTARANGE_COMP float lanes of width 0": lambda: ENCODINGS["DELTARANGE_COMP"].decode(
+        _float_lanes(0), 3
+    ),
+    "DELTARANGE_COMP float lanes of width 9": lambda: ENCODINGS["DELTARANGE_COMP"].decode(
+        _float_lanes(9), 3
+    ),
+    "DELTARANGE_COMP float lanes with a byte past them": lambda: ENCODINGS["DELTARANGE_COMP"].decode(
+        _float_lanes(2, b"\0"), 3
+    ),
+    "DELTARANGE_COMP float lanes without a width": lambda: ENCODINGS["DELTARANGE_COMP"].decode(
+        zlib.compress(b"\x01"), 3
+    ),
+    "strings whose lengths fall short of their body": lambda: ENCODINGS["PLAIN"].decode(
+        b"\x06\x02\x02\x01abcd", 2
+    ),
+    "strings whose lengths run past their body": lambda: ENCODINGS["COMPRESSED_PLAIN"].decode(
+        zlib.compress(b"\x06\x02\x02\x03abcd"), 2
+    ),
+    "strings of another count": lambda: ENCODINGS["PLAIN"].decode(_payload("PLAIN", ["a", "b"]), 3),
+    "strings whose body is not UTF-8": lambda: ENCODINGS["PLAIN"].decode(b"\x06\x01\x02\xff\xfe", 1),
+    "RLE string runs of another sum": lambda: ENCODINGS["RLE"].decode(_payload("RLE", ["a", "a", "b"]), 4),
+    "BLOCK_DICT string entries not UTF-8": lambda: ENCODINGS["BLOCK_DICT"].decode(
+        b"\x01\x06\x01\x01\xff\x00", 3
     ),
     "DELTAVAL offsets cut short": lambda: ENCODINGS["DELTAVAL"].decode(
         _payload("DELTAVAL", [1, 300, 70000])[:-1], 3

@@ -218,13 +218,13 @@ def test_golden_bytes_journal(tmp_path):
     journal.log_floor(2)
     assert read_all(directory) == {
         "ckpt_000001.json": (
-            b'8fead623 {"kind":"checkpoint","lsn":3,"payload":{"ahm":0,'
+            b'a55666ab {"kind":"checkpoint","lsn":3,"payload":{"ahm":0,'
             b'"catalog":{"families":[],"tables":[]},"current_epoch":3,'
-            b'"floor":1,"genesis":{"format":1,"k_safety":1,"node_count":3},'
+            b'"floor":1,"genesis":{"format":2,"k_safety":1,"node_count":3},'
             b'"lsn":3}}\n'
         ),
         "seg_000001.log": (
-            b'3093c652 {"kind":"genesis","lsn":0,"payload":{"format":1,'
+            b'23bbff21 {"kind":"genesis","lsn":0,"payload":{"format":2,'
             b'"k_safety":1,"node_count":3}}\n'
             b'3552d0ca {"kind":"create_table","lsn":1,"payload":{"table":'
             b'{"name":"t"}}}\n'

@@ -120,7 +120,9 @@ echo "== perf smoke: bench harness writes BENCH_REPORT.json =="
 # from the same command without the scale-down env vars:
 #     python -m pytest benchmarks/ -q
 # The section 6.2 ablation runs the planner against StarOpt and
-# StarifiedOpt from tests/reference_planners.py.
+# StarifiedOpt from tests/reference_planners.py.  Table 4 and the
+# encodings ablation assert the compression ratios' shape, so a change
+# to a block layout cannot move them unseen.
 REPRO_T4B_ROWS=20000 REPRO_FAILOVER_ROWS=8000 \
 REPRO_SESSION_STATEMENTS=2 REPRO_RESTART_COMMITS=12 \
 REPRO_DC_STATEMENTS=100 python -m pytest \
@@ -128,7 +130,9 @@ REPRO_DC_STATEMENTS=100 python -m pytest \
     benchmarks/bench_concurrent_sessions.py \
     benchmarks/bench_restart_recovery.py \
     benchmarks/bench_dc_overhead.py \
-    benchmarks/bench_ablation_optimizers.py -q
+    benchmarks/bench_ablation_optimizers.py \
+    benchmarks/bench_table4_compression.py \
+    benchmarks/bench_ablation_encodings.py -q
 test -s BENCH_REPORT.json
 python - <<'EOF'
 import json

@@ -9,7 +9,7 @@ Floats are first reinterpreted as their raw 64-bit patterns and the
 *patterns* are delta-coded — unlike arithmetic float deltas this is
 exactly reversible, and neighbouring floats in a sorted or
 range-confined column share high-order bits so their pattern deltas
-are small; each delta is zigzagged modulo 2**64 into a fixed-width
+are small; each delta is zigzagged modulo 2**64 into an 8-byte
 lane.  Either stream is then run through zlib (the "compressed" part).
 """
 
@@ -61,33 +61,25 @@ class CompressedDeltaRangeEncoding(Encoding):
             # each value less the one before it, the first less zero
             write_svarints(out, list(map(sub, values, chain((0,), values))))
             return zlib.compress(bytes(out), level=6)
-        # the tag, a width w, then per value w bytes: the zigzag of its
-        # ordered int less the one before modulo 2**64, w the widest's
+        # the tag, then per value 8 bytes: the zigzag of its ordered int
+        # less the one before modulo 2**64 (zlib takes the zero high bytes)
         count = len(values)
         ordered = floats_to_ordered_ints(values)
         deltas = map(_LOW_WORD.__and__, map(sub, ordered, chain((0,), ordered)))
         lanes = int.from_bytes(struct.pack(f"<{count}Q", *deltas), "little")
         signs = (lanes >> 63) & lane_mask(b"\x01" + bytes(7), 8 * count)
-        words = ((lanes << 1) ^ (signs << 64) ^ ((signs << 64) - signs)).to_bytes(8 * count, "little")
-        width = 1 + max((byte for byte in range(8) if words[byte::8].strip(b"\0")), default=0)
-        out = bytearray([self._FLOAT_TAG, width]) + bytes(width * count)
-        for byte in range(width):
-            out[2 + byte :: width] = words[byte::8]
-        return zlib.compress(bytes(out), level=6)
+        words = (lanes << 1) ^ (signs << 64) ^ ((signs << 64) - signs)
+        return zlib.compress(bytes([self._FLOAT_TAG]) + words.to_bytes(8 * count, "little"), level=6)
 
     def decode(self, data: bytes, count: int) -> list:
         raw = inflate(data)
         if raw[:1] != bytes([self._FLOAT_TAG]):
             deltas, _ = read_svarints(raw, 1, count)
             return list(accumulate(deltas))
-        # widen the lanes to 8 bytes, unzigzag, sum modulo 2**64, undo the sign fix
-        width = raw[1] if len(raw) > 1 else 0
-        if not 1 <= width <= 8 or len(raw) != 2 + width * count:
-            raise EncodingError(f"corrupt float lanes: width {width}, {len(raw)} bytes, {count} rows")
-        words = bytearray(8 * count)
-        for byte in range(width):
-            words[byte::8] = raw[2 + byte :: width]
-        deltas = unzigzag_lanes(int.from_bytes(words, "little"), 8, count).to_bytes(8 * count, "little")
+        # unzigzag the lanes, sum modulo 2**64, undo the sign fix
+        if len(raw) != 1 + 8 * count:
+            raise EncodingError(f"corrupt float lanes: {len(raw)} bytes, {count} rows")
+        deltas = unzigzag_lanes(int.from_bytes(raw[1:], "little"), 8, count).to_bytes(8 * count, "little")
         sums = map(_LOW_WORD.__and__, accumulate(memoryview(deltas).cast("q")))
         ordered = int.from_bytes(struct.pack(f"<{count}Q", *sums), "little")
         return memoryview(_flip_negatives(ordered, count).to_bytes(8 * count, "little")).cast("d").tolist()

@@ -205,9 +205,7 @@ def varint_lanes(data: bytes, offset: int, count: int):
     head = data[offset : offset + count]
     if len(head) == count and head.isascii():
         return int.from_bytes(head, "little"), 1, offset + count
-    stream = data[offset : offset + 3 * count]  # bodies may follow: 3 bytes a varint first
-    if len(stream.translate(None, CONTINUING)) < count:
-        stream = data[offset : offset + 15 * count]
+    stream = data[offset : offset + 15 * count]
     units = bytearray(3 * len(stream))
     for plane, table in enumerate(_TABBED_UTF8):
         units[plane::3] = stream.translate(table)

@@ -175,15 +175,14 @@ def deltarange(data: bytes, count: int) -> list:
     if raw[0] != 1:
         deltas, _ = read_svarints(raw, 1, count)
         return list(accumulate(deltas))
-    # a width byte, then per value a lane of that many bytes: the zigzag
-    # of its ordered int's delta, modulo 2**64
-    width = raw[1]
-    if not 1 <= width <= 8 or len(raw) != 2 + width * count:
+    # per value an 8-byte lane: the zigzag of its ordered int's delta,
+    # modulo 2**64
+    if len(raw) != 1 + 8 * count:
         raise EncodingError("corrupt float lanes")
     ordered = []
     total = 0
     for index in range(count):
-        lane = int.from_bytes(raw[2 + index * width : 2 + (index + 1) * width], "little")
+        lane = int.from_bytes(raw[1 + index * 8 : 9 + index * 8], "little")
         total = (total + ((lane >> 1) ^ -(lane & 1))) % 2**64
         ordered.append(total - 2**64 if total >= 2**63 else total)
     return ordered_ints_to_floats(ordered)

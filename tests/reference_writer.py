@@ -15,7 +15,7 @@ zeros encodes differently from what the parent wrote.  And the two
 layouts of stored format 2 are written value by value too: a list of
 strings as one block (its count, each length, then each body; an RLE
 block's run lengths follow its heads), and DELTARANGE_COMP's floats as
-one lane per delta, all of the widest one's width.
+one 8-byte lane per delta.
 
 Unchanged product pieces are reused: the scalar ``serde`` functions,
 ``BlockInfo``, ``ContainerMeta``, ``fsio`` and ``plan_merges``.
@@ -155,20 +155,15 @@ def encode_deltarange(values: list) -> bytes:
     out = bytearray()
     previous = 0
     if values and isinstance(values[0], float):
-        # each delta modulo 2**64 as a signed word, zigzagged, in lanes
-        # as wide as the widest needs
-        lanes = []
+        # each delta modulo 2**64 as a signed word, zigzagged, in an 8-byte lane
+        out.append(1)
         for value in values:
             ordered = _float_to_ordered_int(value)
             delta = (ordered - previous) % 2**64
             if delta >= 2**63:
                 delta -= 2**64
-            lanes.append((delta << 1) ^ -1 if delta < 0 else delta << 1)
+            out += ((delta << 1) ^ -1 if delta < 0 else delta << 1).to_bytes(8, "little")
             previous = ordered
-        width = max(1, -(-max(lanes).bit_length() // 8))
-        out += bytes([1, width])
-        for lane in lanes:
-            out += lane.to_bytes(width, "little")
         return zlib.compress(bytes(out), level=6)
     out.append(0)
     for value in values:

@@ -14,12 +14,10 @@ are held to the reference the same way.
 Blocks come from a drawn *shape* rather than value by value: varint
 edges (127/128, 2**14, 2**63, 2**64 and beyond), integers beyond 2**64,
 floats of both signs with ±0.0, ±inf, NaN and subnormals — full-range
-doubles whose deltas wrap modulo 2**64 in 8-byte lanes, and doubles so
-close to zero (a first value's delta is all of it) that the lanes take
-1 to 7 bytes — non-ASCII, empty, all-empty and
-1 KB strings, booleans, dictionaries of 1 to 4,096 entries (code widths
-0 to 12), sorted or not, blocks of 1 to 8,192 rows, and payloads cut
-short anywhere.
+doubles whose deltas wrap modulo 2**64 in 8-byte lanes — non-ASCII,
+empty, all-empty and 1 KB strings, booleans, dictionaries of 1 to
+4,096 entries (code widths 0 to 12), sorted or not, blocks of 1 to
+8,192 rows, and payloads cut short anywhere.
 
 Two planted mutations fail the property: the sign fix dropped for
 negative float patterns, and every lane mask one byte off.
@@ -29,7 +27,6 @@ negative float patterns, and every lane mask one byte off.
 
 import os
 import random
-import zlib
 from dataclasses import dataclass
 
 import pytest
@@ -43,11 +40,11 @@ from repro.storage import serde
 from repro.storage.block import decode_block, encode_block
 from repro.storage.encodings import ENCODINGS, delta_range
 
-KINDS = ("int", "huge", "float", "narrow", "str", "blank", "bool", "codes")
+KINDS = ("int", "huge", "float", "str", "blank", "bool", "codes")
 DTYPES = {
     "int": types.INTEGER, "huge": types.INTEGER, "float": types.FLOAT,
-    "narrow": types.FLOAT, "str": types.VARCHAR, "blank": types.VARCHAR,
-    "bool": types.BOOLEAN, "codes": types.INTEGER,
+    "str": types.VARCHAR, "blank": types.VARCHAR, "bool": types.BOOLEAN,
+    "codes": types.INTEGER,
 }
 INT_EDGES = [
     0, 1, -1, 63, -64, 127, 128, -128, 2**14 - 1, 2**14, -(2**14), 2**21,
@@ -96,9 +93,6 @@ def make_values(shape: Shape) -> list:
             else rng.choice((1, -1)) * rng.random() * 10.0 ** rng.randrange(-shape.spread, shape.spread + 1)
             for _ in range(rows)
         ]
-    elif kind == "narrow":  # subnormals and the smallest normals: lanes under 8 bytes
-        bits = 1 + shape.spread % 54
-        values = [rng.choice((1, -1)) * rng.randrange(2**bits) * 5e-324 for _ in range(rows)]
     elif kind == "str":
         values = [rng.choice(WORDS) + str(rng.randrange(shape.spread + 1)) for _ in range(rows)]
     elif kind == "blank":  # empty strings, and an ASCII word among them when spread is odd
@@ -108,7 +102,7 @@ def make_values(shape: Shape) -> list:
     else:  # a dictionary of 1 << (spread % 13) entries at most
         entries = [rng.randrange(-(10**6), 10**6) for _ in range(1 << shape.spread % 13)]
         values = [rng.choice(entries) for _ in range(rows)]
-    if shape.sorted and kind not in ("float", "narrow"):
+    if shape.sorted and kind != "float":
         values.sort()
     return [None if rng.random() < shape.null_rate else value for value in values]
 
@@ -186,26 +180,12 @@ CORPUS = [
     Shape(13, "float", 700, 300, False, 0.0, "PLAIN", None),
     Shape(14, "int", 5000, 49, False, 0.1, "AUTO", None),
     Shape(15, "float", 8192, 300, False, 0.0, "DELTARANGE_COMP", 0.5),  # cut short
-    Shape(16, "narrow", 2000, 20, False, 0.0, "DELTARANGE_COMP", None),
-    Shape(17, "float", 1, 300, False, 0.0, "DELTARANGE_COMP", None),  # one row
-    Shape(18, "str", 900, 6, False, 0.0, "COMPRESSED_PLAIN", None),
-    Shape(19, "blank", 300, 0, False, 0.0, "RLE", None),  # every string empty
-    Shape(20, "str", 3000, 2, True, 0.0, "RLE", None),
-    Shape(21, "str", 4000, 30, False, 0.1, "BLOCK_DICT", None),
+    Shape(16, "float", 1, 300, False, 0.0, "DELTARANGE_COMP", None),  # one row
+    Shape(17, "str", 900, 6, False, 0.0, "COMPRESSED_PLAIN", None),
+    Shape(18, "blank", 300, 0, False, 0.0, "RLE", None),  # every string empty
+    Shape(19, "str", 3000, 2, True, 0.0, "RLE", None),
+    Shape(20, "str", 4000, 30, False, 0.1, "BLOCK_DICT", None),
 ]
-
-
-def test_the_corpus_holds_full_and_narrow_float_lanes():
-    """Shape 1's signs cross in full-range doubles: deltas that wrap
-    modulo 2**64, lanes of 8 bytes; shape 16's subnormals take 3."""
-    widths = {}
-    for shape in CORPUS:
-        if shape.encoding == "DELTARANGE_COMP" and shape.kind in ("float", "narrow"):
-            values = [value for value in make_values(shape) if value is not None]
-            raw = zlib.decompress(ENCODINGS["DELTARANGE_COMP"].encode(values))
-            widths[shape.seed] = raw[1]
-    assert widths[1] == 8 and widths[16] == 3 and widths[17] == 8
-
 
 EXTRA_SEEDS = [int(s) for s in os.environ.get("REPRO_FUZZ_SEEDS", "").split(",") if s]
 

@@ -5,10 +5,10 @@ Each case below used to escape as ``IndexError`` (bit-packed codes,
 BLOCK_DICT, COMMONDELTA_COMP, PLAIN), ``struct.error`` (a cut double)
 or ``zlib.error`` (a bad compressed stream); callers that quarantine a
 corrupt container catch ``EncodingError``.  The layouts of stored
-format 2 are held to it too: float lanes of a width outside 1..8 or of
-a length other than ``2 + width * rows``, and a block of strings whose
-lengths do not sum to its body or whose body is not UTF-8.  The sweep
-cuts blocks of every encoding, with and without NULLs, at every length.
+format 2 are held to it too: float lanes of a length other than
+``1 + 8 * rows``, and a block of strings whose lengths do not sum to
+its body or whose body is not UTF-8.  The sweep cuts blocks of every
+encoding, with and without NULLs, at every length.
 """
 
 import zlib
@@ -37,10 +37,10 @@ def _common_delta_code_beyond_entries() -> bytes:
     return zlib.compress(bytes(raw))
 
 
-def _float_lanes(width: int, extra: bytes = b"") -> bytes:
-    """A DELTARANGE_COMP float payload of three rows in ``width``-byte
-    lanes (``extra`` after them)."""
-    return zlib.compress(bytes([1, width]) + bytes(3 * width) + extra)
+def _float_lanes(lanes: int, extra: bytes = b"") -> bytes:
+    """A DELTARANGE_COMP float payload of ``lanes`` 8-byte lanes
+    (``extra`` after them)."""
+    return zlib.compress(b"\x01" + bytes(8 * lanes) + extra)
 
 
 CASES = {
@@ -70,18 +70,11 @@ CASES = {
     "DELTARANGE_COMP floats cut short": lambda: ENCODINGS["DELTARANGE_COMP"].decode(
         zlib.compress(zlib.decompress(_payload("DELTARANGE_COMP", [1.5, -2.5, 3.0]))[:-1]), 3
     ),
-    "DELTARANGE_COMP float lanes of width 0": lambda: ENCODINGS["DELTARANGE_COMP"].decode(
-        _float_lanes(0), 3
-    ),
-    "DELTARANGE_COMP float lanes of width 9": lambda: ENCODINGS["DELTARANGE_COMP"].decode(
-        _float_lanes(9), 3
-    ),
+    "DELTARANGE_COMP float lanes too few": lambda: ENCODINGS["DELTARANGE_COMP"].decode(_float_lanes(2), 3),
     "DELTARANGE_COMP float lanes with a byte past them": lambda: ENCODINGS["DELTARANGE_COMP"].decode(
-        _float_lanes(2, b"\0"), 3
+        _float_lanes(3, b"\0"), 3
     ),
-    "DELTARANGE_COMP float lanes without a width": lambda: ENCODINGS["DELTARANGE_COMP"].decode(
-        zlib.compress(b"\x01"), 3
-    ),
+    "DELTARANGE_COMP float lanes missing": lambda: ENCODINGS["DELTARANGE_COMP"].decode(_float_lanes(0), 3),
     "strings whose lengths fall short of their body": lambda: ENCODINGS["PLAIN"].decode(
         b"\x06\x02\x02\x01abcd", 2
     ),
